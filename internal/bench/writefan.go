@@ -36,7 +36,7 @@ func writeFanPoint(o ExpOptions, rows int, serial bool) (mean time.Duration, msg
 	cfg.Replication = 3
 	cfg.PartitionsPerTable = 12
 	cfg.AZAware = true
-	cfg.DisableWriteBatching = serial
+	cfg.DisableBatchedWrites = serial
 	zones := []simnet.ZoneID{1, 2, 3}
 	data := ndb.SpreadPlacement(cfg.DataNodes, zones, 100)
 	mgmt := []ndb.Placement{{Zone: 1, Host: 200}, {Zone: 2, Host: 201}, {Zone: 3, Host: 202}}

@@ -266,7 +266,7 @@ func (d *Deployment) buildHops() error {
 	dbCfg.Replication = opts.Setup.MetaReplication
 	dbCfg.PartitionsPerTable = opts.PartitionsPerTable
 	dbCfg.AZAware = aware
-	dbCfg.DisableWriteBatching = opts.DisableBatchedWrites
+	dbCfg.DisableBatchedWrites = opts.DisableBatchedWrites
 	if opts.NDBCosts != nil {
 		dbCfg.Costs = *opts.NDBCosts
 	}

@@ -137,6 +137,40 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
+// TestOneShardIsUnsharded checks that Shards=1 is the unsharded deployment,
+// schedule for schedule: the same workload sends the same number of
+// messages and bytes, commits the same transactions, and leaves the
+// environment's RNG at the same point of its stream (the next draw of both
+// is the same value only if both consumed the same number before it).
+func TestOneShardIsUnsharded(t *testing.T) {
+	run := func(shards int) (msgs, bytes, committed, nextDraw int64) {
+		opts := smallOptions(PaperSetups[5])
+		opts.Shards = shards
+		d, err := Build(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		gen := workload.NewGenerator(d.Namespace, workload.SpotifyMix, 3)
+		d.Env.Spawn("driver", func(p *sim.Proc) {
+			for i := 0; i < 300; i++ {
+				_, _ = gen.Step(p, d.Clients[i%len(d.Clients)])
+			}
+		})
+		d.Env.RunFor(30 * time.Second)
+		return d.Net.TotalMessages(), d.Net.TotalBytes(), d.DB.Stats.Committed, d.Env.Rand().Int63()
+	}
+	m0, b0, c0, r0 := run(0)
+	m1, b1, c1, r1 := run(1)
+	if m0 != m1 || b0 != b1 || c0 != c1 || r0 != r1 {
+		t.Fatalf("Shards=1 diverges from unsharded: msgs %d/%d bytes %d/%d commits %d/%d next RNG draw %d/%d",
+			m0, m1, b0, b1, c0, c1, r0, r1)
+	}
+	if c0 == 0 {
+		t.Fatal("the workload committed nothing")
+	}
+}
+
 func TestSetupByName(t *testing.T) {
 	for _, s := range PaperSetups {
 		got, ok := SetupByName(s.Name)

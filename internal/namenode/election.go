@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"hopsfscl/internal/shard"
+	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 )
@@ -42,12 +42,13 @@ func (nn *NameNode) electionLoop(p *sim.Proc) {
 }
 
 func (nn *NameNode) electionRound(p *sim.Proc) {
-	err := nn.runTxn(p, electionPartKey, func(tx *shard.Txn) error {
+	err := nn.runTxn(p, electionPartKey, func(tx ndb.Tx) error {
 		row := &electionRow{ID: nn.ID, Domain: nn.Domain, At: p.Now()}
-		if err := tx.Insert(nn.ns.election, electionPartKey, electionKey(nn.ID), row); err != nil {
+		election := nn.ns.election.For(electionPartKey)
+		if err := tx.Insert(election, electionPartKey, electionKey(nn.ID), row); err != nil {
 			return err
 		}
-		kvs, err := tx.ScanPrefix(nn.ns.election, electionPartKey, "e/")
+		kvs, err := tx.ScanPrefix(election, electionPartKey, "e/")
 		if err != nil {
 			return err
 		}

@@ -8,7 +8,6 @@ import (
 
 	"hopsfscl/internal/blocks"
 	"hopsfscl/internal/ndb"
-	"hopsfscl/internal/shard"
 	"hopsfscl/internal/sim"
 )
 
@@ -48,8 +47,9 @@ func (nn *NameNode) hintFor(comps []string) string {
 }
 
 // readInode fetches one inode row read-committed.
-func (nn *NameNode) readInode(tx *shard.Txn, parent uint64, name string) (*Inode, error) {
-	v, ok, err := tx.ReadCommitted(nn.ns.inodes, partKeyOf(parent, name), inodeKey(parent, name))
+func (nn *NameNode) readInode(tx ndb.Tx, parent uint64, name string) (*Inode, error) {
+	table, pk, key := nn.ns.inodeRow(parent, name)
+	v, ok, err := tx.ReadCommitted(table, pk, key)
 	if err != nil {
 		return nil, err
 	}
@@ -65,8 +65,9 @@ func (nn *NameNode) readInode(tx *shard.Txn, parent uint64, name string) (*Inode
 }
 
 // lockInode re-reads an inode under a row lock on the primary replica.
-func (nn *NameNode) lockInode(tx *shard.Txn, parent uint64, name string, mode ndb.LockMode) (*Inode, error) {
-	v, ok, err := tx.ReadLocked(nn.ns.inodes, partKeyOf(parent, name), inodeKey(parent, name), mode)
+func (nn *NameNode) lockInode(tx ndb.Tx, parent uint64, name string, mode ndb.LockMode) (*Inode, error) {
+	table, pk, key := nn.ns.inodeRow(parent, name)
+	v, ok, err := tx.ReadLocked(table, pk, key, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +94,7 @@ var rootInode = &Inode{ID: RootID, Parent: 0, Name: "", Dir: true, Perm: 0o755, 
 // (tryBatchResolve); otherwise — and whenever verification detects stale
 // hints — it falls back to the serial per-component walk. Either way the
 // hint cache is refreshed with what was actually read.
-func (nn *NameNode) resolveChain(tx *shard.Txn, comps []string) ([]*Inode, error) {
+func (nn *NameNode) resolveChain(tx ndb.Tx, comps []string) ([]*Inode, error) {
 	if !nn.ns.cfg.DisableBatchedResolve && len(comps) > 1 {
 		chain, ok, err := nn.tryBatchResolve(tx, comps)
 		if err != nil {
@@ -118,7 +119,7 @@ func (nn *NameNode) resolveChain(tx *shard.Txn, comps []string) ([]*Inode, error
 // parent is exactly the ErrNotFound the serial walk would have returned,
 // and a non-directory interior component is ErrNotDir. Any remaining
 // uncovered suffix is resolved serially from the verified chain.
-func (nn *NameNode) tryBatchResolve(tx *shard.Txn, comps []string) ([]*Inode, bool, error) {
+func (nn *NameNode) tryBatchResolve(tx ndb.Tx, comps []string) ([]*Inode, bool, error) {
 	obs := nn.ns.obs
 	// ids[i] is the cached inode id of the prefix comps[:i]; ids[0] is "/".
 	// The prefix paths are built incrementally in one byte buffer probed
@@ -146,13 +147,10 @@ func (nn *NameNode) tryBatchResolve(tx *shard.Txn, comps []string) ([]*Inode, bo
 		obs.miss()
 		return nil, false, nil
 	}
-	gets := make([]shard.BatchGet, rows)
+	gets := make([]ndb.BatchGet, rows)
 	for i := range gets {
-		gets[i] = shard.BatchGet{
-			Table:   nn.ns.inodes,
-			PartKey: partKeyOf(ids[i], comps[i]),
-			Key:     inodeKey(ids[i], comps[i]),
-		}
+		g := &gets[i]
+		g.Table, g.PartKey, g.Key = nn.ns.inodeRow(ids[i], comps[i])
 	}
 	vals, err := tx.ReadBatch(gets)
 	if err != nil {
@@ -205,7 +203,7 @@ func (nn *NameNode) tryBatchResolve(tx *shard.Txn, comps []string) ([]*Inode, bo
 // walkFrom continues serial resolution: chain already resolves
 // comps[:len(chain)-1], and each further component is one read-committed
 // round trip. It refreshes the hint cache as it goes.
-func (nn *NameNode) walkFrom(tx *shard.Txn, chain []*Inode, comps []string) ([]*Inode, error) {
+func (nn *NameNode) walkFrom(tx ndb.Tx, chain []*Inode, comps []string) ([]*Inode, error) {
 	cur := chain[len(chain)-1]
 	// One buffer carries the growing prefix path for the cache refreshes.
 	pbuf := make([]byte, 0, 96)
@@ -234,7 +232,7 @@ func (nn *NameNode) walkFrom(tx *shard.Txn, chain []*Inode, comps []string) ([]*
 // the full ancestor chain [root, ..., parent] plus the target's name. The
 // chain (not just the parent) is what mutations need: quota charges go to
 // every quota'd ancestor on the resolved path.
-func (nn *NameNode) resolveParentChain(tx *shard.Txn, comps []string) ([]*Inode, string, error) {
+func (nn *NameNode) resolveParentChain(tx ndb.Tx, comps []string) ([]*Inode, string, error) {
 	if len(comps) == 0 {
 		return nil, "", ErrInvalidPath
 	}
@@ -250,7 +248,7 @@ func (nn *NameNode) resolveParentChain(tx *shard.Txn, comps []string) ([]*Inode,
 
 // resolveParent resolves everything but the last component and returns the
 // parent inode plus the target's name.
-func (nn *NameNode) resolveParent(tx *shard.Txn, comps []string) (*Inode, string, error) {
+func (nn *NameNode) resolveParent(tx ndb.Tx, comps []string) (*Inode, string, error) {
 	chain, name, err := nn.resolveParentChain(tx, comps)
 	if err != nil {
 		return nil, "", err
@@ -271,7 +269,7 @@ func (nn *NameNode) Mkdir(p *sim.Proc, path string, perm uint16) error {
 	nn.charge(p, len(comps))
 	nn.Ops++
 	nn.annotate(p, path)
-	return nn.runTxn(p, nn.hintFor(comps), func(tx *shard.Txn) error {
+	return nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		chain, name, err := nn.resolveParentChain(tx, comps)
 		if err != nil {
 			return err
@@ -283,7 +281,8 @@ func (nn *NameNode) Mkdir(p *sim.Proc, path string, perm uint16) error {
 		// Exclusive-lock the child row first, then check existence: two
 		// racing creators serialize on the lock and the loser sees the
 		// winner's row.
-		if _, ok, err := tx.ReadLocked(nn.ns.inodes, partKeyOf(parent.ID, name), inodeKey(parent.ID, name), ndb.LockExclusive); err != nil {
+		table, pk, key := nn.ns.inodeRow(parent.ID, name)
+		if _, ok, err := tx.ReadLocked(table, pk, key, ndb.LockExclusive); err != nil {
 			return err
 		} else if ok {
 			return ErrExists
@@ -306,7 +305,7 @@ func (nn *NameNode) Mkdir(p *sim.Proc, path string, perm uint16) error {
 		}
 		// The inode row and any quota charges ride one batched write (a
 		// single-row batch stages exactly like a plain insert).
-		items := []shard.BatchWrite{{Table: nn.ns.inodes, PartKey: partKeyOf(parent.ID, name), Key: inodeKey(parent.ID, name), Val: ino}}
+		items := []ndb.BatchWrite{{Table: table, PartKey: pk, Key: key, Val: ino}}
 		items = append(items, nn.quotaCharges(chain, "c", ino.ID, 1, 0)...)
 		return tx.WriteBatch(items)
 	})
@@ -328,7 +327,7 @@ func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error)
 	nn.Ops++
 	nn.annotate(p, path)
 	var created *Inode
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx *shard.Txn) error {
+	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		chain, name, err := nn.resolveParentChain(tx, comps)
 		if err != nil {
 			return err
@@ -337,7 +336,8 @@ func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error)
 		if _, err := nn.lockInode(tx, parent.Parent, parent.Name, ndb.LockShared); err != nil {
 			return err
 		}
-		if _, ok, err := tx.ReadLocked(nn.ns.inodes, partKeyOf(parent.ID, name), inodeKey(parent.ID, name), ndb.LockExclusive); err != nil {
+		table, pk, key := nn.ns.inodeRow(parent.ID, name)
+		if _, ok, err := tx.ReadLocked(table, pk, key, ndb.LockExclusive); err != nil {
 			return err
 		} else if ok {
 			return ErrExists
@@ -358,9 +358,10 @@ func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error)
 		// The inode row, the inline small-file payload (§II-A3), and any
 		// quota charges commit as one batched write — one staging message
 		// pair per primary, coalesced commit trains where chains coincide.
-		items := []shard.BatchWrite{{Table: nn.ns.inodes, PartKey: partKeyOf(parent.ID, name), Key: inodeKey(parent.ID, name), Val: ino}}
+		items := []ndb.BatchWrite{{Table: table, PartKey: pk, Key: key, Val: ino}}
 		if ino.InlineSize > 0 {
-			items = append(items, shard.BatchWrite{Table: nn.ns.smallfiles, PartKey: partKey(ino.ID), Key: smallFileKey, Val: ino.InlineSize})
+			table, pk := partOf(nn.ns.smallfiles, ino.ID)
+			items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Val: ino.InlineSize})
 		}
 		items = append(items, nn.quotaCharges(chain, "c", ino.ID, 1, size)...)
 		return tx.WriteBatch(items)
@@ -381,7 +382,7 @@ func (nn *NameNode) Stat(p *sim.Proc, path string) (*Inode, error) {
 	nn.Ops++
 	nn.annotate(p, path)
 	var out *Inode
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx *shard.Txn) error {
+	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		chain, err := nn.resolveChain(tx, comps)
 		if err != nil {
 			return err
@@ -407,7 +408,7 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 	nn.Ops++
 	nn.annotate(p, path)
 	var out *Inode
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx *shard.Txn) error {
+	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		parent, name, err := nn.resolveParent(tx, comps)
 		if err != nil {
 			return err
@@ -422,7 +423,8 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 		if ino.InlineSize > 0 {
 			// Small files are served straight from NDB (§II-A3): fetch the
 			// inline payload row alongside the metadata.
-			if _, _, err := tx.ReadCommitted(nn.ns.smallfiles, partKey(ino.ID), smallFileKey); err != nil {
+			table, pk := partOf(nn.ns.smallfiles, ino.ID)
+			if _, _, err := tx.ReadCommitted(table, pk, smallFileKey); err != nil {
 				return err
 			}
 		}
@@ -443,7 +445,7 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 	nn.Ops++
 	nn.annotate(p, path)
 	var out []*Inode
-	err = nn.runTxn(p, nn.hintFor(append(comps, "")), func(tx *shard.Txn) error {
+	err = nn.runTxn(p, nn.hintFor(append(comps, "")), func(tx ndb.Tx) error {
 		out = out[:0]
 		chain, err := nn.resolveChain(tx, comps)
 		if err != nil {
@@ -462,9 +464,10 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 		if dir.ID == RootID {
 			// The root's children are deliberately scattered across
 			// partitions (see partKeyOf); listing "/" is a table scan.
-			kvs, err = tx.ScanTablePrefix(nn.ns.inodes, inodeKey(dir.ID, ""))
+			kvs, err = tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(dir.ID, ""))
 		} else {
-			kvs, err = tx.ScanPrefix(nn.ns.inodes, partKey(dir.ID), inodeKey(dir.ID, ""))
+			table, pk := partOf(nn.ns.inodes, dir.ID)
+			kvs, err = tx.ScanPrefix(table, pk, inodeKey(dir.ID, ""))
 		}
 		if err != nil {
 			return err
@@ -498,7 +501,7 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 	nn.Ops++
 	nn.annotate(p, path)
 	var freed []blocks.BlockID
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx *shard.Txn) error {
+	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		freed = freed[:0]
 		chain, name, err := nn.resolveParentChain(tx, comps)
 		if err != nil {
@@ -533,7 +536,7 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 // one round trip per row. ancestors is the resolved chain above target; the
 // whole subtree is charged back to its quota'd ancestors as one aggregate
 // negative update.
-func (nn *NameNode) deleteSubtree(tx *shard.Txn, ancestors []*Inode, target *Inode, recursive bool, freed *[]blocks.BlockID) error {
+func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, recursive bool, freed *[]blocks.BlockID) error {
 	levels := [][]*Inode{{target}}
 	var level []*Inode
 	if target.Dir {
@@ -541,15 +544,7 @@ func (nn *NameNode) deleteSubtree(tx *shard.Txn, ancestors []*Inode, target *Ino
 	}
 	top := true
 	for len(level) > 0 {
-		scans := make([]shard.BatchScan, len(level))
-		for i, dir := range level {
-			scans[i] = shard.BatchScan{
-				Table:   nn.ns.inodes,
-				PartKey: partKey(dir.ID),
-				Prefix:  inodeKey(dir.ID, ""),
-			}
-		}
-		results, err := tx.ScanBatch(scans)
+		results, err := tx.ScanBatch(nn.ns.childScans(level))
 		if err != nil {
 			return err
 		}
@@ -580,25 +575,27 @@ func (nn *NameNode) deleteSubtree(tx *shard.Txn, ancestors []*Inode, target *Ino
 	}
 	var count, bytes int64
 	for _, lvl := range levels {
-		items := make([]shard.BatchWrite, 0, len(lvl))
+		items := make([]ndb.BatchWrite, 0, len(lvl))
 		for _, ino := range lvl {
 			*freed = append(*freed, ino.Blocks...)
 			count++
 			bytes += ino.Size
-			items = append(items, shard.BatchWrite{Table: nn.ns.inodes, PartKey: partKeyOf(ino.Parent, ino.Name), Key: inodeKey(ino.Parent, ino.Name), Del: true})
+			items = append(items, nn.ns.inodeWrite(ino.Parent, ino.Name, nil))
 			if ino.InlineSize > 0 {
-				items = append(items, shard.BatchWrite{Table: nn.ns.smallfiles, PartKey: partKey(ino.ID), Key: smallFileKey, Del: true})
+				table, pk := partOf(nn.ns.smallfiles, ino.ID)
+				items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Del: true})
 			}
 			if ino.Dir && (ino.QuotaNS != 0 || ino.QuotaSS != 0) {
 				// A dying quota'd directory takes its quota records with it:
 				// the authoritative row plus its accumulated usage updates.
-				items = append(items, shard.BatchWrite{Table: nn.ns.quotas, PartKey: partKey(ino.ID), Key: quotaRecordKey, Del: true})
-				kvs, err := tx.ScanPrefix(nn.ns.quotas, partKey(ino.ID), quotaUpdatePrefix)
+				quotas, pk := partOf(nn.ns.quotas, ino.ID)
+				items = append(items, ndb.BatchWrite{Table: quotas, PartKey: pk, Key: quotaRecordKey, Del: true})
+				kvs, err := tx.ScanPrefix(quotas, pk, quotaUpdatePrefix)
 				if err != nil {
 					return err
 				}
 				for _, kv := range kvs {
-					items = append(items, shard.BatchWrite{Table: nn.ns.quotas, PartKey: partKey(ino.ID), Key: kv.Key, Del: true})
+					items = append(items, ndb.BatchWrite{Table: quotas, PartKey: pk, Key: kv.Key, Del: true})
 				}
 			}
 		}
@@ -633,7 +630,7 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 	nn.Ops++
 	nn.annotate(p, src)
 	p.Span().SetAttr("dst", dst)
-	err = nn.runTxn(p, nn.hintFor(srcComps), func(tx *shard.Txn) error {
+	err = nn.runTxn(p, nn.hintFor(srcComps), func(tx ndb.Tx) error {
 		srcParent, srcName, err := nn.resolveParent(tx, srcComps)
 		if err != nil {
 			return err
@@ -679,7 +676,7 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 			return specs[i].key < specs[j].key
 		})
 		for _, s := range specs {
-			if _, _, err := tx.ReadLocked(nn.ns.inodes, s.pk, s.key, ndb.LockExclusive); err != nil {
+			if _, _, err := tx.ReadLocked(nn.ns.inodes.At(s.shard), s.pk, s.key, ndb.LockExclusive); err != nil {
 				return err
 			}
 		}
@@ -702,9 +699,9 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		// An inline payload row is keyed by the file's own inode id, so it
 		// moves with the file untouched. Quota usage is not migrated across
 		// quota boundaries (see quota.go).
-		return tx.WriteBatch([]shard.BatchWrite{
-			{Table: nn.ns.inodes, PartKey: partKeyOf(srcParent.ID, srcName), Key: inodeKey(srcParent.ID, srcName), Del: true},
-			{Table: nn.ns.inodes, PartKey: partKeyOf(dstParent.ID, dstName), Key: inodeKey(dstParent.ID, dstName), Val: &moved},
+		return tx.WriteBatch([]ndb.BatchWrite{
+			nn.ns.inodeWrite(srcParent.ID, srcName, nil),
+			nn.ns.inodeWrite(dstParent.ID, dstName, &moved),
 		})
 	})
 	if err == nil {
@@ -747,7 +744,7 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode)) e
 	nn.charge(p, len(comps))
 	nn.Ops++
 	nn.annotate(p, path)
-	return nn.runTxn(p, nn.hintFor(comps), func(tx *shard.Txn) error {
+	return nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		parent, name, err := nn.resolveParent(tx, comps)
 		if err != nil {
 			return err
@@ -759,7 +756,8 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode)) e
 		updated := *ino
 		mutate(&updated)
 		updated.Mtime = p.Now()
-		return tx.Insert(nn.ns.inodes, partKeyOf(parent.ID, name), inodeKey(parent.ID, name), &updated)
+		table, pk, key := nn.ns.inodeRow(parent.ID, name)
+		return tx.Insert(table, pk, key, &updated)
 	})
 }
 
@@ -775,7 +773,7 @@ func (nn *NameNode) ContentSummary(p *sim.Proc, path string) (files, dirs int, s
 	nn.charge(p, len(comps))
 	nn.Ops++
 	nn.annotate(p, path)
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx *shard.Txn) error {
+	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		files, dirs, size = 0, 0, 0
 		chain, cerr := nn.resolveChain(tx, comps)
 		if cerr != nil {
@@ -794,7 +792,7 @@ func (nn *NameNode) ContentSummary(p *sim.Proc, path string) (files, dirs int, s
 // one batched fan-out. The root directory's children are deliberately
 // scattered across partitions (see partKeyOf), so "/" itself still costs a
 // table scan.
-func (nn *NameNode) summarize(tx *shard.Txn, root *Inode, files, dirs *int, size *int64) error {
+func (nn *NameNode) summarize(tx ndb.Tx, root *Inode, files, dirs *int, size *int64) error {
 	if !root.Dir {
 		*files++
 		*size += root.Size
@@ -811,7 +809,7 @@ func (nn *NameNode) summarize(tx *shard.Txn, root *Inode, files, dirs *int, size
 		for _, dir := range level {
 			*dirs++
 			if dir.ID == RootID {
-				kvs, err := tx.ScanTablePrefix(nn.ns.inodes, inodeKey(dir.ID, ""))
+				kvs, err := tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(dir.ID, ""))
 				if err != nil {
 					return err
 				}
@@ -821,15 +819,7 @@ func (nn *NameNode) summarize(tx *shard.Txn, root *Inode, files, dirs *int, size
 			}
 		}
 		if len(batchDirs) > 0 {
-			scans := make([]shard.BatchScan, len(batchDirs))
-			for i, dir := range batchDirs {
-				scans[i] = shard.BatchScan{
-					Table:   nn.ns.inodes,
-					PartKey: partKey(dir.ID),
-					Prefix:  inodeKey(dir.ID, ""),
-				}
-			}
-			results, err := tx.ScanBatch(scans)
+			results, err := tx.ScanBatch(nn.ns.childScans(batchDirs))
 			if err != nil {
 				return err
 			}

@@ -172,9 +172,11 @@ type Namesystem struct {
 	cfg      Config
 
 	// router maps partition keys to shards. A fresh namesystem gets a
-	// one-cluster router (the identity), so every table access below goes
-	// through the shard layer unconditionally; AttachShards swaps in a
-	// multi-cluster router before any namenode or traffic exists.
+	// one-cluster router, whose transactions are the cluster's own and whose
+	// table sets hold one table; AttachShards swaps in a multi-cluster
+	// router before any namenode or traffic exists. Every row access
+	// resolves its table through a set's For, once, where the address is
+	// built.
 	router     *shard.Router
 	inodes     *shard.TableSet
 	election   *shard.TableSet
@@ -476,7 +478,8 @@ func (ns *Namesystem) Seed(dirs, files []string) error {
 			Perm:   0o755,
 			Owner:  "hdfs",
 		}
-		ndb.StoreDirect(ns.inodes.For(partKeyOf(parent, name)), partKeyOf(parent, name), inodeKey(parent, name), ino)
+		table, pk, key := ns.inodeRow(parent, name)
+		ndb.StoreDirect(table, pk, key, ino)
 		if dir {
 			ids[strings.Join(comps, "/")] = ino.ID
 		}
@@ -636,6 +639,43 @@ func inodeKey(parent uint64, name string) string {
 	return strconv.FormatUint(parent, 10) + "/" + name
 }
 
+// inodeRow addresses the inode row of name under parent: the owning shard's
+// inodes table, the partition key and the row key.
+func (ns *Namesystem) inodeRow(parent uint64, name string) (*ndb.Table, string, string) {
+	pk := partKeyOf(parent, name)
+	return ns.inodes.For(pk), pk, inodeKey(parent, name)
+}
+
+// partOf addresses the partition of table set ts keyed by an inode's own
+// id — a directory's children, a file's inline payload, a directory's quota
+// rows: the owning shard's table and the partition key.
+func partOf(ts *shard.TableSet, id uint64) (*ndb.Table, string) {
+	pk := partKey(id)
+	return ts.For(pk), pk
+}
+
+// childScans lists every directory of dirs in one ScanBatch: one
+// partition-pruned prefix scan per directory.
+func (ns *Namesystem) childScans(dirs []*Inode) []ndb.BatchScan {
+	scans := make([]ndb.BatchScan, len(dirs))
+	for i, dir := range dirs {
+		s := &scans[i]
+		s.Table, s.PartKey = partOf(ns.inodes, dir.ID)
+		s.Prefix = inodeKey(dir.ID, "")
+	}
+	return scans
+}
+
+// inodeWrite is the batched-write item storing ino as name under parent, or
+// deleting that row when ino is nil.
+func (ns *Namesystem) inodeWrite(parent uint64, name string, ino *Inode) ndb.BatchWrite {
+	table, pk, key := ns.inodeRow(parent, name)
+	if ino == nil {
+		return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Del: true}
+	}
+	return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: ino}
+}
+
 // charge bills NN CPU for an operation over depth path components (fluid
 // deferred service on the server's core pool).
 func (nn *NameNode) charge(p *sim.Proc, depth int) {
@@ -665,17 +705,18 @@ func retriable(err error) bool {
 	return errors.Is(err, ndb.ErrLockTimeout) || errors.Is(err, ndb.ErrNodeUnavailable)
 }
 
-// runTxn executes fn in a routed transaction with the given partition-key
+// runTxn executes fn in a storage transaction with the given partition-key
 // hint, retrying aborted transactions with exponential backoff — the
 // paper's retry mechanism providing backpressure to NDB (§II-B2). The hint
-// picks the shard whose sub-transaction opens eagerly; a stale hint only
-// costs locality, never correctness, since every read and write re-routes
-// by its own partition key. In detailed tracing mode each attempt becomes a
-// "txn" child span of the operation's root span, carrying the TC-selection
-// attributes set by ndb.Begin.
-func (nn *NameNode) runTxn(p *sim.Proc, hint string, fn func(tx *shard.Txn) error) error {
+// picks the transaction coordinator and, when sharded, the shard whose
+// sub-transaction opens eagerly; a stale hint only costs locality, never
+// correctness, since every read and write names its own row's table. In
+// detailed tracing mode each attempt becomes a "txn" child span of the
+// operation's root span, carrying the TC-selection attributes set by
+// ndb.Begin.
+func (nn *NameNode) runTxn(p *sim.Proc, hint string, fn func(tx ndb.Tx) error) error {
 	attemptTxn := func() error {
-		tx, err := nn.ns.router.Begin(p, nn.Node, nn.Domain, nn.ns.inodes, hint)
+		tx, err := nn.ns.router.Begin(p, nn.Node, nn.Domain, nn.ns.inodes.For(hint), hint)
 		if err != nil {
 			return err
 		}

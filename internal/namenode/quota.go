@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"hopsfscl/internal/ndb"
-	"hopsfscl/internal/shard"
 	"hopsfscl/internal/sim"
 )
 
@@ -46,15 +45,16 @@ func quotaUpdateKey(kind string, ino uint64) string {
 // nearest — so each quota's usage stays the true total of its whole subtree.
 // The returned rows ride the caller's WriteBatch; an unquota'd path yields
 // nil and costs nothing.
-func (nn *NameNode) quotaCharges(chain []*Inode, kind string, ino uint64, ns, ss int64) []shard.BatchWrite {
-	var items []shard.BatchWrite
+func (nn *NameNode) quotaCharges(chain []*Inode, kind string, ino uint64, ns, ss int64) []ndb.BatchWrite {
+	var items []ndb.BatchWrite
 	for _, anc := range chain {
 		if anc.QuotaNS == 0 && anc.QuotaSS == 0 {
 			continue
 		}
-		items = append(items, shard.BatchWrite{
-			Table:   nn.ns.quotas,
-			PartKey: partKey(anc.ID),
+		table, pk := partOf(nn.ns.quotas, anc.ID)
+		items = append(items, ndb.BatchWrite{
+			Table:   table,
+			PartKey: pk,
 			Key:     quotaUpdateKey(kind, ino),
 			Val:     &QuotaUpdate{NS: ns, SS: ss},
 		})
@@ -77,7 +77,7 @@ func (nn *NameNode) SetQuota(p *sim.Proc, path string, nsQuota, ssQuota int64) e
 	nn.charge(p, len(comps))
 	nn.Ops++
 	nn.annotate(p, path)
-	return nn.runTxn(p, nn.hintFor(comps), func(tx *shard.Txn) error {
+	return nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		parent, name, err := nn.resolveParent(tx, comps)
 		if err != nil {
 			return err
@@ -93,16 +93,14 @@ func (nn *NameNode) SetQuota(p *sim.Proc, path string, nsQuota, ssQuota int64) e
 		updated.QuotaNS = nsQuota
 		updated.QuotaSS = ssQuota
 		updated.Mtime = p.Now()
-		quotaRow := shard.BatchWrite{Table: nn.ns.quotas, PartKey: partKey(ino.ID), Key: quotaRecordKey}
+		quotas, pk := partOf(nn.ns.quotas, ino.ID)
+		quotaRow := ndb.BatchWrite{Table: quotas, PartKey: pk, Key: quotaRecordKey}
 		if nsQuota == 0 && ssQuota == 0 {
 			quotaRow.Del = true
 		} else {
 			quotaRow.Val = &QuotaRecord{NS: nsQuota, SS: ssQuota}
 		}
-		return tx.WriteBatch([]shard.BatchWrite{
-			{Table: nn.ns.inodes, PartKey: partKeyOf(parent.ID, name), Key: inodeKey(parent.ID, name), Val: &updated},
-			quotaRow,
-		})
+		return tx.WriteBatch([]ndb.BatchWrite{nn.ns.inodeWrite(parent.ID, name, &updated), quotaRow})
 	})
 }
 
@@ -118,7 +116,7 @@ func (nn *NameNode) Quota(p *sim.Proc, path string) (QuotaInfo, error) {
 	nn.Ops++
 	nn.annotate(p, path)
 	var info QuotaInfo
-	err = nn.runTxn(p, nn.hintFor(append(comps, "")), func(tx *shard.Txn) error {
+	err = nn.runTxn(p, nn.hintFor(append(comps, "")), func(tx ndb.Tx) error {
 		info = QuotaInfo{}
 		chain, err := nn.resolveChain(tx, comps)
 		if err != nil {
@@ -128,14 +126,15 @@ func (nn *NameNode) Quota(p *sim.Proc, path string) (QuotaInfo, error) {
 		if !dir.Dir {
 			return ErrNotDir
 		}
-		if v, ok, err := tx.ReadCommitted(nn.ns.quotas, partKey(dir.ID), quotaRecordKey); err != nil {
+		quotas, pk := partOf(nn.ns.quotas, dir.ID)
+		if v, ok, err := tx.ReadCommitted(quotas, pk, quotaRecordKey); err != nil {
 			return err
 		} else if ok {
 			if rec, ok := v.(*QuotaRecord); ok {
 				info.NS, info.SS = rec.NS, rec.SS
 			}
 		}
-		kvs, err := tx.ScanPrefix(nn.ns.quotas, partKey(dir.ID), quotaUpdatePrefix)
+		kvs, err := tx.ScanPrefix(quotas, pk, quotaUpdatePrefix)
 		if err != nil {
 			return err
 		}

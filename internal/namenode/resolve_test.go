@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hopsfscl/internal/ndb"
-	"hopsfscl/internal/shard"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/trace"
 )
@@ -225,7 +224,7 @@ func isNamespaceErr(err error) bool {
 // Infrastructure errors (node down, lock timeout) propagate to runTxn so
 // its abort/retry machinery stays in charge.
 func resolveBothWays(p *sim.Proc, nn *NameNode, comps []string) (batched, serial []*Inode, berr, serr error) {
-	txErr := nn.runTxn(p, nn.hintFor(comps), func(tx *shard.Txn) error {
+	txErr := nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		batched, berr = nn.resolveChain(tx, comps)
 		if berr != nil && !isNamespaceErr(berr) {
 			return berr
@@ -409,7 +408,7 @@ func runConcurrentSafetySeed(t *testing.T, seed int64) {
 			path := targets[rng.Intn(len(targets))]
 			comps, _ := splitPath(path)
 			var chain []*Inode
-			rerr := nn1.runTxn(p, nn1.hintFor(comps), func(tx *shard.Txn) error {
+			rerr := nn1.runTxn(p, nn1.hintFor(comps), func(tx ndb.Tx) error {
 				c, err := nn1.resolveChain(tx, comps)
 				if err != nil {
 					return err

@@ -103,7 +103,7 @@ func dumpNamesystem(ns *Namesystem) map[string]string {
 }
 
 // TestPropWriteBatchedSerialEquivalence drives the same randomized op
-// sequence through a batched and a serial (DisableWriteBatching) stack for
+// sequence through a batched and a serial (DisableBatchedWrites) stack for
 // each seed and requires identical outcomes: every operation returns the
 // same result and the final committed state of all three metadata tables is
 // identical. Coalescing rows into staging batches and commit trains must be
@@ -115,7 +115,7 @@ func TestPropWriteBatchedSerialEquivalence(t *testing.T) {
 			ops := randomFSOps(seed, 60)
 			run := func(serial bool) (map[string]string, []string) {
 				h := newHarnessFull(t, seed,
-					func(cfg *ndb.Config) { cfg.DisableWriteBatching = serial }, nil)
+					func(cfg *ndb.Config) { cfg.DisableBatchedWrites = serial }, nil)
 				cl := h.client(1)
 				outcomes := make([]string, len(ops))
 				h.run(t, func(p *sim.Proc) {

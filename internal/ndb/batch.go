@@ -150,139 +150,125 @@ func findGroup(groups []*batchGroup, target *DataNode) *batchGroup {
 	return nil
 }
 
-// ReadBatch reads the committed values of all rows in one batched fan-out,
-// returning results positionally. Routing is per row (see the file comment);
-// rows sharing a target travel together, distinct targets are visited
-// concurrently. The whole batch is one "batch_read" child span, and the
-// registry counts rows per proximity class of their serving replica. Any
-// unreachable target aborts the transaction, as ReadCommitted would.
-func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
+// sendTo and replyFrom are the two legs of the one request/response envelope
+// between a transaction's TC and the datanode serving a row or a row train:
+// the request travels and the target receives it; the target sends the
+// response, it travels, and the TC receives it. A target that is the TC
+// itself exchanges no message. Each reports false when its leg was lost (the
+// RPC timeout expired).
+func (t *Txn) sendTo(p *sim.Proc, target *DataNode, bytes int) bool {
+	if target == t.tc {
+		return true
+	}
+	if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, bytes, t.c.cfg.RPCTimeout) {
+		return false
+	}
+	target.recv(p)
+	return true
+}
+
+func (t *Txn) replyFrom(p *sim.Proc, target *DataNode, bytes int) bool {
+	if target == t.tc {
+		return true
+	}
+	target.send(p)
+	if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, bytes, t.c.cfg.RPCTimeout) {
+		return false
+	}
+	t.tc.recv(p)
+	return true
+}
+
+// trainReq is the request size of a group's row train: one request plus the
+// key overhead of every further row.
+func trainReq(g *batchGroup) int {
+	return reqSize + batchRowOverhead*(len(g.idx)-1)
+}
+
+// readBatch is the one batched read: ReadBatch and ScanBatch differ only in
+// where a request's row lives (at) and in what the serving replica does for
+// it (row, which charges the LDM work and returns the result with its
+// response bytes). Routing is per row (see the file comment); rows sharing a
+// target travel together, distinct targets are visited concurrently. The
+// whole batch is one "batch_read" child span, and the registry counts rows
+// per proximity class of their serving replica. Any unreachable target
+// aborts the transaction, as ReadCommitted would. at and row are static
+// functions, so the batch allocates its result slice and one serve closure.
+func readBatch[T, R any](t *Txn, reqs []T, at func(*T) (*Table, string),
+	row func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, req *T) (R, int)) ([]R, error) {
 	if t.done {
 		return nil, ErrAborted
 	}
-	out := make([]BatchVal, len(gets))
-	if len(gets) == 0 {
+	out := make([]R, len(reqs))
+	if len(reqs) == 0 {
 		return out, nil
 	}
-	cfg := &t.c.cfg
 	// One coordinator pass routes the whole key train (§II-B: a multi-row
 	// TCKEYREQ is a single TC job, not one per row).
-	t.tc.use(t.p, TC, cfg.Costs.TCOp)
+	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
 
 	sc := t.c.getScratch()
 	defer t.c.putScratch(sc)
-	slots := sc.intsFor(len(gets))
-	parts := sc.partsFor(len(gets))
-	groups, ok := groupByTarget(sc, len(gets), func(i int) (*DataNode, bool) {
-		target, slot, part := t.routeRow(gets[i].Table, gets[i].PartKey)
+	slots := sc.intsFor(len(reqs))
+	parts := sc.partsFor(len(reqs))
+	groups, ok := groupByTarget(sc, len(reqs), func(i int) (*DataNode, bool) {
+		target, slot, part := t.routeRow(at(&reqs[i]))
 		slots[i], parts[i] = slot, part
 		return target, target != nil
 	})
 	if !ok {
 		return nil, t.failAbort()
 	}
-
 	serve := func(p *sim.Proc, g *batchGroup) bool {
-		target := g.target
-		if target != t.tc {
-			req := reqSize + batchRowOverhead*(len(g.idx)-1)
-			if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, req, cfg.RPCTimeout) {
-				return false
-			}
-			target.recv(p)
+		if !t.sendTo(p, g.target, trainReq(g)) {
+			return false
 		}
 		resp := ackSize
 		for _, i := range g.idx {
-			target.use(p, LDM, cfg.Costs.LDMRead)
-			val, exists := parts[i].committed(gets[i].PartKey, gets[i].Key)
-			out[i] = BatchVal{Val: val, OK: exists}
+			var bytes int
+			out[i], bytes = row(t, p, g.target, parts[i], &reqs[i])
 			if slots[i] >= 0 {
 				parts[i].reads[slots[i]]++
 			}
-			resp += gets[i].Table.rowSize
+			resp += bytes
 		}
 		t.c.Stats.Reads += int64(len(g.idx))
-		if target != t.tc {
-			target.send(p)
-			if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, resp, cfg.RPCTimeout) {
-				return false
-			}
-			t.tc.recv(p)
-		}
-		return true
+		return t.replyFrom(p, g.target, resp)
 	}
-	if !t.runBatch("read", groups, len(gets), serve) {
+	if !t.runBatch("read", groups, len(reqs), serve) {
 		return nil, t.failAbort()
 	}
 	return out, nil
 }
 
+// ReadBatch reads the committed values of all rows in one batched fan-out,
+// returning results positionally.
+func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
+	return readBatch(t, gets,
+		func(g *BatchGet) (*Table, string) { return g.Table, g.PartKey },
+		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, g *BatchGet) (BatchVal, int) {
+			target.use(p, LDM, t.c.cfg.Costs.LDMRead)
+			val, exists := part.committed(g.PartKey, g.Key)
+			return BatchVal{Val: val, OK: exists}, g.Table.rowSize
+		})
+}
+
 // ScanBatch runs all partition-pruned prefix scans in one batched fan-out,
-// returning each scan's rows positionally (key-sorted, as ScanPrefix).
-// Scans sharing a target replica travel together; distinct targets are
-// visited concurrently — a level of a subtree walk costs one parallel round
-// instead of one serial round trip per directory.
+// returning each scan's rows positionally (key-sorted, as ScanPrefix) — a
+// level of a subtree walk costs one parallel round instead of one serial
+// round trip per directory.
 func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
-	if t.done {
-		return nil, ErrAborted
-	}
-	out := make([][]KV, len(scans))
-	if len(scans) == 0 {
-		return out, nil
-	}
-	cfg := &t.c.cfg
-	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-
-	sc := t.c.getScratch()
-	defer t.c.putScratch(sc)
-	slots := sc.intsFor(len(scans))
-	parts := sc.partsFor(len(scans))
-	groups, ok := groupByTarget(sc, len(scans), func(i int) (*DataNode, bool) {
-		target, slot, part := t.routeRow(scans[i].Table, scans[i].PartKey)
-		slots[i], parts[i] = slot, part
-		return target, target != nil
-	})
-	if !ok {
-		return nil, t.failAbort()
-	}
-
-	serve := func(p *sim.Proc, g *batchGroup) bool {
-		target := g.target
-		if target != t.tc {
-			req := reqSize + batchRowOverhead*(len(g.idx)-1)
-			if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, req, cfg.RPCTimeout) {
-				return false
-			}
-			target.recv(p)
-		}
-		resp := ackSize
-		for _, i := range g.idx {
-			rows := parts[i].scanPrefix(scans[i].PartKey, scans[i].Prefix)
-			out[i] = rows
+	return readBatch(t, scans,
+		func(s *BatchScan) (*Table, string) { return s.Table, s.PartKey },
+		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, s *BatchScan) ([]KV, int) {
+			rows := part.scanPrefix(s.PartKey, s.Prefix)
 			// One LDM charge per small batch of rows scanned, minimum one
 			// (the ScanPrefix cost model).
 			for b := 0; b < 1+len(rows)/8; b++ {
-				target.use(p, LDM, cfg.Costs.LDMRead)
+				target.use(p, LDM, t.c.cfg.Costs.LDMRead)
 			}
-			if slots[i] >= 0 {
-				parts[i].reads[slots[i]]++
-			}
-			resp += len(rows) * scans[i].Table.rowSize
-		}
-		t.c.Stats.Reads += int64(len(g.idx))
-		if target != t.tc {
-			target.send(p)
-			if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, resp, cfg.RPCTimeout) {
-				return false
-			}
-			t.tc.recv(p)
-		}
-		return true
-	}
-	if !t.runBatch("read", groups, len(scans), serve) {
-		return nil, t.failAbort()
-	}
-	return out, nil
+			return rows, len(rows) * s.Table.rowSize
+		})
 }
 
 // runBatch executes the groups of one batch — inline when a single target

@@ -67,12 +67,12 @@ type Config struct {
 	// the cluster behaves like vanilla NDB deployed unaware (HopsFS
 	// baselines).
 	AZAware bool
-	// DisableWriteBatching forces the serial write path: WriteBatch stages
+	// DisableBatchedWrites forces the serial write path: WriteBatch stages
 	// rows one TC round trip at a time and Commit runs one 2PC chain per
 	// row instead of coalescing rows that share a replica chain into commit
 	// trains. It is the reference the batched path is compared against
 	// (writefan experiment, ablation (e), equivalence tests).
-	DisableWriteBatching bool
+	DisableBatchedWrites bool
 	// NamePrefix prefixes every node and resource name ("s1-ndb-3",
 	// "s1-mgm-1"), so multiple independent clusters — the shard router's
 	// deployments — coexist on one network without name or gauge-label

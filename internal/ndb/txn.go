@@ -32,6 +32,27 @@ type Txn struct {
 	done   bool
 }
 
+// Tx is the storage-transaction surface the metadata layer is written
+// against: HopsFS's one transaction template — a lock phase (ReadLocked), an
+// execute phase (the committed reads and scans) and an update phase (Insert,
+// WriteBatch, Commit). *Txn is the implementation; the shard router's
+// dispatcher satisfies it by delegating each call, by table, to the *Txn of
+// the owning cluster.
+type Tx interface {
+	Now() time.Duration
+	Annotate(key, value string)
+	ReadCommitted(table *Table, partKey, key string) (Value, bool, error)
+	ReadLocked(table *Table, partKey, key string, mode LockMode) (Value, bool, error)
+	ReadBatch(gets []BatchGet) ([]BatchVal, error)
+	ScanPrefix(table *Table, partKey, prefix string) ([]KV, error)
+	ScanTablePrefix(table *Table, prefix string) ([]KV, error)
+	ScanBatch(scans []BatchScan) ([][]KV, error)
+	Insert(table *Table, partKey, key string, val Value) error
+	WriteBatch(items []BatchWrite) error
+	Commit() error
+	Abort()
+}
+
 type lockRef struct {
 	part *Partition
 	pk   string
@@ -215,61 +236,21 @@ func (t *Txn) ReadCommitted(table *Table, partKey, key string) (Value, bool, err
 	}
 	cfg := &t.c.cfg
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	part := table.partitionFor(partKey)
-	t.heatTouch(part)
-	reps := part.replicas()
-	if len(reps) == 0 {
-		return nil, false, t.failAbort()
-	}
-
-	var target *DataNode
-	slot := -1
-	switch {
-	case table.opts.FullyReplicated:
-		// Every datanode has the row; the TC serves it locally.
-		target = t.tc
-		for i, r := range reps {
-			if r == target {
-				slot = i
-			}
-		}
-	case table.opts.ReadBackup:
-		// Any replica is consistent; prefer the one nearest the TC.
-		best := ProximityRemote + 1
-		for i, r := range reps {
-			if !r.Alive() {
-				continue
-			}
-			d := domainProximity(t.tc.Node, t.tc.Domain, r)
-			if d < best {
-				best, target, slot = d, r, i
-			}
-		}
-	default:
-		// Reads are rerouted to the primary replica.
-		target, slot = reps[0], 0
-	}
-	if target == nil || !target.Alive() {
+	target, slot, part := t.routeRow(table, partKey)
+	if target == nil {
 		return nil, false, t.failAbort()
 	}
 	t.c.Stats.Reads++
 	if slot >= 0 {
 		part.reads[slot]++
 	}
-	if target != t.tc {
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, target.Node, reqSize, cfg.RPCTimeout) {
-			return nil, false, t.failAbort()
-		}
-		target.recv(t.p)
+	if !t.sendTo(t.p, target, reqSize) {
+		return nil, false, t.failAbort()
 	}
 	target.use(t.p, LDM, cfg.Costs.LDMRead)
 	val, ok := part.committed(partKey, key)
-	if target != t.tc {
-		target.send(t.p)
-		if !t.c.net.TravelDeferred(t.p, target.Node, t.tc.Node, ackSize+table.rowSize, cfg.RPCTimeout) {
-			return nil, false, t.failAbort()
-		}
-		t.tc.recv(t.p)
+	if !t.replyFrom(t.p, target, ackSize+table.rowSize) {
+		return nil, false, t.failAbort()
 	}
 	return val, ok, nil
 }
@@ -310,11 +291,8 @@ func (t *Txn) ScanPrefix(table *Table, partKey, prefix string) ([]KV, error) {
 			}
 		}
 	}
-	if target != t.tc {
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, target.Node, reqSize, cfg.RPCTimeout) {
-			return nil, t.failAbort()
-		}
-		target.recv(t.p)
+	if !t.sendTo(t.p, target, reqSize) {
+		return nil, t.failAbort()
 	}
 	out := part.scanPrefix(partKey, prefix)
 	// One LDM charge per small batch of rows scanned, minimum one.
@@ -326,13 +304,8 @@ func (t *Txn) ScanPrefix(table *Table, partKey, prefix string) ([]KV, error) {
 	if slot >= 0 {
 		part.reads[slot]++
 	}
-	if target != t.tc {
-		target.send(t.p)
-		size := ackSize + len(out)*table.rowSize
-		if !t.c.net.TravelDeferred(t.p, target.Node, t.tc.Node, size, cfg.RPCTimeout) {
-			return nil, t.failAbort()
-		}
-		t.tc.recv(t.p)
+	if !t.replyFrom(t.p, target, ackSize+len(out)*table.rowSize) {
+		return nil, t.failAbort()
 	}
 	return out, nil
 }
@@ -364,11 +337,8 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 				}
 			}
 		}
-		if target != t.tc {
-			if !t.c.net.TravelDeferred(t.p, t.tc.Node, target.Node, reqSize, cfg.RPCTimeout) {
-				return nil, t.failAbort()
-			}
-			target.recv(t.p)
+		if !t.sendTo(t.p, target, reqSize) {
+			return nil, t.failAbort()
 		}
 		var found int
 		for _, bucket := range part.rows {
@@ -383,12 +353,8 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 			target.use(t.p, LDM, cfg.Costs.LDMRead)
 		}
 		t.c.Stats.Reads++
-		if target != t.tc {
-			target.send(t.p)
-			if !t.c.net.TravelDeferred(t.p, target.Node, t.tc.Node, ackSize+found*table.rowSize, cfg.RPCTimeout) {
-				return nil, t.failAbort()
-			}
-			t.tc.recv(t.p)
+		if !t.replyFrom(t.p, target, ackSize+found*table.rowSize) {
+			return nil, t.failAbort()
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -411,11 +377,8 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 		return nil, false, t.failAbort()
 	}
 	primary := reps[0]
-	if primary != t.tc {
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, primary.Node, reqSize, cfg.RPCTimeout) {
-			return nil, false, t.failAbort()
-		}
-		primary.recv(t.p)
+	if !t.sendTo(t.p, primary, reqSize) {
+		return nil, false, t.failAbort()
 	}
 	if err := t.lockRow(part, partKey, key, mode); err != nil {
 		t.abortLocked()
@@ -425,12 +388,8 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 	t.c.Stats.Reads++
 	part.reads[0]++
 	val, ok := part.committed(partKey, key)
-	if primary != t.tc {
-		primary.send(t.p)
-		if !t.c.net.TravelDeferred(t.p, primary.Node, t.tc.Node, ackSize+table.rowSize, cfg.RPCTimeout) {
-			return nil, false, t.failAbort()
-		}
-		t.tc.recv(t.p)
+	if !t.replyFrom(t.p, primary, ackSize+table.rowSize) {
+		return nil, false, t.failAbort()
 	}
 	return val, ok, nil
 }
@@ -451,23 +410,16 @@ func (t *Txn) Write(table *Table, partKey, key string, val Value, del bool) erro
 		return t.failAbort()
 	}
 	primary := reps[0]
-	if primary != t.tc {
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, primary.Node, reqSize+table.rowSize, cfg.RPCTimeout) {
-			return t.failAbort()
-		}
-		primary.recv(t.p)
+	if !t.sendTo(t.p, primary, reqSize+table.rowSize) {
+		return t.failAbort()
 	}
 	if err := t.lockRow(part, partKey, key, LockExclusive); err != nil {
 		t.abortLocked()
 		return err
 	}
 	primary.use(t.p, LDM, cfg.Costs.LDMWrite)
-	if primary != t.tc {
-		primary.send(t.p)
-		if !t.c.net.TravelDeferred(t.p, primary.Node, t.tc.Node, ackSize, cfg.RPCTimeout) {
-			return t.failAbort()
-		}
-		t.tc.recv(t.p)
+	if !t.replyFrom(t.p, primary, ackSize) {
+		return t.failAbort()
 	}
 	t.writes = append(t.writes, writeOp{part: part, pk: partKey, key: key, val: val, del: del})
 	t.c.Stats.Writes++
@@ -593,7 +545,7 @@ func readBackupFor(w *writeOp) bool { return w.part.table.opts.ReadBackup }
 // linear 2PC pass can carry both. With write batching disabled every row is
 // its own single-row train, which is the old one-chain-per-row protocol.
 func (t *Txn) buildTrains() [][]*writeOp {
-	if t.c.cfg.DisableWriteBatching || len(t.writes) == 1 {
+	if t.c.cfg.DisableBatchedWrites || len(t.writes) == 1 {
 		out := make([][]*writeOp, len(t.writes))
 		for i := range t.writes {
 			out[i] = []*writeOp{&t.writes[i]}

@@ -37,7 +37,7 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 	if len(items) == 0 {
 		return nil
 	}
-	if t.c.cfg.DisableWriteBatching {
+	if t.c.cfg.DisableBatchedWrites {
 		// The serial reference path: one TC round trip per row, exactly as
 		// independent Write calls would issue.
 		for _, it := range items {
@@ -72,17 +72,13 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 
 	errs := sc.errsFor(len(items))
 	serve := func(p *sim.Proc, g *batchGroup) bool {
-		target := g.target
-		if target != t.tc {
-			req := reqSize + batchRowOverhead*(len(g.idx)-1)
-			for _, i := range g.idx {
-				req += items[i].Table.rowSize
-			}
-			if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, req, cfg.RPCTimeout) {
-				errs[g.idx[0]] = ErrNodeUnavailable
-				return false
-			}
-			target.recv(p)
+		req := trainReq(g)
+		for _, i := range g.idx {
+			req += items[i].Table.rowSize
+		}
+		if !t.sendTo(p, g.target, req) {
+			errs[g.idx[0]] = ErrNodeUnavailable
+			return false
 		}
 		for _, i := range g.idx {
 			// Per-row locking: conflicts, the ledger, and the deadlock
@@ -92,16 +88,12 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 				errs[i] = err
 				return false
 			}
-			target.use(p, LDM, cfg.Costs.LDMWrite)
+			g.target.use(p, LDM, cfg.Costs.LDMWrite)
 			t.c.Stats.Writes++
 		}
-		if target != t.tc {
-			target.send(p)
-			if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, ackSize, cfg.RPCTimeout) {
-				errs[g.idx[0]] = ErrNodeUnavailable
-				return false
-			}
-			t.tc.recv(p)
+		if !t.replyFrom(p, g.target, ackSize) {
+			errs[g.idx[0]] = ErrNodeUnavailable
+			return false
 		}
 		return true
 	}

@@ -18,7 +18,7 @@ import (
 // created table so callers can pick partition keys by replica geometry.
 func measureTxnMessages(t *testing.T, serial bool, pksFor func(tbl *Table) []string) (staging, commit int64) {
 	t.Helper()
-	env, c, client := testClusterCfg(t, true, 3, func(cfg *Config) { cfg.DisableWriteBatching = serial })
+	env, c, client := testClusterCfg(t, true, 3, func(cfg *Config) { cfg.DisableBatchedWrites = serial })
 	c.StopBackground()
 	env.RunFor(time.Second) // drain housekeeping
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
@@ -167,7 +167,7 @@ func seededWBCluster(t *testing.T, seed int64, serial bool) (*sim.Env, *Cluster,
 	cfg.Replication = 3
 	cfg.PartitionsPerTable = 12
 	cfg.AZAware = true
-	cfg.DisableWriteBatching = serial
+	cfg.DisableBatchedWrites = serial
 	data := SpreadPlacement(cfg.DataNodes, []simnet.ZoneID{1, 2, 3}, 100)
 	mgmt := []Placement{{Zone: 1, Host: 200}, {Zone: 2, Host: 201}, {Zone: 3, Host: 202}}
 	c, err := New(env, net, cfg, data, mgmt)

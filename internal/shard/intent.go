@@ -123,46 +123,56 @@ func (r *Router) EnableIntents() {
 	}
 }
 
-// commitCross commits a multi-shard transaction via the intent protocol.
+// commitCross commits a transaction that opened sub-transactions on several
+// shards: a plain commit when at most one of them has anything to write —
+// the usual case, a path resolution that straddled shards — and the intent
+// protocol otherwise.
 func (t *Txn) commitCross() error {
 	r := t.r
 	start := t.p.Now()
-	var readers, writers []*ndb.Txn
-	var writerShards []int
-	for s, sub := range t.multi {
-		if sub == nil {
-			continue
-		}
-		if sub.HasWrites() {
-			writers = append(writers, sub)
-			writerShards = append(writerShards, s)
-		} else {
-			readers = append(readers, sub)
+	// fail ends a commit that has applied nothing anywhere: whatever is
+	// still open aborts, and the abort is counted and annotated.
+	fail := func(stage string, err error) error {
+		t.abortSubs()
+		r.obs.crossAborts.Add(1)
+		t.Annotate("shard.cross", stage)
+		return err
+	}
+	// Step 1: read-only sides, in shard order. Failures here abort
+	// everything cleanly.
+	nWriters := 0
+	var writer *ndb.Txn
+	for _, sub := range t.subs {
+		switch {
+		case sub == nil:
+		case sub.HasWrites():
+			nWriters++
+			writer = sub
+		default:
+			if err := sub.Commit(); err != nil {
+				return fail("abort-read", err)
+			}
 		}
 	}
-	// Step 1: read-only sides. Failures here abort everything cleanly.
-	for _, sub := range readers {
-		if err := sub.Commit(); err != nil {
-			for _, w := range writers {
-				w.Abort()
-			}
-			if r.obs != nil {
-				r.obs.crossAborts.Add(1)
-			}
-			t.Annotate("shard.cross", "abort-read")
-			return err
-		}
-	}
-	switch len(writers) {
+	switch nWriters {
 	case 0:
+		// Reads spanned shards and nothing was written: the read-side
+		// commits above were all there is. Local, like case 1.
+		r.obs.local.Add(1)
 		return nil
 	case 1:
 		// One writing shard: single-cluster atomicity suffices even though
 		// reads spanned shards.
-		if r.obs != nil {
-			r.obs.local.Add(1)
+		r.obs.local.Add(1)
+		return writer.Commit()
+	}
+	writers := make([]*ndb.Txn, 0, nWriters)
+	writerShards := make([]int, 0, nWriters)
+	for s, sub := range t.subs {
+		if sub != nil && sub.HasWrites() {
+			writers = append(writers, sub)
+			writerShards = append(writerShards, s)
 		}
-		return writers[0].Commit()
 	}
 	if r.intents == nil {
 		return fmt.Errorf("shard: cross-shard write without intent tables (router not fully attached)")
@@ -242,26 +252,12 @@ func (t *Txn) commitCross() error {
 		buildErr = writers[0].Insert(r.intents[intentShard], intentPartKey, intentKey(it.ID), it)
 	}
 	if buildErr != nil {
-		for _, w := range writers {
-			w.Abort()
-		}
-		if r.obs != nil {
-			r.obs.crossAborts.Add(1)
-		}
-		t.Annotate("shard.cross", "abort-build")
-		return buildErr
+		return fail("abort-build", buildErr)
 	}
 
 	// Step 2, commit: rows of the first shard plus the intent, atomically.
 	if err := writers[0].Commit(); err != nil {
-		for _, w := range writers[1:] {
-			w.Abort()
-		}
-		if r.obs != nil {
-			r.obs.crossAborts.Add(1)
-		}
-		t.Annotate("shard.cross", "abort-first-leg")
-		return err
+		return fail("abort-first-leg", err)
 	}
 
 	// Step 3: the decision is durable; commit the remaining legs in shard
@@ -275,10 +271,8 @@ func (t *Txn) commitCross() error {
 	if legErr == nil {
 		// Step 4: best effort — a surviving intent replays as a no-op.
 		_ = r.clearIntent(t.p, t.origin, t.domain, intentShard, it.ID)
-		if r.obs != nil {
-			r.obs.cross.Add(1)
-			r.obs.crossTime.Observe(t.p.Now() - start)
-		}
+		r.obs.cross.Add(1)
+		r.obs.crossTime.Observe(t.p.Now() - start)
 		t.Annotate("shard.cross", strconv.Itoa(len(writers)))
 		return nil
 	}
@@ -286,16 +280,12 @@ func (t *Txn) commitCross() error {
 	// inline; if the shard is really down, hand the intent to the sweeper
 	// and report indeterminate.
 	if err := r.resolveIntent(t.p, t.origin, t.domain, intentShard, it); err == nil {
-		if r.obs != nil {
-			r.obs.cross.Add(1)
-			r.obs.crossTime.Observe(t.p.Now() - start)
-		}
+		r.obs.cross.Add(1)
+		r.obs.crossTime.Observe(t.p.Now() - start)
 		t.Annotate("shard.cross", "resolved-inline")
 		return nil
 	}
-	if r.obs != nil {
-		r.obs.crossIndet.Add(1)
-	}
+	r.obs.crossIndet.Add(1)
 	t.Annotate("shard.cross", "indeterminate")
 	return ErrIndeterminate
 }
@@ -371,16 +361,12 @@ func (r *Router) resolveIntent(p *sim.Proc, origin *simnet.Node, domain simnet.Z
 		if err := r.rehomeRow(p, origin, domain, rh.row); err != nil {
 			return err
 		}
-		if r.obs != nil {
-			r.obs.intentsRolledBack.Add(1)
-		}
+		r.obs.intentsRolledBack.Add(1)
 	}
 	if err := r.clearIntent(p, origin, domain, intentShard, it.ID); err != nil {
 		return err
 	}
-	if r.obs != nil {
-		r.obs.intentsResolved.Add(1)
-	}
+	r.obs.intentsResolved.Add(1)
 	return nil
 }
 

@@ -3,14 +3,13 @@
 // The single-cluster deployments of the paper saturate once the NDB
 // datanodes run out of CPU (Figure 10): every metadata operation, however
 // well batched, lands on the same replica chains. The router in this
-// package is the way past that plateau (ROADMAP item 2): the namespace is
-// hash-partitioned across N fully independent clusters — each with its own
-// node groups, partitions, replica chains, and global checkpoints — and
-// every transaction that touches a single shard runs on the existing
-// single-cluster fast path, byte for byte. Only the rare operation that
-// must mutate rows on two shards (a rename across the hash boundary) pays
-// for coordination, through an ordered two-cluster commit with a durable
-// intent record (intent.go).
+// package is the way past that plateau: the namespace is hash-partitioned
+// across N fully independent clusters — each with its own node groups,
+// partitions, replica chains, and global checkpoints — and every
+// transaction that touches a single shard runs on the single-cluster fast
+// path, byte for byte. Only the rare operation that must mutate rows on two
+// shards (a rename across the hash boundary) pays for coordination, through
+// an ordered two-cluster commit with a durable intent record (intent.go).
 //
 // The routing function is deterministic and stateless: a row lives on the
 // shard given by the FNV-64a hash of its partition key, modulo N. Because
@@ -22,8 +21,17 @@
 // pins its children, and the namenode inherits the pin onto directories
 // created below it, so whole subtrees can be kept on one shard.
 //
-// With one cluster the router degenerates to the identity: no hashing, no
-// extra messages, no extra RNG draws — a Shards=1 deployment is
+// There is one storage-transaction surface, ndb.Tx, and the router adds no
+// second one. The caller resolves a row's table to the owning shard's
+// physical *ndb.Table when it builds the request (TableSet.For hashes the
+// partition key once and honours pins); from there on the table itself says
+// where a call goes, and a routed transaction (txn.go) only dispatches: it
+// finds the shard from table.Cluster(), opens that shard's ndb.Txn on first
+// touch, and forwards the call with its arguments as they are.
+//
+// With one cluster there is nothing to dispatch: Begin returns the cluster's
+// *ndb.Txn itself and For returns the one table without hashing — no wrapper
+// object, no extra messages, no extra RNG draws. A Shards=1 deployment is
 // indistinguishable from an unsharded one, which the golden suites pin.
 package shard
 
@@ -51,7 +59,7 @@ type Router struct {
 	heat      *heat.Collector
 	shardKeys []string // cached "shard0".. keys for heat touches
 
-	obs *routerObs
+	obs routerObs
 
 	// intents[s] is shard s's durable intent table (EnableIntents); nil
 	// for single-shard routers, which never need the cross-shard path.
@@ -59,20 +67,13 @@ type Router struct {
 	// intentSeq numbers intent records; combined with the origin namenode
 	// it is unique per deployment.
 	intentSeq uint64
-
-	// Free-lists for the per-call conversion buffers of the batched
-	// wrappers (txn.go). The simulation kernel is cooperative, so rent and
-	// return need no locking — the same discipline as the cluster's
-	// scratch pools.
-	freeWrites [][]ndb.BatchWrite
-	freeGets   [][]ndb.BatchGet
-	freeScans  [][]ndb.BatchScan
-	freeIdx    [][]int
 }
 
-// routerObs caches the registry handles of the router's own metrics.
+// routerObs caches the registry handles of the router's own metrics. The
+// handles are nil — and counting a no-op — until SetTracer.
 type routerObs struct {
-	// local counts commits that never left one shard; cross counts
+	// local counts commits that needed no cross-shard coordination: at
+	// most one shard had anything to write. cross counts
 	// commits that ran the two-cluster intent protocol, and crossTime is
 	// their end-to-end commit latency (the cross-shard rename cost the
 	// shardsweep experiment reports separately).
@@ -119,7 +120,7 @@ func (r *Router) SetTracer(tr *trace.Tracer) {
 		return
 	}
 	reg := tr.Registry()
-	r.obs = &routerObs{
+	r.obs = routerObs{
 		local:             reg.Counter("shard.txn.local"),
 		cross:             reg.Counter("shard.txn.cross"),
 		crossTime:         reg.Timing("shard.txn.cross_commit"),
@@ -200,9 +201,9 @@ func (r *Router) Pinned(pk string) (int, bool) {
 	return s, ok
 }
 
-// TableSet is one logical table materialized on every shard. All routed
-// access goes through a Txn; For/At expose the per-shard tables for
-// direct-seeding and audits.
+// TableSet is one logical table materialized on every shard. For resolves a
+// row to the physical table of its owning shard — the one routing step of
+// every access, transactional or direct.
 type TableSet struct {
 	r    *Router
 	tabs []*ndb.Table
@@ -248,9 +249,12 @@ func (ts *TableSet) ForEachCommitted(fn func(partKey, key string, val ndb.Value)
 	}
 }
 
-// shardOfTable maps a table pointer back to its shard index; batch items
-// carry resolved *ndb.Table values, and the shard count is small enough
-// that a linear scan beats any map.
+// shardOfTable maps a physical table to the shard of its cluster — the
+// dispatch lookup of every routed call. The shard count is small enough
+// that a linear scan beats any map. A table of none of the router's
+// clusters has no owner to dispatch to: that is a wiring bug, never a
+// runtime condition, so it panics with the table's name rather than
+// misrouting the row to shard 0.
 func (r *Router) shardOfTable(t *ndb.Table) int {
 	c := t.Cluster()
 	for i, cl := range r.clusters {
@@ -258,81 +262,5 @@ func (r *Router) shardOfTable(t *ndb.Table) int {
 			return i
 		}
 	}
-	return 0
-}
-
-// Conversion-buffer pools. Buffers are rented for one wrapper call and
-// returned before it exits, so steady-state batched operations allocate
-// nothing beyond what the unsharded path did.
-
-func (r *Router) rentWrites(n int) []ndb.BatchWrite {
-	if k := len(r.freeWrites); k > 0 {
-		b := r.freeWrites[k-1]
-		r.freeWrites = r.freeWrites[:k-1]
-		if cap(b) >= n {
-			return b
-		}
-	}
-	return make([]ndb.BatchWrite, 0, n+8)
-}
-
-func (r *Router) putWrites(b []ndb.BatchWrite) {
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = ndb.BatchWrite{} // drop value references
-	}
-	r.freeWrites = append(r.freeWrites, b[:0])
-}
-
-func (r *Router) rentGets(n int) []ndb.BatchGet {
-	if k := len(r.freeGets); k > 0 {
-		b := r.freeGets[k-1]
-		r.freeGets = r.freeGets[:k-1]
-		if cap(b) >= n {
-			return b
-		}
-	}
-	return make([]ndb.BatchGet, 0, n+8)
-}
-
-func (r *Router) putGets(b []ndb.BatchGet) {
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = ndb.BatchGet{}
-	}
-	r.freeGets = append(r.freeGets, b[:0])
-}
-
-func (r *Router) rentScans(n int) []ndb.BatchScan {
-	if k := len(r.freeScans); k > 0 {
-		b := r.freeScans[k-1]
-		r.freeScans = r.freeScans[:k-1]
-		if cap(b) >= n {
-			return b
-		}
-	}
-	return make([]ndb.BatchScan, 0, n+8)
-}
-
-func (r *Router) putScans(b []ndb.BatchScan) {
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = ndb.BatchScan{}
-	}
-	r.freeScans = append(r.freeScans, b[:0])
-}
-
-func (r *Router) rentIdx(n int) []int {
-	if k := len(r.freeIdx); k > 0 {
-		b := r.freeIdx[k-1]
-		r.freeIdx = r.freeIdx[:k-1]
-		if cap(b) >= n {
-			return b
-		}
-	}
-	return make([]int, 0, n+8)
-}
-
-func (r *Router) putIdx(b []int) {
-	r.freeIdx = append(r.freeIdx, b[:0])
+	panic(fmt.Sprintf("shard: table %q belongs to none of the router's %d clusters", t.Name(), r.n))
 }

@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
+	"hopsfscl/internal/trace"
 )
 
 // testRouter builds n independent NDB clusters on one simulated network
@@ -51,12 +54,12 @@ func testRouter(t *testing.T, n int) (*sim.Env, *Router, *simnet.Node) {
 // inTxn runs fn in a routed transaction inside a sim process and fails the
 // test on error.
 func inTxn(t *testing.T, env *sim.Env, r *Router, client *simnet.Node, ts *TableSet, hint string,
-	fn func(p *sim.Proc, tx *Txn) error) {
+	fn func(p *sim.Proc, tx ndb.Tx) error) {
 	t.Helper()
 	var err error
 	env.Spawn("txn", func(p *sim.Proc) {
-		var tx *Txn
-		tx, err = r.Begin(p, client, 1, ts, hint)
+		var tx ndb.Tx
+		tx, err = r.Begin(p, client, 1, ts.For(hint), hint)
 		if err != nil {
 			return
 		}
@@ -161,21 +164,21 @@ func TestCrossShardCommit(t *testing.T) {
 	r.EnableIntents()
 	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
 
-	inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(ts, pk0, "a", ident(1)); err != nil {
+	inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
+		if err := tx.Insert(ts.For(pk0), pk0, "a", ident(1)); err != nil {
 			return err
 		}
-		if err := tx.Insert(ts, pk1, "b", ident(2)); err != nil {
+		if err := tx.Insert(ts.For(pk1), pk1, "b", ident(2)); err != nil {
 			return err
 		}
 		return tx.Commit()
 	})
-	inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx *Txn) error {
+	inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
 		for _, probe := range []struct {
 			pk, key string
 			want    ident
 		}{{pk0, "a", 1}, {pk1, "b", 2}} {
-			v, ok, err := tx.ReadCommitted(ts, probe.pk, probe.key)
+			v, ok, err := tx.ReadCommitted(ts.For(probe.pk), probe.pk, probe.key)
 			if err != nil {
 				return err
 			}
@@ -236,12 +239,12 @@ func readRow(t *testing.T, env *sim.Env, r *Router, client *simnet.Node, ts *Tab
 	var ok bool
 	var err error
 	env.Spawn("read", func(p *sim.Proc) {
-		var tx *Txn
-		tx, err = r.Begin(p, client, 1, ts, pk)
+		var tx ndb.Tx
+		tx, err = r.Begin(p, client, 1, ts.For(pk), pk)
 		if err != nil {
 			return
 		}
-		val, ok, err = tx.ReadCommitted(ts, pk, key)
+		val, ok, err = tx.ReadCommitted(ts.For(pk), pk, key)
 		if err != nil {
 			tx.Abort()
 			return
@@ -297,8 +300,8 @@ func TestIntentReplayIdempotent(t *testing.T) {
 	// Foreign occupant: the destination was legitimately reused by another
 	// inode after the crash. The replay must not overwrite it; the moved
 	// value re-homes at the move's source slot.
-	inTxn(t, env, r, client, ts, pk1, func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(ts, pk1, "taken", ident(99)); err != nil {
+	inTxn(t, env, r, client, ts, pk1, func(p *sim.Proc, tx ndb.Tx) error {
+		if err := tx.Insert(ts.For(pk1), pk1, "taken", ident(99)); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -319,5 +322,177 @@ func TestIntentReplayIdempotent(t *testing.T) {
 	}
 	if v, ok := readRow(t, env, r, client, ts, pk0, "origin"); !ok || v.(ident) != 8 {
 		t.Fatalf("moved value was not re-homed at the source: val=%v ok=%v", v, ok)
+	}
+}
+
+// TestOneClusterBeginIsTheClusterTxn pins the pass-through: a one-cluster
+// router hands out the cluster's own transaction, not a wrapper around it.
+func TestOneClusterBeginIsTheClusterTxn(t *testing.T) {
+	env, r, client := testRouter(t, 1)
+	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
+	if ts.For("any") != ts.At(0) {
+		t.Fatalf("one-cluster table set resolved a key away from its only table")
+	}
+	inTxn(t, env, r, client, ts, "k", func(p *sim.Proc, tx ndb.Tx) error {
+		if _, ok := tx.(*ndb.Txn); !ok {
+			return fmt.Errorf("one-cluster Begin returned %T, want *ndb.Txn", tx)
+		}
+		return tx.Commit()
+	})
+	env2, r2, client2 := testRouter(t, 2)
+	ts2 := r2.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
+	inTxn(t, env2, r2, client2, ts2, "k", func(p *sim.Proc, tx ndb.Tx) error {
+		if _, ok := tx.(*Txn); !ok {
+			return fmt.Errorf("two-cluster Begin returned %T, want *shard.Txn", tx)
+		}
+		return tx.Commit()
+	})
+}
+
+// TestForeignTablePanics pins the dispatch lookup: a table of a cluster the
+// router does not own must not be quietly served by shard 0.
+func TestForeignTablePanics(t *testing.T) {
+	_, r, _ := testRouter(t, 2)
+	_, other, _ := testRouter(t, 1)
+	foreign := other.NewTableSet("elsewhere", 64, ndb.TableOptions{}).At(0)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, `"elsewhere"`) {
+			t.Fatalf("foreign table: recovered %q, want a panic naming the table", msg)
+		}
+	}()
+	s := r.shardOfTable(foreign)
+	t.Fatalf("foreign table dispatched to shard %d", s)
+}
+
+// TestSplitBatchShardFailure is the regression test for the scatter-before-
+// error panic: when one shard's share of a batch that spans shards fails
+// after its sub-transaction is open, the batch must return that error —
+// for the read and for the scan form.
+func TestSplitBatchShardFailure(t *testing.T) {
+	for _, form := range []string{"ReadBatch", "ScanBatch"} {
+		t.Run(form, func(t *testing.T) {
+			env, r, client := testRouter(t, 2)
+			ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
+			pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
+			var batchErr error
+			inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
+				// Open the shard-1 sub-transaction, then take shard 1 down.
+				if _, _, err := tx.ReadCommitted(ts.For(pk1), pk1, "x"); err != nil {
+					return err
+				}
+				for _, dn := range r.Cluster(1).DataNodes() {
+					dn.Node.Fail()
+				}
+				if form == "ReadBatch" {
+					_, batchErr = tx.ReadBatch([]ndb.BatchGet{
+						{Table: ts.For(pk0), PartKey: pk0, Key: "a"},
+						{Table: ts.For(pk1), PartKey: pk1, Key: "b"},
+					})
+				} else {
+					_, batchErr = tx.ScanBatch([]ndb.BatchScan{
+						{Table: ts.For(pk0), PartKey: pk0, Prefix: "a"},
+						{Table: ts.For(pk1), PartKey: pk1, Prefix: "b"},
+					})
+				}
+				tx.Abort()
+				return nil
+			})
+			if !errors.Is(batchErr, ndb.ErrNodeUnavailable) {
+				t.Fatalf("%s across a failed shard returned %v, want ErrNodeUnavailable", form, batchErr)
+			}
+		})
+	}
+}
+
+// TestSplitBatchScatter checks the split helper's bookkeeping on a healthy
+// router: results of a batch that interleaves two shards come back at their
+// request positions, and a write batch lands every row on its own shard.
+func TestSplitBatchScatter(t *testing.T) {
+	env, r, client := testRouter(t, 2)
+	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
+	r.EnableIntents()
+	on0, on1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
+	pks := []string{on1, on0, on1, on0}
+	inTxn(t, env, r, client, ts, pks[0], func(p *sim.Proc, tx ndb.Tx) error {
+		items := make([]ndb.BatchWrite, len(pks))
+		for i, pk := range pks {
+			items[i] = ndb.BatchWrite{Table: ts.For(pk), PartKey: pk, Key: fmt.Sprintf("k%d", i), Val: ident(i + 1)}
+		}
+		if err := tx.WriteBatch(items); err != nil {
+			return err
+		}
+		return tx.Commit()
+	})
+	inTxn(t, env, r, client, ts, pks[0], func(p *sim.Proc, tx ndb.Tx) error {
+		gets := make([]ndb.BatchGet, len(pks))
+		scans := make([]ndb.BatchScan, len(pks))
+		for i, pk := range pks {
+			gets[i] = ndb.BatchGet{Table: ts.For(pk), PartKey: pk, Key: fmt.Sprintf("k%d", i)}
+			scans[i] = ndb.BatchScan{Table: ts.For(pk), PartKey: pk, Prefix: fmt.Sprintf("k%d", i)}
+		}
+		vals, err := tx.ReadBatch(gets)
+		if err != nil {
+			return err
+		}
+		sets, err := tx.ScanBatch(scans)
+		if err != nil {
+			return err
+		}
+		for i := range pks {
+			if !vals[i].OK || vals[i].Val.(ident) != ident(i+1) {
+				return fmt.Errorf("ReadBatch[%d] = %+v, want %d", i, vals[i], i+1)
+			}
+			if len(sets[i]) != 1 || sets[i][0].Val.(ident) != ident(i+1) {
+				return fmt.Errorf("ScanBatch[%d] = %+v, want the one row %d", i, sets[i], i+1)
+			}
+		}
+		return tx.Commit()
+	})
+}
+
+// TestCommitCountersPartitionTransactions checks that the router's commit
+// counters partition the routed transactions of a healthy run: every
+// committed transaction is local, cross, a cross abort or indeterminate —
+// in particular the read-only transaction that straddled shards, which is
+// most of a Spotify mix, is local.
+func TestCommitCountersPartitionTransactions(t *testing.T) {
+	env, r, client := testRouter(t, 2)
+	reg := trace.NewRegistry()
+	r.SetTracer(trace.NewTracer(reg))
+	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
+	r.EnableIntents()
+	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
+	read := func(tx ndb.Tx, pk string) error {
+		_, _, err := tx.ReadCommitted(ts.For(pk), pk, "x")
+		return err
+	}
+	put := func(tx ndb.Tx, pk, key string) error {
+		return tx.Insert(ts.For(pk), pk, key, ident(1))
+	}
+	begun := 0
+	for _, body := range []func(tx ndb.Tx) error{
+		func(tx ndb.Tx) error { return read(tx, pk0) },                             // one shard, read-only
+		func(tx ndb.Tx) error { return put(tx, pk1, "a") },                         // one shard, writing
+		func(tx ndb.Tx) error { return errors.Join(read(tx, pk0), read(tx, pk1)) }, // two shards, read-only
+		func(tx ndb.Tx) error { return errors.Join(read(tx, pk0), put(tx, pk1, "b")) },
+		func(tx ndb.Tx) error { return errors.Join(put(tx, pk0, "c"), put(tx, pk1, "c")) }, // cross-shard write
+	} {
+		begun++
+		inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
+			if err := body(tx); err != nil {
+				return err
+			}
+			return tx.Commit()
+		})
+	}
+	count := func(name string) int { return int(reg.Counter(name).Value()) }
+	local, cross := count("shard.txn.local"), count("shard.txn.cross")
+	sum := local + cross + count("shard.txn.cross_aborts") + count("shard.txn.cross_indeterminate")
+	if sum != begun {
+		t.Fatalf("local %d + cross %d + aborts + indeterminate = %d, want the %d transactions begun", local, cross, sum, begun)
+	}
+	if local != 4 || cross != 1 {
+		t.Fatalf("local = %d, cross = %d, want 4 and 1", local, cross)
 	}
 }

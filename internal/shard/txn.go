@@ -9,59 +9,68 @@ import (
 	"hopsfscl/internal/simnet"
 )
 
-// Txn is a routed transaction: a thin wrapper that lazily opens one
-// ndb.Txn per shard the operation actually touches. The overwhelmingly
-// common case — every row of the operation hashes to one shard — runs on
-// exactly one sub-transaction, so the single-cluster fast path (WriteBatch
-// trains, batched reads, commit coalescing) is untouched per shard, and a
-// one-shard router forwards every call verbatim.
+// Txn is a routed transaction on a multi-cluster router: a dispatcher with
+// the method set of ndb.Tx that opens one ndb.Txn per shard the operation
+// actually touches and forwards each call to the sub-transaction of the
+// cluster that owns the call's table. It holds no rows and converts
+// nothing. A one-cluster router never creates one (see Begin).
 type Txn struct {
 	r      *Router
 	p      *sim.Proc
 	origin *simnet.Node
 	domain simnet.ZoneID
 
-	// single is the only sub-transaction while the operation stays on one
-	// shard; multi (indexed by shard, nil entries unopened) replaces it
-	// the moment a second shard is touched.
-	single      *ndb.Txn
-	singleShard int
-	multi       []*ndb.Txn
-	done        bool
+	// subs is indexed by shard; nil entries are unopened. It is carved out
+	// of inline for the usual small shard counts, so a routed transaction
+	// is one allocation.
+	subs   []*ndb.Txn
+	inline [4]*ndb.Txn
+	// only is the sub-transaction Begin opened for as long as no other
+	// shard has been touched; nil from the second open on.
+	only *ndb.Txn
+	done bool
 }
 
-// Begin opens a routed transaction, eagerly starting the sub-transaction
-// on the hint's shard — the same begin, against the same cluster, that an
-// unsharded namenode would issue, so the message sequence of a one-shard
-// deployment is unchanged.
-func (r *Router) Begin(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, hintTables *TableSet, hint string) (*Txn, error) {
-	s := r.ShardOfKey(hint)
-	sub, err := r.clusters[s].Begin(p, origin, domain, hintTables.tabs[s], hint)
+// Begin opens a transaction hinted at table's row partKey — Cluster.Begin's
+// signature, with the cluster picked by the table. On a one-cluster router
+// the result is that cluster's *ndb.Txn itself: an unsharded deployment has
+// no wrapper object and no routing step. Otherwise it is a *Txn whose
+// sub-transaction on the table's shard is opened eagerly — the begin an
+// unsharded namenode would issue — and whose other shards open on first
+// touch.
+func (r *Router) Begin(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, table *ndb.Table, partKey string) (ndb.Tx, error) {
+	s := r.shardOfTable(table)
+	sub, err := r.clusters[s].Begin(p, origin, domain, table, partKey)
 	if err != nil {
 		return nil, err
 	}
-	r.touchShard(p.Now(), s)
-	return &Txn{r: r, p: p, origin: origin, domain: domain, single: sub, singleShard: s}, nil
-}
-
-// subFor returns the sub-transaction for shard s, beginning it on first
-// touch (hinted by the partition key that caused the touch).
-func (t *Txn) subFor(s int, ts *TableSet, pk string) (*ndb.Txn, error) {
-	if t.multi == nil {
-		if s == t.singleShard {
-			return t.single, nil
-		}
-		t.multi = make([]*ndb.Txn, t.r.n)
-		t.multi[t.singleShard] = t.single
-	}
-	if sub := t.multi[s]; sub != nil {
+	if r.n == 1 {
 		return sub, nil
 	}
-	sub, err := t.r.clusters[s].Begin(t.p, t.origin, t.domain, ts.tabs[s], pk)
+	r.touchShard(p.Now(), s)
+	t := &Txn{r: r, p: p, origin: origin, domain: domain, only: sub}
+	if r.n <= len(t.inline) {
+		t.subs = t.inline[:r.n]
+	} else {
+		t.subs = make([]*ndb.Txn, r.n)
+	}
+	t.subs[s] = sub
+	return t, nil
+}
+
+// sub returns the sub-transaction on the shard owning table, beginning it on
+// first touch (hinted by the row that caused the touch).
+func (t *Txn) sub(table *ndb.Table, partKey string) (*ndb.Txn, error) {
+	s := t.r.shardOfTable(table)
+	if sub := t.subs[s]; sub != nil {
+		return sub, nil
+	}
+	sub, err := t.r.clusters[s].Begin(t.p, t.origin, t.domain, table, partKey)
 	if err != nil {
 		return nil, err
 	}
-	t.multi[s] = sub
+	t.subs[s] = sub
+	t.only = nil
 	t.r.touchShard(t.p.Now(), s)
 	return sub, nil
 }
@@ -75,73 +84,54 @@ func (t *Txn) Annotate(key, value string) {
 }
 
 // ReadCommitted reads a row's committed value without locking.
-func (t *Txn) ReadCommitted(ts *TableSet, partKey, key string) (ndb.Value, bool, error) {
-	s := ts.r.ShardOfKey(partKey)
-	sub, err := t.subFor(s, ts, partKey)
+func (t *Txn) ReadCommitted(table *ndb.Table, partKey, key string) (ndb.Value, bool, error) {
+	sub, err := t.sub(table, partKey)
 	if err != nil {
 		return nil, false, err
 	}
-	return sub.ReadCommitted(ts.tabs[s], partKey, key)
+	return sub.ReadCommitted(table, partKey, key)
 }
 
 // ReadLocked reads a row under a lock.
-func (t *Txn) ReadLocked(ts *TableSet, partKey, key string, mode ndb.LockMode) (ndb.Value, bool, error) {
-	s := ts.r.ShardOfKey(partKey)
-	sub, err := t.subFor(s, ts, partKey)
+func (t *Txn) ReadLocked(table *ndb.Table, partKey, key string, mode ndb.LockMode) (ndb.Value, bool, error) {
+	sub, err := t.sub(table, partKey)
 	if err != nil {
 		return nil, false, err
 	}
-	return sub.ReadLocked(ts.tabs[s], partKey, key, mode)
+	return sub.ReadLocked(table, partKey, key, mode)
 }
 
-// Write stages an insert/update/delete under an exclusive lock.
-func (t *Txn) Write(ts *TableSet, partKey, key string, val ndb.Value, del bool) error {
-	s := ts.r.ShardOfKey(partKey)
-	sub, err := t.subFor(s, ts, partKey)
+// Insert stages an insert/update under an exclusive lock.
+func (t *Txn) Insert(table *ndb.Table, partKey, key string, val ndb.Value) error {
+	sub, err := t.sub(table, partKey)
 	if err != nil {
 		return err
 	}
-	return sub.Write(ts.tabs[s], partKey, key, val, del)
-}
-
-// Insert stages an insert/update.
-func (t *Txn) Insert(ts *TableSet, partKey, key string, val ndb.Value) error {
-	return t.Write(ts, partKey, key, val, false)
-}
-
-// Delete stages a delete.
-func (t *Txn) Delete(ts *TableSet, partKey, key string) error {
-	return t.Write(ts, partKey, key, nil, true)
+	return sub.Insert(table, partKey, key, val)
 }
 
 // ScanPrefix scans one partition for keys with the prefix.
-func (t *Txn) ScanPrefix(ts *TableSet, partKey, prefix string) ([]ndb.KV, error) {
-	s := ts.r.ShardOfKey(partKey)
-	sub, err := t.subFor(s, ts, partKey)
+func (t *Txn) ScanPrefix(table *ndb.Table, partKey, prefix string) ([]ndb.KV, error) {
+	sub, err := t.sub(table, partKey)
 	if err != nil {
 		return nil, err
 	}
-	return sub.ScanPrefix(ts.tabs[s], partKey, prefix)
+	return sub.ScanPrefix(table, partKey, prefix)
 }
 
-// ScanTablePrefix scans every partition of the logical table — on every
-// shard — for keys with the prefix. Multi-shard results are re-sorted by
-// key so the merged order is independent of shard count.
-func (t *Txn) ScanTablePrefix(ts *TableSet, prefix string) ([]ndb.KV, error) {
-	if t.r.n == 1 {
-		sub, err := t.subFor(0, ts, "")
-		if err != nil {
-			return nil, err
-		}
-		return sub.ScanTablePrefix(ts.tabs[0], prefix)
-	}
+// ScanTablePrefix scans every partition of the logical table — table's
+// namesake on every shard, in shard order — for keys with the prefix. The
+// merged rows are re-sorted by key so the order is independent of the shard
+// count.
+func (t *Txn) ScanTablePrefix(table *ndb.Table, prefix string) ([]ndb.KV, error) {
 	var out []ndb.KV
-	for s := 0; s < t.r.n; s++ {
-		sub, err := t.subFor(s, ts, "")
+	for _, c := range t.r.clusters {
+		tab := c.Table(table.Name())
+		sub, err := t.sub(tab, "")
 		if err != nil {
 			return nil, err
 		}
-		kvs, err := sub.ScanTablePrefix(ts.tabs[s], prefix)
+		kvs, err := sub.ScanTablePrefix(tab, prefix)
 		if err != nil {
 			return nil, err
 		}
@@ -151,224 +141,104 @@ func (t *Txn) ScanTablePrefix(ts *TableSet, prefix string) ([]ndb.KV, error) {
 	return out, nil
 }
 
-// BatchGet names one row of a routed ReadBatch.
-type BatchGet struct {
-	Table   *TableSet
-	PartKey string
-	Key     string
-}
-
-// BatchScan names one prefix scan of a routed ScanBatch.
-type BatchScan struct {
-	Table   *TableSet
-	PartKey string
-	Prefix  string
-}
-
-// BatchWrite names one row of a routed WriteBatch.
-type BatchWrite struct {
-	Table   *TableSet
-	PartKey string
-	Key     string
-	Val     ndb.Value
-	Del     bool
-}
-
-// ReadBatch reads many rows in one batched fan-out per touched shard,
-// returning values positionally. When all rows hash to one shard — every
-// batched resolution of a path, since child rows share the parent's
-// partition key — this is a single ndb.ReadBatch, unchanged.
-func (t *Txn) ReadBatch(gets []BatchGet) ([]ndb.BatchVal, error) {
-	if len(gets) == 0 {
+// routeBatch is the one batch dispatcher. A batch whose rows all live on one
+// shard — every batched write of a create, delete or same-directory rename —
+// is handed to that shard's sub-transaction as the caller's slice,
+// untouched. A batch that spans shards is split: shards are visited in
+// ascending order, each one's rows are gathered in request order and run as
+// one sub-batch on its sub-transaction, and the sub-batch's results are
+// scattered back to the rows' request positions. A failing shard ends the
+// walk with its error before anything of it is scattered. at names a row's
+// table and partition key; run returns one result per row it was given.
+func routeBatch[T, R any](t *Txn, rows []T, at func(*T) (*ndb.Table, string),
+	run func(*ndb.Txn, []T) ([]R, error)) ([]R, error) {
+	if len(rows) == 0 {
 		return nil, nil
 	}
-	r := t.r
-	buf := r.rentGets(len(gets))
-	first := gets[0].Table.r.ShardOfKey(gets[0].PartKey)
-	same := true
-	for i := range gets {
-		s := gets[i].Table.r.ShardOfKey(gets[i].PartKey)
-		if s != first {
-			same = false
-			break
-		}
-		buf = append(buf, ndb.BatchGet{Table: gets[i].Table.tabs[s], PartKey: gets[i].PartKey, Key: gets[i].Key})
+	shardOf := func(i int) int {
+		table, _ := at(&rows[i])
+		return t.r.shardOfTable(table)
 	}
-	if same {
-		sub, err := t.subFor(first, gets[0].Table, gets[0].PartKey)
+	first, spans := shardOf(0), false
+	for i := 1; i < len(rows) && !spans; i++ {
+		spans = shardOf(i) != first
+	}
+	if !spans {
+		sub, err := t.sub(at(&rows[0]))
 		if err != nil {
-			r.putGets(buf)
 			return nil, err
 		}
-		vals, err := sub.ReadBatch(buf)
-		r.putGets(buf)
-		return vals, err
+		return run(sub, rows)
 	}
-	r.putGets(buf)
-	out := make([]ndb.BatchVal, len(gets))
-	for s := 0; s < r.n; s++ {
-		sbuf := r.rentGets(len(gets))
-		idx := r.rentIdx(len(gets))
-		for i := range gets {
-			if gets[i].Table.r.ShardOfKey(gets[i].PartKey) != s {
-				continue
+	out := make([]R, len(rows))
+	part := make([]T, 0, len(rows))
+	for s := range t.subs {
+		part = part[:0]
+		for i := range rows {
+			if shardOf(i) == s {
+				part = append(part, rows[i])
 			}
-			sbuf = append(sbuf, ndb.BatchGet{Table: gets[i].Table.tabs[s], PartKey: gets[i].PartKey, Key: gets[i].Key})
-			idx = append(idx, i)
 		}
-		if len(sbuf) == 0 {
-			r.putGets(sbuf)
-			r.putIdx(idx)
+		if len(part) == 0 {
 			continue
 		}
-		sub, err := t.subFor(s, gets[idx[0]].Table, gets[idx[0]].PartKey)
-		if err == nil {
-			var vals []ndb.BatchVal
-			vals, err = sub.ReadBatch(sbuf)
-			for j, i := range idx {
-				out[i] = vals[j]
-			}
-		}
-		r.putGets(sbuf)
-		r.putIdx(idx)
+		sub, err := t.sub(at(&part[0]))
 		if err != nil {
 			return nil, err
+		}
+		res, err := run(sub, part)
+		if err != nil {
+			return nil, err
+		}
+		for i, j := 0, 0; i < len(rows); i++ {
+			if shardOf(i) == s {
+				out[i] = res[j]
+				j++
+			}
 		}
 	}
 	return out, nil
+}
+
+// ReadBatch reads many rows in one batched fan-out per touched shard,
+// returning values positionally.
+func (t *Txn) ReadBatch(gets []ndb.BatchGet) ([]ndb.BatchVal, error) {
+	return routeBatch(t, gets,
+		func(g *ndb.BatchGet) (*ndb.Table, string) { return g.Table, g.PartKey },
+		(*ndb.Txn).ReadBatch)
 }
 
 // ScanBatch runs many prefix scans in one batched fan-out per touched
 // shard, returning result sets positionally.
-func (t *Txn) ScanBatch(scans []BatchScan) ([][]ndb.KV, error) {
-	if len(scans) == 0 {
-		return nil, nil
-	}
-	r := t.r
-	buf := r.rentScans(len(scans))
-	first := scans[0].Table.r.ShardOfKey(scans[0].PartKey)
-	same := true
-	for i := range scans {
-		s := scans[i].Table.r.ShardOfKey(scans[i].PartKey)
-		if s != first {
-			same = false
-			break
-		}
-		buf = append(buf, ndb.BatchScan{Table: scans[i].Table.tabs[s], PartKey: scans[i].PartKey, Prefix: scans[i].Prefix})
-	}
-	if same {
-		sub, err := t.subFor(first, scans[0].Table, scans[0].PartKey)
-		if err != nil {
-			r.putScans(buf)
-			return nil, err
-		}
-		kvs, err := sub.ScanBatch(buf)
-		r.putScans(buf)
-		return kvs, err
-	}
-	r.putScans(buf)
-	out := make([][]ndb.KV, len(scans))
-	for s := 0; s < r.n; s++ {
-		sbuf := r.rentScans(len(scans))
-		idx := r.rentIdx(len(scans))
-		for i := range scans {
-			if scans[i].Table.r.ShardOfKey(scans[i].PartKey) != s {
-				continue
-			}
-			sbuf = append(sbuf, ndb.BatchScan{Table: scans[i].Table.tabs[s], PartKey: scans[i].PartKey, Prefix: scans[i].Prefix})
-			idx = append(idx, i)
-		}
-		if len(sbuf) == 0 {
-			r.putScans(sbuf)
-			r.putIdx(idx)
-			continue
-		}
-		sub, err := t.subFor(s, scans[idx[0]].Table, scans[idx[0]].PartKey)
-		if err == nil {
-			var kvs [][]ndb.KV
-			kvs, err = sub.ScanBatch(sbuf)
-			for j, i := range idx {
-				out[i] = kvs[j]
-			}
-		}
-		r.putScans(sbuf)
-		r.putIdx(idx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+func (t *Txn) ScanBatch(scans []ndb.BatchScan) ([][]ndb.KV, error) {
+	return routeBatch(t, scans,
+		func(s *ndb.BatchScan) (*ndb.Table, string) { return s.Table, s.PartKey },
+		(*ndb.Txn).ScanBatch)
 }
 
-// WriteBatch stages all mutations, grouped per shard. A batch that stays
-// on one shard — every create, delete, and same-directory rename — is one
-// ndb.WriteBatch, staged and committed exactly as before.
-func (t *Txn) WriteBatch(items []BatchWrite) error {
-	if len(items) == 0 {
-		return nil
-	}
-	r := t.r
-	buf := r.rentWrites(len(items))
-	first := items[0].Table.r.ShardOfKey(items[0].PartKey)
-	same := true
-	for i := range items {
-		s := items[i].Table.r.ShardOfKey(items[i].PartKey)
-		if s != first {
-			same = false
-			break
-		}
-		buf = append(buf, ndb.BatchWrite{Table: items[i].Table.tabs[s], PartKey: items[i].PartKey, Key: items[i].Key, Val: items[i].Val, Del: items[i].Del})
-	}
-	if same {
-		sub, err := t.subFor(first, items[0].Table, items[0].PartKey)
-		if err != nil {
-			r.putWrites(buf)
-			return err
-		}
-		err = sub.WriteBatch(buf)
-		r.putWrites(buf)
-		return err
-	}
-	r.putWrites(buf)
-	for s := 0; s < r.n; s++ {
-		sbuf := r.rentWrites(len(items))
-		firstIdx := -1
-		for i := range items {
-			if items[i].Table.r.ShardOfKey(items[i].PartKey) != s {
-				continue
-			}
-			if firstIdx < 0 {
-				firstIdx = i
-			}
-			sbuf = append(sbuf, ndb.BatchWrite{Table: items[i].Table.tabs[s], PartKey: items[i].PartKey, Key: items[i].Key, Val: items[i].Val, Del: items[i].Del})
-		}
-		if firstIdx < 0 {
-			r.putWrites(sbuf)
-			continue
-		}
-		sub, err := t.subFor(s, items[firstIdx].Table, items[firstIdx].PartKey)
-		if err == nil {
-			err = sub.WriteBatch(sbuf)
-		}
-		r.putWrites(sbuf)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// WriteBatch stages all mutations, one ndb.WriteBatch per touched shard. A
+// staged row has no result; the empty ones cost nothing.
+func (t *Txn) WriteBatch(items []ndb.BatchWrite) error {
+	_, err := routeBatch(t, items,
+		func(w *ndb.BatchWrite) (*ndb.Table, string) { return w.Table, w.PartKey },
+		func(sub *ndb.Txn, part []ndb.BatchWrite) ([]struct{}, error) {
+			return make([]struct{}, len(part)), sub.WriteBatch(part)
+		})
+	return err
 }
 
 // Abort aborts every open sub-transaction.
 func (t *Txn) Abort() {
-	if t.done {
-		return
+	if !t.done {
+		t.done = true
+		t.abortSubs()
 	}
-	t.done = true
-	if t.multi == nil {
-		t.single.Abort()
-		return
-	}
-	for _, sub := range t.multi {
+}
+
+// abortSubs aborts the sub-transactions that are still open; one that has
+// already committed or aborted ignores it.
+func (t *Txn) abortSubs() {
+	for _, sub := range t.subs {
 		if sub != nil {
 			sub.Abort()
 		}
@@ -383,11 +253,9 @@ func (t *Txn) Commit() error {
 		return ndb.ErrAborted
 	}
 	t.done = true
-	if t.multi == nil {
-		if t.r.obs != nil {
-			t.r.obs.local.Add(1)
-		}
-		return t.single.Commit()
+	if t.only != nil {
+		t.r.obs.local.Add(1)
+		return t.only.Commit()
 	}
 	return t.commitCross()
 }
