@@ -10,7 +10,7 @@
 //
 // Experiments: table1 table2 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
 // fig13 fig14 pathdepth writefan failures chaos autoscale ablations
-// phases kernel hotspot shardsweep. "chaos" runs the seeded random
+// phases hotspot shardsweep. "chaos" runs the seeded random
 // fault-campaign sweep
 // (deterministic per seed) with cross-layer invariant auditing; "failures"
 // runs the §V-F scripted drills on the same engine; "pathdepth" measures
@@ -24,12 +24,7 @@
 // "autoscale" drives a compressed diurnal week against the elastic
 // metadata tier (online commission/drain under the autoscale controller,
 // audited at every transition) and against static-min and static-peak
-// provisioning, checking the acceptance inequalities inline; "kernel" is
-// the bench of the bench — it measures the simulation engine itself
-// (per-primitive wall cost and steady-state allocations, plus the engine
-// overhead of one full grid point in wall-ns per virtual millisecond and
-// allocations per virtual op), the numbers whose regression gate lives in
-// the CI kernel job and whose trajectory is recorded in BENCH_8.json;
+// provisioning, checking the acceptance inequalities inline;
 // "hotspot" drives a planted skewed workload with the namespace heat
 // sketches and tail-based exemplar capture enabled, checks that the
 // planted subtrees rank first at every depth and that every p99-breaching
@@ -41,28 +36,20 @@
 // path (ordered two-cluster commits with durable intents) separately
 // from the shard-local fast path — the run recorded in BENCH_10.json.
 //
-// When any measured window evicted spans from the profiling ring, a
-// per-cell "spans dropped from the profiling sink" warning is printed to
-// stderr (the count is also in the JSON report as sink_dropped): profiler
-// attribution and exemplars then cover only a suffix of the run.
+// The simulator's own wall-clock cost (and the recorded perf trajectory)
+// is measured by the benchmark in benchmark/, not here.
 //
 // Flags:
 //
 //	-full     run the paper's complete server-count grid (slower)
 //	-seed N   simulation seed (default 1)
 //	-clients N  closed-loop clients per metadata server (default 64)
-//	-json FILE  write every measured grid cell (setup x server count:
-//	            throughput, latency percentiles, CPU, cross-zone rate) plus
-//	            per-point SLO summaries and the autoscale mode comparison as
-//	            a deterministic JSON report — the machine-readable companion
-//	            to the text tables (see BENCH_7.json for the recorded run)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"hopsfscl/internal/bench"
@@ -80,7 +67,6 @@ func run(args []string) error {
 	full := fs.Bool("full", false, "run the paper's complete server-count grid")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	clients := fs.Int("clients", 0, "closed-loop clients per metadata server (0 = default)")
-	jsonOut := fs.String("json", "", "write measured grid cells as a machine-readable JSON report to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,7 +85,7 @@ func run(args []string) error {
 			ids = append(ids, e.ID)
 		}
 	}
-	opts := bench.ExpOptions{Full: *full, Seed: *seed, ClientsPerServer: *clients, SLO: *jsonOut != ""}
+	opts := bench.ExpOptions{Full: *full, Seed: *seed, ClientsPerServer: *clients}
 	for _, id := range ids {
 		exp, ok := bench.ExperimentByID(id)
 		if !ok {
@@ -114,16 +100,6 @@ func run(args []string) error {
 		fmt.Println(out)
 		fmt.Printf("(%s completed in %s)\n\n", exp.ID, time.Since(t0).Round(time.Millisecond))
 	}
-	for _, w := range bench.SinkDropWarnings() {
-		fmt.Fprintln(os.Stderr, "warning:", w)
-	}
-	if *jsonOut != "" {
-		cmd := "hopsbench " + strings.Join(args, " ")
-		if err := bench.WriteGridJSON(*jsonOut, cmd, ids); err != nil {
-			return fmt.Errorf("write %s: %w", *jsonOut, err)
-		}
-		fmt.Printf("wrote grid report to %s\n", *jsonOut)
-	}
 	return nil
 }
 
@@ -133,5 +109,5 @@ func usage() {
 	for _, e := range bench.Experiments {
 		fmt.Printf("  %-9s %s\n", e.ID, e.Title)
 	}
-	fmt.Println("\nusage: hopsbench [-full] [-seed N] [-clients N] [-json FILE] <experiment>... | all | list")
+	fmt.Println("\nusage: hopsbench [-full] [-seed N] [-clients N] <experiment>... | all | list")
 }

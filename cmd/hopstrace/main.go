@@ -17,7 +17,7 @@
 //	    trains; the ndb.batch_write.* and ndb.commit.trains /
 //	    ndb.commit.rows_per_train registry counters report how rows packed.
 //
-//	hopstrace profile [-setup name] [-seed S] [-ops N] [-clients N] [-format text|folded|chrome] [-out file]
+//	hopstrace profile [replay flags] [-format text|folded|chrome] [-sink N] [-top N]
 //	    Generate and replay a trace with concurrent clients and detailed
 //	    spans, then report where the time went: a per-op critical-path
 //	    attribution table (lock wait / 2PC phases / hop classes / compute)
@@ -25,23 +25,22 @@
 //	    (folded), or Chrome Trace Event JSON for chrome://tracing and
 //	    Perfetto (chrome).
 //
-//	hopstrace timeline [-setup name] [-seed S] [-ops N] [-interval D] [-out file]
+//	hopstrace timeline [replay flags] [-interval D] [-keep prefixes]
 //	    Same replay, sampled by the flight recorder: a CSV time series of
 //	    the selected metrics (per-AZ link traffic, lock waits, op rates)
 //	    over virtual time.
 //
-//	hopstrace hotspots [-setup name] [-seed S] [-ops N] [-clients N] [-shards N] [-format text|csv] [-exemplars] [-out file]
+//	hopstrace hotspots [replay flags] [-format text|csv] [-top N] [-exemplars]
 //	    Same replay with the namespace heat sketches attached: decayed
 //	    Space-Saving top-k rankings of the hottest subtrees (per depth),
 //	    inodes, NDB tables, partitions, and op types, as a rendered report
 //	    (text) or machine-readable rows (csv). With -shards > 1 the
 //	    namespace is hash-sharded across that many NDB clusters and the
 //	    report gains the per-shard routing-balance family. With -exemplars,
-//	    also pin
-//	    tail exemplars — full span trees of operations that breached their
-//	    p99 objective, completed while a burn alert fired, or were the
-//	    slowest of their window — and render them through the critical-path
-//	    profiler.
+//	    also pin tail exemplars — full span trees of operations that
+//	    breached their p99 objective, completed while a burn alert fired,
+//	    or were the slowest of their window — and render them through the
+//	    critical-path profiler.
 //
 //	hopstrace autoscale [-seed S] [-profile file] [-out file]
 //	    Run the elastic metadata tier under a shaped diurnal load: paced
@@ -63,6 +62,10 @@
 //	    file and -faults N generates a random campaign instead. -spec reads
 //	    a declarative SLO spec (see internal/slo.ParseSpec); the default is
 //	    slo.DefaultSpec.
+//
+// profile, timeline and hotspots are one replay session behind one flag
+// set, the replay flags: [-setup name] [-seed S] [-ops N] [-servers N]
+// [-clients N] [-deadline D] [-shards N] [-out file].
 //
 // The trace format is plain text: "<op> <path> [<dst>]", e.g.
 //
@@ -201,6 +204,23 @@ func genTrace(n int, seed int64) []workload.TraceOp {
 	return rec.Trace()
 }
 
+// writeOut hands render the -out destination: the named file, or stdout
+// when path is empty. A file's Close error is reported.
+func writeOut(stdout io.Writer, path string, render func(w io.Writer) error) error {
+	if path == "" {
+		return render(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func runGen(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	ops := fs.Int("ops", 10000, "operations to generate")
@@ -212,23 +232,11 @@ func runGen(args []string, stdout io.Writer) error {
 	// Drive the Spotify-mix generator against a recorder over a no-op FS:
 	// the recorder captures exactly the operations a benchmark run issues.
 	trace := genTrace(*ops, *seed)
-
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := workload.WriteTrace(w, trace); err != nil {
-		return err
-	}
-	if *out != "" {
+	err := writeOut(stdout, *out, func(w io.Writer) error { return workload.WriteTrace(w, trace) })
+	if err == nil && *out != "" {
 		fmt.Fprintf(stdout, "wrote %d operations to %s\n", len(trace), *out)
 	}
-	return nil
+	return err
 }
 
 func runReplay(args []string, stdout io.Writer) error {
@@ -252,52 +260,26 @@ func runReplay(args []string, stdout io.Writer) error {
 		defer f.Close()
 		r = f
 	}
-	trace, err := workload.ReadTrace(r)
+	ops, err := workload.ReadTrace(r)
 	if err != nil {
 		return err
 	}
-	setup, ok := core.SetupByName(*setupName)
-	if !ok {
-		return fmt.Errorf("unknown setup %q", *setupName)
-	}
-	opts := core.DefaultOptions(setup)
-	opts.MetadataServers = *servers
-	opts.ClientsPerServer = 1 // replay is sequential per client below
-	opts.Seed = *seed
-	d, err := core.Build(opts)
+	// One client per server; the replay below is sequential on the first.
+	d, err := buildReplayDeployment(*setupName, *seed, *servers, *servers, 1)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	sink := d.Tracer.Sink()
+	var sink *trace.Sink
 	if *withTrace {
-		sink = d.EnableTracing(len(trace))
+		sink = d.EnableTracing(len(ops))
 	}
-
-	var (
-		errs    int
-		elapsed time.Duration
-	)
-	done := false
-	d.Env.Spawn("replay", func(p *sim.Proc) {
-		t0 := p.Now()
-		errs = workload.Replay(p, d.Clients[0], trace)
-		p.Flush()
-		elapsed = p.Now() - t0
-		done = true
-	})
-	for !done && d.Env.Now() < *deadline {
-		step := 100 * time.Millisecond
-		if rem := *deadline - d.Env.Now(); rem < step {
-			step = rem
-		}
-		d.Env.RunFor(step)
+	elapsed, errs, err := replayConcurrent(d, ops, 1, *deadline)
+	if err != nil {
+		return err
 	}
-	if !done {
-		return fmt.Errorf("replay did not complete within -deadline %v of virtual time", *deadline)
-	}
-	rate := float64(len(trace)) / elapsed.Seconds()
-	fmt.Fprintf(stdout, "replayed %d operations on %s in %v (virtual)\n", len(trace), setup.Name, elapsed.Round(time.Millisecond))
+	rate := float64(len(ops)) / elapsed.Seconds()
+	fmt.Fprintf(stdout, "replayed %d operations on %s in %v (virtual)\n", len(ops), d.Setup.Name, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(stdout, "sequential throughput: %s ops/s   errors: %d\n", metrics.FormatOps(rate), errs)
 	fmt.Fprintf(stdout, "cross-AZ traffic: %.2f MB\n", float64(d.Net.CrossZoneBytes())/1e6)
 	// Mirror hopsbench: note the bench package is the place for load tests.
@@ -385,19 +367,72 @@ func replayConcurrent(d *core.Deployment, traceOps []workload.TraceOp, clients i
 	return elapsed, errs, nil
 }
 
+// replayFlags is the flag set profile, timeline and hotspots share: the
+// trace to generate, the deployment to replay it on, and where the output
+// goes. Each subcommand adds its own flags to the embedded set.
+type replayFlags struct {
+	*flag.FlagSet
+	setup    *string
+	seed     *int64
+	ops      *int
+	servers  *int
+	clients  *int
+	deadline *time.Duration
+	shards   *int
+	out      *string
+}
+
+func newReplayFlags(name string) *replayFlags {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	return &replayFlags{
+		FlagSet:  fs,
+		setup:    fs.String("setup", "HopsFS-CL (3,3)", "deployment setup"),
+		seed:     fs.Int64("seed", 1, "simulation seed"),
+		ops:      fs.Int("ops", 2000, "operations to generate and replay"),
+		servers:  fs.Int("servers", 3, "metadata servers"),
+		clients:  fs.Int("clients", 8, "concurrent replay clients"),
+		deadline: fs.Duration("deadline", 1000*time.Second, "virtual-time budget for the replay"),
+		shards:   fs.Int("shards", 1, "NDB clusters the namespace is hash-sharded across"),
+		out:      fs.String("out", "", "output file (default stdout)"),
+	}
+}
+
+// replayed is a finished replay session, as handed to a subcommand's
+// render step.
+type replayed struct {
+	d       *core.Deployment
+	ops     int // operations in the generated trace
+	elapsed time.Duration
+	errs    int
+}
+
+// replay runs one session: generate the trace, build the deployment, let
+// attach enable the consumers the subcommand reports from (before any
+// operation runs; it is told the trace length to size rings by), replay
+// the trace over concurrent clients, stop the background tickers, and
+// call render with the -out destination.
+func (f *replayFlags) replay(stdout io.Writer, attach func(d *core.Deployment, ops int), render func(w io.Writer, r replayed) error) error {
+	traceOps := genTrace(*f.ops, *f.seed)
+	d, err := buildReplayDeployment(*f.setup, *f.seed, *f.servers, *f.clients, *f.shards)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	attach(d, len(traceOps))
+	elapsed, errs, err := replayConcurrent(d, traceOps, *f.clients, *f.deadline)
+	if err != nil {
+		return err
+	}
+	d.StopBackground()
+	r := replayed{d: d, ops: len(traceOps), elapsed: elapsed, errs: errs}
+	return writeOut(stdout, *f.out, func(w io.Writer) error { return render(w, r) })
+}
+
 func runProfile(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
-	setupName := fs.String("setup", "HopsFS-CL (3,3)", "deployment setup")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	ops := fs.Int("ops", 2000, "operations to generate and replay")
-	servers := fs.Int("servers", 3, "metadata servers")
-	clients := fs.Int("clients", 8, "concurrent replay clients")
-	deadline := fs.Duration("deadline", 1000*time.Second, "virtual-time budget for the replay")
+	fs := newReplayFlags("profile")
 	format := fs.String("format", "text", "output format: text, folded, or chrome")
-	out := fs.String("out", "", "output file (default stdout)")
 	sinkCap := fs.Int("sink", 0, "span ring capacity (default ops+64)")
 	top := fs.Int("top", 10, "rows in the contention tables")
-	shards := fs.Int("shards", 1, "NDB clusters the namespace is hash-sharded across")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -406,122 +441,75 @@ func runProfile(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -format %q (want text, folded or chrome)", *format)
 	}
-	traceOps := genTrace(*ops, *seed)
-	d, err := buildReplayDeployment(*setupName, *seed, *servers, *clients, *shards)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	cap := *sinkCap
-	if cap <= 0 {
-		cap = len(traceOps) + 64
-	}
-	sink := d.EnableTracing(cap)
-	elapsed, errs, err := replayConcurrent(d, traceOps, *clients, *deadline)
-	if err != nil {
-		return err
-	}
-
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+	return fs.replay(stdout, func(d *core.Deployment, ops int) {
+		cap := *sinkCap
+		if cap <= 0 {
+			cap = ops + 64
 		}
-		defer f.Close()
-		w = f
-	}
-	spans := sink.Spans()
-	switch *format {
-	case "folded":
-		warnTruncated(os.Stderr, sink)
-		_, err = io.WriteString(w, profile.FoldedStacks(spans))
-		return err
-	case "chrome":
-		warnTruncated(os.Stderr, sink)
-		return profile.WriteChromeTrace(w, spans)
-	}
-	fmt.Fprintf(w, "profiled %d operations on %s (seed %d, %d replay clients, %v virtual, %d errors)\n",
-		len(traceOps), d.Setup.Name, *seed, *clients, elapsed.Round(time.Millisecond), errs)
-	warnTruncated(w, sink)
-	rep := profile.Analyze(spans)
-	fmt.Fprintf(w, "\ncritical-path attribution (share of end-to-end time per op type):\n%s", rep.Table())
-	fmt.Fprintln(w)
-	if d.DB != nil {
-		fmt.Fprint(w, d.DB.Contention().Render(*top))
-	} else {
-		fmt.Fprintln(w, "(no contention ledger: CephFS setups run untraced)")
-	}
-	return nil
+		d.EnableTracing(cap)
+	}, func(w io.Writer, r replayed) error {
+		sink := r.d.Tracer.Sink()
+		spans := sink.Spans()
+		switch *format {
+		case "folded":
+			warnTruncated(os.Stderr, sink)
+			_, err := io.WriteString(w, profile.FoldedStacks(spans))
+			return err
+		case "chrome":
+			warnTruncated(os.Stderr, sink)
+			return profile.WriteChromeTrace(w, spans)
+		}
+		fmt.Fprintf(w, "profiled %d operations on %s (seed %d, %d replay clients, %v virtual, %d errors)\n",
+			r.ops, r.d.Setup.Name, *fs.seed, *fs.clients, r.elapsed.Round(time.Millisecond), r.errs)
+		warnTruncated(w, sink)
+		rep := profile.Analyze(spans)
+		fmt.Fprintf(w, "\ncritical-path attribution (share of end-to-end time per op type):\n%s", rep.Table())
+		fmt.Fprintln(w)
+		if r.d.DB != nil {
+			fmt.Fprint(w, r.d.DB.Contention().Render(*top))
+		} else {
+			fmt.Fprintln(w, "(no contention ledger: CephFS setups run untraced)")
+		}
+		return nil
+	})
 }
 
 func runTimeline(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
-	setupName := fs.String("setup", "HopsFS-CL (3,3)", "deployment setup")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	ops := fs.Int("ops", 2000, "operations to generate and replay")
-	servers := fs.Int("servers", 3, "metadata servers")
-	clients := fs.Int("clients", 8, "concurrent replay clients")
-	deadline := fs.Duration("deadline", 1000*time.Second, "virtual-time budget for the replay")
+	fs := newReplayFlags("timeline")
 	interval := fs.Duration("interval", 20*time.Millisecond, "flight-recorder sampling interval (virtual time)")
 	keep := fs.String("keep", "op.,txn.,net.link.,ndb.contention.", "comma-separated metric name prefixes to record")
-	out := fs.String("out", "", "output file (default stdout)")
-	shards := fs.Int("shards", 1, "NDB clusters the namespace is hash-sharded across")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	traceOps := genTrace(*ops, *seed)
-	d, err := buildReplayDeployment(*setupName, *seed, *servers, *clients, *shards)
+	var fr *trace.FlightRecorder
+	err := fs.replay(stdout, func(d *core.Deployment, _ int) {
+		var prefixes []string
+		for _, p := range strings.Split(*keep, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				prefixes = append(prefixes, p)
+			}
+		}
+		fr = d.EnableFlightRecorder(*interval, 0, prefixes...)
+	}, func(w io.Writer, _ replayed) error {
+		return fr.WriteCSV(w)
+	})
 	if err != nil {
-		return err
-	}
-	defer d.Close()
-	var prefixes []string
-	for _, p := range strings.Split(*keep, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			prefixes = append(prefixes, p)
-		}
-	}
-	fr := d.EnableFlightRecorder(*interval, 0, prefixes...)
-	if _, _, err := replayConcurrent(d, traceOps, *clients, *deadline); err != nil {
-		return err
-	}
-	d.StopBackground()
-
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := fr.WriteCSV(w); err != nil {
 		return err
 	}
 	if fr.Dropped() > 0 {
 		fmt.Fprintf(os.Stderr, "warning: flight recorder dropped %d frames; timeline is truncated (raise -interval)\n", fr.Dropped())
 	}
-	if *out != "" {
-		fmt.Fprintf(stdout, "wrote %d frames to %s\n", len(fr.Frames()), *out)
+	if *fs.out != "" {
+		fmt.Fprintf(stdout, "wrote %d frames to %s\n", len(fr.Frames()), *fs.out)
 	}
 	return nil
 }
 
 func runHotspots(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("hotspots", flag.ContinueOnError)
-	setupName := fs.String("setup", "HopsFS-CL (3,3)", "deployment setup")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	ops := fs.Int("ops", 2000, "operations to generate and replay")
-	servers := fs.Int("servers", 3, "metadata servers")
-	clients := fs.Int("clients", 8, "concurrent replay clients")
-	deadline := fs.Duration("deadline", 1000*time.Second, "virtual-time budget for the replay")
+	fs := newReplayFlags("hotspots")
 	format := fs.String("format", "text", "output format: text or csv")
 	topN := fs.Int("top", 10, "rows per heat family")
 	withExemplars := fs.Bool("exemplars", false, "pin tail exemplars (detailed tracing + SLO engine) and render them through the profiler")
-	out := fs.String("out", "", "output file (default stdout)")
-	shards := fs.Int("shards", 1, "NDB clusters the namespace is hash-sharded across (adds the per-shard heat family)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -530,80 +518,55 @@ func runHotspots(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -format %q (want text or csv)", *format)
 	}
-	traceOps := genTrace(*ops, *seed)
-	d, err := buildReplayDeployment(*setupName, *seed, *servers, *clients, *shards)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	h := d.EnableHeat(heat.Config{TopN: *topN})
-	var (
-		exemplars *slo.Exemplars
-		sink      *trace.Sink
-	)
-	if *withExemplars {
-		sink = d.EnableTracing(len(traceOps) + 64)
-		d.EnableSLO(slo.Spec{}) // defaults: per-op p99 objectives
-		exemplars = d.EnableExemplars(slo.ExemplarConfig{})
-	}
-	elapsed, errs, err := replayConcurrent(d, traceOps, *clients, *deadline)
-	if err != nil {
-		return err
-	}
-	d.StopBackground()
-	now := d.Env.Now()
-	rep := h.Snapshot(now, *topN)
-
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+	return fs.replay(stdout, func(d *core.Deployment, _ int) {
+		d.EnableHeat(heat.Config{TopN: *topN})
+		if *withExemplars {
+			d.EnableExemplars(slo.ExemplarConfig{}) // default sink, default per-op p99 objectives
+		}
+	}, func(w io.Writer, r replayed) error {
+		now := r.d.Env.Now()
+		rep := r.d.Heat.Snapshot(now, *topN)
+		if *format == "csv" {
+			if *withExemplars {
+				fmt.Fprintln(os.Stderr, "warning: -exemplars output is text-only; the CSV carries the heat families")
+			}
+			return rep.WriteCSV(w)
+		}
+		fmt.Fprintf(w, "hotspots of %d operations on %s (seed %d, %d replay clients, %v virtual, %d errors)\n\n",
+			r.ops, r.d.Setup.Name, *fs.seed, *fs.clients, r.elapsed.Round(time.Millisecond), r.errs)
+		if _, err := io.WriteString(w, rep.Render()); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
-	}
-	if *format == "csv" {
-		if *withExemplars {
-			fmt.Fprintln(os.Stderr, "warning: -exemplars output is text-only; the CSV carries the heat families")
+		if r.d.Exemplars == nil {
+			return nil
 		}
-		return rep.WriteCSV(w)
-	}
-	fmt.Fprintf(w, "hotspots of %d operations on %s (seed %d, %d replay clients, %v virtual, %d errors)\n\n",
-		len(traceOps), d.Setup.Name, *seed, *clients, elapsed.Round(time.Millisecond), errs)
-	if _, err := io.WriteString(w, rep.Render()); err != nil {
-		return err
-	}
-	if exemplars == nil {
-		return nil
-	}
-	warnTruncated(w, sink)
-	xrep := exemplars.Report(now)
-	fmt.Fprintln(w)
-	if _, err := io.WriteString(w, xrep.Render()); err != nil {
-		return err
-	}
-	// Link every pinned exemplar into the critical-path profiler: one
-	// attribution table over the pinned span trees, then the slowest
-	// exemplar rendered as a flame-style tree.
-	var roots []*trace.Span
-	var slowest *slo.Exemplar
-	for _, c := range xrep.Classes {
-		for _, ex := range c.Exemplars {
-			roots = append(roots, ex.Root)
-			if slowest == nil || ex.Latency > slowest.Latency ||
-				(ex.Latency == slowest.Latency && ex.Root.ID < slowest.Root.ID) {
-				slowest = ex
+		xrep := r.d.Exemplars.Report(now)
+		fmt.Fprintln(w)
+		if _, err := io.WriteString(w, xrep.Render()); err != nil {
+			return err
+		}
+		// Link every pinned exemplar into the critical-path profiler: one
+		// attribution table over the pinned span trees, then the slowest
+		// exemplar rendered as a flame-style tree.
+		var roots []*trace.Span
+		var slowest *slo.Exemplar
+		for _, c := range xrep.Classes {
+			for _, ex := range c.Exemplars {
+				roots = append(roots, ex.Root)
+				if slowest == nil || ex.Latency > slowest.Latency ||
+					(ex.Latency == slowest.Latency && ex.Root.ID < slowest.Root.ID) {
+					slowest = ex
+				}
 			}
 		}
-	}
-	if len(roots) == 0 {
+		if len(roots) == 0 {
+			return nil
+		}
+		fmt.Fprintf(w, "\ncritical-path attribution over the %d pinned exemplars:\n%s", len(roots), profile.Analyze(roots).Table())
+		fmt.Fprintf(w, "\nslowest exemplar (op %s, %v, reason %s):\n%s\n",
+			slowest.Op, slowest.Latency, slowest.Reason, slowest.Root.Render())
 		return nil
-	}
-	fmt.Fprintf(w, "\ncritical-path attribution over the %d pinned exemplars:\n%s", len(roots), profile.Analyze(roots).Table())
-	fmt.Fprintf(w, "\nslowest exemplar (op %s, %v, reason %s):\n%s\n",
-		slowest.Op, slowest.Latency, slowest.Reason, slowest.Root.Render())
-	return nil
+	})
 }
 
 func runAutoscale(args []string, stdout io.Writer) error {
@@ -668,7 +631,7 @@ func runSLO(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := chaos.CampaignOptions{SetupName: *setupName, SLO: true}
+	opts := chaos.CampaignOptions{SetupName: *setupName, SLO: &slo.Spec{}}
 	if *specFile != "" {
 		text, err := os.ReadFile(*specFile)
 		if err != nil {
@@ -678,7 +641,7 @@ func runSLO(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		opts.SLOSpec = spec
+		opts.SLO = &spec
 	}
 	switch {
 	case *schedFile != "":
@@ -701,25 +664,17 @@ func runSLO(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+	return writeOut(stdout, *out, func(w io.Writer) error {
+		if _, err := io.WriteString(w, rep.Render()); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
-	}
-	if _, err := io.WriteString(w, rep.Render()); err != nil {
-		return err
-	}
-	if rep.SLO != nil {
+		if rep.SLO == nil {
+			return nil
+		}
 		fmt.Fprintln(w)
-		if _, err := io.WriteString(w, rep.SLO.Render()); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := io.WriteString(w, rep.SLO.Render())
+		return err
+	})
 }
 
 // nopFS satisfies workload.FS with no-ops so a trace can be generated

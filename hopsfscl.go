@@ -119,7 +119,7 @@ func WithObjectStoreBlocks() Option {
 // (default 1, the paper's single-cluster deployment). Rows route by the
 // FNV-64a hash of the parent directory's id, so directory listings and
 // parent-child operations stay on one shard; only a rename across the
-// hash boundary pays a cross-cluster ordered commit. See DESIGN.md §16.
+// hash boundary pays a cross-cluster ordered commit. See DESIGN.md §13.
 func WithShards(n int) Option {
 	return optionFunc(func(o *options) { o.shards = n })
 }

@@ -380,7 +380,6 @@ func Autoscale(o ExpOptions) (string, error) {
 		}
 		results[m] = r
 	}
-	recordAutoscale(eo, results)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Elastic metadata tier over a compressed week (%d virtual days x %v), %d paced clients\n",

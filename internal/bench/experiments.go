@@ -30,10 +30,6 @@ type ExpOptions struct {
 	// The testing.B benchmarks use this to run each figure at reduced
 	// scale.
 	Counts []int
-	// SLO enables the live SLO engine on every sweep measurement, embedding
-	// an alert/health summary into the recorded grid points (hopsbench sets
-	// it whenever -json is given, so BENCH_*.json catches SLO regressions).
-	SLO bool
 }
 
 // DefaultExpOptions returns quick-run options.
@@ -92,7 +88,6 @@ var Experiments = []Experiment{
 	{ID: "ablations", Title: "Design-choice ablations: Read Backup, batching, block backend", Run: Ablations},
 	{ID: "phases", Title: "Trace registry: 2PC phase latency and cross-AZ bytes per operation", Run: Phases},
 	{ID: "autoscale", Title: "Elastic tier: autoscaled NNs vs static provisioning under diurnal load", Run: Autoscale},
-	{ID: "kernel", Title: "Bench of the bench: simulation-engine primitive costs and grid-point overhead", Run: Kernel},
 	{ID: "hotspot", Title: "Namespace heat maps and tail exemplars under a planted skewed workload", Run: Hotspot},
 	{ID: "shardsweep", Title: "Namespace sharding: throughput vs shard count at fixed offered load", Run: ShardSweep},
 }
@@ -129,7 +124,6 @@ func sweep(o ExpOptions, setups []core.Setup, counts []int) (map[string]map[int]
 				return nil, fmt.Errorf("%s @%d servers: %w", setup.Name, n, err)
 			}
 			sweepCache[key] = res
-			recordPoint(setup.Name, n, o, runConfigFor(o), res)
 			out[setup.Name][n] = res
 		}
 	}
@@ -139,7 +133,6 @@ func sweep(o ExpOptions, setups []core.Setup, counts []int) (map[string]map[int]
 func runConfigFor(o ExpOptions) RunConfig {
 	cfg := DefaultRunConfig()
 	cfg.Seed = o.Seed
-	cfg.SLO = o.SLO
 	if o.Full {
 		cfg.Window = 300 * time.Millisecond
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hopsfscl/internal/core"
+	"hopsfscl/internal/heat"
 )
 
 // TestGridPointAllocCeiling pins the kernel-overhaul acceptance criterion
@@ -51,10 +52,10 @@ func TestGridPointAllocCeiling(t *testing.T) {
 			defer d.Close()
 			cfg := DefaultRunConfig()
 			cfg.Window = 150 * time.Millisecond
-			// Heat sketches ride the hot path (op observer, path/inode/partition
+			// Heat sketches ride the hot path (op subscriber, path/inode/partition
 			// touches in the namenode and NDB layers); the ceiling must hold with
 			// them on. Tracked-key touches are alloc-free by design.
-			cfg.Heat = true
+			cfg.Heat = &heat.Config{}
 			var m0, m1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&m0)

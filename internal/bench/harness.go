@@ -48,25 +48,23 @@ type RunConfig struct {
 	// start. Tracing adds no randomness, so enabling it does not perturb
 	// the measured schedule.
 	Profile bool
-	// SLO enables the live SLO engine for the run: the Result gains an
-	// SLOReport with rolling per-op percentiles, the alert log, and the
-	// closing health state. SLOSpec overrides the evaluated spec (zero
-	// value = slo.DefaultSpec).
-	SLO     bool
-	SLOSpec slo.Spec
+	// SLO enables the live SLO engine over the measurement window,
+	// evaluating this spec (the zero Spec = slo.DefaultSpec): the Result
+	// gains an SLOReport with rolling per-op percentiles, the alert log,
+	// and the closing health state.
+	SLO *slo.Spec
 	// Heat enables namespace heat tracking from warm-up start (the decayed
-	// sketches converge to the steady-state ranking): the Result gains a
+	// sketches converge to the steady-state ranking) with these sketch
+	// parameters (the zero Config = heat defaults): the Result gains a
 	// heat.Report of the hottest subtrees, inodes, tables, and partitions.
-	// HeatConfig overrides the sketch parameters (zero = heat defaults).
-	Heat       bool
-	HeatConfig heat.Config
+	Heat *heat.Config
 	// Exemplars enables tail-based exemplar capture over the measurement
-	// window; implies Profile (exemplars are detailed span trees) and SLO
-	// (breach and burn gating need objectives). The Result gains an
-	// ExemplarReport of pinned outlier traces. ExemplarConfig overrides
-	// the store bounds (zero = slo defaults).
-	Exemplars      bool
-	ExemplarConfig slo.ExemplarConfig
+	// window with these store bounds (the zero config = slo defaults): the
+	// Result gains an ExemplarReport of pinned outlier traces. Exemplars
+	// are detailed span trees judged against SLO objectives, so the
+	// deployment attaches a default sink and engine when Profile and SLO
+	// are unset (see core.Deployment.EnableExemplars).
+	Exemplars *slo.ExemplarConfig
 	// HomeDirs overrides every client's home-directory set with the same
 	// planted directories — the hotspot experiment's skew source (nil
 	// keeps the default per-client assignment).
@@ -146,18 +144,18 @@ type Result struct {
 	Registry []trace.Sample
 
 	// Profile is the critical-path attribution of the window's traced
-	// operations (RunConfig.Profile only).
+	// operations (runs with a span sink only: RunConfig.Profile or
+	// Exemplars).
 	Profile *profile.Report
 	// Contention is the deployment's lock-contention ledger, reset at
-	// window start (RunConfig.Profile only; nil for CephFS setups).
+	// window start (runs with a span sink only; nil for CephFS setups).
 	Contention *ndb.ContentionLedger
-	// SinkDropped counts spans evicted from the profiling ring
-	// (RunConfig.Profile only); nonzero means Profile covers a suffix of
-	// the window.
+	// SinkDropped counts spans evicted from the span ring; nonzero means
+	// Profile covers a suffix of the window.
 	SinkDropped int64
 
 	// SLOReport is the live SLO engine's end-of-window report
-	// (RunConfig.SLO only).
+	// (RunConfig.SLO or Exemplars only).
 	SLOReport *slo.Report
 
 	// Heat is the end-of-run heat snapshot (RunConfig.Heat only).
@@ -188,14 +186,10 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 		ops       int64 // served operations only
 		errCount  int64
 	)
-	if cfg.Exemplars {
-		cfg.Profile = true
-		cfg.SLO = true
-	}
-	if cfg.Heat {
+	if cfg.Heat != nil {
 		// Heat tracking starts before warm-up so the decayed sketches reach
 		// steady state by window end, like a long-running deployment's would.
-		d.EnableHeat(cfg.HeatConfig)
+		d.EnableHeat(*cfg.Heat)
 	}
 	affinity := cfg.Affinity
 	if affinity == 0 {
@@ -254,20 +248,18 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 	serverReqs0 := sumInt64(d.ServerRequests())
 	readSlots0 := readSlotSnapshot(d)
 	reg0 := d.Registry.Snapshot()
-	var sink *trace.Sink
 	if cfg.Profile {
-		sink = d.EnableTracing(ProfileSinkCap)
-		if d.DB != nil {
-			d.DB.Contention().Reset()
-		}
+		d.EnableTracing(ProfileSinkCap)
 	}
-	var sloEng *slo.Engine
-	if cfg.SLO {
-		sloEng = d.EnableSLO(cfg.SLOSpec)
+	if cfg.SLO != nil {
+		d.EnableSLO(*cfg.SLO)
 	}
-	var exemplars *slo.Exemplars
-	if cfg.Exemplars {
-		exemplars = d.EnableExemplars(cfg.ExemplarConfig)
+	if cfg.Exemplars != nil {
+		d.EnableExemplars(*cfg.Exemplars)
+	}
+	sink := d.Tracer.Sink()
+	if sink != nil && d.DB != nil {
+		d.DB.Contention().Reset()
 	}
 
 	measuring = true
@@ -315,22 +307,16 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 	res.CrossZoneRate = float64(d.Net.CrossZoneBytes()-crossZone0) / win
 	res.ReadSlots = diffReadSlots(readSlotSnapshot(d), readSlots0)
 	res.Registry = trace.Diff(reg0, d.Registry.Snapshot())
-	if cfg.Profile {
+	if sink != nil {
 		res.Profile = profile.Analyze(sink.Spans())
 		res.SinkDropped = sink.Dropped()
 		if d.DB != nil {
 			res.Contention = d.DB.Contention()
 		}
 	}
-	if sloEng != nil {
-		res.SLOReport = sloEng.Report(now)
-	}
-	if cfg.Heat {
-		res.Heat = d.Heat.Snapshot(now, 0)
-	}
-	if exemplars != nil {
-		res.Exemplars = exemplars.Report(now)
-	}
+	res.SLOReport = d.SLO.Report(now)
+	res.Heat = d.Heat.Snapshot(now, 0)
+	res.Exemplars = d.Exemplars.Report(now)
 	return res
 }
 

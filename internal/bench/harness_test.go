@@ -136,7 +136,7 @@ func TestReadSlotDiffing(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	ids := []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig13", "fig14", "pathdepth", "writefan", "failures", "chaos", "autoscale", "ablations", "phases", "kernel", "hotspot", "shardsweep"}
+		"fig10", "fig11", "fig12", "fig13", "fig14", "pathdepth", "writefan", "failures", "chaos", "autoscale", "ablations", "phases", "hotspot", "shardsweep"}
 	if len(Experiments) != len(ids) {
 		t.Fatalf("registry has %d experiments, want %d", len(Experiments), len(ids))
 	}
@@ -238,25 +238,6 @@ func TestFailuresExperimentSmoke(t *testing.T) {
 	for _, want := range []string{"baseline", "zone 2 failed", "partitioned", "recovered", "timeline"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("failures output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestKernelExperimentSmoke runs the bench-of-the-bench experiment at a
-// tiny grid point and checks every section renders: the primitive cost
-// table and the grid-point engine-cost table.
-func TestKernelExperimentSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("kernel experiment drives a full deployment")
-	}
-	out, err := Kernel(ExpOptions{Seed: 1, Counts: []int{3}, ClientsPerServer: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"sleep/wake", "mailbox ping-pong", "RecvTimeout (satisfied)",
-		"network send", "wall ns per virtual ms", "heap allocs per virtual op"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("kernel output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -55,21 +55,22 @@ func Hotspot(o ExpOptions) (string, error) {
 	cfg.Seed = o.Seed
 	cfg.Affinity = 0.9
 	cfg.HomeDirs = planted
-	cfg.Heat = true
-	cfg.Exemplars = true // implies Profile + SLO
+	cfg.Heat = &heat.Config{}
+	cfg.Profile = true // a ring that holds the whole window, not the default
 	// Tighten the latency objectives well below healthy cross-AZ operation:
 	// the point of this experiment is inducing p99 breaches so the exemplar
 	// store has outliers to pin, not passing the SLO.
-	cfg.SLOSpec = slo.DefaultSpec()
-	cfg.SLOSpec.Latency = []slo.LatencyObjective{
+	spec := slo.DefaultSpec()
+	spec.Latency = []slo.LatencyObjective{
 		{Op: "stat", Quantile: 0.99, Target: 1200 * time.Microsecond},
 		{Op: "read", Quantile: 0.99, Target: 1500 * time.Microsecond},
 		{Op: "list", Quantile: 0.99, Target: 2 * time.Millisecond},
 		{Op: "*", Quantile: 0.99, Target: 3 * time.Millisecond},
 	}
+	cfg.SLO = &spec
 	// A short exemplar window yields a window-slowest exemplar per ~25ms
 	// of virtual time instead of one for the whole run.
-	cfg.ExemplarConfig.Window = 25 * time.Millisecond
+	cfg.Exemplars = &slo.ExemplarConfig{Window: 25 * time.Millisecond}
 	if o.Full {
 		cfg.Window = 300 * time.Millisecond
 	}

@@ -70,15 +70,12 @@ func MeasureShards(o ExpOptions, servers, shards int) (*Result, error) {
 func ShardSweep(o ExpOptions) (string, error) {
 	counts := shardSweepCounts(o)
 	results := make(map[int]*Result, len(counts))
-	cfg := runConfigFor(o)
 	for _, shards := range counts {
 		res, err := MeasureShards(o, shardSweepServers, shards)
 		if err != nil {
 			return "", fmt.Errorf("shardsweep @%d shards: %w", shards, err)
 		}
 		results[shards] = res
-		recordPoint(fmt.Sprintf("%s [%d shards]", core.PaperSetups[5].Name, shards),
-			shardSweepServers, o, cfg, res)
 	}
 
 	clients := o.ClientsPerServer

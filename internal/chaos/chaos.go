@@ -25,6 +25,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -199,90 +200,89 @@ func ParseSchedule(text string) (Schedule, error) {
 		if line == "" {
 			continue
 		}
+		fail := func(format string, a ...any) (Schedule, error) {
+			return nil, fmt.Errorf("chaos: line %d: %s", ln+1, fmt.Sprintf(format, a...))
+		}
 		f := strings.Fields(line)
 		if len(f) < 3 || f[0] != "at" {
-			return nil, fmt.Errorf("chaos: line %d: want `at <duration> <kind> <args>`, got %q", ln+1, raw)
+			return fail("want `at <duration> <kind> <args>`, got %q", raw)
 		}
 		at, err := time.ParseDuration(f[1])
 		if err != nil {
-			return nil, fmt.Errorf("chaos: line %d: bad duration %q: %v", ln+1, f[1], err)
+			return fail("bad duration %q: %v", f[1], err)
 		}
 		st := Step{At: at, Kind: FaultKind(f[2])}
 		args := f[3:]
-		num := func(i int) (int, error) {
-			if i >= len(args) {
-				return 0, fmt.Errorf("chaos: line %d: %s needs more arguments", ln+1, st.Kind)
-			}
-			return strconv.Atoi(args[i])
+		// Every kind takes a fixed number of integer arguments (crash-dn and
+		// rejoin-dn an optional shard after the node); the link degradations
+		// take one float after them. Anything left over is an error.
+		ints, optional, float := 0, 0, false
+		switch st.Kind {
+		case FaultCrashDN, FaultRejoinDN:
+			ints, optional = 1, 1
+		case FaultKillNN, FaultRestartNN, FaultFailZone, FaultRecoverZone:
+			ints = 1
+		case FaultPartition, FaultHeal, FaultRestoreLink:
+			ints = 2
+		case FaultSlowLink, FaultLossyLink:
+			ints, float = 2, true
+		default:
+			return fail("unknown fault kind %q", f[2])
 		}
-		fl := func(i int) (float64, error) {
-			if i >= len(args) {
-				return 0, fmt.Errorf("chaos: line %d: %s needs more arguments", ln+1, st.Kind)
+		need := ints
+		if float {
+			need++
+		}
+		if len(args) < need || len(args) > need+optional {
+			return fail("%s takes %d argument(s) and %d optional, got %d", st.Kind, need, optional, len(args))
+		}
+		var n [2]int
+		for i := 0; i < len(args) && i < ints+optional; i++ {
+			if n[i], err = strconv.Atoi(args[i]); err != nil {
+				return fail("%s: bad argument %q: %v", st.Kind, args[i], err)
 			}
-			return strconv.ParseFloat(args[i], 64)
+		}
+		var v float64
+		if float {
+			if v, err = strconv.ParseFloat(args[ints], 64); err != nil {
+				return fail("%s: bad argument %q: %v", st.Kind, args[ints], err)
+			}
 		}
 		switch st.Kind {
 		case FaultCrashDN, FaultRejoinDN:
-			n, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			st.Node = n
-			if len(args) > 1 {
-				// Optional second argument: the shard whose cluster owns
-				// the datanode (sharded deployments only).
-				s, err := num(1)
-				if err != nil {
-					return nil, err
-				}
-				st.Shard = s
-			}
+			st.Node, st.Shard = n[0], n[1]
 		case FaultKillNN, FaultRestartNN:
-			n, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			st.Node = n
+			st.Node = n[0]
 		case FaultFailZone, FaultRecoverZone:
-			z, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			st.Zone = simnet.ZoneID(z)
-		case FaultPartition, FaultHeal, FaultRestoreLink:
-			a, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			b, err := num(1)
-			if err != nil {
-				return nil, err
-			}
-			st.Zone, st.ZoneB = simnet.ZoneID(a), simnet.ZoneID(b)
-		case FaultSlowLink, FaultLossyLink:
-			a, err := num(0)
-			if err != nil {
-				return nil, err
-			}
-			b, err := num(1)
-			if err != nil {
-				return nil, err
-			}
-			v, err := fl(2)
-			if err != nil {
-				return nil, err
-			}
-			st.Zone, st.ZoneB = simnet.ZoneID(a), simnet.ZoneID(b)
-			if st.Kind == FaultSlowLink {
-				st.Factor = v
-			} else {
-				st.Loss = v
-			}
-		default:
-			return nil, fmt.Errorf("chaos: line %d: unknown fault kind %q", ln+1, f[2])
+			st.Zone = simnet.ZoneID(n[0])
+		case FaultSlowLink:
+			st.Zone, st.ZoneB, st.Factor = simnet.ZoneID(n[0]), simnet.ZoneID(n[1]), v
+		case FaultLossyLink:
+			st.Zone, st.ZoneB, st.Loss = simnet.ZoneID(n[0]), simnet.ZoneID(n[1]), v
+		default: // partition, heal, restore-link
+			st.Zone, st.ZoneB = simnet.ZoneID(n[0]), simnet.ZoneID(n[1])
+		}
+		if err := st.checkRanges(); err != nil {
+			return fail("%v", err)
 		}
 		sched = append(sched, st)
 	}
 	sched.Sort()
 	return sched, nil
+}
+
+// checkRanges rejects values no deployment can execute: a negative
+// instant, a slow-link factor that is not a finite positive number, a
+// lossy-link probability outside [0,1] (NaN included). Node and zone
+// indices depend on the deployment and are checked by Engine.validate.
+func (s Step) checkRanges() error {
+	switch {
+	case s.At < 0:
+		return fmt.Errorf("step %q: negative time", s)
+	case s.Kind == FaultSlowLink && (!(s.Factor > 0) || math.IsInf(s.Factor, 0)):
+		return fmt.Errorf("step %q: slow-link factor must be a finite number > 0", s)
+	case s.Kind == FaultLossyLink && !(s.Loss >= 0 && s.Loss <= 1):
+		return fmt.Errorf("step %q: lossy-link loss must be in [0,1]", s)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -11,9 +12,8 @@ import (
 
 // TestChaosCampaign sweeps seeded random campaigns over HopsFS-CL (3,3)
 // and requires every one to finish with zero invariant violations and
-// zero history violations (no acked write lost, no stale read). The CI
-// chaos job runs the full sweep under -race; tier-1 (`go test ./...`)
-// runs a reduced one.
+// zero history violations (no acked write lost, no stale read). -short
+// runs a reduced sweep.
 func TestChaosCampaign(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if testing.Short() {
@@ -147,16 +147,79 @@ at 47s restore-link 2 3
 		t.Fatalf("slow-link parsed wrong: %+v", sched[8])
 	}
 
-	for _, bad := range []string{
-		"at 5s fail-zone",       // missing argument
-		"after 5s fail-zone 2",  // bad keyword
-		"at five fail-zone 2",   // bad duration
-		"at 5s melt-the-rack 1", // unknown kind
-	} {
+	for _, bad := range badScheduleLines {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted a bad line", bad)
+		} else if !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("ParseSchedule(%q) error lacks the line number: %v", bad, err)
 		}
 	}
+}
+
+var badScheduleLines = []string{
+	"at 5s fail-zone",       // missing argument
+	"after 5s fail-zone 2",  // bad keyword
+	"at five fail-zone 2",   // bad duration
+	"at 5s melt-the-rack 1", // unknown kind
+	// Trailing fields are errors, per kind.
+	"at 1s kill-nn 0 junk more",
+	"at 1s crash-dn 4 1 2",
+	"at 1s fail-zone 2 3",
+	"at 1s heal 1 3 9",
+	"at 1s slow-link 1 2 4 5",
+	// Out-of-range numbers.
+	"at 1s lossy-link 1 2 NaN",
+	"at 1s lossy-link 1 2 7",
+	"at 1s lossy-link 1 2 -0.1",
+	"at 1s slow-link 1 2 -3",
+	"at 1s slow-link 1 2 0",
+	"at 1s slow-link 1 2 +Inf",
+	"at -5s crash-dn 0",
+}
+
+// TestValidateRejectsOutOfRangeSteps covers schedules built in code rather
+// than parsed: the engine refuses the same values ParseSchedule does.
+func TestValidateRejectsOutOfRangeSteps(t *testing.T) {
+	for _, st := range []Step{
+		{At: time.Second, Kind: FaultLossyLink, Zone: 1, ZoneB: 2, Loss: math.NaN()},
+		{At: time.Second, Kind: FaultLossyLink, Zone: 1, ZoneB: 2, Loss: 7},
+		{At: time.Second, Kind: FaultSlowLink, Zone: 1, ZoneB: 2, Factor: -3},
+		{At: -5 * time.Second, Kind: FaultCrashDN},
+	} {
+		if _, err := RunCampaign(1, CampaignOptions{Schedule: Schedule{st}}); err == nil {
+			t.Errorf("RunCampaign accepted step %q", st)
+		}
+	}
+}
+
+// FuzzParseSchedule checks that ParseSchedule never panics and that every
+// schedule it accepts survives Render → ParseSchedule → Render unchanged.
+func FuzzParseSchedule(f *testing.F) {
+	f.Add(DetectionSchedule().Render())
+	f.Add("# drill\nat 5s fail-zone 2\nat 12s recover-zone 2 # back\nat 36s crash-dn 4 1\nat 44s lossy-link 2 3 0.1\n")
+	f.Add("at 2s kill-nn 1\nat 1s restart-nn 1\nat 1s partition 1 3\n") // out of order, same instant
+	for _, bad := range badScheduleLines {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		sched, err := ParseSchedule(text)
+		if err != nil {
+			return
+		}
+		for _, st := range sched {
+			if err := st.checkRanges(); err != nil {
+				t.Fatalf("accepted %v", err)
+			}
+		}
+		rendered := sched.Render()
+		again, err := ParseSchedule(rendered)
+		if err != nil {
+			t.Fatalf("rendered schedule does not parse: %v\n%s", err, rendered)
+		}
+		if got := again.Render(); got != rendered {
+			t.Fatalf("render is not a fixed point:\n%s\nvs\n%s", rendered, got)
+		}
+	})
 }
 
 // TestCheckHistory feeds the checker synthetic histories and verifies it

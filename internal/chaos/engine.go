@@ -10,7 +10,6 @@ import (
 	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
-	"hopsfscl/internal/slo"
 )
 
 // Config parameterizes a campaign run.
@@ -135,10 +134,6 @@ type Engine struct {
 		ok int
 	}
 	marks []mark // fault injections, for MTTR
-
-	// slo, when attached, is consulted after the run to compute
-	// time-to-detect per injected fault (see AttachSLO).
-	slo *slo.Engine
 }
 
 // mark is one degrading step's injection time.
@@ -146,13 +141,6 @@ type mark struct {
 	step Step
 	at   time.Duration
 }
-
-// AttachSLO connects a live SLO engine (normally the deployment's, after
-// core.Deployment.EnableSLO): the campaign report then carries the full
-// alert/health timeline and a time-to-detect entry per degrading fault —
-// the delay until the first degrading alert or health transition at or
-// after the injection.
-func (e *Engine) AttachSLO(se *slo.Engine) { e.slo = se }
 
 // NewEngine prepares a campaign over an existing deployment. The
 // deployment must be a HopsFS variant (the auditor inspects NDB state).
@@ -185,6 +173,9 @@ func (e *Engine) validate() error {
 	nns := len(e.d.NS.NameNodes())
 	zones := e.d.Net.Topology().Zones()
 	for _, st := range e.sched {
+		if err := st.checkRanges(); err != nil {
+			return fmt.Errorf("chaos: %w", err)
+		}
 		switch st.Kind {
 		case FaultKillNN, FaultRestartNN:
 			if st.Node < 1 || st.Node > nns {

@@ -68,9 +68,10 @@ type Report struct {
 	Snapshots []Snapshot
 	Records   []Record
 
-	// Detect and SLO are populated when an SLO engine was attached (see
-	// Engine.AttachSLO): per-fault time-to-detect and the full alert/health
-	// report.
+	// Detect and SLO are populated when the deployment runs a live SLO
+	// engine (core.Deployment.EnableSLO): the full alert/health report and
+	// a time-to-detect entry per degrading fault — the delay until the
+	// first degrading alert or health transition at or after the injection.
 	Detect []DetectEntry
 	SLO    *slo.Report
 }
@@ -117,8 +118,8 @@ func (e *Engine) report(start, end time.Duration) *Report {
 	}
 	r.MTTR = e.mttr(end)
 	r.Unavail = e.unavailability(start, end)
-	if e.slo != nil {
-		r.SLO = e.slo.Report(end)
+	if e.d.SLO != nil {
+		r.SLO = e.d.SLO.Report(end)
 		r.Detect = e.detect(r.SLO, end)
 	}
 
@@ -296,12 +297,10 @@ type CampaignOptions struct {
 	Schedule Schedule
 	// Engine overrides the engine defaults.
 	Engine Config
-	// SLO enables the live SLO engine on the deployment and attaches it to
-	// the campaign: the report then carries time-to-detect per fault and
-	// the alert/health timeline. SLOSpec overrides the evaluated spec (zero
-	// value = slo.DefaultSpec).
-	SLO     bool
-	SLOSpec slo.Spec
+	// SLO enables the live SLO engine on the deployment, evaluating this
+	// spec (the zero Spec = slo.DefaultSpec): the report then carries
+	// time-to-detect per fault and the alert/health timeline.
+	SLO *slo.Spec
 	// Shards is the number of independent NDB clusters the namespace is
 	// sharded across (0 or 1 = the classic single-cluster deployment). The
 	// generated campaign then targets datanodes on every shard, and the
@@ -357,8 +356,8 @@ func RunCampaign(seed int64, opts CampaignOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.SLO {
-		eng.AttachSLO(d.EnableSLO(opts.SLOSpec))
+	if opts.SLO != nil {
+		d.EnableSLO(*opts.SLO)
 	}
 	rep, err := eng.Run()
 	if err != nil {

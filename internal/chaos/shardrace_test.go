@@ -20,7 +20,7 @@ import (
 // After recovery and an intent sweep, every file must exist exactly once
 // (no lost acked write, no duplicated or orphaned inode), storage must
 // agree with the acked outcome, and the operation history must check
-// clean. Runs ≥5 seeds; the CI shardsweep job repeats it under -race.
+// clean. Runs ≥5 seeds; the CI test job repeats it under -race.
 func TestCrossShardRenameCrashRace(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hopsfscl/internal/slo"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -41,7 +43,7 @@ func TestDetectionCampaignGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full detection campaign in -short mode")
 	}
-	rep, err := RunCampaign(1, CampaignOptions{Schedule: DetectionSchedule(), SLO: true})
+	rep, err := RunCampaign(1, CampaignOptions{Schedule: DetectionSchedule(), SLO: &slo.Spec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestDetectionCampaignDeterminism(t *testing.T) {
 		t.Skip("full detection campaign in -short mode")
 	}
 	run := func() string {
-		rep, err := RunCampaign(3, CampaignOptions{Schedule: DetectionSchedule(), SLO: true})
+		rep, err := RunCampaign(3, CampaignOptions{Schedule: DetectionSchedule(), SLO: &slo.Spec{}})
 		if err != nil {
 			t.Fatal(err)
 		}

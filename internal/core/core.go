@@ -194,12 +194,9 @@ type Deployment struct {
 	Exemplars *slo.Exemplars
 
 	hostSeq int
-	// flightStop asks the flight-recorder ticker to exit at its next tick
-	// (see EnableFlightRecorder / StopBackground); sloStop and heatStop do
-	// the same for the SLO evaluation and heat-publisher tickers.
-	flightStop bool
-	sloStop    bool
-	heatStop   bool
+	// stopped asks every ticker started by every to exit at its next tick
+	// (see StopBackground).
+	stopped bool
 }
 
 // zoneSet returns the zones this deployment spans. Single-AZ deployments
@@ -432,43 +429,49 @@ func (d *Deployment) EnableTracing(capacity int) *trace.Sink {
 	return d.Tracer.EnableSink(capacity)
 }
 
-// EnableFlightRecorder starts a virtual-time ticker sampling the registry
-// into a bounded ring every interval: the run's black box, answering "what
-// did this signal look like over time" (see trace.FlightRecorder). keep
-// restricts captured metric names by prefix; none keeps everything. The
-// ticker is a background process — call StopBackground before expecting
-// Env.Run to quiesce.
+// every runs fn every period of virtual time on a background process
+// until StopBackground. Every Enable* consumer that needs a clock ticks
+// through it, so one flag stops them all; callers must StopBackground
+// before expecting Env.Run to quiesce.
+func (d *Deployment) every(name string, period time.Duration, fn func(now time.Duration)) {
+	d.Env.Spawn(name, func(p *sim.Proc) {
+		for !d.stopped {
+			p.Sleep(period)
+			if d.stopped {
+				return
+			}
+			fn(p.Now())
+		}
+	})
+}
+
+// EnableFlightRecorder samples the registry into a bounded ring every
+// interval of virtual time: the run's black box, answering "what did this
+// signal look like over time" (see trace.FlightRecorder). keep restricts
+// captured metric names by prefix; none keeps everything.
 func (d *Deployment) EnableFlightRecorder(interval time.Duration, capacity int, keep ...string) *trace.FlightRecorder {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
 	fr := trace.NewFlightRecorder(d.Registry, interval, capacity)
 	fr.Keep(keep...)
-	d.Env.Spawn("flight-recorder", func(p *sim.Proc) {
-		for !d.flightStop {
-			p.Sleep(interval)
-			if d.flightStop {
-				return
-			}
-			fr.Record(p.Now())
-		}
-	})
+	d.every("flight-recorder", interval, fr.Record)
 	return fr
 }
 
 // EnableSLO starts the live SLO engine: every finishing root operation
-// feeds the engine's windowed latency sketches (via the tracer's op
-// observer), the deployment's components register health probes (NN
-// thread-pool utilization, NDB liveness/contention, block
-// under-replication), and a background ticker evaluates the burn-rate
-// alerter and health model every spec.Tick of virtual time, publishing
-// rolling percentile/throughput gauges. Pass a zero slo.Spec for
-// DefaultSpec. The ticker is a background process — call StopBackground
-// before expecting Env.Run to quiesce.
+// feeds the engine's windowed latency sketches, the deployment's
+// components register health probes (NN thread-pool utilization, NDB
+// liveness/contention, block under-replication), and every spec.Tick of
+// virtual time the engine evaluates the burn-rate alerter and health
+// model and publishes rolling percentile/throughput gauges. Pass a zero
+// slo.Spec for DefaultSpec. An exemplar store enabled earlier is rebound
+// to this engine's objectives.
 func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
 	eng := slo.NewEngine(spec, d.Registry)
 	d.SLO = eng
-	d.installOpObserver()
+	d.Exemplars.SetEngine(eng)
+	d.Tracer.OnOp(eng.ObserveOp)
 	if d.NS != nil {
 		ns := d.NS
 		eng.RegisterComponent("namenode", func(now time.Duration) slo.ComponentStats {
@@ -507,48 +510,21 @@ func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
 			return slo.ComponentStats{Live: live, Expected: expected, Quorum: 1, Pressure: float64(under)}
 		})
 	}
-	tick := eng.Spec().Tick
-	d.Env.Spawn("slo-engine", func(p *sim.Proc) {
-		for !d.sloStop {
-			p.Sleep(tick)
-			if d.sloStop {
-				return
-			}
-			eng.Tick(p.Now())
-		}
-	})
+	d.every("slo-engine", eng.Spec().Tick, func(now time.Duration) { eng.Tick(now) })
 	return eng
-}
-
-// installOpObserver (re)installs the tracer's single op-observer slot as a
-// dispatcher over every consumer the deployment has enabled so far: the SLO
-// engine's windowed sketches and the heat collector's op-class sketch.
-// EnableSLO and EnableHeat both route through it, so enabling them in
-// either order composes instead of clobbering the slot.
-func (d *Deployment) installOpObserver() {
-	eng, h := d.SLO, d.Heat
-	if eng == nil && h == nil {
-		return
-	}
-	d.Tracer.SetOpObserver(func(op string, end, latency time.Duration, failed bool) {
-		eng.ObserveOp(op, end, latency, failed)
-		h.ObserveOp(op, end, latency, failed)
-	})
 }
 
 // EnableHeat starts namespace heat tracking: the namenode layer attributes
 // every operation's target path (per-depth subtree prefixes) and every
 // inode row read, the NDB layer attributes every row access to its table
-// and partition, and the tracer's op observer feeds per-op-class touches.
-// A background ticker republishes the heat.* gauges every
-// cfg.PublishEvery of virtual time, so a flight recorder keeping the
-// "heat." prefix yields a heat timeline CSV. Pass a zero heat.Config for
-// defaults. The ticker is a background process — call StopBackground
-// before expecting Env.Run to quiesce.
+// and partition, and every finishing root operation feeds per-op-class
+// touches. The heat.* gauges are republished every cfg.PublishEvery of
+// virtual time, so a flight recorder keeping the "heat." prefix yields a
+// heat timeline CSV. Pass a zero heat.Config for defaults.
 func (d *Deployment) EnableHeat(cfg heat.Config) *heat.Collector {
 	h := heat.NewCollector(cfg, d.Registry)
 	d.Heat = h
-	d.installOpObserver()
+	d.Tracer.OnOp(h.ObserveOp)
 	if d.NS != nil {
 		d.NS.SetHeat(h)
 	}
@@ -558,37 +534,34 @@ func (d *Deployment) EnableHeat(cfg heat.Config) *heat.Collector {
 	if d.Router != nil {
 		d.Router.SetHeat(h)
 	}
-	every := h.Config().PublishEvery
-	d.Env.Spawn("heat-publisher", func(p *sim.Proc) {
-		for !d.heatStop {
-			p.Sleep(every)
-			if d.heatStop {
-				return
-			}
-			h.Publish(p.Now())
-		}
-	})
+	d.every("heat-publisher", h.Config().PublishEvery, h.Publish)
 	return h
 }
 
 // EnableExemplars starts tail-based exemplar capture: every finished
-// detailed span tree is judged against the SLO spec's latency objectives
-// (call EnableSLO first to gate on objectives and burn alerts; without it
-// only per-window slowest ops pin), and qualifying trees are pinned in a
-// bounded deterministic store. Requires detailed tracing (EnableTracing)
-// to see any spans at all. Pass a zero config for defaults.
+// detailed span tree is judged against the SLO engine's latency
+// objectives and burn alerts, and qualifying trees are pinned in a bounded
+// deterministic store. Exemplars need a sink to see any spans and
+// objectives to judge them by, so a deployment without one gets a
+// default-capacity sink and a DefaultSpec engine here; call EnableTracing
+// or EnableSLO first for other values (an engine enabled later still
+// takes over the store's objectives). Pass a zero config for defaults.
 func (d *Deployment) EnableExemplars(cfg slo.ExemplarConfig) *slo.Exemplars {
+	if d.Tracer.Sink() == nil {
+		d.EnableTracing(0)
+	}
+	if d.SLO == nil {
+		d.EnableSLO(slo.Spec{})
+	}
 	x := slo.NewExemplars(d.SLO, cfg)
 	d.Exemplars = x
-	d.Tracer.SetSpanObserver(x.Observe)
+	d.Tracer.OnSpan(x.Observe)
 	return x
 }
 
 // StopBackground halts housekeeping processes so Env.Run can quiesce.
 func (d *Deployment) StopBackground() {
-	d.flightStop = true
-	d.sloStop = true
-	d.heatStop = true
+	d.stopped = true
 	for _, c := range d.MetaClusters() {
 		c.StopBackground()
 	}

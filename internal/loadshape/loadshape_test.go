@@ -157,3 +157,32 @@ func TestDefaultProfileValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzParse checks that Parse never panics and that every profile it
+// accepts survives Render → Parse → Render unchanged.
+func FuzzParse(f *testing.F) {
+	f.Add(DefaultProfile().Render())
+	f.Add("# a compressed week\nday 2s x 7\nrate 300\ncurve sinusoid base 0.2 peak 1 at 15:00\nweek 1 1 1 1 1 0.7 0.5\nburst day 3 at 20:00 ramp 100ms dwell 200ms decay 150ms x 2.5\n")
+	f.Add("day 1s x 1\npoint 18:00 0.5\npoint 06:00 0.3\npoint 12:00 1\n")
+	for _, bad := range []string{
+		"frob 1", "day nope", "point 25:00 1", "curve sinusoid base 2 peak 1",
+		"burst day 0 at 12:00 ramp 1ms dwell 1ms decay 1ms",
+		"curve sinusoid base 0.2 peak 1\npoint 06:00 1",
+	} {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		pr, err := Parse(text)
+		if err != nil {
+			return
+		}
+		rendered := pr.Render()
+		again, err := Parse(rendered)
+		if err != nil {
+			t.Fatalf("rendered profile does not parse: %v\n%s", err, rendered)
+		}
+		if got := again.Render(); got != rendered {
+			t.Fatalf("render is not a fixed point:\n%s\nvs\n%s", rendered, got)
+		}
+	})
+}

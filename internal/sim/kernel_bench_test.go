@@ -3,8 +3,8 @@ package sim
 // Bench-of-the-bench: pins the speed of the simulation kernel itself, so a
 // regression in the engine (allocation churn, heap tombstones, mailbox
 // bookkeeping) is caught by CI rather than silently inflating every
-// experiment's wall-clock cost. Companion to BenchmarkGridPoint in
-// internal/bench, which measures the same thing through a full deployment.
+// experiment's wall-clock cost. The same cost through a full deployment is
+// the spotify_cl33 workload of the benchmark in benchmark/.
 
 import (
 	"testing"

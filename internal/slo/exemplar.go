@@ -79,19 +79,19 @@ func (c ExemplarConfig) withDefaults() ExemplarConfig {
 }
 
 // Exemplars is a bounded deterministic store of outlier span trees,
-// installed as the tracer's span observer. It pins ops that breach their
-// latency objective, ops that complete while a burn alert is firing, and
-// the slowest op of every capture window — the retrieval half of
-// tail-based sampling: aggregates say that p99 degraded, exemplars say
+// subscribed to the tracer's finished detailed roots. It pins ops that
+// breach their latency objective, ops that complete while a burn alert is
+// firing, and the slowest op of every capture window — the retrieval half
+// of tail-based sampling: aggregates say that p99 degraded, exemplars say
 // which op, on which path, spent the time where.
 type Exemplars struct {
-	eng *Engine
 	cfg ExemplarConfig
+
+	mu  sync.Mutex // guards everything below
+	eng *Engine
 	// targets maps op class -> objective target; fallback is the "*" row.
 	targets  map[string]time.Duration
 	fallback time.Duration
-
-	mu   sync.Mutex
 	// perOp holds each class's pinned exemplars, ordered best-first by
 	// (latency desc, At asc, ID asc).
 	perOp map[string][]*Exemplar
@@ -105,25 +105,38 @@ type Exemplars struct {
 // NewExemplars builds a store judging ops against eng's spec (eng may be
 // nil: no objectives, no burn gating — only window-slowest pinning).
 func NewExemplars(eng *Engine, cfg ExemplarConfig) *Exemplars {
-	x := &Exemplars{
-		eng:     eng,
-		cfg:     cfg.withDefaults(),
-		targets: make(map[string]time.Duration),
-		perOp:   make(map[string][]*Exemplar),
-	}
-	if eng != nil {
-		for _, o := range eng.Spec().Latency {
-			if o.Op == "*" {
-				x.fallback = o.Target
-			} else {
-				x.targets[o.Op] = o.Target
-			}
-		}
-	}
+	x := &Exemplars{cfg: cfg.withDefaults(), perOp: make(map[string][]*Exemplar)}
+	x.SetEngine(eng)
 	return x
 }
 
+// SetEngine rebinds the store to eng: from now on ops are judged against
+// eng's latency objectives and burn gating follows eng's alerter. A
+// deployment calls it when the SLO engine is attached after the store, so
+// the two can be enabled in either order. Nil stores ignore the call.
+func (x *Exemplars) SetEngine(eng *Engine) {
+	if x == nil {
+		return
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.eng = eng
+	x.targets = make(map[string]time.Duration)
+	x.fallback = 0
+	if eng == nil {
+		return
+	}
+	for _, o := range eng.Spec().Latency {
+		if o.Op == "*" {
+			x.fallback = o.Target
+		} else {
+			x.targets[o.Op] = o.Target
+		}
+	}
+}
+
 // target returns the objective target judged against op (0 if none).
+// Caller holds x.mu.
 func (x *Exemplars) target(op string) time.Duration {
 	if t, ok := x.targets[op]; ok {
 		return t
@@ -137,6 +150,8 @@ func (x *Exemplars) Observe(root *trace.Span) {
 	if x == nil || root == nil {
 		return
 	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
 	lat := root.End - root.Start
 	target := x.target(root.Name)
 	var reason Reason
@@ -146,9 +161,6 @@ func (x *Exemplars) Observe(root *trace.Span) {
 	if x.eng.Firing() > 0 {
 		reason |= ReasonBurn
 	}
-
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	x.seen++
 	ex := &Exemplar{Op: root.Name, At: root.End, Latency: lat, Target: target, Reason: reason, Root: root}
 

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,7 +152,7 @@ func (s Spec) Render() string {
 	fmt.Fprintf(&b, "window %v slots %d tick %v\n", s.Window, s.Slots, s.Tick)
 	fmt.Fprintf(&b, "availability %g\n", s.Availability*100)
 	lat := append([]LatencyObjective(nil), s.Latency...)
-	sort.Slice(lat, func(i, j int) bool { return lat[i].Op < lat[j].Op })
+	sort.SliceStable(lat, func(i, j int) bool { return lat[i].Op < lat[j].Op })
 	for _, o := range lat {
 		fmt.Fprintf(&b, "latency %s p%g %v\n", o.Op, o.Quantile*100, o.Target)
 	}
@@ -202,6 +203,9 @@ func ParseSpec(text string) (Spec, error) {
 					if err != nil {
 						return fail(err)
 					}
+					if n <= 0 {
+						return fail(fmt.Errorf("slots must be positive"))
+					}
 					spec.Slots = n
 					rest = rest[2:]
 				case "tick":
@@ -212,12 +216,18 @@ func ParseSpec(text string) (Spec, error) {
 					if err != nil {
 						return fail(err)
 					}
+					if d <= 0 {
+						return fail(fmt.Errorf("tick must be positive"))
+					}
 					spec.Tick = d
 					rest = rest[2:]
 				default:
 					d, err := time.ParseDuration(rest[0])
 					if err != nil {
 						return fail(err)
+					}
+					if d <= 0 {
+						return fail(fmt.Errorf("window must be positive"))
 					}
 					spec.Window = d
 					rest = rest[1:]
@@ -231,7 +241,7 @@ func ParseSpec(text string) (Spec, error) {
 			if err != nil {
 				return fail(err)
 			}
-			if pct <= 0 || pct >= 100 {
+			if !(pct > 0 && pct < 100) { // also rejects NaN
 				return fail(fmt.Errorf("availability must be in (0,100)"))
 			}
 			spec.Availability = pct / 100
@@ -243,12 +253,15 @@ func ParseSpec(text string) (Spec, error) {
 			if err != nil {
 				return fail(err)
 			}
-			if q <= 0 || q >= 100 {
+			if !(q > 0 && q < 100) { // also rejects NaN
 				return fail(fmt.Errorf("quantile must be in (0,100)"))
 			}
 			target, err := time.ParseDuration(f[3])
 			if err != nil {
 				return fail(err)
+			}
+			if target <= 0 {
+				return fail(fmt.Errorf("latency target must be positive"))
 			}
 			spec.Latency = append(spec.Latency, LatencyObjective{Op: f[1], Quantile: q / 100, Target: target})
 		case "burn":
@@ -267,8 +280,8 @@ func ParseSpec(text string) (Spec, error) {
 			if err != nil {
 				return fail(err)
 			}
-			if short <= 0 || long <= short || rate <= 0 {
-				return fail(fmt.Errorf("want 0 < short < long and rate > 0"))
+			if short <= 0 || long <= short || !(rate > 0) || math.IsInf(rate, 0) {
+				return fail(fmt.Errorf("want 0 < short < long and a finite rate > 0"))
 			}
 			sev := SevTicket
 			if f[1] == "fast" || f[1] == "page" {

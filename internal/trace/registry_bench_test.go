@@ -75,9 +75,9 @@ func BenchmarkRegistryTimingDisabled(b *testing.B) {
 
 // TestStartOpFastPathOff pins the span-creation extension of the disable
 // fast path: a tracer whose registry is disabled and that has neither sink
-// nor observer returns nil spans (all downstream calls collapse to nil
-// checks), while attaching any consumer — observer or sink — restores real
-// spans.
+// nor subscriber returns nil spans (all downstream calls collapse to nil
+// checks), while attaching any consumer — subscriber or sink — restores
+// real spans.
 func TestStartOpFastPathOff(t *testing.T) {
 	reg := NewRegistry()
 	reg.Disable()
@@ -97,9 +97,15 @@ func TestStartOpFastPathOff(t *testing.T) {
 	sp.Child("c", 0).Finish(0)
 	sp.Finish(0)
 
-	// An observer is a live consumer: spans come back.
+	// A sink is a live consumer: spans come back.
+	sunk := NewTracer(reg)
+	sunk.EnableSink(16)
+	if sunk.StartOp("stat", 0) == nil {
+		t.Fatal("StartOp returned nil despite an enabled sink")
+	}
+	// So is an op subscriber.
 	seen := 0
-	tr.SetOpObserver(func(op string, end, lat time.Duration, failed bool) { seen++ })
+	tr.OnOp(func(op string, end, lat time.Duration, failed bool) { seen++ })
 	sp2 := tr.StartOp("stat", 0)
 	if sp2 == nil {
 		t.Fatal("StartOp returned nil despite an attached observer")
@@ -107,15 +113,6 @@ func TestStartOpFastPathOff(t *testing.T) {
 	sp2.Finish(time.Millisecond)
 	if seen != 1 {
 		t.Fatalf("observer saw %d ops, want 1", seen)
-	}
-	tr.SetOpObserver(nil)
-	if tr.StartOp("stat", 0) != nil {
-		t.Fatal("removing the observer did not restore the fast path")
-	}
-	// A sink is a live consumer too.
-	tr.EnableSink(16)
-	if tr.StartOp("stat", 0) == nil {
-		t.Fatal("StartOp returned nil despite an enabled sink")
 	}
 }
 

@@ -14,7 +14,7 @@ func TestSpanObserverSeesDetailedRoots(t *testing.T) {
 	sink := tr.EnableSink(8)
 
 	var seen []*Span
-	tr.SetSpanObserver(func(root *Span) { seen = append(seen, root) })
+	tr.OnSpan(func(root *Span) { seen = append(seen, root) })
 
 	sp := tr.StartOp("create", 0)
 	child := sp.Child("txn", time.Millisecond)
@@ -42,14 +42,6 @@ func TestSpanObserverSeesDetailedRoots(t *testing.T) {
 	if len(seen) != 2 {
 		t.Fatalf("observer fired %d times after two roots, want 2", len(seen))
 	}
-
-	// Removal stops delivery.
-	tr.SetSpanObserver(nil)
-	sp3 := tr.StartOp("read", 7*time.Millisecond)
-	sp3.Finish(8 * time.Millisecond)
-	if len(seen) != 2 {
-		t.Fatal("removed observer still fired")
-	}
 }
 
 // TestSpanObserverSilentInAggregateMode checks that without a sink
@@ -59,11 +51,41 @@ func TestSpanObserverSilentInAggregateMode(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(reg)
 	fired := 0
-	tr.SetSpanObserver(func(root *Span) { fired++ })
+	tr.OnSpan(func(root *Span) { fired++ })
 
 	sp := tr.StartOp("stat", 0)
 	sp.Finish(time.Millisecond)
 	if fired != 0 {
 		t.Fatalf("span observer fired %d times in aggregate mode, want 0", fired)
+	}
+}
+
+// TestSubscribersFanOutInOrder checks the bus: every subscriber sees every
+// root finish, in subscription order, and a later subscription neither
+// replaces an earlier one nor misses operations that finish after it.
+func TestSubscribersFanOutInOrder(t *testing.T) {
+	tr := NewTracer(NewRegistry())
+	tr.EnableSink(8)
+
+	var calls []string
+	tr.OnOp(func(op string, end, lat time.Duration, failed bool) { calls = append(calls, "op1:"+op) })
+	tr.OnSpan(func(root *Span) { calls = append(calls, "span1:"+root.Name) })
+	tr.StartOp("stat", 0).Finish(time.Millisecond)
+
+	tr.OnOp(func(op string, end, lat time.Duration, failed bool) { calls = append(calls, "op2:"+op) })
+	tr.OnSpan(func(root *Span) { calls = append(calls, "span2:"+root.Name) })
+	tr.StartOp("read", time.Millisecond).Finish(2 * time.Millisecond)
+
+	want := []string{
+		"op1:stat", "span1:stat",
+		"op1:read", "op2:read", "span1:read", "span2:read",
+	}
+	if len(calls) != len(want) {
+		t.Fatalf("calls = %v, want %v", calls, want)
+	}
+	for i := range want {
+		if calls[i] != want[i] {
+			t.Fatalf("calls = %v, want %v", calls, want)
+		}
 	}
 }

@@ -196,7 +196,9 @@ func (s *Span) Finish(now time.Duration) {
 		st.errs.Add(1)
 	}
 	if obs := t.obs.Load(); obs != nil {
-		(*obs)(s.Name, s.End, s.End-s.Start, s.Err && !s.Benign)
+		for _, f := range *obs {
+			f(s.Name, s.End, s.End-s.Start, s.Err && !s.Benign)
+		}
 	}
 	for c := HopClass(0); c < NumHopClasses; c++ {
 		if s.HopBytes[c] != 0 {
@@ -205,7 +207,9 @@ func (s *Span) Finish(now time.Duration) {
 	}
 	if s.detailed {
 		if so := t.spanObs.Load(); so != nil {
-			(*so)(s)
+			for _, f := range *so {
+				f(s)
+			}
 		}
 		if sink := t.Sink(); sink != nil {
 			sink.Add(s)
@@ -221,60 +225,71 @@ type opStats struct {
 	hopBytes [NumHopClasses]*Counter
 }
 
-// Tracer creates spans and routes finished root spans to the registry and
-// (when enabled) the sink. A nil Tracer is valid and inert. The sink
-// pointer and span-ID sequence are lock-free: StartOp sits on the hot path
-// of every client operation.
+// Tracer creates spans and routes finished root spans to the registry,
+// its subscribers and (when enabled) the sink. A nil Tracer is valid and
+// inert. The sink pointer, subscriber lists and span-ID sequence are read
+// lock-free: StartOp and Finish sit on the hot path of every client
+// operation. The subscriber lists are append-only and copied on write, so
+// a finishing span iterates an immutable slice; with no subscriber each
+// list is a nil pointer and costs one atomic load.
 type Tracer struct {
 	reg     *Registry
 	sink    atomic.Pointer[Sink]
-	obs     atomic.Pointer[OpObserver]
-	spanObs atomic.Pointer[SpanObserver]
+	obs     atomic.Pointer[[]OpObserver]
+	spanObs atomic.Pointer[[]SpanObserver]
 	seq     atomic.Uint64
-	mu      sync.Mutex // guards ops
+	mu      sync.Mutex // guards ops and appends to obs/spanObs
 	ops     map[string]*opStats
 }
 
 // OpObserver receives every finished root operation: op name, the virtual
 // end instant, end-to-end latency, and whether the operation failed.
 // Benign errors (expected application outcomes, see Span.SetBenign)
-// report failed=false. The SLO engine uses this to feed its windowed
-// sketches without the tracer depending on it.
+// report failed=false. The SLO engine and the heat collector subscribe
+// this way without the tracer depending on them.
 type OpObserver func(op string, end, latency time.Duration, failed bool)
 
-// SetOpObserver installs (or, with nil, removes) the tracer's operation
-// observer. When unset, finishing a span costs one atomic load beyond the
-// existing aggregate flush. The observer must be safe for concurrent calls.
-func (t *Tracer) SetOpObserver(obs OpObserver) {
+// OnOp subscribes obs to every finished root operation. Subscribers are
+// called in subscription order and are never removed. An op subscriber is
+// a live consumer: it keeps span creation on even when the registry is
+// disabled (see off). The observer must be safe for concurrent calls.
+func (t *Tracer) OnOp(obs OpObserver) {
 	if t == nil {
 		return
 	}
-	if obs == nil {
-		t.obs.Store(nil)
-		return
-	}
-	t.obs.Store(&obs)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	subscribe(&t.obs, obs)
 }
 
 // SpanObserver receives every finished detailed root span, after its
 // aggregates flush and before the sink retains it. The span tree is
 // complete and must be treated as immutable. Detailed mode exists only
 // while a sink is enabled, so the observer never fires in aggregate mode.
-// The exemplar store uses this to pin outlier traces without the tracer
-// depending on it.
+// The exemplar store subscribes this way to pin outlier traces without
+// the tracer depending on it.
 type SpanObserver func(root *Span)
 
-// SetSpanObserver installs (or, with nil, removes) the tracer's span
-// observer. The observer must be safe for concurrent calls.
-func (t *Tracer) SetSpanObserver(obs SpanObserver) {
+// OnSpan subscribes obs to every finished detailed root span, in
+// subscription order. The observer must be safe for concurrent calls.
+func (t *Tracer) OnSpan(obs SpanObserver) {
 	if t == nil {
 		return
 	}
-	if obs == nil {
-		t.spanObs.Store(nil)
-		return
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	subscribe(&t.spanObs, obs)
+}
+
+// subscribe publishes a copy of the list with obs appended; readers keep
+// iterating the slice they loaded. Caller holds the tracer's mutex.
+func subscribe[T any](list *atomic.Pointer[[]T], obs T) {
+	var next []T
+	if cur := list.Load(); cur != nil {
+		next = append(next, *cur...)
 	}
-	t.spanObs.Store(&obs)
+	next = append(next, obs)
+	list.Store(&next)
 }
 
 // NewTracer returns a tracer feeding aggregates into reg (which may be nil
@@ -314,7 +329,7 @@ func (t *Tracer) Sink() *Sink {
 }
 
 // off reports whether span creation can be skipped entirely: the registry
-// is absent or disabled, no sink retains trees, and no observer consumes
+// is absent or disabled, no sink retains trees, and no subscriber consumes
 // finished operations. A span started in this state would flush into
 // nil handles and then be discarded, so StartOp hands back a nil span
 // instead and every downstream call (Child, SetAttr, RecordHop, Finish)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -130,4 +131,37 @@ func TestReadTraceEdgeCases(t *testing.T) {
 	if ops, err := ReadTrace(strings.NewReader("")); err != nil || len(ops) != 0 {
 		t.Errorf("empty input: %v %v", ops, err)
 	}
+}
+
+// FuzzReadTrace checks that ReadTrace never panics and that every trace it
+// accepts survives WriteTrace → ReadTrace unchanged.
+func FuzzReadTrace(f *testing.F) {
+	f.Add("\n\n  # generated\n  mkdir /a  \n\ncreateFile /a/f\nrename /a/f /a/g\n# trailing comment\n")
+	f.Add("stat /a\nreadFile /a/f\nlistDir /a\ndeleteFile /a/f\nsetPermission /a\n")
+	f.Add("stat #not-a-comment\n")
+	for _, bad := range []string{"fly /a", "mkdir", "rename /a", "stat /a extra", "rename /a /b /c"} {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		ops, err := ReadTrace(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, ops); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("written trace does not parse: %v", err)
+		}
+		if len(again) != len(ops) {
+			t.Fatalf("round trip changed the trace length: %d vs %d", len(ops), len(again))
+		}
+		for i := range ops {
+			if again[i] != ops[i] {
+				t.Fatalf("op %d = %+v, was %+v", i, again[i], ops[i])
+			}
+		}
+	})
 }
