@@ -21,9 +21,9 @@
 //	    Generate and replay a trace with concurrent clients and detailed
 //	    spans, then report where the time went: a per-op critical-path
 //	    attribution table (lock wait / 2PC phases / hop classes / compute)
-//	    plus the lock-contention ledger (text), folded flamegraph stacks
-//	    (folded), or Chrome Trace Event JSON for chrome://tracing and
-//	    Perfetto (chrome).
+//	    plus the lock-contention ledger — one section per NDB cluster with
+//	    -shards > 1 — (text), folded flamegraph stacks (folded), or Chrome
+//	    Trace Event JSON for chrome://tracing and Perfetto (chrome).
 //
 //	hopstrace timeline [replay flags] [-interval D] [-keep prefixes]
 //	    Same replay, sampled by the flight recorder: a CSV time series of
@@ -290,8 +290,8 @@ func runReplay(args []string, stdout io.Writer) error {
 		samples := d.Registry.Snapshot()
 		fmt.Fprintf(stdout, "\ntransaction phase latency:\n%s", bench.RenderPhaseTable(samples))
 		fmt.Fprintf(stdout, "\ncross-AZ bytes per operation type:\n%s", bench.RenderCrossAZTable(samples))
-		if d.DB != nil {
-			fmt.Fprintf(stdout, "\nlock contention:\n%s", d.DB.Contention().Render(10))
+		if rep := d.ContentionReport(10); rep != "" {
+			fmt.Fprintf(stdout, "\nlock contention:\n%s", rep)
 		}
 		fmt.Fprintf(stdout, "\nslowest %d operations (of %d traced):\n", *slowest, sink.Total())
 		for _, sp := range sink.Slowest(*slowest) {
@@ -465,8 +465,8 @@ func runProfile(args []string, stdout io.Writer) error {
 		rep := profile.Analyze(spans)
 		fmt.Fprintf(w, "\ncritical-path attribution (share of end-to-end time per op type):\n%s", rep.Table())
 		fmt.Fprintln(w)
-		if r.d.DB != nil {
-			fmt.Fprint(w, r.d.DB.Contention().Render(*top))
+		if rep := r.d.ContentionReport(*top); rep != "" {
+			fmt.Fprint(w, rep)
 		} else {
 			fmt.Fprintln(w, "(no contention ledger: CephFS setups run untraced)")
 		}

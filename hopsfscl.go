@@ -119,7 +119,9 @@ func WithObjectStoreBlocks() Option {
 // (default 1, the paper's single-cluster deployment). Rows route by the
 // FNV-64a hash of the parent directory's id, so directory listings and
 // parent-child operations stay on one shard; only a rename across the
-// hash boundary pays a cross-cluster ordered commit. See DESIGN.md §13.
+// hash boundary pays a cross-cluster ordered commit. Fault injection
+// (FailZone, RecoverZone, PartitionZones, HealZones) and Stats span every
+// shard. See DESIGN.md §13.
 func WithShards(n int) Option {
 	return optionFunc(func(o *options) { o.shards = n })
 }
@@ -243,64 +245,38 @@ func (c *Cluster) Client(zone int) *FS {
 	return &FS{c: c, cl: cl}
 }
 
-// FailZone takes down every storage and metadata server in the zone.
+// FailZone takes down every storage node of every shard, every metadata
+// server and every block datanode in the zone.
 func (c *Cluster) FailZone(zone int) {
-	z := simnet.ZoneID(zone)
-	c.d.DB.FailZone(z)
-	for _, nn := range c.d.NS.NameNodes() {
-		if nn.Node.Zone() == z {
-			nn.Fail()
-		}
-	}
-	if c.d.Blocks != nil {
-		for _, dn := range c.d.Blocks.DataNodes() {
-			if dn.Node.Zone() == z {
-				dn.Node.Fail()
-			}
-		}
-	}
+	c.d.FailZone(simnet.ZoneID(zone))
 	// Give failure detection, promotion and re-election time to act.
 	c.d.Env.RunFor(2 * time.Second)
 }
 
 // PartitionZones severs the network between two zones. The NDB arbitration
-// protocol decides which side survives; call Advance or any operation to
-// let it play out.
+// protocol of every shard decides which side survives; call Advance or any
+// operation to let it play out.
 func (c *Cluster) PartitionZones(a, b int) {
-	c.d.DB.NextArbitrationEpoch()
-	c.d.Net.Partition(simnet.ZoneID(a), simnet.ZoneID(b))
+	c.d.Partition(simnet.ZoneID(a), simnet.ZoneID(b))
 	c.d.Env.RunFor(2 * time.Second)
 }
 
 // HealZones restores the network between two zones.
 func (c *Cluster) HealZones(a, b int) {
-	c.d.Net.Heal(simnet.ZoneID(a), simnet.ZoneID(b))
+	c.d.Heal(simnet.ZoneID(a), simnet.ZoneID(b))
 }
 
-// RecoverZone brings a failed zone back: storage nodes rejoin the cluster
-// and resync their partitions from surviving primaries, metadata servers
-// restart and rejoin the leader election, and block datanodes come back
-// online.
+// RecoverZone brings a failed zone back: the storage nodes of every shard
+// rejoin their cluster and resync their partitions from surviving
+// primaries, metadata servers restart and rejoin the leader election, and
+// block datanodes come back online.
 func (c *Cluster) RecoverZone(zone int) error {
-	z := simnet.ZoneID(zone)
 	err := c.run(func(p *sim.Proc) error {
-		c.d.DB.RecoverZone(p, z)
+		c.d.RecoverZone(p, simnet.ZoneID(zone))
 		return nil
 	})
 	if err != nil {
 		return err
-	}
-	for _, nn := range c.d.NS.NameNodes() {
-		if nn.Node.Zone() == z {
-			nn.Recover()
-		}
-	}
-	if c.d.Blocks != nil {
-		for _, dn := range c.d.Blocks.DataNodes() {
-			if dn.Node.Zone() == z {
-				dn.Node.Recover()
-			}
-		}
 	}
 	c.d.Env.RunFor(3 * time.Second) // elections, heartbeats settle
 	return nil
@@ -325,7 +301,8 @@ func (c *Cluster) LeaderID() int {
 	return 0
 }
 
-// Stats is a snapshot of cluster-wide counters.
+// Stats is a snapshot of cluster-wide counters; the storage figures span
+// every shard.
 type Stats struct {
 	// Transactions committed/aborted on the metadata storage layer.
 	CommittedTxns, AbortedTxns int64
@@ -341,20 +318,17 @@ type Stats struct {
 
 // Stats returns a snapshot of cluster counters.
 func (c *Cluster) Stats() Stats {
+	meta := c.d.MetaStats()
 	s := Stats{
-		CommittedTxns:  c.d.DB.Stats.Committed,
-		AbortedTxns:    c.d.DB.Stats.Aborted,
+		CommittedTxns:  meta.Committed,
+		AbortedTxns:    meta.Aborted,
 		CrossZoneBytes: c.d.Net.CrossZoneBytes(),
 		TotalBytes:     c.d.Net.TotalBytes(),
 	}
 	if c.d.Blocks != nil {
 		s.ReReplications = c.d.Blocks.ReReplications
 	}
-	for _, dn := range c.d.DB.DataNodes() {
-		if dn.Alive() {
-			s.AliveStorageNodes++
-		}
-	}
+	s.AliveStorageNodes, _ = c.d.LiveStorageNodes()
 	for _, nn := range c.d.NS.NameNodes() {
 		if nn.Alive() {
 			s.AliveNameNodes++

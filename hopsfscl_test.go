@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func newCluster(t *testing.T, opts ...Option) *Cluster {
@@ -375,5 +376,80 @@ func TestShardedFacade(t *testing.T) {
 	}
 	if ok, _ := fs.Exists("/proj/a/x"); ok {
 		t.Fatal("renamed file still present at source")
+	}
+}
+
+// TestFaultsAndStatsSpanEveryShard checks that zone failure, recovery,
+// partition arbitration and Stats reach every NDB cluster of a sharded
+// deployment, not only shard 0.
+func TestFaultsAndStatsSpanEveryShard(t *testing.T) {
+	c := newCluster(t, WithShards(2))
+	fs := c.Client(1)
+	for _, dir := range []string{"/a", "/b", "/c", "/d"} {
+		if err := fs.MkdirAll(dir + "/sub"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// aliveIn counts one cluster's live datanodes in a zone.
+	aliveIn := func(s, zone int) int {
+		n := 0
+		for _, dn := range c.d.MetaClusters()[s].DataNodes() {
+			if int(dn.Node.Zone()) == zone && dn.Alive() {
+				n++
+			}
+		}
+		return n
+	}
+
+	var committed, aborted int64
+	for s, cl := range c.d.MetaClusters() {
+		if cl.Stats.Committed == 0 {
+			t.Fatalf("shard %d committed nothing: the namespace did not spread", s)
+		}
+		committed += cl.Stats.Committed
+		aborted += cl.Stats.Aborted
+	}
+	st := c.Stats()
+	if st.AliveStorageNodes != 12 || st.CommittedTxns != committed || st.AbortedTxns != aborted {
+		t.Fatalf("Stats = %+v, want 12 storage nodes, %d committed and %d aborted over both shards", st, committed, aborted)
+	}
+
+	c.FailZone(1)
+	for s := range c.d.MetaClusters() {
+		if n := aliveIn(s, 1); n != 0 {
+			t.Fatalf("FailZone(1) left %d zone-1 datanodes alive on shard %d", n, s)
+		}
+	}
+	if got := c.Stats().AliveStorageNodes; got != 8 {
+		t.Fatalf("alive storage nodes = %d after FailZone(1), want 8 of 12", got)
+	}
+	if err := c.RecoverZone(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().AliveStorageNodes; got != 12 {
+		t.Fatalf("alive storage nodes = %d after RecoverZone(1), want all 12", got)
+	}
+
+	// Two partitions in a row. Each must open a fresh arbitration epoch on
+	// every cluster: a cluster still in the first epoch would let both sides
+	// of the second partition win (each reaches the first epoch's winner) and
+	// keep serving split-brained.
+	c.PartitionZones(1, 2)
+	c.Advance(2 * time.Second)
+	c.HealZones(1, 2)
+	for _, zone := range []int{1, 2} {
+		if err := c.RecoverZone(zone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Stats().AliveStorageNodes; got != 12 {
+		t.Fatalf("alive storage nodes = %d after healing the first partition, want all 12", got)
+	}
+	c.PartitionZones(2, 3)
+	c.Advance(2 * time.Second)
+	for s := range c.d.MetaClusters() {
+		if a, b := aliveIn(s, 2), aliveIn(s, 3); a > 0 && b > 0 {
+			t.Fatalf("shard %d keeps %d datanodes in zone 2 and %d in zone 3 across the partition: no new arbitration epoch", s, a, b)
+		}
 	}
 }

@@ -260,19 +260,10 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 		return sum / float64(n)
 	}
 
-	inFlight := func() int {
-		total := 0
-		for _, nn := range d.NS.NameNodes() {
-			total += nn.InFlight()
-		}
-		return total
-	}
-
-	// quiesce parks the paced clients between operations and polls until the
-	// stack drains (no server-side ops, no open transactions, no held row
-	// locks), then runs one audit checkpoint. Pause time is excluded from
-	// the run accounting. settled is true only for the final audit, after
-	// elections have had time to converge.
+	// audit parks the paced clients between operations and polls until the
+	// stack drains (core.Deployment.Idle), then runs one audit checkpoint.
+	// Pause time is excluded from the run accounting. settled is true only
+	// for the final audit, after elections have had time to converge.
 	audit := func(settled bool) {
 		pauseStart := env.Now()
 		pace.Pause = true
@@ -280,7 +271,7 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 		drained := false
 		for env.Now() < deadline {
 			d.FinishDrains()
-			if inFlight() == 0 && d.DB.InFlightTxns() == 0 && len(d.DB.HeldLocks()) == 0 {
+			if d.Idle() {
 				drained = true
 				break
 			}

@@ -32,9 +32,6 @@ type ExpOptions struct {
 	Counts []int
 }
 
-// DefaultExpOptions returns quick-run options.
-func DefaultExpOptions() ExpOptions { return ExpOptions{Seed: 1} }
-
 // MicroServers returns the cluster size for the fixed-size micro and
 // percentile experiments (figs 7 and 9): the paper's 60 in full mode, 24
 // in quick mode (the shapes are already stable there).
@@ -221,11 +218,10 @@ func Table2(o ExpOptions) (string, error) {
 		"REP": "replication across clusters", "IO": "I/O operations", "MAIN": "schema management",
 	}
 	total := 0
-	threads := d.DB.DataNodes()[0].Threads()
-	for t := 0; t < len(threads); t++ {
-		name := ndb.ThreadType(t).String()
-		tbl.AddRow(name, fmt.Sprintf("%d", threads[t].Capacity()), responsibilities[name])
-		total += threads[t].Capacity()
+	for t := ndb.LDM; t <= ndb.MAIN; t++ {
+		name, count := t.String(), d.StorageThreads(t)[0].Capacity()
+		tbl.AddRow(name, fmt.Sprintf("%d", count), responsibilities[name])
+		total += count
 	}
 	return fmt.Sprintf("NDB CPU configuration per datanode (%d CPUs locked)\n%s", total, tbl.String()), nil
 }

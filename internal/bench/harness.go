@@ -122,7 +122,8 @@ type Result struct {
 	ServerCPU  float64
 	StorageCPU float64
 
-	// ThreadCPU is utilization per NDB thread type (HopsFS only) — Fig 11.
+	// ThreadCPU is utilization per NDB thread type, the mean over every
+	// cluster's datanodes (HopsFS only) — Fig 11.
 	ThreadCPU map[string]float64
 
 	// Per-node I/O rates in bytes/second — Figs 12 and 13.
@@ -135,7 +136,7 @@ type Result struct {
 	CrossZoneRate float64
 
 	// ReadSlots is the per-partition replica read split of the inode
-	// table (HopsFS only) — Fig 14.
+	// table, cluster by cluster in shard order (HopsFS only) — Fig 14.
 	ReadSlots []PartitionReads
 
 	// Registry is the deployment registry delta over the measurement
@@ -147,9 +148,10 @@ type Result struct {
 	// operations (runs with a span sink only: RunConfig.Profile or
 	// Exemplars).
 	Profile *profile.Report
-	// Contention is the deployment's lock-contention ledger, reset at
-	// window start (runs with a span sink only; nil for CephFS setups).
-	Contention *ndb.ContentionLedger
+	// Contention is every NDB cluster's lock-contention ledger in shard
+	// order, reset at window start (runs with a span sink only; nil for
+	// CephFS setups). core.Deployment.ContentionReport renders them.
+	Contention []*ndb.ContentionLedger
 	// SinkDropped counts spans evicted from the span ring; nonzero means
 	// Profile covers a suffix of the window.
 	SinkDropped int64
@@ -258,8 +260,10 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 		d.EnableExemplars(*cfg.Exemplars)
 	}
 	sink := d.Tracer.Sink()
-	if sink != nil && d.DB != nil {
-		d.DB.Contention().Reset()
+	if sink != nil {
+		for _, l := range d.Contention() {
+			l.Reset()
+		}
 	}
 
 	measuring = true
@@ -310,9 +314,7 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 	if sink != nil {
 		res.Profile = profile.Analyze(sink.Spans())
 		res.SinkDropped = sink.Dropped()
-		if d.DB != nil {
-			res.Contention = d.DB.Contention()
-		}
+		res.Contention = d.Contention()
 	}
 	res.SLOReport = d.SLO.Report(now)
 	res.Heat = d.Heat.Snapshot(now, 0)
@@ -320,20 +322,17 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 	return res
 }
 
-// markThreadWindows sets up one utilization window per NDB thread type.
+// markThreadWindows sets up one utilization window per NDB thread type over
+// the datanodes of every cluster (nil for CephFS).
 func markThreadWindows(d *core.Deployment, now time.Duration) map[string]*metrics.UtilWindow {
-	if d.DB == nil {
+	if d.NS == nil {
 		return nil
 	}
-	out := make(map[string]*metrics.UtilWindow, 7)
-	for t := 0; t < 7; t++ {
-		var res []*sim.Resource
-		for _, dn := range d.DB.DataNodes() {
-			res = append(res, dn.Threads()[t])
-		}
-		w := metrics.NewUtilWindow(res...)
+	out := make(map[string]*metrics.UtilWindow, ndb.MAIN+1)
+	for t := ndb.LDM; t <= ndb.MAIN; t++ {
+		w := metrics.NewUtilWindow(d.StorageThreads(t)...)
 		w.Mark(now)
-		out[ndb.ThreadType(t).String()] = w
+		out[t.String()] = w
 	}
 	return out
 }
@@ -388,8 +387,10 @@ func readSlotSnapshot(d *core.Deployment) []PartitionReads {
 		return nil
 	}
 	var out []PartitionReads
-	for _, part := range d.NS.InodeTable().Partitions() {
-		out = append(out, PartitionReads{Index: part.Index(), Counts: part.ReadCounts()})
+	for _, c := range d.MetaClusters() {
+		for _, part := range c.Table("inodes").Partitions() {
+			out = append(out, PartitionReads{Index: part.Index(), Counts: part.ReadCounts()})
+		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -268,5 +269,81 @@ func TestSeedVarianceIsModest(t *testing.T) {
 	}
 	if max > 1.3*min {
 		t.Fatalf("seed variance too high: %v", rates)
+	}
+}
+
+// TestShardedRunReadsEveryCluster checks the per-cluster reads of a sharded
+// measurement: the per-thread-type utilizations average to the all-cluster
+// storage utilization (which they can only do if they cover the same
+// datanodes), and the contention ledgers and their report cover both
+// clusters.
+func TestShardedRunReadsEveryCluster(t *testing.T) {
+	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
+	opts := core.DefaultOptions(setup)
+	opts.MetadataServers = 3
+	opts.ClientsPerServer = 8
+	opts.Shards = 2
+	d, err := core.Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cfg := tinyConfig()
+	cfg.Profile = true
+	res := Run(d, cfg)
+
+	var sum float64
+	for _, u := range res.ThreadCPU {
+		sum += u
+	}
+	if mean := sum / float64(len(res.ThreadCPU)); math.Abs(mean-res.StorageCPU) > 1e-9*res.StorageCPU {
+		t.Fatalf("mean of the %d per-thread utilizations = %.9f, all-cluster storage utilization = %.9f: ThreadCPU does not span both clusters",
+			len(res.ThreadCPU), mean, res.StorageCPU)
+	}
+	if len(res.Contention) != 2 {
+		t.Fatalf("result carries %d contention ledgers, want one per cluster", len(res.Contention))
+	}
+	rep := d.ContentionReport(5)
+	for s := 0; s < 2; s++ {
+		if label := d.ShardLabel(s); label == "" || !strings.Contains(rep, "lock contention"+label+":") {
+			t.Fatalf("contention report has no section for shard %d:\n%s", s, rep)
+		}
+	}
+}
+
+// TestCephRunsRepeat measures every CephFS setup twice at one seed: DESIGN
+// §6 promises bit-for-bit repeatability, which capability revocation broke
+// while it fanned out in map order. Only the dynamic balancer amplified a
+// reordered revocation into different totals, and reliably only from this
+// scale up, so it alone runs large (cephfs's TestRevocationOrderRepeats pins
+// the cause itself).
+func TestCephRunsRepeat(t *testing.T) {
+	type outcome struct {
+		ops, crossZone, dropped int64
+		p99                     time.Duration
+	}
+	for _, tc := range []struct {
+		setup            core.Setup
+		servers, clients int
+	}{
+		{core.PaperSetups[6], 12, 64},
+		{core.PaperSetups[7], 6, 16},
+		{core.PaperSetups[8], 6, 16},
+	} {
+		measure := func() outcome {
+			opts := core.DefaultOptions(tc.setup)
+			opts.MetadataServers = tc.servers
+			opts.ClientsPerServer = tc.clients
+			d, err := core.Build(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			res := Run(d, DefaultRunConfig())
+			return outcome{ops: res.Ops, crossZone: d.Net.CrossZoneBytes(), dropped: d.Net.Dropped(), p99: res.P99}
+		}
+		if a, b := measure(), measure(); a != b {
+			t.Errorf("%s: two runs at seed 1 differ: %+v vs %+v", tc.setup.Name, a, b)
+		}
 	}
 }

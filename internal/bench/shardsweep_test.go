@@ -31,7 +31,7 @@ func measureShardPoint(t *testing.T, o ExpOptions, shards int) *Result {
 // reproduce it exactly (the sweep's numbers are simulation outputs, not
 // samples).
 func TestShardSweepScalesAndDeterministic(t *testing.T) {
-	o := DefaultExpOptions()
+	o := ExpOptions{Seed: 1}
 
 	r1 := measureShardPoint(t, o, 1)
 	r2 := measureShardPoint(t, o, 2)

@@ -399,3 +399,50 @@ func TestNamespaceMutationRevokesListCaps(t *testing.T) {
 		}
 	})
 }
+
+// TestRevocationOrderRepeats has many clients hold a capability on one file,
+// revokes them all with one mutation, and checks that the cap-revoke
+// messages reach the holders in the same order in two runs: the order they
+// are sent in decides link queueing and which latency draw each one gets.
+func TestRevocationOrderRepeats(t *testing.T) {
+	const holders = 24
+	arrivals := func() []int {
+		env, c := testCluster(t, DirPinned, true, 3)
+		var order []int
+		cls := make([]*Client, holders)
+		for i := range cls {
+			i := i
+			cls[i] = c.NewClient(simnet.ZoneID(i%3+1), simnet.HostID(800+i))
+			env.Spawn("holder-inbox", func(p *sim.Proc) {
+				cls[i].Node.Inbox.Recv(p)
+				order = append(order, i)
+			})
+		}
+		mutator := c.NewClient(1, 900)
+		env.Spawn("test", func(p *sim.Proc) {
+			if err := mutator.Create(p, "/f", 0); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, cl := range cls {
+				if err := cl.Stat(p, "/f"); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := mutator.SetPermission(p, "/f", 0o600); err != nil {
+				t.Error(err)
+			}
+		})
+		env.RunFor(time.Minute)
+		if len(order) != holders {
+			t.Fatalf("%d of %d holders were sent a cap-revoke", len(order), holders)
+		}
+		return order
+	}
+	a, b := arrivals(), arrivals()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("cap-revoke arrival order differs between two runs:\n%v\n%v", a, b)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package cephfs
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"time"
 
@@ -133,8 +135,15 @@ func (cl *Client) revokeCaps(p *sim.Proc, m *MDS, comps []string, namespaceChang
 		}
 	}
 	for _, key := range keys {
-		holders := m.caps[key]
-		for holder := range holders {
+		// One cap-revoke message per holder, in client node order: ranging
+		// the holder map here would reorder link queueing and latency draws
+		// run to run.
+		holders := make([]*Client, 0, len(m.caps[key]))
+		for holder := range m.caps[key] {
+			holders = append(holders, holder)
+		}
+		slices.SortFunc(holders, func(a, b *Client) int { return cmp.Compare(a.Node.ID(), b.Node.ID()) })
+		for _, holder := range holders {
 			p.Sleep(cl.c.cfg.Costs.CapRevokePerClient)
 			cl.c.net.Send(m.Node, holder.Node, 64, "cap-revoke")
 			delete(holder.cache, key)

@@ -86,10 +86,7 @@ type addFn func(invariant, format string, args ...any)
 // on sharded deployments, so unsharded audit output is unchanged.
 func (a *Auditor) checkNDB(add addFn, s int, quiesced bool) {
 	db := a.dbs[s]
-	at := ""
-	if len(a.dbs) > 1 {
-		at = fmt.Sprintf(" [shard %d]", s)
-	}
+	at := a.d.ShardLabel(s)
 	for gi, group := range db.NodeGroups() {
 		alive := 0
 		for _, dn := range group {
@@ -145,7 +142,7 @@ func (a *Auditor) checkNDB(add addFn, s int, quiesced bool) {
 // legitimately be unable to reach the shard holding an intent's rows.
 // Unsharded deployments have no intent tables and always pass.
 func (a *Auditor) checkIntents(add addFn, quiesced, settled bool) {
-	if !quiesced || !settled || a.d.NS == nil || len(a.dbs) <= 1 {
+	if !quiesced || !settled || a.d.NS == nil {
 		return
 	}
 	if n := a.d.NS.PendingIntents(); n != 0 {

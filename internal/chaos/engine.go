@@ -105,8 +105,9 @@ type Engine struct {
 	sched Schedule
 	aud   *Auditor
 
-	// dbs are the deployment's NDB clusters in shard order (just d.DB for
-	// unsharded deployments); sharded is len(dbs) > 1.
+	// dbs are the deployment's NDB clusters in shard order, for the faults
+	// that name one datanode of one shard; sharded (len(dbs) > 1) selects
+	// the workload shape that crosses shard boundaries.
 	dbs     []*ndb.Cluster
 	sharded bool
 
@@ -145,7 +146,7 @@ type mark struct {
 // NewEngine prepares a campaign over an existing deployment. The
 // deployment must be a HopsFS variant (the auditor inspects NDB state).
 func NewEngine(d *core.Deployment, sched Schedule, cfg Config) (*Engine, error) {
-	if d.DB == nil || d.NS == nil {
+	if d.NS == nil {
 		return nil, fmt.Errorf("chaos: deployment has no NDB/namenode stack")
 	}
 	dbs := d.MetaClusters()
@@ -260,51 +261,20 @@ func (e *Engine) apply(st Step) error {
 	switch st.Kind {
 	case FaultFailZone:
 		e.downZones[st.Zone] = true
-		for _, db := range e.dbs {
-			db.FailZone(st.Zone)
-		}
-		for _, nn := range d.NS.NameNodes() {
-			if nn.Node.Zone() == st.Zone {
-				nn.Fail()
-			}
-		}
-		if d.Blocks != nil {
-			for _, dn := range d.Blocks.DataNodes() {
-				if dn.Node.Zone() == st.Zone {
-					dn.Node.Fail()
-				}
-			}
-		}
+		d.FailZone(st.Zone)
 	case FaultRecoverZone:
 		delete(e.downZones, st.Zone)
 		z := st.Zone
 		d.Env.Spawn("chaos-recover-zone", func(p *sim.Proc) {
-			for _, db := range e.dbs {
-				db.RecoverZone(p, z)
-			}
-			for _, nn := range d.NS.NameNodes() {
-				if nn.Node.Zone() == z {
-					nn.Recover()
-				}
-			}
-			if d.Blocks != nil {
-				for _, dn := range d.Blocks.DataNodes() {
-					if dn.Node.Zone() == z {
-						dn.Node.Recover()
-					}
-				}
-			}
+			d.RecoverZone(p, z)
 			e.rejoinStragglers(p)
 		})
 	case FaultPartition:
 		e.parts[zpair(st.Zone, st.ZoneB)] = true
-		for _, db := range e.dbs {
-			db.NextArbitrationEpoch()
-		}
-		d.Net.Partition(st.Zone, st.ZoneB)
+		d.Partition(st.Zone, st.ZoneB)
 	case FaultHeal:
 		delete(e.parts, zpair(st.Zone, st.ZoneB))
-		d.Net.Heal(st.Zone, st.ZoneB)
+		d.Heal(st.Zone, st.ZoneB)
 		// Arbitration losers shut themselves down during the partition and
 		// stay down after the network heals; sweep them back in, as an
 		// operator restarting the losing side would.
@@ -466,21 +436,15 @@ func (e *Engine) quiesce() bool {
 	}
 }
 
-// drained reports whether no agent operation, transaction, or row lock is
-// outstanding. Background elections keep running — their transactions are
-// short, so the polling loop always finds a clean instant between rounds.
+// drained reports whether no agent is mid-operation (client-side retries
+// and block transfers included) and the metadata stack is idle.
 func (e *Engine) drained() bool {
 	for _, a := range e.agents {
 		if a.busy {
 			return false
 		}
 	}
-	for _, db := range e.dbs {
-		if db.InFlightTxns() != 0 || len(db.HeldLocks()) != 0 {
-			return false
-		}
-	}
-	return true
+	return e.d.Idle()
 }
 
 func (e *Engine) snapshot(label string, newViol int) {
@@ -497,15 +461,7 @@ func (e *Engine) snapshot(label string, newViol int) {
 	if dt := now - e.lastSnap.at - e.pausedBetween(e.lastSnap.at, now); dt > 0 {
 		rate = float64(ok-e.lastSnap.ok) / dt.Seconds()
 	}
-	live, total := 0, 0
-	for _, db := range e.dbs {
-		for _, dn := range db.DataNodes() {
-			total++
-			if dn.Alive() {
-				live++
-			}
-		}
-	}
+	live, total := e.d.LiveStorageNodes()
 	leaderID := 0
 	if l := e.d.NS.ElectedLeader(); l != nil {
 		leaderID = l.ID

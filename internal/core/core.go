@@ -165,11 +165,10 @@ type Deployment struct {
 	Registry *trace.Registry
 	Tracer   *trace.Tracer
 
-	// HopsFS/HopsFS-CL components (nil for CephFS). DB is shard 0's
-	// cluster — the only one for unsharded deployments; Router routes
-	// partition keys across all of them (a one-cluster identity router
-	// when Opts.Shards <= 1).
-	DB     *ndb.Cluster
+	// HopsFS/HopsFS-CL components (nil for CephFS). Router routes partition
+	// keys across the deployment's NDB clusters (the identity over one
+	// cluster when Opts.Shards <= 1); reach the clusters themselves through
+	// MetaClusters.
 	Router *shard.Router
 	NS     *namenode.Namesystem
 	Blocks *blocks.Manager
@@ -268,11 +267,15 @@ func (d *Deployment) buildHops() error {
 		dbCfg.Costs = *opts.NDBCosts
 	}
 
-	// buildCluster stands up one NDB cluster on fresh hosts; extra shards
-	// get a name prefix so node names and gauge labels stay distinct.
-	buildCluster := func(prefix string) (*ndb.Cluster, error) {
+	// Build order: clusters, then the router over them, then the namesystem
+	// on the router. Each cluster stands on fresh hosts; extra shards get a
+	// name prefix so node names and gauge labels stay distinct.
+	clusters := make([]*ndb.Cluster, max(opts.Shards, 1))
+	for s := range clusters {
 		cfg := dbCfg
-		cfg.NamePrefix = prefix
+		if s > 0 {
+			cfg.NamePrefix = fmt.Sprintf("s%d-", s)
+		}
 		dataPl := make([]ndb.Placement, 0, opts.StorageNodes)
 		for _, pl := range ndb.SpreadPlacement(opts.StorageNodes, zones, 0) {
 			dataPl = append(dataPl, ndb.Placement{Zone: pl.Zone, Host: d.nextHost()})
@@ -286,24 +289,19 @@ func (d *Deployment) buildHops() error {
 				mgmtPl = append(mgmtPl, ndb.Placement{Zone: z, Host: d.nextHost()})
 			}
 		}
-		return ndb.New(d.Env, d.Net, cfg, dataPl, mgmtPl)
-	}
-	db, err := buildCluster("")
-	if err != nil {
-		return err
-	}
-	db.SetTracer(d.Tracer)
-	d.DB = db
-
-	clusters := []*ndb.Cluster{db}
-	for s := 1; s < opts.Shards; s++ {
-		c, err := buildCluster(fmt.Sprintf("s%d-", s))
+		c, err := ndb.New(d.Env, d.Net, cfg, dataPl, mgmtPl)
 		if err != nil {
 			return err
 		}
 		c.SetTracer(d.Tracer)
-		clusters = append(clusters, c)
+		clusters[s] = c
 	}
+	router, err := shard.NewRouter(clusters)
+	if err != nil {
+		return err
+	}
+	router.SetTracer(d.Tracer)
+	d.Router = router
 
 	if opts.WithBlockLayer {
 		bCfg := blocks.DefaultConfig()
@@ -344,21 +342,7 @@ func (d *Deployment) buildHops() error {
 	if opts.NNElectionRound > 0 {
 		nnCfg.ElectionRound = opts.NNElectionRound
 	}
-	ns := namenode.NewNamesystem(db, d.Blocks, nnCfg)
-	if len(clusters) > 1 {
-		// Re-home the namespace onto a multi-cluster router before any
-		// namenode or traffic exists. Unsharded deployments keep the
-		// namesystem's internal one-cluster router untouched.
-		router, err := shard.NewRouter(clusters)
-		if err != nil {
-			return err
-		}
-		router.SetTracer(d.Tracer)
-		if err := ns.AttachShards(router); err != nil {
-			return err
-		}
-	}
-	d.Router = ns.Router()
+	ns := namenode.NewNamesystem(router, d.Blocks, nnCfg)
 	ns.SetTracer(d.Tracer)
 	d.NS = ns
 
@@ -598,13 +582,10 @@ func (d *Deployment) ServerCPUs() []*sim.Resource {
 // MetaClusters returns every NDB metadata cluster in shard order — one for
 // unsharded deployments, Opts.Shards of them otherwise (nil for CephFS).
 func (d *Deployment) MetaClusters() []*ndb.Cluster {
-	if d.Router != nil {
-		return d.Router.Clusters()
+	if d.Router == nil {
+		return nil
 	}
-	if d.DB != nil {
-		return []*ndb.Cluster{d.DB}
-	}
-	return nil
+	return d.Router.Clusters()
 }
 
 // StorageCPUs returns the storage layer's CPU resources: every NDB thread

@@ -94,7 +94,7 @@ func TestShardedDeployment(t *testing.T) {
 	}
 	for s := 0; s < 2; s++ {
 		rows := 0
-		d.NS.Router().Cluster(s).Table("inodes").ForEachCommitted(func(_, _ string, _ ndb.Value) {
+		d.MetaClusters()[s].Table("inodes").ForEachCommitted(func(_, _ string, _ ndb.Value) {
 			rows++
 		})
 		if rows == 0 {
@@ -158,7 +158,7 @@ func TestOneShardIsUnsharded(t *testing.T) {
 			}
 		})
 		d.Env.RunFor(30 * time.Second)
-		return d.Net.TotalMessages(), d.Net.TotalBytes(), d.DB.Stats.Committed, d.Env.Rand().Int63()
+		return d.Net.TotalMessages(), d.Net.TotalBytes(), d.MetaStats().Committed, d.Env.Rand().Int63()
 	}
 	m0, b0, c0, r0 := run(0)
 	m1, b1, c1, r1 := run(1)
@@ -212,7 +212,7 @@ func TestDeploymentAccessorsCeph(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.DB != nil || d.NS != nil {
+	if d.MetaClusters() != nil || d.NS != nil {
 		t.Fatal("ceph deployment has hops components")
 	}
 	if got := len(d.ServerCPUs()); got != 3 {
@@ -259,7 +259,7 @@ func TestAwarenessWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer aware.Close()
-	for _, dn := range aware.DB.DataNodes() {
+	for _, dn := range aware.MetaClusters()[0].DataNodes() {
 		if dn.Domain == 0 {
 			t.Fatal("HopsFS-CL datanode has no LocationDomainId")
 		}
@@ -269,15 +269,15 @@ func TestAwarenessWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer unaware.Close()
-	for _, dn := range unaware.DB.DataNodes() {
+	for _, dn := range unaware.MetaClusters()[0].DataNodes() {
 		if dn.Domain != 0 {
 			t.Fatal("vanilla HopsFS datanode has a LocationDomainId")
 		}
 	}
-	if unaware.NS.InodeTable().Options().ReadBackup {
+	if unaware.MetaClusters()[0].Table("inodes").Options().ReadBackup {
 		t.Fatal("vanilla HopsFS has Read Backup enabled")
 	}
-	if !aware.NS.InodeTable().Options().ReadBackup {
+	if !aware.MetaClusters()[0].Table("inodes").Options().ReadBackup {
 		t.Fatal("HopsFS-CL lacks Read Backup")
 	}
 }
@@ -291,11 +291,11 @@ func TestDisableReadBackupAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.NS.InodeTable().Options().ReadBackup {
+	if d.MetaClusters()[0].Table("inodes").Options().ReadBackup {
 		t.Fatal("Read Backup still enabled under the ablation")
 	}
 	// The deployment remains AZ-aware at the other layers.
-	if d.DB.DataNodes()[0].Domain == 0 {
+	if d.MetaClusters()[0].DataNodes()[0].Domain == 0 {
 		t.Fatal("ablation disabled LocationDomainIds too")
 	}
 }
@@ -325,12 +325,7 @@ func TestWorkloadMidAZFailure(t *testing.T) {
 		})
 	}
 	d.Env.RunFor(200 * time.Millisecond)
-	d.DB.FailZone(3)
-	for _, nn := range d.NS.NameNodes() {
-		if nn.Node.Zone() == 3 {
-			nn.Fail()
-		}
-	}
+	d.FailZone(3)
 	d.Env.RunFor(2 * time.Second)
 	stop = true
 	d.Env.RunFor(time.Second)
@@ -358,7 +353,7 @@ func TestDeterministicDeployments(t *testing.T) {
 			}
 		})
 		d.Env.RunFor(30 * time.Second)
-		return d.DB.Stats.Committed, d.Net.CrossZoneBytes()
+		return d.MetaStats().Committed, d.Net.CrossZoneBytes()
 	}
 	c1, x1 := run()
 	c2, x2 := run()

@@ -136,6 +136,14 @@ func TestParseErrors(t *testing.T) {
 		{"point 06:00 1\ncurve sinusoid base 0.2 peak 1", "conflicts"},
 		{"day 1s x 1\nburst day 4 at 12:00 ramp 1ms dwell 1ms decay 1ms x 2", "outside the 1-day span"},
 		{"curve sinusoid base 2 peak 1", "base <= peak"},
+		{"rate NaN", "line 1"},
+		{"rate NaN", "finite"},
+		{"rate 100\nrate +Inf", "line 2"},
+		{"curve sinusoid base NaN peak 1", "finite"},
+		{"curve sinusoid base 0.2 peak Inf", "finite"},
+		{"point 06:00 NaN", "finite"},
+		{"week 1 1 -Inf", "finite"},
+		{"burst day 0 at 12:00 ramp 1ms dwell 1ms decay 1ms x NaN", "finite"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.text); err == nil || !strings.Contains(err.Error(), c.wantSub) {
@@ -168,6 +176,8 @@ func FuzzParse(f *testing.F) {
 		"frob 1", "day nope", "point 25:00 1", "curve sinusoid base 2 peak 1",
 		"burst day 0 at 12:00 ramp 1ms dwell 1ms decay 1ms",
 		"curve sinusoid base 0.2 peak 1\npoint 06:00 1",
+		"rate NaN", "rate +Inf", "curve sinusoid base NaN peak 1", "curve sinusoid base 0.2 peak Inf",
+		"point 06:00 NaN", "week 1 1 -Inf", "burst day 0 at 12:00 ramp 1ms dwell 1ms decay 1ms x NaN",
 	} {
 		f.Add(bad)
 	}

@@ -2,6 +2,7 @@ package loadshape
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,6 +62,17 @@ func parseTOD(s string) (float64, error) {
 	return (float64(h) + float64(m)/60) / 24, nil
 }
 
+// parseFinite parses a rate or multiplier. NaN and the infinities parse as
+// floats, and Validate's bounds stop neither NaN (every comparison with it
+// is false) nor +Inf, so they are rejected here.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("want a finite number, got %q", s)
+	}
+	return v, err
+}
+
 // Parse reads a declarative load profile in a line-oriented syntax:
 //
 //	# a week of diurnal traffic, 3s per virtual day
@@ -117,7 +129,7 @@ func Parse(text string) (Profile, error) {
 			if len(f) != 2 {
 				return fail(fmt.Errorf("want `rate <ops-per-second>`"))
 			}
-			r, err := strconv.ParseFloat(f[1], 64)
+			r, err := parseFinite(f[1])
 			if err != nil {
 				return fail(err)
 			}
@@ -139,13 +151,13 @@ func Parse(text string) (Profile, error) {
 				}
 				switch rest[0] {
 				case "base":
-					v, err := strconv.ParseFloat(rest[1], 64)
+					v, err := parseFinite(rest[1])
 					if err != nil {
 						return fail(err)
 					}
 					pr.Base = v
 				case "peak":
-					v, err := strconv.ParseFloat(rest[1], 64)
+					v, err := parseFinite(rest[1])
 					if err != nil {
 						return fail(err)
 					}
@@ -172,7 +184,7 @@ func Parse(text string) (Profile, error) {
 			if err != nil {
 				return fail(err)
 			}
-			m, err := strconv.ParseFloat(f[2], 64)
+			m, err := parseFinite(f[2])
 			if err != nil {
 				return fail(err)
 			}
@@ -183,7 +195,7 @@ func Parse(text string) (Profile, error) {
 			}
 			pr.Week = nil
 			for _, s := range f[1:] {
-				w, err := strconv.ParseFloat(s, 64)
+				w, err := parseFinite(s)
 				if err != nil {
 					return fail(err)
 				}
@@ -210,7 +222,7 @@ func Parse(text string) (Profile, error) {
 				case "decay":
 					b.Decay, err = time.ParseDuration(rest[1])
 				case "x":
-					b.Mult, err = strconv.ParseFloat(rest[1], 64)
+					b.Mult, err = parseFinite(rest[1])
 				default:
 					err = fmt.Errorf("unknown burst field %q", rest[0])
 				}

@@ -150,20 +150,6 @@ func (u *UtilWindow) Report(now time.Duration) float64 {
 	return total / float64(len(u.res))
 }
 
-// ReportEach returns per-resource utilizations since Mark.
-func (u *UtilWindow) ReportEach(now time.Duration) []float64 {
-	window := now - u.start
-	out := make([]float64, len(u.res))
-	if window <= 0 {
-		return out
-	}
-	for i, r := range u.res {
-		delta := r.BusyIntegral() - u.busyAt[i]
-		out[i] = float64(delta) / (float64(r.Capacity()) * float64(window))
-	}
-	return out
-}
-
 // Rate formats ops over a window as a human-readable ops/sec string.
 func Rate(ops int64, window time.Duration) string {
 	return FormatOps(OpsPerSec(ops, window))
@@ -191,42 +177,6 @@ func FormatOps(rate float64) string {
 	default:
 		return fmt.Sprintf("%.0f", rate)
 	}
-}
-
-// Sparkline renders values as a compact unicode bar series, normalized to
-// the series maximum — used for throughput timelines in experiment output.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	bars := []rune("▁▂▃▄▅▆▇█")
-	// Non-finite values (NaN, ±Inf) render as the lowest bar and never set
-	// the scale, so one bad sample cannot flatten the series.
-	max := 0.0
-	for _, v := range values {
-		if v > max && !math.IsInf(v, 1) {
-			max = v
-		}
-	}
-	if max <= 0 {
-		return strings.Repeat(string(bars[0]), len(values))
-	}
-	var b strings.Builder
-	for _, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			b.WriteRune(bars[0])
-			continue
-		}
-		idx := int(v / max * float64(len(bars)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(bars) {
-			idx = len(bars) - 1
-		}
-		b.WriteRune(bars[idx])
-	}
-	return b.String()
 }
 
 // Table is a minimal fixed-width table printer for experiment output.

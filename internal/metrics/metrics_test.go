@@ -203,26 +203,6 @@ func TestTableRendersAligned(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	if got := Sparkline(nil); got != "" {
-		t.Fatalf("empty series = %q", got)
-	}
-	if got := Sparkline([]float64{0, 0}); got != "▁▁" {
-		t.Fatalf("zero series = %q", got)
-	}
-	got := Sparkline([]float64{1, 4, 8})
-	runes := []rune(got)
-	if len(runes) != 3 {
-		t.Fatalf("length = %d", len(runes))
-	}
-	if runes[2] != '█' {
-		t.Fatalf("max bar = %q", string(runes[2]))
-	}
-	if runes[0] >= runes[1] || runes[1] >= runes[2] {
-		t.Fatalf("bars not increasing: %q", got)
-	}
-}
-
 func TestZeroWindowAndEmptyGuards(t *testing.T) {
 	// Rates over an empty or inverted window must not divide by zero.
 	cases := []struct {
@@ -261,18 +241,6 @@ func TestFormatOpsNonFinite(t *testing.T) {
 	}
 	if got := FormatOps(1.66e6); got != "1.66M" {
 		t.Errorf("FormatOps(1.66e6) = %q", got)
-	}
-}
-
-func TestSparklineNonFinite(t *testing.T) {
-	s := Sparkline([]float64{math.NaN(), 1, math.Inf(1), 2, math.Inf(-1)})
-	if strings.Contains(s, "NaN") || len([]rune(s)) != 5 {
-		t.Fatalf("Sparkline with non-finite values = %q", s)
-	}
-	// The Inf must not flatten the finite values' scale: 2 is the max and
-	// renders as the top bar.
-	if []rune(s)[3] != '█' {
-		t.Fatalf("finite max not at full scale: %q", s)
 	}
 }
 

@@ -47,7 +47,7 @@ type Client struct {
 func (ns *Namesystem) NewClient(zone simnet.ZoneID, host simnet.HostID, domain simnet.ZoneID) *Client {
 	return &Client{
 		ns:     ns,
-		Node:   ns.db.Net().NewNode("client", zone, host),
+		Node:   ns.net.NewNode("client", zone, host),
 		Domain: domain,
 	}
 }
@@ -124,7 +124,7 @@ func (cl *Client) pick(p *sim.Proc) (*NameNode, error) {
 }
 
 func (cl *Client) travel(p *sim.Proc, from, to *simnet.Node, size int) bool {
-	return cl.ns.db.Net().TravelDeferred(p, from, to, size, 2*time.Second)
+	return cl.ns.net.TravelDeferred(p, from, to, size, 2*time.Second)
 }
 
 // do runs one metadata RPC against the client's server, switching to a

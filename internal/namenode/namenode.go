@@ -167,16 +167,15 @@ type QuotaInfo struct {
 // Namesystem is the shared file system state: the NDB tables, the block
 // layer, and the set of metadata servers.
 type Namesystem struct {
-	db       *ndb.Cluster
+	env      *sim.Env
+	net      *simnet.Network
 	blockMgr *blocks.Manager
 	cfg      Config
 
-	// router maps partition keys to shards. A fresh namesystem gets a
-	// one-cluster router, whose transactions are the cluster's own and whose
-	// table sets hold one table; AttachShards swaps in a multi-cluster
-	// router before any namenode or traffic exists. Every row access
-	// resolves its table through a set's For, once, where the address is
-	// built.
+	// router maps partition keys to shards; on a one-cluster router the
+	// transactions are the cluster's own and the table sets hold one table.
+	// Every row access resolves its table through a set's For, once, where
+	// the address is built.
 	router     *shard.Router
 	inodes     *shard.TableSet
 	election   *shard.TableSet
@@ -316,21 +315,20 @@ func (ns *Namesystem) HealthStats(now time.Duration) (live, expected int, util f
 	return live, expected, util
 }
 
-// NewNamesystem creates the metadata schema on db and seeds the root
-// directory. blockMgr may be nil if only metadata operations are exercised
-// (the paper's benchmarks use empty files for exactly this reason).
-func NewNamesystem(db *ndb.Cluster, blockMgr *blocks.Manager, cfg Config) *Namesystem {
+// NewNamesystem creates the metadata schema on every cluster of the router
+// and seeds the root directory on the shard the routing function gives it.
+// blockMgr may be nil if only metadata operations are exercised (the
+// paper's benchmarks use empty files for exactly this reason).
+func NewNamesystem(r *shard.Router, blockMgr *blocks.Manager, cfg Config) *Namesystem {
+	// Every cluster runs in the one simulation, on the one network.
 	ns := &Namesystem{
-		db:       db,
+		env:      r.Cluster(0).Env(),
+		net:      r.Cluster(0).Net(),
 		blockMgr: blockMgr,
 		cfg:      cfg,
+		router:   r,
 		idSeq:    RootID,
 	}
-	r, err := shard.NewRouter([]*ndb.Cluster{db})
-	if err != nil {
-		panic(err) // unreachable: one cluster is always a valid router
-	}
-	ns.router = r
 	ns.createTables()
 	ns.seedRoot()
 	if blockMgr != nil {
@@ -340,8 +338,7 @@ func NewNamesystem(db *ndb.Cluster, blockMgr *blocks.Manager, cfg Config) *Names
 	return ns
 }
 
-// createTables creates the metadata schema on every shard of the current
-// router.
+// createTables creates the metadata schema on every shard of the router.
 func (ns *Namesystem) createTables() {
 	cfg := ns.cfg
 	// Inodes are partitioned by parent inode id (application defined
@@ -365,53 +362,6 @@ func (ns *Namesystem) createTables() {
 	// append-only "u/..." usage updates, partitioned by directory id.
 	ns.quotas = ns.router.NewTableSet("quotas", 64, ndb.TableOptions{ReadBackup: cfg.ReadBackup})
 }
-
-// AttachShards re-homes the namesystem onto a multi-cluster router. It must
-// be called before any namenode is added or traffic served: the schema is
-// re-created across all shards (the tables already created on the seed
-// cluster are adopted as shard 0's) and the root directory is re-seeded
-// through the routing function. The router's clusters must have the seed
-// cluster first.
-func (ns *Namesystem) AttachShards(r *shard.Router) error {
-	if r.Cluster(0) != ns.db {
-		return fmt.Errorf("namenode: AttachShards router must have the namesystem's cluster as shard 0")
-	}
-	if len(ns.nns) > 0 {
-		return fmt.Errorf("namenode: AttachShards after namenodes were added")
-	}
-	adopt := func(ts *shard.TableSet) (*shard.TableSet, error) {
-		t0 := ts.At(0)
-		tabs := make([]*ndb.Table, r.Shards())
-		tabs[0] = t0
-		for i := 1; i < r.Shards(); i++ {
-			tabs[i] = r.Cluster(i).CreateTable(t0.Name(), t0.RowSize(), t0.Options())
-		}
-		return r.Wrap(tabs)
-	}
-	var err error
-	if ns.inodes, err = adopt(ns.inodes); err != nil {
-		return err
-	}
-	if ns.election, err = adopt(ns.election); err != nil {
-		return err
-	}
-	if ns.smallfiles, err = adopt(ns.smallfiles); err != nil {
-		return err
-	}
-	if ns.quotas, err = adopt(ns.quotas); err != nil {
-		return err
-	}
-	ns.router = r
-	r.EnableIntents()
-	// The root row was seeded on the single cluster; the routing function
-	// may place its partition key elsewhere now.
-	ns.seedRoot()
-	return nil
-}
-
-// Router returns the namesystem's shard router (always non-nil; a fresh
-// namesystem routes through a one-cluster identity router).
-func (ns *Namesystem) Router() *shard.Router { return ns.router }
 
 // PinSubtree pins a directory's children (by inode id) to a shard. The
 // namenode inherits the pin onto directories created underneath, so the
@@ -498,18 +448,8 @@ func (ns *Namesystem) Seed(dirs, files []string) error {
 	return nil
 }
 
-// DB returns the metadata storage cluster.
-func (ns *Namesystem) DB() *ndb.Cluster { return ns.db }
-
-// BlockManager returns the block layer (may be nil).
-func (ns *Namesystem) BlockManager() *blocks.Manager { return ns.blockMgr }
-
 // Config returns the namesystem configuration.
 func (ns *Namesystem) Config() Config { return ns.cfg }
-
-// InodeTable exposes shard 0's inode table for experiments (Figure 14 reads
-// the per-partition read counters; those experiments run unsharded).
-func (ns *Namesystem) InodeTable() *ndb.Table { return ns.inodes.At(0) }
 
 // NameNodes returns all registered metadata servers.
 func (ns *Namesystem) NameNodes() []*NameNode { return ns.nns }
@@ -571,16 +511,16 @@ func (ns *Namesystem) AddNameNode(zone simnet.ZoneID, host simnet.HostID, domain
 	id := len(ns.nns) + 1
 	nn := &NameNode{
 		ns:       ns,
-		Node:     ns.db.Net().NewNode(fmt.Sprintf("nn-%d", id), zone, host),
+		Node:     ns.net.NewNode(fmt.Sprintf("nn-%d", id), zone, host),
 		ID:       id,
 		Domain:   domain,
-		cpu:      sim.NewResource(ns.db.Env(), fmt.Sprintf("nn-%d/cpu", id), ns.cfg.NNCores),
+		cpu:      sim.NewResource(ns.env, fmt.Sprintf("nn-%d/cpu", id), ns.cfg.NNCores),
 		cache:    newHintCache(ns.cfg.HintCacheSize),
 		leaderID: 1,
 	}
 	nn.cache.setGauge(ns.cacheSizeGauge(nn))
 	ns.nns = append(ns.nns, nn)
-	ns.db.Env().Spawn(nn.Node.Name()+"/election", func(p *sim.Proc) { nn.electionLoop(p) })
+	ns.env.Spawn(nn.Node.Name()+"/election", func(p *sim.Proc) { nn.electionLoop(p) })
 	return nn
 }
 
@@ -604,7 +544,7 @@ func (nn *NameNode) Recover() {
 	nn.Node.Recover()
 	nn.cache = newHintCache(nn.ns.cfg.HintCacheSize)
 	nn.cache.setGauge(nn.ns.cacheSizeGauge(nn))
-	nn.ns.db.Env().Spawn(nn.Node.Name()+"/election", func(p *sim.Proc) { nn.electionLoop(p) })
+	nn.ns.env.Spawn(nn.Node.Name()+"/election", func(p *sim.Proc) { nn.electionLoop(p) })
 }
 
 // Leader returns the current leader NN (the namesystem-wide view: the

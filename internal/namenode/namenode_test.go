@@ -8,6 +8,7 @@ import (
 
 	"hopsfscl/internal/blocks"
 	"hopsfscl/internal/ndb"
+	"hopsfscl/internal/shard"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 )
@@ -66,7 +67,11 @@ func newHarnessFull(t *testing.T, seed int64, dbTweak func(*ndb.Config), tweak f
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	ns := NewNamesystem(db, mgr, cfg)
+	router, err := shard.NewRouter([]*ndb.Cluster{db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := NewNamesystem(router, mgr, cfg)
 	for z := simnet.ZoneID(1); z <= 3; z++ {
 		ns.AddNameNode(z, simnet.HostID(400+int(z)), z)
 	}

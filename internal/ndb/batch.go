@@ -207,10 +207,10 @@ func readBatch[T, R any](t *Txn, reqs []T, at func(*T) (*Table, string),
 	// TCKEYREQ is a single TC job, not one per row).
 	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
 
-	sc := t.c.getScratch()
-	defer t.c.putScratch(sc)
-	slots := sc.intsFor(len(reqs))
-	parts := sc.partsFor(len(reqs))
+	sc := t.c.scratch.get()
+	defer t.c.scratch.put(sc)
+	slots := zeroed(&sc.slots, len(reqs))
+	parts := zeroed(&sc.parts, len(reqs))
 	groups, ok := groupByTarget(sc, len(reqs), func(i int) (*DataNode, bool) {
 		target, slot, part := t.routeRow(at(&reqs[i]))
 		slots[i], parts[i] = slot, part
@@ -316,7 +316,7 @@ func (t *Txn) runBatch(kind string, groups []*batchGroup, rows int, serve func(p
 	if fanSpan == nil {
 		fanSpan = t.p.Span()
 	}
-	results := t.c.getBoolMbx()
+	results := t.c.boolMbx.get()
 	for _, g := range groups {
 		t.c.dispatch(fanTask{span: fanSpan, g: g, serve: serve, boolResults: results})
 	}
@@ -326,7 +326,7 @@ func (t *Txn) runBatch(kind string, groups []*batchGroup, rows int, serve func(p
 			allOK = false
 		}
 	}
-	t.c.putBoolMbx(results)
+	t.c.boolMbx.put(results)
 	return allOK
 }
 

@@ -139,13 +139,16 @@ type Cluster struct {
 	ledger    *ContentionLedger
 	activeOps map[uint64]string
 
-	// Fan-out worker pool and result-mailbox free-lists (workers.go): the
-	// steady-state batch/commit fan-out path allocates no processes and no
-	// mailboxes.
-	freeWorkers []*fanWorker
-	freeBoolMbx []*sim.Mailbox[bool]
-	freeErrMbx  []*sim.Mailbox[error]
-	freeScratch []*batchScratch
+	// Fan-out worker pool, result-mailbox and batch-scratch free lists
+	// (workers.go): the steady-state batch/commit fan-out path allocates no
+	// processes, no mailboxes and no working arrays. A fan-out's collector
+	// drains exactly as many results as it dispatched arms before returning
+	// the mailbox, so a pooled mailbox is always empty (and waiter-free)
+	// when reused.
+	workers freeList[*fanWorker]
+	boolMbx freeList[*sim.Mailbox[bool]]
+	errMbx  freeList[*sim.Mailbox[error]]
+	scratch freeList[*batchScratch]
 
 	// topoEpoch counts cluster-side replica-topology changes (shutdown
 	// orders, primary promotions); combined with the network's node
@@ -355,6 +358,10 @@ func New(env *sim.Env, net *simnet.Network, cfg Config, dataPlacement, mgmtPlace
 		arbGranted: make(map[int]int),
 		topoEpoch:  1,
 	}
+	c.workers.fresh = c.newWorker
+	c.boolMbx.fresh = func() *sim.Mailbox[bool] { return sim.NewMailbox[bool](env) }
+	c.errMbx.fresh = func() *sim.Mailbox[error] { return sim.NewMailbox[error](env) }
+	c.scratch.fresh = func() *batchScratch { return &batchScratch{} }
 	numGroups := cfg.DataNodes / cfg.Replication
 	c.groups = make([][]*DataNode, numGroups)
 	for i, pl := range dataPlacement {

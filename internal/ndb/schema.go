@@ -39,10 +39,6 @@ func (t *Table) Options() TableOptions { return t.opts }
 // Partitions returns the table's partitions (index order).
 func (t *Table) Partitions() []*Partition { return t.partitions }
 
-// RowSize is the nominal on-wire size of one row, used for network and
-// disk accounting.
-func (t *Table) RowSize() int { return t.rowSize }
-
 // partitionFor maps a partition key to its partition.
 func (t *Table) partitionFor(partKey string) *Partition {
 	return t.partitions[hashKey(partKey, len(t.partitions))]

@@ -469,7 +469,7 @@ func (t *Txn) Commit() error {
 			obs.trainRows.Observe(time.Duration(len(ws)))
 		}
 	}
-	results := t.c.getErrMbx()
+	results := t.c.errMbx.get()
 	single := len(trains) == 1
 	if !single {
 		// Trains commit in parallel; sub-processes must start from the
@@ -505,7 +505,7 @@ func (t *Txn) Commit() error {
 			firstErr = err
 		}
 	}
-	t.c.putErrMbx(results)
+	t.c.errMbx.put(results)
 	if firstErr != nil {
 		// Atomic abort: with multi-train commits the staged writes were not
 		// applied (applyNow=false above), so a failure in any train —
@@ -726,7 +726,7 @@ func (t *Txn) commitTrain(p *sim.Proc, ws []*writeOp, readBackup, applyNow bool)
 		return nil
 	}
 	beginPhase(phaseComplete)
-	donec := t.c.getBoolMbx()
+	donec := t.c.boolMbx.get()
 	// The Complete fan-out runs as pooled worker arms; synchronize them
 	// with the parent's effective instant first.
 	p.Flush()
@@ -760,7 +760,7 @@ func (t *Txn) commitTrain(p *sim.Proc, ws []*writeOp, readBackup, applyNow bool)
 			allOK = false
 		}
 	}
-	t.c.putBoolMbx(donec)
+	t.c.boolMbx.put(donec)
 	t.tc.recv(p)
 	if !allOK {
 		return ErrNodeUnavailable

@@ -50,19 +50,33 @@ type fanWorker struct {
 	tasks *sim.Mailbox[fanTask]
 }
 
-// dispatch hands task to an idle pooled worker, spawning one only when the
-// pool is empty (LIFO reuse keeps the pool at the high-water mark of
-// concurrent arms).
-func (c *Cluster) dispatch(task fanTask) {
-	var w *fanWorker
-	if n := len(c.freeWorkers); n > 0 {
-		w = c.freeWorkers[n-1]
-		c.freeWorkers[n-1] = nil
-		c.freeWorkers = c.freeWorkers[:n-1]
-	} else {
-		w = c.newWorker()
+// freeList is the one LIFO pool behind the cluster's reusable objects: get
+// pops the most recently returned value and calls fresh only when the list
+// is empty, so each list grows to the high-water mark of concurrent use and
+// the steady state allocates nothing.
+type freeList[T any] struct {
+	free  []T
+	fresh func() T
+}
+
+func (f *freeList[T]) get() T {
+	n := len(f.free)
+	if n == 0 {
+		return f.fresh()
 	}
-	w.tasks.Send(task)
+	v := f.free[n-1]
+	var zero T
+	f.free[n-1] = zero
+	f.free = f.free[:n-1]
+	return v
+}
+
+func (f *freeList[T]) put(v T) { f.free = append(f.free, v) }
+
+// dispatch hands task to an idle pooled worker, spawning one only when the
+// pool is empty.
+func (c *Cluster) dispatch(task fanTask) {
+	c.workers.get().tasks.Send(task)
 }
 
 func (c *Cluster) newWorker() *fanWorker {
@@ -93,49 +107,16 @@ func (c *Cluster) newWorker() *fanWorker {
 			} else {
 				task.boolResults.Send(ok)
 			}
-			c.freeWorkers = append(c.freeWorkers, w)
+			c.workers.put(w)
 		}
 	})
 	return w
 }
 
-// Result-mailbox pools. A fan-out's collector drains exactly as many
-// results as it dispatched arms before returning the mailbox, so a pooled
-// mailbox is always empty (and waiter-free) when reused.
-
-func (c *Cluster) getBoolMbx() *sim.Mailbox[bool] {
-	if n := len(c.freeBoolMbx); n > 0 {
-		m := c.freeBoolMbx[n-1]
-		c.freeBoolMbx[n-1] = nil
-		c.freeBoolMbx = c.freeBoolMbx[:n-1]
-		return m
-	}
-	return sim.NewMailbox[bool](c.env)
-}
-
-func (c *Cluster) putBoolMbx(m *sim.Mailbox[bool]) {
-	c.freeBoolMbx = append(c.freeBoolMbx, m)
-}
-
-func (c *Cluster) getErrMbx() *sim.Mailbox[error] {
-	if n := len(c.freeErrMbx); n > 0 {
-		m := c.freeErrMbx[n-1]
-		c.freeErrMbx[n-1] = nil
-		c.freeErrMbx = c.freeErrMbx[:n-1]
-		return m
-	}
-	return sim.NewMailbox[error](c.env)
-}
-
-func (c *Cluster) putErrMbx(m *sim.Mailbox[error]) {
-	c.freeErrMbx = append(c.freeErrMbx, m)
-}
-
 // batchScratch holds the per-batch working arrays of groupByTarget and the
 // batch entry points (ReadBatch/ScanBatch/WriteBatch). A batch checks one
 // out for its whole lifetime — routing through fan-out — and returns it
-// when done, so concurrent transactions never share one and the pool grows
-// to the high-water mark of in-flight batches.
+// when done, so concurrent transactions never share one.
 type batchScratch struct {
 	targets []*DataNode
 	backing []batchGroup
@@ -146,52 +127,13 @@ type batchScratch struct {
 	errs    []error
 }
 
-func (c *Cluster) getScratch() *batchScratch {
-	if n := len(c.freeScratch); n > 0 {
-		sc := c.freeScratch[n-1]
-		c.freeScratch[n-1] = nil
-		c.freeScratch = c.freeScratch[:n-1]
-		return sc
+// zeroed returns a zeroed length-n slice backed by *buf, growing it when it
+// is short.
+func zeroed[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	return &batchScratch{}
-}
-
-func (c *Cluster) putScratch(sc *batchScratch) {
-	c.freeScratch = append(c.freeScratch, sc)
-}
-
-// intsFor returns a zeroed length-n int slice backed by sc.slots.
-func (sc *batchScratch) intsFor(n int) []int {
-	if cap(sc.slots) < n {
-		sc.slots = make([]int, n)
-	}
-	s := sc.slots[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// partsFor returns a zeroed length-n partition slice backed by sc.parts.
-func (sc *batchScratch) partsFor(n int) []*Partition {
-	if cap(sc.parts) < n {
-		sc.parts = make([]*Partition, n)
-	}
-	s := sc.parts[:n]
-	for i := range s {
-		s[i] = nil
-	}
-	return s
-}
-
-// errsFor returns a zeroed length-n error slice backed by sc.errs.
-func (sc *batchScratch) errsFor(n int) []error {
-	if cap(sc.errs) < n {
-		sc.errs = make([]error, n)
-	}
-	s := sc.errs[:n]
-	for i := range s {
-		s[i] = nil
-	}
+	s := (*buf)[:n]
+	clear(s)
 	return s
 }

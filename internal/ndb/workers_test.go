@@ -38,24 +38,24 @@ func TestFanOutReusesPooledWorkers(t *testing.T) {
 		})
 	}
 	runBatchOnce()
-	workers := len(c.freeWorkers)
+	workers := len(c.workers.free)
 	if workers == 0 {
 		t.Fatal("no pooled workers after a multi-group fan-out")
 	}
-	if len(c.freeBoolMbx) == 0 {
+	if len(c.boolMbx.free) == 0 {
 		t.Fatal("result mailbox was not returned to the pool")
 	}
 	before := make(map[*fanWorker]bool, workers)
-	for _, w := range c.freeWorkers {
+	for _, w := range c.workers.free {
 		before[w] = true
 	}
 	for i := 0; i < 5; i++ {
 		runBatchOnce()
 	}
-	if got := len(c.freeWorkers); got != workers {
+	if got := len(c.workers.free); got != workers {
 		t.Fatalf("pool grew from %d to %d workers across identical batches, want reuse", workers, got)
 	}
-	for _, w := range c.freeWorkers {
+	for _, w := range c.workers.free {
 		if !before[w] {
 			t.Fatal("pool contains a respawned worker: arms were not served by the original pool")
 		}

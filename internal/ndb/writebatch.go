@@ -52,9 +52,9 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 	// TCKEYREQ is a single TC job, not one per row).
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
 
-	sc := t.c.getScratch()
-	defer t.c.putScratch(sc)
-	parts := sc.partsFor(len(items))
+	sc := t.c.scratch.get()
+	defer t.c.scratch.put(sc)
+	parts := zeroed(&sc.parts, len(items))
 	groups, ok := groupByTarget(sc, len(items), func(i int) (*DataNode, bool) {
 		part := items[i].Table.partitionFor(items[i].PartKey)
 		t.heatTouch(part)
@@ -70,7 +70,7 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 		return t.failAbort()
 	}
 
-	errs := sc.errsFor(len(items))
+	errs := zeroed(&sc.errs, len(items))
 	serve := func(p *sim.Proc, g *batchGroup) bool {
 		req := trainReq(g)
 		for _, i := range g.idx {

@@ -109,20 +109,6 @@ func intentKey(id uint64) string {
 // classify it as indeterminate.
 var ErrIndeterminate = fmt.Errorf("shard: cross-shard commit indeterminate, durable intent pending: %w", ndb.ErrNodeUnavailable)
 
-// EnableIntents creates the per-shard durable intent tables. It must run
-// at deployment build time, before transactions flow; single-shard
-// routers skip it (no cross-shard path exists), keeping their table set
-// — and every golden that renders it — unchanged.
-func (r *Router) EnableIntents() {
-	if r.n == 1 || r.intents != nil {
-		return
-	}
-	r.intents = make([]*ndb.Table, r.n)
-	for i, c := range r.clusters {
-		r.intents[i] = c.CreateTable(intentTableName, 256, ndb.TableOptions{ReadBackup: true})
-	}
-}
-
 // commitCross commits a transaction that opened sub-transactions on several
 // shards: a plain commit when at most one of them has anything to write —
 // the usual case, a path resolution that straddled shards — and the intent
@@ -174,10 +160,6 @@ func (t *Txn) commitCross() error {
 			writerShards = append(writerShards, s)
 		}
 	}
-	if r.intents == nil {
-		return fmt.Errorf("shard: cross-shard write without intent tables (router not fully attached)")
-	}
-
 	// Step 2: build the intent from the staged rows of every writer after
 	// the first, guard deletes by their pre-image identity, and pair puts
 	// with the delete of the same inode (the move's source) as fallback.

@@ -61,8 +61,9 @@ type Router struct {
 
 	obs routerObs
 
-	// intents[s] is shard s's durable intent table (EnableIntents); nil
-	// for single-shard routers, which never need the cross-shard path.
+	// intents[s] is shard s's durable intent table; nil for single-shard
+	// routers, which have no cross-shard path — their table set, and every
+	// golden that renders it, stays the unsharded one.
 	intents []*ndb.Table
 	// intentSeq numbers intent records; combined with the origin namenode
 	// it is unique per deployment.
@@ -101,6 +102,12 @@ func NewRouter(clusters []*ndb.Cluster) (*Router, error) {
 	for i := range r.shardKeys {
 		r.shardKeys[i] = "shard" + strconv.Itoa(i)
 	}
+	if r.n > 1 {
+		r.intents = make([]*ndb.Table, r.n)
+		for i, c := range clusters {
+			r.intents[i] = c.CreateTable(intentTableName, 256, ndb.TableOptions{ReadBackup: true})
+		}
+	}
 	return r, nil
 }
 
@@ -114,9 +121,11 @@ func (r *Router) Cluster(s int) *ndb.Cluster { return r.clusters[s] }
 // the slice.
 func (r *Router) Clusters() []*ndb.Cluster { return r.clusters }
 
-// SetTracer registers the router's shard.* metrics.
+// SetTracer registers the router's shard.* metrics. A one-cluster router
+// never counts anything (its transactions are the cluster's own), so it
+// registers nothing and an unsharded registry keeps its sample set.
 func (r *Router) SetTracer(tr *trace.Tracer) {
-	if tr == nil {
+	if tr == nil || r.n == 1 {
 		return
 	}
 	reg := tr.Registry()
@@ -190,11 +199,6 @@ func (r *Router) Pin(pk string, s int) error {
 	return nil
 }
 
-// Unpin removes a pin override.
-func (r *Router) Unpin(pk string) {
-	delete(r.pins, pk)
-}
-
 // Pinned returns the pin override for pk, if any.
 func (r *Router) Pinned(pk string) (int, bool) {
 	s, ok := r.pins[pk]
@@ -217,19 +221,6 @@ func (r *Router) NewTableSet(name string, rowSize int, opts ndb.TableOptions) *T
 	}
 	return &TableSet{r: r, tabs: tabs}
 }
-
-// Wrap adopts existing per-shard tables (one per cluster, in shard order)
-// as a set — how the namenode re-homes tables created before the router
-// was attached.
-func (r *Router) Wrap(tabs []*ndb.Table) (*TableSet, error) {
-	if len(tabs) != r.n {
-		return nil, fmt.Errorf("shard: wrap %d tables across %d shards", len(tabs), r.n)
-	}
-	return &TableSet{r: r, tabs: tabs}, nil
-}
-
-// Router returns the set's router.
-func (ts *TableSet) Router() *Router { return ts.r }
 
 // Shard returns the shard owning partition key pk.
 func (ts *TableSet) Shard(pk string) int { return ts.r.ShardOfKey(pk) }

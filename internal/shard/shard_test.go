@@ -116,7 +116,6 @@ func TestSingleShardIdentity(t *testing.T) {
 			t.Fatalf("single-shard router sent key to shard %d", s)
 		}
 	}
-	r.EnableIntents()
 	if got := r.PendingIntentCount(); got != 0 {
 		t.Fatalf("single-shard router reports %d pending intents", got)
 	}
@@ -125,8 +124,8 @@ func TestSingleShardIdentity(t *testing.T) {
 	}
 }
 
-// TestPins checks subtree pinning: overrides beat the hash, out-of-range
-// pins are rejected, and unpinning restores hashing.
+// TestPins checks subtree pinning: overrides beat the hash and out-of-range
+// pins are rejected.
 func TestPins(t *testing.T) {
 	_, r, _ := testRouter(t, 3)
 	pk := keyOnShard(t, r, 2)
@@ -145,10 +144,6 @@ func TestPins(t *testing.T) {
 	if err := r.Pin("x", -1); err == nil {
 		t.Fatalf("negative pin accepted")
 	}
-	r.Unpin(pk)
-	if s := r.ShardOfKey(pk); s != 2 {
-		t.Fatalf("unpinned key routed to shard %d, want the hash shard 2", s)
-	}
 }
 
 // ident is a table value carrying an identity, like namenode.Inode does.
@@ -161,7 +156,6 @@ func (v ident) IdentityID() uint64 { return uint64(v) }
 func TestCrossShardCommit(t *testing.T) {
 	env, r, client := testRouter(t, 2)
 	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
-	r.EnableIntents()
 	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
 
 	inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
@@ -265,7 +259,6 @@ func readRow(t *testing.T, env *sim.Env, r *Router, client *simnet.Node, ts *Tab
 func TestIntentReplayIdempotent(t *testing.T) {
 	env, r, client := testRouter(t, 2)
 	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
-	r.EnableIntents()
 	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
 
 	// Roll-forward: the intent's leg inserts a row shard 1 never applied.
@@ -411,7 +404,6 @@ func TestSplitBatchShardFailure(t *testing.T) {
 func TestSplitBatchScatter(t *testing.T) {
 	env, r, client := testRouter(t, 2)
 	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
-	r.EnableIntents()
 	on0, on1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
 	pks := []string{on1, on0, on1, on0}
 	inTxn(t, env, r, client, ts, pks[0], func(p *sim.Proc, tx ndb.Tx) error {
@@ -461,7 +453,6 @@ func TestCommitCountersPartitionTransactions(t *testing.T) {
 	reg := trace.NewRegistry()
 	r.SetTracer(trace.NewTracer(reg))
 	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
-	r.EnableIntents()
 	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
 	read := func(tx ndb.Tx, pk string) error {
 		_, _, err := tx.ReadCommitted(ts.For(pk), pk, "x")

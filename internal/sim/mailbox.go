@@ -168,15 +168,6 @@ func (m *Mailbox[T]) RecvTimeout(p *Proc, d time.Duration) (T, bool) {
 	return v, true
 }
 
-// TryRecv returns a value if one is queued, without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
-	if m.q.Len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return m.q.Pop(), true
-}
-
 // Drain removes and returns up to max queued values without blocking. If
 // max <= 0 the entire queue is drained.
 func (m *Mailbox[T]) Drain(max int) []T {

@@ -42,9 +42,6 @@ func (r *Resource) Name() string { return r.name }
 // Capacity returns the total number of units.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // QueueLen returns the number of processes waiting to acquire.
 func (r *Resource) QueueLen() int { return r.waiters.Len() }
 

@@ -453,15 +453,6 @@ func (n *Network) Send(from, to *Node, size int, payload any) {
 	n.env.At(arrive, e.fire)
 }
 
-// Deliver transmits size bytes from one node to another and, on arrival,
-// delivers v into the given mailbox instead of the destination's inbox.
-// This is the reply path of an RPC: the caller parks on its own mailbox and
-// the responder answers with Deliver, keeping latency, bandwidth queueing,
-// and traffic accounting identical to Send without a demultiplexer.
-func Deliver[T any](n *Network, from, to *Node, size int, mb *sim.Mailbox[T], v T) {
-	n.transmit(from, to, size, func() { mb.Send(v) })
-}
-
 // Travel blocks p until a message of the given size sent from one node
 // would arrive at the other, with full traffic accounting: the synchronous
 // form of Send, used by code modelling a control flow that follows its own
@@ -470,13 +461,24 @@ func Deliver[T any](n *Network, from, to *Node, size int, mb *sim.Mailbox[T], v 
 // instead.
 func (n *Network) Travel(p *sim.Proc, from, to *Node, size int, timeout time.Duration) bool {
 	if from.alive && (from.zone == to.zone || !n.Partitioned(from.zone, to.zone)) {
-		// The blocking form cannot know the wire time up front (transmit
-		// schedules it); it is off the hot metadata path, so hop time 0 is
-		// an acceptable attribution loss.
+		// The blocking form does not know the wire time up front (the
+		// arrival below is scheduled); it is off the hot metadata path, so
+		// hop time 0 is an acceptable attribution loss.
 		p.Span().RecordHop(HopClassOf(from, to), size, 0)
 	}
 	mb := sim.NewMailbox[struct{}](n.env)
-	n.transmit(from, to, size, func() { mb.Send(struct{}{}) })
+	if arrive, sent := n.departure(from, to, size); sent {
+		// A closure per message, where Send rides a pooled envelope: the
+		// arrival wakes this caller's own mailbox, not the node's inbox.
+		n.env.At(arrive, func() {
+			if !to.alive || (from.zone != to.zone && n.Partitioned(from.zone, to.zone)) {
+				n.dropped++
+				return
+			}
+			to.nicRead += int64(size)
+			mb.Send(struct{}{})
+		})
+	}
 	_, ok := mb.RecvTimeout(p, timeout)
 	return ok
 }
@@ -581,28 +583,6 @@ func (n *Network) departure(from, to *Node, size int) (arrive time.Duration, ok 
 		depart += tx
 	}
 	return depart + lat, true
-}
-
-// transmit schedules an arbitrary handover on arrival: the generic (and
-// closure-allocating) form used by Deliver and Travel, which carry typed
-// mailboxes the envelope pool cannot.
-func (n *Network) transmit(from, to *Node, size int, handover func()) {
-	arrive, ok := n.departure(from, to, size)
-	if !ok {
-		return
-	}
-	n.env.At(arrive, func() {
-		if !to.alive {
-			n.dropped++
-			return
-		}
-		if from.zone != to.zone && n.Partitioned(from.zone, to.zone) {
-			n.dropped++
-			return
-		}
-		to.nicRead += int64(size)
-		handover()
-	})
 }
 
 // latency returns the one-way propagation latency between two nodes with
@@ -726,10 +706,6 @@ func (nd *Node) diskDelay(size int) time.Duration {
 	nd.diskNextFree = start + tx + nd.DiskLatency
 	return nd.diskNextFree - now
 }
-
-// DiskBusyUntil exposes the disk fluid-queue horizon, used by utilization
-// accounting.
-func (nd *Node) DiskBusyUntil() time.Duration { return nd.diskNextFree }
 
 // String implements fmt.Stringer.
 func (nd *Node) String() string {

@@ -178,25 +178,6 @@ func TestBandwidthQueueingDelaysBulkTransfers(t *testing.T) {
 	}
 }
 
-func TestDeliverRoutesToReplyMailbox(t *testing.T) {
-	env, net := newTestNet(t)
-	a := net.NewNode("a", 1, 1)
-	b := net.NewNode("b", 2, 2)
-	reply := sim.NewMailbox[string](env)
-	var got string
-	env.Spawn("caller", func(p *sim.Proc) {
-		Deliver(net, b, a, 64, reply, "pong")
-		got = reply.Recv(p)
-	})
-	env.Run()
-	if got != "pong" {
-		t.Fatalf("got %q, want pong", got)
-	}
-	if _, w := b.NICBytes(); w != 64 {
-		t.Fatalf("reply bytes not accounted: %d", w)
-	}
-}
-
 func TestDiskWriteQueueing(t *testing.T) {
 	env, net := newTestNet(t)
 	n := net.NewNode("n", 1, 1)

@@ -107,9 +107,6 @@ func NewSketch(window time.Duration, slots int) *Sketch {
 	return s
 }
 
-// Width returns the slot width — the resolution of windowed queries.
-func (s *Sketch) Width() time.Duration { return s.width }
-
 // Span returns the maximum trailing window the sketch can answer for.
 func (s *Sketch) Span() time.Duration { return s.width * time.Duration(len(s.slots)) }
 
