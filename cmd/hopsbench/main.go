@@ -39,6 +39,10 @@
 // The simulator's own wall-clock cost (and the recorded perf trajectory)
 // is measured by the benchmark in benchmark/, not here.
 //
+// Arguments are checked before anything runs: an unknown experiment id, or a
+// flag placed after an id (flags go before experiment ids), fails at once
+// instead of after the experiments in front of it.
+//
 // Flags:
 //
 //	-full     run the paper's complete server-count grid (slower)
@@ -50,6 +54,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"hopsfscl/internal/bench"
@@ -85,12 +90,21 @@ func run(args []string) error {
 			ids = append(ids, e.ID)
 		}
 	}
-	opts := bench.ExpOptions{Full: *full, Seed: *seed, ClientsPerServer: *clients}
+	// Every argument is checked before the first experiment runs: a typo in
+	// the last id must not cost the minutes the first ones take.
+	exps := make([]bench.Experiment, 0, len(ids))
 	for _, id := range ids {
+		if strings.HasPrefix(id, "-") {
+			return fmt.Errorf("flag %s follows an experiment id: flags go before experiment ids", id)
+		}
 		exp, ok := bench.ExperimentByID(id)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (try: hopsbench list)", id)
 		}
+		exps = append(exps, exp)
+	}
+	opts := bench.ExpOptions{Full: *full, Seed: *seed, ClientsPerServer: *clients}
+	for _, exp := range exps {
 		fmt.Printf("=== %s — %s ===\n", exp.ID, exp.Title)
 		t0 := time.Now()
 		out, err := exp.Run(opts)

@@ -124,10 +124,6 @@ type Options struct {
 	// round trips and one 2PC chain per row instead of coalesced commit
 	// trains — the ablation isolating the batched write path.
 	DisableBatchedWrites bool
-	// DisableMetrics switches the registry to no-op mode before any handle
-	// is registered: instrumented hot paths get nil handles and pay a single
-	// nil check per update — the floor for measuring registry overhead.
-	DisableMetrics bool
 	// NNCores, NNOpBase, and NNElectionRound override the metadata-server
 	// sizing (zero keeps namenode.DefaultConfig). The elastic experiments
 	// use them to shrink per-NN capacity — the paper's 32-vCPU servers never
@@ -225,9 +221,6 @@ func Build(opts Options) (*Deployment, error) {
 	env := sim.New(opts.Seed)
 	net := simnet.New(env, simnet.USWest1())
 	reg := trace.NewRegistry()
-	if opts.DisableMetrics {
-		reg.Disable()
-	}
 	net.SetRegistry(reg)
 	d := &Deployment{
 		Env: env, Net: net, Opts: opts, Setup: opts.Setup,

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/sim"
-	"hopsfscl/internal/slo"
 	"hopsfscl/internal/workload"
 )
 
@@ -360,37 +358,4 @@ func TestDeterministicDeployments(t *testing.T) {
 	if c1 != c2 || x1 != x2 {
 		t.Fatalf("deployments diverge: (%d,%d) vs (%d,%d)", c1, x1, c2, x2)
 	}
-}
-
-// TestSLOWithMetricsDisabled wires the live SLO engine into a deployment
-// built with DisableMetrics: the engine must still observe operations and
-// evaluate (its sketches are independent of the registry), while the no-op
-// registry stays empty of slo gauges.
-func TestSLOWithMetricsDisabled(t *testing.T) {
-	opts := smallOptions(PaperSetups[5])
-	opts.DisableMetrics = true
-	d, err := Build(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	eng := d.EnableSLO(slo.Spec{})
-	gen := workload.NewGenerator(d.Namespace, workload.SpotifyMix, 1)
-	d.Env.Spawn("driver", func(p *sim.Proc) {
-		for i := 0; i < 300; i++ {
-			_, _ = gen.Step(p, d.Clients[i%len(d.Clients)])
-		}
-	})
-	d.Env.RunFor(30 * time.Second)
-	rep := eng.Report(d.Env.Now())
-	if rep == nil || len(rep.Ops) == 0 {
-		t.Fatal("engine observed no operations under DisableMetrics")
-	}
-	for _, s := range d.Registry.Snapshot() {
-		if strings.HasPrefix(s.Name, "slo.") {
-			t.Errorf("disabled registry accumulated gauge %s", s.Name)
-		}
-	}
-	d.StopBackground()
-	d.Env.RunFor(time.Second)
 }

@@ -32,10 +32,6 @@ type Client struct {
 	// epoch and every client re-picks lazily at its next operation.
 	epoch int
 
-	// Ops and LatencySum feed the benchmark harness.
-	Ops        int64
-	LatencySum time.Duration
-
 	// span is the reusable root-span buffer for aggregate-mode tracing:
 	// a client runs one operation at a time, so StartOpInto can overwrite
 	// it per call instead of allocating.
@@ -127,19 +123,13 @@ func (cl *Client) travel(p *sim.Proc, from, to *simnet.Node, size int) bool {
 	return cl.ns.net.TravelDeferred(p, from, to, size, 2*time.Second)
 }
 
-// do runs one metadata RPC against the client's server, switching to a
-// surviving server when the current one fails mid-call. op names the
-// operation for the trace layer ("stat", "mkdir", ...): each call emits
-// exactly one root span under that name.
-func (cl *Client) do(p *sim.Proc, op string, reqExtra, respExtra int, fn func(nn *NameNode) error) error {
-	return cl.doSized(p, op, reqExtra, func(nn *NameNode) (int, error) {
-		return respExtra, fn(nn)
-	})
-}
-
-// doSized is do with a response payload size determined by the handler
-// (e.g. inline file bytes riding the reply).
-func (cl *Client) doSized(p *sim.Proc, op string, reqExtra int, fn func(nn *NameNode) (int, error)) error {
+// do is the one entry for a metadata RPC: it runs fn against the client's
+// server, switching to a surviving server when the current one fails
+// mid-call. op names the operation for the trace layer ("stat", "mkdir",
+// ...): each call emits exactly one root span under that name. reqExtra and
+// the handler's first result are the payload bytes riding the request and
+// the response (file data inline with the metadata, §II-A3).
+func (cl *Client) do(p *sim.Proc, op string, reqExtra int, fn func(nn *NameNode) (respExtra int, err error)) error {
 	sp := cl.ns.tracer.StartOpInto(&cl.span, op, p.EffNow())
 	var prev *trace.Span
 	if sp != nil {
@@ -159,9 +149,9 @@ func (cl *Client) doSized(p *sim.Proc, op string, reqExtra int, fn func(nn *Name
 	return err
 }
 
-// rpc is the uninstrumented RPC retry loop shared by all operations.
+// rpc is do's retry loop: pick a server, travel there, run the handler,
+// travel back; a lost leg drops the sticky server and tries another.
 func (cl *Client) rpc(p *sim.Proc, reqExtra int, fn func(nn *NameNode) (int, error)) error {
-	start := p.Now()
 	for attempt := 0; attempt < 4; attempt++ {
 		nn, err := cl.pick(p)
 		if err != nil {
@@ -178,14 +168,26 @@ func (cl *Client) rpc(p *sim.Proc, reqExtra int, fn func(nn *NameNode) (int, err
 			cl.nn = nil
 			continue
 		}
-		// Synchronize with the clock so the recorded end-to-end latency
+		// Synchronize with the clock so the caller's end-to-end latency
 		// includes every deferred hop and service time.
 		p.Flush()
-		cl.Ops++
-		cl.LatencySum += p.Now() - start
 		return err
 	}
 	return ErrNoNameNodes
+}
+
+// call is do for operations that return a value: the handler's value is
+// kept when it succeeds, whatever then happens to the response leg.
+func call[T any](cl *Client, p *sim.Proc, op string, fn func(nn *NameNode) (T, int, error)) (T, error) {
+	var out T
+	err := cl.do(p, op, 0, func(nn *NameNode) (int, error) {
+		got, respExtra, err := fn(nn)
+		if err == nil {
+			out = got
+		}
+		return respExtra, err
+	})
+	return out, err
 }
 
 // Exists reports whether a path resolves.
@@ -204,29 +206,27 @@ func (cl *Client) Exists(p *sim.Proc, path string) (bool, error) {
 // count, and total logical bytes (the HDFS getContentSummary operation,
 // implemented as recursive partition-pruned scans in one transaction).
 func (cl *Client) Du(p *sim.Proc, path string) (files, dirs int, bytes int64, err error) {
-	err = cl.do(p, "contentSummary", 0, 0, func(nn *NameNode) error {
+	err = cl.do(p, "contentSummary", 0, func(nn *NameNode) (int, error) {
 		var ierr error
 		files, dirs, bytes, ierr = nn.ContentSummary(p, path)
-		return ierr
+		return 0, ierr
 	})
 	return files, dirs, bytes, err
 }
 
 // Mkdir creates a directory.
 func (cl *Client) Mkdir(p *sim.Proc, path string) error {
-	return cl.do(p, "mkdir", 0, 0, func(nn *NameNode) error { return nn.Mkdir(p, path, 0o755) })
+	return cl.do(p, "mkdir", 0, func(nn *NameNode) (int, error) { return 0, nn.Mkdir(p, path, 0o755) })
 }
 
 // MkdirAll creates a directory and any missing ancestors.
 func (cl *Client) MkdirAll(p *sim.Proc, path string) error {
-	comps, err := splitPath(path)
+	fp, err := splitPath(path)
 	if err != nil {
 		return err
 	}
-	cur := ""
-	for _, c := range comps {
-		cur += "/" + c
-		if err := cl.Mkdir(p, cur); err != nil && err != ErrExists {
+	for i := 1; i <= fp.depth(); i++ {
+		if err := cl.Mkdir(p, fp.prefix(i)); err != nil && !errors.Is(err, ErrExists) {
 			return err
 		}
 	}
@@ -235,9 +235,9 @@ func (cl *Client) MkdirAll(p *sim.Proc, path string) error {
 
 // Create creates an empty or small file (metadata-only operation).
 func (cl *Client) Create(p *sim.Proc, path string, size int64) error {
-	return cl.do(p, "create", int(size), 0, func(nn *NameNode) error {
+	return cl.do(p, "create", int(size), func(nn *NameNode) (int, error) {
 		_, err := nn.Create(p, path, size)
-		return err
+		return 0, err
 	})
 }
 
@@ -263,8 +263,8 @@ func (cl *Client) WriteFile(p *sim.Proc, path string, size int64) error {
 		ids = append(ids, b.ID)
 		remaining -= sz
 	}
-	err := cl.do(p, "attachBlocks", 0, 0, func(nn *NameNode) error {
-		return nn.AttachBlocks(p, path, ids, size)
+	err := cl.do(p, "attachBlocks", 0, func(nn *NameNode) (int, error) {
+		return 0, nn.AttachBlocks(p, path, ids, size)
 	})
 	if err != nil && !errors.Is(err, ErrNoNameNodes) && !errors.Is(err, ErrRetriesExhausted) {
 		// The attach definitively failed (a namespace error, not a lost
@@ -282,14 +282,12 @@ func (cl *Client) WriteFile(p *sim.Proc, path string, size int64) error {
 // ride the metadata response from the NN (§II-A3), so they are charged on
 // that leg of the wire.
 func (cl *Client) ReadFile(p *sim.Proc, path string) (*Inode, error) {
-	var ino *Inode
-	err := cl.doSized(p, "read", 0, func(nn *NameNode) (int, error) {
+	ino, err := call(cl, p, "read", func(nn *NameNode) (*Inode, int, error) {
 		got, err := nn.GetBlockLocations(p, path)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
-		ino = got
-		return int(got.InlineSize), nil
+		return got, int(got.InlineSize), nil
 	})
 	if err != nil {
 		return nil, err
@@ -306,30 +304,18 @@ func (cl *Client) ReadFile(p *sim.Proc, path string) (*Inode, error) {
 
 // Stat returns metadata for a path.
 func (cl *Client) Stat(p *sim.Proc, path string) (*Inode, error) {
-	var out *Inode
-	err := cl.do(p, "stat", 0, 0, func(nn *NameNode) error {
+	return call(cl, p, "stat", func(nn *NameNode) (*Inode, int, error) {
 		got, err := nn.Stat(p, path)
-		if err != nil {
-			return err
-		}
-		out = got
-		return nil
+		return got, 0, err
 	})
-	return out, err
 }
 
 // List returns a directory's children.
 func (cl *Client) List(p *sim.Proc, path string) ([]*Inode, error) {
-	var out []*Inode
-	err := cl.do(p, "list", 0, 0, func(nn *NameNode) error {
+	return call(cl, p, "list", func(nn *NameNode) ([]*Inode, int, error) {
 		got, err := nn.List(p, path)
-		if err != nil {
-			return err
-		}
-		out = got
-		return nil
+		return got, 0, err
 	})
-	return out, err
 }
 
 // Delete removes a path, reclaiming block replicas after the metadata
@@ -337,51 +323,45 @@ func (cl *Client) List(p *sim.Proc, path string) ([]*Inode, error) {
 // (in HopsFS the NN queues invalidations as part of the delete), so a lost
 // response cannot leave the replicas orphaned.
 func (cl *Client) Delete(p *sim.Proc, path string, recursive bool) error {
-	return cl.do(p, "delete", 0, 0, func(nn *NameNode) error {
+	return cl.do(p, "delete", 0, func(nn *NameNode) (int, error) {
 		freed, err := nn.Delete(p, path, recursive)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if cl.ns.blockMgr != nil {
 			for _, id := range freed {
 				cl.ns.blockMgr.DeleteBlock(id)
 			}
 		}
-		return nil
+		return 0, nil
 	})
 }
 
 // Rename atomically moves src to dst.
 func (cl *Client) Rename(p *sim.Proc, src, dst string) error {
-	return cl.do(p, "rename", 0, 0, func(nn *NameNode) error { return nn.Rename(p, src, dst) })
+	return cl.do(p, "rename", 0, func(nn *NameNode) (int, error) { return 0, nn.Rename(p, src, dst) })
 }
 
 // SetPermission updates mode bits.
 func (cl *Client) SetPermission(p *sim.Proc, path string, perm uint16) error {
-	return cl.do(p, "setPermission", 0, 0, func(nn *NameNode) error { return nn.SetPermission(p, path, perm) })
+	return cl.do(p, "setPermission", 0, func(nn *NameNode) (int, error) { return 0, nn.SetPermission(p, path, perm) })
 }
 
 // SetOwner updates ownership.
 func (cl *Client) SetOwner(p *sim.Proc, path, owner string) error {
-	return cl.do(p, "setOwner", 0, 0, func(nn *NameNode) error { return nn.SetOwner(p, path, owner) })
+	return cl.do(p, "setOwner", 0, func(nn *NameNode) (int, error) { return 0, nn.SetOwner(p, path, owner) })
 }
 
 // SetQuota sets (or clears, with both limits zero) a directory's namespace
 // and storage-space quota.
 func (cl *Client) SetQuota(p *sim.Proc, path string, nsQuota, ssQuota int64) error {
-	return cl.do(p, "setQuota", 0, 0, func(nn *NameNode) error { return nn.SetQuota(p, path, nsQuota, ssQuota) })
+	return cl.do(p, "setQuota", 0, func(nn *NameNode) (int, error) { return 0, nn.SetQuota(p, path, nsQuota, ssQuota) })
 }
 
 // Quota returns a directory's quota limits and accumulated usage.
 func (cl *Client) Quota(p *sim.Proc, path string) (QuotaInfo, error) {
-	var out QuotaInfo
-	err := cl.do(p, "quota", 0, 0, func(nn *NameNode) error {
+	return call(cl, p, "quota", func(nn *NameNode) (QuotaInfo, int, error) {
 		got, err := nn.Quota(p, path)
-		if err != nil {
-			return err
-		}
-		out = got
-		return nil
+		return got, 0, err
 	})
-	return out, err
 }

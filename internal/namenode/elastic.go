@@ -80,15 +80,7 @@ func (nn *NameNode) Decommission() error {
 }
 
 // ServingCount returns how many servers currently accept new operations.
-func (ns *Namesystem) ServingCount() int {
-	n := 0
-	for _, nn := range ns.nns {
-		if nn.Serving() {
-			n++
-		}
-	}
-	return n
-}
+func (ns *Namesystem) ServingCount() int { return len(ns.ServingNameNodes()) }
 
 // ServingNameNodes returns the servers currently accepting new operations,
 // in id order.

@@ -1,9 +1,8 @@
 package namenode
 
 import (
-	"sort"
+	"errors"
 	"strconv"
-	"strings"
 	"time"
 
 	"hopsfscl/internal/blocks"
@@ -11,69 +10,105 @@ import (
 	"hopsfscl/internal/sim"
 )
 
-// splitPath validates an absolute path and returns its components.
-func splitPath(path string) ([]string, error) {
-	if path == "" || path[0] != '/' {
-		return nil, ErrInvalidPath
+// opRules is what differs between operations before their transaction
+// starts: everything else in op is the same for all of them.
+type opRules struct {
+	// root is what the operation answers for "/" itself; nil admits the root.
+	root error
+	// children hints the transaction with the partition of the target's
+	// children (List, Quota) instead of the partition of its own row.
+	children bool
+	// dst is Rename's parsed destination: billed, tagged and invalidated
+	// along with the source.
+	dst fsPath
+	// unlinks marks operations whose success removes the target's name: the
+	// hints under it (and under dst) are dropped after the commit.
+	unlinks bool
+}
+
+// op is the one template every file system operation runs (HopsFS's
+// resolve → lock → execute → update, §II-A2): validate the path, apply the
+// root rule, bill the NN CPU, count and annotate the operation, then run fn
+// as a retried storage transaction started at the hinted partition. A path
+// that fails validation costs nothing and is not counted.
+func (nn *NameNode) op(p *sim.Proc, path string, rules opRules, fn func(tx ndb.Tx, fp fsPath) error) error {
+	fp, err := splitPath(path)
+	if err != nil {
+		return err
 	}
-	if path == "/" {
-		return nil, nil
+	if fp.depth() == 0 && rules.root != nil {
+		return rules.root
 	}
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	for _, c := range parts {
-		if c == "" || c == "." || c == ".." {
-			return nil, ErrInvalidPath
+	nn.charge(p, fp.depth()+rules.dst.depth())
+	nn.Ops++
+	nn.annotate(p, path, rules.dst.raw)
+	var hint string
+	if rules.children {
+		hint = nn.dirHint(fp, fp.depth(), "")
+	} else {
+		hint = nn.hintFor(fp)
+	}
+	err = nn.runTxn(p, hint, func(tx ndb.Tx) error { return fn(tx, fp) })
+	if err == nil && rules.unlinks {
+		// Everything under the old name now resolves differently (or not at
+		// all), and a previous life of a rename's destination may still be
+		// cached: drop those hints so later resolutions do not waste a
+		// batched attempt on them.
+		nn.cache.invalidatePrefix(fp.prefix(fp.depth()))
+		if rules.dst.depth() > 0 {
+			nn.cache.invalidatePrefix(rules.dst.prefix(rules.dst.depth()))
 		}
 	}
-	return parts, nil
+	return err
 }
 
 // hintFor computes the transaction's distribution-aware hint: the partition
-// key of the target's parent directory, from the inode hint cache when
-// possible (a stale hint only costs locality, never correctness).
-func (nn *NameNode) hintFor(comps []string) string {
-	if len(comps) == 0 {
+// key of the target's own row, which lives with its parent directory's
+// children.
+func (nn *NameNode) hintFor(fp fsPath) string {
+	if fp.depth() == 0 {
 		return partKeyOf(0, "")
 	}
-	if len(comps) == 1 {
-		return partKeyOf(RootID, comps[0])
+	return nn.dirHint(fp, fp.depth()-1, fp.name())
+}
+
+// dirHint is the partition key of name's row under the directory made of
+// fp's first n components, from the inode hint cache when possible (a stale
+// hint only costs locality, never correctness).
+func (nn *NameNode) dirHint(fp fsPath, n int, name string) string {
+	if n == 0 {
+		return partKeyOf(RootID, name)
 	}
-	dir := "/" + strings.Join(comps[:len(comps)-1], "/")
-	if id, ok := nn.cache.get(dir); ok {
+	if id, ok := nn.cache.get(fp.prefix(n)); ok {
 		return partKey(id)
 	}
-	// Unresolved parent: hint with the top-level component's partition.
-	return partKeyOf(RootID, comps[0])
+	// Unresolved directory: hint with the top-level component's partition.
+	return partKeyOf(RootID, fp.comp(0))
 }
 
 // readInode fetches one inode row read-committed.
 func (nn *NameNode) readInode(tx ndb.Tx, parent uint64, name string) (*Inode, error) {
 	table, pk, key := nn.ns.inodeRow(parent, name)
-	v, ok, err := tx.ReadCommitted(table, pk, key)
+	v, _, err := tx.ReadCommitted(table, pk, key)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, ErrNotFound
-	}
-	ino, ok := v.(*Inode)
-	if !ok {
-		return nil, ErrNotFound
-	}
-	nn.ns.heat.TouchInode(tx.Now(), ino.ID)
-	return ino, nil
+	return nn.asInode(tx, v)
 }
 
 // lockInode re-reads an inode under a row lock on the primary replica.
 func (nn *NameNode) lockInode(tx ndb.Tx, parent uint64, name string, mode ndb.LockMode) (*Inode, error) {
 	table, pk, key := nn.ns.inodeRow(parent, name)
-	v, ok, err := tx.ReadLocked(table, pk, key, mode)
+	v, _, err := tx.ReadLocked(table, pk, key, mode)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, ErrNotFound
-	}
+	return nn.asInode(tx, v)
+}
+
+// asInode decodes a row value read from the inodes table — nil for an absent
+// row — and attributes the access to the inode's heat.
+func (nn *NameNode) asInode(tx ndb.Tx, v ndb.Value) (*Inode, error) {
 	ino, ok := v.(*Inode)
 	if !ok {
 		return nil, ErrNotFound
@@ -94,9 +129,9 @@ var rootInode = &Inode{ID: RootID, Parent: 0, Name: "", Dir: true, Perm: 0o755, 
 // (tryBatchResolve); otherwise — and whenever verification detects stale
 // hints — it falls back to the serial per-component walk. Either way the
 // hint cache is refreshed with what was actually read.
-func (nn *NameNode) resolveChain(tx ndb.Tx, comps []string) ([]*Inode, error) {
-	if !nn.ns.cfg.DisableBatchedResolve && len(comps) > 1 {
-		chain, ok, err := nn.tryBatchResolve(tx, comps)
+func (nn *NameNode) resolveChain(tx ndb.Tx, fp fsPath) ([]*Inode, error) {
+	if !nn.ns.cfg.DisableBatchedResolve && fp.depth() > 1 {
+		chain, ok, err := nn.tryBatchResolve(tx, fp)
 		if err != nil {
 			return nil, err
 		}
@@ -104,9 +139,9 @@ func (nn *NameNode) resolveChain(tx ndb.Tx, comps []string) ([]*Inode, error) {
 			return chain, nil
 		}
 	}
-	chain := make([]*Inode, 1, len(comps)+1)
+	chain := make([]*Inode, 1, fp.depth()+1)
 	chain[0] = rootInode
-	return nn.walkFrom(tx, chain, comps)
+	return nn.walkFrom(tx, chain, fp)
 }
 
 // tryBatchResolve attempts optimistic batched resolution: it collects the
@@ -119,196 +154,140 @@ func (nn *NameNode) resolveChain(tx ndb.Tx, comps []string) ([]*Inode, error) {
 // parent is exactly the ErrNotFound the serial walk would have returned,
 // and a non-directory interior component is ErrNotDir. Any remaining
 // uncovered suffix is resolved serially from the verified chain.
-func (nn *NameNode) tryBatchResolve(tx ndb.Tx, comps []string) ([]*Inode, bool, error) {
+func (nn *NameNode) tryBatchResolve(tx ndb.Tx, fp fsPath) ([]*Inode, bool, error) {
 	obs := nn.ns.obs
-	// ids[i] is the cached inode id of the prefix comps[:i]; ids[0] is "/".
-	// The prefix paths are built incrementally in one byte buffer probed
-	// with byte-keyed lookups: the whole chain costs one buffer, not one
-	// joined string per level.
-	ids := make([]uint64, 1, len(comps)+1)
+	depth := fp.depth()
+	// ids[i] is the cached inode id of fp.prefix(i); ids[0] is "/".
+	ids := make([]uint64, 1, depth+1)
 	ids[0] = RootID
-	pbuf := make([]byte, 0, 96)
-	for i := 1; i <= len(comps); i++ {
-		pbuf = append(pbuf, '/')
-		pbuf = append(pbuf, comps[i-1]...)
-		id, ok := nn.cache.getBytes(pbuf)
+	for i := 1; i <= depth; i++ {
+		id, ok := nn.cache.get(fp.prefix(i))
 		if !ok {
 			break
 		}
 		ids = append(ids, id)
 	}
-	// Row i is keyed by (ids[i], comps[i]), so the cache primes one row
+	// Row i is keyed by (ids[i], component i), so the cache primes one row
 	// beyond the covered prefix. A batch of one row is just a serial read.
-	rows := len(ids)
-	if rows > len(comps) {
-		rows = len(comps)
-	}
+	rows := min(len(ids), depth)
 	if rows < 2 {
-		obs.miss()
+		obs.resolveMiss.Add(1)
 		return nil, false, nil
 	}
 	gets := make([]ndb.BatchGet, rows)
 	for i := range gets {
 		g := &gets[i]
-		g.Table, g.PartKey, g.Key = nn.ns.inodeRow(ids[i], comps[i])
+		g.Table, g.PartKey, g.Key = nn.ns.inodeRow(ids[i], fp.comp(i))
 	}
 	vals, err := tx.ReadBatch(gets)
 	if err != nil {
 		return nil, false, err
 	}
-	chain := make([]*Inode, 1, len(comps)+1)
+	chain := make([]*Inode, 1, depth+1)
 	chain[0] = rootInode
-	pbuf = pbuf[:0]
 	for i := 0; i < rows; i++ {
-		pbuf = append(pbuf, '/')
-		pbuf = append(pbuf, comps[i]...)
 		if !vals[i].OK {
 			// Every link above row i verified, so the parent id used to
 			// key this row was the committed one: the row's absence is the
 			// same ErrNotFound the serial walk would see.
-			obs.hit()
+			obs.resolveHit.Add(1)
 			tx.Annotate("op.batched", strconv.Itoa(rows))
 			return nil, true, ErrNotFound
 		}
 		ino, ok := vals[i].Val.(*Inode)
-		if !ok || ino.Parent != ids[i] || ino.Name != comps[i] {
+		if !ok || ino.Parent != ids[i] || ino.Name != fp.comp(i) {
 			// Defensive: the stored row disagrees with its own key.
-			obs.fallback()
+			obs.resolveFallback.Add(1)
 			return nil, false, nil
 		}
 		if i+1 < len(ids) && ino.ID != ids[i+1] {
 			// The path component exists but is not the inode the cache
 			// promised (renamed away and recreated): every row below was
 			// keyed off a stale id, so the batch is worthless.
-			obs.fallback()
+			obs.resolveFallback.Add(1)
 			return nil, false, nil
 		}
-		if i < len(comps)-1 && !ino.Dir {
-			obs.hit()
+		if i < depth-1 && !ino.Dir {
+			obs.resolveHit.Add(1)
 			tx.Annotate("op.batched", strconv.Itoa(rows))
 			return nil, true, ErrNotDir
 		}
-		nn.cache.putBytes(pbuf, ino.ID)
+		nn.cache.put(fp.prefix(i+1), ino.ID)
 		chain = append(chain, ino)
 	}
-	obs.hit()
+	obs.resolveHit.Add(1)
 	tx.Annotate("op.batched", strconv.Itoa(rows))
-	chain, err = nn.walkFrom(tx, chain, comps)
+	chain, err = nn.walkFrom(tx, chain, fp)
 	if err != nil {
 		return nil, true, err
 	}
 	return chain, true, nil
 }
 
-// walkFrom continues serial resolution: chain already resolves
-// comps[:len(chain)-1], and each further component is one read-committed
-// round trip. It refreshes the hint cache as it goes.
-func (nn *NameNode) walkFrom(tx ndb.Tx, chain []*Inode, comps []string) ([]*Inode, error) {
+// walkFrom continues serial resolution: chain already resolves the first
+// len(chain)-1 components of fp, and each further component is one
+// read-committed round trip. It refreshes the hint cache as it goes.
+func (nn *NameNode) walkFrom(tx ndb.Tx, chain []*Inode, fp fsPath) ([]*Inode, error) {
 	cur := chain[len(chain)-1]
-	// One buffer carries the growing prefix path for the cache refreshes.
-	pbuf := make([]byte, 0, 96)
-	for j := 0; j < len(chain)-1; j++ {
-		pbuf = append(pbuf, '/')
-		pbuf = append(pbuf, comps[j]...)
-	}
-	for i := len(chain) - 1; i < len(comps); i++ {
+	for i := len(chain) - 1; i < fp.depth(); i++ {
 		if !cur.Dir {
 			return nil, ErrNotDir
 		}
-		child, err := nn.readInode(tx, cur.ID, comps[i])
+		child, err := nn.readInode(tx, cur.ID, fp.comp(i))
 		if err != nil {
 			return nil, err
 		}
-		pbuf = append(pbuf, '/')
-		pbuf = append(pbuf, comps[i]...)
-		nn.cache.putBytes(pbuf, child.ID)
+		nn.cache.put(fp.prefix(i+1), child.ID)
 		chain = append(chain, child)
 		cur = child
 	}
 	return chain, nil
 }
 
-// resolveParentChain resolves everything but the last component and returns
-// the full ancestor chain [root, ..., parent] plus the target's name. The
-// chain (not just the parent) is what mutations need: quota charges go to
-// every quota'd ancestor on the resolved path.
-func (nn *NameNode) resolveParentChain(tx ndb.Tx, comps []string) ([]*Inode, string, error) {
-	if len(comps) == 0 {
-		return nil, "", ErrInvalidPath
-	}
-	chain, err := nn.resolveChain(tx, comps[:len(comps)-1])
+// resolveParentChain resolves everything but the last component of a path
+// that has one (the root rule ran) and returns the full ancestor chain
+// [root, ..., parent]. The chain (not just the parent) is what mutations
+// need: quota charges go to every quota'd ancestor on the resolved path.
+func (nn *NameNode) resolveParentChain(tx ndb.Tx, fp fsPath) ([]*Inode, error) {
+	chain, err := nn.resolveChain(tx, fp.parent())
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if !chain[len(chain)-1].Dir {
-		return nil, "", ErrNotDir
+		return nil, ErrNotDir
 	}
-	return chain, comps[len(comps)-1], nil
+	return chain, nil
 }
 
-// resolveParent resolves everything but the last component and returns the
-// parent inode plus the target's name.
-func (nn *NameNode) resolveParent(tx ndb.Tx, comps []string) (*Inode, string, error) {
-	chain, name, err := nn.resolveParentChain(tx, comps)
+// lockPhase is the lock phase of every operation on one named inode:
+// resolve the parent chain read-committed, share-lock the parent row when
+// the operation adds or removes a name under it (pinParent — the parent
+// must keep existing), then lock the target's own row in mode. It returns
+// the ancestor chain [root, ..., parent] and the target's row — addressed,
+// locked, and holding its committed value (nil Val: the name is free) — so
+// the update phase rewrites it in place. Rename locks two rows in sorted
+// order and brings its own phase.
+func (nn *NameNode) lockPhase(tx ndb.Tx, fp fsPath, pinParent bool, mode ndb.LockMode) ([]*Inode, ndb.BatchWrite, error) {
+	chain, err := nn.resolveParentChain(tx, fp)
 	if err != nil {
-		return nil, "", err
+		return nil, ndb.BatchWrite{}, err
 	}
-	return chain[len(chain)-1], name, nil
+	parent := chain[len(chain)-1]
+	if pinParent {
+		if _, err := nn.lockInode(tx, parent.Parent, parent.Name, ndb.LockShared); err != nil {
+			return nil, ndb.BatchWrite{}, err
+		}
+	}
+	table, pk, key := nn.ns.inodeRow(parent.ID, fp.name())
+	v, _, err := tx.ReadLocked(table, pk, key, mode)
+	return chain, ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: v}, err
 }
 
 // Mkdir creates a directory. The parent is share-locked (it must keep
 // existing), the new child row is exclusively locked by the insert.
 func (nn *NameNode) Mkdir(p *sim.Proc, path string, perm uint16) error {
-	comps, err := splitPath(path)
-	if err != nil {
-		return err
-	}
-	if len(comps) == 0 {
-		return ErrExists
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
-	return nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
-		chain, name, err := nn.resolveParentChain(tx, comps)
-		if err != nil {
-			return err
-		}
-		parent := chain[len(chain)-1]
-		if _, err := nn.lockInode(tx, parent.Parent, parent.Name, ndb.LockShared); err != nil {
-			return err
-		}
-		// Exclusive-lock the child row first, then check existence: two
-		// racing creators serialize on the lock and the loser sees the
-		// winner's row.
-		table, pk, key := nn.ns.inodeRow(parent.ID, name)
-		if _, ok, err := tx.ReadLocked(table, pk, key, ndb.LockExclusive); err != nil {
-			return err
-		} else if ok {
-			return ErrExists
-		}
-		ino := &Inode{
-			ID:     nn.ns.nextID(),
-			Parent: parent.ID,
-			Name:   name,
-			Dir:    true,
-			Perm:   perm,
-			Owner:  "hdfs",
-			Mtime:  p.Now(),
-		}
-		// Subtree pinning is inherited: a directory created under a pinned
-		// directory pins its own children's partition key to the same
-		// shard, keeping the whole subtree together. A pin surviving an
-		// aborted attempt is harmless — inode ids are never reused.
-		if s, ok := nn.ns.router.Pinned(partKey(parent.ID)); ok {
-			_ = nn.ns.router.Pin(partKey(ino.ID), s)
-		}
-		// The inode row and any quota charges ride one batched write (a
-		// single-row batch stages exactly like a plain insert).
-		items := []ndb.BatchWrite{{Table: table, PartKey: pk, Key: key, Val: ino}}
-		items = append(items, nn.quotaCharges(chain, "c", ino.ID, 1, 0)...)
-		return tx.WriteBatch(items)
-	})
+	_, err := nn.createChild(p, path, Inode{Dir: true, Perm: perm})
+	return err
 }
 
 // Create creates a file of the given logical size. Sizes at or below the
@@ -316,54 +295,51 @@ func (nn *NameNode) Mkdir(p *sim.Proc, path string, perm uint16) error {
 // larger files get their block list attached later via AttachBlocks (the
 // client writes blocks through the block layer between the two).
 func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(comps) == 0 {
-		return nil, ErrExists
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
+	return nn.createChild(p, path, Inode{Perm: 0o644, Size: size})
+}
+
+// createChild inserts a new inode shaped like proto (kind, mode bits, size)
+// at path: the one create body behind Mkdir and Create.
+func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, error) {
 	var created *Inode
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
-		chain, name, err := nn.resolveParentChain(tx, comps)
+	err := nn.op(p, path, opRules{root: ErrExists}, func(tx ndb.Tx, fp fsPath) error {
+		// Exclusive-lock the child row first, then check existence: two
+		// racing creators serialize on the lock and the loser sees the
+		// winner's row.
+		chain, row, err := nn.lockPhase(tx, fp, true, ndb.LockExclusive)
 		if err != nil {
 			return err
 		}
-		parent := chain[len(chain)-1]
-		if _, err := nn.lockInode(tx, parent.Parent, parent.Name, ndb.LockShared); err != nil {
-			return err
-		}
-		table, pk, key := nn.ns.inodeRow(parent.ID, name)
-		if _, ok, err := tx.ReadLocked(table, pk, key, ndb.LockExclusive); err != nil {
-			return err
-		} else if ok {
+		if row.Val != nil {
 			return ErrExists
 		}
-		ino := &Inode{
-			ID:     nn.ns.nextID(),
-			Parent: parent.ID,
-			Name:   name,
-			Perm:   0o644,
-			Owner:  "hdfs",
-			Size:   size,
-			Mtime:  p.Now(),
+		parent := chain[len(chain)-1]
+		ino := proto
+		ino.ID, ino.Parent, ino.Name = nn.ns.nextID(), parent.ID, fp.name()
+		ino.Owner, ino.Mtime = "hdfs", p.Now()
+		if ino.Dir {
+			// Subtree pinning is inherited: a directory created under a
+			// pinned directory pins its own children's partition key to the
+			// same shard, keeping the whole subtree together. A pin
+			// surviving an aborted attempt is harmless — inode ids are
+			// never reused.
+			if s, ok := nn.ns.router.Pinned(partKey(parent.ID)); ok {
+				_ = nn.ns.router.Pin(partKey(ino.ID), s)
+			}
+		} else if ino.Size <= nn.ns.cfg.SmallFileThreshold {
+			ino.InlineSize = ino.Size
 		}
-		if size <= nn.ns.cfg.SmallFileThreshold {
-			ino.InlineSize = size
-		}
-		created = ino
+		created, row.Val = &ino, &ino
 		// The inode row, the inline small-file payload (§II-A3), and any
 		// quota charges commit as one batched write — one staging message
-		// pair per primary, coalesced commit trains where chains coincide.
-		items := []ndb.BatchWrite{{Table: table, PartKey: pk, Key: key, Val: ino}}
+		// pair per primary, coalesced commit trains where chains coincide
+		// (a single-row batch stages exactly like a plain insert).
+		items := []ndb.BatchWrite{row}
 		if ino.InlineSize > 0 {
 			table, pk := partOf(nn.ns.smallfiles, ino.ID)
 			items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Val: ino.InlineSize})
 		}
-		items = append(items, nn.quotaCharges(chain, "c", ino.ID, 1, size)...)
+		items = append(items, nn.quotaCharges(chain, "c", ino.ID, 1, ino.Size)...)
 		return tx.WriteBatch(items)
 	})
 	if err != nil {
@@ -374,16 +350,9 @@ func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error)
 
 // Stat returns a file or directory's metadata (read-committed, lock-free).
 func (nn *NameNode) Stat(p *sim.Proc, path string) (*Inode, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
 	var out *Inode
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
-		chain, err := nn.resolveChain(tx, comps)
+	err := nn.op(p, path, opRules{}, func(tx ndb.Tx, fp fsPath) error {
+		chain, err := nn.resolveChain(tx, fp)
 		if err != nil {
 			return err
 		}
@@ -397,23 +366,13 @@ func (nn *NameNode) Stat(p *sim.Proc, path string) (*Inode, error) {
 // committed, the target inode is share-locked to guarantee the freshest
 // block list (locked reads always go to the primary replica, §II-B2).
 func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(comps) == 0 {
-		return nil, ErrIsDir
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
 	var out *Inode
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
-		parent, name, err := nn.resolveParent(tx, comps)
+	err := nn.op(p, path, opRules{root: ErrIsDir}, func(tx ndb.Tx, fp fsPath) error {
+		_, row, err := nn.lockPhase(tx, fp, false, ndb.LockShared)
 		if err != nil {
 			return err
 		}
-		ino, err := nn.lockInode(tx, parent.ID, name, ndb.LockShared)
+		ino, err := nn.asInode(tx, row.Val)
 		if err != nil {
 			return err
 		}
@@ -437,17 +396,9 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 // List returns a directory's children, name-sorted. The directory is
 // share-locked; the children are one partition-pruned scan.
 func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
 	var out []*Inode
-	err = nn.runTxn(p, nn.hintFor(append(comps, "")), func(tx ndb.Tx) error {
-		out = out[:0]
-		chain, err := nn.resolveChain(tx, comps)
+	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath) error {
+		chain, err := nn.resolveChain(tx, fp)
 		if err != nil {
 			return err
 		}
@@ -455,29 +406,18 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 		if !dir.Dir {
 			return ErrNotDir
 		}
-		if dir.ID != RootID {
+		var kvs []ndb.KV
+		if dir.ID == RootID {
+			kvs, err = nn.scanRoot(tx)
+		} else {
 			if _, err := nn.lockInode(tx, dir.Parent, dir.Name, ndb.LockShared); err != nil {
 				return err
 			}
-		}
-		var kvs []ndb.KV
-		if dir.ID == RootID {
-			// The root's children are deliberately scattered across
-			// partitions (see partKeyOf); listing "/" is a table scan.
-			kvs, err = tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(dir.ID, ""))
-		} else {
 			table, pk := partOf(nn.ns.inodes, dir.ID)
 			kvs, err = tx.ScanPrefix(table, pk, inodeKey(dir.ID, ""))
 		}
-		if err != nil {
-			return err
-		}
-		for _, kv := range kvs {
-			if ino, ok := kv.Val.(*Inode); ok && ino.Parent == dir.ID {
-				out = append(out, ino)
-			}
-		}
-		return nil
+		out = appendChildren(out[:0], kvs, dir)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -490,28 +430,14 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 // directories fail with ErrNotEmpty. It returns the block ids freed so the
 // caller can reclaim them in the block layer after the commit.
 func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.BlockID, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(comps) == 0 {
-		return nil, ErrInvalidPath
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
 	var freed []blocks.BlockID
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
+	err := nn.op(p, path, opRules{root: ErrInvalidPath, unlinks: true}, func(tx ndb.Tx, fp fsPath) error {
 		freed = freed[:0]
-		chain, name, err := nn.resolveParentChain(tx, comps)
+		chain, row, err := nn.lockPhase(tx, fp, true, ndb.LockExclusive)
 		if err != nil {
 			return err
 		}
-		parent := chain[len(chain)-1]
-		if _, err := nn.lockInode(tx, parent.Parent, parent.Name, ndb.LockShared); err != nil {
-			return err
-		}
-		target, err := nn.lockInode(tx, parent.ID, name, ndb.LockExclusive)
+		target, err := nn.asInode(tx, row.Val)
 		if err != nil {
 			return err
 		}
@@ -520,9 +446,6 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 	if err != nil {
 		return nil, err
 	}
-	// The whole subtree is gone: drop its hints so later resolutions do not
-	// waste a batched attempt on rows that cannot exist.
-	nn.cache.invalidatePrefix("/" + strings.Join(comps, "/"))
 	return freed, nil
 }
 
@@ -544,20 +467,16 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 	}
 	top := true
 	for len(level) > 0 {
-		results, err := tx.ScanBatch(nn.ns.childScans(level))
+		listings, err := nn.listChildren(tx, level)
 		if err != nil {
 			return err
 		}
 		var next, found []*Inode
 		for li, dir := range level {
-			if top && len(results[li]) > 0 && !recursive {
+			if top && len(listings[li]) > 0 && !recursive {
 				return ErrNotEmpty
 			}
-			for _, kv := range results[li] {
-				child, ok := kv.Val.(*Inode)
-				if !ok || child.Parent != dir.ID {
-					continue
-				}
+			for _, child := range listings[li] {
 				if _, err := nn.lockInode(tx, dir.ID, child.Name, ndb.LockExclusive); err != nil {
 					return err
 				}
@@ -612,42 +531,32 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 }
 
 // Rename atomically moves src to dst — the operation object stores cannot
-// provide (§I). Lock order is by (partition, row key) to avoid deadlocks
-// between concurrent renames.
+// provide (§I). It runs in the common template but brings its own lock
+// phase: two rows, locked in (shard, partition, row key) order to avoid
+// deadlocks between concurrent renames.
 func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
-	srcComps, err := splitPath(src)
+	dfp, err := splitPath(dst)
 	if err != nil {
 		return err
 	}
-	dstComps, err := splitPath(dst)
-	if err != nil {
-		return err
-	}
-	if len(srcComps) == 0 || len(dstComps) == 0 {
+	if dfp.depth() == 0 {
 		return ErrInvalidPath
 	}
-	nn.charge(p, len(srcComps)+len(dstComps))
-	nn.Ops++
-	nn.annotate(p, src)
-	p.Span().SetAttr("dst", dst)
-	err = nn.runTxn(p, nn.hintFor(srcComps), func(tx ndb.Tx) error {
-		srcParent, srcName, err := nn.resolveParent(tx, srcComps)
+	return nn.op(p, src, opRules{root: ErrInvalidPath, dst: dfp, unlinks: true}, func(tx ndb.Tx, sfp fsPath) error {
+		srcChain, err := nn.resolveParentChain(tx, sfp)
 		if err != nil {
 			return err
 		}
+		srcParent, srcName := srcChain[len(srcChain)-1], sfp.name()
 		srcIno, err := nn.readInode(tx, srcParent.ID, srcName)
 		if err != nil {
 			return err
 		}
-		dstChain, err := nn.resolveChain(tx, dstComps[:len(dstComps)-1])
+		dstChain, err := nn.resolveParentChain(tx, dfp)
 		if err != nil {
 			return err
 		}
-		dstParent := dstChain[len(dstChain)-1]
-		if !dstParent.Dir {
-			return ErrNotDir
-		}
-		dstName := dstComps[len(dstComps)-1]
+		dstParent, dstName := dstChain[len(dstChain)-1], dfp.name()
 		// Cycle check: the destination's ancestor chain must not contain
 		// the source inode.
 		for _, anc := range dstChain {
@@ -655,28 +564,27 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 				return ErrCycle
 			}
 		}
-		// Deterministic lock order over the two row keys: shard first, so
-		// two cross-shard renames over the same pair of shards open their
-		// sub-transactions — and take their locks — in the same order.
-		type lockSpec struct {
-			shard   int
-			pk, key string
-		}
-		specs := []lockSpec{
-			{nn.ns.inodes.Shard(partKeyOf(srcParent.ID, srcName)), partKeyOf(srcParent.ID, srcName), inodeKey(srcParent.ID, srcName)},
-			{nn.ns.inodes.Shard(partKeyOf(dstParent.ID, dstName)), partKeyOf(dstParent.ID, dstName), inodeKey(dstParent.ID, dstName)},
-		}
-		sort.Slice(specs, func(i, j int) bool {
-			if specs[i].shard != specs[j].shard {
-				return specs[i].shard < specs[j].shard
+		// Deterministic lock order over the two rows: shard first, so two
+		// cross-shard renames over the same pair of shards open their
+		// sub-transactions — and take their locks — in the same order; then
+		// partition key, then row key.
+		unlink := nn.ns.inodeWrite(srcParent.ID, srcName, nil)
+		link := nn.ns.inodeWrite(dstParent.ID, dstName, nil)
+		before := func(a, b *ndb.BatchWrite) bool {
+			if sa, sb := nn.ns.inodes.Shard(a.PartKey), nn.ns.inodes.Shard(b.PartKey); sa != sb {
+				return sa < sb
 			}
-			if specs[i].pk != specs[j].pk {
-				return specs[i].pk < specs[j].pk
+			if a.PartKey != b.PartKey {
+				return a.PartKey < b.PartKey
 			}
-			return specs[i].key < specs[j].key
-		})
-		for _, s := range specs {
-			if _, _, err := tx.ReadLocked(nn.ns.inodes.At(s.shard), s.pk, s.key, ndb.LockExclusive); err != nil {
+			return a.Key < b.Key
+		}
+		order := [2]*ndb.BatchWrite{&unlink, &link}
+		if before(&link, &unlink) {
+			order = [2]*ndb.BatchWrite{&link, &unlink}
+		}
+		for _, row := range order {
+			if _, _, err := tx.ReadLocked(row.Table, row.PartKey, row.Key, ndb.LockExclusive); err != nil {
 				return err
 			}
 		}
@@ -687,7 +595,7 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		}
 		if _, err := nn.readInode(tx, dstParent.ID, dstName); err == nil {
 			return ErrExists
-		} else if err != ErrNotFound {
+		} else if !errors.Is(err, ErrNotFound) {
 			return err
 		}
 		moved := *srcIno
@@ -699,65 +607,63 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		// An inline payload row is keyed by the file's own inode id, so it
 		// moves with the file untouched. Quota usage is not migrated across
 		// quota boundaries (see quota.go).
-		return tx.WriteBatch([]ndb.BatchWrite{
-			nn.ns.inodeWrite(srcParent.ID, srcName, nil),
-			nn.ns.inodeWrite(dstParent.ID, dstName, &moved),
-		})
+		link.Val, link.Del = &moved, false
+		return tx.WriteBatch([]ndb.BatchWrite{unlink, link})
 	})
-	if err == nil {
-		// Everything under the old path now resolves differently, and a
-		// previous life of the destination path may still be cached.
-		nn.cache.invalidatePrefix("/" + strings.Join(srcComps, "/"))
-		nn.cache.invalidatePrefix("/" + strings.Join(dstComps, "/"))
-	}
-	return err
 }
 
 // SetPermission updates an inode's mode bits under an exclusive lock.
 func (nn *NameNode) SetPermission(p *sim.Proc, path string, perm uint16) error {
-	return nn.updateInode(p, path, func(ino *Inode) { ino.Perm = perm })
+	return nn.updateInode(p, path, func(ino *Inode) ([]ndb.BatchWrite, error) {
+		ino.Perm = perm
+		return nil, nil
+	})
 }
 
 // SetOwner updates an inode's owner under an exclusive lock.
 func (nn *NameNode) SetOwner(p *sim.Proc, path, owner string) error {
-	return nn.updateInode(p, path, func(ino *Inode) { ino.Owner = owner })
+	return nn.updateInode(p, path, func(ino *Inode) ([]ndb.BatchWrite, error) {
+		ino.Owner = owner
+		return nil, nil
+	})
 }
 
 // AttachBlocks records the block list of a large file after the client has
 // written the blocks through the block layer (the create/addBlock/complete
 // protocol collapsed into one metadata update).
 func (nn *NameNode) AttachBlocks(p *sim.Proc, path string, ids []blocks.BlockID, size int64) error {
-	return nn.updateInode(p, path, func(ino *Inode) {
+	return nn.updateInode(p, path, func(ino *Inode) ([]ndb.BatchWrite, error) {
 		ino.Blocks = append([]blocks.BlockID(nil), ids...)
 		ino.Size = size
+		return nil, nil
 	})
 }
 
-func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode)) error {
-	comps, err := splitPath(path)
-	if err != nil {
-		return err
-	}
-	if len(comps) == 0 {
-		return ErrInvalidPath
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
-	return nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
-		parent, name, err := nn.resolveParent(tx, comps)
+// updateInode rewrites one inode under an exclusive lock: mutate edits a
+// copy of the stored inode, and may refuse with an error or return companion
+// rows that must commit with it (SetQuota's record); those ride one batched
+// write with the inode row.
+func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode) ([]ndb.BatchWrite, error)) error {
+	return nn.op(p, path, opRules{root: ErrInvalidPath}, func(tx ndb.Tx, fp fsPath) error {
+		_, row, err := nn.lockPhase(tx, fp, false, ndb.LockExclusive)
 		if err != nil {
 			return err
 		}
-		ino, err := nn.lockInode(tx, parent.ID, name, ndb.LockExclusive)
+		ino, err := nn.asInode(tx, row.Val)
 		if err != nil {
 			return err
 		}
 		updated := *ino
-		mutate(&updated)
+		also, err := mutate(&updated)
+		if err != nil {
+			return err
+		}
 		updated.Mtime = p.Now()
-		table, pk, key := nn.ns.inodeRow(parent.ID, name)
-		return tx.Insert(table, pk, key, &updated)
+		row.Val = &updated
+		if len(also) == 0 {
+			return tx.Insert(row.Table, row.PartKey, row.Key, row.Val)
+		}
+		return tx.WriteBatch(append([]ndb.BatchWrite{row}, also...))
 	})
 }
 
@@ -766,18 +672,11 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode)) e
 // logical bytes — HDFS's getContentSummary. Reads are read-committed; like
 // HDFS, the summary is a consistent-enough snapshot, not a serialized one.
 func (nn *NameNode) ContentSummary(p *sim.Proc, path string) (files, dirs int, size int64, err error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
-	err = nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
+	err = nn.op(p, path, opRules{}, func(tx ndb.Tx, fp fsPath) error {
 		files, dirs, size = 0, 0, 0
-		chain, cerr := nn.resolveChain(tx, comps)
-		if cerr != nil {
-			return cerr
+		chain, err := nn.resolveChain(tx, fp)
+		if err != nil {
+			return err
 		}
 		return nn.summarize(tx, chain[len(chain)-1], &files, &dirs, &size)
 	})
@@ -788,52 +687,22 @@ func (nn *NameNode) ContentSummary(p *sim.Proc, path string) (files, dirs int, s
 }
 
 // summarize accumulates the subtree's file/dir counts and byte total,
-// walking the tree level by level with each level's directory listings in
-// one batched fan-out. The root directory's children are deliberately
-// scattered across partitions (see partKeyOf), so "/" itself still costs a
-// table scan.
+// walking the tree level by level.
 func (nn *NameNode) summarize(tx ndb.Tx, root *Inode, files, dirs *int, size *int64) error {
 	if !root.Dir {
 		*files++
 		*size += root.Size
 		return nil
 	}
-	type scanned struct {
-		dir *Inode
-		kvs []ndb.KV
-	}
-	level := []*Inode{root}
-	for len(level) > 0 {
-		var sets []scanned
-		var batchDirs []*Inode
-		for _, dir := range level {
-			*dirs++
-			if dir.ID == RootID {
-				kvs, err := tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(dir.ID, ""))
-				if err != nil {
-					return err
-				}
-				sets = append(sets, scanned{dir, kvs})
-			} else {
-				batchDirs = append(batchDirs, dir)
-			}
-		}
-		if len(batchDirs) > 0 {
-			results, err := tx.ScanBatch(nn.ns.childScans(batchDirs))
-			if err != nil {
-				return err
-			}
-			for i, dir := range batchDirs {
-				sets = append(sets, scanned{dir, results[i]})
-			}
+	for level := []*Inode{root}; len(level) > 0; {
+		*dirs += len(level)
+		listings, err := nn.listChildren(tx, level)
+		if err != nil {
+			return err
 		}
 		var next []*Inode
-		for _, s := range sets {
-			for _, kv := range s.kvs {
-				child, ok := kv.Val.(*Inode)
-				if !ok || child.Parent != s.dir.ID {
-					continue
-				}
+		for _, children := range listings {
+			for _, child := range children {
 				if child.Dir {
 					next = append(next, child)
 				} else {
@@ -845,4 +714,47 @@ func (nn *NameNode) summarize(tx ndb.Tx, root *Inode, files, dirs *int, size *in
 		level = next
 	}
 	return nil
+}
+
+// listChildren lists every directory of one level of a subtree walk,
+// positionally: one batched fan-out (ScanBatch) for the whole level, so a
+// level costs one parallel round instead of one round trip per directory.
+// Only "/" is listed on its own, by table scan.
+func (nn *NameNode) listChildren(tx ndb.Tx, dirs []*Inode) ([][]*Inode, error) {
+	out := make([][]*Inode, len(dirs))
+	batch := dirs
+	if dirs[0].ID == RootID {
+		// The root is a level of its own: nothing else has depth 0.
+		kvs, err := nn.scanRoot(tx)
+		if err != nil {
+			return nil, err
+		}
+		out[0], batch = appendChildren(nil, kvs, dirs[0]), nil
+	}
+	if len(batch) > 0 {
+		results, err := tx.ScanBatch(nn.ns.childScans(batch))
+		if err != nil {
+			return nil, err
+		}
+		for i, kvs := range results {
+			out[i] = appendChildren(nil, kvs, batch[i])
+		}
+	}
+	return out, nil
+}
+
+// scanRoot lists "/": the root's children are deliberately scattered across
+// partitions (see partKeyOf), so its listing is a table scan.
+func (nn *NameNode) scanRoot(tx ndb.Tx) ([]ndb.KV, error) {
+	return tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(RootID, ""))
+}
+
+// appendChildren appends the inodes of one directory listing to out.
+func appendChildren(out []*Inode, kvs []ndb.KV, dir *Inode) []*Inode {
+	for _, kv := range kvs {
+		if ino, ok := kv.Val.(*Inode); ok && ino.Parent == dir.ID {
+			out = append(out, ino)
+		}
+	}
+	return out
 }

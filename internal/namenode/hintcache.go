@@ -8,6 +8,9 @@ import (
 )
 
 // hintCache is the per-NN inode hint cache: path → inode id, bounded LRU.
+// Keys are normalized path prefixes ("/a/b"); callers pass substrings of the
+// operation's own path (fsPath.prefix), so a probe or a refresh builds no
+// string and a fresh insert keeps the caller's.
 // HopsFS NNs cache resolved path prefixes so transactions can (a) start at
 // the right partition (the partition-key hint) and (b) batch the whole
 // chain of inode reads optimistically. Entries may go stale — another NN
@@ -60,32 +63,6 @@ func (hc *hintCache) get(path string) (uint64, bool) {
 	}
 	hc.ll.MoveToFront(el)
 	return el.Value.(*hintEntry).id, true
-}
-
-// getBytes is get keyed by a byte-slice path: the map lookup converts in
-// place, so probing a prefix chain allocates nothing.
-func (hc *hintCache) getBytes(path []byte) (uint64, bool) {
-	el, ok := hc.items[string(path)]
-	if !ok {
-		return 0, false
-	}
-	hc.ll.MoveToFront(el)
-	return el.Value.(*hintEntry).id, true
-}
-
-// putBytes is put keyed by a byte-slice path: refreshing an entry that is
-// already cached (the steady state of a warm cache) allocates nothing;
-// only a fresh insert materializes the key string.
-func (hc *hintCache) putBytes(path []byte, id uint64) {
-	if hc.cap <= 0 {
-		return
-	}
-	if el, ok := hc.items[string(path)]; ok {
-		el.Value.(*hintEntry).id = id
-		hc.ll.MoveToFront(el)
-		return
-	}
-	hc.put(string(path), id)
 }
 
 // put inserts or refreshes a mapping, evicting the least recently used

@@ -1,6 +1,7 @@
 package namenode
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -251,26 +252,79 @@ func TestPropFSMatchesModel(t *testing.T) {
 	}
 }
 
-// TestPropSplitPath checks path validation over arbitrary strings: it never
-// panics, and accepted paths round-trip cleanly.
-func TestPropSplitPath(t *testing.T) {
-	prop := func(raw string) bool {
-		comps, err := splitPath(raw)
-		if err != nil {
-			return true
+// refSplitPath is the reference validator the path value is checked
+// against: split on "/" after trimming the slash runs at both ends.
+func refSplitPath(path string) ([]string, error) {
+	if path == "" || path[0] != '/' {
+		return nil, ErrInvalidPath
+	}
+	if path == "/" {
+		return nil, nil
+	}
+	parts := strings.Split(strings.Trim(path, "/"), "/")
+	for _, c := range parts {
+		if c == "" || c == "." || c == ".." {
+			return nil, ErrInvalidPath
 		}
-		for _, c := range comps {
-			if c == "" || c == "." || c == ".." || strings.Contains(c, "/") {
+	}
+	return parts, nil
+}
+
+// TestPropSplitPath checks the path value against the reference validator,
+// over arbitrary strings (it never panics) and over random strings built
+// from path-shaped pieces (slash runs at both ends, dot components, empty
+// components): the two accept the same inputs, the components are the
+// reference's, and every prefix is the re-joined components — the hint
+// cache's key — while being a substring of the input.
+func TestPropSplitPath(t *testing.T) {
+	agrees := func(raw string) bool {
+		want, werr := refSplitPath(raw)
+		fp, err := splitPath(raw)
+		if werr != nil {
+			return errors.Is(err, ErrInvalidPath)
+		}
+		if err != nil || fp.depth() != len(want) {
+			return false
+		}
+		for i, c := range want {
+			if fp.comp(i) != c {
 				return false
 			}
 		}
-		if len(comps) == 0 {
-			return raw == "/"
+		for i := 0; i <= len(want); i++ {
+			pre := fp.prefix(i)
+			if pre != "/"+strings.Join(want[:i], "/") || !strings.Contains(raw, pre) {
+				return false
+			}
 		}
-		return strings.HasPrefix(raw, "/")
+		if len(want) == 0 {
+			return true
+		}
+		up := fp.parent()
+		return fp.name() == want[len(want)-1] && up.depth() == len(want)-1 &&
+			up.prefix(up.depth()) == fp.prefix(len(want)-1)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(agrees, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+	pieces := []string{"/", "/", "/", "a", "bc", "d.e", ".", "..", "ü"}
+	rng := rand.New(rand.NewSource(1))
+	valid := 0
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(10); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		raw := b.String()
+		if !agrees(raw) {
+			t.Fatalf("splitPath(%q) disagrees with the reference", raw)
+		}
+		if _, err := splitPath(raw); err == nil {
+			valid++
+		}
+	}
+	if valid < 1000 {
+		t.Fatalf("only %d of 20000 generated paths were valid: the generator is not exercising accepted paths", valid)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"hopsfscl/internal/blocks"
@@ -192,9 +191,9 @@ type Namesystem struct {
 	balanceEpoch int
 
 	// tracer and obs attach the namesystem to a deployment's trace layer;
-	// both are nil for uninstrumented deployments.
+	// an uninstrumented deployment has a nil tracer and nil handles in obs.
 	tracer *trace.Tracer
-	obs    *nnObs
+	obs    nnObs
 
 	// heat attributes operation paths (per-depth subtree prefixes) and
 	// touched inodes to the deployment's heat collector; nil for
@@ -209,7 +208,8 @@ func (ns *Namesystem) SetHeat(h *heat.Collector) {
 	ns.heat = h
 }
 
-// nnObs caches the namesystem's pre-registered metric handles.
+// nnObs caches the namesystem's pre-registered metric handles. Handles are
+// nil-safe, so the zero value is the uninstrumented state.
 type nnObs struct {
 	// resolveHit counts operations whose path was fully primed from the
 	// hint cache and verified; resolveMiss counts paths the cache could not
@@ -221,40 +221,13 @@ type nnObs struct {
 	reg             *trace.Registry
 }
 
-// hit/miss/fallback record one resolve-cache outcome; nil-receiver-safe so
-// uninstrumented deployments pay only the nil check.
-func (o *nnObs) hit() {
-	if o != nil {
-		o.resolveHit.Add(1)
-	}
-}
-
-func (o *nnObs) miss() {
-	if o != nil {
-		o.resolveMiss.Add(1)
-	}
-}
-
-func (o *nnObs) fallback() {
-	if o != nil {
-		o.resolveFallback.Add(1)
-	}
-}
-
 // SetTracer attaches the namesystem to a deployment's tracer: every client
 // operation gets a root span, every transaction attempt a child span, and
 // the resolve-cache counter family is registered. A nil tracer detaches.
 func (ns *Namesystem) SetTracer(tr *trace.Tracer) {
 	ns.tracer = tr
 	reg := tr.Registry()
-	if reg == nil {
-		ns.obs = nil
-		for _, nn := range ns.nns {
-			nn.cache.size = nil
-		}
-		return
-	}
-	ns.obs = &nnObs{
+	ns.obs = nnObs{
 		resolveHit:      reg.Counter("namenode.resolve_cache", "result", "hit"),
 		resolveMiss:     reg.Counter("namenode.resolve_cache", "result", "miss"),
 		resolveFallback: reg.Counter("namenode.resolve_cache", "result", "fallback"),
@@ -268,9 +241,6 @@ func (ns *Namesystem) SetTracer(tr *trace.Tracer) {
 // cacheSizeGauge returns the per-NN resolve-cache size gauge (nil when
 // uninstrumented).
 func (ns *Namesystem) cacheSizeGauge(nn *NameNode) *trace.Gauge {
-	if ns.obs == nil {
-		return nil
-	}
 	return ns.obs.reg.Gauge("namenode.resolve_cache.size", "nn", nn.Node.Name())
 }
 
@@ -300,9 +270,7 @@ func (ns *Namesystem) HealthStats(now time.Duration) (live, expected int, util f
 		}
 		nn.healthAt = now
 		nn.healthBusy = nn.cpu.BusyIntegral()
-		if ns.obs != nil {
-			ns.obs.reg.Gauge("namenode.util", "nn", nn.Node.Name()).Set(u)
-		}
+		ns.obs.reg.Gauge("namenode.util", "nn", nn.Node.Name()).Set(u)
 		if nn.Alive() {
 			live++
 			sum += u
@@ -405,33 +373,31 @@ func (ns *Namesystem) seedRoot() {
 // transactions — used to pre-build benchmark namespaces without warm-up
 // traffic. Directories must be listed parents-first; all paths absolute.
 func (ns *Namesystem) Seed(dirs, files []string) error {
-	ids := map[string]uint64{"": RootID}
+	ids := map[string]uint64{"/": RootID}
 	place := func(path string, dir bool) error {
-		comps, err := splitPath(path)
+		fp, err := splitPath(path)
 		if err != nil {
 			return err
 		}
-		if len(comps) == 0 {
+		if fp.depth() == 0 {
 			return nil
 		}
-		parentPath := strings.Join(comps[:len(comps)-1], "/")
-		parent, ok := ids[parentPath]
+		parent, ok := ids[fp.prefix(fp.depth()-1)]
 		if !ok {
 			return fmt.Errorf("namenode: seed %q before its parent", path)
 		}
-		name := comps[len(comps)-1]
 		ino := &Inode{
 			ID:     ns.nextID(),
 			Parent: parent,
-			Name:   name,
+			Name:   fp.name(),
 			Dir:    dir,
 			Perm:   0o755,
 			Owner:  "hdfs",
 		}
-		table, pk, key := ns.inodeRow(parent, name)
+		table, pk, key := ns.inodeRow(parent, ino.Name)
 		ndb.StoreDirect(table, pk, key, ino)
 		if dir {
-			ids[strings.Join(comps, "/")] = ino.ID
+			ids[fp.prefix(fp.depth())] = ino.ID
 		}
 		return nil
 	}
@@ -515,13 +481,19 @@ func (ns *Namesystem) AddNameNode(zone simnet.ZoneID, host simnet.HostID, domain
 		ID:       id,
 		Domain:   domain,
 		cpu:      sim.NewResource(ns.env, fmt.Sprintf("nn-%d/cpu", id), ns.cfg.NNCores),
-		cache:    newHintCache(ns.cfg.HintCacheSize),
 		leaderID: 1,
 	}
-	nn.cache.setGauge(ns.cacheSizeGauge(nn))
 	ns.nns = append(ns.nns, nn)
-	ns.env.Spawn(nn.Node.Name()+"/election", func(p *sim.Proc) { nn.electionLoop(p) })
+	nn.start()
 	return nn
+}
+
+// start brings up what a stateless server has: an empty hint cache and its
+// leader-election process.
+func (nn *NameNode) start() {
+	nn.cache = newHintCache(nn.ns.cfg.HintCacheSize)
+	nn.cache.setGauge(nn.ns.cacheSizeGauge(nn))
+	nn.ns.env.Spawn(nn.Node.Name()+"/election", func(p *sim.Proc) { nn.electionLoop(p) })
 }
 
 // CPU exposes the NN's processor pool for utilization accounting.
@@ -542,9 +514,7 @@ func (nn *NameNode) Recover() {
 	}
 	nn.stopped = false
 	nn.Node.Recover()
-	nn.cache = newHintCache(nn.ns.cfg.HintCacheSize)
-	nn.cache.setGauge(nn.ns.cacheSizeGauge(nn))
-	nn.ns.env.Spawn(nn.Node.Name()+"/election", func(p *sim.Proc) { nn.electionLoop(p) })
+	nn.start()
 }
 
 // Leader returns the current leader NN (the namesystem-wide view: the
@@ -657,14 +627,7 @@ func retriable(err error) bool {
 func (nn *NameNode) runTxn(p *sim.Proc, hint string, fn func(tx ndb.Tx) error) error {
 	attemptTxn := func() error {
 		tx, err := nn.ns.router.Begin(p, nn.Node, nn.Domain, nn.ns.inodes.For(hint), hint)
-		if err != nil {
-			return err
-		}
-		if err := fn(tx); err != nil {
-			tx.Abort()
-			return err
-		}
-		return tx.Commit()
+		return ndb.InTx(tx, err, fn)
 	}
 	backoff := nn.ns.cfg.RetryBackoff
 	for attempt := 0; attempt <= nn.ns.cfg.RetryMax; attempt++ {
@@ -714,14 +677,18 @@ func (ns *Namesystem) ResolvePendingIntents(p *sim.Proc) (int, error) {
 	return ns.router.ResolvePendingIntents(p, nn.Node, nn.Domain)
 }
 
-// annotate tags the operation's active (root) span with the serving server
-// and target path, and attributes the path's subtrees to the heat
-// collector. Attributes only materialize in detailed tracing mode; heat
-// touches happen in aggregate mode too (the sketches are the aggregate).
-func (nn *NameNode) annotate(p *sim.Proc, path string) {
+// annotate tags the operation's active (root) span with the serving server,
+// the target path and (Rename) the destination, and attributes the target
+// path's subtrees to the heat collector. Attributes only materialize in
+// detailed tracing mode; heat touches happen in aggregate mode too (the
+// sketches are the aggregate).
+func (nn *NameNode) annotate(p *sim.Proc, path, dst string) {
 	nn.ns.heat.TouchPath(p.Now(), path)
 	if sp := p.Span(); sp != nil {
 		sp.SetAttr("nn", nn.Node.Name())
 		sp.SetAttr("path", path)
+		if dst != "" {
+			sp.SetAttr("dst", dst)
+		}
 	}
 }

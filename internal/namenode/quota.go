@@ -67,32 +67,12 @@ func (nn *NameNode) quotaCharges(chain []*Inode, kind string, ino uint64, ns, ss
 // resolution reads) and the authoritative quota record update as one batched
 // write.
 func (nn *NameNode) SetQuota(p *sim.Proc, path string, nsQuota, ssQuota int64) error {
-	comps, err := splitPath(path)
-	if err != nil {
-		return err
-	}
-	if len(comps) == 0 {
-		return ErrInvalidPath
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
-	return nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
-		parent, name, err := nn.resolveParent(tx, comps)
-		if err != nil {
-			return err
-		}
-		ino, err := nn.lockInode(tx, parent.ID, name, ndb.LockExclusive)
-		if err != nil {
-			return err
-		}
+	return nn.updateInode(p, path, func(ino *Inode) ([]ndb.BatchWrite, error) {
 		if !ino.Dir {
-			return ErrNotDir
+			return nil, ErrNotDir
 		}
-		updated := *ino
-		updated.QuotaNS = nsQuota
-		updated.QuotaSS = ssQuota
-		updated.Mtime = p.Now()
+		ino.QuotaNS = nsQuota
+		ino.QuotaSS = ssQuota
 		quotas, pk := partOf(nn.ns.quotas, ino.ID)
 		quotaRow := ndb.BatchWrite{Table: quotas, PartKey: pk, Key: quotaRecordKey}
 		if nsQuota == 0 && ssQuota == 0 {
@@ -100,7 +80,7 @@ func (nn *NameNode) SetQuota(p *sim.Proc, path string, nsQuota, ssQuota int64) e
 		} else {
 			quotaRow.Val = &QuotaRecord{NS: nsQuota, SS: ssQuota}
 		}
-		return tx.WriteBatch([]ndb.BatchWrite{nn.ns.inodeWrite(parent.ID, name, &updated), quotaRow})
+		return []ndb.BatchWrite{quotaRow}, nil
 	})
 }
 
@@ -108,17 +88,10 @@ func (nn *NameNode) SetQuota(p *sim.Proc, path string, nsQuota, ssQuota int64) e
 // authoritative record plus the fold of its pending update rows, both served
 // from the directory's own quotas partition (one partition-pruned scan).
 func (nn *NameNode) Quota(p *sim.Proc, path string) (QuotaInfo, error) {
-	comps, err := splitPath(path)
-	if err != nil {
-		return QuotaInfo{}, err
-	}
-	nn.charge(p, len(comps))
-	nn.Ops++
-	nn.annotate(p, path)
 	var info QuotaInfo
-	err = nn.runTxn(p, nn.hintFor(append(comps, "")), func(tx ndb.Tx) error {
+	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath) error {
 		info = QuotaInfo{}
-		chain, err := nn.resolveChain(tx, comps)
+		chain, err := nn.resolveChain(tx, fp)
 		if err != nil {
 			return err
 		}

@@ -223,13 +223,13 @@ func isNamespaceErr(err error) bool {
 // cache holds) then the reference serial walk — and returns both outcomes.
 // Infrastructure errors (node down, lock timeout) propagate to runTxn so
 // its abort/retry machinery stays in charge.
-func resolveBothWays(p *sim.Proc, nn *NameNode, comps []string) (batched, serial []*Inode, berr, serr error) {
+func resolveBothWays(p *sim.Proc, nn *NameNode, comps fsPath) (batched, serial []*Inode, berr, serr error) {
 	txErr := nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		batched, berr = nn.resolveChain(tx, comps)
 		if berr != nil && !isNamespaceErr(berr) {
 			return berr
 		}
-		chain := make([]*Inode, 1, len(comps)+1)
+		chain := make([]*Inode, 1, comps.depth()+1)
 		chain[0] = rootInode
 		serial, serr = nn.walkFrom(tx, chain, comps)
 		if serr != nil && !isNamespaceErr(serr) {
@@ -418,12 +418,12 @@ func runConcurrentSafetySeed(t *testing.T, seed int64) {
 			})
 			switch {
 			case rerr == nil:
-				if len(chain) != len(comps)+1 || chain[0].ID != RootID {
+				if len(chain) != comps.depth()+1 || chain[0].ID != RootID {
 					t.Errorf("%s: malformed chain %s", path, chainIDs(chain))
 					return
 				}
-				for i := 0; i < len(comps); i++ {
-					if chain[i+1].Parent != chain[i].ID || chain[i+1].Name != comps[i] {
+				for i := 0; i < comps.depth(); i++ {
+					if chain[i+1].Parent != chain[i].ID || chain[i+1].Name != comps.comp(i) {
 						t.Errorf("%s: broken link at %d: %+v under %+v", path, i, chain[i+1], chain[i])
 						return
 					}

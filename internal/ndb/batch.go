@@ -53,16 +53,19 @@ type batchGroup struct {
 	idx    []int
 }
 
-// routeRow resolves the read target for one row of table at partKey,
-// following ReadCommitted's routing rules. It returns the chosen datanode,
-// its replica slot (-1 when the TC serves a fully replicated row it does not
-// own), and the row's partition.
-func (t *Txn) routeRow(table *Table, partKey string) (*DataNode, int, *Partition) {
-	part := table.partitionFor(partKey)
+// routeRow is the one §IV-A5 replica choice behind every unlocked read —
+// single rows, scans and both batches: Read Backup tables serve from the
+// replica nearest the TC (primary or backup), fully replicated tables from
+// the TC itself, plain tables from the primary. It attributes the access to
+// part's heat and returns the chosen datanode (nil when none is reachable)
+// and its replica slot (-1 when the TC serves a fully replicated row it does
+// not own).
+func (t *Txn) routeRow(part *Partition) (*DataNode, int) {
+	table := part.table
 	t.heatTouch(part)
 	reps := part.replicas()
 	if len(reps) == 0 {
-		return nil, -1, part
+		return nil, -1
 	}
 	var target *DataNode
 	slot := -1
@@ -90,7 +93,7 @@ func (t *Txn) routeRow(table *Table, partKey string) (*DataNode, int, *Partition
 	if target != nil && !target.Alive() {
 		target = nil
 	}
-	return target, slot, part
+	return target, slot
 }
 
 // groupByTarget routes every row and groups the row indices by target
@@ -194,7 +197,7 @@ func trainReq(g *batchGroup) int {
 // per proximity class of their serving replica. Any unreachable target
 // aborts the transaction, as ReadCommitted would. at and row are static
 // functions, so the batch allocates its result slice and one serve closure.
-func readBatch[T, R any](t *Txn, reqs []T, at func(*T) (*Table, string),
+func readBatch[T, R any](t *Txn, reqs []T, at func(*T) *Partition,
 	row func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, req *T) (R, int)) ([]R, error) {
 	if t.done {
 		return nil, ErrAborted
@@ -212,8 +215,9 @@ func readBatch[T, R any](t *Txn, reqs []T, at func(*T) (*Table, string),
 	slots := zeroed(&sc.slots, len(reqs))
 	parts := zeroed(&sc.parts, len(reqs))
 	groups, ok := groupByTarget(sc, len(reqs), func(i int) (*DataNode, bool) {
-		target, slot, part := t.routeRow(at(&reqs[i]))
-		slots[i], parts[i] = slot, part
+		parts[i] = at(&reqs[i])
+		target, slot := t.routeRow(parts[i])
+		slots[i] = slot
 		return target, target != nil
 	})
 	if !ok {
@@ -245,7 +249,7 @@ func readBatch[T, R any](t *Txn, reqs []T, at func(*T) (*Table, string),
 // returning results positionally.
 func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 	return readBatch(t, gets,
-		func(g *BatchGet) (*Table, string) { return g.Table, g.PartKey },
+		func(g *BatchGet) *Partition { return g.Table.partitionFor(g.PartKey) },
 		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, g *BatchGet) (BatchVal, int) {
 			target.use(p, LDM, t.c.cfg.Costs.LDMRead)
 			val, exists := part.committed(g.PartKey, g.Key)
@@ -259,7 +263,7 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 // round trip per directory.
 func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 	return readBatch(t, scans,
-		func(s *BatchScan) (*Table, string) { return s.Table, s.PartKey },
+		func(s *BatchScan) *Partition { return s.Table.partitionFor(s.PartKey) },
 		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, s *BatchScan) ([]KV, int) {
 			rows := part.scanPrefix(s.PartKey, s.Prefix)
 			// One LDM charge per small batch of rows scanned, minimum one

@@ -13,11 +13,19 @@ func (c *Cluster) startBackground() {
 	c.gcpEpoch = 1
 	c.env.Spawn("ndb/gcp-ticker", func(p *sim.Proc) { c.gcpLoop(p) })
 	for _, dn := range c.datanodes {
-		dn := dn
-		c.env.Spawn(dn.Node.Name()+"/server", func(p *sim.Proc) { dn.serve(p) })
-		c.env.Spawn(dn.Node.Name()+"/hb", func(p *sim.Proc) { dn.heartbeatLoop(p) })
-		c.env.Spawn(dn.Node.Name()+"/gcp", func(p *sim.Proc) { dn.checkpointLoop(p) })
+		dn.startHousekeeping()
 	}
+}
+
+// startHousekeeping spawns the datanode's three housekeeping processes — at
+// cluster start and again whenever the node comes back from a real outage
+// (they exit when the node goes down). Spawn order and names are schedule-
+// and span-visible.
+func (dn *DataNode) startHousekeeping() {
+	env, name := dn.c.env, dn.Node.Name()
+	env.Spawn(name+"/server", func(p *sim.Proc) { dn.serve(p) })
+	env.Spawn(name+"/hb", func(p *sim.Proc) { dn.heartbeatLoop(p) })
+	env.Spawn(name+"/gcp", func(p *sim.Proc) { dn.checkpointLoop(p) })
 }
 
 // StopBackground asks all housekeeping processes to exit at their next
@@ -271,9 +279,7 @@ func (c *Cluster) Rejoin(p *sim.Proc, dn *DataNode) {
 	dn.shutdown = false
 	c.resync(p, dn)
 	dn.declaredDead = false
-	c.env.Spawn(dn.Node.Name()+"/server", func(sp *sim.Proc) { dn.serve(sp) })
-	c.env.Spawn(dn.Node.Name()+"/hb", func(sp *sim.Proc) { dn.heartbeatLoop(sp) })
-	c.env.Spawn(dn.Node.Name()+"/gcp", func(sp *sim.Proc) { dn.checkpointLoop(sp) })
+	dn.startHousekeeping()
 }
 
 // Reinstate clears a false failure declaration: a node that missed

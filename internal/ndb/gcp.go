@@ -80,9 +80,7 @@ func (c *Cluster) CrashRestartCluster(p *sim.Proc) {
 			dn.Node.DiskRead(p, replay)
 		}
 		if wasDown {
-			c.env.Spawn(dn.Node.Name()+"/server", func(sp *sim.Proc) { dn.serve(sp) })
-			c.env.Spawn(dn.Node.Name()+"/hb", func(sp *sim.Proc) { dn.heartbeatLoop(sp) })
-			c.env.Spawn(dn.Node.Name()+"/gcp", func(sp *sim.Proc) { dn.checkpointLoop(sp) })
+			dn.startHousekeeping()
 		}
 	}
 	c.gcpEpoch = durable + 1

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hopsfscl/internal/heat"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 )
@@ -208,6 +209,64 @@ func TestReadBackupServesAZLocalReplica(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("read counts = %v, want one read per replica slot (slot %d)", counts, slot)
 		}
+	}
+}
+
+// TestTableScanIsRoutedLikeAnyRead pins the one read-routing path: a
+// ScanTablePrefix over P partitions is P routed reads, so it shows up as P
+// partition heat touches and P per-replica-slot read counts (Figure 14's
+// counters), like the P ScanPrefix calls it stands for.
+func TestTableScanIsRoutedLikeAnyRead(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	hc := heat.NewCollector(heat.Config{}, nil)
+	c.SetHeat(hc)
+	tbl := c.CreateTable("scattered", 128, TableOptions{ReadBackup: true})
+	inTxn(t, env, c, client, 1, tbl, "a", func(p *sim.Proc, tx *Txn) error {
+		for _, pk := range []string{"a", "b", "c"} {
+			if err := tx.Insert(tbl, pk, "1/"+pk, pk); err != nil {
+				return err
+			}
+		}
+		return tx.Commit()
+	})
+	heatTotal := func(now time.Duration) uint64 {
+		for _, f := range hc.Snapshot(now, 1).Families {
+			if f.Name == "partition" {
+				return f.Total
+			}
+		}
+		t.Fatal("no partition family in the heat report")
+		return 0
+	}
+	slotReads := func() (n int64) {
+		for _, part := range tbl.Partitions() {
+			for _, r := range part.ReadCounts() {
+				n += r
+			}
+		}
+		return n
+	}
+	// The sketches decay with virtual time: read them at the scan's instant.
+	var heatTouches uint64
+	readsBefore := slotReads()
+	inTxn(t, env, c, client, 1, tbl, "a", func(p *sim.Proc, tx *Txn) error {
+		heatBefore := heatTotal(p.Now())
+		kvs, err := tx.ScanTablePrefix(tbl, "1/")
+		if err != nil {
+			return err
+		}
+		if len(kvs) != 3 {
+			t.Errorf("table scan found %d rows, want 3", len(kvs))
+		}
+		heatTouches = heatTotal(p.Now()) - heatBefore
+		return tx.Commit()
+	})
+	parts := len(tbl.Partitions())
+	if heatTouches != uint64(parts) {
+		t.Errorf("table scan over %d partitions made %d partition heat touches", parts, heatTouches)
+	}
+	if got := slotReads() - readsBefore; got != int64(parts) {
+		t.Errorf("table scan over %d partitions counted %d replica-slot reads", parts, got)
 	}
 }
 

@@ -53,6 +53,22 @@ type Tx interface {
 	Abort()
 }
 
+// InTx runs fn inside the transaction a Begin call just opened — Begin's two
+// results are InTx's first two arguments — and ends it: aborted when fn
+// fails, committed otherwise. It is the one place the begin → execute →
+// abort-or-commit shape is written; T lets cluster-local callers keep
+// *Txn's wider method set.
+func InTx[T Tx](tx T, beginErr error, fn func(T) error) error {
+	if beginErr != nil {
+		return beginErr
+	}
+	if err := fn(tx); err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit()
+}
+
 type lockRef struct {
 	part *Partition
 	pk   string
@@ -226,17 +242,16 @@ func (t *Txn) StagedWrites(fn func(table *Table, partKey, key string, val Value,
 	}
 }
 
-// ReadCommitted reads the committed value of a row without locking. Routing
-// follows §IV-A5: Read Backup tables may serve from the TC-local replica
-// (primary or backup), fully replicated tables serve from the TC itself,
-// and plain tables always read the primary replica.
+// ReadCommitted reads the committed value of a row without locking, from
+// the replica routeRow picks (§IV-A5).
 func (t *Txn) ReadCommitted(table *Table, partKey, key string) (Value, bool, error) {
 	if t.done {
 		return nil, false, ErrAborted
 	}
 	cfg := &t.c.cfg
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	target, slot, part := t.routeRow(table, partKey)
+	part := table.partitionFor(partKey)
+	target, slot := t.routeRow(part)
 	if target == nil {
 		return nil, false, t.failAbort()
 	}
@@ -264,100 +279,60 @@ type KV struct {
 // ScanPrefix reads all committed rows of the hinted partition whose key
 // starts with prefix, in key order. HopsFS uses it for partition-pruned
 // index scans (directory listings): inodes are partitioned by parent id, so
-// a directory's children live in a single partition. Routing follows the
-// same rules as ReadCommitted.
+// a directory's children live in a single partition.
 func (t *Txn) ScanPrefix(table *Table, partKey, prefix string) ([]KV, error) {
+	part := table.partitionFor(partKey)
+	return t.scanPart(part, func() []KV { return part.scanPrefix(partKey, prefix) })
+}
+
+// ScanTablePrefix scans every partition of the table for committed rows
+// whose key starts with prefix, in key order. It exists for listings whose
+// rows are deliberately scattered across partitions (a HopsFS root
+// directory listing); it costs one scan per partition.
+func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
+	var out []KV
+	for _, part := range table.partitions {
+		rows, err := t.scanPart(part, func() []KV {
+			var found []KV
+			for pk := range part.rows {
+				found = append(found, part.scanPrefix(pk, prefix)...)
+			}
+			return found
+		})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rows...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out, nil
+}
+
+// scanPart is one routed scan of one partition, the unit both scans are
+// made of: the coordinator pass, routeRow's replica choice, the request, one
+// LDM charge per small batch of rows found (minimum one), the read counters
+// and the reply. rows collects the matches once the request has arrived.
+func (t *Txn) scanPart(part *Partition, rows func() []KV) ([]KV, error) {
 	if t.done {
 		return nil, ErrAborted
 	}
 	cfg := &t.c.cfg
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	part := table.partitionFor(partKey)
-	t.heatTouch(part)
-	reps := part.replicas()
-	if len(reps) == 0 {
+	target, slot := t.routeRow(part)
+	if target == nil || !t.sendTo(t.p, target, reqSize) {
 		return nil, t.failAbort()
 	}
-	target := reps[0]
-	slot := 0
-	if table.opts.FullyReplicated {
-		target, slot = t.tc, -1
-	} else if table.opts.ReadBackup {
-		best := ProximityRemote + 1
-		for i, r := range reps {
-			d := domainProximity(t.tc.Node, t.tc.Domain, r)
-			if d < best {
-				best, target, slot = d, r, i
-			}
-		}
-	}
-	if !t.sendTo(t.p, target, reqSize) {
-		return nil, t.failAbort()
-	}
-	out := part.scanPrefix(partKey, prefix)
-	// One LDM charge per small batch of rows scanned, minimum one.
-	batches := 1 + len(out)/8
-	for i := 0; i < batches; i++ {
+	out := rows()
+	for i := 0; i < 1+len(out)/8; i++ {
 		target.use(t.p, LDM, cfg.Costs.LDMRead)
 	}
 	t.c.Stats.Reads++
 	if slot >= 0 {
 		part.reads[slot]++
 	}
-	if !t.replyFrom(t.p, target, ackSize+len(out)*table.rowSize) {
+	if !t.replyFrom(t.p, target, ackSize+len(out)*part.table.rowSize) {
 		return nil, t.failAbort()
 	}
-	return out, nil
-}
-
-// ScanTablePrefix scans every partition of the table for committed rows
-// whose key starts with prefix, in key order. It exists for listings whose
-// rows are deliberately scattered across partitions (a HopsFS root
-// directory listing); it costs one routed scan per partition.
-func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
-	if t.done {
-		return nil, ErrAborted
-	}
-	cfg := &t.c.cfg
-	var out []KV
-	for _, part := range table.partitions {
-		t.tc.use(t.p, TC, cfg.Costs.TCOp)
-		reps := part.replicas()
-		if len(reps) == 0 {
-			return nil, t.failAbort()
-		}
-		target := reps[0]
-		if table.opts.FullyReplicated {
-			target = t.tc
-		} else if table.opts.ReadBackup {
-			best := ProximityRemote + 1
-			for _, r := range reps {
-				if d := domainProximity(t.tc.Node, t.tc.Domain, r); d < best {
-					best, target = d, r
-				}
-			}
-		}
-		if !t.sendTo(t.p, target, reqSize) {
-			return nil, t.failAbort()
-		}
-		var found int
-		for _, bucket := range part.rows {
-			for k, r := range bucket {
-				if r.exists && strings.HasPrefix(k, prefix) {
-					out = append(out, KV{Key: k, Val: r.val})
-					found++
-				}
-			}
-		}
-		for i := 0; i < 1+found/8; i++ {
-			target.use(t.p, LDM, cfg.Costs.LDMRead)
-		}
-		t.c.Stats.Reads++
-		if !t.replyFrom(t.p, target, ackSize+found*table.rowSize) {
-			return nil, t.failAbort()
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -286,56 +287,52 @@ func (r *Router) resolveIntent(p *sim.Proc, origin *simnet.Node, domain simnet.Z
 			continue
 		}
 		tx, err := c.Begin(p, origin, domain, c.Table(leg.Rows[0].Table), leg.Rows[0].PartKey)
-		if err != nil {
-			return err
-		}
-		for _, row := range leg.Rows {
-			tab := c.Table(row.Table)
-			cur, ok, err := tx.ReadLocked(tab, row.PartKey, row.Key, ndb.LockExclusive)
-			if err != nil {
-				tx.Abort()
-				return err
-			}
-			switch {
-			case row.Del:
-				id, idOK := uint64(0), false
-				if ok {
-					id, idOK = identityOf(cur)
-				}
-				if ok && (row.Guard == 0 || (idOK && id == row.Guard)) {
-					if err := tx.Delete(tab, row.PartKey, row.Key); err != nil {
-						tx.Abort()
-						return err
-					}
-				}
-			case !ok:
-				// Destination free: roll forward.
-				if err := tx.Write(tab, row.PartKey, row.Key, row.Val, false); err != nil {
-					tx.Abort()
+		err = ndb.InTx(tx, err, func(tx *ndb.Txn) error {
+			for _, row := range leg.Rows {
+				tab := c.Table(row.Table)
+				cur, ok, err := tx.ReadLocked(tab, row.PartKey, row.Key, ndb.LockExclusive)
+				if err != nil {
 					return err
 				}
-			default:
-				id, idOK := identityOf(cur)
-				if row.Guard != 0 && idOK && id == row.Guard {
-					// Already applied (the leg committed, only the ack or the
-					// intent cleanup was lost).
-					continue
-				}
-				if row.Guard == 0 {
-					// Unguarded put: plain replay.
+				switch {
+				case row.Del:
+					id, idOK := uint64(0), false
+					if ok {
+						id, idOK = identityOf(cur)
+					}
+					if ok && (row.Guard == 0 || (idOK && id == row.Guard)) {
+						if err := tx.Delete(tab, row.PartKey, row.Key); err != nil {
+							return err
+						}
+					}
+				case !ok:
+					// Destination free: roll forward.
 					if err := tx.Write(tab, row.PartKey, row.Key, row.Val, false); err != nil {
-						tx.Abort()
 						return err
 					}
-					continue
+				default:
+					id, idOK := identityOf(cur)
+					if row.Guard != 0 && idOK && id == row.Guard {
+						// Already applied (the leg committed, only the ack or the
+						// intent cleanup was lost).
+						continue
+					}
+					if row.Guard == 0 {
+						// Unguarded put: plain replay.
+						if err := tx.Write(tab, row.PartKey, row.Key, row.Val, false); err != nil {
+							return err
+						}
+						continue
+					}
+					// Foreign occupant: the destination was legitimately reused
+					// after the failure. Don't overwrite it and don't drop the
+					// moved inode — re-home it after this leg commits.
+					rehomes = append(rehomes, rehome{row: row})
 				}
-				// Foreign occupant: the destination was legitimately reused
-				// after the failure. Don't overwrite it and don't drop the
-				// moved inode — re-home it after this leg commits.
-				rehomes = append(rehomes, rehome{row: row})
 			}
-		}
-		if err := tx.Commit(); err != nil {
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -361,52 +358,42 @@ func (r *Router) rehomeRow(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneI
 		c := r.clusters[row.FallbackShard]
 		tab := c.Table(row.FallbackTable)
 		tx, err := c.Begin(p, origin, domain, tab, row.FallbackPartKey)
-		if err != nil {
-			return err
-		}
-		_, ok, err := tx.ReadLocked(tab, row.FallbackPartKey, row.FallbackKey, ndb.LockExclusive)
-		if err != nil {
-			tx.Abort()
-			return err
-		}
-		if !ok {
-			if err := tx.Write(tab, row.FallbackPartKey, row.FallbackKey, row.Val, false); err != nil {
-				tx.Abort()
+		err = ndb.InTx(tx, err, func(tx *ndb.Txn) error {
+			_, ok, err := tx.ReadLocked(tab, row.FallbackPartKey, row.FallbackKey, ndb.LockExclusive)
+			if err != nil {
 				return err
 			}
-			return tx.Commit()
+			if ok {
+				return errSlotTaken
+			}
+			return tx.Write(tab, row.FallbackPartKey, row.FallbackKey, row.Val, false)
+		})
+		if !errors.Is(err, errSlotTaken) {
+			return err
 		}
-		tx.Abort()
 	}
 	// Source taken too: park beside the destination under a key no path
 	// lookup generates.
 	s := r.ShardOfKey(row.PartKey)
 	c := r.clusters[s]
 	tab := c.Table(row.Table)
-	tx, err := c.Begin(p, origin, domain, tab, row.PartKey)
-	if err != nil {
-		return err
-	}
 	key := row.Key + "~dup" + strconv.FormatUint(row.Guard, 10)
-	if err := tx.Write(tab, row.PartKey, key, row.Val, false); err != nil {
-		tx.Abort()
-		return err
-	}
-	return tx.Commit()
+	tx, err := c.Begin(p, origin, domain, tab, row.PartKey)
+	return ndb.InTx(tx, err, func(tx *ndb.Txn) error {
+		return tx.Write(tab, row.PartKey, key, row.Val, false)
+	})
 }
+
+// errSlotTaken aborts rehomeRow's probe of the move's source slot when that
+// slot is occupied; it never leaves rehomeRow.
+var errSlotTaken = errors.New("shard: rehome slot taken")
 
 // clearIntent deletes one intent record in its own small transaction.
 func (r *Router) clearIntent(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, shard int, id uint64) error {
-	c := r.clusters[shard]
-	tx, err := c.Begin(p, origin, domain, r.intents[shard], intentPartKey)
-	if err != nil {
-		return err
-	}
-	if err := tx.Delete(r.intents[shard], intentPartKey, intentKey(id)); err != nil {
-		tx.Abort()
-		return err
-	}
-	return tx.Commit()
+	tx, err := r.clusters[shard].Begin(p, origin, domain, r.intents[shard], intentPartKey)
+	return ndb.InTx(tx, err, func(tx *ndb.Txn) error {
+		return tx.Delete(r.intents[shard], intentPartKey, intentKey(id))
+	})
 }
 
 // ResolvePendingIntents sweeps every shard's intent table and replays
@@ -420,17 +407,13 @@ func (r *Router) ResolvePendingIntents(p *sim.Proc, origin *simnet.Node, domain 
 	}
 	resolved := 0
 	for s := 0; s < r.n; s++ {
-		c := r.clusters[s]
-		tx, err := c.Begin(p, origin, domain, r.intents[s], intentPartKey)
+		var kvs []ndb.KV
+		tx, err := r.clusters[s].Begin(p, origin, domain, r.intents[s], intentPartKey)
+		err = ndb.InTx(tx, err, func(tx *ndb.Txn) (err error) {
+			kvs, err = tx.ScanPrefix(r.intents[s], intentPartKey, "i/")
+			return err
+		})
 		if err != nil {
-			return resolved, err
-		}
-		kvs, err := tx.ScanPrefix(r.intents[s], intentPartKey, "i/")
-		if err != nil {
-			tx.Abort()
-			return resolved, err
-		}
-		if err := tx.Commit(); err != nil {
 			return resolved, err
 		}
 		for _, kv := range kvs {

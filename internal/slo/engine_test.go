@@ -136,67 +136,3 @@ func TestNilEngineIsSafe(t *testing.T) {
 		t.Fatal("nil engine state")
 	}
 }
-
-// TestEngineWithDisabledRegistry covers running the engine over a registry
-// switched to no-op mode before wiring (core's DisableMetrics path):
-// evaluation — sketches, alerts, reports — must be unaffected, and no
-// gauges may be registered.
-func TestEngineWithDisabledRegistry(t *testing.T) {
-	reg := trace.NewRegistry()
-	reg.Disable()
-	eng := NewEngine(Spec{}, reg)
-	for ms := 0; ms <= 3_000; ms += 10 {
-		now := time.Duration(ms) * time.Millisecond
-		lat := 2 * time.Millisecond
-		failed := false
-		if ms >= 1_000 {
-			lat = 200 * time.Millisecond
-			failed = true
-		}
-		eng.ObserveOp("stat", now, lat, failed)
-		if ms%250 == 0 {
-			eng.Tick(now)
-		}
-	}
-	if eng.Firing() == 0 {
-		t.Error("storm fired no alerts with a disabled registry")
-	}
-	for _, s := range reg.Snapshot() {
-		if strings.HasPrefix(s.Name, "slo.") {
-			t.Errorf("disabled registry accumulated gauge %s", s.Name)
-		}
-	}
-	rep := eng.Report(3 * time.Second)
-	if rep == nil || len(rep.Ops) == 0 {
-		t.Fatalf("report missing op summaries: %+v", rep)
-	}
-}
-
-// TestEngineDisableMidRun disables the registry after gauges exist: handles
-// registered before keep updating (values must not go stale), and op
-// classes first seen afterwards must not register new gauges or panic
-// publishing through nil handles.
-func TestEngineDisableMidRun(t *testing.T) {
-	reg := trace.NewRegistry()
-	eng := NewEngine(Spec{}, reg)
-	eng.ObserveOp("stat", 0, 2*time.Millisecond, false)
-	eng.Tick(250 * time.Millisecond)
-	if _, ok := trace.Lookup(reg.Snapshot(), "slo.op.stat.p99_ms"); !ok {
-		t.Fatal("stat gauge missing before Disable")
-	}
-	reg.Disable()
-	for ms := 250; ms <= 1_500; ms += 10 {
-		now := time.Duration(ms) * time.Millisecond
-		eng.ObserveOp("stat", now, 30*time.Millisecond, false)
-		eng.ObserveOp("create", now, time.Millisecond, false)
-	}
-	eng.Tick(1_500 * time.Millisecond)
-	snap := reg.Snapshot()
-	if _, ok := trace.Lookup(snap, "slo.op.create.p99_ms"); ok {
-		t.Error("gauge registered for an op class first seen after Disable")
-	}
-	p99, ok := trace.Lookup(snap, "slo.op.stat.p99_ms")
-	if !ok || p99 < 20 {
-		t.Errorf("pre-Disable stat p99 gauge went stale: %v (ok=%v)", p99, ok)
-	}
-}

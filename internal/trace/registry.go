@@ -188,7 +188,6 @@ func Name(name string, labels ...string) string {
 // idempotent: the same name always returns the same handle, so hot paths
 // register once and keep the pointer.
 type Registry struct {
-	disabled atomic.Bool
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -204,29 +203,11 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Disable switches the registry to no-op mode: every subsequent
-// registration returns a nil handle, whose methods are no-ops, so
-// instrumented hot paths skip both the name-bake and the map lookup and
-// updates through the handle cost a single nil check. Handles obtained
-// before Disable keep working; call Disable before wiring a deployment to
-// turn metrics off entirely.
-func (r *Registry) Disable() {
-	if r == nil {
-		return
-	}
-	r.disabled.Store(true)
-}
-
-// Disabled reports whether Disable was called.
-func (r *Registry) Disabled() bool {
-	return r != nil && r.disabled.Load()
-}
-
 // Counter returns (registering on first use) the counter with the given
 // name and labels. Nil-safe: a nil registry returns a nil handle, whose
-// methods are no-ops; a disabled registry does the same.
+// methods are no-ops.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	if r == nil || r.disabled.Load() {
+	if r == nil {
 		return nil
 	}
 	full := Name(name, labels...)
@@ -243,7 +224,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 // Gauge returns (registering on first use) the gauge with the given name
 // and labels.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	if r == nil || r.disabled.Load() {
+	if r == nil {
 		return nil
 	}
 	full := Name(name, labels...)
@@ -260,7 +241,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 // Timing returns (registering on first use) the timing with the given name
 // and labels.
 func (r *Registry) Timing(name string, labels ...string) *Timing {
-	if r == nil || r.disabled.Load() {
+	if r == nil {
 		return nil
 	}
 	full := Name(name, labels...)

@@ -328,16 +328,14 @@ func (t *Tracer) Sink() *Sink {
 	return t.sink.Load()
 }
 
-// off reports whether span creation can be skipped entirely: the registry
-// is absent or disabled, no sink retains trees, and no subscriber consumes
-// finished operations. A span started in this state would flush into
-// nil handles and then be discarded, so StartOp hands back a nil span
-// instead and every downstream call (Child, SetAttr, RecordHop, Finish)
-// collapses to a nil check — the span-creation extension of the
-// Registry.Disable fast path.
+// off reports whether span creation can be skipped entirely: the tracer has
+// no registry, no sink retains trees, and no subscriber consumes finished
+// operations. A span started in this state would flush into nil handles and
+// then be discarded, so StartOp hands back a nil span instead and every
+// downstream call (Child, SetAttr, RecordHop, Finish) collapses to a nil
+// check.
 func (t *Tracer) off() bool {
-	return (t.reg == nil || t.reg.disabled.Load()) &&
-		t.sink.Load() == nil && t.obs.Load() == nil
+	return t.reg == nil && t.sink.Load() == nil && t.obs.Load() == nil
 }
 
 // StartOp opens a root span for one client operation. Returns nil on a nil
