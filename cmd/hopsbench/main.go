@@ -34,7 +34,7 @@
 // is hash-sharded across (Options.Shards), checking the 1.8x
 // 4-vs-1-shard scaling floor inline and reporting the cross-shard rename
 // path (ordered two-cluster commits with durable intents) separately
-// from the shard-local fast path — the run recorded in BENCH_10.json.
+// from the shard-local fast path — the run recorded in history/BENCH_10.json.
 //
 // The simulator's own wall-clock cost (and the recorded perf trajectory)
 // is measured by the benchmark in benchmark/, not here.

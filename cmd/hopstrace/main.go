@@ -191,7 +191,7 @@ func run(args []string, stdout io.Writer) error {
 // same seed is seeded with, so generated paths resolve on replay.
 func genTrace(n int, seed int64) []workload.TraceOp {
 	ns := workload.BuildNamespace(workload.DefaultNamespace(), core.NamespaceSeed(seed))
-	rec := workload.NewRecorder(nopFS{})
+	rec := workload.NewRecorder(workload.Discard)
 	gen := workload.NewGenerator(ns, workload.SpotifyMix, seed)
 	env := sim.New(seed)
 	defer env.Close()
@@ -676,18 +676,3 @@ func runSLO(args []string, stdout io.Writer) error {
 		return err
 	})
 }
-
-// nopFS satisfies workload.FS with no-ops so a trace can be generated
-// without a live cluster.
-type nopFS struct{}
-
-var _ workload.FS = nopFS{}
-
-func (nopFS) Mkdir(*sim.Proc, string) error          { return nil }
-func (nopFS) Create(*sim.Proc, string) error         { return nil }
-func (nopFS) Stat(*sim.Proc, string) error           { return nil }
-func (nopFS) Read(*sim.Proc, string) error           { return nil }
-func (nopFS) List(*sim.Proc, string) error           { return nil }
-func (nopFS) Delete(*sim.Proc, string) error         { return nil }
-func (nopFS) Rename(*sim.Proc, string, string) error { return nil }
-func (nopFS) SetPermission(*sim.Proc, string) error  { return nil }

@@ -66,8 +66,6 @@ type Option interface{ apply(*options) }
 type options struct {
 	setupName         string
 	metadataServers   int
-	storageNodes      int
-	blockDataNodes    int
 	seed              int64
 	shards            int
 	withoutBlocks     bool
@@ -88,18 +86,6 @@ func WithSetup(name string) Option {
 // per AZ).
 func WithMetadataServers(n int) Option {
 	return optionFunc(func(o *options) { o.metadataServers = n })
-}
-
-// WithStorageNodes sets the NDB datanode count (default 6; the paper's
-// evaluation uses 12).
-func WithStorageNodes(n int) Option {
-	return optionFunc(func(o *options) { o.storageNodes = n })
-}
-
-// WithBlockDataNodes sets the block storage datanode count (default 9 for
-// three-AZ deployments).
-func WithBlockDataNodes(n int) Option {
-	return optionFunc(func(o *options) { o.blockDataNodes = n })
 }
 
 // WithoutBlockLayer builds a metadata-only cluster (all files inline).
@@ -131,6 +117,10 @@ func WithSeed(seed int64) Option {
 	return optionFunc(func(o *options) { o.seed = seed })
 }
 
+// storageNodes is the NDB datanode count of every facade cluster, per shard
+// (the paper's evaluation uses 12).
+const storageNodes = 6
+
 // Cluster is a running HopsFS-CL deployment.
 type Cluster struct {
 	d *core.Deployment
@@ -144,7 +134,6 @@ func New(opts ...Option) (*Cluster, error) {
 	o := options{
 		setupName:       "HopsFS-CL (3,3)",
 		metadataServers: 3,
-		storageNodes:    6,
 		seed:            1,
 	}
 	for _, opt := range opts {
@@ -161,11 +150,10 @@ func New(opts ...Option) (*Cluster, error) {
 		Setup:            setup,
 		MetadataServers:  o.metadataServers,
 		ClientsPerServer: 0, // no benchmark clients; the API creates clients on demand
-		StorageNodes:     o.storageNodes,
+		StorageNodes:     storageNodes,
 		// A partition count in the spirit of the evaluation deployments.
-		PartitionsPerTable: 4 * o.storageNodes,
+		PartitionsPerTable: 4 * storageNodes,
 		WithBlockLayer:     !o.withoutBlocks,
-		BlockDataNodes:     o.blockDataNodes,
 		ObjectStoreBlocks:  o.objectStoreBlocks,
 		Shards:             o.shards,
 		Namespace:          workload.NamespaceSpec{}, // start empty
@@ -213,10 +201,7 @@ func (c *Cluster) run(fn func(p *sim.Proc) error) error {
 		p.Flush() // settle deferred I/O time before reporting completion
 		done = true
 	})
-	for i := 0; !done && i < 10000; i++ {
-		c.d.Env.RunFor(10 * time.Millisecond)
-	}
-	if !done {
+	if !c.d.Env.RunUntil(func() bool { return done }, 10*time.Millisecond, 100*time.Second) {
 		return errors.New("hopsfscl: operation did not complete within the simulation budget")
 	}
 	return err
@@ -505,9 +490,7 @@ func (c *Cluster) ScaleDown(n int) int {
 		return 0
 	}
 	victims := c.d.DrainNameNodes(n)
-	for i := 0; i < 100 && c.d.FinishDrains() > 0; i++ {
-		c.d.Env.RunFor(10 * time.Millisecond)
-	}
+	c.d.Env.RunUntil(func() bool { return c.d.FinishDrains() == 0 }, 10*time.Millisecond, time.Second)
 	return len(victims)
 }
 

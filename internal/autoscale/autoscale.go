@@ -37,10 +37,14 @@ type Config struct {
 	// Cooldown suppresses further actions after one fires, long enough for
 	// the previous action's effect to show up in the signals.
 	Cooldown time.Duration
-	// UpStep and DownStep are how many servers one action adds or drains.
-	// A firing SLO page doubles UpStep (emergency growth).
-	UpStep, DownStep int
+	// UpStep is how many servers one action adds. A firing SLO page doubles
+	// it (emergency growth).
+	UpStep int
 }
+
+// downStep is how many servers one action drains: scaling down is lazy, one
+// server at a time, so a drain past Min cannot happen.
+const downStep = 1
 
 // DefaultConfig returns thresholds tuned for the compressed-day elastic
 // experiments: evaluations every few tens of milliseconds of virtual time,
@@ -56,7 +60,6 @@ func DefaultConfig() Config {
 		DownStreak: 6,
 		Cooldown:   200 * time.Millisecond,
 		UpStep:     1,
-		DownStep:   1,
 	}
 }
 
@@ -74,8 +77,8 @@ func (c Config) Validate() error {
 	if c.UpStreak < 1 || c.DownStreak < 1 {
 		return fmt.Errorf("autoscale: streaks must be >= 1")
 	}
-	if c.UpStep < 1 || c.DownStep < 1 {
-		return fmt.Errorf("autoscale: steps must be >= 1")
+	if c.UpStep < 1 {
+		return fmt.Errorf("autoscale: UpStep must be >= 1")
 	}
 	return nil
 }
@@ -185,13 +188,9 @@ func (c *Controller) Evaluate(now time.Duration, s Signals) (delta int, reason s
 		c.record(now, step, s.Serving, why)
 		return step, why
 	case wantDown && c.downRuns >= cfg.DownStreak && s.Serving > cfg.Min:
-		step := cfg.DownStep
-		if s.Serving-step < cfg.Min {
-			step = s.Serving - cfg.Min
-		}
 		why := fmt.Sprintf("util %.2f p99 %.1fms idle", s.Util, float64(s.P99)/float64(time.Millisecond))
-		c.record(now, -step, s.Serving, why)
-		return -step, why
+		c.record(now, -downStep, s.Serving, why)
+		return -downStep, why
 	}
 	return 0, ""
 }

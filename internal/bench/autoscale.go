@@ -73,17 +73,22 @@ type ElasticOptions struct {
 	// must be divisible by Controller.Min and Controller.Max so the static
 	// deployments build with whole clients-per-server counts.
 	Clients int
-	// NNCores, NNOpBase and ElectionRound size the metadata servers (see
-	// the package comment for why they shrink the paper's sizing).
-	NNCores       int
-	NNOpBase      time.Duration
-	ElectionRound time.Duration
-	// ControlTick is the monitor/controller evaluation interval.
-	ControlTick time.Duration
 	// FlightEvery is the flight-recorder sampling interval (0 disables the
 	// timeline capture).
 	FlightEvery time.Duration
 }
+
+// The elastic experiment's fixed parameters.
+const (
+	// elasticNNCores, elasticNNOpBase and elasticElectionRound size the
+	// metadata servers (see the comment at the top of this file for why they
+	// shrink the paper's sizing).
+	elasticNNCores       = 2
+	elasticNNOpBase      = 1500 * time.Microsecond
+	elasticElectionRound = 100 * time.Millisecond
+	// controlTick is the monitor/controller evaluation interval.
+	controlTick = 25 * time.Millisecond
+)
 
 // DefaultElasticOptions returns the recorded experiment's parameters.
 func DefaultElasticOptions(seed int64) ElasticOptions {
@@ -102,15 +107,11 @@ func DefaultElasticOptions(seed int64) ElasticOptions {
 	// latency ceiling at min capacity, past the 20ms target.
 	prof.RatePerClient = 38
 	return ElasticOptions{
-		Seed:          seed,
-		Profile:       prof,
-		Controller:    ctl,
-		Clients:       96,
-		NNCores:       2,
-		NNOpBase:      1500 * time.Microsecond,
-		ElectionRound: 100 * time.Millisecond,
-		ControlTick:   25 * time.Millisecond,
-		FlightEvery:   50 * time.Millisecond,
+		Seed:        seed,
+		Profile:     prof,
+		Controller:  ctl,
+		Clients:     96,
+		FlightEvery: 50 * time.Millisecond,
 	}
 }
 
@@ -181,9 +182,9 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 	opts.MetadataServers = startNNs
 	opts.ClientsPerServer = o.Clients / startNNs
 	opts.Seed = o.Seed
-	opts.NNCores = o.NNCores
-	opts.NNOpBase = o.NNOpBase
-	opts.NNElectionRound = o.ElectionRound
+	opts.NNCores = elasticNNCores
+	opts.NNOpBase = elasticNNOpBase
+	opts.NNElectionRound = elasticElectionRound
 	d, err := core.Build(opts)
 	if err != nil {
 		return nil, err
@@ -201,7 +202,7 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 
 	// Let elections converge before offering load, so the first client pick
 	// sees a populated active list.
-	env.RunFor(4 * o.ElectionRound)
+	env.RunFor(4 * elasticElectionRound)
 
 	// Paced clients: open-loop arrivals following the profile, degrading to
 	// closed-loop under overload (loadshape.Pace).
@@ -235,25 +236,27 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 	// Per-NN CPU windows for the controller's utilization signal (the SLO
 	// engine's HealthStats probe keeps its own window; sharing it would make
 	// both read half-intervals).
-	utilAt := start
-	utilBusy := make(map[int]int64)
-	for _, nn := range d.NS.NameNodes() {
-		utilBusy[nn.ID] = nn.CPU().BusyIntegral()
+	var utilAt time.Duration
+	utilBusy := make(map[int]sim.UtilWindow)
+	markAll := func(now time.Duration) {
+		for _, nn := range d.NS.NameNodes() {
+			var w sim.UtilWindow
+			w.Mark(nn.CPU(), now)
+			utilBusy[nn.ID] = w
+		}
+		utilAt = now
 	}
+	markAll(start)
 	servingUtil := func(now time.Duration) float64 {
 		var sum float64
 		var n int
 		for _, nn := range d.NS.ServingNameNodes() {
-			base, ok := utilBusy[nn.ID]
-			if ok && now > utilAt {
-				sum += nn.CPU().Utilization(utilAt, now, base)
+			if w, ok := utilBusy[nn.ID]; ok && now > utilAt {
+				sum += w.Read(nn.CPU(), now)
 				n++
 			}
 		}
-		for _, nn := range d.NS.NameNodes() {
-			utilBusy[nn.ID] = nn.CPU().BusyIntegral()
-		}
-		utilAt = now
+		markAll(now)
 		if n == 0 {
 			return 0
 		}
@@ -267,16 +270,10 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 	audit := func(settled bool) {
 		pauseStart := env.Now()
 		pace.Pause = true
-		deadline := env.Now() + 500*time.Millisecond
-		drained := false
-		for env.Now() < deadline {
+		drained := env.RunUntil(func() bool {
 			d.FinishDrains()
-			if d.Idle() {
-				drained = true
-				break
-			}
-			env.RunFor(2 * time.Millisecond)
-		}
+			return d.Idle()
+		}, 2*time.Millisecond, 500*time.Millisecond)
 		if !drained {
 			res.FailedQuiesces++
 		}
@@ -290,10 +287,9 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 	// Main control loop, chaos-engine style: the main goroutine alternates
 	// simulation steps with monitoring, controller evaluation, actuation,
 	// and a quiesced audit after every scale transition.
-	tick := o.ControlTick
 	span := prof.Span()
 	for elapsed() < span {
-		env.RunFor(tick)
+		env.RunFor(controlTick)
 		now := env.Now()
 
 		sum := eng.OpSummary("*", now, 400*time.Millisecond)
@@ -306,9 +302,9 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 			res.MaxServing = serving
 		}
 		if sum.Count > 0 && p99 > o.Controller.TargetP99 {
-			res.OverSLO += tick
+			res.OverSLO += controlTick
 		}
-		res.NNSeconds += float64(serving) * tick.Seconds()
+		res.NNSeconds += float64(serving) * controlTick.Seconds()
 		d.FinishDrains()
 
 		if mode != ModeElastic {
@@ -340,12 +336,12 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 
 	// Final settled audit: let drains complete and elections converge, then
 	// hold the full invariant set including leader uniqueness.
-	env.RunFor(4 * o.ElectionRound)
+	env.RunFor(4 * elasticElectionRound)
 	audit(true)
 	res.Checkpoints = auditor.Checkpoints
 
 	d.StopBackground()
-	env.RunFor(2 * o.ElectionRound)
+	env.RunFor(2 * elasticElectionRound)
 	return res, nil
 }
 
@@ -376,8 +372,8 @@ func Autoscale(o ExpOptions) (string, error) {
 	fmt.Fprintf(&b, "Elastic metadata tier over a compressed week (%d virtual days x %v), %d paced clients\n",
 		eo.Profile.Days, eo.Profile.Day, eo.Clients)
 	fmt.Fprintf(&b, "NN sizing: %d cores, %v per op (~%.0f ops/s per server); target p99 %v; servers %d..%d\n\n",
-		eo.NNCores, eo.NNOpBase,
-		float64(eo.NNCores)*float64(time.Second)/float64(eo.NNOpBase),
+		elasticNNCores, elasticNNOpBase,
+		float64(elasticNNCores)*float64(time.Second)/float64(elasticNNOpBase),
 		eo.Controller.TargetP99, eo.Controller.Min, eo.Controller.Max)
 
 	tbl := metrics.NewTable("mode", "servers", "ops", "errors", "time>SLO", "share", "NN-seconds", "audits", "violations")

@@ -15,7 +15,7 @@ import (
 // as a test: a full grid point (the shape every sweep experiment measures)
 // must stay at least 2x below the pre-overhaul kernel's 164 heap
 // allocations per served virtual operation. The recorded trajectory lives
-// in BENCH_8.json; the post-overhaul kernel measures ~54, so the 82
+// in history/BENCH_8.json; the post-overhaul kernel measures ~54, so the 82
 // ceiling leaves headroom for legitimate feature work while catching a
 // lost pool or a reintroduced per-event allocation. The two-shard point
 // gives the routed path — one dispatcher object per transaction, one gather
@@ -67,7 +67,7 @@ func TestGridPointAllocCeiling(t *testing.T) {
 			perVop := float64(m1.Mallocs-m0.Mallocs) / float64(res.Ops)
 			if perVop > pt.ceiling {
 				t.Fatalf("grid point allocates %.1f objects per virtual op, ceiling %.0f "+
-					"(unsharded: pre-overhaul kernel 164, post-overhaul ~54 — see BENCH_8.json)", perVop, pt.ceiling)
+					"(unsharded: pre-overhaul kernel 164, post-overhaul ~54 — see history/BENCH_8.json)", perVop, pt.ceiling)
 			}
 			t.Logf("grid point: %.1f allocs per virtual op (ceiling %.0f)", perVop, pt.ceiling)
 		})

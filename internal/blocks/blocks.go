@@ -44,26 +44,26 @@ type Config struct {
 	// AZAware enables the §IV-C placement policy (AZs as racks). When
 	// false, placement is uniform random over distinct datanodes.
 	AZAware bool
-	// MonitorInterval is the period of the leader's re-replication check.
-	MonitorInterval time.Duration
-	// RPCTimeout bounds pipeline hops.
-	RPCTimeout time.Duration
+}
+
+const (
+	// monitorInterval is the period of the leader's re-replication check.
+	monitorInterval = time.Second
+	// rpcTimeout bounds pipeline hops.
+	rpcTimeout = 30 * time.Second
 	// OrphanGrace is how long an unreferenced block may exist before the
 	// monitor reclaims it. Blocks can be legitimately unreferenced while a
 	// client is still streaming a file (written but not yet attached to an
 	// inode), so reclamation only fires after this grace period.
-	OrphanGrace time.Duration
-}
+	OrphanGrace = time.Minute
+)
 
 // DefaultConfig returns the paper's block layer defaults.
 func DefaultConfig() Config {
 	return Config{
-		BlockSize:       128 << 20,
-		Replication:     3,
-		AZAware:         true,
-		MonitorInterval: time.Second,
-		RPCTimeout:      30 * time.Second,
-		OrphanGrace:     time.Minute,
+		BlockSize:   128 << 20,
+		Replication: 3,
+		AZAware:     true,
 	}
 }
 
@@ -234,9 +234,6 @@ func (m *Manager) Replication() int { return m.cfg.Replication }
 // AZAware reports whether the §IV-C placement policy is enabled.
 func (m *Manager) AZAware() bool { return m.cfg.AZAware }
 
-// OrphanGrace returns the configured orphan-reclamation grace period.
-func (m *Manager) OrphanGrace() time.Duration { return m.cfg.OrphanGrace }
-
 // Blocks returns every registered block sorted by id, for deterministic
 // audit sweeps.
 func (m *Manager) Blocks() []*Block {
@@ -355,14 +352,14 @@ func (m *Manager) WriteBlock(p *sim.Proc, client *simnet.Node, inode uint64, siz
 	b := &Block{ID: m.seq, Inode: inode, Size: size, Created: m.env.Now(), locs: targets}
 	prev := client
 	for _, dn := range targets {
-		if !m.net.Travel(p, prev, dn.Node, int(size), m.cfg.RPCTimeout) {
+		if !m.net.Travel(p, prev, dn.Node, int(size), rpcTimeout) {
 			return nil, ErrNoDatanodes
 		}
 		dn.Node.DiskWrite(p, int(size))
 		prev = dn.Node
 	}
 	// Ack travels back up the pipeline to the client.
-	if !m.net.Travel(p, prev, client, 64, m.cfg.RPCTimeout) {
+	if !m.net.Travel(p, prev, client, 64, rpcTimeout) {
 		return nil, ErrNoDatanodes
 	}
 	for _, dn := range targets {
@@ -403,11 +400,11 @@ func (m *Manager) ReadBlock(p *sim.Proc, client *simnet.Node, id BlockID) (*Data
 	} else {
 		src = locs[m.env.Rand().Intn(len(locs))]
 	}
-	if !m.net.Travel(p, client, src.Node, 128, m.cfg.RPCTimeout) {
+	if !m.net.Travel(p, client, src.Node, 128, rpcTimeout) {
 		return nil, ErrNoReplica
 	}
 	src.Node.DiskRead(p, int(b.Size))
-	if !m.net.Travel(p, src.Node, client, int(b.Size), m.cfg.RPCTimeout) {
+	if !m.net.Travel(p, src.Node, client, int(b.Size), rpcTimeout) {
 		return nil, ErrNoReplica
 	}
 	return src, nil
@@ -505,7 +502,7 @@ func (m *Manager) HealthStats() (live, expected, underReplicated int) {
 // datanodes (block-report invalidation) and reclaims orphaned blocks.
 func (m *Manager) monitor(p *sim.Proc) {
 	for !m.stop {
-		p.Sleep(m.cfg.MonitorInterval)
+		p.Sleep(monitorInterval)
 		if m.stop || !m.leaderAlive() {
 			continue
 		}
@@ -550,13 +547,13 @@ func (m *Manager) reconcile() {
 // reclaimOrphans deletes blocks no inode references once they outlive the
 // grace period (covers crash-orphaned writes and lost delete acks).
 func (m *Manager) reclaimOrphans() {
-	if m.referenced == nil || m.cfg.OrphanGrace <= 0 {
+	if m.referenced == nil {
 		return
 	}
 	var orphans []BlockID
 	now := m.env.Now()
 	for id, b := range m.registry {
-		if now-b.Created >= m.cfg.OrphanGrace {
+		if now-b.Created >= OrphanGrace {
 			orphans = append(orphans, id)
 		}
 	}
@@ -612,7 +609,7 @@ func (m *Manager) reReplicate(p *sim.Proc, b *Block) {
 	if target == nil {
 		return
 	}
-	if !m.net.Travel(p, src.Node, target.Node, int(b.Size), m.cfg.RPCTimeout) {
+	if !m.net.Travel(p, src.Node, target.Node, int(b.Size), rpcTimeout) {
 		return
 	}
 	target.Node.DiskWrite(p, int(b.Size))

@@ -63,20 +63,25 @@ type Config struct {
 	// KernelCache enables client-side caching under capabilities; false
 	// reproduces "CephFS - SkipKCache".
 	KernelCache bool
-	// JournalFlushInterval is how often each MDS flushes its journal.
-	JournalFlushInterval time.Duration
-	// JournalEntryBytes is the journal growth per mutating operation.
-	JournalEntryBytes int
 	// JournalReplication is the metadata-pool replication factor: each
 	// flush is written to this many OSDs (paper: 3).
 	JournalReplication int
-	// BalanceInterval is the dynamic balancer period.
-	BalanceInterval time.Duration
-	// OSDDiskBandwidth is the metadata-pool disk throughput per OSD.
-	OSDDiskBandwidth float64
 	// Costs are MDS/client CPU service demands.
 	Costs Costs
 }
+
+// The part of DefaultConfig's calibration that no setup varies.
+const (
+	// journalFlushInterval is how often each MDS flushes its journal.
+	journalFlushInterval = 25 * time.Millisecond
+	// journalEntryBytes is the journal growth per mutating operation.
+	journalEntryBytes = 16 << 10
+	// balanceInterval is the dynamic balancer period.
+	balanceInterval = 50 * time.Millisecond
+	// osdDiskBandwidth is the metadata-pool disk throughput per OSD
+	// (bytes/second).
+	osdDiskBandwidth = 120e6
+)
 
 // Costs model the single-threaded MDS's service times.
 type Costs struct {
@@ -103,14 +108,10 @@ type Costs struct {
 // CephFS v13.2.4 measurements (≈4.2 kops/s per unloaded pinned MDS).
 func DefaultConfig() Config {
 	return Config{
-		OSDs:                 12,
-		Mode:                 Dynamic,
-		KernelCache:          true,
-		JournalFlushInterval: 25 * time.Millisecond,
-		JournalEntryBytes:    16 << 10,
-		JournalReplication:   3,
-		BalanceInterval:      50 * time.Millisecond,
-		OSDDiskBandwidth:     120e6,
+		OSDs:               12,
+		Mode:               Dynamic,
+		KernelCache:        true,
+		JournalReplication: 3,
 		Costs: Costs{
 			MDSOp:              180 * time.Microsecond,
 			PerComponent:       8 * time.Microsecond,
@@ -213,7 +214,7 @@ func New(env *sim.Env, net *simnet.Network, cfg Config, mdsPlacements []simnet.Z
 	}
 	for i := 0; i < cfg.OSDs; i++ {
 		node := net.NewNode(fmt.Sprintf("osd-%d", i+1), zoneList[i%len(zoneList)], simnet.HostID(hostBase+i))
-		node.DiskBandwidth = cfg.OSDDiskBandwidth
+		node.DiskBandwidth = osdDiskBandwidth
 		c.osds = append(c.osds, &OSD{Node: node})
 	}
 	for i, z := range mdsPlacements {
@@ -293,7 +294,7 @@ func hashString(s string) int {
 // processing file system operations", §V-C) and queues on the OSD disk.
 func (m *MDS) journalLoop(p *sim.Proc) {
 	for !m.c.stop {
-		p.Sleep(m.c.cfg.JournalFlushInterval)
+		p.Sleep(journalFlushInterval)
 		if !m.Alive() {
 			return
 		}
@@ -328,7 +329,7 @@ func (m *MDS) journalLoop(p *sim.Proc) {
 func (c *Cluster) balanceLoop(p *sim.Proc) {
 	const movesPerRound = 4
 	for !c.stop {
-		p.Sleep(c.cfg.BalanceInterval)
+		p.Sleep(balanceInterval)
 		loads := make([]int64, len(c.mdss))
 		var total int64
 		for i, m := range c.mdss {

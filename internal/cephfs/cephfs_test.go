@@ -196,7 +196,7 @@ func TestDynamicBalancerMigratesLoad(t *testing.T) {
 					return
 				}
 			}
-			p.Sleep(c.cfg.BalanceInterval)
+			p.Sleep(balanceInterval)
 		}
 	})
 	moved := 0
@@ -227,8 +227,8 @@ func TestJournalFlushReachesOSDDisks(t *testing.T) {
 		_, w := osd.Node.DiskBytes()
 		disk += w
 	}
-	if disk < int64(10*c.cfg.JournalEntryBytes) {
-		t.Fatalf("OSD disk writes = %d, want >= %d (journal)", disk, 10*c.cfg.JournalEntryBytes)
+	if disk < int64(10*journalEntryBytes) {
+		t.Fatalf("OSD disk writes = %d, want >= %d (journal)", disk, 10*journalEntryBytes)
 	}
 }
 

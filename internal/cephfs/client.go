@@ -89,7 +89,7 @@ func (cl *Client) mdsOp(p *sim.Proc, comps []string, kind mutKind, cacheKey stri
 	m.Requests++
 	m.loadWindow++
 	if err == nil && kind != readOnly {
-		m.journalBytes += cl.c.cfg.JournalEntryBytes
+		m.journalBytes += journalEntryBytes
 		cl.revokeCaps(p, m, comps, kind == namespaceMutation)
 	}
 	if err == nil && kind == readOnly && cacheKey != "" {

@@ -206,9 +206,9 @@ func (a *Auditor) checkBlocks(add addFn, now time.Duration, settled bool) {
 	for _, id := range danglers {
 		add("ns-block-dangling", "an inode references deleted block %d", id)
 	}
-	if settled && mgr.OrphanGrace() > 0 {
+	if settled {
 		for _, b := range mgr.Blocks() {
-			if !refs[b.ID] && now-b.Created > mgr.OrphanGrace()+3*time.Second {
+			if !refs[b.ID] && now-b.Created > blocks.OrphanGrace+3*time.Second {
 				add("block-orphan", "unreferenced block %d outlived the reclamation grace", b.ID)
 			}
 		}

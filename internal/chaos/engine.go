@@ -19,64 +19,44 @@ type Config struct {
 	// Duration is the campaign length on virtual time. Zero derives it
 	// from the schedule: last step plus a settle tail.
 	Duration time.Duration
-	// OpGap is the think time between a client's operations (default 2ms).
-	OpGap time.Duration
-	// LargeEvery makes every Nth create a block-layer file write
-	// (default 20; 0 disables large writes).
-	LargeEvery int
-	// LargeSize is the large-file size (default 256 KiB, one block).
-	LargeSize int64
-	// SettleAfterStep is how long the workload runs after each fault step
-	// before the engine quiesces and audits (default 500ms).
-	SettleAfterStep time.Duration
-	// AuditBudget bounds the quiesce drain. It must exceed the slowest
-	// possible in-flight operation (a block transfer timeout), or a merely
-	// slow operation would be misreported as a stuck transaction
-	// (default 45s).
-	AuditBudget time.Duration
-	// LeaderSettle is the quiet time after the last fault before leader
-	// uniqueness is audited: election rows expire after 5s and rounds run
-	// every 2s, so views need several seconds to converge (default 10s).
-	LeaderSettle time.Duration
-	// GapThreshold classifies unavailability: any gap between consecutive
-	// successful operations longer than this counts as an outage window
-	// (default 400ms — far above the healthy op cadence).
-	GapThreshold time.Duration
 	// Seed seeds the workload's operation mix (independent from the
 	// deployment seed so the two can be varied separately).
 	Seed int64
 }
 
+// The campaign recipe, shared by every campaign, drill and CLI.
+const (
+	// opGap is the think time between a client's operations.
+	opGap = 2 * time.Millisecond
+	// largeEvery makes every Nth create a block-layer file write of
+	// largeSize bytes (one block).
+	largeEvery = 20
+	largeSize  = 256 << 10
+	// settleAfterStep is how long the workload runs after each fault step
+	// before the engine quiesces and audits.
+	settleAfterStep = 500 * time.Millisecond
+	// auditBudget bounds the quiesce drain. It must exceed the slowest
+	// possible in-flight operation (a block transfer timeout), or a merely
+	// slow operation would be misreported as a stuck transaction.
+	auditBudget = 45 * time.Second
+	// leaderSettle is the quiet time after the last fault before leader
+	// uniqueness is audited: election rows expire after 5s and rounds run
+	// every 2s, so views need several seconds to converge.
+	leaderSettle = 10 * time.Second
+	// gapThreshold classifies unavailability: any gap between consecutive
+	// successful operations longer than this counts as an outage window —
+	// far above the healthy op cadence.
+	gapThreshold = 400 * time.Millisecond
+	// pollStep is how often a quiesce re-examines the deployment.
+	pollStep = 2 * time.Millisecond
+)
+
 func (c Config) withDefaults(sched Schedule) Config {
 	if c.Clients <= 0 {
 		c.Clients = 6
 	}
-	if c.OpGap <= 0 {
-		c.OpGap = 2 * time.Millisecond
-	}
-	if c.LargeEvery < 0 {
-		c.LargeEvery = 0
-	}
-	if c.LargeEvery == 0 {
-		c.LargeEvery = 20
-	}
-	if c.LargeSize <= 0 {
-		c.LargeSize = 256 << 10
-	}
-	if c.SettleAfterStep <= 0 {
-		c.SettleAfterStep = 500 * time.Millisecond
-	}
-	if c.AuditBudget <= 0 {
-		c.AuditBudget = 45 * time.Second
-	}
-	if c.LeaderSettle <= 0 {
-		c.LeaderSettle = 10 * time.Second
-	}
-	if c.GapThreshold <= 0 {
-		c.GapThreshold = 400 * time.Millisecond
-	}
 	if c.Duration <= 0 {
-		c.Duration = sched.End() + c.LeaderSettle + 2*time.Second
+		c.Duration = sched.End() + leaderSettle + 2*time.Second
 		if c.Duration < 20*time.Second {
 			c.Duration = 20 * time.Second
 		}
@@ -232,7 +212,7 @@ func (e *Engine) Run() (*Report, error) {
 		if err := e.apply(st); err != nil {
 			return nil, err
 		}
-		env.RunFor(e.cfg.SettleAfterStep)
+		env.RunFor(settleAfterStep)
 		e.checkpoint(st.String())
 	}
 
@@ -344,7 +324,7 @@ func (e *Engine) settled() bool {
 		len(e.parts) > 0 || len(e.degr) > 0 {
 		return false
 	}
-	return e.d.Env.Now()-e.lastFault >= e.cfg.LeaderSettle
+	return e.d.Env.Now()-e.lastFault >= leaderSettle
 }
 
 // checkpoint quiesces the workload, audits invariants, records a
@@ -364,7 +344,7 @@ func (e *Engine) checkpoint(label string) {
 		// The drain itself is an invariant: a workload that cannot drain
 		// within the budget means a transaction or lock is stuck.
 		v := Violation{Invariant: "txn-quiescence", Detail: fmt.Sprintf(
-			"workload failed to drain within %v at %q (stuck transaction or lock)", e.cfg.AuditBudget, label)}
+			"workload failed to drain within %v at %q (stuck transaction or lock)", auditBudget, label)}
 		viol = append(viol, v)
 		e.aud.Violations = append(e.aud.Violations, v)
 	}
@@ -385,10 +365,7 @@ func (e *Engine) sweepIntents() {
 		_, _ = e.d.NS.ResolvePendingIntents(p)
 		done = true
 	})
-	deadline := e.d.Env.Now() + e.cfg.AuditBudget
-	for !done && e.d.Env.Now() < deadline {
-		e.d.Env.RunFor(2 * time.Millisecond)
-	}
+	e.d.Env.RunUntil(func() bool { return done }, pollStep, auditBudget)
 }
 
 // pausedTotal returns the total time spent in audit pauses so far.
@@ -423,17 +400,7 @@ func (e *Engine) pausedBetween(from, to time.Duration) time.Duration {
 // operations, transactions, and row locks drain, within the audit budget.
 func (e *Engine) quiesce() bool {
 	e.paused = true
-	env := e.d.Env
-	deadline := env.Now() + e.cfg.AuditBudget
-	for {
-		if e.drained() {
-			return true
-		}
-		if env.Now() >= deadline {
-			return false
-		}
-		env.RunFor(2 * time.Millisecond)
-	}
+	return e.d.Env.RunUntil(e.drained, pollStep, auditBudget)
 }
 
 // drained reports whether no agent is mid-operation (client-side retries
@@ -553,7 +520,7 @@ func (a *agent) run(p *sim.Proc) {
 		a.busy = true
 		a.op(p)
 		a.busy = false
-		p.Sleep(a.e.cfg.OpGap)
+		p.Sleep(opGap)
 	}
 }
 
@@ -627,8 +594,8 @@ func (a *agent) create(p *sim.Proc) {
 	path := fmt.Sprintf("%s/f%06d", a.dir, a.seq)
 	a.seq++
 	invoke := p.Now()
-	if a.e.cfg.LargeEvery > 0 && a.seq%a.e.cfg.LargeEvery == 0 {
-		err := a.cl.WriteFile(p, path, a.e.cfg.LargeSize)
+	if a.seq%largeEvery == 0 {
+		err := a.cl.WriteFile(p, path, largeSize)
 		p.Flush()
 		a.record("write", path, "", invoke, err)
 		return

@@ -209,7 +209,7 @@ func (e *Engine) unavailability(start, end time.Duration) []Window {
 	var out []Window
 	gap := func(to time.Duration) {
 		paused := e.pausedBetween(prev, to)
-		if to-prev-paused > e.cfg.GapThreshold {
+		if to-prev-paused > gapThreshold {
 			out = append(out, Window{From: prev, To: to, Paused: paused})
 		}
 	}
@@ -326,7 +326,6 @@ func RunCampaign(seed int64, opts CampaignOptions) (*Report, error) {
 	o.StorageNodes = 6
 	o.PartitionsPerTable = 8
 	o.WithBlockLayer = true
-	o.BlockDataNodes = 9
 	o.Namespace = workload.NamespaceSpec{TopDirs: 2, SubDirs: 2, FilesPerDir: 4}
 	o.Seed = seed
 	o.Shards = opts.Shards

@@ -98,11 +98,10 @@ type Options struct {
 	// cluster of StorageNodes datanodes with its own node groups, replica
 	// chains, and management nodes.
 	Shards int
-	// WithBlockLayer adds block storage datanodes (not needed for the
-	// metadata benchmarks, which use empty files as in §V).
+	// WithBlockLayer adds block storage datanodes, blockDNsPerZone in each
+	// zone (not needed for the metadata benchmarks, which use empty files as
+	// in §V).
 	WithBlockLayer bool
-	// BlockDataNodes is the DN count when WithBlockLayer is set.
-	BlockDataNodes int
 	// ObjectStoreBlocks replaces datanode replication with a cloud object
 	// store block backend — the paper's §VII future work.
 	ObjectStoreBlocks bool
@@ -245,6 +244,10 @@ func Build(opts Options) (*Deployment, error) {
 	return d, nil
 }
 
+// blockDNsPerZone is the block datanode count per zone of a deployment
+// built WithBlockLayer: enough for a full replica set inside one zone.
+const blockDNsPerZone = 3
+
 func (d *Deployment) buildHops() error {
 	opts := d.Opts
 	zones := opts.zoneSet()
@@ -299,10 +302,7 @@ func (d *Deployment) buildHops() error {
 	if opts.WithBlockLayer {
 		bCfg := blocks.DefaultConfig()
 		bCfg.AZAware = aware
-		n := opts.BlockDataNodes
-		if n <= 0 {
-			n = 3 * len(zones)
-		}
+		n := blockDNsPerZone * len(zones)
 		if opts.ObjectStoreBlocks {
 			n = 0 // the provider owns the storage nodes
 		}
@@ -495,7 +495,7 @@ func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
 // every operation's target path (per-depth subtree prefixes) and every
 // inode row read, the NDB layer attributes every row access to its table
 // and partition, and every finishing root operation feeds per-op-class
-// touches. The heat.* gauges are republished every cfg.PublishEvery of
+// touches. The heat.* gauges are republished every heat.PublishEvery of
 // virtual time, so a flight recorder keeping the "heat." prefix yields a
 // heat timeline CSV. Pass a zero heat.Config for defaults.
 func (d *Deployment) EnableHeat(cfg heat.Config) *heat.Collector {
@@ -511,7 +511,7 @@ func (d *Deployment) EnableHeat(cfg heat.Config) *heat.Collector {
 	if d.Router != nil {
 		d.Router.SetHeat(h)
 	}
-	d.every("heat-publisher", h.Config().PublishEvery, h.Publish)
+	d.every("heat-publisher", heat.PublishEvery, h.Publish)
 	return h
 }
 

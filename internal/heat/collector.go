@@ -17,23 +17,26 @@ type Config struct {
 	// depth 1 tracks "/proj", depth 2 "/proj/ds", and so on (default 3 —
 	// the evaluation namespace is three levels deep).
 	Depths int
-	// K is the per-sketch counter capacity (default 64): any key with true
-	// frequency above total/K is guaranteed to be tracked.
-	K int
-	// Window is the decay half-life: all counts halve every Window of
-	// virtual time (default 2s, matching the SLO sketch span scale).
-	Window time.Duration
 	// TopN is how many rows reports and the topk_share gauges cover
 	// (default 10).
 	TopN int
-	// PublishEvery is the default gauge-refresh interval for background
-	// publishers (default 50ms, matching the flight recorder).
-	PublishEvery time.Duration
 }
+
+const (
+	// sketchK is the per-sketch counter capacity: any key with true
+	// frequency above total/sketchK is guaranteed to be tracked.
+	sketchK = 64
+	// decayWindow is the decay half-life: all counts halve every
+	// decayWindow of virtual time (matching the SLO sketch span scale).
+	decayWindow = 2 * time.Second
+	// PublishEvery is the gauge-refresh interval of the background
+	// publisher (matching the flight recorder).
+	PublishEvery = 50 * time.Millisecond
+)
 
 // DefaultConfig returns the evaluation heat-tracking parameters.
 func DefaultConfig() Config {
-	return Config{Depths: 3, K: 64, Window: 2 * time.Second, TopN: 10, PublishEvery: 50 * time.Millisecond}
+	return Config{Depths: 3, TopN: 10}
 }
 
 func (c Config) withDefaults() Config {
@@ -41,17 +44,8 @@ func (c Config) withDefaults() Config {
 	if c.Depths <= 0 {
 		c.Depths = d.Depths
 	}
-	if c.K <= 0 {
-		c.K = d.K
-	}
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
 	if c.TopN <= 0 {
 		c.TopN = d.TopN
-	}
-	if c.PublishEvery <= 0 {
-		c.PublishEvery = d.PublishEvery
 	}
 	return c
 }
@@ -100,22 +94,19 @@ func NewCollector(cfg Config, reg *trace.Registry) *Collector {
 	cfg = cfg.withDefaults()
 	c := &Collector{
 		cfg:      cfg,
-		inodes:   NewTopK[uint64](cfg.K, cfg.Window),
-		tables:   NewTopK[string](cfg.K, cfg.Window),
-		parts:    NewTopK[string](cfg.K, cfg.Window),
-		ops:      NewTopK[string](cfg.K, cfg.Window),
+		inodes:   NewTopK[uint64](sketchK, decayWindow),
+		tables:   NewTopK[string](sketchK, decayWindow),
+		parts:    NewTopK[string](sketchK, decayWindow),
+		ops:      NewTopK[string](sketchK, decayWindow),
 		partKeys: make(map[string][]string),
 		reg:      reg,
 		gauges:   make(map[string]*familyGauges),
 	}
 	for d := 0; d < cfg.Depths; d++ {
-		c.subtrees = append(c.subtrees, NewTopK[string](cfg.K, cfg.Window))
+		c.subtrees = append(c.subtrees, NewTopK[string](sketchK, decayWindow))
 	}
 	return c
 }
-
-// Config returns the collector's effective (defaulted) config.
-func (c *Collector) Config() Config { return c.cfg }
 
 // TouchPath attributes one operation to the path's enclosing subtrees:
 // every prefix of up to Depths components gets one touch. Prefixes are
@@ -176,7 +167,7 @@ func (c *Collector) EnableShardFamily() {
 	if c == nil || c.shards != nil {
 		return
 	}
-	c.shards = NewTopK[string](c.cfg.K, c.cfg.Window)
+	c.shards = NewTopK[string](sketchK, decayWindow)
 }
 
 // TouchShard attributes one routed sub-transaction to a shard key. The

@@ -117,35 +117,31 @@ func (h *Histogram) Reset() {
 // UtilWindow measures average utilization of a set of resources over a
 // window: Mark at window start, Report at window end.
 type UtilWindow struct {
-	res    []*sim.Resource
-	busyAt []int64
-	start  time.Duration
+	res []*sim.Resource
+	win []sim.UtilWindow
 }
 
 // NewUtilWindow tracks the given resources.
 func NewUtilWindow(res ...*sim.Resource) *UtilWindow {
-	return &UtilWindow{res: res, busyAt: make([]int64, len(res))}
+	return &UtilWindow{res: res, win: make([]sim.UtilWindow, len(res))}
 }
 
 // Mark snapshots the window start at the current virtual time.
 func (u *UtilWindow) Mark(now time.Duration) {
-	u.start = now
 	for i, r := range u.res {
-		u.busyAt[i] = r.BusyIntegral()
+		u.win[i].Mark(r, now)
 	}
 }
 
 // Report returns the average utilization (0..1) across all tracked
 // resources since Mark.
 func (u *UtilWindow) Report(now time.Duration) float64 {
-	window := now - u.start
-	if window <= 0 || len(u.res) == 0 {
+	if len(u.res) == 0 {
 		return 0
 	}
 	var total float64
 	for i, r := range u.res {
-		delta := r.BusyIntegral() - u.busyAt[i]
-		total += float64(delta) / (float64(r.Capacity()) * float64(window))
+		total += u.win[i].Read(r, now)
 	}
 	return total / float64(len(u.res))
 }

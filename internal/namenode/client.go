@@ -245,7 +245,7 @@ func (cl *Client) Create(p *sim.Proc, path string, size int64) error {
 // NDB with the metadata; large files are split into blocks and streamed
 // through the block layer pipeline, then attached to the inode.
 func (cl *Client) WriteFile(p *sim.Proc, path string, size int64) error {
-	if size <= cl.ns.cfg.SmallFileThreshold || cl.ns.blockMgr == nil {
+	if size <= smallFileThreshold || cl.ns.blockMgr == nil {
 		return cl.Create(p, path, size)
 	}
 	if err := cl.Create(p, path, 0); err != nil {

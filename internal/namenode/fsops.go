@@ -326,7 +326,7 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 			if s, ok := nn.ns.router.Pinned(partKey(parent.ID)); ok {
 				_ = nn.ns.router.Pin(partKey(ino.ID), s)
 			}
-		} else if ino.Size <= nn.ns.cfg.SmallFileThreshold {
+		} else if ino.Size <= smallFileThreshold {
 			ino.InlineSize = ino.Size
 		}
 		created, row.Val = &ino, &ino

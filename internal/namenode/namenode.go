@@ -61,23 +61,21 @@ func IsOutcomeError(err error) bool {
 // RootID is the inode id of "/".
 const RootID uint64 = 1
 
+// smallFileThreshold is the inline-in-NDB cutoff: a file up to this size
+// is stored with its metadata and never reaches the block layer (§II-A3;
+// 128 KB).
+const smallFileThreshold = 128 << 10
+
 // Config parameterizes the metadata serving layer.
 type Config struct {
 	// ReadBackup enables the Read Backup option on all metadata tables.
 	// HopsFS-CL always sets it (§IV-A5); vanilla HopsFS does not.
 	ReadBackup bool
-	// SmallFileThreshold is the inline-in-NDB cutoff (§II-A3; 128 KB).
-	SmallFileThreshold int64
 	// NNCores is the CPU parallelism of each metadata server (paper VMs:
 	// 32 vCPUs).
 	NNCores int
 	// ElectionRound is the leader-election heartbeat period ([28]; 2 s).
 	ElectionRound time.Duration
-	// RetryMax bounds transaction retries per operation.
-	RetryMax int
-	// RetryBackoff is the base backoff between retries (exponential with
-	// jitter) — the paper's backpressure mechanism.
-	RetryBackoff time.Duration
 	// HintCacheSize bounds each NN's inode hint cache (path → inode id,
 	// LRU). Zero or negative disables the cache.
 	HintCacheSize int
@@ -102,13 +100,10 @@ type Costs struct {
 // DefaultConfig returns the paper-aligned defaults.
 func DefaultConfig() Config {
 	return Config{
-		ReadBackup:         true,
-		SmallFileThreshold: 128 << 10,
-		NNCores:            32,
-		ElectionRound:      2 * time.Second,
-		RetryMax:           8,
-		RetryBackoff:       2 * time.Millisecond,
-		HintCacheSize:      64 << 10,
+		ReadBackup:    true,
+		NNCores:       32,
+		ElectionRound: 2 * time.Second,
+		HintCacheSize: 64 << 10,
 		Costs: Costs{
 			OpBase:       25 * time.Microsecond,
 			PerComponent: 4 * time.Microsecond,
@@ -264,12 +259,8 @@ func (ns *Namesystem) HealthStats(now time.Duration) (live, expected int, util f
 			continue
 		}
 		expected++
-		u := 0.0
-		if now > nn.healthAt {
-			u = nn.cpu.Utilization(nn.healthAt, now, nn.healthBusy)
-		}
-		nn.healthAt = now
-		nn.healthBusy = nn.cpu.BusyIntegral()
+		u := nn.health.Read(nn.cpu, now)
+		nn.health.Mark(nn.cpu, now)
 		ns.obs.reg.Gauge("namenode.util", "nn", nn.Node.Name()).Set(u)
 		if nn.Alive() {
 			live++
@@ -457,10 +448,9 @@ type NameNode struct {
 	// Ops counts operations served (per-NN throughput, Figure 6).
 	Ops int64
 
-	// healthAt/healthBusy snapshot the CPU busy integral at the last health
-	// probe, so HealthStats reports utilization over the probe interval.
-	healthAt   time.Duration
-	healthBusy int64
+	// health is the CPU window opened at the last health probe, so
+	// HealthStats reports utilization over the probe interval.
+	health sim.UtilWindow
 }
 
 // ActiveNN is one entry of the leader's active-NN list, carrying the
@@ -615,6 +605,14 @@ func retriable(err error) bool {
 	return errors.Is(err, ndb.ErrLockTimeout) || errors.Is(err, ndb.ErrNodeUnavailable)
 }
 
+const (
+	// retryMax bounds transaction retries per operation.
+	retryMax = 8
+	// retryBackoff is the base backoff between retries (exponential with
+	// jitter, capped at 64x) — the paper's backpressure mechanism.
+	retryBackoff = 2 * time.Millisecond
+)
+
 // runTxn executes fn in a storage transaction with the given partition-key
 // hint, retrying aborted transactions with exponential backoff — the
 // paper's retry mechanism providing backpressure to NDB (§II-B2). The hint
@@ -629,8 +627,8 @@ func (nn *NameNode) runTxn(p *sim.Proc, hint string, fn func(tx ndb.Tx) error) e
 		tx, err := nn.ns.router.Begin(p, nn.Node, nn.Domain, nn.ns.inodes.For(hint), hint)
 		return ndb.InTx(tx, err, fn)
 	}
-	backoff := nn.ns.cfg.RetryBackoff
-	for attempt := 0; attempt <= nn.ns.cfg.RetryMax; attempt++ {
+	backoff := retryBackoff
+	for attempt := 0; attempt <= retryMax; attempt++ {
 		var err error
 		if ts := p.Span().Child("txn", p.EffNow()); ts != nil {
 			if attempt > 0 {
@@ -651,7 +649,7 @@ func (nn *NameNode) runTxn(p *sim.Proc, hint string, fn func(tx ndb.Tx) error) e
 		}
 		jitter := time.Duration(p.Rand().Int63n(int64(backoff)))
 		p.Sleep(backoff + jitter)
-		if backoff < 64*nn.ns.cfg.RetryBackoff {
+		if backoff < 64*retryBackoff {
 			backoff *= 2
 		}
 	}

@@ -163,7 +163,7 @@ func (t *Txn) sendTo(p *sim.Proc, target *DataNode, bytes int) bool {
 	if target == t.tc {
 		return true
 	}
-	if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, bytes, t.c.cfg.RPCTimeout) {
+	if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, bytes, rpcTimeout) {
 		return false
 	}
 	target.recv(p)
@@ -175,7 +175,7 @@ func (t *Txn) replyFrom(p *sim.Proc, target *DataNode, bytes int) bool {
 		return true
 	}
 	target.send(p)
-	if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, bytes, t.c.cfg.RPCTimeout) {
+	if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, bytes, rpcTimeout) {
 		return false
 	}
 	t.tc.recv(p)

@@ -36,7 +36,7 @@ func (c *Cluster) StopBackground() { c.bgStop = true }
 // (charged to RECV and dropped) and shutdown orders from the arbitrator.
 func (dn *DataNode) serve(p *sim.Proc) {
 	for !dn.c.bgStop {
-		msg, ok := dn.Node.Inbox.RecvTimeout(p, dn.c.cfg.HeartbeatInterval)
+		msg, ok := dn.Node.Inbox.RecvTimeout(p, heartbeatInterval)
 		if !ok {
 			continue
 		}
@@ -56,7 +56,7 @@ func (dn *DataNode) serve(p *sim.Proc) {
 func (dn *DataNode) heartbeatLoop(p *sim.Proc) {
 	misses := 0
 	for !dn.c.bgStop {
-		p.Sleep(dn.c.cfg.HeartbeatInterval)
+		p.Sleep(heartbeatInterval)
 		if !dn.Alive() {
 			return
 		}
@@ -64,8 +64,8 @@ func (dn *DataNode) heartbeatLoop(p *sim.Proc) {
 		if peer == nil {
 			continue
 		}
-		ok := dn.c.net.Travel(p, dn.Node, peer.Node, ackSize, dn.c.cfg.RPCTimeout) &&
-			dn.c.net.Travel(p, peer.Node, dn.Node, ackSize, dn.c.cfg.RPCTimeout)
+		ok := dn.c.net.Travel(p, dn.Node, peer.Node, ackSize, rpcTimeout) &&
+			dn.c.net.Travel(p, peer.Node, dn.Node, ackSize, rpcTimeout)
 		if !dn.Alive() {
 			return
 		}
@@ -115,12 +115,12 @@ func (c *Cluster) handleSuspectedFailure(p *sim.Proc, detector, suspect *DataNod
 		// Round trip to the arbitrator; failure to reach it means the
 		// detector is on the losing side of a partition and must shut
 		// down gracefully.
-		if !c.net.Travel(p, detector.Node, arb.Node, reqSize, c.cfg.RPCTimeout) {
+		if !c.net.Travel(p, detector.Node, arb.Node, reqSize, rpcTimeout) {
 			detector.shutdownSelf()
 			return
 		}
 		granted := c.arbitrate(detector)
-		if !c.net.Travel(p, arb.Node, detector.Node, ackSize, c.cfg.RPCTimeout) {
+		if !c.net.Travel(p, arb.Node, detector.Node, ackSize, rpcTimeout) {
 			detector.shutdownSelf()
 			return
 		}
@@ -135,8 +135,8 @@ func (c *Cluster) handleSuspectedFailure(p *sim.Proc, detector, suspect *DataNod
 		return
 	}
 	if suspect.Alive() && c.reachable(detector, suspect) &&
-		c.net.Travel(p, detector.Node, suspect.Node, ackSize, c.cfg.RPCTimeout) &&
-		c.net.Travel(p, suspect.Node, detector.Node, ackSize, c.cfg.RPCTimeout) {
+		c.net.Travel(p, detector.Node, suspect.Node, ackSize, rpcTimeout) &&
+		c.net.Travel(p, suspect.Node, detector.Node, ackSize, rpcTimeout) {
 		// Final direct probe before declaring: the suspect answers, so the
 		// missed heartbeats were a transient (a healed partition or a lossy
 		// spell), not a failure. Without this re-check a node whose misses
@@ -248,11 +248,11 @@ func (dn *DataNode) shutdownSelf() {
 func (dn *DataNode) Shutdown() bool { return dn.shutdown }
 
 // checkpointLoop implements the global checkpoint protocol: every
-// GCPInterval the REDO log accumulated since the last checkpoint is flushed
+// gcpInterval the REDO log accumulated since the last checkpoint is flushed
 // to the node's disk (the only disk NDB uses in steady state, §V-D1).
 func (dn *DataNode) checkpointLoop(p *sim.Proc) {
 	for !dn.c.bgStop {
-		p.Sleep(dn.c.cfg.GCPInterval)
+		p.Sleep(gcpInterval)
 		if !dn.Alive() {
 			return
 		}
@@ -318,7 +318,7 @@ func (c *Cluster) resync(p *sim.Proc, dn *DataNode) {
 				continue
 			}
 			size := rows * t.rowSize
-			if c.net.Travel(p, reps[0].Node, dn.Node, size, 5*c.cfg.RPCTimeout) {
+			if c.net.Travel(p, reps[0].Node, dn.Node, size, 5*rpcTimeout) {
 				dn.redoPending += int64(size)
 			}
 		}

@@ -16,12 +16,12 @@ import (
 // row with the current epoch. The per-node checkpoint loops flush REDO to
 // disk; the cluster-level ticker advances the durable horizon.
 
-// gcpLoop advances the global checkpoint epoch every GCPInterval: epoch n
+// gcpLoop advances the global checkpoint epoch every gcpInterval: epoch n
 // becomes durable once every alive node has flushed (modelled by the
 // per-node checkpoint loops sharing the same period).
 func (c *Cluster) gcpLoop(p *sim.Proc) {
 	for !c.bgStop {
-		p.Sleep(c.cfg.GCPInterval)
+		p.Sleep(gcpInterval)
 		c.gcpEpoch++
 		c.durableEpoch = c.gcpEpoch - 1
 	}

@@ -43,6 +43,20 @@ var (
 	ErrNoNodes = errors.New("ndb: no datanodes available")
 )
 
+// The cluster's timers, fixed as in the evaluated deployment.
+const (
+	// lockTimeout aborts a transaction that waited this long for a lock
+	// (TransactionDeadlockDetectionTimeout).
+	lockTimeout = 150 * time.Millisecond
+	// rpcTimeout bounds each internal message hop; a missing response means
+	// the target node is treated as unavailable.
+	rpcTimeout = 75 * time.Millisecond
+	// heartbeatInterval is the datanode failure-detection period.
+	heartbeatInterval = 100 * time.Millisecond
+	// gcpInterval is the global checkpoint period (REDO flush to disk).
+	gcpInterval = 250 * time.Millisecond
+)
+
 // Config parameterizes a cluster.
 type Config struct {
 	// DataNodes is the number of NDB datanodes (paper: 12).
@@ -52,16 +66,6 @@ type Config struct {
 	Replication int
 	// PartitionsPerTable is the partition count for new tables.
 	PartitionsPerTable int
-	// LockTimeout aborts a transaction that waited this long for a lock
-	// (TransactionDeadlockDetectionTimeout).
-	LockTimeout time.Duration
-	// RPCTimeout bounds each internal message hop; a missing response means
-	// the target node is treated as unavailable.
-	RPCTimeout time.Duration
-	// HeartbeatInterval is the datanode failure-detection period.
-	HeartbeatInterval time.Duration
-	// GCPInterval is the global checkpoint period (REDO flush to disk).
-	GCPInterval time.Duration
 	// AZAware, when true, assigns each datanode a LocationDomainId equal to
 	// its physical zone, enabling all §IV-A locality behaviour. When false
 	// the cluster behaves like vanilla NDB deployed unaware (HopsFS
@@ -88,10 +92,6 @@ func DefaultConfig() Config {
 		DataNodes:          12,
 		Replication:        2,
 		PartitionsPerTable: 24,
-		LockTimeout:        150 * time.Millisecond,
-		RPCTimeout:         75 * time.Millisecond,
-		HeartbeatInterval:  100 * time.Millisecond,
-		GCPInterval:        250 * time.Millisecond,
 		AZAware:            true,
 		Costs:              DefaultCosts(),
 	}
@@ -313,10 +313,9 @@ type DataNode struct {
 	threads      [threadTypes]*sim.Resource
 	declaredDead bool
 
-	// healthAt/healthBusy snapshot the thread-pool busy integrals at the
-	// last health probe (see Cluster.HealthStats).
-	healthAt   time.Duration
-	healthBusy [threadTypes]int64
+	// health holds the thread-pool windows opened at the last health probe
+	// (see Cluster.HealthStats).
+	health [threadTypes]sim.UtilWindow
 
 	// redoPending accumulates bytes to be flushed at the next global
 	// checkpoint.
@@ -424,15 +423,10 @@ func (c *Cluster) HealthStats(now time.Duration) (live, expected int, groupLost 
 	for _, dn := range c.datanodes {
 		var nodeSum float64
 		for t := range dn.threads {
-			u := 0.0
-			if now > dn.healthAt {
-				u = dn.threads[t].Utilization(dn.healthAt, now, dn.healthBusy[t])
-			}
-			dn.healthBusy[t] = dn.threads[t].BusyIntegral()
-			nodeSum += u
+			nodeSum += dn.health[t].Read(dn.threads[t], now)
+			dn.health[t].Mark(dn.threads[t], now)
 		}
 		nodeUtil := nodeSum / float64(threadTypes)
-		dn.healthAt = now
 		if c.obs != nil {
 			c.obs.reg.Gauge("ndb.util", "dn", dn.Node.Name()).Set(nodeUtil)
 		}

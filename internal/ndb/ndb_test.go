@@ -370,7 +370,7 @@ func TestLockTimeoutAbortsWaiter(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		p.Sleep(500 * time.Millisecond) // far beyond LockTimeout
+		p.Sleep(500 * time.Millisecond) // far beyond lockTimeout
 		if err := tx.Commit(); err != nil {
 			t.Error(err)
 		}
@@ -621,7 +621,7 @@ func TestCheckpointFlushesRedoToDisk(t *testing.T) {
 			return tx.Commit()
 		})
 	}
-	env.RunFor(c.cfg.GCPInterval * 2)
+	env.RunFor(gcpInterval * 2)
 	var disk int64
 	for _, dn := range c.DataNodes() {
 		_, w := dn.Node.DiskBytes()
@@ -833,7 +833,7 @@ func TestClusterCrashRecoversDurableEpochOnly(t *testing.T) {
 		}
 		// Let GCP epochs pass so the write becomes durable, then write a
 		// row in the current (non-durable) epoch and crash immediately.
-		p.Sleep(3 * c.cfg.GCPInterval)
+		p.Sleep(3 * gcpInterval)
 		if c.DurableEpoch() == 0 {
 			t.Error("no durable epoch after three intervals")
 			return
@@ -885,7 +885,7 @@ func TestClusterCrashRecoversDurableEpochOnly(t *testing.T) {
 func TestEpochAdvances(t *testing.T) {
 	env, c, _ := testCluster(t, true, 3)
 	e0 := c.CurrentEpoch()
-	env.RunFor(3 * c.cfg.GCPInterval)
+	env.RunFor(3 * gcpInterval)
 	if c.CurrentEpoch() <= e0 {
 		t.Fatalf("epoch did not advance: %d -> %d", e0, c.CurrentEpoch())
 	}
@@ -912,7 +912,7 @@ func TestRepeatedCrashRestartEpochMonotone(t *testing.T) {
 			return tx.Commit()
 		})
 		// Let the write become durable, then crash.
-		env.RunFor(3 * c.cfg.GCPInterval)
+		env.RunFor(3 * gcpInterval)
 		if d := c.DurableEpoch(); d < lastDurable {
 			t.Fatalf("cycle %d: durable epoch regressed %d -> %d before crash", cycle, lastDurable, d)
 		}

@@ -104,7 +104,7 @@ func DefaultCosts() Costs {
 // after the CPU plateaus).
 func (dn *DataNode) use(p *sim.Proc, t ThreadType, d time.Duration) {
 	res := dn.threads[t]
-	if backlog := res.Backlog(p.EffNow()); backlog > 0 {
+	if backlog := res.Backlog(); backlog > 0 {
 		floor := dn.c.cfg.Costs.BatchFloor
 		scale := floor + (1-floor)*float64(d)/float64(d+backlog)
 		d = time.Duration(float64(d) * scale)
@@ -121,8 +121,7 @@ func (dn *DataNode) recv(p *sim.Proc) { dn.use(p, RECV, dn.c.cfg.Costs.Recv) }
 // in Figure 11.
 func (dn *DataNode) send(p *sim.Proc) {
 	cost := dn.c.cfg.Costs.Send
-	now := p.EffNow()
-	if dn.threads[SEND].Backlog(now) > 0 && dn.threads[REP].Backlog(now) == 0 {
+	if dn.threads[SEND].Backlog() > 0 && dn.threads[REP].Backlog() == 0 {
 		dn.use(p, REP, cost)
 		return
 	}

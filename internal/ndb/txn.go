@@ -124,7 +124,7 @@ func (c *Cluster) Begin(p *sim.Proc, origin *simnet.Node, originDomain simnet.Zo
 		}
 		c.activeOps[t.id] = op
 	}
-	if !c.net.TravelDeferred(p, origin, tc.Node, reqSize, c.cfg.RPCTimeout) {
+	if !c.net.TravelDeferred(p, origin, tc.Node, reqSize, rpcTimeout) {
 		return nil, ErrNodeUnavailable
 	}
 	tc.recv(p)
@@ -431,7 +431,7 @@ func (t *Txn) Commit() error {
 		t.finish(true)
 		// Reply to the API client.
 		t.tc.send(t.p)
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, t.origin, ackSize, cfg.RPCTimeout) {
+		if !t.c.net.TravelDeferred(t.p, t.tc.Node, t.origin, ackSize, rpcTimeout) {
 			return ErrNodeUnavailable
 		}
 		return nil
@@ -504,7 +504,7 @@ func (t *Txn) Commit() error {
 	// Ack to the API client (message 10, or 14 under Read Backup — the
 	// timing difference is already inside commitTrain).
 	t.tc.send(t.p)
-	if !t.c.net.TravelDeferred(t.p, t.tc.Node, t.origin, ackSize, cfg.RPCTimeout) {
+	if !t.c.net.TravelDeferred(t.p, t.tc.Node, t.origin, ackSize, rpcTimeout) {
 		return ErrNodeUnavailable
 	}
 	return nil
@@ -631,7 +631,7 @@ func (t *Txn) commitTrain(p *sim.Proc, ws []*writeOp, readBackup, applyNow bool)
 	prev := t.tc
 	for _, dn := range chain {
 		prev.send(p)
-		if !t.c.net.TravelDeferred(p, prev.Node, dn.Node, trainBytes, cfg.RPCTimeout) {
+		if !t.c.net.TravelDeferred(p, prev.Node, dn.Node, trainBytes, rpcTimeout) {
 			return ErrNodeUnavailable
 		}
 		dn.recv(p)
@@ -643,7 +643,7 @@ func (t *Txn) commitTrain(p *sim.Proc, ws []*writeOp, readBackup, applyNow bool)
 	}
 	last := chain[len(chain)-1]
 	last.send(p)
-	if !t.c.net.TravelDeferred(p, last.Node, t.tc.Node, ackSize, cfg.RPCTimeout) {
+	if !t.c.net.TravelDeferred(p, last.Node, t.tc.Node, ackSize, rpcTimeout) {
 		return ErrNodeUnavailable
 	}
 	t.tc.recv(p)
@@ -655,7 +655,7 @@ func (t *Txn) commitTrain(p *sim.Proc, ws []*writeOp, readBackup, applyNow bool)
 	for i := len(chain) - 1; i >= 0; i-- {
 		dn := chain[i]
 		prev.send(p)
-		if !t.c.net.TravelDeferred(p, prev.Node, dn.Node, ackSize, cfg.RPCTimeout) {
+		if !t.c.net.TravelDeferred(p, prev.Node, dn.Node, ackSize, rpcTimeout) {
 			return ErrNodeUnavailable
 		}
 		dn.recv(p)
@@ -675,7 +675,7 @@ func (t *Txn) commitTrain(p *sim.Proc, ws []*writeOp, readBackup, applyNow bool)
 		}
 	}
 	chain[0].send(p)
-	if !t.c.net.TravelDeferred(p, chain[0].Node, t.tc.Node, ackSize, cfg.RPCTimeout) {
+	if !t.c.net.TravelDeferred(p, chain[0].Node, t.tc.Node, ackSize, rpcTimeout) {
 		return ErrNodeUnavailable
 	}
 	t.tc.recv(p)
@@ -717,12 +717,12 @@ func (t *Txn) commitTrain(p *sim.Proc, ws []*writeOp, readBackup, applyNow bool)
 		t.c.dispatch(fanTask{
 			span: fanSpan,
 			boolRun: func(cp *sim.Proc) bool {
-				ok := t.c.net.TravelDeferred(cp, t.tc.Node, dn.Node, ackSize, cfg.RPCTimeout)
+				ok := t.c.net.TravelDeferred(cp, t.tc.Node, dn.Node, ackSize, rpcTimeout)
 				if ok {
 					dn.recv(cp)
 					dn.use(cp, LDM, cfg.Costs.LDMCommit)
 					dn.send(cp)
-					ok = t.c.net.TravelDeferred(cp, dn.Node, t.tc.Node, ackSize, cfg.RPCTimeout)
+					ok = t.c.net.TravelDeferred(cp, dn.Node, t.tc.Node, ackSize, rpcTimeout)
 				}
 				return ok
 			},
@@ -833,7 +833,7 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 	}
 	start := p.Now()
 	ls := p.Span().Child("lock_wait", start)
-	_, ok := mb.RecvTimeout(p, t.c.cfg.LockTimeout)
+	_, ok := mb.RecvTimeout(p, lockTimeout)
 	wait := p.Now() - start
 	if obs != nil {
 		obs.lockWait.Observe(wait)

@@ -271,7 +271,7 @@ func TestWriteBatchLockTimeoutAborts(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		p.Sleep(500 * time.Millisecond) // far beyond LockTimeout
+		p.Sleep(500 * time.Millisecond) // far beyond lockTimeout
 		if err := tx.Commit(); err != nil {
 			t.Error(err)
 		}

@@ -37,12 +37,16 @@ type Config struct {
 	// RequestsPerSecond rate-limits the API per front-end endpoint; 0
 	// disables limiting.
 	RequestsPerSecond float64
-	// Bandwidth bounds a single connection's transfer rate (bytes/second).
-	Bandwidth float64
-	// Durability replication inside the store is free for the client but
-	// costs regional traffic: each PUT is fanned out to this many zones.
-	ReplicationZones int
 }
+
+const (
+	// bandwidth bounds a single connection's transfer rate: ~1 GB/s.
+	bandwidth float64 = 1e9
+	// replicationZones is the store's internal durability fan-out. It is
+	// free for the client but costs regional traffic: each PUT is copied to
+	// this many zones.
+	replicationZones = 3
+)
 
 // DefaultConfig returns S3-standard-class numbers.
 func DefaultConfig() Config {
@@ -50,8 +54,6 @@ func DefaultConfig() Config {
 		PutLatency:        20 * time.Millisecond,
 		GetLatency:        12 * time.Millisecond,
 		RequestsPerSecond: 5500, // S3 per-prefix GET limit order of magnitude
-		Bandwidth:         1e9,  // ~1 GB/s per connection
-		ReplicationZones:  3,
 	}
 }
 
@@ -121,7 +123,7 @@ func (s *Store) admit(p *sim.Proc) {
 }
 
 // Put uploads an object of the given size from the client. The provider
-// replicates it across ReplicationZones zones internally.
+// replicates it across replicationZones zones internally.
 func (s *Store) Put(p *sim.Proc, client *simnet.Node, key string, size int64) error {
 	ep := s.endpoint(client.Zone())
 	if ep == nil {
@@ -136,7 +138,7 @@ func (s *Store) Put(p *sim.Proc, client *simnet.Node, key string, size int64) er
 	// the provider's zones.
 	reps := 0
 	for z, other := range s.endpoints {
-		if z == ep.Zone() || reps >= s.cfg.ReplicationZones-1 {
+		if z == ep.Zone() || reps >= replicationZones-1 {
 			continue
 		}
 		s.net.Send(ep, other, int(size), "objstore-replicate")
@@ -174,10 +176,7 @@ func (s *Store) Get(p *sim.Proc, client *simnet.Node, key string) (int64, error)
 
 // transferTime is the per-connection streaming time for size bytes.
 func (s *Store) transferTime(size int64) time.Duration {
-	if s.cfg.Bandwidth <= 0 {
-		return 0
-	}
-	return time.Duration(float64(size) / s.cfg.Bandwidth * float64(time.Second))
+	return time.Duration(float64(size) / bandwidth * float64(time.Second))
 }
 
 // Delete removes an object (idempotent, like the real APIs).

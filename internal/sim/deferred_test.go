@@ -130,15 +130,15 @@ func TestBacklogReflectsClockFrameHorizon(t *testing.T) {
 	defer env.Close()
 	res := NewResource(env, "cpu", 1)
 	env.Spawn("p", func(p *Proc) {
-		if res.Backlog(p.Now()) != 0 {
+		if res.Backlog() != 0 {
 			t.Error("fresh resource has backlog")
 		}
 		res.UseDeferred(p, 5*time.Millisecond)
-		if got := res.Backlog(p.Now()); got != 5*time.Millisecond {
+		if got := res.Backlog(); got != 5*time.Millisecond {
 			t.Errorf("backlog = %v, want 5ms", got)
 		}
 		p.Flush()
-		if got := res.Backlog(p.Now()); got != 0 {
+		if got := res.Backlog(); got != 0 {
 			t.Errorf("backlog after horizon = %v, want 0", got)
 		}
 	})

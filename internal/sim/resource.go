@@ -134,9 +134,9 @@ func (r *Resource) UseDeferred(p *Proc, d time.Duration) {
 
 // Backlog returns how far the least-loaded fluid unit's horizon extends
 // past the virtual clock — the queueing delay the next UseDeferred would
-// see. The argument is accepted for interface symmetry but the clock frame
-// is authoritative.
-func (r *Resource) Backlog(time.Duration) time.Duration {
+// see. Horizons live in the clock frame, so a caller running ahead of the
+// clock reads the same value as everyone else.
+func (r *Resource) Backlog() time.Duration {
 	if r.nextFree == nil {
 		return 0
 	}
@@ -161,14 +161,34 @@ func (r *Resource) BusyIntegral() int64 {
 }
 
 // Utilization returns the average fraction of capacity in use between
-// virtual times from and to (both observed via BusyIntegral snapshots taken
-// by the caller are preferred for windows; this is the from-zero helper).
+// virtual time from and the current instant to, given the BusyIntegral
+// snapshot the caller took at from (0 for a window that starts at time
+// zero). An empty window reads 0.
 func (r *Resource) Utilization(from, to time.Duration, busyAtFrom int64) float64 {
 	if to <= from {
 		return 0
 	}
 	delta := r.BusyIntegral() - busyAtFrom
 	return float64(delta) / (float64(r.capacity) * float64(to-from))
+}
+
+// UtilWindow is one utilization measurement window over a resource: the
+// instant it opened and the busy integral at that instant. Mark opens it,
+// Read reports the utilization since; a reader that wants consecutive
+// windows marks again after each read.
+type UtilWindow struct {
+	at   time.Duration
+	busy int64
+}
+
+// Mark opens the window on r at virtual time now (the current instant).
+func (w *UtilWindow) Mark(r *Resource, now time.Duration) {
+	w.at, w.busy = now, r.BusyIntegral()
+}
+
+// Read returns r's utilization from the mark to now (the current instant).
+func (w UtilWindow) Read(r *Resource, now time.Duration) float64 {
+	return r.Utilization(w.at, now, w.busy)
 }
 
 func (r *Resource) account() {

@@ -132,6 +132,24 @@ func (e *Env) RunFor(d time.Duration) {
 	e.stopAt = -1
 }
 
+// RunUntil drives the simulation in increments of step until cond holds,
+// for at most budget of virtual time, and reports whether it held. cond is
+// observed at the current instant and after every step, so a condition
+// that is already true costs no time, the clock never passes the first
+// step boundary at or after the instant it became true, and a condition
+// that never holds returns false at exactly now+budget. Harness loops
+// waiting on a flag a process sets, or on a deployment going idle, use it.
+func (e *Env) RunUntil(cond func() bool, step, budget time.Duration) bool {
+	deadline := e.now + budget
+	for !cond() {
+		if e.now >= deadline {
+			return false
+		}
+		e.RunFor(min(step, deadline-e.now))
+	}
+	return true
+}
+
 // Close kills every live process so their goroutines exit. The environment
 // must not be used afterwards. It is safe to call Close multiple times.
 func (e *Env) Close() {

@@ -244,6 +244,33 @@ func TestRunForStopsAndResumes(t *testing.T) {
 	}
 }
 
+func TestRunUntil(t *testing.T) {
+	env := New(1)
+	defer env.Close()
+	env.RunFor(3 * time.Millisecond)
+
+	// Already true: no time passes.
+	if !env.RunUntil(func() bool { return true }, 2*time.Millisecond, time.Second) || env.Now() != 3*time.Millisecond {
+		t.Fatalf("true condition: clock at %v, want 3ms", env.Now())
+	}
+
+	// Met mid-way: returns at the first step boundary at or after it.
+	done := false
+	env.Spawn("flag", func(p *Proc) {
+		p.Sleep(5 * time.Millisecond) // sets the flag at 8ms
+		done = true
+	})
+	if !env.RunUntil(func() bool { return done }, 2*time.Millisecond, time.Second) || env.Now() != 9*time.Millisecond {
+		t.Fatalf("flag set at 8ms: returned at %v, want 9ms", env.Now())
+	}
+
+	// Never met: false at exactly now+budget, also when step does not
+	// divide the budget.
+	if env.RunUntil(func() bool { return false }, 2*time.Millisecond, 7*time.Millisecond) || env.Now() != 16*time.Millisecond {
+		t.Fatalf("exhausted budget: clock at %v, want 16ms", env.Now())
+	}
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []int64 {
 		env := New(42)

@@ -67,7 +67,7 @@ func USWest1() *Topology {
 			{ms(0.372), ms(0.399), ms(0.249)},
 		},
 		SameHostRTT: 30 * time.Microsecond,
-		// 2 GB/s shared per inter-AZ directed link. Deliberately finite:
+		// 350 MB/s shared per inter-AZ directed link. Deliberately finite:
 		// §V-B1 attributes the growing HopsFS-CL advantage past 24 NNs to
 		// network I/O becoming a bottleneck, which requires a shared
 		// cross-AZ pipe to reproduce. The intra-AZ fabric is effectively

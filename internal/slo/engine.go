@@ -47,7 +47,7 @@ func NewEngine(spec Spec, reg *trace.Registry) *Engine {
 		spec:   spec,
 		reg:    reg,
 		alerts: newAlerter(spec),
-		health: newHealthModel(spec.Health),
+		health: &healthModel{},
 		sketch: make(map[string]*Sketch),
 		all:    NewSketch(spec.Window, spec.Slots),
 		gauges: make(map[string]*opGauges),

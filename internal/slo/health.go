@@ -33,7 +33,7 @@ func (l Level) String() string {
 
 // ComponentStats is the instantaneous signal a component probe reports.
 // Liveness is structural (how many members are up vs expected); Util and
-// Pressure are load signals judged against HealthThresholds.
+// Pressure are load signals judged against the health thresholds.
 type ComponentStats struct {
 	// Live and Expected count component members (NN replicas, NDB data
 	// nodes, datanodes). Expected 0 means liveness does not apply.
@@ -49,11 +49,24 @@ type ComponentStats struct {
 	Pressure float64
 }
 
+// The health thresholds: when a component's utilization or pressure signal
+// degrades its health (liveness rules are structural: losing nodes degrades,
+// losing quorum is critical, losing all is down).
+const (
+	// utilDegraded and utilCritical bound the mean thread-pool/CPU
+	// utilization (0..1).
+	utilDegraded, utilCritical = 0.85, 0.97
+	// pressureDegraded and pressureCritical bound the component's pressure
+	// signal (mean lock waiters for NDB, under-replicated blocks for the
+	// block layer).
+	pressureDegraded, pressureCritical = 1, 8
+)
+
 // level folds one component's stats into a health level: structural
 // liveness rules first (no live member ⇒ down, below quorum ⇒ critical,
 // any member lost ⇒ at least degraded), then utilization and pressure
 // thresholds, taking the worst verdict.
-func (st ComponentStats) level(t HealthThresholds) Level {
+func (st ComponentStats) level() Level {
 	lvl := Healthy
 	if st.Expected > 0 {
 		switch {
@@ -70,14 +83,14 @@ func (st ComponentStats) level(t HealthThresholds) Level {
 			lvl = l
 		}
 	}
-	if t.UtilCritical > 0 && st.Util >= t.UtilCritical {
+	if st.Util >= utilCritical {
 		raise(Critical)
-	} else if t.UtilDegraded > 0 && st.Util >= t.UtilDegraded {
+	} else if st.Util >= utilDegraded {
 		raise(Degraded)
 	}
-	if t.PressureCritical > 0 && st.Pressure >= t.PressureCritical {
+	if st.Pressure >= pressureCritical {
 		raise(Critical)
-	} else if t.PressureDegraded > 0 && st.Pressure >= t.PressureDegraded {
+	} else if st.Pressure >= pressureDegraded {
 		raise(Degraded)
 	}
 	return lvl
@@ -85,14 +98,14 @@ func (st ComponentStats) level(t HealthThresholds) Level {
 
 // cause renders the dominant reason for a non-healthy verdict, for event
 // detail lines.
-func (st ComponentStats) cause(t HealthThresholds) string {
+func (st ComponentStats) cause() string {
 	if st.Expected > 0 && st.Live < st.Expected {
 		return fmt.Sprintf("%d/%d live (quorum %d)", st.Live, st.Expected, st.Quorum)
 	}
-	if t.UtilDegraded > 0 && st.Util >= t.UtilDegraded {
+	if st.Util >= utilDegraded {
 		return fmt.Sprintf("util %.0f%%", st.Util*100)
 	}
-	if t.PressureDegraded > 0 && st.Pressure >= t.PressureDegraded {
+	if st.Pressure >= pressureDegraded {
 		return fmt.Sprintf("pressure %.1f", st.Pressure)
 	}
 	return fmt.Sprintf("%d/%d live, util %.0f%%, pressure %.1f", st.Live, st.Expected, st.Util*100, st.Pressure)
@@ -111,13 +124,8 @@ type component struct {
 // healthModel folds per-component probes into component and cluster-wide
 // health states, emitting transition events.
 type healthModel struct {
-	thresholds HealthThresholds
 	components []component // sorted by name; evaluation order is fixed
 	cluster    Level
-}
-
-func newHealthModel(t HealthThresholds) *healthModel {
-	return &healthModel{thresholds: t}
 }
 
 // register adds (or replaces) a component probe, keeping evaluation order
@@ -141,7 +149,7 @@ func (h *healthModel) evaluate(now time.Duration) []Event {
 	for i := range h.components {
 		c := &h.components[i]
 		st := c.probe(now)
-		lvl := st.level(h.thresholds)
+		lvl := st.level()
 		if lvl > worst {
 			worst = lvl
 		}
@@ -149,7 +157,7 @@ func (h *healthModel) evaluate(now time.Duration) []Event {
 			events = append(events, Event{
 				At: now, Kind: EventHealth, Severity: healthSeverity(lvl),
 				Subject:   c.name + ": " + c.level.String() + " -> " + lvl.String(),
-				Detail:    st.cause(h.thresholds),
+				Detail:    st.cause(),
 				Degrading: lvl > c.level,
 			})
 			c.level = lvl

@@ -5,15 +5,7 @@ import (
 	"time"
 )
 
-func testThresholds() HealthThresholds {
-	return HealthThresholds{
-		UtilDegraded: 0.85, UtilCritical: 0.97,
-		PressureDegraded: 1, PressureCritical: 8,
-	}
-}
-
 func TestComponentLevelStructural(t *testing.T) {
-	th := testThresholds()
 	cases := []struct {
 		st   ComponentStats
 		want Level
@@ -29,14 +21,13 @@ func TestComponentLevelStructural(t *testing.T) {
 		{ComponentStats{Live: 0, Expected: 0}, Healthy},
 	}
 	for _, c := range cases {
-		if got := c.st.level(th); got != c.want {
+		if got := c.st.level(); got != c.want {
 			t.Errorf("level(%+v) = %v, want %v", c.st, got, c.want)
 		}
 	}
 }
 
 func TestComponentLevelLoadSignals(t *testing.T) {
-	th := testThresholds()
 	cases := []struct {
 		st   ComponentStats
 		want Level
@@ -49,14 +40,14 @@ func TestComponentLevelLoadSignals(t *testing.T) {
 		{ComponentStats{Live: 2, Expected: 3, Pressure: 9}, Critical},
 	}
 	for _, c := range cases {
-		if got := c.st.level(th); got != c.want {
+		if got := c.st.level(); got != c.want {
 			t.Errorf("level(%+v) = %v, want %v", c.st, got, c.want)
 		}
 	}
 }
 
 func TestHealthModelTransitions(t *testing.T) {
-	h := newHealthModel(testThresholds())
+	h := &healthModel{}
 	stats := map[string]ComponentStats{
 		"ndb":      {Live: 6, Expected: 6, Quorum: 4},
 		"namenode": {Live: 3, Expected: 3, Quorum: 1},
@@ -106,7 +97,7 @@ func TestHealthModelTransitions(t *testing.T) {
 // on component names, not registration order.
 func TestHealthModelOrderIndependent(t *testing.T) {
 	run := func(names []string) string {
-		h := newHealthModel(testThresholds())
+		h := &healthModel{}
 		for _, n := range names {
 			h.register(n, func(time.Duration) ComponentStats {
 				return ComponentStats{Live: 1, Expected: 2, Quorum: 1}

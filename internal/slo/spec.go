@@ -50,23 +50,9 @@ type BurnPair struct {
 	Severity Severity
 }
 
-// HealthThresholds tune when a component's utilization or pressure signal
-// degrades its health (liveness rules are structural: losing nodes degrades,
-// losing quorum is critical, losing all is down).
-type HealthThresholds struct {
-	// UtilDegraded and UtilCritical bound the mean thread-pool/CPU
-	// utilization (0..1).
-	UtilDegraded, UtilCritical float64
-	// PressureDegraded and PressureCritical bound the component's pressure
-	// signal (mean lock waiters for NDB, under-replicated blocks for the
-	// block layer).
-	PressureDegraded, PressureCritical float64
-}
-
 // Spec is the declarative SLO of a deployment: sketch geometry, the
 // availability objective, per-op latency objectives, the burn-rate rules
-// that alert on them, and the health thresholds. The zero Spec is not
-// runnable; start from DefaultSpec.
+// that alert on them. The zero Spec is not runnable; start from DefaultSpec.
 type Spec struct {
 	// Window is the sketch span (the longest answerable trailing window);
 	// Slots is its resolution.
@@ -83,9 +69,6 @@ type Spec struct {
 	// Burns lists the multi-window burn-rate rules applied to every
 	// objective.
 	Burns []BurnPair
-
-	// Health tunes the cluster health model.
-	Health HealthThresholds
 }
 
 // DefaultSpec returns the evaluation SLO, scaled to virtual-time campaigns
@@ -111,10 +94,6 @@ func DefaultSpec() Spec {
 			{Name: "fast", Short: time.Second, Long: 8 * time.Second, Rate: 14.4, Severity: SevPage},
 			{Name: "slow", Short: 4 * time.Second, Long: 12 * time.Second, Rate: 3, Severity: SevTicket},
 		},
-		Health: HealthThresholds{
-			UtilDegraded: 0.85, UtilCritical: 0.97,
-			PressureDegraded: 1, PressureCritical: 8,
-		},
 	}
 }
 
@@ -139,9 +118,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if len(s.Burns) == 0 {
 		s.Burns = d.Burns
-	}
-	if s.Health == (HealthThresholds{}) {
-		s.Health = d.Health
 	}
 	return s
 }
