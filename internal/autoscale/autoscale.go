@@ -141,9 +141,6 @@ func New(cfg Config) (*Controller, error) {
 	return &Controller{cfg: cfg}, nil
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Events returns the scale actions decided so far, in order.
 func (c *Controller) Events() []Event { return c.events }
 

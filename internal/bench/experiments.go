@@ -116,7 +116,7 @@ func sweep(o ExpOptions, setups []core.Setup, counts []int) (map[string]map[int]
 				out[setup.Name][n] = res
 				continue
 			}
-			res, err := Measure(setup, n, o.ClientsPerServer, runConfigFor(o), o.Seed)
+			res, err := measure(pointOptions(o, setup, n), runConfigFor(o))
 			if err != nil {
 				return nil, fmt.Errorf("%s @%d servers: %w", setup.Name, n, err)
 			}
@@ -300,11 +300,7 @@ func Fig7(o ExpOptions) (string, error) {
 		for _, setup := range core.PaperSetups {
 			cfg := microCfg
 			cfg.Mix = workload.MicroMix(op)
-			opts := core.DefaultOptions(setup)
-			opts.MetadataServers = servers
-			if o.ClientsPerServer > 0 {
-				opts.ClientsPerServer = o.ClientsPerServer
-			}
+			opts := pointOptions(o, setup, servers)
 			if op == workload.OpDelete {
 				// deleteFile consumes the pool; seed it deep enough for
 				// the measurement window. The read benchmarks keep the
@@ -312,13 +308,10 @@ func Fig7(o ExpOptions) (string, error) {
 				// datasets, which is what makes kernel caches pay off).
 				opts.Namespace.FilesPerDir = 80 + 3*servers
 			}
-			opts.Seed = o.Seed
-			d, err := core.Build(opts)
+			res, err := measure(opts, cfg)
 			if err != nil {
 				return "", err
 			}
-			res := Run(d, cfg)
-			d.Close()
 			row = append(row, metrics.FormatOps(res.Throughput))
 			labels = append(labels, setup.Name)
 			reps = append(reps, res.Profile)
@@ -367,12 +360,10 @@ func Fig9(o ExpOptions) (string, error) {
 			opts.ClientsPerServer = max(1, opts.ClientsPerServer/4)
 			opts.Namespace.FilesPerDir = 80
 			opts.Seed = o.Seed
-			d, err := core.Build(opts)
+			res, err := measure(opts, cfg)
 			if err != nil {
 				return "", err
 			}
-			res := Run(d, cfg)
-			d.Close()
 			tbl.AddRow(setup.Name, fmtMS(res.P50), fmtMS(res.P90), fmtMS(res.P99))
 			labels = append(labels, setup.Name)
 			reps = append(reps, res.Profile)
@@ -416,7 +407,7 @@ func Fig11(o ExpOptions) (string, error) {
 	cols = append(cols, "Average")
 	tbl := metrics.NewTable(cols...)
 	for _, n := range counts {
-		res, err := Measure(setup, n, o.ClientsPerServer, runConfigFor(o), o.Seed)
+		res, err := measure(pointOptions(o, setup, n), runConfigFor(o))
 		if err != nil {
 			return "", err
 		}
@@ -482,19 +473,12 @@ func fmtMB(bytesPerSec float64) string { return fmt.Sprintf("%.1f", bytesPerSec/
 func Fig14(o ExpOptions) (string, error) {
 	var b strings.Builder
 	for _, disable := range []bool{false, true} {
-		opts := core.DefaultOptions(core.PaperSetups[5])
-		opts.MetadataServers = 12
-		if o.ClientsPerServer > 0 {
-			opts.ClientsPerServer = o.ClientsPerServer
-		}
-		opts.Seed = o.Seed
+		opts := pointOptions(o, core.PaperSetups[5], 12)
 		opts.DisableReadBackup = disable
-		d, err := core.Build(opts)
+		res, err := measure(opts, cfg14(o))
 		if err != nil {
 			return "", err
 		}
-		res := Run(d, cfg14(o))
-		d.Close()
 
 		label := "(a) Read Backup ENABLED"
 		if disable {
@@ -667,19 +651,12 @@ func Ablations(o ExpOptions) (string, error) {
 	b.WriteString("(a) Read Backup table option — Spotify workload, 24 servers\n")
 	tblA := metrics.NewTable("variant", "ops/s", "avg latency", "cross-AZ MB/s")
 	for _, disable := range []bool{false, true} {
-		opts := core.DefaultOptions(setup)
-		opts.MetadataServers = 24
-		if o.ClientsPerServer > 0 {
-			opts.ClientsPerServer = o.ClientsPerServer
-		}
-		opts.Seed = o.Seed
+		opts := pointOptions(o, setup, 24)
 		opts.DisableReadBackup = disable
-		d, err := core.Build(opts)
+		res, err := measure(opts, runConfigFor(o))
 		if err != nil {
 			return "", err
 		}
-		res := Run(d, runConfigFor(o))
-		d.Close()
 		name := "Read Backup ON"
 		if disable {
 			name = "Read Backup OFF"
@@ -693,12 +670,7 @@ func Ablations(o ExpOptions) (string, error) {
 	b.WriteString("\n(b) NDB executor batching — Spotify workload, 48 servers\n")
 	tblB := metrics.NewTable("variant", "ops/s", "avg latency", "storage CPU")
 	for _, batching := range []bool{true, false} {
-		opts := core.DefaultOptions(setup)
-		opts.MetadataServers = 48
-		if o.ClientsPerServer > 0 {
-			opts.ClientsPerServer = o.ClientsPerServer
-		}
-		opts.Seed = o.Seed
+		opts := pointOptions(o, setup, 48)
 		costs := ndb.DefaultCosts()
 		name := "batching ON (floor 0.30)"
 		if !batching {
@@ -706,12 +678,10 @@ func Ablations(o ExpOptions) (string, error) {
 			name = "batching OFF (floor 1.00)"
 		}
 		opts.NDBCosts = &costs
-		d, err := core.Build(opts)
+		res, err := measure(opts, runConfigFor(o))
 		if err != nil {
 			return "", err
 		}
-		res := Run(d, runConfigFor(o))
-		d.Close()
 		tblB.AddRow(name, metrics.FormatOps(res.Throughput),
 			fmtMS(res.AvgLatency), fmt.Sprintf("%.0f%%", res.StorageCPU*100))
 	}
@@ -871,7 +841,7 @@ func Phases(o ExpOptions) (string, error) {
 	setups := []core.Setup{core.PaperSetups[3], core.PaperSetups[5]}
 	var b strings.Builder
 	for i, setup := range setups {
-		res, err := Measure(setup, 12, o.ClientsPerServer, runConfigFor(o), o.Seed)
+		res, err := measure(pointOptions(o, setup, 12), runConfigFor(o))
 		if err != nil {
 			return "", err
 		}

@@ -418,16 +418,30 @@ func diffReadSlots(now, before []PartitionReads) []PartitionReads {
 // Measure builds a deployment for (setup, servers) and runs one
 // measurement, closing the deployment afterwards.
 func Measure(setup core.Setup, servers, clientsPerServer int, cfg RunConfig, seed int64) (*Result, error) {
-	opts := core.DefaultOptions(setup)
-	opts.MetadataServers = servers
-	if clientsPerServer > 0 {
-		opts.ClientsPerServer = clientsPerServer
-	}
-	opts.Seed = seed
+	o := ExpOptions{ClientsPerServer: clientsPerServer, Seed: seed}
+	return measure(pointOptions(o, setup, servers), cfg)
+}
+
+// measure is one measured point: it builds the deployment opts describes,
+// runs one measurement on it and closes it.
+func measure(opts core.Options, cfg RunConfig) (*Result, error) {
 	d, err := core.Build(opts)
 	if err != nil {
 		return nil, err
 	}
 	defer d.Close()
 	return Run(d, cfg), nil
+}
+
+// pointOptions returns the deployment options of one experiment point: the
+// setup's defaults at the given server count, under the experiment's seed
+// and, when it sets one, its clients-per-server override.
+func pointOptions(o ExpOptions, setup core.Setup, servers int) core.Options {
+	opts := core.DefaultOptions(setup)
+	opts.MetadataServers = servers
+	if o.ClientsPerServer > 0 {
+		opts.ClientsPerServer = o.ClientsPerServer
+	}
+	opts.Seed = o.Seed
+	return opts
 }

@@ -39,27 +39,19 @@ func shardSweepCounts(o ExpOptions) []int {
 // instead of the plateau. Exported for the CI smoke test, which runs
 // 2-vs-1 shards under a shortened measurement.
 func ShardSweepOptions(o ExpOptions, servers, shards int) core.Options {
-	opts := core.DefaultOptions(core.PaperSetups[5]) // HopsFS-CL (3,3)
-	opts.MetadataServers = servers
-	opts.ClientsPerServer = shardSweepClients
-	if o.ClientsPerServer > 0 {
-		opts.ClientsPerServer = o.ClientsPerServer
+	opts := pointOptions(o, core.PaperSetups[5], servers) // HopsFS-CL (3,3)
+	if o.ClientsPerServer <= 0 {
+		opts.ClientsPerServer = shardSweepClients
 	}
 	opts.StorageNodes = shardSweepStorageDNs
 	opts.PartitionsPerTable = shardSweepPartitions
 	opts.Shards = shards
-	opts.Seed = o.Seed
 	return opts
 }
 
 // MeasureShards builds and measures one shard-sweep point.
 func MeasureShards(o ExpOptions, servers, shards int) (*Result, error) {
-	d, err := core.Build(ShardSweepOptions(o, servers, shards))
-	if err != nil {
-		return nil, err
-	}
-	defer d.Close()
-	return Run(d, runConfigFor(o)), nil
+	return measure(ShardSweepOptions(o, servers, shards), runConfigFor(o))
 }
 
 // ShardSweep sweeps the shard count at fixed offered load: throughput,

@@ -231,9 +231,6 @@ func (m *Manager) BlockSize() int64 { return m.cfg.BlockSize }
 // Replication returns the configured target replica count.
 func (m *Manager) Replication() int { return m.cfg.Replication }
 
-// AZAware reports whether the §IV-C placement policy is enabled.
-func (m *Manager) AZAware() bool { return m.cfg.AZAware }
-
 // Blocks returns every registered block sorted by id, for deterministic
 // audit sweeps.
 func (m *Manager) Blocks() []*Block {

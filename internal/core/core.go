@@ -439,7 +439,7 @@ func (d *Deployment) EnableFlightRecorder(interval time.Duration, capacity int, 
 // EnableSLO starts the live SLO engine: every finishing root operation
 // feeds the engine's windowed latency sketches, the deployment's
 // components register health probes (NN thread-pool utilization, NDB
-// liveness/contention, block under-replication), and every spec.Tick of
+// liveness/utilization, block under-replication), and every spec.Tick of
 // virtual time the engine evaluates the burn-rate alerter and health
 // model and publishes rolling percentile/throughput gauges. Pass a zero
 // slo.Spec for DefaultSpec. An exemplar store enabled earlier is rebound
@@ -466,10 +466,10 @@ func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
 			name = fmt.Sprintf("ndb-s%d", i)
 		}
 		eng.RegisterComponent(name, func(now time.Duration) slo.ComponentStats {
-			live, expected, groupLost, util, pressure := db.HealthStats(now)
+			live, expected, groupLost, util := db.HealthStats(now)
 			st := slo.ComponentStats{
 				Live: live, Expected: expected, Quorum: expected/2 + 1,
-				Util: util, Pressure: pressure,
+				Util: util,
 			}
 			if groupLost {
 				// A node group with no surviving replica means lost

@@ -189,10 +189,6 @@ func (c *Collector) ObserveOp(op string, end, _ time.Duration, _ bool) {
 	c.ops.Touch(end, op, 1)
 }
 
-// familyNames orders the published families deterministically; "shard"
-// only exists on multi-shard deployments (EnableShardFamily).
-var familyOrder = []string{"subtree", "inode", "table", "partition", "op", "shard"}
-
 // Publish refreshes the heat.* gauges at virtual instant now:
 // heat.<family>.top1_share and heat.<family>.topk_share per family (the
 // subtree family is labeled per depth). A flight recorder keeping the

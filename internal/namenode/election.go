@@ -93,9 +93,6 @@ func (nn *NameNode) electionRound(p *sim.Proc) {
 // IsLeader reports whether this NN currently believes it is the leader.
 func (nn *NameNode) IsLeader() bool { return nn.Alive() && nn.leaderID == nn.ID }
 
-// LeaderID returns the NN's current view of the leader's id.
-func (nn *NameNode) LeaderID() int { return nn.leaderID }
-
 // ActiveNameNodes returns the NN's current view of the active server list
 // with their reported location domains.
 func (nn *NameNode) ActiveNameNodes() []ActiveNN {

@@ -239,9 +239,6 @@ func (ns *Namesystem) cacheSizeGauge(nn *NameNode) *trace.Gauge {
 	return ns.obs.reg.Gauge("namenode.resolve_cache.size", "nn", nn.Node.Name())
 }
 
-// Tracer returns the attached tracer (nil when uninstrumented).
-func (ns *Namesystem) Tracer() *trace.Tracer { return ns.tracer }
-
 // HealthStats reports the metadata tier's health signal at virtual instant
 // now: live and expected NN counts, plus the mean CPU thread-pool
 // utilization across live NNs since the previous call (each call advances

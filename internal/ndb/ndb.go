@@ -392,9 +392,6 @@ func (c *Cluster) Env() *sim.Env { return c.env }
 // Net returns the simulated network.
 func (c *Cluster) Net() *simnet.Network { return c.net }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // DataNodes returns the cluster's datanodes.
 func (c *Cluster) DataNodes() []*DataNode { return c.datanodes }
 
@@ -412,11 +409,11 @@ func (dn *DataNode) Threads() [threadTypes]*sim.Resource { return dn.threads }
 // now: datanodes that are live (up and not declared dead by arbitration)
 // vs expected, whether any node group has lost every replica (the cluster
 // cannot serve its partitions then, regardless of how many other nodes
-// survive), the mean thread-pool utilization across live nodes since the
-// previous call, and the contention pressure (the largest thread-pool
-// backlog on any live node). When instrumented it also refreshes the
-// per-DN ndb.util{dn=...} gauges and ndb.pressure.
-func (c *Cluster) HealthStats(now time.Duration) (live, expected int, groupLost bool, util, pressure float64) {
+// survive), and the mean thread-pool utilization across live nodes since the
+// previous call. When instrumented it also refreshes the per-DN
+// ndb.util{dn=...} gauges. There is no queueing signal: thread pools are
+// charged as fluid servers (UseDeferred), which keep no waiter queue.
+func (c *Cluster) HealthStats(now time.Duration) (live, expected int, groupLost bool, util float64) {
 	expected = len(c.datanodes)
 	var sum float64
 	var n int
@@ -436,11 +433,6 @@ func (c *Cluster) HealthStats(now time.Duration) (live, expected int, groupLost 
 		live++
 		sum += nodeUtil
 		n++
-		for t := range dn.threads {
-			if q := float64(dn.threads[t].QueueLen()); q > pressure {
-				pressure = q
-			}
-		}
 	}
 	for _, g := range c.groups {
 		alive := 0
@@ -456,10 +448,7 @@ func (c *Cluster) HealthStats(now time.Duration) (live, expected int, groupLost 
 	if n > 0 {
 		util = sum / float64(n)
 	}
-	if c.obs != nil {
-		c.obs.reg.Gauge("ndb.pressure").Set(pressure)
-	}
-	return live, expected, groupLost, util, pressure
+	return live, expected, groupLost, util
 }
 
 // CreateTable registers a table. Every table in HopsFS-CL is created with

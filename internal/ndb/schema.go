@@ -154,17 +154,10 @@ func StoreDirect(t *Table, partKey, key string, val Value) {
 // checkpoint epoch of the last committed write: rows newer than the
 // durable epoch do not survive a whole-cluster failure (§II-B2).
 type row struct {
-	val     Value
-	exists  bool
-	epoch   uint64
-	pending *pendingWrite
-	lock    rowLock
-}
-
-type pendingWrite struct {
 	val    Value
-	delete bool
-	txn    uint64
+	exists bool
+	epoch  uint64
+	lock   rowLock
 }
 
 // LockMode is the strength of a row lock.

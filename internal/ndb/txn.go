@@ -206,9 +206,6 @@ func domainProximity(origin *simnet.Node, originDomain simnet.ZoneID, dn *DataNo
 	return ProximityRemote
 }
 
-// ID returns the transaction id.
-func (t *Txn) ID() uint64 { return t.id }
-
 // Now returns the executing process's current virtual time, so callers can
 // timestamp derived observations (heat touches) without holding the proc.
 func (t *Txn) Now() time.Duration { return t.p.Now() }
@@ -223,9 +220,6 @@ func (t *Txn) heatTouch(part *Partition) {
 
 // Coordinator returns the datanode coordinating this transaction.
 func (t *Txn) Coordinator() *DataNode { return t.tc }
-
-// Cluster returns the cluster this transaction runs against.
-func (t *Txn) Cluster() *Cluster { return t.c }
 
 // HasWrites reports whether the transaction has staged any writes; the
 // shard router uses it to pick between the single-cluster fast path and

@@ -111,9 +111,6 @@ func NewRouter(clusters []*ndb.Cluster) (*Router, error) {
 	return r, nil
 }
 
-// Shards returns the shard count.
-func (r *Router) Shards() int { return r.n }
-
 // Cluster returns shard s's cluster.
 func (r *Router) Cluster(s int) *ndb.Cluster { return r.clusters[s] }
 

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -109,7 +111,7 @@ func TestDequeueReleasesReferences(t *testing.T) {
 }
 
 // Close while a process is parked inside RecvTimeout must kill it cleanly:
-// the proc's goroutine exits, nprocs drops to zero, and neither the waiter
+// the proc's goroutine exits, the live list empties, and neither the waiter
 // list nor the event heap panics on the dead entries.
 func TestCloseDuringInflightRecvTimeout(t *testing.T) {
 	env := New(1)
@@ -120,9 +122,79 @@ func TestCloseDuringInflightRecvTimeout(t *testing.T) {
 	})
 	env.RunFor(time.Millisecond)
 	env.Close()
-	if env.nprocs != 0 {
-		t.Fatalf("%d procs alive after Close, want 0", env.nprocs)
+	if len(env.procs) != 0 {
+		t.Fatalf("%d procs alive after Close, want 0", len(env.procs))
 	}
+}
+
+// Close must reach a process in every state it can be in — parked on a
+// timer, on a mailbox, in a timed mailbox wait, in a resource queue, spawned
+// but never run, and parking again from a defer while it unwinds — run each
+// one's defers exactly once, and leave no coroutine goroutine behind.
+func TestCloseStopsEveryState(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := New(1)
+	mb := NewMailbox[int](env)
+	res := NewResource(env, "r", 1)
+	defers := map[string]int{}
+	spawn := func(name string, body func(p *Proc)) {
+		env.Spawn(name, func(p *Proc) {
+			defer func() { defers[name]++ }()
+			body(p)
+			t.Errorf("%s resumed past its park", name)
+		})
+	}
+	spawn("timer", func(p *Proc) { p.Sleep(time.Hour) })
+	spawn("mailbox", func(p *Proc) { mb.Recv(p) })
+	spawn("timed-mailbox", func(p *Proc) { mb.RecvTimeout(p, time.Hour) })
+	spawn("holder", func(p *Proc) { res.Acquire(p, 1); p.Sleep(time.Hour) })
+	spawn("resource-queue", func(p *Proc) { res.Acquire(p, 1) })
+	reparked := 0
+	spawn("reparks", func(p *Proc) {
+		defer func() {
+			reparked++
+			p.Sleep(time.Second)
+			t.Error("a killed process blocked again from its defer")
+		}()
+		p.Sleep(time.Hour)
+	})
+	env.RunFor(time.Millisecond)
+	env.Spawn("never-run", func(p *Proc) { t.Error("a process spawned but never run started at Close") })
+	env.Close()
+	if len(env.procs) != 0 {
+		t.Fatalf("%d procs alive after Close, want 0", len(env.procs))
+	}
+	for _, name := range []string{"timer", "mailbox", "timed-mailbox", "holder", "resource-queue", "reparks"} {
+		if defers[name] != 1 {
+			t.Errorf("%s: defer ran %d times, want 1", name, defers[name])
+		}
+	}
+	if reparked != 1 {
+		t.Errorf("re-parking defer ran %d times, want 1", reparked)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after Close, %d before New: a coroutine leaked", after, before)
+	}
+}
+
+// A process panic other than the kill surfaces from Run on the calling
+// goroutine, re-raised with the process's name, where a test or a harness
+// can recover it.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	env := New(1)
+	defer env.Close()
+	env.Spawn("faulty", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"faulty"`) || !strings.Contains(msg, "boom") {
+			t.Fatalf("Run panicked with %q, want the process name and its panic value", msg)
+		}
+	}()
+	env.Run()
+	t.Fatal("Run returned: the process panic was swallowed")
 }
 
 // A Send targeting a mailbox whose only waiter has been killed must not

@@ -59,7 +59,6 @@ func (m *Mailbox[T]) newWaiter(p *Proc) *mboxWaiter[T] {
 			w.timedOut = true
 			w.timer = nil // the event fired; the loop recycles it
 			m.unlink(w)
-			m.env.unparkTracked(w.p)
 			m.env.readyProc(w.p)
 		}
 	}
@@ -123,7 +122,6 @@ func (m *Mailbox[T]) Send(v T) {
 			m.env.removeEvent(w.timer)
 			w.timer = nil
 		}
-		m.env.unparkTracked(w.p)
 		m.env.readyProc(w.p)
 		return
 	}
@@ -139,7 +137,7 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 	}
 	w := m.newWaiter(p)
 	m.pushWaiter(w)
-	p.parkTracked()
+	p.park()
 	v := w.v
 	m.recycleWaiter(w)
 	return v
@@ -153,12 +151,10 @@ func (m *Mailbox[T]) RecvTimeout(p *Proc, d time.Duration) (T, bool) {
 	if m.q.Len() > 0 {
 		return m.q.Pop(), true
 	}
-	env := m.env
 	w := m.newWaiter(p)
-	w.timer = env.newEvent(env.now+d, w.timeoutFn, nil)
-	pushEvent(env, w.timer)
+	w.timer = m.env.schedule(m.env.now+d, w.timeoutFn, nil)
 	m.pushWaiter(w)
-	p.parkTracked()
+	p.park()
 	v, timedOut := w.v, w.timedOut
 	m.recycleWaiter(w)
 	if timedOut {

@@ -36,14 +36,8 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 	return &Resource{env: env, name: name, capacity: capacity, lastChange: env.now}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // Capacity returns the total number of units.
 func (r *Resource) Capacity() int { return r.capacity }
-
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Acquire blocks p until n units (n <= capacity) are available and takes
 // them. Waiters are served FIFO; a large request at the head blocks smaller
@@ -62,7 +56,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		return
 	}
 	r.waiters.Push(resWaiter{p: p, n: n})
-	p.parkTracked()
+	p.park()
 }
 
 // Release returns n units and grants queued waiters in FIFO order.
@@ -78,7 +72,6 @@ func (r *Resource) Release(n int) {
 	for r.waiters.Len() > 0 && r.inUse+r.waiters.Peek().n <= r.capacity {
 		w := r.waiters.Pop()
 		r.inUse += w.n
-		r.env.unparkTracked(w.p)
 		r.env.readyProc(w.p)
 	}
 }

@@ -6,15 +6,19 @@
 // ordered by (time, sequence number), so a simulation with a given seed is
 // reproducible bit-for-bit.
 //
-// A process is an ordinary goroutine that blocks only through the kernel's
-// primitives (Sleep, Mailbox.Recv, Resource.Acquire). The kernel parks the
-// goroutine and resumes it when the corresponding virtual-time event fires.
+// A process is a runtime coroutine (iter.Pull) that blocks only through the
+// kernel's primitives (Sleep, Mailbox.Recv, Resource.Acquire). Parking is
+// the coroutine's yield, and the scheduler switches straight back into it
+// when the corresponding virtual-time event fires: no channel, no run-queue
+// bounce, and never two goroutines runnable at once.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"time"
 
 	"hopsfscl/internal/trace"
@@ -22,27 +26,25 @@ import (
 
 // Env is a simulation environment: a virtual clock, an event queue, and the
 // set of processes that run against them. Create one with New, spawn
-// processes with Spawn or Go, and drive it with Run or RunFor. Environments
-// are not safe for concurrent use from multiple OS threads; all interaction
+// processes with Spawn, and drive it with Run or RunFor. Environments are
+// not safe for concurrent use from multiple OS threads; all interaction
 // must happen either before Run or from within simulation processes.
 type Env struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap
 	ready  ring[*Proc]
-	yield  chan struct{}
 	rng    *rand.Rand
 	closed bool
-	nprocs int
+
+	// procs is every live process, parked or runnable or not yet started:
+	// what Close stops. A process leaves it once, when it exits.
+	procs []*Proc
 
 	// freeEvents is the event free-list: fired and eagerly-removed events
 	// are recycled here instead of being garbage, so the steady-state event
 	// queue allocates nothing.
 	freeEvents []*event
-
-	// allParked tracks processes parked on mailboxes or resources (not on
-	// timers) so Close can reach and kill them.
-	allParked []*Proc
 
 	// stopAt, when >= 0, bounds RunFor.
 	stopAt time.Duration
@@ -52,11 +54,7 @@ type Env struct {
 // environments with the same seed and the same spawned processes execute
 // identically.
 func New(seed int64) *Env {
-	return &Env{
-		yield:  make(chan struct{}),
-		rng:    rand.New(rand.NewSource(seed)),
-		stopAt: -1,
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed)), stopAt: -1}
 }
 
 // Now returns the current virtual time.
@@ -70,34 +68,27 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 // Spawn registers fn as a new process. The process starts the next time the
 // scheduler runs (immediately at the current virtual time if called from a
 // running process). The name is used in diagnostics only.
+//
+// A panic in fn other than the kill surfaces from Run/RunFor/RunUntil on the
+// caller's goroutine, re-raised with the process's name and stack.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
 	}
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	e.nprocs++
-	go func() {
-		<-p.resume
+	p := &Proc{env: e, name: name, idx: len(e.procs)}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if r != errKilled {
-					panic(r)
-				}
+			if r := recover(); r != nil && r != errKilled {
+				panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", name, r, debug.Stack()))
 			}
-			p.done = true
-			e.nprocs--
-			e.yield <- struct{}{}
 		}()
-		if !p.killed {
-			fn(p)
-		}
-	}()
+		fn(p)
+	})
+	e.procs = append(e.procs, p)
 	e.ready.Push(p)
 	return p
 }
-
-// Go is Spawn with an anonymous name.
-func (e *Env) Go(fn func(p *Proc)) *Proc { return e.Spawn("proc", fn) }
 
 // At schedules fn to run as an event callback at absolute virtual time t
 // (clamped to now). Event callbacks run on the scheduler and must not block;
@@ -106,7 +97,7 @@ func (e *Env) At(t time.Duration, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	heap.Push(&e.events, e.newEvent(t, fn, nil))
+	e.schedule(t, fn, nil)
 }
 
 // After schedules fn to run as an event callback after delay d.
@@ -150,38 +141,21 @@ func (e *Env) RunUntil(cond func() bool, step, budget time.Duration) bool {
 	return true
 }
 
-// Close kills every live process so their goroutines exit. The environment
-// must not be used afterwards. It is safe to call Close multiple times.
+// Close stops every live process: one parked in a kernel primitive unwinds
+// through its defers (park panics errKilled; parking again while unwinding
+// panics again), one that never ran never starts, and every coroutine's
+// goroutine is gone when Close returns. The environment must not be used
+// afterwards. It is safe to call Close multiple times.
 func (e *Env) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	// Kill ready processes first, then any parked ones by letting their
-	// wake-up events fire into killed procs. Parked procs not in the event
-	// queue (mailbox/resource waiters) are tracked via allParked.
-	for _, p := range e.allParked {
-		p.killed = true
-		p.parked = false
-		e.ready.Push(p)
+	for _, p := range e.procs {
+		p.done = true
+		p.stop()
 	}
-	e.allParked = nil
-	for e.ready.Len() > 0 {
-		p := e.ready.Pop()
-		if p.done {
-			continue
-		}
-		p.killed = true
-		e.resumeProc(p)
-	}
-	// Drain timer events whose procs are parked in the heap.
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.proc != nil && !ev.proc.done {
-			ev.proc.killed = true
-			e.resumeProc(ev.proc)
-		}
-	}
+	e.procs = nil
 }
 
 func (e *Env) loop() {
@@ -218,11 +192,19 @@ func (e *Env) loop() {
 	}
 }
 
-// resumeProc hands control to p and waits until it parks or exits.
+// resumeProc switches into p and returns when it parks or exits; an exited
+// process is swap-removed from the live list.
 func (e *Env) resumeProc(p *Proc) {
 	p.queued = false
-	p.resume <- struct{}{}
-	<-e.yield
+	if _, parked := p.next(); parked {
+		return
+	}
+	p.done = true
+	last := len(e.procs) - 1
+	e.procs[p.idx] = e.procs[last]
+	e.procs[p.idx].idx = p.idx
+	e.procs[last] = nil
+	e.procs = e.procs[:last]
 }
 
 // readyProc marks p runnable at the current instant.
@@ -245,13 +227,14 @@ type event struct {
 	t       time.Duration
 	seq     uint64
 	fn      func()
-	proc    *Proc // set for pure timer wake-ups, so Close can find them
+	proc    *Proc // set for pure timer wake-ups
 	heapIdx int   // position in Env.events, -1 when not queued
 }
 
-// newEvent takes an event from the free-list (or allocates one), stamps it
-// with the next sequence number, and fills it in. The caller pushes it.
-func (e *Env) newEvent(t time.Duration, fn func(), p *Proc) *event {
+// schedule takes an event from the free-list (or allocates one), stamps it
+// with the next sequence number, fills it in and queues it: a timer wake-up
+// for p, or the callback fn. The caller keeps the event only to cancel it.
+func (e *Env) schedule(t time.Duration, fn func(), p *Proc) *event {
 	e.seq++
 	var ev *event
 	if n := len(e.freeEvents); n > 0 {
@@ -262,6 +245,7 @@ func (e *Env) newEvent(t time.Duration, fn func(), p *Proc) *event {
 		ev = &event{}
 	}
 	ev.t, ev.seq, ev.fn, ev.proc = t, e.seq, fn, p
+	heap.Push(&e.events, ev)
 	return ev
 }
 
@@ -311,21 +295,22 @@ func (h *eventHeap) Pop() any {
 	*h = old[:n-1]
 	return ev
 }
-func (h eventHeap) String() string { return fmt.Sprintf("events(%d)", len(h)) }
 
 var errKilled = fmt.Errorf("sim: process killed")
-
-// pushEvent inserts an already-sequenced event into the queue.
-func pushEvent(e *Env, ev *event) { heap.Push(&e.events, ev) }
 
 // Proc is the handle a process uses to interact with the kernel. Each
 // process receives its own Proc and must not use another process's.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	done   bool
-	killed bool
+	env  *Env
+	name string
+	done bool
+
+	// next switches into the process until it parks or exits; yield, valid
+	// once the process has started, is the switch back; stop is the kill.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	idx   int // position in env.procs
 
 	// pending is the accumulated deferred delay (see Defer).
 	pending time.Duration
@@ -337,9 +322,6 @@ type Proc struct {
 
 	// queued guards against double-insertion into the ready list.
 	queued bool
-	// parkedEntry, when non-nil, is this proc's entry in env.allParked.
-	parkedIdx int
-	parked    bool
 }
 
 // Env returns the environment this process runs in.
@@ -402,8 +384,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	env := p.env
-	heap.Push(&env.events, env.newEvent(env.now+d, nil, p))
+	p.env.schedule(p.env.now+d, nil, p)
 	p.park()
 }
 
@@ -415,35 +396,10 @@ func (p *Proc) Yield() {
 }
 
 // park hands control back to the scheduler until the process is resumed.
+// A stopped process's yield returns false, now and on every later call, so
+// the process unwinds through its defers and cannot block again.
 func (p *Proc) park() {
-	p.env.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(errKilled)
 	}
-}
-
-// parkTracked parks while registered in env.allParked so Close can kill the
-// process even though no timer event references it.
-func (p *Proc) parkTracked() {
-	env := p.env
-	p.parked = true
-	p.parkedIdx = len(env.allParked)
-	env.allParked = append(env.allParked, p)
-	p.park()
-}
-
-// unparkTracked removes p from env.allParked (called by the waker before
-// readying p).
-func (e *Env) unparkTracked(p *Proc) {
-	if !p.parked {
-		return
-	}
-	last := len(e.allParked) - 1
-	idx := p.parkedIdx
-	e.allParked[idx] = e.allParked[last]
-	e.allParked[idx].parkedIdx = idx
-	e.allParked[last] = nil
-	e.allParked = e.allParked[:last]
-	p.parked = false
 }

@@ -314,8 +314,8 @@ func TestCloseReleasesParkedProcesses(t *testing.T) {
 	env.Spawn("stuck-res", func(p *Proc) { p.Sleep(time.Millisecond); res.Acquire(p, 1) })
 	env.RunFor(time.Second)
 	env.Close()
-	if env.nprocs != 0 {
-		t.Fatalf("nprocs = %d after Close, want 0", env.nprocs)
+	if len(env.procs) != 0 {
+		t.Fatalf("len(procs) = %d after Close, want 0", len(env.procs))
 	}
 }
 

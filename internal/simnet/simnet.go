@@ -213,9 +213,6 @@ func New(env *sim.Env, topo *Topology) *Network {
 	}
 }
 
-// Env returns the simulation environment.
-func (n *Network) Env() *sim.Env { return n.env }
-
 // SetRegistry attaches a metrics registry: every subsequent message is
 // counted under net.bytes{class=...} and net.msgs{class=...} by hop class.
 // A nil registry detaches.
@@ -319,9 +316,6 @@ func (n *Network) NewNode(name string, z ZoneID, h HostID) *Node {
 	n.nodes = append(n.nodes, nd)
 	return nd
 }
-
-// Node returns the node with the given id.
-func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 
 // ID returns the node's network id.
 func (nd *Node) ID() NodeID { return nd.id }
@@ -490,31 +484,19 @@ func (n *Network) Travel(p *sim.Proc, from, to *Node, size int, timeout time.Dur
 // partitioned, the RPC timeout is deferred and false is returned — the
 // caller observes exactly what Travel's timeout would have cost.
 func (n *Network) TravelDeferred(p *sim.Proc, from, to *Node, size int, timeout time.Duration) bool {
-	if !from.alive || !to.alive ||
-		(from.zone != to.zone && n.Partitioned(from.zone, to.zone)) {
+	// Nothing is scheduled at the arrival instant to find the receiver
+	// dead, so its liveness is judged up front, before the loss coin.
+	if !to.alive {
 		n.dropped++
 		p.Defer(timeout)
 		return false
 	}
-	if n.lost(n.degradationFor(from.zone, to.zone)) {
-		n.dropped++
+	lk, lat, ok := n.admit(from, to, size)
+	if !ok {
 		p.Defer(timeout)
 		return false
 	}
-	from.nicWrite += int64(size)
 	to.nicRead += int64(size)
-	hop := HopClassOf(from, to)
-	n.observe(hop, size)
-	n.observeLink(from.zone, to.zone, size)
-	lat := n.latency(from, to)
-	key := [2]ZoneID{from.zone, to.zone}
-	lk := n.links[key]
-	if lk == nil {
-		lk = &link{}
-		n.links[key] = lk
-	}
-	lk.bytes += int64(size)
-	lk.messages++
 	// Link horizons are kept in the clock frame (see Resource.UseDeferred);
 	// the caller's message additionally cannot depart before its own
 	// effective instant.
@@ -539,39 +521,47 @@ func (n *Network) TravelDeferred(p *sim.Proc, from, to *Node, size int, timeout 
 	// attribute it, but before Defer (RecordHop consumes no randomness, so
 	// the RNG stream is unchanged).
 	wire := arrival + lat - eff
-	p.Span().RecordHop(hop, size, wire)
+	p.Span().RecordHop(HopClassOf(from, to), size, wire)
 	p.Defer(wire)
 	return true
 }
 
-// departure runs the shared drop/accounting/queueing/latency path of the
-// asynchronous forms, returning the arrival instant. ok is false when the
-// message is dropped at the source (dead sender, partition, lossy link).
-func (n *Network) departure(from, to *Node, size int) (arrive time.Duration, ok bool) {
-	if !from.alive {
+// admit is the source side of every send form: a dead sender, a partitioned
+// path or the loss coin drops the message (counted, ok false); otherwise the
+// sender's NIC, the registry and the zone-pair link are charged and the
+// propagation latency is drawn. The loss coin comes before the latency draw:
+// that is the RNG order every schedule depends on. The caller queues the
+// message on lk in its own time frame.
+func (n *Network) admit(from, to *Node, size int) (lk *link, lat time.Duration, ok bool) {
+	if !from.alive ||
+		(from.zone != to.zone && n.Partitioned(from.zone, to.zone)) ||
+		n.lost(n.degradationFor(from.zone, to.zone)) {
 		n.dropped++
-		return 0, false
-	}
-	if from.zone != to.zone && n.Partitioned(from.zone, to.zone) {
-		n.dropped++
-		return 0, false
-	}
-	if n.lost(n.degradationFor(from.zone, to.zone)) {
-		n.dropped++
-		return 0, false
+		return nil, 0, false
 	}
 	from.nicWrite += int64(size)
 	n.observe(HopClassOf(from, to), size)
 	n.observeLink(from.zone, to.zone, size)
-	lat := n.latency(from, to)
+	lat = n.latency(from, to)
 	key := [2]ZoneID{from.zone, to.zone}
-	lk := n.links[key]
+	lk = n.links[key]
 	if lk == nil {
 		lk = &link{}
 		n.links[key] = lk
 	}
 	lk.bytes += int64(size)
 	lk.messages++
+	return lk, lat, true
+}
+
+// departure queues an admitted message on its link in the clock frame (the
+// asynchronous forms' frame), returning the arrival instant. ok is false
+// when the message is dropped at the source.
+func (n *Network) departure(from, to *Node, size int) (arrive time.Duration, ok bool) {
+	lk, lat, ok := n.admit(from, to, size)
+	if !ok {
+		return 0, false
+	}
 	depart := n.env.Now()
 	bw := n.bandwidth(from.zone, to.zone)
 	if bw > 0 && from.id != to.id {

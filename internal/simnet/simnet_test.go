@@ -1,10 +1,12 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"hopsfscl/internal/sim"
+	"hopsfscl/internal/trace"
 )
 
 func newTestNet(t *testing.T) (*sim.Env, *Network) {
@@ -409,6 +411,68 @@ func TestDegradeLinkPreservesCleanRNGStream(t *testing.T) {
 		if clean[i] != episodic[i] {
 			t.Fatalf("step %d: clean %v vs episodic %v — degradation episode perturbed the RNG stream",
 				i, clean[i], episodic[i])
+		}
+	}
+}
+
+// The three send forms share one source-side admission (admit): the same
+// messages sent by Send, Travel and TravelDeferred on fresh same-seed
+// networks must leave identical NIC, link and registry counters and the
+// same next RNG draw, whether delivered or dropped at the source. (A dead
+// receiver is the one case they account differently on purpose:
+// TravelDeferred judges it up front, the scheduled forms at arrival, after
+// the sender has paid.)
+func TestSendFormsShareAdmission(t *testing.T) {
+	const msgs, size = 8, 1000
+	forms := []struct {
+		name string
+		send func(net *Network, p *sim.Proc, from, to *Node)
+	}{
+		{"Send", func(net *Network, _ *sim.Proc, from, to *Node) { net.Send(from, to, size, nil) }},
+		{"Travel", func(net *Network, p *sim.Proc, from, to *Node) { net.Travel(p, from, to, size, time.Second) }},
+		{"TravelDeferred", func(net *Network, p *sim.Proc, from, to *Node) {
+			net.TravelDeferred(p, from, to, size, time.Second)
+		}},
+	}
+	cases := []struct {
+		name                   string
+		setup                  func(net *Network, from *Node)
+		minDropped, maxDropped int64
+	}{
+		{"delivered", func(*Network, *Node) {}, 0, 0},
+		{"lossy link", func(net *Network, _ *Node) { net.DegradeLink(1, 2, 2, 0.5) }, 1, msgs - 1},
+		{"partitioned", func(net *Network, _ *Node) { net.Partition(1, 2) }, msgs, msgs},
+		{"dead sender", func(_ *Network, from *Node) { from.Fail() }, msgs, msgs},
+	}
+	for _, c := range cases {
+		var want string
+		for _, f := range forms {
+			env := sim.New(7)
+			reg := trace.NewRegistry()
+			net := New(env, USWest1()) // default jitter: the latency draw consumes RNG
+			net.SetRegistry(reg)
+			a, b := net.NewNode("a", 1, 1), net.NewNode("b", 2, 2)
+			c.setup(net, a)
+			env.Spawn("sender", func(p *sim.Proc) {
+				for i := 0; i < msgs; i++ {
+					f.send(net, p, a, b)
+				}
+			})
+			env.Run()
+			ar, aw := a.NICBytes()
+			br, bw := b.NICBytes()
+			got := fmt.Sprintf("nic a=%d/%d b=%d/%d link bytes=%d msgs=%d xaz=%d dropped=%d registry=%v rand=%d",
+				ar, aw, br, bw, net.TrafficBetween(1, 2), net.TotalMessages(), net.CrossZoneBytes(),
+				net.Dropped(), reg.Snapshot(), env.Rand().Int63())
+			env.Close()
+			if d := net.Dropped(); d < c.minDropped || d > c.maxDropped {
+				t.Errorf("%s/%s: dropped %d of %d, want %d..%d", c.name, f.name, d, msgs, c.minDropped, c.maxDropped)
+			}
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("%s: %s diverges from %s:\n got %s\nwant %s", c.name, f.name, forms[0].name, got, want)
+			}
 		}
 	}
 }

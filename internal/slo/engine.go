@@ -139,16 +139,6 @@ func (e *Engine) publishGauges(now time.Duration) {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// Events returns a copy of the full event log so far.
-func (e *Engine) Events() []Event {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Event(nil), e.events...)
-}
-
 // Firing returns how many burn-rate alerts are currently firing.
 func (e *Engine) Firing() int {
 	if e == nil {
@@ -179,16 +169,6 @@ func (e *Engine) OpSummary(op string, now, w time.Duration) Summary {
 	sk := e.sketchFor(op)
 	e.mu.Unlock()
 	return sk.Window(now, w)
-}
-
-// Ops returns the op classes observed so far, sorted.
-func (e *Engine) Ops() []string {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]string(nil), e.ops...)
 }
 
 // Report snapshots the engine into an immutable end-of-run report at

@@ -44,8 +44,10 @@ type ComponentStats struct {
 	// Util is the mean busy fraction of the component's worker pool over a
 	// recent window (0..1).
 	Util float64
-	// Pressure is the component's contention/backlog signal: mean lock
-	// waiters for NDB, under-replicated block count for the block layer.
+	// Pressure is the component's backlog signal: the under-replicated
+	// block count for the block layer. NDB and the namenodes report none:
+	// their health is liveness + utilisation (a queueing signal for NDB's
+	// fluid thread pools is ROADMAP 2(a)'s queue-wait split).
 	Pressure float64
 }
 
@@ -57,8 +59,7 @@ const (
 	// utilization (0..1).
 	utilDegraded, utilCritical = 0.85, 0.97
 	// pressureDegraded and pressureCritical bound the component's pressure
-	// signal (mean lock waiters for NDB, under-replicated blocks for the
-	// block layer).
+	// signal (under-replicated blocks for the block layer).
 	pressureDegraded, pressureCritical = 1, 8
 )
 

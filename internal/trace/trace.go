@@ -468,14 +468,6 @@ func (k *Sink) Dropped() int64 {
 	return k.dropped
 }
 
-// Capacity returns the ring size.
-func (k *Sink) Capacity() int {
-	if k == nil {
-		return 0
-	}
-	return k.cap
-}
-
 // Reset discards all retained spans and the total count.
 func (k *Sink) Reset() {
 	if k == nil {
