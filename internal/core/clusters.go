@@ -100,6 +100,7 @@ func (d *Deployment) MetaStats() ndb.Stats {
 		s.Aborted += c.Stats.Aborted
 		s.Reads += c.Stats.Reads
 		s.Writes += c.Stats.Writes
+		s.Rounds += c.Stats.Rounds
 	}
 	return s
 }

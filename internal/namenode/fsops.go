@@ -1,7 +1,6 @@
 package namenode
 
 import (
-	"errors"
 	"strconv"
 	"time"
 
@@ -21,9 +20,11 @@ type opRules struct {
 	// dst is Rename's parsed destination: billed, tagged and invalidated
 	// along with the source.
 	dst fsPath
-	// unlinks marks operations whose success removes the target's name: the
-	// hints under it (and under dst) are dropped after the commit.
-	unlinks bool
+	// unlinkedDir is set by operations whose success removes the target's
+	// name (Delete, Rename). The body stores there, under the target's lock,
+	// whether the inode it unlinks is a directory; if so, the hints under the
+	// name (and under dst) are dropped after the commit.
+	unlinkedDir *bool
 }
 
 // op is the one template every file system operation runs (HopsFS's
@@ -49,11 +50,12 @@ func (nn *NameNode) op(p *sim.Proc, path string, rules opRules, fn func(tx ndb.T
 		hint = nn.hintFor(fp)
 	}
 	err = nn.runTxn(p, hint, func(tx ndb.Tx) error { return fn(tx, fp) })
-	if err == nil && rules.unlinks {
+	if err == nil && rules.unlinkedDir != nil && *rules.unlinkedDir {
 		// Everything under the old name now resolves differently (or not at
 		// all), and a previous life of a rename's destination may still be
 		// cached: drop those hints so later resolutions do not waste a
-		// batched attempt on them.
+		// batched attempt on them. A file keys no hint (see hintCache), so
+		// unlinking one leaves nothing to drop.
 		nn.cache.invalidatePrefix(fp.prefix(fp.depth()))
 		if rules.dst.depth() > 0 {
 			nn.cache.invalidatePrefix(rules.dst.prefix(rules.dst.depth()))
@@ -96,7 +98,7 @@ func (nn *NameNode) readInode(tx ndb.Tx, parent uint64, name string) (*Inode, er
 	return nn.asInode(tx, v)
 }
 
-// lockInode re-reads an inode under a row lock on the primary replica.
+// lockInode fetches one inode row under a row lock on the primary replica.
 func (nn *NameNode) lockInode(tx ndb.Tx, parent uint64, name string, mode ndb.LockMode) (*Inode, error) {
 	table, pk, key := nn.ns.inodeRow(parent, name)
 	v, _, err := tx.ReadLocked(table, pk, key, mode)
@@ -124,14 +126,17 @@ var rootInode = &Inode{ID: RootID, Parent: 0, Name: "", Dir: true, Perm: 0o755, 
 
 // resolveChain resolves the path to the inode chain [root, ..., target]
 // with read-committed reads (hierarchical implicit locking: ancestors are
-// not locked). When the hint cache covers a prefix of the path, the whole
-// covered chain is read in one batched fan-out and verified
-// (tryBatchResolve); otherwise — and whenever verification detects stale
-// hints — it falls back to the serial per-component walk. Either way the
+// not locked), except that the path's last component is read under lockLast
+// when that is set — the lock rides the read, it costs no round of its own.
+// "/" has no last component: it is immutable, cached, and never locked. When
+// the hint cache covers a prefix of the path, the whole covered chain is read
+// in one batched fan-out and verified (tryBatchResolve); otherwise — and
+// whenever verification detects stale hints — it falls back to the serial
+// per-component walk, whose final step takes the same lock. Either way the
 // hint cache is refreshed with what was actually read.
-func (nn *NameNode) resolveChain(tx ndb.Tx, fp fsPath) ([]*Inode, error) {
+func (nn *NameNode) resolveChain(tx ndb.Tx, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
 	if !nn.ns.cfg.DisableBatchedResolve && fp.depth() > 1 {
-		chain, ok, err := nn.tryBatchResolve(tx, fp)
+		chain, ok, err := nn.tryBatchResolve(tx, fp, lockLast)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +146,7 @@ func (nn *NameNode) resolveChain(tx ndb.Tx, fp fsPath) ([]*Inode, error) {
 	}
 	chain := make([]*Inode, 1, fp.depth()+1)
 	chain[0] = rootInode
-	return nn.walkFrom(tx, chain, fp)
+	return nn.walkFrom(tx, chain, fp, lockLast)
 }
 
 // tryBatchResolve attempts optimistic batched resolution: it collects the
@@ -154,22 +159,34 @@ func (nn *NameNode) resolveChain(tx ndb.Tx, fp fsPath) ([]*Inode, error) {
 // parent is exactly the ErrNotFound the serial walk would have returned,
 // and a non-directory interior component is ErrNotDir. Any remaining
 // uncovered suffix is resolved serially from the verified chain.
-func (nn *NameNode) tryBatchResolve(tx ndb.Tx, fp fsPath) ([]*Inode, bool, error) {
+//
+// A read batch carries at most one lock: when the hints reach the path's
+// last component, its get — and no other — carries lockLast. One lock per
+// batch means the arms of a fan-out never take locks in an order of their
+// own, so the orders the two-lock operations rely on (parent before child,
+// Rename's sorted pair) are those of their sequential calls, untouched. A
+// lock taken on stale hints sits on a row the verification then rejects (or
+// on the right row by luck): the serial re-walk locks the committed row in
+// the same transaction, which so holds a superset of the locks it needs
+// until it ends — strict two-phase locking, no retry path of its own.
+func (nn *NameNode) tryBatchResolve(tx ndb.Tx, fp fsPath, lockLast ndb.LockMode) ([]*Inode, bool, error) {
 	obs := nn.ns.obs
 	depth := fp.depth()
-	// ids[i] is the cached inode id of fp.prefix(i); ids[0] is "/".
-	ids := make([]uint64, 1, depth+1)
-	ids[0] = RootID
-	for i := 1; i <= depth; i++ {
+	// ids[i] is the cached inode id of fp.prefix(i); ids[0] is "/". Paths
+	// deeper than the array spill to the heap through append.
+	var idbuf [8]uint64
+	ids := append(idbuf[:0], RootID)
+	for i := 1; i < depth; i++ {
 		id, ok := nn.cache.get(fp.prefix(i))
 		if !ok {
 			break
 		}
 		ids = append(ids, id)
 	}
-	// Row i is keyed by (ids[i], component i), so the cache primes one row
-	// beyond the covered prefix. A batch of one row is just a serial read.
-	rows := min(len(ids), depth)
+	// Row i is keyed by (ids[i], component i), so the cached directories
+	// prime one row beyond themselves. A batch of one row is just a serial
+	// read.
+	rows := len(ids)
 	if rows < 2 {
 		obs.resolveMiss.Add(1)
 		return nil, false, nil
@@ -178,6 +195,9 @@ func (nn *NameNode) tryBatchResolve(tx ndb.Tx, fp fsPath) ([]*Inode, bool, error
 	for i := range gets {
 		g := &gets[i]
 		g.Table, g.PartKey, g.Key = nn.ns.inodeRow(ids[i], fp.comp(i))
+	}
+	if rows == depth {
+		gets[rows-1].Lock = lockLast
 	}
 	vals, err := tx.ReadBatch(gets)
 	if err != nil {
@@ -200,7 +220,7 @@ func (nn *NameNode) tryBatchResolve(tx ndb.Tx, fp fsPath) ([]*Inode, bool, error
 			obs.resolveFallback.Add(1)
 			return nil, false, nil
 		}
-		if i+1 < len(ids) && ino.ID != ids[i+1] {
+		if i+1 < rows && ino.ID != ids[i+1] {
 			// The path component exists but is not the inode the cache
 			// promised (renamed away and recreated): every row below was
 			// keyed off a stale id, so the batch is worthless.
@@ -212,12 +232,17 @@ func (nn *NameNode) tryBatchResolve(tx ndb.Tx, fp fsPath) ([]*Inode, bool, error
 			tx.Annotate("op.batched", strconv.Itoa(rows))
 			return nil, true, ErrNotDir
 		}
-		nn.cache.put(fp.prefix(i+1), ino.ID)
+		nn.remember(fp, i+1, ino)
 		chain = append(chain, ino)
 	}
 	obs.resolveHit.Add(1)
 	tx.Annotate("op.batched", strconv.Itoa(rows))
-	chain, err = nn.walkFrom(tx, chain, fp)
+	if gets[rows-1].Lock != 0 {
+		// The operated-on inode counts as touched, as it does when the
+		// serial walk's lockInode reads it.
+		nn.ns.heat.TouchInode(tx.Now(), chain[rows].ID)
+	}
+	chain, err = nn.walkFrom(tx, chain, fp, lockLast)
 	if err != nil {
 		return nil, true, err
 	}
@@ -225,31 +250,51 @@ func (nn *NameNode) tryBatchResolve(tx ndb.Tx, fp fsPath) ([]*Inode, bool, error
 }
 
 // walkFrom continues serial resolution: chain already resolves the first
-// len(chain)-1 components of fp, and each further component is one
-// read-committed round trip. It refreshes the hint cache as it goes.
-func (nn *NameNode) walkFrom(tx ndb.Tx, chain []*Inode, fp fsPath) ([]*Inode, error) {
+// len(chain)-1 components of fp, and each further component is one round
+// trip — read-committed, but for the path's last component under lockLast
+// when that is set. It refreshes the hint cache as it goes.
+func (nn *NameNode) walkFrom(tx ndb.Tx, chain []*Inode, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
 	cur := chain[len(chain)-1]
 	for i := len(chain) - 1; i < fp.depth(); i++ {
 		if !cur.Dir {
 			return nil, ErrNotDir
 		}
-		child, err := nn.readInode(tx, cur.ID, fp.comp(i))
+		var child *Inode
+		var err error
+		if i == fp.depth()-1 && lockLast != 0 {
+			child, err = nn.lockInode(tx, cur.ID, fp.comp(i), lockLast)
+		} else {
+			child, err = nn.readInode(tx, cur.ID, fp.comp(i))
+		}
 		if err != nil {
 			return nil, err
 		}
-		nn.cache.put(fp.prefix(i+1), child.ID)
+		nn.remember(fp, i+1, child)
 		chain = append(chain, child)
 		cur = child
 	}
 	return chain, nil
 }
 
+// remember refreshes the hint for fp's first n components with the inode
+// just read there. Only directories are hints (see hintCache); a file found
+// where a hint says a directory was replaces nothing, so the stale hint is
+// dropped instead of costing every later resolution its fallback.
+func (nn *NameNode) remember(fp fsPath, n int, ino *Inode) {
+	if ino.Dir {
+		nn.cache.put(fp.prefix(n), ino.ID)
+	} else {
+		nn.cache.drop(fp.prefix(n))
+	}
+}
+
 // resolveParentChain resolves everything but the last component of a path
 // that has one (the root rule ran) and returns the full ancestor chain
-// [root, ..., parent]. The chain (not just the parent) is what mutations
-// need: quota charges go to every quota'd ancestor on the resolved path.
-func (nn *NameNode) resolveParentChain(tx ndb.Tx, fp fsPath) ([]*Inode, error) {
-	chain, err := nn.resolveChain(tx, fp.parent())
+// [root, ..., parent], the parent's row read under lockParent when that is
+// set. The chain (not just the parent) is what mutations need: quota charges
+// go to every quota'd ancestor on the resolved path.
+func (nn *NameNode) resolveParentChain(tx ndb.Tx, fp fsPath, lockParent ndb.LockMode) ([]*Inode, error) {
+	chain, err := nn.resolveChain(tx, fp.parent(), lockParent)
 	if err != nil {
 		return nil, err
 	}
@@ -259,27 +304,22 @@ func (nn *NameNode) resolveParentChain(tx ndb.Tx, fp fsPath) ([]*Inode, error) {
 	return chain, nil
 }
 
-// lockPhase is the lock phase of every operation on one named inode:
-// resolve the parent chain read-committed, share-lock the parent row when
-// the operation adds or removes a name under it (pinParent — the parent
-// must keep existing), then lock the target's own row in mode. It returns
-// the ancestor chain [root, ..., parent] and the target's row — addressed,
-// locked, and holding its committed value (nil Val: the name is free) — so
-// the update phase rewrites it in place. Rename locks two rows in sorted
-// order and brings its own phase.
-func (nn *NameNode) lockPhase(tx ndb.Tx, fp fsPath, pinParent bool, mode ndb.LockMode) ([]*Inode, ndb.BatchWrite, error) {
-	chain, err := nn.resolveParentChain(tx, fp)
+// lockPhase is the lock phase of the operations that add or remove a name
+// under a directory (Mkdir, Create, Delete): resolve the parent chain with
+// the parent's row share-locked in the same round — the parent must keep
+// existing — then lock the target's own row exclusively, parent before
+// child. It returns the ancestor chain [root, ..., parent] and the target's
+// row — addressed, locked, and holding its committed value (nil Val: the
+// name is free) — so the update phase rewrites it in place. An operation on
+// one existing inode needs one lock and takes it with resolveChain; Rename
+// locks two rows in sorted order and brings its own phase.
+func (nn *NameNode) lockPhase(tx ndb.Tx, fp fsPath) ([]*Inode, ndb.BatchWrite, error) {
+	chain, err := nn.resolveParentChain(tx, fp, ndb.LockShared)
 	if err != nil {
 		return nil, ndb.BatchWrite{}, err
 	}
-	parent := chain[len(chain)-1]
-	if pinParent {
-		if _, err := nn.lockInode(tx, parent.Parent, parent.Name, ndb.LockShared); err != nil {
-			return nil, ndb.BatchWrite{}, err
-		}
-	}
-	table, pk, key := nn.ns.inodeRow(parent.ID, fp.name())
-	v, _, err := tx.ReadLocked(table, pk, key, mode)
+	table, pk, key := nn.ns.inodeRow(chain[len(chain)-1].ID, fp.name())
+	v, _, err := tx.ReadLocked(table, pk, key, ndb.LockExclusive)
 	return chain, ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: v}, err
 }
 
@@ -306,7 +346,7 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 		// Exclusive-lock the child row first, then check existence: two
 		// racing creators serialize on the lock and the loser sees the
 		// winner's row.
-		chain, row, err := nn.lockPhase(tx, fp, true, ndb.LockExclusive)
+		chain, row, err := nn.lockPhase(tx, fp)
 		if err != nil {
 			return err
 		}
@@ -352,7 +392,7 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 func (nn *NameNode) Stat(p *sim.Proc, path string) (*Inode, error) {
 	var out *Inode
 	err := nn.op(p, path, opRules{}, func(tx ndb.Tx, fp fsPath) error {
-		chain, err := nn.resolveChain(tx, fp)
+		chain, err := nn.resolveChain(tx, fp, 0)
 		if err != nil {
 			return err
 		}
@@ -364,18 +404,16 @@ func (nn *NameNode) Stat(p *sim.Proc, path string) (*Inode, error) {
 
 // GetBlockLocations is the read-file metadata operation: ancestors are read
 // committed, the target inode is share-locked to guarantee the freshest
-// block list (locked reads always go to the primary replica, §II-B2).
+// block list (locked reads always go to the primary replica, §II-B2). The
+// lock rides the resolve: on warm hints the whole lock phase is one round.
 func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) {
 	var out *Inode
 	err := nn.op(p, path, opRules{root: ErrIsDir}, func(tx ndb.Tx, fp fsPath) error {
-		_, row, err := nn.lockPhase(tx, fp, false, ndb.LockShared)
+		chain, err := nn.resolveChain(tx, fp, ndb.LockShared)
 		if err != nil {
 			return err
 		}
-		ino, err := nn.asInode(tx, row.Val)
-		if err != nil {
-			return err
-		}
+		ino := chain[len(chain)-1]
 		if ino.Dir {
 			return ErrIsDir
 		}
@@ -394,11 +432,12 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 }
 
 // List returns a directory's children, name-sorted. The directory is
-// share-locked; the children are one partition-pruned scan.
+// share-locked by the resolve ("/" cannot go away and is not locked); the
+// children are one partition-pruned scan.
 func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 	var out []*Inode
 	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath) error {
-		chain, err := nn.resolveChain(tx, fp)
+		chain, err := nn.resolveChain(tx, fp, ndb.LockShared)
 		if err != nil {
 			return err
 		}
@@ -410,9 +449,6 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 		if dir.ID == RootID {
 			kvs, err = nn.scanRoot(tx)
 		} else {
-			if _, err := nn.lockInode(tx, dir.Parent, dir.Name, ndb.LockShared); err != nil {
-				return err
-			}
 			table, pk := partOf(nn.ns.inodes, dir.ID)
 			kvs, err = tx.ScanPrefix(table, pk, inodeKey(dir.ID, ""))
 		}
@@ -431,9 +467,10 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 // caller can reclaim them in the block layer after the commit.
 func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.BlockID, error) {
 	var freed []blocks.BlockID
-	err := nn.op(p, path, opRules{root: ErrInvalidPath, unlinks: true}, func(tx ndb.Tx, fp fsPath) error {
+	var dir bool
+	err := nn.op(p, path, opRules{root: ErrInvalidPath, unlinkedDir: &dir}, func(tx ndb.Tx, fp fsPath) error {
 		freed = freed[:0]
-		chain, row, err := nn.lockPhase(tx, fp, true, ndb.LockExclusive)
+		chain, row, err := nn.lockPhase(tx, fp)
 		if err != nil {
 			return err
 		}
@@ -441,6 +478,7 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 		if err != nil {
 			return err
 		}
+		dir = target.Dir
 		return nn.deleteSubtree(tx, chain, target, recursive, &freed)
 	})
 	if err != nil {
@@ -542,28 +580,20 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 	if dfp.depth() == 0 {
 		return ErrInvalidPath
 	}
-	return nn.op(p, src, opRules{root: ErrInvalidPath, dst: dfp, unlinks: true}, func(tx ndb.Tx, sfp fsPath) error {
-		srcChain, err := nn.resolveParentChain(tx, sfp)
+	var dir bool
+	return nn.op(p, src, opRules{root: ErrInvalidPath, dst: dfp, unlinkedDir: &dir}, func(tx ndb.Tx, sfp fsPath) error {
+		// The source resolves with its own inode in one batch; it is read
+		// here only to fail early and is read again under its lock.
+		srcChain, err := nn.resolveChain(tx, sfp, 0)
 		if err != nil {
 			return err
 		}
-		srcParent, srcName := srcChain[len(srcChain)-1], sfp.name()
-		srcIno, err := nn.readInode(tx, srcParent.ID, srcName)
-		if err != nil {
-			return err
-		}
-		dstChain, err := nn.resolveParentChain(tx, dfp)
+		srcParent, srcName := srcChain[len(srcChain)-2], sfp.name()
+		dstChain, err := nn.resolveParentChain(tx, dfp, 0)
 		if err != nil {
 			return err
 		}
 		dstParent, dstName := dstChain[len(dstChain)-1], dfp.name()
-		// Cycle check: the destination's ancestor chain must not contain
-		// the source inode.
-		for _, anc := range dstChain {
-			if anc.ID == srcIno.ID {
-				return ErrCycle
-			}
-		}
 		// Deterministic lock order over the two rows: shard first, so two
 		// cross-shard renames over the same pair of shards open their
 		// sub-transactions — and take their locks — in the same order; then
@@ -583,21 +613,28 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		if before(&link, &unlink) {
 			order = [2]*ndb.BatchWrite{&link, &unlink}
 		}
+		// The locked reads return what the rows hold under their locks: that
+		// is the re-validation, and nothing is read after it.
 		for _, row := range order {
-			if _, _, err := tx.ReadLocked(row.Table, row.PartKey, row.Key, ndb.LockExclusive); err != nil {
+			if row.Val, _, err = tx.ReadLocked(row.Table, row.PartKey, row.Key, ndb.LockExclusive); err != nil {
 				return err
 			}
 		}
-		// Re-validate under locks.
-		srcIno, err = nn.readInode(tx, srcParent.ID, srcName)
+		srcIno, err := nn.asInode(tx, unlink.Val)
 		if err != nil {
 			return err
 		}
-		if _, err := nn.readInode(tx, dstParent.ID, dstName); err == nil {
-			return ErrExists
-		} else if !errors.Is(err, ErrNotFound) {
-			return err
+		// Cycle check: the destination's ancestor chain must not contain
+		// the source inode.
+		for _, anc := range dstChain {
+			if anc.ID == srcIno.ID {
+				return ErrCycle
+			}
 		}
+		if link.Val != nil {
+			return ErrExists
+		}
+		dir = srcIno.Dir
 		moved := *srcIno
 		moved.Parent = dstParent.ID
 		moved.Name = dstName
@@ -607,6 +644,7 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		// An inline payload row is keyed by the file's own inode id, so it
 		// moves with the file untouched. Quota usage is not migrated across
 		// quota boundaries (see quota.go).
+		unlink.Val = nil
 		link.Val, link.Del = &moved, false
 		return tx.WriteBatch([]ndb.BatchWrite{unlink, link})
 	})
@@ -645,21 +683,17 @@ func (nn *NameNode) AttachBlocks(p *sim.Proc, path string, ids []blocks.BlockID,
 // write with the inode row.
 func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode) ([]ndb.BatchWrite, error)) error {
 	return nn.op(p, path, opRules{root: ErrInvalidPath}, func(tx ndb.Tx, fp fsPath) error {
-		_, row, err := nn.lockPhase(tx, fp, false, ndb.LockExclusive)
+		chain, err := nn.resolveChain(tx, fp, ndb.LockExclusive)
 		if err != nil {
 			return err
 		}
-		ino, err := nn.asInode(tx, row.Val)
-		if err != nil {
-			return err
-		}
-		updated := *ino
+		updated := *chain[len(chain)-1]
 		also, err := mutate(&updated)
 		if err != nil {
 			return err
 		}
 		updated.Mtime = p.Now()
-		row.Val = &updated
+		row := nn.ns.inodeWrite(updated.Parent, updated.Name, &updated)
 		if len(also) == 0 {
 			return tx.Insert(row.Table, row.PartKey, row.Key, row.Val)
 		}
@@ -674,7 +708,7 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode) ([
 func (nn *NameNode) ContentSummary(p *sim.Proc, path string) (files, dirs int, size int64, err error) {
 	err = nn.op(p, path, opRules{}, func(tx ndb.Tx, fp fsPath) error {
 		files, dirs, size = 0, 0, 0
-		chain, err := nn.resolveChain(tx, fp)
+		chain, err := nn.resolveChain(tx, fp, 0)
 		if err != nil {
 			return err
 		}

@@ -7,18 +7,22 @@ import (
 	"hopsfscl/internal/trace"
 )
 
-// hintCache is the per-NN inode hint cache: path → inode id, bounded LRU.
-// Keys are normalized path prefixes ("/a/b"); callers pass substrings of the
-// operation's own path (fsPath.prefix), so a probe or a refresh builds no
-// string and a fresh insert keeps the caller's.
+// hintCache is the per-NN inode hint cache: directory path → inode id,
+// bounded LRU. Keys are normalized path prefixes ("/a/b"); callers pass
+// substrings of the operation's own path (fsPath.prefix), so a probe or a
+// refresh builds no string and a fresh insert keeps the caller's.
 // HopsFS NNs cache resolved path prefixes so transactions can (a) start at
 // the right partition (the partition-key hint) and (b) batch the whole
-// chain of inode reads optimistically. Entries may go stale — another NN
-// can rename or delete the cached inode at any time — so every consumer
-// must verify what it reads against the committed rows and fall back to
-// the serial walk on mismatch; the cache is a performance hint, never an
-// authority. Locally observed mutations (Rename, Delete) invalidate their
-// subtree by prefix so the common case stays fresh.
+// chain of inode reads optimistically. Both uses need a directory's id — it
+// is the partition key and the row-key prefix of its children — and neither
+// ever needs a file's, which keys no row: only directories are cached
+// (NameNode.remember). Entries may go stale — another NN can rename or
+// delete the cached inode at any time — so every consumer must verify what
+// it reads against the committed rows and fall back to the serial walk on
+// mismatch; the cache is a performance hint, never an authority. A locally
+// committed Rename or Delete of a directory invalidates its subtree by
+// prefix so the common case stays fresh; unlinking a file has nothing to
+// invalidate, which keeps the whole-map walk off the mutation hot path.
 //
 // The cache is not a shared structure between simulated operations in the
 // way real concurrent maps are: the simulation kernel runs processes
@@ -85,10 +89,20 @@ func (hc *hintCache) put(path string, id uint64) {
 	hc.size.Set(float64(len(hc.items)))
 }
 
+// drop removes the mapping for path alone, if there is one.
+func (hc *hintCache) drop(path string) {
+	if el, ok := hc.items[path]; ok {
+		hc.ll.Remove(el)
+		delete(hc.items, path)
+		hc.size.Set(float64(len(hc.items)))
+	}
+}
+
 // invalidatePrefix drops the mapping for path and every path beneath it.
-// Called after a locally executed Rename or Delete so this NN does not keep
-// serving hints it just made stale. (Other NNs still can — that is what the
-// verification in tryBatchResolve is for.)
+// Called after a locally executed Rename or Delete of a directory so this NN
+// does not keep serving hints it just made stale. (Other NNs still can — that
+// is what the verification in tryBatchResolve is for.) It walks the whole
+// map.
 func (hc *hintCache) invalidatePrefix(path string) {
 	prefix := path + "/"
 	for k, el := range hc.items {

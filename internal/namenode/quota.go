@@ -91,7 +91,7 @@ func (nn *NameNode) Quota(p *sim.Proc, path string) (QuotaInfo, error) {
 	var info QuotaInfo
 	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath) error {
 		info = QuotaInfo{}
-		chain, err := nn.resolveChain(tx, fp)
+		chain, err := nn.resolveChain(tx, fp, 0)
 		if err != nil {
 			return err
 		}

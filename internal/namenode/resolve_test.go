@@ -221,17 +221,19 @@ func isNamespaceErr(err error) bool {
 // resolveBothWays resolves comps twice inside one transaction on nn —
 // batched-first (the production resolveChain, primed by whatever the hint
 // cache holds) then the reference serial walk — and returns both outcomes.
+// lockLast is the lock both take on the path's last component (zero: none):
+// in the batch, a locked get riding it; in the walk, its final step.
 // Infrastructure errors (node down, lock timeout) propagate to runTxn so
 // its abort/retry machinery stays in charge.
-func resolveBothWays(p *sim.Proc, nn *NameNode, comps fsPath) (batched, serial []*Inode, berr, serr error) {
+func resolveBothWays(p *sim.Proc, nn *NameNode, comps fsPath, lockLast ndb.LockMode) (batched, serial []*Inode, berr, serr error) {
 	txErr := nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
-		batched, berr = nn.resolveChain(tx, comps)
+		batched, berr = nn.resolveChain(tx, comps, lockLast)
 		if berr != nil && !isNamespaceErr(berr) {
 			return berr
 		}
 		chain := make([]*Inode, 1, comps.depth()+1)
 		chain[0] = rootInode
-		serial, serr = nn.walkFrom(tx, chain, comps)
+		serial, serr = nn.walkFrom(tx, chain, comps, lockLast)
 		if serr != nil && !isNamespaceErr(serr) {
 			return serr
 		}
@@ -323,7 +325,9 @@ func runEquivalenceSeed(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatalf("splitPath(%q): %v", path, err)
 			}
-			batched, serial, berr, serr := resolveBothWays(p, nn1, comps)
+			// Each resolution draws the lock its batch carries: none, shared
+			// or exclusive on the last row.
+			batched, serial, berr, serr := resolveBothWays(p, nn1, comps, ndb.LockMode(rng.Intn(3)))
 			if !errors.Is(berr, serr) && !errors.Is(serr, berr) {
 				t.Errorf("%s: batched err %v, serial err %v", path, berr, serr)
 				continue
@@ -409,7 +413,7 @@ func runConcurrentSafetySeed(t *testing.T, seed int64) {
 			comps, _ := splitPath(path)
 			var chain []*Inode
 			rerr := nn1.runTxn(p, nn1.hintFor(comps), func(tx ndb.Tx) error {
-				c, err := nn1.resolveChain(tx, comps)
+				c, err := nn1.resolveChain(tx, comps, ndb.LockMode(rng.Intn(3)))
 				if err != nil {
 					return err
 				}

@@ -15,15 +15,25 @@ import (
 // the groups proceed concurrently. Per-row routing honors the same rules as
 // ReadCommitted/ScanPrefix: fully replicated tables serve from the TC, Read
 // Backup tables from the replica nearest the TC, plain tables from the
-// primary replica. The per-row LDM charges flow through DataNode.use, so the
+// primary replica — and a get that asks for a row lock goes to the primary
+// and takes it there, as ReadLocked, so a transaction's lock phase can ride
+// the same round as its reads (HopsFS takes the lock on a path's last
+// component inside the batched primary-key read that resolves it). The
+// per-row LDM charges flow through DataNode.use, so the
 // executor batching cost model (threads.go) amortizes them exactly as NDB's
 // LDM threads do for a multi-row TCKEYREQ train.
 
-// BatchGet names one row of a ReadBatch: a committed, lock-free point read.
+// BatchGet names one row of a ReadBatch: a committed point read, lock-free
+// unless Lock is set. A locked get is ReadLocked inside the fan-out: it is
+// routed to the primary replica and the arm serving it takes the row lock
+// before the LDM read, so the value is the committed one under the lock. A
+// batch may carry locks only where taking them in arm order cannot deadlock;
+// the metadata layer's rule is at most one per batch (DESIGN §9).
 type BatchGet struct {
 	Table   *Table
 	PartKey string
 	Key     string
+	Lock    LockMode
 }
 
 // BatchVal is the result of one BatchGet.
@@ -53,14 +63,15 @@ type batchGroup struct {
 	idx    []int
 }
 
-// routeRow is the one §IV-A5 replica choice behind every unlocked read —
-// single rows, scans and both batches: Read Backup tables serve from the
-// replica nearest the TC (primary or backup), fully replicated tables from
-// the TC itself, plain tables from the primary. It attributes the access to
-// part's heat and returns the chosen datanode (nil when none is reachable)
-// and its replica slot (-1 when the TC serves a fully replicated row it does
-// not own).
-func (t *Txn) routeRow(part *Partition) (*DataNode, int) {
+// routeRow is the one §IV-A5 replica choice behind every read — single rows,
+// scans and both batches: a locked read goes to the primary whatever the
+// table (§II-B2: that is where row locks live); unlocked, Read Backup tables
+// serve from the replica nearest the TC (primary or backup), fully
+// replicated tables from the TC itself, plain tables from the primary. It
+// attributes the access to part's heat and returns the chosen datanode (nil
+// when none is reachable) and its replica slot (-1 when the TC serves a fully
+// replicated row it does not own).
+func (t *Txn) routeRow(part *Partition, lock LockMode) (*DataNode, int) {
 	table := part.table
 	t.heatTouch(part)
 	reps := part.replicas()
@@ -70,6 +81,8 @@ func (t *Txn) routeRow(part *Partition) (*DataNode, int) {
 	var target *DataNode
 	slot := -1
 	switch {
+	case lock != 0:
+		target, slot = reps[0], 0
 	case table.opts.FullyReplicated:
 		target = t.tc
 		for i, r := range reps {
@@ -189,16 +202,19 @@ func trainReq(g *batchGroup) int {
 }
 
 // readBatch is the one batched read: ReadBatch and ScanBatch differ only in
-// where a request's row lives (at) and in what the serving replica does for
-// it (row, which charges the LDM work and returns the result with its
-// response bytes). Routing is per row (see the file comment); rows sharing a
-// target travel together, distinct targets are visited concurrently. The
-// whole batch is one "batch_read" child span, and the registry counts rows
-// per proximity class of their serving replica. Any unreachable target
-// aborts the transaction, as ReadCommitted would. at and row are static
-// functions, so the batch allocates its result slice and one serve closure.
-func readBatch[T, R any](t *Txn, reqs []T, at func(*T) *Partition,
-	row func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, req *T) (R, int)) ([]R, error) {
+// where a request's row lives and whether it is locked (at), and in what the
+// serving replica does for it (row, which takes the lock if any, charges the
+// LDM work and returns the result with its response bytes). Routing is per
+// row (see the file comment); rows sharing a target travel together, distinct
+// targets are visited concurrently. The whole batch is one "batch_read" child
+// span, and the registry counts rows per proximity class of their serving
+// replica. Any failure — an unreachable target, as ReadCommitted, or a lock
+// timeout, as ReadLocked — aborts the transaction, and the first failed row
+// in request order decides the error, as in WriteBatch. at and row are
+// static functions, so the batch allocates its result slice and one serve
+// closure.
+func readBatch[T, R any](t *Txn, reqs []T, at func(*T) (*Partition, LockMode),
+	row func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, req *T) (R, int, error)) ([]R, error) {
 	if t.done {
 		return nil, ErrAborted
 	}
@@ -206,6 +222,7 @@ func readBatch[T, R any](t *Txn, reqs []T, at func(*T) *Partition,
 	if len(reqs) == 0 {
 		return out, nil
 	}
+	t.c.Stats.Rounds++
 	// One coordinator pass routes the whole key train (§II-B: a multi-row
 	// TCKEYREQ is a single TC job, not one per row).
 	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
@@ -215,45 +232,77 @@ func readBatch[T, R any](t *Txn, reqs []T, at func(*T) *Partition,
 	slots := zeroed(&sc.slots, len(reqs))
 	parts := zeroed(&sc.parts, len(reqs))
 	groups, ok := groupByTarget(sc, len(reqs), func(i int) (*DataNode, bool) {
-		parts[i] = at(&reqs[i])
-		target, slot := t.routeRow(parts[i])
-		slots[i] = slot
+		part, lock := at(&reqs[i])
+		target, slot := t.routeRow(part, lock)
+		parts[i], slots[i] = part, slot
 		return target, target != nil
 	})
 	if !ok {
 		return nil, t.failAbort()
 	}
+	errs := zeroed(&sc.errs, len(reqs))
 	serve := func(p *sim.Proc, g *batchGroup) bool {
 		if !t.sendTo(p, g.target, trainReq(g)) {
+			errs[g.idx[0]] = ErrNodeUnavailable
 			return false
 		}
 		resp := ackSize
 		for _, i := range g.idx {
 			var bytes int
-			out[i], bytes = row(t, p, g.target, parts[i], &reqs[i])
+			// A failure stops this group where a serial sequence of reads
+			// would have stopped.
+			if out[i], bytes, errs[i] = row(t, p, g.target, parts[i], &reqs[i]); errs[i] != nil {
+				return false
+			}
+			t.c.Stats.Reads++
 			if slots[i] >= 0 {
 				parts[i].reads[slots[i]]++
 			}
 			resp += bytes
 		}
-		t.c.Stats.Reads += int64(len(g.idx))
-		return t.replyFrom(p, g.target, resp)
+		if !t.replyFrom(p, g.target, resp) {
+			errs[g.idx[0]] = ErrNodeUnavailable
+			return false
+		}
+		return true
 	}
 	if !t.runBatch("read", groups, len(reqs), serve) {
-		return nil, t.failAbort()
+		return nil, t.abortBatch(errs)
 	}
 	return out, nil
 }
 
+// abortBatch ends a transaction one of whose batches failed, as the serial
+// path would: every lock taken so far — including those of groups that
+// succeeded before another failed — is released, nothing is staged, and the
+// first failed row in request order decides the returned error.
+func (t *Txn) abortBatch(errs []error) error {
+	t.abortLocked()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return ErrNodeUnavailable
+}
+
 // ReadBatch reads the committed values of all rows in one batched fan-out,
-// returning results positionally.
+// returning results positionally. A get with Lock set is a ReadLocked that
+// rides the batch (see BatchGet).
 func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 	return readBatch(t, gets,
-		func(g *BatchGet) *Partition { return g.Table.partitionFor(g.PartKey) },
-		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, g *BatchGet) (BatchVal, int) {
+		func(g *BatchGet) (*Partition, LockMode) { return g.Table.partitionFor(g.PartKey), g.Lock },
+		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, g *BatchGet) (BatchVal, int, error) {
+			if g.Lock != 0 {
+				// Conflicts, the ledger and the deadlock timeout behave
+				// exactly as on ReadLocked's path.
+				if err := t.lockRowOn(p, part, g.PartKey, g.Key, g.Lock); err != nil {
+					return BatchVal{}, 0, err
+				}
+			}
 			target.use(p, LDM, t.c.cfg.Costs.LDMRead)
 			val, exists := part.committed(g.PartKey, g.Key)
-			return BatchVal{Val: val, OK: exists}, g.Table.rowSize
+			return BatchVal{Val: val, OK: exists}, g.Table.rowSize, nil
 		})
 }
 
@@ -263,24 +312,23 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 // round trip per directory.
 func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 	return readBatch(t, scans,
-		func(s *BatchScan) *Partition { return s.Table.partitionFor(s.PartKey) },
-		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, s *BatchScan) ([]KV, int) {
+		func(s *BatchScan) (*Partition, LockMode) { return s.Table.partitionFor(s.PartKey), 0 },
+		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, s *BatchScan) ([]KV, int, error) {
 			rows := part.scanPrefix(s.PartKey, s.Prefix)
 			// One LDM charge per small batch of rows scanned, minimum one
 			// (the ScanPrefix cost model).
 			for b := 0; b < 1+len(rows)/8; b++ {
 				target.use(p, LDM, t.c.cfg.Costs.LDMRead)
 			}
-			return rows, len(rows) * s.Table.rowSize
+			return rows, len(rows) * s.Table.rowSize, nil
 		})
 }
 
 // runBatch executes the groups of one batch — inline when a single target
-// serves everything, concurrently via sub-processes otherwise — under one
-// "batch_<kind>" child span carrying row/target counts. kind is "read" or
-// "write" and selects which registry family counts the fan-out. It returns
-// false if any group failed (unreachable target, or a lock failure on the
-// write path).
+// serves everything, concurrently otherwise — under one "batch_<kind>" child
+// span carrying row/target counts. kind is "read" or "write" and selects
+// which registry family counts the fan-out. It returns false if any group
+// failed (unreachable target, or a lock failure).
 func (t *Txn) runBatch(kind string, groups []*batchGroup, rows int, serve func(p *sim.Proc, g *batchGroup) bool) bool {
 	obs := t.c.obs
 	sp := t.p.Span().Child("batch_"+kind, t.p.EffNow())
@@ -307,25 +355,28 @@ func (t *Txn) runBatch(kind string, groups []*batchGroup, rows int, serve func(p
 			rowsByProx[g.prox].Add(int64(len(g.idx)))
 		}
 	}
-	if len(groups) == 1 {
+	// Concurrent deferred travel: every group starts from the transaction's
+	// current effective instant, so the batch's latency is the slowest group,
+	// not the sum. The caller is the last arm — it would only wait otherwise —
+	// and each other group is a pooled worker arm; the first Recv flushes the
+	// caller's own arm before collecting the others. The serve closure is
+	// shared across arms and the results mailbox is pooled, so the fan-out
+	// itself allocates nothing.
+	last := len(groups) - 1
+	if last == 0 {
 		return serve(t.p, groups[0])
 	}
-	// Concurrent deferred travel: each remote group is a pooled worker arm
-	// starting from the transaction's current effective instant, so the
-	// batch's latency is the slowest group, not the sum. The serve closure
-	// is shared across arms and the results mailbox is pooled, so the
-	// fan-out itself allocates nothing.
 	t.p.Flush()
 	fanSpan := sp
 	if fanSpan == nil {
 		fanSpan = t.p.Span()
 	}
 	results := t.c.boolMbx.get()
-	for _, g := range groups {
+	for _, g := range groups[:last] {
 		t.c.dispatch(fanTask{span: fanSpan, g: g, serve: serve, boolResults: results})
 	}
-	allOK := true
-	for range groups {
+	allOK := serve(t.p, groups[last])
+	for range groups[:last] {
 		if !results.Recv(t.p) {
 			allOK = false
 		}

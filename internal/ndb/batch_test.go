@@ -275,3 +275,194 @@ func TestReadBatchFasterThanSerial(t *testing.T) {
 		t.Fatalf("batch %v not faster than serial %v over %d rows", batchDur, serialDur, n)
 	}
 }
+
+// TestReadBatchLockedGetIsReadLocked: a get with Lock set is ReadLocked
+// riding the batch, nothing else. On two same-seed clusters a one-row locked
+// batch and a ReadLocked of the same row leave the same value, the same
+// cluster counters, the same bytes on every NIC and link, the same lock
+// holders, and finish at the same instant — for either mode, on a Read
+// Backup table whose unlocked reads would have gone to a nearer replica.
+func TestReadBatchLockedGetIsReadLocked(t *testing.T) {
+	type outcome struct {
+		val      BatchVal
+		stats    Stats
+		nic      string
+		bytes    int64
+		xaz      int64
+		msgs     int64
+		held     string
+		mode     LockMode
+		slot0    int64
+		read, at time.Duration
+	}
+	run := func(mode LockMode, batched bool) outcome {
+		env, c, client := seededWBCluster(t, 5, false)
+		c.StopBackground()
+		env.RunFor(time.Second)
+		tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
+		// A partition whose primary is not in the client's zone, so a lock
+		// routed like an unlocked read would show up on the wire.
+		pk := ""
+		for i := 0; pk == ""; i++ {
+			if cand := fmt.Sprintf("p%d", i); tbl.PrimaryFor(cand).Node.Zone() != client.Zone() {
+				pk = cand
+			}
+		}
+		inTxn(t, env, c, client, 1, tbl, pk, func(p *sim.Proc, tx *Txn) error {
+			if err := tx.Insert(tbl, pk, "k", "v"); err != nil {
+				return err
+			}
+			return tx.Commit()
+		})
+		var o outcome
+		inTxn(t, env, c, client, 1, tbl, pk, func(p *sim.Proc, tx *Txn) error {
+			if batched {
+				vals, err := tx.ReadBatch([]BatchGet{{Table: tbl, PartKey: pk, Key: "k", Lock: mode}})
+				if err != nil {
+					return err
+				}
+				o.val = vals[0]
+			} else {
+				v, ok, err := tx.ReadLocked(tbl, pk, "k", mode)
+				if err != nil {
+					return err
+				}
+				o.val = BatchVal{Val: v, OK: ok}
+			}
+			o.read = p.EffNow()
+			o.held = fmt.Sprint(c.HeldLocks())
+			o.mode = tbl.partitionFor(pk).rows[pk]["k"].lock.holders[tx.id]
+			if err := tx.Commit(); err != nil {
+				return err
+			}
+			p.Flush()
+			o.at = p.Now()
+			return nil
+		})
+		o.stats = c.Stats
+		for _, dn := range c.DataNodes() {
+			r, w := dn.Node.NICBytes()
+			o.nic += fmt.Sprintf("%s:%d/%d ", dn.Node.Name(), r, w)
+		}
+		r, w := client.NICBytes()
+		o.nic += fmt.Sprintf("client:%d/%d", r, w)
+		o.bytes, o.xaz, o.msgs = c.net.TotalBytes(), c.net.CrossZoneBytes(), c.net.TotalMessages()
+		o.slot0 = tbl.partitionFor(pk).reads[0]
+		if left := c.HeldLocks(); len(left) != 0 {
+			t.Errorf("mode %d batched=%v: locks survive the commit: %v", mode, batched, left)
+		}
+		return o
+	}
+	for _, mode := range []LockMode{LockShared, LockExclusive} {
+		serial, batched := run(mode, false), run(mode, true)
+		if serial != batched {
+			t.Errorf("mode %d:\n ReadLocked   %+v\n locked batch %+v", mode, serial, batched)
+		}
+		if serial.val.Val != "v" || !serial.val.OK || serial.mode != mode || serial.slot0 != 1 || serial.stats.Rounds != 2 {
+			t.Errorf("mode %d: the reference itself is off: %+v", mode, serial)
+		}
+	}
+}
+
+// TestReadBatchLockConflict: a locked get behind another transaction's
+// exclusive lock waits on its arm and then returns the value that
+// transaction committed; when the wait times out the batch returns
+// ErrLockTimeout as ReadLocked would, the transaction is aborted, no lock of
+// any group of the batch survives, and the contention ledger has the edge.
+func TestReadBatchLockConflict(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		hold    time.Duration
+		wantErr error
+		wantVal Value
+	}{
+		{"waits", lockTimeout / 3, nil, "new"},
+		{"times out", 3 * lockTimeout, ErrLockTimeout, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, c, client := testCluster(t, true, 3)
+			c.SetTracer(trace.NewTracer(trace.NewRegistry()))
+			tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
+			// Rows on several partitions, so the batch has several groups;
+			// the contended one is last and the only locked one.
+			const n = 6
+			pks := make([]string, n)
+			inTxn(t, env, c, client, 1, tbl, "p0", func(p *sim.Proc, tx *Txn) error {
+				for i := range pks {
+					pks[i] = fmt.Sprintf("p%d", i)
+					if err := tx.Insert(tbl, pks[i], "k", "old"); err != nil {
+						return err
+					}
+				}
+				return tx.Commit()
+			})
+			hot := pks[n-1]
+			env.Spawn("holder-op", func(p *sim.Proc) {
+				tx, err := c.Begin(p, client, 1, tbl, hot)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tx.Insert(tbl, hot, "k", "new"); err != nil {
+					t.Error(err)
+					return
+				}
+				p.Sleep(tc.hold)
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+				}
+			})
+			var vals []BatchVal
+			var err error
+			var waiter *Txn
+			ran := false
+			env.Spawn("waiter-op", func(p *sim.Proc) {
+				p.Sleep(5 * time.Millisecond)
+				tx, berr := c.Begin(p, client, 1, tbl, "p0")
+				if berr != nil {
+					t.Error(berr)
+					return
+				}
+				waiter = tx
+				gets := make([]BatchGet, n)
+				for i, pk := range pks {
+					gets[i] = BatchGet{Table: tbl, PartKey: pk, Key: "k"}
+				}
+				gets[n-1].Lock = LockShared
+				vals, err = tx.ReadBatch(gets)
+				if err == nil {
+					err = tx.Commit()
+				}
+				ran = true
+			})
+			env.RunFor(2 * time.Second)
+			if !ran {
+				t.Fatal("the batch never returned")
+			}
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if tc.wantErr == nil {
+				if got := vals[n-1]; got.Val != tc.wantVal || !got.OK {
+					t.Errorf("locked get = (%v,%v), want the committed %q", got.Val, got.OK, tc.wantVal)
+				}
+			} else if !waiter.done || c.Stats.Aborted != 1 {
+				t.Errorf("the timed-out batch left its transaction open (done=%v, aborted=%d)", waiter.done, c.Stats.Aborted)
+			}
+			if left := c.HeldLocks(); len(left) != 0 {
+				t.Errorf("locks survive: %v", left)
+			}
+			entries := c.Contention().Entries()
+			if len(entries) != 1 {
+				t.Fatalf("ledger entries = %+v, want the one edge", entries)
+			}
+			e := entries[0]
+			if e.Holder != "holder-op" || e.Waiter != "waiter-op" || e.Mode != LockShared || e.Count != 1 {
+				t.Errorf("edge = %+v", e)
+			}
+			if wantTimeouts := map[bool]int64{false: 0, true: 1}[tc.wantErr != nil]; int64(e.Timeouts) != wantTimeouts {
+				t.Errorf("edge timeouts = %d, want %d", e.Timeouts, wantTimeouts)
+			}
+		})
+	}
+}

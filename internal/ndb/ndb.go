@@ -297,6 +297,11 @@ type Stats struct {
 	Aborted   int64
 	Reads     int64
 	Writes    int64
+	// Rounds counts the message-exchanging calls transactions made between
+	// Begin and Commit — a single-row read or write, one partition's scan, or
+	// one whole batch each count once — so a transaction's share of it is its
+	// number of sequential storage round trips (the budget of DESIGN §9.1).
+	Rounds int64
 }
 
 // DataNode is one NDB datanode: a network endpoint plus the Table II thread

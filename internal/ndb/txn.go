@@ -243,9 +243,10 @@ func (t *Txn) ReadCommitted(table *Table, partKey, key string) (Value, bool, err
 		return nil, false, ErrAborted
 	}
 	cfg := &t.c.cfg
+	t.c.Stats.Rounds++
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
 	part := table.partitionFor(partKey)
-	target, slot := t.routeRow(part)
+	target, slot := t.routeRow(part, 0)
 	if target == nil {
 		return nil, false, t.failAbort()
 	}
@@ -311,8 +312,9 @@ func (t *Txn) scanPart(part *Partition, rows func() []KV) ([]KV, error) {
 		return nil, ErrAborted
 	}
 	cfg := &t.c.cfg
+	t.c.Stats.Rounds++
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	target, slot := t.routeRow(part)
+	target, slot := t.routeRow(part, 0)
 	if target == nil || !t.sendTo(t.p, target, reqSize) {
 		return nil, t.failAbort()
 	}
@@ -338,15 +340,11 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 		return nil, false, ErrAborted
 	}
 	cfg := &t.c.cfg
+	t.c.Stats.Rounds++
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
 	part := table.partitionFor(partKey)
-	t.heatTouch(part)
-	reps := part.replicas()
-	if len(reps) == 0 {
-		return nil, false, t.failAbort()
-	}
-	primary := reps[0]
-	if !t.sendTo(t.p, primary, reqSize) {
+	primary, _ := t.routeRow(part, mode)
+	if primary == nil || !t.sendTo(t.p, primary, reqSize) {
 		return nil, false, t.failAbort()
 	}
 	if err := t.lockRow(part, partKey, key, mode); err != nil {
@@ -371,6 +369,7 @@ func (t *Txn) Write(table *Table, partKey, key string, val Value, del bool) erro
 		return ErrAborted
 	}
 	cfg := &t.c.cfg
+	t.c.Stats.Rounds++
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
 	part := table.partitionFor(partKey)
 	t.heatTouch(part)

@@ -48,6 +48,7 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 		return nil
 	}
 	cfg := &t.c.cfg
+	t.c.Stats.Rounds++
 	// One coordinator pass routes the whole row train (§II-B: a multi-row
 	// TCKEYREQ is a single TC job, not one per row).
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
@@ -98,18 +99,7 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 		return true
 	}
 	if !t.runBatch("write", groups, len(items), serve) {
-		// Abort semantics match the serial path: every lock taken so far —
-		// including those of groups that succeeded before another failed —
-		// is released, nothing is staged, and the first failed row in
-		// request order decides the returned error.
-		t.releaseAll()
-		t.finish(false)
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return ErrNodeUnavailable
+		return t.abortBatch(errs)
 	}
 	// Stage positionally only after every group succeeded, in request
 	// order, so commit-train packing is deterministic and matches the order
