@@ -15,14 +15,15 @@ import (
 // writeFanPoint measures multi-row write-transaction latency and wire
 // footprint on a raw 3-AZ NDB cluster (6 datanodes, RF 3, Read Backup),
 // with the batched write path either enabled or forced serial. Every
-// transaction stages `rows` rows of one partition whose primary replica is
-// deliberately NOT in the client's zone, so serial staging pays one remote
-// round trip per row while the batched path pays one per primary — and all
-// rows share a replica chain, so the batched commit runs one train where
-// the serial path runs one 2PC chain per row. Returned alongside mean
-// latency: the average wire messages per transaction, the average commit
-// trains per transaction (from the ndb.commit.trains counter), and the
-// critical-path attribution of the measured transactions.
+// transaction writes `rows` rows of one partition whose primary replica is
+// deliberately NOT in the client's zone. A write is its Prepare pass down the
+// replica chain, so the serial path walks the chain once per row, one row
+// after the other, and commits one train per row, while the batched path —
+// all rows share a replica chain — prepares them in one pass and commits
+// them as one train. Returned alongside mean latency: the average wire
+// messages per transaction, the average commit trains per transaction (from
+// the ndb.commit.trains counter), and the critical-path attribution of the
+// measured transactions.
 func writeFanPoint(o ExpOptions, rows int, serial bool) (mean time.Duration, msgsPerTxn, trainsPerTxn float64, rep *profile.Report, err error) {
 	env := sim.New(o.Seed)
 	defer env.Close()
@@ -51,10 +52,9 @@ func writeFanPoint(o ExpOptions, rows int, serial bool) (mean time.Duration, msg
 	tbl := c.CreateTable("writefan", 256, ndb.TableOptions{ReadBackup: true})
 	client := net.NewNode("client", 1, 300)
 
-	// Pick a partition whose primary lives outside the client's zone: with
-	// an AZ-local primary the TC serves staging itself and the serial
-	// path's per-row round trips would be free, hiding exactly the cost
-	// the batched path removes.
+	// Pick a partition whose primary lives outside the client's zone — the
+	// common case under §IV-A5's AZ-local coordinator (two partitions in
+	// three) and the costlier one: the chain pass starts with a cross-AZ hop.
 	pk := ""
 	for i := 0; i < 64; i++ {
 		cand := fmt.Sprintf("p%d", i)
@@ -126,13 +126,13 @@ func writeFanPoint(o ExpOptions, rows int, serial bool) (mean time.Duration, msg
 
 // WriteFan measures write-transaction latency and wire footprint as a
 // function of rows per transaction, batched vs serial. The serial path pays
-// one staging round trip per row and one 2PC chain per row, so both its
-// latency and its message count grow linearly with the row count; the
-// batched path stages all same-primary rows in one message pair and commits
-// all same-chain rows as one train, so rows only add payload bytes to a
-// fixed number of messages and latency stays near-flat. The run
-// self-checks: it fails if the batched wire footprint is not strictly below
-// the serial one at the largest row count.
+// one Prepare pass per row, in sequence, and one commit train per row, so
+// both its latency and its message count grow linearly with the row count;
+// the batched path prepares all same-chain rows in one pass and commits them
+// as one train, so rows only add payload bytes to a fixed number of messages
+// — Figure 2's 14 — and latency stays near-flat. The run self-checks: it
+// fails if the batched wire footprint is not strictly below the serial one
+// at the largest row count.
 func WriteFan(o ExpOptions) (string, error) {
 	rowCounts := []int{1, 2, 4, 8}
 	if o.Full {
@@ -185,8 +185,8 @@ func WriteFan(o ExpOptions) (string, error) {
 			"raw NDB, 3 AZs, 6 datanodes, RF 3, Read Backup; all rows in one remote-primary partition\n%s"+
 			"latency growth %d -> %d rows: serial %s, batched %s\n"+
 			"footprint check: batched %.1f msgs/txn < serial %.1f at %d rows — OK\n"+
-			"(serial pays a staging round trip and a 2PC chain per row; batched stages one train per\n"+
-			"primary and commits one train per replica chain)\n"+
+			"(a write is its Prepare pass: serial walks the chain once per row and commits one train per\n"+
+			"row; batched prepares and commits one train per replica chain — Figure 2's 14 messages)\n"+
 			"\nwhere the time went (critical-path share of measured txns):\n%s",
 		tbl.String(), rowCounts[0], maxRows,
 		growth(firstSerial, lastSerial), growth(firstBatched, lastBatched),

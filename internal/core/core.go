@@ -119,9 +119,9 @@ type Options struct {
 	// ignoring the hint cache's batching opportunity — the ablation
 	// isolating batched path resolution.
 	DisableBatchedResolve bool
-	// DisableBatchedWrites forces the serial write path: per-row staging
-	// round trips and one 2PC chain per row instead of coalesced commit
-	// trains — the ablation isolating the batched write path.
+	// DisableBatchedWrites forces the serial write path: one Prepare pass
+	// per row, in sequence, and one commit train per row instead of one of
+	// each per replica chain — the ablation isolating the batched write path.
 	DisableBatchedWrites bool
 	// NNCores, NNOpBase, and NNElectionRound override the metadata-server
 	// sizing (zero keeps namenode.DefaultConfig). The elastic experiments

@@ -371,9 +371,9 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 		}
 		created, row.Val = &ino, &ino
 		// The inode row, the inline small-file payload (§II-A3), and any
-		// quota charges commit as one batched write — one staging message
-		// pair per primary, coalesced commit trains where chains coincide
-		// (a single-row batch stages exactly like a plain insert).
+		// quota charges execute as one batched write — one Prepare pass and
+		// one commit train per replica chain (a single-row batch is exactly
+		// a plain insert).
 		items := []ndb.BatchWrite{row}
 		if ino.InlineSize > 0 {
 			table, pk := partOf(nn.ns.smallfiles, ino.ID)
@@ -490,15 +490,14 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 // deleteSubtree removes target and (recursively) its children within the
 // same transaction — HopsFS's atomic subtree delete. The tree is discovered
 // level by level, each level's directory listings fetched in one batched
-// fan-out (ScanBatch) and its children exclusively locked as found; then
-// every BFS level's rows — inode rows, inline small-file payloads, and the
-// quota records of dying quota'd directories — are deleted as one batched
-// write, so a level costs one staging message pair per primary instead of
-// one round trip per row. ancestors is the resolved chain above target; the
-// whole subtree is charged back to its quota'd ancestors as one aggregate
-// negative update.
+// fan-out (ScanBatch) and its children exclusively locked as found. Every
+// lock is then held, so the rows of all levels — inode rows, inline
+// small-file payloads, the quota records of dying quota'd directories — and
+// the one aggregate negative charge to the quota'd ancestors execute as a
+// single batched write: one Prepare pass per replica chain whatever the
+// subtree's depth. ancestors is the resolved chain above target.
 func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, recursive bool, freed *[]blocks.BlockID) error {
-	levels := [][]*Inode{{target}}
+	doomed := []*Inode{target}
 	var level []*Inode
 	if target.Dir {
 		level = append(level, target)
@@ -509,7 +508,7 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 		if err != nil {
 			return err
 		}
-		var next, found []*Inode
+		var next []*Inode
 		for li, dir := range level {
 			if top && len(listings[li]) > 0 && !recursive {
 				return ErrNotEmpty
@@ -518,54 +517,44 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 				if _, err := nn.lockInode(tx, dir.ID, child.Name, ndb.LockExclusive); err != nil {
 					return err
 				}
-				found = append(found, child)
+				doomed = append(doomed, child)
 				if child.Dir {
 					next = append(next, child)
 				}
 			}
 		}
-		if len(found) > 0 {
-			levels = append(levels, found)
-		}
 		top = false
 		level = next
 	}
 	var count, bytes int64
-	for _, lvl := range levels {
-		items := make([]ndb.BatchWrite, 0, len(lvl))
-		for _, ino := range lvl {
-			*freed = append(*freed, ino.Blocks...)
-			count++
-			bytes += ino.Size
-			items = append(items, nn.ns.inodeWrite(ino.Parent, ino.Name, nil))
-			if ino.InlineSize > 0 {
-				table, pk := partOf(nn.ns.smallfiles, ino.ID)
-				items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Del: true})
+	items := make([]ndb.BatchWrite, 0, len(doomed)+1)
+	for _, ino := range doomed {
+		*freed = append(*freed, ino.Blocks...)
+		count++
+		bytes += ino.Size
+		items = append(items, nn.ns.inodeWrite(ino.Parent, ino.Name, nil))
+		if ino.InlineSize > 0 {
+			table, pk := partOf(nn.ns.smallfiles, ino.ID)
+			items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Del: true})
+		}
+		if ino.Dir && (ino.QuotaNS != 0 || ino.QuotaSS != 0) {
+			// A dying quota'd directory takes its quota records with it:
+			// the authoritative row plus its accumulated usage updates.
+			quotas, pk := partOf(nn.ns.quotas, ino.ID)
+			items = append(items, ndb.BatchWrite{Table: quotas, PartKey: pk, Key: quotaRecordKey, Del: true})
+			kvs, err := tx.ScanPrefix(quotas, pk, quotaUpdatePrefix)
+			if err != nil {
+				return err
 			}
-			if ino.Dir && (ino.QuotaNS != 0 || ino.QuotaSS != 0) {
-				// A dying quota'd directory takes its quota records with it:
-				// the authoritative row plus its accumulated usage updates.
-				quotas, pk := partOf(nn.ns.quotas, ino.ID)
-				items = append(items, ndb.BatchWrite{Table: quotas, PartKey: pk, Key: quotaRecordKey, Del: true})
-				kvs, err := tx.ScanPrefix(quotas, pk, quotaUpdatePrefix)
-				if err != nil {
-					return err
-				}
-				for _, kv := range kvs {
-					items = append(items, ndb.BatchWrite{Table: quotas, PartKey: pk, Key: kv.Key, Del: true})
-				}
+			for _, kv := range kvs {
+				items = append(items, ndb.BatchWrite{Table: quotas, PartKey: pk, Key: kv.Key, Del: true})
 			}
 		}
-		if err := tx.WriteBatch(items); err != nil {
-			return err
-		}
 	}
-	if charges := nn.quotaCharges(ancestors, "d", target.ID, -count, -bytes); len(charges) > 0 {
-		// One aggregate negative charge for the whole subtree, keyed by the
-		// delete target so repeated deletes under one quota never collide.
-		return tx.WriteBatch(charges)
-	}
-	return nil
+	// One aggregate negative charge for the whole subtree, keyed by the
+	// delete target so repeated deletes under one quota never collide.
+	items = append(items, nn.quotaCharges(ancestors, "d", target.ID, -count, -bytes)...)
+	return tx.WriteBatch(items)
 }
 
 // Rename atomically moves src to dst — the operation object stores cannot
@@ -639,8 +628,9 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		moved.Parent = dstParent.ID
 		moved.Name = dstName
 		moved.Mtime = p.Now()
-		// The unlink and the relink stage as one batched write and — when
-		// both rows land on the same replica chain — commit as one train.
+		// The unlink and the relink execute as one batched write and — when
+		// both rows land on the same replica chain — prepare and commit as
+		// one train.
 		// An inline payload row is keyed by the file's own inode id, so it
 		// moves with the file untouched. Quota usage is not migrated across
 		// quota boundaries (see quota.go).

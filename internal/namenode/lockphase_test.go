@@ -16,71 +16,97 @@ import (
 
 // TestRoundTripBudget is the budget table of DESIGN §9.1 as a test: the
 // sequential storage rounds each operation makes between Begin and Commit on
-// a hint-warm depth-3 path, one operation at a time on a quiesced
-// deployment. The lock phase is one round — the lock rides the resolve — so
-// a read is one round, and with DisableBatchedResolve the chain round
-// becomes one round per component while the lock still costs none of its
-// own.
+// a hint-warm depth-3 path, and the messages it exchanges from Begin to the
+// Ack, one operation at a time on a quiesced deployment. The lock phase is
+// one round — the lock rides the resolve — so a read is one round, and with
+// DisableBatchedResolve the chain round becomes one round per component while
+// the lock still costs none of its own. A write is its Prepare pass, so a
+// mutation's messages are its reads' plus, per replica chain it writes, the
+// 12 of Figure 2's three passes — no staging pair on top — and a recursive
+// delete executes one write batch however deep the subtree (on the parent of
+// this change: one per level plus the quota charge's, 10 rounds and 50
+// messages for the two-level subtree below; every one-chain mutation row read
+// 2 messages more, setquota's two chains 4).
 func TestRoundTripBudget(t *testing.T) {
 	type opFn func(nn *NameNode, p *sim.Proc) error
 	budget := []struct {
 		name            string
 		run             opFn
 		batched, serial int64
+		msgs            int64 // Begin to Ack, batched resolve
 	}{
-		{"stat", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/f"); return err }, 1, 3},
-		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3},
-		{"read (inline payload)", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/small"); return err }, 2, 4},
-		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d"); return err }, 2, 4},
-		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 2, 4},
-		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 2, 4},
+		{"stat", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/f"); return err }, 1, 3, 4},
+		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3, 6},
+		{"read (inline payload)", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/small"); return err }, 2, 4, 8},
+		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d"); return err }, 2, 4, 4},
+		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 2, 4, 18},
+		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 2, 4, 18},
 		{"attachblocks", func(nn *NameNode, p *sim.Proc) error {
 			return nn.AttachBlocks(p, "/a/b/f", []blocks.BlockID{1}, 1)
-		}, 2, 4},
-		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4},
-		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 3, 4},
-		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 3, 4},
-		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 5, 8},
-		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 3, 4},
+		}, 2, 4, 18},
+		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 30},
+		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 3, 4, 18},
+		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 3, 4, 18},
+		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 5, 8, 22},
+		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 3, 4, 18},
+		// /a/b/d carries the quota set above: s, s/t and s/t/x die and are
+		// charged back to it in the one write batch.
+		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 7, 9, 46},
 	}
 	for _, serial := range []bool{false, true} {
 		t.Run(fmt.Sprintf("DisableBatchedResolve=%v", serial), func(t *testing.T) {
 			h := newHarnessCfg(t, 21, func(cfg *Config) { cfg.DisableBatchedResolve = serial })
 			nn := h.ns.NameNodes()[0]
 			h.run(t, func(p *sim.Proc) {
-				for _, dir := range []string{"/a", "/a/b", "/a/b/d"} {
+				for _, dir := range []string{"/a", "/a/b", "/a/b/d", "/a/b/d/s", "/a/b/d/s/t"} {
 					if err := nn.Mkdir(p, dir, 0o755); err != nil {
 						t.Error(err)
 						return
 					}
 				}
-				for path, size := range map[string]int64{"/a/b/f": 0, "/a/b/small": 10} {
-					if _, err := nn.Create(p, path, size); err != nil {
+				// In a fixed order: inode ids place the rows, and the rows'
+				// primaries decide the message counts.
+				for _, f := range []struct {
+					path string
+					size int64
+				}{{"/a/b/f", 0}, {"/a/b/small", 10}, {"/a/b/d/s/t/x", 0}} {
+					if _, err := nn.Create(p, f.path, f.size); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				// Warm the hints of every directory on the paths below, then
-				// let the election loops stop: nothing but the operation under
-				// test talks to storage.
+				// let the election loops and the storage layer's housekeeping
+				// stop: nothing but the operation under test talks to storage
+				// or sends a message.
 				if _, err := nn.Stat(p, "/a/b/d"); err != nil {
 					t.Error(err)
 					return
 				}
 				h.ns.StopBackground()
+				h.db.StopBackground()
+				h.mgr.Stop()
 				p.Sleep(2 * h.ns.cfg.ElectionRound)
+				quiet := h.net.TotalMessages()
+				p.Sleep(2 * h.ns.cfg.ElectionRound)
+				if n := h.net.TotalMessages() - quiet; n != 0 {
+					t.Errorf("%d messages on the idle deployment: not quiesced", n)
+				}
 				for _, row := range budget {
 					want := row.batched
 					if serial {
 						want = row.serial
 					}
-					before := h.db.Stats
+					before, msgs := h.db.Stats, h.net.TotalMessages()
 					if err := row.run(nn, p); err != nil {
 						t.Errorf("%s: %v", row.name, err)
 						continue
 					}
 					if got := h.db.Stats.Rounds - before.Rounds; got != want {
 						t.Errorf("%s: %d sequential storage rounds, budget %d", row.name, got, want)
+					}
+					if got := h.net.TotalMessages() - msgs; !serial && got != row.msgs {
+						t.Errorf("%s: %d messages from Begin to Ack, budget %d", row.name, got, row.msgs)
 					}
 					if begun := h.db.Stats.Begun - before.Begun; begun != 1 {
 						t.Errorf("%s: %d transactions begun, want 1 (not quiesced, or a retry)", row.name, begun)

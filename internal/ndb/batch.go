@@ -55,9 +55,13 @@ const batchRowOverhead = 24
 
 // batchGroup is the per-target slice of a batch: the rows (indices into the
 // caller's request slice) served by one datanode, plus the §IV-A4 proximity
-// of that datanode to the TC. rows is groupByTarget's counting scratch.
+// of that datanode to the TC. A write batch's group is one train — the rows
+// prepared together down one replica chain, whose head is target (two trains
+// can share a head: a fully replicated table's chain is longer) — and a read
+// batch's has none. rows is groupByTarget's counting scratch.
 type batchGroup struct {
 	target *DataNode
+	train  *train
 	prox   int
 	rows   int
 	idx    []int
@@ -110,22 +114,22 @@ func (t *Txn) routeRow(part *Partition, lock LockMode) (*DataNode, int) {
 }
 
 // groupByTarget routes every row and groups the row indices by target
-// datanode, preserving first-appearance order for determinism. route is
-// called once per row index. Batches are small (a path's worth of rows over
-// a handful of targets), so groups are found by linear scan and the index
-// lists are carved out of one shared array — no per-batch map, no per-group
-// slice growth.
-func groupByTarget(sc *batchScratch, n int, route func(i int) (*DataNode, bool)) ([]*batchGroup, bool) {
+// datanode (and train, for writes), preserving first-appearance order for
+// determinism. route is called once per row index, in order, and returns a
+// nil target when the row has nowhere to go, which fails the grouping.
+// Batches are small (a path's worth of rows over a handful of targets), so
+// groups are found by linear scan and the index lists are carved out of one
+// shared array — no per-batch map, no per-group slice growth.
+func groupByTarget(sc *batchScratch, n int, route func(i int) (*DataNode, *train)) ([]*batchGroup, bool) {
 	if cap(sc.targets) < n {
 		sc.targets = make([]*DataNode, n)
+		sc.trains = make([]*train, n)
 	}
-	targets := sc.targets[:n]
+	targets, trains := sc.targets[:n], sc.trains[:n]
 	for i := 0; i < n; i++ {
-		target, ok := route(i)
-		if !ok {
+		if targets[i], trains[i] = route(i); targets[i] == nil {
 			return nil, false
 		}
-		targets[i] = target
 	}
 	// backing is pre-sized so appends never reallocate: pointers handed out
 	// in groups stay valid.
@@ -136,10 +140,10 @@ func groupByTarget(sc *batchScratch, n int, route func(i int) (*DataNode, bool))
 	}
 	backing := sc.backing[:0]
 	groups := sc.groups[:0]
-	for _, target := range targets {
-		g := findGroup(groups, target)
+	for i, target := range targets {
+		g := findGroup(groups, target, trains[i])
 		if g == nil {
-			backing = append(backing, batchGroup{target: target})
+			backing = append(backing, batchGroup{target: target, train: trains[i]})
 			g = &backing[len(backing)-1]
 			groups = append(groups, g)
 		}
@@ -151,15 +155,15 @@ func groupByTarget(sc *batchScratch, n int, route func(i int) (*DataNode, bool))
 		buf = buf[:len(buf)+g.rows]
 	}
 	for i, target := range targets {
-		g := findGroup(groups, target)
+		g := findGroup(groups, target, trains[i])
 		g.idx = append(g.idx, i)
 	}
 	return groups, true
 }
 
-func findGroup(groups []*batchGroup, target *DataNode) *batchGroup {
+func findGroup(groups []*batchGroup, target *DataNode, tr *train) *batchGroup {
 	for _, g := range groups {
-		if g.target == target {
+		if g.target == target && g.train == tr {
 			return g
 		}
 	}
@@ -231,11 +235,11 @@ func readBatch[T, R any](t *Txn, reqs []T, at func(*T) (*Partition, LockMode),
 	defer t.c.scratch.put(sc)
 	slots := zeroed(&sc.slots, len(reqs))
 	parts := zeroed(&sc.parts, len(reqs))
-	groups, ok := groupByTarget(sc, len(reqs), func(i int) (*DataNode, bool) {
+	groups, ok := groupByTarget(sc, len(reqs), func(i int) (*DataNode, *train) {
 		part, lock := at(&reqs[i])
 		target, slot := t.routeRow(part, lock)
 		parts[i], slots[i] = part, slot
-		return target, target != nil
+		return target, nil
 	})
 	if !ok {
 		return nil, t.failAbort()
@@ -274,7 +278,7 @@ func readBatch[T, R any](t *Txn, reqs []T, at func(*T) (*Partition, LockMode),
 
 // abortBatch ends a transaction one of whose batches failed, as the serial
 // path would: every lock taken so far — including those of groups that
-// succeeded before another failed — is released, nothing is staged, and the
+// succeeded before another failed — is released, nothing will commit, and the
 // first failed row in request order decides the returned error.
 func (t *Txn) abortBatch(errs []error) error {
 	t.abortLocked()

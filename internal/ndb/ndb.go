@@ -71,11 +71,12 @@ type Config struct {
 	// the cluster behaves like vanilla NDB deployed unaware (HopsFS
 	// baselines).
 	AZAware bool
-	// DisableBatchedWrites forces the serial write path: WriteBatch stages
-	// rows one TC round trip at a time and Commit runs one 2PC chain per
-	// row instead of coalescing rows that share a replica chain into commit
-	// trains. It is the reference the batched path is compared against
-	// (writefan experiment, ablation (e), equivalence tests).
+	// DisableBatchedWrites forces the serial write path, NDB's
+	// execute-per-operation reference: a WriteBatch is a loop of Writes and
+	// every row is its own train, so N rows cost N Prepare passes in sequence
+	// and then N Commit/Complete passes in parallel, instead of one of each
+	// per replica chain. It is the reference the batched path is compared
+	// against (writefan experiment, ablation (e), equivalence tests).
 	DisableBatchedWrites bool
 	// NamePrefix prefixes every node and resource name ("s1-ndb-3",
 	// "s1-mgm-1"), so multiple independent clusters — the shard router's
@@ -159,7 +160,7 @@ type Cluster struct {
 }
 
 // 2PC phase indices for clusterObs.phase; names match the registry
-// (txn.phase.<name>) and the child-span names in commitTrain.
+// (txn.phase.<name>) and the child-span names of prepareTrain and commitTrain.
 const (
 	phasePrepare = iota
 	phaseCommit
@@ -173,9 +174,10 @@ var phaseNames = [numPhases]string{"prepare", "commit", "complete"}
 // the commit protocol, so recording costs one atomic add or an uncontended
 // mutex — never a map lookup.
 type clusterObs struct {
-	// phase times each 2PC pass: prepare (Prepare out + Prepared back),
-	// commit (Commit out + Committed back), and complete (only awaited
-	// under Read Backup, §IV-A3).
+	// phase times each 2PC pass: prepare (Prepare out + Prepared back, run as
+	// the write executes, so any wait for its row locks is inside it), commit
+	// (Commit out + Committed back), and complete (only awaited under Read
+	// Backup, §IV-A3).
 	phase [numPhases]*trace.Timing
 	// lockAcq counts row-lock acquisitions; lockWait times only the
 	// contended ones (immediate grants would drown the mean in zeros).
@@ -189,10 +191,10 @@ type clusterObs struct {
 	batchReads *trace.Counter
 	batchRows  [ProximityRemote + 1]*trace.Counter
 	// batchWrites counts WriteBatch fan-outs; batchWriteRows counts the rows
-	// they staged, by proximity of the locking primary replica to the TC.
+	// they prepared, by proximity of the locking primary replica to the TC.
 	batchWrites    *trace.Counter
 	batchWriteRows [ProximityRemote + 1]*trace.Counter
-	// commitTrains counts coalesced 2PC passes; trainRows is the
+	// commitTrains counts trains committed; trainRows is the
 	// rows-per-train distribution (a Timing abused as a histogram: one
 	// nanosecond per row, so count/sum/max read as trains/rows/largest).
 	commitTrains *trace.Counter

@@ -735,40 +735,43 @@ func TestRecoverZoneAfterAZFailure(t *testing.T) {
 	})
 }
 
-// TestCommitProtocolMessageCount pins the linear-2PC wire footprint to the
-// paper's Figure 2. For one written row with three replicas the chain is:
-// Prepare x3 down the chain, Prepared x1 back to the TC, Commit x3 in
-// reverse, Committed x1, then (Read Backup) Complete x2 and Completed x2 —
-// 12 messages, plus the Ack to the API client.
+// TestCommitProtocolMessageCount pins the wire footprint of a one-row write
+// transaction, from Begin to the client's Ack, to the paper's Figure 2 under
+// Read Backup. With three replicas: the request to the coordinator, Prepare
+// x3 down the chain as the write executes and Prepared x1 back to the TC,
+// Commit x3 in reverse, Committed x1, Complete x2 and Completed x2, and the
+// Ack — 14 messages, the Ack being Figure 2's message 14. There is no staging
+// exchange: executing the write is its Prepare.
 func TestCommitProtocolMessageCount(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	c.StopBackground()
 	env.RunFor(time.Second) // drain housekeeping
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
-	var commitMsgs int64
+	var msgs int64
 	env.Spawn("txn", func(p *sim.Proc) {
+		before := c.net.TotalMessages()
 		tx, err := c.Begin(p, client, 1, tbl, "p")
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		if tx.Coordinator() == tbl.PrimaryFor("p") {
+			t.Error("the coordinator is the row's primary; the test wants the AZ-local backup of §IV-A5")
+		}
 		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
 			t.Error(err)
 			return
 		}
-		p.Flush()
-		before := c.net.TotalMessages()
 		if err := tx.Commit(); err != nil {
 			t.Error(err)
 			return
 		}
 		p.Flush()
-		commitMsgs = c.net.TotalMessages() - before
+		msgs = c.net.TotalMessages() - before
 	})
 	env.RunFor(time.Minute)
-	// 12 protocol messages + 1 client Ack.
-	if commitMsgs != 13 {
-		t.Fatalf("commit used %d messages, want 13 (Figure 2 with RF 3 + Ack)", commitMsgs)
+	if msgs != 14 {
+		t.Fatalf("Begin to Ack used %d messages, want 14 (Figure 2 with RF 3 and Read Backup)", msgs)
 	}
 }
 

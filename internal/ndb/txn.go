@@ -1,8 +1,8 @@
 package ndb
 
 import (
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -28,7 +28,7 @@ type Txn struct {
 	tc           *DataNode
 
 	locks  []lockRef
-	writes []writeOp
+	trains []*train
 	done   bool
 }
 
@@ -81,6 +81,21 @@ type writeOp struct {
 	key  string
 	val  Value
 	del  bool
+}
+
+// train is the transaction's rows that share one replica chain: the unit of
+// the commit protocol. A write joins the train of its chain — two rows share
+// one iff their partitions resolve to the same replica datanodes in the same
+// order (fully replicated rows compare their full chain) and agree on Read
+// Backup, exactly the condition under which one linear 2PC pass can carry
+// both — and is prepared on that chain as it executes (prepareTrain), so
+// rows[:prepared] hold their exclusive locks and sit REDO-logged on every
+// replica of chain. Commit walks the remaining passes over the same chain.
+type train struct {
+	chain      []*DataNode
+	readBackup bool
+	rows       []writeOp
+	prepared   int
 }
 
 // reqSize/ackSize are nominal wire sizes of protocol messages.
@@ -224,15 +239,19 @@ func (t *Txn) Coordinator() *DataNode { return t.tc }
 // HasWrites reports whether the transaction has staged any writes; the
 // shard router uses it to pick between the single-cluster fast path and
 // the cross-shard intent protocol.
-func (t *Txn) HasWrites() bool { return len(t.writes) > 0 }
+func (t *Txn) HasWrites() bool { return len(t.trains) > 0 }
 
-// StagedWrites calls fn for every write staged so far, in staging order.
-// The shard router serializes these into a durable intent record before
-// committing a cross-shard transaction, so a crash between the per-shard
-// commits leaves enough to finish or undo the operation.
+// StagedWrites calls fn for every write staged so far, train by train: rows
+// sharing a replica chain in the order they were written, trains in the order
+// their first row was. Two writes of one row land on one chain, so they keep
+// their order. The shard router serializes these into a durable intent record
+// before committing a cross-shard transaction, so a crash between the
+// per-shard commits leaves enough to finish or undo the operation.
 func (t *Txn) StagedWrites(fn func(table *Table, partKey, key string, val Value, del bool)) {
-	for _, w := range t.writes {
-		fn(w.part.table, w.pk, w.key, w.val, w.del)
+	for _, tr := range t.trains {
+		for _, w := range tr.rows {
+			fn(w.part.table, w.pk, w.key, w.val, w.del)
+		}
 	}
 }
 
@@ -347,7 +366,7 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 	if primary == nil || !t.sendTo(t.p, primary, reqSize) {
 		return nil, false, t.failAbort()
 	}
-	if err := t.lockRow(part, partKey, key, mode); err != nil {
+	if err := t.lockRowOn(t.p, part, partKey, key, mode); err != nil {
 		t.abortLocked()
 		return nil, false, err
 	}
@@ -361,36 +380,25 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 	return val, ok, nil
 }
 
-// Write stages an insert/update (val != nil, del == false) or delete
-// (del == true) of a row, taking an exclusive lock on the primary replica
-// at operation time, as NDB does. The mutation becomes visible at commit.
+// Write executes an insert/update (val != nil, del == false) or delete
+// (del == true) of a row, which in NDB prepares it: the row joins the train
+// of its replica chain and the train's Prepare pass runs at once, taking the
+// exclusive lock on the primary replica at operation time. The mutation
+// becomes visible at commit.
 func (t *Txn) Write(table *Table, partKey, key string, val Value, del bool) error {
 	if t.done {
 		return ErrAborted
 	}
-	cfg := &t.c.cfg
 	t.c.Stats.Rounds++
-	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	part := table.partitionFor(partKey)
-	t.heatTouch(part)
-	reps := part.replicas()
-	if len(reps) == 0 {
+	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
+	tr := t.stage(&BatchWrite{Table: table, PartKey: partKey, Key: key, Val: val, Del: del})
+	if tr == nil {
 		return t.failAbort()
 	}
-	primary := reps[0]
-	if !t.sendTo(t.p, primary, reqSize+table.rowSize) {
-		return t.failAbort()
-	}
-	if err := t.lockRow(part, partKey, key, LockExclusive); err != nil {
-		t.abortLocked()
+	if _, err := t.prepareTrain(t.p, tr); err != nil {
+		t.Abort()
 		return err
 	}
-	primary.use(t.p, LDM, cfg.Costs.LDMWrite)
-	if !t.replyFrom(t.p, primary, ackSize) {
-		return t.failAbort()
-	}
-	t.writes = append(t.writes, writeOp{part: part, pk: partKey, key: key, val: val, del: del})
-	t.c.Stats.Writes++
 	return nil
 }
 
@@ -404,344 +412,45 @@ func (t *Txn) Delete(table *Table, partKey, key string) error {
 	return t.Write(table, partKey, key, "", true)
 }
 
-// Commit runs the NDB commit protocol (§II-B2, Figure 2): a linear 2PC
-// pass per commit train across the train's replica chain, committing at the
-// primary on the reverse pass. Staged writes that share a replica chain
-// (same partition node group, same replica order — or the same full chain
-// for fully replicated rows) ride one train, so a multi-row transaction on
-// one chain costs one Prepare/Commit/Complete pass carrying the combined
-// payload instead of one chain per row. For Read Backup tables the client
-// Ack is delayed until every backup has acknowledged the Complete phase
-// (§IV-A3); for fully replicated tables the chain covers every datanode.
-// Read-only transactions release their locks and return immediately.
-func (t *Txn) Commit() error {
-	if t.done {
-		return ErrAborted
-	}
-	cfg := &t.c.cfg
-	if len(t.writes) == 0 {
-		t.releaseAll()
-		t.finish(true)
-		// Reply to the API client.
-		t.tc.send(t.p)
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, t.origin, ackSize, rpcTimeout) {
-			return ErrNodeUnavailable
-		}
-		return nil
-	}
-
-	trains := t.buildTrains()
-	if obs := t.c.obs; obs != nil {
-		for _, ws := range trains {
-			obs.commitTrains.Add(1)
-			obs.trainRows.Observe(time.Duration(len(ws)))
-		}
-	}
-	results := t.c.errMbx.get()
-	single := len(trains) == 1
-	if !single {
-		// Trains commit in parallel; sub-processes must start from the
-		// transaction's current effective instant.
-		t.p.Flush()
-	}
-	for _, ws := range trains {
-		ws := ws
-		// The TC charges one commit-row job per row regardless of how the
-		// rows are packed into trains.
-		for range ws {
-			t.tc.use(t.p, TC, cfg.Costs.TCCommitRow)
-		}
-		if single {
-			// A one-train transaction is trivially atomic: the chain applies
-			// every row at its commit point, as in Figure 2.
-			err := t.commitTrain(t.p, ws, readBackupFor(ws[0]), true)
-			t.p.Flush()
-			results.Send(err)
-			continue
-		}
-		// Worker arms inherit the transaction's span so their network hops
-		// and phase timings stay attributed to the operation.
-		t.c.dispatch(fanTask{
-			span:       t.p.Span(),
-			errRun:     func(p *sim.Proc) error { return t.commitTrain(p, ws, readBackupFor(ws[0]), false) },
-			errResults: results,
-		})
-	}
-	var firstErr error
-	for range trains {
-		if err := results.Recv(t.p); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	t.c.errMbx.put(results)
-	if firstErr != nil {
-		// Atomic abort: with multi-train commits the staged writes were not
-		// applied (applyNow=false above), so a failure in any train —
-		// e.g. a partition landing mid-2PC — leaves no half-commit.
-		t.releaseAll()
-		t.finish(false)
-		return firstErr
-	}
-	if !single {
-		// Atomic commit point: every train prepared and committed its
-		// replicas; the staged rows of the whole transaction become
-		// visible at one instant, under the locks still held.
-		t.p.Flush()
-		for i := range t.writes {
-			w := &t.writes[i]
-			w.part.apply(w, t.id)
-		}
-	}
-	t.releaseAll()
-	t.finish(true)
-	// Ack to the API client (message 10, or 14 under Read Backup — the
-	// timing difference is already inside commitTrain).
-	t.tc.send(t.p)
-	if !t.c.net.TravelDeferred(t.p, t.tc.Node, t.origin, ackSize, rpcTimeout) {
-		return ErrNodeUnavailable
-	}
-	return nil
-}
-
-func readBackupFor(w *writeOp) bool { return w.part.table.opts.ReadBackup }
-
-// buildTrains buckets the staged writes by identical replica chain,
-// preserving first-appearance order so the packing is deterministic. Two
-// rows share a train iff their partitions resolve to the same replica
-// datanodes in the same order (fully replicated rows compare their full
-// chain) and agree on Read Backup — exactly the condition under which one
-// linear 2PC pass can carry both. With write batching disabled every row is
-// its own single-row train, which is the old one-chain-per-row protocol.
-func (t *Txn) buildTrains() [][]*writeOp {
-	if t.c.cfg.DisableBatchedWrites || len(t.writes) == 1 {
-		out := make([][]*writeOp, len(t.writes))
-		for i := range t.writes {
-			out[i] = []*writeOp{&t.writes[i]}
-		}
-		return out
-	}
-	var out [][]*writeOp
-	slot := make(map[string]int)
-	for i := range t.writes {
-		w := &t.writes[i]
-		key := t.chainKey(w)
-		j, ok := slot[key]
-		if !ok {
-			j = len(out)
-			slot[key] = j
-			out = append(out, nil)
-		}
-		out[j] = append(out[j], w)
-	}
-	return out
-}
-
-// chainKey fingerprints the replica chain a write's 2PC pass would walk,
-// plus its Read Backup mode (trains must agree on whether the Complete
-// phase is awaited).
-func (t *Txn) chainKey(w *writeOp) string {
-	chain := w.part.replicas()
-	if w.part.table.opts.FullyReplicated {
-		chain = t.fullChain(w.part)
-	}
-	var b strings.Builder
-	if readBackupFor(w) {
-		b.WriteByte('r')
-	}
-	for _, dn := range chain {
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(dn.Index))
-	}
-	return b.String()
-}
-
-// commitTrain runs the linear 2PC of Figure 2 for one train of same-chain
-// rows, returning when the TC may count the train as committed (after
-// Committed, or after all Completed messages under Read Backup). The pass
-// structure is per train — one message per hop per phase, carrying the
-// combined row payload — while the LDM work and REDO volume stay per row.
-// applyNow selects whether the train applies its rows itself at the commit
-// point (single-train transactions) or leaves the staged writes for the
-// caller to apply once every train of the transaction has succeeded
-// (multi-train atomicity under mid-flight failures).
-func (t *Txn) commitTrain(p *sim.Proc, ws []*writeOp, readBackup, applyNow bool) error {
-	cfg := &t.c.cfg
-	part := ws[0].part
-	chain := part.replicas()
+// stage appends one write to the train of its replica chain, opening a train
+// when no existing one walks that chain, and returns it; nil means the row's
+// whole node group is down. With write batching disabled every row opens its
+// own train: the one-chain-per-row reference protocol.
+func (t *Txn) stage(w *BatchWrite) *train {
+	part := w.Table.partitionFor(w.PartKey)
+	t.heatTouch(part)
+	chain := t.chainOf(part)
 	if len(chain) == 0 {
-		return ErrNodeUnavailable
-	}
-	if part.table.opts.FullyReplicated {
-		// §IV-A3: linear 2PC over the primary replicas of the changed row
-		// on all node groups (every datanode holds the data).
-		chain = t.fullChain(part)
-	}
-	for _, dn := range chain {
-		if !dn.Alive() {
-			return ErrNodeUnavailable
-		}
-	}
-	trainBytes := reqSize
-	for _, w := range ws {
-		trainBytes += w.part.table.rowSize
-	}
-
-	// Phase instrumentation: each 2PC pass gets a child span (detailed
-	// mode only) and a registry timing. Hops made while a phase span is
-	// installed are attributed to both the phase and the operation's root.
-	obs := t.c.obs
-	parent := p.Span()
-	var phase *trace.Span
-	var phaseIdx int
-	phaseStart := p.EffNow()
-	beginPhase := func(idx int) {
-		phaseIdx = idx
-		phase = parent.Child(phaseNames[idx], phaseStart)
-		if phase != nil {
-			p.SetSpan(phase)
-		}
-	}
-	endPhase := func() {
-		now := p.EffNow()
-		phase.Finish(now)
-		if obs != nil {
-			obs.phase[phaseIdx].Observe(now - phaseStart)
-		}
-		phase = nil
-		phaseStart = now
-	}
-	defer func() {
-		// Error returns leave the active phase open; close it so sink
-		// trees render consistently, and restore the caller's span.
-		phase.Finish(p.EffNow())
-		p.SetSpan(parent)
-	}()
-
-	// Prepare pass: TC -> primary -> backups -> ... ; last replica answers
-	// Prepared to the TC. One message per hop carries the whole train's
-	// payload; each replica prepares (and REDO-logs) every row of the train.
-	beginPhase(phasePrepare)
-	prev := t.tc
-	for _, dn := range chain {
-		prev.send(p)
-		if !t.c.net.TravelDeferred(p, prev.Node, dn.Node, trainBytes, rpcTimeout) {
-			return ErrNodeUnavailable
-		}
-		dn.recv(p)
-		for _, w := range ws {
-			dn.use(p, LDM, cfg.Costs.LDMPrepare)
-			dn.redoPending += int64(w.part.table.rowSize)
-		}
-		prev = dn
-	}
-	last := chain[len(chain)-1]
-	last.send(p)
-	if !t.c.net.TravelDeferred(p, last.Node, t.tc.Node, ackSize, rpcTimeout) {
-		return ErrNodeUnavailable
-	}
-	t.tc.recv(p)
-	endPhase()
-	// Commit pass in reverse order: the primary replica (chain head) is the
-	// commit point; it applies the mutation and releases the row locks.
-	beginPhase(phaseCommit)
-	prev = t.tc
-	for i := len(chain) - 1; i >= 0; i-- {
-		dn := chain[i]
-		prev.send(p)
-		if !t.c.net.TravelDeferred(p, prev.Node, dn.Node, ackSize, rpcTimeout) {
-			return ErrNodeUnavailable
-		}
-		dn.recv(p)
-		for range ws {
-			dn.use(p, LDM, cfg.Costs.LDMCommit)
-		}
-		prev = dn
-	}
-	// Synchronize with the virtual clock before the commit point: the
-	// primary applies the train's mutations and releases their row locks at
-	// the instant the Commit message actually reaches it. Multi-train
-	// transactions defer the apply to the transaction-wide commit point.
-	p.Flush()
-	if applyNow {
-		for _, w := range ws {
-			w.part.apply(w, t.id)
-		}
-	}
-	chain[0].send(p)
-	if !t.c.net.TravelDeferred(p, chain[0].Node, t.tc.Node, ackSize, rpcTimeout) {
-		return ErrNodeUnavailable
-	}
-	t.tc.recv(p)
-	endPhase()
-	// Complete pass: release backup-side resources. Without Read Backup
-	// the TC does not wait for the Completed responses (the paper's short
-	// staleness window on backups); with Read Backup it must (§IV-A3).
-	backups := chain[1:]
-	if len(backups) == 0 {
 		return nil
 	}
-	if !readBackup {
-		// Fire-and-forget Completes go through Send (no process carries
-		// them), so simnet can only count them in the global net.* metrics.
-		// Record them on the active span too — zero wire time, the Travel
-		// convention, since they are off the Ack's critical path — so per-op
-		// attribution and the commit-phase profile stop under-counting.
-		for _, dn := range backups {
-			t.tc.send(p)
-			p.Span().RecordHop(simnet.HopClassOf(t.tc.Node, dn.Node), ackSize, 0)
-			t.c.net.Send(t.tc.Node, dn.Node, ackSize, "complete")
-		}
-		return nil
-	}
-	beginPhase(phaseComplete)
-	donec := t.c.boolMbx.get()
-	// The Complete fan-out runs as pooled worker arms; synchronize them
-	// with the parent's effective instant first.
-	p.Flush()
-	// Capture the span the fan-out should charge: the complete-phase span
-	// when detailed, else the transaction's span.
-	fanSpan := phase
-	if fanSpan == nil {
-		fanSpan = parent
-	}
-	for _, dn := range backups {
-		dn := dn
-		t.tc.send(p)
-		t.c.dispatch(fanTask{
-			span: fanSpan,
-			boolRun: func(cp *sim.Proc) bool {
-				ok := t.c.net.TravelDeferred(cp, t.tc.Node, dn.Node, ackSize, rpcTimeout)
-				if ok {
-					dn.recv(cp)
-					dn.use(cp, LDM, cfg.Costs.LDMCommit)
-					dn.send(cp)
-					ok = t.c.net.TravelDeferred(cp, dn.Node, t.tc.Node, ackSize, rpcTimeout)
-				}
-				return ok
-			},
-			boolResults: donec,
-		})
-	}
-	allOK := true
-	for range backups {
-		if !donec.Recv(p) {
-			allOK = false
+	readBackup := w.Table.opts.ReadBackup
+	var tr *train
+	if !t.c.cfg.DisableBatchedWrites {
+		for _, have := range t.trains {
+			if have.readBackup == readBackup && slices.Equal(have.chain, chain) {
+				tr = have
+				break
+			}
 		}
 	}
-	t.c.boolMbx.put(donec)
-	t.tc.recv(p)
-	if !allOK {
-		return ErrNodeUnavailable
+	if tr == nil {
+		tr = &train{chain: chain, readBackup: readBackup}
+		t.trains = append(t.trains, tr)
 	}
-	endPhase()
-	return nil
+	tr.rows = append(tr.rows, writeOp{part: part, pk: w.PartKey, key: w.Key, val: w.Val, del: w.Del})
+	return tr
 }
 
-// fullChain returns the commit chain for a fully replicated partition: the
-// owning group's replicas first (primary at the head), then one primary per
-// other node group.
-func (t *Txn) fullChain(part *Partition) []*DataNode {
+// chainOf returns the replica chain a row of part is prepared and committed
+// on — the partition's alive replicas, primary first; for a fully replicated
+// table (§IV-A3) additionally one primary per other node group, since every
+// datanode holds the data — or nil when part's own node group is down. The
+// slice is read-only.
+func (t *Txn) chainOf(part *Partition) []*DataNode {
 	reps := part.replicas()
+	if len(reps) == 0 || !part.table.opts.FullyReplicated {
+		return reps
+	}
 	// Copy: replicas() is memoized and must not be appended to.
 	chain := make([]*DataNode, len(reps), len(reps)+len(t.c.groups)-1)
 	copy(chain, reps)
@@ -759,7 +468,322 @@ func (t *Txn) fullChain(part *Partition) []*DataNode {
 	return chain
 }
 
-// Abort releases all locks and discards staged writes.
+// phaseSpans instruments the 2PC passes one process walks for one train:
+// each pass gets a child span of the caller's (detailed mode only) and a
+// registry timing, back to back from the instant the walk began. Hops made
+// while a phase span is installed are attributed to both the phase and the
+// operation's root.
+type phaseSpans struct {
+	obs    *clusterObs
+	p      *sim.Proc
+	parent *trace.Span
+	span   *trace.Span
+	idx    int
+	start  time.Duration
+}
+
+func (t *Txn) phases(p *sim.Proc) phaseSpans {
+	return phaseSpans{obs: t.c.obs, p: p, parent: p.Span(), start: p.EffNow()}
+}
+
+func (ph *phaseSpans) begin(idx int) {
+	ph.idx = idx
+	ph.span = ph.parent.Child(phaseNames[idx], ph.start)
+	if ph.span != nil {
+		ph.p.SetSpan(ph.span)
+	}
+}
+
+// end closes a pass that ran to completion and times it.
+func (ph *phaseSpans) end() {
+	now := ph.p.EffNow()
+	ph.span.Finish(now)
+	if ph.obs != nil {
+		ph.obs.phase[ph.idx].Observe(now - ph.start)
+	}
+	ph.span = nil
+	ph.start = now
+}
+
+// close is deferred by the walker: an error return leaves the active phase
+// open, so close it — sink trees then render consistently — and restore the
+// caller's span.
+func (ph *phaseSpans) close() {
+	ph.span.Finish(ph.p.EffNow())
+	ph.p.SetSpan(ph.parent)
+}
+
+// hop carries one message of a chain pass from one datanode to the next: the
+// sender's SEND charge, the wire, the receiver's RECV charge. It reports
+// false when the message was lost (the RPC timeout expired).
+func (t *Txn) hop(p *sim.Proc, from, to *DataNode, bytes int) bool {
+	from.send(p)
+	if !t.c.net.TravelDeferred(p, from.Node, to.Node, bytes, rpcTimeout) {
+		return false
+	}
+	to.recv(p)
+	return true
+}
+
+// prepareTrain runs the Prepare pass of Figure 2 for the train's rows that
+// are not prepared yet: TC -> primary -> backups -> ..., the last replica
+// answering Prepared to the TC. One message per hop carries the combined row
+// payload; the LDM work and REDO volume stay per row. The chain's head takes
+// every row's exclusive lock as the request reaches it — per row through
+// lockRowOn, so conflicts, the contention ledger, lock-wait spans and the
+// deadlock timeout are those of any locked access — and a failure stops the
+// pass where a sequence of single-row writes would have stopped, returning
+// the failed row's position among the rows being prepared.
+func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
+	cfg := &t.c.cfg
+	rows := tr.rows[tr.prepared:]
+	trainBytes := reqSize + batchRowOverhead*(len(rows)-1)
+	for i := range rows {
+		trainBytes += rows[i].part.table.rowSize
+	}
+	ph := t.phases(p)
+	defer ph.close()
+	ph.begin(phasePrepare)
+	prev := t.tc
+	for pos, dn := range tr.chain {
+		if !t.hop(p, prev, dn, trainBytes) {
+			return 0, ErrNodeUnavailable
+		}
+		if pos == 0 {
+			for i := range rows {
+				w := &rows[i]
+				if err := t.lockRowOn(p, w.part, w.pk, w.key, LockExclusive); err != nil {
+					return i, err
+				}
+				dn.use(p, LDM, cfg.Costs.LDMWrite)
+				t.c.Stats.Writes++
+			}
+		}
+		for i := range rows {
+			dn.use(p, LDM, cfg.Costs.LDMPrepare)
+			dn.redoPending += int64(rows[i].part.table.rowSize)
+		}
+		prev = dn
+	}
+	if !t.hop(p, prev, t.tc, ackSize) {
+		return 0, ErrNodeUnavailable
+	}
+	ph.end()
+	tr.prepared = len(tr.rows)
+	return 0, nil
+}
+
+// Commit finishes the NDB commit protocol (§II-B2, Figure 2) over the trains
+// the transaction's writes built and prepared: per train a Commit pass in
+// reverse chain order, committing at the primary, then the Complete pass. A
+// multi-row transaction on one chain therefore costs one Commit/Complete pass
+// instead of one per row. For Read Backup tables the client Ack is delayed
+// until every backup has acknowledged the Complete phase (§IV-A3); for fully
+// replicated tables the chain covers every node group. A read-only
+// transaction has no trains: it releases its locks and acks at once.
+func (t *Txn) Commit() error {
+	if t.done {
+		return ErrAborted
+	}
+	err := t.commitTrains()
+	t.releaseAll()
+	t.finish(err == nil)
+	if err != nil {
+		// Atomic abort: a multi-train commit applies nothing until every
+		// train has succeeded, so a failure in any train — e.g. a partition
+		// landing mid-2PC — leaves no half-commit.
+		return err
+	}
+	// Ack to the API client (message 10 of Figure 2, or 14 under Read Backup
+	// — the timing difference is already inside commitTrain).
+	t.tc.send(t.p)
+	if !t.c.net.TravelDeferred(t.p, t.tc.Node, t.origin, ackSize, rpcTimeout) {
+		return ErrNodeUnavailable
+	}
+	return nil
+}
+
+// commitTrains commits every train and makes the transaction's rows visible
+// at one instant. A train commits only on the chain it was prepared on: if a
+// row's partition no longer resolves to that chain — a replica failed, a
+// primary was promoted, a node rejoined since the write — some replica of
+// today's chain holds no prepared copy, so the commit fails with
+// ErrNodeUnavailable before anything is applied and the caller's retry runs
+// the transaction again: the abort-and-retry rule for a failed coordinator
+// (DESIGN §5b), applied to a participant.
+func (t *Txn) commitTrains() error {
+	for _, tr := range t.trains {
+		for i := range tr.rows {
+			if !slices.Equal(t.chainOf(tr.rows[i].part), tr.chain) {
+				return ErrNodeUnavailable
+			}
+		}
+	}
+	switch len(t.trains) {
+	case 0:
+		return nil
+	case 1:
+		// A one-train transaction is trivially atomic: the chain applies
+		// every row at its commit point, as in Figure 2.
+		t.chargeCommit(t.trains[0])
+		err := t.commitTrain(t.p, t.trains[0], true)
+		t.p.Flush()
+		return err
+	}
+	// Trains commit in parallel; sub-processes must start from the
+	// transaction's current effective instant. Worker arms inherit the
+	// transaction's span so their network hops and phase timings stay
+	// attributed to the operation.
+	t.p.Flush()
+	results := t.c.errMbx.get()
+	for _, tr := range t.trains {
+		t.chargeCommit(tr)
+		t.c.dispatch(fanTask{span: t.p.Span(), txn: t, train: tr, errResults: results})
+	}
+	var firstErr error
+	for range t.trains {
+		if err := results.Recv(t.p); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	t.c.errMbx.put(results)
+	if firstErr != nil {
+		return firstErr
+	}
+	// Atomic commit point: every train committed its replicas; the rows of
+	// the whole transaction become visible at one instant, under the locks
+	// still held.
+	t.p.Flush()
+	for _, tr := range t.trains {
+		tr.apply(t.id)
+	}
+	return nil
+}
+
+// chargeCommit counts a train entering its Commit pass and charges the TC
+// one commit-row job per row, regardless of how rows are packed into trains.
+func (t *Txn) chargeCommit(tr *train) {
+	if obs := t.c.obs; obs != nil {
+		obs.commitTrains.Add(1)
+		obs.trainRows.Observe(time.Duration(len(tr.rows)))
+	}
+	for range tr.rows {
+		t.tc.use(t.p, TC, t.c.cfg.Costs.TCCommitRow)
+	}
+}
+
+// apply makes the train's rows the committed values and releases their locks.
+func (tr *train) apply(txn uint64) {
+	for i := range tr.rows {
+		tr.rows[i].part.apply(&tr.rows[i], txn)
+	}
+}
+
+// commitTrain runs the Commit and Complete passes of Figure 2 for one
+// prepared train, returning when the TC may count the train as committed
+// (after Committed, or after all Completed messages under Read Backup). The
+// pass structure is per train — one message per hop per phase — while the LDM
+// work stays per row. applyNow selects whether the train applies its rows
+// itself at the commit point (single-train transactions) or leaves them for
+// the caller to apply once every train of the transaction has succeeded
+// (multi-train atomicity under mid-flight failures).
+func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
+	cfg := &t.c.cfg
+	ph := t.phases(p)
+	defer ph.close()
+	// Commit pass in reverse order: the primary replica (chain head) is the
+	// commit point; it applies the mutation and releases the row locks. Its
+	// first message goes to the chain's last replica — the Prepare pass ran
+	// when the rows were written.
+	ph.begin(phaseCommit)
+	prev := t.tc
+	for i := len(tr.chain) - 1; i >= 0; i-- {
+		dn := tr.chain[i]
+		if !t.hop(p, prev, dn, ackSize) {
+			return ErrNodeUnavailable
+		}
+		for range tr.rows {
+			dn.use(p, LDM, cfg.Costs.LDMCommit)
+		}
+		prev = dn
+	}
+	// Synchronize with the virtual clock before the commit point: the
+	// primary applies the train's mutations and releases their row locks at
+	// the instant the Commit message actually reaches it. Multi-train
+	// transactions defer the apply to the transaction-wide commit point.
+	p.Flush()
+	if applyNow {
+		tr.apply(t.id)
+	}
+	if !t.hop(p, prev, t.tc, ackSize) {
+		return ErrNodeUnavailable
+	}
+	ph.end()
+	// Complete pass: release backup-side resources. Without Read Backup
+	// the TC does not wait for the Completed responses (the paper's short
+	// staleness window on backups); with Read Backup it must (§IV-A3).
+	backups := tr.chain[1:]
+	if len(backups) == 0 {
+		return nil
+	}
+	if !tr.readBackup {
+		// Fire-and-forget Completes go through Send (no process carries
+		// them), so simnet can only count them in the global net.* metrics.
+		// Record them on the active span too — zero wire time, the Travel
+		// convention, since they are off the Ack's critical path — so per-op
+		// attribution and the commit-phase profile stop under-counting.
+		for _, dn := range backups {
+			t.tc.send(p)
+			p.Span().RecordHop(simnet.HopClassOf(t.tc.Node, dn.Node), ackSize, 0)
+			t.c.net.Send(t.tc.Node, dn.Node, ackSize, "complete")
+		}
+		return nil
+	}
+	ph.begin(phaseComplete)
+	donec := t.c.boolMbx.get()
+	// The Complete fan-out runs as pooled worker arms; synchronize them
+	// with the parent's effective instant first.
+	p.Flush()
+	// The fan-out charges the complete-phase span when detailed, else the
+	// transaction's span.
+	fanSpan := ph.span
+	if fanSpan == nil {
+		fanSpan = ph.parent
+	}
+	for _, dn := range backups {
+		t.tc.send(p)
+		t.c.dispatch(fanTask{span: fanSpan, txn: t, backup: dn, boolResults: donec})
+	}
+	allOK := true
+	for range backups {
+		if !donec.Recv(p) {
+			allOK = false
+		}
+	}
+	t.c.boolMbx.put(donec)
+	t.tc.recv(p)
+	if !allOK {
+		return ErrNodeUnavailable
+	}
+	ph.end()
+	return nil
+}
+
+// complete is one arm of the awaited Complete pass: TC -> backup -> TC.
+func (t *Txn) complete(p *sim.Proc, dn *DataNode) bool {
+	if !t.c.net.TravelDeferred(p, t.tc.Node, dn.Node, ackSize, rpcTimeout) {
+		return false
+	}
+	dn.recv(p)
+	dn.use(p, LDM, t.c.cfg.Costs.LDMCommit)
+	dn.send(p)
+	return t.c.net.TravelDeferred(p, dn.Node, t.tc.Node, ackSize, rpcTimeout)
+}
+
+// Abort releases all locks and discards the transaction's writes. Rows
+// already prepared send no Abort signal down their chain — the replicas hold
+// no state for them beyond the REDO bytes already counted — so an abort costs
+// no message.
 func (t *Txn) Abort() {
 	if t.done {
 		return
@@ -790,17 +814,12 @@ func (t *Txn) finish(committed bool) {
 	}
 }
 
-// lockRow acquires a row lock with the deadlock-detection timeout, on the
-// transaction's own process.
-func (t *Txn) lockRow(part *Partition, pk, key string, mode LockMode) error {
-	return t.lockRowOn(t.p, part, pk, key, mode)
-}
-
-// lockRowOn is lockRow on an explicit process: WriteBatch's concurrent
-// group sub-processes block on their own clocks while sharing the
-// transaction's lock set (appends are safe under the cooperative kernel —
-// exactly one process runs at a time). The process's deferred delay is
-// flushed first so the lock is taken at the correct virtual instant.
+// lockRowOn acquires a row lock with the deadlock-detection timeout on the
+// process walking the request: the transaction's own, or one arm of a batch
+// fan-out — arms block on their own clocks while sharing the transaction's
+// lock set (appends are safe under the cooperative kernel: exactly one
+// process runs at a time). The process's deferred delay is flushed first so
+// the lock is taken at the correct virtual instant.
 func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockMode) error {
 	p.Flush()
 	r := part.getRow(pk, key)

@@ -5,13 +5,13 @@ import (
 	"hopsfscl/internal/trace"
 )
 
-// This file implements the cluster's fan-out worker pool. Batched reads,
-// commit trains, and Complete acks all fan out as concurrent sub-processes;
-// spawning a fresh process per fan-out arm was the simulator's largest
-// steady-state allocation source (a Proc, a resume channel, a goroutine
-// stack, and a closure per arm). The pool keeps a free-list of long-lived
-// worker processes parked on per-worker task mailboxes and dispatches work
-// by Send.
+// This file implements the cluster's fan-out worker pool. Batched reads and
+// writes, commit trains, and Complete acks all fan out as concurrent
+// sub-processes; spawning a fresh process per fan-out arm was the simulator's
+// largest steady-state allocation source (a Proc, a resume channel, a
+// goroutine stack, and a closure per arm). The pool keeps a free-list of
+// long-lived worker processes parked on per-worker task mailboxes and
+// dispatches work by Send.
 //
 // Determinism: dispatch is schedule-equivalent to Spawn. Spawn pushes the
 // new process onto the ready ring at the call instant and consumes no event
@@ -33,11 +33,12 @@ type fanTask struct {
 	g     *batchGroup
 	serve func(p *sim.Proc, g *batchGroup) bool
 
-	// Generic bool fan-out (Complete acks): one closure per arm.
-	boolRun func(p *sim.Proc) bool
-
-	// Commit-train fan-out: one closure per train.
-	errRun func(p *sim.Proc) error
+	// Commit fan-out, on behalf of txn: the Commit and Complete passes of
+	// one train (errResults), or one backup's leg of an awaited Complete
+	// pass (boolResults). Plain fields, so neither allocates a closure.
+	txn    *Txn
+	train  *train
+	backup *DataNode
 
 	// Exactly one of boolResults/errResults is set and receives the arm's
 	// outcome after its deferred delay has been flushed.
@@ -91,12 +92,12 @@ func (c *Cluster) newWorker() *fanWorker {
 			var ok bool
 			var err error
 			switch {
-			case task.errResults != nil:
-				err = task.errRun(p)
+			case task.train != nil:
+				err = task.txn.commitTrain(p, task.train, false)
 			case task.g != nil:
 				ok = task.serve(p, task.g)
 			default:
-				ok = task.boolRun(p)
+				ok = task.txn.complete(p, task.backup)
 			}
 			p.Flush()
 			// Drop the span before parking so a pooled worker does not pin
@@ -119,6 +120,7 @@ func (c *Cluster) newWorker() *fanWorker {
 // when done, so concurrent transactions never share one.
 type batchScratch struct {
 	targets []*DataNode
+	trains  []*train
 	backing []batchGroup
 	groups  []*batchGroup
 	buf     []int

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,10 +14,12 @@ import (
 )
 
 // measureTxnMessages runs one transaction writing len(pks) rows (row i in
-// partition pks[i]) and returns the wire messages spent staging (WriteBatch)
-// and committing, with the batched write path on or off. pksFor receives the
-// created table so callers can pick partition keys by replica geometry.
-func measureTxnMessages(t *testing.T, serial bool, pksFor func(tbl *Table) []string) (staging, commit int64) {
+// partition pks[i]) and returns the wire messages spent executing the writes
+// (WriteBatch: the Prepare passes) and committing them (the Commit and
+// Complete passes and the Ack), with the batched write path on or off. pksFor
+// receives the created table so callers can pick partition keys by replica
+// geometry.
+func measureTxnMessages(t *testing.T, serial bool, pksFor func(tbl *Table) []string) (write, commit int64) {
 	t.Helper()
 	env, c, client := testClusterCfg(t, true, 3, func(cfg *Config) { cfg.DisableBatchedWrites = serial })
 	c.StopBackground()
@@ -41,7 +44,7 @@ func measureTxnMessages(t *testing.T, serial bool, pksFor func(tbl *Table) []str
 			return
 		}
 		p.Flush()
-		staging = c.net.TotalMessages() - before
+		write = c.net.TotalMessages() - before
 		before = c.net.TotalMessages()
 		if err := tx.Commit(); err != nil {
 			t.Error(err)
@@ -55,7 +58,7 @@ func measureTxnMessages(t *testing.T, serial bool, pksFor func(tbl *Table) []str
 	if !done {
 		t.Fatalf("txn (serial=%v, %d rows) did not complete", serial, len(pks))
 	}
-	return staging, commit
+	return write, commit
 }
 
 // repeatPK returns n copies of one partition key: n rows sharing a replica
@@ -100,58 +103,36 @@ func crossGroupPKs(t *testing.T, n int) func(*Table) []string {
 }
 
 // TestCommitTrainMessageCounts extends TestCommitProtocolMessageCount into a
-// regression suite pinning the exact wire footprint of the commit protocol
-// (Figure 2 geometry: RF 3, Read Backup, 12 messages per chain plus the
-// client Ack):
+// regression suite pinning the exact wire footprint of a write transaction
+// after Begin (Figure 2 geometry: RF 3, Read Backup — 4 messages per Prepare
+// pass as the writes execute, 8 per train at commit, plus the client Ack):
 //
-//   - 1 row: 13 messages, batched and serial identical (a single-row batch
-//     takes the old protocol path message for message),
-//   - 8 rows sharing one replica chain: one commit train of 13 messages vs
-//     8 serial chains of 97,
-//   - 8 rows across two node groups: two trains, 2x12 + 1 = 25 messages.
-//
-// For every multi-row shape the batched transaction must use strictly fewer
-// messages than the serial one, staging included.
+//   - 1 row: 4 + 9 = 13 messages, batched and serial identical message for
+//     message,
+//   - 8 rows sharing one replica chain: one train, 13 messages, vs 8 serial
+//     Prepare passes and 8 one-row trains, 32 + 65 = 97,
+//   - 8 rows across two node groups: two trains, 2x4 + 2x8 + 1 = 25, vs 97.
 func TestCommitTrainMessageCounts(t *testing.T) {
-	// 1 row: batched == serial, exactly 13 commit messages.
-	oneSerialStage, oneSerialCommit := measureTxnMessages(t, true, repeatPK("p", 1))
-	oneBatchStage, oneBatchCommit := measureTxnMessages(t, false, repeatPK("p", 1))
-	if oneBatchCommit != 13 || oneSerialCommit != 13 {
-		t.Errorf("1-row commit = %d batched / %d serial messages, want 13 / 13",
-			oneBatchCommit, oneSerialCommit)
-	}
-	if oneBatchStage != oneSerialStage {
-		t.Errorf("1-row staging = %d batched vs %d serial messages, want identical",
-			oneBatchStage, oneSerialStage)
-	}
-
-	// 8 rows, one replica chain: one train vs eight chains.
-	sameSerialStage, sameSerialCommit := measureTxnMessages(t, true, repeatPK("p", 8))
-	sameBatchStage, sameBatchCommit := measureTxnMessages(t, false, repeatPK("p", 8))
-	if sameBatchCommit != 13 {
-		t.Errorf("8-row same-chain batched commit = %d messages, want 13 (one train)", sameBatchCommit)
-	}
-	if sameSerialCommit != 97 {
-		t.Errorf("8-row serial commit = %d messages, want 97 (8 chains + Ack)", sameSerialCommit)
-	}
-	if total, serialTotal := sameBatchStage+sameBatchCommit, sameSerialStage+sameSerialCommit; total >= serialTotal {
-		t.Errorf("8-row same-chain batched txn = %d messages, serial = %d; want strictly fewer", total, serialTotal)
-	}
-	if sameBatchStage > sameSerialStage {
-		t.Errorf("8-row batched staging = %d messages > serial %d", sameBatchStage, sameSerialStage)
-	}
-
-	// 8 rows across two node groups: two trains.
-	crossSerialStage, crossSerialCommit := measureTxnMessages(t, true, crossGroupPKs(t, 8))
-	crossBatchStage, crossBatchCommit := measureTxnMessages(t, false, crossGroupPKs(t, 8))
-	if crossBatchCommit != 25 {
-		t.Errorf("8-row cross-group batched commit = %d messages, want 25 (two trains + Ack)", crossBatchCommit)
-	}
-	if crossSerialCommit != 97 {
-		t.Errorf("8-row cross-group serial commit = %d messages, want 97", crossSerialCommit)
-	}
-	if total, serialTotal := crossBatchStage+crossBatchCommit, crossSerialStage+crossSerialCommit; total >= serialTotal {
-		t.Errorf("8-row cross-group batched txn = %d messages, serial = %d; want strictly fewer", total, serialTotal)
+	for _, tc := range []struct {
+		name                string
+		pks                 func(*Table) []string
+		write, commit       int64
+		serWrite, serCommit int64
+	}{
+		{"1 row", repeatPK("p", 1), 4, 9, 4, 9},
+		{"8 rows, one chain", repeatPK("p", 8), 4, 9, 32, 65},
+		{"8 rows, two node groups", crossGroupPKs(t, 8), 8, 17, 32, 65},
+	} {
+		write, commit := measureTxnMessages(t, false, tc.pks)
+		if write != tc.write || commit != tc.commit {
+			t.Errorf("%s batched: write + commit = %d + %d messages, want %d + %d",
+				tc.name, write, commit, tc.write, tc.commit)
+		}
+		write, commit = measureTxnMessages(t, true, tc.pks)
+		if write != tc.serWrite || commit != tc.serCommit {
+			t.Errorf("%s serial: write + commit = %d + %d messages, want %d + %d",
+				tc.name, write, commit, tc.serWrite, tc.serCommit)
+		}
 	}
 }
 
@@ -354,9 +335,9 @@ func TestWriteBatchUnavailablePrimaryAborts(t *testing.T) {
 // for fire-and-forget Complete messages: on a non-Read-Backup table the TC
 // sends Complete to the backups without awaiting them, and those messages
 // must still be attributed to the operation's span. Every wire message of
-// the commit — protocol, Complete, and client Ack — shows up in the span's
-// hop counts, so the span total reconciles exactly with the network's
-// message counter.
+// the write and its commit — protocol, Complete, and client Ack — shows up in
+// the span's hop counts, so the span total reconciles exactly with the
+// network's message counter.
 func TestFireAndForgetCompleteAttributed(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	reg := trace.NewRegistry()
@@ -387,13 +368,13 @@ func TestFireAndForgetCompleteAttributed(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		p.Flush()
+		netBefore := c.net.TotalMessages()
+		spanBefore := hopTotal(sp)
 		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
 			t.Error(err)
 			return
 		}
-		p.Flush()
-		netBefore := c.net.TotalMessages()
-		spanBefore := hopTotal(sp)
 		if err := tx.Commit(); err != nil {
 			t.Error(err)
 			return
@@ -407,11 +388,240 @@ func TestFireAndForgetCompleteAttributed(t *testing.T) {
 	if !done {
 		t.Fatal("txn did not complete")
 	}
-	// RF 3 without Read Backup: 8 protocol messages + 2 Complete + 1 Ack.
+	// RF 3 without Read Backup: 4 Prepare/Prepared as the write executes,
+	// 4 Commit/Committed, 2 Complete, 1 Ack.
 	if netMsgs != 11 {
-		t.Fatalf("commit used %d network messages, want 11", netMsgs)
+		t.Fatalf("write + commit used %d network messages, want 11", netMsgs)
 	}
 	if spanMsgs != netMsgs {
 		t.Fatalf("span attributed %d messages, network saw %d — fire-and-forget Complete lost", spanMsgs, netMsgs)
+	}
+}
+
+// redoPending sums the REDO bytes awaiting the next global checkpoint on the
+// given datanodes.
+func redoPending(dns []*DataNode) (n int64) {
+	for _, dn := range dns {
+		n += dn.redoPending
+	}
+	return n
+}
+
+// TestWriteIsPrepare pins the mechanism: executing a write prepares it. When
+// WriteBatch returns, its train has walked the chain once — len(chain)+1
+// messages — every replica of the chain holds the rows' REDO bytes, the rows
+// are exclusively locked, and they still read as their old committed value.
+// Commit then adds exactly the two remaining passes and the Ack, logs
+// nothing, and makes the rows visible.
+func TestWriteIsPrepare(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	c.StopBackground()
+	env.RunFor(time.Second) // drain housekeeping: no heartbeats, no checkpoint flush
+	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+	StoreDirect(tbl, "p", "old", "before")
+	done := false
+	env.Spawn("txn", func(p *sim.Proc) {
+		tx, err := c.Begin(p, client, 1, tbl, "p")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		chain := tbl.partitionFor("p").replicas()
+		p.Flush()
+		msgs, redo := c.net.TotalMessages(), redoPending(chain)
+		err = tx.WriteBatch([]BatchWrite{
+			{Table: tbl, PartKey: "p", Key: "old", Val: "after"},
+			{Table: tbl, PartKey: "p", Key: "new", Val: "after"},
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Flush()
+		if got, want := c.net.TotalMessages()-msgs, int64(len(chain)+1); got != want {
+			t.Errorf("WriteBatch exchanged %d messages, want %d (one Prepare pass down a chain of %d)", got, want, len(chain))
+		}
+		if got, want := redoPending(chain)-redo, int64(2*64*len(chain)); got != want {
+			t.Errorf("WriteBatch left %d REDO bytes pending on the chain, want %d (2 rows on each of %d replicas)", got, want, len(chain))
+		}
+		if len(tx.trains) != 1 || tx.trains[0].prepared != 2 || !slices.Equal(tx.trains[0].chain, chain) {
+			t.Errorf("trains after WriteBatch = %+v, want one train of 2 prepared rows on the partition's chain", tx.trains)
+		}
+		part := tbl.partitionFor("p")
+		for _, key := range []string{"old", "new"} {
+			if mode := part.rows["p"][key].lock.holders[tx.id]; mode != LockExclusive {
+				t.Errorf("row %q held in mode %d after WriteBatch, want exclusive", key, mode)
+			}
+		}
+		if v, ok := part.committed("p", "old"); !ok || v != "before" {
+			t.Errorf("prepared row reads (%v, %v) before commit, want its old committed value", v, ok)
+		}
+		if _, ok := part.committed("p", "new"); ok {
+			t.Error("prepared insert is visible before commit")
+		}
+		msgs, redo = c.net.TotalMessages(), redoPending(chain)
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Flush()
+		// Commit x3 + Committed, Complete x2 + Completed x2, Ack: 9 at RF 3.
+		if got, want := c.net.TotalMessages()-msgs, int64(len(chain)+1+2*(len(chain)-1)+1); got != want {
+			t.Errorf("Commit exchanged %d messages, want %d", got, want)
+		}
+		if got := redoPending(chain) - redo; got != 0 {
+			t.Errorf("Commit logged %d REDO bytes: it ran a Prepare pass", got)
+		}
+		for _, key := range []string{"old", "new"} {
+			if v, ok := part.committed("p", key); !ok || v != "after" {
+				t.Errorf("row %q reads (%v, %v) after commit, want after", key, v, ok)
+			}
+		}
+		done = true
+	})
+	env.RunFor(time.Minute)
+	if !done {
+		t.Fatal("txn did not complete")
+	}
+}
+
+// TestPreparedChainChangeAborts pins the first safety rule of write-is-
+// prepare: a train commits only on the chain it was prepared on. A replica of
+// the chain — a backup, or the primary — crashes between the write and the
+// commit; Commit fails with ErrNodeUnavailable before anything is applied,
+// the row stays absent and unlocked, and a fresh transaction commits it on
+// the surviving chain.
+func TestPreparedChainChangeAborts(t *testing.T) {
+	for _, slot := range []int{0, 1} {
+		env, c, client := testCluster(t, true, 3)
+		c.StopBackground()
+		env.RunFor(time.Second)
+		tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+		done := false
+		env.Spawn("txn", func(p *sim.Proc) {
+			tx, err := c.Begin(p, client, 1, tbl, "p")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			// The victim is the primary (slot 0) or the first backup that is
+			// not coordinating: the coordinator's own failure is §5b's case.
+			victim := tbl.partitionFor("p").replicas()[slot]
+			if victim == tx.Coordinator() {
+				victim = tbl.partitionFor("p").replicas()[slot+1]
+			}
+			if err := tx.WriteBatch([]BatchWrite{{Table: tbl, PartKey: "p", Key: "k", Val: "v"}}); err != nil {
+				t.Error(err)
+				return
+			}
+			p.Flush()
+			victim.Node.Fail()
+			if err := tx.Commit(); !errors.Is(err, ErrNodeUnavailable) {
+				t.Errorf("slot %d: Commit on a changed chain = %v, want ErrNodeUnavailable", slot, err)
+				return
+			}
+			if _, ok := tbl.partitionFor("p").committed("p", "k"); ok {
+				t.Errorf("slot %d: the refused commit applied its row", slot)
+			}
+			retry, err := c.Begin(p, client, 1, tbl, "p")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p.Flush()
+			start := p.Now()
+			if _, ok, err := retry.ReadLocked(tbl, "p", "k", LockExclusive); err != nil || ok {
+				t.Errorf("slot %d: locked read after the abort = (found %v, %v), want an absent row", slot, ok, err)
+				return
+			}
+			p.Flush()
+			if waited := p.Now() - start; waited > 5*time.Millisecond {
+				t.Errorf("slot %d: the lock took %v: the aborted transaction still held it", slot, waited)
+			}
+			if err := retry.Insert(tbl, "p", "k", "v2"); err != nil {
+				t.Error(err)
+				return
+			}
+			if len(retry.trains[0].chain) != 2 {
+				t.Errorf("slot %d: retry prepared on a chain of %d, want the 2 survivors", slot, len(retry.trains[0].chain))
+			}
+			if err := retry.Commit(); err != nil {
+				t.Errorf("slot %d: retry on the surviving chain: %v", slot, err)
+				return
+			}
+			if v, ok := tbl.partitionFor("p").committed("p", "k"); !ok || v != "v2" {
+				t.Errorf("slot %d: row reads (%v, %v) after the retry, want v2", slot, v, ok)
+			}
+			done = true
+		})
+		env.RunFor(time.Minute)
+		if !done {
+			t.Fatalf("slot %d: did not complete", slot)
+		}
+	}
+}
+
+// TestSecondWriteBatchJoinsItsTrain: a later batch on a chain the transaction
+// has already prepared rows on walks the chain for its new rows only, and all
+// of them commit as one train.
+func TestSecondWriteBatchJoinsItsTrain(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	c.StopBackground()
+	env.RunFor(time.Second)
+	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+	batch := func(from, to int) []BatchWrite {
+		var items []BatchWrite
+		for i := from; i < to; i++ {
+			items = append(items, BatchWrite{Table: tbl, PartKey: "p", Key: fmt.Sprintf("k%d", i), Val: "v"})
+		}
+		return items
+	}
+	done := false
+	env.Spawn("txn", func(p *sim.Proc) {
+		tx, err := c.Begin(p, client, 1, tbl, "p")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := tx.WriteBatch(batch(0, 2)); err != nil {
+			t.Error(err)
+			return
+		}
+		chain := tbl.partitionFor("p").replicas()
+		p.Flush()
+		msgs, redo := c.net.TotalMessages(), redoPending(chain)
+		if err := tx.WriteBatch(batch(2, 5)); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Flush()
+		if got := c.net.TotalMessages() - msgs; got != 4 {
+			t.Errorf("second batch exchanged %d messages, want 4 (one Prepare pass)", got)
+		}
+		if got, want := redoPending(chain)-redo, int64(3*64*3); got != want {
+			t.Errorf("second batch logged %d REDO bytes, want %d (its 3 new rows on 3 replicas)", got, want)
+		}
+		if len(tx.trains) != 1 || len(tx.trains[0].rows) != 5 || tx.trains[0].prepared != 5 {
+			t.Errorf("trains = %+v, want one train of 5 prepared rows", tx.trains)
+		}
+		msgs = c.net.TotalMessages()
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Flush()
+		if got := c.net.TotalMessages() - msgs; got != 9 {
+			t.Errorf("commit exchanged %d messages, want 9 (one train + Ack)", got)
+		}
+		for i := 0; i < 5; i++ {
+			if _, ok := tbl.partitionFor("p").committed("p", fmt.Sprintf("k%d", i)); !ok {
+				t.Errorf("row k%d missing after commit", i)
+			}
+		}
+		done = true
+	})
+	env.RunFor(time.Minute)
+	if !done {
+		t.Fatal("txn did not complete")
 	}
 }

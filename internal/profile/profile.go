@@ -81,8 +81,8 @@ var hopCategory = [trace.NumHopClasses]Category{
 }
 
 // spanCategory is the bucket a span's non-network critical self time lands
-// in, keyed by the span names the instrumentation uses (ndb.commitChain's
-// phase children, lockRow's lock_wait child).
+// in, keyed by the span names the instrumentation uses (ndb's 2PC
+// phase children, lockRowOn's lock_wait child).
 func spanCategory(name string) Category {
 	switch name {
 	case "lock_wait":
