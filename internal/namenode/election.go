@@ -45,7 +45,7 @@ func (nn *NameNode) electionRound(p *sim.Proc) {
 	err := nn.runTxn(p, electionPartKey, func(tx ndb.Tx) error {
 		row := &electionRow{ID: nn.ID, Domain: nn.Domain, At: p.Now()}
 		election := nn.ns.election.For(electionPartKey)
-		if err := tx.Insert(election, electionPartKey, electionKey(nn.ID), row); err != nil {
+		if err := tx.Put(election, electionPartKey, electionKey(nn.ID), row); err != nil {
 			return err
 		}
 		kvs, err := tx.ScanPrefix(election, electionPartKey, "e/")

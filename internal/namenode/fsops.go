@@ -1,6 +1,7 @@
 package namenode
 
 import (
+	"errors"
 	"strconv"
 	"time"
 
@@ -129,36 +130,13 @@ var rootInode = &Inode{ID: RootID, Parent: 0, Name: "", Dir: true, Perm: 0o755, 
 // not locked), except that the path's last component is read under lockLast
 // when that is set — the lock rides the read, it costs no round of its own.
 // "/" has no last component: it is immutable, cached, and never locked. When
-// the hint cache covers a prefix of the path, the whole covered chain is read
-// in one batched fan-out and verified (tryBatchResolve); otherwise — and
-// whenever verification detects stale hints — it falls back to the serial
-// per-component walk, whose final step takes the same lock. Either way the
-// hint cache is refreshed with what was actually read.
-func (nn *NameNode) resolveChain(tx ndb.Tx, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
-	if !nn.ns.cfg.DisableBatchedResolve && fp.depth() > 1 {
-		chain, ok, err := nn.tryBatchResolve(tx, fp, lockLast)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return chain, nil
-		}
-	}
-	chain := make([]*Inode, 1, fp.depth()+1)
-	chain[0] = rootInode
-	return nn.walkFrom(tx, chain, fp, lockLast)
-}
-
-// tryBatchResolve attempts optimistic batched resolution: it collects the
-// longest contiguously cached prefix of the path, reads every covered inode
-// row in a single ReadBatch, and verifies the parent/name links against
-// what the cache promised. ok=false means the cache could not prime a batch
-// or verification failed (stale hints) — the caller must re-walk serially;
-// a stale cache only ever costs that retry, never a wrong answer. When all
-// links verify, errors are authoritative: a missing row below a verified
-// parent is exactly the ErrNotFound the serial walk would have returned,
-// and a non-directory interior component is ErrNotDir. Any remaining
-// uncovered suffix is resolved serially from the verified chain.
+// the hint cache covers a prefix of the path (hintedIDs), every covered inode
+// row is read in one batched fan-out and verified against what the cache
+// promised (settle); otherwise — and whenever verification detects stale
+// hints — it falls back to the serial per-component walk, whose final step
+// takes the same lock. A stale cache only ever costs that re-walk, never a
+// wrong answer, and either way the hint cache is refreshed with what was
+// actually read.
 //
 // A read batch carries at most one lock: when the hints reach the path's
 // last component, its get — and no other — carries lockLast. One lock per
@@ -169,42 +147,92 @@ func (nn *NameNode) resolveChain(tx ndb.Tx, fp fsPath, lockLast ndb.LockMode) ([
 // on the right row by luck): the serial re-walk locks the committed row in
 // the same transaction, which so holds a superset of the locks it needs
 // until it ends — strict two-phase locking, no retry path of its own.
-func (nn *NameNode) tryBatchResolve(tx ndb.Tx, fp fsPath, lockLast ndb.LockMode) ([]*Inode, bool, error) {
-	obs := nn.ns.obs
-	depth := fp.depth()
-	// ids[i] is the cached inode id of fp.prefix(i); ids[0] is "/". Paths
-	// deeper than the array spill to the heap through append.
-	var idbuf [8]uint64
-	ids := append(idbuf[:0], RootID)
-	for i := 1; i < depth; i++ {
-		id, ok := nn.cache.get(fp.prefix(i))
-		if !ok {
-			break
+func (nn *NameNode) resolveChain(tx ndb.Tx, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
+	if !nn.ns.cfg.DisableBatchedResolve && fp.depth() > 1 {
+		// Paths deeper than the array spill to the heap through append.
+		var idbuf [8]uint64
+		ids := nn.hintedIDs(idbuf[:0], fp)
+		// A batch of one row is just a serial read.
+		if rows := len(ids); rows >= 2 {
+			gets := nn.hintedGets(make([]ndb.BatchGet, 0, rows), fp, ids)
+			if rows == fp.depth() {
+				gets[rows-1].Lock = lockLast
+			}
+			vals, err := tx.ReadBatch(gets)
+			if err != nil {
+				return nil, err
+			}
+			return nn.settle(tx, fp, ids, vals, lockLast)
+		}
+		nn.ns.obs.resolveMiss.Add(1)
+	}
+	return nn.walkFrom(tx, newChain(fp), fp, lockLast)
+}
+
+// newChain is the chain that resolves none of fp yet: just "/".
+func newChain(fp fsPath) []*Inode {
+	chain := make([]*Inode, 1, fp.depth()+1)
+	chain[0] = rootInode
+	return chain
+}
+
+// settle turns the values a batch read for the rows ids primes into fp's
+// chain: the verified rows, continued serially over any suffix the hints did
+// not reach — or, when they prove stale, the serial walk from "/". lockLast is
+// the lock fp's last component is to be read under: the batch took it if the
+// hints reached that far, the walk's last step takes it otherwise.
+func (nn *NameNode) settle(tx ndb.Tx, fp fsPath, ids []uint64, vals []ndb.BatchVal, lockLast ndb.LockMode) ([]*Inode, error) {
+	chain, ok, err := nn.verifyHinted(tx, fp, ids, vals)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		chain = newChain(fp)
+	} else if lockLast != 0 && len(ids) == fp.depth() {
+		// The operated-on inode counts as touched, as it does when the
+		// serial walk's lockInode reads it.
+		nn.ns.heat.TouchInode(tx.Now(), chain[len(ids)].ID)
+	}
+	return nn.walkFrom(tx, chain, fp, lockLast)
+}
+
+// hintedIDs appends the cached inode ids that key fp's rows, as far as the
+// cache holds them contiguously: row i is keyed by (ids[i], component i) and
+// ids[0] is "/", so the cached directories prime one row beyond themselves.
+func (nn *NameNode) hintedIDs(ids []uint64, fp fsPath) []uint64 {
+	for i := 0; i < fp.depth(); i++ {
+		id := RootID
+		if i > 0 {
+			var ok bool
+			if id, ok = nn.cache.get(fp.prefix(i)); !ok {
+				break
+			}
 		}
 		ids = append(ids, id)
 	}
-	// Row i is keyed by (ids[i], component i), so the cached directories
-	// prime one row beyond themselves. A batch of one row is just a serial
-	// read.
-	rows := len(ids)
-	if rows < 2 {
-		obs.resolveMiss.Add(1)
-		return nil, false, nil
+	return ids
+}
+
+// hintedGets appends one lock-free get per row of fp that ids primes.
+func (nn *NameNode) hintedGets(gets []ndb.BatchGet, fp fsPath, ids []uint64) []ndb.BatchGet {
+	for i, id := range ids {
+		table, pk, key := nn.ns.inodeRow(id, fp.comp(i))
+		gets = append(gets, ndb.BatchGet{Table: table, PartKey: pk, Key: key})
 	}
-	gets := make([]ndb.BatchGet, rows)
-	for i := range gets {
-		g := &gets[i]
-		g.Table, g.PartKey, g.Key = nn.ns.inodeRow(ids[i], fp.comp(i))
-	}
-	if rows == depth {
-		gets[rows-1].Lock = lockLast
-	}
-	vals, err := tx.ReadBatch(gets)
-	if err != nil {
-		return nil, false, err
-	}
-	chain := make([]*Inode, 1, depth+1)
-	chain[0] = rootInode
+	return gets
+}
+
+// verifyHinted checks the rows a batch read for fp — vals[i] is the row ids[i]
+// primed — against what the cache promised and returns the chain they
+// resolve, refreshing the hints with it. ok=false means a link failed to
+// verify: the hints were stale and the values are worthless. When all links
+// verify, errors are authoritative: a missing row below a verified parent is
+// exactly the ErrNotFound the serial walk would have returned, and a
+// non-directory interior component is ErrNotDir.
+func (nn *NameNode) verifyHinted(tx ndb.Tx, fp fsPath, ids []uint64, vals []ndb.BatchVal) ([]*Inode, bool, error) {
+	obs := nn.ns.obs
+	depth, rows := fp.depth(), len(ids)
+	chain := newChain(fp)
 	for i := 0; i < rows; i++ {
 		if !vals[i].OK {
 			// Every link above row i verified, so the parent id used to
@@ -237,16 +265,36 @@ func (nn *NameNode) tryBatchResolve(tx ndb.Tx, fp fsPath, lockLast ndb.LockMode)
 	}
 	obs.resolveHit.Add(1)
 	tx.Annotate("op.batched", strconv.Itoa(rows))
-	if gets[rows-1].Lock != 0 {
-		// The operated-on inode counts as touched, as it does when the
-		// serial walk's lockInode reads it.
-		nn.ns.heat.TouchInode(tx.Now(), chain[rows].ID)
-	}
-	chain, err = nn.walkFrom(tx, chain, fp, lockLast)
-	if err != nil {
-		return nil, true, err
-	}
 	return chain, true, nil
+}
+
+// resolveBoth is Rename's lock-free resolve of its two paths: the source with
+// its own inode, and the destination's parent. When the hint cache primes
+// both down to their last component, the rows of both go out as one batch —
+// one round instead of two — and each path's share is verified as a batch of
+// its own would be; a path whose hints prove stale is re-walked serially.
+// Hints that fall short of either path leave the two resolves they were.
+func (nn *NameNode) resolveBoth(tx ndb.Tx, src, dstParent fsPath) (sc, dc []*Inode, err error) {
+	var sbuf, dbuf [8]uint64
+	var sids, dids []uint64
+	if !nn.ns.cfg.DisableBatchedResolve {
+		sids, dids = nn.hintedIDs(sbuf[:0], src), nn.hintedIDs(dbuf[:0], dstParent)
+	}
+	if len(dids) == 0 || len(sids) < src.depth() || len(dids) < dstParent.depth() {
+		if sc, err = nn.resolveChain(tx, src, 0); err == nil {
+			dc, err = nn.resolveChain(tx, dstParent, 0)
+		}
+		return sc, dc, err
+	}
+	gets := nn.hintedGets(make([]ndb.BatchGet, 0, len(sids)+len(dids)), src, sids)
+	vals, err := tx.ReadBatch(nn.hintedGets(gets, dstParent, dids))
+	if err != nil {
+		return nil, nil, err
+	}
+	if sc, err = nn.settle(tx, src, sids, vals[:len(sids)], 0); err == nil {
+		dc, err = nn.settle(tx, dstParent, dids, vals[len(sids):], 0)
+	}
+	return sc, dc, err
 }
 
 // walkFrom continues serial resolution: chain already resolves the first
@@ -304,23 +352,21 @@ func (nn *NameNode) resolveParentChain(tx ndb.Tx, fp fsPath, lockParent ndb.Lock
 	return chain, nil
 }
 
-// lockPhase is the lock phase of the operations that add or remove a name
-// under a directory (Mkdir, Create, Delete): resolve the parent chain with
-// the parent's row share-locked in the same round — the parent must keep
+// lockPhase is Delete's lock phase: resolve the parent chain with the
+// parent's row share-locked in the same round — the parent must keep
 // existing — then lock the target's own row exclusively, parent before
 // child. It returns the ancestor chain [root, ..., parent] and the target's
-// row — addressed, locked, and holding its committed value (nil Val: the
-// name is free) — so the update phase rewrites it in place. An operation on
-// one existing inode needs one lock and takes it with resolveChain; Rename
-// locks two rows in sorted order and brings its own phase.
-func (nn *NameNode) lockPhase(tx ndb.Tx, fp fsPath) ([]*Inode, ndb.BatchWrite, error) {
+// committed value under its lock. An operation on one existing inode needs
+// one lock and takes it with resolveChain; a create takes the child's lock
+// with its insert (createChild); Rename locks two rows in sorted order and
+// brings its own phase.
+func (nn *NameNode) lockPhase(tx ndb.Tx, fp fsPath) ([]*Inode, *Inode, error) {
 	chain, err := nn.resolveParentChain(tx, fp, ndb.LockShared)
 	if err != nil {
-		return nil, ndb.BatchWrite{}, err
+		return nil, nil, err
 	}
-	table, pk, key := nn.ns.inodeRow(chain[len(chain)-1].ID, fp.name())
-	v, _, err := tx.ReadLocked(table, pk, key, ndb.LockExclusive)
-	return chain, ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: v}, err
+	target, err := nn.lockInode(tx, chain[len(chain)-1].ID, fp.name(), ndb.LockExclusive)
+	return chain, target, err
 }
 
 // Mkdir creates a directory. The parent is share-locked (it must keep
@@ -339,19 +385,18 @@ func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error)
 }
 
 // createChild inserts a new inode shaped like proto (kind, mode bits, size)
-// at path: the one create body behind Mkdir and Create.
+// at path: the one create body behind Mkdir and Create. Its lock phase is the
+// parent's shared lock, taken with the resolve; the child's exclusive lock is
+// the insert's own, parent before child. The insert finds out for itself
+// whether the name is free: two racing creators serialize on the row lock at
+// the chain's head, and the loser's Prepare is refused there with the winner's
+// row in place.
 func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, error) {
 	var created *Inode
 	err := nn.op(p, path, opRules{root: ErrExists}, func(tx ndb.Tx, fp fsPath) error {
-		// Exclusive-lock the child row first, then check existence: two
-		// racing creators serialize on the lock and the loser sees the
-		// winner's row.
-		chain, row, err := nn.lockPhase(tx, fp)
+		chain, err := nn.resolveParentChain(tx, fp, ndb.LockShared)
 		if err != nil {
 			return err
-		}
-		if row.Val != nil {
-			return ErrExists
 		}
 		parent := chain[len(chain)-1]
 		ino := proto
@@ -369,18 +414,24 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 		} else if ino.Size <= smallFileThreshold {
 			ino.InlineSize = ino.Size
 		}
-		created, row.Val = &ino, &ino
+		created = &ino
 		// The inode row, the inline small-file payload (§II-A3), and any
 		// quota charges execute as one batched write — one Prepare pass and
 		// one commit train per replica chain (a single-row batch is exactly
 		// a plain insert).
+		row := nn.ns.inodeWrite(parent.ID, ino.Name, created)
+		row.IfAbsent = true
 		items := []ndb.BatchWrite{row}
 		if ino.InlineSize > 0 {
 			table, pk := partOf(nn.ns.smallfiles, ino.ID)
 			items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Val: ino.InlineSize})
 		}
 		items = append(items, nn.quotaCharges(chain, "c", ino.ID, 1, ino.Size)...)
-		return tx.WriteBatch(items)
+		err = tx.WriteBatch(items)
+		if errors.Is(err, ndb.ErrRowExists) {
+			return ErrExists
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -470,11 +521,7 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 	var dir bool
 	err := nn.op(p, path, opRules{root: ErrInvalidPath, unlinkedDir: &dir}, func(tx ndb.Tx, fp fsPath) error {
 		freed = freed[:0]
-		chain, row, err := nn.lockPhase(tx, fp)
-		if err != nil {
-			return err
-		}
-		target, err := nn.asInode(tx, row.Val)
+		chain, target, err := nn.lockPhase(tx, fp)
 		if err != nil {
 			return err
 		}
@@ -571,18 +618,18 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 	}
 	var dir bool
 	return nn.op(p, src, opRules{root: ErrInvalidPath, dst: dfp, unlinkedDir: &dir}, func(tx ndb.Tx, sfp fsPath) error {
-		// The source resolves with its own inode in one batch; it is read
-		// here only to fail early and is read again under its lock.
-		srcChain, err := nn.resolveChain(tx, sfp, 0)
+		// The source resolves with its own inode, in the destination parent's
+		// batch; it is read here only to fail early and is read again under
+		// its lock.
+		srcChain, dstChain, err := nn.resolveBoth(tx, sfp, dfp.parent())
 		if err != nil {
 			return err
 		}
 		srcParent, srcName := srcChain[len(srcChain)-2], sfp.name()
-		dstChain, err := nn.resolveParentChain(tx, dfp, 0)
-		if err != nil {
-			return err
-		}
 		dstParent, dstName := dstChain[len(dstChain)-1], dfp.name()
+		if !dstParent.Dir {
+			return ErrNotDir
+		}
 		// Deterministic lock order over the two rows: shard first, so two
 		// cross-shard renames over the same pair of shards open their
 		// sub-transactions — and take their locks — in the same order; then
@@ -685,7 +732,7 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode) ([
 		updated.Mtime = p.Now()
 		row := nn.ns.inodeWrite(updated.Parent, updated.Name, &updated)
 		if len(also) == 0 {
-			return tx.Insert(row.Table, row.PartKey, row.Key, row.Val)
+			return tx.Put(row.Table, row.PartKey, row.Key, row.Val)
 		}
 		return tx.WriteBatch(append([]ndb.BatchWrite{row}, also...))
 	})

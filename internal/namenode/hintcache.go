@@ -101,7 +101,7 @@ func (hc *hintCache) drop(path string) {
 // invalidatePrefix drops the mapping for path and every path beneath it.
 // Called after a locally executed Rename or Delete of a directory so this NN
 // does not keep serving hints it just made stale. (Other NNs still can — that
-// is what the verification in tryBatchResolve is for.) It walks the whole
+// is what the verification in verifyHinted is for.) It walks the whole
 // map.
 func (hc *hintCache) invalidatePrefix(path string) {
 	prefix := path + "/"

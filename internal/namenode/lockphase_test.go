@@ -23,10 +23,13 @@ import (
 // the lock still costs none of its own. A write is its Prepare pass, so a
 // mutation's messages are its reads' plus, per replica chain it writes, the
 // 12 of Figure 2's three passes — no staging pair on top — and a recursive
-// delete executes one write batch however deep the subtree (on the parent of
-// this change: one per level plus the quota charge's, 10 rounds and 50
-// messages for the two-level subtree below; every one-chain mutation row read
-// 2 messages more, setquota's two chains 4).
+// delete executes one write batch however deep the subtree. A create makes no
+// round to learn its name is free — the insert's Prepare is told at the
+// chain's head — and Rename resolves its two paths in one batch (on the
+// parent of this change: mkdir/create 3 rounds and 18 messages, rename 5 and
+// 22). A create on a taken name is the same two rounds cut short: Begin, the
+// resolve's pair, the Prepare's first hop and the primary's refusal — no
+// replica beyond the primary hears of it, and nothing retries.
 func TestRoundTripBudget(t *testing.T) {
 	type opFn func(nn *NameNode, p *sim.Proc) error
 	budget := []struct {
@@ -45,9 +48,15 @@ func TestRoundTripBudget(t *testing.T) {
 			return nn.AttachBlocks(p, "/a/b/f", []blocks.BlockID{1}, 1)
 		}, 2, 4, 18},
 		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 30},
-		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 3, 4, 18},
-		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 3, 4, 18},
-		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 5, 8, 22},
+		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 2, 3, 16},
+		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 2, 3, 16},
+		{"create on an existing name", func(nn *NameNode, p *sim.Proc) error {
+			if _, err := nn.Create(p, "/a/b/c", 0); !errors.Is(err, ErrExists) {
+				return fmt.Errorf("got %v, want ErrExists", err)
+			}
+			return nil
+		}, 2, 3, 5},
+		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 4, 8, 20},
 		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 3, 4, 18},
 		// /a/b/d carries the quota set above: s, s/t and s/t/x die and are
 		// charged back to it in the one write batch.
@@ -235,36 +244,204 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 			t.Errorf("the moved directory gained the created file: %v", err)
 		}
 
-		// Every row either life touched takes an exclusive lock at once: a
-		// leaked one would park this transaction until the deadlock timeout
-		// and fail it.
 		if held := h.db.HeldLocks(); len(held) != 0 {
 			t.Errorf("locks survive the operations: %v", held)
 		}
 		oldB, oldD := stale["/a/b"], stale["/a/b/d"]
 		newB := newD.Parent
 		aID, _ := nnA.cache.get("/a")
-		rows := []struct {
+		var rows []ndb.BatchGet
+		for _, r := range []struct {
 			parent uint64
 			name   string
 		}{
 			{RootID, "a"}, {aID, "b"}, {aID, "old"},
 			{oldB, "f"}, {oldB, "d"}, {oldD, "g"}, {oldD, "x-old"},
 			{newB, "f"}, {newB, "d"}, {newD.ID, "g"}, {newD.ID, "x-new"},
+		} {
+			table, pk, key := h.ns.inodeRow(r.parent, r.name)
+			rows = append(rows, ndb.BatchGet{Table: table, PartKey: pk, Key: key})
 		}
-		start := p.Now()
-		tx, err := h.ns.router.Begin(p, nnA.Node, nnA.Domain, h.ns.inodes.For(partKey(aID)), partKey(aID))
-		err = ndb.InTx(tx, err, func(tx ndb.Tx) error {
-			for _, r := range rows {
-				table, pk, key := h.ns.inodeRow(r.parent, r.name)
-				if _, _, err := tx.ReadLocked(table, pk, key, ndb.LockExclusive); err != nil {
-					return fmt.Errorf("%d/%s: %w", r.parent, r.name, err)
-				}
+		requireUnlocked(t, h, p, nnA, rows)
+	})
+}
+
+// requireUnlocked is the lock-leak walk: one transaction takes an exclusive
+// lock on every given row — all those an operation under test touched — and
+// must be granted each at once. A leaked lock would park it until the deadlock
+// timeout and fail it.
+func requireUnlocked(t *testing.T, h *harness, p *sim.Proc, nn *NameNode, rows []ndb.BatchGet) {
+	t.Helper()
+	start := p.Now()
+	tx, err := h.ns.router.Begin(p, nn.Node, nn.Domain, rows[0].Table, rows[0].PartKey)
+	err = ndb.InTx(tx, err, func(tx ndb.Tx) error {
+		for _, r := range rows {
+			if _, _, err := tx.ReadLocked(r.Table, r.PartKey, r.Key, ndb.LockExclusive); err != nil {
+				return fmt.Errorf("%s %s/%s: %w", r.Table.Name(), r.PartKey, r.Key, err)
 			}
-			return nil
+		}
+		return nil
+	})
+	if err != nil || p.Now()-start > 50*time.Millisecond {
+		t.Errorf("locking every touched row took %v: %v", p.Now()-start, err)
+	}
+}
+
+// TestRefusedCreateLeavesNothing: a create on a taken name is refused by its
+// own insert, by which time the sibling chains of the same write batch — the
+// inline payload row keyed by the inode id the attempt drew, the usage charge
+// on the quota'd ancestor — are prepared, or about to be with write batching
+// disabled. The abort must release all of it: no lock held, no row of the
+// attempt committed, every touched row lockable at once, one transaction (no
+// retry) — and the name still holds the first file.
+func TestRefusedCreateLeavesNothing(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		h := newHarnessFull(t, 21, func(cfg *ndb.Config) { cfg.DisableBatchedWrites = serial }, nil)
+		nnA, nnB := h.ns.NameNodes()[0], h.ns.NameNodes()[1]
+		h.run(t, func(p *sim.Proc) {
+			if err := nnA.Mkdir(p, "/q", 0o755); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := nnA.SetQuota(p, "/q", 100, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			first, err := nnA.Create(p, "/q/f", 10)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			usage, err := nnA.Quota(p, "/q")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			before, drew := h.db.Stats, h.ns.idSeq+1
+			if _, err := nnB.Create(p, "/q/f", 10); !errors.Is(err, ErrExists) {
+				t.Errorf("serial=%v: create on a taken name: %v, want ErrExists", serial, err)
+			}
+			if h.ns.idSeq != drew {
+				t.Errorf("serial=%v: the refused attempt drew inode ids up to %d, want exactly %d", serial, h.ns.idSeq, drew)
+			}
+			if begun, aborted := h.db.Stats.Begun-before.Begun, h.db.Stats.Aborted-before.Aborted; begun != 1 || aborted != 1 {
+				t.Errorf("serial=%v: %d transactions begun, %d aborted; want 1 and 1 (no retry)", serial, begun, aborted)
+			}
+			if held := h.db.HeldLocks(); len(held) != 0 {
+				t.Errorf("serial=%v: locks survive the refusal: %v", serial, held)
+			}
+			if got, err := nnB.Stat(p, "/q/f"); err != nil || got.ID != first.ID {
+				t.Errorf("serial=%v: /q/f is %+v, %v after the refusal; want inode %d", serial, got, err, first.ID)
+			}
+			if after, err := nnB.Quota(p, "/q"); err != nil || after != usage {
+				t.Errorf("serial=%v: quota usage %+v, %v after the refusal; want %+v", serial, after, err, usage)
+			}
+			inode, ipk, ikey := h.ns.inodeRow(first.Parent, "f")
+			payload, ppk := partOf(h.ns.smallfiles, drew)
+			charge, cpk := partOf(h.ns.quotas, first.Parent)
+			rows := []ndb.BatchGet{
+				{Table: inode, PartKey: ipk, Key: ikey},
+				{Table: payload, PartKey: ppk, Key: smallFileKey},
+				{Table: charge, PartKey: cpk, Key: quotaUpdateKey("c", drew)},
+			}
+			requireUnlocked(t, h, p, nnB, rows)
+			for _, r := range rows[1:] {
+				r.Table.ForEachCommitted(func(pk, key string, _ ndb.Value) {
+					if pk == r.PartKey && key == r.Key {
+						t.Errorf("serial=%v: the refused attempt's row %s %s/%s is committed", serial, r.Table.Name(), pk, key)
+					}
+				})
+			}
 		})
-		if err != nil || p.Now()-start > 50*time.Millisecond {
-			t.Errorf("locking every touched row took %v: %v", p.Now()-start, err)
+	}
+}
+
+// TestRenameResolvesBothPathsInOneBatch: when the hints reach the last
+// component of the source and of the destination's parent, Rename reads both
+// chains in one lock-free batch; hints that fall short of either path leave
+// the two resolves, and a path whose share of the batch proves stale is
+// re-walked alone. The storage rounds of each shape are pinned, and the
+// rename must act on the committed inodes whatever the hints said.
+func TestRenameResolvesBothPathsInOneBatch(t *testing.T) {
+	h := newHarness(t)
+	reg := trace.NewRegistry()
+	h.ns.SetTracer(trace.NewTracer(reg))
+	nnA, nnB := h.ns.NameNodes()[0], h.ns.NameNodes()[1]
+	h.run(t, func(p *sim.Proc) {
+		for _, dir := range []string{"/a", "/a/b", "/x", "/x/y", "/u", "/u/v"} {
+			if err := nnB.Mkdir(p, dir, 0o755); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for _, f := range []string{"/a/b/f", "/a/b/file", "/u/v/f"} {
+			if _, err := nnB.Create(p, f, 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for _, dir := range []string{"/a/b", "/x/y"} {
+			if _, err := nnA.Stat(p, dir); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		h.ns.StopBackground()
+		p.Sleep(2 * h.ns.cfg.ElectionRound)
+		fallbacks := reg.Counter("namenode.resolve_cache", "result", "fallback")
+		rename := func(src, dst string, want error, rounds int64) {
+			t.Helper()
+			before := h.db.Stats.Rounds
+			if err := nnA.Rename(p, src, dst); !errors.Is(err, want) {
+				t.Errorf("rename %s -> %s: %v, want %v", src, dst, err, want)
+			}
+			if got := h.db.Stats.Rounds - before; got != rounds {
+				t.Errorf("rename %s -> %s: %d storage rounds, want %d", src, dst, got, rounds)
+			}
+		}
+		// One batch, the two sorted locks, the write.
+		rename("/a/b/f", "/x/y/f", nil, 4)
+		// Errors are the batch's to give: a missing source, a destination
+		// parent that is a file (its row is the parent chain's last).
+		rename("/a/b/nope", "/x/y/g", ErrNotFound, 1)
+		rename("/x/y/f", "/a/b/file/g", ErrNotDir, 1)
+		rename("/x/y/f", "/a/b/file", ErrExists, 3)
+		// "/" needs no row: the source's own batch is the only resolve round.
+		rename("/x/y/f", "/top", nil, 4)
+		// NN-a never saw /u: the source resolves in its batch, the
+		// destination's parent by the two-step walk.
+		rename("/top", "/u/v/g", nil, 6)
+		// NN-b moves /u/v away and builds a new one: NN-a's hint for /u/v
+		// is stale, the source's share of the batch fails to verify and is
+		// re-walked (three rounds) while the destination's share stands.
+		if err := nnB.Rename(p, "/u/v", "/u/w"); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := nnB.Mkdir(p, "/u/v", 0o755); err != nil {
+			t.Error(err)
+			return
+		}
+		committed, err := nnB.Create(p, "/u/v/f", 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fell := fallbacks.Value()
+		rename("/u/v/f", "/a/b/h", nil, 7)
+		if fallbacks.Value() != fell+1 {
+			t.Errorf("%d fallbacks on the stale source, want 1", fallbacks.Value()-fell)
+		}
+		if got, err := nnB.Stat(p, "/a/b/h"); err != nil || got.ID != committed.ID {
+			t.Errorf("/a/b/h is %+v, %v; want the committed /u/v/f, inode %d", got, err, committed.ID)
+		}
+		for _, path := range []string{"/u/w/f", "/u/w/g"} {
+			if _, err := nnB.Stat(p, path); err != nil {
+				t.Errorf("the moved directory lost %s: %v", path, err)
+			}
+		}
+		if held := h.db.HeldLocks(); len(held) != 0 {
+			t.Errorf("locks survive the renames: %v", held)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -225,15 +226,20 @@ func isNamespaceErr(err error) bool {
 // in the batch, a locked get riding it; in the walk, its final step.
 // Infrastructure errors (node down, lock timeout) propagate to runTxn so
 // its abort/retry machinery stays in charge.
-func resolveBothWays(p *sim.Proc, nn *NameNode, comps fsPath, lockLast ndb.LockMode) (batched, serial []*Inode, berr, serr error) {
+func resolveBothWays(t *testing.T, p *sim.Proc, nn *NameNode, comps fsPath, lockLast ndb.LockMode) (batched, serial []*Inode, berr, serr error) {
 	txErr := nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
 		batched, berr = nn.resolveChain(tx, comps, lockLast)
 		if berr != nil && !isNamespaceErr(berr) {
 			return berr
 		}
-		chain := make([]*Inode, 1, comps.depth()+1)
-		chain[0] = rootInode
-		serial, serr = nn.walkFrom(tx, chain, comps, lockLast)
+		if berr == nil && lockLast != 0 && comps.depth() > 0 {
+			// However far the hints reached, the last component is locked.
+			table, pk, key := nn.ns.inodeRow(batched[len(batched)-2].ID, comps.name())
+			if !slices.Contains(table.Cluster().HeldLocks(), table.Name()+"/"+pk+"/"+key) {
+				t.Errorf("resolveChain(%s, lock %d) holds no lock on the last component", comps.raw, lockLast)
+			}
+		}
+		serial, serr = nn.walkFrom(tx, newChain(comps), comps, lockLast)
 		if serr != nil && !isNamespaceErr(serr) {
 			return serr
 		}
@@ -326,14 +332,21 @@ func runEquivalenceSeed(t *testing.T, seed int64) {
 				t.Fatalf("splitPath(%q): %v", path, err)
 			}
 			// Each resolution draws the lock its batch carries: none, shared
-			// or exclusive on the last row.
-			batched, serial, berr, serr := resolveBothWays(p, nn1, comps, ndb.LockMode(rng.Intn(3)))
-			if !errors.Is(berr, serr) && !errors.Is(serr, berr) {
-				t.Errorf("%s: batched err %v, serial err %v", path, berr, serr)
-				continue
-			}
-			if berr == nil && chainIDs(batched) != chainIDs(serial) {
-				t.Errorf("%s: batched chain %s, serial chain %s", path, chainIDs(batched), chainIDs(serial))
+			// or exclusive on the last row. The second pass forgets the hint
+			// of the path's parent first, so the batch stops one row short
+			// and the walk's last step reads — and locks — the rest.
+			for _, short := range []bool{false, true} {
+				if short && comps.depth() > 1 {
+					nn1.cache.drop(comps.prefix(comps.depth() - 1))
+				}
+				batched, serial, berr, serr := resolveBothWays(t, p, nn1, comps, ndb.LockMode(rng.Intn(3)))
+				if !errors.Is(berr, serr) && !errors.Is(serr, berr) {
+					t.Errorf("%s: batched err %v, serial err %v", path, berr, serr)
+					continue
+				}
+				if berr == nil && chainIDs(batched) != chainIDs(serial) {
+					t.Errorf("%s: batched chain %s, serial chain %s", path, chainIDs(batched), chainIDs(serial))
+				}
 			}
 		}
 		if got := reg.Counter("namenode.resolve_cache", "result", "fallback").Value(); got == fallbacksBefore {

@@ -20,7 +20,7 @@ func TestReadBatchMatchesSerialReads(t *testing.T) {
 	inTxn(t, env, c, client, 1, tbl, "p0", func(p *sim.Proc, tx *Txn) error {
 		for i := 0; i < n; i++ {
 			pk := fmt.Sprintf("p%d", i)
-			if err := tx.Insert(tbl, pk, "k"+pk, "v"+pk); err != nil {
+			if err := tx.Put(tbl, pk, "k"+pk, "v"+pk); err != nil {
 				return err
 			}
 		}
@@ -76,13 +76,13 @@ func TestReadBatchRouting(t *testing.T) {
 	rb := c.CreateTable("rb", 128, TableOptions{ReadBackup: true})
 
 	inTxn(t, env, c, client, 1, plain, "pp", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(plain, "pp", "k", "v"); err != nil {
+		if err := tx.Put(plain, "pp", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
 	})
 	inTxn(t, env, c, client, 1, rb, "pr", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(rb, "pr", "k", "v"); err != nil {
+		if err := tx.Put(rb, "pr", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -142,7 +142,7 @@ func TestReadBatchUnavailableGroupAborts(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("plain", 128, TableOptions{})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -185,7 +185,7 @@ func TestScanBatchMatchesSerialScans(t *testing.T) {
 		for di, d := range dirs {
 			for i := 0; i <= di; i++ {
 				k := fmt.Sprintf("%s/c%d", d, i)
-				if err := tx.Insert(tbl, d, k, "v"); err != nil {
+				if err := tx.Put(tbl, d, k, "v"); err != nil {
 					return err
 				}
 			}
@@ -240,7 +240,7 @@ func TestReadBatchFasterThanSerial(t *testing.T) {
 	inTxn(t, env, c, client, 1, tbl, "p0", func(p *sim.Proc, tx *Txn) error {
 		for i := 0; i < n; i++ {
 			pk := fmt.Sprintf("p%d", i)
-			if err := tx.Insert(tbl, pk, "k", "v"); err != nil {
+			if err := tx.Put(tbl, pk, "k", "v"); err != nil {
 				return err
 			}
 		}
@@ -309,7 +309,7 @@ func TestReadBatchLockedGetIsReadLocked(t *testing.T) {
 			}
 		}
 		inTxn(t, env, c, client, 1, tbl, pk, func(p *sim.Proc, tx *Txn) error {
-			if err := tx.Insert(tbl, pk, "k", "v"); err != nil {
+			if err := tx.Put(tbl, pk, "k", "v"); err != nil {
 				return err
 			}
 			return tx.Commit()
@@ -390,7 +390,7 @@ func TestReadBatchLockConflict(t *testing.T) {
 			inTxn(t, env, c, client, 1, tbl, "p0", func(p *sim.Proc, tx *Txn) error {
 				for i := range pks {
 					pks[i] = fmt.Sprintf("p%d", i)
-					if err := tx.Insert(tbl, pks[i], "k", "old"); err != nil {
+					if err := tx.Put(tbl, pks[i], "k", "old"); err != nil {
 						return err
 					}
 				}
@@ -403,7 +403,7 @@ func TestReadBatchLockConflict(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := tx.Insert(tbl, hot, "k", "new"); err != nil {
+				if err := tx.Put(tbl, hot, "k", "new"); err != nil {
 					t.Error(err)
 					return
 				}

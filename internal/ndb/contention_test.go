@@ -24,7 +24,7 @@ func runContention(t *testing.T) *Cluster {
 				t.Error(err)
 				return
 			}
-			if err := tx.Insert(tbl, "p", "k", name); err != nil {
+			if err := tx.Put(tbl, "p", "k", name); err != nil {
 				t.Error(err)
 				return
 			}

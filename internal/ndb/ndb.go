@@ -34,6 +34,10 @@ var (
 	// the transaction waited too long for a row lock (deadlock, node
 	// failure, or overload) and was aborted.
 	ErrLockTimeout = errors.New("ndb: lock wait timeout")
+	// ErrRowExists refuses an insert (BatchWrite.IfAbsent) whose row already
+	// holds a committed value: the answer of the row's primary, given under
+	// the insert's own exclusive lock. The transaction is aborted.
+	ErrRowExists = errors.New("ndb: row exists")
 	// ErrNodeUnavailable means a datanode needed by the transaction did not
 	// respond before the RPC timeout.
 	ErrNodeUnavailable = errors.New("ndb: datanode unavailable")

@@ -68,7 +68,7 @@ func TestCommitAndReadBack(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p1", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p1", "k1", "v1"); err != nil {
+		if err := tx.Put(tbl, "p1", "k1", "v1"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -92,7 +92,7 @@ func TestDeleteRemovesRow(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -125,7 +125,7 @@ func TestUncommittedWriteInvisible(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -159,7 +159,7 @@ func TestReadsGoToPrimaryWithoutReadBackup(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("plain", 128, TableOptions{})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -187,7 +187,7 @@ func TestReadBackupServesAZLocalReplica(t *testing.T) {
 	tbl := c.CreateTable("rb", 128, TableOptions{ReadBackup: true})
 	seed := c.net.NewNode("seed", 1, 399)
 	inTxn(t, env, c, seed, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -223,7 +223,7 @@ func TestTableScanIsRoutedLikeAnyRead(t *testing.T) {
 	tbl := c.CreateTable("scattered", 128, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "a", func(p *sim.Proc, tx *Txn) error {
 		for _, pk := range []string{"a", "b", "c"} {
-			if err := tx.Insert(tbl, pk, "1/"+pk, pk); err != nil {
+			if err := tx.Put(tbl, pk, "1/"+pk, pk); err != nil {
 				return err
 			}
 		}
@@ -274,7 +274,7 @@ func TestFullyReplicatedWritesReachAllGroupsAndReadsAreTCLocal(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("fr", 64, TableOptions{ReadBackup: true, FullyReplicated: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -324,7 +324,7 @@ func TestExclusiveLockSerializesWriters(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := tx.Insert(tbl, "p", "k", name); err != nil {
+			if err := tx.Put(tbl, "p", "k", name); err != nil {
 				t.Error(err)
 				return
 			}
@@ -366,7 +366,7 @@ func TestLockTimeoutAbortsWaiter(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.Insert(tbl, "p", "k", "h"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "h"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -382,7 +382,7 @@ func TestLockTimeoutAbortsWaiter(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		waiterErr = tx.Insert(tbl, "p", "k", "w")
+		waiterErr = tx.Put(tbl, "p", "k", "w")
 	})
 	env.RunFor(2 * time.Second)
 	if !errors.Is(waiterErr, ErrLockTimeout) {
@@ -397,7 +397,7 @@ func TestSharedLocksCoexistAndBlockExclusive(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -431,7 +431,7 @@ func TestSharedLocksCoexistAndBlockExclusive(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.Insert(tbl, "p", "k", "w"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "w"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -497,7 +497,7 @@ func TestNodeFailurePromotesBackupAndClusterContinues(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "before"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "before"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -522,7 +522,7 @@ func TestNodeFailurePromotesBackupAndClusterContinues(t *testing.T) {
 		if !ok || v != "before" {
 			t.Errorf("read (%v,%v) after failover", v, ok)
 		}
-		if err := tx.Insert(tbl, "p", "k", "after"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "after"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -557,7 +557,7 @@ func TestSplitBrainArbitrationShutsDownOneSide(t *testing.T) {
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
 	client := c.net.NewNode("cl", 1, 600)
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -587,7 +587,7 @@ func TestAZFailureToleratedWithRF3(t *testing.T) {
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
 	seed := c.net.NewNode("seed", 1, 601)
 	inTxn(t, env, c, seed, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -602,7 +602,7 @@ func TestAZFailureToleratedWithRF3(t *testing.T) {
 		if !ok || v != "v" {
 			t.Errorf("read (%v,%v) after AZ failure", v, ok)
 		}
-		if err := tx.Insert(tbl, "p", "k2", "v2"); err != nil {
+		if err := tx.Put(tbl, "p", "k2", "v2"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -615,7 +615,7 @@ func TestCheckpointFlushesRedoToDisk(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		key := string(rune('a' + i))
 		inTxn(t, env, c, client, 1, tbl, key, func(p *sim.Proc, tx *Txn) error {
-			if err := tx.Insert(tbl, key, key, i); err != nil {
+			if err := tx.Put(tbl, key, key, i); err != nil {
 				return err
 			}
 			return tx.Commit()
@@ -667,7 +667,7 @@ func TestRejoinAfterNodeFailure(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 128, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -713,7 +713,7 @@ func TestRecoverZoneAfterAZFailure(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 128, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -728,7 +728,7 @@ func TestRecoverZoneAfterAZFailure(t *testing.T) {
 		}
 	}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k2", "v2"); err != nil {
+		if err := tx.Put(tbl, "p", "k2", "v2"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -758,7 +758,7 @@ func TestCommitProtocolMessageCount(t *testing.T) {
 		if tx.Coordinator() == tbl.PrimaryFor("p") {
 			t.Error("the coordinator is the row's primary; the test wants the AZ-local backup of §IV-A5")
 		}
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -790,7 +790,7 @@ func TestReadBackupDelaysAck(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+			if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -824,7 +824,7 @@ func TestClusterCrashRecoversDurableEpochOnly(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := tx.Insert(tbl, "p", key, val); err != nil {
+		if err := tx.Put(tbl, "p", key, val); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -869,7 +869,7 @@ func TestClusterCrashRecoversDurableEpochOnly(t *testing.T) {
 	})
 	// The cluster keeps working after recovery.
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "after", "v3"); err != nil {
+		if err := tx.Put(tbl, "p", "after", "v3"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -909,7 +909,7 @@ func TestRepeatedCrashRestartEpochMonotone(t *testing.T) {
 	for cycle := 0; cycle < 3; cycle++ {
 		key := fmt.Sprintf("k%d", cycle)
 		inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-			if err := tx.Insert(tbl, "p", key, "v"); err != nil {
+			if err := tx.Put(tbl, "p", key, "v"); err != nil {
 				return err
 			}
 			return tx.Commit()
@@ -964,7 +964,7 @@ func TestReinstateClearsFalseDeclaration(t *testing.T) {
 		t.Fatal("Reinstate did not clear the declaration")
 	}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()

@@ -188,7 +188,7 @@ func TestPropSequentialCommitsMatchOracle(t *testing.T) {
 				}
 				switch b % 3 {
 				case 0: // write
-					if err := tx.Insert(tbl, pk, key, i); err != nil {
+					if err := tx.Put(tbl, pk, key, i); err != nil {
 						t.Error(err)
 						ok = false
 						return
@@ -427,7 +427,7 @@ func TestPropPartitionHealSymmetry(t *testing.T) {
 				commitErr = err
 				return
 			}
-			if err := tx.Insert(tbl, "pk", "k", "v"); err != nil {
+			if err := tx.Put(tbl, "pk", "k", "v"); err != nil {
 				commitErr = err
 				return
 			}
@@ -498,8 +498,8 @@ func TestPropNoHalfCommitUnderRepartition(t *testing.T) {
 					attempts = append(attempts, a)
 					continue
 				}
-				if err := tx.Insert(tbl, a.keyA, "k", i); err == nil {
-					if err2 := tx.Insert(tbl, a.keyB, "k", i); err2 == nil {
+				if err := tx.Put(tbl, a.keyA, "k", i); err == nil {
+					if err2 := tx.Put(tbl, a.keyB, "k", i); err2 == nil {
 						a.err = tx.Commit()
 					} else {
 						a.err = err2

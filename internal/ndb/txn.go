@@ -34,7 +34,7 @@ type Txn struct {
 
 // Tx is the storage-transaction surface the metadata layer is written
 // against: HopsFS's one transaction template — a lock phase (ReadLocked), an
-// execute phase (the committed reads and scans) and an update phase (Insert,
+// execute phase (the committed reads and scans) and an update phase (Put,
 // WriteBatch, Commit). *Txn is the implementation; the shard router's
 // dispatcher satisfies it by delegating each call, by table, to the *Txn of
 // the owning cluster.
@@ -47,7 +47,7 @@ type Tx interface {
 	ScanPrefix(table *Table, partKey, prefix string) ([]KV, error)
 	ScanTablePrefix(table *Table, prefix string) ([]KV, error)
 	ScanBatch(scans []BatchScan) ([][]KV, error)
-	Insert(table *Table, partKey, key string, val Value) error
+	Put(table *Table, partKey, key string, val Value) error
 	WriteBatch(items []BatchWrite) error
 	Commit() error
 	Abort()
@@ -76,11 +76,12 @@ type lockRef struct {
 }
 
 type writeOp struct {
-	part *Partition
-	pk   string
-	key  string
-	val  Value
-	del  bool
+	part     *Partition
+	pk       string
+	key      string
+	val      Value
+	del      bool
+	ifAbsent bool
 }
 
 // train is the transaction's rows that share one replica chain: the unit of
@@ -386,12 +387,18 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 // exclusive lock on the primary replica at operation time. The mutation
 // becomes visible at commit.
 func (t *Txn) Write(table *Table, partKey, key string, val Value, del bool) error {
+	return t.write(&BatchWrite{Table: table, PartKey: partKey, Key: key, Val: val, Del: del})
+}
+
+// write is the one-row write: Write's body, and one step of a WriteBatch
+// with write batching disabled.
+func (t *Txn) write(w *BatchWrite) error {
 	if t.done {
 		return ErrAborted
 	}
 	t.c.Stats.Rounds++
 	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
-	tr := t.stage(&BatchWrite{Table: table, PartKey: partKey, Key: key, Val: val, Del: del})
+	tr := t.stage(w)
 	if tr == nil {
 		return t.failAbort()
 	}
@@ -402,8 +409,9 @@ func (t *Txn) Write(table *Table, partKey, key string, val Value, del bool) erro
 	return nil
 }
 
-// Insert is Write with a value.
-func (t *Txn) Insert(table *Table, partKey, key string, val Value) error {
+// Put is Write with a value: an upsert. An insert that must find its row
+// absent is a BatchWrite with IfAbsent set.
+func (t *Txn) Put(table *Table, partKey, key string, val Value) error {
 	return t.Write(table, partKey, key, val, false)
 }
 
@@ -437,7 +445,7 @@ func (t *Txn) stage(w *BatchWrite) *train {
 		tr = &train{chain: chain, readBackup: readBackup}
 		t.trains = append(t.trains, tr)
 	}
-	tr.rows = append(tr.rows, writeOp{part: part, pk: w.PartKey, key: w.Key, val: w.Val, del: w.Del})
+	tr.rows = append(tr.rows, writeOp{part: part, pk: w.PartKey, key: w.Key, val: w.Val, del: w.Del, ifAbsent: w.IfAbsent})
 	return tr
 }
 
@@ -533,7 +541,10 @@ func (t *Txn) hop(p *sim.Proc, from, to *DataNode, bytes int) bool {
 // lockRowOn, so conflicts, the contention ledger, lock-wait spans and the
 // deadlock timeout are those of any locked access — and a failure stops the
 // pass where a sequence of single-row writes would have stopped, returning
-// the failed row's position among the rows being prepared.
+// the failed row's position among the rows being prepared. An insert
+// (ifAbsent) is checked there too, under the lock just granted: if the row
+// holds a committed value the head looks it up, writes nothing, and answers
+// the TC with the refusal — ErrRowExists — instead of passing the train on.
 func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 	cfg := &t.c.cfg
 	rows := tr.rows[tr.prepared:]
@@ -554,6 +565,15 @@ func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 				w := &rows[i]
 				if err := t.lockRowOn(p, w.part, w.pk, w.key, LockExclusive); err != nil {
 					return i, err
+				}
+				if w.ifAbsent {
+					if _, taken := w.part.committed(w.pk, w.key); taken {
+						dn.use(p, LDM, cfg.Costs.LDMRead)
+						if !t.hop(p, dn, t.tc, ackSize) {
+							return i, ErrNodeUnavailable
+						}
+						return i, ErrRowExists
+					}
 				}
 				dn.use(p, LDM, cfg.Costs.LDMWrite)
 				t.c.Stats.Writes++

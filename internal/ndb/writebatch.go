@@ -16,23 +16,29 @@ import "hopsfscl/internal/sim"
 // (timeout) behavior are exactly those of single-row writes.
 
 // BatchWrite names one row of a WriteBatch: an insert/update (Del false)
-// or a delete (Del true), prepared under an exclusive lock like Write.
+// or a delete (Del true), prepared under an exclusive lock like Write. With
+// IfAbsent the row is an insert proper: the chain's head refuses it with
+// ErrRowExists when, under that lock, the row holds a committed value — the
+// writer learns the name is taken from the write itself, not from a locked
+// read one round before it.
 type BatchWrite struct {
-	Table   *Table
-	PartKey string
-	Key     string
-	Val     Value
-	Del     bool
+	Table    *Table
+	PartKey  string
+	Key      string
+	Val      Value
+	Del      bool
+	IfAbsent bool
 }
 
 // WriteBatch executes all mutations at once: rows are grouped by replica
 // chain, each chain's rows are locked and prepared by one pass down the chain
 // carrying the whole row train, and distinct chains proceed concurrently. A
 // single-row batch is message-for-message identical to Write. Any failure —
-// an unreachable replica or a lock timeout on any row — aborts the
-// transaction exactly as a sequence of Writes would, returning the error of
-// the first failed row in request order. With write batching disabled the
-// batch is that sequence: one Prepare pass and, at commit, one train per row.
+// an unreachable replica, a lock timeout on any row or a refused insert —
+// aborts the transaction exactly as a sequence of Writes would, returning the
+// error of the first failed row in request order. With write batching
+// disabled the batch is that sequence: one Prepare pass and, at commit, one
+// train per row.
 func (t *Txn) WriteBatch(items []BatchWrite) error {
 	if t.done {
 		return ErrAborted
@@ -41,8 +47,8 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 		return nil
 	}
 	if t.c.cfg.DisableBatchedWrites {
-		for _, it := range items {
-			if err := t.Write(it.Table, it.PartKey, it.Key, it.Val, it.Del); err != nil {
+		for i := range items {
+			if err := t.write(&items[i]); err != nil {
 				return err
 			}
 		}

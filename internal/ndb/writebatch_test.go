@@ -248,7 +248,7 @@ func TestWriteBatchLockTimeoutAborts(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.Insert(tbl, "p", "k2", "h"); err != nil {
+		if err := tx.Put(tbl, "p", "k2", "h"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -371,7 +371,7 @@ func TestFireAndForgetCompleteAttributed(t *testing.T) {
 		p.Flush()
 		netBefore := c.net.TotalMessages()
 		spanBefore := hopTotal(sp)
-		if err := tx.Insert(tbl, "p", "k", "v"); err != nil {
+		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -538,7 +538,7 @@ func TestPreparedChainChangeAborts(t *testing.T) {
 			if waited := p.Now() - start; waited > 5*time.Millisecond {
 				t.Errorf("slot %d: the lock took %v: the aborted transaction still held it", slot, waited)
 			}
-			if err := retry.Insert(tbl, "p", "k", "v2"); err != nil {
+			if err := retry.Put(tbl, "p", "k", "v2"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -623,5 +623,133 @@ func TestSecondWriteBatchJoinsItsTrain(t *testing.T) {
 	env.RunFor(time.Minute)
 	if !done {
 		t.Fatal("txn did not complete")
+	}
+}
+
+// TestRefusedInsertLeavesNothing: an IfAbsent row that finds its name taken is
+// refused at the chain's head — two messages, TC -> primary and the refusal
+// back, no replica beyond the primary hears of it — and the abort leaves
+// nothing behind on its own chain or on the sibling chains that were prepared
+// by the time the refusal arrived: no held lock, no placeholder row for the
+// names that never materialized, no entry in the active-operation table, the
+// taken row's value untouched. Batched and with write batching disabled.
+func TestRefusedInsertLeavesNothing(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		env, c, client := testClusterCfg(t, true, 3, func(cfg *Config) { cfg.DisableBatchedWrites = serial })
+		c.SetTracer(trace.NewTracer(trace.NewRegistry()))
+		c.StopBackground()
+		env.RunFor(time.Second)
+		tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+		pks := crossGroupPKs(t, 2)(tbl)
+		own, sibling := pks[0], pks[1]
+		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
+			if err := tx.Put(tbl, own, "taken", "old"); err != nil {
+				return err
+			}
+			return tx.Commit()
+		})
+		insert := BatchWrite{Table: tbl, PartKey: own, Key: "taken", Val: "new", IfAbsent: true}
+		before := c.Stats
+		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
+			p.Flush()
+			msgs := c.net.TotalMessages()
+			err := tx.WriteBatch([]BatchWrite{insert})
+			p.Flush()
+			if !errors.Is(err, ErrRowExists) {
+				return fmt.Errorf("insert over a committed row: %v, want ErrRowExists", err)
+			}
+			if n := c.net.TotalMessages() - msgs; n != 2 {
+				return fmt.Errorf("a refused insert exchanged %d messages, want 2 (request, refusal)", n)
+			}
+			if err := tx.Commit(); !errors.Is(err, ErrAborted) {
+				return fmt.Errorf("commit after the refusal: %v, want ErrAborted", err)
+			}
+			return nil
+		})
+		// The refused row behind a fresh name on its own chain, a fresh name
+		// on another node group's chain ahead of both.
+		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
+			err := tx.WriteBatch([]BatchWrite{
+				{Table: tbl, PartKey: sibling, Key: "fresh-sibling", Val: "v"},
+				{Table: tbl, PartKey: own, Key: "fresh-own", Val: "v"},
+				insert,
+			})
+			if !errors.Is(err, ErrRowExists) {
+				return fmt.Errorf("batch with a refused insert: %v, want ErrRowExists", err)
+			}
+			return nil
+		})
+		if got := c.Stats.Aborted - before.Aborted; got != 2 || c.Stats.Committed != before.Committed {
+			t.Errorf("serial=%v: %d aborted, %d committed since; want 2 and 0", serial, got, c.Stats.Committed-before.Committed)
+		}
+		if w := c.Stats.Writes - before.Writes; w != 2 {
+			t.Errorf("serial=%v: %d rows written, want the 2 fresh ones (a refused row writes nothing)", serial, w)
+		}
+		if held := c.HeldLocks(); len(held) != 0 {
+			t.Errorf("serial=%v: locks survive the refusal: %v", serial, held)
+		}
+		if n := c.InFlightTxns(); n != 0 || len(c.activeOps) != 0 {
+			t.Errorf("serial=%v: %d transactions in flight, active operations %v", serial, n, c.activeOps)
+		}
+		for _, fresh := range [][2]string{{sibling, "fresh-sibling"}, {own, "fresh-own"}} {
+			if r, ok := tbl.partitionFor(fresh[0]).rows[fresh[0]][fresh[1]]; ok {
+				t.Errorf("serial=%v: placeholder row %s/%s survives the abort: %+v", serial, fresh[0], fresh[1], r)
+			}
+		}
+		// Every row the aborted batch touched takes an exclusive lock at once.
+		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
+			start := p.Now()
+			for _, row := range [][2]string{{own, "taken"}, {own, "fresh-own"}, {sibling, "fresh-sibling"}} {
+				v, ok, err := tx.ReadLocked(tbl, row[0], row[1], LockExclusive)
+				if err != nil {
+					return err
+				}
+				if want := row[1] == "taken"; ok != want || (ok && v != "old") {
+					return fmt.Errorf("%s/%s reads %v, %v after the abort", row[0], row[1], v, ok)
+				}
+			}
+			if wait := p.Now() - start; wait > 10*time.Millisecond {
+				return fmt.Errorf("locking the touched rows took %v: a lock was leaked", wait)
+			}
+			return tx.Commit()
+		})
+	}
+}
+
+// TestRacingInserts: transactions inserting one name in the same instant
+// serialize on the row lock at the chain's head; the first to be granted it
+// commits, and every other learns of the winner inside its own Prepare —
+// ErrRowExists as soon as the winner's commit releases the lock, never a lock
+// timeout.
+func TestRacingInserts(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		env, c, client := testClusterCfg(t, true, 3, func(cfg *Config) { cfg.DisableBatchedWrites = serial })
+		tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+		const racers = 5
+		errs := make([]error, racers)
+		for i := 0; i < racers; i++ {
+			env.Spawn("racer", func(p *sim.Proc) {
+				tx, err := c.Begin(p, client, 1, tbl, "p")
+				errs[i] = InTx(tx, err, func(tx *Txn) error {
+					return tx.WriteBatch([]BatchWrite{{Table: tbl, PartKey: "p", Key: "k", Val: i, IfAbsent: true}})
+				})
+			})
+		}
+		env.RunFor(lockTimeout / 2)
+		won := 0
+		for i, err := range errs {
+			switch {
+			case err == nil:
+				won++
+			case !errors.Is(err, ErrRowExists):
+				t.Errorf("serial=%v: racer %d: %v, want ErrRowExists", serial, i, err)
+			}
+		}
+		if won != 1 || c.InFlightTxns() != 0 {
+			t.Errorf("serial=%v: %d of %d racing inserts won, %d transactions in flight; want 1 and 0", serial, won, racers, c.InFlightTxns())
+		}
+		if held := c.HeldLocks(); len(held) != 0 {
+			t.Errorf("serial=%v: locks survive the race: %v", serial, held)
+		}
 	}
 }

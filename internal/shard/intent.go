@@ -232,7 +232,7 @@ func (t *Txn) commitCross() error {
 	}
 	intentShard := writerShards[0]
 	if buildErr == nil {
-		buildErr = writers[0].Insert(r.intents[intentShard], intentPartKey, intentKey(it.ID), it)
+		buildErr = writers[0].Put(r.intents[intentShard], intentPartKey, intentKey(it.ID), it)
 	}
 	if buildErr != nil {
 		return fail("abort-build", buildErr)

@@ -159,10 +159,10 @@ func TestCrossShardCommit(t *testing.T) {
 	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
 
 	inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
-		if err := tx.Insert(ts.For(pk0), pk0, "a", ident(1)); err != nil {
+		if err := tx.Put(ts.For(pk0), pk0, "a", ident(1)); err != nil {
 			return err
 		}
-		if err := tx.Insert(ts.For(pk1), pk1, "b", ident(2)); err != nil {
+		if err := tx.Put(ts.For(pk1), pk1, "b", ident(2)); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -201,7 +201,7 @@ func plantIntent(t *testing.T, env *sim.Env, r *Router, client *simnet.Node, sha
 		if err != nil {
 			return
 		}
-		if err = tx.Insert(tab, intentPartKey, intentKey(it.ID), it); err != nil {
+		if err = tx.Put(tab, intentPartKey, intentKey(it.ID), it); err != nil {
 			tx.Abort()
 			return
 		}
@@ -294,7 +294,7 @@ func TestIntentReplayIdempotent(t *testing.T) {
 	// inode after the crash. The replay must not overwrite it; the moved
 	// value re-homes at the move's source slot.
 	inTxn(t, env, r, client, ts, pk1, func(p *sim.Proc, tx ndb.Tx) error {
-		if err := tx.Insert(ts.For(pk1), pk1, "taken", ident(99)); err != nil {
+		if err := tx.Put(ts.For(pk1), pk1, "taken", ident(99)); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -459,7 +459,7 @@ func TestCommitCountersPartitionTransactions(t *testing.T) {
 		return err
 	}
 	put := func(tx ndb.Tx, pk, key string) error {
-		return tx.Insert(ts.For(pk), pk, key, ident(1))
+		return tx.Put(ts.For(pk), pk, key, ident(1))
 	}
 	begun := 0
 	for _, body := range []func(tx ndb.Tx) error{
@@ -485,5 +485,48 @@ func TestCommitCountersPartitionTransactions(t *testing.T) {
 	}
 	if local != 4 || cross != 1 {
 		t.Fatalf("local = %d, cross = %d, want 4 and 1", local, cross)
+	}
+}
+
+// TestRoutedInsertRefusal: IfAbsent travels through the routed WriteBatch
+// untouched. A batch spanning both shards whose insert is refused on the later
+// shard returns ndb.ErrRowExists with the earlier shard's rows already
+// prepared; the routed Abort releases them, so neither cluster keeps a lock
+// or an open transaction. An insert that is granted commits through the
+// intent protocol like any write — the intent's legs carry no condition, so
+// replay stays idempotent — and leaves no intent behind.
+func TestRoutedInsertRefusal(t *testing.T) {
+	env, r, client := testRouter(t, 2)
+	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
+	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
+	batch := func(key string) []ndb.BatchWrite {
+		return []ndb.BatchWrite{
+			{Table: ts.For(pk0), PartKey: pk0, Key: key + "-companion", Val: ident(1)},
+			{Table: ts.For(pk1), PartKey: pk1, Key: key, Val: ident(2), IfAbsent: true},
+		}
+	}
+	for attempt, want := range []error{nil, ndb.ErrRowExists} {
+		inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
+			err := tx.WriteBatch(batch("name"))
+			if !errors.Is(err, want) {
+				return fmt.Errorf("attempt %d: WriteBatch: %v, want %v", attempt, err, want)
+			}
+			if err != nil {
+				tx.Abort()
+				return nil
+			}
+			return tx.Commit()
+		})
+		for s, c := range r.Clusters() {
+			if held, open := c.HeldLocks(), c.InFlightTxns(); len(held) != 0 || open != 0 {
+				t.Errorf("attempt %d, shard %d: locks %v, %d transactions in flight", attempt, s, held, open)
+			}
+		}
+	}
+	if n := r.PendingIntentCount(); n != 0 {
+		t.Errorf("%d intents pending", n)
+	}
+	if v, ok := readRow(t, env, r, client, ts, pk1, "name"); !ok || v.(ident) != 2 {
+		t.Errorf("the inserted row reads %v, %v", v, ok)
 	}
 }

@@ -101,13 +101,13 @@ func (t *Txn) ReadLocked(table *ndb.Table, partKey, key string, mode ndb.LockMod
 	return sub.ReadLocked(table, partKey, key, mode)
 }
 
-// Insert stages an insert/update under an exclusive lock.
-func (t *Txn) Insert(table *ndb.Table, partKey, key string, val ndb.Value) error {
+// Put executes an insert/update (an upsert) under an exclusive lock.
+func (t *Txn) Put(table *ndb.Table, partKey, key string, val ndb.Value) error {
 	sub, err := t.sub(table, partKey)
 	if err != nil {
 		return err
 	}
-	return sub.Insert(table, partKey, key, val)
+	return sub.Put(table, partKey, key, val)
 }
 
 // ScanPrefix scans one partition for keys with the prefix.
@@ -216,8 +216,10 @@ func (t *Txn) ScanBatch(scans []ndb.BatchScan) ([][]ndb.KV, error) {
 		(*ndb.Txn).ScanBatch)
 }
 
-// WriteBatch stages all mutations, one ndb.WriteBatch per touched shard. A
-// staged row has no result; the empty ones cost nothing.
+// WriteBatch executes all mutations, one ndb.WriteBatch per touched shard. A
+// written row has no result; the empty ones cost nothing. A refused insert
+// (ndb.ErrRowExists) has aborted its own shard's sub-transaction; the others
+// end with the routed transaction's Abort.
 func (t *Txn) WriteBatch(items []ndb.BatchWrite) error {
 	_, err := routeBatch(t, items,
 		func(w *ndb.BatchWrite) (*ndb.Table, string) { return w.Table, w.PartKey },
