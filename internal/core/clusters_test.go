@@ -85,8 +85,8 @@ func TestIdleSeesEveryShard(t *testing.T) {
 			return
 		}
 		wait(p, 1)
-		if _, ok, err := tx.ReadLocked(tab, pk, "1/"+dir, ndb.LockExclusive); err != nil || !ok {
-			t.Errorf("lock /%s: found %v, err %v", dir, ok, err)
+		if vals, err := tx.ReadBatch([]ndb.BatchGet{{Table: tab, PartKey: pk, Key: "1/" + dir, Lock: ndb.LockExclusive}}); err != nil || !vals[0].OK {
+			t.Errorf("lock /%s: %v, err %v", dir, vals, err)
 		}
 		locked = true
 		wait(p, 2)

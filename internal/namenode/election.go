@@ -45,13 +45,14 @@ func (nn *NameNode) electionRound(p *sim.Proc) {
 	err := nn.runTxn(p, electionPartKey, func(tx ndb.Tx) error {
 		row := &electionRow{ID: nn.ID, Domain: nn.Domain, At: p.Now()}
 		election := nn.ns.election.For(electionPartKey)
-		if err := tx.Put(election, electionPartKey, electionKey(nn.ID), row); err != nil {
+		if err := tx.WriteBatch([]ndb.BatchWrite{{Table: election, PartKey: electionPartKey, Key: electionKey(nn.ID), Val: row}}); err != nil {
 			return err
 		}
-		kvs, err := tx.ScanPrefix(election, electionPartKey, "e/")
+		scans, err := tx.ScanBatch([]ndb.BatchScan{{Table: election, PartKey: electionPartKey, Prefix: "e/"}})
 		if err != nil {
 			return err
 		}
+		kvs := scans[0]
 		expiry := nn.ns.cfg.ElectionRound * 5 / 2
 		leader := 0
 		var active []ActiveNN

@@ -89,24 +89,15 @@ func (nn *NameNode) dirHint(fp fsPath, n int, name string) string {
 	return partKeyOf(RootID, fp.comp(0))
 }
 
-// readInode fetches one inode row read-committed.
-func (nn *NameNode) readInode(tx ndb.Tx, parent uint64, name string) (*Inode, error) {
+// getInode fetches one inode row in a one-row batch: read-committed, or
+// under a row lock on the primary replica when lock is set.
+func (nn *NameNode) getInode(tx ndb.Tx, parent uint64, name string, lock ndb.LockMode) (*Inode, error) {
 	table, pk, key := nn.ns.inodeRow(parent, name)
-	v, _, err := tx.ReadCommitted(table, pk, key)
+	vals, err := tx.ReadBatch([]ndb.BatchGet{{Table: table, PartKey: pk, Key: key, Lock: lock}})
 	if err != nil {
 		return nil, err
 	}
-	return nn.asInode(tx, v)
-}
-
-// lockInode fetches one inode row under a row lock on the primary replica.
-func (nn *NameNode) lockInode(tx ndb.Tx, parent uint64, name string, mode ndb.LockMode) (*Inode, error) {
-	table, pk, key := nn.ns.inodeRow(parent, name)
-	v, _, err := tx.ReadLocked(table, pk, key, mode)
-	if err != nil {
-		return nil, err
-	}
-	return nn.asInode(tx, v)
+	return nn.asInode(tx, vals[0].Val)
 }
 
 // asInode decodes a row value read from the inodes table — nil for an absent
@@ -190,7 +181,7 @@ func (nn *NameNode) settle(tx ndb.Tx, fp fsPath, ids []uint64, vals []ndb.BatchV
 		chain = newChain(fp)
 	} else if lockLast != 0 && len(ids) == fp.depth() {
 		// The operated-on inode counts as touched, as it does when the
-		// serial walk's lockInode reads it.
+		// serial walk's locked getInode reads it.
 		nn.ns.heat.TouchInode(tx.Now(), chain[len(ids)].ID)
 	}
 	return nn.walkFrom(tx, chain, fp, lockLast)
@@ -307,13 +298,11 @@ func (nn *NameNode) walkFrom(tx ndb.Tx, chain []*Inode, fp fsPath, lockLast ndb.
 		if !cur.Dir {
 			return nil, ErrNotDir
 		}
-		var child *Inode
-		var err error
-		if i == fp.depth()-1 && lockLast != 0 {
-			child, err = nn.lockInode(tx, cur.ID, fp.comp(i), lockLast)
-		} else {
-			child, err = nn.readInode(tx, cur.ID, fp.comp(i))
+		var lock ndb.LockMode
+		if i == fp.depth()-1 {
+			lock = lockLast
 		}
+		child, err := nn.getInode(tx, cur.ID, fp.comp(i), lock)
 		if err != nil {
 			return nil, err
 		}
@@ -365,7 +354,7 @@ func (nn *NameNode) lockPhase(tx ndb.Tx, fp fsPath) ([]*Inode, *Inode, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	target, err := nn.lockInode(tx, chain[len(chain)-1].ID, fp.name(), ndb.LockExclusive)
+	target, err := nn.getInode(tx, chain[len(chain)-1].ID, fp.name(), ndb.LockExclusive)
 	return chain, target, err
 }
 
@@ -472,7 +461,7 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 			// Small files are served straight from NDB (§II-A3): fetch the
 			// inline payload row alongside the metadata.
 			table, pk := partOf(nn.ns.smallfiles, ino.ID)
-			if _, _, err := tx.ReadCommitted(table, pk, smallFileKey); err != nil {
+			if _, err := tx.ReadBatch([]ndb.BatchGet{{Table: table, PartKey: pk, Key: smallFileKey}}); err != nil {
 				return err
 			}
 		}
@@ -484,7 +473,7 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 
 // List returns a directory's children, name-sorted. The directory is
 // share-locked by the resolve ("/" cannot go away and is not locked); the
-// children are one partition-pruned scan.
+// children are listed by listChildren, as one level of a subtree walk.
 func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 	var out []*Inode
 	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath) error {
@@ -496,14 +485,7 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 		if !dir.Dir {
 			return ErrNotDir
 		}
-		var kvs []ndb.KV
-		if dir.ID == RootID {
-			kvs, err = nn.scanRoot(tx)
-		} else {
-			table, pk := partOf(nn.ns.inodes, dir.ID)
-			kvs, err = tx.ScanPrefix(table, pk, inodeKey(dir.ID, ""))
-		}
-		out = appendChildren(out[:0], kvs, dir)
+		out, err = nn.listChildren(tx, []*Inode{dir})
 		return err
 	})
 	if err != nil {
@@ -551,23 +533,21 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 	}
 	top := true
 	for len(level) > 0 {
-		listings, err := nn.listChildren(tx, level)
+		children, err := nn.listChildren(tx, level)
 		if err != nil {
 			return err
 		}
+		if top && len(children) > 0 && !recursive {
+			return ErrNotEmpty
+		}
 		var next []*Inode
-		for li, dir := range level {
-			if top && len(listings[li]) > 0 && !recursive {
-				return ErrNotEmpty
+		for _, child := range children {
+			if _, err := nn.getInode(tx, child.Parent, child.Name, ndb.LockExclusive); err != nil {
+				return err
 			}
-			for _, child := range listings[li] {
-				if _, err := nn.lockInode(tx, dir.ID, child.Name, ndb.LockExclusive); err != nil {
-					return err
-				}
-				doomed = append(doomed, child)
-				if child.Dir {
-					next = append(next, child)
-				}
+			doomed = append(doomed, child)
+			if child.Dir {
+				next = append(next, child)
 			}
 		}
 		top = false
@@ -589,11 +569,11 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 			// the authoritative row plus its accumulated usage updates.
 			quotas, pk := partOf(nn.ns.quotas, ino.ID)
 			items = append(items, ndb.BatchWrite{Table: quotas, PartKey: pk, Key: quotaRecordKey, Del: true})
-			kvs, err := tx.ScanPrefix(quotas, pk, quotaUpdatePrefix)
+			kvs, err := tx.ScanBatch([]ndb.BatchScan{{Table: quotas, PartKey: pk, Prefix: quotaUpdatePrefix}})
 			if err != nil {
 				return err
 			}
-			for _, kv := range kvs {
+			for _, kv := range kvs[0] {
 				items = append(items, ndb.BatchWrite{Table: quotas, PartKey: pk, Key: kv.Key, Del: true})
 			}
 		}
@@ -649,12 +629,15 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		if before(&link, &unlink) {
 			order = [2]*ndb.BatchWrite{&link, &unlink}
 		}
-		// The locked reads return what the rows hold under their locks: that
-		// is the re-validation, and nothing is read after it.
+		// The locked reads — one one-row batch each, so the locks are taken in
+		// that order — return what the rows hold under their locks: that is
+		// the re-validation, and nothing is read after it.
 		for _, row := range order {
-			if row.Val, _, err = tx.ReadLocked(row.Table, row.PartKey, row.Key, ndb.LockExclusive); err != nil {
+			vals, err := tx.ReadBatch([]ndb.BatchGet{{Table: row.Table, PartKey: row.PartKey, Key: row.Key, Lock: ndb.LockExclusive}})
+			if err != nil {
 				return err
 			}
+			row.Val = vals[0].Val
 		}
 		srcIno, err := nn.asInode(tx, unlink.Val)
 		if err != nil {
@@ -731,9 +714,6 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode) ([
 		}
 		updated.Mtime = p.Now()
 		row := nn.ns.inodeWrite(updated.Parent, updated.Name, &updated)
-		if len(also) == 0 {
-			return tx.Put(row.Table, row.PartKey, row.Key, row.Val)
-		}
 		return tx.WriteBatch(append([]ndb.BatchWrite{row}, also...))
 	})
 }
@@ -767,19 +747,17 @@ func (nn *NameNode) summarize(tx ndb.Tx, root *Inode, files, dirs *int, size *in
 	}
 	for level := []*Inode{root}; len(level) > 0; {
 		*dirs += len(level)
-		listings, err := nn.listChildren(tx, level)
+		children, err := nn.listChildren(tx, level)
 		if err != nil {
 			return err
 		}
 		var next []*Inode
-		for _, children := range listings {
-			for _, child := range children {
-				if child.Dir {
-					next = append(next, child)
-				} else {
-					*files++
-					*size += child.Size
-				}
+		for _, child := range children {
+			if child.Dir {
+				next = append(next, child)
+			} else {
+				*files++
+				*size += child.Size
 			}
 		}
 		level = next
@@ -787,37 +765,36 @@ func (nn *NameNode) summarize(tx ndb.Tx, root *Inode, files, dirs *int, size *in
 	return nil
 }
 
-// listChildren lists every directory of one level of a subtree walk,
-// positionally: one batched fan-out (ScanBatch) for the whole level, so a
-// level costs one parallel round instead of one round trip per directory.
-// Only "/" is listed on its own, by table scan.
-func (nn *NameNode) listChildren(tx ndb.Tx, dirs []*Inode) ([][]*Inode, error) {
-	out := make([][]*Inode, len(dirs))
-	batch := dirs
+// listChildren lists the directories of one level of a subtree walk — or
+// the one directory List lists — returning their children in directory
+// order, each directory's name-sorted (a child's Parent names its
+// directory): one batched fan-out (ScanBatch) for the whole level, so a level
+// costs one parallel round instead of one round trip per directory. Only "/"
+// is listed on its own — it is a level of its own, nothing else has depth 0 —
+// and by table scan: its children are deliberately scattered across
+// partitions (see partKeyOf).
+func (nn *NameNode) listChildren(tx ndb.Tx, dirs []*Inode) ([]*Inode, error) {
 	if dirs[0].ID == RootID {
-		// The root is a level of its own: nothing else has depth 0.
-		kvs, err := nn.scanRoot(tx)
+		kvs, err := tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(RootID, ""))
 		if err != nil {
 			return nil, err
 		}
-		out[0], batch = appendChildren(nil, kvs, dirs[0]), nil
+		return appendChildren(nil, kvs, dirs[0]), nil
 	}
-	if len(batch) > 0 {
-		results, err := tx.ScanBatch(nn.ns.childScans(batch))
-		if err != nil {
-			return nil, err
-		}
-		for i, kvs := range results {
-			out[i] = appendChildren(nil, kvs, batch[i])
-		}
+	scans := make([]ndb.BatchScan, len(dirs))
+	for i, dir := range dirs {
+		scans[i].Table, scans[i].PartKey = partOf(nn.ns.inodes, dir.ID)
+		scans[i].Prefix = inodeKey(dir.ID, "")
+	}
+	results, err := tx.ScanBatch(scans)
+	if err != nil {
+		return nil, err
+	}
+	var out []*Inode
+	for i, kvs := range results {
+		out = appendChildren(out, kvs, dirs[i])
 	}
 	return out, nil
-}
-
-// scanRoot lists "/": the root's children are deliberately scattered across
-// partitions (see partKeyOf), so its listing is a table scan.
-func (nn *NameNode) scanRoot(tx ndb.Tx) ([]ndb.KV, error) {
-	return tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(RootID, ""))
 }
 
 // appendChildren appends the inodes of one directory listing to out.

@@ -276,7 +276,8 @@ func requireUnlocked(t *testing.T, h *harness, p *sim.Proc, nn *NameNode, rows [
 	tx, err := h.ns.router.Begin(p, nn.Node, nn.Domain, rows[0].Table, rows[0].PartKey)
 	err = ndb.InTx(tx, err, func(tx ndb.Tx) error {
 		for _, r := range rows {
-			if _, _, err := tx.ReadLocked(r.Table, r.PartKey, r.Key, ndb.LockExclusive); err != nil {
+			r.Lock = ndb.LockExclusive
+			if _, err := tx.ReadBatch([]ndb.BatchGet{r}); err != nil {
 				return fmt.Errorf("%s %s/%s: %w", r.Table.Name(), r.PartKey, r.Key, err)
 			}
 		}

@@ -551,18 +551,6 @@ func partOf(ts *shard.TableSet, id uint64) (*ndb.Table, string) {
 	return ts.For(pk), pk
 }
 
-// childScans lists every directory of dirs in one ScanBatch: one
-// partition-pruned prefix scan per directory.
-func (ns *Namesystem) childScans(dirs []*Inode) []ndb.BatchScan {
-	scans := make([]ndb.BatchScan, len(dirs))
-	for i, dir := range dirs {
-		s := &scans[i]
-		s.Table, s.PartKey = partOf(ns.inodes, dir.ID)
-		s.Prefix = inodeKey(dir.ID, "")
-	}
-	return scans
-}
-
 // inodeWrite is the batched-write item storing ino as name under parent, or
 // deleting that row when ino is nil.
 func (ns *Namesystem) inodeWrite(parent uint64, name string, ino *Inode) ndb.BatchWrite {

@@ -100,18 +100,18 @@ func (nn *NameNode) Quota(p *sim.Proc, path string) (QuotaInfo, error) {
 			return ErrNotDir
 		}
 		quotas, pk := partOf(nn.ns.quotas, dir.ID)
-		if v, ok, err := tx.ReadCommitted(quotas, pk, quotaRecordKey); err != nil {
-			return err
-		} else if ok {
-			if rec, ok := v.(*QuotaRecord); ok {
-				info.NS, info.SS = rec.NS, rec.SS
-			}
-		}
-		kvs, err := tx.ScanPrefix(quotas, pk, quotaUpdatePrefix)
+		vals, err := tx.ReadBatch([]ndb.BatchGet{{Table: quotas, PartKey: pk, Key: quotaRecordKey}})
 		if err != nil {
 			return err
 		}
-		for _, kv := range kvs {
+		if rec, ok := vals[0].Val.(*QuotaRecord); ok {
+			info.NS, info.SS = rec.NS, rec.SS
+		}
+		kvs, err := tx.ScanBatch([]ndb.BatchScan{{Table: quotas, PartKey: pk, Prefix: quotaUpdatePrefix}})
+		if err != nil {
+			return err
+		}
+		for _, kv := range kvs[0] {
 			if upd, ok := kv.Val.(*QuotaUpdate); ok {
 				info.UsedNS += upd.NS
 				info.UsedSS += upd.SS

@@ -1,31 +1,32 @@
 package ndb
 
 import (
+	"slices"
 	"strconv"
 
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/trace"
 )
 
-// This file implements the batched read API of the primary-key-batched path
-// resolution protocol (HopsFS [23] §3.2.2 and the λFS elasticity argument):
-// instead of one serial round trip per row, the transaction coordinator fans
-// all reads out to their routed replicas in one shot. Rows are grouped by
-// target datanode, each group travels as a single request/response pair, and
-// the groups proceed concurrently. Per-row routing honors the same rules as
-// ReadCommitted/ScanPrefix: fully replicated tables serve from the TC, Read
-// Backup tables from the replica nearest the TC, plain tables from the
-// primary replica — and a get that asks for a row lock goes to the primary
-// and takes it there, as ReadLocked, so a transaction's lock phase can ride
-// the same round as its reads (HopsFS takes the lock on a path's last
-// component inside the batched primary-key read that resolves it). The
-// per-row LDM charges flow through DataNode.use, so the
-// executor batching cost model (threads.go) amortizes them exactly as NDB's
-// LDM threads do for a multi-row TCKEYREQ train.
+// This file implements the one read path, built for the primary-key-batched
+// path resolution protocol (HopsFS [23] §3.2.2 and the λFS elasticity
+// argument): instead of one serial round trip per row, the transaction
+// coordinator fans all reads out to their routed replicas in one shot. Rows
+// are grouped by target datanode, each group travels as a single
+// request/response pair, and the groups proceed concurrently. A one-row read
+// is a batch of one — NDB's single TCKEYREQ — so every read, point or scan,
+// locked or not, takes this path and is routed by routeRow: fully replicated
+// tables serve from the TC, Read Backup tables from the replica nearest the
+// TC, plain tables from the primary replica — and a get that asks for a row
+// lock goes to the primary and takes it there, so a transaction's lock phase
+// can ride the same round as its reads (HopsFS takes the lock on a path's
+// last component inside the batched primary-key read that resolves it). The
+// per-row LDM charges flow through DataNode.use, so the executor batching
+// cost model (threads.go) amortizes them exactly as NDB's LDM threads do for
+// a multi-row TCKEYREQ train.
 
 // BatchGet names one row of a ReadBatch: a committed point read, lock-free
-// unless Lock is set. A locked get is ReadLocked inside the fan-out: it is
-// routed to the primary replica and the arm serving it takes the row lock
+// unless Lock is set. A locked get is routed to the primary replica and the arm serving it takes the row lock
 // before the LDM read, so the value is the committed one under the lock. A
 // batch may carry locks only where taking them in arm order cannot deadlock;
 // the metadata layer's rule is at most one per batch (DESIGN §9).
@@ -67,8 +68,8 @@ type batchGroup struct {
 	idx    []int
 }
 
-// routeRow is the one §IV-A5 replica choice behind every read — single rows,
-// scans and both batches: a locked read goes to the primary whatever the
+// routeRow is the one §IV-A5 replica choice behind every read — gets, scans
+// and each round of a table scan: a locked read goes to the primary whatever the
 // table (§II-B2: that is where row locks live); unlocked, Read Backup tables
 // serve from the replica nearest the TC (primary or backup), fully
 // replicated tables from the TC itself, plain tables from the primary. It
@@ -205,137 +206,220 @@ func trainReq(g *batchGroup) int {
 	return reqSize + batchRowOverhead*(len(g.idx)-1)
 }
 
-// readBatch is the one batched read: ReadBatch and ScanBatch differ only in
-// where a request's row lives and whether it is locked (at), and in what the
-// serving replica does for it (row, which takes the lock if any, charges the
-// LDM work and returns the result with its response bytes). Routing is per
-// row (see the file comment); rows sharing a target travel together, distinct
-// targets are visited concurrently. The whole batch is one "batch_read" child
-// span, and the registry counts rows per proximity class of their serving
-// replica. Any failure — an unreachable target, as ReadCommitted, or a lock
-// timeout, as ReadLocked — aborts the transaction, and the first failed row
-// in request order decides the error, as in WriteBatch. at and row are
-// static functions, so the batch allocates its result slice and one serve
-// closure.
-func readBatch[T, R any](t *Txn, reqs []T, at func(*T) (*Partition, LockMode),
-	row func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, req *T) (R, int, error)) ([]R, error) {
+// batchKind is what a batch's rows are, and so what the arm serving one of
+// its groups does for each row.
+type batchKind uint8
+
+const (
+	getRows   batchKind = iota // ReadBatch: point reads, lock-free or locked
+	scanRows                   // ScanBatch: partition-pruned prefix scans
+	scanParts                  // ScanTablePrefix: a prefix scan of a whole partition
+	writeRows                  // WriteBatch: each group is a train to prepare
+)
+
+// ReadBatch reads the committed values of all rows in one batched fan-out,
+// returning results positionally. A get with Lock set takes its row lock on
+// the way (see BatchGet). The result of a one-row batch lives in the
+// transaction and is valid until its next read.
+func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 	if t.done {
 		return nil, ErrAborted
 	}
-	out := make([]R, len(reqs))
-	if len(reqs) == 0 {
-		return out, nil
+	if len(gets) == 0 {
+		return nil, nil
 	}
+	sc := t.c.scratch.get()
+	defer t.c.putScratch(sc)
+	sc.t, sc.kind = t, getRows
+	sc.gets = append(sc.gets[:0], gets...)
+	sc.vals = t.oneVal[:]
+	if len(gets) > 1 {
+		sc.vals = make([]BatchVal, len(gets))
+	}
+	parts := zeroed(&sc.parts, len(gets))
+	for i := range gets {
+		parts[i] = gets[i].Table.partitionFor(gets[i].PartKey)
+	}
+	if err := t.readBatch(sc, len(gets)); err != nil {
+		return nil, err
+	}
+	return sc.vals, nil
+}
+
+// ScanBatch runs all partition-pruned prefix scans in one batched fan-out,
+// returning each scan's rows positionally, key-sorted — a level of a subtree
+// walk costs one parallel round instead of one serial round trip per
+// directory. As with ReadBatch, the outer slice of a one-scan batch lives in
+// the transaction until its next read.
+func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
+	if t.done {
+		return nil, ErrAborted
+	}
+	if len(scans) == 0 {
+		return nil, nil
+	}
+	sc := t.c.scratch.get()
+	defer t.c.putScratch(sc)
+	sc.t, sc.kind = t, scanRows
+	sc.scans = append(sc.scans[:0], scans...)
+	sc.kvs = t.oneKVs[:]
+	if len(scans) > 1 {
+		sc.kvs = make([][]KV, len(scans))
+	}
+	parts := zeroed(&sc.parts, len(scans))
+	for i := range scans {
+		parts[i] = scans[i].Table.partitionFor(scans[i].PartKey)
+	}
+	if err := t.readBatch(sc, len(scans)); err != nil {
+		return nil, err
+	}
+	return sc.kvs, nil
+}
+
+// ScanTablePrefix scans every partition of the table for committed rows
+// whose key starts with prefix, in key order. It exists for listings whose
+// rows are deliberately scattered across partitions (a HopsFS root directory
+// listing); it costs one round per partition, in partition order, each a
+// one-scan batch over every partition key the partition holds.
+func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
+	if t.done {
+		return nil, ErrAborted
+	}
+	sc := t.c.scratch.get()
+	defer t.c.putScratch(sc)
+	sc.t, sc.kind = t, scanParts
+	sc.scans = append(sc.scans[:0], BatchScan{Table: table, Prefix: prefix})
+	sc.kvs = t.oneKVs[:]
+	var out []KV
+	for _, part := range table.partitions {
+		zeroed(&sc.parts, 1)[0] = part
+		if err := t.readBatch(sc, 1); err != nil {
+			return nil, err
+		}
+		out = append(out, sc.kvs[0]...)
+	}
+	slices.SortFunc(out, byKey)
+	return out, nil
+}
+
+// readBatch is the one read envelope, behind every read: the n rows loaded
+// in sc (their requests and partitions) are routed per row (see the file
+// comment); rows sharing a target travel together, distinct targets are
+// visited concurrently, and the arm (serve) does what sc.kind asks for each
+// row. Any failure — an unreachable target or a lock timeout — aborts the
+// transaction, and the first failed row in request order decides the error,
+// as in WriteBatch.
+func (t *Txn) readBatch(sc *batchScratch, n int) error {
 	t.c.Stats.Rounds++
 	// One coordinator pass routes the whole key train (§II-B: a multi-row
 	// TCKEYREQ is a single TC job, not one per row).
 	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
-
-	sc := t.c.scratch.get()
-	defer t.c.scratch.put(sc)
-	slots := zeroed(&sc.slots, len(reqs))
-	parts := zeroed(&sc.parts, len(reqs))
-	groups, ok := groupByTarget(sc, len(reqs), func(i int) (*DataNode, *train) {
-		part, lock := at(&reqs[i])
-		target, slot := t.routeRow(part, lock)
-		parts[i], slots[i] = part, slot
+	slots := zeroed(&sc.slots, n)
+	groups, ok := groupByTarget(sc, n, func(i int) (*DataNode, *train) {
+		var lock LockMode
+		if sc.kind == getRows {
+			lock = sc.gets[i].Lock
+		}
+		target, slot := t.routeRow(sc.parts[i], lock)
+		slots[i] = slot
 		return target, nil
 	})
 	if !ok {
-		return nil, t.failAbort()
+		return t.failAbort()
 	}
-	errs := zeroed(&sc.errs, len(reqs))
-	serve := func(p *sim.Proc, g *batchGroup) bool {
-		if !t.sendTo(p, g.target, trainReq(g)) {
-			errs[g.idx[0]] = ErrNodeUnavailable
-			return false
-		}
-		resp := ackSize
-		for _, i := range g.idx {
-			var bytes int
-			// A failure stops this group where a serial sequence of reads
-			// would have stopped.
-			if out[i], bytes, errs[i] = row(t, p, g.target, parts[i], &reqs[i]); errs[i] != nil {
-				return false
-			}
-			t.c.Stats.Reads++
-			if slots[i] >= 0 {
-				parts[i].reads[slots[i]]++
-			}
-			resp += bytes
-		}
-		if !t.replyFrom(p, g.target, resp) {
-			errs[g.idx[0]] = ErrNodeUnavailable
-			return false
-		}
-		return true
-	}
-	if !t.runBatch("read", groups, len(reqs), serve) {
-		return nil, t.abortBatch(errs)
-	}
-	return out, nil
+	return t.runBatch(sc, groups, n)
 }
 
-// abortBatch ends a transaction one of whose batches failed, as the serial
-// path would: every lock taken so far — including those of groups that
-// succeeded before another failed — is released, nothing will commit, and the
-// first failed row in request order decides the returned error.
-func (t *Txn) abortBatch(errs []error) error {
-	t.abortLocked()
-	for _, err := range errs {
+// serve is the arm of every batch fan-out: it serves one group of sc's batch
+// on process p — the caller's own or a pooled worker's — and reports whether
+// it succeeded, recording a failure in sc.errs at the row that failed. A
+// write group prepares its train; a read group is one request/response pair
+// with its target, whose rows are served in order, and a failure stops the
+// group where a sequence of one-row batches would have stopped.
+func (sc *batchScratch) serve(p *sim.Proc, g *batchGroup) bool {
+	t := sc.t
+	if sc.kind == writeRows {
+		failed, err := t.prepareTrain(p, g.train)
 		if err != nil {
-			return err
+			sc.errs[g.idx[failed]] = err
+		}
+		return err == nil
+	}
+	if !t.sendTo(p, g.target, trainReq(g)) {
+		sc.errs[g.idx[0]] = ErrNodeUnavailable
+		return false
+	}
+	resp := ackSize
+	for _, i := range g.idx {
+		bytes, err := sc.read(p, g.target, i)
+		if err != nil {
+			sc.errs[i] = err
+			return false
+		}
+		t.c.Stats.Reads++
+		if slot := sc.slots[i]; slot >= 0 {
+			sc.parts[i].reads[slot]++
+		}
+		resp += bytes
+	}
+	if !t.replyFrom(p, g.target, resp) {
+		sc.errs[g.idx[0]] = ErrNodeUnavailable
+		return false
+	}
+	return true
+}
+
+// read serves row i of a read batch at target: a get takes its row lock if
+// it asks for one — conflicts, the ledger and the deadlock timeout are those
+// of any locked access — so the value is the committed one under the lock;
+// a scan charges one LDM job per small batch of rows found, minimum one. It
+// stores the row's result and returns its response bytes.
+func (sc *batchScratch) read(p *sim.Proc, target *DataNode, i int) (int, error) {
+	t, part := sc.t, sc.parts[i]
+	if sc.kind == getRows {
+		g := &sc.gets[i]
+		if g.Lock != 0 {
+			if err := t.lockRowOn(p, part, g.PartKey, g.Key, g.Lock); err != nil {
+				return 0, err
+			}
+		}
+		target.use(p, LDM, t.c.cfg.Costs.LDMRead)
+		val, ok := part.committed(g.PartKey, g.Key)
+		sc.vals[i] = BatchVal{Val: val, OK: ok}
+		return g.Table.rowSize, nil
+	}
+	s := &sc.scans[i]
+	var rows []KV
+	if sc.kind == scanRows {
+		rows = part.scanPrefix(s.PartKey, s.Prefix)
+	} else {
+		for pk := range part.rows {
+			rows = append(rows, part.scanPrefix(pk, s.Prefix)...)
 		}
 	}
-	return ErrNodeUnavailable
+	for b := 0; b < 1+len(rows)/8; b++ {
+		target.use(p, LDM, t.c.cfg.Costs.LDMRead)
+	}
+	sc.kvs[i] = rows
+	return len(rows) * s.Table.rowSize, nil
 }
 
-// ReadBatch reads the committed values of all rows in one batched fan-out,
-// returning results positionally. A get with Lock set is a ReadLocked that
-// rides the batch (see BatchGet).
-func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
-	return readBatch(t, gets,
-		func(g *BatchGet) (*Partition, LockMode) { return g.Table.partitionFor(g.PartKey), g.Lock },
-		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, g *BatchGet) (BatchVal, int, error) {
-			if g.Lock != 0 {
-				// Conflicts, the ledger and the deadlock timeout behave
-				// exactly as on ReadLocked's path.
-				if err := t.lockRowOn(p, part, g.PartKey, g.Key, g.Lock); err != nil {
-					return BatchVal{}, 0, err
-				}
-			}
-			target.use(p, LDM, t.c.cfg.Costs.LDMRead)
-			val, exists := part.committed(g.PartKey, g.Key)
-			return BatchVal{Val: val, OK: exists}, g.Table.rowSize, nil
-		})
-}
-
-// ScanBatch runs all partition-pruned prefix scans in one batched fan-out,
-// returning each scan's rows positionally (key-sorted, as ScanPrefix) — a
-// level of a subtree walk costs one parallel round instead of one serial
-// round trip per directory.
-func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
-	return readBatch(t, scans,
-		func(s *BatchScan) (*Partition, LockMode) { return s.Table.partitionFor(s.PartKey), 0 },
-		func(t *Txn, p *sim.Proc, target *DataNode, part *Partition, s *BatchScan) ([]KV, int, error) {
-			rows := part.scanPrefix(s.PartKey, s.Prefix)
-			// One LDM charge per small batch of rows scanned, minimum one
-			// (the ScanPrefix cost model).
-			for b := 0; b < 1+len(rows)/8; b++ {
-				target.use(p, LDM, t.c.cfg.Costs.LDMRead)
-			}
-			return rows, len(rows) * s.Table.rowSize, nil
-		})
-}
-
-// runBatch executes the groups of one batch — inline when a single target
-// serves everything, concurrently otherwise — under one "batch_<kind>" child
-// span carrying row/target counts. kind is "read" or "write" and selects
-// which registry family counts the fan-out. It returns false if any group
-// failed (unreachable target, or a lock failure).
-func (t *Txn) runBatch(kind string, groups []*batchGroup, rows int, serve func(p *sim.Proc, g *batchGroup) bool) bool {
+// runBatch executes the groups of sc's batch of rows — inline when a single
+// target serves everything, concurrently otherwise — under one
+// "batch_read" or "batch_write" child span carrying row/target counts, and
+// counts the fan-out in the matching registry family. If any group failed
+// (unreachable target, lock failure or refused insert) it ends the
+// transaction as a sequence of one-row batches would: every lock taken so
+// far — including those of groups that succeeded — is released, nothing will
+// commit, and the first failed row in request order decides the error.
+func (t *Txn) runBatch(sc *batchScratch, groups []*batchGroup, rows int) error {
+	zeroed(&sc.errs, rows)
 	obs := t.c.obs
-	sp := t.p.Span().Child("batch_"+kind, t.p.EffNow())
+	name := "batch_read"
+	if sc.kind == writeRows {
+		name = "batch_write"
+	}
+	sp := t.p.Span().Child(name, t.p.EffNow())
 	var prev *trace.Span
 	if sp != nil {
 		sp.SetAttr("rows", strconv.Itoa(rows))
@@ -350,7 +434,7 @@ func (t *Txn) runBatch(kind string, groups []*batchGroup, rows int, serve func(p
 	}()
 	if obs != nil {
 		batches, rowsByProx := obs.batchReads, &obs.batchRows
-		if kind == "write" {
+		if sc.kind == writeRows {
 			batches, rowsByProx = obs.batchWrites, &obs.batchWriteRows
 		}
 		batches.Add(1)
@@ -362,31 +446,41 @@ func (t *Txn) runBatch(kind string, groups []*batchGroup, rows int, serve func(p
 	// Concurrent deferred travel: every group starts from the transaction's
 	// current effective instant, so the batch's latency is the slowest group,
 	// not the sum. The caller is the last arm — it would only wait otherwise —
-	// and each other group is a pooled worker arm; the first Recv flushes the
-	// caller's own arm before collecting the others. The serve closure is
-	// shared across arms and the results mailbox is pooled, so the fan-out
-	// itself allocates nothing.
+	// and each other group is a pooled worker arm handed sc and its group; the
+	// first Recv flushes the caller's own arm before collecting the others.
+	// The results mailbox is pooled, so the fan-out itself allocates nothing.
 	last := len(groups) - 1
+	allOK := true
 	if last == 0 {
-		return serve(t.p, groups[0])
+		allOK = sc.serve(t.p, groups[0])
+	} else {
+		t.p.Flush()
+		fanSpan := sp
+		if fanSpan == nil {
+			fanSpan = t.p.Span()
+		}
+		results := t.c.boolMbx.get()
+		for _, g := range groups[:last] {
+			t.c.dispatch(fanTask{span: fanSpan, sc: sc, g: g, boolResults: results})
+		}
+		allOK = sc.serve(t.p, groups[last])
+		for range groups[:last] {
+			if !results.Recv(t.p) {
+				allOK = false
+			}
+		}
+		t.c.boolMbx.put(results)
 	}
-	t.p.Flush()
-	fanSpan := sp
-	if fanSpan == nil {
-		fanSpan = t.p.Span()
+	if allOK {
+		return nil
 	}
-	results := t.c.boolMbx.get()
-	for _, g := range groups[:last] {
-		t.c.dispatch(fanTask{span: fanSpan, g: g, serve: serve, boolResults: results})
-	}
-	allOK := serve(t.p, groups[last])
-	for range groups[:last] {
-		if !results.Recv(t.p) {
-			allOK = false
+	t.abortLocked()
+	for _, err := range sc.errs {
+		if err != nil {
+			return err
 		}
 	}
-	t.c.boolMbx.put(results)
-	return allOK
+	return ErrNodeUnavailable
 }
 
 // Annotate tags the calling process's active trace span (a no-op when

@@ -10,8 +10,8 @@ import (
 	"hopsfscl/internal/trace"
 )
 
-// TestReadBatchMatchesSerialReads checks that one batched fan-out returns
-// exactly what per-row ReadCommitted calls return, including a missing row,
+// TestReadBatchMatchesSerialReads checks that one batched fan-out of k rows
+// returns exactly what k one-row batches return, including a missing row,
 // across rows scattered over many partitions.
 func TestReadBatchMatchesSerialReads(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
@@ -20,7 +20,7 @@ func TestReadBatchMatchesSerialReads(t *testing.T) {
 	inTxn(t, env, c, client, 1, tbl, "p0", func(p *sim.Proc, tx *Txn) error {
 		for i := 0; i < n; i++ {
 			pk := fmt.Sprintf("p%d", i)
-			if err := tx.Put(tbl, pk, "k"+pk, "v"+pk); err != nil {
+			if err := put(tx, tbl, pk, "k"+pk, "v"+pk); err != nil {
 				return err
 			}
 		}
@@ -31,7 +31,7 @@ func TestReadBatchMatchesSerialReads(t *testing.T) {
 	inTxn(t, env, c, client, 1, tbl, "p0", func(p *sim.Proc, tx *Txn) error {
 		for i := 0; i <= n; i++ { // row n was never written
 			pk := fmt.Sprintf("p%d", i)
-			v, ok, err := tx.ReadCommitted(tbl, pk, "k"+pk)
+			v, ok, err := readCommitted(tx, tbl, pk, "k"+pk)
 			if err != nil {
 				return err
 			}
@@ -76,13 +76,13 @@ func TestReadBatchRouting(t *testing.T) {
 	rb := c.CreateTable("rb", 128, TableOptions{ReadBackup: true})
 
 	inTxn(t, env, c, client, 1, plain, "pp", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(plain, "pp", "k", "v"); err != nil {
+		if err := put(tx, plain, "pp", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
 	})
 	inTxn(t, env, c, client, 1, rb, "pr", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(rb, "pr", "k", "v"); err != nil {
+		if err := put(tx, rb, "pr", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -142,7 +142,7 @@ func TestReadBatchUnavailableGroupAborts(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("plain", 128, TableOptions{})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -175,8 +175,8 @@ func TestReadBatchUnavailableGroupAborts(t *testing.T) {
 	}
 }
 
-// TestScanBatchMatchesSerialScans checks ScanBatch against per-directory
-// ScanPrefix over several partitions, including an empty directory.
+// TestScanBatchMatchesSerialScans checks a k-scan ScanBatch against k
+// one-scan batches over several partitions, including an empty directory.
 func TestScanBatchMatchesSerialScans(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
@@ -185,7 +185,7 @@ func TestScanBatchMatchesSerialScans(t *testing.T) {
 		for di, d := range dirs {
 			for i := 0; i <= di; i++ {
 				k := fmt.Sprintf("%s/c%d", d, i)
-				if err := tx.Put(tbl, d, k, "v"); err != nil {
+				if err := put(tx, tbl, d, k, "v"); err != nil {
 					return err
 				}
 			}
@@ -202,7 +202,7 @@ func TestScanBatchMatchesSerialScans(t *testing.T) {
 	var serial [][]KV
 	inTxn(t, env, c, client, 1, tbl, "d1", func(p *sim.Proc, tx *Txn) error {
 		for _, s := range scans {
-			rows, err := tx.ScanPrefix(tbl, s.PartKey, s.Prefix)
+			rows, err := scanPrefix(tx, tbl, s.PartKey, s.Prefix)
 			if err != nil {
 				return err
 			}
@@ -240,7 +240,7 @@ func TestReadBatchFasterThanSerial(t *testing.T) {
 	inTxn(t, env, c, client, 1, tbl, "p0", func(p *sim.Proc, tx *Txn) error {
 		for i := 0; i < n; i++ {
 			pk := fmt.Sprintf("p%d", i)
-			if err := tx.Put(tbl, pk, "k", "v"); err != nil {
+			if err := put(tx, tbl, pk, "k", "v"); err != nil {
 				return err
 			}
 		}
@@ -252,7 +252,7 @@ func TestReadBatchFasterThanSerial(t *testing.T) {
 		start := p.EffNow()
 		for i := 0; i < n; i++ {
 			pk := fmt.Sprintf("p%d", i)
-			if _, _, err := tx.ReadCommitted(tbl, pk, "k"); err != nil {
+			if _, _, err := readCommitted(tx, tbl, pk, "k"); err != nil {
 				return err
 			}
 		}
@@ -276,98 +276,10 @@ func TestReadBatchFasterThanSerial(t *testing.T) {
 	}
 }
 
-// TestReadBatchLockedGetIsReadLocked: a get with Lock set is ReadLocked
-// riding the batch, nothing else. On two same-seed clusters a one-row locked
-// batch and a ReadLocked of the same row leave the same value, the same
-// cluster counters, the same bytes on every NIC and link, the same lock
-// holders, and finish at the same instant — for either mode, on a Read
-// Backup table whose unlocked reads would have gone to a nearer replica.
-func TestReadBatchLockedGetIsReadLocked(t *testing.T) {
-	type outcome struct {
-		val      BatchVal
-		stats    Stats
-		nic      string
-		bytes    int64
-		xaz      int64
-		msgs     int64
-		held     string
-		mode     LockMode
-		slot0    int64
-		read, at time.Duration
-	}
-	run := func(mode LockMode, batched bool) outcome {
-		env, c, client := seededWBCluster(t, 5, false)
-		c.StopBackground()
-		env.RunFor(time.Second)
-		tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
-		// A partition whose primary is not in the client's zone, so a lock
-		// routed like an unlocked read would show up on the wire.
-		pk := ""
-		for i := 0; pk == ""; i++ {
-			if cand := fmt.Sprintf("p%d", i); tbl.PrimaryFor(cand).Node.Zone() != client.Zone() {
-				pk = cand
-			}
-		}
-		inTxn(t, env, c, client, 1, tbl, pk, func(p *sim.Proc, tx *Txn) error {
-			if err := tx.Put(tbl, pk, "k", "v"); err != nil {
-				return err
-			}
-			return tx.Commit()
-		})
-		var o outcome
-		inTxn(t, env, c, client, 1, tbl, pk, func(p *sim.Proc, tx *Txn) error {
-			if batched {
-				vals, err := tx.ReadBatch([]BatchGet{{Table: tbl, PartKey: pk, Key: "k", Lock: mode}})
-				if err != nil {
-					return err
-				}
-				o.val = vals[0]
-			} else {
-				v, ok, err := tx.ReadLocked(tbl, pk, "k", mode)
-				if err != nil {
-					return err
-				}
-				o.val = BatchVal{Val: v, OK: ok}
-			}
-			o.read = p.EffNow()
-			o.held = fmt.Sprint(c.HeldLocks())
-			o.mode = tbl.partitionFor(pk).rows[pk]["k"].lock.holders[tx.id]
-			if err := tx.Commit(); err != nil {
-				return err
-			}
-			p.Flush()
-			o.at = p.Now()
-			return nil
-		})
-		o.stats = c.Stats
-		for _, dn := range c.DataNodes() {
-			r, w := dn.Node.NICBytes()
-			o.nic += fmt.Sprintf("%s:%d/%d ", dn.Node.Name(), r, w)
-		}
-		r, w := client.NICBytes()
-		o.nic += fmt.Sprintf("client:%d/%d", r, w)
-		o.bytes, o.xaz, o.msgs = c.net.TotalBytes(), c.net.CrossZoneBytes(), c.net.TotalMessages()
-		o.slot0 = tbl.partitionFor(pk).reads[0]
-		if left := c.HeldLocks(); len(left) != 0 {
-			t.Errorf("mode %d batched=%v: locks survive the commit: %v", mode, batched, left)
-		}
-		return o
-	}
-	for _, mode := range []LockMode{LockShared, LockExclusive} {
-		serial, batched := run(mode, false), run(mode, true)
-		if serial != batched {
-			t.Errorf("mode %d:\n ReadLocked   %+v\n locked batch %+v", mode, serial, batched)
-		}
-		if serial.val.Val != "v" || !serial.val.OK || serial.mode != mode || serial.slot0 != 1 || serial.stats.Rounds != 2 {
-			t.Errorf("mode %d: the reference itself is off: %+v", mode, serial)
-		}
-	}
-}
-
 // TestReadBatchLockConflict: a locked get behind another transaction's
 // exclusive lock waits on its arm and then returns the value that
 // transaction committed; when the wait times out the batch returns
-// ErrLockTimeout as ReadLocked would, the transaction is aborted, no lock of
+// ErrLockTimeout, the transaction is aborted, no lock of
 // any group of the batch survives, and the contention ledger has the edge.
 func TestReadBatchLockConflict(t *testing.T) {
 	for _, tc := range []struct {
@@ -390,7 +302,7 @@ func TestReadBatchLockConflict(t *testing.T) {
 			inTxn(t, env, c, client, 1, tbl, "p0", func(p *sim.Proc, tx *Txn) error {
 				for i := range pks {
 					pks[i] = fmt.Sprintf("p%d", i)
-					if err := tx.Put(tbl, pks[i], "k", "old"); err != nil {
+					if err := put(tx, tbl, pks[i], "k", "old"); err != nil {
 						return err
 					}
 				}
@@ -403,7 +315,7 @@ func TestReadBatchLockConflict(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := tx.Put(tbl, hot, "k", "new"); err != nil {
+				if err := put(tx, tbl, hot, "k", "new"); err != nil {
 					t.Error(err)
 					return
 				}

@@ -24,7 +24,7 @@ func runContention(t *testing.T) *Cluster {
 				t.Error(err)
 				return
 			}
-			if err := tx.Put(tbl, "p", "k", name); err != nil {
+			if err := put(tx, tbl, "p", "k", name); err != nil {
 				t.Error(err)
 				return
 			}

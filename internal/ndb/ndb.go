@@ -76,8 +76,8 @@ type Config struct {
 	// baselines).
 	AZAware bool
 	// DisableBatchedWrites forces the serial write path, NDB's
-	// execute-per-operation reference: a WriteBatch is a loop of Writes and
-	// every row is its own train, so N rows cost N Prepare passes in sequence
+	// execute-per-operation reference: a WriteBatch is a loop of one-row
+	// batches and every row is its own train, so N rows cost N Prepare passes in sequence
 	// and then N Commit/Complete passes in parallel, instead of one of each
 	// per replica chain. It is the reference the batched path is compared
 	// against (writefan experiment, ablation (e), equivalence tests).
@@ -304,9 +304,10 @@ type Stats struct {
 	Reads     int64
 	Writes    int64
 	// Rounds counts the message-exchanging calls transactions made between
-	// Begin and Commit — a single-row read or write, one partition's scan, or
-	// one whole batch each count once — so a transaction's share of it is its
-	// number of sequential storage round trips (the budget of DESIGN §9.1).
+	// Begin and Commit — each batch, one-row batches included, and each
+	// partition's round of a table scan count once — so a transaction's share
+	// of it is its number of sequential storage round trips (the budget of
+	// DESIGN §9.1).
 	Rounds int64
 }
 

@@ -68,13 +68,13 @@ func TestCommitAndReadBack(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p1", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p1", "k1", "v1"); err != nil {
+		if err := put(tx, tbl, "p1", "k1", "v1"); err != nil {
 			return err
 		}
 		return tx.Commit()
 	})
 	inTxn(t, env, c, client, 1, tbl, "p1", func(p *sim.Proc, tx *Txn) error {
-		v, ok, err := tx.ReadCommitted(tbl, "p1", "k1")
+		v, ok, err := readCommitted(tx, tbl, "p1", "k1")
 		if err != nil {
 			return err
 		}
@@ -92,19 +92,19 @@ func TestDeleteRemovesRow(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
 	})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Delete(tbl, "p", "k"); err != nil {
+		if err := del(tx, tbl, "p", "k"); err != nil {
 			return err
 		}
 		return tx.Commit()
 	})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		_, ok, err := tx.ReadCommitted(tbl, "p", "k")
+		_, ok, err := readCommitted(tx, tbl, "p", "k")
 		if err != nil {
 			return err
 		}
@@ -125,7 +125,7 @@ func TestUncommittedWriteInvisible(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -141,7 +141,7 @@ func TestUncommittedWriteInvisible(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		_, ok, err := tx.ReadCommitted(tbl, "p", "k")
+		_, ok, err := readCommitted(tx, tbl, "p", "k")
 		if err != nil {
 			t.Error(err)
 			return
@@ -159,7 +159,7 @@ func TestReadsGoToPrimaryWithoutReadBackup(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("plain", 128, TableOptions{})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -168,7 +168,7 @@ func TestReadsGoToPrimaryWithoutReadBackup(t *testing.T) {
 	for z := simnet.ZoneID(1); z <= 3; z++ {
 		cl := c.net.NewNode("cl", z, 400+simnet.HostID(z))
 		inTxn(t, env, c, cl, z, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-			_, _, err := tx.ReadCommitted(tbl, "p", "k")
+			_, _, err := readCommitted(tx, tbl, "p", "k")
 			if err != nil {
 				return err
 			}
@@ -187,7 +187,7 @@ func TestReadBackupServesAZLocalReplica(t *testing.T) {
 	tbl := c.CreateTable("rb", 128, TableOptions{ReadBackup: true})
 	seed := c.net.NewNode("seed", 1, 399)
 	inTxn(t, env, c, seed, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -197,7 +197,7 @@ func TestReadBackupServesAZLocalReplica(t *testing.T) {
 	for z := simnet.ZoneID(1); z <= 3; z++ {
 		cl := c.net.NewNode("cl", z, 400+simnet.HostID(z))
 		inTxn(t, env, c, cl, z, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-			_, _, err := tx.ReadCommitted(tbl, "p", "k")
+			_, _, err := readCommitted(tx, tbl, "p", "k")
 			if err != nil {
 				return err
 			}
@@ -215,7 +215,7 @@ func TestReadBackupServesAZLocalReplica(t *testing.T) {
 // TestTableScanIsRoutedLikeAnyRead pins the one read-routing path: a
 // ScanTablePrefix over P partitions is P routed reads, so it shows up as P
 // partition heat touches and P per-replica-slot read counts (Figure 14's
-// counters), like the P ScanPrefix calls it stands for.
+// counters), like the P one-scan batches it is made of.
 func TestTableScanIsRoutedLikeAnyRead(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	hc := heat.NewCollector(heat.Config{}, nil)
@@ -223,7 +223,7 @@ func TestTableScanIsRoutedLikeAnyRead(t *testing.T) {
 	tbl := c.CreateTable("scattered", 128, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "a", func(p *sim.Proc, tx *Txn) error {
 		for _, pk := range []string{"a", "b", "c"} {
-			if err := tx.Put(tbl, pk, "1/"+pk, pk); err != nil {
+			if err := put(tx, tbl, pk, "1/"+pk, pk); err != nil {
 				return err
 			}
 		}
@@ -274,7 +274,7 @@ func TestFullyReplicatedWritesReachAllGroupsAndReadsAreTCLocal(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("fr", 64, TableOptions{ReadBackup: true, FullyReplicated: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -298,7 +298,7 @@ func TestFullyReplicatedWritesReachAllGroupsAndReadsAreTCLocal(t *testing.T) {
 	env.RunFor(time.Second)
 	before := c.net.CrossZoneBytes()
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		v, ok, err := tx.ReadCommitted(tbl, "p", "k")
+		v, ok, err := readCommitted(tx, tbl, "p", "k")
 		if err != nil {
 			return err
 		}
@@ -324,7 +324,7 @@ func TestExclusiveLockSerializesWriters(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := tx.Put(tbl, "p", "k", name); err != nil {
+			if err := put(tx, tbl, "p", "k", name); err != nil {
 				t.Error(err)
 				return
 			}
@@ -345,7 +345,7 @@ func TestExclusiveLockSerializesWriters(t *testing.T) {
 		t.Fatalf("order = %v, want [first second]", order)
 	}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		v, _, err := tx.ReadCommitted(tbl, "p", "k")
+		v, _, err := readCommitted(tx, tbl, "p", "k")
 		if err != nil {
 			return err
 		}
@@ -366,7 +366,7 @@ func TestLockTimeoutAbortsWaiter(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.Put(tbl, "p", "k", "h"); err != nil {
+		if err := put(tx, tbl, "p", "k", "h"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -382,7 +382,7 @@ func TestLockTimeoutAbortsWaiter(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		waiterErr = tx.Put(tbl, "p", "k", "w")
+		waiterErr = put(tx, tbl, "p", "k", "w")
 	})
 	env.RunFor(2 * time.Second)
 	if !errors.Is(waiterErr, ErrLockTimeout) {
@@ -397,7 +397,7 @@ func TestSharedLocksCoexistAndBlockExclusive(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -413,7 +413,7 @@ func TestSharedLocksCoexistAndBlockExclusive(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, _, err := tx.ReadLocked(tbl, "p", "k", LockShared); err != nil {
+			if _, _, err := readLocked(tx, tbl, "p", "k", LockShared); err != nil {
 				t.Error(err)
 				return
 			}
@@ -431,7 +431,7 @@ func TestSharedLocksCoexistAndBlockExclusive(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.Put(tbl, "p", "k", "w"); err != nil {
+		if err := put(tx, tbl, "p", "k", "w"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -497,7 +497,7 @@ func TestNodeFailurePromotesBackupAndClusterContinues(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "before"); err != nil {
+		if err := put(tx, tbl, "p", "k", "before"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -515,14 +515,14 @@ func TestNodeFailurePromotesBackupAndClusterContinues(t *testing.T) {
 		t.Fatal("primary not promoted")
 	}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		v, ok, err := tx.ReadCommitted(tbl, "p", "k")
+		v, ok, err := readCommitted(tx, tbl, "p", "k")
 		if err != nil {
 			return err
 		}
 		if !ok || v != "before" {
 			t.Errorf("read (%v,%v) after failover", v, ok)
 		}
-		if err := tx.Put(tbl, "p", "k", "after"); err != nil {
+		if err := put(tx, tbl, "p", "k", "after"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -557,7 +557,7 @@ func TestSplitBrainArbitrationShutsDownOneSide(t *testing.T) {
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
 	client := c.net.NewNode("cl", 1, 600)
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -587,7 +587,7 @@ func TestAZFailureToleratedWithRF3(t *testing.T) {
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
 	seed := c.net.NewNode("seed", 1, 601)
 	inTxn(t, env, c, seed, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -595,14 +595,14 @@ func TestAZFailureToleratedWithRF3(t *testing.T) {
 	c.FailZone(2)
 	env.RunFor(3 * time.Second)
 	inTxn(t, env, c, seed, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		v, ok, err := tx.ReadCommitted(tbl, "p", "k")
+		v, ok, err := readCommitted(tx, tbl, "p", "k")
 		if err != nil {
 			return err
 		}
 		if !ok || v != "v" {
 			t.Errorf("read (%v,%v) after AZ failure", v, ok)
 		}
-		if err := tx.Put(tbl, "p", "k2", "v2"); err != nil {
+		if err := put(tx, tbl, "p", "k2", "v2"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -615,7 +615,7 @@ func TestCheckpointFlushesRedoToDisk(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		key := string(rune('a' + i))
 		inTxn(t, env, c, client, 1, tbl, key, func(p *sim.Proc, tx *Txn) error {
-			if err := tx.Put(tbl, key, key, i); err != nil {
+			if err := put(tx, tbl, key, key, i); err != nil {
 				return err
 			}
 			return tx.Commit()
@@ -667,7 +667,7 @@ func TestRejoinAfterNodeFailure(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 128, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -698,7 +698,7 @@ func TestRejoinAfterNodeFailure(t *testing.T) {
 	}
 	// And transactions keep working, including on the rejoined node's data.
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		v, ok, err := tx.ReadCommitted(tbl, "p", "k")
+		v, ok, err := readCommitted(tx, tbl, "p", "k")
 		if err != nil {
 			return err
 		}
@@ -713,7 +713,7 @@ func TestRecoverZoneAfterAZFailure(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 128, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -728,7 +728,7 @@ func TestRecoverZoneAfterAZFailure(t *testing.T) {
 		}
 	}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k2", "v2"); err != nil {
+		if err := put(tx, tbl, "p", "k2", "v2"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -758,7 +758,7 @@ func TestCommitProtocolMessageCount(t *testing.T) {
 		if tx.Coordinator() == tbl.PrimaryFor("p") {
 			t.Error("the coordinator is the row's primary; the test wants the AZ-local backup of §IV-A5")
 		}
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -790,7 +790,7 @@ func TestReadBackupDelaysAck(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+			if err := put(tx, tbl, "p", "k", "v"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -824,7 +824,7 @@ func TestClusterCrashRecoversDurableEpochOnly(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := tx.Put(tbl, "p", key, val); err != nil {
+		if err := put(tx, tbl, "p", key, val); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -851,14 +851,14 @@ func TestClusterCrashRecoversDurableEpochOnly(t *testing.T) {
 	env.RunFor(10 * time.Second)
 
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		v, ok, err := tx.ReadCommitted(tbl, "p", "durable")
+		v, ok, err := readCommitted(tx, tbl, "p", "durable")
 		if err != nil {
 			return err
 		}
 		if !ok || v != "v1" {
 			t.Errorf("durable row after crash: (%v,%v)", v, ok)
 		}
-		_, ok, err = tx.ReadCommitted(tbl, "p", "volatile")
+		_, ok, err = readCommitted(tx, tbl, "p", "volatile")
 		if err != nil {
 			return err
 		}
@@ -869,7 +869,7 @@ func TestClusterCrashRecoversDurableEpochOnly(t *testing.T) {
 	})
 	// The cluster keeps working after recovery.
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "after", "v3"); err != nil {
+		if err := put(tx, tbl, "p", "after", "v3"); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -909,7 +909,7 @@ func TestRepeatedCrashRestartEpochMonotone(t *testing.T) {
 	for cycle := 0; cycle < 3; cycle++ {
 		key := fmt.Sprintf("k%d", cycle)
 		inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-			if err := tx.Put(tbl, "p", key, "v"); err != nil {
+			if err := put(tx, tbl, "p", key, "v"); err != nil {
 				return err
 			}
 			return tx.Commit()
@@ -932,7 +932,7 @@ func TestRepeatedCrashRestartEpochMonotone(t *testing.T) {
 		for i := 0; i <= cycle; i++ {
 			want := fmt.Sprintf("k%d", i)
 			inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-				v, ok, err := tx.ReadCommitted(tbl, "p", want)
+				v, ok, err := readCommitted(tx, tbl, "p", want)
 				if err != nil {
 					return err
 				}
@@ -964,7 +964,7 @@ func TestReinstateClearsFalseDeclaration(t *testing.T) {
 		t.Fatal("Reinstate did not clear the declaration")
 	}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			return err
 		}
 		return tx.Commit()

@@ -188,7 +188,7 @@ func TestPropSequentialCommitsMatchOracle(t *testing.T) {
 				}
 				switch b % 3 {
 				case 0: // write
-					if err := tx.Put(tbl, pk, key, i); err != nil {
+					if err := put(tx, tbl, pk, key, i); err != nil {
 						t.Error(err)
 						ok = false
 						return
@@ -200,7 +200,7 @@ func TestPropSequentialCommitsMatchOracle(t *testing.T) {
 					}
 					oracle[pk+"|"+key] = i
 				case 1: // delete
-					if err := tx.Delete(tbl, pk, key); err != nil {
+					if err := del(tx, tbl, pk, key); err != nil {
 						t.Error(err)
 						ok = false
 						return
@@ -212,7 +212,7 @@ func TestPropSequentialCommitsMatchOracle(t *testing.T) {
 					}
 					delete(oracle, pk+"|"+key)
 				case 2: // read and compare
-					v, found, err := tx.ReadCommitted(tbl, pk, key)
+					v, found, err := readCommitted(tx, tbl, pk, key)
 					if err != nil {
 						t.Error(err)
 						ok = false
@@ -427,7 +427,7 @@ func TestPropPartitionHealSymmetry(t *testing.T) {
 				commitErr = err
 				return
 			}
-			if err := tx.Put(tbl, "pk", "k", "v"); err != nil {
+			if err := put(tx, tbl, "pk", "k", "v"); err != nil {
 				commitErr = err
 				return
 			}
@@ -498,8 +498,8 @@ func TestPropNoHalfCommitUnderRepartition(t *testing.T) {
 					attempts = append(attempts, a)
 					continue
 				}
-				if err := tx.Put(tbl, a.keyA, "k", i); err == nil {
-					if err2 := tx.Put(tbl, a.keyB, "k", i); err2 == nil {
+				if err := put(tx, tbl, a.keyA, "k", i); err == nil {
+					if err2 := put(tx, tbl, a.keyB, "k", i); err2 == nil {
 						a.err = tx.Commit()
 					} else {
 						a.err = err2

@@ -2,7 +2,6 @@ package ndb
 
 import (
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -30,24 +29,28 @@ type Txn struct {
 	locks  []lockRef
 	trains []*train
 	done   bool
+
+	// oneVal and oneKVs hold the result of a one-row ReadBatch or ScanBatch
+	// (and of each round of ScanTablePrefix), so the commonest read returns
+	// without allocating; such a result is valid until the transaction's
+	// next read.
+	oneVal [1]BatchVal
+	oneKVs [1][]KV
 }
 
 // Tx is the storage-transaction surface the metadata layer is written
-// against: HopsFS's one transaction template — a lock phase (ReadLocked), an
-// execute phase (the committed reads and scans) and an update phase (Put,
-// WriteBatch, Commit). *Txn is the implementation; the shard router's
-// dispatcher satisfies it by delegating each call, by table, to the *Txn of
-// the owning cluster.
+// against: HopsFS's one transaction template — a lock phase and an execute
+// phase (ReadBatch, whose gets may carry row locks, ScanBatch and
+// ScanTablePrefix) and an update phase (WriteBatch, Commit). Each kind of
+// storage work has one verb, and a one-row operation is a batch of one.
+// *Txn is the implementation; the shard router's dispatcher satisfies it by
+// routing each batch, by table, to the *Txn of the owning cluster.
 type Tx interface {
 	Now() time.Duration
 	Annotate(key, value string)
-	ReadCommitted(table *Table, partKey, key string) (Value, bool, error)
-	ReadLocked(table *Table, partKey, key string, mode LockMode) (Value, bool, error)
 	ReadBatch(gets []BatchGet) ([]BatchVal, error)
-	ScanPrefix(table *Table, partKey, prefix string) ([]KV, error)
-	ScanTablePrefix(table *Table, prefix string) ([]KV, error)
 	ScanBatch(scans []BatchScan) ([][]KV, error)
-	Put(table *Table, partKey, key string, val Value) error
+	ScanTablePrefix(table *Table, prefix string) ([]KV, error)
 	WriteBatch(items []BatchWrite) error
 	Commit() error
 	Abort()
@@ -256,168 +259,10 @@ func (t *Txn) StagedWrites(fn func(table *Table, partKey, key string, val Value,
 	}
 }
 
-// ReadCommitted reads the committed value of a row without locking, from
-// the replica routeRow picks (§IV-A5).
-func (t *Txn) ReadCommitted(table *Table, partKey, key string) (Value, bool, error) {
-	if t.done {
-		return nil, false, ErrAborted
-	}
-	cfg := &t.c.cfg
-	t.c.Stats.Rounds++
-	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	part := table.partitionFor(partKey)
-	target, slot := t.routeRow(part, 0)
-	if target == nil {
-		return nil, false, t.failAbort()
-	}
-	t.c.Stats.Reads++
-	if slot >= 0 {
-		part.reads[slot]++
-	}
-	if !t.sendTo(t.p, target, reqSize) {
-		return nil, false, t.failAbort()
-	}
-	target.use(t.p, LDM, cfg.Costs.LDMRead)
-	val, ok := part.committed(partKey, key)
-	if !t.replyFrom(t.p, target, ackSize+table.rowSize) {
-		return nil, false, t.failAbort()
-	}
-	return val, ok, nil
-}
-
 // KV is one row returned by a scan.
 type KV struct {
 	Key string
 	Val Value
-}
-
-// ScanPrefix reads all committed rows of the hinted partition whose key
-// starts with prefix, in key order. HopsFS uses it for partition-pruned
-// index scans (directory listings): inodes are partitioned by parent id, so
-// a directory's children live in a single partition.
-func (t *Txn) ScanPrefix(table *Table, partKey, prefix string) ([]KV, error) {
-	part := table.partitionFor(partKey)
-	return t.scanPart(part, func() []KV { return part.scanPrefix(partKey, prefix) })
-}
-
-// ScanTablePrefix scans every partition of the table for committed rows
-// whose key starts with prefix, in key order. It exists for listings whose
-// rows are deliberately scattered across partitions (a HopsFS root
-// directory listing); it costs one scan per partition.
-func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
-	var out []KV
-	for _, part := range table.partitions {
-		rows, err := t.scanPart(part, func() []KV {
-			var found []KV
-			for pk := range part.rows {
-				found = append(found, part.scanPrefix(pk, prefix)...)
-			}
-			return found
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
-}
-
-// scanPart is one routed scan of one partition, the unit both scans are
-// made of: the coordinator pass, routeRow's replica choice, the request, one
-// LDM charge per small batch of rows found (minimum one), the read counters
-// and the reply. rows collects the matches once the request has arrived.
-func (t *Txn) scanPart(part *Partition, rows func() []KV) ([]KV, error) {
-	if t.done {
-		return nil, ErrAborted
-	}
-	cfg := &t.c.cfg
-	t.c.Stats.Rounds++
-	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	target, slot := t.routeRow(part, 0)
-	if target == nil || !t.sendTo(t.p, target, reqSize) {
-		return nil, t.failAbort()
-	}
-	out := rows()
-	for i := 0; i < 1+len(out)/8; i++ {
-		target.use(t.p, LDM, cfg.Costs.LDMRead)
-	}
-	t.c.Stats.Reads++
-	if slot >= 0 {
-		part.reads[slot]++
-	}
-	if !t.replyFrom(t.p, target, ackSize+len(out)*part.table.rowSize) {
-		return nil, t.failAbort()
-	}
-	return out, nil
-}
-
-// ReadLocked reads a row under a shared or exclusive lock. Locked reads
-// always go to the primary replica (§II-B2) and guarantee the latest
-// committed data.
-func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Value, bool, error) {
-	if t.done {
-		return nil, false, ErrAborted
-	}
-	cfg := &t.c.cfg
-	t.c.Stats.Rounds++
-	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	part := table.partitionFor(partKey)
-	primary, _ := t.routeRow(part, mode)
-	if primary == nil || !t.sendTo(t.p, primary, reqSize) {
-		return nil, false, t.failAbort()
-	}
-	if err := t.lockRowOn(t.p, part, partKey, key, mode); err != nil {
-		t.abortLocked()
-		return nil, false, err
-	}
-	primary.use(t.p, LDM, cfg.Costs.LDMRead)
-	t.c.Stats.Reads++
-	part.reads[0]++
-	val, ok := part.committed(partKey, key)
-	if !t.replyFrom(t.p, primary, ackSize+table.rowSize) {
-		return nil, false, t.failAbort()
-	}
-	return val, ok, nil
-}
-
-// Write executes an insert/update (val != nil, del == false) or delete
-// (del == true) of a row, which in NDB prepares it: the row joins the train
-// of its replica chain and the train's Prepare pass runs at once, taking the
-// exclusive lock on the primary replica at operation time. The mutation
-// becomes visible at commit.
-func (t *Txn) Write(table *Table, partKey, key string, val Value, del bool) error {
-	return t.write(&BatchWrite{Table: table, PartKey: partKey, Key: key, Val: val, Del: del})
-}
-
-// write is the one-row write: Write's body, and one step of a WriteBatch
-// with write batching disabled.
-func (t *Txn) write(w *BatchWrite) error {
-	if t.done {
-		return ErrAborted
-	}
-	t.c.Stats.Rounds++
-	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
-	tr := t.stage(w)
-	if tr == nil {
-		return t.failAbort()
-	}
-	if _, err := t.prepareTrain(t.p, tr); err != nil {
-		t.Abort()
-		return err
-	}
-	return nil
-}
-
-// Put is Write with a value: an upsert. An insert that must find its row
-// absent is a BatchWrite with IfAbsent set.
-func (t *Txn) Put(table *Table, partKey, key string, val Value) error {
-	return t.Write(table, partKey, key, val, false)
-}
-
-// Delete is Write marking removal.
-func (t *Txn) Delete(table *Table, partKey, key string) error {
-	return t.Write(table, partKey, key, "", true)
 }
 
 // stage appends one write to the train of its replica chain, opening a train
@@ -540,7 +385,7 @@ func (t *Txn) hop(p *sim.Proc, from, to *DataNode, bytes int) bool {
 // every row's exclusive lock as the request reaches it — per row through
 // lockRowOn, so conflicts, the contention ledger, lock-wait spans and the
 // deadlock timeout are those of any locked access — and a failure stops the
-// pass where a sequence of single-row writes would have stopped, returning
+// pass where a sequence of one-row batches would have stopped, returning
 // the failed row's position among the rows being prepared. An insert
 // (ifAbsent) is checked there too, under the lock just granted: if the row
 // holds a committed value the head looks it up, writes nothing, and answers
@@ -912,9 +757,12 @@ func (p *Partition) scanPrefix(pk, prefix string) []KV {
 			out = append(out, KV{Key: k, Val: r.val})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, byKey)
 	return out
 }
+
+// byKey orders scanned rows by key; keys are unique within a table.
+func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
 
 // committed returns the committed value of a row.
 func (p *Partition) committed(pk, key string) (Value, bool) {

@@ -27,11 +27,11 @@ type fanTask struct {
 	// operation is untraced).
 	span *trace.Span
 
-	// Batch fan-out: serve one routed group, reporting success. The serve
-	// closure is shared by every group of a batch, so a k-group fan-out
-	// allocates nothing per arm.
-	g     *batchGroup
-	serve func(p *sim.Proc, g *batchGroup) bool
+	// Batch fan-out: serve group g of the batch sc holds (batchScratch.serve),
+	// reporting success. sc carries the transaction, the requests and the
+	// result slots, so a k-group fan-out allocates nothing per arm.
+	g  *batchGroup
+	sc *batchScratch
 
 	// Commit fan-out, on behalf of txn: the Commit and Complete passes of
 	// one train (errResults), or one backup's leg of an awaited Complete
@@ -95,7 +95,7 @@ func (c *Cluster) newWorker() *fanWorker {
 			case task.train != nil:
 				err = task.txn.commitTrain(p, task.train, false)
 			case task.g != nil:
-				ok = task.serve(p, task.g)
+				ok = task.sc.serve(p, task.g)
 			default:
 				ok = task.txn.complete(p, task.backup)
 			}
@@ -114,19 +114,38 @@ func (c *Cluster) newWorker() *fanWorker {
 	return w
 }
 
-// batchScratch holds the per-batch working arrays of groupByTarget and the
-// batch entry points (ReadBatch/ScanBatch/WriteBatch). A batch checks one
-// out for its whole lifetime — routing through fan-out — and returns it
-// when done, so concurrent transactions never share one.
+// batchScratch is one batch in flight: groupByTarget's working arrays, and
+// everything the arm serving a group (serve) reads and writes — the
+// transaction, the kind of batch, the requests (copied in, so the caller's
+// slice does not escape), the result slots and the per-row failures. A batch
+// checks one out for its whole lifetime — routing through fan-out — and
+// returns it with putScratch when done, so concurrent transactions never
+// share one.
 type batchScratch struct {
 	targets []*DataNode
 	trains  []*train
 	backing []batchGroup
 	groups  []*batchGroup
 	buf     []int
-	slots   []int
-	parts   []*Partition
-	errs    []error
+
+	t     *Txn
+	kind  batchKind
+	gets  []BatchGet
+	vals  []BatchVal
+	scans []BatchScan
+	kvs   [][]KV
+	parts []*Partition
+	slots []int
+	errs  []error
+}
+
+// putScratch returns sc to the pool, dropping what it references of the
+// batch it served.
+func (c *Cluster) putScratch(sc *batchScratch) {
+	sc.t, sc.vals, sc.kvs = nil, nil, nil
+	clear(sc.gets)
+	clear(sc.scans)
+	c.scratch.put(sc)
 }
 
 // zeroed returns a zeroed length-n slice backed by *buf, growing it when it

@@ -18,7 +18,7 @@ func TestFanOutReusesPooledWorkers(t *testing.T) {
 	inTxn(t, env, c, client, 1, tbl, "p0", func(p *sim.Proc, tx *Txn) error {
 		for i := 0; i < n; i++ {
 			pk := fmt.Sprintf("p%d", i)
-			if err := tx.Put(tbl, pk, "k", "v"); err != nil {
+			if err := put(tx, tbl, pk, "k", "v"); err != nil {
 				return err
 			}
 		}

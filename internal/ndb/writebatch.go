@@ -1,7 +1,5 @@
 package ndb
 
-import "hopsfscl/internal/sim"
-
 // This file implements the batched write path: the write-side twin of
 // batch.go. Real NDB packs operations destined for the same datanode into
 // one TCKEYREQ train and prepares an operation on its replica chain as it
@@ -13,10 +11,10 @@ import "hopsfscl/internal/sim"
 // the train, distinct chains concurrently; Commit is left with the Commit and
 // Complete passes. Locking still goes through lockRowOn per row at the
 // chain's head, so the contention ledger, lock-wait accounting, and deadlock
-// (timeout) behavior are exactly those of single-row writes.
+// (timeout) behavior are those of any locked access.
 
 // BatchWrite names one row of a WriteBatch: an insert/update (Del false)
-// or a delete (Del true), prepared under an exclusive lock like Write. With
+// or a delete (Del true), prepared under an exclusive lock taken at the chain's head. With
 // IfAbsent the row is an insert proper: the chain's head refuses it with
 // ErrRowExists when, under that lock, the row holds a committed value — the
 // writer learns the name is taken from the write itself, not from a locked
@@ -33,25 +31,30 @@ type BatchWrite struct {
 // WriteBatch executes all mutations at once: rows are grouped by replica
 // chain, each chain's rows are locked and prepared by one pass down the chain
 // carrying the whole row train, and distinct chains proceed concurrently. A
-// single-row batch is message-for-message identical to Write. Any failure —
-// an unreachable replica, a lock timeout on any row or a refused insert —
-// aborts the transaction exactly as a sequence of Writes would, returning the
-// error of the first failed row in request order. With write batching
-// disabled the batch is that sequence: one Prepare pass and, at commit, one
-// train per row.
+// one-row batch is a single write. Any failure — an unreachable replica, a
+// lock timeout on any row or a refused insert — aborts the transaction
+// exactly as a sequence of one-row batches would, returning the error of the
+// first failed row in request order. With write batching disabled the batch
+// is that sequence: one Prepare pass and, at commit, one train per row.
 func (t *Txn) WriteBatch(items []BatchWrite) error {
 	if t.done {
 		return ErrAborted
 	}
-	if len(items) == 0 {
-		return nil
+	if !t.c.cfg.DisableBatchedWrites {
+		return t.writeBatch(items)
 	}
-	if t.c.cfg.DisableBatchedWrites {
-		for i := range items {
-			if err := t.write(&items[i]); err != nil {
-				return err
-			}
+	for i := range items {
+		if err := t.writeBatch(items[i : i+1]); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// writeBatch is one batched write: one coordinator pass and one fan-out of
+// the rows' trains.
+func (t *Txn) writeBatch(items []BatchWrite) error {
+	if len(items) == 0 {
 		return nil
 	}
 	t.c.Stats.Rounds++
@@ -60,7 +63,8 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
 
 	sc := t.c.scratch.get()
-	defer t.c.scratch.put(sc)
+	defer t.c.putScratch(sc)
+	sc.t, sc.kind = t, writeRows
 	// Rows join their trains in request order, so a train's unprepared rows
 	// are its group's rows, position for position.
 	groups, ok := groupByTarget(sc, len(items), func(i int) (*DataNode, *train) {
@@ -74,16 +78,5 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 	if !ok {
 		return t.failAbort()
 	}
-	errs := zeroed(&sc.errs, len(items))
-	serve := func(p *sim.Proc, g *batchGroup) bool {
-		failed, err := t.prepareTrain(p, g.train)
-		if err != nil {
-			errs[g.idx[failed]] = err
-		}
-		return err == nil
-	}
-	if !t.runBatch("write", groups, len(items), serve) {
-		return t.abortBatch(errs)
-	}
-	return nil
+	return t.runBatch(sc, groups, len(items))
 }

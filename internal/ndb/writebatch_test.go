@@ -235,7 +235,7 @@ func TestWriteBatchSerialEquivalenceAcrossSeeds(t *testing.T) {
 
 // TestWriteBatchLockTimeoutAborts pins the lock-conflict semantics of the
 // batched path: a WriteBatch containing a row another transaction holds
-// exclusively times out with ErrLockTimeout exactly as serial Writes would,
+// exclusively times out with ErrLockTimeout exactly as one-row batches would,
 // the transaction aborts, and every lock the batch had already taken is
 // released.
 func TestWriteBatchLockTimeoutAborts(t *testing.T) {
@@ -248,7 +248,7 @@ func TestWriteBatchLockTimeoutAborts(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tx.Put(tbl, "p", "k2", "h"); err != nil {
+		if err := put(tx, tbl, "p", "k2", "h"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -289,7 +289,7 @@ func TestWriteBatchLockTimeoutAborts(t *testing.T) {
 }
 
 // TestWriteBatchUnavailablePrimaryAborts: a row whose whole node group is
-// down fails the batch with ErrNodeUnavailable, exactly as a serial Write
+// down fails the batch with ErrNodeUnavailable, exactly as a one-row batch
 // would.
 func TestWriteBatchUnavailablePrimaryAborts(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
@@ -371,7 +371,7 @@ func TestFireAndForgetCompleteAttributed(t *testing.T) {
 		p.Flush()
 		netBefore := c.net.TotalMessages()
 		spanBefore := hopTotal(sp)
-		if err := tx.Put(tbl, "p", "k", "v"); err != nil {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
 			t.Error(err)
 			return
 		}
@@ -530,7 +530,7 @@ func TestPreparedChainChangeAborts(t *testing.T) {
 			}
 			p.Flush()
 			start := p.Now()
-			if _, ok, err := retry.ReadLocked(tbl, "p", "k", LockExclusive); err != nil || ok {
+			if _, ok, err := readLocked(retry, tbl, "p", "k", LockExclusive); err != nil || ok {
 				t.Errorf("slot %d: locked read after the abort = (found %v, %v), want an absent row", slot, ok, err)
 				return
 			}
@@ -538,7 +538,7 @@ func TestPreparedChainChangeAborts(t *testing.T) {
 			if waited := p.Now() - start; waited > 5*time.Millisecond {
 				t.Errorf("slot %d: the lock took %v: the aborted transaction still held it", slot, waited)
 			}
-			if err := retry.Put(tbl, "p", "k", "v2"); err != nil {
+			if err := put(retry, tbl, "p", "k", "v2"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -643,7 +643,7 @@ func TestRefusedInsertLeavesNothing(t *testing.T) {
 		pks := crossGroupPKs(t, 2)(tbl)
 		own, sibling := pks[0], pks[1]
 		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
-			if err := tx.Put(tbl, own, "taken", "old"); err != nil {
+			if err := put(tx, tbl, own, "taken", "old"); err != nil {
 				return err
 			}
 			return tx.Commit()
@@ -700,7 +700,7 @@ func TestRefusedInsertLeavesNothing(t *testing.T) {
 		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
 			start := p.Now()
 			for _, row := range [][2]string{{own, "taken"}, {own, "fresh-own"}, {sibling, "fresh-sibling"}} {
-				v, ok, err := tx.ReadLocked(tbl, row[0], row[1], LockExclusive)
+				v, ok, err := readLocked(tx, tbl, row[0], row[1], LockExclusive)
 				if err != nil {
 					return err
 				}

@@ -179,7 +179,7 @@ func (t *Txn) commitCross() error {
 				return
 			}
 			if del {
-				cur, ok, err := w.ReadCommitted(tab, pk, key)
+				cur, ok, err := getRow(w, tab, pk, key, 0)
 				if err != nil {
 					buildErr = err
 					return
@@ -204,7 +204,7 @@ func (t *Txn) commitCross() error {
 				}
 				row := IntentRow{Table: tab.Name(), PartKey: pk, Key: key, Val: val, Del: del}
 				if del {
-					cur, ok, err := w.ReadCommitted(tab, pk, key)
+					cur, ok, err := getRow(w, tab, pk, key, 0)
 					if err != nil {
 						buildErr = err
 						return
@@ -232,7 +232,7 @@ func (t *Txn) commitCross() error {
 	}
 	intentShard := writerShards[0]
 	if buildErr == nil {
-		buildErr = writers[0].Put(r.intents[intentShard], intentPartKey, intentKey(it.ID), it)
+		buildErr = writers[0].WriteBatch([]ndb.BatchWrite{{Table: r.intents[intentShard], PartKey: intentPartKey, Key: intentKey(it.ID), Val: it}})
 	}
 	if buildErr != nil {
 		return fail("abort-build", buildErr)
@@ -290,7 +290,7 @@ func (r *Router) resolveIntent(p *sim.Proc, origin *simnet.Node, domain simnet.Z
 		err = ndb.InTx(tx, err, func(tx *ndb.Txn) error {
 			for _, row := range leg.Rows {
 				tab := c.Table(row.Table)
-				cur, ok, err := tx.ReadLocked(tab, row.PartKey, row.Key, ndb.LockExclusive)
+				cur, ok, err := getRow(tx, tab, row.PartKey, row.Key, ndb.LockExclusive)
 				if err != nil {
 					return err
 				}
@@ -301,13 +301,13 @@ func (r *Router) resolveIntent(p *sim.Proc, origin *simnet.Node, domain simnet.Z
 						id, idOK = identityOf(cur)
 					}
 					if ok && (row.Guard == 0 || (idOK && id == row.Guard)) {
-						if err := tx.Delete(tab, row.PartKey, row.Key); err != nil {
+						if err := tx.WriteBatch([]ndb.BatchWrite{{Table: tab, PartKey: row.PartKey, Key: row.Key, Del: true}}); err != nil {
 							return err
 						}
 					}
 				case !ok:
 					// Destination free: roll forward.
-					if err := tx.Write(tab, row.PartKey, row.Key, row.Val, false); err != nil {
+					if err := tx.WriteBatch([]ndb.BatchWrite{{Table: tab, PartKey: row.PartKey, Key: row.Key, Val: row.Val}}); err != nil {
 						return err
 					}
 				default:
@@ -319,7 +319,7 @@ func (r *Router) resolveIntent(p *sim.Proc, origin *simnet.Node, domain simnet.Z
 					}
 					if row.Guard == 0 {
 						// Unguarded put: plain replay.
-						if err := tx.Write(tab, row.PartKey, row.Key, row.Val, false); err != nil {
+						if err := tx.WriteBatch([]ndb.BatchWrite{{Table: tab, PartKey: row.PartKey, Key: row.Key, Val: row.Val}}); err != nil {
 							return err
 						}
 						continue
@@ -359,14 +359,14 @@ func (r *Router) rehomeRow(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneI
 		tab := c.Table(row.FallbackTable)
 		tx, err := c.Begin(p, origin, domain, tab, row.FallbackPartKey)
 		err = ndb.InTx(tx, err, func(tx *ndb.Txn) error {
-			_, ok, err := tx.ReadLocked(tab, row.FallbackPartKey, row.FallbackKey, ndb.LockExclusive)
+			_, ok, err := getRow(tx, tab, row.FallbackPartKey, row.FallbackKey, ndb.LockExclusive)
 			if err != nil {
 				return err
 			}
 			if ok {
 				return errSlotTaken
 			}
-			return tx.Write(tab, row.FallbackPartKey, row.FallbackKey, row.Val, false)
+			return tx.WriteBatch([]ndb.BatchWrite{{Table: tab, PartKey: row.FallbackPartKey, Key: row.FallbackKey, Val: row.Val}})
 		})
 		if !errors.Is(err, errSlotTaken) {
 			return err
@@ -380,8 +380,17 @@ func (r *Router) rehomeRow(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneI
 	key := row.Key + "~dup" + strconv.FormatUint(row.Guard, 10)
 	tx, err := c.Begin(p, origin, domain, tab, row.PartKey)
 	return ndb.InTx(tx, err, func(tx *ndb.Txn) error {
-		return tx.Write(tab, row.PartKey, key, row.Val, false)
+		return tx.WriteBatch([]ndb.BatchWrite{{Table: tab, PartKey: row.PartKey, Key: key, Val: row.Val}})
 	})
+}
+
+// getRow reads one row — under lock when lock is set — as a batch of one.
+func getRow(tx *ndb.Txn, tab *ndb.Table, pk, key string, lock ndb.LockMode) (ndb.Value, bool, error) {
+	vals, err := tx.ReadBatch([]ndb.BatchGet{{Table: tab, PartKey: pk, Key: key, Lock: lock}})
+	if err != nil {
+		return nil, false, err
+	}
+	return vals[0].Val, vals[0].OK, nil
 }
 
 // errSlotTaken aborts rehomeRow's probe of the move's source slot when that
@@ -392,7 +401,7 @@ var errSlotTaken = errors.New("shard: rehome slot taken")
 func (r *Router) clearIntent(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, shard int, id uint64) error {
 	tx, err := r.clusters[shard].Begin(p, origin, domain, r.intents[shard], intentPartKey)
 	return ndb.InTx(tx, err, func(tx *ndb.Txn) error {
-		return tx.Delete(r.intents[shard], intentPartKey, intentKey(id))
+		return tx.WriteBatch([]ndb.BatchWrite{{Table: r.intents[shard], PartKey: intentPartKey, Key: intentKey(id), Del: true}})
 	})
 }
 
@@ -409,8 +418,11 @@ func (r *Router) ResolvePendingIntents(p *sim.Proc, origin *simnet.Node, domain 
 	for s := 0; s < r.n; s++ {
 		var kvs []ndb.KV
 		tx, err := r.clusters[s].Begin(p, origin, domain, r.intents[s], intentPartKey)
-		err = ndb.InTx(tx, err, func(tx *ndb.Txn) (err error) {
-			kvs, err = tx.ScanPrefix(r.intents[s], intentPartKey, "i/")
+		err = ndb.InTx(tx, err, func(tx *ndb.Txn) error {
+			rows, err := tx.ScanBatch([]ndb.BatchScan{{Table: r.intents[s], PartKey: intentPartKey, Prefix: "i/"}})
+			if err == nil {
+				kvs = rows[0]
+			}
 			return err
 		})
 		if err != nil {

@@ -159,10 +159,10 @@ func TestCrossShardCommit(t *testing.T) {
 	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
 
 	inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
-		if err := tx.Put(ts.For(pk0), pk0, "a", ident(1)); err != nil {
+		if err := put(tx, ts.For(pk0), pk0, "a", ident(1)); err != nil {
 			return err
 		}
-		if err := tx.Put(ts.For(pk1), pk1, "b", ident(2)); err != nil {
+		if err := put(tx, ts.For(pk1), pk1, "b", ident(2)); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -172,7 +172,7 @@ func TestCrossShardCommit(t *testing.T) {
 			pk, key string
 			want    ident
 		}{{pk0, "a", 1}, {pk1, "b", 2}} {
-			v, ok, err := tx.ReadCommitted(ts.For(probe.pk), probe.pk, probe.key)
+			v, ok, err := readCommitted(tx, ts.For(probe.pk), probe.pk, probe.key)
 			if err != nil {
 				return err
 			}
@@ -201,7 +201,7 @@ func plantIntent(t *testing.T, env *sim.Env, r *Router, client *simnet.Node, sha
 		if err != nil {
 			return
 		}
-		if err = tx.Put(tab, intentPartKey, intentKey(it.ID), it); err != nil {
+		if err = put(tx, tab, intentPartKey, intentKey(it.ID), it); err != nil {
 			tx.Abort()
 			return
 		}
@@ -238,7 +238,7 @@ func readRow(t *testing.T, env *sim.Env, r *Router, client *simnet.Node, ts *Tab
 		if err != nil {
 			return
 		}
-		val, ok, err = tx.ReadCommitted(ts.For(pk), pk, key)
+		val, ok, err = readCommitted(tx, ts.For(pk), pk, key)
 		if err != nil {
 			tx.Abort()
 			return
@@ -294,7 +294,7 @@ func TestIntentReplayIdempotent(t *testing.T) {
 	// inode after the crash. The replay must not overwrite it; the moved
 	// value re-homes at the move's source slot.
 	inTxn(t, env, r, client, ts, pk1, func(p *sim.Proc, tx ndb.Tx) error {
-		if err := tx.Put(ts.For(pk1), pk1, "taken", ident(99)); err != nil {
+		if err := put(tx, ts.For(pk1), pk1, "taken", ident(99)); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -371,7 +371,7 @@ func TestSplitBatchShardFailure(t *testing.T) {
 			var batchErr error
 			inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
 				// Open the shard-1 sub-transaction, then take shard 1 down.
-				if _, _, err := tx.ReadCommitted(ts.For(pk1), pk1, "x"); err != nil {
+				if _, _, err := readCommitted(tx, ts.For(pk1), pk1, "x"); err != nil {
 					return err
 				}
 				for _, dn := range r.Cluster(1).DataNodes() {
@@ -455,11 +455,11 @@ func TestCommitCountersPartitionTransactions(t *testing.T) {
 	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
 	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
 	read := func(tx ndb.Tx, pk string) error {
-		_, _, err := tx.ReadCommitted(ts.For(pk), pk, "x")
+		_, _, err := readCommitted(tx, ts.For(pk), pk, "x")
 		return err
 	}
 	put := func(tx ndb.Tx, pk, key string) error {
-		return tx.Put(ts.For(pk), pk, key, ident(1))
+		return put(tx, ts.For(pk), pk, key, ident(1))
 	}
 	begun := 0
 	for _, body := range []func(tx ndb.Tx) error{
@@ -528,5 +528,60 @@ func TestRoutedInsertRefusal(t *testing.T) {
 	}
 	if v, ok := readRow(t, env, r, client, ts, pk1, "name"); !ok || v.(ident) != 2 {
 		t.Errorf("the inserted row reads %v, %v", v, ok)
+	}
+}
+
+// TestRoutedTableScan: a root listing — ScanTablePrefix over every partition
+// of every shard — of a namespace seeded identically at Shards 1, 2 and 4
+// returns the same rows at each: key-sorted, no duplicates, no row of another
+// prefix. It reads every shard, and like any read-only transaction it commits
+// without the intent protocol.
+func TestRoutedTableScan(t *testing.T) {
+	list := func(n int) []ndb.KV {
+		env, r, client := testRouter(t, n)
+		reg := trace.NewRegistry()
+		r.SetTracer(trace.NewTracer(reg))
+		ts := r.NewTableSet("inodes", 256, ndb.TableOptions{ReadBackup: true})
+		// The root's children are keyed "1/<name>" and partitioned by name, so
+		// they scatter over partitions and shards; "2/<name>" rows belong to
+		// another directory.
+		for i := 0; i < 24; i++ {
+			for _, dir := range []string{"1", "2"} {
+				pk := fmt.Sprintf("c%02d", i)
+				inTxn(t, env, r, client, ts, pk, func(p *sim.Proc, tx ndb.Tx) error {
+					if err := put(tx, ts.For(pk), pk, dir+"/"+pk, ident(i)); err != nil {
+						return err
+					}
+					return tx.Commit()
+				})
+			}
+		}
+		cross := reg.Counter("shard.txn.cross").Value()
+		var kvs []ndb.KV
+		inTxn(t, env, r, client, ts, "c00", func(p *sim.Proc, tx ndb.Tx) (err error) {
+			if kvs, err = tx.ScanTablePrefix(ts.At(0), "1/"); err != nil {
+				return err
+			}
+			return tx.Commit()
+		})
+		if got := reg.Counter("shard.txn.cross").Value(); got != cross {
+			t.Errorf("Shards=%d: the listing ran the intent protocol (shard.txn.cross %d -> %d)", n, cross, got)
+		}
+		return kvs
+	}
+	want := list(1)
+	if len(want) != 24 {
+		t.Fatalf("unsharded listing has %d rows, want 24", len(want))
+	}
+	for _, n := range []int{2, 4} {
+		got := list(n)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("Shards=%d listing:\n got  %v\n want %v", n, got, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i-1].Key >= got[i].Key {
+				t.Errorf("Shards=%d: rows %d and %d out of order or duplicated: %q, %q", n, i-1, i, got[i-1].Key, got[i].Key)
+			}
+		}
 	}
 }

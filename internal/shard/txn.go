@@ -11,9 +11,9 @@ import (
 
 // Txn is a routed transaction on a multi-cluster router: a dispatcher with
 // the method set of ndb.Tx that opens one ndb.Txn per shard the operation
-// actually touches and forwards each call to the sub-transaction of the
-// cluster that owns the call's table. It holds no rows and converts
-// nothing. A one-cluster router never creates one (see Begin).
+// actually touches and routes each batch (routeBatch) to the
+// sub-transactions of the clusters that own its rows' tables. It holds no
+// rows and converts nothing. A one-cluster router never creates one (see Begin).
 type Txn struct {
 	r      *Router
 	p      *sim.Proc
@@ -81,42 +81,6 @@ func (t *Txn) Now() time.Duration { return t.p.Now() }
 // Annotate sets an attribute on the operation's current span.
 func (t *Txn) Annotate(key, value string) {
 	t.p.Span().SetAttr(key, value)
-}
-
-// ReadCommitted reads a row's committed value without locking.
-func (t *Txn) ReadCommitted(table *ndb.Table, partKey, key string) (ndb.Value, bool, error) {
-	sub, err := t.sub(table, partKey)
-	if err != nil {
-		return nil, false, err
-	}
-	return sub.ReadCommitted(table, partKey, key)
-}
-
-// ReadLocked reads a row under a lock.
-func (t *Txn) ReadLocked(table *ndb.Table, partKey, key string, mode ndb.LockMode) (ndb.Value, bool, error) {
-	sub, err := t.sub(table, partKey)
-	if err != nil {
-		return nil, false, err
-	}
-	return sub.ReadLocked(table, partKey, key, mode)
-}
-
-// Put executes an insert/update (an upsert) under an exclusive lock.
-func (t *Txn) Put(table *ndb.Table, partKey, key string, val ndb.Value) error {
-	sub, err := t.sub(table, partKey)
-	if err != nil {
-		return err
-	}
-	return sub.Put(table, partKey, key, val)
-}
-
-// ScanPrefix scans one partition for keys with the prefix.
-func (t *Txn) ScanPrefix(table *ndb.Table, partKey, prefix string) ([]ndb.KV, error) {
-	sub, err := t.sub(table, partKey)
-	if err != nil {
-		return nil, err
-	}
-	return sub.ScanPrefix(table, partKey, prefix)
 }
 
 // ScanTablePrefix scans every partition of the logical table — table's
