@@ -2,6 +2,7 @@ package namenode
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"time"
 
@@ -28,12 +29,42 @@ type opRules struct {
 	unlinkedDir *bool
 }
 
+// opScratch is one operation's working memory, pooled per NN and held by op
+// for the operation's life, retries included: the ids and hint entries its
+// batches are keyed from (ids as they were when the requests were built,
+// whatever the cache does meanwhile), the requests it hands to storage, and
+// the backing its chains are carved from. Nothing in it is reachable after op
+// returns: what an operation returns or stores is never carved from it.
+type opScratch struct {
+	next   *opScratch // in the NN's pool
+	ids    []uint64
+	dirs   []*hintEntry
+	gets   []ndb.BatchGet
+	vals   []ndb.BatchVal
+	scans  []ndb.BatchScan
+	writes []ndb.BatchWrite
+	chains []*Inode
+}
+
+// putScratch returns sc to the NN's pool, dropping every reference it holds.
+func (nn *NameNode) putScratch(sc *opScratch) {
+	*sc = opScratch{next: nn.scratch, ids: sc.ids[:0], dirs: emptied(sc.dirs), gets: emptied(sc.gets),
+		vals: emptied(sc.vals), scans: emptied(sc.scans), writes: emptied(sc.writes), chains: emptied(sc.chains)}
+	nn.scratch = sc
+}
+
+// emptied zeroes s's whole backing array and returns it empty.
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
 // op is the one template every file system operation runs (HopsFS's
 // resolve → lock → execute → update, §II-A2): validate the path, apply the
 // root rule, bill the NN CPU, count and annotate the operation, then run fn
 // as a retried storage transaction started at the hinted partition. A path
 // that fails validation costs nothing and is not counted.
-func (nn *NameNode) op(p *sim.Proc, path string, rules opRules, fn func(tx ndb.Tx, fp fsPath) error) error {
+func (nn *NameNode) op(p *sim.Proc, path string, rules opRules, fn func(tx ndb.Tx, fp fsPath, sc *opScratch) error) error {
 	fp, err := splitPath(path)
 	if err != nil {
 		return err
@@ -50,7 +81,13 @@ func (nn *NameNode) op(p *sim.Proc, path string, rules opRules, fn func(tx ndb.T
 	} else {
 		hint = nn.hintFor(fp)
 	}
-	err = nn.runTxn(p, hint, func(tx ndb.Tx) error { return fn(tx, fp) })
+	sc := nn.scratch
+	if sc == nil {
+		sc = &opScratch{}
+	}
+	nn.scratch = sc.next
+	defer nn.putScratch(sc)
+	err = nn.runTxn(p, hint, func(tx ndb.Tx) error { return fn(tx, fp, sc) })
 	if err == nil && rules.unlinkedDir != nil && *rules.unlinkedDir {
 		// Everything under the old name now resolves differently (or not at
 		// all), and a previous life of a rename's destination may still be
@@ -82,18 +119,41 @@ func (nn *NameNode) dirHint(fp fsPath, n int, name string) string {
 	if n == 0 {
 		return partKeyOf(RootID, name)
 	}
-	if id, ok := nn.cache.get(fp.prefix(n)); ok {
-		return partKey(id)
+	if e := nn.cache.lookup(fp.prefix(n)); e != nil {
+		return e.childPrefix[:len(e.childPrefix)-1]
 	}
 	// Unresolved directory: hint with the top-level component's partition.
 	return partKeyOf(RootID, fp.comp(0))
 }
 
+// rowOf addresses name's inode row under the directory parent, as inodeRow
+// does, but takes the keys ready-made from the hint entry of the row's own
+// directory when the operation's batches were keyed from it.
+func (nn *NameNode) rowOf(sc *opScratch, parent uint64, name string) (*ndb.Table, string, string) {
+	for _, e := range sc.dirs {
+		if e.parent == parent && e.name() == name {
+			return nn.ns.inodes.For(e.partKey), e.partKey, e.rowKey
+		}
+	}
+	return nn.ns.inodeRow(parent, name)
+}
+
+// inodeWrite is the batched-write item storing ino as name under parent, or
+// deleting that row when ino is nil.
+func (nn *NameNode) inodeWrite(sc *opScratch, parent uint64, name string, ino *Inode) ndb.BatchWrite {
+	table, pk, key := nn.rowOf(sc, parent, name)
+	if ino == nil {
+		return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Del: true}
+	}
+	return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: ino}
+}
+
 // getInode fetches one inode row in a one-row batch: read-committed, or
 // under a row lock on the primary replica when lock is set.
-func (nn *NameNode) getInode(tx ndb.Tx, parent uint64, name string, lock ndb.LockMode) (*Inode, error) {
-	table, pk, key := nn.ns.inodeRow(parent, name)
-	vals, err := tx.ReadBatch([]ndb.BatchGet{{Table: table, PartKey: pk, Key: key, Lock: lock}})
+func (nn *NameNode) getInode(tx ndb.Tx, sc *opScratch, parent uint64, name string, lock ndb.LockMode) (*Inode, error) {
+	table, pk, key := nn.rowOf(sc, parent, name)
+	sc.gets = append(sc.gets[:0], ndb.BatchGet{Table: table, PartKey: pk, Key: key, Lock: lock})
+	vals, err := tx.ReadBatch(sc.gets)
 	if err != nil {
 		return nil, err
 	}
@@ -138,31 +198,33 @@ var rootInode = &Inode{ID: RootID, Parent: 0, Name: "", Dir: true, Perm: 0o755, 
 // on the right row by luck): the serial re-walk locks the committed row in
 // the same transaction, which so holds a superset of the locks it needs
 // until it ends — strict two-phase locking, no retry path of its own.
-func (nn *NameNode) resolveChain(tx ndb.Tx, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
+func (nn *NameNode) resolveChain(tx ndb.Tx, sc *opScratch, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
 	if !nn.ns.cfg.DisableBatchedResolve && fp.depth() > 1 {
-		// Paths deeper than the array spill to the heap through append.
-		var idbuf [8]uint64
-		ids := nn.hintedIDs(idbuf[:0], fp)
+		sc.ids = sc.ids[:0]
+		ids := nn.hintedIDs(sc, &fp)
 		// A batch of one row is just a serial read.
 		if rows := len(ids); rows >= 2 {
-			gets := nn.hintedGets(make([]ndb.BatchGet, 0, rows), fp, ids)
+			sc.gets = nn.hintedGets(sc, sc.gets[:0], &fp, ids)
 			if rows == fp.depth() {
-				gets[rows-1].Lock = lockLast
+				sc.gets[rows-1].Lock = lockLast
 			}
-			vals, err := tx.ReadBatch(gets)
+			vals, err := tx.ReadBatch(sc.gets)
 			if err != nil {
 				return nil, err
 			}
-			return nn.settle(tx, fp, ids, vals, lockLast)
+			return nn.settle(tx, sc, fp, ids, vals, lockLast)
 		}
 		nn.ns.obs.resolveMiss.Add(1)
 	}
-	return nn.walkFrom(tx, newChain(fp), fp, lockLast)
+	return nn.walkFrom(tx, sc, sc.newChain(&fp), fp, lockLast)
 }
 
-// newChain is the chain that resolves none of fp yet: just "/".
-func newChain(fp fsPath) []*Inode {
-	chain := make([]*Inode, 1, fp.depth()+1)
+// newChain carves out of sc the chain that resolves none of fp yet — just
+// "/" — with room for the rest of fp.
+func (sc *opScratch) newChain(fp *fsPath) []*Inode {
+	at, n := len(sc.chains), fp.depth()+1
+	sc.chains = slices.Grow(sc.chains, n)[:at+n]
+	chain := sc.chains[at : at+1 : at+n]
 	chain[0] = rootInode
 	return chain
 }
@@ -172,42 +234,53 @@ func newChain(fp fsPath) []*Inode {
 // not reach — or, when they prove stale, the serial walk from "/". lockLast is
 // the lock fp's last component is to be read under: the batch took it if the
 // hints reached that far, the walk's last step takes it otherwise.
-func (nn *NameNode) settle(tx ndb.Tx, fp fsPath, ids []uint64, vals []ndb.BatchVal, lockLast ndb.LockMode) ([]*Inode, error) {
-	chain, ok, err := nn.verifyHinted(tx, fp, ids, vals)
+func (nn *NameNode) settle(tx ndb.Tx, sc *opScratch, fp fsPath, ids []uint64, vals []ndb.BatchVal, lockLast ndb.LockMode) ([]*Inode, error) {
+	chain, ok, err := nn.verifyHinted(tx, sc, &fp, ids, vals)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		chain = newChain(fp)
+		chain = sc.newChain(&fp)
 	} else if lockLast != 0 && len(ids) == fp.depth() {
 		// The operated-on inode counts as touched, as it does when the
 		// serial walk's locked getInode reads it.
 		nn.ns.heat.TouchInode(tx.Now(), chain[len(ids)].ID)
 	}
-	return nn.walkFrom(tx, chain, fp, lockLast)
+	return nn.walkFrom(tx, sc, chain, fp, lockLast)
 }
 
-// hintedIDs appends the cached inode ids that key fp's rows, as far as the
-// cache holds them contiguously: row i is keyed by (ids[i], component i) and
-// ids[0] is "/", so the cached directories prime one row beyond themselves.
-func (nn *NameNode) hintedIDs(ids []uint64, fp fsPath) []uint64 {
+// hintedIDs appends to sc.ids, and returns, the cached inode ids that key
+// fp's rows, as far as the cache holds them contiguously: row i is keyed by
+// (ids[i], component i) and ids[0] is "/", so the cached directories prime one
+// row beyond themselves. Their entries join sc.dirs.
+func (nn *NameNode) hintedIDs(sc *opScratch, fp *fsPath) []uint64 {
+	start := len(sc.ids)
 	for i := 0; i < fp.depth(); i++ {
 		id := RootID
 		if i > 0 {
-			var ok bool
-			if id, ok = nn.cache.get(fp.prefix(i)); !ok {
+			e := nn.cache.lookup(fp.prefix(i))
+			if e == nil {
 				break
 			}
+			sc.dirs = append(sc.dirs, e)
+			id = e.id
 		}
-		ids = append(ids, id)
+		sc.ids = append(sc.ids, id)
 	}
-	return ids
+	return sc.ids[start:len(sc.ids):len(sc.ids)]
 }
 
-// hintedGets appends one lock-free get per row of fp that ids primes.
-func (nn *NameNode) hintedGets(gets []ndb.BatchGet, fp fsPath, ids []uint64) []ndb.BatchGet {
+// hintedGets appends one lock-free get per row of fp that ids primes, keyed
+// from the rows' own hint entries: every row's but the last, and the last's
+// too when fp names a cached directory (a probe that leaves recency alone).
+func (nn *NameNode) hintedGets(sc *opScratch, gets []ndb.BatchGet, fp *fsPath, ids []uint64) []ndb.BatchGet {
+	if len(ids) == fp.depth() {
+		if e := nn.cache.peek(fp.prefix(fp.depth())); e != nil {
+			sc.dirs = append(sc.dirs, e)
+		}
+	}
 	for i, id := range ids {
-		table, pk, key := nn.ns.inodeRow(id, fp.comp(i))
+		table, pk, key := nn.rowOf(sc, id, fp.comp(i))
 		gets = append(gets, ndb.BatchGet{Table: table, PartKey: pk, Key: key})
 	}
 	return gets
@@ -220,10 +293,10 @@ func (nn *NameNode) hintedGets(gets []ndb.BatchGet, fp fsPath, ids []uint64) []n
 // verify, errors are authoritative: a missing row below a verified parent is
 // exactly the ErrNotFound the serial walk would have returned, and a
 // non-directory interior component is ErrNotDir.
-func (nn *NameNode) verifyHinted(tx ndb.Tx, fp fsPath, ids []uint64, vals []ndb.BatchVal) ([]*Inode, bool, error) {
+func (nn *NameNode) verifyHinted(tx ndb.Tx, sc *opScratch, fp *fsPath, ids []uint64, vals []ndb.BatchVal) ([]*Inode, bool, error) {
 	obs := nn.ns.obs
 	depth, rows := fp.depth(), len(ids)
-	chain := newChain(fp)
+	chain := sc.newChain(fp)
 	for i := 0; i < rows; i++ {
 		if !vals[i].OK {
 			// Every link above row i verified, so the parent id used to
@@ -265,34 +338,38 @@ func (nn *NameNode) verifyHinted(tx ndb.Tx, fp fsPath, ids []uint64, vals []ndb.
 // one round instead of two — and each path's share is verified as a batch of
 // its own would be; a path whose hints prove stale is re-walked serially.
 // Hints that fall short of either path leave the two resolves they were.
-func (nn *NameNode) resolveBoth(tx ndb.Tx, src, dstParent fsPath) (sc, dc []*Inode, err error) {
-	var sbuf, dbuf [8]uint64
+func (nn *NameNode) resolveBoth(tx ndb.Tx, sc *opScratch, src, dstParent fsPath) (srcChain, dstChain []*Inode, err error) {
 	var sids, dids []uint64
 	if !nn.ns.cfg.DisableBatchedResolve {
-		sids, dids = nn.hintedIDs(sbuf[:0], src), nn.hintedIDs(dbuf[:0], dstParent)
+		sc.ids = sc.ids[:0]
+		sids, dids = nn.hintedIDs(sc, &src), nn.hintedIDs(sc, &dstParent)
 	}
 	if len(dids) == 0 || len(sids) < src.depth() || len(dids) < dstParent.depth() {
-		if sc, err = nn.resolveChain(tx, src, 0); err == nil {
-			dc, err = nn.resolveChain(tx, dstParent, 0)
+		if srcChain, err = nn.resolveChain(tx, sc, src, 0); err == nil {
+			dstChain, err = nn.resolveChain(tx, sc, dstParent, 0)
 		}
-		return sc, dc, err
+		return srcChain, dstChain, err
 	}
-	gets := nn.hintedGets(make([]ndb.BatchGet, 0, len(sids)+len(dids)), src, sids)
-	vals, err := tx.ReadBatch(nn.hintedGets(gets, dstParent, dids))
+	sc.gets = nn.hintedGets(sc, nn.hintedGets(sc, sc.gets[:0], &src, sids), &dstParent, dids)
+	vals, err := tx.ReadBatch(sc.gets)
 	if err != nil {
 		return nil, nil, err
 	}
-	if sc, err = nn.settle(tx, src, sids, vals[:len(sids)], 0); err == nil {
-		dc, err = nn.settle(tx, dstParent, dids, vals[len(sids):], 0)
+	// The values may live in the transaction until its next read, and a
+	// stale source re-walks — reads — before the destination is settled:
+	// keep the destination's share in the scratch.
+	sc.vals = append(sc.vals[:0], vals[len(sids):]...)
+	if srcChain, err = nn.settle(tx, sc, src, sids, vals[:len(sids)], 0); err == nil {
+		dstChain, err = nn.settle(tx, sc, dstParent, dids, sc.vals, 0)
 	}
-	return sc, dc, err
+	return srcChain, dstChain, err
 }
 
 // walkFrom continues serial resolution: chain already resolves the first
 // len(chain)-1 components of fp, and each further component is one round
 // trip — read-committed, but for the path's last component under lockLast
 // when that is set. It refreshes the hint cache as it goes.
-func (nn *NameNode) walkFrom(tx ndb.Tx, chain []*Inode, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
+func (nn *NameNode) walkFrom(tx ndb.Tx, sc *opScratch, chain []*Inode, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
 	cur := chain[len(chain)-1]
 	for i := len(chain) - 1; i < fp.depth(); i++ {
 		if !cur.Dir {
@@ -302,11 +379,11 @@ func (nn *NameNode) walkFrom(tx ndb.Tx, chain []*Inode, fp fsPath, lockLast ndb.
 		if i == fp.depth()-1 {
 			lock = lockLast
 		}
-		child, err := nn.getInode(tx, cur.ID, fp.comp(i), lock)
+		child, err := nn.getInode(tx, sc, cur.ID, fp.comp(i), lock)
 		if err != nil {
 			return nil, err
 		}
-		nn.remember(fp, i+1, child)
+		nn.remember(&fp, i+1, child)
 		chain = append(chain, child)
 		cur = child
 	}
@@ -317,9 +394,9 @@ func (nn *NameNode) walkFrom(tx ndb.Tx, chain []*Inode, fp fsPath, lockLast ndb.
 // just read there. Only directories are hints (see hintCache); a file found
 // where a hint says a directory was replaces nothing, so the stale hint is
 // dropped instead of costing every later resolution its fallback.
-func (nn *NameNode) remember(fp fsPath, n int, ino *Inode) {
+func (nn *NameNode) remember(fp *fsPath, n int, ino *Inode) {
 	if ino.Dir {
-		nn.cache.put(fp.prefix(n), ino.ID)
+		nn.cache.put(fp.prefix(n), ino.ID, ino.Parent)
 	} else {
 		nn.cache.drop(fp.prefix(n))
 	}
@@ -330,8 +407,8 @@ func (nn *NameNode) remember(fp fsPath, n int, ino *Inode) {
 // [root, ..., parent], the parent's row read under lockParent when that is
 // set. The chain (not just the parent) is what mutations need: quota charges
 // go to every quota'd ancestor on the resolved path.
-func (nn *NameNode) resolveParentChain(tx ndb.Tx, fp fsPath, lockParent ndb.LockMode) ([]*Inode, error) {
-	chain, err := nn.resolveChain(tx, fp.parent(), lockParent)
+func (nn *NameNode) resolveParentChain(tx ndb.Tx, sc *opScratch, fp fsPath, lockParent ndb.LockMode) ([]*Inode, error) {
+	chain, err := nn.resolveChain(tx, sc, fp.parent(), lockParent)
 	if err != nil {
 		return nil, err
 	}
@@ -349,12 +426,12 @@ func (nn *NameNode) resolveParentChain(tx ndb.Tx, fp fsPath, lockParent ndb.Lock
 // one lock and takes it with resolveChain; a create takes the child's lock
 // with its insert (createChild); Rename locks two rows in sorted order and
 // brings its own phase.
-func (nn *NameNode) lockPhase(tx ndb.Tx, fp fsPath) ([]*Inode, *Inode, error) {
-	chain, err := nn.resolveParentChain(tx, fp, ndb.LockShared)
+func (nn *NameNode) lockPhase(tx ndb.Tx, sc *opScratch, fp fsPath) ([]*Inode, *Inode, error) {
+	chain, err := nn.resolveParentChain(tx, sc, fp, ndb.LockShared)
 	if err != nil {
 		return nil, nil, err
 	}
-	target, err := nn.getInode(tx, chain[len(chain)-1].ID, fp.name(), ndb.LockExclusive)
+	target, err := nn.getInode(tx, sc, chain[len(chain)-1].ID, fp.name(), ndb.LockExclusive)
 	return chain, target, err
 }
 
@@ -382,8 +459,8 @@ func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error)
 // row in place.
 func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, error) {
 	var created *Inode
-	err := nn.op(p, path, opRules{root: ErrExists}, func(tx ndb.Tx, fp fsPath) error {
-		chain, err := nn.resolveParentChain(tx, fp, ndb.LockShared)
+	err := nn.op(p, path, opRules{root: ErrExists}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
+		chain, err := nn.resolveParentChain(tx, sc, fp, ndb.LockShared)
 		if err != nil {
 			return err
 		}
@@ -408,15 +485,15 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 		// quota charges execute as one batched write — one Prepare pass and
 		// one commit train per replica chain (a single-row batch is exactly
 		// a plain insert).
-		row := nn.ns.inodeWrite(parent.ID, ino.Name, created)
+		row := nn.inodeWrite(sc, parent.ID, ino.Name, created)
 		row.IfAbsent = true
-		items := []ndb.BatchWrite{row}
+		items := append(sc.writes[:0], row)
 		if ino.InlineSize > 0 {
 			table, pk := partOf(nn.ns.smallfiles, ino.ID)
 			items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Val: ino.InlineSize})
 		}
-		items = append(items, nn.quotaCharges(chain, "c", ino.ID, 1, ino.Size)...)
-		err = tx.WriteBatch(items)
+		sc.writes = nn.quotaCharges(items, chain, "c", ino.ID, 1, ino.Size)
+		err = tx.WriteBatch(sc.writes)
 		if errors.Is(err, ndb.ErrRowExists) {
 			return ErrExists
 		}
@@ -431,8 +508,8 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 // Stat returns a file or directory's metadata (read-committed, lock-free).
 func (nn *NameNode) Stat(p *sim.Proc, path string) (*Inode, error) {
 	var out *Inode
-	err := nn.op(p, path, opRules{}, func(tx ndb.Tx, fp fsPath) error {
-		chain, err := nn.resolveChain(tx, fp, 0)
+	err := nn.op(p, path, opRules{}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
+		chain, err := nn.resolveChain(tx, sc, fp, 0)
 		if err != nil {
 			return err
 		}
@@ -448,8 +525,8 @@ func (nn *NameNode) Stat(p *sim.Proc, path string) (*Inode, error) {
 // lock rides the resolve: on warm hints the whole lock phase is one round.
 func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) {
 	var out *Inode
-	err := nn.op(p, path, opRules{root: ErrIsDir}, func(tx ndb.Tx, fp fsPath) error {
-		chain, err := nn.resolveChain(tx, fp, ndb.LockShared)
+	err := nn.op(p, path, opRules{root: ErrIsDir}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
+		chain, err := nn.resolveChain(tx, sc, fp, ndb.LockShared)
 		if err != nil {
 			return err
 		}
@@ -461,7 +538,8 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 			// Small files are served straight from NDB (§II-A3): fetch the
 			// inline payload row alongside the metadata.
 			table, pk := partOf(nn.ns.smallfiles, ino.ID)
-			if _, err := tx.ReadBatch([]ndb.BatchGet{{Table: table, PartKey: pk, Key: smallFileKey}}); err != nil {
+			sc.gets = append(sc.gets[:0], ndb.BatchGet{Table: table, PartKey: pk, Key: smallFileKey})
+			if _, err := tx.ReadBatch(sc.gets); err != nil {
 				return err
 			}
 		}
@@ -476,16 +554,15 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 // children are listed by listChildren, as one level of a subtree walk.
 func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 	var out []*Inode
-	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath) error {
-		chain, err := nn.resolveChain(tx, fp, ndb.LockShared)
+	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
+		chain, err := nn.resolveChain(tx, sc, fp, ndb.LockShared)
 		if err != nil {
 			return err
 		}
-		dir := chain[len(chain)-1]
-		if !dir.Dir {
+		if !chain[len(chain)-1].Dir {
 			return ErrNotDir
 		}
-		out, err = nn.listChildren(tx, []*Inode{dir})
+		out, err = nn.listChildren(tx, sc, chain[len(chain)-1:])
 		return err
 	})
 	if err != nil {
@@ -501,14 +578,14 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.BlockID, error) {
 	var freed []blocks.BlockID
 	var dir bool
-	err := nn.op(p, path, opRules{root: ErrInvalidPath, unlinkedDir: &dir}, func(tx ndb.Tx, fp fsPath) error {
+	err := nn.op(p, path, opRules{root: ErrInvalidPath, unlinkedDir: &dir}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
 		freed = freed[:0]
-		chain, target, err := nn.lockPhase(tx, fp)
+		chain, target, err := nn.lockPhase(tx, sc, fp)
 		if err != nil {
 			return err
 		}
 		dir = target.Dir
-		return nn.deleteSubtree(tx, chain, target, recursive, &freed)
+		return nn.deleteSubtree(tx, sc, chain, target, recursive, &freed)
 	})
 	if err != nil {
 		return nil, err
@@ -525,7 +602,7 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 // the one aggregate negative charge to the quota'd ancestors execute as a
 // single batched write: one Prepare pass per replica chain whatever the
 // subtree's depth. ancestors is the resolved chain above target.
-func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, recursive bool, freed *[]blocks.BlockID) error {
+func (nn *NameNode) deleteSubtree(tx ndb.Tx, sc *opScratch, ancestors []*Inode, target *Inode, recursive bool, freed *[]blocks.BlockID) error {
 	doomed := []*Inode{target}
 	var level []*Inode
 	if target.Dir {
@@ -533,7 +610,7 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 	}
 	top := true
 	for len(level) > 0 {
-		children, err := nn.listChildren(tx, level)
+		children, err := nn.listChildren(tx, sc, level)
 		if err != nil {
 			return err
 		}
@@ -542,7 +619,7 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 		}
 		var next []*Inode
 		for _, child := range children {
-			if _, err := nn.getInode(tx, child.Parent, child.Name, ndb.LockExclusive); err != nil {
+			if _, err := nn.getInode(tx, sc, child.Parent, child.Name, ndb.LockExclusive); err != nil {
 				return err
 			}
 			doomed = append(doomed, child)
@@ -554,12 +631,12 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 		level = next
 	}
 	var count, bytes int64
-	items := make([]ndb.BatchWrite, 0, len(doomed)+1)
+	items := sc.writes[:0]
 	for _, ino := range doomed {
 		*freed = append(*freed, ino.Blocks...)
 		count++
 		bytes += ino.Size
-		items = append(items, nn.ns.inodeWrite(ino.Parent, ino.Name, nil))
+		items = append(items, nn.inodeWrite(sc, ino.Parent, ino.Name, nil))
 		if ino.InlineSize > 0 {
 			table, pk := partOf(nn.ns.smallfiles, ino.ID)
 			items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Del: true})
@@ -580,8 +657,8 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, ancestors []*Inode, target *Inode, 
 	}
 	// One aggregate negative charge for the whole subtree, keyed by the
 	// delete target so repeated deletes under one quota never collide.
-	items = append(items, nn.quotaCharges(ancestors, "d", target.ID, -count, -bytes)...)
-	return tx.WriteBatch(items)
+	sc.writes = nn.quotaCharges(items, ancestors, "d", target.ID, -count, -bytes)
+	return tx.WriteBatch(sc.writes)
 }
 
 // Rename atomically moves src to dst — the operation object stores cannot
@@ -597,11 +674,11 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		return ErrInvalidPath
 	}
 	var dir bool
-	return nn.op(p, src, opRules{root: ErrInvalidPath, dst: dfp, unlinkedDir: &dir}, func(tx ndb.Tx, sfp fsPath) error {
+	return nn.op(p, src, opRules{root: ErrInvalidPath, dst: dfp, unlinkedDir: &dir}, func(tx ndb.Tx, sfp fsPath, sc *opScratch) error {
 		// The source resolves with its own inode, in the destination parent's
 		// batch; it is read here only to fail early and is read again under
 		// its lock.
-		srcChain, dstChain, err := nn.resolveBoth(tx, sfp, dfp.parent())
+		srcChain, dstChain, err := nn.resolveBoth(tx, sc, sfp, dfp.parent())
 		if err != nil {
 			return err
 		}
@@ -614,8 +691,8 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		// cross-shard renames over the same pair of shards open their
 		// sub-transactions — and take their locks — in the same order; then
 		// partition key, then row key.
-		unlink := nn.ns.inodeWrite(srcParent.ID, srcName, nil)
-		link := nn.ns.inodeWrite(dstParent.ID, dstName, nil)
+		unlink := nn.inodeWrite(sc, srcParent.ID, srcName, nil)
+		link := nn.inodeWrite(sc, dstParent.ID, dstName, nil)
 		before := func(a, b *ndb.BatchWrite) bool {
 			if sa, sb := nn.ns.inodes.Shard(a.PartKey), nn.ns.inodes.Shard(b.PartKey); sa != sb {
 				return sa < sb
@@ -633,7 +710,8 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		// that order — return what the rows hold under their locks: that is
 		// the re-validation, and nothing is read after it.
 		for _, row := range order {
-			vals, err := tx.ReadBatch([]ndb.BatchGet{{Table: row.Table, PartKey: row.PartKey, Key: row.Key, Lock: ndb.LockExclusive}})
+			sc.gets = append(sc.gets[:0], ndb.BatchGet{Table: row.Table, PartKey: row.PartKey, Key: row.Key, Lock: ndb.LockExclusive})
+			vals, err := tx.ReadBatch(sc.gets)
 			if err != nil {
 				return err
 			}
@@ -666,7 +744,8 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		// quota boundaries (see quota.go).
 		unlink.Val = nil
 		link.Val, link.Del = &moved, false
-		return tx.WriteBatch([]ndb.BatchWrite{unlink, link})
+		sc.writes = append(sc.writes[:0], unlink, link)
+		return tx.WriteBatch(sc.writes)
 	})
 }
 
@@ -702,8 +781,8 @@ func (nn *NameNode) AttachBlocks(p *sim.Proc, path string, ids []blocks.BlockID,
 // rows that must commit with it (SetQuota's record); those ride one batched
 // write with the inode row.
 func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode) ([]ndb.BatchWrite, error)) error {
-	return nn.op(p, path, opRules{root: ErrInvalidPath}, func(tx ndb.Tx, fp fsPath) error {
-		chain, err := nn.resolveChain(tx, fp, ndb.LockExclusive)
+	return nn.op(p, path, opRules{root: ErrInvalidPath}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
+		chain, err := nn.resolveChain(tx, sc, fp, ndb.LockExclusive)
 		if err != nil {
 			return err
 		}
@@ -713,8 +792,8 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode) ([
 			return err
 		}
 		updated.Mtime = p.Now()
-		row := nn.ns.inodeWrite(updated.Parent, updated.Name, &updated)
-		return tx.WriteBatch(append([]ndb.BatchWrite{row}, also...))
+		sc.writes = append(append(sc.writes[:0], nn.inodeWrite(sc, updated.Parent, updated.Name, &updated)), also...)
+		return tx.WriteBatch(sc.writes)
 	})
 }
 
@@ -723,13 +802,13 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode) ([
 // logical bytes — HDFS's getContentSummary. Reads are read-committed; like
 // HDFS, the summary is a consistent-enough snapshot, not a serialized one.
 func (nn *NameNode) ContentSummary(p *sim.Proc, path string) (files, dirs int, size int64, err error) {
-	err = nn.op(p, path, opRules{}, func(tx ndb.Tx, fp fsPath) error {
+	err = nn.op(p, path, opRules{}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
 		files, dirs, size = 0, 0, 0
-		chain, err := nn.resolveChain(tx, fp, 0)
+		chain, err := nn.resolveChain(tx, sc, fp, 0)
 		if err != nil {
 			return err
 		}
-		return nn.summarize(tx, chain[len(chain)-1], &files, &dirs, &size)
+		return nn.summarize(tx, sc, chain[len(chain)-1:], &files, &dirs, &size)
 	})
 	if err != nil {
 		return 0, 0, 0, err
@@ -738,16 +817,16 @@ func (nn *NameNode) ContentSummary(p *sim.Proc, path string) (files, dirs int, s
 }
 
 // summarize accumulates the subtree's file/dir counts and byte total,
-// walking the tree level by level.
-func (nn *NameNode) summarize(tx ndb.Tx, root *Inode, files, dirs *int, size *int64) error {
-	if !root.Dir {
+// walking the tree level by level from the one-inode level top.
+func (nn *NameNode) summarize(tx ndb.Tx, sc *opScratch, top []*Inode, files, dirs *int, size *int64) error {
+	if root := top[0]; !root.Dir {
 		*files++
 		*size += root.Size
 		return nil
 	}
-	for level := []*Inode{root}; len(level) > 0; {
+	for level := top; len(level) > 0; {
 		*dirs += len(level)
-		children, err := nn.listChildren(tx, level)
+		children, err := nn.listChildren(tx, sc, level)
 		if err != nil {
 			return err
 		}
@@ -772,8 +851,8 @@ func (nn *NameNode) summarize(tx ndb.Tx, root *Inode, files, dirs *int, size *in
 // costs one parallel round instead of one round trip per directory. Only "/"
 // is listed on its own — it is a level of its own, nothing else has depth 0 —
 // and by table scan: its children are deliberately scattered across
-// partitions (see partKeyOf).
-func (nn *NameNode) listChildren(tx ndb.Tx, dirs []*Inode) ([]*Inode, error) {
+// partitions (see partKeyOf). The listing is the one allocation of its own.
+func (nn *NameNode) listChildren(tx ndb.Tx, sc *opScratch, dirs []*Inode) ([]*Inode, error) {
 	if dirs[0].ID == RootID {
 		kvs, err := tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(RootID, ""))
 		if err != nil {
@@ -781,16 +860,34 @@ func (nn *NameNode) listChildren(tx ndb.Tx, dirs []*Inode) ([]*Inode, error) {
 		}
 		return appendChildren(nil, kvs, dirs[0]), nil
 	}
-	scans := make([]ndb.BatchScan, len(dirs))
-	for i, dir := range dirs {
-		scans[i].Table, scans[i].PartKey = partOf(nn.ns.inodes, dir.ID)
-		scans[i].Prefix = inodeKey(dir.ID, "")
+	sc.scans = sc.scans[:0]
+	for _, dir := range dirs {
+		// A directory's children share the partition "<id>" and the row-key
+		// prefix "<id>/", which its hint entry holds ready-made.
+		prefix := ""
+		for _, e := range sc.dirs {
+			if e.id == dir.ID {
+				prefix = e.childPrefix
+			}
+		}
+		if prefix == "" {
+			prefix = inodeKey(dir.ID, "")
+		}
+		pk := prefix[:len(prefix)-1]
+		sc.scans = append(sc.scans, ndb.BatchScan{Table: nn.ns.inodes.For(pk), PartKey: pk, Prefix: prefix})
 	}
-	results, err := tx.ScanBatch(scans)
+	results, err := tx.ScanBatch(sc.scans)
 	if err != nil {
 		return nil, err
 	}
+	rows := 0
+	for _, kvs := range results {
+		rows += len(kvs)
+	}
 	var out []*Inode
+	if rows > 0 {
+		out = make([]*Inode, 0, rows)
+	}
 	for i, kvs := range results {
 		out = appendChildren(out, kvs, dirs[i])
 	}

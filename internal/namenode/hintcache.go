@@ -1,7 +1,6 @@
 package namenode
 
 import (
-	"container/list"
 	"strings"
 
 	"hopsfscl/internal/trace"
@@ -29,27 +28,37 @@ import (
 // cooperatively, so no locking is needed.
 type hintCache struct {
 	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	items map[string]*hintEntry
+	// lru anchors the recency list threaded through the entries: lru.next is
+	// the most recently used entry, lru.prev the least.
+	lru hintEntry
 	// size mirrors len(items) into the metrics registry (nil-safe).
 	size *trace.Gauge
 }
 
-// hintEntry is one cached path → inode-id mapping.
+// hintEntry is one cached directory: its path → inode-id mapping, the row
+// keys it implies — built when its id or parent changes, gone when it goes —
+// and its links in the recency list.
 type hintEntry struct {
-	path string
-	id   uint64
+	path       string
+	id, parent uint64
+	// partKey and rowKey address the directory's own inode row (inodeRow
+	// of its parent and name); childPrefix is "<id>/", the row-key prefix
+	// of its children.
+	partKey, rowKey, childPrefix string
+	prev, next                   *hintEntry // more, less recently used
 }
 
+// name is the directory's name under its parent: path's last component.
+func (e *hintEntry) name() string { return e.path[strings.LastIndexByte(e.path, '/')+1:] }
+
 // newHintCache returns an empty cache bounded to capacity entries.
-// A non-positive capacity disables caching entirely (every get misses,
+// A non-positive capacity disables caching entirely (every lookup misses,
 // every put is dropped) — useful for ablations.
 func newHintCache(capacity int) *hintCache {
-	return &hintCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
-	}
+	hc := &hintCache{cap: capacity, items: make(map[string]*hintEntry)}
+	hc.lru.prev, hc.lru.next = &hc.lru, &hc.lru
+	return hc
 }
 
 // setGauge attaches the registry gauge mirroring the entry count.
@@ -58,41 +67,47 @@ func (hc *hintCache) setGauge(g *trace.Gauge) {
 	hc.size.Set(float64(len(hc.items)))
 }
 
-// get returns the cached inode id for path, bumping it to most recently
-// used.
-func (hc *hintCache) get(path string) (uint64, bool) {
-	el, ok := hc.items[path]
-	if !ok {
-		return 0, false
+// lookup returns the entry cached for path, bumping it to most recently
+// used, or nil.
+func (hc *hintCache) lookup(path string) *hintEntry {
+	e := hc.items[path]
+	if e != nil {
+		e.unlink()
+		hc.pushFront(e)
 	}
-	hc.ll.MoveToFront(el)
-	return el.Value.(*hintEntry).id, true
+	return e
 }
 
-// put inserts or refreshes a mapping, evicting the least recently used
-// entry when full.
-func (hc *hintCache) put(path string, id uint64) {
+// peek is lookup leaving the recency order, and so the eviction order, alone.
+func (hc *hintCache) peek(path string) *hintEntry { return hc.items[path] }
+
+// put inserts or refreshes the mapping of the directory at path to inode id
+// under parent, evicting the least recently used entry when full.
+func (hc *hintCache) put(path string, id, parent uint64) {
 	if hc.cap <= 0 {
 		return
 	}
-	if el, ok := hc.items[path]; ok {
-		el.Value.(*hintEntry).id = id
-		hc.ll.MoveToFront(el)
-		return
+	e := hc.lookup(path)
+	if e == nil {
+		e = &hintEntry{path: path}
+		hc.items[path] = e
+		hc.pushFront(e)
+		if lru := hc.lru.prev; len(hc.items) > hc.cap {
+			lru.unlink()
+			delete(hc.items, lru.path)
+		}
+		hc.size.Set(float64(len(hc.items)))
 	}
-	hc.items[path] = hc.ll.PushFront(&hintEntry{path: path, id: id})
-	if hc.ll.Len() > hc.cap {
-		lru := hc.ll.Back()
-		hc.ll.Remove(lru)
-		delete(hc.items, lru.Value.(*hintEntry).path)
+	if e.childPrefix == "" || e.id != id || e.parent != parent {
+		e.id, e.parent, e.childPrefix = id, parent, inodeKey(id, "")
+		e.partKey, e.rowKey = rowKeys(parent, e.name())
 	}
-	hc.size.Set(float64(len(hc.items)))
 }
 
 // drop removes the mapping for path alone, if there is one.
 func (hc *hintCache) drop(path string) {
-	if el, ok := hc.items[path]; ok {
-		hc.ll.Remove(el)
+	if e := hc.items[path]; e != nil {
+		e.unlink()
 		delete(hc.items, path)
 		hc.size.Set(float64(len(hc.items)))
 	}
@@ -105,9 +120,9 @@ func (hc *hintCache) drop(path string) {
 // map.
 func (hc *hintCache) invalidatePrefix(path string) {
 	prefix := path + "/"
-	for k, el := range hc.items {
+	for k, e := range hc.items {
 		if k == path || strings.HasPrefix(k, prefix) {
-			hc.ll.Remove(el)
+			e.unlink()
 			delete(hc.items, k)
 		}
 	}
@@ -116,3 +131,10 @@ func (hc *hintCache) invalidatePrefix(path string) {
 
 // len returns the current entry count.
 func (hc *hintCache) len() int { return len(hc.items) }
+
+func (hc *hintCache) pushFront(e *hintEntry) {
+	e.prev, e.next = &hc.lru, hc.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+func (e *hintEntry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }

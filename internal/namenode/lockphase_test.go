@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,14 +165,14 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 		if _, err := nnA.Stat(p, "/a/b/d/x-old"); !must(err) {
 			return
 		}
-		stale := map[string]uint64{}
+		stale := map[string][2]uint64{} // path → id, parent
 		for _, path := range []string{"/a/b", "/a/b/d"} {
-			id, ok := nnA.cache.get(path)
-			if !ok {
+			e := nnA.cache.lookup(path)
+			if e == nil {
 				t.Errorf("NN-a holds no hint for %s", path)
 				return
 			}
-			stale[path] = id
+			stale[path] = [2]uint64{e.id, e.parent}
 		}
 		if !must(nnB.Rename(p, "/a/b", "/a/old")) || !build(nnB) {
 			return
@@ -188,8 +189,8 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 				t.Errorf("%d fallbacks after %d stale operations", fallbacks.Value(), fellBack)
 			}
 			fellBack++
-			for path, id := range stale {
-				nnA.cache.put(path, id)
+			for path, e := range stale {
+				nnA.cache.put(path, e[0], e[1])
 			}
 		}
 		poison()
@@ -247,7 +248,7 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 		if held := h.db.HeldLocks(); len(held) != 0 {
 			t.Errorf("locks survive the operations: %v", held)
 		}
-		oldB, oldD := stale["/a/b"], stale["/a/b/d"]
+		oldB, oldD := stale["/a/b"][0], stale["/a/b/d"][0]
 		newB := newD.Parent
 		aID, _ := nnA.cache.get("/a")
 		var rows []ndb.BatchGet
@@ -445,6 +446,87 @@ func TestRenameResolvesBothPathsInOneBatch(t *testing.T) {
 			t.Errorf("locks survive the renames: %v", held)
 		}
 	})
+}
+
+// TestRenameStaleSourceMatchesSerial: the source's hints are stale — another
+// NN moved its directory away and built a new one — while the destination's
+// are warm, so Rename's one batch verifies the destination's share but
+// re-walks the source, reading again before the destination's values are
+// settled. The chains the resolve returns, the rename's outcome and where the
+// committed file lands must be those of a run with batched resolution off.
+func TestRenameStaleSourceMatchesSerial(t *testing.T) {
+	run := func(serial bool) string {
+		h := newHarnessCfg(t, 21, func(cfg *Config) { cfg.DisableBatchedResolve = serial })
+		reg := trace.NewRegistry()
+		h.ns.SetTracer(trace.NewTracer(reg))
+		nnA, nnB := h.ns.NameNodes()[0], h.ns.NameNodes()[1]
+		var out string
+		h.run(t, func(p *sim.Proc) {
+			must := func(err error) bool {
+				t.Helper()
+				if err != nil {
+					t.Error(err)
+				}
+				return err == nil
+			}
+			for _, dir := range []string{"/s", "/s/t", "/d", "/d/e"} {
+				if !must(nnB.Mkdir(p, dir, 0o755)) {
+					return
+				}
+			}
+			if _, err := nnB.Create(p, "/s/t/f", 0); !must(err) {
+				return
+			}
+			for _, path := range []string{"/s/t/f", "/d/e"} {
+				if _, err := nnA.Stat(p, path); !must(err) {
+					return
+				}
+			}
+			stale := nnA.cache.lookup("/s/t")
+			if stale == nil {
+				t.Error("NN-a holds no hint for /s/t")
+				return
+			}
+			staleID, staleParent := stale.id, stale.parent
+			if !must(nnB.Rename(p, "/s/t", "/s/old")) || !must(nnB.Mkdir(p, "/s/t", 0o755)) {
+				return
+			}
+			committed, err := nnB.Create(p, "/s/t/f", 0)
+			if !must(err) {
+				return
+			}
+			src, _ := splitPath("/s/t/f")
+			dst, _ := splitPath("/d/e/g")
+			fallbacks := reg.Counter("namenode.resolve_cache", "result", "fallback")
+			sc := &opScratch{}
+			err = nnA.runTxn(p, nnA.hintFor(src), func(tx ndb.Tx) error {
+				sChain, dChain, err := nnA.resolveBoth(tx, sc, src, dst.parent())
+				out = fmt.Sprintf("source %s, destination %s, %v", chainIDs(sChain), chainIDs(dChain), err)
+				return err
+			})
+			if !must(err) {
+				return
+			}
+			if !serial && fallbacks.Value() != 1 {
+				t.Errorf("%d fallbacks on the stale source, want 1", fallbacks.Value())
+			}
+			// The resolve refreshed the source's hint: make it stale again.
+			nnA.cache.put("/s/t", staleID, staleParent)
+			err = nnA.Rename(p, "/s/t/f", "/d/e/g")
+			moved, serr := nnB.Stat(p, "/d/e/g")
+			_, oerr := nnB.Stat(p, "/s/old/f")
+			out += fmt.Sprintf("; rename %v; /d/e/g is the committed file: %v (%v); /s/old/f: %v",
+				err, serr == nil && moved.ID == committed.ID, serr, oerr)
+		})
+		return out
+	}
+	batched, serial := run(false), run(true)
+	if batched != serial {
+		t.Errorf("stale source, batched:\n  %s\nserial:\n  %s", batched, serial)
+	}
+	if !strings.Contains(batched, "rename <nil>; /d/e/g is the committed file: true") {
+		t.Errorf("rename on a stale source: %s", batched)
+	}
 }
 
 func names(inos []*Inode) []string {

@@ -427,6 +427,9 @@ type NameNode struct {
 	// to compute the partition-key hint that makes transactions
 	// distribution aware and to prime batched optimistic path resolution.
 	cache *hintCache
+	// scratch is the pool of per-operation scratch (see opScratch), one per
+	// operation in flight on this server at its busiest, linked by next.
+	scratch *opScratch
 
 	// Election state observed by this NN at its last round.
 	leaderID  int
@@ -531,16 +534,28 @@ func partKeyOf(parent uint64, name string) string {
 	return partKey(parent)
 }
 
-// inodeKey is the row key of an inode under its parent.
+// inodeKey is the row key of an inode under its parent, built in one
+// allocation.
 func inodeKey(parent uint64, name string) string {
-	return strconv.FormatUint(parent, 10) + "/" + name
+	var buf [64]byte
+	return string(append(append(strconv.AppendUint(buf[:0], parent, 10), '/'), name...))
+}
+
+// rowKeys is partKeyOf and inodeKey of name under parent. Below the root the
+// partition key is the row key's head, so the pair costs one allocation.
+func rowKeys(parent uint64, name string) (pk, key string) {
+	key = inodeKey(parent, name)
+	if parent == RootID {
+		return partKeyOf(parent, name), key
+	}
+	return key[:len(key)-len(name)-1], key
 }
 
 // inodeRow addresses the inode row of name under parent: the owning shard's
 // inodes table, the partition key and the row key.
 func (ns *Namesystem) inodeRow(parent uint64, name string) (*ndb.Table, string, string) {
-	pk := partKeyOf(parent, name)
-	return ns.inodes.For(pk), pk, inodeKey(parent, name)
+	pk, key := rowKeys(parent, name)
+	return ns.inodes.For(pk), pk, key
 }
 
 // partOf addresses the partition of table set ts keyed by an inode's own
@@ -549,16 +564,6 @@ func (ns *Namesystem) inodeRow(parent uint64, name string) (*ndb.Table, string, 
 func partOf(ts *shard.TableSet, id uint64) (*ndb.Table, string) {
 	pk := partKey(id)
 	return ts.For(pk), pk
-}
-
-// inodeWrite is the batched-write item storing ino as name under parent, or
-// deleting that row when ino is nil.
-func (ns *Namesystem) inodeWrite(parent uint64, name string, ino *Inode) ndb.BatchWrite {
-	table, pk, key := ns.inodeRow(parent, name)
-	if ino == nil {
-		return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Del: true}
-	}
-	return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: ino}
 }
 
 // charge bills NN CPU for an operation over depth path components (fluid

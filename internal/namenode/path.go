@@ -12,8 +12,12 @@ type fsPath struct {
 	raw string // the caller's string, untouched
 	// lo is the offset of the last leading slash — prefixes start there, so
 	// "//a/b/" yields the same "/a" and "/a/b" as "/a/b".
-	lo   int
-	ends []int // ends[i] is the offset in raw just past component i
+	lo int
+	// The n components end just before offsets ends[i] in raw: the first
+	// eight inline, the rest spilled to more[i-8].
+	n    int
+	ends [8]int
+	more []int
 }
 
 // splitPath is the one path validator: absolute, no empty, "." or ".."
@@ -34,7 +38,7 @@ func splitPath(path string) (fsPath, error) {
 		hi--
 	}
 	// An all-slash path longer than "/" falls out below as an empty component.
-	fp := fsPath{raw: path, lo: lo, ends: make([]int, 0, 1+strings.Count(path[lo+1:hi], "/"))}
+	fp := fsPath{raw: path, lo: lo}
 	for start := lo + 1; start <= hi; {
 		end := hi
 		if i := strings.IndexByte(path[start:hi], '/'); i >= 0 {
@@ -43,38 +47,52 @@ func splitPath(path string) (fsPath, error) {
 		if c := path[start:end]; c == "" || c == "." || c == ".." {
 			return fsPath{}, ErrInvalidPath
 		}
-		fp.ends = append(fp.ends, end)
+		if fp.n < len(fp.ends) {
+			fp.ends[fp.n] = end
+		} else {
+			fp.more = append(fp.more, end)
+		}
+		fp.n++
 		start = end + 1
 	}
 	return fp, nil
 }
 
 // depth is the number of components ("/" has none).
-func (fp fsPath) depth() int { return len(fp.ends) }
+func (fp *fsPath) depth() int { return fp.n }
+
+// end is the offset in raw just past component i.
+func (fp *fsPath) end(i int) int {
+	if i < len(fp.ends) {
+		return fp.ends[i]
+	}
+	return fp.more[i-len(fp.ends)]
+}
 
 // comp returns component i.
-func (fp fsPath) comp(i int) string {
+func (fp *fsPath) comp(i int) string {
 	start := fp.lo + 1
 	if i > 0 {
-		start = fp.ends[i-1] + 1
+		start = fp.end(i-1) + 1
 	}
-	return fp.raw[start:fp.ends[i]]
+	return fp.raw[start:fp.end(i)]
 }
 
 // name is the last component: the operation's target under its parent.
-func (fp fsPath) name() string { return fp.comp(fp.depth() - 1) }
+func (fp *fsPath) name() string { return fp.comp(fp.n - 1) }
 
 // prefix returns the normalized path of the first n components — "/" for
 // none — which is what the hint cache is keyed by.
-func (fp fsPath) prefix(n int) string {
+func (fp *fsPath) prefix(n int) string {
 	if n == 0 {
 		return fp.raw[fp.lo : fp.lo+1]
 	}
-	return fp.raw[fp.lo:fp.ends[n-1]]
+	return fp.raw[fp.lo:fp.end(n-1)]
 }
 
 // parent is the path without its last component.
 func (fp fsPath) parent() fsPath {
-	fp.ends = fp.ends[:len(fp.ends)-1]
+	fp.n--
+	fp.more = fp.more[:max(0, fp.n-len(fp.ends))]
 	return fp
 }

@@ -40,13 +40,12 @@ func quotaUpdateKey(kind string, ino uint64) string {
 	return quotaUpdatePrefix + kind + strconv.FormatUint(ino, 10)
 }
 
-// quotaCharges returns one usage-update row per quota'd ancestor in chain.
-// Every quota'd directory on the resolved path is charged — not just the
-// nearest — so each quota's usage stays the true total of its whole subtree.
-// The returned rows ride the caller's WriteBatch; an unquota'd path yields
-// nil and costs nothing.
-func (nn *NameNode) quotaCharges(chain []*Inode, kind string, ino uint64, ns, ss int64) []ndb.BatchWrite {
-	var items []ndb.BatchWrite
+// quotaCharges appends to items one usage-update row per quota'd ancestor in
+// chain. Every quota'd directory on the resolved path is charged — not just
+// the nearest — so each quota's usage stays the true total of its whole
+// subtree. The rows ride the caller's WriteBatch; an unquota'd path appends
+// nothing and costs nothing.
+func (nn *NameNode) quotaCharges(items []ndb.BatchWrite, chain []*Inode, kind string, ino uint64, ns, ss int64) []ndb.BatchWrite {
 	for _, anc := range chain {
 		if anc.QuotaNS == 0 && anc.QuotaSS == 0 {
 			continue
@@ -89,9 +88,9 @@ func (nn *NameNode) SetQuota(p *sim.Proc, path string, nsQuota, ssQuota int64) e
 // from the directory's own quotas partition (one partition-pruned scan).
 func (nn *NameNode) Quota(p *sim.Proc, path string) (QuotaInfo, error) {
 	var info QuotaInfo
-	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath) error {
+	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
 		info = QuotaInfo{}
-		chain, err := nn.resolveChain(tx, fp, 0)
+		chain, err := nn.resolveChain(tx, sc, fp, 0)
 		if err != nil {
 			return err
 		}

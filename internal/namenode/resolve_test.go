@@ -16,16 +16,25 @@ import (
 
 // --- hint cache unit tests ---
 
+// get is lookup for tests: the id cached for path, bumped to most recently
+// used.
+func (hc *hintCache) get(path string) (uint64, bool) {
+	if e := hc.lookup(path); e != nil {
+		return e.id, true
+	}
+	return 0, false
+}
+
 func TestHintCacheLRU(t *testing.T) {
 	hc := newHintCache(3)
-	hc.put("/a", 1)
-	hc.put("/b", 2)
-	hc.put("/c", 3)
+	hc.put("/a", 1, RootID)
+	hc.put("/b", 2, RootID)
+	hc.put("/c", 3, RootID)
 	// Touch /a so /b is the least recently used, then overflow.
 	if id, ok := hc.get("/a"); !ok || id != 1 {
 		t.Fatalf("get /a = (%d,%v)", id, ok)
 	}
-	hc.put("/d", 4)
+	hc.put("/d", 4, RootID)
 	if hc.len() != 3 {
 		t.Fatalf("len = %d, want 3 (bounded)", hc.len())
 	}
@@ -38,9 +47,101 @@ func TestHintCacheLRU(t *testing.T) {
 		}
 	}
 	// Updating an existing key must not grow the cache.
-	hc.put("/a", 11)
+	hc.put("/a", 11, RootID)
 	if id, _ := hc.get("/a"); id != 11 || hc.len() != 3 {
 		t.Errorf("after update: /a=%d len=%d", id, hc.len())
+	}
+}
+
+// TestHintCacheEvictionOrder pins the recency order the entries thread
+// through themselves to that of the container/list LRU it replaced: over a
+// fixed sequence of gets and puts on a small cache, the entries evicted, in
+// order, are the ones that implementation evicted. An eviction order of its
+// own would change which resolutions batch, and so the schedule.
+func TestHintCacheEvictionOrder(t *testing.T) {
+	hc := newHintCache(4)
+	rng := rand.New(rand.NewSource(1))
+	var evicted []string
+	for step := 0; step < 200; step++ {
+		path := fmt.Sprintf("/d%d", rng.Intn(9))
+		if rng.Intn(2) == 0 {
+			hc.lookup(path)
+			continue
+		}
+		var before []string
+		for k := range hc.items {
+			before = append(before, k)
+		}
+		hc.put(path, uint64(step), RootID)
+		for _, k := range before {
+			if _, ok := hc.items[k]; !ok {
+				evicted = append(evicted, k)
+			}
+		}
+	}
+	// Recorded on the container/list implementation.
+	const want = "/d3 /d2 /d5 /d6 /d0 /d4 /d1 /d7 /d2 /d1 /d6 /d3 /d5 /d0 /d2 /d6 /d8 /d4 " +
+		"/d5 /d1 /d7 /d3 /d6 /d1 /d2 /d8 /d6 /d3 /d2 /d8 /d1 /d2 /d5 /d7 /d4 /d0 /d6 /d2"
+	if got := strings.Join(evicted, " "); got != want {
+		t.Errorf("evicted\n  %s\nwant\n  %s", got, want)
+	}
+}
+
+// TestPropHintEntryKeys: after any sequence of puts, refreshes (same id and
+// parent, or not), drops and prefix invalidations, every entry holds the id
+// and parent last put for its path, its cached keys are the ones they and
+// its name imply, and the recency list threads exactly the cached entries.
+func TestPropHintEntryKeys(t *testing.T) {
+	paths := []string{"/a", "/a/b", "/a/b/c", "/ab", "/x", "/x/y", "/x/y/zz"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		hc := newHintCache(5)
+		last := map[string][2]uint64{} // path → the id and parent last put
+		for step := 0; step < 300; step++ {
+			path := paths[rng.Intn(len(paths))]
+			switch r := rng.Intn(10); {
+			case r < 6:
+				// Few ids and parents, so refreshes often keep both.
+				id, parent := uint64(1+rng.Intn(4)*1000), uint64(1+rng.Intn(3)*7)
+				hc.put(path, id, parent)
+				last[path] = [2]uint64{id, parent}
+			case r < 8:
+				hc.lookup(path)
+			case r < 9:
+				hc.drop(path)
+			default:
+				hc.invalidatePrefix(path)
+			}
+			checkHintEntries(t, hc, last)
+			if t.Failed() {
+				t.Fatalf("seed %d, step %d", seed, step)
+			}
+		}
+	}
+}
+
+func checkHintEntries(t *testing.T, hc *hintCache, last map[string][2]uint64) {
+	t.Helper()
+	for path, e := range hc.items {
+		name := path[strings.LastIndexByte(path, '/')+1:]
+		if last[path] != [2]uint64{e.id, e.parent} {
+			t.Errorf("entry %s holds id %d, parent %d; last put %v", path, e.id, e.parent, last[path])
+		}
+		if e.path != path || e.rowKey != inodeKey(e.parent, name) || e.partKey != partKeyOf(e.parent, name) ||
+			e.childPrefix != partKey(e.id)+"/" {
+			t.Errorf("entry %s (id %d, parent %d): keys %q %q %q", path, e.id, e.parent, e.rowKey, e.partKey, e.childPrefix)
+		}
+	}
+	n := 0
+	for e := hc.lru.next; e != &hc.lru; e = e.next {
+		if e.next.prev != e || hc.items[e.path] != e {
+			t.Errorf("recency list broken at %s", e.path)
+			return
+		}
+		n++
+	}
+	if n != len(hc.items) {
+		t.Errorf("recency list threads %d entries, the cache holds %d", n, len(hc.items))
 	}
 }
 
@@ -49,7 +150,7 @@ func TestHintCacheInvalidatePrefix(t *testing.T) {
 	for path, id := range map[string]uint64{
 		"/a": 1, "/a/b": 2, "/a/b/c": 3, "/ab": 4, "/z": 5,
 	} {
-		hc.put(path, id)
+		hc.put(path, id, RootID)
 	}
 	hc.invalidatePrefix("/a")
 	for _, gone := range []string{"/a", "/a/b", "/a/b/c"} {
@@ -67,7 +168,7 @@ func TestHintCacheInvalidatePrefix(t *testing.T) {
 
 func TestHintCacheDisabled(t *testing.T) {
 	hc := newHintCache(0)
-	hc.put("/a", 1)
+	hc.put("/a", 1, RootID)
 	if _, ok := hc.get("/a"); ok || hc.len() != 0 {
 		t.Error("zero-capacity cache must drop every put")
 	}
@@ -77,8 +178,8 @@ func TestHintCacheSizeGauge(t *testing.T) {
 	reg := trace.NewRegistry()
 	hc := newHintCache(8)
 	hc.setGauge(reg.Gauge("namenode.resolve_cache.size", "nn", "nn-test"))
-	hc.put("/a", 1)
-	hc.put("/a/b", 2)
+	hc.put("/a", 1, RootID)
+	hc.put("/a/b", 2, RootID)
 	g := reg.Gauge("namenode.resolve_cache.size", "nn", "nn-test")
 	if g.Value() != 2 {
 		t.Fatalf("gauge = %v, want 2", g.Value())
@@ -227,8 +328,11 @@ func isNamespaceErr(err error) bool {
 // Infrastructure errors (node down, lock timeout) propagate to runTxn so
 // its abort/retry machinery stays in charge.
 func resolveBothWays(t *testing.T, p *sim.Proc, nn *NameNode, comps fsPath, lockLast ndb.LockMode) (batched, serial []*Inode, berr, serr error) {
+	// The chains are carved from the scratch: it is never returned to the
+	// pool, which would clear them.
+	sc := &opScratch{}
 	txErr := nn.runTxn(p, nn.hintFor(comps), func(tx ndb.Tx) error {
-		batched, berr = nn.resolveChain(tx, comps, lockLast)
+		batched, berr = nn.resolveChain(tx, sc, comps, lockLast)
 		if berr != nil && !isNamespaceErr(berr) {
 			return berr
 		}
@@ -239,7 +343,7 @@ func resolveBothWays(t *testing.T, p *sim.Proc, nn *NameNode, comps fsPath, lock
 				t.Errorf("resolveChain(%s, lock %d) holds no lock on the last component", comps.raw, lockLast)
 			}
 		}
-		serial, serr = nn.walkFrom(tx, newChain(comps), comps, lockLast)
+		serial, serr = nn.walkFrom(tx, sc, sc.newChain(&comps), comps, lockLast)
 		if serr != nil && !isNamespaceErr(serr) {
 			return serr
 		}
@@ -321,8 +425,8 @@ func runEquivalenceSeed(t *testing.T, seed int64) {
 		// Deliberate poison: existing-path hints pointing at wrong inodes
 		// force the verification fallback.
 		nn1 := warmer.CurrentNameNode()
-		nn1.cache.put("/top0", 999999)
-		nn1.cache.put("/top1/d0", 424242)
+		nn1.cache.put("/top0", 999999, RootID)
+		nn1.cache.put("/top1/d0", 424242, 999999)
 		paths = append(paths, "/top0/d0/leaf", "/top1/d0/d1", "/nope/deep/path")
 
 		fallbacksBefore := reg.Counter("namenode.resolve_cache", "result", "fallback").Value()
@@ -425,8 +529,9 @@ func runConcurrentSafetySeed(t *testing.T, seed int64) {
 			path := targets[rng.Intn(len(targets))]
 			comps, _ := splitPath(path)
 			var chain []*Inode
+			sc := &opScratch{}
 			rerr := nn1.runTxn(p, nn1.hintFor(comps), func(tx ndb.Tx) error {
-				c, err := nn1.resolveChain(tx, comps, ndb.LockMode(rng.Intn(3)))
+				c, err := nn1.resolveChain(tx, sc, comps, ndb.LockMode(rng.Intn(3)))
 				if err != nil {
 					return err
 				}

@@ -219,8 +219,8 @@ const (
 
 // ReadBatch reads the committed values of all rows in one batched fan-out,
 // returning results positionally. A get with Lock set takes its row lock on
-// the way (see BatchGet). The result of a one-row batch lives in the
-// transaction and is valid until its next read.
+// the way (see BatchGet). The result of a batch of up to eight rows lives in
+// the transaction and is valid until its next read.
 func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 	if t.done {
 		return nil, ErrAborted
@@ -232,10 +232,7 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 	defer t.c.putScratch(sc)
 	sc.t, sc.kind = t, getRows
 	sc.gets = append(sc.gets[:0], gets...)
-	sc.vals = t.oneVal[:]
-	if len(gets) > 1 {
-		sc.vals = make([]BatchVal, len(gets))
-	}
+	sc.vals = slices.Grow(t.vals[:0], len(gets))[:len(gets)]
 	parts := zeroed(&sc.parts, len(gets))
 	for i := range gets {
 		parts[i] = gets[i].Table.partitionFor(gets[i].PartKey)
@@ -249,8 +246,8 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 // ScanBatch runs all partition-pruned prefix scans in one batched fan-out,
 // returning each scan's rows positionally, key-sorted — a level of a subtree
 // walk costs one parallel round instead of one serial round trip per
-// directory. As with ReadBatch, the outer slice of a one-scan batch lives in
-// the transaction until its next read.
+// directory. As with ReadBatch, the outer slice of a batch of up to eight
+// scans lives in the transaction until its next read.
 func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 	if t.done {
 		return nil, ErrAborted
@@ -262,10 +259,7 @@ func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 	defer t.c.putScratch(sc)
 	sc.t, sc.kind = t, scanRows
 	sc.scans = append(sc.scans[:0], scans...)
-	sc.kvs = t.oneKVs[:]
-	if len(scans) > 1 {
-		sc.kvs = make([][]KV, len(scans))
-	}
+	sc.kvs = slices.Grow(t.kvs[:0], len(scans))[:len(scans)]
 	parts := zeroed(&sc.parts, len(scans))
 	for i := range scans {
 		parts[i] = scans[i].Table.partitionFor(scans[i].PartKey)
@@ -289,7 +283,7 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 	defer t.c.putScratch(sc)
 	sc.t, sc.kind = t, scanParts
 	sc.scans = append(sc.scans[:0], BatchScan{Table: table, Prefix: prefix})
-	sc.kvs = t.oneKVs[:]
+	sc.kvs = t.kvs[:1]
 	var out []KV
 	for _, part := range table.partitions {
 		zeroed(&sc.parts, 1)[0] = part

@@ -30,12 +30,13 @@ type Txn struct {
 	trains []*train
 	done   bool
 
-	// oneVal and oneKVs hold the result of a one-row ReadBatch or ScanBatch
-	// (and of each round of ScanTablePrefix), so the commonest read returns
-	// without allocating; such a result is valid until the transaction's
-	// next read.
-	oneVal [1]BatchVal
-	oneKVs [1][]KV
+	// vals and kvs hold the result of a ReadBatch or ScanBatch of up to
+	// eight rows (and of each round of ScanTablePrefix), so a path's worth
+	// of reads returns without allocating; such a result is valid until the
+	// transaction's next read. lockBuf backs the few locks an operation takes.
+	vals    [8]BatchVal
+	kvs     [8][]KV
+	lockBuf [4]lockRef
 }
 
 // Tx is the storage-transaction surface the metadata layer is written
@@ -133,6 +134,7 @@ func (c *Cluster) Begin(p *sim.Proc, origin *simnet.Node, originDomain simnet.Zo
 		originDomain: originDomain,
 		tc:           tc,
 	}
+	t.locks = t.lockBuf[:0]
 	if c.activeOps != nil {
 		// Name the transaction after the client op driving it (the process
 		// name for untraced internal work), so the contention ledger can
@@ -175,34 +177,33 @@ func (c *Cluster) selectTC(origin *simnet.Node, originDomain simnet.ZoneID, tabl
 		// Case 4: no usable hint; all datanodes by proximity.
 		candidates = c.datanodes
 	}
-	best := ProximityRemote + 1
-	var pool []*DataNode
+	// The pool is the alive candidates of the best proximity, in candidate
+	// order: count it, then walk to the member drawn.
+	best, pool := ProximityRemote+1, 0
+	var first *DataNode
 	for _, dn := range candidates {
-		if !dn.Alive() {
-			continue
-		}
-		d := domainProximity(origin, originDomain, dn)
-		if d < best {
-			best = d
-			pool = pool[:0]
-		}
-		if d == best {
-			pool = append(pool, dn)
+		if d := domainProximity(origin, originDomain, dn); dn.Alive() && d <= best {
+			if d < best {
+				best, pool, first = d, 0, dn
+			}
+			pool++
 		}
 	}
-	switch len(pool) {
-	case 0:
-		return nil
-	case 1:
-		return pool[0]
+	if pool <= 1 || best == ProximityRemote {
+		// No choice, or no locality information distinguishes the pool:
+		// NDB prefers the first candidate (the primary replica under
+		// distribution awareness).
+		return first
 	}
-	if best == ProximityRemote {
-		// No locality information distinguishes the pool; NDB prefers the
-		// first candidate (the primary replica under distribution
-		// awareness).
-		return pool[0]
+	k := c.env.Rand().Intn(pool)
+	for _, dn := range candidates {
+		if dn.Alive() && domainProximity(origin, originDomain, dn) == best {
+			if k--; k < 0 {
+				return dn
+			}
+		}
 	}
-	return pool[c.env.Rand().Intn(len(pool))]
+	panic("ndb: TC pool changed while selecting")
 }
 
 // Proximity distances mirror simnet's but operate on configured location

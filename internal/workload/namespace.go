@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Namespace is the shared, mutable view of the file tree the generators
@@ -133,10 +135,20 @@ func (ns *Namespace) pickFileIn(rng *rand.Rand, dir string) string {
 	return df.files[idx]
 }
 
-// freshName returns a unique new path under dir.
+// freshName returns a unique new path under dir — dir, a slash, prefix and
+// the sequence number zero-padded to eight digits — in one allocation.
 func (ns *Namespace) freshName(dir, prefix string) string {
 	ns.seq++
-	return fmt.Sprintf("%s/%s%08d", dir, prefix, ns.seq)
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(ns.seq), 10)
+	zeros := "00000000"[min(8, len(digits)):]
+	var b strings.Builder
+	b.Grow(len(dir) + 1 + len(prefix) + len(zeros) + len(digits))
+	for _, part := range [...]string{dir, "/", prefix, zeros} {
+		b.WriteString(part)
+	}
+	b.Write(digits)
+	return b.String()
 }
 
 // dirOf returns the parent directory of a generated path.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -50,6 +51,24 @@ func TestBuildNamespaceShape(t *testing.T) {
 	for _, f := range ns.AllFiles() {
 		if !strings.HasPrefix(f, "/proj") || strings.Count(f, "/") != 3 {
 			t.Fatalf("file path %q has unexpected shape", f)
+		}
+	}
+}
+
+// TestFreshNameMatchesSprintf pins freshName to the format it replaced,
+// byte for byte, across the widths the zero padding meets: below, at and
+// beyond eight digits.
+func TestFreshNameMatchesSprintf(t *testing.T) {
+	ns := BuildNamespace(NamespaceSpec{}, 1)
+	for _, seq := range []int{1, 99999999, 100000000, 1 << 40} {
+		for _, dir := range []string{"/", "/proj000/ds01"} {
+			for _, prefix := range []string{"dir", "part-", "moved-"} {
+				ns.seq = seq - 1
+				want := fmt.Sprintf("%s/%s%08d", dir, prefix, seq)
+				if got := ns.freshName(dir, prefix); got != want {
+					t.Errorf("freshName(%q, %q) at seq %d = %q, want %q", dir, prefix, seq, got, want)
+				}
+			}
 		}
 	}
 }
