@@ -3,6 +3,7 @@
 package namenode
 
 import (
+	"fmt"
 	"testing"
 
 	"hopsfscl/internal/sim"
@@ -10,14 +11,29 @@ import (
 
 // TestWarmOpAllocs pins what a warm operation allocates: on a namenode whose
 // hint cache holds every directory of the path, a depth-3 operation keys its
-// rows from the cache's entries, takes its requests and chain from the
-// operation's pooled scratch, and allocates only what it keeps — the storage
-// transaction, and what it returns or stores. Excluded under -race, whose
-// instrumentation allocates.
+// rows from the cache's entries, builds the key of any other row once for all
+// its reads and writes of that row, takes its requests and chain from the
+// operation's pooled scratch, stages its writes in the transaction's inline
+// commit train and takes its row locks in the rows' inline holder slots, and
+// allocates only what it keeps — the storage transaction, and what it
+// returns or stores. Excluded under -race, whose instrumentation allocates.
 func TestWarmOpAllocs(t *testing.T) {
 	h := newHarness(t)
 	h.db.StopBackground()
 	nn := h.ns.NameNodes()[0]
+	// One fresh name per run of a create, mkdir or delete (AllocsPerRun adds
+	// a warm-up run), built before measuring; a rename flips a file between
+	// two names.
+	const runs = 50
+	paths := func(format string) []string {
+		out := make([]string, runs+1)
+		for i := range out {
+			out[i] = fmt.Sprintf(format, i)
+		}
+		return out
+	}
+	files, dirs := paths("/a/b/c/n%d"), paths("/a/b/d%d")
+	flip := [2]string{"/a/b/f", "/a/b/g"}
 	h.run(t, func(p *sim.Proc) {
 		for _, dir := range []string{"/a", "/a/b", "/a/b/c"} {
 			if err := nn.Mkdir(p, dir, 0o755); err != nil {
@@ -39,26 +55,39 @@ func TestWarmOpAllocs(t *testing.T) {
 			name string
 			// want is what the operation keeps, one allocation each.
 			want float64
-			run  func() error
+			run  func(i int) error
 		}{
 			// The transaction and the target file's row key.
-			{"stat", 2, func() error { _, err := nn.Stat(p, "/a/b/f"); return err }},
+			{"stat", 2, func(int) error { _, err := nn.Stat(p, "/a/b/f"); return err }},
 			// The same: the share lock rides the batch and is held in the
 			// transaction.
-			{"getBlockLocations", 2, func() error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }},
+			{"getBlockLocations", 2, func(int) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }},
 			// The transaction, the rows the scan returns, and the listing. The
 			// listed directory is cached: no key is built.
-			{"list", 3, func() error { _, err := nn.List(p, "/a/b/c"); return err }},
+			{"list", 3, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
 			// The transaction, the file's row key — built for the locked read
-			// and again for the write —, the new inode value, and its write's
-			// commit train with its row list and the transaction's train list.
-			{"setPermission", 7, func() error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
+			// and reused for the write — and the new inode value.
+			{"setPermission", 3, func(int) error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
+			// The transaction, the new inode, its row key, and the row itself,
+			// stored under its key when the insert's lock is taken.
+			{"create", 4, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
+			// The same four for a directory.
+			{"mkdir", 4, func(i int) error { return nn.Mkdir(p, dirs[i], 0o755) }},
+			// The transaction and the file's row key, built for the locked read
+			// and reused for the write; the deleted row leaves its partition.
+			{"delete", 2, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
+			// The transaction, the source's row key (read in the resolve's
+			// batch, then locked and written), the destination's row key, the
+			// moved inode, and the destination's row.
+			{"same-directory rename", 5, func(i int) error { return nn.Rename(p, flip[i%2], flip[(i+1)%2]) }},
 		} {
 			var err error
-			allocs := testing.AllocsPerRun(50, func() {
-				if e := op.run(); e != nil {
+			i := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if e := op.run(i); e != nil {
 					err = e
 				}
+				i++
 			})
 			if err != nil {
 				t.Errorf("%s: %v", op.name, err)

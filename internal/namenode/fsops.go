@@ -22,18 +22,14 @@ type opRules struct {
 	// dst is Rename's parsed destination: billed, tagged and invalidated
 	// along with the source.
 	dst fsPath
-	// unlinkedDir is set by operations whose success removes the target's
-	// name (Delete, Rename). The body stores there, under the target's lock,
-	// whether the inode it unlinks is a directory; if so, the hints under the
-	// name (and under dst) are dropped after the commit.
-	unlinkedDir *bool
 }
 
 // opScratch is one operation's working memory, pooled per NN and held by op
 // for the operation's life, retries included: the ids and hint entries its
 // batches are keyed from (ids as they were when the requests were built,
-// whatever the cache does meanwhile), the requests it hands to storage, and
-// the backing its chains are carved from. Nothing in it is reachable after op
+// whatever the cache does meanwhile), the requests it hands to storage, the
+// backing its chains are carved from, and the keys of the last inode row it
+// addressed outside the hint cache. Nothing in it is reachable after op
 // returns: what an operation returns or stores is never carved from it.
 type opScratch struct {
 	next   *opScratch // in the NN's pool
@@ -44,6 +40,19 @@ type opScratch struct {
 	scans  []ndb.BatchScan
 	writes []ndb.BatchWrite
 	chains []*Inode
+	row    rowAddr
+	// unlinkedDir is set by the body of an operation whose success removes
+	// the target's name (Delete, Rename), under the target's lock, when the
+	// inode it unlinks is a directory: the hints under the name (and under
+	// dst) are then dropped after the commit.
+	unlinkedDir bool
+}
+
+// rowAddr is the partition and row key of name's inode row under parent.
+type rowAddr struct {
+	parent  uint64
+	name    string
+	pk, key string
 }
 
 // putScratch returns sc to the NN's pool, dropping every reference it holds.
@@ -88,7 +97,7 @@ func (nn *NameNode) op(p *sim.Proc, path string, rules opRules, fn func(tx ndb.T
 	nn.scratch = sc.next
 	defer nn.putScratch(sc)
 	err = nn.runTxn(p, hint, func(tx ndb.Tx) error { return fn(tx, fp, sc) })
-	if err == nil && rules.unlinkedDir != nil && *rules.unlinkedDir {
+	if err == nil && sc.unlinkedDir {
 		// Everything under the old name now resolves differently (or not at
 		// all), and a previous life of a rename's destination may still be
 		// cached: drop those hints so later resolutions do not waste a
@@ -128,14 +137,20 @@ func (nn *NameNode) dirHint(fp fsPath, n int, name string) string {
 
 // rowOf addresses name's inode row under the directory parent, as inodeRow
 // does, but takes the keys ready-made from the hint entry of the row's own
-// directory when the operation's batches were keyed from it.
+// directory when the operation's batches were keyed from it, or from sc.row
+// when the operation built them last: a mutation reads its target under a
+// lock, then writes it, and builds the row's keys once for both.
 func (nn *NameNode) rowOf(sc *opScratch, parent uint64, name string) (*ndb.Table, string, string) {
 	for _, e := range sc.dirs {
 		if e.parent == parent && e.name() == name {
 			return nn.ns.inodes.For(e.partKey), e.partKey, e.rowKey
 		}
 	}
-	return nn.ns.inodeRow(parent, name)
+	if r := &sc.row; r.key == "" || r.parent != parent || r.name != name {
+		r.pk, r.key = rowKeys(parent, name)
+		r.parent, r.name = parent, name
+	}
+	return nn.ns.inodes.For(sc.row.pk), sc.row.pk, sc.row.key
 }
 
 // inodeWrite is the batched-write item storing ino as name under parent, or
@@ -577,14 +592,13 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 // caller can reclaim them in the block layer after the commit.
 func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.BlockID, error) {
 	var freed []blocks.BlockID
-	var dir bool
-	err := nn.op(p, path, opRules{root: ErrInvalidPath, unlinkedDir: &dir}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
+	err := nn.op(p, path, opRules{root: ErrInvalidPath}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
 		freed = freed[:0]
 		chain, target, err := nn.lockPhase(tx, sc, fp)
 		if err != nil {
 			return err
 		}
-		dir = target.Dir
+		sc.unlinkedDir = target.Dir
 		return nn.deleteSubtree(tx, sc, chain, target, recursive, &freed)
 	})
 	if err != nil {
@@ -673,8 +687,7 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 	if dfp.depth() == 0 {
 		return ErrInvalidPath
 	}
-	var dir bool
-	return nn.op(p, src, opRules{root: ErrInvalidPath, dst: dfp, unlinkedDir: &dir}, func(tx ndb.Tx, sfp fsPath, sc *opScratch) error {
+	return nn.op(p, src, opRules{root: ErrInvalidPath, dst: dfp}, func(tx ndb.Tx, sfp fsPath, sc *opScratch) error {
 		// The source resolves with its own inode, in the destination parent's
 		// batch; it is read here only to fail early and is read again under
 		// its lock.
@@ -731,7 +744,7 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		if link.Val != nil {
 			return ErrExists
 		}
-		dir = srcIno.Dir
+		sc.unlinkedDir = srcIno.Dir
 		moved := *srcIno
 		moved.Parent = dstParent.ID
 		moved.Name = dstName

@@ -64,7 +64,7 @@ func (c *Cluster) HeldLocks() []string {
 		for _, part := range t.partitions {
 			for pk, bucket := range part.rows {
 				for k, r := range bucket {
-					if len(r.lock.holders) > 0 || len(r.lock.waiters) > 0 {
+					if !r.lock.idle() {
 						out = append(out, t.name+"/"+pk+"/"+k)
 					}
 				}

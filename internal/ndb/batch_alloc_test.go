@@ -12,14 +12,17 @@ import (
 // write path, which every one-row operation takes: on a warm transaction a
 // one-row get, a locked get, a scan and a one-row write allocate only the
 // rows they return — the arm, the result slot and the request copy are all
-// pooled or held by the transaction. Excluded under -race, whose
-// instrumentation allocates.
+// pooled or held by the transaction. A whole fresh transaction that
+// overwrites one existing row — Begin, the write, Commit — allocates only the
+// Txn: its commit train and row sit in the Txn, and the row's lock holder in
+// the row. Excluded under -race, whose instrumentation allocates.
 func TestBatchAllocFree(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	c.StopBackground()
 	tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := put(tx, tbl, "p", "p/a", "v"); err != nil {
+		// p/c is the fresh transactions' row: the warm one locks p/a.
+		if err := tx.WriteBatch([]BatchWrite{{Table: tbl, PartKey: "p", Key: "p/a", Val: "v"}, {Table: tbl, PartKey: "p", Key: "p/c", Val: "v"}}); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -28,17 +31,29 @@ func TestBatchAllocFree(t *testing.T) {
 	locked := []BatchGet{{Table: tbl, PartKey: "p", Key: "p/a", Lock: LockShared}}
 	scan := []BatchScan{{Table: tbl, PartKey: "p", Prefix: "p/"}}
 	write := []BatchWrite{{Table: tbl, PartKey: "p", Key: "p/b", Val: "w"}}
+	overwrite := []BatchWrite{{Table: tbl, PartKey: "p", Key: "p/c", Val: "v2"}}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
 		for _, op := range []struct {
 			name string
-			// rows is what the operation returns: a scan's one slice of rows.
-			rows float64
+			// want is what the operation keeps: a scan's one slice of rows,
+			// a fresh transaction's Txn.
+			want float64
 			run  func() error
 		}{
-			{"get", 0, func() error { _, err := tx.ReadBatch(get); return err }},
-			{"locked get", 0, func() error { _, err := tx.ReadBatch(locked); return err }},
-			{"scan", 1, func() error { _, err := tx.ScanBatch(scan); return err }},
-			{"write", 0, func() error { return tx.WriteBatch(write) }},
+			{"one-row get", 0, func() error { _, err := tx.ReadBatch(get); return err }},
+			{"one-row locked get", 0, func() error { _, err := tx.ReadBatch(locked); return err }},
+			{"one-row scan", 1, func() error { _, err := tx.ScanBatch(scan); return err }},
+			{"one-row write", 0, func() error { return tx.WriteBatch(write) }},
+			{"fresh one-row overwrite transaction", 1, func() error {
+				fresh, err := c.Begin(p, client, 1, tbl, "p")
+				if err != nil {
+					return err
+				}
+				if err := fresh.WriteBatch(overwrite); err != nil {
+					return err
+				}
+				return fresh.Commit()
+			}},
 		} {
 			var err error
 			allocs := testing.AllocsPerRun(100, func() {
@@ -49,8 +64,8 @@ func TestBatchAllocFree(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if allocs > op.rows {
-				t.Errorf("one-row %s: %.0f allocations per call, want %.0f", op.name, allocs, op.rows)
+			if allocs > op.want {
+				t.Errorf("%s: %.0f allocations per call, want %.0f", op.name, allocs, op.want)
 			}
 		}
 		return tx.Commit()

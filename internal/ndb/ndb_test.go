@@ -451,6 +451,37 @@ func TestSharedLocksCoexistAndBlockExclusive(t *testing.T) {
 	}
 }
 
+// TestGrantedWaiterLeavesNoReference pins that a row's wait queue lets go of
+// the waiters it grants: the row outlives every wait, so a granted lockWaiter
+// left in the queue's backing array would keep it and its mailbox reachable.
+// Two writers queue behind a third; each contended grant must clear the slot
+// its waiter left.
+func TestGrantedWaiterLeavesNoReference(t *testing.T) {
+	env := sim.New(1)
+	defer env.Close()
+	var l rowLock
+	for txn := uint64(1); txn <= 3; txn++ {
+		if mb := l.acquire(env, txn, LockExclusive); (mb == nil) != (txn == 1) {
+			t.Fatalf("txn %d: granted %v, want only txn 1 granted at once", txn, mb == nil)
+		}
+	}
+	backing := l.waiters[:cap(l.waiters)]
+	for _, txn := range []uint64{1, 2} {
+		l.release(txn)
+		if next := txn + 1; l.held(next) != LockExclusive {
+			t.Fatalf("releasing txn %d did not grant txn %d", txn, next)
+		}
+		for i := range txn {
+			if backing[i] != nil {
+				t.Errorf("after txn %d's release: slot %d still holds granted txn %d's waiter", txn, i, backing[i].txn)
+			}
+		}
+	}
+	if len(l.waiters) != 0 {
+		t.Errorf("%d waiters queued after every writer was granted", len(l.waiters))
+	}
+}
+
 func TestTCSelectionPrefersDomainLocal(t *testing.T) {
 	env, c, _ := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})

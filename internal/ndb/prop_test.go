@@ -12,10 +12,13 @@ import (
 )
 
 // TestPropRowLockInvariants drives a row lock with random acquire/release
-// sequences and checks the classic 2PL invariants after every step: at most
-// one exclusive holder, shared and exclusive never coexist, and no granted
-// waiter remains queued.
+// sequences among six transactions — so shared holds spill past the inline
+// holder — and checks the classic 2PL invariants after every step: at most
+// one exclusive holder, shared and exclusive never coexist, the inline holder
+// is empty only when nobody holds the row, and no granted waiter remains
+// queued.
 func TestPropRowLockInvariants(t *testing.T) {
+	const txns = 6
 	prop := func(seed int64, opsRaw []byte) bool {
 		env := sim.New(seed)
 		defer env.Close()
@@ -24,7 +27,7 @@ func TestPropRowLockInvariants(t *testing.T) {
 		held := map[uint64]LockMode{}
 		pendingTxns := map[uint64]bool{}
 		for _, b := range opsRaw {
-			txn := uint64(b%6) + 1
+			txn := uint64(b%txns) + 1
 			switch {
 			case b%3 != 0:
 				mode := LockShared
@@ -36,11 +39,11 @@ func TestPropRowLockInvariants(t *testing.T) {
 				}
 				mb := l.acquire(env, txn, mode)
 				if mb == nil {
-					if cur := l.holders[txn]; cur < mode {
+					if cur := l.held(txn); cur < mode {
 						t.Errorf("grant did not record mode: %v < %v", cur, mode)
 						return false
 					}
-					held[txn] = l.holders[txn]
+					held[txn] = l.held(txn)
 				} else {
 					pendingTxns[txn] = true
 				}
@@ -55,19 +58,26 @@ func TestPropRowLockInvariants(t *testing.T) {
 				victim := victims[rng.Intn(len(victims))]
 				l.release(victim)
 				delete(held, victim)
+				if l.held(victim) != 0 {
+					t.Errorf("txn %d still holds the row after releasing it", victim)
+					return false
+				}
 				// Grants may have fired: sync view from holders.
-				for h, m := range l.holders {
-					held[h] = m
-					delete(pendingTxns, h)
+				for h := uint64(1); h <= txns; h++ {
+					if m := l.held(h); m != 0 {
+						held[h] = m
+						delete(pendingTxns, h)
+					}
 				}
 			}
 			// Invariants.
 			exclusive := 0
 			shared := 0
-			for _, m := range l.holders {
-				if m == LockExclusive {
+			for h := uint64(1); h <= txns; h++ {
+				switch l.held(h) {
+				case LockExclusive:
 					exclusive++
-				} else {
+				case LockShared:
 					shared++
 				}
 			}
@@ -77,6 +87,14 @@ func TestPropRowLockInvariants(t *testing.T) {
 			}
 			if exclusive == 1 && shared > 0 {
 				t.Errorf("shared (%d) coexists with exclusive", shared)
+				return false
+			}
+			if l.holder.txn == 0 && exclusive+shared > 0 {
+				t.Errorf("inline holder empty with %d holders", exclusive+shared)
+				return false
+			}
+			if got := len(l.more); exclusive+shared > 0 && got != exclusive+shared-1 {
+				t.Errorf("%d spilled holders beside the inline one, want %d", got, exclusive+shared-1)
 				return false
 			}
 			// A queued waiter must genuinely be incompatible right now,

@@ -1,6 +1,10 @@
 package ndb
 
-import "hopsfscl/internal/sim"
+import (
+	"slices"
+
+	"hopsfscl/internal/sim"
+)
 
 // TableOptions are the per-table features of §IV-A3.
 type TableOptions struct {
@@ -174,9 +178,22 @@ const (
 // rowLock implements strict two-phase locking per row with FIFO waiters.
 // Deadlocks resolve via the waiters' timeouts (the NDB
 // TransactionDeadlockDetectionTimeout mechanism).
+//
+// The holders are a set kept without a map: a row is nearly always held by
+// one transaction, which sits inline in holder, and further holders — shared
+// ones, since an exclusive hold admits no other — spill into more. holder is
+// empty (txn 0; transaction ids start at 1) only when more is too. Where a
+// holder sits never matters: compatible asks whether any other holder
+// conflicts, and blockerOf takes the lowest id.
 type rowLock struct {
-	holders map[uint64]LockMode
+	holder  lockHolder
+	more    []lockHolder
 	waiters []*lockWaiter
+}
+
+type lockHolder struct {
+	txn  uint64
+	mode LockMode
 }
 
 type lockWaiter struct {
@@ -185,13 +202,45 @@ type lockWaiter struct {
 	granted *sim.Mailbox[bool]
 }
 
+// find returns txn's holder slot, nil when txn holds no lock on the row.
+func (l *rowLock) find(txn uint64) *lockHolder {
+	if l.holder.txn == txn {
+		return &l.holder
+	}
+	for i := range l.more {
+		if l.more[i].txn == txn {
+			return &l.more[i]
+		}
+	}
+	return nil
+}
+
+// held returns the mode txn holds the row in, 0 when it holds none.
+func (l *rowLock) held(txn uint64) LockMode {
+	if h := l.find(txn); h != nil {
+		return h.mode
+	}
+	return 0
+}
+
+// idle reports whether the row has neither holders nor waiters.
+func (l *rowLock) idle() bool { return l.holder.txn == 0 && len(l.waiters) == 0 }
+
+// admits reports whether the hold h leaves txn free to take mode.
+func (h lockHolder) admits(txn uint64, mode LockMode) bool {
+	return h.txn == txn || (mode == LockShared && h.mode == LockShared)
+}
+
 // compatible reports whether txn may take mode given current holders.
 func (l *rowLock) compatible(txn uint64, mode LockMode) bool {
-	for holder, hm := range l.holders {
-		if holder == txn {
-			continue
-		}
-		if mode == LockExclusive || hm == LockExclusive {
+	if l.holder.txn == 0 {
+		return true
+	}
+	if !l.holder.admits(txn, mode) {
+		return false
+	}
+	for _, h := range l.more {
+		if !h.admits(txn, mode) {
 			return false
 		}
 	}
@@ -201,7 +250,7 @@ func (l *rowLock) compatible(txn uint64, mode LockMode) bool {
 // acquire attempts to grant immediately; if it cannot, it enqueues a waiter
 // and returns the mailbox the grant (or nothing, on timeout) arrives on.
 func (l *rowLock) acquire(env *sim.Env, txn uint64, mode LockMode) *sim.Mailbox[bool] {
-	if cur, ok := l.holders[txn]; ok && cur >= mode {
+	if l.held(txn) >= mode {
 		return nil // already held at sufficient strength
 	}
 	if len(l.waiters) == 0 && l.compatible(txn, mode) {
@@ -214,17 +263,28 @@ func (l *rowLock) acquire(env *sim.Env, txn uint64, mode LockMode) *sim.Mailbox[
 }
 
 func (l *rowLock) grant(txn uint64, mode LockMode) {
-	if l.holders == nil {
-		l.holders = make(map[uint64]LockMode, 2)
-	}
-	if cur, ok := l.holders[txn]; !ok || mode > cur {
-		l.holders[txn] = mode
+	switch h := l.find(txn); {
+	case h != nil:
+		h.mode = max(h.mode, mode)
+	case l.holder.txn == 0:
+		l.holder = lockHolder{txn: txn, mode: mode}
+	default:
+		l.more = append(l.more, lockHolder{txn: txn, mode: mode})
 	}
 }
 
 // release drops txn's hold and grants as many FIFO waiters as possible.
 func (l *rowLock) release(txn uint64) {
-	delete(l.holders, txn)
+	if h := l.find(txn); h != nil {
+		// Move the last spilled holder into the vacated slot (a no-op when h
+		// is that holder), or empty the inline one.
+		if last := len(l.more) - 1; last >= 0 {
+			*h = l.more[last]
+			l.more = l.more[:last]
+		} else {
+			*h = lockHolder{}
+		}
+	}
 	l.pump()
 }
 
@@ -232,7 +292,7 @@ func (l *rowLock) release(txn uint64) {
 func (l *rowLock) removeWaiter(txn uint64) {
 	for i, w := range l.waiters {
 		if w.txn == txn {
-			l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
+			l.waiters = slices.Delete(l.waiters, i, i+1)
 			break
 		}
 	}
@@ -240,22 +300,19 @@ func (l *rowLock) removeWaiter(txn uint64) {
 }
 
 // blockerOf returns the transaction most plausibly blocking txn: the
-// lowest-ID current holder other than txn itself (deterministic despite the
-// holder map), else the queued waiter ahead of it. The second argument is
-// false when nothing is blocking.
+// lowest-ID current holder other than txn itself, else the queued waiter
+// ahead of it. The second argument is false when nothing is blocking.
 func (l *rowLock) blockerOf(txn uint64) (uint64, bool) {
-	var best uint64
-	found := false
-	for h := range l.holders {
-		if h == txn {
-			continue
-		}
-		if !found || h < best {
-			best = h
-			found = true
+	var best uint64 // 0: none yet
+	if l.holder.txn != txn {
+		best = l.holder.txn
+	}
+	for _, h := range l.more {
+		if h.txn != txn && (best == 0 || h.txn < best) {
+			best = h.txn
 		}
 	}
-	if found {
+	if best != 0 {
 		return best, true
 	}
 	for _, w := range l.waiters {
@@ -266,14 +323,21 @@ func (l *rowLock) blockerOf(txn uint64) (uint64, bool) {
 	return 0, false
 }
 
-// pump grants waiters at the head of the queue while compatible.
+// pump grants waiters at the head of the queue while compatible. A granted
+// waiter's slot is cleared as it leaves: the row outlives the wait, and its
+// queue's backing array must not keep the waiter and its mailbox reachable.
 func (l *rowLock) pump() {
 	for len(l.waiters) > 0 {
 		w := l.waiters[0]
 		if !l.compatible(w.txn, w.mode) {
 			return
 		}
-		l.waiters = l.waiters[1:]
+		l.waiters[0] = nil
+		if len(l.waiters) == 1 {
+			l.waiters = l.waiters[:0]
+		} else {
+			l.waiters = l.waiters[1:]
+		}
 		l.grant(w.txn, w.mode)
 		w.granted.Send(true)
 	}

@@ -37,6 +37,13 @@ type Txn struct {
 	vals    [8]BatchVal
 	kvs     [8][]KV
 	lockBuf [4]lockRef
+	// A mutation's writes nearly always fill one train of one or two rows
+	// (a rename within a directory): train0, its rows0 and trainBuf hold
+	// those, so staging them allocates nothing. Further trains, and rows
+	// beyond two, spill to the heap.
+	train0   train
+	rows0    [2]writeOp
+	trainBuf [2]*train
 }
 
 // Tx is the storage-transaction surface the metadata layer is written
@@ -134,7 +141,7 @@ func (c *Cluster) Begin(p *sim.Proc, origin *simnet.Node, originDomain simnet.Zo
 		originDomain: originDomain,
 		tc:           tc,
 	}
-	t.locks = t.lockBuf[:0]
+	t.locks, t.trains = t.lockBuf[:0], t.trainBuf[:0]
 	if c.activeOps != nil {
 		// Name the transaction after the client op driving it (the process
 		// name for untraced internal work), so the contention ledger can
@@ -288,7 +295,13 @@ func (t *Txn) stage(w *BatchWrite) *train {
 		}
 	}
 	if tr == nil {
-		tr = &train{chain: chain, readBackup: readBackup}
+		if len(t.trains) == 0 {
+			tr = &t.train0
+			tr.rows = t.rows0[:0]
+		} else {
+			tr = &train{}
+		}
+		tr.chain, tr.readBackup = chain, readBackup
 		t.trains = append(t.trains, tr)
 	}
 	tr.rows = append(tr.rows, writeOp{part: part, pk: w.PartKey, key: w.Key, val: w.Val, del: w.Del, ifAbsent: w.IfAbsent})
@@ -726,7 +739,7 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 		ls.Finish(p.Now())
 		r.lock.removeWaiter(t.id)
 		// The grant may have raced the timeout within the same instant.
-		if _, held := r.lock.holders[t.id]; held {
+		if r.lock.held(t.id) != 0 {
 			r.lock.release(t.id)
 			part.cleanRow(pk, key, r)
 		}
@@ -809,7 +822,7 @@ func (p *Partition) apply(w *writeOp, txn uint64) {
 // cleanRow drops placeholder rows that never materialized and carry no
 // lock state, bounding memory.
 func (p *Partition) cleanRow(pk, key string, r *row) {
-	if !r.exists && len(r.lock.holders) == 0 && len(r.lock.waiters) == 0 {
+	if !r.exists && r.lock.idle() {
 		delete(p.rows[pk], key)
 	}
 }

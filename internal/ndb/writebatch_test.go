@@ -449,7 +449,7 @@ func TestWriteIsPrepare(t *testing.T) {
 		}
 		part := tbl.partitionFor("p")
 		for _, key := range []string{"old", "new"} {
-			if mode := part.rows["p"][key].lock.holders[tx.id]; mode != LockExclusive {
+			if mode := part.rows["p"][key].lock.held(tx.id); mode != LockExclusive {
 				t.Errorf("row %q held in mode %d after WriteBatch, want exclusive", key, mode)
 			}
 		}

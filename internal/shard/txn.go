@@ -1,7 +1,8 @@
 package shard
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"hopsfscl/internal/ndb"
@@ -12,8 +13,9 @@ import (
 // Txn is a routed transaction on a multi-cluster router: a dispatcher with
 // the method set of ndb.Tx that opens one ndb.Txn per shard the operation
 // actually touches and routes each batch (routeBatch) to the
-// sub-transactions of the clusters that own its rows' tables. It holds no
-// rows and converts nothing. A one-cluster router never creates one (see Begin).
+// sub-transactions of the clusters that own its rows' tables. It stores no
+// rows and converts nothing; it only gathers and scatters a batch that spans
+// shards. A one-cluster router never creates one (see Begin).
 type Txn struct {
 	r      *Router
 	p      *sim.Proc
@@ -29,6 +31,11 @@ type Txn struct {
 	// shard has been touched; nil from the second open on.
 	only *ndb.Txn
 	done bool
+	// gets and vals are where routeBatch gathers a ReadBatch of up to eight
+	// rows that spans shards — a path resolution straddling the boundary —
+	// and scatters its results, so such a batch allocates nothing.
+	gets [8]ndb.BatchGet
+	vals [8]ndb.BatchVal
 }
 
 // Begin opens a transaction hinted at table's row partKey — Cluster.Begin's
@@ -101,20 +108,26 @@ func (t *Txn) ScanTablePrefix(table *ndb.Table, prefix string) ([]ndb.KV, error)
 		}
 		out = append(out, kvs...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, byKey)
 	return out, nil
 }
+
+// byKey orders scanned rows by key; keys are unique within a table.
+func byKey(a, b ndb.KV) int { return strings.Compare(a.Key, b.Key) }
 
 // routeBatch is the one batch dispatcher. A batch whose rows all live on one
 // shard — every batched write of a create, delete or same-directory rename —
 // is handed to that shard's sub-transaction as the caller's slice,
 // untouched. A batch that spans shards is split: shards are visited in
-// ascending order, each one's rows are gathered in request order and run as
-// one sub-batch on its sub-transaction, and the sub-batch's results are
-// scattered back to the rows' request positions. A failing shard ends the
-// walk with its error before anything of it is scattered. at names a row's
-// table and partition key; run returns one result per row it was given.
-func routeBatch[T, R any](t *Txn, rows []T, at func(*T) (*ndb.Table, string),
+// ascending order, each one's rows are gathered in request order into part
+// and run as one sub-batch on its sub-transaction, and the sub-batch's
+// results are scattered back to the rows' request positions in out. A failing
+// shard ends the walk with its error before anything of it is scattered. part
+// and out are empty buffers the gather and the results are carved from while
+// they have room: the result is valid until the transaction's next read. at
+// names a row's table and partition key; run returns one result per row it
+// was given.
+func routeBatch[T, R any](t *Txn, rows, part []T, out []R, at func(*T) (*ndb.Table, string),
 	run func(*ndb.Txn, []T) ([]R, error)) ([]R, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -134,8 +147,8 @@ func routeBatch[T, R any](t *Txn, rows []T, at func(*T) (*ndb.Table, string),
 		}
 		return run(sub, rows)
 	}
-	out := make([]R, len(rows))
-	part := make([]T, 0, len(rows))
+	out = slices.Grow(out, len(rows))[:len(rows)]
+	part = slices.Grow(part, len(rows))
 	for s := range t.subs {
 		part = part[:0]
 		for i := range rows {
@@ -165,27 +178,31 @@ func routeBatch[T, R any](t *Txn, rows []T, at func(*T) (*ndb.Table, string),
 }
 
 // ReadBatch reads many rows in one batched fan-out per touched shard,
-// returning values positionally.
+// returning values positionally. As with ndb.Txn, the result of a batch of up
+// to eight rows lives in the transaction and is valid until its next read.
 func (t *Txn) ReadBatch(gets []ndb.BatchGet) ([]ndb.BatchVal, error) {
-	return routeBatch(t, gets,
+	return routeBatch(t, gets, t.gets[:0], t.vals[:0],
 		func(g *ndb.BatchGet) (*ndb.Table, string) { return g.Table, g.PartKey },
 		(*ndb.Txn).ReadBatch)
 }
 
 // ScanBatch runs many prefix scans in one batched fan-out per touched
-// shard, returning result sets positionally.
+// shard, returning result sets positionally. A scan batch spans shards only
+// when a subtree walk's level does, rarely enough that it gathers into fresh
+// buffers.
 func (t *Txn) ScanBatch(scans []ndb.BatchScan) ([][]ndb.KV, error) {
-	return routeBatch(t, scans,
+	return routeBatch(t, scans, nil, nil,
 		func(s *ndb.BatchScan) (*ndb.Table, string) { return s.Table, s.PartKey },
 		(*ndb.Txn).ScanBatch)
 }
 
 // WriteBatch executes all mutations, one ndb.WriteBatch per touched shard. A
-// written row has no result; the empty ones cost nothing. A refused insert
-// (ndb.ErrRowExists) has aborted its own shard's sub-transaction; the others
-// end with the routed transaction's Abort.
+// written row has no result; the empty ones cost nothing. A write batch that
+// spans shards gathers into a fresh buffer, as a scan batch does. A refused
+// insert (ndb.ErrRowExists) has aborted its own shard's sub-transaction; the
+// others end with the routed transaction's Abort.
 func (t *Txn) WriteBatch(items []ndb.BatchWrite) error {
-	_, err := routeBatch(t, items,
+	_, err := routeBatch(t, items, nil, nil,
 		func(w *ndb.BatchWrite) (*ndb.Table, string) { return w.Table, w.PartKey },
 		func(sub *ndb.Txn, part []ndb.BatchWrite) ([]struct{}, error) {
 			return make([]struct{}, len(part)), sub.WriteBatch(part)

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -56,8 +59,73 @@ func TestCancelledTimerRemovedFromHeap(t *testing.T) {
 	if env.Now() != time.Millisecond {
 		t.Fatalf("quiesced at %v, want 1ms (cancelled timer retained in heap)", env.Now())
 	}
-	if env.events.Len() != 0 {
-		t.Fatalf("%d events left in heap after quiescence", env.events.Len())
+	if len(env.events) != 0 {
+		t.Fatalf("%d events left in heap after quiescence", len(env.events))
+	}
+}
+
+// The event heap must hand events out in exactly (t, seq) order, whatever
+// mix of schedules and eager cancellations built it: random sequences —
+// over a few instants, so that ties on t are common — are checked against
+// a sort, and after every step each queued event's heapIdx must name its
+// position.
+func TestEventHeapOrder(t *testing.T) {
+	order := func(a, b *event) int {
+		if a.t != b.t {
+			return int(a.t - b.t)
+		}
+		return int(a.seq) - int(b.seq)
+	}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var h eventHeap
+		var queued []*event
+		var seq uint64
+		pop := func() bool {
+			want := slices.MinFunc(queued, order)
+			if got := h.remove(0); got != want || got.heapIdx != -1 {
+				t.Errorf("seed %d: popped (%v, %d), want (%v, %d)", seed, got.t, got.seq, want.t, want.seq)
+				return false
+			}
+			queued = slices.DeleteFunc(queued, func(ev *event) bool { return ev == want })
+			return true
+		}
+		for step := 0; step < 300; step++ {
+			switch r := rng.Intn(10); {
+			case r < 5 || len(queued) == 0:
+				seq++
+				ev := &event{t: time.Duration(rng.Intn(6)), seq: seq}
+				h.push(ev)
+				queued = append(queued, ev)
+			case r < 7:
+				k := rng.Intn(len(queued))
+				h.remove(queued[k].heapIdx)
+				queued = slices.Delete(queued, k, k+1)
+			default:
+				if !pop() {
+					return false
+				}
+			}
+			for i, ev := range h {
+				if ev.heapIdx != i {
+					t.Errorf("seed %d, step %d: event at %d records heapIdx %d", seed, step, i, ev.heapIdx)
+					return false
+				}
+			}
+			if len(h) != len(queued) {
+				t.Errorf("seed %d, step %d: heap holds %d events, want %d", seed, step, len(h), len(queued))
+				return false
+			}
+		}
+		for len(queued) > 0 {
+			if !pop() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -292,7 +360,7 @@ func TestEventPoolReuse(t *testing.T) {
 	if n := len(env.freeEvents); n == 0 || n > 8 {
 		t.Fatalf("free-list holds %d events after steady-state loop, want a small nonzero pool", n)
 	}
-	if env.events.Len() != 0 {
-		t.Fatalf("%d events still queued after quiescence", env.events.Len())
+	if len(env.events) != 0 {
+		t.Fatalf("%d events still queued after quiescence", len(env.events))
 	}
 }

@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"math/rand"
@@ -167,7 +166,7 @@ func (e *Env) loop() {
 			}
 			e.resumeProc(p)
 		}
-		if e.events.Len() == 0 {
+		if len(e.events) == 0 {
 			return
 		}
 		next := e.events[0].t
@@ -179,8 +178,8 @@ func (e *Env) loop() {
 		// recycled to the free-list once its effect has been captured; pure
 		// timer wake-ups (ev.proc set, no fn) ready the process directly
 		// without a per-Sleep closure.
-		for e.events.Len() > 0 && e.events[0].t == e.now {
-			ev := heap.Pop(&e.events).(*event)
+		for len(e.events) > 0 && e.events[0].t == e.now {
+			ev := e.events.remove(0)
 			fn, p := ev.fn, ev.proc
 			e.recycleEvent(ev)
 			if p != nil {
@@ -221,8 +220,8 @@ func (e *Env) readyProc(p *Proc) {
 
 // event is one entry in the queue: a timer wake-up (proc set) or a callback
 // (fn set). Events are pooled on Env.freeEvents; heapIdx tracks the event's
-// position in the heap so a cancelled timer can be removed eagerly with
-// heap.Remove instead of lingering as a tombstone until its deadline.
+// position in the heap so a cancelled timer can be removed eagerly instead of
+// lingering as a tombstone until its deadline.
 type event struct {
 	t       time.Duration
 	seq     uint64
@@ -245,7 +244,7 @@ func (e *Env) schedule(t time.Duration, fn func(), p *Proc) *event {
 		ev = &event{}
 	}
 	ev.t, ev.seq, ev.fn, ev.proc = t, e.seq, fn, p
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -262,38 +261,84 @@ func (e *Env) recycleEvent(ev *event) {
 // recycles it: the cancellation path for timers whose wait was satisfied.
 func (e *Env) removeEvent(ev *event) {
 	if ev.heapIdx >= 0 {
-		heap.Remove(&e.events, ev.heapIdx)
+		e.events.remove(ev.heapIdx)
 	}
 	e.recycleEvent(ev)
 }
 
+// eventHeap is the event queue: a binary min-heap under before, each event
+// recording its position in heapIdx. (t, seq) is a strict total order, so
+// the order events leave the heap does not depend on how it is arranged.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a fires ahead of b: earlier, or scheduled first.
+func (a *event) before(b *event) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+
+// set places ev at position i.
+func (h eventHeap) set(i int, ev *event) {
+	h[i] = ev
+	ev.heapIdx = i
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.heapIdx = len(*h)
+
+// push queues ev.
+func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// remove takes the event at position i out of the heap and returns it; 0 is
+// the earliest.
+func (h *eventHeap) remove(i int) *event {
+	s := *h
+	ev, last := s[i], len(s)-1
+	if i != last {
+		s.set(i, s[last])
+	}
+	s[last] = nil
+	*h = s[:last]
+	if i != last && !h.down(i) {
+		h.up(i)
+	}
 	ev.heapIdx = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// up sifts the event at position i towards the root past every later parent.
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h.set(i, h[parent])
+		i = parent
+	}
+	h.set(i, ev)
+}
+
+// down sifts the event at position i towards the leaves past every earlier
+// child, and reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	ev, start := h[i], i
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if right := child + 1; right < len(h) && h[right].before(h[child]) {
+			child = right
+		}
+		if !h[child].before(ev) {
+			break
+		}
+		h.set(i, h[child])
+		i = child
+	}
+	h.set(i, ev)
+	return i > start
 }
 
 var errKilled = fmt.Errorf("sim: process killed")
