@@ -17,7 +17,8 @@ import (
 //
 // Isolation follows NDB: read committed by default, with explicit row locks
 // for stronger guarantees (§II-B). Locks follow strict two-phase locking
-// and are released as the commit chain passes the primary replica.
+// and are released as the commit chain passes the primary replica — or, for
+// a transaction committed by CommitHolding, all at once by Release.
 type Txn struct {
 	c            *Cluster
 	p            *sim.Proc
@@ -29,6 +30,9 @@ type Txn struct {
 	locks  []lockRef
 	trains []*train
 	done   bool
+	// holding is set by CommitHolding: the commit applies the trains and
+	// keeps every lock until Release.
+	holding bool
 
 	// vals and kvs hold the result of a ReadBatch or ScanBatch of up to
 	// eight rows (and of each round of ScanTablePrefix), so a path's worth
@@ -473,8 +477,44 @@ func (t *Txn) Commit() error {
 		// landing mid-2PC — leaves no half-commit.
 		return err
 	}
-	// Ack to the API client (message 10 of Figure 2, or 14 under Read Backup
-	// — the timing difference is already inside commitTrain).
+	return t.ack()
+}
+
+// CommitHolding commits as Commit does — the same passes, the same Ack —
+// but keeps every lock the transaction holds, its written rows' included,
+// until Release. It is how transactions that must commit together, the
+// shard router's sub-transactions of one operation, hold every lock until
+// the last of them has committed. On an error the transaction has ended and
+// holds nothing.
+func (t *Txn) CommitHolding() error {
+	if t.done {
+		return ErrAborted
+	}
+	t.holding = true
+	if err := t.commitTrains(); err != nil {
+		t.abortLocked()
+		return err
+	}
+	if err := t.ack(); err != nil {
+		t.Release()
+		return err
+	}
+	return nil
+}
+
+// Release releases the locks of a transaction CommitHolding committed and
+// ends it. Like Abort, it sends no message.
+func (t *Txn) Release() {
+	if t.done {
+		return
+	}
+	t.releaseAll()
+	t.finish(true)
+}
+
+// ack is the commit's Ack to the API client (message 10 of Figure 2, or 14
+// under Read Backup — the timing difference is already inside commitTrain).
+func (t *Txn) ack() error {
 	t.tc.send(t.p)
 	if !t.c.net.TravelDeferred(t.p, t.tc.Node, t.origin, ackSize, rpcTimeout) {
 		return ErrNodeUnavailable
@@ -534,7 +574,7 @@ func (t *Txn) commitTrains() error {
 	// still held.
 	t.p.Flush()
 	for _, tr := range t.trains {
-		tr.apply(t.id)
+		tr.apply(t)
 	}
 	return nil
 }
@@ -551,10 +591,11 @@ func (t *Txn) chargeCommit(tr *train) {
 	}
 }
 
-// apply makes the train's rows the committed values and releases their locks.
-func (tr *train) apply(txn uint64) {
+// apply makes the train's rows t's committed values and, unless t keeps its
+// locks until Release, releases their locks.
+func (tr *train) apply(t *Txn) {
 	for i := range tr.rows {
-		tr.rows[i].part.apply(&tr.rows[i], txn)
+		tr.rows[i].part.apply(&tr.rows[i], t.id, !t.holding)
 	}
 }
 
@@ -592,7 +633,7 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 	// transactions defer the apply to the transaction-wide commit point.
 	p.Flush()
 	if applyNow {
-		tr.apply(t.id)
+		tr.apply(t)
 	}
 	if !t.hop(p, prev, t.tc, ackSize) {
 		return ErrNodeUnavailable
@@ -804,8 +845,9 @@ func (p *Partition) getRow(pk, key string) *row {
 }
 
 // apply makes a staged write the committed value, stamped with the
-// current global checkpoint epoch.
-func (p *Partition) apply(w *writeOp, txn uint64) {
+// current global checkpoint epoch, and releases txn's lock on the row when
+// release is set; a row whose lock is kept stays until releaseAll.
+func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
 	r := p.getRow(w.pk, w.key)
 	if w.del {
 		r.exists = false
@@ -815,7 +857,9 @@ func (p *Partition) apply(w *writeOp, txn uint64) {
 		r.val = w.val
 	}
 	r.epoch = p.table.c.gcpEpoch
-	r.lock.release(txn)
+	if release {
+		r.lock.release(txn)
+	}
 	p.cleanRow(w.pk, w.key, r)
 }
 

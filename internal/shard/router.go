@@ -8,8 +8,9 @@
 // partitions, replica chains, and global checkpoints — and every
 // transaction that touches a single shard runs on the single-cluster fast
 // path, byte for byte. Only the rare operation that must mutate rows on two
-// shards (a rename across the hash boundary) pays for coordination, through
-// an ordered two-cluster commit with a durable intent record (intent.go).
+// shards (a rename across the hash boundary, or a create whose inline
+// payload row hashes elsewhere) pays for coordination, through an ordered
+// two-cluster commit with a durable intent record (intent.go).
 //
 // The routing function is deterministic and stateless: a row lives on the
 // shard given by the FNV-64a hash of its partition key, modulo N. Because
@@ -42,6 +43,7 @@ import (
 
 	"hopsfscl/internal/heat"
 	"hopsfscl/internal/ndb"
+	"hopsfscl/internal/sim"
 	"hopsfscl/internal/trace"
 )
 
@@ -68,6 +70,17 @@ type Router struct {
 	// intentSeq numbers intent records; combined with the origin namenode
 	// it is unique per deployment.
 	intentSeq uint64
+
+	// clears is the clear queue: the decided intents whose records await
+	// deletion, in the order their commits finished. An entry leaves once
+	// its delete has committed (clearRound) or the sweeper has deleted it.
+	// The clearer parks on clearWake while clearIdle is set. clearBuf and
+	// clearItems are a round's snapshot of the queue and its write batch.
+	clears     []intentClear
+	clearWake  *sim.Mailbox[struct{}]
+	clearIdle  bool
+	clearBuf   []intentClear
+	clearItems []ndb.BatchWrite
 }
 
 // routerObs caches the registry handles of the router's own metrics. The
@@ -107,6 +120,9 @@ func NewRouter(clusters []*ndb.Cluster) (*Router, error) {
 		for i, c := range clusters {
 			r.intents[i] = c.CreateTable(intentTableName, 256, ndb.TableOptions{ReadBackup: true})
 		}
+		env := clusters[0].Env()
+		r.clearWake = sim.NewMailbox[struct{}](env)
+		env.Spawn("shard-intent-clearer", r.clearer)
 	}
 	return r, nil
 }

@@ -229,8 +229,9 @@ func (t *Txn) abortSubs() {
 }
 
 // Commit commits the routed transaction. One touched shard — the fast
-// path — is exactly one single-cluster commit. Several touched shards run
-// the ordered intent protocol in intent.go.
+// path — is exactly one single-cluster commit. Several touched shards
+// commit in commitCross (intent.go): every writer holds its locks until the
+// last has committed, with the intent protocol when there are two or more.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ndb.ErrAborted

@@ -23,9 +23,9 @@ func exemplarEngine() *Engine {
 
 func TestExemplarsPinBreaches(t *testing.T) {
 	x := NewExemplars(exemplarEngine(), ExemplarConfig{})
-	x.Observe(span(1, "stat", 0, 20*time.Millisecond))           // breach: 20ms > 10ms
-	x.Observe(span(2, "stat", 0, 5*time.Millisecond))            // within objective
-	x.Observe(span(3, "mkdir", 0, 100*time.Millisecond))         // breach via "*" fallback
+	x.Observe(span(1, "stat", 0, 20*time.Millisecond))             // breach: 20ms > 10ms
+	x.Observe(span(2, "stat", 0, 5*time.Millisecond))              // within objective
+	x.Observe(span(3, "mkdir", 0, 100*time.Millisecond))           // breach via "*" fallback
 	x.Observe(span(4, "read", time.Second, 1001*time.Millisecond)) // fast, new window
 
 	rep := x.Report(2 * time.Second)
