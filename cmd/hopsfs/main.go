@@ -243,22 +243,24 @@ func (s *shell) eval(f []string) error {
 		s.cluster.FailZone(z)
 		fmt.Printf("zone %d failed; leader is now nn-%d\n", z, s.cluster.LeaderID())
 		return nil
-	case "partition":
+	case "partition", "heal":
 		if len(f) != 3 {
-			return fmt.Errorf("usage: partition <a> <b>")
+			return fmt.Errorf("usage: %s <a> <b>", f[0])
 		}
-		a, _ := strconv.Atoi(f[1])
-		b, _ := strconv.Atoi(f[2])
+		a, err := parseZone(f[1])
+		if err != nil {
+			return err
+		}
+		b, err := parseZone(f[2])
+		if err != nil {
+			return err
+		}
+		if f[0] == "heal" {
+			s.cluster.HealZones(a, b)
+			return nil
+		}
 		s.cluster.PartitionZones(a, b)
 		fmt.Println("partition injected; the arbitrator resolves the split brain")
-		return nil
-	case "heal":
-		if len(f) != 3 {
-			return fmt.Errorf("usage: heal <a> <b>")
-		}
-		a, _ := strconv.Atoi(f[1])
-		b, _ := strconv.Atoi(f[2])
-		s.cluster.HealZones(a, b)
 		return nil
 	case "fail-nn":
 		if len(f) != 2 {
@@ -304,7 +306,11 @@ func zoneArg(f []string, n int) (int, error) {
 	if len(f) != n {
 		return 0, fmt.Errorf("usage: %s <zone>", f[0])
 	}
-	z, err := strconv.Atoi(f[1])
+	return parseZone(f[1])
+}
+
+func parseZone(s string) (int, error) {
+	z, err := strconv.Atoi(s)
 	if err != nil || z < 1 || z > 3 {
 		return 0, fmt.Errorf("zone must be 1, 2 or 3")
 	}

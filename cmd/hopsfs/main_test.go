@@ -69,6 +69,8 @@ func TestShellEvalCommands(t *testing.T) {
 		{"put", "/x"},
 		{"put", "/x", "nope"},
 		{"zone", "9"},
+		{"partition", "x", "3"},
+		{"heal", "1", "9"},
 		{"cat", "/missing"},
 	} {
 		if err := sh.eval(cmd); err == nil {

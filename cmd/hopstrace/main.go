@@ -606,12 +606,7 @@ func runAutoscale(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "\nscale events (%d up, %d down):\n%s",
 		r.ScaleUps, r.ScaleDowns, autoscale.RenderEvents(r.Events))
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.Recorder.WriteCSV(f); err != nil {
+		if err := writeOut(stdout, *out, r.Recorder.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "\nwrote %d timeline frames to %s\n", len(r.Recorder.Frames()), *out)

@@ -41,7 +41,7 @@ func pathStatLatency(o ExpOptions, depth int, disableBatched bool) (mean, p99 ti
 
 	const warmStats = 16
 	const measuredStats = 200
-	hist := metrics.NewHistogram(measuredStats, o.Seed)
+	var hist metrics.Histogram
 	sink := d.EnableTracing(measuredStats)
 	cl := d.NS.NewClient(1, 9001, 1)
 	done := false

@@ -69,7 +69,7 @@ func writeFanPoint(o ExpOptions, rows int, serial bool) (mean time.Duration, msg
 
 	const warmTxns = 4
 	const measuredTxns = 64
-	hist := metrics.NewHistogram(measuredTxns, o.Seed)
+	var hist metrics.Histogram
 	sink := tracer.EnableSink(measuredTxns)
 	trainsC := reg.Counter("ndb.commit.trains")
 

@@ -72,12 +72,8 @@ type DataNode struct {
 	Node *simnet.Node
 	ID   int
 
-	blocks map[BlockID]int64 // replica sizes held, by block id
-	used   int64
+	blocks map[BlockID]struct{} // replicas held
 }
-
-// Used returns bytes of block data held.
-func (dn *DataNode) Used() int64 { return dn.used }
 
 // HoldsBlock reports whether the datanode has a replica of b.
 func (dn *DataNode) HoldsBlock(b BlockID) bool { _, ok := dn.blocks[b]; return ok }
@@ -173,7 +169,7 @@ func NewManager(env *sim.Env, net *simnet.Network, cfg Config, placements []Plac
 		m.dns = append(m.dns, &DataNode{
 			Node:   net.NewNode(fmt.Sprintf("dn-%d", i+1), pl.Zone, pl.Host),
 			ID:     i,
-			blocks: make(map[BlockID]int64),
+			blocks: make(map[BlockID]struct{}),
 		})
 	}
 	env.Spawn("block-monitor", func(p *sim.Proc) { m.monitor(p) })
@@ -360,8 +356,7 @@ func (m *Manager) WriteBlock(p *sim.Proc, client *simnet.Node, inode uint64, siz
 		return nil, ErrNoDatanodes
 	}
 	for _, dn := range targets {
-		dn.blocks[b.ID] = size
-		dn.used += size
+		dn.blocks[b.ID] = struct{}{}
 	}
 	m.registry[b.ID] = b
 	return b, nil
@@ -421,7 +416,6 @@ func (m *Manager) DeleteBlock(id BlockID) {
 	for _, dn := range b.locs {
 		if dn.HoldsBlock(id) {
 			delete(dn.blocks, id)
-			dn.used -= b.Size
 		}
 	}
 	delete(m.registry, id)
@@ -519,11 +513,10 @@ func (m *Manager) reconcile() {
 		if !dn.Node.Alive() {
 			continue
 		}
-		for id, sz := range dn.blocks {
+		for id := range dn.blocks {
 			b, ok := m.registry[id]
 			if !ok {
 				delete(dn.blocks, id)
-				dn.used -= sz
 				continue
 			}
 			listed := false
@@ -535,7 +528,6 @@ func (m *Manager) reconcile() {
 			}
 			if !listed {
 				delete(dn.blocks, id)
-				dn.used -= b.Size
 			}
 		}
 	}
@@ -610,8 +602,7 @@ func (m *Manager) reReplicate(p *sim.Proc, b *Block) {
 		return
 	}
 	target.Node.DiskWrite(p, int(b.Size))
-	target.blocks[b.ID] = b.Size
-	target.used += b.Size
+	target.blocks[b.ID] = struct{}{}
 	b.locs = append(b.Locations(), target)
 	m.ReReplications++
 	// A spread-restoring copy can push the block above the target count
@@ -648,7 +639,6 @@ func (m *Manager) trimExcess(b *Block) {
 		}
 		dn := locs[victim]
 		delete(dn.blocks, b.ID)
-		dn.used -= b.Size
 		b.locs = append(locs[:victim], locs[victim+1:]...)
 	}
 }

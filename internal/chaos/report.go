@@ -122,36 +122,6 @@ func (e *Engine) report(start, end time.Duration) *Report {
 		r.SLO = e.d.SLO.Report(end)
 		r.Detect = e.detect(r.SLO, end)
 	}
-
-	reg := e.d.Registry
-	for _, rec := range e.records {
-		switch {
-		case rec.Err == nil:
-			reg.Counter("chaos.ops", "outcome", "ok").Add(1)
-		case indeterminate(rec.Err):
-			reg.Counter("chaos.ops", "outcome", "indeterminate").Add(1)
-		default:
-			reg.Counter("chaos.ops", "outcome", "failed").Add(1)
-		}
-	}
-	mt := reg.Timing("chaos.mttr")
-	for _, m := range r.MTTR {
-		if m.Recovered {
-			mt.Observe(m.MTTR)
-		}
-	}
-	tt := reg.Timing("chaos.ttd")
-	for _, de := range r.Detect {
-		if de.Detected {
-			tt.Observe(de.TTD)
-		}
-	}
-	ut := reg.Timing("chaos.unavailability")
-	for _, w := range r.Unavail {
-		ut.Observe(w.Dur())
-	}
-	reg.Counter("chaos.violations", "layer", "invariant").Add(int64(len(r.Violations)))
-	reg.Counter("chaos.violations", "layer", "history").Add(int64(len(r.Check.Violations)))
 	return r
 }
 

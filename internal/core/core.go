@@ -430,7 +430,7 @@ func (d *Deployment) EnableFlightRecorder(interval time.Duration, capacity int, 
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
-	fr := trace.NewFlightRecorder(d.Registry, interval, capacity)
+	fr := trace.NewFlightRecorder(d.Registry, capacity)
 	fr.Keep(keep...)
 	d.every("flight-recorder", interval, fr.Record)
 	return fr

@@ -1,9 +1,8 @@
 // Package heat maintains deterministic top-k heavy-hitter sketches over
 // the deployment's operation stream: which path subtrees, inodes, NDB
-// tables, and partitions are hot right now. It is the data layer namespace
-// sharding (ROADMAP item 2) consumes to pick partitions, and the answer to
-// "which paths are burning the latency budget" that aggregate metrics
-// cannot give.
+// tables, and partitions are hot right now: the answer to "which paths are
+// burning the latency budget" that aggregate metrics cannot give, as
+// `hopstrace hotspots` prints it.
 //
 // The sketch is Space-Saving (Metwally et al.): a fixed set of counters;
 // a key not yet tracked replaces the minimum counter and inherits its

@@ -4,7 +4,7 @@
 // breakpoints), weekly structure (weekend dips), and flash-crowd burst
 // events with ramp/dwell/decay envelopes. A time-compression factor maps
 // virtual days onto a bounded simulation run, so "replay a week of traffic"
-// (ROADMAP item 1) costs seconds of virtual time.
+// costs seconds of virtual time.
 //
 // A profile is purely a function from virtual time to a load multiplier:
 // evaluation allocates nothing and draws no randomness, so two runs with

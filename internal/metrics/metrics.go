@@ -7,87 +7,49 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"hopsfscl/internal/sim"
 )
 
-// Histogram collects latency samples with deterministic reservoir sampling
-// so memory stays bounded for arbitrarily long runs.
+// Histogram keeps every latency sample, so its percentiles are exact. The
+// zero value is ready to use.
 type Histogram struct {
 	samples []time.Duration
-	count   int64
 	sum     time.Duration
-	max     time.Duration
-	cap     int
-	seed    int64
-	rng     *rand.Rand
-
-	// sorted caches the sorted view for repeated percentile queries
-	// (harnesses ask for p50/p90/p99 back to back); Observe invalidates it.
-	sorted      []time.Duration
-	sortedValid bool
-}
-
-// NewHistogram returns a histogram keeping at most capSamples samples
-// (reservoir-sampled beyond that). A zero capSamples defaults to 64k.
-func NewHistogram(capSamples int, seed int64) *Histogram {
-	if capSamples <= 0 {
-		capSamples = 64 << 10
-	}
-	return &Histogram{
-		cap:  capSamples,
-		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
-	}
+	// sorted says samples is in ascending order: harnesses ask for
+	// p50/p90/p99 back to back, so only the first query sorts; Observe
+	// clears it.
+	sorted bool
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(d time.Duration) {
-	h.count++
+	h.samples = append(h.samples, d)
 	h.sum += d
-	h.sortedValid = false
-	if d > h.max {
-		h.max = d
-	}
-	if len(h.samples) < h.cap {
-		h.samples = append(h.samples, d)
-		return
-	}
-	// Vitter's algorithm R.
-	if idx := h.rng.Int63n(h.count); idx < int64(h.cap) {
-		h.samples[idx] = d
-	}
+	h.sorted = false
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
 
 // Mean returns the average of all observations.
 func (h *Histogram) Mean() time.Duration {
-	if h.count == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	return h.sum / time.Duration(h.count)
+	return h.sum / time.Duration(len(h.samples))
 }
 
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration { return h.max }
-
-// Percentile returns the q-quantile (0 < q <= 1) from the retained sample.
+// Percentile returns the q-quantile (0 < q <= 1) of all observations.
 func (h *Histogram) Percentile(q float64) time.Duration {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	if !h.sortedValid {
-		h.sorted = append(h.sorted[:0], h.samples...)
-		sort.Slice(h.sorted, func(i, j int) bool { return h.sorted[i] < h.sorted[j] })
-		h.sortedValid = true
+	if !h.sorted {
+		slices.Sort(h.samples)
+		h.sorted = true
 	}
-	s := h.sorted
+	s := h.samples
 	// Ceiling nearest-rank: the smallest sample with at least a q fraction
 	// of the sample at or below it. Truncating here biases small-sample
 	// tails low (p99 of 10 samples would return the 9th value, not the
@@ -100,18 +62,6 @@ func (h *Histogram) Percentile(q float64) time.Duration {
 		idx = len(s) - 1
 	}
 	return s[idx]
-}
-
-// Reset clears all state, including the sampling RNG: a reset histogram
-// behaves identically to a freshly constructed one, so reset-and-reuse
-// runs stay reproducible.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.count = 0
-	h.sum = 0
-	h.max = 0
-	h.sortedValid = false
-	h.rng = rand.New(rand.NewSource(h.seed))
 }
 
 // UtilWindow measures average utilization of a set of resources over a

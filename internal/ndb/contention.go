@@ -12,14 +12,14 @@ import (
 // This file is the contention ledger: when a transaction blocks on a row
 // lock, the cluster records who waited on whom — (table, lock mode, waiter
 // operation type, holder operation type, wait duration) — into a bounded,
-// deterministic aggregate, plus a sampled ring of individual wait-for
-// edges. The paper attributes HopsFS's behavior under load to hierarchical
-// lock contention (§V-C/V-E); the ledger turns the existing txn.lock_wait
-// total into "which op blocked which op on which table".
+// deterministic aggregate. The paper attributes HopsFS's behavior under
+// load to hierarchical lock contention (§V-C/V-E); the ledger turns the
+// existing txn.lock_wait total into "which op blocked which op on which
+// table".
 //
 // The kernel runs one process at a time, so the ledger needs no locking
-// (the same discipline as Cluster.Stats). All bounds are deterministic:
-// eviction never depends on map iteration, and sampling is count-based.
+// (the same discipline as Cluster.Stats). The bound is deterministic:
+// overflow never depends on map iteration.
 
 // lockModeLabel names a lock mode for reports and metric labels.
 func lockModeLabel(m LockMode) string {
@@ -54,51 +54,28 @@ type ContentionEntry struct {
 	Max      time.Duration
 }
 
-// WaitEdge is one sampled wait-for edge: a concrete instance of waiter
-// blocking on holder.
-type WaitEdge struct {
-	At       time.Duration
-	Table    string
-	Holder   string
-	Waiter   string
-	Mode     LockMode
-	Wait     time.Duration
-	TimedOut bool
-}
-
 // ContentionLedger is the bounded record of lock blocking in one cluster.
 type ContentionLedger struct {
 	capKeys     int
 	entries     map[contKey]*ContentionEntry
 	droppedKeys int64
 	events      int64
-
-	sampleEvery int64
-	sampleCap   int
-	samples     []WaitEdge
-	sampleNext  int
 }
 
 // ledger sizing: generous enough that real runs never overflow (tables ×
 // op-type pairs is small), bounded so a pathological workload cannot grow
 // without limit.
-const (
-	contCapKeys     = 1024
-	contSampleCap   = 256
-	contSampleEvery = 8
-)
+const contCapKeys = 1024
 
 func newContentionLedger() *ContentionLedger {
 	return &ContentionLedger{
-		capKeys:     contCapKeys,
-		entries:     make(map[contKey]*ContentionEntry),
-		sampleEvery: contSampleEvery,
-		sampleCap:   contSampleCap,
+		capKeys: contCapKeys,
+		entries: make(map[contKey]*ContentionEntry),
 	}
 }
 
 // record folds one resolved blocking event into the ledger.
-func (l *ContentionLedger) record(now time.Duration, table, holder, waiter string, mode LockMode, wait time.Duration, timedOut bool) {
+func (l *ContentionLedger) record(table, holder, waiter string, mode LockMode, wait time.Duration, timedOut bool) {
 	if l == nil {
 		return
 	}
@@ -128,17 +105,6 @@ func (l *ContentionLedger) record(now time.Duration, table, holder, waiter strin
 	if timedOut {
 		e.Timeouts++
 	}
-	// Every Nth event lands in the sample ring (FIFO once full), a
-	// deterministic sketch of individual wait-for edges for debugging.
-	if l.events%l.sampleEvery == 1 || l.sampleEvery == 1 {
-		edge := WaitEdge{At: now, Table: table, Holder: holder, Waiter: waiter, Mode: mode, Wait: wait, TimedOut: timedOut}
-		if len(l.samples) < l.sampleCap {
-			l.samples = append(l.samples, edge)
-		} else {
-			l.samples[l.sampleNext] = edge
-			l.sampleNext = (l.sampleNext + 1) % l.sampleCap
-		}
-	}
 }
 
 // Events returns how many blocking events the ledger has seen.
@@ -147,15 +113,6 @@ func (l *ContentionLedger) Events() int64 {
 		return 0
 	}
 	return l.events
-}
-
-// DroppedKeys returns how many events were folded into the catch-all
-// bucket because the key space was full.
-func (l *ContentionLedger) DroppedKeys() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.droppedKeys
 }
 
 // Entries returns the aggregated blocking entries ordered by total wait
@@ -188,17 +145,6 @@ func (l *ContentionLedger) Entries() []ContentionEntry {
 	return out
 }
 
-// Samples returns the sampled wait-for edges, oldest first.
-func (l *ContentionLedger) Samples() []WaitEdge {
-	if l == nil {
-		return nil
-	}
-	out := make([]WaitEdge, 0, len(l.samples))
-	out = append(out, l.samples[l.sampleNext:]...)
-	out = append(out, l.samples[:l.sampleNext]...)
-	return out
-}
-
 // Reset clears the ledger — a measurement window restarting its view.
 func (l *ContentionLedger) Reset() {
 	if l == nil {
@@ -207,8 +153,6 @@ func (l *ContentionLedger) Reset() {
 	l.entries = make(map[contKey]*ContentionEntry)
 	l.droppedKeys = 0
 	l.events = 0
-	l.samples = l.samples[:0]
-	l.sampleNext = 0
 }
 
 // TableContention is the per-table rollup of the ledger.

@@ -63,11 +63,6 @@ func TestContentionLedgerRecordsBlockingPair(t *testing.T) {
 	if e.Total <= 0 || e.Max != e.Total {
 		t.Fatalf("wait accounting: %+v", e)
 	}
-	// The sampled edge ring saw the same event.
-	samples := l.Samples()
-	if len(samples) != 1 || samples[0].Holder != "holder-op" || samples[0].Wait != e.Total {
-		t.Fatalf("samples = %+v", samples)
-	}
 	// Registry metrics mirror the ledger.
 	reg := c.tracer.Registry()
 	if got := reg.Counter("ndb.contention.blocks", "table", "inodes").Value(); got != 1 {
@@ -97,12 +92,12 @@ func TestContentionRenderDeterministic(t *testing.T) {
 func TestContentionLedgerBounded(t *testing.T) {
 	l := newContentionLedger()
 	for i := 0; i < contCapKeys+50; i++ {
-		l.record(0, "t", "h", strings.Repeat("w", 1+i%3)+string(rune('a'+i%26))+strings.Repeat("x", i/26), LockShared, time.Millisecond, false)
+		l.record("t", "h", strings.Repeat("w", 1+i%3)+string(rune('a'+i%26))+strings.Repeat("x", i/26), LockShared, time.Millisecond, false)
 	}
 	if len(l.entries) > contCapKeys+1 { // +1 for the catch-all bucket
 		t.Fatalf("ledger grew to %d keys", len(l.entries))
 	}
-	if l.DroppedKeys() == 0 {
+	if l.droppedKeys == 0 {
 		t.Fatal("no dropped keys counted after overflow")
 	}
 	var count int64
@@ -114,27 +109,10 @@ func TestContentionLedgerBounded(t *testing.T) {
 	}
 }
 
-func TestContentionLedgerSampleRingBounded(t *testing.T) {
-	l := newContentionLedger()
-	n := int64(contSampleCap*int(contSampleEvery)*2 + 7)
-	for i := int64(0); i < n; i++ {
-		l.record(time.Duration(i), "t", "h", "w", LockExclusive, time.Millisecond, false)
-	}
-	s := l.Samples()
-	if len(s) != contSampleCap {
-		t.Fatalf("sample ring = %d, want %d", len(s), contSampleCap)
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i].At <= s[i-1].At {
-			t.Fatal("samples not oldest-first")
-		}
-	}
-}
-
 func TestContentionNilSafety(t *testing.T) {
 	var l *ContentionLedger
-	l.record(0, "t", "h", "w", LockShared, 0, false)
-	if l.Events() != 0 || l.Entries() != nil || l.Samples() != nil || l.TopTables(5) != nil {
+	l.record("t", "h", "w", LockShared, 0, false)
+	if l.Events() != 0 || l.Entries() != nil || l.TopTables(5) != nil {
 		t.Fatal("nil ledger not inert")
 	}
 	if !strings.Contains(l.Render(5), "no lock contention") {

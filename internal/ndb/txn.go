@@ -772,7 +772,7 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 	}
 	if t.c.ledger != nil {
 		table := part.table.name
-		t.c.ledger.record(p.Now(), table, holderOp, t.c.opFor(t.id), mode, wait, !ok)
+		t.c.ledger.record(table, holderOp, t.c.opFor(t.id), mode, wait, !ok)
 		obs.contention(table, holderOp, t.c.opFor(t.id), wait)
 	}
 	if !ok {

@@ -316,6 +316,38 @@ func TestIntentReplayIdempotent(t *testing.T) {
 	if v, ok := readRow(t, env, r, client, ts, pk0, "origin"); !ok || v.(ident) != 8 {
 		t.Fatalf("moved value was not re-homed at the source: val=%v ok=%v", v, ok)
 	}
+
+	// Last resort: the destination and the move's source are both taken
+	// now. The moved value parks beside the destination under its "~dup"
+	// key — exactly once, with both occupants untouched.
+	it3 := &Intent{ID: 3, Op: "rename", Legs: []IntentLeg{{
+		Shard: 1,
+		Rows: []IntentRow{{
+			Table: "t", PartKey: pk1, Key: "taken", Val: ident(9), Guard: 9,
+			FallbackShard: 0, FallbackTable: "t", FallbackPartKey: pk0, FallbackKey: "origin",
+		}},
+	}}}
+	plantIntent(t, env, r, client, 0, it3)
+	if got := resolveAll(t, env, r, client); got != 1 {
+		t.Fatalf("doubly occupied replay resolved %d intents, want 1", got)
+	}
+	if v, ok := readRow(t, env, r, client, ts, pk1, "taken"); !ok || v.(ident) != 99 {
+		t.Fatalf("replay overwrote the destination's occupant: val=%v ok=%v", v, ok)
+	}
+	if v, ok := readRow(t, env, r, client, ts, pk0, "origin"); !ok || v.(ident) != 8 {
+		t.Fatalf("replay overwrote the source's occupant: val=%v ok=%v", v, ok)
+	}
+	var copies []string
+	for s := 0; s < 2; s++ {
+		ts.At(s).ForEachCommitted(func(pk, key string, val ndb.Value) {
+			if val == ident(9) {
+				copies = append(copies, pk+"/"+key)
+			}
+		})
+	}
+	if want := pk1 + "/taken~dup9"; len(copies) != 1 || copies[0] != want {
+		t.Fatalf("moved value stored at %v, want exactly [%s]", copies, want)
+	}
 }
 
 // TestOneClusterBeginIsTheClusterTxn pins the pass-through: a one-cluster

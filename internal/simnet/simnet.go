@@ -615,23 +615,6 @@ func (n *Network) bandwidth(a, b ZoneID) float64 {
 	return n.topo.InterZoneBandwidth
 }
 
-// TrafficBetween returns cumulative bytes sent from zone a to zone b plus
-// from b to a (a == b gives intra-zone traffic).
-func (n *Network) TrafficBetween(a, b ZoneID) int64 {
-	total := n.linkBytes(a, b)
-	if a != b {
-		total += n.linkBytes(b, a)
-	}
-	return total
-}
-
-func (n *Network) linkBytes(a, b ZoneID) int64 {
-	if lk := n.links[[2]ZoneID{a, b}]; lk != nil {
-		return lk.bytes
-	}
-	return 0
-}
-
 // CrossZoneBytes returns total bytes that crossed any AZ boundary.
 func (n *Network) CrossZoneBytes() int64 {
 	var total int64

@@ -149,16 +149,6 @@ func (e *Engine) Firing() int {
 	return e.alerts.Firing()
 }
 
-// ClusterLevel returns the current cluster-wide health level.
-func (e *Engine) ClusterLevel() Level {
-	if e == nil {
-		return Healthy
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.health.Cluster()
-}
-
 // OpSummary returns the rolling window summary for one op class ("*" for
 // the aggregate) over the trailing window w (0 = full sketch span).
 func (e *Engine) OpSummary(op string, now, w time.Duration) Summary {

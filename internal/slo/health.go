@@ -46,8 +46,8 @@ type ComponentStats struct {
 	Util float64
 	// Pressure is the component's backlog signal: the under-replicated
 	// block count for the block layer. NDB and the namenodes report none:
-	// their health is liveness + utilisation (a queueing signal for NDB's
-	// fluid thread pools is ROADMAP 2(a)'s queue-wait split).
+	// their health is liveness + utilisation (NDB's fluid thread pools do
+	// not separate queue wait from service).
 	Pressure float64
 }
 

@@ -34,7 +34,6 @@ type Probe struct {
 type FlightRecorder struct {
 	mu       sync.Mutex
 	reg      *Registry
-	interval time.Duration
 	cap      int
 	prefixes []string
 	probes   []Probe
@@ -43,15 +42,13 @@ type FlightRecorder struct {
 	dropped  int64
 }
 
-// NewFlightRecorder returns a recorder over reg capturing at the given
-// interval, retaining at most capacity frames (default 1024 for
-// capacity <= 0; FIFO eviction beyond that). The interval is advisory
-// metadata for the CSV header — the caller's ticker enforces it.
-func NewFlightRecorder(reg *Registry, interval time.Duration, capacity int) *FlightRecorder {
+// NewFlightRecorder returns a recorder over reg retaining at most capacity
+// frames (default 1024 for capacity <= 0; FIFO eviction beyond that).
+func NewFlightRecorder(reg *Registry, capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &FlightRecorder{reg: reg, interval: interval, cap: capacity}
+	return &FlightRecorder{reg: reg, cap: capacity}
 }
 
 // Keep restricts captured registry samples to names with any of the given
@@ -74,14 +71,6 @@ func (f *FlightRecorder) AddProbe(name string, fn func() float64) {
 	f.mu.Lock()
 	f.probes = append(f.probes, Probe{Name: name, Fn: fn})
 	f.mu.Unlock()
-}
-
-// Interval returns the configured capture interval.
-func (f *FlightRecorder) Interval() time.Duration {
-	if f == nil {
-		return 0
-	}
-	return f.interval
 }
 
 // Record captures one frame at the given virtual instant, evicting the

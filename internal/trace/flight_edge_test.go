@@ -33,7 +33,7 @@ func checkCSVWellFormed(t *testing.T, csv string) {
 func TestFlightCSVEmptyWindow(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("op.stat.count").Add(5)
-	fr := NewFlightRecorder(reg, 10*time.Millisecond, 8)
+	fr := NewFlightRecorder(reg, 8)
 
 	var b strings.Builder
 	if err := fr.WriteCSV(&b); err != nil {
@@ -54,7 +54,7 @@ func TestFlightCSVSingleSnapshot(t *testing.T) {
 	reg.Counter("op.stat.count").Add(7)
 	reg.Gauge("op.stat.p99_ms").Set(2.5)
 	reg.Gauge("op.stat.idle").Set(0)
-	fr := NewFlightRecorder(reg, 10*time.Millisecond, 8)
+	fr := NewFlightRecorder(reg, 8)
 	fr.Record(10 * time.Millisecond)
 
 	var b strings.Builder
@@ -79,7 +79,7 @@ func TestFlightCSVSingleSnapshot(t *testing.T) {
 func TestFlightCSVZeroMatchFilter(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("op.stat.count").Add(3)
-	fr := NewFlightRecorder(reg, 10*time.Millisecond, 8)
+	fr := NewFlightRecorder(reg, 8)
 	fr.Keep("heat.nonexistent.")
 	fr.Record(10 * time.Millisecond)
 	fr.Record(20 * time.Millisecond)

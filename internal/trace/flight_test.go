@@ -14,7 +14,7 @@ func TestFlightRecorderFramesAndCSV(t *testing.T) {
 	lat := reg.Gauge("op.stat.p99_ms")
 	reg.Counter("noise.other").Add(99)
 
-	fr := NewFlightRecorder(reg, 10*time.Millisecond, 8)
+	fr := NewFlightRecorder(reg, 8)
 	fr.Keep("op.")
 	probeVal := 1.5
 	fr.AddProbe("probe.depth", func() float64 { return probeVal })
@@ -75,7 +75,7 @@ func TestFlightRecorderFramesAndCSV(t *testing.T) {
 
 func TestFlightRecorderRingEviction(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(reg, time.Millisecond, 4)
+	fr := NewFlightRecorder(reg, 4)
 	for i := 1; i <= 10; i++ {
 		fr.Record(time.Duration(i) * time.Millisecond)
 	}
@@ -96,7 +96,7 @@ func TestFlightRecorderNilSafety(t *testing.T) {
 	fr.Keep("x.")
 	fr.AddProbe("p", func() float64 { return 0 })
 	fr.Record(time.Second)
-	if fr.Frames() != nil || fr.Dropped() != 0 || fr.Interval() != 0 {
+	if fr.Frames() != nil || fr.Dropped() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
 }
@@ -137,7 +137,7 @@ func TestSinkDropAccounting(t *testing.T) {
 // hung forever when Record held f.mu across the callbacks.
 func TestFlightRecorderReentrantProbe(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(reg, 10*time.Millisecond, 4)
+	fr := NewFlightRecorder(reg, 4)
 	fr.AddProbe("meta.dropped", func() float64 { return float64(fr.Dropped()) })
 	fr.AddProbe("meta.frames", func() float64 { return float64(len(fr.Frames())) })
 
@@ -164,7 +164,7 @@ func TestFlightRecorderReentrantProbe(t *testing.T) {
 func TestFlightRecorderConcurrentRecord(t *testing.T) {
 	reg := NewRegistry()
 	ctr := reg.Counter("op.mixed.count")
-	fr := NewFlightRecorder(reg, time.Millisecond, 64)
+	fr := NewFlightRecorder(reg, 64)
 	fr.Keep("op.")
 
 	var wg sync.WaitGroup

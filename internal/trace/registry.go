@@ -18,7 +18,6 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -105,49 +104,6 @@ func (t *Timing) Observe(d time.Duration) {
 		t.max = d
 	}
 	t.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (t *Timing) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
-
-// Sum returns the total of all observed durations.
-func (t *Timing) Sum() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sum
-}
-
-// Max returns the largest observed duration.
-func (t *Timing) Max() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.max
-}
-
-// Mean returns the average observed duration.
-func (t *Timing) Mean() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count == 0 {
-		return 0
-	}
-	return t.sum / time.Duration(t.count)
 }
 
 // Name renders a hierarchical metric name with labels baked in:
@@ -313,18 +269,4 @@ func Lookup(samples []Sample, name string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// FormatSamples renders samples one per line as "name value", with counter
-// values printed as integers — used for debugging dumps and golden tests.
-func FormatSamples(samples []Sample) string {
-	var b strings.Builder
-	for _, s := range samples {
-		if s.Kind == KindGauge {
-			fmt.Fprintf(&b, "%s %.3f\n", s.Name, s.Value)
-		} else {
-			fmt.Fprintf(&b, "%s %.0f\n", s.Name, s.Value)
-		}
-	}
-	return b.String()
 }

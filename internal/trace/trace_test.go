@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -243,6 +244,20 @@ func runFixedWorkload(tr *Tracer) {
 	}
 }
 
+// formatSamples renders samples one per line as "name value", with counter
+// values printed as integers.
+func formatSamples(samples []Sample) string {
+	var b strings.Builder
+	for _, s := range samples {
+		if s.Kind == KindGauge {
+			fmt.Fprintf(&b, "%s %.3f\n", s.Name, s.Value)
+		} else {
+			fmt.Fprintf(&b, "%s %.0f\n", s.Name, s.Value)
+		}
+	}
+	return b.String()
+}
+
 func TestDeterministicOutput(t *testing.T) {
 	render := func() (string, string) {
 		tr := NewTracer(NewRegistry())
@@ -252,7 +267,7 @@ func TestDeterministicOutput(t *testing.T) {
 		for _, s := range tr.Sink().Slowest(5) {
 			flames.WriteString(s.Render())
 		}
-		return FormatSamples(tr.Registry().Snapshot()), flames.String()
+		return formatSamples(tr.Registry().Snapshot()), flames.String()
 	}
 	reg1, fl1 := render()
 	reg2, fl2 := render()
