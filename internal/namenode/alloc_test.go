@@ -14,9 +14,10 @@ import (
 // rows from the cache's entries, builds the key of any other row once for all
 // its reads and writes of that row, takes its requests and chain from the
 // operation's pooled scratch, stages its writes in the transaction's inline
-// commit train and takes its row locks in the rows' inline holder slots, and
-// allocates only what it keeps — the storage transaction, and what it
-// returns or stores. Excluded under -race, whose instrumentation allocates.
+// commit train and takes its row locks in the rows' inline holder slots,
+// reuses the storage transaction the previous operation's InTx freed, and
+// allocates only what it returns or stores. Excluded under -race, whose
+// instrumentation allocates.
 func TestWarmOpAllocs(t *testing.T) {
 	h := newHarness(t)
 	h.db.StopBackground()
@@ -57,29 +58,29 @@ func TestWarmOpAllocs(t *testing.T) {
 			want float64
 			run  func(i int) error
 		}{
-			// The transaction and the target file's row key.
-			{"stat", 2, func(int) error { _, err := nn.Stat(p, "/a/b/f"); return err }},
+			// The target file's row key.
+			{"stat", 1, func(int) error { _, err := nn.Stat(p, "/a/b/f"); return err }},
 			// The same: the share lock rides the batch and is held in the
 			// transaction.
-			{"getBlockLocations", 2, func(int) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }},
-			// The transaction, the rows the scan returns, and the listing. The
-			// listed directory is cached: no key is built.
-			{"list", 3, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
-			// The transaction, the file's row key — built for the locked read
-			// and reused for the write — and the new inode value.
-			{"setPermission", 3, func(int) error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
-			// The transaction, the new inode, its row key, and the row itself,
-			// stored under its key when the insert's lock is taken.
-			{"create", 4, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
-			// The same four for a directory.
-			{"mkdir", 4, func(i int) error { return nn.Mkdir(p, dirs[i], 0o755) }},
-			// The transaction and the file's row key, built for the locked read
-			// and reused for the write; the deleted row leaves its partition.
-			{"delete", 2, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
-			// The transaction, the source's row key (read in the resolve's
-			// batch, then locked and written), the destination's row key, the
-			// moved inode, and the destination's row.
-			{"same-directory rename", 5, func(i int) error { return nn.Rename(p, flip[i%2], flip[(i+1)%2]) }},
+			{"getBlockLocations", 1, func(int) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }},
+			// The rows the scan returns and the listing. The listed directory
+			// is cached: no key is built.
+			{"list", 2, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
+			// The file's row key — built for the locked read and reused for
+			// the write — and the new inode value.
+			{"setPermission", 2, func(int) error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
+			// The new inode, its row key, and the row itself, stored under its
+			// key when the insert's lock is taken.
+			{"create", 3, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
+			// The same three for a directory.
+			{"mkdir", 3, func(i int) error { return nn.Mkdir(p, dirs[i], 0o755) }},
+			// The file's row key, built for the locked read and reused for the
+			// write; the deleted row leaves its partition.
+			{"delete", 1, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
+			// The source's row key (read in the resolve's batch, then locked
+			// and written), the destination's row key, the moved inode, and the
+			// destination's row.
+			{"same-directory rename", 4, func(i int) error { return nn.Rename(p, flip[i%2], flip[(i+1)%2]) }},
 		} {
 			var err error
 			i := 0

@@ -220,7 +220,7 @@ const (
 // ReadBatch reads the committed values of all rows in one batched fan-out,
 // returning results positionally. A get with Lock set takes its row lock on
 // the way (see BatchGet). The result of a batch of up to eight rows lives in
-// the transaction and is valid until its next read.
+// the transaction and is valid until its next read, or until InTx returns.
 func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 	if t.done {
 		return nil, ErrAborted
@@ -247,7 +247,7 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 // returning each scan's rows positionally, key-sorted — a level of a subtree
 // walk costs one parallel round instead of one serial round trip per
 // directory. As with ReadBatch, the outer slice of a batch of up to eight
-// scans lives in the transaction until its next read.
+// scans lives in the transaction until its next read, or until InTx returns.
 func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 	if t.done {
 		return nil, ErrAborted

@@ -144,16 +144,19 @@ type Cluster struct {
 	ledger    *ContentionLedger
 	activeOps map[uint64]string
 
-	// Fan-out worker pool, result-mailbox and batch-scratch free lists
-	// (workers.go): the steady-state batch/commit fan-out path allocates no
-	// processes, no mailboxes and no working arrays. A fan-out's collector
-	// drains exactly as many results as it dispatched arms before returning
-	// the mailbox, so a pooled mailbox is always empty (and waiter-free)
-	// when reused.
+	// Fan-out worker and stackless-arm pools, result-mailbox and
+	// batch-scratch free lists (workers.go): the steady-state batch/commit
+	// fan-out path allocates no processes, no mailboxes and no working
+	// arrays. A fan-out's collector drains exactly as many results as it
+	// dispatched arms before returning the mailbox, so a pooled mailbox is
+	// always empty (and waiter-free) when reused. txns holds the
+	// transactions InTx has ended (Txn.Free), for Begin to reuse.
 	workers freeList[*fanWorker]
+	arms    freeList[*fanArm]
 	boolMbx freeList[*sim.Mailbox[bool]]
 	errMbx  freeList[*sim.Mailbox[error]]
 	scratch freeList[*batchScratch]
+	txns    freeList[*Txn]
 
 	// topoEpoch counts cluster-side replica-topology changes (shutdown
 	// orders, primary promotions); combined with the network's node
@@ -370,6 +373,8 @@ func New(env *sim.Env, net *simnet.Network, cfg Config, dataPlacement, mgmtPlace
 		topoEpoch:  1,
 	}
 	c.workers.fresh = c.newWorker
+	c.arms.fresh = c.newArm
+	c.txns.fresh = func() *Txn { return &Txn{} }
 	c.boolMbx.fresh = func() *sim.Mailbox[bool] { return sim.NewMailbox[bool](env) }
 	c.errMbx.fresh = func() *sim.Mailbox[error] { return sim.NewMailbox[error](env) }
 	c.scratch.fresh = func() *batchScratch { return &batchScratch{} }

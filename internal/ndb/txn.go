@@ -37,7 +37,8 @@ type Txn struct {
 	// vals and kvs hold the result of a ReadBatch or ScanBatch of up to
 	// eight rows (and of each round of ScanTablePrefix), so a path's worth
 	// of reads returns without allocating; such a result is valid until the
-	// transaction's next read. lockBuf backs the few locks an operation takes.
+	// transaction's next read, or until Free. lockBuf backs the few locks an
+	// operation takes.
 	vals    [8]BatchVal
 	kvs     [8][]KV
 	lockBuf [4]lockRef
@@ -66,22 +67,31 @@ type Tx interface {
 	WriteBatch(items []BatchWrite) error
 	Commit() error
 	Abort()
+	// Free returns the ended transaction to its pool; only InTx calls it.
+	Free()
 }
 
 // InTx runs fn inside the transaction a Begin call just opened — Begin's two
 // results are InTx's first two arguments — and ends it: aborted when fn
 // fails, committed otherwise. It is the one place the begin → execute →
 // abort-or-commit shape is written; T lets cluster-local callers keep
-// *Txn's wider method set.
+// *Txn's wider method set. InTx owns the transaction from begin to end, so
+// it alone frees it: once ended, the transaction goes back to its pool for
+// the next Begin, and nothing fn read through it — a ReadBatch or ScanBatch
+// result — may be used after InTx returns. A transaction from a bare Begin is
+// never recycled.
 func InTx[T Tx](tx T, beginErr error, fn func(T) error) error {
 	if beginErr != nil {
 		return beginErr
 	}
-	if err := fn(tx); err != nil {
+	err := fn(tx)
+	if err != nil {
 		tx.Abort()
-		return err
+	} else {
+		err = tx.Commit()
 	}
-	return tx.Commit()
+	tx.Free()
+	return err
 }
 
 type lockRef struct {
@@ -137,14 +147,13 @@ func (c *Cluster) Begin(p *sim.Proc, origin *simnet.Node, originDomain simnet.Zo
 		sp.SetAttr("tc", tc.Node.Name())
 		sp.SetAttr("tc_prox", proximityLabel(d))
 	}
-	t := &Txn{
-		c:            c,
-		p:            p,
-		id:           c.nextTxnID(),
-		origin:       origin,
-		originDomain: originDomain,
-		tc:           tc,
+	id := c.nextTxnID()
+	if !c.net.TravelDeferred(p, origin, tc.Node, reqSize, rpcTimeout) {
+		return nil, ErrNodeUnavailable
 	}
+	t := c.txns.get()
+	t.c, t.p, t.id = c, p, id
+	t.origin, t.originDomain, t.tc = origin, originDomain, tc
 	t.locks, t.trains = t.lockBuf[:0], t.trainBuf[:0]
 	if c.activeOps != nil {
 		// Name the transaction after the client op driving it (the process
@@ -156,13 +165,24 @@ func (c *Cluster) Begin(p *sim.Proc, origin *simnet.Node, originDomain simnet.Zo
 		}
 		c.activeOps[t.id] = op
 	}
-	if !c.net.TravelDeferred(p, origin, tc.Node, reqSize, rpcTimeout) {
-		return nil, ErrNodeUnavailable
-	}
 	tc.recv(p)
 	tc.use(p, TC, c.cfg.Costs.TCBegin)
 	c.Stats.Begun++
 	return t, nil
+}
+
+// Free returns a transaction that has ended — committed, aborted or
+// released — to its cluster's pool for Begin to reuse, zeroed, so the pooled
+// Txn keeps no value, row, scan result or span reachable. Freeing an open
+// transaction — one CommitHolding committed and Release has not ended
+// included — panics.
+func (t *Txn) Free() {
+	if !t.done {
+		panic("ndb: Free of an open transaction")
+	}
+	c := t.c
+	*t = Txn{}
+	c.txns.put(t)
 }
 
 func (c *Cluster) nextTxnID() uint64 {

@@ -5,13 +5,17 @@ import (
 	"hopsfscl/internal/trace"
 )
 
-// This file implements the cluster's fan-out worker pool. Batched reads and
+// This file implements the cluster's fan-out pools. Batched reads and
 // writes, commit trains, and Complete acks all fan out as concurrent
 // sub-processes; spawning a fresh process per fan-out arm was the simulator's
 // largest steady-state allocation source (a Proc, a resume channel, a
-// goroutine stack, and a closure per arm). The pool keeps a free-list of
-// long-lived worker processes parked on per-worker task mailboxes and
-// dispatches work by Send.
+// goroutine stack, and a closure per arm). An arm that may block — a commit
+// train, a write group, a read group with a locked get — goes to a free-list
+// of long-lived worker processes parked on per-worker task mailboxes, by
+// Send. Every other arm — a lock-free read group, a scan group, one leg of
+// an awaited Complete pass — only charges deferred delay and
+// replies, and runs as a pooled stackless arm (fanArm): no coroutine, no
+// switch. Nearly every arm is of the second kind.
 //
 // Determinism: dispatch is schedule-equivalent to Spawn. Spawn pushes the
 // new process onto the ready ring at the call instant and consumes no event
@@ -21,7 +25,11 @@ import (
 // position, where its first Recv picks the task up without parking. Either
 // way the arm starts at the instant and ready-order the old per-arm Spawn
 // gave it, so virtual-time schedules — and hence RNG streams and golden
-// outputs — are unchanged.
+// outputs — are unchanged. A stackless arm keeps all three positions of the
+// worker it replaces: Ready pushes it where the Send did; its first step
+// serves where the worker's first resume did and schedules its wake-up as the
+// worker's Flush did, taking the same sequence number; its second step
+// delivers the result where the worker's second resume did.
 type fanTask struct {
 	// span is the trace span the arm's work is attributed to (nil when the
 	// operation is untraced).
@@ -74,10 +82,73 @@ func (f *freeList[T]) get() T {
 
 func (f *freeList[T]) put(v T) { f.free = append(f.free, v) }
 
-// dispatch hands task to an idle pooled worker, spawning one only when the
-// pool is empty.
+// dispatch hands task to an idle pooled arm that can serve it — a stackless
+// arm when the task cannot block, a worker otherwise — making one only when
+// that pool is empty.
 func (c *Cluster) dispatch(task fanTask) {
+	if task.train == nil && (task.g == nil || task.sc.cannotBlock(task.g)) {
+		a := c.arms.get()
+		a.task = task
+		a.p.Ready()
+		return
+	}
 	c.workers.get().tasks.Send(task)
+}
+
+// cannotBlock reports whether serving group g of sc's batch never parks: a
+// scan group, or a read group none of whose gets takes a lock.
+func (sc *batchScratch) cannotBlock(g *batchGroup) bool {
+	switch sc.kind {
+	case writeRows:
+		return false
+	case getRows:
+		for _, i := range g.idx {
+			if sc.gets[i].Lock != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// fanArm is one pooled stackless arm (sim.Env.NewStackless). Its first step
+// serves the task and schedules its wake-up at the end of the delay the
+// service charged; its second returns the arm to the pool and delivers the
+// result.
+type fanArm struct {
+	c      *Cluster
+	p      *sim.Proc
+	task   fanTask
+	ok     bool
+	served bool
+}
+
+func (c *Cluster) newArm() *fanArm {
+	a := &fanArm{c: c}
+	a.p = c.env.NewStackless("ndb-fan", a.step)
+	return a
+}
+
+func (a *fanArm) step(p *sim.Proc) {
+	if !a.served {
+		a.served = true
+		p.SetSpan(a.task.span)
+		if a.task.g != nil {
+			a.ok = a.task.sc.serve(p, a.task.g)
+		} else {
+			a.ok = a.task.txn.complete(p, a.task.backup)
+		}
+		if p.FlushAsync() {
+			return
+		}
+	}
+	// Drop the span and the task before the arm is pooled, so it pins
+	// nothing of a finished operation.
+	p.SetSpan(nil)
+	results, ok := a.task.boolResults, a.ok
+	a.task, a.served = fanTask{}, false
+	a.c.arms.put(a)
+	results.Send(ok)
 }
 
 func (c *Cluster) newWorker() *fanWorker {
@@ -86,18 +157,16 @@ func (c *Cluster) newWorker() *fanWorker {
 		for {
 			// A worker re-enters the free list only after finishing a task,
 			// so a busy worker is never dispatched to; its queue holds at
-			// most the one task a fresh spawn was created for.
+			// most the one task a fresh spawn was created for. A Complete
+			// leg never blocks, so it is never a worker's task.
 			task := w.tasks.Recv(p)
 			p.SetSpan(task.span)
 			var ok bool
 			var err error
-			switch {
-			case task.train != nil:
+			if task.train != nil {
 				err = task.txn.commitTrain(p, task.train, false)
-			case task.g != nil:
+			} else {
 				ok = task.sc.serve(p, task.g)
-			default:
-				ok = task.txn.complete(p, task.backup)
 			}
 			p.Flush()
 			// Drop the span before parking so a pooled worker does not pin

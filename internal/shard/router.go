@@ -63,6 +63,10 @@ type Router struct {
 
 	obs routerObs
 
+	// free holds the routed transactions ndb.InTx has ended (Txn.Free), for
+	// Begin to reuse.
+	free []*Txn
+
 	// intents[s] is shard s's durable intent table; nil for single-shard
 	// routers, which have no cross-shard path — their table set, and every
 	// golden that renders it, stays the unsharded one.

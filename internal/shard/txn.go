@@ -55,7 +55,13 @@ func (r *Router) Begin(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, t
 		return sub, nil
 	}
 	r.touchShard(p.Now(), s)
-	t := &Txn{r: r, p: p, origin: origin, domain: domain, only: sub}
+	var t *Txn
+	if n := len(r.free); n > 0 {
+		t, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		t = &Txn{}
+	}
+	t.r, t.p, t.origin, t.domain, t.only = r, p, origin, domain, sub
 	if r.n <= len(t.inline) {
 		t.subs = t.inline[:r.n]
 	} else {
@@ -179,7 +185,8 @@ func routeBatch[T, R any](t *Txn, rows, part []T, out []R, at func(*T) (*ndb.Tab
 
 // ReadBatch reads many rows in one batched fan-out per touched shard,
 // returning values positionally. As with ndb.Txn, the result of a batch of up
-// to eight rows lives in the transaction and is valid until its next read.
+// to eight rows lives in the transaction and is valid until its next read, or
+// until ndb.InTx returns.
 func (t *Txn) ReadBatch(gets []ndb.BatchGet) ([]ndb.BatchVal, error) {
 	return routeBatch(t, gets, t.gets[:0], t.vals[:0],
 		func(g *ndb.BatchGet) (*ndb.Table, string) { return g.Table, g.PartKey },
@@ -216,6 +223,23 @@ func (t *Txn) Abort() {
 		t.done = true
 		t.abortSubs()
 	}
+}
+
+// Free returns an ended routed transaction's sub-transactions to their
+// clusters' pools and then the transaction, zeroed, to the router's; only
+// ndb.InTx calls it. Freeing an open transaction panics.
+func (t *Txn) Free() {
+	if !t.done {
+		panic("shard: Free of an open transaction")
+	}
+	for _, sub := range t.subs {
+		if sub != nil {
+			sub.Free()
+		}
+	}
+	r := t.r
+	*t = Txn{}
+	r.free = append(r.free, t)
 }
 
 // abortSubs aborts the sub-transactions that are still open; one that has

@@ -93,3 +93,33 @@ func TestRecvTimeoutAllocFree(t *testing.T) {
 		t.Fatalf("RecvTimeout allocates %.2f objects/op in steady state, want <= ~1 (caller closure)", per)
 	}
 }
+
+func TestStacklessArmAllocFree(t *testing.T) {
+	env := New(1)
+	defer env.Close()
+	results := NewMailbox[int](env)
+	served := false
+	arm := env.NewStackless("arm", func(p *Proc) {
+		if !served {
+			served = true
+			p.Defer(time.Microsecond)
+			if p.FlushAsync() {
+				return
+			}
+		}
+		served = false
+		results.Send(1)
+	})
+	per := mallocsPerOp(20000, func(ops int) {
+		env.Spawn("collector", func(p *Proc) {
+			for i := 0; i < ops; i++ {
+				arm.Ready()
+				results.Recv(p)
+			}
+		})
+		env.Run()
+	})
+	if per > 0.1 {
+		t.Fatalf("a stackless arm allocates %.2f objects/op in steady state, want ~0", per)
+	}
+}

@@ -136,3 +136,61 @@ func BenchmarkKernelResourceDeferred(b *testing.B) {
 	b.ResetTimer()
 	env.Run()
 }
+
+// BenchmarkKernelFanArm measures one fan-out arm the way ndb runs them: a
+// collector hands the arm its task, the arm charges deferred delay and
+// wakes at its end, then delivers to the collector's mailbox. The worker
+// case runs the arm on a pooled coroutine parked on its task mailbox; the
+// stackless case runs it as a two-step stackless process, which takes the
+// same kernel positions without switching into a coroutine.
+func BenchmarkKernelFanArm(b *testing.B) {
+	b.Run("worker", func(b *testing.B) {
+		env := New(1)
+		defer env.Close()
+		tasks, results := NewMailbox[int](env), NewMailbox[int](env)
+		env.Spawn("worker", func(p *Proc) {
+			for {
+				v := tasks.Recv(p)
+				p.Defer(time.Microsecond)
+				p.Flush()
+				results.Send(v)
+			}
+		})
+		env.Spawn("collector", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				tasks.Send(i)
+				results.Recv(p)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		env.Run()
+	})
+	b.Run("stackless", func(b *testing.B) {
+		env := New(1)
+		defer env.Close()
+		results := NewMailbox[int](env)
+		task, served := 0, false
+		arm := env.NewStackless("arm", func(p *Proc) {
+			if !served {
+				served = true
+				p.Defer(time.Microsecond)
+				if p.FlushAsync() {
+					return
+				}
+			}
+			served = false
+			results.Send(task)
+		})
+		env.Spawn("collector", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				task = i
+				arm.Ready()
+				results.Recv(p)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		env.Run()
+	})
+}

@@ -10,7 +10,9 @@
 // kernel's primitives (Sleep, Mailbox.Recv, Resource.Acquire). Parking is
 // the coroutine's yield, and the scheduler switches straight back into it
 // when the corresponding virtual-time event fires: no channel, no run-queue
-// bounce, and never two goroutines runnable at once.
+// bounce, and never two goroutines runnable at once. Work that never blocks
+// can run as a stackless process instead (NewStackless): a step function the
+// scheduler calls, on its own stack, each time it pops the process.
 package sim
 
 import (
@@ -47,6 +49,10 @@ type Env struct {
 
 	// stopAt, when >= 0, bounds RunFor.
 	stopAt time.Duration
+
+	// resumes counts switches into a coroutine process, steps calls of a
+	// stackless process's step function: the kernel's work, per run.
+	resumes, steps uint64
 }
 
 // New returns a fresh simulation environment seeded with seed. Two
@@ -88,6 +94,28 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.ready.Push(p)
 	return p
 }
+
+// NewStackless returns a process without a coroutine: each time the
+// scheduler pops it from the ready ring it calls step, which runs to
+// completion on the scheduler's own stack. step may Defer and may end by
+// scheduling its own wake-up (FlushAsync), but it never parks: a kernel
+// primitive that would park it panics with its name. The process is not
+// runnable until Ready; it has no goroutine, so Close has nothing to stop.
+// A panic in step surfaces from Run/RunFor/RunUntil as it is.
+func (e *Env) NewStackless(name string, step func(p *Proc)) *Proc {
+	if e.closed {
+		panic("sim: NewStackless on closed Env")
+	}
+	return &Proc{env: e, name: name, step: step}
+}
+
+// Resumes returns how many times the scheduler has switched into a
+// coroutine process. It repeats bit for bit per seed.
+func (e *Env) Resumes() uint64 { return e.resumes }
+
+// Steps returns how many times the scheduler has called a stackless
+// process's step. It repeats bit for bit per seed.
+func (e *Env) Steps() uint64 { return e.steps }
 
 // At schedules fn to run as an event callback at absolute virtual time t
 // (clamped to now). Event callbacks run on the scheduler and must not block;
@@ -192,9 +220,16 @@ func (e *Env) loop() {
 }
 
 // resumeProc switches into p and returns when it parks or exits; an exited
-// process is swap-removed from the live list.
+// process is swap-removed from the live list. A stackless process runs one
+// step instead.
 func (e *Env) resumeProc(p *Proc) {
 	p.queued = false
+	if p.step != nil {
+		e.steps++
+		p.step(p)
+		return
+	}
+	e.resumes++
 	if _, parked := p.next(); parked {
 		return
 	}
@@ -357,6 +392,10 @@ type Proc struct {
 	stop  func()
 	idx   int // position in env.procs
 
+	// step is a stackless process's body (see NewStackless); nil for a
+	// coroutine, which has next, yield and stop instead.
+	step func(p *Proc)
+
 	// pending is the accumulated deferred delay (see Defer).
 	pending time.Duration
 
@@ -424,6 +463,35 @@ func (p *Proc) Flush() {
 	}
 }
 
+// Ready makes a stackless process runnable at the current instant, at the
+// tail of the ready ring — the position a Spawn, or a Send to a process
+// parked in Recv, takes. Readying a process that is already queued panics.
+func (p *Proc) Ready() {
+	if p.step == nil {
+		panic("sim: Ready on coroutine process " + p.name)
+	}
+	p.env.readyProc(p)
+}
+
+// FlushAsync is a stackless process's Flush: it schedules the process's own
+// wake-up at the end of its pending deferred delay — the timer event Flush
+// would create, with the same sequence number — and clears the delay, but
+// does not park; the step returns and the next one runs at the wake-up. It
+// reports whether a wake-up was scheduled: with nothing pending the step
+// carries on at once, as Flush would.
+func (p *Proc) FlushAsync() bool {
+	if p.step == nil {
+		panic("sim: FlushAsync on coroutine process " + p.name)
+	}
+	if p.pending <= 0 {
+		return false
+	}
+	d := p.pending
+	p.pending = 0
+	p.env.schedule(p.env.now+d, nil, p)
+	return true
+}
+
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
@@ -442,8 +510,12 @@ func (p *Proc) Yield() {
 
 // park hands control back to the scheduler until the process is resumed.
 // A stopped process's yield returns false, now and on every later call, so
-// the process unwinds through its defers and cannot block again.
+// the process unwinds through its defers and cannot block again. A
+// stackless process has nothing to park and panics.
 func (p *Proc) park() {
+	if p.step != nil {
+		panic(fmt.Sprintf("sim: stackless process %q parked", p.name))
+	}
 	if !p.yield(struct{}{}) {
 		panic(errKilled)
 	}

@@ -104,11 +104,16 @@ type Network struct {
 	nodes []*Node
 
 	// links holds fluid-queue state and counters per directed zone pair
-	// (including z->z for the intra-zone fabric).
-	links map[[2]ZoneID]*link
+	// (including z->z for the intra-zone fabric), densely indexed by
+	// pairIndex over the zones 0..Zones(), so a message finds its link
+	// without hashing.
+	links []link
 
-	// partitions marks unordered zone pairs whose traffic is dropped.
-	partitions map[[2]ZoneID]bool
+	// partitioned marks the zone pairs whose traffic is dropped, both
+	// directions of each, indexed like links; partitions counts the severed
+	// unordered pairs, so an unpartitioned network looks nothing up.
+	partitioned []bool
+	partitions  int
 
 	// degraded marks unordered zone pairs whose traffic suffers extra
 	// latency and/or probabilistic loss (chaos fault injection). Kept in a
@@ -177,15 +182,16 @@ func (e *envelope) deliver() {
 	to.Inbox.Send(msg)
 }
 
-// netObs caches registry handles so the per-message cost is two atomic adds
-// (plus one map lookup for the per-zone-pair link counter).
+// netObs caches registry handles so the per-message cost is three atomic
+// adds.
 type netObs struct {
 	bytes [trace.NumHopClasses]*trace.Counter
 	msgs  [trace.NumHopClasses]*trace.Counter
 	// linkBytes counts traffic per directed zone pair
 	// (net.link.bytes{from=...,to=...}), the per-AZ signal the flight
-	// recorder samples over time.
-	linkBytes map[[2]ZoneID]*trace.Counter
+	// recorder samples over time. It is indexed like Network.links; pairs
+	// with the unset zone have no counter.
+	linkBytes []*trace.Counter
 }
 
 type link struct {
@@ -204,13 +210,19 @@ type degradation struct {
 
 // New returns a network over env with the given topology.
 func New(env *sim.Env, topo *Topology) *Network {
+	pairs := (topo.Zones() + 1) * (topo.Zones() + 1)
 	return &Network{
-		env:        env,
-		topo:       topo,
-		links:      make(map[[2]ZoneID]*link),
-		partitions: make(map[[2]ZoneID]bool),
-		degraded:   make(map[[2]ZoneID]*degradation),
+		env:         env,
+		topo:        topo,
+		links:       make([]link, pairs),
+		partitioned: make([]bool, pairs),
+		degraded:    make(map[[2]ZoneID]*degradation),
 	}
+}
+
+// pairIndex is the dense index of the directed zone pair a -> b.
+func (n *Network) pairIndex(a, b ZoneID) int {
+	return int(a)*(n.topo.Zones()+1) + int(b)
 }
 
 // SetRegistry attaches a metrics registry: every subsequent message is
@@ -221,14 +233,14 @@ func (n *Network) SetRegistry(reg *trace.Registry) {
 		n.obs = nil
 		return
 	}
-	obs := &netObs{linkBytes: make(map[[2]ZoneID]*trace.Counter)}
+	obs := &netObs{linkBytes: make([]*trace.Counter, len(n.links))}
 	for c := trace.HopClass(0); c < trace.NumHopClasses; c++ {
 		obs.bytes[c] = reg.Counter("net.bytes", "class", c.String())
 		obs.msgs[c] = reg.Counter("net.msgs", "class", c.String())
 	}
 	for a := ZoneID(1); int(a) <= n.topo.Zones(); a++ {
 		for b := ZoneID(1); int(b) <= n.topo.Zones(); b++ {
-			obs.linkBytes[[2]ZoneID{a, b}] = reg.Counter("net.link.bytes",
+			obs.linkBytes[n.pairIndex(a, b)] = reg.Counter("net.link.bytes",
 				"from", n.topo.ZoneName(a), "to", n.topo.ZoneName(b))
 		}
 	}
@@ -241,9 +253,9 @@ func (n *Network) observeLink(from, to ZoneID, size int) {
 	if n.obs == nil {
 		return
 	}
-	// Nodes always sit in a real zone, but guard the lookup anyway: an
-	// unknown pair simply goes uncounted.
-	if c, ok := n.obs.linkBytes[[2]ZoneID{from, to}]; ok {
+	// Nodes normally sit in a real zone; a pair with the unset zone simply
+	// goes uncounted.
+	if c := n.obs.linkBytes[n.pairIndex(from, to)]; c != nil {
 		c.Add(int64(size))
 	}
 }
@@ -302,6 +314,9 @@ type Node struct {
 // NewNode registers a node in zone z on host h. Host IDs only matter for
 // proximity: give two nodes the same HostID to co-locate them.
 func (n *Network) NewNode(name string, z ZoneID, h HostID) *Node {
+	if z < ZoneUnset || int(z) > n.topo.Zones() {
+		panic(fmt.Sprintf("simnet: node %q in zone %d of a %d-zone topology", name, z, n.topo.Zones()))
+	}
 	nd := &Node{
 		net:           n,
 		id:            NodeID(len(n.nodes)),
@@ -370,13 +385,28 @@ func Proximity(a, b *Node) int {
 }
 
 // Partition severs connectivity between two zones (both directions).
-func (n *Network) Partition(a, b ZoneID) { n.partitions[zonePair(a, b)] = true }
+func (n *Network) Partition(a, b ZoneID) { n.setPartitioned(a, b, true) }
 
 // Heal restores connectivity between two zones.
-func (n *Network) Heal(a, b ZoneID) { delete(n.partitions, zonePair(a, b)) }
+func (n *Network) Heal(a, b ZoneID) { n.setPartitioned(a, b, false) }
+
+func (n *Network) setPartitioned(a, b ZoneID, cut bool) {
+	i := n.pairIndex(a, b)
+	if n.partitioned[i] == cut {
+		return
+	}
+	n.partitioned[i], n.partitioned[n.pairIndex(b, a)] = cut, cut
+	if cut {
+		n.partitions++
+	} else {
+		n.partitions--
+	}
+}
 
 // Partitioned reports whether traffic between zones a and b is severed.
-func (n *Network) Partitioned(a, b ZoneID) bool { return n.partitions[zonePair(a, b)] }
+func (n *Network) Partitioned(a, b ZoneID) bool {
+	return n.partitions > 0 && n.partitioned[n.pairIndex(a, b)]
+}
 
 func zonePair(a, b ZoneID) [2]ZoneID {
 	if a > b {
@@ -543,12 +573,7 @@ func (n *Network) admit(from, to *Node, size int) (lk *link, lat time.Duration, 
 	n.observe(HopClassOf(from, to), size)
 	n.observeLink(from.zone, to.zone, size)
 	lat = n.latency(from, to)
-	key := [2]ZoneID{from.zone, to.zone}
-	lk = n.links[key]
-	if lk == nil {
-		lk = &link{}
-		n.links[key] = lk
-	}
+	lk = &n.links[n.pairIndex(from.zone, to.zone)]
 	lk.bytes += int64(size)
 	lk.messages++
 	return lk, lat, true
@@ -618,9 +643,11 @@ func (n *Network) bandwidth(a, b ZoneID) float64 {
 // CrossZoneBytes returns total bytes that crossed any AZ boundary.
 func (n *Network) CrossZoneBytes() int64 {
 	var total int64
-	for key, lk := range n.links {
-		if key[0] != key[1] {
-			total += lk.bytes
+	for a := 0; a <= n.topo.Zones(); a++ {
+		for b := 0; b <= n.topo.Zones(); b++ {
+			if a != b {
+				total += n.links[n.pairIndex(ZoneID(a), ZoneID(b))].bytes
+			}
 		}
 	}
 	return total
@@ -629,8 +656,8 @@ func (n *Network) CrossZoneBytes() int64 {
 // TotalBytes returns total bytes sent on all links.
 func (n *Network) TotalBytes() int64 {
 	var total int64
-	for _, lk := range n.links {
-		total += lk.bytes
+	for i := range n.links {
+		total += n.links[i].bytes
 	}
 	return total
 }
@@ -638,8 +665,8 @@ func (n *Network) TotalBytes() int64 {
 // TotalMessages returns the count of messages sent on all links.
 func (n *Network) TotalMessages() int64 {
 	var total int64
-	for _, lk := range n.links {
-		total += lk.messages
+	for i := range n.links {
+		total += n.links[i].messages
 	}
 	return total
 }

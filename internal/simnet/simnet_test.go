@@ -132,10 +132,7 @@ func TestFailedNodeDropsTraffic(t *testing.T) {
 
 // directedBytes returns the bytes sent on the directed zone-pair link a -> b.
 func directedBytes(n *Network, a, b ZoneID) int64 {
-	if lk := n.links[[2]ZoneID{a, b}]; lk != nil {
-		return lk.bytes
-	}
-	return 0
+	return n.links[n.pairIndex(a, b)].bytes
 }
 
 func TestTrafficAccounting(t *testing.T) {
