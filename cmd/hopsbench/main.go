@@ -31,7 +31,7 @@
 // op class pinned a breach exemplar, and renders the slowest exemplar
 // through the critical-path profiler; "shardsweep" holds the offered load
 // fixed and sweeps the number of independent NDB clusters the namespace
-// is hash-sharded across (Options.Shards), checking the 1.8x
+// is sharded across by subtree (Options.Shards), checking the 2.8x
 // 4-vs-1-shard scaling floor inline and reporting the cross-shard rename
 // path (ordered two-cluster commits with durable intents) separately
 // from the shard-local fast path — the run recorded in history/BENCH_10.json.

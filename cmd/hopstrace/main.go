@@ -35,7 +35,7 @@
 //	    Space-Saving top-k rankings of the hottest subtrees (per depth),
 //	    inodes, NDB tables, partitions, and op types, as a rendered report
 //	    (text) or machine-readable rows (csv). With -shards > 1 the
-//	    namespace is hash-sharded across that many NDB clusters and the
+//	    namespace is sharded by subtree across that many NDB clusters and the
 //	    report gains the per-shard routing-balance family. With -exemplars,
 //	    also pin tail exemplars — full span trees of operations that
 //	    breached their p99 objective, completed while a burn alert fired,
@@ -392,7 +392,7 @@ func newReplayFlags(name string) *replayFlags {
 		servers:  fs.Int("servers", 3, "metadata servers"),
 		clients:  fs.Int("clients", 8, "concurrent replay clients"),
 		deadline: fs.Duration("deadline", 1000*time.Second, "virtual-time budget for the replay"),
-		shards:   fs.Int("shards", 1, "NDB clusters the namespace is hash-sharded across"),
+		shards:   fs.Int("shards", 1, "NDB clusters the namespace is sharded across"),
 		out:      fs.String("out", "", "output file (default stdout)"),
 	}
 }

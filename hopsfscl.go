@@ -101,11 +101,12 @@ func WithObjectStoreBlocks() Option {
 	return optionFunc(func(o *options) { o.objectStoreBlocks = true })
 }
 
-// WithShards hash-shards the namespace across n independent NDB clusters
-// (default 1, the paper's single-cluster deployment). Rows route by the
-// FNV-64a hash of the parent directory's id, so directory listings and
-// parent-child operations stay on one shard; only a rename across the
-// hash boundary pays a cross-cluster ordered commit. Fault injection
+// WithShards shards the namespace by subtree across n independent NDB
+// clusters (default 1, the paper's single-cluster deployment). A top-level
+// directory's row routes by the hash of its name, and everything below it
+// lives on the same shard, so a path resolves and an operation commits on
+// one shard; only a rename between subtrees on different shards pays a
+// cross-cluster ordered commit. Fault injection
 // (FailZone, RecoverZone, PartitionZones, HealZones) and Stats span every
 // shard. See DESIGN.md §13.
 func WithShards(n int) Option {

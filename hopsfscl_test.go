@@ -358,7 +358,7 @@ func TestShardedFacade(t *testing.T) {
 	defer c.Close()
 	fs := c.Client(1)
 	// The README sharding quickstart, end to end: shard-local creates,
-	// then a rename that may cross the hash boundary.
+	// then a rename that may cross between subtrees on different shards.
 	if err := fs.MkdirAll("/proj/a"); err != nil {
 		t.Fatal(err)
 	}

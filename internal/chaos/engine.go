@@ -466,9 +466,9 @@ func (e *Engine) spawnAgents() {
 			byst: map[pathState][]string{},
 		}
 		if e.sharded {
-			// A second directory whose partition key hashes independently:
-			// renames into it cross the shard boundary whenever the two
-			// directories land on different clusters, so sharded campaigns
+			// A second directory, its children pinned to another shard than
+			// the first's (a subtree otherwise lives on one shard): renames
+			// into it cross the shard boundary, so sharded campaigns
 			// exercise the two-shard commit path. Both directories belong
 			// to this agent — the sole-mutator property is preserved.
 			a.xdir = fmt.Sprintf("/chaos/m%d", i)
@@ -488,7 +488,8 @@ type agent struct {
 	rng *rand.Rand
 	dir string
 	// xdir is the agent's second directory, set only for sharded
-	// deployments; some renames target it to cross the shard boundary.
+	// deployments and pinned away from dir's shard; some renames target it
+	// to cross the shard boundary.
 	xdir string
 	seq  int
 
@@ -510,6 +511,10 @@ func (a *agent) run(p *sim.Proc) {
 			a.setupErr = err
 			return
 		}
+		if err := a.pinAway(p); err != nil {
+			a.setupErr = err
+			return
+		}
 	}
 	a.setup = true
 	for !a.e.stopped {
@@ -522,6 +527,17 @@ func (a *agent) run(p *sim.Proc) {
 		a.busy = false
 		p.Sleep(opGap)
 	}
+}
+
+// pinAway pins xdir's children to the shard after the one its id names —
+// the shard of dir's children too, as both sit under /chaos — before any row
+// exists under it.
+func (a *agent) pinAway(p *sim.Proc) error {
+	ino, err := a.cl.Stat(p, a.xdir)
+	if err != nil {
+		return err
+	}
+	return a.e.d.NS.PinSubtree(ino.ID, int(ino.ID+1)%len(a.e.dbs))
 }
 
 // op runs one randomly drawn operation and records it.
@@ -660,10 +676,9 @@ func (a *agent) rename(p *sim.Proc) {
 	dir := a.dir
 	if a.xdir != "" && a.rng.Intn(2) == 1 {
 		// Sharded deployments only: half the renames move into the second
-		// directory, crossing the shard boundary when the two directories
-		// hash to different clusters. The extra RNG draw happens only when
-		// xdir is set, so unsharded campaigns keep their byte-identical
-		// operation sequence.
+		// directory, crossing the shard boundary to its pinned shard. The
+		// extra RNG draw happens only when xdir is set, so unsharded
+		// campaigns keep their byte-identical operation sequence.
 		dir = a.xdir
 	}
 	dst := fmt.Sprintf("%s/r%06d", dir, a.seq)

@@ -24,11 +24,12 @@ import (
 // race the recursive delete of their parent: whichever order the locks fall,
 // the parent ends up gone with nothing left under its id. ≥5 seeds, one, two
 // and four shards, batched and serial writes; the auditor and a walk of the
-// committed inode rows judge each run. Nothing is pinned: a directory's row
-// and its children's usually sit on different shards, and the inline
-// payloads hash anywhere, so the parent's share lock covers a child on
-// another shard only because a routed transaction holds every lock until
-// its last writer has committed.
+// committed inode rows judge each run. A subtree lives on one shard, so each
+// contested directory (/race, each /race/pN) is pinned to put its children on
+// another shard than its own row: the parent's share lock then covers a child
+// on another shard only because a routed transaction holds every lock until
+// its last writer has committed, and a create under /race/pN — its row on
+// one shard, /race's quota charge on the other — commits across both.
 func TestRacingCreators(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {
@@ -85,10 +86,28 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 		}
 		return errs
 	}
+	// pinAway pins dir's children to the shard after its own row's — the
+	// shard its id names — before any row exists under it.
+	pinAway := func(p *sim.Proc, dir string) bool {
+		if shards == 1 {
+			return true
+		}
+		ino, err := nns[0].Stat(p, dir)
+		if err == nil {
+			err = d.NS.PinSubtree(ino.ID, int(ino.ID+1)%shards)
+		}
+		if err != nil {
+			t.Errorf("pin %s: %v", dir, err)
+		}
+		return err == nil
+	}
 	finished := false
 	d.Env.Spawn("driver", func(p *sim.Proc) {
 		if err := nns[0].Mkdir(p, "/race", 0o755); err != nil {
 			t.Error(err)
+			return
+		}
+		if !pinAway(p, "/race") {
 			return
 		}
 		if err := nns[0].SetQuota(p, "/race", 1000, 0); err != nil {
@@ -123,6 +142,9 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 			dir := fmt.Sprintf("/race/p%d", r)
 			if err := nns[r%len(nns)].Mkdir(p, dir, 0o755); err != nil {
 				t.Error(err)
+				return
+			}
+			if !pinAway(p, dir) {
 				return
 			}
 			errs := race(p, "delete -r vs create under "+dir, func(p *sim.Proc, i int, nn *namenode.NameNode) error {

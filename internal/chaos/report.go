@@ -282,6 +282,12 @@ type CampaignOptions struct {
 // schedule for the seed, runs the campaign, and returns the report. The
 // deployment is closed before returning.
 func RunCampaign(seed int64, opts CampaignOptions) (*Report, error) {
+	return runCampaign(seed, opts, nil)
+}
+
+// runCampaign is RunCampaign, handing the deployment to after, when it is
+// set, once the campaign has run and before the deployment closes.
+func runCampaign(seed int64, opts CampaignOptions, after func(*core.Deployment)) (*Report, error) {
 	name := opts.SetupName
 	if name == "" {
 		name = "HopsFS-CL (3,3)"
@@ -331,6 +337,9 @@ func RunCampaign(seed int64, opts CampaignOptions) (*Report, error) {
 	rep, err := eng.Run()
 	if err != nil {
 		return nil, err
+	}
+	if after != nil {
+		after(d)
 	}
 	rep.Seed = seed
 	return rep, nil

@@ -251,10 +251,11 @@ func runRenameCrashRace(t *testing.T, seed int64, victimShard int) int {
 
 // TestShardedChaosCampaign runs generated fault campaigns against a
 // two-shard deployment: faults land on both clusters' datanodes, the
-// workload's renames cross the shard boundary, and every campaign must
-// finish with zero invariant violations (including the pending-intent
-// invariant the auditor checks after each quiesced sweep) and a clean
-// operation history.
+// workload's renames cross the shard boundary (each agent's second directory
+// is pinned to the other shard), and every campaign must commit across
+// shards and finish with zero invariant violations (including the
+// pending-intent invariant the auditor checks after each quiesced sweep) and
+// a clean operation history.
 func TestShardedChaosCampaign(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 	if testing.Short() {
@@ -264,14 +265,20 @@ func TestShardedChaosCampaign(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmtSeed(seed), func(t *testing.T) {
-			rep, err := RunCampaign(seed, CampaignOptions{
+			var cross int64
+			rep, err := runCampaign(seed, CampaignOptions{
 				Faults:      4,
 				CampaignLen: 25 * time.Second,
 				Engine:      Config{Clients: 4},
 				Shards:      2,
+			}, func(d *core.Deployment) {
+				cross = d.Registry.Counter("shard.txn.cross").Value()
 			})
 			if err != nil {
 				t.Fatalf("campaign: %v", err)
+			}
+			if cross == 0 {
+				t.Fatalf("no rename committed across both shards: the two-shard commit path was not exercised")
 			}
 			if rep.Check.OK == 0 {
 				t.Fatalf("campaign had no successful operation:\n%s", rep.Render())

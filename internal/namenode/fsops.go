@@ -131,7 +131,8 @@ func (nn *NameNode) dirHint(fp fsPath, n int, name string) string {
 	if e := nn.cache.lookup(fp.prefix(n)); e != nil {
 		return e.childPrefix[:len(e.childPrefix)-1]
 	}
-	// Unresolved directory: hint with the top-level component's partition.
+	// Unresolved directory: hint with the top-level component's partition,
+	// which names the shard of the whole subtree below it.
 	return partKeyOf(RootID, fp.comp(0))
 }
 
@@ -480,19 +481,13 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 			return err
 		}
 		parent := chain[len(chain)-1]
+		// The new inode's id names the shard of its own row, so what it
+		// keys — children, inline payload, quota rows — lives there too.
+		table, pk, key := nn.rowOf(sc, parent.ID, fp.name())
 		ino := proto
-		ino.ID, ino.Parent, ino.Name = nn.ns.nextID(), parent.ID, fp.name()
+		ino.ID, ino.Parent, ino.Name = nn.ns.nextID(nn.ns.router.ShardOfTable(table)), parent.ID, fp.name()
 		ino.Owner, ino.Mtime = "hdfs", p.Now()
-		if ino.Dir {
-			// Subtree pinning is inherited: a directory created under a
-			// pinned directory pins its own children's partition key to the
-			// same shard, keeping the whole subtree together. A pin
-			// surviving an aborted attempt is harmless — inode ids are
-			// never reused.
-			if s, ok := nn.ns.router.Pinned(partKey(parent.ID)); ok {
-				_ = nn.ns.router.Pin(partKey(ino.ID), s)
-			}
-		} else if ino.Size <= smallFileThreshold {
+		if !ino.Dir && ino.Size <= smallFileThreshold {
 			ino.InlineSize = ino.Size
 		}
 		created = &ino
@@ -500,9 +495,7 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 		// quota charges execute as one batched write — one Prepare pass and
 		// one commit train per replica chain (a single-row batch is exactly
 		// a plain insert).
-		row := nn.inodeWrite(sc, parent.ID, ino.Name, created)
-		row.IfAbsent = true
-		items := append(sc.writes[:0], row)
+		items := append(sc.writes[:0], ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: created, IfAbsent: true})
 		if ino.InlineSize > 0 {
 			table, pk := partOf(nn.ns.smallfiles, ino.ID)
 			items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Val: ino.InlineSize})

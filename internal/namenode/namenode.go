@@ -300,8 +300,11 @@ func (ns *Namesystem) createTables() {
 	// Inodes are partitioned by parent inode id (application defined
 	// partitioning): all children of a directory live in one partition, so
 	// listings are partition-pruned scans (§II-A1). Under the shard router
-	// the same key also picks the cluster, so a directory's children — and
-	// every parent/child lock pair — stay on one shard.
+	// the same key also picks the cluster — the id modulo the shard count —
+	// and every id names the shard of its own row (nextID), so a directory's
+	// children sit with the directory, and a subtree with its top-level
+	// directory: a path resolves, and every parent/child lock pair is
+	// taken, on one shard.
 	ns.inodes = ns.router.NewTableSet("inodes", 256, ndb.TableOptions{ReadBackup: cfg.ReadBackup})
 	// The election table is tiny and read every round by every NN: fully
 	// replicated for AZ-local reads. All its rows share one partition key,
@@ -312,17 +315,19 @@ func (ns *Namesystem) createTables() {
 	})
 	// Small-file payloads live inline in NDB (§II-A3) in their own
 	// wide-row table, partitioned by the owning file's inode id so the
-	// data row survives renames untouched.
+	// data row survives renames untouched — and sits on the shard the file
+	// was created on.
 	ns.smallfiles = ns.router.NewTableSet("smallfiles", 4096, ndb.TableOptions{ReadBackup: cfg.ReadBackup})
 	// Quota rows: per quota'd directory one authoritative "q" record plus
 	// append-only "u/..." usage updates, partitioned by directory id.
 	ns.quotas = ns.router.NewTableSet("quotas", 64, ndb.TableOptions{ReadBackup: cfg.ReadBackup})
 }
 
-// PinSubtree pins a directory's children (by inode id) to a shard. The
-// namenode inherits the pin onto directories created underneath, so the
-// override is subtree-deep for namespace created after the pin. Pins must
-// be installed before rows exist under the directory.
+// PinSubtree pins a directory's children (by inode id) to a shard. A
+// directory created underneath gets an id on its own row's shard — the
+// pinned one — so its children follow without a pin of their own and the
+// override is subtree-deep for namespace created after the pin. Pins must be
+// installed before rows exist under the directory.
 func (ns *Namesystem) PinSubtree(dirID uint64, s int) error {
 	return ns.router.Pin(partKey(dirID), s)
 }
@@ -374,15 +379,15 @@ func (ns *Namesystem) Seed(dirs, files []string) error {
 		if !ok {
 			return fmt.Errorf("namenode: seed %q before its parent", path)
 		}
+		table, pk, key := ns.inodeRow(parent, fp.name())
 		ino := &Inode{
-			ID:     ns.nextID(),
+			ID:     ns.nextID(ns.router.ShardOfTable(table)),
 			Parent: parent,
 			Name:   fp.name(),
 			Dir:    dir,
 			Perm:   0o755,
 			Owner:  "hdfs",
 		}
-		table, pk, key := ns.inodeRow(parent, ino.Name)
 		ndb.StoreDirect(table, pk, key, ino)
 		if dir {
 			ids[fp.prefix(fp.depth())] = ino.ID
@@ -408,10 +413,13 @@ func (ns *Namesystem) Config() Config { return ns.cfg }
 // NameNodes returns all registered metadata servers.
 func (ns *Namesystem) NameNodes() []*NameNode { return ns.nns }
 
-// nextID allocates an inode id.
-func (ns *Namesystem) nextID() uint64 {
+// nextID allocates an inode id for a row on shard s: the id is congruent to
+// s modulo the shard count, so the partitions it keys — the inode's children,
+// inline payload and quota rows — route to the shard of its own row. With one
+// shard the ids are the sequence itself.
+func (ns *Namesystem) nextID(s int) uint64 {
 	ns.idSeq++
-	return ns.idSeq
+	return ns.idSeq*uint64(len(ns.router.Clusters())) + uint64(s)
 }
 
 // NameNode is one stateless metadata server.

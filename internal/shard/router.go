@@ -3,28 +3,33 @@
 // The single-cluster deployments of the paper saturate once the NDB
 // datanodes run out of CPU (Figure 10): every metadata operation, however
 // well batched, lands on the same replica chains. The router in this
-// package is the way past that plateau: the namespace is hash-partitioned
-// across N fully independent clusters — each with its own node groups,
+// package is the way past that plateau: the namespace is partitioned by
+// subtree across N fully independent clusters — each with its own node groups,
 // partitions, replica chains, and global checkpoints — and every
 // transaction that touches a single shard runs on the single-cluster fast
 // path, byte for byte. Only the rare operation that must mutate rows on two
-// shards (a rename across the hash boundary, or a create whose inline
-// payload row hashes elsewhere) pays for coordination, through an ordered
-// two-cluster commit with a durable intent record (intent.go).
+// shards (a rename between subtrees that live on different shards) pays for
+// coordination, through an ordered two-cluster commit with a durable intent
+// record (intent.go).
 //
 // The routing function is deterministic and stateless: a row lives on the
-// shard given by the FNV-64a hash of its partition key, modulo N. Because
-// the namenode's partition key for an inode row is the parent directory's
-// id (with root children scattered by name, mirroring partKeyOf), this is
-// hash-of-parent routing — all children of a directory, and with them
-// every list/scan and parent-child lock pair, stay on one shard. Subtree
-// pinning overrides the hash per partition key: pinning a directory's key
-// pins its children, and the namenode inherits the pin onto directories
-// created below it, so whole subtrees can be kept on one shard.
+// shard its partition key names. A decimal key is an inode id — the key of a
+// directory's children, of a file's inline payload and of a directory's
+// quota rows — and routes to the id modulo N; any other key (the root's
+// children, keyed "c:<name>" to scatter them as partKeyOf does, and the
+// election key) routes by its FNV-64a hash modulo N. The namenode gives
+// every inode an id congruent to its own row's shard, so by induction a
+// directory's children, quota rows and inline payloads sit with the
+// directory's own row, and a whole subtree lives where its top-level
+// directory's row hashes: a path resolves, and an operation below the top
+// level commits, on one shard. Subtree pinning overrides the rule per
+// partition key: pinning a directory's key moves its children, and the
+// directories created below them get ids on the pinned shard, so the
+// override is subtree-deep without a pin of their own.
 //
 // There is one storage-transaction surface, ndb.Tx, and the router adds no
 // second one. The caller resolves a row's table to the owning shard's
-// physical *ndb.Table when it builds the request (TableSet.For hashes the
+// physical *ndb.Table when it builds the request (TableSet.For routes the
 // partition key once and honours pins); from there on the table itself says
 // where a call goes, and a routed transaction (txn.go) only dispatches: it
 // finds the shard from table.Cluster(), opens that shard's ndb.Txn on first
@@ -54,8 +59,8 @@ type Router struct {
 	clusters []*ndb.Cluster
 	n        int
 
-	// pins overrides the hash per partition key (subtree pinning). nil
-	// until the first Pin, so the routing fast path is one nil check.
+	// pins overrides the routing rule per partition key (subtree pinning).
+	// nil until the first Pin, so the routing fast path is one nil check.
 	pins map[string]int
 
 	heat      *heat.Collector
@@ -185,8 +190,25 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// ShardOfKey returns the shard owning partition key pk: the pin override
-// if one is set, else hash-of-key modulo the shard count.
+// idOf parses a decimal partition key — an inode id — without allocating.
+// ok is false for any other key.
+func idOf(pk string) (id uint64, ok bool) {
+	if pk == "" {
+		return 0, false
+	}
+	for i := 0; i < len(pk); i++ {
+		d := pk[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		id = id*10 + uint64(d)
+	}
+	return id, true
+}
+
+// ShardOfKey returns the shard owning partition key pk: the pin override if
+// one is set, else id modulo the shard count for a decimal key (an inode id),
+// else hash-of-key modulo the shard count.
 func (r *Router) ShardOfKey(pk string) int {
 	if r.n == 1 {
 		return 0
@@ -196,15 +218,18 @@ func (r *Router) ShardOfKey(pk string) int {
 			return s
 		}
 	}
+	if id, ok := idOf(pk); ok {
+		return int(id % uint64(r.n))
+	}
 	return int(fnv64(pk) % uint64(r.n))
 }
 
-// Pin overrides the hash for one partition key. Pinning a directory's
-// partition key (its inode id) moves all its children — and every scan and
-// lock against them — to the given shard; the namenode inherits pins onto
-// directories created underneath, which makes the override subtree-deep.
-// Pins must be installed before rows are written under the key: the router
-// never migrates existing rows.
+// Pin overrides the routing rule for one partition key. Pinning a
+// directory's partition key (its inode id) moves all its children — and every
+// scan and lock against them — to the given shard; the namenode gives a child
+// an id on its own row's shard, so directories created underneath follow and
+// the override is subtree-deep. Pins must be installed before rows are
+// written under the key: the router never migrates existing rows.
 func (r *Router) Pin(pk string, s int) error {
 	if s < 0 || s >= r.n {
 		return fmt.Errorf("shard: pin %q to shard %d of %d", pk, s, r.n)
@@ -214,12 +239,6 @@ func (r *Router) Pin(pk string, s int) error {
 	}
 	r.pins[pk] = s
 	return nil
-}
-
-// Pinned returns the pin override for pk, if any.
-func (r *Router) Pinned(pk string) (int, bool) {
-	s, ok := r.pins[pk]
-	return s, ok
 }
 
 // TableSet is one logical table materialized on every shard. For resolves a
@@ -257,13 +276,14 @@ func (ts *TableSet) ForEachCommitted(fn func(partKey, key string, val ndb.Value)
 	}
 }
 
-// shardOfTable maps a physical table to the shard of its cluster — the
-// dispatch lookup of every routed call. The shard count is small enough
-// that a linear scan beats any map. A table of none of the router's
-// clusters has no owner to dispatch to: that is a wiring bug, never a
-// runtime condition, so it panics with the table's name rather than
-// misrouting the row to shard 0.
-func (r *Router) shardOfTable(t *ndb.Table) int {
+// ShardOfTable maps a physical table to the shard of its cluster — the
+// dispatch lookup of every routed call, and how the namenode learns the shard
+// of a row whose table it has resolved without building another key. The
+// shard count is small enough that a linear scan beats any map. A table of
+// none of the router's clusters has no owner to dispatch to: that is a
+// wiring bug, never a runtime condition, so it panics with the table's name
+// rather than misrouting the row to shard 0.
+func (r *Router) ShardOfTable(t *ndb.Table) int {
 	c := t.Cluster()
 	for i, cl := range r.clusters {
 		if cl == c {

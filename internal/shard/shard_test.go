@@ -112,8 +112,10 @@ func TestShardOfKeyDeterministicAndSpread(t *testing.T) {
 func TestSingleShardIdentity(t *testing.T) {
 	_, r, _ := testRouter(t, 1)
 	for i := 0; i < 64; i++ {
-		if s := r.ShardOfKey(fmt.Sprintf("k%d", i)); s != 0 {
-			t.Fatalf("single-shard router sent key to shard %d", s)
+		for _, pk := range []string{fmt.Sprintf("k%d", i), fmt.Sprint(i)} {
+			if s := r.ShardOfKey(pk); s != 0 {
+				t.Fatalf("single-shard router sent key %q to shard %d", pk, s)
+			}
 		}
 	}
 	if got := r.PendingIntentCount(); got != 0 {
@@ -124,19 +126,37 @@ func TestSingleShardIdentity(t *testing.T) {
 	}
 }
 
-// TestPins checks subtree pinning: overrides beat the hash and out-of-range
-// pins are rejected.
+// TestShardOfKeyRoutesIDsByModulo checks the two routing rules: a decimal
+// key — an inode id — routes to the id modulo N, any other key by its FNV
+// hash.
+func TestShardOfKeyRoutesIDsByModulo(t *testing.T) {
+	for _, n := range []int{2, 3, 4} {
+		_, r, _ := testRouter(t, n)
+		for _, id := range []uint64{0, 1, 2, 3, 7, 10, 12345, 1<<63 + 5} {
+			pk := fmt.Sprint(id)
+			if got, want := r.ShardOfKey(pk), int(id%uint64(n)); got != want {
+				t.Errorf("n=%d: ShardOfKey(%q) = %d, want id mod n = %d", n, pk, got, want)
+			}
+		}
+		for _, pk := range []string{"c:x", "c:17", "i", "e", "7a", "-7", ""} {
+			if got, want := r.ShardOfKey(pk), int(fnv64(pk)%uint64(n)); got != want {
+				t.Errorf("n=%d: ShardOfKey(%q) = %d, want FNV rule %d", n, pk, got, want)
+			}
+		}
+	}
+}
+
+// TestPins checks subtree pinning: overrides beat both routing rules and
+// out-of-range pins are rejected.
 func TestPins(t *testing.T) {
 	_, r, _ := testRouter(t, 3)
-	pk := keyOnShard(t, r, 2)
-	if err := r.Pin(pk, 1); err != nil {
-		t.Fatalf("pin: %v", err)
-	}
-	if s := r.ShardOfKey(pk); s != 1 {
-		t.Fatalf("pinned key routed to shard %d, want 1", s)
-	}
-	if s, ok := r.Pinned(pk); !ok || s != 1 {
-		t.Fatalf("Pinned = (%d, %v), want (1, true)", s, ok)
+	for _, pk := range []string{keyOnShard(t, r, 2), "8"} {
+		if err := r.Pin(pk, 1); err != nil {
+			t.Fatalf("pin: %v", err)
+		}
+		if s := r.ShardOfKey(pk); s != 1 {
+			t.Fatalf("pinned key %q routed to shard %d, want 1", pk, s)
+		}
 	}
 	if err := r.Pin("x", 3); err == nil {
 		t.Fatalf("out-of-range pin accepted")
@@ -386,7 +406,7 @@ func TestForeignTablePanics(t *testing.T) {
 			t.Fatalf("foreign table: recovered %q, want a panic naming the table", msg)
 		}
 	}()
-	s := r.shardOfTable(foreign)
+	s := r.ShardOfTable(foreign)
 	t.Fatalf("foreign table dispatched to shard %d", s)
 }
 

@@ -46,7 +46,7 @@ type Txn struct {
 // unsharded namenode would issue — and whose other shards open on first
 // touch.
 func (r *Router) Begin(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, table *ndb.Table, partKey string) (ndb.Tx, error) {
-	s := r.shardOfTable(table)
+	s := r.ShardOfTable(table)
 	sub, err := r.clusters[s].Begin(p, origin, domain, table, partKey)
 	if err != nil {
 		return nil, err
@@ -74,7 +74,7 @@ func (r *Router) Begin(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, t
 // sub returns the sub-transaction on the shard owning table, beginning it on
 // first touch (hinted by the row that caused the touch).
 func (t *Txn) sub(table *ndb.Table, partKey string) (*ndb.Txn, error) {
-	s := t.r.shardOfTable(table)
+	s := t.r.ShardOfTable(table)
 	if sub := t.subs[s]; sub != nil {
 		return sub, nil
 	}
@@ -140,7 +140,7 @@ func routeBatch[T, R any](t *Txn, rows, part []T, out []R, at func(*T) (*ndb.Tab
 	}
 	shardOf := func(i int) int {
 		table, _ := at(&rows[i])
-		return t.r.shardOfTable(table)
+		return t.r.ShardOfTable(table)
 	}
 	first, spans := shardOf(0), false
 	for i := 1; i < len(rows) && !spans; i++ {
