@@ -1,12 +1,14 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"hopsfscl/internal/core"
+	"hopsfscl/internal/namenode"
 	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
@@ -16,9 +18,9 @@ import (
 // TestCrossShardRenameCrashRace is the two-shard commit property test: a
 // stream of renames pinned to cross the shard boundary races the crash of
 // the exact datanode serving the participating partition — on the source
-// shard for half the scenarios, the destination shard for the other half.
-// After recovery and an intent sweep, every file must exist exactly once
-// (no lost acked write, no duplicated or orphaned inode), storage must
+// shard, or on the destination shard — or of the namenode committing the
+// rename. After recovery and an intent sweep, every file must exist exactly
+// once (no lost acked write, no duplicated or orphaned inode), storage must
 // agree with the acked outcome, and the operation history must check
 // clean. Runs ≥5 seeds; the CI test job repeats it under -race.
 func TestCrossShardRenameCrashRace(t *testing.T) {
@@ -28,9 +30,13 @@ func TestCrossShardRenameCrashRace(t *testing.T) {
 	}
 	disturbed := 0
 	for _, seed := range seeds {
-		for victim := 0; victim < 2; victim++ {
+		for victim := 0; victim <= victimNN; victim++ {
 			seed, victim := seed, victim
-			t.Run(fmt.Sprintf("seed%d-crash-shard%d", seed, victim), func(t *testing.T) {
+			name := fmt.Sprintf("seed%d-crash-shard%d", seed, victim)
+			if victim == victimNN {
+				name = fmt.Sprintf("seed%d-crash-nn", seed)
+			}
+			t.Run(name, func(t *testing.T) {
 				disturbed += runRenameCrashRace(t, seed, victim)
 			})
 		}
@@ -40,10 +46,14 @@ func TestCrossShardRenameCrashRace(t *testing.T) {
 	}
 }
 
+// victimNN names the scenario whose victim is the namenode committing the
+// renames rather than a datanode of shard 0 or 1.
+const victimNN = 2
+
 // runRenameCrashRace runs one scenario and returns 1 when the crash
 // actually disturbed the rename stream (an errored rename or a pending
 // intent), 0 when every rename sailed through before or after the outage.
-func runRenameCrashRace(t *testing.T, seed int64, victimShard int) int {
+func runRenameCrashRace(t *testing.T, seed int64, victim int) int {
 	const files = 16
 	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
 	o := core.DefaultOptions(setup)
@@ -122,12 +132,15 @@ func runRenameCrashRace(t *testing.T, seed int64, victimShard int) int {
 
 	// The saboteur: once renames begin, wait a seed-dependent offset, then
 	// poll for a durable cross-shard intent — the sign that some rename is
-	// exactly between its two commits — and at that instant crash the
-	// datanode serving the racing partition on the victim shard. Crashing
-	// the destination shard fails the second leg mid-commit; crashing the
-	// source shard hits the intent holder, stranding the record until the
-	// sweep. Either way the crash lands inside the two-shard commit window
-	// deterministically.
+	// between its first commit and its clear — and at that instant crash the
+	// victim: the datanode serving the racing partition on the victim shard,
+	// or the namenode committing the rename. Crashing the destination shard
+	// fails the second leg mid-commit; crashing the source shard hits the
+	// intent holder, stranding the record until the sweep; killing the
+	// namenode loses the rename's ack and its clear — the later leg needs
+	// no message from it, so it applies — stranding the record and the
+	// leg's marker. Either way the crash lands inside the two-shard commit
+	// window deterministically.
 	d.Env.Spawn("saboteur", func(p *sim.Proc) {
 		for !renamesStarted && setupErr == nil {
 			p.Sleep(200 * time.Microsecond)
@@ -140,9 +153,16 @@ func runRenameCrashRace(t *testing.T, seed int64, victimShard int) int {
 		for d.NS.PendingIntents() == 0 && !renamesDone && p.Now() < deadline {
 			p.Sleep(20 * time.Microsecond)
 		}
-		db := d.MetaClusters()[victimShard]
+		if victim == victimNN {
+			nn := cl.CurrentNameNode()
+			nn.Fail()
+			p.Sleep(1500 * time.Millisecond)
+			nn.Recover()
+			return
+		}
+		db := d.MetaClusters()[victim]
 		dirID := srcID
-		if victimShard == 1 {
+		if victim == 1 {
 			dirID = dstID
 		}
 		dn := db.Table("inodes").PrimaryFor(fmt.Sprintf("%d", dirID))
@@ -210,7 +230,9 @@ func runRenameCrashRace(t *testing.T, seed int64, victimShard int) int {
 		switch err := renameErrs[i]; {
 		case err == nil && rows[dstKey] != 1:
 			t.Errorf("rename of %s was acked but the row sits at the source", name(i))
-		case err != nil && !indeterminate(err) && rows[srcKey] != 1:
+		case err != nil && !indeterminate(err) && !errors.Is(err, namenode.ErrNotFound) && rows[srcKey] != 1:
+			// ErrNotFound can be the retry of a rename whose namenode died
+			// after applying it, as CheckHistory allows.
 			t.Errorf("rename of %s failed definitively (%v) but the row moved", name(i), err)
 		}
 	}
@@ -241,8 +263,8 @@ func runRenameCrashRace(t *testing.T, seed int64, victimShard int) int {
 			errored++
 		}
 	}
-	t.Logf("seed=%d victim=shard%d: %d/%d renames errored, pending=%d aborts=%d indet=%d resolved=%d",
-		seed, victimShard, errored, files, pendingBeforeFix, crossAborts, crossIndet, resolvedInline)
+	t.Logf("seed=%d victim=%d: %d/%d renames errored, pending=%d aborts=%d indet=%d resolved=%d",
+		seed, victim, errored, files, pendingBeforeFix, crossAborts, crossIndet, resolvedInline)
 	if errored > 0 || pendingBeforeFix > 0 || crossAborts > 0 || crossIndet > 0 || resolvedInline > 0 {
 		return 1
 	}

@@ -478,12 +478,7 @@ func (c *Cluster) CreateTable(name string, rowSize int, opts TableOptions) *Tabl
 		rowSize: rowSize,
 		opts:    opts,
 	}
-	n := c.cfg.PartitionsPerTable
-	if opts.FullyReplicated {
-		// One logical partition set per node group; data on all nodes.
-		n = c.cfg.PartitionsPerTable
-	}
-	t.partitions = make([]*Partition, n)
+	t.partitions = make([]*Partition, c.cfg.PartitionsPerTable)
 	numGroups := len(c.groups)
 	for i := range t.partitions {
 		g := i % numGroups

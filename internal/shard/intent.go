@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 
 	"hopsfscl/internal/ndb"
@@ -22,38 +21,40 @@ import (
 //  1. Each writer's deleted rows are read once, in one batch per writer.
 //     Their pre-images give the Intent row — the staged rows of every
 //     writer after the first, plus per-row identity guards — which is
-//     staged into the first writer.
+//     staged into the first writer. Each later writer stages a marker row
+//     into its own shard's intent table, under the partition key of its
+//     first row, so the marker rides that row's commit train.
 //  2. The first writer commits its rows and the intent atomically, holding
 //     its locks (ndb.Txn.CommitHolding). If this commit fails, no shard has
 //     applied anything and no intent exists: a clean abort, and every side
 //     releases what it held.
-//  3. The remaining writers commit in shard order, holding their locks.
-//     From the instant step 2 committed, the operation is decided: if a
-//     later commit fails (a shard crashed mid-commit), the durable intent is
-//     enough to finish the job, so the caller gets an indeterminate error —
-//     never a false "failed" for an operation that will complete.
+//  3. The remaining writers commit in shard order, holding their locks, each
+//     with its marker: a leg applied iff its marker exists. From the instant
+//     step 2 committed, the operation is decided: if a later commit fails (a
+//     shard crashed mid-commit), the durable intent is enough to finish the
+//     job, so the caller gets an indeterminate error — never a false
+//     "failed" for an operation that will complete.
 //  4. Every writer releases its locks, then each read-only side releases
 //     its own and acks. A transaction with one writer follows the same
 //     order, with no intent.
-//  5. The intent id goes on the router's clear queue and the commit
-//     returns. The router's one clearer process deletes the records off the
-//     critical path: per shard, everything queued at the instant it looks,
-//     in one WriteBatch transaction. A failed delete stays queued for the
-//     next round.
+//  5. The committing process deletes the record, then the markers, in one
+//     small transaction per shard. If that fails the rows stay for the
+//     sweeper, and the operation, decided and applied, still succeeds.
 //
-// Resolution (ResolvePendingIntents) deletes, without replaying it, any
-// intent still on the clear queue: all its legs are applied, and the
-// client may have moved on — a replay could roll a since-deleted
-// destination forward again. Every other surviving intent belongs to a
-// commit that did not finish, and is replayed with exclusive locks and
-// identity guards, so replay is idempotent and safe against the window
-// between failure and sweep: a delete leg only removes the row if it still
-// holds the expected inode, and a put leg that finds a foreign occupant
-// re-homes the moved inode at the move's source (or, as a last resort,
-// under a "~dup" key) instead of overwriting or dropping it. The history
-// checker sees: acked cross-shard renames never lose the inode, and no
-// schedule of crashes leaves it absent from both names or present under
-// both.
+// Resolution (ResolvePendingIntents) decides from the rows alone, never
+// from a process's memory. It replays only the legs of a surviving record
+// that have no marker — a marked leg applied, and its client may have moved
+// on since, so a replay could roll a since-deleted destination forward
+// again — writing the marker in the replay transaction. It then deletes the
+// record and its markers, and any marker whose record is gone. Replay runs
+// with exclusive locks and identity guards, so it is idempotent and safe
+// against the window between failure and sweep: a delete leg only removes
+// the row if it still holds the expected inode, and a put leg that finds a
+// foreign occupant re-homes the moved inode at the move's source (or, as a
+// last resort, under a "~dup" key) instead of overwriting or dropping it.
+// The history checker sees: acked cross-shard renames never lose the inode,
+// and no schedule of crashes leaves it absent from both names or present
+// under both.
 
 // Identified lets the resolver compare a stored row value against the
 // inode an intent was written about without importing the namenode's
@@ -99,8 +100,10 @@ type IntentLeg struct {
 }
 
 // Intent is the durable record of a decided cross-shard commit: committed
-// atomically with the first writer's rows, deleted by the clearer once the
-// last writer's have committed, replayed by the sweeper if they never do.
+// atomically with the first writer's rows, while each later writer commits
+// a marker beside its own. The committing process deletes the record and
+// the markers once every leg has committed; the sweeper replays the legs
+// without a marker if it never does.
 type Intent struct {
 	ID   uint64
 	Op   string
@@ -114,6 +117,24 @@ const (
 
 func intentKey(id uint64) string {
 	return fmt.Sprintf("i/%016x", id)
+}
+
+// markerKey is the row key of the markers of intent id, whose record lives
+// on shard s. A marker is the row that says a leg applied: the leg commits
+// it atomically with its rows, into its own shard's intent table, under the
+// partition key of its first row. A partition's index, node group and
+// primary do not depend on the table, so the marker joins that row's commit
+// train.
+func markerKey(s int, id uint64) string {
+	return fmt.Sprintf("m/%d/%016x", s, id)
+}
+
+// markerWrite is the write of leg's marker for intent id, whose record
+// lives on shard s. Its value is its own partition key, which a table scan
+// does not return.
+func (r *Router) markerWrite(s int, id uint64, leg IntentLeg) ndb.BatchWrite {
+	pk := leg.Rows[0].PartKey
+	return ndb.BatchWrite{Table: r.intents[leg.Shard], PartKey: pk, Key: markerKey(s, id), Val: pk}
 }
 
 // ErrIndeterminate reports a cross-shard commit whose intent is durable
@@ -180,11 +201,17 @@ func (t *Txn) commitCross() error {
 			writerShards = append(writerShards, s)
 		}
 	}
-	// Step 1: the intent, staged into the first writer.
+	// Step 1: the intent, staged into the first writer, and each later
+	// writer's marker, staged into its own.
 	intentShard := writerShards[0]
 	it, err := t.buildIntent(writers, writerShards)
 	if err == nil {
 		err = writers[0].WriteBatch([]ndb.BatchWrite{{Table: r.intents[intentShard], PartKey: intentPartKey, Key: intentKey(it.ID), Val: it}})
+	}
+	for i, w := range writers[1:] {
+		if err == nil {
+			err = w.WriteBatch([]ndb.BatchWrite{r.markerWrite(intentShard, it.ID, it.Legs[i])})
+		}
 	}
 	if err != nil {
 		return fail("abort-build", err)
@@ -205,9 +232,9 @@ func (t *Txn) commitCross() error {
 	}
 	t.release()
 	if legErr == nil {
-		// Step 5: the clearer deletes the record off the critical path.
-		t.p.Flush()
-		r.queueClear(intentClear{shard: intentShard, id: it.ID, origin: t.origin, domain: t.domain})
+		// Step 5: the record and the markers go; what a failure leaves, the
+		// sweeper deletes.
+		_ = r.clearIntent(t.p, t.origin, t.domain, intentShard, it)
 		r.obs.cross.Add(1)
 		r.obs.crossTime.Observe(t.p.Now() - start)
 		t.Annotate("shard.cross", strconv.Itoa(len(writers)))
@@ -216,7 +243,7 @@ func (t *Txn) commitCross() error {
 	// A later leg failed after the intent became durable. Try to finish
 	// inline; if the shard is really down, hand the intent to the sweeper
 	// and report indeterminate.
-	if err := r.resolveIntent(t.p, t.origin, t.domain, intentShard, it); err == nil {
+	if _, err := r.resolveIntent(t.p, t.origin, t.domain, intentShard, it); err == nil {
 		r.obs.cross.Add(1)
 		r.obs.crossTime.Observe(t.p.Now() - start)
 		t.Annotate("shard.cross", "resolved-inline")
@@ -306,80 +333,73 @@ func (t *Txn) buildIntent(writers []*ndb.Txn, writerShards []int) (*Intent, erro
 	return it, nil
 }
 
-// resolveIntent replays every leg of it with guards, then deletes the
-// record. Idempotent: replaying an already-applied (or half-applied)
-// intent converges to the same state.
-func (r *Router) resolveIntent(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, intentShard int, it *Intent) error {
-	type rehome struct {
-		row IntentRow
-	}
-	var rehomes []rehome
+// resolveIntent replays with guards every leg of it that has no marker,
+// writing the marker in the replay transaction, then deletes the record and
+// the markers. It reports how many legs it replayed. Idempotent: replaying
+// an already-applied (or half-applied) intent converges to the same state.
+func (r *Router) resolveIntent(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, intentShard int, it *Intent) (int, error) {
+	var rehomes []IntentRow
+	replayed := 0
 	for _, leg := range it.Legs {
 		c := r.clusters[leg.Shard]
-		if len(leg.Rows) == 0 {
-			continue
-		}
+		m := r.markerWrite(intentShard, it.ID, leg)
 		tx, err := c.Begin(p, origin, domain, c.Table(leg.Rows[0].Table), leg.Rows[0].PartKey)
 		err = ndb.InTx(tx, err, func(tx *ndb.Txn) error {
+			// One locked read of the marker and of every row: reads see
+			// committed rows only, so each row's guard judges the state the
+			// failure left, whatever the replay has staged before it.
+			gets := []ndb.BatchGet{{Table: m.Table, PartKey: m.PartKey, Key: m.Key, Lock: ndb.LockExclusive}}
 			for _, row := range leg.Rows {
-				tab := c.Table(row.Table)
-				cur, ok, err := getRow(tx, tab, row.PartKey, row.Key, ndb.LockExclusive)
-				if err != nil {
-					return err
-				}
+				gets = append(gets, ndb.BatchGet{Table: c.Table(row.Table), PartKey: row.PartKey, Key: row.Key, Lock: ndb.LockExclusive})
+			}
+			vals, err := tx.ReadBatch(gets)
+			if err != nil || vals[0].OK {
+				return err
+			}
+			replayed++
+			queued := len(rehomes)
+			var writes []ndb.BatchWrite
+			for i, row := range leg.Rows {
+				cur := vals[i+1]
+				id, idOK := identityOf(cur.Val)
 				switch {
-				case row.Del:
-					id, idOK := uint64(0), false
-					if ok {
-						id, idOK = identityOf(cur)
-					}
-					if ok && (row.Guard == 0 || (idOK && id == row.Guard)) {
-						if err := tx.WriteBatch([]ndb.BatchWrite{{Table: tab, PartKey: row.PartKey, Key: row.Key, Del: true}}); err != nil {
-							return err
-						}
-					}
-				case !ok:
-					// Destination free: roll forward.
-					if err := tx.WriteBatch([]ndb.BatchWrite{{Table: tab, PartKey: row.PartKey, Key: row.Key, Val: row.Val}}); err != nil {
-						return err
-					}
+				case row.Del && !(cur.OK && (row.Guard == 0 || (idOK && id == row.Guard))):
+					// Gone, or recreated with another inode since: leave it.
+				case row.Del || !cur.OK || row.Guard == 0:
+					// A delete of the expected row, a put whose destination is
+					// free (roll forward) or an unguarded put: replay it.
+					writes = append(writes, ndb.BatchWrite{Table: gets[i+1].Table, PartKey: row.PartKey, Key: row.Key, Val: row.Val, Del: row.Del})
+				case idOK && id == row.Guard:
+					// Already applied, by a replay that left no marker.
 				default:
-					id, idOK := identityOf(cur)
-					if row.Guard != 0 && idOK && id == row.Guard {
-						// Already applied (the leg committed, only the ack or the
-						// intent cleanup was lost).
-						continue
-					}
-					if row.Guard == 0 {
-						// Unguarded put: plain replay.
-						if err := tx.WriteBatch([]ndb.BatchWrite{{Table: tab, PartKey: row.PartKey, Key: row.Key, Val: row.Val}}); err != nil {
-							return err
-						}
-						continue
-					}
 					// Foreign occupant: the destination was legitimately reused
 					// after the failure. Don't overwrite it and don't drop the
-					// moved inode — re-home it after this leg commits.
-					rehomes = append(rehomes, rehome{row: row})
+					// moved inode — re-home it after this leg commits. No marker
+					// meanwhile: a sweep that outlives this one must find the
+					// leg again.
+					rehomes = append(rehomes, row)
 				}
 			}
-			return nil
+			if len(rehomes) == queued {
+				writes = append(writes, m)
+			}
+			return tx.WriteBatch(writes)
 		})
 		if err != nil {
-			return err
+			return replayed, err
 		}
 	}
-	for _, rh := range rehomes {
-		if err := r.rehomeRow(p, origin, domain, rh.row); err != nil {
-			return err
+	for _, row := range rehomes {
+		if err := r.rehomeRow(p, origin, domain, row); err != nil {
+			return replayed, err
 		}
 		r.obs.intentsRolledBack.Add(1)
 	}
-	if err := r.clearIntent(p, origin, domain, intentShard, it.ID); err != nil {
-		return err
+	if err := r.clearIntent(p, origin, domain, intentShard, it); err != nil {
+		return replayed, err
 	}
 	r.obs.intentsResolved.Add(1)
-	return nil
+	return replayed, nil
 }
 
 // rehomeRow re-inserts a moved value whose destination was taken: at the
@@ -392,11 +412,11 @@ func (r *Router) rehomeRow(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneI
 		tab := c.Table(row.FallbackTable)
 		tx, err := c.Begin(p, origin, domain, tab, row.FallbackPartKey)
 		err = ndb.InTx(tx, err, func(tx *ndb.Txn) error {
-			_, ok, err := getRow(tx, tab, row.FallbackPartKey, row.FallbackKey, ndb.LockExclusive)
+			vals, err := tx.ReadBatch([]ndb.BatchGet{{Table: tab, PartKey: row.FallbackPartKey, Key: row.FallbackKey, Lock: ndb.LockExclusive}})
 			if err != nil {
 				return err
 			}
-			if ok {
+			if vals[0].OK {
 				return errSlotTaken
 			}
 			return tx.WriteBatch([]ndb.BatchWrite{{Table: tab, PartKey: row.FallbackPartKey, Key: row.FallbackKey, Val: row.Val}})
@@ -417,152 +437,106 @@ func (r *Router) rehomeRow(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneI
 	})
 }
 
-// getRow reads one row — under lock when lock is set — as a batch of one.
-func getRow(tx *ndb.Txn, tab *ndb.Table, pk, key string, lock ndb.LockMode) (ndb.Value, bool, error) {
-	vals, err := tx.ReadBatch([]ndb.BatchGet{{Table: tab, PartKey: pk, Key: key, Lock: lock}})
-	if err != nil {
-		return nil, false, err
-	}
-	return vals[0].Val, vals[0].OK, nil
-}
-
 // errSlotTaken aborts rehomeRow's probe of the move's source slot when that
 // slot is occupied; it never leaves rehomeRow.
 var errSlotTaken = errors.New("shard: rehome slot taken")
 
-// clearIntent deletes one intent record in its own small transaction.
-func (r *Router) clearIntent(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, shard int, id uint64) error {
-	tx, err := r.clusters[shard].Begin(p, origin, domain, r.intents[shard], intentPartKey)
-	return ndb.InTx(tx, err, func(tx *ndb.Txn) error {
-		return tx.WriteBatch([]ndb.BatchWrite{{Table: r.intents[shard], PartKey: intentPartKey, Key: intentKey(id), Del: true}})
+// clearIntent deletes the record of it, then each leg's marker, one small
+// transaction per shard. The record goes first: a marker that outlives its
+// record is an orphan the sweeper deletes, while a record that outlived its
+// markers would have its applied legs replayed.
+func (r *Router) clearIntent(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, intentShard int, it *Intent) error {
+	err := r.deleteIntentRows(p, origin, domain, intentShard, ndb.BatchWrite{Table: r.intents[intentShard], PartKey: intentPartKey, Key: intentKey(it.ID)})
+	for _, leg := range it.Legs {
+		if err == nil {
+			err = r.deleteIntentRows(p, origin, domain, leg.Shard, r.markerWrite(intentShard, it.ID, leg))
+		}
+	}
+	return err
+}
+
+// deleteIntentRows deletes the named rows of shard s's intent table in one
+// transaction.
+func (r *Router) deleteIntentRows(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, s int, rows ...ndb.BatchWrite) error {
+	for i := range rows {
+		rows[i].Val, rows[i].Del = nil, true
+	}
+	tx, err := r.clusters[s].Begin(p, origin, domain, r.intents[s], rows[0].PartKey)
+	return ndb.InTx(tx, err, func(tx *ndb.Txn) error { return tx.WriteBatch(rows) })
+}
+
+// scanIntents lists the rows of shard s's intent table whose key has the
+// prefix: "i/" for the records, "m/" for the markers.
+func (r *Router) scanIntents(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, s int, prefix string) ([]ndb.KV, error) {
+	var kvs []ndb.KV
+	tx, err := r.clusters[s].Begin(p, origin, domain, r.intents[s], intentPartKey)
+	err = ndb.InTx(tx, err, func(tx *ndb.Txn) (err error) {
+		kvs, err = tx.ScanTablePrefix(r.intents[s], prefix)
+		return err
 	})
+	return kvs, err
 }
 
-// intentClear is one entry of the clear queue: a decided intent whose legs
-// have all committed, the shard holding its record, and the node of the
-// namenode that committed it.
-type intentClear struct {
-	shard  int
-	id     uint64
-	origin *simnet.Node
-	domain simnet.ZoneID
-}
-
-// queueClear hands a decided intent's record to the clearer, waking it if
-// it is parked.
-func (r *Router) queueClear(c intentClear) {
-	r.clears = append(r.clears, c)
-	if r.clearIdle {
-		r.clearIdle = false
-		r.clearWake.Send(struct{}{})
-	}
-}
-
-// clearer is the router's one long-lived intent clearer. Woken by a queued
-// clear, it runs rounds until one fails or leaves the queue empty, then
-// parks again: a failed delete is retried by the round the next queued
-// clear starts, or deleted by the sweeper. It retries on no timer of its
-// own, which would keep a transaction in flight through a fault and hold
-// up every quiesced audit.
-func (r *Router) clearer(p *sim.Proc) {
-	ok := true
-	for {
-		if !ok || len(r.clears) == 0 {
-			r.clearIdle = true
-			r.clearWake.Recv(p)
-		}
-		ok = r.clearRound(p)
-	}
-}
-
-// clearRound deletes every record queued at the instant it starts: per
-// shard, in shard order, one WriteBatch transaction begun from the node of
-// the latest commit queued for that shard. A shard's entries leave the
-// queue once its delete has committed. It reports whether every shard's
-// did.
-func (r *Router) clearRound(p *sim.Proc) bool {
-	r.clearBuf = append(r.clearBuf[:0], r.clears...)
-	ok := true
-	for s := 0; s < r.n; s++ {
-		items := r.clearItems[:0]
-		var last *intentClear
-		for i := range r.clearBuf {
-			if c := &r.clearBuf[i]; c.shard == s {
-				items = append(items, ndb.BatchWrite{Table: r.intents[s], PartKey: intentPartKey, Key: intentKey(c.id), Del: true})
-				last = c
-			}
-		}
-		r.clearItems = items
-		if last == nil {
-			continue
-		}
-		tx, err := r.clusters[s].Begin(p, last.origin, last.domain, r.intents[s], intentPartKey)
-		if err := ndb.InTx(tx, err, func(tx *ndb.Txn) error { return tx.WriteBatch(items) }); err != nil {
-			ok = false
-			continue
-		}
-		r.clears = slices.DeleteFunc(r.clears, func(c intentClear) bool {
-			return c.shard == s && slices.ContainsFunc(r.clearBuf, func(d intentClear) bool { return d.id == c.id })
-		})
-	}
-	return ok
-}
-
-// queuedClear reports whether intent id of shard s waits on the clear queue.
-func (r *Router) queuedClear(s int, id uint64) bool {
-	return slices.ContainsFunc(r.clears, func(c intentClear) bool { return c.shard == s && c.id == id })
-}
-
-// ResolvePendingIntents sweeps every shard's intent table in id order. A
-// record still on the clear queue belongs to a commit whose legs have all
-// committed: it is deleted, never replayed — its client may have moved on,
-// and a replay could roll a since-deleted destination forward again. Every
-// other surviving record is replayed. The chaos engine runs it at quiesced
-// checkpoints (it is the recovery procedure a real deployment would run on
-// namenode failover); tests call it directly. Returns how many intents it
-// replayed.
+// ResolvePendingIntents decides every surviving intent from the rows alone.
+// It lists every shard's markers, then sweeps every shard's records in id
+// order: each record's legs without a marker are replayed, and the record
+// and its markers deleted (resolveIntent). Last it deletes each listed
+// marker whose record the sweep did not find. A leg commits its marker
+// after the record has committed, so a marker listed before its record was
+// looked for and not found is an orphan, never a commit in flight. The
+// chaos engine runs it at quiesced checkpoints (it is the recovery
+// procedure a real deployment would run on namenode failover); tests call
+// it directly. Returns how many intents it replayed a leg of.
 func (r *Router) ResolvePendingIntents(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID) (int, error) {
 	if r.intents == nil {
 		return 0, nil
 	}
+	markers := make([][]ndb.KV, r.n)
+	for s := range markers {
+		kvs, err := r.scanIntents(p, origin, domain, s, "m/")
+		if err != nil {
+			return 0, err
+		}
+		markers[s] = kvs
+	}
+	found := make(map[string]bool) // the marker key of every record swept
 	resolved := 0
 	for s := 0; s < r.n; s++ {
-		var kvs []ndb.KV
-		tx, err := r.clusters[s].Begin(p, origin, domain, r.intents[s], intentPartKey)
-		err = ndb.InTx(tx, err, func(tx *ndb.Txn) error {
-			rows, err := tx.ScanBatch([]ndb.BatchScan{{Table: r.intents[s], PartKey: intentPartKey, Prefix: "i/"}})
-			if err == nil {
-				kvs = rows[0]
-			}
-			return err
-		})
+		kvs, err := r.scanIntents(p, origin, domain, s, "i/")
 		if err != nil {
 			return resolved, err
 		}
 		for _, kv := range kvs {
-			it, ok := kv.Val.(*Intent)
-			if !ok {
-				continue
-			}
-			if r.queuedClear(s, it.ID) {
-				if err := r.clearIntent(p, origin, domain, s, it.ID); err != nil {
-					return resolved, err
-				}
-				r.clears = slices.DeleteFunc(r.clears, func(c intentClear) bool { return c.shard == s && c.id == it.ID })
-				continue
-			}
-			if err := r.resolveIntent(p, origin, domain, s, it); err != nil {
+			it := kv.Val.(*Intent)
+			found[markerKey(s, it.ID)] = true
+			n, err := r.resolveIntent(p, origin, domain, s, it)
+			if err != nil {
 				return resolved, err
 			}
-			resolved++
+			if n > 0 {
+				resolved++
+			}
+		}
+	}
+	for s, kvs := range markers {
+		var orphans []ndb.BatchWrite
+		for _, kv := range kvs {
+			if !found[kv.Key] {
+				orphans = append(orphans, ndb.BatchWrite{Table: r.intents[s], PartKey: kv.Val.(string), Key: kv.Key})
+			}
+		}
+		if len(orphans) > 0 {
+			if err := r.deleteIntentRows(p, origin, domain, s, orphans...); err != nil {
+				return resolved, err
+			}
 		}
 	}
 	return resolved, nil
 }
 
 // PendingIntentCount inspects the intent tables directly (outside the
-// simulated network) and returns how many records survive — the
-// auditor's cross-shard invariant: zero after a settled, swept
+// simulated network) and returns how many records and markers survive —
+// the auditor's cross-shard invariant: zero after a settled, swept
 // checkpoint.
 func (r *Router) PendingIntentCount() int {
 	n := 0

@@ -48,7 +48,6 @@ import (
 
 	"hopsfscl/internal/heat"
 	"hopsfscl/internal/ndb"
-	"hopsfscl/internal/sim"
 	"hopsfscl/internal/trace"
 )
 
@@ -79,17 +78,6 @@ type Router struct {
 	// intentSeq numbers intent records; combined with the origin namenode
 	// it is unique per deployment.
 	intentSeq uint64
-
-	// clears is the clear queue: the decided intents whose records await
-	// deletion, in the order their commits finished. An entry leaves once
-	// its delete has committed (clearRound) or the sweeper has deleted it.
-	// The clearer parks on clearWake while clearIdle is set. clearBuf and
-	// clearItems are a round's snapshot of the queue and its write batch.
-	clears     []intentClear
-	clearWake  *sim.Mailbox[struct{}]
-	clearIdle  bool
-	clearBuf   []intentClear
-	clearItems []ndb.BatchWrite
 }
 
 // routerObs caches the registry handles of the router's own metrics. The
@@ -129,9 +117,6 @@ func NewRouter(clusters []*ndb.Cluster) (*Router, error) {
 		for i, c := range clusters {
 			r.intents[i] = c.CreateTable(intentTableName, 256, ndb.TableOptions{ReadBackup: true})
 		}
-		env := clusters[0].Env()
-		r.clearWake = sim.NewMailbox[struct{}](env)
-		env.Spawn("shard-intent-clearer", r.clearer)
 	}
 	return r, nil
 }

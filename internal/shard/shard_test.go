@@ -212,24 +212,21 @@ func TestCrossShardCommit(t *testing.T) {
 // carrying) commit leg.
 func plantIntent(t *testing.T, env *sim.Env, r *Router, client *simnet.Node, shard int, it *Intent) {
 	t.Helper()
+	plant(t, env, r, client, shard, ndb.BatchWrite{Table: r.intents[shard], PartKey: intentPartKey, Key: intentKey(it.ID), Val: it})
+}
+
+// plant commits one row into shard's cluster in its own transaction.
+func plant(t *testing.T, env *sim.Env, r *Router, client *simnet.Node, shard int, w ndb.BatchWrite) {
+	t.Helper()
 	c := r.Cluster(shard)
-	tab := c.Table(intentTableName)
 	var err error
 	env.Spawn("plant", func(p *sim.Proc) {
-		var tx *ndb.Txn
-		tx, err = c.Begin(p, client, 1, tab, intentPartKey)
-		if err != nil {
-			return
-		}
-		if err = put(tx, tab, intentPartKey, intentKey(it.ID), it); err != nil {
-			tx.Abort()
-			return
-		}
-		err = tx.Commit()
+		tx, beginErr := c.Begin(p, client, 1, w.Table, w.PartKey)
+		err = ndb.InTx(tx, beginErr, func(tx *ndb.Txn) error { return tx.WriteBatch([]ndb.BatchWrite{w}) })
 	})
 	env.RunFor(5 * time.Second)
 	if err != nil {
-		t.Fatalf("planting intent: %v", err)
+		t.Fatalf("planting %s: %v", w.Key, err)
 	}
 }
 
