@@ -182,8 +182,9 @@ func Table1(o ExpOptions) (string, error) {
 				var total time.Duration
 				for k := 0; k < probes; k++ {
 					t0 := p.Now()
-					net.Travel(p, nodes[i], target, 64, time.Second)
-					net.Travel(p, target, nodes[i], 64, time.Second)
+					net.TravelDeferred(p, nodes[i], target, 64, time.Second)
+					p.Flush()
+					net.TravelDeferred(p, target, nodes[i], 64, time.Second)
 					p.Flush()
 					total += p.Now() - t0
 				}

@@ -22,32 +22,38 @@ import (
 // dispatcher per transaction, which also holds the gather buffers of a read
 // batch that spans shards — but an inode's id names its own row's shard, so
 // a path resolves on one shard and the point measures 3.72, close to the
-// unsharded one. Each ceiling is about 1.5x its measurement: a lost pool, a
-// cached key rebuilt per operation or a reintroduced per-event allocation
-// fails it.
+// unsharded one. The AZ-unaware HopsFS (3,3) point is the one whose
+// Completes are fire-and-forget (no Read Backup); it measures 4.30. Each
+// ceiling is about 1.5x its measurement: a lost pool, a cached key rebuilt
+// per operation or a reintroduced per-event allocation fails it.
 //
 // It also pins the kernel's switches: coroutine resumes per virtual op, which
 // repeat bit for bit per seed. A fan-out arm that cannot block is a stackless
 // step, not a resume, so the points measure 8.59 and 8.69 (13.78 with every
 // arm a coroutine at the unsharded point): a path's reads fan out inside one
-// cluster rather than running as one single-target sub-batch per shard. Each
-// ceiling sits about 5 % above its measurement, so an arm that goes back to a
-// coroutine fails it. Excluded under -race, whose instrumentation allocates.
+// cluster rather than running as one single-target sub-batch per shard. A
+// fire-and-forget Complete runs its handler where it arrives, not in a
+// datanode's server process, so the AZ-unaware point measures 10.63 (11.27
+// with the server). Each ceiling sits about 5 % above its measurement, so an
+// arm that goes back to a coroutine fails it. Excluded under -race, whose
+// instrumentation allocates.
 func TestGridPointAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid point drives a full deployment")
 	}
 	for _, pt := range []struct {
 		name    string
+		setup   string
 		shards  int
 		ceiling float64
 		resumes float64
 	}{
-		{"unsharded", 1, 5.5, 9.0},
-		{"shards=2", 2, 5.7, 9.1},
+		{"unsharded", "HopsFS-CL (3,3)", 1, 5.5, 9.0},
+		{"shards=2", "HopsFS-CL (3,3)", 2, 5.7, 9.1},
+		{"az-unaware", "HopsFS (3,3)", 1, 6.5, 11.2},
 	} {
 		t.Run(pt.name, func(t *testing.T) {
-			setup, ok := core.SetupByName("HopsFS-CL (3,3)")
+			setup, ok := core.SetupByName(pt.setup)
 			if !ok {
 				t.Fatal("setup not found")
 			}

@@ -343,18 +343,23 @@ func (m *Manager) WriteBlock(p *sim.Proc, client *simnet.Node, inode uint64, siz
 	}
 	m.seq++
 	b := &Block{ID: m.seq, Inode: inode, Size: size, Created: m.env.Now(), locs: targets}
+	// Each hop's time is settled before what follows it: a datanode's
+	// DiskWrite flushes the hop that carried its data, and the client waits
+	// for the Ack (or a lost hop's timeout) before it registers the block.
+	defer p.Flush()
 	prev := client
 	for _, dn := range targets {
-		if !m.net.Travel(p, prev, dn.Node, int(size), rpcTimeout) {
+		if !m.net.TravelDeferred(p, prev, dn.Node, int(size), rpcTimeout) {
 			return nil, ErrNoDatanodes
 		}
 		dn.Node.DiskWrite(p, int(size))
 		prev = dn.Node
 	}
 	// Ack travels back up the pipeline to the client.
-	if !m.net.Travel(p, prev, client, 64, rpcTimeout) {
+	if !m.net.TravelDeferred(p, prev, client, 64, rpcTimeout) {
 		return nil, ErrNoDatanodes
 	}
+	p.Flush()
 	for _, dn := range targets {
 		dn.blocks[b.ID] = struct{}{}
 	}
@@ -392,11 +397,14 @@ func (m *Manager) ReadBlock(p *sim.Proc, client *simnet.Node, id BlockID) (*Data
 	} else {
 		src = locs[m.env.Rand().Intn(len(locs))]
 	}
-	if !m.net.Travel(p, client, src.Node, 128, rpcTimeout) {
+	// The DiskRead settles the request hop; the deferred flush settles the
+	// response (or a lost hop's timeout) before the client goes on.
+	defer p.Flush()
+	if !m.net.TravelDeferred(p, client, src.Node, 128, rpcTimeout) {
 		return nil, ErrNoReplica
 	}
 	src.Node.DiskRead(p, int(b.Size))
-	if !m.net.Travel(p, src.Node, client, int(b.Size), rpcTimeout) {
+	if !m.net.TravelDeferred(p, src.Node, client, int(b.Size), rpcTimeout) {
 		return nil, ErrNoReplica
 	}
 	return src, nil
@@ -598,7 +606,8 @@ func (m *Manager) reReplicate(p *sim.Proc, b *Block) {
 	if target == nil {
 		return
 	}
-	if !m.net.Travel(p, src.Node, target.Node, int(b.Size), rpcTimeout) {
+	if !m.net.TravelDeferred(p, src.Node, target.Node, int(b.Size), rpcTimeout) {
+		p.Flush()
 		return
 	}
 	target.Node.DiskWrite(p, int(b.Size))

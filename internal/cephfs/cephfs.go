@@ -312,10 +312,11 @@ func (m *MDS) journalLoop(p *sim.Proc) {
 		for r := 0; r < reps; r++ {
 			osd := m.c.osds[m.c.osdNext%len(m.c.osds)]
 			m.c.osdNext++
-			if m.c.net.Travel(p, m.Node, osd.Node, bytes, 5*time.Second) {
+			if m.c.net.TravelDeferred(p, m.Node, osd.Node, bytes, 5*time.Second) {
 				osd.Node.DiskWrite(p, bytes)
-				m.c.net.Travel(p, osd.Node, m.Node, 64, 5*time.Second)
+				m.c.net.TravelDeferred(p, osd.Node, m.Node, 64, 5*time.Second)
 			}
+			p.Flush()
 		}
 		m.cpu.Release(1)
 	}

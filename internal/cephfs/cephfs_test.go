@@ -403,22 +403,18 @@ func TestNamespaceMutationRevokesListCaps(t *testing.T) {
 // TestRevocationOrderRepeats has many clients hold a capability on one file,
 // revokes them all with one mutation, and checks that the cap-revoke
 // messages reach the holders in the same order in two runs: the order they
-// are sent in decides link queueing and which latency draw each one gets.
+// are sent in decides link queueing and which latency draw each one gets. A
+// revoke is traffic only, so its arrival shows in the holder's NIC bytes.
 func TestRevocationOrderRepeats(t *testing.T) {
 	const holders = 24
 	arrivals := func() []int {
 		env, c := testCluster(t, DirPinned, true, 3)
-		var order []int
 		cls := make([]*Client, holders)
 		for i := range cls {
-			i := i
 			cls[i] = c.NewClient(simnet.ZoneID(i%3+1), simnet.HostID(800+i))
-			env.Spawn("holder-inbox", func(p *sim.Proc) {
-				cls[i].Node.Inbox.Recv(p)
-				order = append(order, i)
-			})
 		}
 		mutator := c.NewClient(1, 900)
+		var read []int64 // each holder's NIC read bytes before the revokes
 		env.Spawn("test", func(p *sim.Proc) {
 			if err := mutator.Create(p, "/f", 0); err != nil {
 				t.Error(err)
@@ -429,11 +425,24 @@ func TestRevocationOrderRepeats(t *testing.T) {
 					t.Error(err)
 				}
 			}
+			for _, cl := range cls {
+				r, _ := cl.Node.NICBytes()
+				read = append(read, r)
+			}
 			if err := mutator.SetPermission(p, "/f", 0o600); err != nil {
 				t.Error(err)
 			}
 		})
-		env.RunFor(time.Minute)
+		var order []int
+		env.RunUntil(func() bool {
+			for i := range read {
+				if r, _ := cls[i].Node.NICBytes(); r > read[i] {
+					order = append(order, i)
+					read[i] = r
+				}
+			}
+			return len(order) == holders
+		}, time.Microsecond, time.Minute)
 		if len(order) != holders {
 			t.Fatalf("%d of %d holders were sent a cap-revoke", len(order), holders)
 		}

@@ -73,7 +73,8 @@ func (cl *Client) mdsOp(p *sim.Proc, comps []string, kind mutKind, cacheKey stri
 	if m == nil {
 		return ErrDown
 	}
-	if !cl.c.net.Travel(p, cl.Node, m.Node, rpcReqSize, 5*time.Second) {
+	if !cl.c.net.TravelDeferred(p, cl.Node, m.Node, rpcReqSize, 5*time.Second) {
+		p.Flush()
 		return ErrDown
 	}
 	costs := &cl.c.cfg.Costs
@@ -110,7 +111,9 @@ func (cl *Client) mdsOp(p *sim.Proc, comps []string, kind mutKind, cacheKey stri
 		}
 	}
 	m.cpu.Release(1)
-	if !cl.c.net.Travel(p, m.Node, cl.Node, rpcRespSize, 5*time.Second) {
+	ok := cl.c.net.TravelDeferred(p, m.Node, cl.Node, rpcRespSize, 5*time.Second)
+	p.Flush()
+	if !ok {
 		return ErrDown
 	}
 	cl.Ops++
@@ -145,7 +148,7 @@ func (cl *Client) revokeCaps(p *sim.Proc, m *MDS, comps []string, namespaceChang
 		slices.SortFunc(holders, func(a, b *Client) int { return cmp.Compare(a.Node.ID(), b.Node.ID()) })
 		for _, holder := range holders {
 			p.Sleep(cl.c.cfg.Costs.CapRevokePerClient)
-			cl.c.net.Send(m.Node, holder.Node, 64, "cap-revoke")
+			cl.c.net.Send(m.Node, holder.Node, 64, nil)
 			delete(holder.cache, key)
 		}
 		delete(m.caps, key)
@@ -311,7 +314,7 @@ func (cl *Client) Rename(p *sim.Proc, src, dst string) error {
 			// Cross-MDS rename: the destination MDS coordinates with the
 			// source subtree's MDS.
 			p.Sleep(cl.c.cfg.Costs.MDSOp)
-			cl.c.net.Send(dstOwner.Node, srcMDS.Node, rpcReqSize, "rename-export")
+			cl.c.net.Send(dstOwner.Node, srcMDS.Node, rpcReqSize, nil)
 		}
 		srcParent, err := cl.c.lookup(srcComps[:len(srcComps)-1])
 		if err != nil {

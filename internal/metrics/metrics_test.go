@@ -113,7 +113,9 @@ func TestUtilWindow(t *testing.T) {
 	res := sim.NewResource(env, "cpu", 2)
 	env.Spawn("w", func(p *sim.Proc) {
 		p.Sleep(10 * time.Millisecond) // outside window activity later
-		res.Use(p, 2, 10*time.Millisecond)
+		res.Acquire(p, 2)
+		p.Sleep(10 * time.Millisecond)
+		res.Release(2)
 	})
 	u := NewUtilWindow(res)
 	env.RunFor(10 * time.Millisecond)

@@ -1,14 +1,18 @@
 package ndb
 
 import (
+	"time"
+
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 )
 
-// startBackground launches the cluster's housekeeping processes: a message
-// server and a heartbeat prober per datanode, and the global checkpoint
-// writer. They run until StopBackground is called (or the environment is
-// closed); cluster simulations are normally driven with Env.RunFor.
+// startBackground launches the cluster's housekeeping processes: the global
+// checkpoint ticker, which also flushes every live datanode's REDO, and a
+// heartbeat prober per datanode. They run until StopBackground is called
+// (or the environment is closed); cluster simulations are normally driven
+// with Env.RunFor. Messages need no process: a Complete or a shutdown order
+// runs its handler where it arrives.
 func (c *Cluster) startBackground() {
 	c.gcpEpoch = 1
 	c.env.Spawn("ndb/gcp-ticker", func(p *sim.Proc) { c.gcpLoop(p) })
@@ -17,37 +21,26 @@ func (c *Cluster) startBackground() {
 	}
 }
 
-// startHousekeeping spawns the datanode's three housekeeping processes — at
-// cluster start and again whenever the node comes back from a real outage
-// (they exit when the node goes down). Spawn order and names are schedule-
-// and span-visible.
+// startHousekeeping spawns the datanode's heartbeat prober — at cluster
+// start and again whenever the node comes back from a real outage (it exits
+// when the node goes down). Its spawn order and name are schedule- and
+// span-visible.
 func (dn *DataNode) startHousekeeping() {
-	env, name := dn.c.env, dn.Node.Name()
-	env.Spawn(name+"/server", func(p *sim.Proc) { dn.serve(p) })
-	env.Spawn(name+"/hb", func(p *sim.Proc) { dn.heartbeatLoop(p) })
-	env.Spawn(name+"/gcp", func(p *sim.Proc) { dn.checkpointLoop(p) })
+	dn.c.env.Spawn(dn.Node.Name()+"/hb", func(p *sim.Proc) { dn.heartbeatLoop(p) })
 }
 
 // StopBackground asks all housekeeping processes to exit at their next
 // tick, letting Env.Run quiesce.
 func (c *Cluster) StopBackground() { c.bgStop = true }
 
-// serve drains the datanode's inbox: Complete messages from commit chains
-// (charged to RECV and dropped) and shutdown orders from the arbitrator.
-func (dn *DataNode) serve(p *sim.Proc) {
-	for !dn.c.bgStop {
-		msg, ok := dn.Node.Inbox.RecvTimeout(p, heartbeatInterval)
-		if !ok {
-			continue
-		}
-		switch msg.Payload {
-		case "complete":
-			dn.recv(p)
-		case "shutdown":
-			dn.shutdownSelf()
-			return
-		}
-	}
+// controlHop carries one control-plane message — a heartbeat probe or its
+// answer, an arbitration request or reply, a resync transfer — and waits
+// for its arrival, or for the timeout when it is lost, before the caller
+// acts on the outcome.
+func (c *Cluster) controlHop(p *sim.Proc, from, to *simnet.Node, size int, timeout time.Duration) bool {
+	ok := c.net.TravelDeferred(p, from, to, size, timeout)
+	p.Flush()
+	return ok
 }
 
 // heartbeatLoop probes the next alive datanode in the ring (§II-B2's node
@@ -64,8 +57,8 @@ func (dn *DataNode) heartbeatLoop(p *sim.Proc) {
 		if peer == nil {
 			continue
 		}
-		ok := dn.c.net.Travel(p, dn.Node, peer.Node, ackSize, rpcTimeout) &&
-			dn.c.net.Travel(p, peer.Node, dn.Node, ackSize, rpcTimeout)
+		ok := dn.c.controlHop(p, dn.Node, peer.Node, ackSize, rpcTimeout) &&
+			dn.c.controlHop(p, peer.Node, dn.Node, ackSize, rpcTimeout)
 		if !dn.Alive() {
 			return
 		}
@@ -115,12 +108,12 @@ func (c *Cluster) handleSuspectedFailure(p *sim.Proc, detector, suspect *DataNod
 		// Round trip to the arbitrator; failure to reach it means the
 		// detector is on the losing side of a partition and must shut
 		// down gracefully.
-		if !c.net.Travel(p, detector.Node, arb.Node, reqSize, rpcTimeout) {
+		if !c.controlHop(p, detector.Node, arb.Node, reqSize, rpcTimeout) {
 			detector.shutdownSelf()
 			return
 		}
 		granted := c.arbitrate(detector)
-		if !c.net.Travel(p, arb.Node, detector.Node, ackSize, rpcTimeout) {
+		if !c.controlHop(p, arb.Node, detector.Node, ackSize, rpcTimeout) {
 			detector.shutdownSelf()
 			return
 		}
@@ -135,8 +128,8 @@ func (c *Cluster) handleSuspectedFailure(p *sim.Proc, detector, suspect *DataNod
 		return
 	}
 	if suspect.Alive() && c.reachable(detector, suspect) &&
-		c.net.Travel(p, detector.Node, suspect.Node, ackSize, rpcTimeout) &&
-		c.net.Travel(p, suspect.Node, detector.Node, ackSize, rpcTimeout) {
+		c.controlHop(p, detector.Node, suspect.Node, ackSize, rpcTimeout) &&
+		c.controlHop(p, suspect.Node, detector.Node, ackSize, rpcTimeout) {
 		// Final direct probe before declaring: the suspect answers, so the
 		// missed heartbeats were a transient (a healed partition or a lossy
 		// spell), not a failure. Without this re-check a node whose misses
@@ -189,7 +182,7 @@ func (c *Cluster) arbitrate(claimant *DataNode) bool {
 			continue
 		}
 		if !c.reachable(claimant, dn) {
-			c.net.Send(arb.Node, dn.Node, ackSize, "shutdown")
+			c.net.Send(arb.Node, dn.Node, ackSize, dn.onShutdown)
 		}
 	}
 	return true
@@ -247,29 +240,11 @@ func (dn *DataNode) shutdownSelf() {
 // arbitration.
 func (dn *DataNode) Shutdown() bool { return dn.shutdown }
 
-// checkpointLoop implements the global checkpoint protocol: every
-// gcpInterval the REDO log accumulated since the last checkpoint is flushed
-// to the node's disk (the only disk NDB uses in steady state, §V-D1).
-func (dn *DataNode) checkpointLoop(p *sim.Proc) {
-	for !dn.c.bgStop {
-		p.Sleep(gcpInterval)
-		if !dn.Alive() {
-			return
-		}
-		if dn.redoPending == 0 {
-			continue
-		}
-		dn.use(p, IO, dn.c.cfg.Costs.LDMCommit)
-		dn.Node.AsyncDiskWrite(int(dn.redoPending))
-		dn.redoPending = 0
-	}
-}
-
 // Rejoin brings a failed or shut-down datanode back into the cluster: the
 // node recovers, copies the current data of its node group's partitions
 // from the surviving primaries (a full node restart recovery, charged as
-// network transfer), restarts its housekeeping processes, and resumes as a
-// backup replica. The caller's process is blocked for the duration of the
+// network transfer), restarts its heartbeat prober, and resumes as a backup
+// replica. The caller's process is blocked for the duration of the
 // resync.
 func (c *Cluster) Rejoin(p *sim.Proc, dn *DataNode) {
 	if dn.Alive() && !dn.declaredDead {
@@ -284,9 +259,9 @@ func (c *Cluster) Rejoin(p *sim.Proc, dn *DataNode) {
 
 // Reinstate clears a false failure declaration: a node that missed
 // heartbeats (lossy links) can be declared dead while still running. It is
-// excluded from its group's replica lists but its housekeeping processes
-// never exited, so rejoining it must not respawn them — it only resyncs
-// the partitions it missed and resumes as a backup.
+// excluded from its group's replica lists but its heartbeat prober never
+// exited, so rejoining it must not respawn it — it only resyncs the
+// partitions it missed and resumes as a backup.
 func (c *Cluster) Reinstate(p *sim.Proc, dn *DataNode) {
 	if !dn.Alive() || !dn.declaredDead {
 		return
@@ -318,7 +293,7 @@ func (c *Cluster) resync(p *sim.Proc, dn *DataNode) {
 				continue
 			}
 			size := rows * t.rowSize
-			if c.net.Travel(p, reps[0].Node, dn.Node, size, 5*rpcTimeout) {
+			if c.controlHop(p, reps[0].Node, dn.Node, size, 5*rpcTimeout) {
 				dn.redoPending += int64(size)
 			}
 		}

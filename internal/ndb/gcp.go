@@ -13,15 +13,22 @@ import (
 // them: recovery restores the last durable epoch.
 //
 // The epoch counter lives on the cluster; every committed write stamps its
-// row with the current epoch. The per-node checkpoint loops flush REDO to
-// disk; the cluster-level ticker advances the durable horizon.
+// row with the current epoch. One cluster-level ticker flushes every live
+// node's REDO to disk and advances the durable horizon.
 
-// gcpLoop advances the global checkpoint epoch every gcpInterval: epoch n
-// becomes durable once every alive node has flushed (modelled by the
-// per-node checkpoint loops sharing the same period).
+// gcpLoop runs the global checkpoint every gcpInterval: each live node
+// flushes the REDO it logged since the last tick to its disk (the only disk
+// NDB uses in steady state, §V-D1), and epoch n becomes durable.
 func (c *Cluster) gcpLoop(p *sim.Proc) {
 	for !c.bgStop {
 		p.Sleep(gcpInterval)
+		for _, dn := range c.datanodes {
+			if dn.Alive() && dn.redoPending > 0 {
+				dn.threads[IO].Charge(dn.batched(IO, c.cfg.Costs.LDMCommit))
+				dn.Node.AsyncDiskWrite(int(dn.redoPending))
+				dn.redoPending = 0
+			}
+		}
 		c.gcpEpoch++
 		c.durableEpoch = c.gcpEpoch - 1
 	}

@@ -337,6 +337,11 @@ type DataNode struct {
 	redoPending int64
 
 	shutdown bool
+
+	// onComplete and onShutdown handle a fire-and-forget Complete and the
+	// arbitrator's shutdown order where they arrive. They are bound once,
+	// so a send evaluates no method value.
+	onComplete, onShutdown func()
 }
 
 // MgmtNode is an NDB management node; the elected one arbitrates network
@@ -387,6 +392,7 @@ func New(env *sim.Env, net *simnet.Network, cfg Config, dataPlacement, mgmtPlace
 			Index: i,
 			Group: i % numGroups,
 		}
+		dn.onComplete, dn.onShutdown = dn.completeArrived, dn.shutdownSelf
 		if cfg.AZAware {
 			dn.Domain = pl.Zone
 		}

@@ -663,6 +663,60 @@ func TestCheckpointFlushesRedoToDisk(t *testing.T) {
 	}
 }
 
+// Without Read Backup the TC does not wait for Completes: each one charges
+// its backup's RECV where it arrives. Many concurrent commits on one
+// partition back up its backups' RECV pools; once the commits quiesce and
+// their last Completes have landed, the pools' busy integral already covers
+// every Complete, so nothing more is charged however long the cluster runs
+// on — as it would be by a process working through a queue of them.
+func TestFireAndForgetCompleteChargedOnArrival(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	tbl := c.CreateTable("t", 64, TableOptions{}) // no Read Backup: Complete is fire-and-forget
+	const clients, commits = 200, 20
+	done := 0
+	for i := 0; i < clients; i++ {
+		env.Spawn("committer", func(p *sim.Proc) {
+			defer func() { done++ }()
+			for j := 0; j < commits; j++ {
+				key := fmt.Sprintf("k%d-%d", i, j)
+				tx, err := c.Begin(p, client, 1, tbl, "p")
+				if err == nil {
+					err = put(tx, tbl, "p", key, j)
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+	}
+	backups := tbl.partitionFor("p").replicas()[1:]
+	var maxBacklog time.Duration
+	recvBusy := func() (busy int64) {
+		for _, dn := range backups {
+			maxBacklog = max(maxBacklog, dn.threads[RECV].Backlog())
+			busy += dn.threads[RECV].BusyIntegral()
+		}
+		return busy
+	}
+	if !env.RunUntil(func() bool { recvBusy(); return done == clients }, 50*time.Microsecond, 10*time.Second) {
+		t.Fatalf("%d of %d committers finished", done, clients)
+	}
+	if maxBacklog < 100*time.Microsecond {
+		t.Fatalf("backups' RECV backlog peaked at %v; the load does not back the pool up", maxBacklog)
+	}
+	env.RunFor(5 * time.Millisecond) // the last Completes land
+	atQuiesce := recvBusy()
+	env.RunFor(2 * time.Second)
+	if late := recvBusy() - atQuiesce; late != 0 {
+		t.Fatalf("%v of RECV service was charged after the commits quiesced; every Complete must be charged on arrival",
+			time.Duration(late))
+	}
+}
+
 func TestSpreadPlacementSpansZonesPerGroup(t *testing.T) {
 	zones := []simnet.ZoneID{1, 2, 3}
 	pl := SpreadPlacement(12, zones, 0)
@@ -978,7 +1032,7 @@ func TestRepeatedCrashRestartEpochMonotone(t *testing.T) {
 
 // TestReinstateClearsFalseDeclaration covers the lossy-network case: a
 // node declared dead on missed heartbeats while still running. Reinstate
-// clears the declaration without respawning its housekeeping processes,
+// clears the declaration without respawning its heartbeat prober,
 // and the cluster keeps committing throughout.
 func TestReinstateClearsFalseDeclaration(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)

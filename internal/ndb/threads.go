@@ -98,22 +98,32 @@ func DefaultCosts() Costs {
 }
 
 // use charges d of CPU on the node's thread pool of the given type as
-// fluid (deferred) service, applying the batching model: the deeper the
-// backlog, the more of the fixed per-message overhead is amortized across
-// the batch (NDB's executor batching, §V-D1: throughput keeps growing
-// after the CPU plateaus).
+// fluid (deferred) service for p, scaled by the batching model.
 func (dn *DataNode) use(p *sim.Proc, t ThreadType, d time.Duration) {
-	res := dn.threads[t]
-	if backlog := res.Backlog(); backlog > 0 {
+	dn.threads[t].UseDeferred(p, dn.batched(t, d))
+}
+
+// batched applies NDB's executor batching to d of work on the pool of type
+// t: the deeper the backlog, the more of the fixed per-message overhead is
+// amortized across the batch (§V-D1: throughput keeps growing after the
+// CPU plateaus).
+func (dn *DataNode) batched(t ThreadType, d time.Duration) time.Duration {
+	if backlog := dn.threads[t].Backlog(); backlog > 0 {
 		floor := dn.c.cfg.Costs.BatchFloor
 		scale := floor + (1-floor)*float64(d)/float64(d+backlog)
 		d = time.Duration(float64(d) * scale)
 	}
-	res.UseDeferred(p, d)
+	return d
 }
 
 // recv charges the receive cost for an inbound message on dn.
 func (dn *DataNode) recv(p *sim.Proc) { dn.use(p, RECV, dn.c.cfg.Costs.Recv) }
+
+// completeArrived charges RECV for a fire-and-forget Complete at the
+// instant it arrives; no process waits on it.
+func (dn *DataNode) completeArrived() {
+	dn.threads[RECV].Charge(dn.batched(RECV, dn.c.cfg.Costs.Recv))
+}
 
 // send charges the cost of an outbound message. SEND work overflows to the
 // REP helper thread when the SEND pool is backlogged — NDB's idle threads

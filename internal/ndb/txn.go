@@ -667,15 +667,16 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 		return nil
 	}
 	if !tr.readBackup {
-		// Fire-and-forget Completes go through Send (no process carries
-		// them), so simnet can only count them in the global net.* metrics.
-		// Record them on the active span too — zero wire time, the Travel
-		// convention, since they are off the Ack's critical path — so per-op
-		// attribution and the commit-phase profile stop under-counting.
+		// Fire-and-forget Completes go through Send: each charges its
+		// backup's RECV where it arrives, and no process carries it, so
+		// simnet can only count it in the global net.* metrics. Record them
+		// on the active span too, with zero wire time since they are off the
+		// Ack's critical path, so per-op attribution and the commit-phase
+		// profile do not under-count.
 		for _, dn := range backups {
 			t.tc.send(p)
 			p.Span().RecordHop(simnet.HopClassOf(t.tc.Node, dn.Node), ackSize, 0)
-			t.c.net.Send(t.tc.Node, dn.Node, ackSize, "complete")
+			t.c.net.Send(t.tc.Node, dn.Node, ackSize, dn.onComplete)
 		}
 		return nil
 	}

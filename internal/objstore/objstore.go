@@ -141,7 +141,7 @@ func (s *Store) Put(p *sim.Proc, client *simnet.Node, key string, size int64) er
 		if z == ep.Zone() || reps >= replicationZones-1 {
 			continue
 		}
-		s.net.Send(ep, other, int(size), "objstore-replicate")
+		s.net.Send(ep, other, int(size), nil)
 		reps++
 	}
 	if !s.net.TravelDeferred(p, ep, client, 256, 30*time.Second) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -122,6 +123,39 @@ func TestUseDeferredCrossProcessQueueing(t *testing.T) {
 	env.Run()
 	if dA != 10*time.Millisecond || dB != 20*time.Millisecond {
 		t.Fatalf("pending a=%v b=%v, want 10ms/20ms", dA, dB)
+	}
+}
+
+// Charge books service from an event callback, with no process: it queues
+// on the least-loaded unit in the clock frame, and a process's UseDeferred
+// afterwards queues behind it.
+func TestChargeBooksWithoutProcess(t *testing.T) {
+	env := New(1)
+	defer env.Close()
+	res := NewResource(env, "recv", 2)
+	var ends []time.Duration
+	env.At(time.Millisecond, func() {
+		for i := 0; i < 3; i++ {
+			ends = append(ends, res.Charge(4*time.Millisecond))
+		}
+	})
+	var pending time.Duration
+	env.Spawn("p", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		res.UseDeferred(p, 2*time.Millisecond)
+		pending = p.Pending()
+	})
+	env.Run()
+	want := []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond}
+	if fmt.Sprint(ends) != fmt.Sprint(want) {
+		t.Fatalf("charges end at %v, want %v", ends, want)
+	}
+	// Both units are booked to 5ms and 9ms: p starts at 5ms and ends at 7ms.
+	if pending != 6*time.Millisecond {
+		t.Fatalf("pending after queueing behind charges = %v, want 6ms", pending)
+	}
+	if got := res.BusyIntegral(); got != int64(14*time.Millisecond) {
+		t.Fatalf("busy = %v, want 14ms", time.Duration(got))
 	}
 }
 

@@ -163,7 +163,9 @@ func TestDequeueReleasesReferences(t *testing.T) {
 	done := 0
 	for i := 0; i < 3; i++ {
 		env.Spawn("user", func(p *Proc) {
-			r.Use(p, 1, time.Millisecond)
+			r.Acquire(p, 1)
+			p.Sleep(time.Millisecond)
+			r.Release(1)
 			done++
 		})
 	}

@@ -164,23 +164,6 @@ func (m *Mailbox[T]) RecvTimeout(p *Proc, d time.Duration) (T, bool) {
 	return v, true
 }
 
-// Drain removes and returns up to max queued values without blocking. If
-// max <= 0 the entire queue is drained.
-func (m *Mailbox[T]) Drain(max int) []T {
-	n := m.q.Len()
-	if max > 0 && max < n {
-		n = max
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = m.q.Pop()
-	}
-	return out
-}
-
 // Len returns the number of queued (undelivered) values.
 func (m *Mailbox[T]) Len() int { return m.q.Len() }
 

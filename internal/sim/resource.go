@@ -17,7 +17,7 @@ type Resource struct {
 	busy       int64
 	lastChange time.Duration
 
-	// Fluid-service state (UseDeferred): per-unit busy horizons and the
+	// Fluid-service state (Charge): per-unit busy horizons and the
 	// scheduled-service integral.
 	nextFree  []time.Duration
 	fluidBusy int64
@@ -76,69 +76,58 @@ func (r *Resource) Release(n int) {
 	}
 }
 
-// Use acquires n units, holds them for d of virtual time, and releases
-// them. It is the common "do work costing d" idiom.
-func (r *Resource) Use(p *Proc, n int, d time.Duration) {
-	r.Acquire(p, n)
-	p.Sleep(d)
-	r.Release(n)
-}
-
-// UseDeferred schedules d of service on one unit of the resource starting
-// at the caller's effective time, adding the resulting delay (queueing +
-// service) to the process's pending accumulator instead of blocking. Units
-// are modelled as fluid FIFO servers ordered by scheduling time, which is
-// equivalent to Use for uncontended work and a faithful FIFO approximation
-// under load, at a fraction of the scheduling cost.
+// Charge books d of fluid service on the least-loaded unit at the clock
+// instant, with no process to delay, and returns the instant the service
+// ends. Units are fluid FIFO servers ordered by booking time, a faithful
+// FIFO approximation of Acquire/Release under load at a fraction of the
+// scheduling cost. Shared horizons live in the clock frame: work books
+// against the virtual clock, never against one process's effective time, so
+// a process running ahead cannot ratchet the queue for others.
 //
 // Fluid service and Acquire/Release may be mixed on one resource only if
 // the caller accepts that fluid work does not see Acquire'd units.
-func (r *Resource) UseDeferred(p *Proc, d time.Duration) {
+func (r *Resource) Charge(d time.Duration) time.Duration {
 	if d <= 0 {
-		return
+		return r.env.now
 	}
 	if r.nextFree == nil {
 		r.nextFree = make([]time.Duration, r.capacity)
 	}
-	// Shared horizons live in the clock frame: committed work accumulates
-	// against the virtual clock, never against a single process's effective
-	// time, so processes running ahead cannot ratchet the queue for others.
-	clock := r.env.now
+	mi := r.leastLoaded()
+	r.nextFree[mi] = max(r.nextFree[mi], r.env.now) + d
+	r.fluidBusy += int64(d)
+	return r.nextFree[mi]
+}
+
+// UseDeferred charges d of service for p, starting no earlier than p's
+// effective time, and adds the resulting delay (queueing + service) to p's
+// pending accumulator instead of blocking.
+func (r *Resource) UseDeferred(p *Proc, d time.Duration) {
+	end := r.Charge(d)
+	eff := p.EffNow()
+	p.Defer(max(end, eff+d) - eff)
+}
+
+// leastLoaded returns the index of the unit whose horizon ends first.
+func (r *Resource) leastLoaded() int {
 	mi := 0
 	for i, t := range r.nextFree {
 		if t < r.nextFree[mi] {
 			mi = i
 		}
 	}
-	startClock := clock
-	if r.nextFree[mi] > startClock {
-		startClock = r.nextFree[mi]
-	}
-	r.nextFree[mi] = startClock + d
-	r.fluidBusy += int64(d)
-	// The caller's own service cannot start before its effective instant.
-	eff := p.EffNow()
-	start := startClock
-	if eff > start {
-		start = eff
-	}
-	p.Defer(start + d - eff)
+	return mi
 }
 
 // Backlog returns how far the least-loaded fluid unit's horizon extends
-// past the virtual clock — the queueing delay the next UseDeferred would
+// past the virtual clock — the queueing delay the next Charge would
 // see. Horizons live in the clock frame, so a caller running ahead of the
 // clock reads the same value as everyone else.
 func (r *Resource) Backlog() time.Duration {
 	if r.nextFree == nil {
 		return 0
 	}
-	mi := 0
-	for i, t := range r.nextFree {
-		if t < r.nextFree[mi] {
-			mi = i
-		}
-	}
+	mi := r.leastLoaded()
 	if r.nextFree[mi] <= r.env.now {
 		return 0
 	}

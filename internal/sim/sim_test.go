@@ -113,24 +113,6 @@ func TestMailboxFIFOAcrossWaiters(t *testing.T) {
 	}
 }
 
-func TestMailboxDrain(t *testing.T) {
-	env := New(1)
-	defer env.Close()
-	mb := NewMailbox[int](env)
-	for i := 0; i < 5; i++ {
-		mb.Send(i)
-	}
-	if got := mb.Drain(3); len(got) != 3 || got[2] != 2 {
-		t.Fatalf("drain(3) = %v", got)
-	}
-	if got := mb.Drain(0); len(got) != 2 {
-		t.Fatalf("drain(0) = %v, want rest", got)
-	}
-	if mb.Len() != 0 {
-		t.Fatalf("len = %d, want 0", mb.Len())
-	}
-}
-
 func TestResourceSerializesContention(t *testing.T) {
 	env := New(1)
 	defer env.Close()
@@ -138,7 +120,9 @@ func TestResourceSerializesContention(t *testing.T) {
 	var ends []time.Duration
 	for i := 0; i < 3; i++ {
 		env.Spawn("worker", func(p *Proc) {
-			res.Use(p, 1, 10*time.Millisecond)
+			res.Acquire(p, 1)
+			p.Sleep(10 * time.Millisecond)
+			res.Release(1)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -158,7 +142,9 @@ func TestResourceParallelismWithinCapacity(t *testing.T) {
 	var ends []time.Duration
 	for i := 0; i < 2; i++ {
 		env.Spawn("worker", func(p *Proc) {
-			res.Use(p, 1, 10*time.Millisecond)
+			res.Acquire(p, 1)
+			p.Sleep(10 * time.Millisecond)
+			res.Release(1)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -175,9 +161,13 @@ func TestResourceBusyIntegral(t *testing.T) {
 	defer env.Close()
 	res := NewResource(env, "cpu", 2)
 	env.Spawn("worker", func(p *Proc) {
-		res.Use(p, 1, 10*time.Millisecond)
+		res.Acquire(p, 1)
 		p.Sleep(10 * time.Millisecond)
-		res.Use(p, 2, 5*time.Millisecond)
+		res.Release(1)
+		p.Sleep(10 * time.Millisecond)
+		res.Acquire(p, 2)
+		p.Sleep(5 * time.Millisecond)
+		res.Release(2)
 	})
 	env.Run()
 	// 1 unit * 10ms + 2 units * 5ms = 20ms unit-time.

@@ -8,22 +8,19 @@ import (
 )
 
 // BenchmarkNetworkSend measures the asynchronous datagram fast path: b.N
-// messages from one node to another, drained by a server process. This is
-// the per-message envelope cost every simulated RPC pays twice.
+// messages from one node to another, each running its receiver's bound
+// handler at arrival.
 func BenchmarkNetworkSend(b *testing.B) {
 	env := sim.New(1)
 	defer env.Close()
 	net := New(env, USWest1())
 	a := net.NewNode("a", 1, 1)
 	c := net.NewNode("c", 2, 2)
-	env.Spawn("drain", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			a.Inbox.Recv(p)
-		}
-	})
+	arrived := 0
+	onArrive := func() { arrived++ }
 	env.Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			net.Send(c, a, 256, nil)
+			net.Send(c, a, 256, onArrive)
 			p.Sleep(10 * time.Microsecond)
 		}
 	})

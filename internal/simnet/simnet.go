@@ -89,14 +89,6 @@ func (t *Topology) ZoneName(z ZoneID) string {
 	return t.ZoneNames[int(z)-1]
 }
 
-// Message is a network datagram. Payload is interpreted by the receiver.
-type Message struct {
-	From    NodeID
-	To      NodeID
-	Size    int
-	Payload any
-}
-
 // Network connects nodes according to a topology.
 type Network struct {
 	env   *sim.Env
@@ -126,10 +118,9 @@ type Network struct {
 	// topoEpoch counts node up/down transitions (see TopoEpoch).
 	topoEpoch uint64
 
-	// freeEnvs pools delivery envelopes for the asynchronous Send path: one
-	// envelope per in-flight message, recycled on arrival, each carrying a
-	// prebuilt fire closure so steady-state sends schedule without
-	// allocating per message.
+	// freeEnvs pools delivery envelopes for Send: one envelope per in-flight
+	// message, recycled on arrival, each carrying a prebuilt fire closure so
+	// steady-state sends schedule without allocating per message.
 	freeEnvs []*envelope
 
 	// obs holds pre-registered per-hop-class counters; nil when no metrics
@@ -143,7 +134,8 @@ type Network struct {
 type envelope struct {
 	n        *Network
 	from, to *Node
-	msg      Message
+	size     int
+	onArrive func()
 	fire     func()
 }
 
@@ -162,24 +154,21 @@ func (n *Network) newEnvelope() *envelope {
 
 // deliver runs at the arrival instant: it re-checks liveness and
 // partitions (conditions may have changed while the message was in
-// flight), hands the message to the destination inbox, and recycles the
-// envelope. State is copied out and the envelope recycled first, so a
-// handler scheduling more sends can reuse it immediately.
+// flight), runs the receiver's handler, and recycles the envelope. State is
+// copied out and the envelope recycled first, so a handler sending more
+// messages can reuse it immediately.
 func (e *envelope) deliver() {
-	n, from, to, msg := e.n, e.from, e.to, e.msg
-	e.from, e.to = nil, nil
-	e.msg = Message{}
+	n, from, to, size, onArrive := e.n, e.from, e.to, e.size, e.onArrive
+	e.from, e.to, e.onArrive = nil, nil, nil
 	n.freeEnvs = append(n.freeEnvs, e)
-	if !to.alive {
+	if !to.alive || (from.zone != to.zone && n.Partitioned(from.zone, to.zone)) {
 		n.dropped++
 		return
 	}
-	if from.zone != to.zone && n.Partitioned(from.zone, to.zone) {
-		n.dropped++
-		return
+	to.nicRead += int64(size)
+	if onArrive != nil {
+		onArrive()
 	}
-	to.nicRead += int64(msg.Size)
-	to.Inbox.Send(msg)
 }
 
 // netObs caches registry handles so the per-message cost is three atomic
@@ -297,8 +286,6 @@ type Node struct {
 	zone ZoneID
 	host HostID
 
-	Inbox *sim.Mailbox[Message]
-
 	alive bool
 
 	nicRead, nicWrite   int64
@@ -323,7 +310,6 @@ func (n *Network) NewNode(name string, z ZoneID, h HostID) *Node {
 		name:          name,
 		zone:          z,
 		host:          h,
-		Inbox:         sim.NewMailbox[Message](n.env),
 		alive:         true,
 		DiskBandwidth: 400e6, // 400 MB/s, a cloud persistent SSD
 		DiskLatency:   200 * time.Microsecond,
@@ -347,11 +333,11 @@ func (nd *Node) Host() HostID { return nd.host }
 // Alive reports whether the node is up.
 func (nd *Node) Alive() bool { return nd.alive }
 
-// Fail marks the node down: its queued and future messages are dropped.
+// Fail marks the node down: messages in flight to it and future ones are
+// dropped.
 func (nd *Node) Fail() {
 	nd.alive = false
 	nd.net.topoEpoch++
-	nd.Inbox.Drain(0)
 }
 
 // Recover marks the node up again.
@@ -460,59 +446,29 @@ func (n *Network) lost(d *degradation) bool {
 	return d != nil && d.LossProb > 0 && n.env.Rand().Float64() < d.LossProb
 }
 
-// Send transmits a message of the given size from one node to another. It
-// never blocks the caller; delivery is scheduled after queueing latency on
-// the zone-pair link plus propagation latency. Messages to dead nodes or
-// across partitions are silently dropped, as on a real network. This is
-// the pooled fast path: each message rides a recycled envelope instead of
-// a fresh closure pair.
-func (n *Network) Send(from, to *Node, size int, payload any) {
+// Send transmits a message of the given size from one node to another and
+// runs onArrive at its arrival instant, after queueing latency on the
+// zone-pair link plus propagation latency. It never blocks the caller. A
+// message to a dead node or across a partition, at departure or at arrival,
+// is silently dropped, as on a real network, and its handler never runs. A
+// nil onArrive makes the message traffic only. Each message rides a pooled
+// envelope; a receiver binds its handler once, so a send allocates nothing.
+func (n *Network) Send(from, to *Node, size int, onArrive func()) {
 	arrive, ok := n.departure(from, to, size)
 	if !ok {
 		return
 	}
 	e := n.newEnvelope()
-	e.from, e.to = from, to
-	e.msg = Message{From: from.id, To: to.id, Size: size, Payload: payload}
+	e.from, e.to, e.size, e.onArrive = from, to, size, onArrive
 	n.env.At(arrive, e.fire)
 }
 
-// Travel blocks p until a message of the given size sent from one node
-// would arrive at the other, with full traffic accounting: the synchronous
-// form of Send, used by code modelling a control flow that follows its own
-// messages (RPC-style protocol implementations). It returns false if the
-// message was dropped (dead node or partition) and the timeout elapsed
-// instead.
-func (n *Network) Travel(p *sim.Proc, from, to *Node, size int, timeout time.Duration) bool {
-	if from.alive && (from.zone == to.zone || !n.Partitioned(from.zone, to.zone)) {
-		// The blocking form does not know the wire time up front (the
-		// arrival below is scheduled); it is off the hot metadata path, so
-		// hop time 0 is an acceptable attribution loss.
-		p.Span().RecordHop(HopClassOf(from, to), size, 0)
-	}
-	mb := sim.NewMailbox[struct{}](n.env)
-	if arrive, sent := n.departure(from, to, size); sent {
-		// A closure per message, where Send rides a pooled envelope: the
-		// arrival wakes this caller's own mailbox, not the node's inbox.
-		n.env.At(arrive, func() {
-			if !to.alive || (from.zone != to.zone && n.Partitioned(from.zone, to.zone)) {
-				n.dropped++
-				return
-			}
-			to.nicRead += int64(size)
-			mb.Send(struct{}{})
-		})
-	}
-	_, ok := mb.RecvTimeout(p, timeout)
-	return ok
-}
-
-// TravelDeferred is the fluid-time form of Travel: it computes the
-// message's queueing, transmission, and propagation delay analytically
-// against the caller's effective time and adds it to the process's pending
-// accumulator instead of parking. When the destination is dead or the path
-// partitioned, the RPC timeout is deferred and false is returned — the
-// caller observes exactly what Travel's timeout would have cost.
+// TravelDeferred is one RPC hop in fluid time: it computes the message's
+// queueing, transmission, and propagation delay analytically against the
+// caller's effective time and adds it to the process's pending accumulator
+// instead of parking. When the destination is dead or the path partitioned,
+// the RPC timeout is deferred and false is returned. A caller that reads the
+// clock or acts on the arrival calls Flush first.
 func (n *Network) TravelDeferred(p *sim.Proc, from, to *Node, size int, timeout time.Duration) bool {
 	// Nothing is scheduled at the arrival instant to find the receiver
 	// dead, so its liveness is judged up front, before the loss coin.
@@ -527,9 +483,9 @@ func (n *Network) TravelDeferred(p *sim.Proc, from, to *Node, size int, timeout 
 		return false
 	}
 	to.nicRead += int64(size)
-	// Link horizons are kept in the clock frame (see Resource.UseDeferred);
-	// the caller's message additionally cannot depart before its own
-	// effective instant.
+	// Link horizons are kept in the clock frame (see Resource.Charge); the
+	// caller's message additionally cannot depart before its own effective
+	// instant.
 	clock := n.env.Now()
 	eff := p.EffNow()
 	departClock := clock
@@ -580,7 +536,7 @@ func (n *Network) admit(from, to *Node, size int) (lk *link, lat time.Duration, 
 }
 
 // departure queues an admitted message on its link in the clock frame (the
-// asynchronous forms' frame), returning the arrival instant. ok is false
+// frame of Send), returning the arrival instant. ok is false
 // when the message is dropped at the source.
 func (n *Network) departure(from, to *Node, size int) (arrive time.Duration, ok bool) {
 	lk, lat, ok := n.admit(from, to, size)
@@ -675,15 +631,20 @@ func (n *Network) TotalMessages() int64 {
 func (n *Network) Dropped() int64 { return n.dropped }
 
 // DiskWrite blocks p for the duration of writing size bytes to the node's
-// local disk (FIFO fluid queue) and accounts the bytes.
+// local disk (FIFO fluid queue) and accounts the bytes. Pending deferred
+// delay is flushed first: the write cannot start before the caller's data
+// has arrived.
 func (nd *Node) DiskWrite(p *sim.Proc, size int) {
+	p.Flush()
 	nd.diskWrite += int64(size)
 	p.Sleep(nd.diskDelay(size))
 }
 
 // DiskRead blocks p for the duration of reading size bytes from the node's
-// local disk and accounts the bytes.
+// local disk and accounts the bytes. Pending deferred delay is flushed
+// first, as for DiskWrite.
 func (nd *Node) DiskRead(p *sim.Proc, size int) {
+	p.Flush()
 	nd.diskRead += int64(size)
 	p.Sleep(nd.diskDelay(size))
 }

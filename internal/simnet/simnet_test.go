@@ -22,23 +22,21 @@ func TestSendDeliversWithZoneLatency(t *testing.T) {
 	env, net := newTestNet(t)
 	a := net.NewNode("a", 1, 1)
 	b := net.NewNode("b", 2, 2)
-	var at time.Duration
-	var got Message
-	env.Spawn("recv", func(p *sim.Proc) {
-		got = b.Inbox.Recv(p)
-		at = p.Now()
-	})
+	var at []time.Duration
 	env.Spawn("send", func(p *sim.Proc) {
-		net.Send(a, b, 100, "hi")
+		net.Send(a, b, 100, func() { at = append(at, env.Now()) })
 	})
 	env.Run()
-	if got.Payload != "hi" || got.From != a.ID() {
-		t.Fatalf("got %+v", got)
+	if len(at) != 1 {
+		t.Fatalf("handler ran %d times, want once", len(at))
 	}
 	// One-way a->b latency is RTT/2 = 180us plus tiny transmission time.
 	want := 180 * time.Microsecond
-	if at < want || at > want+10*time.Microsecond {
-		t.Fatalf("delivered at %v, want ~%v", at, want)
+	if at[0] < want || at[0] > want+10*time.Microsecond {
+		t.Fatalf("delivered at %v, want ~%v", at[0], want)
+	}
+	if r, _ := b.NICBytes(); r != 100 {
+		t.Fatalf("receiver NIC read %d bytes, want 100", r)
 	}
 }
 
@@ -48,10 +46,8 @@ func TestSameHostLatencyIsLowest(t *testing.T) {
 	b := net.NewNode("b", 1, 1) // same host
 	c := net.NewNode("c", 1, 2) // same zone, other host
 	var tb, tc time.Duration
-	env.Spawn("rb", func(p *sim.Proc) { b.Inbox.Recv(p); tb = p.Now() })
-	env.Spawn("rc", func(p *sim.Proc) { c.Inbox.Recv(p); tc = p.Now() })
-	net.Send(a, b, 10, nil)
-	net.Send(a, c, 10, nil)
+	net.Send(a, b, 10, func() { tb = env.Now() })
+	net.Send(a, c, 10, func() { tc = env.Now() })
 	env.Run()
 	if tb >= tc {
 		t.Fatalf("same-host %v not faster than same-zone %v", tb, tc)
@@ -88,27 +84,24 @@ func TestPartitionDropsAndHealRestores(t *testing.T) {
 	a := net.NewNode("a", 1, 1)
 	b := net.NewNode("b", 2, 2)
 	net.Partition(1, 2)
-	var got int
-	env.Spawn("recv", func(p *sim.Proc) {
-		for {
-			if _, ok := b.Inbox.RecvTimeout(p, 10*time.Millisecond); !ok {
-				return
-			}
-			got++
-		}
-	})
+	var got []int
 	env.Spawn("send", func(p *sim.Proc) {
-		net.Send(a, b, 10, 1)
+		net.Send(a, b, 10, func() { got = append(got, 1) })
 		p.Sleep(time.Millisecond)
 		net.Heal(1, 2)
-		net.Send(a, b, 10, 2)
+		net.Send(a, b, 10, func() { got = append(got, 2) })
+		p.Sleep(time.Millisecond)
+		// A partition that cuts the link while a message is in flight
+		// drops it at arrival.
+		net.Send(a, b, 10, func() { got = append(got, 3) })
+		net.Partition(1, 2)
 	})
 	env.Run()
-	if got != 1 {
-		t.Fatalf("delivered %d messages, want 1 (one dropped by partition)", got)
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("handlers ran for %v, want [2] (one dropped at departure, one at arrival)", got)
 	}
-	if net.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", net.Dropped())
+	if net.Dropped() != 2 {
+		t.Fatalf("dropped = %d, want 2", net.Dropped())
 	}
 }
 
@@ -116,17 +109,27 @@ func TestFailedNodeDropsTraffic(t *testing.T) {
 	env, net := newTestNet(t)
 	a := net.NewNode("a", 1, 1)
 	b := net.NewNode("b", 1, 2)
+	arrived := 0
+	onArrive := func() { arrived++ }
 	b.Fail()
-	net.Send(a, b, 10, nil)
+	net.Send(a, b, 10, onArrive)
 	env.Run()
-	if b.Inbox.Len() != 0 {
+	if arrived != 0 {
 		t.Fatal("dead node received a message")
 	}
 	b.Recover()
-	net.Send(a, b, 10, nil)
+	net.Send(a, b, 10, onArrive)
 	env.Run()
-	if b.Inbox.Len() != 1 {
+	if arrived != 1 {
 		t.Fatal("recovered node did not receive")
+	}
+	// The receiver dies while the message is in flight: it is dropped at
+	// arrival and its handler never runs.
+	net.Send(a, b, 10, onArrive)
+	b.Fail()
+	env.Run()
+	if arrived != 1 || net.Dropped() != 2 {
+		t.Fatalf("arrived %d, dropped %d after an in-flight death; want 1 and 2", arrived, net.Dropped())
 	}
 }
 
@@ -168,14 +171,8 @@ func TestBandwidthQueueingDelaysBulkTransfers(t *testing.T) {
 	a := net.NewNode("a", 1, 1)
 	b := net.NewNode("b", 2, 2)
 	var t1, t2 time.Duration
-	env.Spawn("recv", func(p *sim.Proc) {
-		b.Inbox.Recv(p)
-		t1 = p.Now()
-		b.Inbox.Recv(p)
-		t2 = p.Now()
-	})
-	net.Send(a, b, 1_000_000, nil)
-	net.Send(a, b, 1_000_000, nil)
+	net.Send(a, b, 1_000_000, func() { t1 = env.Now() })
+	net.Send(a, b, 1_000_000, func() { t2 = env.Now() })
 	env.Run()
 	if t1 < time.Second || t1 > time.Second+time.Millisecond {
 		t.Fatalf("first delivery at %v, want ~1s", t1)
@@ -420,13 +417,12 @@ func TestDegradeLinkPreservesCleanRNGStream(t *testing.T) {
 	}
 }
 
-// The three send forms share one source-side admission (admit): the same
-// messages sent by Send, Travel and TravelDeferred on fresh same-seed
-// networks must leave identical NIC, link and registry counters and the
-// same next RNG draw, whether delivered or dropped at the source. (A dead
-// receiver is the one case they account differently on purpose:
-// TravelDeferred judges it up front, the scheduled forms at arrival, after
-// the sender has paid.)
+// The two send forms share one source-side admission (admit): the same
+// messages sent by Send and TravelDeferred on fresh same-seed networks must
+// leave identical NIC, link and registry counters and the same next RNG
+// draw, whether delivered or dropped at the source. (A dead receiver is the
+// one case they account differently on purpose: TravelDeferred judges it up
+// front, Send at arrival, after the sender has paid.)
 func TestSendFormsShareAdmission(t *testing.T) {
 	const msgs, size = 8, 1000
 	forms := []struct {
@@ -434,7 +430,6 @@ func TestSendFormsShareAdmission(t *testing.T) {
 		send func(net *Network, p *sim.Proc, from, to *Node)
 	}{
 		{"Send", func(net *Network, _ *sim.Proc, from, to *Node) { net.Send(from, to, size, nil) }},
-		{"Travel", func(net *Network, p *sim.Proc, from, to *Node) { net.Travel(p, from, to, size, time.Second) }},
 		{"TravelDeferred", func(net *Network, p *sim.Proc, from, to *Node) {
 			net.TravelDeferred(p, from, to, size, time.Second)
 		}},
@@ -482,23 +477,18 @@ func TestSendFormsShareAdmission(t *testing.T) {
 	}
 }
 
-// The asynchronous Send path pools its delivery envelopes: each in-flight
-// message takes one envelope, recycled the instant it arrives, so a
-// steady-state message stream reuses the same envelope (and its prebuilt
-// fire closure) instead of allocating per message.
+// Send pools its delivery envelopes: each in-flight message takes one
+// envelope, recycled the instant it arrives, so a steady-state message
+// stream reuses the same envelope (and its prebuilt fire closure) instead of
+// allocating per message.
 func TestEnvelopePoolRecyclesAndDelivers(t *testing.T) {
 	env, net := newTestNet(t)
 	a := net.NewNode("a", 1, 1)
 	b := net.NewNode("b", 2, 2)
 	var got []string
-	env.Spawn("recv", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, b.Inbox.Recv(p).Payload.(string))
-		}
-	})
 	env.Spawn("send", func(p *sim.Proc) {
 		for i, msg := range []string{"m0", "m1", "m2"} {
-			net.Send(a, b, 100, msg)
+			net.Send(a, b, 100, func() { got = append(got, msg) })
 			// Serialize the messages so each envelope is back in the pool
 			// before the next Send draws one.
 			p.Sleep(time.Duration(i+1) * time.Millisecond)
@@ -511,8 +501,30 @@ func TestEnvelopePoolRecyclesAndDelivers(t *testing.T) {
 	if len(net.freeEnvs) != 1 {
 		t.Fatalf("envelope pool holds %d entries after serialized sends, want 1 (reuse)", len(net.freeEnvs))
 	}
-	// A recycled envelope must not retain the delivered message.
-	if e := net.freeEnvs[0]; e.msg.Payload != nil || e.from != nil || e.to != nil {
+	// A recycled envelope must not retain the delivered message's handler.
+	if e := net.freeEnvs[0]; e.onArrive != nil || e.from != nil || e.to != nil {
 		t.Fatalf("pooled envelope retains delivery state: %+v", e)
+	}
+}
+
+// A DiskWrite settles the caller's pending time first: the write of data a
+// TravelDeferred hop carried starts when the hop arrives, so the pair ends at
+// hop time plus disk time.
+func TestDiskWriteAfterDeferredHopSettlesFirst(t *testing.T) {
+	env, net := newTestNet(t)
+	a := net.NewNode("a", 1, 1)
+	b := net.NewNode("b", 2, 2)
+	b.DiskBandwidth = 1e6 // 1 MB/s
+	b.DiskLatency = 0
+	var hop, done time.Duration
+	env.Spawn("p", func(p *sim.Proc) {
+		net.TravelDeferred(p, a, b, 100_000, time.Second)
+		hop = p.Pending()
+		b.DiskWrite(p, 100_000)
+		done = p.Now()
+	})
+	env.Run()
+	if want := hop + 100*time.Millisecond; hop == 0 || done != want {
+		t.Fatalf("hop %v then a 100 ms write ended at %v, want %v", hop, done, want)
 	}
 }
