@@ -70,7 +70,8 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 	// lock timeout (150 ms) or a retry instead of being told.
 	race := func(p *sim.Proc, what string, fn func(p *sim.Proc, i int, nn *namenode.NameNode) error) []error {
 		errs := make([]error, len(nns))
-		done := sim.NewMailbox[int](d.Env)
+		done := 0
+		parent := p
 		for i, nn := range nns {
 			d.Env.Spawn("racer", func(p *sim.Proc) {
 				start := p.Now()
@@ -78,11 +79,13 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 				if took := p.Now() - start; took > 100*time.Millisecond {
 					t.Errorf("%s on %s took %v: it waited out a timeout", what, nn.Node.Name(), took)
 				}
-				done.Send(i)
+				done++
+				parent.Wake()
 			})
 		}
-		for range nns {
-			done.Recv(p)
+		p.Flush()
+		for done < len(nns) {
+			p.Wait()
 		}
 		return errs
 	}

@@ -440,9 +440,9 @@ func (t *Txn) runBatch(sc *batchScratch, groups []*batchGroup, rows int) error {
 	// Concurrent deferred travel: every group starts from the transaction's
 	// current effective instant, so the batch's latency is the slowest group,
 	// not the sum. The caller is the last arm — it would only wait otherwise —
-	// and each other group is a pooled worker arm handed sc and its group; the
-	// first Recv flushes the caller's own arm before collecting the others.
-	// The results mailbox is pooled, so the fan-out itself allocates nothing.
+	// and each other group is a pooled arm handed sc and its group; the join
+	// flushes the caller's own arm before counting the others. The join is
+	// pooled, so the fan-out itself allocates nothing.
 	last := len(groups) - 1
 	allOK := true
 	if last == 0 {
@@ -453,17 +453,14 @@ func (t *Txn) runBatch(sc *batchScratch, groups []*batchGroup, rows int) error {
 		if fanSpan == nil {
 			fanSpan = t.p.Span()
 		}
-		results := t.c.boolMbx.get()
+		j := t.c.newJoin(t.p, last)
 		for _, g := range groups[:last] {
-			t.c.dispatch(fanTask{span: fanSpan, sc: sc, g: g, boolResults: results})
+			t.c.dispatch(fanTask{span: fanSpan, sc: sc, g: g, join: j})
 		}
 		allOK = sc.serve(t.p, groups[last])
-		for range groups[:last] {
-			if !results.Recv(t.p) {
-				allOK = false
-			}
+		if armsOK, _ := t.c.collect(j); !armsOK {
+			allOK = false
 		}
-		t.c.boolMbx.put(results)
 	}
 	if allOK {
 		return nil

@@ -27,7 +27,8 @@ func TestCommitHoldingKeepsLocksUntilRelease(t *testing.T) {
 				pks = crossGroupPKs(t, 2)(tbl)
 			}
 			const hold = 50 * time.Millisecond
-			committed := sim.NewMailbox[struct{}](env)
+			committed := false
+			var reader *sim.Proc
 			var released, lockedAt time.Duration
 			env.Spawn("writer", func(p *sim.Proc) {
 				tx, err := c.Begin(p, client, 1, tbl, pks[0])
@@ -49,7 +50,8 @@ func TestCommitHoldingKeepsLocksUntilRelease(t *testing.T) {
 					t.Errorf("the transaction built %d trains, want %d", len(tx.trains), trains)
 				}
 				p.Flush()
-				committed.Send(struct{}{})
+				committed = true
+				reader.Wake()
 				p.Sleep(hold)
 				if held := c.HeldLocks(); len(held) != len(pks) {
 					t.Errorf("held before Release: %v, want the %d written rows", held, len(pks))
@@ -57,8 +59,10 @@ func TestCommitHoldingKeepsLocksUntilRelease(t *testing.T) {
 				released = p.Now()
 				tx.Release()
 			})
-			env.Spawn("reader", func(p *sim.Proc) {
-				committed.Recv(p)
+			reader = env.Spawn("reader", func(p *sim.Proc) {
+				for !committed {
+					p.Wait()
+				}
 				tx, err := c.Begin(p, client, 1, tbl, pks[0])
 				if err != nil {
 					t.Error(err)

@@ -144,17 +144,14 @@ type Cluster struct {
 	ledger    *ContentionLedger
 	activeOps map[uint64]string
 
-	// Fan-out worker and stackless-arm pools, result-mailbox and
-	// batch-scratch free lists (workers.go): the steady-state batch/commit
-	// fan-out path allocates no processes, no mailboxes and no working
-	// arrays. A fan-out's collector drains exactly as many results as it
-	// dispatched arms before returning the mailbox, so a pooled mailbox is
-	// always empty (and waiter-free) when reused. txns holds the
+	// Fan-out worker, stackless-arm, join and batch-scratch pools
+	// (workers.go): the steady-state batch/commit fan-out path allocates no
+	// processes, no joins and no working arrays. A join goes back to its
+	// pool only once every arm it counted has arrived. txns holds the
 	// transactions InTx has ended (Txn.Free), for Begin to reuse.
 	workers freeList[*fanWorker]
 	arms    freeList[*fanArm]
-	boolMbx freeList[*sim.Mailbox[bool]]
-	errMbx  freeList[*sim.Mailbox[error]]
+	joins   freeList[*join]
 	scratch freeList[*batchScratch]
 	txns    freeList[*Txn]
 
@@ -380,8 +377,7 @@ func New(env *sim.Env, net *simnet.Network, cfg Config, dataPlacement, mgmtPlace
 	c.workers.fresh = c.newWorker
 	c.arms.fresh = c.newArm
 	c.txns.fresh = func() *Txn { return &Txn{} }
-	c.boolMbx.fresh = func() *sim.Mailbox[bool] { return sim.NewMailbox[bool](env) }
-	c.errMbx.fresh = func() *sim.Mailbox[error] { return sim.NewMailbox[error](env) }
+	c.joins.fresh = func() *join { return &join{} }
 	c.scratch.fresh = func() *batchScratch { return &batchScratch{} }
 	numGroups := cfg.DataNodes / cfg.Replication
 	c.groups = make([][]*DataNode, numGroups)

@@ -393,6 +393,71 @@ func TestLockTimeoutAbortsWaiter(t *testing.T) {
 	}
 }
 
+// A grant that lands in the instant the waiter's timeout has already fired —
+// the timeout event first, a release later in the same instant — goes to a
+// transaction that has given up. The waiter must still report
+// ErrLockTimeout and free the grant it will never use: afterwards it holds
+// nothing, no waiter is queued, and the next requester is granted at once.
+func TestLockGrantRacingTimeoutIsReleased(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	tbl := c.CreateTable("t", 64, TableOptions{})
+	part := tbl.partitionFor("p")
+	begin := func(p *sim.Proc) *Txn {
+		tx, err := c.Begin(p, client, 1, tbl, "p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	var holder *Txn
+	env.Spawn("holder", func(p *sim.Proc) {
+		holder = begin(p)
+		if err := holder.lockRowOn(p, part, "p", "k", LockExclusive); err != nil {
+			t.Fatal(err)
+		}
+	})
+	lateGrant, done := false, false
+	env.Spawn("waiter", func(p *sim.Proc) {
+		p.Sleep(10 * time.Millisecond)
+		waiter := begin(p)
+		p.Flush()
+		deadline := p.Now() + lockTimeout
+		// The releaser runs once the waiter has parked, so the release it
+		// schedules for the deadline fires after the waiter's timeout.
+		env.Spawn("releaser", func(*sim.Proc) {
+			env.At(deadline, func() {
+				holder.Abort()
+				lateGrant = part.rows["p"]["k"].lock.held(waiter.id) != 0
+			})
+		})
+		err := waiter.lockRowOn(p, part, "p", "k", LockExclusive)
+		if !errors.Is(err, ErrLockTimeout) || p.Now() != deadline {
+			t.Errorf("waiter: %v at %v, want ErrLockTimeout at %v", err, p.Now(), deadline)
+		}
+		if !lateGrant {
+			t.Fatal("the release did not grant the timed-out waiter: the race was not staged")
+		}
+		r := part.getRow("p", "k")
+		if r.lock.held(waiter.id) != 0 || len(waiter.locks) != 0 {
+			t.Errorf("the timed-out waiter still holds the row (mode %v, %d locks)", r.lock.held(waiter.id), len(waiter.locks))
+		}
+		if n := len(r.lock.waiters); n != 0 {
+			t.Errorf("%d waiters queued after the timeout", n)
+		}
+		next := begin(p)
+		p.Flush()
+		asked := p.Now()
+		if err := next.lockRowOn(p, part, "p", "k", LockExclusive); err != nil || p.Now() != asked {
+			t.Errorf("next requester: %v at %v, want granted at once at %v", err, p.Now(), asked)
+		}
+		done = true
+	})
+	env.RunFor(time.Second)
+	if !done {
+		t.Fatal("the waiter never finished")
+	}
+}
+
 func TestSharedLocksCoexistAndBlockExclusive(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
@@ -453,16 +518,17 @@ func TestSharedLocksCoexistAndBlockExclusive(t *testing.T) {
 
 // TestGrantedWaiterLeavesNoReference pins that a row's wait queue lets go of
 // the waiters it grants: the row outlives every wait, so a granted lockWaiter
-// left in the queue's backing array would keep it and its mailbox reachable.
+// left in the queue's backing array would keep its process reachable.
 // Two writers queue behind a third; each contended grant must clear the slot
 // its waiter left.
 func TestGrantedWaiterLeavesNoReference(t *testing.T) {
 	env := sim.New(1)
 	defer env.Close()
 	var l rowLock
+	waiter := env.NewStackless("waiter", func(*sim.Proc) {})
 	for txn := uint64(1); txn <= 3; txn++ {
-		if mb := l.acquire(env, txn, LockExclusive); (mb == nil) != (txn == 1) {
-			t.Fatalf("txn %d: granted %v, want only txn 1 granted at once", txn, mb == nil)
+		if granted := l.acquire(waiter, txn, LockExclusive); granted != (txn == 1) {
+			t.Fatalf("txn %d: granted %v, want only txn 1 granted at once", txn, granted)
 		}
 	}
 	backing := l.waiters[:cap(l.waiters)]
@@ -472,7 +538,7 @@ func TestGrantedWaiterLeavesNoReference(t *testing.T) {
 			t.Fatalf("releasing txn %d did not grant txn %d", txn, next)
 		}
 		for i := range txn {
-			if backing[i] != nil {
+			if backing[i].p != nil {
 				t.Errorf("after txn %d's release: slot %d still holds granted txn %d's waiter", txn, i, backing[i].txn)
 			}
 		}

@@ -23,6 +23,7 @@ func TestPropRowLockInvariants(t *testing.T) {
 		env := sim.New(seed)
 		defer env.Close()
 		var l rowLock
+		waiter := env.NewStackless("waiter", func(*sim.Proc) {})
 		rng := rand.New(rand.NewSource(seed))
 		held := map[uint64]LockMode{}
 		pendingTxns := map[uint64]bool{}
@@ -37,8 +38,7 @@ func TestPropRowLockInvariants(t *testing.T) {
 				if pendingTxns[txn] {
 					continue // txn already waiting; a real txn blocks
 				}
-				mb := l.acquire(env, txn, mode)
-				if mb == nil {
+				if l.acquire(waiter, txn, mode) {
 					if cur := l.held(txn); cur < mode {
 						t.Errorf("grant did not record mode: %v < %v", cur, mode)
 						return false

@@ -188,7 +188,7 @@ const (
 type rowLock struct {
 	holder  lockHolder
 	more    []lockHolder
-	waiters []*lockWaiter
+	waiters []lockWaiter
 }
 
 type lockHolder struct {
@@ -196,10 +196,12 @@ type lockHolder struct {
 	mode LockMode
 }
 
+// lockWaiter is a queued request: txn asks for mode on behalf of p, the
+// process parked in WaitFor until pump grants the request and wakes it.
 type lockWaiter struct {
-	txn     uint64
-	mode    LockMode
-	granted *sim.Mailbox[bool]
+	txn  uint64
+	mode LockMode
+	p    *sim.Proc
 }
 
 // find returns txn's holder slot, nil when txn holds no lock on the row.
@@ -247,19 +249,18 @@ func (l *rowLock) compatible(txn uint64, mode LockMode) bool {
 	return true
 }
 
-// acquire attempts to grant immediately; if it cannot, it enqueues a waiter
-// and returns the mailbox the grant (or nothing, on timeout) arrives on.
-func (l *rowLock) acquire(env *sim.Env, txn uint64, mode LockMode) *sim.Mailbox[bool] {
+// acquire grants txn mode at once and reports true, or queues a waiter for
+// p and reports false; the grant, if it comes, wakes p.
+func (l *rowLock) acquire(p *sim.Proc, txn uint64, mode LockMode) bool {
 	if l.held(txn) >= mode {
-		return nil // already held at sufficient strength
+		return true // already held at sufficient strength
 	}
 	if len(l.waiters) == 0 && l.compatible(txn, mode) {
 		l.grant(txn, mode)
-		return nil
+		return true
 	}
-	w := &lockWaiter{txn: txn, mode: mode, granted: sim.NewMailbox[bool](env)}
-	l.waiters = append(l.waiters, w)
-	return w.granted
+	l.waiters = append(l.waiters, lockWaiter{txn: txn, mode: mode, p: p})
+	return false
 }
 
 func (l *rowLock) grant(txn uint64, mode LockMode) {
@@ -325,20 +326,20 @@ func (l *rowLock) blockerOf(txn uint64) (uint64, bool) {
 
 // pump grants waiters at the head of the queue while compatible. A granted
 // waiter's slot is cleared as it leaves: the row outlives the wait, and its
-// queue's backing array must not keep the waiter and its mailbox reachable.
+// queue's backing array must not keep the waiting process reachable.
 func (l *rowLock) pump() {
 	for len(l.waiters) > 0 {
 		w := l.waiters[0]
 		if !l.compatible(w.txn, w.mode) {
 			return
 		}
-		l.waiters[0] = nil
+		l.waiters[0] = lockWaiter{}
 		if len(l.waiters) == 1 {
 			l.waiters = l.waiters[:0]
 		} else {
 			l.waiters = l.waiters[1:]
 		}
 		l.grant(w.txn, w.mode)
-		w.granted.Send(true)
+		w.p.Wake()
 	}
 }

@@ -574,20 +574,13 @@ func (t *Txn) commitTrains() error {
 	// transaction's span so their network hops and phase timings stay
 	// attributed to the operation.
 	t.p.Flush()
-	results := t.c.errMbx.get()
+	j := t.c.newJoin(t.p, len(t.trains))
 	for _, tr := range t.trains {
 		t.chargeCommit(tr)
-		t.c.dispatch(fanTask{span: t.p.Span(), txn: t, train: tr, errResults: results})
+		t.c.dispatch(fanTask{span: t.p.Span(), txn: t, train: tr, join: j})
 	}
-	var firstErr error
-	for range t.trains {
-		if err := results.Recv(t.p); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	t.c.errMbx.put(results)
-	if firstErr != nil {
-		return firstErr
+	if _, err := t.c.collect(j); err != nil {
+		return err
 	}
 	// Atomic commit point: every train committed its replicas; the rows of
 	// the whole transaction become visible at one instant, under the locks
@@ -681,9 +674,8 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 		return nil
 	}
 	ph.begin(phaseComplete)
-	donec := t.c.boolMbx.get()
-	// The Complete fan-out runs as pooled worker arms; synchronize them
-	// with the parent's effective instant first.
+	// The Complete fan-out runs as pooled arms; synchronize them with the
+	// parent's effective instant first.
 	p.Flush()
 	// The fan-out charges the complete-phase span when detailed, else the
 	// transaction's span.
@@ -691,17 +683,12 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 	if fanSpan == nil {
 		fanSpan = ph.parent
 	}
+	j := t.c.newJoin(p, len(backups))
 	for _, dn := range backups {
 		t.tc.send(p)
-		t.c.dispatch(fanTask{span: fanSpan, txn: t, backup: dn, boolResults: donec})
+		t.c.dispatch(fanTask{span: fanSpan, txn: t, backup: dn, join: j})
 	}
-	allOK := true
-	for range backups {
-		if !donec.Recv(p) {
-			allOK = false
-		}
-	}
-	t.c.boolMbx.put(donec)
+	allOK, _ := t.c.collect(j)
 	t.tc.recv(p)
 	if !allOK {
 		return ErrNodeUnavailable
@@ -768,8 +755,7 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 	if obs != nil {
 		obs.lockAcq.Add(1)
 	}
-	mb := r.lock.acquire(t.c.env, t.id, mode)
-	if mb == nil {
+	if r.lock.acquire(p, t.id, mode) {
 		t.locks = append(t.locks, lockRef{part: part, pk: pk, key: key})
 		return nil
 	}
@@ -786,7 +772,7 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 	}
 	start := p.Now()
 	ls := p.Span().Child("lock_wait", start)
-	_, ok := mb.RecvTimeout(p, lockTimeout)
+	ok := p.WaitFor(lockTimeout)
 	wait := p.Now() - start
 	if obs != nil {
 		obs.lockWait.Observe(wait)

@@ -6,30 +6,26 @@ import (
 )
 
 // This file implements the cluster's fan-out pools. Batched reads and
-// writes, commit trains, and Complete acks all fan out as concurrent
-// sub-processes; spawning a fresh process per fan-out arm was the simulator's
-// largest steady-state allocation source (a Proc, a resume channel, a
-// goroutine stack, and a closure per arm). An arm that may block — a commit
-// train, a write group, a read group with a locked get — goes to a free-list
-// of long-lived worker processes parked on per-worker task mailboxes, by
-// Send. Every other arm — a lock-free read group, a scan group, one leg of
-// an awaited Complete pass — only charges deferred delay and
-// replies, and runs as a pooled stackless arm (fanArm): no coroutine, no
-// switch. Nearly every arm is of the second kind.
+// writes, commit trains, and Complete acks all fan out as concurrent arms,
+// and a fresh process per arm was once the simulator's largest
+// steady-state allocation source. An arm that may block — a commit train,
+// a write group, a read group with a locked get — goes to a pooled worker
+// process waiting for its next task. Every other arm — a lock-free read
+// group, a scan group, one leg of an awaited Complete pass — only charges
+// deferred delay and replies, and runs as a pooled stackless arm (fanArm):
+// no coroutine, no switch. Nearly every arm is of the second kind. Every
+// arm reports to its fan-out's join.
 //
-// Determinism: dispatch is schedule-equivalent to Spawn. Spawn pushes the
-// new process onto the ready ring at the call instant and consumes no event
-// sequence number; Send to a parked worker does exactly the same (readyProc
-// appends at the identical ready position), and a Send that has to spawn a
-// fresh worker queues the task and pushes the new process at that same
-// position, where its first Recv picks the task up without parking. Either
-// way the arm starts at the instant and ready-order the old per-arm Spawn
-// gave it, so virtual-time schedules — and hence RNG streams and golden
-// outputs — are unchanged. A stackless arm keeps all three positions of the
-// worker it replaces: Ready pushes it where the Send did; its first step
-// serves where the worker's first resume did and schedules its wake-up as the
-// worker's Flush did, taking the same sequence number; its second step
-// delivers the result where the worker's second resume did.
+// Determinism: dispatch is schedule-equivalent to Spawn, which pushes the
+// new process onto the ready ring at the call instant and takes no event
+// sequence number. Waking a waiting worker pushes it at that same position;
+// a fresh worker is spawned there and finds its task already set. A
+// stackless arm keeps all three positions of the worker it replaces: Ready
+// pushes it where the Wake did; its first step serves where the worker's
+// first resume did and schedules its wake-up as the worker's Flush did,
+// taking the same sequence number; its second step reports to the join
+// where the worker's second resume did. So virtual-time schedules, RNG
+// streams and golden outputs do not depend on the pools.
 type fanTask struct {
 	// span is the trace span the arm's work is attributed to (nil when the
 	// operation is untraced).
@@ -42,21 +38,71 @@ type fanTask struct {
 	sc *batchScratch
 
 	// Commit fan-out, on behalf of txn: the Commit and Complete passes of
-	// one train (errResults), or one backup's leg of an awaited Complete
-	// pass (boolResults). Plain fields, so neither allocates a closure.
+	// one train, or one backup's leg of an awaited Complete pass. Plain
+	// fields, so neither allocates a closure.
 	txn    *Txn
 	train  *train
 	backup *DataNode
 
-	// Exactly one of boolResults/errResults is set and receives the arm's
-	// outcome after its deferred delay has been flushed.
-	boolResults *sim.Mailbox[bool]
-	errResults  *sim.Mailbox[error]
+	// join receives the arm's outcome once its deferred delay is flushed.
+	join *join
 }
 
-// fanWorker is one pooled worker process, addressed by its task mailbox.
+// fanWorker is one pooled worker process and the task it serves next.
 type fanWorker struct {
-	tasks *sim.Mailbox[fanTask]
+	p    *sim.Proc
+	task fanTask
+}
+
+// join collects a fan-out's outcomes for the process that dispatched it:
+// how many arms are still out, whether every arm succeeded, and the first
+// error an arm returned. Each arrival wakes the parent if it is parked in
+// collect — on every arrival, not only the last, so the parent takes the
+// ready position of the first arm to reach it at an instant, ahead of
+// anything readied after that arm. parked keeps an arrival from waking the
+// parent out of another wait (a lock wait while it serves its own group).
+type join struct {
+	parent *sim.Proc
+	out    int
+	parked bool
+	allOK  bool
+	err    error
+}
+
+// newJoin checks out a join for parent's fan-out of arms arms.
+func (c *Cluster) newJoin(parent *sim.Proc, arms int) *join {
+	j := c.joins.get()
+	*j = join{parent: parent, out: arms, allOK: true}
+	return j
+}
+
+// arrive records one arm's outcome.
+func (j *join) arrive(ok bool, err error) {
+	j.out--
+	j.allOK = j.allOK && ok
+	if j.err == nil {
+		j.err = err
+	}
+	if j.parked {
+		j.parent.Wake()
+	}
+}
+
+// collect waits until every arm of j has arrived, returns j to the pool
+// and reports whether every arm succeeded and the first error. The parent
+// flushes its deferred delay before it counts, so an arm that arrives
+// during the flush is not missed.
+func (c *Cluster) collect(j *join) (allOK bool, err error) {
+	j.parent.Flush()
+	for j.out > 0 {
+		j.parked = true
+		j.parent.Wait()
+		j.parked = false
+	}
+	allOK, err = j.allOK, j.err
+	*j = join{}
+	c.joins.put(j)
+	return allOK, err
 }
 
 // freeList is the one LIFO pool behind the cluster's reusable objects: get
@@ -92,7 +138,9 @@ func (c *Cluster) dispatch(task fanTask) {
 		a.p.Ready()
 		return
 	}
-	c.workers.get().tasks.Send(task)
+	w := c.workers.get()
+	w.task = task
+	w.p.Wake()
 }
 
 // cannotBlock reports whether serving group g of sc's batch never parks: a
@@ -113,8 +161,8 @@ func (sc *batchScratch) cannotBlock(g *batchGroup) bool {
 
 // fanArm is one pooled stackless arm (sim.Env.NewStackless). Its first step
 // serves the task and schedules its wake-up at the end of the delay the
-// service charged; its second returns the arm to the pool and delivers the
-// result.
+// service charged; its second returns the arm to the pool and reports to the
+// join.
 type fanArm struct {
 	c      *Cluster
 	p      *sim.Proc
@@ -145,38 +193,39 @@ func (a *fanArm) step(p *sim.Proc) {
 	// Drop the span and the task before the arm is pooled, so it pins
 	// nothing of a finished operation.
 	p.SetSpan(nil)
-	results, ok := a.task.boolResults, a.ok
+	j, ok := a.task.join, a.ok
 	a.task, a.served = fanTask{}, false
 	a.c.arms.put(a)
-	results.Send(ok)
+	j.arrive(ok, nil)
 }
 
 func (c *Cluster) newWorker() *fanWorker {
-	w := &fanWorker{tasks: sim.NewMailbox[fanTask](c.env)}
-	c.env.Spawn("ndb-fan", func(p *sim.Proc) {
+	w := &fanWorker{}
+	w.p = c.env.Spawn("ndb-fan", func(p *sim.Proc) {
 		for {
 			// A worker re-enters the free list only after finishing a task,
-			// so a busy worker is never dispatched to; its queue holds at
-			// most the one task a fresh spawn was created for. A Complete
-			// leg never blocks, so it is never a worker's task.
-			task := w.tasks.Recv(p)
+			// so a busy worker is never dispatched to; a fresh one finds the
+			// task it was spawned for already set. A Complete leg never
+			// blocks, so it is never a worker's task.
+			for w.task.join == nil {
+				p.Wait()
+			}
+			task := w.task
+			w.task = fanTask{}
 			p.SetSpan(task.span)
-			var ok bool
+			ok := true
 			var err error
 			if task.train != nil {
 				err = task.txn.commitTrain(p, task.train, false)
+				ok = err == nil
 			} else {
 				ok = task.sc.serve(p, task.g)
 			}
 			p.Flush()
-			// Drop the span before parking so a pooled worker does not pin
+			// Drop the span before waiting so a pooled worker does not pin
 			// a finished operation's trace memory.
 			p.SetSpan(nil)
-			if task.errResults != nil {
-				task.errResults.Send(err)
-			} else {
-				task.boolResults.Send(ok)
-			}
+			task.join.arrive(ok, err)
 			c.workers.put(w)
 		}
 	})

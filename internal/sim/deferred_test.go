@@ -41,25 +41,33 @@ func TestDeferNegativeIgnored(t *testing.T) {
 func TestBlockingPrimitivesAutoFlush(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[int](env)
 	res := NewResource(env, "r", 1)
-	var afterRecv, afterAcquire time.Duration
-	env.Spawn("p", func(p *Proc) {
+	var afterWaitFor, afterAcquire, afterWait time.Duration
+	waiter := env.Spawn("p", func(p *Proc) {
 		p.Defer(4 * time.Millisecond)
-		mb.Send(1)
-		mb.Recv(p) // must flush the 4ms first
-		afterRecv = p.Now()
+		p.WaitFor(0) // must flush the 4ms first
+		afterWaitFor = p.Now()
 		p.Defer(6 * time.Millisecond)
 		res.Acquire(p, 1) // must flush the 6ms first
 		afterAcquire = p.Now()
 		res.Release(1)
+		p.Defer(2 * time.Millisecond)
+		p.Wait() // must flush the 2ms first
+		afterWait = p.Now()
+		if p.Pending() != 0 {
+			t.Errorf("%v still pending after Wait", p.Pending())
+		}
 	})
+	env.At(20*time.Millisecond, waiter.Wake)
 	env.Run()
-	if afterRecv != 4*time.Millisecond {
-		t.Fatalf("recv flushed at %v, want 4ms", afterRecv)
+	if afterWaitFor != 4*time.Millisecond {
+		t.Fatalf("WaitFor flushed at %v, want 4ms", afterWaitFor)
 	}
 	if afterAcquire != 10*time.Millisecond {
 		t.Fatalf("acquire flushed at %v, want 10ms", afterAcquire)
+	}
+	if afterWait != 20*time.Millisecond {
+		t.Fatalf("woken at %v, want 20ms", afterWait)
 	}
 }
 
@@ -200,7 +208,8 @@ func TestMixedFluidAndBlockingDeterminism(t *testing.T) {
 		env := New(3)
 		defer env.Close()
 		res := NewResource(env, "cpu", 2)
-		mb := NewMailbox[int](env)
+		done := 0
+		var joiner *Proc
 		for i := 0; i < 4; i++ {
 			env.Spawn("w", func(p *Proc) {
 				for j := 0; j < 10; j++ {
@@ -210,12 +219,13 @@ func TestMixedFluidAndBlockingDeterminism(t *testing.T) {
 					}
 				}
 				p.Flush()
-				mb.Send(1)
+				done++
+				joiner.Wake()
 			})
 		}
-		env.Spawn("join", func(p *Proc) {
-			for i := 0; i < 4; i++ {
-				mb.Recv(p)
+		joiner = env.Spawn("join", func(p *Proc) {
+			for done < 4 {
+				p.Wait()
 			}
 		})
 		env.Run()

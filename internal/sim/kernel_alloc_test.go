@@ -9,8 +9,8 @@ import (
 )
 
 // Steady-state allocation ceilings for the kernel hot paths. The pooled
-// event queue, ring mailboxes, and waiter free-lists make Sleep, Send/Recv,
-// and RecvTimeout allocation-free once warm; these tests pin that with a
+// event queue and the ready ring make Sleep, Wait/Wake and WaitFor, woken
+// or expired, allocation-free once warm; these tests pin that with a
 // hard ceiling so a regression (a new closure, a lost pool) fails CI
 // rather than silently eroding throughput. Excluded under -race, whose
 // instrumentation allocates.
@@ -43,61 +43,56 @@ func TestSleepAllocFree(t *testing.T) {
 	}
 }
 
-func TestMailboxPingPongAllocFree(t *testing.T) {
+func TestWaitWakeAllocFree(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	ping := NewMailbox[int](env)
-	pong := NewMailbox[int](env)
 	per := mallocsPerOp(10000, func(ops int) {
-		env.Spawn("a", func(p *Proc) {
-			for i := 0; i < ops; i++ {
-				ping.Send(i)
-				pong.Recv(p)
-			}
-		})
-		env.Spawn("b", func(p *Proc) {
-			for i := 0; i < ops; i++ {
-				pong.Send(ping.Recv(p))
-			}
-		})
-		env.Run()
+		pingPong(env, ops, (*Proc).Wait)
 	})
-	// Two Sends, two Recvs, and the scheduling round trip per op.
+	// Two Wakes, two Waits, and the scheduling round trip per op.
 	if per > 0.2 {
-		t.Fatalf("mailbox ping-pong allocates %.2f objects/op in steady state, want ~0", per)
+		t.Fatalf("Wait/Wake ping-pong allocates %.2f objects/op in steady state, want ~0", per)
 	}
 }
 
-func TestRecvTimeoutAllocFree(t *testing.T) {
-	env := New(1)
-	defer env.Close()
-	mb := NewMailbox[int](env)
-	per := mallocsPerOp(10000, func(ops int) {
-		env.Spawn("w", func(p *Proc) {
-			for i := 0; i < ops; i++ {
-				// Alternate the tombstone path (satisfied long timeout) and
-				// the expiry path.
-				if i%2 == 0 {
-					env.After(time.Microsecond, func() { mb.Send(1) })
-					mb.RecvTimeout(p, time.Hour)
-				} else {
-					mb.RecvTimeout(p, time.Microsecond)
+// WaitFor is allocation-free both when a Wake ends it — the timer leaves
+// the heap and returns to the pool — and when its timer expires.
+func TestWaitForAllocFree(t *testing.T) {
+	t.Run("woken", func(t *testing.T) {
+		env := New(1)
+		defer env.Close()
+		per := mallocsPerOp(10000, func(ops int) {
+			pingPong(env, ops, func(p *Proc) {
+				if !p.WaitFor(time.Hour) {
+					t.Error("WaitFor timed out, want the Wake")
 				}
-			}
+			})
 		})
-		env.Run()
+		if per > 0.2 {
+			t.Fatalf("a woken WaitFor allocates %.2f objects/op in steady state, want ~0", per)
+		}
 	})
-	// The even iterations allocate one After closure each; the kernel side
-	// (events, waiters, timers) must add nothing.
-	if per > 1.1 {
-		t.Fatalf("RecvTimeout allocates %.2f objects/op in steady state, want <= ~1 (caller closure)", per)
-	}
+	t.Run("expired", func(t *testing.T) {
+		env := New(1)
+		defer env.Close()
+		per := mallocsPerOp(20000, func(ops int) {
+			env.Spawn("w", func(p *Proc) {
+				for i := 0; i < ops; i++ {
+					p.WaitFor(time.Microsecond)
+				}
+			})
+			env.Run()
+		})
+		if per > 0.1 {
+			t.Fatalf("an expired WaitFor allocates %.2f objects/op in steady state, want ~0", per)
+		}
+	})
 }
 
 func TestStacklessArmAllocFree(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	results := NewMailbox[int](env)
+	var collector *Proc
 	served := false
 	arm := env.NewStackless("arm", func(p *Proc) {
 		if !served {
@@ -108,13 +103,13 @@ func TestStacklessArmAllocFree(t *testing.T) {
 			}
 		}
 		served = false
-		results.Send(1)
+		collector.Wake()
 	})
 	per := mallocsPerOp(20000, func(ops int) {
-		env.Spawn("collector", func(p *Proc) {
+		collector = env.Spawn("collector", func(p *Proc) {
 			for i := 0; i < ops; i++ {
 				arm.Ready()
-				results.Recv(p)
+				p.Wait()
 			}
 		})
 		env.Run()

@@ -1,7 +1,7 @@
 package sim
 
 // Bench-of-the-bench: pins the speed of the simulation kernel itself, so a
-// regression in the engine (allocation churn, heap tombstones, mailbox
+// regression in the engine (allocation churn, heap tombstones, wait
 // bookkeeping) is caught by CI rather than silently inflating every
 // experiment's wall-clock cost. The same cost through a full deployment is
 // the spotify_cl33 workload of the benchmark in benchmark/.
@@ -26,73 +26,56 @@ func BenchmarkKernelSleep(b *testing.B) {
 	env.Run()
 }
 
-// BenchmarkKernelPingPong measures the mailbox rendezvous path: two
-// processes exchanging b.N messages over two mailboxes. Exercises waiter
-// registration, park/unpark, and queue push/pop.
+// pingPong runs ops round trips between two processes: a wakes b and waits,
+// b waits — in wait — and wakes a.
+func pingPong(env *Env, ops int, wait func(p *Proc)) {
+	var a *Proc
+	b := env.Spawn("b", func(p *Proc) {
+		for i := 0; i < ops; i++ {
+			wait(p)
+			a.Wake()
+		}
+	})
+	a = env.Spawn("a", func(p *Proc) {
+		for i := 0; i < ops; i++ {
+			b.Wake()
+			p.Wait()
+		}
+	})
+	env.Run()
+}
+
+// BenchmarkKernelPingPong measures the wait/wake rendezvous path: two
+// processes waking each other b.N times. Exercises park/unpark and the
+// ready ring.
 func BenchmarkKernelPingPong(b *testing.B) {
 	env := New(1)
 	defer env.Close()
-	req := NewMailbox[int](env)
-	resp := NewMailbox[int](env)
-	env.Spawn("server", func(p *Proc) {
-		for {
-			v := req.Recv(p)
-			if v < 0 {
-				return
-			}
-			resp.Send(v)
-		}
-	})
-	env.Spawn("client", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			req.Send(i)
-			resp.Recv(p)
-		}
-		req.Send(-1)
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	env.Run()
+	pingPong(env, b.N, (*Proc).Wait)
 }
 
-// BenchmarkKernelRecvTimeoutSatisfied measures the timer-cancellation path:
-// a server waits with a long timeout and every wait is satisfied by a send,
-// so each iteration schedules a timer that never fires. This is the path
-// where lazy tombstones accumulate in the heap and leaked waiters pile up.
-func BenchmarkKernelRecvTimeoutSatisfied(b *testing.B) {
+// BenchmarkKernelWaitForWoken measures the timer-cancellation path: a
+// process waits with a long timeout and every wait is ended by a Wake, so
+// each iteration schedules a timer that never fires. This is the path where
+// lazy tombstones would accumulate in the heap.
+func BenchmarkKernelWaitForWoken(b *testing.B) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[int](env)
-	env.Spawn("server", func(p *Proc) {
-		for {
-			v, ok := mb.RecvTimeout(p, time.Hour)
-			if !ok || v < 0 {
-				return
-			}
-		}
-	})
-	env.Spawn("client", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			mb.Send(i)
-			p.Sleep(time.Microsecond)
-		}
-		mb.Send(-1)
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	env.Run()
+	pingPong(env, b.N, func(p *Proc) { p.WaitFor(time.Hour) })
 }
 
-// BenchmarkKernelRecvTimeoutExpired measures the timeout-firing path: every
-// wait expires. This is the path where timed-out waiters leak in the
-// mailbox's waiter list when sends are rare.
-func BenchmarkKernelRecvTimeoutExpired(b *testing.B) {
+// BenchmarkKernelWaitForExpired measures the timeout-firing path: every
+// wait expires.
+func BenchmarkKernelWaitForExpired(b *testing.B) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[int](env)
-	env.Spawn("server", func(p *Proc) {
+	env.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			mb.RecvTimeout(p, time.Microsecond)
+			p.WaitFor(time.Microsecond)
 		}
 	})
 	b.ReportAllocs()
@@ -139,27 +122,32 @@ func BenchmarkKernelResourceDeferred(b *testing.B) {
 
 // BenchmarkKernelFanArm measures one fan-out arm the way ndb runs them: a
 // collector hands the arm its task, the arm charges deferred delay and
-// wakes at its end, then delivers to the collector's mailbox. The worker
-// case runs the arm on a pooled coroutine parked on its task mailbox; the
-// stackless case runs it as a two-step stackless process, which takes the
-// same kernel positions without switching into a coroutine.
+// wakes at its end, then wakes the waiting collector. The worker case runs
+// the arm on a pooled coroutine waiting for its next task; the stackless
+// case runs it as a two-step stackless process, which takes the same kernel
+// positions without switching into a coroutine.
 func BenchmarkKernelFanArm(b *testing.B) {
 	b.Run("worker", func(b *testing.B) {
 		env := New(1)
 		defer env.Close()
-		tasks, results := NewMailbox[int](env), NewMailbox[int](env)
-		env.Spawn("worker", func(p *Proc) {
+		var collector *Proc
+		task := 0
+		worker := env.Spawn("worker", func(p *Proc) {
 			for {
-				v := tasks.Recv(p)
+				for task == 0 {
+					p.Wait()
+				}
+				task = 0
 				p.Defer(time.Microsecond)
 				p.Flush()
-				results.Send(v)
+				collector.Wake()
 			}
 		})
-		env.Spawn("collector", func(p *Proc) {
-			for i := 0; i < b.N; i++ {
-				tasks.Send(i)
-				results.Recv(p)
+		collector = env.Spawn("collector", func(p *Proc) {
+			for i := 1; i <= b.N; i++ {
+				task = i
+				worker.Wake()
+				p.Wait()
 			}
 		})
 		b.ReportAllocs()
@@ -169,8 +157,8 @@ func BenchmarkKernelFanArm(b *testing.B) {
 	b.Run("stackless", func(b *testing.B) {
 		env := New(1)
 		defer env.Close()
-		results := NewMailbox[int](env)
-		task, served := 0, false
+		var collector *Proc
+		served := false
 		arm := env.NewStackless("arm", func(p *Proc) {
 			if !served {
 				served = true
@@ -180,13 +168,12 @@ func BenchmarkKernelFanArm(b *testing.B) {
 				}
 			}
 			served = false
-			results.Send(task)
+			collector.Wake()
 		})
-		env.Spawn("collector", func(p *Proc) {
+		collector = env.Spawn("collector", func(p *Proc) {
 			for i := 0; i < b.N; i++ {
-				task = i
 				arm.Ready()
-				results.Recv(p)
+				p.Wait()
 			}
 		})
 		b.ReportAllocs()

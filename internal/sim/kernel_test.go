@@ -13,48 +13,46 @@ import (
 
 // The tests in this file pin the kernel-internals overhaul: pooled events
 // with eager timer cancellation, ring-buffer queues that release dequeued
-// references, and the mailbox waiter list that cannot leak timed-out
-// entries. Each regression here corresponds to a leak or tombstone bug in
-// the pre-overhaul kernel.
+// references, and waits that leave nothing behind when they time out. Each
+// regression here corresponds to a leak or tombstone bug in the
+// pre-overhaul kernel.
 
-// A timed-out waiter must unlink itself from the mailbox's waiter list the
-// instant its timer fires — the old kernel left it linked until a future
-// Send walked past it, so a mailbox that times out often but receives
-// rarely accumulated dead waiters without bound.
-func TestRecvTimeoutWaiterEagerlyRemoved(t *testing.T) {
+// A WaitFor that times out must leave nothing of the wait behind: the
+// process is no longer waiting, holds no timer, and the event queue is
+// empty — so a process that times out often but is woken rarely accumulates
+// no dead state, and a later Wake cannot reach a wait that has ended.
+func TestWaitForTimeoutLeavesNothing(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[int](env)
 	const rounds = 50
 	env.Spawn("poller", func(p *Proc) {
 		for i := 0; i < rounds; i++ {
-			if _, ok := mb.RecvTimeout(p, time.Millisecond); ok {
-				t.Error("unexpected receive")
+			if p.WaitFor(time.Millisecond) {
+				t.Error("unexpected wake")
 			}
-			if n := mb.waiterCount(); n != 0 {
-				t.Errorf("round %d: %d waiters linked after timeout, want 0", i, n)
+			if p.waiting || p.timer != nil || len(env.events) != 0 {
+				t.Errorf("round %d: waiting %v, timer %v, %d events queued after timeout; want none",
+					i, p.waiting, p.timer != nil, len(env.events))
 			}
 		}
 	})
 	env.Run()
 }
 
-// A RecvTimeout satisfied by a Send must remove its deadline timer from
-// the event heap immediately. The old kernel left a cancelled tombstone in
-// the heap until the deadline, so a long-timeout wait satisfied early kept
-// the simulation's event queue (and quiescence horizon) artificially deep:
-// with eager removal this run quiesces at 1ms, not at the 1h deadline.
+// A WaitFor ended by a Wake must remove its deadline timer from the event
+// heap immediately. The old kernel left a cancelled tombstone in the heap
+// until the deadline, so a long-timeout wait satisfied early kept the
+// simulation's event queue (and quiescence horizon) artificially deep: with
+// eager removal this run quiesces at 1ms, not at the 1h deadline.
 func TestCancelledTimerRemovedFromHeap(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[int](env)
-	env.Spawn("waiter", func(p *Proc) {
-		v, ok := mb.RecvTimeout(p, time.Hour)
-		if !ok || v != 7 {
-			t.Errorf("got (%d, %v), want (7, true)", v, ok)
+	waiter := env.Spawn("waiter", func(p *Proc) {
+		if !p.WaitFor(time.Hour) {
+			t.Error("WaitFor timed out, want the Wake")
 		}
 	})
-	env.At(time.Millisecond, func() { mb.Send(7) })
+	env.At(time.Millisecond, waiter.Wake)
 	env.Run()
 	if env.Now() != time.Millisecond {
 		t.Fatalf("quiesced at %v, want 1ms (cancelled timer retained in heap)", env.Now())
@@ -135,24 +133,10 @@ func TestEventHeapOrder(t *testing.T) {
 func TestDequeueReleasesReferences(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[*int](env)
-	env.Spawn("drive", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			v := i
-			mb.Send(&v)
-		}
-		for i := 0; i < 4; i++ {
-			if got := mb.Recv(p); *got != i {
-				t.Errorf("recv %d, want %d", *got, i)
-			}
-		}
-	})
-	env.Run()
-	for i, slot := range mb.q.buf {
-		if slot != nil {
-			t.Fatalf("mailbox ring slot %d still references a delivered value", i)
-		}
+	for i := 0; i < 4; i++ {
+		env.Spawn("short", func(p *Proc) {})
 	}
+	env.Run()
 	for i, slot := range env.ready.buf {
 		if slot != nil {
 			t.Fatalf("ready ring slot %d still references a finished proc", i)
@@ -180,15 +164,14 @@ func TestDequeueReleasesReferences(t *testing.T) {
 	}
 }
 
-// Close while a process is parked inside RecvTimeout must kill it cleanly:
-// the proc's goroutine exits, the live list empties, and neither the waiter
-// list nor the event heap panics on the dead entries.
-func TestCloseDuringInflightRecvTimeout(t *testing.T) {
+// Close while a process is parked inside WaitFor must kill it cleanly: the
+// proc's goroutine exits, the live list empties, and the event heap does not
+// panic on the dead process's timer.
+func TestCloseDuringInflightWaitFor(t *testing.T) {
 	env := New(1)
-	mb := NewMailbox[int](env)
 	env.Spawn("waiter", func(p *Proc) {
-		mb.RecvTimeout(p, time.Hour)
-		t.Error("killed waiter resumed past RecvTimeout")
+		p.WaitFor(time.Hour)
+		t.Error("killed waiter resumed past WaitFor")
 	})
 	env.RunFor(time.Millisecond)
 	env.Close()
@@ -198,13 +181,12 @@ func TestCloseDuringInflightRecvTimeout(t *testing.T) {
 }
 
 // Close must reach a process in every state it can be in — parked on a
-// timer, on a mailbox, in a timed mailbox wait, in a resource queue, spawned
+// timer, in Wait, in WaitFor, in a resource queue, spawned
 // but never run, and parking again from a defer while it unwinds — run each
 // one's defers exactly once, and leave no coroutine goroutine behind.
 func TestCloseStopsEveryState(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := New(1)
-	mb := NewMailbox[int](env)
 	res := NewResource(env, "r", 1)
 	defers := map[string]int{}
 	spawn := func(name string, body func(p *Proc)) {
@@ -215,8 +197,8 @@ func TestCloseStopsEveryState(t *testing.T) {
 		})
 	}
 	spawn("timer", func(p *Proc) { p.Sleep(time.Hour) })
-	spawn("mailbox", func(p *Proc) { mb.Recv(p) })
-	spawn("timed-mailbox", func(p *Proc) { mb.RecvTimeout(p, time.Hour) })
+	spawn("wait", func(p *Proc) { p.Wait() })
+	spawn("timed-wait", func(p *Proc) { p.WaitFor(time.Hour) })
 	spawn("holder", func(p *Proc) { res.Acquire(p, 1); p.Sleep(time.Hour) })
 	spawn("resource-queue", func(p *Proc) { res.Acquire(p, 1) })
 	reparked := 0
@@ -234,7 +216,7 @@ func TestCloseStopsEveryState(t *testing.T) {
 	if len(env.procs) != 0 {
 		t.Fatalf("%d procs alive after Close, want 0", len(env.procs))
 	}
-	for _, name := range []string{"timer", "mailbox", "timed-mailbox", "holder", "resource-queue", "reparks"} {
+	for _, name := range []string{"timer", "wait", "timed-wait", "holder", "resource-queue", "reparks"} {
 		if defers[name] != 1 {
 			t.Errorf("%s: defer ran %d times, want 1", name, defers[name])
 		}
@@ -267,25 +249,8 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	t.Fatal("Run returned: the process panic was swallowed")
 }
 
-// A Send targeting a mailbox whose only waiter has been killed must not
-// deliver to the dead proc: the defensive skip queues the value instead.
-func TestSendAfterWaiterKilledQueuesValue(t *testing.T) {
-	env := New(1)
-	mb := NewMailbox[int](env)
-	env.Spawn("waiter", func(p *Proc) {
-		mb.Recv(p)
-		t.Error("killed waiter resumed past Recv")
-	})
-	env.Run()
-	env.Close()
-	mb.Send(42)
-	if mb.Len() != 1 {
-		t.Fatalf("queued %d values, want 1", mb.Len())
-	}
-}
-
-// kernelTrace runs a mixed workload — sleeps, timeouts satisfied and
-// expired, event callbacks, cross-proc sends, RNG draws — and returns a
+// kernelTrace runs a mixed workload — sleeps, timed waits woken and
+// expired, event callbacks, cross-proc wakes, RNG draws — and returns a
 // trace of everything that happened. Two runs with one seed must be
 // bit-identical: the event free-list and ring buffers are pure memory
 // reuse and must not leak into scheduling.
@@ -293,32 +258,38 @@ func kernelTrace(seed int64) []string {
 	env := New(seed)
 	defer env.Close()
 	var trace []string
-	mb := NewMailbox[int](env)
-	side := NewMailbox[int](env)
+	var queue, side []int
+	var consumer, drain *Proc
 	env.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 20; i++ {
 			p.Sleep(time.Duration(env.Rand().Intn(5)) * time.Millisecond)
-			mb.Send(i)
+			queue = append(queue, i)
+			consumer.Wake()
 			trace = append(trace, fmt.Sprintf("send %d @%v", i, p.Now()))
 		}
 	})
-	env.Spawn("consumer", func(p *Proc) {
+	consumer = env.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 20; i++ {
-			v, ok := mb.RecvTimeout(p, 3*time.Millisecond)
+			ok := len(queue) > 0 || p.WaitFor(3*time.Millisecond)
+			v := -1
+			if ok {
+				v, queue = queue[0], queue[1:]
+			}
 			trace = append(trace, fmt.Sprintf("recv %d %v @%v", v, ok, p.Now()))
 			if !ok {
 				continue
 			}
-			side.Send(v * 2)
+			side = append(side, v*2)
+			drain.Wake()
 		}
 	})
-	env.Spawn("drain", func(p *Proc) {
+	drain = env.Spawn("drain", func(p *Proc) {
 		for {
-			v, ok := side.RecvTimeout(p, 40*time.Millisecond)
-			if !ok {
+			if len(side) == 0 && !p.WaitFor(40*time.Millisecond) {
 				return
 			}
-			trace = append(trace, fmt.Sprintf("side %d @%v", v, p.Now()))
+			trace = append(trace, fmt.Sprintf("side %d @%v", side[0], p.Now()))
+			side = side[1:]
 		}
 	})
 	env.After(7*time.Millisecond, func() {
@@ -351,11 +322,10 @@ func TestPooledKernelDeterminism(t *testing.T) {
 func TestEventPoolReuse(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[int](env)
 	env.Spawn("loop", func(p *Proc) {
 		for i := 0; i < 100; i++ {
 			p.Sleep(time.Millisecond)
-			mb.RecvTimeout(p, time.Millisecond)
+			p.WaitFor(time.Millisecond)
 		}
 	})
 	env.Run()

@@ -7,12 +7,13 @@
 // reproducible bit-for-bit.
 //
 // A process is a runtime coroutine (iter.Pull) that blocks only through the
-// kernel's primitives (Sleep, Mailbox.Recv, Resource.Acquire). Parking is
-// the coroutine's yield, and the scheduler switches straight back into it
-// when the corresponding virtual-time event fires: no channel, no run-queue
-// bounce, and never two goroutines runnable at once. Work that never blocks
-// can run as a stackless process instead (NewStackless): a step function the
-// scheduler calls, on its own stack, each time it pops the process.
+// kernel's primitives (Sleep, Resource.Acquire, and Wait/WaitFor, which a
+// Wake ends). Parking is the coroutine's yield, and the scheduler switches
+// straight back into it when the corresponding virtual-time event fires: no
+// channel, no run-queue bounce, and never two goroutines runnable at once.
+// Work that never blocks can run as a stackless process instead
+// (NewStackless): a step function the scheduler calls, on its own stack,
+// each time it pops the process.
 package sim
 
 import (
@@ -119,7 +120,7 @@ func (e *Env) Steps() uint64 { return e.steps }
 
 // At schedules fn to run as an event callback at absolute virtual time t
 // (clamped to now). Event callbacks run on the scheduler and must not block;
-// they typically send to mailboxes or spawn processes.
+// they typically wake or spawn processes.
 func (e *Env) At(t time.Duration, fn func()) {
 	if t < e.now {
 		t = e.now
@@ -131,8 +132,8 @@ func (e *Env) At(t time.Duration, fn func()) {
 func (e *Env) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
 
 // Run drives the simulation until no process is runnable and no event is
-// pending (quiescence). Processes blocked forever on empty mailboxes (e.g.
-// servers) do not prevent quiescence.
+// pending (quiescence). Processes waiting forever for a Wake do not prevent
+// quiescence.
 func (e *Env) Run() {
 	e.stopAt = -1
 	e.loop()
@@ -205,12 +206,14 @@ func (e *Env) loop() {
 		// Fire all events at this instant in sequence order. Each event is
 		// recycled to the free-list once its effect has been captured; pure
 		// timer wake-ups (ev.proc set, no fn) ready the process directly
-		// without a per-Sleep closure.
+		// without a per-Sleep closure. A timer that fires ends the wait it
+		// bounds (WaitFor), so a later Wake finds nothing to wake.
 		for len(e.events) > 0 && e.events[0].t == e.now {
 			ev := e.events.remove(0)
 			fn, p := ev.fn, ev.proc
 			e.recycleEvent(ev)
 			if p != nil {
+				p.waiting, p.timer = false, nil
 				e.readyProc(p)
 			} else if fn != nil {
 				fn()
@@ -406,6 +409,13 @@ type Proc struct {
 
 	// queued guards against double-insertion into the ready list.
 	queued bool
+
+	// waiting is set while the process is parked in Wait or WaitFor and no
+	// Wake or timeout has ended the wait yet; timer is WaitFor's deadline
+	// while it is still queued, and woken reports whether a Wake ended the
+	// last wait.
+	waiting, woken bool
+	timer          *event
 }
 
 // Env returns the environment this process runs in.
@@ -437,7 +447,7 @@ func (p *Proc) SetSpan(s *trace.Span) (prev *trace.Span) {
 // Pending delay represents work whose duration is already determined (an
 // uncontended CPU service, a network hop): accumulating it and sleeping
 // once at the next state-dependent point (Flush, a lock acquisition, a
-// mailbox wait) is semantically equivalent for FIFO fluid resources and
+// Wait) is semantically equivalent for FIFO fluid resources and
 // orders of magnitude cheaper than parking per step.
 func (p *Proc) Defer(d time.Duration) {
 	if d > 0 {
@@ -464,8 +474,8 @@ func (p *Proc) Flush() {
 }
 
 // Ready makes a stackless process runnable at the current instant, at the
-// tail of the ready ring — the position a Spawn, or a Send to a process
-// parked in Recv, takes. Readying a process that is already queued panics.
+// tail of the ready ring — the position a Spawn, or a Wake of a waiting
+// process, takes. Readying a process that is already queued panics.
 func (p *Proc) Ready() {
 	if p.step == nil {
 		panic("sim: Ready on coroutine process " + p.name)
@@ -501,11 +511,42 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield lets other processes runnable at this instant execute before p
-// continues.
-func (p *Proc) Yield() {
-	p.env.readyProc(p)
+// Wait parks the process until another process or an event callback calls
+// Wake. Pending deferred delay is flushed first, and a Wake during that
+// flush finds the process sleeping and does nothing: a process waiting for
+// a condition flushes, then tests the condition, then waits.
+func (p *Proc) Wait() {
+	p.Flush()
+	p.waiting = true
 	p.park()
+}
+
+// WaitFor is Wait bounded by d: it reports whether a Wake ended the wait
+// (true) or d elapsed first (false). A Wake removes the deadline timer from
+// the event queue at once; a Wake after the timer fired, even at the same
+// instant, finds the wait over and changes nothing.
+func (p *Proc) WaitFor(d time.Duration) (woken bool) {
+	p.Flush()
+	p.waiting, p.woken = true, false
+	p.timer = p.env.schedule(p.env.now+max(d, 0), nil, p)
+	p.park()
+	return p.woken
+}
+
+// Wake makes a process parked in Wait or WaitFor runnable at the current
+// instant, at the tail of the ready ring. It is a no-op when the process is
+// not waiting: running, sleeping, already woken, or timed out. Wake may be
+// called from processes or from event callbacks.
+func (p *Proc) Wake() {
+	if !p.waiting {
+		return
+	}
+	p.waiting, p.woken = false, true
+	if p.timer != nil {
+		p.env.removeEvent(p.timer)
+		p.timer = nil
+	}
+	p.env.readyProc(p)
 }
 
 // park hands control back to the scheduler until the process is resumed.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -38,78 +39,123 @@ func TestEventOrderingIsStableByTimeThenSeq(t *testing.T) {
 	}
 }
 
-func TestMailboxSendRecv(t *testing.T) {
+// Wake readies a process parked in Wait; each Wait needs its own Wake.
+func TestWaitWake(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[int](env)
-	var got []int
-	env.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.Recv(p))
+	var woke []time.Duration
+	waiter := env.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			p.Wait()
+			woke = append(woke, p.Now())
 		}
 	})
-	env.Spawn("send", func(p *Proc) {
-		mb.Send(10)
+	env.Spawn("waker", func(p *Proc) {
+		waiter.Wake()
 		p.Sleep(time.Millisecond)
-		mb.Send(20)
-		mb.Send(30)
+		waiter.Wake()
 	})
 	env.Run()
-	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Fatalf("got %v, want [10 20 30]", got)
+	if !slices.Equal(woke, []time.Duration{0, time.Millisecond}) {
+		t.Fatalf("woke at %v, want [0 1ms]", woke)
 	}
 }
 
-func TestMailboxRecvTimeoutFires(t *testing.T) {
+func TestWaitForTimesOut(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[int](env)
-	var ok bool
+	woken := true
 	var at time.Duration
-	env.Spawn("recv", func(p *Proc) {
-		_, ok = mb.RecvTimeout(p, 3*time.Millisecond)
+	env.Spawn("waiter", func(p *Proc) {
+		woken = p.WaitFor(3 * time.Millisecond)
 		at = p.Now()
 	})
 	env.Run()
-	if ok {
-		t.Fatal("recv succeeded, want timeout")
+	if woken {
+		t.Fatal("WaitFor reported a Wake, want timeout")
 	}
 	if at != 3*time.Millisecond {
 		t.Fatalf("timed out at %v, want 3ms", at)
 	}
 }
 
-func TestMailboxRecvTimeoutDelivery(t *testing.T) {
+func TestWaitForWoken(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[string](env)
-	var v string
-	var ok bool
-	env.Spawn("recv", func(p *Proc) {
-		v, ok = mb.RecvTimeout(p, 10*time.Millisecond)
+	var woken bool
+	var at time.Duration
+	waiter := env.Spawn("waiter", func(p *Proc) {
+		woken = p.WaitFor(10 * time.Millisecond)
+		at = p.Now()
 	})
-	env.After(time.Millisecond, func() { mb.Send("hello") })
+	env.After(time.Millisecond, waiter.Wake)
 	env.Run()
-	if !ok || v != "hello" {
-		t.Fatalf("got (%q,%v), want (hello,true)", v, ok)
+	if !woken || at != time.Millisecond {
+		t.Fatalf("WaitFor returned %v at %v, want true at 1ms", woken, at)
 	}
 	// The cancelled timer must not fire into the process later.
-	if env.Now() != 10*time.Millisecond && env.Now() != time.Millisecond {
-		t.Fatalf("unexpected end time %v", env.Now())
+	if env.Now() != time.Millisecond {
+		t.Fatalf("quiesced at %v, want 1ms", env.Now())
 	}
 }
 
-func TestMailboxFIFOAcrossWaiters(t *testing.T) {
+// Wake is a no-op on a process that is not waiting: one that is sleeping,
+// one already woken at this instant, one that has not started or has
+// finished. None of them is readied twice or woken early.
+func TestWakeNotWaitingIsNoop(t *testing.T) {
 	env := New(1)
 	defer env.Close()
-	mb := NewMailbox[int](env)
-	var got [2]int
-	env.Spawn("r1", func(p *Proc) { got[0] = mb.Recv(p) })
-	env.Spawn("r2", func(p *Proc) { got[1] = mb.Recv(p) })
-	env.After(time.Millisecond, func() { mb.Send(1); mb.Send(2) })
+	var at []time.Duration
+	sleeper := env.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		at = append(at, p.Now())
+		p.Wait()
+		at = append(at, p.Now())
+		p.Sleep(time.Millisecond)
+		at = append(at, p.Now())
+	})
+	env.After(time.Millisecond, sleeper.Wake)
+	env.After(3*time.Millisecond, func() {
+		sleeper.Wake()
+		sleeper.Wake()
+	})
 	env.Run()
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v, want [1 2]", got)
+	if !slices.Equal(at, []time.Duration{2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond}) {
+		t.Fatalf("sleeper ran at %v, want [2ms 3ms 4ms]", at)
+	}
+	resumes := env.Resumes()
+	unstarted := env.Spawn("unstarted", func(p *Proc) {})
+	unstarted.Wake()
+	sleeper.Wake()
+	env.Run()
+	if got := env.Resumes() - resumes; got != 1 {
+		t.Fatalf("%d resumes after waking an unstarted and a finished process, want the 1 start", got)
+	}
+}
+
+// A Wake that comes after WaitFor's timer has fired, in the same instant,
+// finds the wait over: WaitFor still reports the timeout, and the process
+// is not readied a second time.
+func TestWakeAfterTimeoutInSameInstant(t *testing.T) {
+	env := New(1)
+	defer env.Close()
+	woken := true
+	var at []time.Duration
+	var waiter *Proc
+	waiter = env.Spawn("waiter", func(p *Proc) {
+		woken = p.WaitFor(time.Millisecond)
+		at = append(at, p.Now())
+		p.Sleep(time.Millisecond)
+		at = append(at, p.Now())
+	})
+	// Scheduled once the waiter has parked, so it fires after the timeout.
+	env.Spawn("late-waker", func(p *Proc) { env.At(time.Millisecond, waiter.Wake) })
+	env.Run()
+	if woken {
+		t.Fatal("WaitFor reported the late Wake, want the timeout")
+	}
+	if !slices.Equal(at, []time.Duration{time.Millisecond, 2 * time.Millisecond}) {
+		t.Fatalf("waiter ran at %v, want [1ms 2ms]", at)
 	}
 }
 
@@ -265,21 +311,15 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []int64 {
 		env := New(42)
 		defer env.Close()
-		mb := NewMailbox[int64](env)
 		var out []int64
 		for i := 0; i < 4; i++ {
 			env.Spawn("w", func(p *Proc) {
 				for j := 0; j < 5; j++ {
 					p.Sleep(time.Duration(p.Rand().Intn(1000)) * time.Microsecond)
-					mb.Send(p.Rand().Int63n(1 << 30))
+					out = append(out, p.Rand().Int63n(1<<30))
 				}
 			})
 		}
-		env.Spawn("collect", func(p *Proc) {
-			for i := 0; i < 20; i++ {
-				out = append(out, mb.Recv(p))
-			}
-		})
 		env.Run()
 		return out
 	}
@@ -296,8 +336,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestCloseReleasesParkedProcesses(t *testing.T) {
 	env := New(1)
-	mb := NewMailbox[int](env)
-	env.Spawn("stuck-recv", func(p *Proc) { mb.Recv(p) })
+	env.Spawn("stuck-wait", func(p *Proc) { p.Wait() })
 	env.Spawn("stuck-sleep", func(p *Proc) { p.Sleep(time.Hour) })
 	res := NewResource(env, "r", 1)
 	env.Spawn("holder", func(p *Proc) { res.Acquire(p, 1); p.Sleep(time.Hour) })
@@ -323,30 +362,5 @@ func TestSpawnFromRunningProcess(t *testing.T) {
 	env.Run()
 	if !childRan {
 		t.Fatal("child did not run")
-	}
-}
-
-func TestYieldInterleavesFairly(t *testing.T) {
-	env := New(1)
-	defer env.Close()
-	var order []string
-	env.Spawn("a", func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			order = append(order, "a")
-			p.Yield()
-		}
-	})
-	env.Spawn("b", func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			order = append(order, "b")
-			p.Yield()
-		}
-	})
-	env.Run()
-	want := []string{"a", "b", "a", "b"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }

@@ -26,9 +26,9 @@ func TestStacklessParkPanicsWithName(t *testing.T) {
 
 // fanTrace drives a fan-out workload and returns every observable kernel
 // position of it: where each arm served and delivered, where the collector
-// received, and where an unrelated ticker woke, each stamped with the clock
+// collected, and where an unrelated ticker woke, each stamped with the clock
 // and the event sequence number. stackless picks how arms run: as pooled
-// coroutine workers parked on their task mailboxes, or as pooled two-step
+// coroutine workers waiting for their next task, or as pooled two-step
 // stackless arms. Arms draw their delay from the shared RNG, and some draw
 // none, so the no-wake-up path is exercised too.
 func fanTrace(stackless bool) []string {
@@ -38,14 +38,16 @@ func fanTrace(stackless bool) []string {
 	rec := func(what string, id int) {
 		trace = append(trace, fmt.Sprintf("%s %d @%d #%d", what, id, env.now, env.seq))
 	}
-	results := NewMailbox[int](env)
+	var collector *Proc
+	var arrived []int
 	serve := func(p *Proc, id int) {
 		rec("serve", id)
 		p.Defer(time.Duration(env.Rand().Intn(4)) * time.Microsecond)
 	}
 	deliver := func(id int) {
 		rec("deliver", id)
-		results.Send(id)
+		arrived = append(arrived, id)
+		collector.Wake()
 	}
 
 	var dispatch func(id int)
@@ -79,17 +81,24 @@ func fanTrace(stackless bool) []string {
 			a.p.Ready()
 		}
 	} else {
-		type worker struct{ tasks *Mailbox[int] }
+		type worker struct {
+			p    *Proc
+			task int // 0: none
+		}
 		var pool []*worker
 		dispatch = func(id int) {
 			var w *worker
 			if n := len(pool); n > 0 {
 				w, pool = pool[n-1], pool[:n-1]
 			} else {
-				w = &worker{tasks: NewMailbox[int](env)}
-				env.Spawn("worker", func(p *Proc) {
+				w = &worker{}
+				w.p = env.Spawn("worker", func(p *Proc) {
 					for {
-						id := w.tasks.Recv(p)
+						for w.task == 0 {
+							p.Wait()
+						}
+						id := w.task
+						w.task = 0
 						serve(p, id)
 						p.Flush()
 						deliver(id)
@@ -97,11 +106,12 @@ func fanTrace(stackless bool) []string {
 					}
 				})
 			}
-			w.tasks.Send(id)
+			w.task = id
+			w.p.Wake()
 		}
 	}
 
-	env.Spawn("collector", func(p *Proc) {
+	collector = env.Spawn("collector", func(p *Proc) {
 		id := 0
 		for round := 0; round < 40; round++ {
 			k := 1 + round%4
@@ -110,9 +120,14 @@ func fanTrace(stackless bool) []string {
 				dispatch(id)
 			}
 			p.Defer(time.Duration(env.Rand().Intn(3)) * time.Microsecond)
-			for i := 0; i < k; i++ {
-				rec("recv", results.Recv(p))
+			p.Flush()
+			for len(arrived) < k {
+				p.Wait()
 			}
+			for _, id := range arrived {
+				rec("collect", id)
+			}
+			arrived = arrived[:0]
 		}
 	})
 	env.Spawn("ticker", func(p *Proc) {

@@ -357,19 +357,6 @@ func (nd *Node) NICBytes() (read, write int64) { return nd.nicRead, nd.nicWrite 
 // DiskBytes returns cumulative (read, write) bytes through the node's disk.
 func (nd *Node) DiskBytes() (read, write int64) { return nd.diskRead, nd.diskWrite }
 
-// Proximity returns the §IV-A4 proximity distance between two nodes, taking
-// LocationDomainId (zone) into account: same host < same zone < remote.
-// Nodes with an unset zone are treated as remote unless on the same host.
-func Proximity(a, b *Node) int {
-	if a.host == b.host && a.zone == b.zone {
-		return ProximitySameHost
-	}
-	if a.zone != ZoneUnset && a.zone == b.zone {
-		return ProximitySameZone
-	}
-	return ProximityRemote
-}
-
 // Partition severs connectivity between two zones (both directions).
 func (n *Network) Partition(a, b ZoneID) { n.setPartitioned(a, b, true) }
 

@@ -54,31 +54,6 @@ func TestSameHostLatencyIsLowest(t *testing.T) {
 	}
 }
 
-func TestProximityOrdering(t *testing.T) {
-	env, net := newTestNet(t)
-	_ = env
-	a := net.NewNode("a", 1, 1)
-	sameHost := net.NewNode("sh", 1, 1)
-	sameZone := net.NewNode("sz", 1, 2)
-	remote := net.NewNode("r", 2, 3)
-	unset := net.NewNode("u", ZoneUnset, 4)
-	tests := []struct {
-		name string
-		b    *Node
-		want int
-	}{
-		{"same host", sameHost, ProximitySameHost},
-		{"same zone", sameZone, ProximitySameZone},
-		{"remote", remote, ProximityRemote},
-		{"unset zone", unset, ProximityRemote},
-	}
-	for _, tt := range tests {
-		if got := Proximity(a, tt.b); got != tt.want {
-			t.Errorf("%s: proximity = %d, want %d", tt.name, got, tt.want)
-		}
-	}
-}
-
 func TestPartitionDropsAndHealRestores(t *testing.T) {
 	env, net := newTestNet(t)
 	a := net.NewNode("a", 1, 1)
