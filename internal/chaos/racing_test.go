@@ -219,3 +219,142 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 		t.Errorf("%d contested names are stored, want %d", winners, rounds)
 	}
 }
+
+// TestRacingUpdates: an update reads its target nowhere but at its chain's
+// head — the resolve is lock-free, and the head takes the exclusive lock in
+// the update's own Prepare and applies its edit to the value committed under
+// it. Two metadata servers set one file's permission and its owner in the
+// same virtual instant, so both resolve before either writes: neither loses
+// the other's change. In every other round a third server deletes the file
+// in that instant too: the delete succeeds, an update that loses to it
+// answers ErrNotFound, and no racer waits out a timeout. Seeds 1–3, one and
+// two shards; with two, the file's directory is pinned to put its children
+// on another shard than its own row, so the delete commits across both. The
+// auditor and a walk of the committed inode rows find one inode under each
+// name, or none.
+func TestRacingUpdates(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("seed%d-shards%d", seed, shards), func(t *testing.T) {
+				runRacingUpdates(t, seed, shards)
+			})
+		}
+	}
+}
+
+func runRacingUpdates(t *testing.T, seed int64, shards int) {
+	const rounds = 8
+	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
+	o := core.DefaultOptions(setup)
+	o.MetadataServers = 4
+	o.ClientsPerServer = 1
+	o.StorageNodes = 6
+	o.PartitionsPerTable = 8
+	o.Namespace = workload.NamespaceSpec{TopDirs: 1, SubDirs: 1, FilesPerDir: 1}
+	o.Seed = seed
+	o.Shards = shards
+	d, err := core.Build(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	nns := d.NS.NameNodes()
+	path := func(r int) string { return fmt.Sprintf("/upd/f%d", r) }
+	perm := func(r int) uint16 { return uint16(0o700 + r) }
+	owner := func(r int) string { return fmt.Sprintf("owner%d", r) }
+
+	finished := false
+	d.Env.Spawn("driver", func(p *sim.Proc) {
+		if err := nns[0].Mkdir(p, "/upd", 0o755); err != nil {
+			t.Error(err)
+			return
+		}
+		if shards > 1 {
+			dir, err := nns[0].Stat(p, "/upd")
+			if err == nil {
+				err = d.NS.PinSubtree(dir.ID, int(dir.ID+1)%shards)
+			}
+			if err != nil {
+				t.Errorf("pin /upd: %v", err)
+				return
+			}
+		}
+		for r := 0; r < rounds; r++ {
+			f, deleting := path(r), r%2 == 1
+			if _, err := nns[0].Create(p, f, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			racers := []func(p *sim.Proc) error{
+				func(p *sim.Proc) error { return nns[1].SetPermission(p, f, perm(r)) },
+				func(p *sim.Proc) error { return nns[2].SetOwner(p, f, owner(r)) },
+			}
+			if deleting {
+				racers = append(racers, func(p *sim.Proc) error { _, err := nns[3].Delete(p, f, false); return err })
+			}
+			errs := make([]error, len(racers))
+			done, parent := 0, p
+			for i, fn := range racers {
+				d.Env.Spawn("racer", func(p *sim.Proc) {
+					start := p.Now()
+					errs[i] = fn(p)
+					if took := p.Now() - start; took > 100*time.Millisecond {
+						t.Errorf("%s racer %d took %v: it waited out a timeout", f, i, took)
+					}
+					done++
+					parent.Wake()
+				})
+			}
+			p.Flush()
+			for done < len(racers) {
+				p.Wait()
+			}
+			for i, err := range errs[:2] {
+				if err != nil && (!deleting || !errors.Is(err, namenode.ErrNotFound)) {
+					t.Errorf("%s: update %d: %v", f, i, err)
+				}
+			}
+			got, err := nns[0].Stat(p, f)
+			if deleting {
+				if errs[2] != nil {
+					t.Errorf("delete %s: %v", f, errs[2])
+				}
+				if !errors.Is(err, namenode.ErrNotFound) {
+					t.Errorf("%s survives its delete: %v", f, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("stat %s: %v", f, err)
+				continue
+			}
+			if got.Perm != perm(r) || got.Owner != owner(r) {
+				t.Errorf("%s: perm %o owner %q, want %o %q: an update was lost", f, got.Perm, got.Owner, perm(r), owner(r))
+			}
+		}
+		finished = true
+	})
+	d.Env.RunFor(30 * time.Second)
+	if !finished {
+		t.Fatal("the races did not finish")
+	}
+	for _, v := range NewAuditor(d).Check(d.Env.Now(), true, true) {
+		t.Errorf("audit: %s", v)
+	}
+	stored := map[string]int{}
+	for _, db := range d.MetaClusters() {
+		db.Table("inodes").ForEachCommitted(func(_, _ string, val ndb.Value) {
+			ino := val.(*namenode.Inode)
+			stored[ino.Name]++
+		})
+	}
+	for r := 0; r < rounds; r++ {
+		want := 1
+		if r%2 == 1 {
+			want = 0
+		}
+		if name := fmt.Sprintf("f%d", r); stored[name] != want {
+			t.Errorf("%s holds %d inodes, want %d", path(r), stored[name], want)
+		}
+	}
+}

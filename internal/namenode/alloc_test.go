@@ -66,16 +66,17 @@ func TestWarmOpAllocs(t *testing.T) {
 			// The rows the scan returns and the listing. The listed directory
 			// is cached: no key is built.
 			{"list", 2, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
-			// The file's row key — built for the locked read and reused for
-			// the write — and the new inode value.
+			// The file's row key — built for the resolve's read and reused
+			// for the write — and the new inode value, which the edit makes
+			// at the row's chain head.
 			{"setPermission", 2, func(int) error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
 			// The new inode, its row key, and the row itself, stored under its
 			// key when the insert's lock is taken.
 			{"create", 3, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
 			// The same three for a directory.
 			{"mkdir", 3, func(i int) error { return nn.Mkdir(p, dirs[i], 0o755) }},
-			// The file's row key, built for the locked read and reused for the
-			// write; the deleted row leaves its partition.
+			// The file's row key, built for the write; the deleted row leaves
+			// its partition.
 			{"delete", 1, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
 			// The source's row key (read in the resolve's batch, then locked
 			// and written), the destination's row key, the moved inode, and the

@@ -38,9 +38,6 @@ func (nn *NameNode) Serving() bool { return nn.Alive() && !nn.draining }
 // Draining reports whether the server is between Drain and Decommission.
 func (nn *NameNode) Draining() bool { return nn.draining && !nn.decom }
 
-// Decommissioned reports whether the server has left the cluster.
-func (nn *NameNode) Decommissioned() bool { return nn.decom }
-
 // InFlight returns the number of operations currently executing on the
 // server.
 func (nn *NameNode) InFlight() int { return nn.inflight }
@@ -93,7 +90,3 @@ func (ns *Namesystem) ServingNameNodes() []*NameNode {
 	}
 	return out
 }
-
-// BalanceEpoch returns the client re-balance epoch (bumped by Commission
-// and Drain; exposed for tests).
-func (ns *Namesystem) BalanceEpoch() int { return ns.balanceEpoch }

@@ -1,0 +1,10 @@
+package namenode
+
+// Accessors only this package's tests read.
+
+// Decommissioned reports whether the server has left the cluster.
+func (nn *NameNode) Decommissioned() bool { return nn.decom }
+
+// BalanceEpoch returns the client re-balance epoch, bumped by Commission and
+// Drain.
+func (ns *Namesystem) BalanceEpoch() int { return ns.balanceEpoch }

@@ -41,6 +41,9 @@ type opScratch struct {
 	writes []ndb.BatchWrite
 	chains []*Inode
 	row    rowAddr
+	// edit is the change the operation's write asks its target row's chain
+	// head to make; the write carries a pointer to it.
+	edit inodeEdit
 	// unlinkedDir is set by the body of an operation whose success removes
 	// the target's name (Delete, Rename), under the target's lock, when the
 	// inode it unlinks is a directory: the hints under the name (and under
@@ -53,6 +56,63 @@ type rowAddr struct {
 	parent  uint64
 	name    string
 	pk, key string
+}
+
+// inodeEdit is the ndb.Editor of an operation on one existing inode: the
+// change its write asks the chain's head to make to the committed inode,
+// under the exclusive lock taken there, so two updates of one inode never
+// lose each other's change and an update that loses to a delete answers
+// ErrNotFound. An update is aimed at the inode its resolve found (id): another
+// inode under the name was created after that one was deleted, so the
+// update answers ErrNotFound — it took effect between the two. A delete
+// resolves only the parent; its edit takes any inode and keeps the
+// pre-image (pre), which tells the operation what else to remove.
+type inodeEdit struct {
+	kind             editKind
+	id               uint64
+	mtime            time.Duration
+	perm             uint16
+	owner            string
+	blocks           []blocks.BlockID
+	size             int64
+	nsQuota, ssQuota int64
+	pre              *Inode
+}
+
+// editKind names the field an update sets, or a delete.
+type editKind uint8
+
+const (
+	editDelete editKind = iota
+	editPerm
+	editOwner
+	editBlocks
+	editQuota
+)
+
+// Edit applies the edit to the committed inode (ndb.Editor).
+func (e *inodeEdit) Edit(committed ndb.Value) (ndb.Value, error) {
+	ino := committed.(*Inode)
+	if e.kind == editDelete {
+		e.pre = ino
+		return nil, nil
+	}
+	if ino.ID != e.id {
+		return nil, ErrNotFound
+	}
+	next := *ino
+	switch e.kind {
+	case editPerm:
+		next.Perm = e.perm
+	case editOwner:
+		next.Owner = e.owner
+	case editBlocks:
+		next.Blocks, next.Size = e.blocks, e.size
+	case editQuota:
+		next.QuotaNS, next.QuotaSS = e.nsQuota, e.ssQuota
+	}
+	next.Mtime = e.mtime
+	return &next, nil
 }
 
 // putScratch returns sc to the NN's pool, dropping every reference it holds.
@@ -139,8 +199,8 @@ func (nn *NameNode) dirHint(fp fsPath, n int, name string) string {
 // rowOf addresses name's inode row under the directory parent, as inodeRow
 // does, but takes the keys ready-made from the hint entry of the row's own
 // directory when the operation's batches were keyed from it, or from sc.row
-// when the operation built them last: a mutation reads its target under a
-// lock, then writes it, and builds the row's keys once for both.
+// when the operation built them last: an update reads its target in its
+// resolve, then writes it, and builds the row's keys once for both.
 func (nn *NameNode) rowOf(sc *opScratch, parent uint64, name string) (*ndb.Table, string, string) {
 	for _, e := range sc.dirs {
 		if e.parent == parent && e.name() == name {
@@ -154,14 +214,11 @@ func (nn *NameNode) rowOf(sc *opScratch, parent uint64, name string) (*ndb.Table
 	return nn.ns.inodes.For(sc.row.pk), sc.row.pk, sc.row.key
 }
 
-// inodeWrite is the batched-write item storing ino as name under parent, or
-// deleting that row when ino is nil.
-func (nn *NameNode) inodeWrite(sc *opScratch, parent uint64, name string, ino *Inode) ndb.BatchWrite {
+// inodeDelete is the batched-write item deleting name's inode row under
+// parent.
+func (nn *NameNode) inodeDelete(sc *opScratch, parent uint64, name string) ndb.BatchWrite {
 	table, pk, key := nn.rowOf(sc, parent, name)
-	if ino == nil {
-		return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Del: true}
-	}
-	return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: ino}
+	return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Del: true}
 }
 
 // getInode fetches one inode row in a one-row batch: read-committed, or
@@ -418,13 +475,14 @@ func (nn *NameNode) remember(fp *fsPath, n int, ino *Inode) {
 	}
 }
 
-// resolveParentChain resolves everything but the last component of a path
-// that has one (the root rule ran) and returns the full ancestor chain
-// [root, ..., parent], the parent's row read under lockParent when that is
-// set. The chain (not just the parent) is what mutations need: quota charges
-// go to every quota'd ancestor on the resolved path.
-func (nn *NameNode) resolveParentChain(tx ndb.Tx, sc *opScratch, fp fsPath, lockParent ndb.LockMode) ([]*Inode, error) {
-	chain, err := nn.resolveChain(tx, sc, fp.parent(), lockParent)
+// resolveParentChain is the lock phase of an operation that adds or removes
+// a name: it resolves everything but the last component of a path that has
+// one (the root rule ran) and returns the full ancestor chain [root, ...,
+// parent], the parent's row share-locked — the parent must keep existing.
+// The chain (not just the parent) is what mutations need: quota charges go
+// to every quota'd ancestor on the resolved path.
+func (nn *NameNode) resolveParentChain(tx ndb.Tx, sc *opScratch, fp fsPath) ([]*Inode, error) {
+	chain, err := nn.resolveChain(tx, sc, fp.parent(), ndb.LockShared)
 	if err != nil {
 		return nil, err
 	}
@@ -432,23 +490,6 @@ func (nn *NameNode) resolveParentChain(tx ndb.Tx, sc *opScratch, fp fsPath, lock
 		return nil, ErrNotDir
 	}
 	return chain, nil
-}
-
-// lockPhase is Delete's lock phase: resolve the parent chain with the
-// parent's row share-locked in the same round — the parent must keep
-// existing — then lock the target's own row exclusively, parent before
-// child. It returns the ancestor chain [root, ..., parent] and the target's
-// committed value under its lock. An operation on one existing inode needs
-// one lock and takes it with resolveChain; a create takes the child's lock
-// with its insert (createChild); Rename locks two rows in sorted order and
-// brings its own phase.
-func (nn *NameNode) lockPhase(tx ndb.Tx, sc *opScratch, fp fsPath) ([]*Inode, *Inode, error) {
-	chain, err := nn.resolveParentChain(tx, sc, fp, ndb.LockShared)
-	if err != nil {
-		return nil, nil, err
-	}
-	target, err := nn.getInode(tx, sc, chain[len(chain)-1].ID, fp.name(), ndb.LockExclusive)
-	return chain, target, err
 }
 
 // Mkdir creates a directory. The parent is share-locked (it must keep
@@ -476,7 +517,7 @@ func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error)
 func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, error) {
 	var created *Inode
 	err := nn.op(p, path, opRules{root: ErrExists}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
-		chain, err := nn.resolveParentChain(tx, sc, fp, ndb.LockShared)
+		chain, err := nn.resolveParentChain(tx, sc, fp)
 		if err != nil {
 			return err
 		}
@@ -583,14 +624,26 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 // Delete removes a file or directory. Non-recursive deletes of non-empty
 // directories fail with ErrNotEmpty. It returns the block ids freed so the
 // caller can reclaim them in the block layer after the commit.
+//
+// The parent chain resolves with the parent share-locked in its batch — the
+// parent must keep existing — and then the target's own delete is prepared:
+// its exclusive lock is taken at its chain's head, parent before child, and
+// the head answers with the pre-image. What the pre-image says — a
+// directory, blocks, an inline payload, quota rows — follows in
+// deleteSubtree, in the same transaction.
 func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.BlockID, error) {
 	var freed []blocks.BlockID
 	err := nn.op(p, path, opRules{root: ErrInvalidPath}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
 		freed = freed[:0]
-		chain, target, err := nn.lockPhase(tx, sc, fp)
+		chain, err := nn.resolveParentChain(tx, sc, fp)
 		if err != nil {
 			return err
 		}
+		sc.edit = inodeEdit{kind: editDelete}
+		if err := nn.writeEdited(tx, sc, chain[len(chain)-1].ID, fp.name()); err != nil {
+			return err
+		}
+		target := sc.edit.pre
 		sc.unlinkedDir = target.Dir
 		return nn.deleteSubtree(tx, sc, chain, target, recursive, &freed)
 	})
@@ -600,15 +653,31 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 	return freed, nil
 }
 
-// deleteSubtree removes target and (recursively) its children within the
-// same transaction — HopsFS's atomic subtree delete. The tree is discovered
-// level by level, each level's directory listings fetched in one batched
-// fan-out (ScanBatch) and its children exclusively locked as found. Every
-// lock is then held, so the rows of all levels — inode rows, inline
-// small-file payloads, the quota records of dying quota'd directories — and
-// the one aggregate negative charge to the quota'd ancestors execute as a
-// single batched write: one Prepare pass per replica chain whatever the
-// subtree's depth. ancestors is the resolved chain above target.
+// writeEdited writes name's inode row under parent with sc.edit — an
+// update, or for editDelete the row's delete — in one batch with also, and
+// answers ErrNotFound when the chain's head finds the row absent.
+func (nn *NameNode) writeEdited(tx ndb.Tx, sc *opScratch, parent uint64, name string, also ...ndb.BatchWrite) error {
+	w := nn.inodeDelete(sc, parent, name)
+	w.Del, w.Val, w.Edit = sc.edit.kind == editDelete, &sc.edit, true
+	sc.writes = append(append(sc.writes[:0], w), also...)
+	err := tx.WriteBatch(sc.writes)
+	if errors.Is(err, ndb.ErrRowAbsent) {
+		return ErrNotFound
+	}
+	return err
+}
+
+// deleteSubtree removes what a delete's prepared target row leaves behind:
+// the target's inline payload or quota records, and (recursively) its
+// children, within the same transaction — HopsFS's atomic subtree delete.
+// The tree is discovered level by level, each level's directory listings
+// fetched in one batched fan-out (ScanBatch) and its children exclusively
+// locked as found. Every lock is then held, so the rows of all levels —
+// inode rows, inline small-file payloads, the quota records of dying quota'd
+// directories — and the one aggregate negative charge to the quota'd
+// ancestors execute as a single batched write: one Prepare pass per replica
+// chain whatever the subtree's depth, and none when nothing is left to
+// remove. ancestors is the resolved chain above target.
 func (nn *NameNode) deleteSubtree(tx ndb.Tx, sc *opScratch, ancestors []*Inode, target *Inode, recursive bool, freed *[]blocks.BlockID) error {
 	doomed := []*Inode{target}
 	var level []*Inode
@@ -639,11 +708,13 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, sc *opScratch, ancestors []*Inode, 
 	}
 	var count, bytes int64
 	items := sc.writes[:0]
-	for _, ino := range doomed {
+	for i, ino := range doomed {
 		*freed = append(*freed, ino.Blocks...)
 		count++
 		bytes += ino.Size
-		items = append(items, nn.inodeWrite(sc, ino.Parent, ino.Name, nil))
+		if i > 0 {
+			items = append(items, nn.inodeDelete(sc, ino.Parent, ino.Name))
+		}
 		if ino.InlineSize > 0 {
 			table, pk := partOf(nn.ns.smallfiles, ino.ID)
 			items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Del: true})
@@ -697,8 +768,8 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		// cross-shard renames over the same pair of shards open their
 		// sub-transactions — and take their locks — in the same order; then
 		// partition key, then row key.
-		unlink := nn.inodeWrite(sc, srcParent.ID, srcName, nil)
-		link := nn.inodeWrite(sc, dstParent.ID, dstName, nil)
+		unlink := nn.inodeDelete(sc, srcParent.ID, srcName)
+		link := nn.inodeDelete(sc, dstParent.ID, dstName)
 		before := func(a, b *ndb.BatchWrite) bool {
 			if sa, sb := nn.ns.inodes.Shard(a.PartKey), nn.ns.inodes.Shard(b.PartKey); sa != sb {
 				return sa < sb
@@ -755,51 +826,45 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 	})
 }
 
-// SetPermission updates an inode's mode bits under an exclusive lock.
+// SetPermission updates an inode's mode bits.
 func (nn *NameNode) SetPermission(p *sim.Proc, path string, perm uint16) error {
-	return nn.updateInode(p, path, func(ino *Inode) ([]ndb.BatchWrite, error) {
-		ino.Perm = perm
-		return nil, nil
-	})
+	return nn.updateInode(p, path, inodeEdit{kind: editPerm, perm: perm})
 }
 
-// SetOwner updates an inode's owner under an exclusive lock.
+// SetOwner updates an inode's owner.
 func (nn *NameNode) SetOwner(p *sim.Proc, path, owner string) error {
-	return nn.updateInode(p, path, func(ino *Inode) ([]ndb.BatchWrite, error) {
-		ino.Owner = owner
-		return nil, nil
-	})
+	return nn.updateInode(p, path, inodeEdit{kind: editOwner, owner: owner})
 }
 
 // AttachBlocks records the block list of a large file after the client has
 // written the blocks through the block layer (the create/addBlock/complete
 // protocol collapsed into one metadata update).
 func (nn *NameNode) AttachBlocks(p *sim.Proc, path string, ids []blocks.BlockID, size int64) error {
-	return nn.updateInode(p, path, func(ino *Inode) ([]ndb.BatchWrite, error) {
-		ino.Blocks = append([]blocks.BlockID(nil), ids...)
-		ino.Size = size
-		return nil, nil
-	})
+	return nn.updateInode(p, path, inodeEdit{kind: editBlocks, blocks: append([]blocks.BlockID(nil), ids...), size: size})
 }
 
-// updateInode rewrites one inode under an exclusive lock: mutate edits a
-// copy of the stored inode, and may refuse with an error or return companion
-// rows that must commit with it (SetQuota's record); those ride one batched
-// write with the inode row.
-func (nn *NameNode) updateInode(p *sim.Proc, path string, mutate func(*Inode) ([]ndb.BatchWrite, error)) error {
+// updateInode rewrites one inode: the path resolves lock-free — under Read
+// Backup every row of it is read in the coordinator's AZ — and the inode row
+// is written with edit, which the row's chain head applies to the committed
+// inode under the exclusive lock it takes there. SetQuota's authoritative
+// quota record, keyed by the resolved id the head checks, rides the same
+// batched write.
+func (nn *NameNode) updateInode(p *sim.Proc, path string, edit inodeEdit) error {
 	return nn.op(p, path, opRules{root: ErrInvalidPath}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
-		chain, err := nn.resolveChain(tx, sc, fp, ndb.LockExclusive)
+		chain, err := nn.resolveChain(tx, sc, fp, 0)
 		if err != nil {
 			return err
 		}
-		updated := *chain[len(chain)-1]
-		also, err := mutate(&updated)
-		if err != nil {
-			return err
+		target := chain[len(chain)-1]
+		sc.edit = edit
+		sc.edit.id, sc.edit.mtime = target.ID, p.Now()
+		if edit.kind != editQuota {
+			return nn.writeEdited(tx, sc, target.Parent, target.Name)
 		}
-		updated.Mtime = p.Now()
-		sc.writes = append(append(sc.writes[:0], nn.inodeWrite(sc, updated.Parent, updated.Name, &updated)), also...)
-		return tx.WriteBatch(sc.writes)
+		if !target.Dir {
+			return ErrNotDir
+		}
+		return nn.writeEdited(tx, sc, target.Parent, target.Name, nn.quotaRecordWrite(target.ID, edit.nsQuota, edit.ssQuota))
 	})
 }
 

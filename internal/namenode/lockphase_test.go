@@ -24,13 +24,20 @@ import (
 // the lock still costs none of its own. A write is its Prepare pass, so a
 // mutation's messages are its reads' plus, per replica chain it writes, the
 // 12 of Figure 2's three passes — no staging pair on top — and a recursive
-// delete executes one write batch however deep the subtree. A create makes no
-// round to learn its name is free — the insert's Prepare is told at the
-// chain's head — and Rename resolves its two paths in one batch (on the
-// parent of this change: mkdir/create 3 rounds and 18 messages, rename 5 and
-// 22). A create on a taken name is the same two rounds cut short: Begin, the
-// resolve's pair, the Prepare's first hop and the primary's refusal — no
-// replica beyond the primary hears of it, and nothing retries.
+// delete writes its subtree in one batch however deep it is. A write finds out
+// for itself at its chain's head: a create makes no round to learn its name
+// is free, and a delete or an update makes none to lock and read its target
+// — the head takes the lock and edits the committed row. So an update's
+// resolve takes no lock and reads every row at a replica the coordinator's
+// AZ holds (set* 16 messages, setquota 28 over its two chains); a delete's
+// one round after its resolve is its Prepare, whose head sends the target's
+// pre-image to the TC in one message of its own (17); and a recursive delete
+// prepares its target's row before its subtree's batch, one Prepare pass
+// more in the same rounds (50). Rename resolves its two paths in one batch.
+// A refused write is cut short at the head — Begin, the resolve, the
+// Prepare's first hop and the head's refusal: no replica beyond the head
+// hears of it, and nothing retries. An update of a missing name never gets
+// that far: its resolve reads the target and finds it absent.
 func TestRoundTripBudget(t *testing.T) {
 	type opFn func(nn *NameNode, p *sim.Proc) error
 	budget := []struct {
@@ -43,12 +50,12 @@ func TestRoundTripBudget(t *testing.T) {
 		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3, 6},
 		{"read (inline payload)", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/small"); return err }, 2, 4, 8},
 		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d"); return err }, 2, 4, 4},
-		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 2, 4, 18},
-		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 2, 4, 18},
+		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 2, 4, 16},
+		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 2, 4, 16},
 		{"attachblocks", func(nn *NameNode, p *sim.Proc) error {
 			return nn.AttachBlocks(p, "/a/b/f", []blocks.BlockID{1}, 1)
-		}, 2, 4, 18},
-		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 30},
+		}, 2, 4, 16},
+		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 28},
 		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 2, 3, 16},
 		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 2, 3, 16},
 		{"create on an existing name", func(nn *NameNode, p *sim.Proc) error {
@@ -58,10 +65,22 @@ func TestRoundTripBudget(t *testing.T) {
 			return nil
 		}, 2, 3, 5},
 		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 4, 8, 20},
-		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 3, 4, 18},
+		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 2, 3, 17},
+		{"delete of a missing name", func(nn *NameNode, p *sim.Proc) error {
+			if _, err := nn.Delete(p, "/a/b/r", false); !errors.Is(err, ErrNotFound) {
+				return fmt.Errorf("got %v, want ErrNotFound", err)
+			}
+			return nil
+		}, 2, 3, 5},
+		{"setperm of a missing name", func(nn *NameNode, p *sim.Proc) error {
+			if err := nn.SetPermission(p, "/a/b/r", 0o600); !errors.Is(err, ErrNotFound) {
+				return fmt.Errorf("got %v, want ErrNotFound", err)
+			}
+			return nil
+		}, 1, 3, 3},
 		// /a/b/d carries the quota set above: s, s/t and s/t/x die and are
 		// charged back to it in the one write batch.
-		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 7, 9, 46},
+		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 7, 9, 50},
 	}
 	for _, serial := range []bool{false, true} {
 		t.Run(fmt.Sprintf("DisableBatchedResolve=%v", serial), func(t *testing.T) {

@@ -66,21 +66,20 @@ func (nn *NameNode) quotaCharges(items []ndb.BatchWrite, chain []*Inode, kind st
 // resolution reads) and the authoritative quota record update as one batched
 // write.
 func (nn *NameNode) SetQuota(p *sim.Proc, path string, nsQuota, ssQuota int64) error {
-	return nn.updateInode(p, path, func(ino *Inode) ([]ndb.BatchWrite, error) {
-		if !ino.Dir {
-			return nil, ErrNotDir
-		}
-		ino.QuotaNS = nsQuota
-		ino.QuotaSS = ssQuota
-		quotas, pk := partOf(nn.ns.quotas, ino.ID)
-		quotaRow := ndb.BatchWrite{Table: quotas, PartKey: pk, Key: quotaRecordKey}
-		if nsQuota == 0 && ssQuota == 0 {
-			quotaRow.Del = true
-		} else {
-			quotaRow.Val = &QuotaRecord{NS: nsQuota, SS: ssQuota}
-		}
-		return []ndb.BatchWrite{quotaRow}, nil
-	})
+	return nn.updateInode(p, path, inodeEdit{kind: editQuota, nsQuota: nsQuota, ssQuota: ssQuota})
+}
+
+// quotaRecordWrite is the batched-write item storing the directory dir's
+// authoritative quota record, or deleting it when both limits are zero.
+func (nn *NameNode) quotaRecordWrite(dir uint64, nsQuota, ssQuota int64) ndb.BatchWrite {
+	quotas, pk := partOf(nn.ns.quotas, dir)
+	row := ndb.BatchWrite{Table: quotas, PartKey: pk, Key: quotaRecordKey}
+	if nsQuota == 0 && ssQuota == 0 {
+		row.Del = true
+	} else {
+		row.Val = &QuotaRecord{NS: nsQuota, SS: ssQuota}
+	}
+	return row
 }
 
 // Quota returns a directory's quota limits and accumulated usage: the

@@ -222,10 +222,6 @@ func (c *Cluster) declareDead(suspect *DataNode) {
 	}
 }
 
-// DeclareDeadForTest exposes failure declaration to integration tests and
-// harnesses that kill nodes directly.
-func (c *Cluster) DeclareDeadForTest(dn *DataNode) { c.declareDead(dn) }
-
 // shutdownSelf takes the datanode out of the cluster gracefully.
 func (dn *DataNode) shutdownSelf() {
 	if dn.shutdown {
@@ -235,10 +231,6 @@ func (dn *DataNode) shutdownSelf() {
 	dn.Node.Fail()
 	dn.c.declareDead(dn)
 }
-
-// Shutdown reports whether the node shut itself down after losing
-// arbitration.
-func (dn *DataNode) Shutdown() bool { return dn.shutdown }
 
 // Rejoin brings a failed or shut-down datanode back into the cluster: the
 // node recovers, copies the current data of its node group's partitions

@@ -38,6 +38,10 @@ var (
 	// holds a committed value: the answer of the row's primary, given under
 	// the insert's own exclusive lock. The transaction is aborted.
 	ErrRowExists = errors.New("ndb: row exists")
+	// ErrRowAbsent refuses an edited row (BatchWrite.Edit) that holds no
+	// committed value, given where ErrRowExists is. The transaction is
+	// aborted.
+	ErrRowAbsent = errors.New("ndb: row absent")
 	// ErrNodeUnavailable means a datanode needed by the transaction did not
 	// respond before the RPC timeout.
 	ErrNodeUnavailable = errors.New("ndb: datanode unavailable")
@@ -335,10 +339,11 @@ type DataNode struct {
 
 	shutdown bool
 
-	// onComplete and onShutdown handle a fire-and-forget Complete and the
-	// arbitrator's shutdown order where they arrive. They are bound once,
-	// so a send evaluates no method value.
-	onComplete, onShutdown func()
+	// onSignal and onShutdown handle a fire-and-forget signal — a
+	// Complete, a delete's pre-image — and the arbitrator's shutdown order
+	// where they arrive. They are bound once, so a send evaluates no method
+	// value.
+	onSignal, onShutdown func()
 }
 
 // MgmtNode is an NDB management node; the elected one arbitrates network
@@ -388,7 +393,7 @@ func New(env *sim.Env, net *simnet.Network, cfg Config, dataPlacement, mgmtPlace
 			Index: i,
 			Group: i % numGroups,
 		}
-		dn.onComplete, dn.onShutdown = dn.completeArrived, dn.shutdownSelf
+		dn.onSignal, dn.onShutdown = dn.signalArrived, dn.shutdownSelf
 		if cfg.AZAware {
 			dn.Domain = pl.Zone
 		}

@@ -119,9 +119,9 @@ func (dn *DataNode) batched(t ThreadType, d time.Duration) time.Duration {
 // recv charges the receive cost for an inbound message on dn.
 func (dn *DataNode) recv(p *sim.Proc) { dn.use(p, RECV, dn.c.cfg.Costs.Recv) }
 
-// completeArrived charges RECV for a fire-and-forget Complete at the
-// instant it arrives; no process waits on it.
-func (dn *DataNode) completeArrived() {
+// signalArrived charges RECV for a fire-and-forget signal at the instant it
+// arrives; no process waits on it.
+func (dn *DataNode) signalArrived() {
 	dn.threads[RECV].Charge(dn.batched(RECV, dn.c.cfg.Costs.Recv))
 }
 

@@ -107,6 +107,8 @@ type writeOp struct {
 	val      Value
 	del      bool
 	ifAbsent bool
+	// edit marks val as the row's Editor until the head has applied it.
+	edit bool
 }
 
 // train is the transaction's rows that share one replica chain: the unit of
@@ -269,9 +271,6 @@ func (t *Txn) heatTouch(part *Partition) {
 	}
 }
 
-// Coordinator returns the datanode coordinating this transaction.
-func (t *Txn) Coordinator() *DataNode { return t.tc }
-
 // HasWrites reports whether the transaction has staged any writes; the
 // shard router uses it to pick between the single-cluster fast path and
 // the cross-shard intent protocol.
@@ -328,7 +327,7 @@ func (t *Txn) stage(w *BatchWrite) *train {
 		tr.chain, tr.readBackup = chain, readBackup
 		t.trains = append(t.trains, tr)
 	}
-	tr.rows = append(tr.rows, writeOp{part: part, pk: w.PartKey, key: w.Key, val: w.Val, del: w.Del, ifAbsent: w.IfAbsent})
+	tr.rows = append(tr.rows, writeOp{part: part, pk: w.PartKey, key: w.Key, val: w.Val, del: w.Del, ifAbsent: w.IfAbsent, edit: w.Edit})
 	return tr
 }
 
@@ -422,12 +421,12 @@ func (t *Txn) hop(p *sim.Proc, from, to *DataNode, bytes int) bool {
 // payload; the LDM work and REDO volume stay per row. The chain's head takes
 // every row's exclusive lock as the request reaches it — per row through
 // lockRowOn, so conflicts, the contention ledger, lock-wait spans and the
-// deadlock timeout are those of any locked access — and a failure stops the
-// pass where a sequence of one-row batches would have stopped, returning
-// the failed row's position among the rows being prepared. An insert
-// (ifAbsent) is checked there too, under the lock just granted: if the row
-// holds a committed value the head looks it up, writes nothing, and answers
-// the TC with the refusal — ErrRowExists — instead of passing the train on.
+// deadlock timeout are those of any locked access — and checks the row
+// there (checkAtHead); a failure stops the pass where a sequence of one-row
+// batches would have stopped, returning the failed row's position among the
+// rows being prepared. The pre-images of the train's edited deletes go back
+// to the TC from the head in one message, unless the head is the TC or the
+// chain's only replica, whose Prepared answer carries them.
 func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 	cfg := &t.c.cfg
 	rows := tr.rows[tr.prepared:]
@@ -444,22 +443,30 @@ func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 			return 0, ErrNodeUnavailable
 		}
 		if pos == 0 {
+			preImages := 0
 			for i := range rows {
 				w := &rows[i]
 				if err := t.lockRowOn(p, w.part, w.pk, w.key, LockExclusive); err != nil {
 					return i, err
 				}
-				if w.ifAbsent {
-					if _, taken := w.part.committed(w.pk, w.key); taken {
-						dn.use(p, LDM, cfg.Costs.LDMRead)
-						if !t.hop(p, dn, t.tc, ackSize) {
-							return i, ErrNodeUnavailable
-						}
-						return i, ErrRowExists
+				if w.ifAbsent || w.edit {
+					if w.edit && w.del {
+						preImages += w.part.table.rowSize
+					}
+					if err := t.checkAtHead(p, dn, w); err != nil {
+						return i, err
 					}
 				}
 				dn.use(p, LDM, cfg.Costs.LDMWrite)
 				t.c.Stats.Writes++
+			}
+			if preImages > 0 && dn != t.tc && len(tr.chain) > 1 {
+				// The TC needs the pre-images before the Prepared answer,
+				// which trails them by at least one hop: nothing waits on
+				// this message, and it is charged to RECV where it arrives.
+				dn.send(p)
+				p.Span().RecordHop(simnet.HopClassOf(dn.Node, t.tc.Node), ackSize+preImages, 0)
+				t.c.net.Send(dn.Node, t.tc.Node, ackSize+preImages, t.tc.onSignal)
 			}
 		}
 		for i := range rows {
@@ -474,6 +481,42 @@ func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 	ph.end()
 	tr.prepared = len(tr.rows)
 	return 0, nil
+}
+
+// checkAtHead checks a conditional row at the chain's head, under the
+// exclusive lock just granted — so at the flushed virtual instant, against
+// a value no other transaction can change any more. An insert (ifAbsent)
+// passes on an absent row; an edit reads the committed value (one LDMRead)
+// and passes when there is one and its Editor accepts it, an update taking
+// the edited value as the one it prepares. A refused row has been looked up
+// the same way; nothing is written or passed down the chain, and the head
+// answers the TC itself with the refusal.
+func (t *Txn) checkAtHead(p *sim.Proc, dn *DataNode, w *writeOp) error {
+	committed, exists := w.part.committed(w.pk, w.key)
+	if !w.edit && !exists {
+		return nil
+	}
+	dn.use(p, LDM, t.c.cfg.Costs.LDMRead)
+	var err error
+	switch {
+	case !w.edit:
+		err = ErrRowExists
+	case !exists:
+		err = ErrRowAbsent
+	default:
+		var val Value
+		if val, err = w.val.(Editor).Edit(committed); err == nil {
+			if w.del {
+				val = nil
+			}
+			w.val, w.edit = val, false
+			return nil
+		}
+	}
+	if !t.hop(p, dn, t.tc, ackSize) {
+		return ErrNodeUnavailable
+	}
+	return err
 }
 
 // Commit finishes the NDB commit protocol (§II-B2, Figure 2) over the trains
@@ -669,7 +712,7 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 		for _, dn := range backups {
 			t.tc.send(p)
 			p.Span().RecordHop(simnet.HopClassOf(t.tc.Node, dn.Node), ackSize, 0)
-			t.c.net.Send(t.tc.Node, dn.Node, ackSize, dn.onComplete)
+			t.c.net.Send(t.tc.Node, dn.Node, ackSize, dn.onSignal)
 		}
 		return nil
 	}

@@ -14,11 +14,15 @@ package ndb
 // (timeout) behavior are those of any locked access.
 
 // BatchWrite names one row of a WriteBatch: an insert/update (Del false)
-// or a delete (Del true), prepared under an exclusive lock taken at the chain's head. With
-// IfAbsent the row is an insert proper: the chain's head refuses it with
-// ErrRowExists when, under that lock, the row holds a committed value — the
-// writer learns the name is taken from the write itself, not from a locked
-// read one round before it.
+// or a delete (Del true), prepared under an exclusive lock taken at the
+// chain's head. Two conditions are checked there, under that lock, so the
+// writer learns the answer from the write itself and not from a locked read
+// one round before it. With IfAbsent the row is an insert proper: the head
+// refuses it with ErrRowExists when the row holds a committed value. With
+// Edit the row must hold one — the head refuses an absent row with
+// ErrRowAbsent — and Val is not the row's value but the Editor the head
+// applies to it. The editor rides in Val, not in a field of its own, so a
+// BatchWrite stays eight words: every write path copies it by value.
 type BatchWrite struct {
 	Table    *Table
 	PartKey  string
@@ -26,13 +30,29 @@ type BatchWrite struct {
 	Val      Value
 	Del      bool
 	IfAbsent bool
+	Edit     bool
+}
+
+// Editor is an edited row's Val (BatchWrite.Edit): it computes the row's
+// next value from its committed one at the chain's head, under the
+// exclusive lock the head has just taken, so no other transaction's write
+// can fall between the value it reads and the one it prepares. An update's
+// edit returns the value to prepare. A delete's edit is handed the
+// pre-image and its value is ignored; the head sends the pre-image back to
+// the coordinator, one message in parallel with the rest of the chain, as
+// NDB returns a read-before-delete from the primary. An error refuses the
+// row as ErrRowExists refuses an insert, and the transaction aborts with
+// that error. Edit sees the committed value, never one its own transaction
+// has staged.
+type Editor interface {
+	Edit(committed Value) (Value, error)
 }
 
 // WriteBatch executes all mutations at once: rows are grouped by replica
 // chain, each chain's rows are locked and prepared by one pass down the chain
 // carrying the whole row train, and distinct chains proceed concurrently. A
 // one-row batch is a single write. Any failure — an unreachable replica, a
-// lock timeout on any row or a refused insert — aborts the transaction
+// lock timeout on any row or a refused row — aborts the transaction
 // exactly as a sequence of one-row batches would, returning the error of the
 // first failed row in request order. With write batching disabled the batch
 // is that sequence: one Prepare pass and, at commit, one train per row.

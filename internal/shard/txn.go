@@ -203,11 +203,12 @@ func (t *Txn) ScanBatch(scans []ndb.BatchScan) ([][]ndb.KV, error) {
 		(*ndb.Txn).ScanBatch)
 }
 
-// WriteBatch executes all mutations, one ndb.WriteBatch per touched shard. A
-// written row has no result; the empty ones cost nothing. A write batch that
-// spans shards gathers into a fresh buffer, as a scan batch does. A refused
-// insert (ndb.ErrRowExists) has aborted its own shard's sub-transaction; the
-// others end with the routed transaction's Abort.
+// WriteBatch executes all mutations, one ndb.WriteBatch per touched shard,
+// each row as the caller built it — an insert's condition and an edit
+// included. A written row has no result; the empty ones cost nothing. A
+// write batch that spans shards gathers into a fresh buffer, as a scan batch
+// does. A refused row has aborted its own shard's sub-transaction; the others
+// end with the routed transaction's Abort.
 func (t *Txn) WriteBatch(items []ndb.BatchWrite) error {
 	_, err := routeBatch(t, items, nil, nil,
 		func(w *ndb.BatchWrite) (*ndb.Table, string) { return w.Table, w.PartKey },
