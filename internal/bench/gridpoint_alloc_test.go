@@ -14,26 +14,27 @@ import (
 // TestGridPointAllocCeiling pins the steady-state allocations of a full grid
 // point (the shape every sweep experiment measures), per served virtual
 // operation, with heat attached. A warm operation allocates little beyond
-// what it returns or stores — its target's row key, the rows it reads or
+// what it returns or stores — its target's row key, the rows it
 // writes; its storage transaction is the one the previous operation's InTx
-// freed, its commit train sits in that transaction and its row locks in the
-// rows — so the unsharded point measures 3.69 (history/BENCH_8.json holds the
+// freed, its commit train sits in that transaction, its row locks in the
+// rows, and a scan is a window of its bucket's sorted snapshot — so the
+// unsharded point measures 3.31 (history/BENCH_8.json holds the
 // kernel's trajectory). The two-shard point adds the routed path — a pooled
 // dispatcher per transaction, which also holds the gather buffers of a read
 // batch that spans shards — but an inode's id names its own row's shard, so
-// a path resolves on one shard and the point measures 3.72, close to the
+// a path resolves on one shard and the point measures 3.35, close to the
 // unsharded one. The AZ-unaware HopsFS (3,3) point is the one whose
-// Completes are fire-and-forget (no Read Backup); it measures 4.30. Each
-// ceiling is about 1.5x its measurement: a lost pool, a cached key rebuilt
+// Completes are fire-and-forget (no Read Backup); it measures 3.87. Each
+// ceiling is 1.5x its measurement or more: a lost pool, a cached key rebuilt
 // per operation or a reintroduced per-event allocation fails it.
 //
 // It also pins the kernel's switches: coroutine resumes per virtual op, which
 // repeat bit for bit per seed. A fan-out arm that cannot block is a stackless
-// step, not a resume, so the points measure 8.59 and 8.69 (13.78 with every
+// step, not a resume, so the points measure 8.54 and 8.65 (13.78 with every
 // arm a coroutine at the unsharded point): a path's reads fan out inside one
 // cluster rather than running as one single-target sub-batch per shard. A
 // fire-and-forget Complete runs its handler where it arrives, not in a
-// datanode's server process, so the AZ-unaware point measures 10.63 (11.27
+// datanode's server process, so the AZ-unaware point measures 10.58 (11.27
 // with the server). Each ceiling sits about 5 % above its measurement, so an
 // arm that goes back to a coroutine fails it. Excluded under -race, whose
 // instrumentation allocates.

@@ -63,9 +63,10 @@ func TestWarmOpAllocs(t *testing.T) {
 			// The same: the share lock rides the batch and is held in the
 			// transaction.
 			{"getBlockLocations", 1, func(int) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }},
-			// The rows the scan returns and the listing. The listed directory
-			// is cached: no key is built.
-			{"list", 2, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
+			// The listing: the scan returns a window of the directory
+			// bucket's key-sorted snapshot, and the listed directory is
+			// cached, so no key is built.
+			{"list", 1, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
 			// The file's row key — built for the resolve's read and reused
 			// for the write — and the new inode value, which the edit makes
 			// at the row's chain head.
@@ -97,6 +98,52 @@ func TestWarmOpAllocs(t *testing.T) {
 			}
 			if allocs != op.want {
 				t.Errorf("warm %s: %.2f allocations per call, want %.0f", op.name, allocs, op.want)
+			}
+		}
+	})
+}
+
+// TestWarmClientOpAllocs: a client with no history attached adds no
+// allocation to the operation it sends, so a warm client stat, list and
+// setPermission allocate what TestWarmOpAllocs pins for the namenode's own.
+func TestWarmClientOpAllocs(t *testing.T) {
+	h := newHarness(t)
+	h.db.StopBackground()
+	cl := h.client(1)
+	h.run(t, func(p *sim.Proc) {
+		for _, dir := range []string{"/a", "/a/b"} {
+			if err := cl.Mkdir(p, dir); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := cl.Create(p, "/a/b/f", 0); err != nil {
+			t.Error(err)
+			return
+		}
+		h.ns.StopBackground()
+		p.Sleep(2 * h.ns.cfg.ElectionRound)
+		for _, op := range []struct {
+			name string
+			want float64
+			run  func() error
+		}{
+			{"stat", 1, func() error { _, err := cl.Stat(p, "/a/b/f"); return err }},
+			{"list", 1, func() error { _, err := cl.List(p, "/a/b"); return err }},
+			{"setPermission", 2, func() error { return cl.SetPermission(p, "/a/b/f", 0o600) }},
+		} {
+			var err error
+			allocs := testing.AllocsPerRun(50, func() {
+				if e := op.run(); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Errorf("%s: %v", op.name, err)
+				continue
+			}
+			if allocs != op.want {
+				t.Errorf("warm client %s: %.2f allocations per call, want %.0f", op.name, allocs, op.want)
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hopsfscl/internal/blocks"
+	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 	"hopsfscl/internal/trace"
@@ -36,6 +37,11 @@ type Client struct {
 	// a client runs one operation at a time, so StartOpInto can overwrite
 	// it per call instead of allocating.
 	span trace.Span
+
+	// history, when set, records each operation's invoke and return; open
+	// is the index of the operation in flight in it.
+	history *nsmodel.History
+	open    int
 }
 
 // NewClient registers a client in the given zone. domain is its
@@ -47,6 +53,10 @@ func (ns *Namesystem) NewClient(zone simnet.ZoneID, host simnet.HostID, domain s
 		Domain: domain,
 	}
 }
+
+// Record has the client record every operation it runs into h, from its
+// next one on; nil stops the recording.
+func (cl *Client) Record(h *nsmodel.History) { cl.history = h }
 
 // CurrentNameNode returns the server the client is stuck to (nil before the
 // first operation).
@@ -125,17 +135,26 @@ func (cl *Client) travel(p *sim.Proc, from, to *simnet.Node, size int) bool {
 
 // do is the one entry for a metadata RPC: it runs fn against the client's
 // server, switching to a surviving server when the current one fails
-// mid-call. op names the operation for the trace layer ("stat", "mkdir",
-// ...): each call emits exactly one root span under that name. reqExtra and
-// the handler's first result are the payload bytes riding the request and
-// the response (file data inline with the metadata, §II-A3).
-func (cl *Client) do(p *sim.Proc, op string, reqExtra int, fn func(nn *NameNode) (respExtra int, err error)) error {
-	sp := cl.ns.tracer.StartOpInto(&cl.span, op, p.EffNow())
+// mid-call. op is the operation as invoked: its name for the trace layer
+// ("stat", "mkdir", ...) — each call emits exactly one root span under that
+// name — and its arguments, which an attached history records with the
+// invoke and return instants. reqExtra and the handler's first result are
+// the payload bytes riding the request and the response (file data inline
+// with the metadata, §II-A3).
+func (cl *Client) do(p *sim.Proc, op nsmodel.Op, reqExtra int, fn func(nn *NameNode) (respExtra int, err error)) error {
+	if cl.history != nil {
+		op.Client, op.Invoke = int(cl.Node.ID()), p.EffNow()
+		cl.open = cl.history.Invoke(op)
+	}
+	sp := cl.ns.tracer.StartOpInto(&cl.span, op.Name, p.EffNow())
 	var prev *trace.Span
 	if sp != nil {
 		prev = p.SetSpan(sp)
 	}
 	err := cl.rpc(p, reqExtra, fn)
+	if cl.history != nil {
+		cl.history.Return(cl.open, p.EffNow(), err)
+	}
 	if sp != nil {
 		p.SetSpan(prev)
 		if err != nil {
@@ -177,8 +196,9 @@ func (cl *Client) rpc(p *sim.Proc, reqExtra int, fn func(nn *NameNode) (int, err
 }
 
 // call is do for operations that return a value: the handler's value is
-// kept when it succeeds, whatever then happens to the response leg.
-func call[T any](cl *Client, p *sim.Proc, op string, fn func(nn *NameNode) (T, int, error)) (T, error) {
+// kept when it succeeds, whatever then happens to the response leg, and is
+// the result an attached history records.
+func call[T any](cl *Client, p *sim.Proc, op nsmodel.Op, fn func(nn *NameNode) (T, int, error)) (T, error) {
 	var out T
 	err := cl.do(p, op, 0, func(nn *NameNode) (int, error) {
 		got, respExtra, err := fn(nn)
@@ -187,6 +207,9 @@ func call[T any](cl *Client, p *sim.Proc, op string, fn func(nn *NameNode) (T, i
 		}
 		return respExtra, err
 	})
+	if err == nil && cl.history != nil {
+		cl.history.Ops[cl.open].Result = out
+	}
 	return out, err
 }
 
@@ -206,7 +229,7 @@ func (cl *Client) Exists(p *sim.Proc, path string) (bool, error) {
 // count, and total logical bytes (the HDFS getContentSummary operation,
 // implemented as recursive partition-pruned scans in one transaction).
 func (cl *Client) Du(p *sim.Proc, path string) (files, dirs int, bytes int64, err error) {
-	err = cl.do(p, "contentSummary", 0, func(nn *NameNode) (int, error) {
+	err = cl.do(p, nsmodel.Op{Name: "contentSummary", Path: path}, 0, func(nn *NameNode) (int, error) {
 		var ierr error
 		files, dirs, bytes, ierr = nn.ContentSummary(p, path)
 		return 0, ierr
@@ -216,7 +239,7 @@ func (cl *Client) Du(p *sim.Proc, path string) (files, dirs int, bytes int64, er
 
 // Mkdir creates a directory.
 func (cl *Client) Mkdir(p *sim.Proc, path string) error {
-	return cl.do(p, "mkdir", 0, func(nn *NameNode) (int, error) { return 0, nn.Mkdir(p, path, 0o755) })
+	return cl.do(p, nsmodel.Op{Name: "mkdir", Path: path}, 0, func(nn *NameNode) (int, error) { return 0, nn.Mkdir(p, path, 0o755) })
 }
 
 // MkdirAll creates a directory and any missing ancestors.
@@ -235,7 +258,7 @@ func (cl *Client) MkdirAll(p *sim.Proc, path string) error {
 
 // Create creates an empty or small file (metadata-only operation).
 func (cl *Client) Create(p *sim.Proc, path string, size int64) error {
-	return cl.do(p, "create", int(size), func(nn *NameNode) (int, error) {
+	return cl.do(p, nsmodel.Op{Name: "create", Path: path}, int(size), func(nn *NameNode) (int, error) {
 		_, err := nn.Create(p, path, size)
 		return 0, err
 	})
@@ -263,7 +286,7 @@ func (cl *Client) WriteFile(p *sim.Proc, path string, size int64) error {
 		ids = append(ids, b.ID)
 		remaining -= sz
 	}
-	err := cl.do(p, "attachBlocks", 0, func(nn *NameNode) (int, error) {
+	err := cl.do(p, nsmodel.Op{Name: "attachBlocks", Path: path}, 0, func(nn *NameNode) (int, error) {
 		return 0, nn.AttachBlocks(p, path, ids, size)
 	})
 	if err != nil && !errors.Is(err, ErrNoNameNodes) && !errors.Is(err, ErrRetriesExhausted) {
@@ -282,7 +305,7 @@ func (cl *Client) WriteFile(p *sim.Proc, path string, size int64) error {
 // ride the metadata response from the NN (§II-A3), so they are charged on
 // that leg of the wire.
 func (cl *Client) ReadFile(p *sim.Proc, path string) (*Inode, error) {
-	ino, err := call(cl, p, "read", func(nn *NameNode) (*Inode, int, error) {
+	ino, err := call(cl, p, nsmodel.Op{Name: "read", Path: path}, func(nn *NameNode) (*Inode, int, error) {
 		got, err := nn.GetBlockLocations(p, path)
 		if err != nil {
 			return nil, 0, err
@@ -304,7 +327,7 @@ func (cl *Client) ReadFile(p *sim.Proc, path string) (*Inode, error) {
 
 // Stat returns metadata for a path.
 func (cl *Client) Stat(p *sim.Proc, path string) (*Inode, error) {
-	return call(cl, p, "stat", func(nn *NameNode) (*Inode, int, error) {
+	return call(cl, p, nsmodel.Op{Name: "stat", Path: path}, func(nn *NameNode) (*Inode, int, error) {
 		got, err := nn.Stat(p, path)
 		return got, 0, err
 	})
@@ -312,7 +335,7 @@ func (cl *Client) Stat(p *sim.Proc, path string) (*Inode, error) {
 
 // List returns a directory's children.
 func (cl *Client) List(p *sim.Proc, path string) ([]*Inode, error) {
-	return call(cl, p, "list", func(nn *NameNode) ([]*Inode, int, error) {
+	return call(cl, p, nsmodel.Op{Name: "list", Path: path}, func(nn *NameNode) ([]*Inode, int, error) {
 		got, err := nn.List(p, path)
 		return got, 0, err
 	})
@@ -323,7 +346,7 @@ func (cl *Client) List(p *sim.Proc, path string) ([]*Inode, error) {
 // (in HopsFS the NN queues invalidations as part of the delete), so a lost
 // response cannot leave the replicas orphaned.
 func (cl *Client) Delete(p *sim.Proc, path string, recursive bool) error {
-	return cl.do(p, "delete", 0, func(nn *NameNode) (int, error) {
+	return cl.do(p, nsmodel.Op{Name: "delete", Path: path, Recursive: recursive}, 0, func(nn *NameNode) (int, error) {
 		freed, err := nn.Delete(p, path, recursive)
 		if err != nil {
 			return 0, err
@@ -339,28 +362,28 @@ func (cl *Client) Delete(p *sim.Proc, path string, recursive bool) error {
 
 // Rename atomically moves src to dst.
 func (cl *Client) Rename(p *sim.Proc, src, dst string) error {
-	return cl.do(p, "rename", 0, func(nn *NameNode) (int, error) { return 0, nn.Rename(p, src, dst) })
+	return cl.do(p, nsmodel.Op{Name: "rename", Path: src, Dst: dst}, 0, func(nn *NameNode) (int, error) { return 0, nn.Rename(p, src, dst) })
 }
 
 // SetPermission updates mode bits.
 func (cl *Client) SetPermission(p *sim.Proc, path string, perm uint16) error {
-	return cl.do(p, "setPermission", 0, func(nn *NameNode) (int, error) { return 0, nn.SetPermission(p, path, perm) })
+	return cl.do(p, nsmodel.Op{Name: "setPermission", Path: path}, 0, func(nn *NameNode) (int, error) { return 0, nn.SetPermission(p, path, perm) })
 }
 
 // SetOwner updates ownership.
 func (cl *Client) SetOwner(p *sim.Proc, path, owner string) error {
-	return cl.do(p, "setOwner", 0, func(nn *NameNode) (int, error) { return 0, nn.SetOwner(p, path, owner) })
+	return cl.do(p, nsmodel.Op{Name: "setOwner", Path: path}, 0, func(nn *NameNode) (int, error) { return 0, nn.SetOwner(p, path, owner) })
 }
 
 // SetQuota sets (or clears, with both limits zero) a directory's namespace
 // and storage-space quota.
 func (cl *Client) SetQuota(p *sim.Proc, path string, nsQuota, ssQuota int64) error {
-	return cl.do(p, "setQuota", 0, func(nn *NameNode) (int, error) { return 0, nn.SetQuota(p, path, nsQuota, ssQuota) })
+	return cl.do(p, nsmodel.Op{Name: "setQuota", Path: path}, 0, func(nn *NameNode) (int, error) { return 0, nn.SetQuota(p, path, nsQuota, ssQuota) })
 }
 
 // Quota returns a directory's quota limits and accumulated usage.
 func (cl *Client) Quota(p *sim.Proc, path string) (QuotaInfo, error) {
-	return call(cl, p, "quota", func(nn *NameNode) (QuotaInfo, int, error) {
+	return call(cl, p, nsmodel.Op{Name: "quota", Path: path}, func(nn *NameNode) (QuotaInfo, int, error) {
 		got, err := nn.Quota(p, path)
 		return got, 0, err
 	})

@@ -8,3 +8,6 @@ func (nn *NameNode) Decommissioned() bool { return nn.decom }
 // BalanceEpoch returns the client re-balance epoch, bumped by Commission and
 // Drain.
 func (ns *Namesystem) BalanceEpoch() int { return ns.balanceEpoch }
+
+// ModelErr maps a metadata-layer error onto the oracle's class of it.
+var ModelErr = modelErr

@@ -4,148 +4,30 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/sim"
 )
 
-// modelNode is the oracle: a plain in-memory tree with the same semantics
-// the metadata layer promises.
-type modelNode struct {
-	dir      bool
-	perm     uint16
-	owner    string
-	children map[string]*modelNode
-}
-
-func newModelDir() *modelNode {
-	return &modelNode{dir: true, perm: 0o755, owner: "hdfs", children: map[string]*modelNode{}}
-}
-
-type model struct{ root *modelNode }
-
-func (m *model) walk(comps []string) (*modelNode, error) {
-	cur := m.root
-	for _, c := range comps {
-		if !cur.dir {
-			return nil, ErrNotDir
+// modelErr maps a metadata-layer error onto the oracle's class of it;
+// an error the oracle has no class for comes back as it is.
+func modelErr(err error) error {
+	for _, c := range []struct{ impl, model error }{
+		{ErrNotFound, nsmodel.ErrNotFound},
+		{ErrExists, nsmodel.ErrExists},
+		{ErrNotDir, nsmodel.ErrNotDir},
+		{ErrNotEmpty, nsmodel.ErrNotEmpty},
+		{ErrCycle, nsmodel.ErrCycle},
+	} {
+		if errors.Is(err, c.impl) {
+			return c.model
 		}
-		next, ok := cur.children[c]
-		if !ok {
-			return nil, ErrNotFound
-		}
-		cur = next
 	}
-	return cur, nil
-}
-
-func (m *model) parentOf(comps []string) (*modelNode, string, error) {
-	parent, err := m.walk(comps[:len(comps)-1])
-	if err != nil {
-		return nil, "", err
-	}
-	if !parent.dir {
-		return nil, "", ErrNotDir
-	}
-	return parent, comps[len(comps)-1], nil
-}
-
-func (m *model) mkdir(comps []string) error {
-	parent, name, err := m.parentOf(comps)
-	if err != nil {
-		return err
-	}
-	if _, ok := parent.children[name]; ok {
-		return ErrExists
-	}
-	parent.children[name] = newModelDir()
-	return nil
-}
-
-func (m *model) create(comps []string) error {
-	parent, name, err := m.parentOf(comps)
-	if err != nil {
-		return err
-	}
-	if _, ok := parent.children[name]; ok {
-		return ErrExists
-	}
-	parent.children[name] = &modelNode{perm: 0o644, owner: "hdfs"}
-	return nil
-}
-
-func (m *model) remove(comps []string, recursive bool) error {
-	parent, name, err := m.parentOf(comps)
-	if err != nil {
-		return err
-	}
-	n, ok := parent.children[name]
-	if !ok {
-		return ErrNotFound
-	}
-	if n.dir && len(n.children) > 0 && !recursive {
-		return ErrNotEmpty
-	}
-	delete(parent.children, name)
-	return nil
-}
-
-func (m *model) rename(src, dst []string) error {
-	// Check order mirrors the implementation: source parent, source
-	// existence, destination parent chain, cycle, destination existence.
-	srcParent, srcName, err := m.parentOf(src)
-	if err != nil {
-		return err
-	}
-	n, ok := srcParent.children[srcName]
-	if !ok {
-		return ErrNotFound
-	}
-	dstParentNode, err := m.walk(dst[:len(dst)-1])
-	if err != nil {
-		return err
-	}
-	if !dstParentNode.dir {
-		return ErrNotDir
-	}
-	// Cycle: the destination parent chain must not pass through n.
-	cur := m.root
-	for _, c := range dst[:len(dst)-1] {
-		if cur == n {
-			return ErrCycle
-		}
-		cur = cur.children[c]
-	}
-	if cur == n {
-		return ErrCycle
-	}
-	dstName := dst[len(dst)-1]
-	if _, ok := dstParentNode.children[dstName]; ok {
-		return ErrExists
-	}
-	delete(srcParent.children, srcName)
-	dstParentNode.children[dstName] = n
-	return nil
-}
-
-func (m *model) list(comps []string) ([]string, error) {
-	n, err := m.walk(comps)
-	if err != nil {
-		return nil, err
-	}
-	if !n.dir {
-		return nil, ErrNotDir
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
+	return err
 }
 
 // errClass normalizes errors for comparison.
@@ -153,7 +35,7 @@ func errClass(err error) string {
 	if err == nil {
 		return "ok"
 	}
-	return err.Error()
+	return modelErr(err).Error()
 }
 
 // TestPropFSMatchesModel runs random operation sequences through the full
@@ -167,57 +49,61 @@ func TestPropFSMatchesModel(t *testing.T) {
 	prop := func(seed int64) bool {
 		h := newHarness(t)
 		cl := h.client(1)
-		m := &model{root: newModelDir()}
+		m := nsmodel.New()
 		rng := rand.New(rand.NewSource(seed))
 
 		// A pool of path components keeps collisions frequent enough to
 		// exercise the error paths.
 		names := []string{"a", "b", "c", "d"}
-		randPath := func() (string, []string) {
+		randPath := func() string {
 			depth := rng.Intn(3) + 1
 			comps := make([]string, depth)
 			for i := range comps {
 				comps[i] = names[rng.Intn(len(names))]
 			}
-			return "/" + strings.Join(comps, "/"), comps
+			return "/" + strings.Join(comps, "/")
 		}
 
 		okAll := true
 		h.env.Spawn("driver", func(p *sim.Proc) {
 			for i := 0; i < 120 && okAll; i++ {
 				op := rng.Intn(6)
-				path, comps := randPath()
+				path := randPath()
 				var gotErr, wantErr error
 				desc := ""
 				switch op {
 				case 0:
 					desc = "mkdir " + path
 					gotErr = cl.Mkdir(p, path)
-					wantErr = m.mkdir(comps)
+					wantErr = m.Mkdir(path)
 				case 1:
 					desc = "create " + path
 					gotErr = cl.Create(p, path, 0)
-					wantErr = m.create(comps)
+					wantErr = m.Create(path)
 				case 2:
 					recursive := rng.Intn(2) == 0
 					desc = fmt.Sprintf("delete %s r=%v", path, recursive)
 					gotErr = cl.Delete(p, path, recursive)
-					wantErr = m.remove(comps, recursive)
+					wantErr = m.Delete(path, recursive)
 				case 3:
-					dst, dstComps := randPath()
+					dst := randPath()
 					desc = "rename " + path + " -> " + dst
 					gotErr = cl.Rename(p, path, dst)
-					wantErr = m.rename(comps, dstComps)
+					wantErr = m.Rename(path, dst)
 				case 4:
 					desc = "list " + path
 					kids, err := cl.List(p, path)
 					gotErr = err
-					wantNames, werr := m.list(comps)
+					want, werr := m.List(path)
 					wantErr = werr
 					if err == nil && werr == nil {
 						gotNames := make([]string, len(kids))
 						for j, k := range kids {
 							gotNames[j] = k.Name
+						}
+						wantNames := make([]string, len(want))
+						for j, e := range want {
+							wantNames[j] = e.Name
 						}
 						if strings.Join(gotNames, ",") != strings.Join(wantNames, ",") {
 							t.Errorf("seed %d step %d %s: list %v, model %v", seed, i, desc, gotNames, wantNames)
@@ -229,10 +115,10 @@ func TestPropFSMatchesModel(t *testing.T) {
 					desc = "stat " + path
 					ino, err := cl.Stat(p, path)
 					gotErr = err
-					n, werr := m.walk(comps)
+					n, werr := m.Stat(path)
 					wantErr = werr
-					if err == nil && werr == nil && ino.Dir != n.dir {
-						t.Errorf("seed %d step %d %s: dir=%v, model dir=%v", seed, i, desc, ino.Dir, n.dir)
+					if err == nil && werr == nil && ino.Dir != n.Dir {
+						t.Errorf("seed %d step %d %s: dir=%v, model dir=%v", seed, i, desc, ino.Dir, n.Dir)
 						okAll = false
 						return
 					}

@@ -39,16 +39,8 @@ func (t *Table) ForEachCommitted(fn func(partKey, key string, val Value)) {
 		}
 		sort.Strings(pks)
 		for _, pk := range pks {
-			bucket := part.rows[pk]
-			keys := make([]string, 0, len(bucket))
-			for k := range bucket {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				if r := bucket[k]; r.exists {
-					fn(pk, k, r.val)
-				}
+			for _, kv := range part.rows[pk].snapshot() {
+				fn(pk, kv.Key, kv.Val)
 			}
 		}
 	}
@@ -62,8 +54,8 @@ func (c *Cluster) HeldLocks() []string {
 	var out []string
 	for _, t := range c.Tables() {
 		for _, part := range t.partitions {
-			for pk, bucket := range part.rows {
-				for k, r := range bucket {
+			for pk, b := range part.rows {
+				for k, r := range b.rows {
 					if !r.lock.idle() {
 						out = append(out, t.name+"/"+pk+"/"+k)
 					}

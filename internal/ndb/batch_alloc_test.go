@@ -71,3 +71,46 @@ func TestBatchAllocFree(t *testing.T) {
 		return tx.Commit()
 	})
 }
+
+// TestWarmScanAllocFree: a scan of a bucket nothing has changed since its
+// last scan is a window of the bucket's key-sorted snapshot, so repeating
+// it allocates nothing — no walk, no sort, no result slice.
+func TestWarmScanAllocFree(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	c.StopBackground()
+	tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
+	rows := []BatchWrite{
+		{Table: tbl, PartKey: "p", Key: "p/a", Val: "v"},
+		{Table: tbl, PartKey: "p", Key: "p/b", Val: "v"},
+		{Table: tbl, PartKey: "p", Key: "q/a", Val: "v"},
+	}
+	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
+		if err := tx.WriteBatch(rows); err != nil {
+			return err
+		}
+		return tx.Commit()
+	})
+	scan := []BatchScan{{Table: tbl, PartKey: "p", Prefix: "p/"}}
+	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
+		var err error
+		n := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			kvs, e := tx.ScanBatch(scan)
+			if e != nil {
+				err = e
+				return
+			}
+			n = len(kvs[0])
+		})
+		if err != nil {
+			return err
+		}
+		if n != 2 {
+			t.Errorf("the scan found %d rows, want 2", n)
+		}
+		if allocs != 0 {
+			t.Errorf("warm scan: %.0f allocations per call, want 0", allocs)
+		}
+		return tx.Commit()
+	})
+}

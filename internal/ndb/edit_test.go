@@ -104,7 +104,7 @@ func TestRefusedEditLeavesNothing(t *testing.T) {
 			}
 			return nil
 		})
-		if _, ok := tbl.partitionFor(own).rows[own]["absent"]; ok {
+		if tbl.partitionFor(own).lookup(own, "absent") != nil {
 			t.Error("a placeholder row survives the refused edit")
 		}
 	}

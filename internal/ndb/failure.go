@@ -278,8 +278,8 @@ func (c *Cluster) resync(p *sim.Proc, dn *DataNode) {
 				continue
 			}
 			var rows int
-			for _, bucket := range part.rows {
-				rows += len(bucket)
+			for _, b := range part.rows {
+				rows += len(b.rows)
 			}
 			if rows == 0 {
 				continue

@@ -51,15 +51,16 @@ func (c *Cluster) CrashRestartCluster(p *sim.Proc) {
 	durable := c.durableEpoch
 	for _, t := range c.tables {
 		for _, part := range t.partitions {
-			for pk, bucket := range part.rows {
-				for key, r := range bucket {
+			for pk, b := range part.rows {
+				for key, r := range b.rows {
 					r.lock = rowLock{}
 					if r.epoch > durable {
 						// Not yet durable: lost with the cluster.
-						delete(bucket, key)
+						delete(b.rows, key)
 					}
 				}
-				if len(bucket) == 0 {
+				b.sorted = nil
+				if len(b.rows) == 0 {
 					delete(part.rows, pk)
 				}
 			}
@@ -78,8 +79,8 @@ func (c *Cluster) CrashRestartCluster(p *sim.Proc) {
 				if part.group != dn.Group && !t.opts.FullyReplicated {
 					continue
 				}
-				for _, bucket := range part.rows {
-					replay += len(bucket) * t.rowSize
+				for _, b := range part.rows {
+					replay += len(b.rows) * t.rowSize
 				}
 			}
 		}

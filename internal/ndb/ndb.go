@@ -494,7 +494,7 @@ func (c *Cluster) CreateTable(name string, rowSize int, opts TableOptions) *Tabl
 			index:   i,
 			group:   g,
 			primary: (i / numGroups) % len(c.groups[g]),
-			rows:    make(map[string]map[string]*row),
+			rows:    make(map[string]*bucket),
 			reads:   make([]int64, c.cfg.Replication),
 		}
 	}

@@ -427,7 +427,7 @@ func TestLockGrantRacingTimeoutIsReleased(t *testing.T) {
 		env.Spawn("releaser", func(*sim.Proc) {
 			env.At(deadline, func() {
 				holder.Abort()
-				lateGrant = part.rows["p"]["k"].lock.held(waiter.id) != 0
+				lateGrant = part.lookup("p", "k").lock.held(waiter.id) != 0
 			})
 		})
 		err := waiter.lockRowOn(p, part, "p", "k", LockExclusive)

@@ -69,10 +69,10 @@ type Partition struct {
 	index   int
 	group   int
 	primary int // index into the node group's slice
-	// rows buckets by partition key, then row key: all rows of one
-	// partition key (e.g. one directory's children) live in one bucket, so
-	// partition-pruned scans touch only the relevant bucket.
-	rows map[string]map[string]*row
+	// rows buckets by partition key: all rows of one partition key (e.g.
+	// one directory's children) live in one bucket, so partition-pruned
+	// scans touch only the relevant bucket.
+	rows map[string]*bucket
 
 	// reads counts served reads per replica slot (0 = current primary's
 	// slot at read time) — the Figure 14 measurement.
@@ -148,10 +148,50 @@ func (p *Partition) promoteFrom(failed *DataNode) {
 // It exists only for bootstrap seeding (e.g. a file system root inode or a
 // pre-built benchmark namespace) before any traffic runs.
 func StoreDirect(t *Table, partKey, key string, val Value) {
-	part := t.partitionFor(partKey)
-	r := part.getRow(partKey, key)
+	b := t.partitionFor(partKey).bucketOf(partKey)
+	r := b.row(key)
 	r.val = val
 	r.exists = true
+	b.sorted = nil
+}
+
+// bucket holds one partition key's rows by row key, and sorted, a key-sorted
+// snapshot of those that hold a committed value. The first scan after a
+// change builds the snapshot; every change to a committed row drops it
+// (apply, StoreDirect, CrashRestartCluster). Nothing writes into a built
+// snapshot, so a scan result — a window of one — reads the same after later
+// commits. Rows that never held a committed value come and go (cleanRow)
+// without touching it.
+type bucket struct {
+	rows   map[string]*row
+	sorted []KV
+}
+
+// row returns the row under key, creating a placeholder for lock
+// acquisition if the row does not exist yet (insert path).
+func (b *bucket) row(key string) *row {
+	r, ok := b.rows[key]
+	if !ok {
+		r = &row{}
+		b.rows[key] = r
+	}
+	return r
+}
+
+// snapshot returns the bucket's committed rows in key order, building the
+// snapshot with one allocation when a change has dropped it.
+func (b *bucket) snapshot() []KV {
+	if b.sorted == nil {
+		s := make([]KV, 0, len(b.rows))
+		for k, r := range b.rows {
+			if r.exists {
+				s = append(s, KV{Key: k, Val: r.val})
+			}
+		}
+		slices.SortFunc(s, byKey)
+		b.sorted = s
+	}
+	return b.sorted
 }
 
 // row is one stored row with its lock state. epoch records the global

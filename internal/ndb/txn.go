@@ -2,6 +2,7 @@ package ndb
 
 import (
 	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -844,7 +845,7 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 // releaseAll releases every lock the transaction holds.
 func (t *Txn) releaseAll() {
 	for _, lr := range t.locks {
-		if r, ok := lr.part.rows[lr.pk][lr.key]; ok {
+		if r := lr.part.lookup(lr.pk, lr.key); r != nil {
 			r.lock.release(t.id)
 			lr.part.cleanRow(lr.pk, lr.key, r)
 		}
@@ -853,52 +854,59 @@ func (t *Txn) releaseAll() {
 }
 
 // scanPrefix returns committed rows of one partition-key bucket with the
-// given key prefix, key-sorted.
+// given key prefix, key-sorted: a window of the bucket's snapshot, capped so
+// that a caller's append copies instead of writing into the snapshot.
 func (p *Partition) scanPrefix(pk, prefix string) []KV {
-	bucket := p.rows[pk]
-	out := make([]KV, 0, len(bucket))
-	for k, r := range bucket {
-		if r.exists && strings.HasPrefix(k, prefix) {
-			out = append(out, KV{Key: k, Val: r.val})
-		}
+	b := p.rows[pk]
+	if b == nil {
+		return nil
 	}
-	slices.SortFunc(out, byKey)
-	return out
+	s := b.snapshot()
+	lo := sort.Search(len(s), func(i int) bool { return s[i].Key >= prefix })
+	hi := lo + sort.Search(len(s)-lo, func(i int) bool { return !strings.HasPrefix(s[lo+i].Key, prefix) })
+	return s[lo:hi:hi]
 }
 
 // byKey orders scanned rows by key; keys are unique within a table.
 func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
 
+// lookup returns a row, nil when the partition holds none under pk/key.
+func (p *Partition) lookup(pk, key string) *row {
+	if b := p.rows[pk]; b != nil {
+		return b.rows[key]
+	}
+	return nil
+}
+
 // committed returns the committed value of a row.
 func (p *Partition) committed(pk, key string) (Value, bool) {
-	r, ok := p.rows[pk][key]
-	if !ok || !r.exists {
+	r := p.lookup(pk, key)
+	if r == nil || !r.exists {
 		return nil, false
 	}
 	return r.val, true
 }
 
+// bucketOf returns pk's bucket, creating it empty.
+func (p *Partition) bucketOf(pk string) *bucket {
+	b, ok := p.rows[pk]
+	if !ok {
+		b = &bucket{rows: make(map[string]*row)}
+		p.rows[pk] = b
+	}
+	return b
+}
+
 // getRow returns the row, creating a placeholder for lock acquisition if
 // the row does not exist yet (insert path).
-func (p *Partition) getRow(pk, key string) *row {
-	bucket, ok := p.rows[pk]
-	if !ok {
-		bucket = make(map[string]*row)
-		p.rows[pk] = bucket
-	}
-	r, ok := bucket[key]
-	if !ok {
-		r = &row{}
-		bucket[key] = r
-	}
-	return r
-}
+func (p *Partition) getRow(pk, key string) *row { return p.bucketOf(pk).row(key) }
 
 // apply makes a staged write the committed value, stamped with the
 // current global checkpoint epoch, and releases txn's lock on the row when
 // release is set; a row whose lock is kept stays until releaseAll.
 func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
-	r := p.getRow(w.pk, w.key)
+	b := p.bucketOf(w.pk)
+	r := b.row(w.key)
 	if w.del {
 		r.exists = false
 		r.val = nil
@@ -906,6 +914,7 @@ func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
 		r.exists = true
 		r.val = w.val
 	}
+	b.sorted = nil
 	r.epoch = p.table.c.gcpEpoch
 	if release {
 		r.lock.release(txn)
@@ -917,6 +926,6 @@ func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
 // lock state, bounding memory.
 func (p *Partition) cleanRow(pk, key string, r *row) {
 	if !r.exists && r.lock.idle() {
-		delete(p.rows[pk], key)
+		delete(p.rows[pk].rows, key)
 	}
 }

@@ -449,7 +449,7 @@ func TestWriteIsPrepare(t *testing.T) {
 		}
 		part := tbl.partitionFor("p")
 		for _, key := range []string{"old", "new"} {
-			if mode := part.rows["p"][key].lock.held(tx.id); mode != LockExclusive {
+			if mode := part.lookup("p", key).lock.held(tx.id); mode != LockExclusive {
 				t.Errorf("row %q held in mode %d after WriteBatch, want exclusive", key, mode)
 			}
 		}
@@ -692,7 +692,7 @@ func TestRefusedInsertLeavesNothing(t *testing.T) {
 			t.Errorf("serial=%v: %d transactions in flight, active operations %v", serial, n, c.activeOps)
 		}
 		for _, fresh := range [][2]string{{sibling, "fresh-sibling"}, {own, "fresh-own"}} {
-			if r, ok := tbl.partitionFor(fresh[0]).rows[fresh[0]][fresh[1]]; ok {
+			if r := tbl.partitionFor(fresh[0]).lookup(fresh[0], fresh[1]); r != nil {
 				t.Errorf("serial=%v: placeholder row %s/%s survives the abort: %+v", serial, fresh[0], fresh[1], r)
 			}
 		}

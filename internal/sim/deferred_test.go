@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -233,5 +235,68 @@ func TestMixedFluidAndBlockingDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("mixed runs diverge: %v vs %v", a, b)
+	}
+}
+
+// TestChargeKeepsLeastLoadedUnit drives random charges at random instants
+// against a shadow of the per-unit horizons kept the linear way: each charge
+// books the unit with the earliest horizon (ties to the lowest index), and
+// after it the resource's cached least-loaded unit is the linear scan's
+// choice and Backlog is that unit's horizon past the clock, or zero.
+func TestChargeKeepsLeastLoadedUnit(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		env := New(seed)
+		rng := rand.New(rand.NewSource(seed))
+		res := NewResource(env, "pool", 1+rng.Intn(5))
+		shadow := make([]time.Duration, res.Capacity())
+		scan := func() int {
+			mi := 0
+			for i, h := range shadow {
+				if h < shadow[mi] {
+					mi = i
+				}
+			}
+			return mi
+		}
+		charges := 0
+		for at := time.Duration(0); at < 200*time.Microsecond; at += time.Duration(rng.Intn(8)) * time.Microsecond {
+			// Durations on a coarse grid, some not positive, so horizons tie.
+			ds := make([]time.Duration, rng.Intn(4))
+			for i := range ds {
+				ds[i] = time.Duration(rng.Intn(6)-1) * 5 * time.Microsecond
+			}
+			env.At(at, func() {
+				for _, d := range ds {
+					want := env.Now()
+					if d > 0 {
+						mi := scan()
+						shadow[mi] = max(shadow[mi], env.Now()) + d
+						want = shadow[mi]
+					}
+					if end := res.Charge(d); end != want {
+						t.Fatalf("seed %d: Charge(%v) at %v ends at %v, want %v", seed, d, env.Now(), end, want)
+					}
+					charges++
+					if res.nextFree == nil {
+						continue
+					}
+					if !slices.Equal(res.nextFree, shadow) {
+						t.Fatalf("seed %d: horizons %v, want %v", seed, res.nextFree, shadow)
+					}
+					if mi := scan(); res.least != mi {
+						t.Fatalf("seed %d: cached least-loaded unit %d, linear scan %d of %v", seed, res.least, mi, shadow)
+					}
+					want = max(shadow[scan()]-env.Now(), 0)
+					if got := res.Backlog(); got != want {
+						t.Fatalf("seed %d: Backlog %v at %v, want %v", seed, got, env.Now(), want)
+					}
+				}
+			})
+		}
+		env.Run()
+		env.Close()
+		if charges == 0 {
+			t.Fatalf("seed %d: no charges ran", seed)
+		}
 	}
 }

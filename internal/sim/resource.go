@@ -17,9 +17,11 @@ type Resource struct {
 	busy       int64
 	lastChange time.Duration
 
-	// Fluid-service state (Charge): per-unit busy horizons and the
-	// scheduled-service integral.
+	// Fluid-service state (Charge): per-unit busy horizons, the index of
+	// the least-loaded unit (the earliest horizon, ties to the lowest
+	// index) and the scheduled-service integral.
 	nextFree  []time.Duration
+	least     int
 	fluidBusy int64
 }
 
@@ -93,10 +95,11 @@ func (r *Resource) Charge(d time.Duration) time.Duration {
 	if r.nextFree == nil {
 		r.nextFree = make([]time.Duration, r.capacity)
 	}
-	mi := r.leastLoaded()
-	r.nextFree[mi] = max(r.nextFree[mi], r.env.now) + d
+	end := max(r.nextFree[r.least], r.env.now) + d
+	r.nextFree[r.least] = end
 	r.fluidBusy += int64(d)
-	return r.nextFree[mi]
+	r.least = r.leastLoaded()
+	return end
 }
 
 // UseDeferred charges d of service for p, starting no earlier than p's
@@ -127,11 +130,7 @@ func (r *Resource) Backlog() time.Duration {
 	if r.nextFree == nil {
 		return 0
 	}
-	mi := r.leastLoaded()
-	if r.nextFree[mi] <= r.env.now {
-		return 0
-	}
-	return r.nextFree[mi] - r.env.now
+	return max(r.nextFree[r.least]-r.env.now, 0)
 }
 
 // BusyIntegral returns the cumulative busy time in unit-nanoseconds up to
