@@ -14,19 +14,20 @@ import (
 // TestGridPointAllocCeiling pins the steady-state allocations of a full grid
 // point (the shape every sweep experiment measures), per served virtual
 // operation, with heat attached. A warm operation allocates little beyond
-// what it returns or stores — its target's row key, the rows it
-// writes; its storage transaction is the one the previous operation's InTx
-// freed, its commit train sits in that transaction, its row locks in the
-// rows, and a scan is a window of its bucket's sorted snapshot — so the
-// unsharded point measures 3.31 (history/BENCH_8.json holds the
-// kernel's trajectory). The two-shard point adds the routed path — a pooled
-// dispatcher per transaction, which also holds the gather buffers of a read
-// batch that spans shards — but an inode's id names its own row's shard, so
-// a path resolves on one shard and the point measures 3.35, close to the
-// unsharded one. The AZ-unaware HopsFS (3,3) point is the one whose
-// Completes are fire-and-forget (no Read Backup); it measures 3.87. Each
-// ceiling is 1.5x its measurement or more: a lost pool, a cached key rebuilt
-// per operation or a reintroduced per-event allocation fails it.
+// what it returns or stores — the rows it writes: it addresses a row by its
+// parent's cached children partition and its name, so it builds no key; its
+// storage transaction is the one the previous operation's InTx freed, its
+// commit train sits in that transaction, its row locks in the rows, and a
+// scan is a window of its bucket's sorted snapshot — so the unsharded point
+// measures 1.83 (history/BENCH_8.json holds the kernel's trajectory). The
+// two-shard point adds the routed path — a pooled dispatcher per
+// transaction, which also holds the gather buffers of a read batch that spans
+// shards — but an inode's id names its own row's shard, so a path resolves on
+// one shard and the point measures 1.87, close to the unsharded one. The
+// AZ-unaware HopsFS (3,3) point is the one whose Completes are
+// fire-and-forget (no Read Backup); it measures 2.12. Each ceiling is about
+// 1.5x its measurement: a lost pool, a row key built per operation or a
+// reintroduced per-event allocation fails it.
 //
 // It also pins the kernel's switches: coroutine resumes per virtual op, which
 // repeat bit for bit per seed. A fan-out arm that cannot block is a stackless
@@ -49,9 +50,9 @@ func TestGridPointAllocCeiling(t *testing.T) {
 		ceiling float64
 		resumes float64
 	}{
-		{"unsharded", "HopsFS-CL (3,3)", 1, 5.5, 9.0},
-		{"shards=2", "HopsFS-CL (3,3)", 2, 5.7, 9.1},
-		{"az-unaware", "HopsFS (3,3)", 1, 6.5, 11.2},
+		{"unsharded", "HopsFS-CL (3,3)", 1, 2.8, 9.0},
+		{"shards=2", "HopsFS-CL (3,3)", 2, 2.8, 9.1},
+		{"az-unaware", "HopsFS (3,3)", 1, 3.2, 11.2},
 	} {
 		t.Run(pt.name, func(t *testing.T) {
 			setup, ok := core.SetupByName(pt.setup)

@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -186,19 +187,19 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 	// No doubled inode (an id under two names, or a name holding a row on two
 	// shards) and no orphan (a row whose parent directory is not there).
 	byID := map[uint64]*namenode.Inode{namenode.RootID: nil}
-	names := map[string]int{}
+	names := map[[2]string]int{}
 	var all []*namenode.Inode
 	for _, db := range d.MetaClusters() {
-		db.Table("inodes").ForEachCommitted(func(_, key string, val ndb.Value) {
+		db.Table("inodes").ForEachCommitted(func(pk, key string, val ndb.Value) {
 			ino := val.(*namenode.Inode)
 			if ino.ID == namenode.RootID {
 				return
 			}
 			if _, dup := byID[ino.ID]; dup {
-				t.Errorf("inode %d is stored twice (again at %s)", ino.ID, key)
+				t.Errorf("inode %d is stored twice (again at %s|%s)", ino.ID, pk, key)
 			}
 			byID[ino.ID] = ino
-			names[key]++
+			names[[2]string{pk, key}]++
 			all = append(all, ino)
 		})
 	}
@@ -208,7 +209,7 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 		if !ok || (ino.Parent != namenode.RootID && !parent.Dir) {
 			t.Errorf("inode %d (%q) is an orphan: no directory %d", ino.ID, ino.Name, ino.Parent)
 		}
-		if n := names[fmt.Sprintf("%d/%s", ino.Parent, ino.Name)]; n != 1 {
+		if n := names[inodeAddr(ino.Parent, ino.Name)]; n != 1 {
 			t.Errorf("name %d/%s holds %d rows", ino.Parent, ino.Name, n)
 		}
 		if len(ino.Name) > 1 && ino.Name[0] == 'n' {
@@ -218,6 +219,17 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 	if winners != rounds {
 		t.Errorf("%d contested names are stored, want %d", winners, rounds)
 	}
+}
+
+// inodeAddr is where name's inode row under parent is stored: its partition
+// key and its row key. Below the root a directory's children share the
+// partition "<parent>" and the name picks the row; a child of "/" sits alone
+// in the partition "c:<name>" under the table-unique key "1/<name>".
+func inodeAddr(parent uint64, name string) [2]string {
+	if parent == namenode.RootID {
+		return [2]string{"c:" + name, "1/" + name}
+	}
+	return [2]string{strconv.FormatUint(parent, 10), name}
 }
 
 // TestRacingUpdates: an update reads its target nowhere but at its chain's

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -60,13 +59,13 @@ func runRenameWindow(t *testing.T, srcShard, dstShard int) {
 	defer d.Close()
 	nns := d.NS.NameNodes()
 	const src, dst = "/w/src/f", "/w/dst/f"
-	var srcKey, dstKey string
+	var srcKey, dstKey [2]string
 	// stored reports whether a row is committed on a shard, read from
 	// storage directly.
-	stored := func(shard int, key string) bool {
+	stored := func(shard int, addr [2]string) bool {
 		found := false
-		d.MetaClusters()[shard].Table("inodes").ForEachCommitted(func(_, k string, _ ndb.Value) {
-			found = found || k == key
+		d.MetaClusters()[shard].Table("inodes").ForEachCommitted(func(pk, k string, _ ndb.Value) {
+			found = found || [2]string{pk, k} == addr
 		})
 		return found
 	}
@@ -115,7 +114,7 @@ func runRenameWindow(t *testing.T, srcShard, dstShard int) {
 				return
 			}
 		}
-		srcKey, dstKey = fmt.Sprintf("%d/f", ids["/w/src"]), fmt.Sprintf("%d/f", ids["/w/dst"])
+		srcKey, dstKey = inodeAddr(ids["/w/src"], "f"), inodeAddr(ids["/w/dst"], "f")
 		if _, err := nns[0].Create(p, src, 0); err != nil {
 			t.Error(err)
 			return

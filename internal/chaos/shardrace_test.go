@@ -209,18 +209,17 @@ func runRenameCrashRace(t *testing.T, seed int64, victim int) int {
 	// Storage-level audit: each file exists exactly once across the two
 	// shards, under exactly one of its two possible parents, and no
 	// conflict-parked duplicate rows linger.
-	rows := make(map[string]int)
+	rows := make(map[[2]string]int)
 	for s := 0; s < 2; s++ {
-		d.MetaClusters()[s].Table("inodes").ForEachCommitted(func(_, key string, _ ndb.Value) {
-			rows[key]++
+		d.MetaClusters()[s].Table("inodes").ForEachCommitted(func(pk, key string, _ ndb.Value) {
+			rows[[2]string{pk, key}]++
 			if strings.Contains(key, "~dup") {
 				t.Errorf("shard %d holds conflict-parked duplicate row %q", s, key)
 			}
 		})
 	}
 	for i := 0; i < files; i++ {
-		srcKey := fmt.Sprintf("%d/%s", srcID, name(i))
-		dstKey := fmt.Sprintf("%d/%s", dstID, name(i))
+		srcKey, dstKey := inodeAddr(srcID, name(i)), inodeAddr(dstID, name(i))
 		n := rows[srcKey] + rows[dstKey]
 		if n != 1 {
 			t.Errorf("file %s exists %d times (src=%d dst=%d), want exactly 1",

@@ -10,14 +10,14 @@ import (
 )
 
 // TestWarmOpAllocs pins what a warm operation allocates: on a namenode whose
-// hint cache holds every directory of the path, a depth-3 operation keys its
-// rows from the cache's entries, builds the key of any other row once for all
-// its reads and writes of that row, takes its requests and chain from the
-// operation's pooled scratch, stages its writes in the transaction's inline
-// commit train and takes its row locks in the rows' inline holder slots,
-// reuses the storage transaction the previous operation's InTx freed, and
-// allocates only what it returns or stores. Excluded under -race, whose
-// instrumentation allocates.
+// hint cache holds every directory of the path, a depth-3 operation addresses
+// each row by its parent's cached children partition and its own name, a
+// substring of the operation's path, so it builds no key; it takes its
+// requests and chain from the operation's pooled scratch, stages its writes
+// in the transaction's inline commit train and takes its row locks in the
+// rows' inline holder slots, reuses the storage transaction the previous
+// operation's InTx freed, and allocates only what it returns or stores.
+// Excluded under -race, whose instrumentation allocates.
 func TestWarmOpAllocs(t *testing.T) {
 	h := newHarness(t)
 	h.db.StopBackground()
@@ -58,31 +58,27 @@ func TestWarmOpAllocs(t *testing.T) {
 			want float64
 			run  func(i int) error
 		}{
-			// The target file's row key.
-			{"stat", 1, func(int) error { _, err := nn.Stat(p, "/a/b/f"); return err }},
+			// Nothing: the resolve's batch is keyed from the cache and the
+			// chain is carved from the scratch.
+			{"stat", 0, func(int) error { _, err := nn.Stat(p, "/a/b/f"); return err }},
 			// The same: the share lock rides the batch and is held in the
 			// transaction.
-			{"getBlockLocations", 1, func(int) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }},
-			// The listing: the scan returns a window of the directory
-			// bucket's key-sorted snapshot, and the listed directory is
-			// cached, so no key is built.
+			{"getBlockLocations", 0, func(int) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }},
+			// The listing returned: the scan itself is the directory bucket's
+			// key-sorted snapshot, whole.
 			{"list", 1, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
-			// The file's row key — built for the resolve's read and reused
-			// for the write — and the new inode value, which the edit makes
-			// at the row's chain head.
-			{"setPermission", 2, func(int) error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
-			// The new inode, its row key, and the row itself, stored under its
-			// key when the insert's lock is taken.
-			{"create", 3, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
-			// The same three for a directory.
-			{"mkdir", 3, func(i int) error { return nn.Mkdir(p, dirs[i], 0o755) }},
-			// The file's row key, built for the write; the deleted row leaves
-			// its partition.
-			{"delete", 1, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
-			// The source's row key (read in the resolve's batch, then locked
-			// and written), the destination's row key, the moved inode, and the
-			// destination's row.
-			{"same-directory rename", 4, func(i int) error { return nn.Rename(p, flip[i%2], flip[(i+1)%2]) }},
+			// The new inode value, which the edit makes at the row's chain
+			// head.
+			{"setPermission", 1, func(int) error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
+			// The new inode and the row itself, stored under its name when
+			// the insert's lock is taken.
+			{"create", 2, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
+			// The same two for a directory.
+			{"mkdir", 2, func(i int) error { return nn.Mkdir(p, dirs[i], 0o755) }},
+			// Nothing: the deleted row leaves its partition.
+			{"delete", 0, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
+			// The moved inode and the destination's row.
+			{"same-directory rename", 2, func(i int) error { return nn.Rename(p, flip[i%2], flip[(i+1)%2]) }},
 		} {
 			var err error
 			i := 0
@@ -128,9 +124,9 @@ func TestWarmClientOpAllocs(t *testing.T) {
 			want float64
 			run  func() error
 		}{
-			{"stat", 1, func() error { _, err := cl.Stat(p, "/a/b/f"); return err }},
+			{"stat", 0, func() error { _, err := cl.Stat(p, "/a/b/f"); return err }},
 			{"list", 1, func() error { _, err := cl.List(p, "/a/b"); return err }},
-			{"setPermission", 2, func() error { return cl.SetPermission(p, "/a/b/f", 0o600) }},
+			{"setPermission", 1, func() error { return cl.SetPermission(p, "/a/b/f", 0o600) }},
 		} {
 			var err error
 			allocs := testing.AllocsPerRun(50, func() {

@@ -28,9 +28,9 @@ type opRules struct {
 // for the operation's life, retries included: the ids and hint entries its
 // batches are keyed from (ids as they were when the requests were built,
 // whatever the cache does meanwhile), the requests it hands to storage, the
-// backing its chains are carved from, and the keys of the last inode row it
-// addressed outside the hint cache. Nothing in it is reachable after op
-// returns: what an operation returns or stores is never carved from it.
+// backing its chains are carved from, and the partition key it built last
+// outside the hint cache. Nothing in it is reachable after op returns: what
+// an operation returns or stores is never carved from it.
 type opScratch struct {
 	next   *opScratch // in the NN's pool
 	ids    []uint64
@@ -40,7 +40,9 @@ type opScratch struct {
 	scans  []ndb.BatchScan
 	writes []ndb.BatchWrite
 	chains []*Inode
-	row    rowAddr
+	// pk is partKey(pkDir), the partition of pkDir's children, when pk is set.
+	pkDir uint64
+	pk    string
 	// edit is the change the operation's write asks its target row's chain
 	// head to make; the write carries a pointer to it.
 	edit inodeEdit
@@ -49,13 +51,6 @@ type opScratch struct {
 	// inode it unlinks is a directory: the hints under the name (and under
 	// dst) are then dropped after the commit.
 	unlinkedDir bool
-}
-
-// rowAddr is the partition and row key of name's inode row under parent.
-type rowAddr struct {
-	parent  uint64
-	name    string
-	pk, key string
 }
 
 // inodeEdit is the ndb.Editor of an operation on one existing inode: the
@@ -189,7 +184,7 @@ func (nn *NameNode) dirHint(fp fsPath, n int, name string) string {
 		return partKeyOf(RootID, name)
 	}
 	if e := nn.cache.lookup(fp.prefix(n)); e != nil {
-		return e.childPrefix[:len(e.childPrefix)-1]
+		return e.children
 	}
 	// Unresolved directory: hint with the top-level component's partition,
 	// which names the shard of the whole subtree below it.
@@ -197,21 +192,34 @@ func (nn *NameNode) dirHint(fp fsPath, n int, name string) string {
 }
 
 // rowOf addresses name's inode row under the directory parent, as inodeRow
-// does, but takes the keys ready-made from the hint entry of the row's own
-// directory when the operation's batches were keyed from it, or from sc.row
-// when the operation built them last: an update reads its target in its
-// resolve, then writes it, and builds the row's keys once for both.
+// does: below the root by parent's children partition (childPart) and the
+// name, a substring of the operation's path; a child of "/" by its own entry.
 func (nn *NameNode) rowOf(sc *opScratch, parent uint64, name string) (*ndb.Table, string, string) {
+	if parent == RootID {
+		for _, e := range sc.dirs {
+			if e.parent == RootID && e.name() == name {
+				return nn.ns.inodes.For(e.partKey), e.partKey, e.key
+			}
+		}
+		return nn.ns.inodeRow(parent, name)
+	}
+	pk := sc.childPart(parent)
+	return nn.ns.inodes.For(pk), pk, name
+}
+
+// childPart is the partition key of dir's children: from dir's hint entry
+// when the operation's batches were keyed from it, else built once for the
+// operation's consecutive rows under dir (an update's read and write).
+func (sc *opScratch) childPart(dir uint64) string {
 	for _, e := range sc.dirs {
-		if e.parent == parent && e.name() == name {
-			return nn.ns.inodes.For(e.partKey), e.partKey, e.rowKey
+		if e.id == dir {
+			return e.children
 		}
 	}
-	if r := &sc.row; r.key == "" || r.parent != parent || r.name != name {
-		r.pk, r.key = rowKeys(parent, name)
-		r.parent, r.name = parent, name
+	if sc.pk == "" || sc.pkDir != dir {
+		sc.pkDir, sc.pk = dir, partKey(dir)
 	}
-	return nn.ns.inodes.For(sc.row.pk), sc.row.pk, sc.row.key
+	return sc.pk
 }
 
 // inodeDelete is the batched-write item deleting name's inode row under
@@ -933,19 +941,9 @@ func (nn *NameNode) listChildren(tx ndb.Tx, sc *opScratch, dirs []*Inode) ([]*In
 	}
 	sc.scans = sc.scans[:0]
 	for _, dir := range dirs {
-		// A directory's children share the partition "<id>" and the row-key
-		// prefix "<id>/", which its hint entry holds ready-made.
-		prefix := ""
-		for _, e := range sc.dirs {
-			if e.id == dir.ID {
-				prefix = e.childPrefix
-			}
-		}
-		if prefix == "" {
-			prefix = inodeKey(dir.ID, "")
-		}
-		pk := prefix[:len(prefix)-1]
-		sc.scans = append(sc.scans, ndb.BatchScan{Table: nn.ns.inodes.For(pk), PartKey: pk, Prefix: prefix})
+		// A directory's children are its partition's rows, all of them.
+		pk := sc.childPart(dir.ID)
+		sc.scans = append(sc.scans, ndb.BatchScan{Table: nn.ns.inodes.For(pk), PartKey: pk})
 	}
 	results, err := tx.ScanBatch(sc.scans)
 	if err != nil {

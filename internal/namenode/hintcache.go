@@ -13,15 +13,15 @@ import (
 // HopsFS NNs cache resolved path prefixes so transactions can (a) start at
 // the right partition (the partition-key hint) and (b) batch the whole
 // chain of inode reads optimistically. Both uses need a directory's id — it
-// is the partition key and the row-key prefix of its children — and neither
-// ever needs a file's, which keys no row: only directories are cached
-// (NameNode.remember). Entries may go stale — another NN can rename or
-// delete the cached inode at any time — so every consumer must verify what
-// it reads against the committed rows and fall back to the serial walk on
-// mismatch; the cache is a performance hint, never an authority. A locally
-// committed Rename or Delete of a directory invalidates its subtree by
-// prefix so the common case stays fresh; unlinking a file has nothing to
-// invalidate, which keeps the whole-map walk off the mutation hot path.
+// is the partition key of its children — and neither ever needs a file's,
+// which keys no row: only directories are cached (NameNode.remember).
+// Entries may go stale — another NN can rename or delete the cached inode
+// at any time — so every consumer must verify what it reads against the
+// committed rows and fall back to the serial walk on mismatch; the cache is
+// a performance hint, never an authority. A locally committed Rename or
+// Delete of a directory invalidates its subtree by prefix so the common case
+// stays fresh; unlinking a file has nothing to invalidate, which keeps the
+// whole-map walk off the mutation hot path.
 //
 // The cache is not a shared structure between simulated operations in the
 // way real concurrent maps are: the simulation kernel runs processes
@@ -36,17 +36,17 @@ type hintCache struct {
 	size *trace.Gauge
 }
 
-// hintEntry is one cached directory: its path → inode-id mapping, the row
-// keys it implies — built when its id or parent changes, gone when it goes —
-// and its links in the recency list.
+// hintEntry is one cached directory: its path → inode-id mapping, the keys
+// it implies — built when its id or parent changes, gone when it goes — and
+// its links in the recency list.
 type hintEntry struct {
 	path       string
 	id, parent uint64
-	// partKey and rowKey address the directory's own inode row (inodeRow
-	// of its parent and name); childPrefix is "<id>/", the row-key prefix
-	// of its children.
-	partKey, rowKey, childPrefix string
-	prev, next                   *hintEntry // more, less recently used
+	// children is "<id>", the partition key of the directory's children. A
+	// child of "/" is addressed by no other entry: partKey and key hold its
+	// own row's keys (partKeyOf, inodeKey), empty below the root.
+	children, partKey, key string
+	prev, next             *hintEntry // more, less recently used
 }
 
 // name is the directory's name under its parent: path's last component.
@@ -98,9 +98,12 @@ func (hc *hintCache) put(path string, id, parent uint64) {
 		}
 		hc.size.Set(float64(len(hc.items)))
 	}
-	if e.childPrefix == "" || e.id != id || e.parent != parent {
-		e.id, e.parent, e.childPrefix = id, parent, inodeKey(id, "")
-		e.partKey, e.rowKey = rowKeys(parent, e.name())
+	if e.children == "" || e.id != id || e.parent != parent {
+		e.partKey, e.key = "", ""
+		if parent == RootID {
+			e.partKey, e.key = partKeyOf(parent, e.name()), inodeKey(parent, e.name())
+		}
+		e.id, e.parent, e.children = id, parent, partKey(id)
 	}
 }
 

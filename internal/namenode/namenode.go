@@ -542,28 +542,24 @@ func partKeyOf(parent uint64, name string) string {
 	return partKey(parent)
 }
 
-// inodeKey is the row key of an inode under its parent, built in one
-// allocation.
+// inodeKey is the row key of name's inode row under parent. A row key is
+// unique only within its partition key, as in the smallfiles and quotas
+// tables: a directory's children share the partition "<parent>", and the
+// name alone picks the row within it. A child of "/" sits alone in its own
+// partition (partKeyOf) and keeps a key unique in the table, "1/<name>", so
+// the root listing finds the root's children by key prefix across partitions.
 func inodeKey(parent uint64, name string) string {
-	var buf [64]byte
-	return string(append(append(strconv.AppendUint(buf[:0], parent, 10), '/'), name...))
-}
-
-// rowKeys is partKeyOf and inodeKey of name under parent. Below the root the
-// partition key is the row key's head, so the pair costs one allocation.
-func rowKeys(parent uint64, name string) (pk, key string) {
-	key = inodeKey(parent, name)
 	if parent == RootID {
-		return partKeyOf(parent, name), key
+		return "1/" + name
 	}
-	return key[:len(key)-len(name)-1], key
+	return name
 }
 
 // inodeRow addresses the inode row of name under parent: the owning shard's
 // inodes table, the partition key and the row key.
 func (ns *Namesystem) inodeRow(parent uint64, name string) (*ndb.Table, string, string) {
-	pk, key := rowKeys(parent, name)
-	return ns.inodes.For(pk), pk, key
+	pk := partKeyOf(parent, name)
+	return ns.inodes.For(pk), pk, inodeKey(parent, name)
 }
 
 // partOf addresses the partition of table set ts keyed by an inode's own

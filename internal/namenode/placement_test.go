@@ -32,20 +32,21 @@ func buildSharded(t *testing.T, shards int) *core.Deployment {
 	return d
 }
 
-// forEachInode visits every committed inode row with the shard that stores it.
-func forEachInode(d *core.Deployment, fn func(s int, key string, ino *namenode.Inode)) {
+// forEachInode visits every committed inode row, addressed by its partition
+// key and row key, with the shard that stores it.
+func forEachInode(d *core.Deployment, fn func(s int, pk, key string, ino *namenode.Inode)) {
 	for s, db := range d.MetaClusters() {
-		db.Table("inodes").ForEachCommitted(func(_, key string, val ndb.Value) {
-			fn(s, key, val.(*namenode.Inode))
+		db.Table("inodes").ForEachCommitted(func(pk, key string, val ndb.Value) {
+			fn(s, pk, key, val.(*namenode.Inode))
 		})
 	}
 }
 
-// shardOfRow returns the shard storing the inode row key, or -1.
-func shardOfRow(d *core.Deployment, key string) int {
+// shardOfRow returns the shard storing the inode row (pk, key), or -1.
+func shardOfRow(d *core.Deployment, pk, key string) int {
 	at := -1
-	forEachInode(d, func(s int, k string, _ *namenode.Inode) {
-		if k == key {
+	forEachInode(d, func(s int, p, k string, _ *namenode.Inode) {
+		if p == pk && k == key {
 			at = s
 		}
 	})
@@ -63,12 +64,12 @@ func TestInodeIDNamesItsRowShard(t *testing.T) {
 			d := buildSharded(t, shards)
 			rows := make([]int, shards)
 			total := 0
-			forEachInode(d, func(s int, key string, ino *namenode.Inode) {
+			forEachInode(d, func(s int, pk, key string, ino *namenode.Inode) {
 				rows[s]++
 				total++
 				if ino.ID != namenode.RootID && ino.ID%uint64(shards) != uint64(s) {
-					t.Errorf("inode %d (row %s) is stored on shard %d, but its id names shard %d",
-						ino.ID, key, s, ino.ID%uint64(shards))
+					t.Errorf("inode %d (row %s/%s) is stored on shard %d, but its id names shard %d",
+						ino.ID, pk, key, s, ino.ID%uint64(shards))
 				}
 			})
 			fair := float64(total) / float64(shards)
@@ -183,13 +184,13 @@ func TestPinnedSubtreeFollowsWithoutPin(t *testing.T) {
 			if !done {
 				t.Fatal("pinner did not finish")
 			}
-			if s := shardOfRow(d, fmt.Sprintf("%d/d", top.ID)); s != pinned {
+			if s := shardOfRow(d, fmt.Sprint(top.ID), "d"); s != pinned {
 				t.Errorf("/pinned/d is stored on shard %d, want the pinned %d", s, pinned)
 			}
 			if s := int(sub.ID % uint64(shards)); s != pinned {
 				t.Errorf("/pinned/d has id %d, naming shard %d, want the pinned %d", sub.ID, s, pinned)
 			}
-			if s := shardOfRow(d, fmt.Sprintf("%d/f", sub.ID)); s != pinned {
+			if s := shardOfRow(d, fmt.Sprint(sub.ID), "f"); s != pinned {
 				t.Errorf("/pinned/d/f is stored on shard %d, want the pinned %d", s, pinned)
 			}
 		})

@@ -22,7 +22,9 @@ import (
 // matching the level of fidelity of the rest of the model (HopsFS recomputes
 // asynchronously; nothing downstream consumes cross-boundary moves).
 
-// Row keys within a directory's quotas partition.
+// Row keys within a partition. In the smallfiles, quotas and inodes tables
+// a key is unique only within its partition key, an inode id, but for a
+// child of "/": alone in its partition, it is keyed "1/<name>" (inodeKey).
 const (
 	// smallFileKey is the single data row of an inline small file, in the
 	// smallfiles table partition keyed by the file's own inode id.

@@ -127,9 +127,14 @@ func checkHintEntries(t *testing.T, hc *hintCache, last map[string][2]uint64) {
 		if last[path] != [2]uint64{e.id, e.parent} {
 			t.Errorf("entry %s holds id %d, parent %d; last put %v", path, e.id, e.parent, last[path])
 		}
-		if e.path != path || e.rowKey != inodeKey(e.parent, name) || e.partKey != partKeyOf(e.parent, name) ||
-			e.childPrefix != partKey(e.id)+"/" {
-			t.Errorf("entry %s (id %d, parent %d): keys %q %q %q", path, e.id, e.parent, e.rowKey, e.partKey, e.childPrefix)
+		// A child of "/" holds its own row's keys; below the root its row is
+		// addressed by its parent's children partition and its name.
+		pk, key := "", ""
+		if e.parent == RootID {
+			pk, key = partKeyOf(e.parent, name), inodeKey(e.parent, name)
+		}
+		if e.path != path || e.key != key || e.partKey != pk || e.children != partKey(e.id) {
+			t.Errorf("entry %s (id %d, parent %d): keys %q %q %q", path, e.id, e.parent, e.key, e.partKey, e.children)
 		}
 	}
 	n := 0

@@ -71,7 +71,8 @@ type Partition struct {
 	primary int // index into the node group's slice
 	// rows buckets by partition key: all rows of one partition key (e.g.
 	// one directory's children) live in one bucket, so partition-pruned
-	// scans touch only the relevant bucket.
+	// scans touch only the relevant bucket. Within a bucket the row key
+	// picks the row; two buckets may hold the same key.
 	rows map[string]*bucket
 
 	// reads counts served reads per replica slot (0 = current primary's

@@ -867,7 +867,10 @@ func (p *Partition) scanPrefix(pk, prefix string) []KV {
 	return s[lo:hi:hi]
 }
 
-// byKey orders scanned rows by key; keys are unique within a table.
+// byKey orders scanned rows by key. A row is addressed by (partition key,
+// key), and a key is unique only within its partition key: that is all a
+// bucket's snapshot needs, and a scan across partition keys
+// (ScanTablePrefix) asks for a prefix whose keys are unique in the table.
 func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
 
 // lookup returns a row, nil when the partition holds none under pk/key.

@@ -118,7 +118,11 @@ func (t *Txn) ScanTablePrefix(table *ndb.Table, prefix string) ([]ndb.KV, error)
 	return out, nil
 }
 
-// byKey orders scanned rows by key; keys are unique within a table.
+// byKey orders scanned rows by key. In the inodes, smallfiles and quotas
+// tables a key is unique only within its partition key (a directory's
+// children are keyed by name), except for the children of "/": each sits
+// alone in its own partition under a key unique in the table, "1/<name>",
+// and those are the rows a table-prefix scan finds, so the order is total.
 func byKey(a, b ndb.KV) int { return strings.Compare(a.Key, b.Key) }
 
 // routeBatch is the one batch dispatcher. A batch whose rows all live on one
