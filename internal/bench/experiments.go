@@ -672,13 +672,11 @@ func Ablations(o ExpOptions) (string, error) {
 	tblB := metrics.NewTable("variant", "ops/s", "avg latency", "storage CPU")
 	for _, batching := range []bool{true, false} {
 		opts := pointOptions(o, setup, 48)
-		costs := ndb.DefaultCosts()
 		name := "batching ON (floor 0.30)"
 		if !batching {
-			costs.BatchFloor = 1.0 // no amortization under load
+			opts.NDBBatchFloor = 1.0 // no amortization under load
 			name = "batching OFF (floor 1.00)"
 		}
-		opts.NDBCosts = &costs
 		res, err := measure(opts, runConfigFor(o))
 		if err != nil {
 			return "", err

@@ -66,8 +66,6 @@ type Config struct {
 	// JournalReplication is the metadata-pool replication factor: each
 	// flush is written to this many OSDs (paper: 3).
 	JournalReplication int
-	// Costs are MDS/client CPU service demands.
-	Costs Costs
 }
 
 // The part of DefaultConfig's calibration that no setup varies.
@@ -83,26 +81,27 @@ const (
 	osdDiskBandwidth = 120e6
 )
 
-// Costs model the single-threaded MDS's service times.
-type Costs struct {
-	// MDSOp is the base cost of handling one request under the MDS global
-	// lock.
-	MDSOp time.Duration
-	// PerComponent is charged per path component resolved.
-	PerComponent time.Duration
-	// CapIssue is charged when granting a capability to a caching client.
-	CapIssue time.Duration
-	// CapRevokePerClient is charged per client notified when a mutation
+// The single-threaded MDS's and the client's calibrated service times.
+const (
+	// costMDSOp is the base cost of handling one request under the MDS
+	// global lock.
+	costMDSOp = 180 * time.Microsecond
+	// costPerComponent is charged per path component resolved.
+	costPerComponent = 8 * time.Microsecond
+	// costCapIssue is charged when granting a capability to a caching
+	// client.
+	costCapIssue = 12 * time.Microsecond
+	// costCapRevokePerClient is charged per client notified when a mutation
 	// invalidates cached capabilities.
-	CapRevokePerClient time.Duration
-	// ClientCacheHit is the end-to-end client cost of a kernel-cache hit:
-	// VFS + benchmark-tool overhead. Calibrated from the paper's own
+	costCapRevokePerClient = 10 * time.Microsecond
+	// costClientCacheHit is the end-to-end client cost of a kernel-cache
+	// hit: VFS + benchmark-tool overhead. Calibrated from the paper's own
 	// Figure 8 (CephFS-DirPinned average latency is ~1.9x below
 	// HopsFS-CL's ~1.4 ms, i.e. cached operations complete in ~0.7 ms).
-	ClientCacheHit time.Duration
-	// JournalFlushCPU is the MDS thread time consumed per flush.
-	JournalFlushCPU time.Duration
-}
+	costClientCacheHit = 700 * time.Microsecond
+	// costJournalFlushCPU is the MDS thread time consumed per flush.
+	costJournalFlushCPU = 2 * time.Millisecond
+)
 
 // DefaultConfig returns a configuration calibrated against the paper's
 // CephFS v13.2.4 measurements (≈4.2 kops/s per unloaded pinned MDS).
@@ -112,14 +111,6 @@ func DefaultConfig() Config {
 		Mode:               Dynamic,
 		KernelCache:        true,
 		JournalReplication: 3,
-		Costs: Costs{
-			MDSOp:              180 * time.Microsecond,
-			PerComponent:       8 * time.Microsecond,
-			CapIssue:           12 * time.Microsecond,
-			CapRevokePerClient: 10 * time.Microsecond,
-			ClientCacheHit:     700 * time.Microsecond,
-			JournalFlushCPU:    2 * time.Millisecond,
-		},
 	}
 }
 
@@ -304,7 +295,7 @@ func (m *MDS) journalLoop(p *sim.Proc) {
 		bytes := m.journalBytes
 		m.journalBytes = 0
 		m.cpu.Acquire(p, 1)
-		p.Sleep(m.c.cfg.Costs.JournalFlushCPU)
+		p.Sleep(costJournalFlushCPU)
 		reps := m.c.cfg.JournalReplication
 		if reps <= 0 {
 			reps = 1

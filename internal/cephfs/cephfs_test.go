@@ -297,8 +297,8 @@ func TestSingleThreadedMDSSerializesRequests(t *testing.T) {
 	if gap < 0 {
 		gap = -gap
 	}
-	if gap < c.cfg.Costs.MDSOp/2 {
-		t.Fatalf("two requests finished %v apart; MDS should serialize (op cost %v)", gap, c.cfg.Costs.MDSOp)
+	if gap < costMDSOp/2 {
+		t.Fatalf("two requests finished %v apart; MDS should serialize (op cost %v)", gap, costMDSOp)
 	}
 }
 

@@ -47,10 +47,10 @@ func (cl *Client) cached(p *sim.Proc, key string) bool {
 	if !cl.c.cfg.KernelCache || !cl.cache[key] {
 		return false
 	}
-	p.Sleep(cl.c.cfg.Costs.ClientCacheHit)
+	p.Sleep(costClientCacheHit)
 	cl.Ops++
 	cl.CacheHits++
-	cl.LatencySum += cl.c.cfg.Costs.ClientCacheHit
+	cl.LatencySum += costClientCacheHit
 	return true
 }
 
@@ -77,14 +77,13 @@ func (cl *Client) mdsOp(p *sim.Proc, comps []string, kind mutKind, cacheKey stri
 		p.Flush()
 		return ErrDown
 	}
-	costs := &cl.c.cfg.Costs
 	m.cpu.Acquire(p, 1)
-	p.Sleep(costs.MDSOp + time.Duration(len(comps))*costs.PerComponent)
+	p.Sleep(costMDSOp + time.Duration(len(comps))*costPerComponent)
 	if !cl.c.cfg.KernelCache {
 		// SkipKCache churn: the kernel client immediately drops the
 		// capabilities it is granted, so every operation additionally
 		// costs the MDS a grant/release round of cap processing.
-		p.Sleep(costs.MDSOp)
+		p.Sleep(costMDSOp)
 	}
 	err := apply()
 	m.Requests++
@@ -99,7 +98,7 @@ func (cl *Client) mdsOp(p *sim.Proc, comps []string, kind mutKind, cacheKey stri
 		// SkipKCache setup), the cap bookkeeping and later revocation
 		// fan-out remain ("the MDSs have to keep track of all clients
 		// capabilities", §V-A).
-		p.Sleep(costs.CapIssue)
+		p.Sleep(costCapIssue)
 		holders := m.caps[cacheKey]
 		if holders == nil {
 			holders = make(map[*Client]bool)
@@ -147,7 +146,7 @@ func (cl *Client) revokeCaps(p *sim.Proc, m *MDS, comps []string, namespaceChang
 		}
 		slices.SortFunc(holders, func(a, b *Client) int { return cmp.Compare(a.Node.ID(), b.Node.ID()) })
 		for _, holder := range holders {
-			p.Sleep(cl.c.cfg.Costs.CapRevokePerClient)
+			p.Sleep(costCapRevokePerClient)
 			cl.c.net.Send(m.Node, holder.Node, 64, nil)
 			delete(holder.cache, key)
 		}
@@ -313,7 +312,7 @@ func (cl *Client) Rename(p *sim.Proc, src, dst string) error {
 		if srcMDS != nil && dstOwner != nil && srcMDS != dstOwner {
 			// Cross-MDS rename: the destination MDS coordinates with the
 			// source subtree's MDS.
-			p.Sleep(cl.c.cfg.Costs.MDSOp)
+			p.Sleep(costMDSOp)
 			cl.c.net.Send(dstOwner.Node, srcMDS.Node, rpcReqSize, nil)
 		}
 		srcParent, err := cl.c.lookup(srcComps[:len(srcComps)-1])

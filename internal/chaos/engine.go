@@ -300,12 +300,7 @@ func (e *Engine) rejoinStragglers(p *sim.Proc) {
 			if e.downDNs[[2]int{s, i}] || e.downZones[dn.Node.Zone()] {
 				continue
 			}
-			switch {
-			case !dn.Alive():
-				db.Rejoin(p, dn)
-			case dn.DeclaredDead():
-				db.Reinstate(p, dn)
-			}
+			db.Rejoin(p, dn)
 		}
 	}
 }

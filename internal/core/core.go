@@ -112,9 +112,9 @@ type Options struct {
 	// DisableReadBackup turns the Read Backup table option off even on
 	// HopsFS-CL — the Figure 14 ablation isolating the feature.
 	DisableReadBackup bool
-	// NDBCosts overrides the storage engine's calibrated service demands
-	// (nil keeps ndb.DefaultCosts) — used by the batching ablation.
-	NDBCosts *ndb.Costs
+	// NDBBatchFloor overrides the storage engine's batching floor (0 keeps
+	// ndb.DefaultConfig's) — used by the batching ablation.
+	NDBBatchFloor float64
 	// DisableBatchedResolve forces the serial per-component path walk,
 	// ignoring the hint cache's batching opportunity — the ablation
 	// isolating batched path resolution.
@@ -259,8 +259,8 @@ func (d *Deployment) buildHops() error {
 	dbCfg.PartitionsPerTable = opts.PartitionsPerTable
 	dbCfg.AZAware = aware
 	dbCfg.DisableBatchedWrites = opts.DisableBatchedWrites
-	if opts.NDBCosts != nil {
-		dbCfg.Costs = *opts.NDBCosts
+	if opts.NDBBatchFloor > 0 {
+		dbCfg.BatchFloor = opts.NDBBatchFloor
 	}
 
 	// Build order: clusters, then the router over them, then the namesystem
@@ -330,7 +330,7 @@ func (d *Deployment) buildHops() error {
 		nnCfg.NNCores = opts.NNCores
 	}
 	if opts.NNOpBase > 0 {
-		nnCfg.Costs.OpBase = opts.NNOpBase
+		nnCfg.OpBase = opts.NNOpBase
 	}
 	if opts.NNElectionRound > 0 {
 		nnCfg.ElectionRound = opts.NNElectionRound

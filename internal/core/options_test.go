@@ -12,20 +12,26 @@ import (
 )
 
 // optionStructs are the config structs held to the rule "a field stays only
-// while some caller sets it": directory under the repository root, type name.
-var optionStructs = []struct{ dir, name string }{
-	{"internal/chaos", "Config"},
-	{"internal/namenode", "Config"},
-	{"internal/ndb", "Config"},
-	{"internal/blocks", "Config"},
-	{"internal/objstore", "Config"},
-	{"internal/heat", "Config"},
-	{"internal/cephfs", "Config"},
-	{"internal/autoscale", "Config"},
-	{"internal/bench", "ElasticOptions"},
-	{"internal/slo", "Spec"},
-	{"internal/slo", "ExemplarConfig"},
-	{"internal/core", "Options"},
+// while some caller sets it": directory under the repository root, type name,
+// and whether only production callers count — setters in _test.go files and
+// under examples/ do not (the rest still count tests; ROADMAP item 16 lists
+// their test-only fields).
+var optionStructs = []struct {
+	dir, name string
+	prodOnly  bool
+}{
+	{"internal/chaos", "Config", true},
+	{"internal/namenode", "Config", true},
+	{"internal/ndb", "Config", true},
+	{"internal/blocks", "Config", false},
+	{"internal/objstore", "Config", false},
+	{"internal/heat", "Config", false},
+	{"internal/cephfs", "Config", true},
+	{"internal/autoscale", "Config", false},
+	{"internal/bench", "ElasticOptions", false},
+	{"internal/slo", "Spec", false},
+	{"internal/slo", "ExemplarConfig", false},
+	{"internal/core", "Options", true},
 }
 
 // fieldSet is one place the source assigns something called name: a keyed
@@ -41,8 +47,9 @@ type fieldSet struct {
 // (tests, cmd/, examples/ and benchmark/ included) and requires, for each
 // exported field of optionStructs, a keyed-literal or selector assignment
 // outside the Default*/withDefaults functions of the file that declares the
-// struct. A field that fails is an option with one value in use: make it a
-// constant beside the code that reads it. Matching is by name, so a name
+// struct, and for a prodOnly struct outside tests and examples/. A field
+// that fails is an option with one value in use: make it a constant beside
+// the code that reads it. Matching is by name, so a name
 // several structs share (Window, Seed) is satisfied by any of them; a keyed
 // literal whose type is written out only counts for that type.
 func TestEveryOptionIsSetSomewhere(t *testing.T) {
@@ -119,6 +126,9 @@ func TestEveryOptionIsSetSomewhere(t *testing.T) {
 					continue
 				}
 				if a.file == declFile && (strings.HasPrefix(a.fn, "Default") || a.fn == "withDefaults") {
+					continue
+				}
+				if s.prodOnly && (strings.HasSuffix(a.file, "_test.go") || strings.HasPrefix(a.file, "examples/")) {
 					continue
 				}
 				if a.keyed && a.lit != "" && a.lit != pkg+"."+s.name && !(a.lit == s.name && path.Dir(a.file) == s.dir) {

@@ -625,7 +625,7 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn.cpu.UseDeferred(p, time.Duration(len(out))*nn.ns.cfg.Costs.PerListEntry)
+	nn.cpu.UseDeferred(p, time.Duration(len(out))*costPerListEntry)
 	return out, nil
 }
 

@@ -53,8 +53,6 @@ type hintEntry struct {
 func (e *hintEntry) name() string { return e.path[strings.LastIndexByte(e.path, '/')+1:] }
 
 // newHintCache returns an empty cache bounded to capacity entries.
-// A non-positive capacity disables caching entirely (every lookup misses,
-// every put is dropped) — useful for ablations.
 func newHintCache(capacity int) *hintCache {
 	hc := &hintCache{cap: capacity, items: make(map[string]*hintEntry)}
 	hc.lru.prev, hc.lru.next = &hc.lru, &hc.lru
@@ -84,9 +82,6 @@ func (hc *hintCache) peek(path string) *hintEntry { return hc.items[path] }
 // put inserts or refreshes the mapping of the directory at path to inode id
 // under parent, evicting the least recently used entry when full.
 func (hc *hintCache) put(path string, id, parent uint64) {
-	if hc.cap <= 0 {
-		return
-	}
 	e := hc.lookup(path)
 	if e == nil {
 		e = &hintEntry{path: path}

@@ -76,26 +76,25 @@ type Config struct {
 	NNCores int
 	// ElectionRound is the leader-election heartbeat period ([28]; 2 s).
 	ElectionRound time.Duration
-	// HintCacheSize bounds each NN's inode hint cache (path → inode id,
-	// LRU). Zero or negative disables the cache.
-	HintCacheSize int
 	// DisableBatchedResolve forces the serial per-component path walk even
 	// when the hint cache could prime a batched read — the ablation knob
 	// for the resolution protocol.
 	DisableBatchedResolve bool
-	// Costs are the NN CPU service demands.
-	Costs Costs
+	// OpBase is the NN CPU charged for any operation (RPC handling,
+	// validation).
+	OpBase time.Duration
 }
 
-// Costs model the metadata server's CPU work per operation.
-type Costs struct {
-	// OpBase is charged for any operation (RPC handling, validation).
-	OpBase time.Duration
-	// PerComponent is charged per resolved path component.
-	PerComponent time.Duration
-	// PerListEntry is charged per directory entry returned.
-	PerListEntry time.Duration
-}
+// The metadata server's calibrated CPU work beyond OpBase.
+const (
+	// costPerComponent is charged per resolved path component.
+	costPerComponent = 4 * time.Microsecond
+	// costPerListEntry is charged per directory entry returned.
+	costPerListEntry = 600 * time.Nanosecond
+)
+
+// hintCacheSize bounds each NN's inode hint cache (path → inode id, LRU).
+const hintCacheSize = 64 << 10
 
 // DefaultConfig returns the paper-aligned defaults.
 func DefaultConfig() Config {
@@ -103,12 +102,7 @@ func DefaultConfig() Config {
 		ReadBackup:    true,
 		NNCores:       32,
 		ElectionRound: 2 * time.Second,
-		HintCacheSize: 64 << 10,
-		Costs: Costs{
-			OpBase:       25 * time.Microsecond,
-			PerComponent: 4 * time.Microsecond,
-			PerListEntry: 600 * time.Nanosecond,
-		},
+		OpBase:        25 * time.Microsecond,
 	}
 }
 
@@ -489,7 +483,7 @@ func (ns *Namesystem) AddNameNode(zone simnet.ZoneID, host simnet.HostID, domain
 // start brings up what a stateless server has: an empty hint cache and its
 // leader-election process.
 func (nn *NameNode) start() {
-	nn.cache = newHintCache(nn.ns.cfg.HintCacheSize)
+	nn.cache = newHintCache(hintCacheSize)
 	nn.cache.setGauge(nn.ns.cacheSizeGauge(nn))
 	nn.ns.env.Spawn(nn.Node.Name()+"/election", func(p *sim.Proc) { nn.electionLoop(p) })
 }
@@ -573,8 +567,7 @@ func partOf(ts *shard.TableSet, id uint64) (*ndb.Table, string) {
 // charge bills NN CPU for an operation over depth path components (fluid
 // deferred service on the server's core pool).
 func (nn *NameNode) charge(p *sim.Proc, depth int) {
-	c := nn.ns.cfg.Costs
-	nn.cpu.UseDeferred(p, c.OpBase+time.Duration(depth)*c.PerComponent)
+	nn.cpu.UseDeferred(p, nn.ns.cfg.OpBase+time.Duration(depth)*costPerComponent)
 }
 
 // chargeList bills the leader for serving the cached active-server list to
@@ -583,8 +576,7 @@ func (nn *NameNode) chargeList(p *sim.Proc, entries int) {
 	if entries <= 0 {
 		return
 	}
-	c := nn.ns.cfg.Costs
-	nn.cpu.UseDeferred(p, time.Duration(entries)*c.PerListEntry)
+	nn.cpu.UseDeferred(p, time.Duration(entries)*costPerListEntry)
 }
 
 // retriable reports whether a transaction error warrants a retry: lock

@@ -171,14 +171,6 @@ func TestHintCacheInvalidatePrefix(t *testing.T) {
 	}
 }
 
-func TestHintCacheDisabled(t *testing.T) {
-	hc := newHintCache(0)
-	hc.put("/a", 1, RootID)
-	if _, ok := hc.get("/a"); ok || hc.len() != 0 {
-		t.Error("zero-capacity cache must drop every put")
-	}
-}
-
 func TestHintCacheSizeGauge(t *testing.T) {
 	reg := trace.NewRegistry()
 	hc := newHintCache(8)
@@ -195,11 +187,14 @@ func TestHintCacheSizeGauge(t *testing.T) {
 	}
 }
 
-// TestHintCacheBoundedInHarness drives a small configured bound through
-// real operations: the per-NN cache never exceeds Config.HintCacheSize no
-// matter how many directories are resolved.
+// TestHintCacheBoundedInHarness drives a small bound through real
+// operations: with every NN's cache cut to 4 entries, none ever holds more
+// no matter how many directories are resolved.
 func TestHintCacheBoundedInHarness(t *testing.T) {
-	h := newHarnessCfg(t, 21, func(cfg *Config) { cfg.HintCacheSize = 4 })
+	h := newHarness(t)
+	for _, nn := range h.ns.nns {
+		nn.cache.cap = 4
+	}
 	cl := h.client(1)
 	h.run(t, func(p *sim.Proc) {
 		for i := 0; i < 12; i++ {

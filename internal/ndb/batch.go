@@ -307,7 +307,7 @@ func (t *Txn) readBatch(sc *batchScratch, n int) error {
 	t.c.Stats.Rounds++
 	// One coordinator pass routes the whole key train (§II-B: a multi-row
 	// TCKEYREQ is a single TC job, not one per row).
-	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
+	t.tc.use(t.p, TC, costTCOp)
 	slots := zeroed(&sc.slots, n)
 	groups, ok := groupByTarget(sc, n, func(i int) (*DataNode, *train) {
 		var lock LockMode
@@ -377,7 +377,7 @@ func (sc *batchScratch) read(p *sim.Proc, target *DataNode, i int) (int, error) 
 				return 0, err
 			}
 		}
-		target.use(p, LDM, t.c.cfg.Costs.LDMRead)
+		target.use(p, LDM, costLDMRead)
 		val, ok := part.committed(g.PartKey, g.Key)
 		sc.vals[i] = BatchVal{Val: val, OK: ok}
 		return g.Table.rowSize, nil
@@ -392,7 +392,7 @@ func (sc *batchScratch) read(p *sim.Proc, target *DataNode, i int) (int, error) 
 		}
 	}
 	for b := 0; b < 1+len(rows)/8; b++ {
-		target.use(p, LDM, t.c.cfg.Costs.LDMRead)
+		target.use(p, LDM, costLDMRead)
 	}
 	sc.kvs[i] = rows
 	return len(rows) * s.Table.rowSize, nil

@@ -232,34 +232,28 @@ func (dn *DataNode) shutdownSelf() {
 	dn.c.declareDead(dn)
 }
 
-// Rejoin brings a failed or shut-down datanode back into the cluster: the
-// node recovers, copies the current data of its node group's partitions
-// from the surviving primaries (a full node restart recovery, charged as
-// network transfer), restarts its heartbeat prober, and resumes as a backup
-// replica. The caller's process is blocked for the duration of the
-// resync.
+// Rejoin brings a datanode back into the cluster. A node that is down —
+// failed or shut down by arbitration — recovers, copies the current data of
+// its node group's partitions from the surviving primaries (a full node
+// restart recovery, charged as network transfer), restarts its heartbeat
+// prober, and resumes as a backup replica. A running node that was declared
+// dead on missed heartbeats (lossy links) only resyncs: its prober never
+// exited. Rejoin does nothing to a live, undeclared node. The caller's
+// process is blocked for the duration of the resync.
 func (c *Cluster) Rejoin(p *sim.Proc, dn *DataNode) {
-	if dn.Alive() && !dn.declaredDead {
+	down := !dn.Alive()
+	if !down && !dn.declaredDead {
 		return
 	}
-	dn.Node.Recover()
-	dn.shutdown = false
-	c.resync(p, dn)
-	dn.declaredDead = false
-	dn.startHousekeeping()
-}
-
-// Reinstate clears a false failure declaration: a node that missed
-// heartbeats (lossy links) can be declared dead while still running. It is
-// excluded from its group's replica lists but its heartbeat prober never
-// exited, so rejoining it must not respawn it — it only resyncs the
-// partitions it missed and resumes as a backup.
-func (c *Cluster) Reinstate(p *sim.Proc, dn *DataNode) {
-	if !dn.Alive() || !dn.declaredDead {
-		return
+	if down {
+		dn.Node.Recover()
+		dn.shutdown = false
 	}
 	c.resync(p, dn)
 	dn.declaredDead = false
+	if down {
+		dn.startHousekeeping()
+	}
 }
 
 // resync copies the current data of the node's group's partitions from the

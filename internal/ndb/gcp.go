@@ -12,9 +12,11 @@ import (
 // surviving replicas hold them), but a failure of the WHOLE cluster loses
 // them: recovery restores the last durable epoch.
 //
-// The epoch counter lives on the cluster; every committed write stamps its
-// row with the current epoch. One cluster-level ticker flushes every live
-// node's REDO to disk and advances the durable horizon.
+// The epoch counter lives on the cluster. One cluster-level ticker flushes
+// every live node's REDO to disk and advances the durable horizon. Every
+// committed row write first logs the row's pre-image; the tick that makes
+// the writes durable clears the log, and a whole-cluster restart replays it
+// newest first.
 
 // gcpLoop runs the global checkpoint every gcpInterval: each live node
 // flushes the REDO it logged since the last tick to its disk (the only disk
@@ -24,14 +26,25 @@ func (c *Cluster) gcpLoop(p *sim.Proc) {
 		p.Sleep(gcpInterval)
 		for _, dn := range c.datanodes {
 			if dn.Alive() && dn.redoPending > 0 {
-				dn.threads[IO].Charge(dn.batched(IO, c.cfg.Costs.LDMCommit))
+				dn.threads[IO].Charge(dn.batched(IO, costLDMCommit))
 				dn.Node.AsyncDiskWrite(int(dn.redoPending))
 				dn.redoPending = 0
 			}
 		}
 		c.gcpEpoch++
 		c.durableEpoch = c.gcpEpoch - 1
+		clear(c.undo) // drop the pre-images' references
+		c.undo = c.undo[:0]
 	}
+}
+
+// preImage is a row as it was before a committed write: one entry of the
+// cluster's undo log.
+type preImage struct {
+	part    *Partition
+	pk, key string
+	val     Value
+	exists  bool
 }
 
 // CurrentEpoch returns the in-progress global checkpoint epoch.
@@ -43,19 +56,28 @@ func (c *Cluster) DurableEpoch() uint64 { return c.durableEpoch }
 
 // CrashRestartCluster simulates the §II-B2 whole-cluster failure and
 // system recovery from the global checkpoints: every datanode restarts,
-// and all committed writes from epochs newer than the last durable global
-// checkpoint are rolled back (they never reached disk anywhere). The
-// caller's process is charged the recovery REDO replay from each node's
-// disk. Lock state is cleared: no transactions survive a cluster crash.
+// and every write committed since the last durable global checkpoint is
+// undone (it never reached disk anywhere). The undo log is replayed newest
+// first, so each row gets back the value it held at the checkpoint; a
+// transaction's rows apply at one instant, so a transaction is undone
+// whole. The caller's process is charged the recovery REDO replay from each
+// node's disk. Lock state is cleared: no transactions survive a cluster
+// crash.
 func (c *Cluster) CrashRestartCluster(p *sim.Proc) {
 	durable := c.durableEpoch
+	for i := len(c.undo) - 1; i >= 0; i-- {
+		u := &c.undo[i]
+		r := u.part.getRow(u.pk, u.key)
+		r.val, r.exists = u.val, u.exists
+	}
+	clear(c.undo)
+	c.undo = c.undo[:0]
 	for _, t := range c.tables {
 		for _, part := range t.partitions {
 			for pk, b := range part.rows {
 				for key, r := range b.rows {
 					r.lock = rowLock{}
-					if r.epoch > durable {
-						// Not yet durable: lost with the cluster.
+					if !r.exists {
 						delete(b.rows, key)
 					}
 				}

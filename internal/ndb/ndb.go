@@ -91,8 +91,11 @@ type Config struct {
 	// deployments — coexist on one network without name or gauge-label
 	// collisions. Empty keeps the historical unprefixed names (shard 0).
 	NamePrefix string
-	// Costs hold the calibrated CPU service demands.
-	Costs Costs
+	// BatchFloor models NDB's executor batching: when a thread pool has
+	// queued work, per-item cost shrinks asymptotically toward BatchFloor
+	// of the nominal cost (throughput keeps growing after CPU plateaus,
+	// §V-D1). 1 turns the amortization off (the batching ablation).
+	BatchFloor float64
 }
 
 // DefaultConfig returns the paper's deployment defaults.
@@ -102,7 +105,7 @@ func DefaultConfig() Config {
 		Replication:        2,
 		PartitionsPerTable: 24,
 		AZAware:            true,
-		Costs:              DefaultCosts(),
+		BatchFloor:         0.30,
 	}
 }
 
@@ -123,10 +126,12 @@ type Cluster struct {
 	arbGranted map[int]int // epoch -> index of datanode whose view won
 	bgStop     bool
 
-	// gcpEpoch is the in-progress global checkpoint epoch; writes stamp
-	// their rows with it. durableEpoch is the recovery horizon (§II-B2).
+	// gcpEpoch is the in-progress global checkpoint epoch; durableEpoch is
+	// the recovery horizon (§II-B2). undo holds the pre-image of every row
+	// write committed since durableEpoch became durable, oldest first.
 	gcpEpoch     uint64
 	durableEpoch uint64
+	undo         []preImage
 
 	// Stats are cumulative cluster-wide counters.
 	Stats Stats

@@ -3,6 +3,7 @@ package ndb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -1036,6 +1037,105 @@ func TestClusterCrashRecoversDurableEpochOnly(t *testing.T) {
 	}
 }
 
+// TestClusterCrashRestoresDurableValues is §II-B2's system restart after
+// an update, a delete and an insert that are not yet durable, made by one
+// transaction across two partition keys and so two commit trains, and then
+// a second update of two of the rows. The restart gives every row back the
+// value it held at the last global checkpoint and undoes the transactions
+// whole; a second restart changes nothing, and the cluster commits again.
+func TestClusterCrashRestoresDurableValues(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+	const pkA = "a"
+	var pkB string
+	for i := 0; pkB == ""; i++ {
+		pk := fmt.Sprintf("b%d", i)
+		if !slices.Equal(tbl.partitionFor(pk).replicas(), tbl.partitionFor(pkA).replicas()) {
+			pkB = pk
+		}
+	}
+	upd := BatchWrite{Table: tbl, PartKey: pkA, Key: "upd"}
+	gone := BatchWrite{Table: tbl, PartKey: pkB, Key: "del"}
+	ins := BatchWrite{Table: tbl, PartKey: pkB, Key: "ins"}
+	set := func(w BatchWrite, v Value) BatchWrite { w.Val = v; return w }
+	write := func(p *sim.Proc, ws ...BatchWrite) error {
+		tx, err := c.Begin(p, client, 1, tbl, pkA)
+		if err != nil {
+			return err
+		}
+		if err := tx.WriteBatch(ws); err != nil {
+			return err
+		}
+		if len(tx.trains) != 2 {
+			return fmt.Errorf("%d commit trains, want 2", len(tx.trains))
+		}
+		return tx.Commit()
+	}
+	// check reads every row and compares it with the durable state.
+	check := func(p *sim.Proc, when string) {
+		tx, err := c.Begin(p, client, 1, tbl, pkA)
+		if err != nil {
+			t.Errorf("%s: %v", when, err)
+			return
+		}
+		for _, want := range []struct {
+			w   BatchWrite
+			val Value
+		}{{upd, "v1"}, {gone, "v1"}, {ins, nil}} {
+			v, ok, err := readCommitted(tx, tbl, want.w.PartKey, want.w.Key)
+			if err != nil || v != want.val || ok != (want.val != nil) {
+				t.Errorf("%s: (%s, %s) reads (%v, %v, %v), want %v",
+					when, want.w.PartKey, want.w.Key, v, ok, err, want.val)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Errorf("%s: %v", when, err)
+		}
+	}
+	done := false
+	env.Spawn("scenario", func(p *sim.Proc) {
+		if err := write(p, set(upd, "v1"), set(gone, "v1")); err != nil {
+			t.Error(err)
+			return
+		}
+		epoch := c.CurrentEpoch()
+		p.Sleep(3 * gcpInterval)
+		durable := c.DurableEpoch()
+		if durable < epoch {
+			t.Errorf("v1 committed in epoch %d, durable epoch %d", epoch, durable)
+			return
+		}
+		gone.Del = true
+		if err := write(p, set(upd, "v2"), gone, set(ins, "v2")); err != nil {
+			t.Error(err)
+			return
+		}
+		// A second write to the same rows: only the oldest pre-image is the
+		// durable value.
+		if err := write(p, set(upd, "v2b"), set(ins, "v2b")); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Flush()
+		if c.DurableEpoch() != durable {
+			t.Error("a global checkpoint made the second write durable before the crash")
+			return
+		}
+		c.CrashRestartCluster(p)
+		check(p, "after the restart")
+		c.CrashRestartCluster(p)
+		check(p, "after a second restart")
+		if err := write(p, set(upd, "v3"), set(ins, "v3")); err != nil {
+			t.Errorf("commit after the restarts: %v", err)
+		}
+		done = true
+	})
+	env.RunFor(10 * time.Second)
+	if !done && !t.Failed() {
+		t.Fatal("the scenario did not finish")
+	}
+}
+
 func TestEpochAdvances(t *testing.T) {
 	env, c, _ := testCluster(t, true, 3)
 	e0 := c.CurrentEpoch()
@@ -1097,22 +1197,39 @@ func TestRepeatedCrashRestartEpochMonotone(t *testing.T) {
 }
 
 // TestReinstateClearsFalseDeclaration covers the lossy-network case: a
-// node declared dead on missed heartbeats while still running. Reinstate
-// clears the declaration without respawning its heartbeat prober,
-// and the cluster keeps committing throughout.
+// node declared dead on missed heartbeats while still running. Rejoin
+// clears the declaration and keeps the node's one heartbeat prober — an
+// idle cluster sends as many messages per heartbeat interval after the
+// rejoin as before the declaration — and the cluster keeps committing.
 func TestReinstateClearsFalseDeclaration(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 64, TableOptions{})
 	victim := c.DataNodes()[1]
+	// Windows start half an interval after the probers tick, so each holds
+	// whole probe round trips.
+	idleMessages := func() int64 {
+		before := c.net.TotalMessages()
+		env.RunFor(10 * heartbeatInterval)
+		return c.net.TotalMessages() - before
+	}
+	env.RunFor(heartbeatInterval / 2)
+	probes := idleMessages()
+	if probes == 0 {
+		t.Fatal("setup: an idle cluster sent no heartbeat probes")
+	}
 	c.DeclareDeadForTest(victim)
 	if !victim.DeclaredDead() || !victim.Alive() {
 		t.Fatalf("setup: want alive+declared-dead, got alive=%v declared=%v",
 			victim.Alive(), victim.DeclaredDead())
 	}
-	env.Spawn("reinstate", func(p *sim.Proc) { c.Reinstate(p, victim) })
+	env.Spawn("rejoin", func(p *sim.Proc) { c.Rejoin(p, victim) })
 	env.RunFor(2 * time.Second)
 	if victim.DeclaredDead() {
-		t.Fatal("Reinstate did not clear the declaration")
+		t.Fatal("Rejoin did not clear the declaration")
+	}
+	if got := idleMessages(); got != probes {
+		t.Fatalf("idle cluster sends %d messages per 10 heartbeat intervals after the rejoin, %d before: "+
+			"the running node's prober must not be respawned", got, probes)
 	}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
 		if err := put(tx, tbl, "p", "k", "v"); err != nil {
@@ -1120,10 +1237,10 @@ func TestReinstateClearsFalseDeclaration(t *testing.T) {
 		}
 		return tx.Commit()
 	})
-	// Reinstate on a healthy node is a no-op.
-	env.Spawn("noop", func(p *sim.Proc) { c.Reinstate(p, victim) })
+	// Rejoin on a healthy node is a no-op.
+	env.Spawn("noop", func(p *sim.Proc) { c.Rejoin(p, victim) })
 	env.RunFor(time.Second)
 	if victim.DeclaredDead() || !victim.Alive() {
-		t.Fatal("Reinstate perturbed a healthy node")
+		t.Fatal("Rejoin perturbed a healthy node")
 	}
 }

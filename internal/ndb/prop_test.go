@@ -417,11 +417,8 @@ func TestPropPartitionHealSymmetry(t *testing.T) {
 			for pass := 0; pass < 8; pass++ {
 				stable := true
 				for _, dn := range c.DataNodes() {
-					if !dn.Alive() {
+					if !dn.Alive() || dn.DeclaredDead() {
 						c.Rejoin(p, dn)
-						stable = false
-					} else if dn.DeclaredDead() {
-						c.Reinstate(p, dn)
 						stable = false
 					}
 				}
@@ -545,11 +542,8 @@ func TestPropNoHalfCommitUnderRepartition(t *testing.T) {
 			for pass := 0; pass < 8; pass++ {
 				stable := true
 				for _, dn := range c.DataNodes() {
-					if !dn.Alive() {
+					if !dn.Alive() || dn.DeclaredDead() {
 						c.Rejoin(p, dn)
-						stable = false
-					} else if dn.DeclaredDead() {
-						c.Reinstate(p, dn)
 						stable = false
 					}
 				}

@@ -195,13 +195,10 @@ func (b *bucket) snapshot() []KV {
 	return b.sorted
 }
 
-// row is one stored row with its lock state. epoch records the global
-// checkpoint epoch of the last committed write: rows newer than the
-// durable epoch do not survive a whole-cluster failure (§II-B2).
+// row is one stored row with its lock state.
 type row struct {
 	val    Value
 	exists bool
-	epoch  uint64
 	lock   rowLock
 }
 

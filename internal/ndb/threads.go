@@ -55,47 +55,27 @@ func (t ThreadType) String() string {
 	}
 }
 
-// Costs are the calibrated CPU service demands of the engine. They are the
-// model's stand-in for the instruction footprints of real NDB code paths;
-// see DESIGN.md §2. Only ratios matter for the reproduced shapes.
-type Costs struct {
-	// Recv/Send are charged per message arriving at / leaving a datanode.
-	Recv time.Duration
-	Send time.Duration
-	// TCBegin is charged on the coordinator when a transaction starts.
-	TCBegin time.Duration
-	// TCOp is charged on the coordinator per routed operation.
-	TCOp time.Duration
-	// TCCommitRow is charged on the coordinator per row in the commit.
-	TCCommitRow time.Duration
-	// LDMRead/LDMWrite are charged on the owning LDM per row access.
-	LDMRead  time.Duration
-	LDMWrite time.Duration
-	// LDMPrepare/LDMCommit are charged per replica per commit phase.
-	LDMPrepare time.Duration
-	LDMCommit  time.Duration
-	// BatchWindow models NDB's executor batching: when a thread pool has
-	// queued work, per-item cost shrinks asymptotically toward BatchFloor
-	// of the nominal cost (throughput keeps growing after CPU plateaus,
-	// §V-D1).
-	BatchFloor float64
-}
-
-// DefaultCosts returns the calibration used by the experiments.
-func DefaultCosts() Costs {
-	return Costs{
-		Recv:        10 * time.Microsecond,
-		Send:        6 * time.Microsecond,
-		TCBegin:     3 * time.Microsecond,
-		TCOp:        7 * time.Microsecond,
-		TCCommitRow: 4 * time.Microsecond,
-		LDMRead:     9 * time.Microsecond,
-		LDMWrite:    12 * time.Microsecond,
-		LDMPrepare:  5 * time.Microsecond,
-		LDMCommit:   3 * time.Microsecond,
-		BatchFloor:  0.30,
-	}
-}
+// The calibrated CPU service demands of the engine: the model's stand-in
+// for the instruction footprints of real NDB code paths (DESIGN.md §2). Only
+// ratios matter for the reproduced shapes.
+const (
+	// costRecv/costSend are charged per message arriving at / leaving a
+	// datanode.
+	costRecv = 10 * time.Microsecond
+	costSend = 6 * time.Microsecond
+	// costTCBegin is charged on the coordinator when a transaction starts.
+	costTCBegin = 3 * time.Microsecond
+	// costTCOp is charged on the coordinator per routed operation.
+	costTCOp = 7 * time.Microsecond
+	// costTCCommitRow is charged on the coordinator per row in the commit.
+	costTCCommitRow = 4 * time.Microsecond
+	// costLDMRead/costLDMWrite are charged on the owning LDM per row access.
+	costLDMRead  = 9 * time.Microsecond
+	costLDMWrite = 12 * time.Microsecond
+	// costLDMPrepare/costLDMCommit are charged per replica per commit phase.
+	costLDMPrepare = 5 * time.Microsecond
+	costLDMCommit  = 3 * time.Microsecond
+)
 
 // use charges d of CPU on the node's thread pool of the given type as
 // fluid (deferred) service for p, scaled by the batching model.
@@ -109,7 +89,7 @@ func (dn *DataNode) use(p *sim.Proc, t ThreadType, d time.Duration) {
 // CPU plateaus).
 func (dn *DataNode) batched(t ThreadType, d time.Duration) time.Duration {
 	if backlog := dn.threads[t].Backlog(); backlog > 0 {
-		floor := dn.c.cfg.Costs.BatchFloor
+		floor := dn.c.cfg.BatchFloor
 		scale := floor + (1-floor)*float64(d)/float64(d+backlog)
 		d = time.Duration(float64(d) * scale)
 	}
@@ -117,12 +97,12 @@ func (dn *DataNode) batched(t ThreadType, d time.Duration) time.Duration {
 }
 
 // recv charges the receive cost for an inbound message on dn.
-func (dn *DataNode) recv(p *sim.Proc) { dn.use(p, RECV, dn.c.cfg.Costs.Recv) }
+func (dn *DataNode) recv(p *sim.Proc) { dn.use(p, RECV, costRecv) }
 
 // signalArrived charges RECV for a fire-and-forget signal at the instant it
 // arrives; no process waits on it.
 func (dn *DataNode) signalArrived() {
-	dn.threads[RECV].Charge(dn.batched(RECV, dn.c.cfg.Costs.Recv))
+	dn.threads[RECV].Charge(dn.batched(RECV, costRecv))
 }
 
 // send charges the cost of an outbound message. SEND work overflows to the
@@ -130,7 +110,7 @@ func (dn *DataNode) signalArrived() {
 // assist busy ones (§V-D1), which is what drives the high REP utilization
 // in Figure 11.
 func (dn *DataNode) send(p *sim.Proc) {
-	cost := dn.c.cfg.Costs.Send
+	cost := costSend
 	if dn.threads[SEND].Backlog() > 0 && dn.threads[REP].Backlog() == 0 {
 		dn.use(p, REP, cost)
 		return

@@ -169,7 +169,7 @@ func (c *Cluster) Begin(p *sim.Proc, origin *simnet.Node, originDomain simnet.Zo
 		c.activeOps[t.id] = op
 	}
 	tc.recv(p)
-	tc.use(p, TC, c.cfg.Costs.TCBegin)
+	tc.use(p, TC, costTCBegin)
 	c.Stats.Begun++
 	return t, nil
 }
@@ -429,7 +429,6 @@ func (t *Txn) hop(p *sim.Proc, from, to *DataNode, bytes int) bool {
 // to the TC from the head in one message, unless the head is the TC or the
 // chain's only replica, whose Prepared answer carries them.
 func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
-	cfg := &t.c.cfg
 	rows := tr.rows[tr.prepared:]
 	trainBytes := reqSize + batchRowOverhead*(len(rows)-1)
 	for i := range rows {
@@ -458,7 +457,7 @@ func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 						return i, err
 					}
 				}
-				dn.use(p, LDM, cfg.Costs.LDMWrite)
+				dn.use(p, LDM, costLDMWrite)
 				t.c.Stats.Writes++
 			}
 			if preImages > 0 && dn != t.tc && len(tr.chain) > 1 {
@@ -471,7 +470,7 @@ func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 			}
 		}
 		for i := range rows {
-			dn.use(p, LDM, cfg.Costs.LDMPrepare)
+			dn.use(p, LDM, costLDMPrepare)
 			dn.redoPending += int64(rows[i].part.table.rowSize)
 		}
 		prev = dn
@@ -497,7 +496,7 @@ func (t *Txn) checkAtHead(p *sim.Proc, dn *DataNode, w *writeOp) error {
 	if !w.edit && !exists {
 		return nil
 	}
-	dn.use(p, LDM, t.c.cfg.Costs.LDMRead)
+	dn.use(p, LDM, costLDMRead)
 	var err error
 	switch {
 	case !w.edit:
@@ -644,7 +643,7 @@ func (t *Txn) chargeCommit(tr *train) {
 		obs.trainRows.Observe(time.Duration(len(tr.rows)))
 	}
 	for range tr.rows {
-		t.tc.use(t.p, TC, t.c.cfg.Costs.TCCommitRow)
+		t.tc.use(t.p, TC, costTCCommitRow)
 	}
 }
 
@@ -665,7 +664,6 @@ func (tr *train) apply(t *Txn) {
 // the caller to apply once every train of the transaction has succeeded
 // (multi-train atomicity under mid-flight failures).
 func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
-	cfg := &t.c.cfg
 	ph := t.phases(p)
 	defer ph.close()
 	// Commit pass in reverse order: the primary replica (chain head) is the
@@ -680,7 +678,7 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 			return ErrNodeUnavailable
 		}
 		for range tr.rows {
-			dn.use(p, LDM, cfg.Costs.LDMCommit)
+			dn.use(p, LDM, costLDMCommit)
 		}
 		prev = dn
 	}
@@ -747,7 +745,7 @@ func (t *Txn) complete(p *sim.Proc, dn *DataNode) bool {
 		return false
 	}
 	dn.recv(p)
-	dn.use(p, LDM, t.c.cfg.Costs.LDMCommit)
+	dn.use(p, LDM, costLDMCommit)
 	dn.send(p)
 	return t.c.net.TravelDeferred(p, dn.Node, t.tc.Node, ackSize, rpcTimeout)
 }
@@ -904,12 +902,14 @@ func (p *Partition) bucketOf(pk string) *bucket {
 // the row does not exist yet (insert path).
 func (p *Partition) getRow(pk, key string) *row { return p.bucketOf(pk).row(key) }
 
-// apply makes a staged write the committed value, stamped with the
-// current global checkpoint epoch, and releases txn's lock on the row when
-// release is set; a row whose lock is kept stays until releaseAll.
+// apply makes a staged write the committed value, logging the row's
+// pre-image for a whole-cluster restart, and releases txn's lock on the row
+// when release is set; a row whose lock is kept stays until releaseAll.
 func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
 	b := p.bucketOf(w.pk)
 	r := b.row(w.key)
+	c := p.table.c
+	c.undo = append(c.undo, preImage{p, w.pk, w.key, r.val, r.exists})
 	if w.del {
 		r.exists = false
 		r.val = nil
@@ -918,7 +918,6 @@ func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
 		r.val = w.val
 	}
 	b.sorted = nil
-	r.epoch = p.table.c.gcpEpoch
 	if release {
 		r.lock.release(txn)
 	}

@@ -80,7 +80,7 @@ func (t *Txn) writeBatch(items []BatchWrite) error {
 	t.c.Stats.Rounds++
 	// One coordinator pass routes the whole row train (§II-B: a multi-row
 	// TCKEYREQ is a single TC job, not one per row).
-	t.tc.use(t.p, TC, t.c.cfg.Costs.TCOp)
+	t.tc.use(t.p, TC, costTCOp)
 
 	sc := t.c.scratch.get()
 	defer t.c.putScratch(sc)

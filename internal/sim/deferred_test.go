@@ -33,8 +33,8 @@ func TestDeferNegativeIgnored(t *testing.T) {
 	defer env.Close()
 	env.Spawn("p", func(p *Proc) {
 		p.Defer(-time.Second)
-		if p.Pending() != 0 {
-			t.Errorf("pending = %v", p.Pending())
+		if p.EffNow() != p.Now() {
+			t.Errorf("pending = %v", p.EffNow()-p.Now())
 		}
 	})
 	env.Run()
@@ -56,8 +56,8 @@ func TestBlockingPrimitivesAutoFlush(t *testing.T) {
 		p.Defer(2 * time.Millisecond)
 		p.Wait() // must flush the 2ms first
 		afterWait = p.Now()
-		if p.Pending() != 0 {
-			t.Errorf("%v still pending after Wait", p.Pending())
+		if p.EffNow() != p.Now() {
+			t.Errorf("%v still pending after Wait", p.EffNow()-p.Now())
 		}
 	})
 	env.At(20*time.Millisecond, waiter.Wake)
@@ -79,8 +79,8 @@ func TestUseDeferredUncontendedEqualsService(t *testing.T) {
 	res := NewResource(env, "cpu", 2)
 	env.Spawn("p", func(p *Proc) {
 		res.UseDeferred(p, 7*time.Millisecond)
-		if p.Pending() != 7*time.Millisecond {
-			t.Errorf("pending = %v, want 7ms", p.Pending())
+		if p.EffNow()-p.Now() != 7*time.Millisecond {
+			t.Errorf("pending = %v, want 7ms", p.EffNow()-p.Now())
 		}
 	})
 	env.Run()
@@ -95,14 +95,14 @@ func TestUseDeferredQueuesInClockFrame(t *testing.T) {
 		// Three services on a single unit scheduled at clock time 0:
 		// horizons 10, 20, 30ms.
 		res.UseDeferred(p, 10*time.Millisecond)
-		d1 = p.Pending()
+		d1 = p.EffNow() - p.Now()
 		p2 := p // same proc: its own second use queues behind the first
 		res.UseDeferred(p2, 10*time.Millisecond)
-		d2 = p.Pending()
+		d2 = p.EffNow() - p.Now()
 		p.Flush()
 		// After flushing to t=20ms the unit is free again at the clock.
 		res.UseDeferred(p, 10*time.Millisecond)
-		d3 = p.Pending()
+		d3 = p.EffNow() - p.Now()
 	})
 	env.Run()
 	if d1 != 10*time.Millisecond {
@@ -123,12 +123,12 @@ func TestUseDeferredCrossProcessQueueing(t *testing.T) {
 	var dA, dB time.Duration
 	env.Spawn("a", func(p *Proc) {
 		res.UseDeferred(p, 10*time.Millisecond)
-		dA = p.Pending()
+		dA = p.EffNow() - p.Now()
 	})
 	env.Spawn("b", func(p *Proc) {
 		// Scheduled at the same clock instant, after a: queues behind.
 		res.UseDeferred(p, 10*time.Millisecond)
-		dB = p.Pending()
+		dB = p.EffNow() - p.Now()
 	})
 	env.Run()
 	if dA != 10*time.Millisecond || dB != 20*time.Millisecond {
@@ -153,7 +153,7 @@ func TestChargeBooksWithoutProcess(t *testing.T) {
 	env.Spawn("p", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		res.UseDeferred(p, 2*time.Millisecond)
-		pending = p.Pending()
+		pending = p.EffNow() - p.Now()
 	})
 	env.Run()
 	want := []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond}

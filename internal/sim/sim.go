@@ -128,9 +128,6 @@ func (e *Env) At(t time.Duration, fn func()) {
 	e.schedule(t, fn, nil)
 }
 
-// After schedules fn to run as an event callback after delay d.
-func (e *Env) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
-
 // Run drives the simulation until no process is runnable and no event is
 // pending (quiescence). Processes waiting forever for a Wake do not prevent
 // quiescence.
@@ -454,9 +451,6 @@ func (p *Proc) Defer(d time.Duration) {
 		p.pending += d
 	}
 }
-
-// Pending returns the accumulated deferred delay.
-func (p *Proc) Pending() time.Duration { return p.pending }
 
 // EffNow returns the process's effective time: the virtual clock plus its
 // pending deferred delay. Fluid resources schedule against effective time.

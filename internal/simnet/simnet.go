@@ -409,14 +409,6 @@ func (n *Network) DegradeLink(a, b ZoneID, latencyFactor, lossProb float64) {
 // RestoreLink removes any degradation between two zones.
 func (n *Network) RestoreLink(a, b ZoneID) { delete(n.degraded, zonePair(a, b)) }
 
-// Degraded reports whether the path between two zones is impaired.
-func (n *Network) Degraded(a, b ZoneID) bool {
-	if len(n.degraded) == 0 {
-		return false
-	}
-	return n.degraded[zonePair(a, b)] != nil
-}
-
 // degradationFor returns the active degradation between two zones, or nil.
 // The len() guard keeps the common no-chaos path free of map lookups.
 func (n *Network) degradationFor(a, b ZoneID) *degradation {

@@ -212,7 +212,7 @@ func TestTravelDeferredMatchesLatency(t *testing.T) {
 			t.Error("deferred travel failed")
 			return
 		}
-		pending = p.Pending()
+		pending = p.EffNow() - p.Now()
 	})
 	env.Run()
 	// One-way a->b latency is RTT/2 = 180us plus transmission.
@@ -233,7 +233,7 @@ func TestTravelDeferredToDeadNodeDefersTimeout(t *testing.T) {
 	var pending time.Duration
 	env.Spawn("p", func(p *sim.Proc) {
 		ok = net.TravelDeferred(p, a, b, 100, 250*time.Millisecond)
-		pending = p.Pending()
+		pending = p.EffNow() - p.Now()
 	})
 	env.Run()
 	if ok {
@@ -274,11 +274,11 @@ func TestTravelDeferredLinkQueueing(t *testing.T) {
 	var d1, d2 time.Duration
 	env.Spawn("p", func(p *sim.Proc) {
 		net.TravelDeferred(p, a, b, 1_000_000, time.Minute)
-		d1 = p.Pending()
+		d1 = p.EffNow() - p.Now()
 		p.Flush()
 		// Second transfer starts after the first's horizon in clock frame.
 		net.TravelDeferred(p, a, b, 1_000_000, time.Minute)
-		d2 = p.Pending()
+		d2 = p.EffNow() - p.Now()
 	})
 	env.Run()
 	if d1 < time.Second || d1 > time.Second+time.Millisecond {
@@ -303,7 +303,7 @@ func TestDegradeLinkStretchesLatency(t *testing.T) {
 			t.Error("travel over slow link failed")
 			return
 		}
-		pending = p.Pending()
+		pending = p.EffNow() - p.Now()
 	})
 	env.Run()
 	// Base one-way latency is 180us; the 4x factor applies to latency but
@@ -377,7 +377,7 @@ func TestDegradeLinkPreservesCleanRNGStream(t *testing.T) {
 					net.RestoreLink(1, 3)
 				}
 				net.TravelDeferred(p, a, b, 10, time.Second)
-				out = append(out, p.Pending())
+				out = append(out, p.EffNow()-p.Now())
 			}
 		})
 		env.Run()
@@ -494,7 +494,7 @@ func TestDiskWriteAfterDeferredHopSettlesFirst(t *testing.T) {
 	var hop, done time.Duration
 	env.Spawn("p", func(p *sim.Proc) {
 		net.TravelDeferred(p, a, b, 100_000, time.Second)
-		hop = p.Pending()
+		hop = p.EffNow() - p.Now()
 		b.DiskWrite(p, 100_000)
 		done = p.Now()
 	})
