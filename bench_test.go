@@ -29,13 +29,16 @@ func measureSetup(b *testing.B, name string, servers int) *bench.Result {
 	if !ok {
 		b.Fatalf("unknown setup %q", name)
 	}
-	cfg := bench.DefaultRunConfig()
-	cfg.Window = 150 * time.Millisecond
-	res, err := bench.Measure(setup, servers, 32, cfg, 1)
+	opts := core.DefaultOptions(setup)
+	opts.MetadataServers, opts.ClientsPerServer, opts.Seed = servers, 32, 1
+	d, err := core.Build(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res
+	defer d.Close()
+	cfg := bench.DefaultRunConfig()
+	cfg.Window = 150 * time.Millisecond
+	return bench.Run(d, cfg)
 }
 
 func BenchmarkTable1LatencyMatrix(b *testing.B) {

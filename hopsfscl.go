@@ -546,12 +546,3 @@ func RunExperiment(id string, full bool, seed int64) (string, error) {
 	}
 	return exp.Run(bench.ExpOptions{Full: full, Seed: seed})
 }
-
-// ExperimentIDs lists the reproducible tables and figures.
-func ExperimentIDs() []string {
-	out := make([]string, len(bench.Experiments))
-	for i, e := range bench.Experiments {
-		out[i] = e.ID
-	}
-	return out
-}

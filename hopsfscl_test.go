@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hopsfscl/internal/bench"
 )
 
 func newCluster(t *testing.T, opts ...Option) *Cluster {
@@ -166,13 +168,12 @@ func TestSetupsAndExperimentsListed(t *testing.T) {
 	if got := len(Setups()); got != 9 {
 		t.Fatalf("setups = %d, want 9", got)
 	}
-	ids := ExperimentIDs()
-	if len(ids) != 21 {
-		t.Fatalf("experiments = %d, want 21", len(ids))
+	if len(bench.Experiments) != 21 {
+		t.Fatalf("experiments = %d, want 21", len(bench.Experiments))
 	}
 	want := map[string]bool{"table1": true, "table2": true, "fig5": true, "fig14": true, "failures": true, "chaos": true, "phases": true, "writefan": true, "autoscale": true, "hotspot": true, "shardsweep": true}
-	for _, id := range ids {
-		delete(want, id)
+	for _, e := range bench.Experiments {
+		delete(want, e.ID)
 	}
 	if len(want) != 0 {
 		t.Fatalf("missing experiment ids: %v", want)

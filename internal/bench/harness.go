@@ -415,13 +415,6 @@ func diffReadSlots(now, before []PartitionReads) []PartitionReads {
 	return out
 }
 
-// Measure builds a deployment for (setup, servers) and runs one
-// measurement, closing the deployment afterwards.
-func Measure(setup core.Setup, servers, clientsPerServer int, cfg RunConfig, seed int64) (*Result, error) {
-	o := ExpOptions{ClientsPerServer: clientsPerServer, Seed: seed}
-	return measure(pointOptions(o, setup, servers), cfg)
-}
-
 // measure is one measured point: it builds the deployment opts describes,
 // runs one measurement on it and closes it.
 func measure(opts core.Options, cfg RunConfig) (*Result, error) {

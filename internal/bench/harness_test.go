@@ -26,7 +26,7 @@ func tinyMeasure(t *testing.T, name string) *Result {
 	if !ok {
 		t.Fatalf("unknown setup %q", name)
 	}
-	res, err := Measure(setup, 3, 8, tinyConfig(), 1)
+	res, err := measure(pointOptions(ExpOptions{ClientsPerServer: 8, Seed: 1}, setup, 3), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMicroMixesRun(t *testing.T) {
 		setup, _ := core.SetupByName("HopsFS-CL (3,3)")
 		cfg := tinyConfig()
 		cfg.Mix = workload.MicroMix(op)
-		res, err := Measure(setup, 3, 8, cfg, 1)
+		res, err := measure(pointOptions(ExpOptions{ClientsPerServer: 8, Seed: 1}, setup, 3), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestSeedVarianceIsModest(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := tinyConfig()
 		cfg.Seed = seed
-		res, err := Measure(setup, 3, 8, cfg, seed)
+		res, err := measure(pointOptions(ExpOptions{ClientsPerServer: 8, Seed: seed}, setup, 3), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

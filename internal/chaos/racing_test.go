@@ -370,3 +370,178 @@ func runRacingUpdates(t *testing.T, seed int64, shards int) {
 		}
 	}
 }
+
+// TestRacingRenames: a rename reads its source nowhere but in its lock-free
+// resolve and at its chain's head — it writes the source's delete and the
+// destination's insert in one batch, and the source's head takes the
+// exclusive lock there and refuses the delete unless the committed inode is
+// the very one the resolve found. Two metadata servers rename one file to
+// two fresh names in the same virtual instant while a third sets its
+// permission, so all three resolve before any writes: exactly one rename
+// wins, the loser answers ErrNotFound, and an acked permission is on the
+// inode wherever it ends up — a rename that resolved before the update
+// committed retries instead of moving the stale copy. In every other round a
+// fourth server deletes the file in that instant too: then exactly one of
+// the three that unlink the name wins, and every other answers ErrNotFound.
+// No racer waits out a timeout. Seeds 1–3, one and two shards, pinned as in
+// TestRacingUpdates; the auditor and a walk of the committed inode rows find
+// the inode under exactly its winner's name, or under none after an acked
+// delete.
+func TestRacingRenames(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("seed%d-shards%d", seed, shards), func(t *testing.T) {
+				runRacingRenames(t, seed, shards)
+			})
+		}
+	}
+}
+
+func runRacingRenames(t *testing.T, seed int64, shards int) {
+	const rounds = 8
+	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
+	o := core.DefaultOptions(setup)
+	o.MetadataServers = 4
+	o.ClientsPerServer = 1
+	o.StorageNodes = 6
+	o.PartitionsPerTable = 8
+	o.Namespace = workload.NamespaceSpec{TopDirs: 1, SubDirs: 1, FilesPerDir: 1}
+	o.Seed = seed
+	o.Shards = shards
+	d, err := core.Build(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	nns := d.NS.NameNodes()
+	perm := func(r int) uint16 { return uint16(0o700 + r) }
+
+	// want is, per round, the file's inode id, the name it must end up
+	// under ("" after an acked delete) and the mode bits it must carry (0:
+	// no acked update).
+	type outcome struct {
+		id   uint64
+		name string
+		perm uint16
+	}
+	want := make([]outcome, rounds)
+	finished := false
+	d.Env.Spawn("driver", func(p *sim.Proc) {
+		if err := nns[0].Mkdir(p, "/mv", 0o755); err != nil {
+			t.Error(err)
+			return
+		}
+		if shards > 1 {
+			dir, err := nns[0].Stat(p, "/mv")
+			if err == nil {
+				err = d.NS.PinSubtree(dir.ID, int(dir.ID+1)%shards)
+			}
+			if err != nil {
+				t.Errorf("pin /mv: %v", err)
+				return
+			}
+		}
+		for r := 0; r < rounds; r++ {
+			f, deleting := fmt.Sprintf("/mv/f%d", r), r%2 == 1
+			dsts := [2]string{fmt.Sprintf("a%d", r), fmt.Sprintf("b%d", r)}
+			ino, err := nns[0].Create(p, f, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			racers := []func(p *sim.Proc) error{
+				func(p *sim.Proc) error { return nns[1].Rename(p, f, "/mv/"+dsts[0]) },
+				func(p *sim.Proc) error { return nns[2].Rename(p, f, "/mv/"+dsts[1]) },
+				func(p *sim.Proc) error { return nns[3].SetPermission(p, f, perm(r)) },
+			}
+			if deleting {
+				racers = append(racers, func(p *sim.Proc) error { _, err := nns[0].Delete(p, f, false); return err })
+			}
+			errs := make([]error, len(racers))
+			done, parent := 0, p
+			for i, fn := range racers {
+				d.Env.Spawn("racer", func(p *sim.Proc) {
+					start := p.Now()
+					errs[i] = fn(p)
+					if took := p.Now() - start; took > 100*time.Millisecond {
+						t.Errorf("%s racer %d took %v: it waited out a timeout", f, i, took)
+					}
+					done++
+					parent.Wake()
+				})
+			}
+			p.Flush()
+			for done < len(racers) {
+				p.Wait()
+			}
+			// The unlinkers: the two renames, and the delete when there is one.
+			want[r].id = ino.ID
+			won := 0
+			for i, err := range errs {
+				if i == 2 {
+					continue
+				}
+				switch {
+				case err == nil:
+					won++
+					if i < 2 {
+						want[r].name = dsts[i]
+					}
+				case !errors.Is(err, namenode.ErrNotFound):
+					t.Errorf("%s: racer %d: %v, want nil or ErrNotFound", f, i, err)
+				}
+			}
+			if won != 1 {
+				t.Errorf("%s: %d of the racers that unlink it won, want exactly 1 (%v)", f, won, errs)
+			}
+			switch err := errs[2]; {
+			case err == nil:
+				want[r].perm = perm(r)
+			case !errors.Is(err, namenode.ErrNotFound):
+				t.Errorf("%s: setPermission: %v, want nil or ErrNotFound", f, err)
+			}
+		}
+		finished = true
+	})
+	d.Env.RunFor(30 * time.Second)
+	if !finished {
+		t.Fatal("the races did not finish")
+	}
+	for _, v := range NewAuditor(d).Check(d.Env.Now(), true, true) {
+		t.Errorf("audit: %s", v)
+	}
+	stored := map[uint64][]*namenode.Inode{}
+	for _, db := range d.MetaClusters() {
+		db.Table("inodes").ForEachCommitted(func(_, _ string, val ndb.Value) {
+			ino := val.(*namenode.Inode)
+			stored[ino.ID] = append(stored[ino.ID], ino)
+		})
+	}
+	raced := 0
+	for r, w := range want {
+		rows := stored[w.id]
+		if w.name == "" {
+			if len(rows) != 0 {
+				t.Errorf("round %d: inode %d survives its acked delete as %q", r, w.id, rows[0].Name)
+			}
+			continue
+		}
+		if len(rows) != 1 || rows[0].Name != w.name {
+			var names []string
+			for _, ino := range rows {
+				names = append(names, ino.Name)
+			}
+			t.Errorf("round %d: inode %d is stored under %q, want exactly %q", r, w.id, names, w.name)
+			continue
+		}
+		if w.perm != 0 {
+			raced++
+			if rows[0].Perm != w.perm {
+				t.Errorf("round %d: %s has perm %o, want the acked %o: the update was lost", r, w.name, rows[0].Perm, w.perm)
+			}
+		}
+	}
+	if raced == 0 {
+		t.Error("no round acked both a rename and the update: the head's check of a changed source was not exercised")
+	}
+}

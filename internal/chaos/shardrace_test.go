@@ -154,7 +154,17 @@ func runRenameCrashRace(t *testing.T, seed int64, victim int) int {
 			p.Sleep(20 * time.Microsecond)
 		}
 		if victim == victimNN {
-			nn := cl.CurrentNameNode()
+			// The namenode committing the renames is the one the client
+			// is stuck to: the only one that has served an operation.
+			var nn *namenode.NameNode
+			for _, n := range d.NS.NameNodes() {
+				if n.Ops > 0 {
+					if nn != nil {
+						t.Errorf("%s and %s both served operations", nn.Node.Name(), n.Node.Name())
+					}
+					nn = n
+				}
+			}
 			nn.Fail()
 			p.Sleep(1500 * time.Millisecond)
 			nn.Recover()

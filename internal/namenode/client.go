@@ -58,10 +58,6 @@ func (ns *Namesystem) NewClient(zone simnet.ZoneID, host simnet.HostID, domain s
 // next one on; nil stops the recording.
 func (cl *Client) Record(h *nsmodel.History) { cl.history = h }
 
-// CurrentNameNode returns the server the client is stuck to (nil before the
-// first operation).
-func (cl *Client) CurrentNameNode() *NameNode { return cl.nn }
-
 // pick selects (or keeps) the client's metadata server.
 func (cl *Client) pick(p *sim.Proc) (*NameNode, error) {
 	if cl.nn != nil && cl.nn.Serving() && cl.epoch == cl.ns.balanceEpoch {
@@ -275,7 +271,7 @@ func (cl *Client) WriteFile(p *sim.Proc, path string, size int64) error {
 		return err
 	}
 	mgr := cl.ns.blockMgr
-	var ids []blocks.BlockID
+	ids := make([]blocks.BlockID, 0, mgr.SplitSize(size))
 	remaining := size
 	for remaining > 0 {
 		sz := min(remaining, mgr.BlockSize())

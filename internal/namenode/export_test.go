@@ -9,5 +9,9 @@ func (nn *NameNode) Decommissioned() bool { return nn.decom }
 // Drain.
 func (ns *Namesystem) BalanceEpoch() int { return ns.balanceEpoch }
 
+// CurrentNameNode returns the server the client is stuck to (nil before the
+// first operation).
+func (cl *Client) CurrentNameNode() *NameNode { return cl.nn }
+
 // ModelErr maps a metadata-layer error onto the oracle's class of it.
 var ModelErr = modelErr

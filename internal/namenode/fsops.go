@@ -61,7 +61,11 @@ type opScratch struct {
 // inode under the name was created after that one was deleted, so the
 // update answers ErrNotFound — it took effect between the two. A delete
 // resolves only the parent; its edit takes any inode and keeps the
-// pre-image (pre), which tells the operation what else to remove.
+// pre-image (pre), which tells the operation what else to remove. A move
+// (Rename's unlink) writes a copy of the inode its resolve found (pre), so
+// its edit takes that very value and no other: inode values are immutable
+// and every write installs a new one, so any change since the resolve is
+// caught here and the attempt is retried (errMoved).
 type inodeEdit struct {
 	kind             editKind
 	id               uint64
@@ -74,11 +78,12 @@ type inodeEdit struct {
 	pre              *Inode
 }
 
-// editKind names the field an update sets, or a delete.
+// editKind names the field an update sets, or a delete or a move's unlink.
 type editKind uint8
 
 const (
 	editDelete editKind = iota
+	editMove
 	editPerm
 	editOwner
 	editBlocks
@@ -88,8 +93,14 @@ const (
 // Edit applies the edit to the committed inode (ndb.Editor).
 func (e *inodeEdit) Edit(committed ndb.Value) (ndb.Value, error) {
 	ino := committed.(*Inode)
-	if e.kind == editDelete {
+	switch e.kind {
+	case editDelete:
 		e.pre = ino
+		return nil, nil
+	case editMove:
+		if ino != e.pre {
+			return nil, errMoved
+		}
 		return nil, nil
 	}
 	if ino.ID != e.id {
@@ -273,8 +284,8 @@ var rootInode = &Inode{ID: RootID, Parent: 0, Name: "", Dir: true, Perm: 0o755, 
 // A read batch carries at most one lock: when the hints reach the path's
 // last component, its get — and no other — carries lockLast. One lock per
 // batch means the arms of a fan-out never take locks in an order of their
-// own, so the orders the two-lock operations rely on (parent before child,
-// Rename's sorted pair) are those of their sequential calls, untouched. A
+// own, so the order the two-lock operations rely on (parent before child)
+// is that of their sequential calls, untouched. A
 // lock taken on stale hints sits on a row the verification then rejects (or
 // on the right row by luck): the serial re-walk locks the committed row in
 // the same transaction, which so holds a superset of the locks it needs
@@ -662,11 +673,12 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 }
 
 // writeEdited writes name's inode row under parent with sc.edit — an
-// update, or for editDelete the row's delete — in one batch with also, and
-// answers ErrNotFound when the chain's head finds the row absent.
+// update, or for editDelete and editMove the row's delete — in one batch
+// with also, and answers ErrNotFound when the chain's head finds the row
+// absent.
 func (nn *NameNode) writeEdited(tx ndb.Tx, sc *opScratch, parent uint64, name string, also ...ndb.BatchWrite) error {
 	w := nn.inodeDelete(sc, parent, name)
-	w.Del, w.Val, w.Edit = sc.edit.kind == editDelete, &sc.edit, true
+	w.Del, w.Val, w.Edit = sc.edit.kind <= editMove, &sc.edit, true
 	sc.writes = append(append(sc.writes[:0], w), also...)
 	err := tx.WriteBatch(sc.writes)
 	if errors.Is(err, ndb.ErrRowAbsent) {
@@ -748,9 +760,11 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, sc *opScratch, ancestors []*Inode, 
 }
 
 // Rename atomically moves src to dst — the operation object stores cannot
-// provide (§I). It runs in the common template but brings its own lock
-// phase: two rows, locked in (shard, partition, row key) order to avoid
-// deadlocks between concurrent renames.
+// provide (§I). It resolves both paths lock-free and writes its two rows in
+// one batch, each taking its exclusive lock at its chain's head in the one
+// Prepare pass: the source's delete as a move, whose edit confirms the
+// resolved inode is still the committed one, and the destination's insert,
+// refused if the name is taken.
 func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 	dfp, err := splitPath(dst)
 	if err != nil {
@@ -760,77 +774,38 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		return ErrInvalidPath
 	}
 	return nn.op(p, src, opRules{root: ErrInvalidPath, dst: dfp}, func(tx ndb.Tx, sfp fsPath, sc *opScratch) error {
-		// The source resolves with its own inode, in the destination parent's
-		// batch; it is read here only to fail early and is read again under
-		// its lock.
 		srcChain, dstChain, err := nn.resolveBoth(tx, sc, sfp, dfp.parent())
 		if err != nil {
 			return err
 		}
-		srcParent, srcName := srcChain[len(srcChain)-2], sfp.name()
-		dstParent, dstName := dstChain[len(dstChain)-1], dfp.name()
+		srcIno, dstParent := srcChain[len(srcChain)-1], dstChain[len(dstChain)-1]
 		if !dstParent.Dir {
 			return ErrNotDir
 		}
-		// Deterministic lock order over the two rows: shard first, so two
-		// cross-shard renames over the same pair of shards open their
-		// sub-transactions — and take their locks — in the same order; then
-		// partition key, then row key.
-		unlink := nn.inodeDelete(sc, srcParent.ID, srcName)
-		link := nn.inodeDelete(sc, dstParent.ID, dstName)
-		before := func(a, b *ndb.BatchWrite) bool {
-			if sa, sb := nn.ns.inodes.Shard(a.PartKey), nn.ns.inodes.Shard(b.PartKey); sa != sb {
-				return sa < sb
-			}
-			if a.PartKey != b.PartKey {
-				return a.PartKey < b.PartKey
-			}
-			return a.Key < b.Key
-		}
-		order := [2]*ndb.BatchWrite{&unlink, &link}
-		if before(&link, &unlink) {
-			order = [2]*ndb.BatchWrite{&link, &unlink}
-		}
-		// The locked reads — one one-row batch each, so the locks are taken in
-		// that order — return what the rows hold under their locks: that is
-		// the re-validation, and nothing is read after it.
-		for _, row := range order {
-			sc.gets = append(sc.gets[:0], ndb.BatchGet{Table: row.Table, PartKey: row.PartKey, Key: row.Key, Lock: ndb.LockExclusive})
-			vals, err := tx.ReadBatch(sc.gets)
-			if err != nil {
-				return err
-			}
-			row.Val = vals[0].Val
-		}
-		srcIno, err := nn.asInode(tx, unlink.Val)
-		if err != nil {
-			return err
-		}
 		// Cycle check: the destination's ancestor chain must not contain
-		// the source inode.
+		// the source inode. Both read the resolve, which the move's edit
+		// confirms before anything commits.
 		for _, anc := range dstChain {
 			if anc.ID == srcIno.ID {
 				return ErrCycle
 			}
 		}
-		if link.Val != nil {
-			return ErrExists
-		}
 		sc.unlinkedDir = srcIno.Dir
 		moved := *srcIno
-		moved.Parent = dstParent.ID
-		moved.Name = dstName
-		moved.Mtime = p.Now()
+		moved.Parent, moved.Name, moved.Mtime = dstParent.ID, dfp.name(), p.Now()
 		// The unlink and the relink execute as one batched write and — when
 		// both rows land on the same replica chain — prepare and commit as
-		// one train.
-		// An inline payload row is keyed by the file's own inode id, so it
-		// moves with the file untouched. Quota usage is not migrated across
-		// quota boundaries (see quota.go).
-		unlink.Val = nil
-		link.Val, link.Del = &moved, false
-		sc.writes = append(sc.writes[:0], unlink, link)
-		return tx.WriteBatch(sc.writes)
+		// one train. An inline payload row is keyed by the file's own inode
+		// id, so it moves with the file untouched. Quota usage is not
+		// migrated across quota boundaries (see quota.go).
+		table, pk, key := nn.rowOf(sc, dstParent.ID, dfp.name())
+		sc.edit = inodeEdit{kind: editMove, pre: srcIno}
+		link := ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: &moved, IfAbsent: true}
+		err = nn.writeEdited(tx, sc, srcIno.Parent, srcIno.Name, link)
+		if errors.Is(err, ndb.ErrRowExists) {
+			return ErrExists
+		}
+		return err
 	})
 }
 

@@ -33,7 +33,11 @@ import (
 // one round after its resolve is its Prepare, whose head sends the target's
 // pre-image to the TC in one message of its own (17); and a recursive delete
 // prepares its target's row before its subtree's batch, one Prepare pass
-// more in the same rounds (50). Rename resolves its two paths in one batch.
+// more in the same rounds (50). Rename resolves its two paths in one batch
+// and writes its two rows in one Prepare pass, their chains concurrently:
+// the source's delete, whose head checks the resolved inode is still the
+// committed one and sends its pre-image as a delete's does, and the
+// destination's insert (17).
 // A refused write is cut short at the head — Begin, the resolve, the
 // Prepare's first hop and the head's refusal: no replica beyond the head
 // hears of it, and nothing retries. An update of a missing name never gets
@@ -64,7 +68,7 @@ func TestRoundTripBudget(t *testing.T) {
 			}
 			return nil
 		}, 2, 3, 5},
-		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 4, 8, 20},
+		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 2, 6, 17},
 		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 2, 3, 17},
 		{"delete of a missing name", func(nn *NameNode, p *sim.Proc) error {
 			if _, err := nn.Delete(p, "/a/b/r", false); !errors.Is(err, ErrNotFound) {
@@ -420,18 +424,19 @@ func TestRenameResolvesBothPathsInOneBatch(t *testing.T) {
 				t.Errorf("rename %s -> %s: %d storage rounds, want %d", src, dst, got, rounds)
 			}
 		}
-		// One batch, the two sorted locks, the write.
-		rename("/a/b/f", "/x/y/f", nil, 4)
+		// One batch, then the write: both rows lock at their heads.
+		rename("/a/b/f", "/x/y/f", nil, 2)
 		// Errors are the batch's to give: a missing source, a destination
-		// parent that is a file (its row is the parent chain's last).
+		// parent that is a file (its row is the parent chain's last). A taken
+		// destination is the write's: its head refuses the insert.
 		rename("/a/b/nope", "/x/y/g", ErrNotFound, 1)
 		rename("/x/y/f", "/a/b/file/g", ErrNotDir, 1)
-		rename("/x/y/f", "/a/b/file", ErrExists, 3)
+		rename("/x/y/f", "/a/b/file", ErrExists, 2)
 		// "/" needs no row: the source's own batch is the only resolve round.
-		rename("/x/y/f", "/top", nil, 4)
+		rename("/x/y/f", "/top", nil, 2)
 		// NN-a never saw /u: the source resolves in its batch, the
 		// destination's parent by the two-step walk.
-		rename("/top", "/u/v/g", nil, 6)
+		rename("/top", "/u/v/g", nil, 4)
 		// NN-b moves /u/v away and builds a new one: NN-a's hint for /u/v
 		// is stale, the source's share of the batch fails to verify and is
 		// re-walked (three rounds) while the destination's share stands.
@@ -449,7 +454,7 @@ func TestRenameResolvesBothPathsInOneBatch(t *testing.T) {
 			return
 		}
 		fell := fallbacks.Value()
-		rename("/u/v/f", "/a/b/h", nil, 7)
+		rename("/u/v/f", "/a/b/h", nil, 5)
 		if fallbacks.Value() != fell+1 {
 			t.Errorf("%d fallbacks on the stale source, want 1", fallbacks.Value()-fell)
 		}

@@ -44,6 +44,9 @@ var (
 	ErrNoNameNodes = errors.New("namenode: no metadata servers available")
 	// ErrCycle means a rename would move a directory under itself.
 	ErrCycle = errors.New("namenode: rename would create a cycle")
+	// errMoved refuses a rename whose source changed after its resolve: the
+	// attempt is retried, and resolves again.
+	errMoved = errors.New("namenode: rename source changed since its resolve")
 )
 
 // IsOutcomeError reports whether err is an expected application outcome
@@ -580,7 +583,8 @@ func (nn *NameNode) chargeList(p *sim.Proc, entries int) {
 }
 
 // retriable reports whether a transaction error warrants a retry: lock
-// timeouts (deadlock/overload backpressure) and node failovers.
+// timeouts (deadlock/overload backpressure), node failovers, and a rename
+// whose source changed under it.
 func retriable(err error) bool {
 	// An indeterminate cross-shard commit is decided — its durable intent
 	// will complete it — so retrying would re-run an operation that is
@@ -588,7 +592,7 @@ func retriable(err error) bool {
 	if errors.Is(err, shard.ErrIndeterminate) {
 		return false
 	}
-	return errors.Is(err, ndb.ErrLockTimeout) || errors.Is(err, ndb.ErrNodeUnavailable)
+	return errors.Is(err, ndb.ErrLockTimeout) || errors.Is(err, ndb.ErrNodeUnavailable) || errors.Is(err, errMoved)
 }
 
 const (

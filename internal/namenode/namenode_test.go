@@ -557,9 +557,10 @@ func TestSeedRejectsOrphans(t *testing.T) {
 	})
 }
 
-// TestCrossingRenamesDoNotDeadlock runs opposing renames concurrently;
-// the deterministic lock ordering must let both complete (one wins, the
-// other may see the moved state) without deadlock-timeout storms.
+// TestCrossingRenamesDoNotDeadlock runs opposing renames concurrently:
+// their rows are disjoint — each one's destination is a fresh name, not the
+// other's source — so both complete (one may see the moved state) without
+// deadlock-timeout storms.
 func TestCrossingRenamesDoNotDeadlock(t *testing.T) {
 	h := newHarness(t)
 	cl0 := h.client(1)

@@ -243,9 +243,6 @@ func (r *Router) NewTableSet(name string, rowSize int, opts ndb.TableOptions) *T
 	return &TableSet{r: r, tabs: tabs}
 }
 
-// Shard returns the shard owning partition key pk.
-func (ts *TableSet) Shard(pk string) int { return ts.r.ShardOfKey(pk) }
-
 // For returns the shard-local table owning partition key pk.
 func (ts *TableSet) For(pk string) *ndb.Table { return ts.tabs[ts.r.ShardOfKey(pk)] }
 

@@ -94,9 +94,6 @@ func (ns *Namespace) removeFile(dir, path string) {
 	ns.fileCount--
 }
 
-// FileCount returns the number of live files.
-func (ns *Namespace) FileCount() int { return ns.fileCount }
-
 // AllFiles returns every live file path (for seeding), in directory order.
 func (ns *Namespace) AllFiles() []string {
 	out := make([]string, 0, ns.fileCount)

@@ -45,7 +45,7 @@ func TestBuildNamespaceShape(t *testing.T) {
 	if got := len(ns.Dirs); got != 4+4*3 {
 		t.Fatalf("dirs = %d, want 16", got)
 	}
-	if got := ns.FileCount(); got != 4*3*5 {
+	if got := ns.fileCount; got != 4*3*5 {
 		t.Fatalf("files = %d, want 60", got)
 	}
 	for _, f := range ns.AllFiles() {
@@ -134,8 +134,8 @@ func TestGeneratorKeepsNamespaceConsistent(t *testing.T) {
 			}
 		}
 	}
-	if len(seen) != ns.FileCount() {
-		t.Fatalf("file count %d != %d live files", ns.FileCount(), len(seen))
+	if len(seen) != ns.fileCount {
+		t.Fatalf("file count %d != %d live files", ns.fileCount, len(seen))
 	}
 	var executed int64
 	for op := Op(1); op < numOps; op++ {
