@@ -388,7 +388,8 @@ func (f *FS) List(path string) ([]FileInfo, error) {
 		if err != nil {
 			return err
 		}
-		for _, k := range kids {
+		for i := range kids.Len() {
+			k := kids.At(i)
 			out = append(out, toFileInfo(joinPath(path, k.Name), k))
 		}
 		return nil

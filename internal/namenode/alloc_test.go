@@ -14,10 +14,12 @@ import (
 // each row by its parent's cached children partition and its own name, a
 // substring of the operation's path, so it builds no key; it takes its
 // requests and chain from the operation's pooled scratch, stages its writes
-// in the transaction's inline commit train and takes its row locks in the
-// rows' inline holder slots, reuses the storage transaction the previous
-// operation's InTx freed, and allocates only what it returns or stores.
-// Excluded under -race, whose instrumentation allocates.
+// in the transaction's inline commit trains, takes its row locks in the
+// rows' inline holder slots and a new row from the rows deletes freed,
+// reuses the storage transaction the previous operation's InTx freed, and
+// returns a listing as a window of its directory's snapshot: it allocates
+// only the values it commits. Excluded under -race, whose instrumentation
+// allocates.
 func TestWarmOpAllocs(t *testing.T) {
 	h := newHarness(t)
 	h.db.StopBackground()
@@ -34,17 +36,49 @@ func TestWarmOpAllocs(t *testing.T) {
 		return out
 	}
 	files, dirs := paths("/a/b/c/n%d"), paths("/a/b/d%d")
+	spares := append(paths("/a/b/c/s%d"), paths("/a/b/c/t%d")...)
 	flip := [2]string{"/a/b/f", "/a/b/g"}
 	h.run(t, func(p *sim.Proc) {
-		for _, dir := range []string{"/a", "/a/b", "/a/b/c"} {
-			if err := nn.Mkdir(p, dir, 0o755); err != nil {
+		must := func(err error) bool {
+			if err != nil {
 				t.Error(err)
+			}
+			return err == nil
+		}
+		for _, dir := range []string{"/a", "/a/b", "/a/b/c"} {
+			if !must(nn.Mkdir(p, dir, 0o755)) {
 				return
 			}
 		}
-		for _, f := range []string{"/a/b/f", "/a/b/c/x", "/a/b/c/y"} {
-			if _, err := nn.Create(p, f, 0); err != nil {
-				t.Error(err)
+		for _, f := range []string{"/a/b/f", "/a/b/c/x", "/a/b/c/y", "/a/b/h"} {
+			if _, err := nn.Create(p, f, 0); !must(err) {
+				return
+			}
+		}
+		// A cross-directory rename moves /a/b/h between /a/b and /a/b/c,
+		// whose children live on different node groups, so its two rows
+		// stage two commit trains.
+		group := func(dir string) int {
+			ino, err := nn.Stat(p, dir)
+			if !must(err) {
+				return -1
+			}
+			pk := partKey(ino.ID)
+			return h.ns.inodes.For(pk).PrimaryFor(pk).Group
+		}
+		if group("/a/b") == group("/a/b/c") {
+			t.Error("/a/b and /a/b/c keep their children on one node group")
+			return
+		}
+		cross := [2]string{"/a/b/h", "/a/b/c/h"}
+		// Deleted files leave their rows for the creates and mkdirs to take.
+		for _, f := range spares {
+			if _, err := nn.Create(p, f, 0); !must(err) {
+				return
+			}
+		}
+		for _, f := range spares {
+			if _, err := nn.Delete(p, f, false); !must(err) {
 				return
 			}
 		}
@@ -64,21 +98,23 @@ func TestWarmOpAllocs(t *testing.T) {
 			// The same: the share lock rides the batch and is held in the
 			// transaction.
 			{"getBlockLocations", 0, func(int) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }},
-			// The listing returned: the scan itself is the directory bucket's
-			// key-sorted snapshot, whole.
-			{"list", 1, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
+			// Nothing: the listing is the directory bucket's key-sorted
+			// snapshot, whole.
+			{"list", 0, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
 			// The new inode value, which the edit makes at the row's chain
 			// head.
 			{"setPermission", 1, func(int) error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
-			// The new inode and the row itself, stored under its name when
-			// the insert's lock is taken.
-			{"create", 2, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
-			// The same two for a directory.
-			{"mkdir", 2, func(i int) error { return nn.Mkdir(p, dirs[i], 0o755) }},
-			// Nothing: the deleted row leaves its partition.
+			// The new inode: its row is one a delete freed.
+			{"create", 1, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
+			// The same for a directory.
+			{"mkdir", 1, func(i int) error { return nn.Mkdir(p, dirs[i], 0o755) }},
+			// Nothing: the deleted row goes back to the free rows.
 			{"delete", 0, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
-			// The moved inode and the destination's row.
-			{"same-directory rename", 2, func(i int) error { return nn.Rename(p, flip[i%2], flip[(i+1)%2]) }},
+			// The moved inode: the destination's row is the one the
+			// previous flip's source freed.
+			{"same-directory rename", 1, func(i int) error { return nn.Rename(p, flip[i%2], flip[(i+1)%2]) }},
+			// The same, across two commit trains, both inline.
+			{"cross-directory rename", 1, func(i int) error { return nn.Rename(p, cross[i%2], cross[(i+1)%2]) }},
 		} {
 			var err error
 			i := 0
@@ -101,7 +137,8 @@ func TestWarmOpAllocs(t *testing.T) {
 
 // TestWarmClientOpAllocs: a client with no history attached adds no
 // allocation to the operation it sends, so a warm client stat, list and
-// setPermission allocate what TestWarmOpAllocs pins for the namenode's own.
+// setPermission allocate what TestWarmOpAllocs pins for the namenode's own:
+// the listing comes back by value, a window no one copies.
 func TestWarmClientOpAllocs(t *testing.T) {
 	h := newHarness(t)
 	h.db.StopBackground()
@@ -125,7 +162,7 @@ func TestWarmClientOpAllocs(t *testing.T) {
 			run  func() error
 		}{
 			{"stat", 0, func() error { _, err := cl.Stat(p, "/a/b/f"); return err }},
-			{"list", 1, func() error { _, err := cl.List(p, "/a/b"); return err }},
+			{"list", 0, func() error { _, err := cl.List(p, "/a/b"); return err }},
 			{"setPermission", 1, func() error { return cl.SetPermission(p, "/a/b/f", 0o600) }},
 		} {
 			var err error

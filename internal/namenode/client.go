@@ -330,8 +330,8 @@ func (cl *Client) Stat(p *sim.Proc, path string) (*Inode, error) {
 }
 
 // List returns a directory's children.
-func (cl *Client) List(p *sim.Proc, path string) ([]*Inode, error) {
-	return call(cl, p, nsmodel.Op{Name: "list", Path: path}, func(nn *NameNode) ([]*Inode, int, error) {
+func (cl *Client) List(p *sim.Proc, path string) (Listing, error) {
+	return call(cl, p, nsmodel.Op{Name: "list", Path: path}, func(nn *NameNode) (Listing, int, error) {
 		got, err := nn.List(p, path)
 		return got, 0, err
 	})

@@ -617,11 +617,23 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 	return out, err
 }
 
-// List returns a directory's children, name-sorted. The directory is
-// share-locked by the resolve ("/" cannot go away and is not locked); the
-// children are listed by listChildren, as one level of a subtree walk.
-func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
-	var out []*Inode
+// Listing is a directory's children, name-sorted: a read-only window onto
+// the directory partition's key-sorted snapshot, into which no later commit
+// writes, so a listing reads the same after its directory changes. The
+// root's listing, gathered by table scan, is a copy of its own.
+type Listing struct{ kvs []ndb.KV }
+
+// Len returns the number of children.
+func (l Listing) Len() int { return len(l.kvs) }
+
+// At returns the i-th child.
+func (l Listing) At(i int) *Inode { return l.kvs[i].Val.(*Inode) }
+
+// List returns a directory's children. The directory is share-locked by the
+// resolve ("/" cannot go away and is not locked); the children are listed
+// by listChildren, as one level of a subtree walk.
+func (nn *NameNode) List(p *sim.Proc, path string) (Listing, error) {
+	var out Listing
 	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
 		chain, err := nn.resolveChain(tx, sc, fp, ndb.LockShared)
 		if err != nil {
@@ -634,9 +646,9 @@ func (nn *NameNode) List(p *sim.Proc, path string) ([]*Inode, error) {
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return Listing{}, err
 	}
-	nn.cpu.UseDeferred(p, time.Duration(len(out))*costPerListEntry)
+	nn.cpu.UseDeferred(p, time.Duration(out.Len())*costPerListEntry)
 	return out, nil
 }
 
@@ -710,11 +722,12 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, sc *opScratch, ancestors []*Inode, 
 		if err != nil {
 			return err
 		}
-		if top && len(children) > 0 && !recursive {
+		if top && children.Len() > 0 && !recursive {
 			return ErrNotEmpty
 		}
 		var next []*Inode
-		for _, child := range children {
+		for i := range children.Len() {
+			child := children.At(i)
 			if _, err := nn.getInode(tx, sc, child.Parent, child.Name, ndb.LockExclusive); err != nil {
 				return err
 			}
@@ -885,7 +898,8 @@ func (nn *NameNode) summarize(tx ndb.Tx, sc *opScratch, top []*Inode, files, dir
 			return err
 		}
 		var next []*Inode
-		for _, child := range children {
+		for i := range children.Len() {
+			child := children.At(i)
 			if child.Dir {
 				next = append(next, child)
 			} else {
@@ -905,14 +919,12 @@ func (nn *NameNode) summarize(tx ndb.Tx, sc *opScratch, top []*Inode, files, dir
 // costs one parallel round instead of one round trip per directory. Only "/"
 // is listed on its own — it is a level of its own, nothing else has depth 0 —
 // and by table scan: its children are deliberately scattered across
-// partitions (see partKeyOf). The listing is the one allocation of its own.
-func (nn *NameNode) listChildren(tx ndb.Tx, sc *opScratch, dirs []*Inode) ([]*Inode, error) {
+// partitions (see partKeyOf). One directory's listing is its scan, a window
+// of its partition's snapshot; a level of several is their concatenation.
+func (nn *NameNode) listChildren(tx ndb.Tx, sc *opScratch, dirs []*Inode) (Listing, error) {
 	if dirs[0].ID == RootID {
 		kvs, err := tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(RootID, ""))
-		if err != nil {
-			return nil, err
-		}
-		return appendChildren(nil, kvs, dirs[0]), nil
+		return Listing{kvs}, err
 	}
 	sc.scans = sc.scans[:0]
 	for _, dir := range dirs {
@@ -922,28 +934,10 @@ func (nn *NameNode) listChildren(tx ndb.Tx, sc *opScratch, dirs []*Inode) ([]*In
 	}
 	results, err := tx.ScanBatch(sc.scans)
 	if err != nil {
-		return nil, err
+		return Listing{}, err
 	}
-	rows := 0
-	for _, kvs := range results {
-		rows += len(kvs)
+	if len(results) == 1 {
+		return Listing{results[0]}, nil
 	}
-	var out []*Inode
-	if rows > 0 {
-		out = make([]*Inode, 0, rows)
-	}
-	for i, kvs := range results {
-		out = appendChildren(out, kvs, dirs[i])
-	}
-	return out, nil
-}
-
-// appendChildren appends the inodes of one directory listing to out.
-func appendChildren(out []*Inode, kvs []ndb.KV, dir *Inode) []*Inode {
-	for _, kv := range kvs {
-		if ino, ok := kv.Val.(*Inode); ok && ino.Parent == dir.ID {
-			out = append(out, ino)
-		}
-	}
-	return out
+	return Listing{slices.Concat(results...)}, nil
 }

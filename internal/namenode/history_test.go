@@ -132,12 +132,12 @@ func checkAgainstOracle(t *testing.T, ops []nsmodel.Op) {
 			var entries []nsmodel.Entry
 			entries, want = m.List(op.Path)
 			if op.Err == nil && want == nil {
-				got := op.Result.([]*namenode.Inode)
-				if len(got) != len(entries) {
-					diff = fmt.Errorf("%d children %v, oracle %d %v", len(got), names(got), len(entries), entries)
+				got := op.Result.(namenode.Listing)
+				if got.Len() != len(entries) {
+					diff = fmt.Errorf("%d children %v, oracle %d %v", got.Len(), names(got), len(entries), entries)
 				}
-				for j := 0; diff == nil && j < len(got); j++ {
-					if err := sameEntry(got[j], entries[j]); err != nil {
+				for j := 0; diff == nil && j < got.Len(); j++ {
+					if err := sameEntry(got.At(j), entries[j]); err != nil {
 						diff = fmt.Errorf("child %d of %v: %w", j, names(got), err)
 					}
 				}
@@ -176,10 +176,10 @@ func checkAgainstOracle(t *testing.T, ops []nsmodel.Op) {
 	}
 }
 
-func names(inodes []*namenode.Inode) []string {
-	out := make([]string, len(inodes))
-	for i, ino := range inodes {
-		out[i] = ino.Name
+func names(l namenode.Listing) []string {
+	out := make([]string, l.Len())
+	for i := range out {
+		out[i] = l.At(i).Name
 	}
 	return out
 }

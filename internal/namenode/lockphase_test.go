@@ -258,8 +258,8 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 		if got.ID != newF.ID {
 			t.Errorf("GetBlockLocations returned inode %d, the committed /a/b/f is %d (moved one: %d)", got.ID, newF.ID, oldF.ID)
 		}
-		if len(listed) != 1 || listed[0].Name != "x-new" {
-			t.Errorf("List(/a/b/d) = %v, want the committed directory's [x-new]", names(listed))
+		if got := names(listed); len(got) != 1 || got[0] != "x-new" {
+			t.Errorf("List(/a/b/d) = %v, want the committed directory's [x-new]", got)
 		}
 		if created.Parent != newD.ID {
 			t.Errorf("Create landed under inode %d, the committed /a/b/d is %d", created.Parent, newD.ID)
@@ -553,10 +553,10 @@ func TestRenameStaleSourceMatchesSerial(t *testing.T) {
 	}
 }
 
-func names(inos []*Inode) []string {
-	out := make([]string, len(inos))
-	for i, ino := range inos {
-		out[i] = ino.Name
+func names(l Listing) []string {
+	out := make([]string, l.Len())
+	for i := range out {
+		out[i] = l.At(i).Name
 	}
 	return out
 }

@@ -54,12 +54,12 @@ func TestPropFSMatchesModel(t *testing.T) {
 
 		// A pool of path components keeps collisions frequent enough to
 		// exercise the error paths.
-		names := []string{"a", "b", "c", "d"}
+		pool := []string{"a", "b", "c", "d"}
 		randPath := func() string {
 			depth := rng.Intn(3) + 1
 			comps := make([]string, depth)
 			for i := range comps {
-				comps[i] = names[rng.Intn(len(names))]
+				comps[i] = pool[rng.Intn(len(pool))]
 			}
 			return "/" + strings.Join(comps, "/")
 		}
@@ -97,10 +97,7 @@ func TestPropFSMatchesModel(t *testing.T) {
 					want, werr := m.List(path)
 					wantErr = werr
 					if err == nil && werr == nil {
-						gotNames := make([]string, len(kids))
-						for j, k := range kids {
-							gotNames[j] = k.Name
-						}
+						gotNames := names(kids)
 						wantNames := make([]string, len(want))
 						for j, e := range want {
 							wantNames[j] = e.Name

@@ -3,6 +3,7 @@ package namenode
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -190,14 +191,67 @@ func TestListReturnsSortedChildren(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if len(kids) != 3 {
-			t.Errorf("list returned %d entries", len(kids))
+		if got, want := names(kids), []string{"alpha", "mid", "zeta"}; !slices.Equal(got, want) {
+			t.Errorf("list returned %q, want %q", got, want)
+		}
+	})
+}
+
+// TestListingOutlivesChanges: a listing is a window onto its directory's
+// snapshot, which no later commit writes into, so a listing taken before a
+// create and a delete in its directory — and a listing of the root — reads
+// the same afterwards, entry for entry, while a fresh listing sees both.
+func TestListingOutlivesChanges(t *testing.T) {
+	h := newHarness(t)
+	cl := h.client(1)
+	h.run(t, func(p *sim.Proc) {
+		must := func(err error) bool {
+			if err != nil {
+				t.Error(err)
+			}
+			return err == nil
+		}
+		for _, dir := range []string{"/d", "/e"} {
+			if !must(cl.Mkdir(p, dir)) {
+				return
+			}
+		}
+		for _, f := range []string{"/d/a", "/d/c"} {
+			if !must(cl.Create(p, f, 0)) {
+				return
+			}
+		}
+		var before [2]Listing
+		var inodes [2][]*Inode
+		for i, dir := range []string{"/d", "/"} {
+			l, err := cl.List(p, dir)
+			if !must(err) {
+				return
+			}
+			before[i] = l
+			for j := range l.Len() {
+				inodes[i] = append(inodes[i], l.At(j))
+			}
+		}
+		if !must(cl.Create(p, "/d/b", 0)) || !must(cl.Delete(p, "/d/a", false)) ||
+			!must(cl.Mkdir(p, "/f")) || !must(cl.Delete(p, "/e", false)) {
 			return
 		}
-		want := []string{"alpha", "mid", "zeta"}
-		for i, k := range kids {
-			if k.Name != want[i] {
-				t.Errorf("entry %d = %q, want %q", i, k.Name, want[i])
+		for i, want := range [2][]string{{"a", "c"}, {"d", "e"}} {
+			if got := names(before[i]); !slices.Equal(got, want) {
+				t.Errorf("a listing taken before the changes now reads %q, want %q", got, want)
+				continue
+			}
+			for j, ino := range inodes[i] {
+				if before[i].At(j) != ino {
+					t.Errorf("entry %d of a listing taken before the changes is another inode now", j)
+				}
+			}
+		}
+		for dir, want := range map[string][]string{"/d": {"b", "c"}, "/": {"d", "f"}} {
+			l, err := cl.List(p, dir)
+			if must(err) && !slices.Equal(names(l), want) {
+				t.Errorf("a fresh listing of %s reads %q, want %q", dir, names(l), want)
 			}
 		}
 	})
@@ -645,8 +699,8 @@ func TestListRootScansAllPartitions(t *testing.T) {
 	h := newHarness(t)
 	cl := h.client(1)
 	h.run(t, func(p *sim.Proc) {
-		names := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-		for _, n := range names {
+		dirs := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
+		for _, n := range dirs {
 			if err := cl.Mkdir(p, "/"+n); err != nil {
 				t.Error(err)
 				return
@@ -661,12 +715,13 @@ func TestListRootScansAllPartitions(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if len(kids) != 6 {
-			t.Errorf("root listing has %d entries, want 6: %+v", len(kids), kids)
+		got := names(kids)
+		if len(got) != 6 {
+			t.Errorf("root listing has %d entries, want 6: %q", len(got), got)
 			return
 		}
-		if kids[0].Name != "alpha" || kids[5].Name != "topfile" {
-			t.Errorf("root listing order: %v...%v", kids[0].Name, kids[5].Name)
+		if got[0] != "alpha" || got[5] != "topfile" {
+			t.Errorf("root listing order: %v...%v", got[0], got[5])
 		}
 	})
 }

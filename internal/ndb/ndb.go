@@ -157,12 +157,14 @@ type Cluster struct {
 	// (workers.go): the steady-state batch/commit fan-out path allocates no
 	// processes, no joins and no working arrays. A join goes back to its
 	// pool only once every arm it counted has arrived. txns holds the
-	// transactions InTx has ended (Txn.Free), for Begin to reuse.
+	// transactions InTx has ended (Txn.Free), for Begin to reuse, and rows
+	// the rows cleanRow dropped, for the next insert.
 	workers freeList[*fanWorker]
 	arms    freeList[*fanArm]
 	joins   freeList[*join]
 	scratch freeList[*batchScratch]
 	txns    freeList[*Txn]
+	rows    freeList[*row]
 
 	// topoEpoch counts cluster-side replica-topology changes (shutdown
 	// orders, primary promotions); combined with the network's node
@@ -387,6 +389,7 @@ func New(env *sim.Env, net *simnet.Network, cfg Config, dataPlacement, mgmtPlace
 	c.workers.fresh = c.newWorker
 	c.arms.fresh = c.newArm
 	c.txns.fresh = func() *Txn { return &Txn{} }
+	c.rows.fresh = func() *row { return &row{} }
 	c.joins.fresh = func() *join { return &join{} }
 	c.scratch.fresh = func() *batchScratch { return &batchScratch{} }
 	numGroups := cfg.DataNodes / cfg.Replication

@@ -150,7 +150,7 @@ func (p *Partition) promoteFrom(failed *DataNode) {
 // pre-built benchmark namespace) before any traffic runs.
 func StoreDirect(t *Table, partKey, key string, val Value) {
 	b := t.partitionFor(partKey).bucketOf(partKey)
-	r := b.row(key)
+	r := b.row(key, &t.c.rows)
 	r.val = val
 	r.exists = true
 	b.sorted = nil
@@ -168,12 +168,12 @@ type bucket struct {
 	sorted []KV
 }
 
-// row returns the row under key, creating a placeholder for lock
-// acquisition if the row does not exist yet (insert path).
-func (b *bucket) row(key string) *row {
+// row returns the row under key, taking a placeholder for lock acquisition
+// from the free rows if the row does not exist yet (insert path).
+func (b *bucket) row(key string, free *freeList[*row]) *row {
 	r, ok := b.rows[key]
 	if !ok {
-		r = &row{}
+		r = free.get()
 		b.rows[key] = r
 	}
 	return r

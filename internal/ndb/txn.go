@@ -44,11 +44,14 @@ type Txn struct {
 	kvs     [8][]KV
 	lockBuf [4]lockRef
 	// A mutation's writes nearly always fill one train of one or two rows
-	// (a rename within a directory): train0, its rows0 and trainBuf hold
-	// those, so staging them allocates nothing. Further trains, and rows
-	// beyond two, spill to the heap.
+	// (a rename within a directory), or two trains of one row each (a rename
+	// across directories): train0 and train1, their rows0 and rows1 and
+	// trainBuf hold those, so staging them allocates nothing. Further
+	// trains, and rows beyond two, spill to the heap.
 	train0   train
+	train1   train
 	rows0    [2]writeOp
+	rows1    [2]writeOp
 	trainBuf [2]*train
 }
 
@@ -319,10 +322,14 @@ func (t *Txn) stage(w *BatchWrite) *train {
 		}
 	}
 	if tr == nil {
-		if len(t.trains) == 0 {
+		switch len(t.trains) {
+		case 0:
 			tr = &t.train0
 			tr.rows = t.rows0[:0]
-		} else {
+		case 1:
+			tr = &t.train1
+			tr.rows = t.rows1[:0]
+		default:
 			tr = &train{}
 		}
 		tr.chain, tr.readBackup = chain, readBackup
@@ -900,15 +907,15 @@ func (p *Partition) bucketOf(pk string) *bucket {
 
 // getRow returns the row, creating a placeholder for lock acquisition if
 // the row does not exist yet (insert path).
-func (p *Partition) getRow(pk, key string) *row { return p.bucketOf(pk).row(key) }
+func (p *Partition) getRow(pk, key string) *row { return p.bucketOf(pk).row(key, &p.table.c.rows) }
 
 // apply makes a staged write the committed value, logging the row's
 // pre-image for a whole-cluster restart, and releases txn's lock on the row
 // when release is set; a row whose lock is kept stays until releaseAll.
 func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
-	b := p.bucketOf(w.pk)
-	r := b.row(w.key)
 	c := p.table.c
+	b := p.bucketOf(w.pk)
+	r := b.row(w.key, &c.rows)
 	c.undo = append(c.undo, preImage{p, w.pk, w.key, r.val, r.exists})
 	if w.del {
 		r.exists = false
@@ -924,10 +931,17 @@ func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
 	p.cleanRow(w.pk, w.key, r)
 }
 
-// cleanRow drops placeholder rows that never materialized and carry no
-// lock state, bounding memory.
+// cleanRow drops a row that holds no committed value and carries no lock
+// state — a deleted row, or a placeholder that never materialized — and
+// hands its storage to the next insert, as NDB reuses a deleted row's slot
+// in its preallocated pages. Reuse is safe because nothing keeps a *row
+// once its lock is idle: a process holds one across a park only while it
+// waits in the row's lock queue, which keeps the row out of the pool, and
+// the undo log, scan snapshots and lockRefs hold values and keys.
 func (p *Partition) cleanRow(pk, key string, r *row) {
 	if !r.exists && r.lock.idle() {
 		delete(p.rows[pk].rows, key)
+		*r = row{}
+		p.table.c.rows.put(r)
 	}
 }

@@ -52,8 +52,10 @@ type Env struct {
 	stopAt time.Duration
 
 	// resumes counts switches into a coroutine process, steps calls of a
-	// stackless process's step function: the kernel's work, per run.
-	resumes, steps uint64
+	// stackless process's step function, and cancelled events removed from
+	// the queue before they fired: the kernel's work, per run. seq counts
+	// the events scheduled.
+	resumes, steps, cancelled uint64
 }
 
 // New returns a fresh simulation environment seeded with seed. Two
@@ -117,6 +119,14 @@ func (e *Env) Resumes() uint64 { return e.resumes }
 // Steps returns how many times the scheduler has called a stackless
 // process's step. It repeats bit for bit per seed.
 func (e *Env) Steps() uint64 { return e.steps }
+
+// Scheduled returns how many events — timer wake-ups and callbacks — have
+// been queued. It repeats bit for bit per seed.
+func (e *Env) Scheduled() uint64 { return e.seq }
+
+// Cancelled returns how many queued events were removed before they fired:
+// timers whose wait was satisfied first. It repeats bit for bit per seed.
+func (e *Env) Cancelled() uint64 { return e.cancelled }
 
 // At schedules fn to run as an event callback at absolute virtual time t
 // (clamped to now). Event callbacks run on the scheduler and must not block;
@@ -297,6 +307,7 @@ func (e *Env) recycleEvent(ev *event) {
 func (e *Env) removeEvent(ev *event) {
 	if ev.heapIdx >= 0 {
 		e.events.remove(ev.heapIdx)
+		e.cancelled++
 	}
 	e.recycleEvent(ev)
 }

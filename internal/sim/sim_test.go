@@ -77,6 +77,9 @@ func TestWaitForTimesOut(t *testing.T) {
 	if at != 3*time.Millisecond {
 		t.Fatalf("timed out at %v, want 3ms", at)
 	}
+	if env.Scheduled() != 1 || env.Cancelled() != 0 {
+		t.Fatalf("%d events scheduled, %d cancelled; want the timer's 1 and 0", env.Scheduled(), env.Cancelled())
+	}
 }
 
 func TestWaitForWoken(t *testing.T) {
@@ -96,6 +99,9 @@ func TestWaitForWoken(t *testing.T) {
 	// The cancelled timer must not fire into the process later.
 	if env.Now() != time.Millisecond {
 		t.Fatalf("quiesced at %v, want 1ms", env.Now())
+	}
+	if env.Scheduled() != 2 || env.Cancelled() != 1 {
+		t.Fatalf("%d events scheduled, %d cancelled; want 2 (the Wake and the timer) and 1", env.Scheduled(), env.Cancelled())
 	}
 }
 

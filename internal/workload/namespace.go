@@ -56,12 +56,8 @@ func BuildNamespace(spec NamespaceSpec, seed int64) *Namespace {
 	return ns
 }
 
-func (ns *Namespace) addDir(path string) {
-	ns.Dirs = append(ns.Dirs, path)
-	if ns.byDir[path] == nil {
-		ns.byDir[path] = &dirFiles{pos: make(map[string]int)}
-	}
-}
+// addDir adds a directory; its file index comes with its first file.
+func (ns *Namespace) addDir(path string) { ns.Dirs = append(ns.Dirs, path) }
 
 func (ns *Namespace) addFile(dir, path string) {
 	df := ns.byDir[dir]
