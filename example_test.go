@@ -282,3 +282,79 @@ func Example_spotify() {
 	// AZ awareness keeps metadata traffic inside each zone: local transaction
 	// coordinators, Read Backup replicas, and AZ-local metadata servers (§IV).
 }
+
+// Example_azfailover walks §V-F of the paper: the file system tolerates the
+// failure of an entire availability zone, resolves a split brain through
+// the management-node arbitrator, and re-replicates blocks whose replicas
+// were lost — all while continuing to serve clients.
+func Example_azfailover() {
+	cluster, err := hopsfscl.New(hopsfscl.WithMetadataServers(6))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cluster.Close()
+	report := func(label string) {
+		s := cluster.Stats()
+		fmt.Printf("[%-22s] storage nodes up: %d  metadata servers up: %d  leader: nn-%d  re-replications: %d\n",
+			label, s.AliveStorageNodes, s.AliveNameNodes, cluster.LeaderID(), s.ReReplications)
+	}
+
+	fs := cluster.Client(1)
+	if err := fs.MkdirAll("/prod/db"); err != nil {
+		log.Fatal(err)
+	}
+	if err := fs.WriteFile("/prod/db/snapshot", 256<<20); err != nil {
+		log.Fatal(err)
+	}
+	report("steady state")
+
+	// An availability zone goes dark. Metadata: NDB promotes backup
+	// partition replicas within each node group (every group spans all
+	// three AZs, Figure 4). Serving: clients stuck to zone-2 NNs pick
+	// surviving servers; a new leader is elected if the leader was in
+	// zone 2. Blocks: the leader NN triggers re-replication of block
+	// replicas lost with the zone.
+	fmt.Println("*** zone 2 fails ***")
+	cluster.FailZone(2)
+	report("after AZ failure")
+	if _, err := fs.ReadFile("/prod/db/snapshot"); err != nil {
+		log.Fatal("read after AZ failure: ", err)
+	}
+	if err := fs.WriteFile("/prod/db/wal", 64<<10); err != nil {
+		log.Fatal("write after AZ failure: ", err)
+	}
+	fmt.Println("reads and writes keep working")
+
+	// Give the re-replication monitor time to restore the replication
+	// factor of the snapshot's blocks.
+	cluster.Advance(5e9)
+	report("after re-replication")
+
+	// Split brain between the surviving zones. Zone 1 hosts the elected
+	// arbitrator (M1). When zones 1 and 3 partition, the side that reaches
+	// the arbitrator first survives; the other side shuts itself down
+	// rather than risk divergence.
+	fmt.Println("*** network partition between zone 1 and zone 3 ***")
+	cluster.PartitionZones(1, 3)
+	report("after split brain")
+	if err := fs.Create("/prod/db/marker"); err != nil {
+		log.Fatal("write after split brain: ", err)
+	}
+	fmt.Println("the surviving side keeps accepting writes")
+
+	cluster.HealZones(1, 3)
+	fmt.Println("partition healed (shut-down nodes stay out until operator re-join)")
+	report("final")
+
+	// Output:
+	// [steady state          ] storage nodes up: 6  metadata servers up: 6  leader: nn-1  re-replications: 0
+	// *** zone 2 fails ***
+	// [after AZ failure      ] storage nodes up: 4  metadata servers up: 4  leader: nn-1  re-replications: 2
+	// reads and writes keep working
+	// [after re-replication  ] storage nodes up: 4  metadata servers up: 4  leader: nn-1  re-replications: 2
+	// *** network partition between zone 1 and zone 3 ***
+	// [after split brain     ] storage nodes up: 2  metadata servers up: 4  leader: nn-1  re-replications: 2
+	// the surviving side keeps accepting writes
+	// partition healed (shut-down nodes stay out until operator re-join)
+	// [final                 ] storage nodes up: 2  metadata servers up: 4  leader: nn-1  re-replications: 2
+}

@@ -327,12 +327,15 @@ func (e *Engine) settled() bool {
 func (e *Engine) checkpoint(label string) {
 	pauseStart := e.d.Env.Now()
 	quiesced := e.quiesce()
-	if quiesced {
+	if quiesced && e.sharded {
 		// With the workload drained, any durable cross-shard intent left in
 		// storage belongs to a coordinator that died mid-commit: recover it
 		// now so the auditor sees a namespace with no commit half-applied.
-		// (No-op for unsharded deployments, which never write intents.)
+		// The sweep runs the clock, and background work — a leader
+		// election's transaction — may begin meanwhile: drain again before
+		// the audit. (Unsharded deployments never write intents.)
 		e.sweepIntents()
+		quiesced = e.quiesce()
 	}
 	viol := e.aud.Check(e.d.Env.Now(), quiesced, e.settled())
 	if !quiesced {
@@ -352,9 +355,6 @@ func (e *Engine) checkpoint(label string) {
 // workload is quiesced. Resolution is itself transactional, so the run
 // drains back to zero in-flight transactions before returning.
 func (e *Engine) sweepIntents() {
-	if !e.sharded {
-		return
-	}
 	done := false
 	e.d.Env.Spawn("chaos-intent-sweep", func(p *sim.Proc) {
 		_, _ = e.d.NS.ResolvePendingIntents(p)

@@ -545,3 +545,211 @@ func runRacingRenames(t *testing.T, seed int64, shards int) {
 		t.Error("no round acked both a rename and the update: the head's check of a changed source was not exercised")
 	}
 }
+
+// TestCreateRacesParentRemoval: a create whose hints reach its parent sends
+// the parent's share lock and its own insert in one batch, so the two locks
+// come in no order of their own. Nothing that holds the parent exclusively
+// waits for a row a create inserts: a recursive delete locks only the
+// children its subtree walk finds committed, and a non-recursive delete, a
+// rename and an update of the parent write only its row (and the create
+// never queues for its parent while it may hold its row, which
+// TestMergedCreateNeverQueuesForItsParent pins). Creates and mkdirs under
+// /p/sN, started a quarter millisecond
+// apart on three metadata servers with the directory's hints warm, race each
+// of those four removals in turn. Every outcome must be linearizable: a child
+// whose create was acked exists under the directory wherever it ends up (or
+// died with it in an acked recursive delete), a create that answered
+// ErrNotFound came after an acked removal, and a non-recursive delete that
+// answered ErrNotEmpty came after an acked create. No lock wait may reach the
+// lock timeout, and the auditor and a walk of the committed inode rows find no
+// orphan. Seeds 1–3, one and two shards; with two, /p is pinned as in
+// TestRacingRenames, so the batch spans shards and runs as two rounds.
+func TestCreateRacesParentRemoval(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("seed%d-shards%d", seed, shards), func(t *testing.T) {
+				runCreateRacesParentRemoval(t, seed, shards)
+			})
+		}
+	}
+}
+
+func runCreateRacesParentRemoval(t *testing.T, seed int64, shards int) {
+	const (
+		rounds   = 8
+		creators = 12
+		stagger  = 250 * time.Microsecond
+		// removeAt starts the removal among the creates: those started
+		// well before it win the parent's lock, those started after it lose,
+		// and those between send their batch while it holds the parent and
+		// walks the children.
+		removeAt = 1500 * time.Microsecond
+		// lockTimeout is ndb's deadlock timeout.
+		lockTimeout = 150 * time.Millisecond
+	)
+	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
+	o := core.DefaultOptions(setup)
+	o.MetadataServers = 4
+	o.ClientsPerServer = 1
+	o.StorageNodes = 6
+	o.PartitionsPerTable = 8
+	o.Namespace = workload.NamespaceSpec{TopDirs: 1, SubDirs: 1, FilesPerDir: 1}
+	o.Seed = seed
+	o.Shards = shards
+	d, err := core.Build(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	nns := d.NS.NameNodes()
+	removals := []string{"delete -r", "delete", "rename", "setPermission"}
+	exercised := map[string]bool{}
+	finished := false
+	d.Env.Spawn("driver", func(p *sim.Proc) {
+		if err := nns[0].Mkdir(p, "/p", 0o755); err != nil {
+			t.Error(err)
+			return
+		}
+		if shards > 1 {
+			dir, err := nns[0].Stat(p, "/p")
+			if err == nil {
+				err = d.NS.PinSubtree(dir.ID, int(dir.ID+1)%shards)
+			}
+			if err != nil {
+				t.Errorf("pin /p: %v", err)
+				return
+			}
+		}
+		for r := 0; r < rounds; r++ {
+			dir, moved, removal := fmt.Sprintf("/p/s%d", r), fmt.Sprintf("/p/t%d", r), removals[r%len(removals)]
+			if err := nns[0].Mkdir(p, dir, 0o755); err != nil {
+				t.Error(err)
+				return
+			}
+			// Warm every creator's hints down to the directory, so each
+			// create's insert rides its resolve's batch.
+			for _, nn := range nns[1:] {
+				if _, err := nn.Stat(p, dir); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			var removeErr error
+			errs := make([]error, creators)
+			racers := []func(p *sim.Proc){func(p *sim.Proc) {
+				p.Sleep(removeAt)
+				switch removal {
+				case "delete -r":
+					_, removeErr = nns[0].Delete(p, dir, true)
+				case "delete":
+					_, removeErr = nns[0].Delete(p, dir, false)
+				case "rename":
+					removeErr = nns[0].Rename(p, dir, moved)
+				default:
+					removeErr = nns[0].SetPermission(p, dir, 0o700)
+				}
+			}}
+			for k := range creators {
+				racers = append(racers, func(p *sim.Proc) {
+					p.Sleep(time.Duration(k) * stagger)
+					nn, child := nns[1+k%3], fmt.Sprintf("%s/c%d", dir, k)
+					if k%2 == 1 {
+						errs[k] = nn.Mkdir(p, child, 0o755)
+					} else {
+						_, errs[k] = nn.Create(p, child, 10)
+					}
+				})
+			}
+			done, parent := 0, p
+			for _, fn := range racers {
+				d.Env.Spawn("racer", func(p *sim.Proc) {
+					fn(p)
+					done++
+					parent.Wake()
+				})
+			}
+			p.Flush()
+			for done < len(racers) {
+				p.Wait()
+			}
+
+			// Where the directory is now: "" when an acked delete removed it.
+			where := dir
+			switch {
+			case removal == "delete" && errors.Is(removeErr, namenode.ErrNotEmpty):
+			case removeErr != nil:
+				t.Errorf("%s %s: %v", removal, dir, removeErr)
+				continue
+			case removal == "rename":
+				where = moved
+			case removal != "setPermission":
+				where = ""
+			}
+			acked := 0
+			for k, err := range errs {
+				child := fmt.Sprintf("c%d", k)
+				switch {
+				case err == nil:
+					acked++
+					if where == "" {
+						continue
+					}
+					if _, serr := nns[0].Stat(p, where+"/"+child); serr != nil {
+						t.Errorf("round %d: acked %s/%s is not under %s after the %s: %v", r, dir, child, where, removal, serr)
+					}
+				case errors.Is(err, namenode.ErrNotFound):
+					exercised[removal] = true
+					if where == dir {
+						t.Errorf("round %d: create %s/%s answered ErrNotFound, but the %s did not remove %s", r, dir, child, removal, dir)
+					}
+				default:
+					t.Errorf("round %d: create %s/%s: %v, want nil or ErrNotFound", r, dir, child, err)
+				}
+			}
+			if removal == "delete" && errors.Is(removeErr, namenode.ErrNotEmpty) {
+				exercised[removal] = true
+				if acked == 0 {
+					t.Errorf("round %d: delete %s answered ErrNotEmpty, but no create was acked", r, dir)
+				}
+			}
+			if removal == "delete" && removeErr == nil && acked > 0 {
+				t.Errorf("round %d: delete %s was acked, and so were %d creates under it", r, dir, acked)
+			}
+		}
+		finished = true
+	})
+	d.Env.RunFor(60 * time.Second)
+	if !finished {
+		t.Fatal("the races did not finish")
+	}
+	for _, r := range removals[:3] {
+		if !exercised[r] {
+			t.Errorf("no create lost to a %s, and no %s to a create: the race was not exercised", r, r)
+		}
+	}
+	for s, l := range d.Contention() {
+		for _, e := range l.Entries() {
+			if e.Timeouts > 0 || e.Max >= lockTimeout {
+				t.Errorf("shard %d: %s waited on %s for %v on %s (%d timeouts): a deadlock sat out the lock timeout",
+					s, e.Waiter, e.Holder, e.Max, e.Table, e.Timeouts)
+			}
+		}
+	}
+	for _, v := range NewAuditor(d).Check(d.Env.Now(), true, true) {
+		t.Errorf("audit: %s", v)
+	}
+	byID := map[uint64]*namenode.Inode{namenode.RootID: nil}
+	var all []*namenode.Inode
+	for _, db := range d.MetaClusters() {
+		db.Table("inodes").ForEachCommitted(func(_, _ string, val ndb.Value) {
+			ino := val.(*namenode.Inode)
+			byID[ino.ID] = ino
+			all = append(all, ino)
+		})
+	}
+	for _, ino := range all {
+		if parent, ok := byID[ino.Parent]; ino.ID != namenode.RootID && (!ok || (ino.Parent != namenode.RootID && !parent.Dir)) {
+			t.Errorf("inode %d (%q) is an orphan: no directory %d", ino.ID, ino.Name, ino.Parent)
+		}
+	}
+}

@@ -328,3 +328,63 @@ func TestShardedChaosCampaign(t *testing.T) {
 		t.Errorf("no generated fault targeted shard 1 across %d campaigns", len(seeds))
 	}
 }
+
+// TestCheckpointDrainsAfterIntentSweep: a sharded checkpoint runs the intent
+// sweep after the quiesce, and the sweep runs the clock, so background work
+// can begin a transaction while it runs — a leader election's, or here a
+// probe's, begun half a millisecond into the sweep and open for 20 ms. The
+// checkpoint drains again before it audits, so that transaction is waited
+// for, not reported as stuck.
+func TestCheckpointDrainsAfterIntentSweep(t *testing.T) {
+	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
+	o := core.DefaultOptions(setup)
+	o.MetadataServers = 3
+	o.ClientsPerServer = 0
+	o.StorageNodes = 6
+	o.PartitionsPerTable = 8
+	o.Namespace = workload.NamespaceSpec{TopDirs: 1, SubDirs: 1, FilesPerDir: 1}
+	o.Seed = 1
+	o.Shards = 2
+	d, err := core.Build(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	e, err := NewEngine(d, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Env.RunFor(2 * time.Second)
+	d.NS.StopBackground()
+	if !e.quiesce() {
+		t.Fatal("the idle deployment did not drain")
+	}
+	nn, db := d.NS.NameNodes()[0], d.MetaClusters()[0]
+	start := d.Env.Now()
+	var began, ended time.Duration
+	d.Env.Spawn("probe", func(p *sim.Proc) {
+		p.Sleep(500 * time.Microsecond)
+		tx, err := db.Begin(p, nn.Node, nn.Domain, nil, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		began = p.Now()
+		p.Sleep(20 * time.Millisecond)
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+		}
+		tx.Free()
+		ended = p.Now()
+	})
+	e.checkpoint("sweep")
+	if began == 0 || began-start > 2*pollStep {
+		t.Fatalf("the probe began at %v, %v after the checkpoint: not during the sweep", began, began-start)
+	}
+	if ended == 0 {
+		t.Error("the checkpoint audited before the probe's transaction ended")
+	}
+	for _, v := range e.aud.Violations {
+		t.Errorf("violation: %s", v)
+	}
+}

@@ -13,9 +13,9 @@ import (
 
 // optionStructs are the config structs held to the rule "a field stays only
 // while some caller sets it": directory under the repository root, type name,
-// and whether only production callers count — setters in _test.go files and
-// under examples/ do not (the rest still count tests; ROADMAP item 16 lists
-// their test-only fields).
+// and whether only production callers count — setters in _test.go files do
+// not (the rest still count tests; ROADMAP item 16 lists their test-only
+// fields).
 var optionStructs = []struct {
 	dir, name string
 	prodOnly  bool
@@ -44,10 +44,10 @@ type fieldSet struct {
 }
 
 // TestEveryOptionIsSetSomewhere parses every Go file in the repository
-// (tests, cmd/, examples/ and benchmark/ included) and requires, for each
+// (tests, cmd/ and benchmark/ included) and requires, for each
 // exported field of optionStructs, a keyed-literal or selector assignment
 // outside the Default*/withDefaults functions of the file that declares the
-// struct, and for a prodOnly struct outside tests and examples/. A field
+// struct, and for a prodOnly struct outside tests. A field
 // that fails is an option with one value in use: make it a constant beside
 // the code that reads it. Matching is by name, so a name
 // several structs share (Window, Seed) is satisfied by any of them; a keyed
@@ -128,7 +128,7 @@ func TestEveryOptionIsSetSomewhere(t *testing.T) {
 				if a.file == declFile && (strings.HasPrefix(a.fn, "Default") || a.fn == "withDefaults") {
 					continue
 				}
-				if s.prodOnly && (strings.HasSuffix(a.file, "_test.go") || strings.HasPrefix(a.file, "examples/")) {
+				if s.prodOnly && strings.HasSuffix(a.file, "_test.go") {
 					continue
 				}
 				if a.keyed && a.lit != "" && a.lit != pkg+"."+s.name && !(a.lit == s.name && path.Dir(a.file) == s.dir) {

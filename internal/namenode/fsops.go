@@ -46,6 +46,9 @@ type opScratch struct {
 	// edit is the change the operation's write asks its target row's chain
 	// head to make; the write carries a pointer to it.
 	edit inodeEdit
+	// parentFirst is set by a create whose parent's lock was busy: its
+	// retries resolve the parent before they insert.
+	parentFirst bool
 	// unlinkedDir is set by the body of an operation whose success removes
 	// the target's name (Delete, Rename), under the target's lock, when the
 	// inode it unlinks is a directory: the hints under the name (and under
@@ -380,14 +383,17 @@ func (nn *NameNode) hintedGets(sc *opScratch, gets []ndb.BatchGet, fp *fsPath, i
 
 // verifyHinted checks the rows a batch read for fp — vals[i] is the row ids[i]
 // primed — against what the cache promised and returns the chain they
-// resolve, refreshing the hints with it. ok=false means a link failed to
-// verify: the hints were stale and the values are worthless. When all links
+// resolve, refreshing the hints with it. ids may hold one id more than vals:
+// the parent a create's insert was keyed by, which the last row read must
+// then be. ok=false means a link failed to verify: the hints were stale and
+// the values are worthless; the chain returned is then the verified part,
+// whose next component's hint is the first stale one. When all links
 // verify, errors are authoritative: a missing row below a verified parent is
 // exactly the ErrNotFound the serial walk would have returned, and a
 // non-directory interior component is ErrNotDir.
 func (nn *NameNode) verifyHinted(tx ndb.Tx, sc *opScratch, fp *fsPath, ids []uint64, vals []ndb.BatchVal) ([]*Inode, bool, error) {
 	obs := nn.ns.obs
-	depth, rows := fp.depth(), len(ids)
+	depth, rows := fp.depth(), len(vals)
 	chain := sc.newChain(fp)
 	for i := 0; i < rows; i++ {
 		if !vals[i].OK {
@@ -402,14 +408,14 @@ func (nn *NameNode) verifyHinted(tx ndb.Tx, sc *opScratch, fp *fsPath, ids []uin
 		if !ok || ino.Parent != ids[i] || ino.Name != fp.comp(i) {
 			// Defensive: the stored row disagrees with its own key.
 			obs.resolveFallback.Add(1)
-			return nil, false, nil
+			return chain, false, nil
 		}
-		if i+1 < rows && ino.ID != ids[i+1] {
+		if i+1 < len(ids) && ino.ID != ids[i+1] {
 			// The path component exists but is not the inode the cache
 			// promised (renamed away and recreated): every row below was
 			// keyed off a stale id, so the batch is worthless.
 			obs.resolveFallback.Add(1)
-			return nil, false, nil
+			return chain, false, nil
 		}
 		if i < depth-1 && !ino.Dir {
 			obs.resolveHit.Add(1)
@@ -529,38 +535,33 @@ func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error)
 // createChild inserts a new inode shaped like proto (kind, mode bits, size)
 // at path: the one create body behind Mkdir and Create. Its lock phase is the
 // parent's shared lock, taken with the resolve; the child's exclusive lock is
-// the insert's own, parent before child. The insert finds out for itself
-// whether the name is free: two racing creators serialize on the row lock at
-// the chain's head, and the loser's Prepare is refused there with the winner's
-// row in place.
+// the insert's own. The insert finds out for itself whether the name is
+// free: two racing creators serialize on the row lock at the chain's head,
+// and the loser's Prepare is refused there with the winner's row in place.
+// When the hints reach the parent, the resolve and the insert are one round
+// (insertHinted); otherwise the parent chain resolves first, parent before
+// child.
 func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, error) {
 	var created *Inode
 	err := nn.op(p, path, opRules{root: ErrExists}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
+		if !nn.ns.cfg.DisableBatchedResolve && !sc.parentFirst && fp.depth() > 1 {
+			sc.ids = sc.ids[:0]
+			if ids := nn.hintedIDs(sc, &fp); len(ids) == fp.depth() {
+				var err error
+				created, err = nn.insertHinted(tx, sc, fp, ids, &proto)
+				return err
+			}
+		}
 		chain, err := nn.resolveParentChain(tx, sc, fp)
 		if err != nil {
 			return err
 		}
-		parent := chain[len(chain)-1]
-		// The new inode's id names the shard of its own row, so what it
-		// keys — children, inline payload, quota rows — lives there too.
-		table, pk, key := nn.rowOf(sc, parent.ID, fp.name())
-		ino := proto
-		ino.ID, ino.Parent, ino.Name = nn.ns.nextID(nn.ns.router.ShardOfTable(table)), parent.ID, fp.name()
-		ino.Owner, ino.Mtime = "hdfs", p.Now()
-		if !ino.Dir && ino.Size <= smallFileThreshold {
-			ino.InlineSize = ino.Size
-		}
-		created = &ino
 		// The inode row, the inline small-file payload (§II-A3), and any
 		// quota charges execute as one batched write — one Prepare pass and
 		// one commit train per replica chain (a single-row batch is exactly
 		// a plain insert).
-		items := append(sc.writes[:0], ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: created, IfAbsent: true})
-		if ino.InlineSize > 0 {
-			table, pk := partOf(nn.ns.smallfiles, ino.ID)
-			items = append(items, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Val: ino.InlineSize})
-		}
-		sc.writes = nn.quotaCharges(items, chain, "c", ino.ID, 1, ino.Size)
+		created = nn.newChild(sc, fp, chain[len(chain)-1].ID, &proto, tx.Now())
+		sc.writes = nn.quotaCharges(sc.writes, chain, "c", created.ID, 1, created.Size)
 		err = tx.WriteBatch(sc.writes)
 		if errors.Is(err, ndb.ErrRowExists) {
 			return ErrExists
@@ -571,6 +572,81 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 		return nil, err
 	}
 	return created, nil
+}
+
+// newChild builds the inode a create inserts as fp's last component under
+// the directory parent and loads sc.writes with its rows: the inode row,
+// refused if the name is taken, and an inline small file's payload row.
+func (nn *NameNode) newChild(sc *opScratch, fp fsPath, parent uint64, proto *Inode, now time.Duration) *Inode {
+	// The new inode's id names the shard of its own row, so what it keys —
+	// children, inline payload, quota rows — lives there too.
+	table, pk, key := nn.rowOf(sc, parent, fp.name())
+	ino := *proto
+	ino.ID, ino.Parent, ino.Name = nn.ns.nextID(nn.ns.router.ShardOfTable(table)), parent, fp.name()
+	ino.Owner, ino.Mtime = "hdfs", now
+	if !ino.Dir && ino.Size <= smallFileThreshold {
+		ino.InlineSize = ino.Size
+	}
+	sc.writes = append(sc.writes[:0], ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: &ino, IfAbsent: true})
+	if ino.InlineSize > 0 {
+		table, pk := partOf(nn.ns.smallfiles, ino.ID)
+		sc.writes = append(sc.writes, ndb.BatchWrite{Table: table, PartKey: pk, Key: smallFileKey, Val: ino.InlineSize})
+	}
+	return &ino
+}
+
+// insertHinted is a create whose hints prime its whole parent chain — ids
+// keys every row of fp, its last the parent's id: the chain's rows, the
+// parent's share-locked, go out in one batch with the insert keyed by that
+// id, and the chain is verified when the round returns. The resolve's
+// verdict comes first: stale hints — the parent not being the inode the
+// insert was keyed by included — drop what they got wrong and refuse the
+// attempt (errStaleHints), to be retried without them; a missing or
+// non-directory component answers as the resolve would have; only then is
+// the insert's refusal ErrExists. A quota'd ancestor's charge follows in a
+// write of its own, as it depends on the verified chain.
+//
+// The two locks come in no order of their own (DESIGN §9). A transaction
+// that holds the parent exclusively waits for no insert's row: the delete
+// that removes it locks only the children its subtree walk finds committed,
+// and a rename or an update of the parent writes only the parent's row. And
+// the insert never waits for the parent while holding its row: a parent lock
+// that cannot be granted at once refuses the batch (ndb.ErrLockBusy), and
+// the retry resolves the parent first.
+func (nn *NameNode) insertHinted(tx ndb.Tx, sc *opScratch, fp fsPath, ids []uint64, proto *Inode) (*Inode, error) {
+	parent := len(ids) - 1
+	ino := nn.newChild(sc, fp, ids[parent], proto, tx.Now())
+	pfp := fp.parent()
+	sc.gets = nn.hintedGets(sc, sc.gets[:0], &pfp, ids[:parent])
+	sc.gets[parent-1].Lock = ndb.LockShared
+	vals, werr := tx.ReadWriteBatch(sc.gets, sc.writes)
+	if vals == nil {
+		// A busy parent — held or awaited exclusively — is waited for
+		// the way a create that resolves first waits: parent before child.
+		sc.parentFirst = errors.Is(werr, ndb.ErrLockBusy)
+		return nil, werr
+	}
+	chain, ok, err := nn.verifyHinted(tx, sc, &fp, ids, vals)
+	if !ok {
+		nn.cache.invalidatePrefix(fp.prefix(len(chain)))
+		return nil, errStaleHints
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The parent counts as touched, as the locked read of a resolve's last
+	// component counts it.
+	nn.ns.heat.TouchInode(tx.Now(), ids[parent])
+	if errors.Is(werr, ndb.ErrRowExists) {
+		return nil, ErrExists
+	}
+	if werr != nil {
+		return nil, werr
+	}
+	if sc.writes = nn.quotaCharges(sc.writes[:0], chain, "c", ino.ID, 1, ino.Size); len(sc.writes) > 0 {
+		return ino, tx.WriteBatch(sc.writes)
+	}
+	return ino, nil
 }
 
 // Stat returns a file or directory's metadata (read-committed, lock-free).

@@ -27,7 +27,11 @@ import (
 // delete writes its subtree in one batch however deep it is. A write finds out
 // for itself at its chain's head: a create makes no round to learn its name
 // is free, and a delete or an update makes none to lock and read its target
-// — the head takes the lock and edits the committed row. So an update's
+// — the head takes the lock and edits the committed row. A create whose
+// hints reach its parent sends its insert in the batch that reads the
+// parent chain, so mkdir and create are one round (16 messages: the read's
+// pair and the insert's train), and on a taken name the head's refusal
+// ends that round (5). So an update's
 // resolve takes no lock and reads every row at a replica the coordinator's
 // AZ holds (set* 16 messages, setquota 28 over its two chains); a delete's
 // one round after its resolve is its Prepare, whose head sends the target's
@@ -60,14 +64,14 @@ func TestRoundTripBudget(t *testing.T) {
 			return nn.AttachBlocks(p, "/a/b/f", []blocks.BlockID{1}, 1)
 		}, 2, 4, 16},
 		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 28},
-		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 2, 3, 16},
-		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 2, 3, 16},
+		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 1, 3, 16},
+		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 1, 3, 16},
 		{"create on an existing name", func(nn *NameNode, p *sim.Proc) error {
 			if _, err := nn.Create(p, "/a/b/c", 0); !errors.Is(err, ErrExists) {
 				return fmt.Errorf("got %v, want ErrExists", err)
 			}
 			return nil
-		}, 2, 3, 5},
+		}, 1, 3, 5},
 		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 2, 6, 17},
 		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 2, 3, 17},
 		{"delete of a missing name", func(nn *NameNode, p *sim.Proc) error {
@@ -85,6 +89,10 @@ func TestRoundTripBudget(t *testing.T) {
 		// /a/b/d carries the quota set above: s, s/t and s/t/x die and are
 		// charged back to it in the one write batch.
 		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 7, 9, 50},
+		// The usage charge on /a/b/d follows the verified chain: a write of
+		// its own after the resolve-and-insert round, its row joining the
+		// insert's train — one Prepare pass more than a create's 16.
+		{"create under a quota'd ancestor", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/d/q", 0); return err }, 2, 4, 20},
 	}
 	for _, serial := range []bool{false, true} {
 		t.Run(fmt.Sprintf("DisableBatchedResolve=%v", serial), func(t *testing.T) {
@@ -152,8 +160,9 @@ func TestRoundTripBudget(t *testing.T) {
 
 // TestLockedBatchOnStaleHints: a batch that takes its lock on stale hints
 // locks a row of the path's previous life; verification rejects the chain,
-// the serial re-walk locks the committed row in the same transaction, and
-// everything is released when it ends. NN-a caches /a/b; NN-b renames it
+// the serial re-walk locks the committed row in the same transaction — or,
+// for a create whose insert rode the batch, the attempt is refused and
+// retried — and everything is released when it ends. NN-a caches /a/b; NN-b renames it
 // away and builds a new /a/b with the same names inside. NN-a's operations —
 // one per lock-phase shape — must act on the committed inodes, leave the
 // moved ones untouched, and leave no lock behind on any row of either life.
@@ -203,6 +212,9 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 		if _, err := nnB.Create(p, "/a/b/d/x-new", 0); !must(err) {
 			return
 		}
+		// No election transaction may count as an operation's attempt.
+		h.ns.StopBackground()
+		p.Sleep(2 * h.ns.cfg.ElectionRound)
 		// Each operation's fallback refreshes the hints it used: make them
 		// stale again before the next one, and require that it did fall back.
 		fallbacks := reg.Counter("namenode.resolve_cache", "result", "fallback")
@@ -230,13 +242,20 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 		if !must(err) {
 			return
 		}
+		// A create's insert rides its resolve's batch, keyed by the stale
+		// parent: the attempt is refused and retried once, without the
+		// hints it proved stale.
 		poison()
+		begun := h.db.Stats.Begun
 		created, err := nnA.Create(p, "/a/b/d/g", 0)
 		if !must(err) {
 			return
 		}
 		if fallbacks.Value() != fellBack {
 			t.Errorf("%d fallbacks after %d stale operations", fallbacks.Value(), fellBack)
+		}
+		if attempts := h.db.Stats.Begun - begun; attempts != 2 {
+			t.Errorf("the stale create took %d attempts, want 2", attempts)
 		}
 
 		// What NN-b, whose hints were never stale, sees.
@@ -550,6 +569,152 @@ func TestRenameStaleSourceMatchesSerial(t *testing.T) {
 	}
 	if !strings.Contains(batched, "rename <nil>; /d/e/g is the committed file: true") {
 		t.Errorf("rename on a stale source: %s", batched)
+	}
+}
+
+// TestRenameLosingToUpdateRetriesAtOnce: a rename whose source a racing
+// setPermission rewrote between the rename's resolve and its Prepare is
+// refused at the source's head (errMoved) and retried. The update it lost to
+// has committed, so there is nothing to back off from: the retry's attempt
+// begins the instant the refused one ends. Round after round an update of a
+// fresh file starts and its rename follows 150 µs later than in the round
+// before, until some rename has resolved before the update committed and
+// prepared after it.
+func TestRenameLosingToUpdateRetriesAtOnce(t *testing.T) {
+	h, sink := tracedHarness(t)
+	mover, updater := h.client(1), h.client(2)
+	retried := 0
+	h.run(t, func(p *sim.Proc) {
+		if err := mover.Mkdir(p, "/r"); err != nil {
+			t.Error(err)
+			return
+		}
+		for r := 0; r < 16 && retried == 0; r++ {
+			f, g := fmt.Sprintf("/r/f%d", r), fmt.Sprintf("/r/g%d", r)
+			if err := mover.Create(p, f, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			var renameErr, permErr error
+			done, parent := 0, p
+			for i, fn := range []func(p *sim.Proc){
+				func(p *sim.Proc) {
+					p.Sleep(time.Duration(r) * 150 * time.Microsecond)
+					renameErr = mover.Rename(p, f, g)
+				},
+				func(p *sim.Proc) { permErr = updater.SetPermission(p, f, 0o600) },
+			} {
+				h.env.Spawn(fmt.Sprintf("racer%d", i), func(p *sim.Proc) {
+					fn(p)
+					done++
+					parent.Wake()
+				})
+			}
+			p.Flush()
+			for done < 2 {
+				p.Wait()
+			}
+			if renameErr != nil {
+				t.Errorf("rename %s: %v", f, renameErr)
+				return
+			}
+			moved, err := mover.Stat(p, g)
+			if err != nil {
+				t.Errorf("stat %s: %v", g, err)
+				return
+			}
+			if permErr == nil && moved.Perm != 0o600 {
+				t.Errorf("%s has perm %o after an acked setPermission", g, moved.Perm)
+			}
+			// The round's rename is the last one the sink holds.
+			spans := sink.Spans()
+			for i := len(spans) - 1; i >= 0; i-- {
+				if spans[i].Name != "rename" {
+					continue
+				}
+				var prev *trace.Span
+				for _, c := range spans[i].Children {
+					if c.Name != "txn" {
+						continue
+					}
+					if prev != nil {
+						retried++
+						if c.Start != prev.End {
+							t.Errorf("rename %s: a retry began %v after the refused attempt ended, want at once", f, c.Start-prev.End)
+						}
+					}
+					prev = c
+				}
+				break
+			}
+		}
+	})
+	if retried == 0 {
+		t.Fatal("no rename lost to the racing update: the refusal was not exercised")
+	}
+}
+
+// TestMergedCreateNeverQueuesForItsParent: a hint-warm create sends its
+// parent's share lock and its insert in one batch, so it may hold its new
+// row's lock before it asks for the parent's. If that ask queued, three
+// transactions could wait in a ring until the lock timeout: a delete of
+// /p/s/c holding /p/s shared and waiting for c, which the create holds; a
+// setPermission of /p/s queued for it exclusively behind the delete; and the
+// create, queued for /p/s behind the setPermission. The parent's lock is
+// therefore taken only if it can be granted at once; otherwise the attempt is
+// refused and retried parent first. The three start at staggered instants
+// around the ones that close the ring, and none may wait out the lock
+// timeout; the create is refused or lands, and the delete and the update
+// land.
+func TestMergedCreateNeverQueuesForItsParent(t *testing.T) {
+	const step = 150 * time.Microsecond
+	for _, at := range [][3]int{{13, 11, 13}, {14, 12, 14}, {14, 12, 15}, {14, 13, 15}, {15, 13, 15}} {
+		h := newHarness(t)
+		nns := h.ns.NameNodes()
+		h.run(t, func(p *sim.Proc) {
+			for _, dir := range []string{"/p", "/p/s"} {
+				if err := nns[0].Mkdir(p, dir, 0o755); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if _, err := nns[0].Create(p, "/p/s/c", 0); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, nn := range nns {
+				if _, err := nn.Stat(p, "/p/s"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			var errs [3]error
+			racers := [3]func(p *sim.Proc) error{
+				func(p *sim.Proc) error { _, err := nns[0].Delete(p, "/p/s/c", false); return err },
+				func(p *sim.Proc) error { return nns[1].SetPermission(p, "/p/s", 0o700) },
+				func(p *sim.Proc) error { _, err := nns[2].Create(p, "/p/s/c", 0); return err },
+			}
+			done, parent := 0, p
+			for i, fn := range racers {
+				h.env.Spawn("racer", func(p *sim.Proc) {
+					p.Sleep(time.Duration(at[i]) * step)
+					start := p.Now()
+					errs[i] = fn(p)
+					if took := p.Now() - start; took >= 100*time.Millisecond {
+						t.Errorf("starts %v: racer %d took %v: it waited out the lock timeout", at, i, took)
+					}
+					done++
+					parent.Wake()
+				})
+			}
+			p.Flush()
+			for done < len(racers) {
+				p.Wait()
+			}
+			if errs[0] != nil || errs[1] != nil || (errs[2] != nil && !errors.Is(errs[2], ErrExists)) {
+				t.Errorf("starts %v: delete %v, setPermission %v, create %v", at, errs[0], errs[1], errs[2])
+			}
+		})
 	}
 }
 

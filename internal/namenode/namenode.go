@@ -47,6 +47,10 @@ var (
 	// errMoved refuses a rename whose source changed after its resolve: the
 	// attempt is retried, and resolves again.
 	errMoved = errors.New("namenode: rename source changed since its resolve")
+	// errStaleHints refuses a create whose insert went out in its resolve's
+	// batch keyed by hints the batch proved stale: the attempt is retried
+	// without them.
+	errStaleHints = errors.New("namenode: create keyed by stale hints")
 )
 
 // IsOutcomeError reports whether err is an expected application outcome
@@ -583,8 +587,8 @@ func (nn *NameNode) chargeList(p *sim.Proc, entries int) {
 }
 
 // retriable reports whether a transaction error warrants a retry: lock
-// timeouts (deadlock/overload backpressure), node failovers, and a rename
-// whose source changed under it.
+// timeouts (deadlock/overload backpressure), node failovers, and the
+// validation refusals.
 func retriable(err error) bool {
 	// An indeterminate cross-shard commit is decided — its durable intent
 	// will complete it — so retrying would re-run an operation that is
@@ -592,7 +596,16 @@ func retriable(err error) bool {
 	if errors.Is(err, shard.ErrIndeterminate) {
 		return false
 	}
-	return errors.Is(err, ndb.ErrLockTimeout) || errors.Is(err, ndb.ErrNodeUnavailable) || errors.Is(err, errMoved)
+	return errors.Is(err, ndb.ErrLockTimeout) || errors.Is(err, ndb.ErrNodeUnavailable) || retriesAtOnce(err)
+}
+
+// retriesAtOnce reports whether err refused an attempt that has nothing to
+// back off from: a validation refusal — a rename's source that changed, a
+// create's stale hints — lost to a writer that has committed, and a create
+// whose parent was busy retries resolving its parent first, queueing for the
+// lock as any resolve does.
+func retriesAtOnce(err error) bool {
+	return errors.Is(err, errMoved) || errors.Is(err, errStaleHints) || errors.Is(err, ndb.ErrLockBusy)
 }
 
 const (
@@ -605,7 +618,8 @@ const (
 
 // runTxn executes fn in a storage transaction with the given partition-key
 // hint, retrying aborted transactions with exponential backoff — the
-// paper's retry mechanism providing backpressure to NDB (§II-B2). The hint
+// paper's retry mechanism providing backpressure to NDB (§II-B2); some
+// refusals retry at once (retriesAtOnce). The hint
 // picks the transaction coordinator and, when sharded, the shard whose
 // sub-transaction opens eagerly; a stale hint only costs locality, never
 // correctness, since every read and write names its own row's table. In
@@ -636,6 +650,9 @@ func (nn *NameNode) runTxn(p *sim.Proc, hint string, fn func(tx ndb.Tx) error) e
 		}
 		if !retriable(err) {
 			return err
+		}
+		if retriesAtOnce(err) {
+			continue
 		}
 		jitter := time.Duration(p.Rand().Int63n(int64(backoff)))
 		p.Sleep(backoff + jitter)

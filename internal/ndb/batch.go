@@ -55,11 +55,12 @@ type BatchScan struct {
 const batchRowOverhead = 24
 
 // batchGroup is the per-target slice of a batch: the rows (indices into the
-// caller's request slice) served by one datanode, plus the §IV-A4 proximity
-// of that datanode to the TC. A write batch's group is one train — the rows
-// prepared together down one replica chain, whose head is target (two trains
-// can share a head: a fully replicated table's chain is longer) — and a read
-// batch's has none. rows is groupByTarget's counting scratch.
+// batch's rows, reads before writes) served by one datanode, plus the
+// §IV-A4 proximity of that datanode to the TC. A group with a train
+// prepares it — the written rows prepared together down one replica chain,
+// whose head is target (two trains can share a head: a fully replicated
+// table's chain is longer) — and a group without one reads. rows is
+// groupByTarget's counting scratch.
 type batchGroup struct {
 	target *DataNode
 	train  *train
@@ -206,15 +207,15 @@ func trainReq(g *batchGroup) int {
 	return reqSize + batchRowOverhead*(len(g.idx)-1)
 }
 
-// batchKind is what a batch's rows are, and so what the arm serving one of
-// its groups does for each row.
+// batchKind is what a batch's read rows are, and so what the arm serving a
+// read group does for each row. Written rows need no kind: their groups are
+// trains.
 type batchKind uint8
 
 const (
-	getRows   batchKind = iota // ReadBatch: point reads, lock-free or locked
+	getRows   batchKind = iota // ReadBatch, ReadWriteBatch: point reads, lock-free or locked
 	scanRows                   // ScanBatch: partition-pruned prefix scans
 	scanParts                  // ScanTablePrefix: a prefix scan of a whole partition
-	writeRows                  // WriteBatch: each group is a train to prepare
 )
 
 // ReadBatch reads the committed values of all rows in one batched fan-out,
@@ -237,7 +238,7 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 	for i := range gets {
 		parts[i] = gets[i].Table.partitionFor(gets[i].PartKey)
 	}
-	if err := t.readBatch(sc, len(gets)); err != nil {
+	if _, err := t.batch(sc, len(gets), nil); err != nil {
 		return nil, err
 	}
 	return sc.vals, nil
@@ -264,7 +265,7 @@ func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 	for i := range scans {
 		parts[i] = scans[i].Table.partitionFor(scans[i].PartKey)
 	}
-	if err := t.readBatch(sc, len(scans)); err != nil {
+	if _, err := t.batch(sc, len(scans), nil); err != nil {
 		return nil, err
 	}
 	return sc.kvs, nil
@@ -287,7 +288,7 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 	var out []KV
 	for _, part := range table.partitions {
 		zeroed(&sc.parts, 1)[0] = part
-		if err := t.readBatch(sc, 1); err != nil {
+		if _, err := t.batch(sc, 1, nil); err != nil {
 			return nil, err
 		}
 		out = append(out, sc.kvs[0]...)
@@ -296,20 +297,80 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 	return out, nil
 }
 
-// readBatch is the one read envelope, behind every read: the n rows loaded
-// in sc (their requests and partitions) are routed per row (see the file
-// comment); rows sharing a target travel together, distinct targets are
-// visited concurrently, and the arm (serve) does what sc.kind asks for each
-// row. Any failure — an unreachable target or a lock timeout — aborts the
-// transaction, and the first failed row in request order decides the error,
-// as in WriteBatch.
-func (t *Txn) readBatch(sc *batchScratch, n int) error {
+// ReadWriteBatch reads gets and executes writes in one batched fan-out, as
+// NDB's execute() sends a transaction's reads and writes together: one
+// coordinator pass routes every row, the gets' groups are served as
+// ReadBatch serves them and the writes' trains prepare as WriteBatch
+// prepares them, all concurrently, so the batch costs one round. Results
+// are the gets', positionally, and live in the transaction as ReadBatch's
+// do. Any failure aborts the transaction as either batch would. A failed
+// write leaves every get served, so its values come back with the error:
+// the caller can learn what the reads saw — a missing parent, say — before
+// it believes the write's refusal. On any other error the values are nil.
+// Gets and writes share no arm, so the locks they take come in no order of
+// their own. A get's lock is therefore taken only if it can be granted at
+// once — the batch never queues for a read lock while its writes may hold
+// theirs — and is refused with ErrLockBusy otherwise; a write's lock waits
+// as WriteBatch's do, and the caller must know that no other transaction
+// waits on the rows it writes while holding the rows it locks (DESIGN §9).
+// With write batching disabled the batch is ReadBatch and then WriteBatch,
+// two rounds, whose gets wait as ReadBatch's do.
+func (t *Txn) ReadWriteBatch(gets []BatchGet, writes []BatchWrite) ([]BatchVal, error) {
+	if t.done {
+		return nil, ErrAborted
+	}
+	if t.c.cfg.DisableBatchedWrites {
+		vals, err := t.ReadBatch(gets)
+		if err != nil {
+			return nil, err
+		}
+		return vals, t.WriteBatch(writes)
+	}
+	sc := t.c.scratch.get()
+	defer t.c.putScratch(sc)
+	sc.t, sc.kind, sc.noWait = t, getRows, true
+	sc.gets = append(sc.gets[:0], gets...)
+	sc.vals = slices.Grow(t.vals[:0], len(gets))[:len(gets)]
+	parts := zeroed(&sc.parts, len(gets))
+	for i := range gets {
+		parts[i] = gets[i].Table.partitionFor(gets[i].PartKey)
+	}
+	if failed, err := t.batch(sc, len(gets), writes); err != nil {
+		if failed < len(gets) {
+			return nil, err
+		}
+		return sc.vals, err
+	}
+	return sc.vals, nil
+}
+
+// batch is the one envelope behind every read and write: the first reads
+// rows are the ones loaded in sc (their requests and partitions), routed per
+// row (see the file comment), and each of writes joins its train
+// (WriteBatch); rows sharing a target — and, for writes, a train — travel
+// together, and distinct groups are visited concurrently: a read group's arm
+// does what sc.kind asks for each row, a train's prepares it. Any failure — an
+// unreachable target, a lock timeout or a refused row — aborts the
+// transaction, and the first failed row in request order, reads before
+// writes, decides the error; failed is that row's index, or -1 when the
+// failure is no row's.
+func (t *Txn) batch(sc *batchScratch, reads int, writes []BatchWrite) (failed int, err error) {
 	t.c.Stats.Rounds++
 	// One coordinator pass routes the whole key train (§II-B: a multi-row
 	// TCKEYREQ is a single TC job, not one per row).
 	t.tc.use(t.p, TC, costTCOp)
-	slots := zeroed(&sc.slots, n)
-	groups, ok := groupByTarget(sc, n, func(i int) (*DataNode, *train) {
+	slots := zeroed(&sc.slots, reads)
+	// Rows join their trains in request order, so a train's unprepared rows
+	// are its group's rows, position for position.
+	groups, ok := groupByTarget(sc, reads+len(writes), func(i int) (*DataNode, *train) {
+		if i >= reads {
+			tr := t.stage(&writes[i-reads])
+			if tr == nil {
+				return nil, nil
+			}
+			// Writes lock on the acting primary: the chain's head.
+			return tr.chain[0], tr
+		}
 		var lock LockMode
 		if sc.kind == getRows {
 			lock = sc.gets[i].Lock
@@ -319,20 +380,20 @@ func (t *Txn) readBatch(sc *batchScratch, n int) error {
 		return target, nil
 	})
 	if !ok {
-		return t.failAbort()
+		return -1, t.failAbort()
 	}
-	return t.runBatch(sc, groups, n)
+	return t.runBatch(sc, groups, reads, len(writes))
 }
 
 // serve is the arm of every batch fan-out: it serves one group of sc's batch
 // on process p — the caller's own or a pooled worker's — and reports whether
 // it succeeded, recording a failure in sc.errs at the row that failed. A
-// write group prepares its train; a read group is one request/response pair
+// group with a train prepares it; a read group is one request/response pair
 // with its target, whose rows are served in order, and a failure stops the
 // group where a sequence of one-row batches would have stopped.
 func (sc *batchScratch) serve(p *sim.Proc, g *batchGroup) bool {
 	t := sc.t
-	if sc.kind == writeRows {
+	if g.train != nil {
 		failed, err := t.prepareTrain(p, g.train)
 		if err != nil {
 			sc.errs[g.idx[failed]] = err
@@ -365,7 +426,8 @@ func (sc *batchScratch) serve(p *sim.Proc, g *batchGroup) bool {
 
 // read serves row i of a read batch at target: a get takes its row lock if
 // it asks for one — conflicts, the ledger and the deadlock timeout are those
-// of any locked access — so the value is the committed one under the lock;
+// of any locked access, unless the batch takes no lock it would wait for
+// (sc.noWait) — so the value is the committed one under the lock;
 // a scan charges one LDM job per small batch of rows found, minimum one. It
 // stores the row's result and returns its response bytes.
 func (sc *batchScratch) read(p *sim.Proc, target *DataNode, i int) (int, error) {
@@ -373,6 +435,14 @@ func (sc *batchScratch) read(p *sim.Proc, target *DataNode, i int) (int, error) 
 	if sc.kind == getRows {
 		g := &sc.gets[i]
 		if g.Lock != 0 {
+			if sc.noWait {
+				// At the instant the request reaches the row, as lockRowOn
+				// takes it.
+				p.Flush()
+				if !part.grantable(g.PartKey, g.Key, t.id, g.Lock) {
+					return 0, ErrLockBusy
+				}
+			}
 			if err := t.lockRowOn(p, part, g.PartKey, g.Key, g.Lock); err != nil {
 				return 0, err
 			}
@@ -398,20 +468,27 @@ func (sc *batchScratch) read(p *sim.Proc, target *DataNode, i int) (int, error) 
 	return len(rows) * s.Table.rowSize, nil
 }
 
-// runBatch executes the groups of sc's batch of rows — inline when a single
-// target serves everything, concurrently otherwise — under one
-// "batch_read" or "batch_write" child span carrying row/target counts, and
-// counts the fan-out in the matching registry family. If any group failed
-// (unreachable target, lock failure or refused insert) it ends the
-// transaction as a sequence of one-row batches would: every lock taken so
-// far — including those of groups that succeeded — is released, nothing will
-// commit, and the first failed row in request order decides the error.
-func (t *Txn) runBatch(sc *batchScratch, groups []*batchGroup, rows int) error {
+// runBatch executes the groups of sc's batch — reads read rows, then writes
+// written ones — inline when a single group serves everything, concurrently
+// otherwise —
+// under one "batch_read", "batch_write" or, for both, "batch_read_write"
+// child span carrying row/target counts, and counts the fan-out's reads and
+// writes each in its own registry family. If any group failed (unreachable
+// target, lock failure or refused row) it ends the transaction as a
+// sequence of one-row batches would: every lock taken so far — including
+// those of groups that succeeded — is released, nothing will commit, and
+// the first failed row in request order decides the error (failed, its
+// index, is -1 when no row recorded one).
+func (t *Txn) runBatch(sc *batchScratch, groups []*batchGroup, reads, writes int) (failed int, err error) {
+	rows := reads + writes
 	zeroed(&sc.errs, rows)
 	obs := t.c.obs
 	name := "batch_read"
-	if sc.kind == writeRows {
+	switch {
+	case reads == 0:
 		name = "batch_write"
+	case writes > 0:
+		name = "batch_read_write"
 	}
 	sp := t.p.Span().Child(name, t.p.EffNow())
 	var prev *trace.Span
@@ -427,13 +504,18 @@ func (t *Txn) runBatch(sc *batchScratch, groups []*batchGroup, rows int) error {
 		}
 	}()
 	if obs != nil {
-		batches, rowsByProx := obs.batchReads, &obs.batchRows
-		if sc.kind == writeRows {
-			batches, rowsByProx = obs.batchWrites, &obs.batchWriteRows
+		if reads > 0 {
+			obs.batchReads.Add(1)
 		}
-		batches.Add(1)
+		if writes > 0 {
+			obs.batchWrites.Add(1)
+		}
 		for _, g := range groups {
 			g.prox = domainProximity(t.tc.Node, t.tc.Domain, g.target)
+			rowsByProx := &obs.batchRows
+			if g.train != nil {
+				rowsByProx = &obs.batchWriteRows
+			}
 			rowsByProx[g.prox].Add(int64(len(g.idx)))
 		}
 	}
@@ -463,15 +545,15 @@ func (t *Txn) runBatch(sc *batchScratch, groups []*batchGroup, rows int) error {
 		}
 	}
 	if allOK {
-		return nil
+		return 0, nil
 	}
 	t.abortLocked()
-	for _, err := range sc.errs {
+	for i, err := range sc.errs {
 		if err != nil {
-			return err
+			return i, err
 		}
 	}
-	return ErrNodeUnavailable
+	return -1, ErrNodeUnavailable
 }
 
 // Annotate tags the calling process's active trace span (a no-op when

@@ -34,6 +34,11 @@ var (
 	// the transaction waited too long for a row lock (deadlock, node
 	// failure, or overload) and was aborted.
 	ErrLockTimeout = errors.New("ndb: lock wait timeout")
+	// ErrLockBusy refuses a ReadWriteBatch whose get asks for a row lock
+	// that cannot be granted at once: the batch's locks come in no order of
+	// their own, so its gets never queue while its writes may hold locks.
+	// The transaction is aborted.
+	ErrLockBusy = errors.New("ndb: row lock busy")
 	// ErrRowExists refuses an insert (BatchWrite.IfAbsent) whose row already
 	// holds a committed value: the answer of the row's primary, given under
 	// the insert's own exclusive lock. The transaction is aborted.

@@ -58,8 +58,9 @@ type Txn struct {
 // Tx is the storage-transaction surface the metadata layer is written
 // against: HopsFS's one transaction template — a lock phase and an execute
 // phase (ReadBatch, whose gets may carry row locks, ScanBatch and
-// ScanTablePrefix) and an update phase (WriteBatch, Commit). Each kind of
-// storage work has one verb, and a one-row operation is a batch of one.
+// ScanTablePrefix) and an update phase (WriteBatch, Commit); ReadWriteBatch
+// runs a lock phase and a write in one round. Each kind of storage work has
+// one verb, and a one-row operation is a batch of one.
 // *Txn is the implementation; the shard router's dispatcher satisfies it by
 // routing each batch, by table, to the *Txn of the owning cluster.
 type Tx interface {
@@ -69,6 +70,7 @@ type Tx interface {
 	ScanBatch(scans []BatchScan) ([][]KV, error)
 	ScanTablePrefix(table *Table, prefix string) ([]KV, error)
 	WriteBatch(items []BatchWrite) error
+	ReadWriteBatch(gets []BatchGet, writes []BatchWrite) ([]BatchVal, error)
 	Commit() error
 	Abort()
 	// Free returns the ended transaction to its pool; only InTx calls it.
@@ -877,6 +879,14 @@ func (p *Partition) scanPrefix(pk, prefix string) []KV {
 // bucket's snapshot needs, and a scan across partition keys
 // (ScanTablePrefix) asks for a prefix whose keys are unique in the table.
 func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
+
+// grantable reports whether txn would be granted mode on the row at once:
+// it holds the lock at that strength already, or nothing queues for the row
+// and no holder conflicts.
+func (p *Partition) grantable(pk, key string, txn uint64, mode LockMode) bool {
+	r := p.lookup(pk, key)
+	return r == nil || r.lock.held(txn) >= mode || (len(r.lock.waiters) == 0 && r.lock.compatible(txn, mode))
+}
 
 // lookup returns a row, nil when the partition holds none under pk/key.
 func (p *Partition) lookup(pk, key string) *row {

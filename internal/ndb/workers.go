@@ -144,12 +144,13 @@ func (c *Cluster) dispatch(task fanTask) {
 }
 
 // cannotBlock reports whether serving group g of sc's batch never parks: a
-// scan group, or a read group none of whose gets takes a lock.
+// scan group, or a read group none of whose gets takes a lock. A train's
+// group locks its rows.
 func (sc *batchScratch) cannotBlock(g *batchGroup) bool {
-	switch sc.kind {
-	case writeRows:
+	if g.train != nil {
 		return false
-	case getRows:
+	}
+	if sc.kind == getRows {
 		for _, i := range g.idx {
 			if sc.gets[i].Lock != 0 {
 				return false
@@ -246,21 +247,22 @@ type batchScratch struct {
 	groups  []*batchGroup
 	buf     []int
 
-	t     *Txn
-	kind  batchKind
-	gets  []BatchGet
-	vals  []BatchVal
-	scans []BatchScan
-	kvs   [][]KV
-	parts []*Partition
-	slots []int
-	errs  []error
+	t      *Txn
+	kind   batchKind
+	noWait bool // a get's lock is taken only if granted at once
+	gets   []BatchGet
+	vals   []BatchVal
+	scans  []BatchScan
+	kvs    [][]KV
+	parts  []*Partition
+	slots  []int
+	errs   []error
 }
 
 // putScratch returns sc to the pool, dropping what it references of the
 // batch it served.
 func (c *Cluster) putScratch(sc *batchScratch) {
-	sc.t, sc.vals, sc.kvs = nil, nil, nil
+	sc.t, sc.vals, sc.kvs, sc.noWait = nil, nil, nil, false
 	clear(sc.gets)
 	clear(sc.scans)
 	c.scratch.put(sc)

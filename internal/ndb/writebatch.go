@@ -77,26 +77,9 @@ func (t *Txn) writeBatch(items []BatchWrite) error {
 	if len(items) == 0 {
 		return nil
 	}
-	t.c.Stats.Rounds++
-	// One coordinator pass routes the whole row train (§II-B: a multi-row
-	// TCKEYREQ is a single TC job, not one per row).
-	t.tc.use(t.p, TC, costTCOp)
-
 	sc := t.c.scratch.get()
 	defer t.c.putScratch(sc)
-	sc.t, sc.kind = t, writeRows
-	// Rows join their trains in request order, so a train's unprepared rows
-	// are its group's rows, position for position.
-	groups, ok := groupByTarget(sc, len(items), func(i int) (*DataNode, *train) {
-		tr := t.stage(&items[i])
-		if tr == nil {
-			return nil, nil
-		}
-		// Writes lock on the acting primary: the chain's head.
-		return tr.chain[0], tr
-	})
-	if !ok {
-		return t.failAbort()
-	}
-	return t.runBatch(sc, groups, len(items))
+	sc.t = t
+	_, err := t.batch(sc, 0, items)
+	return err
 }

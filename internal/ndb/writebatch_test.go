@@ -753,3 +753,134 @@ func TestRacingInserts(t *testing.T) {
 		}
 	}
 }
+
+// TestReadWriteBatch: a mixed batch reads its gets and prepares its writes in
+// one round — one coordinator pass, one fan-out — and counts its gets and
+// writes each in their own registry family. A refused write comes back with
+// the gets' values, so the caller learns what the reads saw; a get whose lock
+// cannot be granted at once refuses the batch with ErrLockBusy instead of
+// queueing; either way the abort leaves no lock. With write batching disabled
+// the batch is a read batch and then a write batch, two rounds.
+func TestReadWriteBatch(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		env, c, client := testClusterCfg(t, true, 3, func(cfg *Config) { cfg.DisableBatchedWrites = serial })
+		reg := trace.NewRegistry()
+		c.SetTracer(trace.NewTracer(reg))
+		c.StopBackground()
+		env.RunFor(time.Second)
+		tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+		pks := crossGroupPKs(t, 2)(tbl)
+		dir, own := pks[0], pks[1]
+		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
+			if err := put(tx, tbl, dir, "parent", "dir"); err != nil {
+				return err
+			}
+			if err := put(tx, tbl, own, "taken", "old"); err != nil {
+				return err
+			}
+			return tx.Commit()
+		})
+		rows := func(family string) (n int64) {
+			for _, prox := range []int{ProximitySameHost, ProximitySameZone, ProximityRemote} {
+				n += reg.Counter(family, "prox", proximityLabel(prox)).Value()
+			}
+			return n
+		}
+		gets := []BatchGet{{Table: tbl, PartKey: dir, Key: "parent", Lock: LockShared}, {Table: tbl, PartKey: own, Key: "none"}}
+		insert := func(key string) []BatchWrite {
+			return []BatchWrite{{Table: tbl, PartKey: own, Key: key, Val: "new", IfAbsent: true}}
+		}
+		wantRounds := int64(1)
+		if serial {
+			wantRounds = 2
+		}
+
+		before, reads, writes := c.Stats, reg.Counter("ndb.batch.reads").Value(), reg.Counter("ndb.batch_write.batches").Value()
+		readRows, writeRows := rows("ndb.batch.rows"), rows("ndb.batch_write.rows")
+		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
+			vals, err := tx.ReadWriteBatch(gets, insert("fresh"))
+			if err != nil {
+				return err
+			}
+			if len(vals) != 2 || vals[0] != (BatchVal{Val: "dir", OK: true}) || vals[1].OK {
+				return fmt.Errorf("values %v, want the parent and an absent row", vals)
+			}
+			return tx.Commit()
+		})
+		if got := c.Stats.Rounds - before.Rounds; got != wantRounds {
+			t.Errorf("serial=%v: %d rounds, want %d", serial, got, wantRounds)
+		}
+		if got := reg.Counter("ndb.batch.reads").Value() - reads; got != 1 {
+			t.Errorf("serial=%v: %d read batches counted, want 1", serial, got)
+		}
+		if got := reg.Counter("ndb.batch_write.batches").Value() - writes; got != 1 {
+			t.Errorf("serial=%v: %d write batches counted, want 1", serial, got)
+		}
+		if got := rows("ndb.batch.rows") - readRows; got != 2 {
+			t.Errorf("serial=%v: %d read rows counted, want 2", serial, got)
+		}
+		if got := rows("ndb.batch_write.rows") - writeRows; got != 1 {
+			t.Errorf("serial=%v: %d written rows counted, want 1", serial, got)
+		}
+		if v, ok := tbl.partitionFor(own).committed(own, "fresh"); !ok || v != "new" {
+			t.Errorf("serial=%v: the insert committed %v, %v", serial, v, ok)
+		}
+
+		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
+			vals, err := tx.ReadWriteBatch(gets, insert("taken"))
+			if !errors.Is(err, ErrRowExists) {
+				return fmt.Errorf("insert over a committed row: %v, want ErrRowExists", err)
+			}
+			if len(vals) != 2 || vals[0] != (BatchVal{Val: "dir", OK: true}) {
+				return fmt.Errorf("a refused write returned values %v, want the gets'", vals)
+			}
+			return nil
+		})
+		if held := c.HeldLocks(); len(held) != 0 {
+			t.Errorf("serial=%v: locks survive the refusal: %v", serial, held)
+		}
+
+		// Another transaction holds the parent exclusively.
+		holderDone := false
+		env.Spawn("holder", func(p *sim.Proc) {
+			tx, err := c.Begin(p, client, 1, tbl, dir)
+			if err == nil {
+				_, _, err = readLocked(tx, tbl, dir, "parent", LockExclusive)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p.Sleep(50 * time.Millisecond)
+			tx.Abort()
+			holderDone = true
+		})
+		env.RunFor(10 * time.Millisecond)
+		inTxn(t, env, c, client, 1, tbl, own, func(p *sim.Proc, tx *Txn) error {
+			start := p.Now()
+			vals, err := tx.ReadWriteBatch(gets, insert("busy"))
+			if serial {
+				// Parent first: the read waits for the holder.
+				if err != nil || !holderDone {
+					return fmt.Errorf("serial read behind the holder: %v (holder done %v)", err, holderDone)
+				}
+				tx.Abort()
+				return nil
+			}
+			if !errors.Is(err, ErrLockBusy) || vals != nil {
+				return fmt.Errorf("a get behind an exclusive holder: %v, %v; want ErrLockBusy and no values", vals, err)
+			}
+			if waited := p.Now() - start; waited > 10*time.Millisecond || holderDone {
+				return fmt.Errorf("the busy refusal took %v: it queued for the lock", waited)
+			}
+			return nil
+		})
+		env.RunFor(time.Second)
+		if held := c.HeldLocks(); len(held) != 0 {
+			t.Errorf("serial=%v: locks survive the busy refusal: %v", serial, held)
+		}
+		if r := tbl.partitionFor(own).lookup(own, "busy"); r != nil {
+			t.Errorf("serial=%v: the refused batch left its insert's row: %+v", serial, r)
+		}
+	}
+}

@@ -634,3 +634,66 @@ func TestRoutedTableScan(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutedReadWriteBatch: a mixed batch whose rows all live on one shard is
+// that shard's one mixed round; one that spans shards runs as its reads and
+// then its writes, one round on each shard, the reads first. Either way a
+// refused write returns the gets' values with its error.
+func TestRoutedReadWriteBatch(t *testing.T) {
+	env, r, client := testRouter(t, 2)
+	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
+	pk0, pk1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
+	inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
+		if err := tx.WriteBatch([]ndb.BatchWrite{{Table: ts.For(pk0), PartKey: pk0, Key: "parent", Val: ident(1)}}); err != nil {
+			return err
+		}
+		return tx.Commit()
+	})
+	get := []ndb.BatchGet{{Table: ts.For(pk0), PartKey: pk0, Key: "parent", Lock: ndb.LockShared}}
+	rounds := func() (n [2]int64) {
+		for s, c := range r.Clusters() {
+			n[s] = c.Stats.Rounds
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name  string
+		pk    string
+		taken bool
+		want  [2]int64
+	}{
+		{"one shard", pk0, false, [2]int64{1, 0}},
+		{"one shard, taken", pk0, true, [2]int64{1, 0}},
+		{"two shards", pk1, false, [2]int64{1, 1}},
+		{"two shards, taken", pk1, true, [2]int64{1, 1}},
+	} {
+		key := "child-" + tc.pk
+		before := rounds()
+		inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
+			vals, err := tx.ReadWriteBatch(get, []ndb.BatchWrite{{Table: ts.For(tc.pk), PartKey: tc.pk, Key: key, Val: ident(2), IfAbsent: true}})
+			if len(vals) != 1 || vals[0].Val != ident(1) {
+				return fmt.Errorf("%s: values %v, want the parent's", tc.name, vals)
+			}
+			if tc.taken {
+				if !errors.Is(err, ndb.ErrRowExists) {
+					return fmt.Errorf("%s: %v, want ErrRowExists", tc.name, err)
+				}
+				tx.Abort()
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %v", tc.name, err)
+			}
+			return tx.Commit()
+		})
+		after := rounds()
+		if got := [2]int64{after[0] - before[0], after[1] - before[1]}; got != tc.want {
+			t.Errorf("%s: rounds per shard %v, want %v", tc.name, got, tc.want)
+		}
+		for s, c := range r.Clusters() {
+			if held, open := c.HeldLocks(), c.InFlightTxns(); len(held) != 0 || open != 0 {
+				t.Errorf("%s, shard %d: locks %v, %d transactions in flight", tc.name, s, held, open)
+			}
+		}
+	}
+}

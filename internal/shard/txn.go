@@ -222,6 +222,36 @@ func (t *Txn) WriteBatch(items []ndb.BatchWrite) error {
 	return err
 }
 
+// ReadWriteBatch reads gets and executes writes. When every row lives on
+// one shard the batch is that shard's sub-transaction's one mixed round;
+// one that spans shards runs as its ReadBatch and then its WriteBatch, two
+// rounds, the reads' locks taken before any write's. As with ndb.Txn, a
+// failed write returns the gets' values with its error.
+func (t *Txn) ReadWriteBatch(gets []ndb.BatchGet, writes []ndb.BatchWrite) ([]ndb.BatchVal, error) {
+	if len(gets) > 0 {
+		s := t.r.ShardOfTable(gets[0].Table)
+		one := true
+		for i := 1; i < len(gets) && one; i++ {
+			one = t.r.ShardOfTable(gets[i].Table) == s
+		}
+		for i := 0; i < len(writes) && one; i++ {
+			one = t.r.ShardOfTable(writes[i].Table) == s
+		}
+		if one {
+			sub, err := t.sub(gets[0].Table, gets[0].PartKey)
+			if err != nil {
+				return nil, err
+			}
+			return sub.ReadWriteBatch(gets, writes)
+		}
+	}
+	vals, err := t.ReadBatch(gets)
+	if err != nil {
+		return nil, err
+	}
+	return vals, t.WriteBatch(writes)
+}
+
 // Abort aborts every open sub-transaction.
 func (t *Txn) Abort() {
 	if !t.done {
