@@ -277,8 +277,8 @@ func Example_spotify() {
 	fmt.Println("coordinators, Read Backup replicas, and AZ-local metadata servers (§IV).")
 
 	// Output:
-	// HopsFS-CL (3,3)    committed txns:   579   cross-AZ:    0.19 MB of    1.18 MB (16%)
-	// HopsFS (3,3)       committed txns:   579   cross-AZ:    0.65 MB of    1.26 MB (52%)
+	// HopsFS-CL (3,3)    committed txns:   579   cross-AZ:    0.19 MB of    1.17 MB (16%)
+	// HopsFS (3,3)       committed txns:   579   cross-AZ:    0.65 MB of    1.24 MB (53%)
 	// AZ awareness keeps metadata traffic inside each zone: local transaction
 	// coordinators, Read Backup replicas, and AZ-local metadata servers (§IV).
 }

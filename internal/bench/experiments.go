@@ -751,9 +751,9 @@ func Ablations(o ExpOptions) (string, error) {
 
 	// (e) Batched write path.
 	b.WriteString("\n(e) Batched write path — 8-row write transaction, raw NDB, 3 AZs, RF 3\n")
-	tblE := metrics.NewTable("variant", "mean", "msgs/txn", "trains/txn")
+	tblE := metrics.NewTable("variant", "mean", "signals/txn", "trains/txn")
 	for _, serial := range []bool{false, true} {
-		mean, msgs, trains, _, err := writeFanPoint(o, 8, serial)
+		mean, signals, trains, _, err := writeFanPoint(o, 8, serial)
 		if err != nil {
 			return "", err
 		}
@@ -761,7 +761,7 @@ func Ablations(o ExpOptions) (string, error) {
 		if serial {
 			name = "batched writes OFF (per-row chains)"
 		}
-		tblE.AddRow(name, fmtMS(mean), fmt.Sprintf("%.1f", msgs), fmt.Sprintf("%.1f", trains))
+		tblE.AddRow(name, fmtMS(mean), fmt.Sprintf("%.1f", signals), fmt.Sprintf("%.1f", trains))
 	}
 	b.WriteString(tblE.String())
 	return b.String(), nil

@@ -17,35 +17,40 @@ import (
 
 // TestRoundTripBudget is the budget table of DESIGN §9.1 as a test: the
 // sequential storage rounds each operation makes between Begin and Commit on
-// a hint-warm depth-3 path, and the messages it exchanges from Begin to the
-// Ack, one operation at a time on a quiesced deployment. The lock phase is
+// a hint-warm depth-3 path, the messages it exchanges from Begin to the Ack,
+// and the RECV and SEND jobs its datanodes are charged, one operation at a
+// time on a quiesced deployment. The lock phase is
 // one round — the lock rides the resolve — so a read is one round, and with
 // DisableBatchedResolve the chain round becomes one round per component while
 // the lock still costs none of its own. A write is its Prepare pass, so a
 // mutation's messages are its reads' plus, per replica chain it writes, the
-// 12 of Figure 2's three passes — no staging pair on top — and a recursive
-// delete writes its subtree in one batch however deep it is. A write finds out
-// for itself at its chain's head: a create makes no round to learn its name
-// is free, and a delete or an update makes none to lock and read its target
-// — the head takes the lock and edits the committed row. A create whose
+// 12 signals of Figure 2's three passes — no staging pair on top — and a
+// recursive delete writes its subtree in one batch however deep it is. A
+// signal between two blocks of one datanode is local: it crosses no wire and
+// charges no job, so every message costs two jobs but the client's request
+// and the Ack, one each. Here the coordinator holds a replica of the chain a
+// one-chain write takes, and four of its 12 signals stay local. A write finds
+// out for itself at its chain's head: a create makes no round to learn its
+// name is free, and a delete or an update makes none to lock and read its
+// target — the head takes the lock and edits the committed row. A create whose
 // hints reach its parent sends its insert in the batch that reads the
-// parent chain, so mkdir and create are one round (16 messages: the read's
+// parent chain, so mkdir and create are one round (12 messages: the read's
 // pair and the insert's train), and on a taken name the head's refusal
 // ends that round (5). So an update's
 // resolve takes no lock and reads every row at a replica the coordinator's
-// AZ holds (set* 16 messages, setquota 28 over its two chains); a delete's
+// AZ holds (set* 12 messages, setquota 24 over its two chains); a delete's
 // one round after its resolve is its Prepare, whose head sends the target's
-// pre-image to the TC in one message of its own (17); and a recursive delete
+// pre-image to the TC in one message of its own (13); and a recursive delete
 // prepares its target's row before its subtree's batch, one Prepare pass
-// more in the same rounds (50). Rename resolves its two paths in one batch
+// more in the same rounds (45). Rename resolves its two paths in one batch
 // and writes its two rows in one Prepare pass, their chains concurrently:
 // the source's delete, whose head checks the resolved inode is still the
 // committed one and sends its pre-image as a delete's does, and the
-// destination's insert (17).
+// destination's insert (13).
 // A refused write is cut short at the head — Begin, the resolve, the
 // Prepare's first hop and the head's refusal: no replica beyond the head
-// hears of it, and nothing retries. An update of a missing name never gets
-// that far: its resolve reads the target and finds it absent.
+// hears of it, nothing retries, and no Ack is sent. An update of a missing
+// name never gets that far: its resolve reads the target and finds it absent.
 func TestRoundTripBudget(t *testing.T) {
 	type opFn func(nn *NameNode, p *sim.Proc) error
 	budget := []struct {
@@ -53,46 +58,47 @@ func TestRoundTripBudget(t *testing.T) {
 		run             opFn
 		batched, serial int64
 		msgs            int64 // Begin to Ack, batched resolve
+		jobs            int64 // RECV + SEND jobs, Begin to Ack, batched resolve
 	}{
-		{"stat", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/f"); return err }, 1, 3, 4},
-		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3, 6},
-		{"read (inline payload)", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/small"); return err }, 2, 4, 8},
-		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d"); return err }, 2, 4, 4},
-		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 2, 4, 16},
-		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 2, 4, 16},
+		{"stat", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/f"); return err }, 1, 3, 4, 6},
+		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3, 6, 10},
+		{"read (inline payload)", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/small"); return err }, 2, 4, 8, 14},
+		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d"); return err }, 2, 4, 4, 6},
+		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 2, 4, 12, 22},
+		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 2, 4, 12, 22},
 		{"attachblocks", func(nn *NameNode, p *sim.Proc) error {
 			return nn.AttachBlocks(p, "/a/b/f", []blocks.BlockID{1}, 1)
-		}, 2, 4, 16},
-		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 28},
-		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 1, 3, 16},
-		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 1, 3, 16},
+		}, 2, 4, 12, 22},
+		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 24, 46},
+		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 1, 3, 12, 22},
+		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 1, 3, 12, 22},
 		{"create on an existing name", func(nn *NameNode, p *sim.Proc) error {
 			if _, err := nn.Create(p, "/a/b/c", 0); !errors.Is(err, ErrExists) {
 				return fmt.Errorf("got %v, want ErrExists", err)
 			}
 			return nil
-		}, 1, 3, 5},
-		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 2, 6, 17},
-		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 2, 3, 17},
+		}, 1, 3, 5, 9},
+		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 2, 6, 13, 24},
+		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 2, 3, 13, 24},
 		{"delete of a missing name", func(nn *NameNode, p *sim.Proc) error {
 			if _, err := nn.Delete(p, "/a/b/r", false); !errors.Is(err, ErrNotFound) {
 				return fmt.Errorf("got %v, want ErrNotFound", err)
 			}
 			return nil
-		}, 2, 3, 5},
+		}, 2, 3, 5, 9},
 		{"setperm of a missing name", func(nn *NameNode, p *sim.Proc) error {
 			if err := nn.SetPermission(p, "/a/b/r", 0o600); !errors.Is(err, ErrNotFound) {
 				return fmt.Errorf("got %v, want ErrNotFound", err)
 			}
 			return nil
-		}, 1, 3, 3},
+		}, 1, 3, 3, 5},
 		// /a/b/d carries the quota set above: s, s/t and s/t/x die and are
 		// charged back to it in the one write batch.
-		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 7, 9, 50},
+		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 7, 9, 45, 88},
 		// The usage charge on /a/b/d follows the verified chain: a write of
 		// its own after the resolve-and-insert round, its row joining the
-		// insert's train — one Prepare pass more than a create's 16.
-		{"create under a quota'd ancestor", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/d/q", 0); return err }, 2, 4, 20},
+		// insert's train — one Prepare pass more than a create's 12.
+		{"create under a quota'd ancestor", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/d/q", 0); return err }, 2, 4, 17, 32},
 	}
 	for _, serial := range []bool{false, true} {
 		t.Run(fmt.Sprintf("DisableBatchedResolve=%v", serial), func(t *testing.T) {
@@ -148,6 +154,10 @@ func TestRoundTripBudget(t *testing.T) {
 					}
 					if got := h.net.TotalMessages() - msgs; !serial && got != row.msgs {
 						t.Errorf("%s: %d messages from Begin to Ack, budget %d", row.name, got, row.msgs)
+					}
+					jobs := h.db.Stats.RecvJobs + h.db.Stats.SendJobs - before.RecvJobs - before.SendJobs
+					if !serial && jobs != row.jobs {
+						t.Errorf("%s: %d RECV+SEND jobs from Begin to Ack, budget %d", row.name, jobs, row.jobs)
 					}
 					if begun := h.db.Stats.Begun - before.Begun; begun != 1 {
 						t.Errorf("%s: %d transactions begun, want 1 (not quiesced, or a retry)", row.name, begun)

@@ -13,7 +13,12 @@ import (
 // argument): instead of one serial round trip per row, the transaction
 // coordinator fans all reads out to their routed replicas in one shot. Rows
 // are grouped by target datanode, each group travels as a single
-// request/response pair, and the groups proceed concurrently. A one-row read
+// request/response pair, and the groups proceed concurrently. Each leg is a
+// Txn.hop, priced by the one rule every leg of a chain pass is priced by: a
+// remote leg costs the sender's SEND job, the wire and the receiver's RECV
+// job, and a leg whose two ends are one datanode — a group the TC serves
+// itself — is a local signal that costs neither and crosses no wire, but is
+// lost, after the RPC timeout, when that datanode is dead. A one-row read
 // is a batch of one — NDB's single TCKEYREQ — so every read, point or scan,
 // locked or not, takes this path and is routed by routeRow: fully replicated
 // tables serve from the TC, Read Backup tables from the replica nearest the
@@ -170,35 +175,6 @@ func findGroup(groups []*batchGroup, target *DataNode, tr *train) *batchGroup {
 		}
 	}
 	return nil
-}
-
-// sendTo and replyFrom are the two legs of the one request/response envelope
-// between a transaction's TC and the datanode serving a row or a row train:
-// the request travels and the target receives it; the target sends the
-// response, it travels, and the TC receives it. A target that is the TC
-// itself exchanges no message. Each reports false when its leg was lost (the
-// RPC timeout expired).
-func (t *Txn) sendTo(p *sim.Proc, target *DataNode, bytes int) bool {
-	if target == t.tc {
-		return true
-	}
-	if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, bytes, rpcTimeout) {
-		return false
-	}
-	target.recv(p)
-	return true
-}
-
-func (t *Txn) replyFrom(p *sim.Proc, target *DataNode, bytes int) bool {
-	if target == t.tc {
-		return true
-	}
-	target.send(p)
-	if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, bytes, rpcTimeout) {
-		return false
-	}
-	t.tc.recv(p)
-	return true
 }
 
 // trainReq is the request size of a group's row train: one request plus the
@@ -400,7 +376,7 @@ func (sc *batchScratch) serve(p *sim.Proc, g *batchGroup) bool {
 		}
 		return err == nil
 	}
-	if !t.sendTo(p, g.target, trainReq(g)) {
+	if !t.hop(p, t.tc, g.target, trainReq(g)) {
 		sc.errs[g.idx[0]] = ErrNodeUnavailable
 		return false
 	}
@@ -417,7 +393,7 @@ func (sc *batchScratch) serve(p *sim.Proc, g *batchGroup) bool {
 		}
 		resp += bytes
 	}
-	if !t.replyFrom(p, g.target, resp) {
+	if !t.hop(p, g.target, t.tc, resp) {
 		sc.errs[g.idx[0]] = ErrNodeUnavailable
 		return false
 	}

@@ -325,6 +325,10 @@ type Stats struct {
 	// of it is its number of sequential storage round trips (the budget of
 	// DESIGN §9.1).
 	Rounds int64
+	// RecvJobs and SendJobs count the RECV and SEND jobs charged, a SEND
+	// that overflowed to REP included; LocalSignals counts the signals
+	// delivered inside one datanode, which charge neither (Txn.hop).
+	RecvJobs, SendJobs, LocalSignals int64
 }
 
 // DataNode is one NDB datanode: a network endpoint plus the Table II thread

@@ -887,21 +887,24 @@ func TestRecoverZoneAfterAZFailure(t *testing.T) {
 	})
 }
 
-// TestCommitProtocolMessageCount pins the wire footprint of a one-row write
+// TestCommitProtocolMessageCount pins the signals of a one-row write
 // transaction, from Begin to the client's Ack, to the paper's Figure 2 under
 // Read Backup. With three replicas: the request to the coordinator, Prepare
 // x3 down the chain as the write executes and Prepared x1 back to the TC,
 // Commit x3 in reverse, Committed x1, Complete x2 and Completed x2, and the
-// Ack — 14 messages, the Ack being Figure 2's message 14. There is no staging
-// exchange: executing the write is its Prepare.
+// Ack — 14 signals, the Ack being Figure 2's message 14. There is no staging
+// exchange: executing the write is its Prepare. The coordinator is the
+// AZ-local backup, so its own Complete and Completed are local signals: 12
+// of the 14 cross the network, and only those charge SEND and RECV jobs.
 func TestCommitProtocolMessageCount(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	c.StopBackground()
 	env.RunFor(time.Second) // drain housekeeping
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
 	var msgs int64
+	var stats Stats
 	env.Spawn("txn", func(p *sim.Proc) {
-		before := c.net.TotalMessages()
+		before, statsBefore := c.net.TotalMessages(), c.Stats
 		tx, err := c.Begin(p, client, 1, tbl, "p")
 		if err != nil {
 			t.Error(err)
@@ -919,12 +922,148 @@ func TestCommitProtocolMessageCount(t *testing.T) {
 			return
 		}
 		p.Flush()
-		msgs = c.net.TotalMessages() - before
+		msgs, stats = c.net.TotalMessages()-before, c.Stats
+		stats.LocalSignals -= statsBefore.LocalSignals
+		stats.RecvJobs -= statsBefore.RecvJobs
+		stats.SendJobs -= statsBefore.SendJobs
 	})
 	env.RunFor(time.Minute)
-	if msgs != 14 {
-		t.Fatalf("Begin to Ack used %d messages, want 14 (Figure 2 with RF 3 and Read Backup)", msgs)
+	if msgs != 12 || stats.LocalSignals != 2 {
+		t.Fatalf("Begin to Ack used %d messages and %d local signals, want 12 + 2 = 14 signals (Figure 2 with RF 3 and Read Backup)",
+			msgs, stats.LocalSignals)
 	}
+	// Every message but the client's request is sent by a datanode, and
+	// every message but the Ack is received by one.
+	if stats.SendJobs != 11 || stats.RecvJobs != 11 {
+		t.Fatalf("%d SEND and %d RECV jobs, want 11 each", stats.SendJobs, stats.RecvJobs)
+	}
+}
+
+// TestLocalSignalAtDeadNode: a local signal — a hop whose two ends are one
+// datanode — is delivered only if that node is alive; at a dead one it is
+// lost as a message to a dead node is, after the RPC timeout. The datanode
+// dies while the transaction waits out its own deferred delay, after its
+// rows were routed and before its signals leave, so every leg of each step
+// below is a hop at or from a dead node.
+//
+//   - (a) Commit: on RF 1, two trains — a Read Backup row and a plain row
+//     of one partition key — whose chain is the coordinator alone, prepared
+//     while it lived. Their Commit passes are local signals only. Two
+//     trains, because a multi-train commit waits for its effective instant
+//     after its chain check and before its passes.
+//   - (b) A read: a two-group ReadBatch, one group served at the
+//     coordinator itself, after a write prepared on it. Two groups, because
+//     a fan-out waits for its effective instant after routing.
+//
+// Each fails with ErrNodeUnavailable once the RPC timeout has passed, and
+// no row is applied.
+func TestLocalSignalAtDeadNode(t *testing.T) {
+	// dieDuring runs step with the coordinator dying halfway through a
+	// deferred delay the caller carries into it, and returns step's error
+	// and how long it took.
+	dieDuring := func(env *sim.Env, p *sim.Proc, tc *DataNode, step func() error) (time.Duration, error) {
+		p.Flush()
+		t0 := p.Now()
+		env.Spawn("kill", func(k *sim.Proc) {
+			k.Sleep(time.Millisecond)
+			tc.Node.Fail()
+		})
+		p.Defer(2 * time.Millisecond)
+		err := step()
+		p.Flush()
+		return p.Now() - t0, err
+	}
+	check := func(name string, took time.Duration, err error, part *Partition, keys ...string) {
+		t.Helper()
+		if !errors.Is(err, ErrNodeUnavailable) || took < rpcTimeout {
+			t.Errorf("%s: %v after %v, want ErrNodeUnavailable after the %v RPC timeout", name, err, took, rpcTimeout)
+		}
+		for _, key := range keys {
+			if _, ok := part.committed("p", key); ok {
+				t.Errorf("%s: row %q applied on a dead node", name, key)
+			}
+		}
+	}
+
+	t.Run("commit", func(t *testing.T) {
+		env, c, client := testCluster(t, true, 1)
+		c.StopBackground()
+		env.RunFor(time.Second)
+		rb := c.CreateTable("rb", 64, TableOptions{ReadBackup: true})
+		plain := c.CreateTable("plain", 64, TableOptions{})
+		done := false
+		env.Spawn("txn", func(p *sim.Proc) {
+			tx, err := c.Begin(p, client, 1, rb, "p")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tc := tx.Coordinator()
+			if tc != rb.PrimaryFor("p") || tc != plain.PrimaryFor("p") {
+				t.Error("the coordinator is not the rows' sole replica")
+				return
+			}
+			if err := tx.WriteBatch([]BatchWrite{
+				{Table: rb, PartKey: "p", Key: "a", Val: "v"},
+				{Table: plain, PartKey: "p", Key: "b", Val: "v"},
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+			if len(tx.trains) != 2 {
+				t.Errorf("%d trains, want 2", len(tx.trains))
+			}
+			took, err := dieDuring(env, p, tc, tx.Commit)
+			check("commit", took, err, rb.partitionFor("p"), "a")
+			check("commit", took, err, plain.partitionFor("p"), "b")
+			done = true
+		})
+		env.RunFor(time.Minute)
+		if !done {
+			t.Fatal("txn did not finish")
+		}
+	})
+
+	t.Run("read", func(t *testing.T) {
+		env, c, client := testCluster(t, true, 1)
+		c.StopBackground()
+		env.RunFor(time.Second)
+		tbl := c.CreateTable("t", 64, TableOptions{})
+		other := ""
+		for i := 0; i < 64 && other == ""; i++ {
+			if pk := fmt.Sprintf("q%d", i); tbl.PrimaryFor(pk) != tbl.PrimaryFor("p") {
+				other = pk
+			}
+		}
+		done := false
+		env.Spawn("txn", func(p *sim.Proc) {
+			tx, err := c.Begin(p, client, 1, tbl, "p")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := put(tx, tbl, "p", "w", "v"); err != nil {
+				t.Error(err)
+				return
+			}
+			took, err := dieDuring(env, p, tx.Coordinator(), func() error {
+				_, err := tx.ReadBatch([]BatchGet{
+					{Table: tbl, PartKey: "p", Key: "w"},
+					{Table: tbl, PartKey: other, Key: "x"},
+				})
+				return err
+			})
+			check("read", took, err, tbl.partitionFor("p"), "w")
+			if err := tx.Commit(); !errors.Is(err, ErrAborted) {
+				t.Errorf("Commit after the failed read: %v, want ErrAborted", err)
+			}
+			done = true
+		})
+		env.RunFor(time.Minute)
+		if !done {
+			t.Fatal("txn did not finish")
+		}
+	})
 }
 
 // TestReadBackupDelaysAck verifies §IV-A3: with Read Backup the Ack waits

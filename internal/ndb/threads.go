@@ -97,23 +97,27 @@ func (dn *DataNode) batched(t ThreadType, d time.Duration) time.Duration {
 }
 
 // recv charges the receive cost for an inbound message on dn.
-func (dn *DataNode) recv(p *sim.Proc) { dn.use(p, RECV, costRecv) }
+func (dn *DataNode) recv(p *sim.Proc) {
+	dn.c.Stats.RecvJobs++
+	dn.use(p, RECV, costRecv)
+}
 
 // signalArrived charges RECV for a fire-and-forget signal at the instant it
 // arrives; no process waits on it.
 func (dn *DataNode) signalArrived() {
+	dn.c.Stats.RecvJobs++
 	dn.threads[RECV].Charge(dn.batched(RECV, costRecv))
 }
 
 // send charges the cost of an outbound message. SEND work overflows to the
 // REP helper thread when the SEND pool is backlogged — NDB's idle threads
 // assist busy ones (§V-D1), which is what drives the high REP utilization
-// in Figure 11.
+// in Figure 11 — and still counts as a SEND job.
 func (dn *DataNode) send(p *sim.Proc) {
-	cost := costSend
+	dn.c.Stats.SendJobs++
+	pool := SEND
 	if dn.threads[SEND].Backlog() > 0 && dn.threads[REP].Backlog() == 0 {
-		dn.use(p, REP, cost)
-		return
+		pool = REP
 	}
-	dn.use(p, SEND, cost)
+	dn.use(p, pool, costSend)
 }

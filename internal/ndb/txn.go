@@ -413,10 +413,24 @@ func (ph *phaseSpans) close() {
 	ph.p.SetSpan(ph.parent)
 }
 
-// hop carries one message of a chain pass from one datanode to the next: the
-// sender's SEND charge, the wire, the receiver's RECV charge. It reports
-// false when the message was lost (the RPC timeout expired).
+// hop carries one signal of the transaction from one datanode to another,
+// and every datanode-to-datanode leg goes through it: both legs of a read
+// group, each hop of a Prepare or Commit pass, a head's refusal, both legs
+// of an awaited Complete. A remote signal costs the sender's SEND job, the
+// wire and the receiver's RECV job. A local signal — its two ends one
+// datanode, as when the TC serves a read or is a replica of the chain —
+// charges neither thread and crosses no wire, and is delivered only if the
+// node is alive: at a dead one it costs the RPC timeout, as a lost message
+// does. It reports false when the signal was lost.
 func (t *Txn) hop(p *sim.Proc, from, to *DataNode, bytes int) bool {
+	if from == to {
+		if !to.Alive() {
+			p.Defer(rpcTimeout)
+			return false
+		}
+		t.c.Stats.LocalSignals++
+		return true
+	}
 	from.send(p)
 	if !t.c.net.TravelDeferred(p, from.Node, to.Node, bytes, rpcTimeout) {
 		return false
@@ -716,8 +730,13 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 		// simnet can only count it in the global net.* metrics. Record them
 		// on the active span too, with zero wire time since they are off the
 		// Ack's critical path, so per-op attribution and the commit-phase
-		// profile do not under-count.
+		// profile do not under-count. The TC's own replica takes its
+		// Complete as a local signal.
 		for _, dn := range backups {
+			if dn == t.tc { // alive: it just took the Committed answer
+				t.c.Stats.LocalSignals++
+				continue
+			}
 			t.tc.send(p)
 			p.Span().RecordHop(simnet.HopClassOf(t.tc.Node, dn.Node), ackSize, 0)
 			t.c.net.Send(t.tc.Node, dn.Node, ackSize, dn.onSignal)
@@ -736,12 +755,9 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 	}
 	j := t.c.newJoin(p, len(backups))
 	for _, dn := range backups {
-		t.tc.send(p)
 		t.c.dispatch(fanTask{span: fanSpan, txn: t, backup: dn, join: j})
 	}
-	allOK, _ := t.c.collect(j)
-	t.tc.recv(p)
-	if !allOK {
+	if allOK, _ := t.c.collect(j); !allOK {
 		return ErrNodeUnavailable
 	}
 	ph.end()
@@ -750,13 +766,11 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 
 // complete is one arm of the awaited Complete pass: TC -> backup -> TC.
 func (t *Txn) complete(p *sim.Proc, dn *DataNode) bool {
-	if !t.c.net.TravelDeferred(p, t.tc.Node, dn.Node, ackSize, rpcTimeout) {
+	if !t.hop(p, t.tc, dn, ackSize) {
 		return false
 	}
-	dn.recv(p)
 	dn.use(p, LDM, costLDMCommit)
-	dn.send(p)
-	return t.c.net.TravelDeferred(p, dn.Node, t.tc.Node, ackSize, rpcTimeout)
+	return t.hop(p, dn, t.tc, ackSize)
 }
 
 // Abort releases all locks and discards the transaction's writes. Rows

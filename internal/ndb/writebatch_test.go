@@ -105,13 +105,17 @@ func crossGroupPKs(t *testing.T, n int) func(*Table) []string {
 // TestCommitTrainMessageCounts extends TestCommitProtocolMessageCount into a
 // regression suite pinning the exact wire footprint of a write transaction
 // after Begin (Figure 2 geometry: RF 3, Read Backup — 4 messages per Prepare
-// pass as the writes execute, 8 per train at commit, plus the client Ack):
+// pass as the writes execute, 8 signals per train at commit, plus the client
+// Ack). The TC is the AZ-local backup of partition "p", so a train on that
+// chain exchanges its own Complete/Completed pair as local signals, off the
+// wire: 6 messages at commit, 8 for a train on a chain the TC is not on.
 //
-//   - 1 row: 4 + 9 = 13 messages, batched and serial identical message for
+//   - 1 row: 4 + 7 = 11 messages, batched and serial identical message for
 //     message,
-//   - 8 rows sharing one replica chain: one train, 13 messages, vs 8 serial
-//     Prepare passes and 8 one-row trains, 32 + 65 = 97,
-//   - 8 rows across two node groups: two trains, 2x4 + 2x8 + 1 = 25, vs 97.
+//   - 8 rows sharing one replica chain: one train, 11 messages, vs 8 serial
+//     Prepare passes and 8 one-row trains, 32 + 49 = 81,
+//   - 8 rows across two node groups: two trains, 2x4 + 6 + 8 + 1 = 23, vs
+//     32 + 4x6 + 4x8 + 1 = 89.
 func TestCommitTrainMessageCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
@@ -119,9 +123,9 @@ func TestCommitTrainMessageCounts(t *testing.T) {
 		write, commit       int64
 		serWrite, serCommit int64
 	}{
-		{"1 row", repeatPK("p", 1), 4, 9, 4, 9},
-		{"8 rows, one chain", repeatPK("p", 8), 4, 9, 32, 65},
-		{"8 rows, two node groups", crossGroupPKs(t, 8), 8, 17, 32, 65},
+		{"1 row", repeatPK("p", 1), 4, 7, 4, 7},
+		{"8 rows, one chain", repeatPK("p", 8), 4, 7, 32, 49},
+		{"8 rows, two node groups", crossGroupPKs(t, 8), 8, 15, 32, 57},
 	} {
 		write, commit := measureTxnMessages(t, false, tc.pks)
 		if write != tc.write || commit != tc.commit {
@@ -389,9 +393,10 @@ func TestFireAndForgetCompleteAttributed(t *testing.T) {
 		t.Fatal("txn did not complete")
 	}
 	// RF 3 without Read Backup: 4 Prepare/Prepared as the write executes,
-	// 4 Commit/Committed, 2 Complete, 1 Ack.
-	if netMsgs != 11 {
-		t.Fatalf("write + commit used %d network messages, want 11", netMsgs)
+	// 4 Commit/Committed, 1 Complete — the other goes to the TC's own
+	// replica, a local signal — and 1 Ack.
+	if netMsgs != 10 {
+		t.Fatalf("write + commit used %d network messages, want 10", netMsgs)
 	}
 	if spanMsgs != netMsgs {
 		t.Fatalf("span attributed %d messages, network saw %d — fire-and-forget Complete lost", spanMsgs, netMsgs)
@@ -465,8 +470,10 @@ func TestWriteIsPrepare(t *testing.T) {
 			return
 		}
 		p.Flush()
-		// Commit x3 + Committed, Complete x2 + Completed x2, Ack: 9 at RF 3.
-		if got, want := c.net.TotalMessages()-msgs, int64(len(chain)+1+2*(len(chain)-1)+1); got != want {
+		// Commit x3 + Committed, Complete x2 + Completed x2, Ack: 9 signals
+		// at RF 3, the TC's own Complete/Completed pair local (the TC is a
+		// backup), so 7 messages.
+		if got, want := c.net.TotalMessages()-msgs, int64(len(chain)+1+2*(len(chain)-2)+1); got != want {
 			t.Errorf("Commit exchanged %d messages, want %d", got, want)
 		}
 		if got := redoPending(chain) - redo; got != 0 {
@@ -610,8 +617,8 @@ func TestSecondWriteBatchJoinsItsTrain(t *testing.T) {
 			return
 		}
 		p.Flush()
-		if got := c.net.TotalMessages() - msgs; got != 9 {
-			t.Errorf("commit exchanged %d messages, want 9 (one train + Ack)", got)
+		if got := c.net.TotalMessages() - msgs; got != 7 {
+			t.Errorf("commit exchanged %d messages, want 7 (one train, its local Complete off the wire, + Ack)", got)
 		}
 		for i := 0; i < 5; i++ {
 			if _, ok := tbl.partitionFor("p").committed("p", fmt.Sprintf("k%d", i)); !ok {

@@ -636,8 +636,9 @@ func TestRoutedTableScan(t *testing.T) {
 }
 
 // TestRoutedReadWriteBatch: a mixed batch whose rows all live on one shard is
-// that shard's one mixed round; one that spans shards runs as its reads and
-// then its writes, one round on each shard, the reads first. Either way a
+// that shard's one mixed round; one that spans shards — by its write or by
+// its gets — runs as its reads and then its writes, the reads' round on each
+// shard they read and then a round on the written shard. Either way a
 // refused write returns the gets' values with its error.
 func TestRoutedReadWriteBatch(t *testing.T) {
 	env, r, client := testRouter(t, 2)
@@ -649,7 +650,9 @@ func TestRoutedReadWriteBatch(t *testing.T) {
 		}
 		return tx.Commit()
 	})
-	get := []ndb.BatchGet{{Table: ts.For(pk0), PartKey: pk0, Key: "parent", Lock: ndb.LockShared}}
+	get := ndb.BatchGet{Table: ts.For(pk0), PartKey: pk0, Key: "parent", Lock: ndb.LockShared}
+	// The row the "two shards" case inserts on shard 1.
+	child1 := ndb.BatchGet{Table: ts.For(pk1), PartKey: pk1, Key: "child-" + pk1}
 	rounds := func() (n [2]int64) {
 		for s, c := range r.Clusters() {
 			n[s] = c.Stats.Rounds
@@ -658,21 +661,29 @@ func TestRoutedReadWriteBatch(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
+		gets  []ndb.BatchGet
+		vals  []ndb.Value
 		pk    string
 		taken bool
 		want  [2]int64
 	}{
-		{"one shard", pk0, false, [2]int64{1, 0}},
-		{"one shard, taken", pk0, true, [2]int64{1, 0}},
-		{"two shards", pk1, false, [2]int64{1, 1}},
-		{"two shards, taken", pk1, true, [2]int64{1, 1}},
+		{"one shard", []ndb.BatchGet{get}, []ndb.Value{ident(1)}, pk0, false, [2]int64{1, 0}},
+		{"one shard, taken", []ndb.BatchGet{get}, []ndb.Value{ident(1)}, pk0, true, [2]int64{1, 0}},
+		{"two shards", []ndb.BatchGet{get}, []ndb.Value{ident(1)}, pk1, false, [2]int64{1, 1}},
+		{"two shards, taken", []ndb.BatchGet{get}, []ndb.Value{ident(1)}, pk1, true, [2]int64{1, 1}},
+		{"gets on two shards, taken", []ndb.BatchGet{get, child1}, []ndb.Value{ident(1), ident(2)}, pk1, true, [2]int64{1, 2}},
 	} {
 		key := "child-" + tc.pk
 		before := rounds()
 		inTxn(t, env, r, client, ts, pk0, func(p *sim.Proc, tx ndb.Tx) error {
-			vals, err := tx.ReadWriteBatch(get, []ndb.BatchWrite{{Table: ts.For(tc.pk), PartKey: tc.pk, Key: key, Val: ident(2), IfAbsent: true}})
-			if len(vals) != 1 || vals[0].Val != ident(1) {
-				return fmt.Errorf("%s: values %v, want the parent's", tc.name, vals)
+			vals, err := tx.ReadWriteBatch(tc.gets, []ndb.BatchWrite{{Table: ts.For(tc.pk), PartKey: tc.pk, Key: key, Val: ident(2), IfAbsent: true}})
+			if len(vals) != len(tc.vals) {
+				return fmt.Errorf("%s: values %v, want %v", tc.name, vals, tc.vals)
+			}
+			for i, v := range vals {
+				if v.Val != tc.vals[i] {
+					return fmt.Errorf("%s: values %v, want %v", tc.name, vals, tc.vals)
+				}
 			}
 			if tc.taken {
 				if !errors.Is(err, ndb.ErrRowExists) {
