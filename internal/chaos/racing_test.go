@@ -568,24 +568,55 @@ func TestCreateRacesParentRemoval(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("seed%d-shards%d", seed, shards), func(t *testing.T) {
-				runCreateRacesParentRemoval(t, seed, shards)
+				runRacesParentRemoval(t, seed, shards, false)
 			})
 		}
 	}
 }
 
-func runCreateRacesParentRemoval(t *testing.T, seed int64, shards int) {
+// TestMutationRacesParentRemoval: a hint-warm delete sends its parent's share
+// lock and its target's delete in one batch, and a hint-warm setPermission
+// sends its edit in the batch that reads the parent chain, with no parent
+// lock. A delete never queues for its parent while it may hold its target —
+// the parent's lock is taken only if it can be granted at once (pinned by
+// TestMergedDeleteNeverQueuesForItsParent) — and an update holds its
+// target's lock alone. The children of /p/sN exist before the round; deletes
+// and setPermissions of them, started as the creates of
+// TestCreateRacesParentRemoval are, race the same four removals of /p/sN.
+// Every outcome must be linearizable: an acked delete's child is gone, an
+// acked setPermission's child has the new mode wherever it ends up (unless
+// an acked recursive delete took it), a mutation that answered ErrNotFound
+// came after an acked removal and left its child as it was, and the
+// non-recursive delete of /p/sN answers ErrNotEmpty, as the setPermissions'
+// children remain. No lock wait may reach the lock timeout, and the auditor
+// and a walk of the committed inode rows find no orphan. Seeds 1–3, one and
+// two shards.
+func TestMutationRacesParentRemoval(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("seed%d-shards%d", seed, shards), func(t *testing.T) {
+				runRacesParentRemoval(t, seed, shards, true)
+			})
+		}
+	}
+}
+
+// runRacesParentRemoval races, round by round, one removal of /p/sN against
+// a dozen single-name mutations under it: creates and mkdirs of new children,
+// or with mutate deletes and setPermissions of existing ones.
+func runRacesParentRemoval(t *testing.T, seed int64, shards int, mutate bool) {
 	const (
 		rounds   = 8
-		creators = 12
+		children = 12
 		stagger  = 250 * time.Microsecond
-		// removeAt starts the removal among the creates: those started
+		// removeAt starts the removal among the mutations: those started
 		// well before it win the parent's lock, those started after it lose,
 		// and those between send their batch while it holds the parent and
 		// walks the children.
 		removeAt = 1500 * time.Microsecond
 		// lockTimeout is ndb's deadlock timeout.
 		lockTimeout = 150 * time.Millisecond
+		perm        = 0o600
 	)
 	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
 	o := core.DefaultOptions(setup)
@@ -626,8 +657,20 @@ func runCreateRacesParentRemoval(t *testing.T, seed int64, shards int) {
 				t.Error(err)
 				return
 			}
-			// Warm every creator's hints down to the directory, so each
-			// create's insert rides its resolve's batch.
+			for k := 0; mutate && k < children; k++ {
+				child := fmt.Sprintf("%s/c%d", dir, k)
+				if k%4 == 0 {
+					err = nns[0].Mkdir(p, child, 0o755)
+				} else {
+					_, err = nns[0].Create(p, child, 10)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			// Warm every racer's hints down to the directory, so each
+			// mutation's write rides its resolve's batch.
 			for _, nn := range nns[1:] {
 				if _, err := nn.Stat(p, dir); err != nil {
 					t.Error(err)
@@ -635,7 +678,7 @@ func runCreateRacesParentRemoval(t *testing.T, seed int64, shards int) {
 				}
 			}
 			var removeErr error
-			errs := make([]error, creators)
+			errs := make([]error, children)
 			racers := []func(p *sim.Proc){func(p *sim.Proc) {
 				p.Sleep(removeAt)
 				switch removal {
@@ -649,13 +692,18 @@ func runCreateRacesParentRemoval(t *testing.T, seed int64, shards int) {
 					removeErr = nns[0].SetPermission(p, dir, 0o700)
 				}
 			}}
-			for k := range creators {
+			for k := range children {
 				racers = append(racers, func(p *sim.Proc) {
 					p.Sleep(time.Duration(k) * stagger)
 					nn, child := nns[1+k%3], fmt.Sprintf("%s/c%d", dir, k)
-					if k%2 == 1 {
+					switch {
+					case mutate && k%2 == 0:
+						_, errs[k] = nn.Delete(p, child, false)
+					case mutate:
+						errs[k] = nn.SetPermission(p, child, perm)
+					case k%2 == 1:
 						errs[k] = nn.Mkdir(p, child, 0o755)
-					} else {
+					default:
 						_, errs[k] = nn.Create(p, child, 10)
 					}
 				})
@@ -680,6 +728,9 @@ func runCreateRacesParentRemoval(t *testing.T, seed int64, shards int) {
 			case removeErr != nil:
 				t.Errorf("%s %s: %v", removal, dir, removeErr)
 				continue
+			case removal == "delete" && mutate:
+				t.Errorf("round %d: delete %s was acked, but the setPermissions' children remain under it", r, dir)
+				continue
 			case removal == "rename":
 				where = moved
 			case removal != "setPermission":
@@ -688,27 +739,38 @@ func runCreateRacesParentRemoval(t *testing.T, seed int64, shards int) {
 			acked := 0
 			for k, err := range errs {
 				child := fmt.Sprintf("c%d", k)
+				var ino *namenode.Inode
+				var serr error = namenode.ErrNotFound
+				if where != "" {
+					ino, serr = nns[0].Stat(p, where+"/"+child)
+				}
+				deleted := mutate && k%2 == 0
 				switch {
 				case err == nil:
 					acked++
-					if where == "" {
-						continue
-					}
-					if _, serr := nns[0].Stat(p, where+"/"+child); serr != nil {
+					switch {
+					case deleted && serr == nil:
+						t.Errorf("round %d: %s/%s survives its acked delete under %s", r, dir, child, where)
+					case deleted || where == "":
+					case serr != nil:
 						t.Errorf("round %d: acked %s/%s is not under %s after the %s: %v", r, dir, child, where, removal, serr)
+					case mutate && ino.Perm != perm:
+						t.Errorf("round %d: %s/%s has perm %o after its acked setPermission", r, where, child, ino.Perm)
 					}
 				case errors.Is(err, namenode.ErrNotFound):
 					exercised[removal] = true
 					if where == dir {
-						t.Errorf("round %d: create %s/%s answered ErrNotFound, but the %s did not remove %s", r, dir, child, removal, dir)
+						t.Errorf("round %d: %s/%s answered ErrNotFound, but the %s did not remove %s", r, dir, child, removal, dir)
+					} else if mutate && where != "" && (serr != nil || ino.Perm == perm) {
+						t.Errorf("round %d: %s/%s answered ErrNotFound, but is %+v, %v under %s", r, dir, child, ino, serr, where)
 					}
 				default:
-					t.Errorf("round %d: create %s/%s: %v, want nil or ErrNotFound", r, dir, child, err)
+					t.Errorf("round %d: %s/%s: %v, want nil or ErrNotFound", r, dir, child, err)
 				}
 			}
 			if removal == "delete" && errors.Is(removeErr, namenode.ErrNotEmpty) {
 				exercised[removal] = true
-				if acked == 0 {
+				if acked == 0 && !mutate {
 					t.Errorf("round %d: delete %s answered ErrNotEmpty, but no create was acked", r, dir)
 				}
 			}
@@ -724,7 +786,7 @@ func runCreateRacesParentRemoval(t *testing.T, seed int64, shards int) {
 	}
 	for _, r := range removals[:3] {
 		if !exercised[r] {
-			t.Errorf("no create lost to a %s, and no %s to a create: the race was not exercised", r, r)
+			t.Errorf("no mutation lost to a %s, and no %s to a mutation: the race was not exercised", r, r)
 		}
 	}
 	for s, l := range d.Contention() {

@@ -46,8 +46,9 @@ type opScratch struct {
 	// edit is the change the operation's write asks its target row's chain
 	// head to make; the write carries a pointer to it.
 	edit inodeEdit
-	// parentFirst is set by a create whose parent's lock was busy: its
-	// retries resolve the parent before they insert.
+	// parentFirst is set by a mutation whose one-round attempt found its
+	// parent's lock busy (a create or a delete): its retries resolve the
+	// parent before they write.
 	parentFirst bool
 	// unlinkedDir is set by the body of an operation whose success removes
 	// the target's name (Delete, Rename), under the target's lock, when the
@@ -60,11 +61,14 @@ type opScratch struct {
 // change its write asks the chain's head to make to the committed inode,
 // under the exclusive lock taken there, so two updates of one inode never
 // lose each other's change and an update that loses to a delete answers
-// ErrNotFound. An update is aimed at the inode its resolve found (id): another
-// inode under the name was created after that one was deleted, so the
-// update answers ErrNotFound — it took effect between the two. A delete
-// resolves only the parent; its edit takes any inode and keeps the
-// pre-image (pre), which tells the operation what else to remove. A move
+// ErrNotFound. An update whose resolve read its target (the serial path,
+// SetQuota) is aimed at the inode it found (id): another inode under the
+// name was created after that one was deleted, so the update answers
+// ErrNotFound — it took effect between the two. An update sent in its
+// resolve's round (id 0) read no target: it takes whichever inode holds the
+// name under the lock, and takes effect there. A delete resolves only the
+// parent; its edit takes any inode and keeps the pre-image (pre), which
+// tells the operation what else to remove. A move
 // (Rename's unlink) writes a copy of the inode its resolve found (pre), so
 // its edit takes that very value and no other: inode values are immutable
 // and every write installs a new one, so any change since the resolve is
@@ -106,7 +110,7 @@ func (e *inodeEdit) Edit(committed ndb.Value) (ndb.Value, error) {
 		}
 		return nil, nil
 	}
-	if ino.ID != e.id {
+	if e.id != 0 && ino.ID != e.id {
 		return nil, ErrNotFound
 	}
 	next := *ino
@@ -384,7 +388,7 @@ func (nn *NameNode) hintedGets(sc *opScratch, gets []ndb.BatchGet, fp *fsPath, i
 // verifyHinted checks the rows a batch read for fp — vals[i] is the row ids[i]
 // primed — against what the cache promised and returns the chain they
 // resolve, refreshing the hints with it. ids may hold one id more than vals:
-// the parent a create's insert was keyed by, which the last row read must
+// the parent a mutation's write was keyed by, which the last row read must
 // then be. ok=false means a link failed to verify: the hints were stale and
 // the values are worthless; the chain returned is then the verified part,
 // whose next component's hint is the first stale one. When all links
@@ -539,18 +543,20 @@ func (nn *NameNode) Create(p *sim.Proc, path string, size int64) (*Inode, error)
 // free: two racing creators serialize on the row lock at the chain's head,
 // and the loser's Prepare is refused there with the winner's row in place.
 // When the hints reach the parent, the resolve and the insert are one round
-// (insertHinted); otherwise the parent chain resolves first, parent before
-// child.
+// (mutateHinted), and a quota'd ancestor's charge follows in a write of its
+// own, as it depends on the verified chain; otherwise the parent chain
+// resolves first, parent before child.
 func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, error) {
 	var created *Inode
 	err := nn.op(p, path, opRules{root: ErrExists}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
-		if !nn.ns.cfg.DisableBatchedResolve && !sc.parentFirst && fp.depth() > 1 {
-			sc.ids = sc.ids[:0]
-			if ids := nn.hintedIDs(sc, &fp); len(ids) == fp.depth() {
-				var err error
-				created, err = nn.insertHinted(tx, sc, fp, ids, &proto)
+		if ids := nn.hintedParent(sc, &fp); ids != nil {
+			created = nn.newChild(sc, fp, ids[len(ids)-1], &proto, tx.Now())
+			chain, err := nn.mutateHinted(tx, sc, fp, ids, ndb.LockShared)
+			if err != nil {
 				return err
 			}
+			sc.writes = nn.quotaCharges(sc.writes[:0], chain, "c", created.ID, 1, created.Size)
+			return tx.WriteBatch(sc.writes)
 		}
 		chain, err := nn.resolveParentChain(tx, sc, fp)
 		if err != nil {
@@ -562,11 +568,7 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 		// a plain insert).
 		created = nn.newChild(sc, fp, chain[len(chain)-1].ID, &proto, tx.Now())
 		sc.writes = nn.quotaCharges(sc.writes, chain, "c", created.ID, 1, created.Size)
-		err = tx.WriteBatch(sc.writes)
-		if errors.Is(err, ndb.ErrRowExists) {
-			return ErrExists
-		}
-		return err
+		return refusal(tx.WriteBatch(sc.writes))
 	})
 	if err != nil {
 		return nil, err
@@ -595,34 +597,46 @@ func (nn *NameNode) newChild(sc *opScratch, fp fsPath, parent uint64, proto *Ino
 	return &ino
 }
 
-// insertHinted is a create whose hints prime its whole parent chain — ids
-// keys every row of fp, its last the parent's id: the chain's rows, the
-// parent's share-locked, go out in one batch with the insert keyed by that
-// id, and the chain is verified when the round returns. The resolve's
-// verdict comes first: stale hints — the parent not being the inode the
-// insert was keyed by included — drop what they got wrong and refuse the
-// attempt (errStaleHints), to be retried without them; a missing or
-// non-directory component answers as the resolve would have; only then is
-// the insert's refusal ErrExists. A quota'd ancestor's charge follows in a
-// write of its own, as it depends on the verified chain.
+// hintedParent returns the cached ids that key every row of fp, the last
+// its parent's id, when they reach that far and a mutation may send its
+// write in its resolve's round (mutateHinted); nil otherwise.
+func (nn *NameNode) hintedParent(sc *opScratch, fp *fsPath) []uint64 {
+	if nn.ns.cfg.DisableBatchedResolve || sc.parentFirst || fp.depth() < 2 {
+		return nil
+	}
+	sc.ids = sc.ids[:0]
+	if ids := nn.hintedIDs(sc, fp); len(ids) == fp.depth() {
+		return ids
+	}
+	return nil
+}
+
+// mutateHinted is the one storage round of a single-name mutation whose
+// hints prime its whole parent chain (hintedParent): the chain's rows — the
+// parent's under lock, a create's or a delete's share lock, none for an
+// update — go out in one batch with sc.writes, the mutation's prepared write
+// keyed by the hinted parent id, and the chain is verified, and returned,
+// when the round returns. The resolve's verdict comes first: stale hints —
+// the parent not being the inode the write was keyed by included — drop
+// what they got wrong and refuse the attempt (errStaleHints), to be retried
+// without them; a missing or non-directory component answers as the
+// resolve would have; only then does the write's refusal answer.
 //
-// The two locks come in no order of their own (DESIGN §9). A transaction
-// that holds the parent exclusively waits for no insert's row: the delete
-// that removes it locks only the children its subtree walk finds committed,
-// and a rename or an update of the parent writes only the parent's row. And
-// the insert never waits for the parent while holding its row: a parent lock
-// that cannot be granted at once refuses the batch (ndb.ErrLockBusy), and
-// the retry resolves the parent first.
-func (nn *NameNode) insertHinted(tx ndb.Tx, sc *opScratch, fp fsPath, ids []uint64, proto *Inode) (*Inode, error) {
+// The locks come in no order of their own (DESIGN §9), and the batch never
+// waits for its parent while it may hold its row: a parent lock that cannot
+// be granted at once refuses the batch (ndb.ErrLockBusy), and the retry
+// resolves the parent first. So while it waits for its row it holds at most
+// the parent's share lock, as a mutation that resolved first would; an
+// update holds nothing at all.
+func (nn *NameNode) mutateHinted(tx ndb.Tx, sc *opScratch, fp fsPath, ids []uint64, lock ndb.LockMode) ([]*Inode, error) {
 	parent := len(ids) - 1
-	ino := nn.newChild(sc, fp, ids[parent], proto, tx.Now())
 	pfp := fp.parent()
 	sc.gets = nn.hintedGets(sc, sc.gets[:0], &pfp, ids[:parent])
-	sc.gets[parent-1].Lock = ndb.LockShared
+	sc.gets[parent-1].Lock = lock
 	vals, werr := tx.ReadWriteBatch(sc.gets, sc.writes)
 	if vals == nil {
 		// A busy parent — held or awaited exclusively — is waited for
-		// the way a create that resolves first waits: parent before child.
+		// the way a mutation that resolves first waits: parent before child.
 		sc.parentFirst = errors.Is(werr, ndb.ErrLockBusy)
 		return nil, werr
 	}
@@ -634,19 +648,24 @@ func (nn *NameNode) insertHinted(tx ndb.Tx, sc *opScratch, fp fsPath, ids []uint
 	if err != nil {
 		return nil, err
 	}
-	// The parent counts as touched, as the locked read of a resolve's last
-	// component counts it.
-	nn.ns.heat.TouchInode(tx.Now(), ids[parent])
-	if errors.Is(werr, ndb.ErrRowExists) {
-		return nil, ErrExists
+	if lock != 0 {
+		// The parent counts as touched, as the locked read of a resolve's
+		// last component counts it.
+		nn.ns.heat.TouchInode(tx.Now(), ids[parent])
 	}
-	if werr != nil {
-		return nil, werr
+	return chain, refusal(werr)
+}
+
+// refusal is what a write refused at its chain's head answers: ErrExists for
+// a taken name, ErrNotFound for an absent one; any other error is itself.
+func refusal(err error) error {
+	switch {
+	case errors.Is(err, ndb.ErrRowExists):
+		return ErrExists
+	case errors.Is(err, ndb.ErrRowAbsent):
+		return ErrNotFound
 	}
-	if sc.writes = nn.quotaCharges(sc.writes[:0], chain, "c", ino.ID, 1, ino.Size); len(sc.writes) > 0 {
-		return ino, tx.WriteBatch(sc.writes)
-	}
-	return ino, nil
+	return err
 }
 
 // Stat returns a file or directory's metadata (read-committed, lock-free).
@@ -732,22 +751,27 @@ func (nn *NameNode) List(p *sim.Proc, path string) (Listing, error) {
 // directories fail with ErrNotEmpty. It returns the block ids freed so the
 // caller can reclaim them in the block layer after the commit.
 //
-// The parent chain resolves with the parent share-locked in its batch — the
-// parent must keep existing — and then the target's own delete is prepared:
-// its exclusive lock is taken at its chain's head, parent before child, and
-// the head answers with the pre-image. What the pre-image says — a
-// directory, blocks, an inline payload, quota rows — follows in
-// deleteSubtree, in the same transaction.
+// The parent chain resolves with the parent share-locked — the parent must
+// keep existing — and the target's own delete is prepared: its exclusive
+// lock is taken at its chain's head, and the head answers with the
+// pre-image. When the hints reach the parent the two share one round
+// (mutateHinted); otherwise the delete follows the resolve, parent before
+// child. What the pre-image says — a directory, blocks, an inline payload,
+// quota rows — follows in deleteSubtree, in the same transaction.
 func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.BlockID, error) {
 	var freed []blocks.BlockID
 	err := nn.op(p, path, opRules{root: ErrInvalidPath}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
 		freed = freed[:0]
-		chain, err := nn.resolveParentChain(tx, sc, fp)
-		if err != nil {
-			return err
-		}
 		sc.edit = inodeEdit{kind: editDelete}
-		if err := nn.writeEdited(tx, sc, chain[len(chain)-1].ID, fp.name()); err != nil {
+		var chain []*Inode
+		var err error
+		if ids := nn.hintedParent(sc, &fp); ids != nil {
+			sc.writes = append(sc.writes[:0], nn.editWrite(sc, ids[len(ids)-1], fp.name()))
+			chain, err = nn.mutateHinted(tx, sc, fp, ids, ndb.LockShared)
+		} else if chain, err = nn.resolveParentChain(tx, sc, fp); err == nil {
+			err = nn.writeEdited(tx, sc, chain[len(chain)-1].ID, fp.name())
+		}
+		if err != nil {
 			return err
 		}
 		target := sc.edit.pre
@@ -760,19 +784,20 @@ func (nn *NameNode) Delete(p *sim.Proc, path string, recursive bool) ([]blocks.B
 	return freed, nil
 }
 
-// writeEdited writes name's inode row under parent with sc.edit — an
-// update, or for editDelete and editMove the row's delete — in one batch
-// with also, and answers ErrNotFound when the chain's head finds the row
-// absent.
-func (nn *NameNode) writeEdited(tx ndb.Tx, sc *opScratch, parent uint64, name string, also ...ndb.BatchWrite) error {
+// editWrite is the batched-write item that writes name's inode row under
+// parent with sc.edit — an update, or for editDelete and editMove the row's
+// delete.
+func (nn *NameNode) editWrite(sc *opScratch, parent uint64, name string) ndb.BatchWrite {
 	w := nn.inodeDelete(sc, parent, name)
 	w.Del, w.Val, w.Edit = sc.edit.kind <= editMove, &sc.edit, true
-	sc.writes = append(append(sc.writes[:0], w), also...)
-	err := tx.WriteBatch(sc.writes)
-	if errors.Is(err, ndb.ErrRowAbsent) {
-		return ErrNotFound
-	}
-	return err
+	return w
+}
+
+// writeEdited writes editWrite in one batch with also, and answers the
+// head's refusal (refusal).
+func (nn *NameNode) writeEdited(tx ndb.Tx, sc *opScratch, parent uint64, name string, also ...ndb.BatchWrite) error {
+	sc.writes = append(append(sc.writes[:0], nn.editWrite(sc, parent, name)), also...)
+	return refusal(tx.WriteBatch(sc.writes))
 }
 
 // deleteSubtree removes what a delete's prepared target row leaves behind:
@@ -890,11 +915,7 @@ func (nn *NameNode) Rename(p *sim.Proc, src, dst string) error {
 		table, pk, key := nn.rowOf(sc, dstParent.ID, dfp.name())
 		sc.edit = inodeEdit{kind: editMove, pre: srcIno}
 		link := ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Val: &moved, IfAbsent: true}
-		err = nn.writeEdited(tx, sc, srcIno.Parent, srcIno.Name, link)
-		if errors.Is(err, ndb.ErrRowExists) {
-			return ErrExists
-		}
-		return err
+		return nn.writeEdited(tx, sc, srcIno.Parent, srcIno.Name, link)
 	})
 }
 
@@ -918,17 +939,27 @@ func (nn *NameNode) AttachBlocks(p *sim.Proc, path string, ids []blocks.BlockID,
 // updateInode rewrites one inode: the path resolves lock-free — under Read
 // Backup every row of it is read in the coordinator's AZ — and the inode row
 // is written with edit, which the row's chain head applies to the committed
-// inode under the exclusive lock it takes there. SetQuota's authoritative
-// quota record, keyed by the resolved id the head checks, rides the same
-// batched write.
+// inode under the exclusive lock it takes there. When the hints reach the
+// parent the write goes out in the resolve's round, keyed by the hinted
+// parent id (mutateHinted), and takes no other lock. SetQuota resolves its
+// target first: its authoritative quota record, keyed by the resolved id the
+// head checks, rides the same batched write.
 func (nn *NameNode) updateInode(p *sim.Proc, path string, edit inodeEdit) error {
 	return nn.op(p, path, opRules{root: ErrInvalidPath}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
+		sc.edit = edit
+		if edit.kind != editQuota {
+			if ids := nn.hintedParent(sc, &fp); ids != nil {
+				sc.edit.mtime = p.Now()
+				sc.writes = append(sc.writes[:0], nn.editWrite(sc, ids[len(ids)-1], fp.name()))
+				_, err := nn.mutateHinted(tx, sc, fp, ids, 0)
+				return err
+			}
+		}
 		chain, err := nn.resolveChain(tx, sc, fp, 0)
 		if err != nil {
 			return err
 		}
 		target := chain[len(chain)-1]
-		sc.edit = edit
 		sc.edit.id, sc.edit.mtime = target.ID, p.Now()
 		if edit.kind != editQuota {
 			return nn.writeEdited(tx, sc, target.Parent, target.Name)

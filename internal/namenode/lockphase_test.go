@@ -32,17 +32,17 @@ import (
 // one-chain write takes, and four of its 12 signals stay local. A write finds
 // out for itself at its chain's head: a create makes no round to learn its
 // name is free, and a delete or an update makes none to lock and read its
-// target — the head takes the lock and edits the committed row. A create whose
-// hints reach its parent sends its insert in the batch that reads the
-// parent chain, so mkdir and create are one round (12 messages: the read's
-// pair and the insert's train), and on a taken name the head's refusal
-// ends that round (5). So an update's
-// resolve takes no lock and reads every row at a replica the coordinator's
-// AZ holds (set* 12 messages, setquota 24 over its two chains); a delete's
-// one round after its resolve is its Prepare, whose head sends the target's
-// pre-image to the TC in one message of its own (13); and a recursive delete
-// prepares its target's row before its subtree's batch, one Prepare pass
-// more in the same rounds (45). Rename resolves its two paths in one batch
+// target — the head takes the lock and edits the committed row. A
+// single-name mutation whose hints reach its parent sends its write in the
+// batch that reads the parent chain, so mkdir, create, delete and set* are
+// one round (12 messages: the read's pair and the write's train; a delete's
+// head also sends the TC the target's pre-image, 13), and on a taken or a
+// missing name the head's refusal ends that round (5). An update's resolve
+// takes no lock and reads every row at a replica the coordinator's AZ holds
+// (setquota, which resolves its target before it writes, 24 over its two
+// chains); and a recursive delete prepares its target's row in that round,
+// before its subtree's batch, one Prepare pass more in the same rounds (45).
+// Rename resolves its two paths in one batch
 // and writes its two rows in one Prepare pass, their chains concurrently:
 // the source's delete, whose head checks the resolved inode is still the
 // committed one and sends its pre-image as a delete's does, and the
@@ -50,7 +50,8 @@ import (
 // A refused write is cut short at the head — Begin, the resolve, the
 // Prepare's first hop and the head's refusal: no replica beyond the head
 // hears of it, nothing retries, and no Ack is sent. An update of a missing
-// name never gets that far: its resolve reads the target and finds it absent.
+// name pays that Prepare hop and the refusal, 2 messages more than a resolve
+// that finds the name absent, and that only the serial path still does.
 func TestRoundTripBudget(t *testing.T) {
 	type opFn func(nn *NameNode, p *sim.Proc) error
 	budget := []struct {
@@ -64,11 +65,11 @@ func TestRoundTripBudget(t *testing.T) {
 		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3, 6, 10},
 		{"read (inline payload)", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/small"); return err }, 2, 4, 8, 14},
 		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d"); return err }, 2, 4, 4, 6},
-		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 2, 4, 12, 22},
-		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 2, 4, 12, 22},
+		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 1, 4, 12, 22},
+		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 1, 4, 12, 22},
 		{"attachblocks", func(nn *NameNode, p *sim.Proc) error {
 			return nn.AttachBlocks(p, "/a/b/f", []blocks.BlockID{1}, 1)
-		}, 2, 4, 12, 22},
+		}, 1, 4, 12, 22},
 		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 24, 46},
 		{"mkdir", func(nn *NameNode, p *sim.Proc) error { return nn.Mkdir(p, "/a/b/m", 0o755) }, 1, 3, 12, 22},
 		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 1, 3, 12, 22},
@@ -79,22 +80,22 @@ func TestRoundTripBudget(t *testing.T) {
 			return nil
 		}, 1, 3, 5, 9},
 		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 2, 6, 13, 24},
-		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 2, 3, 13, 24},
+		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 1, 3, 13, 24},
 		{"delete of a missing name", func(nn *NameNode, p *sim.Proc) error {
 			if _, err := nn.Delete(p, "/a/b/r", false); !errors.Is(err, ErrNotFound) {
 				return fmt.Errorf("got %v, want ErrNotFound", err)
 			}
 			return nil
-		}, 2, 3, 5, 9},
+		}, 1, 3, 5, 9},
 		{"setperm of a missing name", func(nn *NameNode, p *sim.Proc) error {
 			if err := nn.SetPermission(p, "/a/b/r", 0o600); !errors.Is(err, ErrNotFound) {
 				return fmt.Errorf("got %v, want ErrNotFound", err)
 			}
 			return nil
-		}, 1, 3, 3, 5},
+		}, 1, 3, 5, 9},
 		// /a/b/d carries the quota set above: s, s/t and s/t/x die and are
 		// charged back to it in the one write batch.
-		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 7, 9, 45, 88},
+		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 6, 9, 45, 88},
 		// The usage charge on /a/b/d follows the verified chain: a write of
 		// its own after the resolve-and-insert round, its row joining the
 		// insert's train — one Prepare pass more than a create's 12.
@@ -171,11 +172,13 @@ func TestRoundTripBudget(t *testing.T) {
 // TestLockedBatchOnStaleHints: a batch that takes its lock on stale hints
 // locks a row of the path's previous life; verification rejects the chain,
 // the serial re-walk locks the committed row in the same transaction — or,
-// for a create whose insert rode the batch, the attempt is refused and
-// retried — and everything is released when it ends. NN-a caches /a/b; NN-b renames it
-// away and builds a new /a/b with the same names inside. NN-a's operations —
-// one per lock-phase shape — must act on the committed inodes, leave the
-// moved ones untouched, and leave no lock behind on any row of either life.
+// for a mutation whose write rode the batch (a create, a delete, an update),
+// the attempt is refused and retried — and everything is released when it
+// ends. NN-a caches /a/b; NN-b renames it away and builds a new /a/b with the
+// same names inside. NN-a's operations — one per lock-phase shape — must act
+// on the committed inodes, leave the moved ones untouched, count one
+// fallback each and, when their write rode the batch, one extra attempt, and
+// leave no lock behind on any row of either life.
 func TestLockedBatchOnStaleHints(t *testing.T) {
 	h := newHarness(t)
 	reg := trace.NewRegistry()
@@ -195,8 +198,12 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 					return false
 				}
 			}
-			_, err := nn.Create(p, "/a/b/f", 0)
-			return must(err)
+			for _, f := range []string{"/a/b/e", "/a/b/f"} {
+				if _, err := nn.Create(p, f, 0); !must(err) {
+					return false
+				}
+			}
+			return true
 		}
 		if !must(nnA.Mkdir(p, "/a", 0o755)) || !build(nnA) {
 			return
@@ -229,43 +236,36 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 		// stale again before the next one, and require that it did fall back.
 		fallbacks := reg.Counter("namenode.resolve_cache", "result", "fallback")
 		var fellBack int64
-		poison := func() {
-			if fallbacks.Value() != fellBack {
-				t.Errorf("%d fallbacks after %d stale operations", fallbacks.Value(), fellBack)
-			}
-			fellBack++
+		// onStale runs op on the poisoned hints. A mutation's write rides its
+		// resolve's batch, keyed by the stale parent: the attempt is refused
+		// and retried once, without the hints it proved stale (attempts 2).
+		// A read re-walks inside its one attempt.
+		onStale := func(name string, attempts int64, op func() error) bool {
+			t.Helper()
 			for path, e := range stale {
 				nnA.cache.put(path, e[0], e[1])
 			}
+			fellBack++
+			begun := h.db.Stats.Begun
+			if !must(op()) {
+				return false
+			}
+			if fallbacks.Value() != fellBack {
+				t.Errorf("%s: %d fallbacks after %d stale operations", name, fallbacks.Value(), fellBack)
+			}
+			if got := h.db.Stats.Begun - begun; got != attempts {
+				t.Errorf("the stale %s took %d attempts, want %d", name, got, attempts)
+			}
+			return true
 		}
-		poison()
-		if !must(nnA.SetPermission(p, "/a/b/f", 0o600)) {
+		var got, created *Inode
+		var listed Listing
+		if !onStale("setPermission", 2, func() error { return nnA.SetPermission(p, "/a/b/f", 0o600) }) ||
+			!onStale("read", 1, func() (err error) { got, err = nnA.GetBlockLocations(p, "/a/b/f"); return err }) ||
+			!onStale("list", 1, func() (err error) { listed, err = nnA.List(p, "/a/b/d"); return err }) ||
+			!onStale("create", 2, func() (err error) { created, err = nnA.Create(p, "/a/b/d/g", 0); return err }) ||
+			!onStale("delete", 2, func() error { _, err := nnA.Delete(p, "/a/b/e", false); return err }) {
 			return
-		}
-		poison()
-		got, err := nnA.GetBlockLocations(p, "/a/b/f")
-		if !must(err) {
-			return
-		}
-		poison()
-		listed, err := nnA.List(p, "/a/b/d")
-		if !must(err) {
-			return
-		}
-		// A create's insert rides its resolve's batch, keyed by the stale
-		// parent: the attempt is refused and retried once, without the
-		// hints it proved stale.
-		poison()
-		begun := h.db.Stats.Begun
-		created, err := nnA.Create(p, "/a/b/d/g", 0)
-		if !must(err) {
-			return
-		}
-		if fallbacks.Value() != fellBack {
-			t.Errorf("%d fallbacks after %d stale operations", fallbacks.Value(), fellBack)
-		}
-		if attempts := h.db.Stats.Begun - begun; attempts != 2 {
-			t.Errorf("the stale create took %d attempts, want 2", attempts)
 		}
 
 		// What NN-b, whose hints were never stale, sees.
@@ -283,6 +283,12 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 		}
 		if newF.Perm != 0o600 || oldF.Perm == 0o600 {
 			t.Errorf("SetPermission: committed /a/b/f perm %o, moved /a/old/f perm %o", newF.Perm, oldF.Perm)
+		}
+		if _, err := nnB.Stat(p, "/a/b/e"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Delete: the committed /a/b/e survives: %v", err)
+		}
+		if _, err := nnB.Stat(p, "/a/old/e"); err != nil {
+			t.Errorf("Delete: the moved /a/old/e is gone: %v", err)
 		}
 		if got.ID != newF.ID {
 			t.Errorf("GetBlockLocations returned inode %d, the committed /a/b/f is %d (moved one: %d)", got.ID, newF.ID, oldF.ID)
@@ -309,8 +315,8 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 			name   string
 		}{
 			{RootID, "a"}, {aID, "b"}, {aID, "old"},
-			{oldB, "f"}, {oldB, "d"}, {oldD, "g"}, {oldD, "x-old"},
-			{newB, "f"}, {newB, "d"}, {newD.ID, "g"}, {newD.ID, "x-new"},
+			{oldB, "e"}, {oldB, "f"}, {oldB, "d"}, {oldD, "g"}, {oldD, "x-old"},
+			{newB, "e"}, {newB, "f"}, {newB, "d"}, {newD.ID, "g"}, {newD.ID, "x-new"},
 		} {
 			table, pk, key := h.ns.inodeRow(r.parent, r.name)
 			rows = append(rows, ndb.BatchGet{Table: table, PartKey: pk, Key: key})
@@ -672,13 +678,61 @@ func TestRenameLosingToUpdateRetriesAtOnce(t *testing.T) {
 // setPermission of /p/s queued for it exclusively behind the delete; and the
 // create, queued for /p/s behind the setPermission. The parent's lock is
 // therefore taken only if it can be granted at once; otherwise the attempt is
-// refused and retried parent first. The three start at staggered instants
+// refused and retried parent first. The delete's namenode has lost its hint
+// for /p/s, so the delete resolves its parent before it writes and holds
+// /p/s through a round of its own. The three start at staggered instants
 // around the ones that close the ring, and none may wait out the lock
 // timeout; the create is refused or lands, and the delete and the update
 // land.
 func TestMergedCreateNeverQueuesForItsParent(t *testing.T) {
+	raceRing(t, [][3]int{{13, 13, 13}, {13, 13, 14}, {14, 14, 15}, {14, 15, 15}, {15, 15, 15}},
+		func(nns []*NameNode) [3]func(p *sim.Proc) error {
+			nns[0].cache.drop("/p/s")
+			return [3]func(p *sim.Proc) error{
+				func(p *sim.Proc) error { _, err := nns[0].Delete(p, "/p/s/c", false); return err },
+				func(p *sim.Proc) error { return nns[1].SetPermission(p, "/p/s", 0o700) },
+				func(p *sim.Proc) error { _, err := nns[2].Create(p, "/p/s/c", 0); return err },
+			}
+		},
+		func(errs [3]error) bool {
+			return errs[0] == nil && errs[1] == nil && (errs[2] == nil || errors.Is(errs[2], ErrExists))
+		})
+}
+
+// TestMergedDeleteNeverQueuesForItsParent: a hint-warm delete sends its
+// parent's share lock and its target's delete in one batch, so it too may
+// hold its target's lock before it asks for the parent's. If that ask queued,
+// a ring of three would close through the FIFO lock queue: a setPermission
+// of /p/s holds /p/s, a recursive delete of /p/s queues for it exclusively,
+// and the delete of /p/s/c, holding c, queues for /p/s behind it; the
+// recursive delete, once granted /p/s, waits for c. The start instants are
+// ones at which the ring closes with the rule removed, and only with the
+// setPermission among the racers. None may wait out the lock timeout; the
+// recursive delete lands, and the delete of c and the update land or find
+// their name gone.
+func TestMergedDeleteNeverQueuesForItsParent(t *testing.T) {
+	raceRing(t, [][3]int{{16, 8, 9}, {17, 8, 10}, {17, 9, 10}, {18, 9, 11}, {18, 10, 11}},
+		func(nns []*NameNode) [3]func(p *sim.Proc) error {
+			return [3]func(p *sim.Proc) error{
+				func(p *sim.Proc) error { _, err := nns[0].Delete(p, "/p/s/c", false); return err },
+				func(p *sim.Proc) error { return nns[1].SetPermission(p, "/p/s", 0o700) },
+				func(p *sim.Proc) error { _, err := nns[2].Delete(p, "/p/s", true); return err },
+			}
+		},
+		func(errs [3]error) bool {
+			landed := func(err error) bool { return err == nil || errors.Is(err, ErrNotFound) }
+			return landed(errs[0]) && landed(errs[1]) && errs[2] == nil
+		})
+}
+
+// raceRing builds /p/s/c with every namenode's hints warm down to /p/s and,
+// once per row of starts, runs the three racers, racer i starting starts[i]
+// steps of 150 µs in on its own process. No racer may wait out the lock
+// timeout, and the outcomes must satisfy ok.
+func raceRing(t *testing.T, starts [][3]int, racers func(nns []*NameNode) [3]func(p *sim.Proc) error, ok func(errs [3]error) bool) {
+	t.Helper()
 	const step = 150 * time.Microsecond
-	for _, at := range [][3]int{{13, 11, 13}, {14, 12, 14}, {14, 12, 15}, {14, 13, 15}, {15, 13, 15}} {
+	for _, at := range starts {
 		h := newHarness(t)
 		nns := h.ns.NameNodes()
 		h.run(t, func(p *sim.Proc) {
@@ -699,13 +753,8 @@ func TestMergedCreateNeverQueuesForItsParent(t *testing.T) {
 				}
 			}
 			var errs [3]error
-			racers := [3]func(p *sim.Proc) error{
-				func(p *sim.Proc) error { _, err := nns[0].Delete(p, "/p/s/c", false); return err },
-				func(p *sim.Proc) error { return nns[1].SetPermission(p, "/p/s", 0o700) },
-				func(p *sim.Proc) error { _, err := nns[2].Create(p, "/p/s/c", 0); return err },
-			}
 			done, parent := 0, p
-			for i, fn := range racers {
+			for i, fn := range racers(nns) {
 				h.env.Spawn("racer", func(p *sim.Proc) {
 					p.Sleep(time.Duration(at[i]) * step)
 					start := p.Now()
@@ -718,11 +767,11 @@ func TestMergedCreateNeverQueuesForItsParent(t *testing.T) {
 				})
 			}
 			p.Flush()
-			for done < len(racers) {
+			for done < len(errs) {
 				p.Wait()
 			}
-			if errs[0] != nil || errs[1] != nil || (errs[2] != nil && !errors.Is(errs[2], ErrExists)) {
-				t.Errorf("starts %v: delete %v, setPermission %v, create %v", at, errs[0], errs[1], errs[2])
+			if !ok(errs) {
+				t.Errorf("starts %v: outcomes %v", at, errs)
 			}
 		})
 	}

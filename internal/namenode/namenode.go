@@ -47,10 +47,10 @@ var (
 	// errMoved refuses a rename whose source changed after its resolve: the
 	// attempt is retried, and resolves again.
 	errMoved = errors.New("namenode: rename source changed since its resolve")
-	// errStaleHints refuses a create whose insert went out in its resolve's
+	// errStaleHints refuses a mutation whose write went out in its resolve's
 	// batch keyed by hints the batch proved stale: the attempt is retried
 	// without them.
-	errStaleHints = errors.New("namenode: create keyed by stale hints")
+	errStaleHints = errors.New("namenode: write keyed by stale hints")
 )
 
 // IsOutcomeError reports whether err is an expected application outcome
@@ -601,9 +601,9 @@ func retriable(err error) bool {
 
 // retriesAtOnce reports whether err refused an attempt that has nothing to
 // back off from: a validation refusal — a rename's source that changed, a
-// create's stale hints — lost to a writer that has committed, and a create
-// whose parent was busy retries resolving its parent first, queueing for the
-// lock as any resolve does.
+// one-round mutation's stale hints — lost to a writer that has committed,
+// and a create or a delete whose parent was busy retries resolving its
+// parent first, queueing for the lock as any resolve does.
 func retriesAtOnce(err error) bool {
 	return errors.Is(err, errMoved) || errors.Is(err, errStaleHints) || errors.Is(err, ndb.ErrLockBusy)
 }

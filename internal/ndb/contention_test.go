@@ -1,6 +1,7 @@
 package ndb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -119,4 +120,98 @@ func TestContentionNilSafety(t *testing.T) {
 		t.Fatal("nil ledger render")
 	}
 	l.Reset()
+}
+
+// TestUpgradeQueuesBehindWaiter: T1 holds a row shared, T2 queues for it
+// exclusively, and T1 then asks to upgrade to exclusive. The upgrade queues
+// behind T2, which waits for T1's share: a ring of two. T1 is then the row's
+// only holder, so its blocker is the waiter ahead of it — blockerOf names T2
+// — and the contention ledger records that edge beside T2's on T1. The lock
+// timeout breaks the ring: T2, queued first, times out and is aborted, and
+// T1's upgrade is granted at that instant.
+func TestUpgradeQueuesBehindWaiter(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	c.SetTracer(trace.NewTracer(trace.NewRegistry()))
+	tbl := c.CreateTable("inodes", 64, TableOptions{ReadBackup: true})
+	lock := func(tx *Txn, mode LockMode) error {
+		_, err := tx.ReadBatch([]BatchGet{{Table: tbl, PartKey: "p", Key: "k", Lock: mode}})
+		return err
+	}
+	var t1, t2 *Txn
+	var upgradeErr, writerErr error
+	var upgraded, timedOut time.Duration
+	blocker := map[string]uint64{}
+	env.Spawn("upgrader-op", func(p *sim.Proc) {
+		tx, err := c.Begin(p, client, 1, tbl, "p")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		t1 = tx
+		if err := lock(tx, LockShared); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(10 * time.Millisecond)
+		upgradeErr = lock(tx, LockExclusive)
+		upgraded = p.Now()
+		if upgradeErr == nil {
+			upgradeErr = tx.Commit()
+		}
+	})
+	env.Spawn("writer-op", func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond)
+		tx, err := c.Begin(p, client, 1, tbl, "p")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		t2 = tx
+		writerErr = lock(tx, LockExclusive)
+		timedOut = p.Now()
+	})
+	env.Spawn("observer", func(p *sim.Proc) {
+		// Between the upgrade's queueing and the first timeout.
+		p.Sleep(50 * time.Millisecond)
+		r := tbl.partitionFor("p").lookup("p", "k")
+		if r == nil || t1 == nil || t2 == nil {
+			t.Error("the row or a transaction is missing")
+			return
+		}
+		if n := len(r.lock.waiters); n != 2 {
+			t.Errorf("%d waiters on the row, want the writer and the upgrade", n)
+		}
+		blocker["upgrader-op"], _ = r.lock.blockerOf(t1.id)
+		blocker["writer-op"], _ = r.lock.blockerOf(t2.id)
+	})
+	env.RunFor(time.Second)
+	if t1 == nil || t2 == nil {
+		t.Fatal("a transaction never began")
+	}
+	if blocker["upgrader-op"] != t2.id || blocker["writer-op"] != t1.id {
+		t.Errorf("blockers: upgrade %d, writer %d; want the writer %d and the holder %d",
+			blocker["upgrader-op"], blocker["writer-op"], t2.id, t1.id)
+	}
+	if !errors.Is(writerErr, ErrLockTimeout) || upgradeErr != nil {
+		t.Fatalf("writer %v, upgrade %v; want ErrLockTimeout and the upgrade granted", writerErr, upgradeErr)
+	}
+	if upgraded != timedOut {
+		t.Errorf("upgrade granted at %v, the writer timed out at %v: want one instant", upgraded, timedOut)
+	}
+	edges := map[string]ContentionEntry{}
+	for _, e := range c.Contention().Entries() {
+		edges[e.Waiter+" on "+e.Holder] = e
+	}
+	if len(edges) != 2 {
+		t.Fatalf("ledger edges %+v, want the two of the ring", edges)
+	}
+	if e := edges["writer-op on upgrader-op"]; e.Count != 1 || e.Timeouts != 1 || e.Mode != LockExclusive {
+		t.Errorf("the writer's edge: %+v, want one timed-out exclusive wait", e)
+	}
+	if e := edges["upgrader-op on writer-op"]; e.Count != 1 || e.Timeouts != 0 || e.Mode != LockExclusive {
+		t.Errorf("the upgrade's edge: %+v, want one granted exclusive wait", e)
+	}
+	if left := c.HeldLocks(); len(left) != 0 {
+		t.Errorf("locks survive: %v", left)
+	}
 }
