@@ -277,7 +277,7 @@ func Example_spotify() {
 	fmt.Println("coordinators, Read Backup replicas, and AZ-local metadata servers (§IV).")
 
 	// Output:
-	// HopsFS-CL (3,3)    committed txns:   579   cross-AZ:    0.19 MB of    1.17 MB (16%)
+	// HopsFS-CL (3,3)    committed txns:   579   cross-AZ:    0.08 MB of    1.08 MB (8%)
 	// HopsFS (3,3)       committed txns:   579   cross-AZ:    0.65 MB of    1.24 MB (53%)
 	// AZ awareness keeps metadata traffic inside each zone: local transaction
 	// coordinators, Read Backup replicas, and AZ-local metadata servers (§IV).

@@ -7,6 +7,7 @@ import (
 
 	"hopsfscl/internal/blocks"
 	"hopsfscl/internal/core"
+	"hopsfscl/internal/namenode"
 	"hopsfscl/internal/ndb"
 )
 
@@ -65,6 +66,7 @@ func (a *Auditor) Check(now time.Duration, quiesced, settled bool) []Violation {
 	}
 	a.checkIntents(add, quiesced, settled)
 	a.checkBlocks(add, now, settled)
+	a.checkDirs(add)
 	a.checkLeader(add, settled)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Invariant != out[j].Invariant {
@@ -213,6 +215,20 @@ func (a *Auditor) checkBlocks(add addFn, now time.Duration, settled bool) {
 			}
 		}
 	}
+}
+
+// checkDirs verifies that no directory carries a file's data: a write's
+// blocks land on the file it created, never on a directory that took its
+// name.
+func (a *Auditor) checkDirs(add addFn) {
+	if a.d.NS == nil {
+		return
+	}
+	a.d.NS.ForEachInode(func(ino *namenode.Inode) {
+		if ino.Dir && (ino.Size != 0 || len(ino.Blocks) != 0) {
+			add("ns-dir-blocks", "directory %d (%q) has size %d and %d blocks", ino.ID, ino.Name, ino.Size, len(ino.Blocks))
+		}
+	})
 }
 
 // checkLeader verifies exactly one elected leader among live metadata

@@ -22,6 +22,7 @@ func modelErr(err error) error {
 		{ErrNotDir, nsmodel.ErrNotDir},
 		{ErrNotEmpty, nsmodel.ErrNotEmpty},
 		{ErrCycle, nsmodel.ErrCycle},
+		{ErrIsDir, nsmodel.ErrIsDir},
 	} {
 		if errors.Is(err, c.impl) {
 			return c.model
@@ -75,11 +76,11 @@ func TestPropFSMatchesModel(t *testing.T) {
 				case 0:
 					desc = "mkdir " + path
 					gotErr = cl.Mkdir(p, path)
-					wantErr = m.Mkdir(path)
+					wantErr = m.Mkdir(path, 0)
 				case 1:
 					desc = "create " + path
 					gotErr = cl.Create(p, path, 0)
-					wantErr = m.Create(path)
+					wantErr = m.Create(path, 0, 0)
 				case 2:
 					recursive := rng.Intn(2) == 0
 					desc = fmt.Sprintf("delete %s r=%v", path, recursive)

@@ -30,7 +30,8 @@ func (p *Partition) Replicas() []*DataNode {
 }
 
 // ForEachCommitted calls fn for every committed row of the table, in
-// sorted (partition key, row key) order.
+// sorted (partition key, row key) order: the applied value, a held row's
+// included (see row), which reads do not see yet.
 func (t *Table) ForEachCommitted(fn func(partKey, key string, val Value)) {
 	for _, part := range t.partitions {
 		pks := make([]string, 0, len(part.rows))
@@ -39,8 +40,16 @@ func (t *Table) ForEachCommitted(fn func(partKey, key string, val Value)) {
 		}
 		sort.Strings(pks)
 		for _, pk := range pks {
-			for _, kv := range part.rows[pk].snapshot() {
-				fn(pk, kv.Key, kv.Val)
+			b := part.rows[pk]
+			keys := make([]string, 0, len(b.rows))
+			for k, r := range b.rows {
+				if r.exists {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				fn(pk, k, b.rows[k].val)
 			}
 		}
 	}

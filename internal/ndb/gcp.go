@@ -61,8 +61,8 @@ func (c *Cluster) DurableEpoch() uint64 { return c.durableEpoch }
 // first, so each row gets back the value it held at the checkpoint; a
 // transaction's rows apply at one instant, so a transaction is undone
 // whole. The caller's process is charged the recovery REDO replay from each
-// node's disk. Lock state is cleared: no transactions survive a cluster
-// crash.
+// node's disk. Lock state and held rows' marks are cleared: no transactions
+// survive a cluster crash.
 func (c *Cluster) CrashRestartCluster(p *sim.Proc) {
 	durable := c.durableEpoch
 	for i := len(c.undo) - 1; i >= 0; i-- {
@@ -77,6 +77,7 @@ func (c *Cluster) CrashRestartCluster(p *sim.Proc) {
 			for pk, b := range part.rows {
 				for key, r := range b.rows {
 					r.lock = rowLock{}
+					r.held, r.pre, r.preExists = false, nil, false
 					if !r.exists {
 						delete(b.rows, key)
 					}

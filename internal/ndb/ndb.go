@@ -329,6 +329,10 @@ type Stats struct {
 	// that overflowed to REP included; LocalSignals counts the signals
 	// delivered inside one datanode, which charge neither (Txn.hop).
 	RecvJobs, SendJobs, LocalSignals int64
+	// UnpricedReleases counts the shared locks a transaction's end dropped
+	// at a primary other than its TC: a release that would cost a message,
+	// and here costs none.
+	UnpricedReleases int64
 }
 
 // DataNode is one NDB datanode: a network endpoint plus the Table II thread

@@ -157,12 +157,12 @@ func StoreDirect(t *Table, partKey, key string, val Value) {
 }
 
 // bucket holds one partition key's rows by row key, and sorted, a key-sorted
-// snapshot of those that hold a committed value. The first scan after a
-// change builds the snapshot; every change to a committed row drops it
-// (apply, StoreDirect, CrashRestartCluster). Nothing writes into a built
-// snapshot, so a scan result — a window of one — reads the same after later
-// commits. Rows that never held a committed value come and go (cleanRow)
-// without touching it.
+// snapshot of what a read sees of them: each row's visible value (see row).
+// The first scan after a change builds the snapshot; every change to a
+// visible value drops it (apply, Release, StoreDirect, CrashRestartCluster).
+// Nothing writes into a built snapshot, so a scan result — a window of one —
+// reads the same after later commits. Rows that never held a committed
+// value come and go (cleanRow) without touching it.
 type bucket struct {
 	rows   map[string]*row
 	sorted []KV
@@ -179,14 +179,14 @@ func (b *bucket) row(key string, free *freeList[*row]) *row {
 	return r
 }
 
-// snapshot returns the bucket's committed rows in key order, building the
+// snapshot returns the bucket's visible rows in key order, building the
 // snapshot with one allocation when a change has dropped it.
 func (b *bucket) snapshot() []KV {
 	if b.sorted == nil {
 		s := make([]KV, 0, len(b.rows))
 		for k, r := range b.rows {
-			if r.exists {
-				s = append(s, KV{Key: k, Val: r.val})
+			if val, ok := r.visible(); ok {
+				s = append(s, KV{Key: k, Val: val})
 			}
 		}
 		slices.SortFunc(s, byKey)
@@ -195,11 +195,30 @@ func (b *bucket) snapshot() []KV {
 	return b.sorted
 }
 
-// row is one stored row with its lock state.
+// row is one stored row with its lock state. val and exists are its
+// committed value. A row that a transaction committed by CommitHolding
+// applied is held until that transaction's Release: reads see its
+// pre-image (pre, preExists), so a commit that spans clusters shows at one
+// instant, the writers' release, and never between its legs. Rows are
+// stored once, so the one mark holds at every replica a read is served
+// from. Only the holder's exclusive lock covers a held row, so no other
+// writer changes it, and a locked read waits out the mark.
 type row struct {
-	val    Value
-	exists bool
-	lock   rowLock
+	val       Value
+	exists    bool
+	held      bool
+	preExists bool
+	pre       Value
+	lock      rowLock
+}
+
+// visible is what a read sees of the row: the committed value, or the
+// pre-image while the row is held.
+func (r *row) visible() (Value, bool) {
+	if r.held {
+		return r.pre, r.preExists
+	}
+	return r.val, r.exists
 }
 
 // LockMode is the strength of a row lock.

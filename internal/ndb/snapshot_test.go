@@ -13,8 +13,9 @@ import (
 )
 
 // walkCommitted is the scan oracle: a fresh walk of the partition's stored
-// rows under pk (every partition key when all is set), keeping the committed
-// rows whose key has the prefix, sorted by key.
+// rows under pk (every partition key when all is set), keeping the rows a
+// read sees — the committed value, a held row's pre-image — whose key has
+// the prefix, sorted by key.
 func walkCommitted(part *Partition, pk, prefix string, all bool) []KV {
 	var out []KV
 	for bpk, b := range part.rows {
@@ -22,8 +23,12 @@ func walkCommitted(part *Partition, pk, prefix string, all bool) []KV {
 			continue
 		}
 		for k, r := range b.rows {
-			if r.exists && strings.HasPrefix(k, prefix) {
-				out = append(out, KV{Key: k, Val: r.val})
+			val, ok := r.val, r.exists
+			if r.held {
+				val, ok = r.pre, r.preExists
+			}
+			if ok && strings.HasPrefix(k, prefix) {
+				out = append(out, KV{Key: k, Val: val})
 			}
 		}
 	}
@@ -41,7 +46,8 @@ func sameKVs(a, b []KV) bool {
 // aborts, CommitHolding+Release pairs, StoreDirect seeding and whole-cluster
 // crashes over a few buckets whose keys share prefixes, and after every step
 // checks each ScanBatch and ScanTablePrefix against a fresh walk and sort of
-// the committed rows: a snapshot that a change failed to drop shows as a
+// what reads see of the rows — between CommitHolding and Release, the held
+// rows' pre-images: a snapshot that a change failed to drop shows as a
 // stale result.
 func TestScanSnapshotMatchesRows(t *testing.T) {
 	pks := []string{"p0", "p1", "p2"}

@@ -448,9 +448,9 @@ func (t *Txn) hop(p *sim.Proc, from, to *DataNode, bytes int) bool {
 // deadlock timeout are those of any locked access — and checks the row
 // there (checkAtHead); a failure stops the pass where a sequence of one-row
 // batches would have stopped, returning the failed row's position among the
-// rows being prepared. The pre-images of the train's edited deletes go back
-// to the TC from the head in one message, unless the head is the TC or the
-// chain's only replica, whose Prepared answer carries them.
+// rows being prepared. The pre-images the train's edited deletes return go
+// back to the TC from the head in one message, unless the head is the TC or
+// the chain's only replica, whose Prepared answer carries them.
 func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 	rows := tr.rows[tr.prepared:]
 	trainBytes := reqSize + batchRowOverhead*(len(rows)-1)
@@ -473,11 +473,12 @@ func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 					return i, err
 				}
 				if w.ifAbsent || w.edit {
-					if w.edit && w.del {
-						preImages += w.part.table.rowSize
-					}
-					if err := t.checkAtHead(p, dn, w); err != nil {
+					back, err := t.checkAtHead(p, dn, w)
+					if err != nil {
 						return i, err
+					}
+					if back {
+						preImages += w.part.table.rowSize
 					}
 				}
 				dn.use(p, LDM, costLDMWrite)
@@ -511,16 +512,16 @@ func (t *Txn) prepareTrain(p *sim.Proc, tr *train) (failed int, err error) {
 // a value no other transaction can change any more. An insert (ifAbsent)
 // passes on an absent row; an edit reads the committed value (one LDMRead)
 // and passes when there is one and its Editor accepts it, an update taking
-// the edited value as the one it prepares. A refused row has been looked up
-// the same way; nothing is written or passed down the chain, and the head
-// answers the TC itself with the refusal.
-func (t *Txn) checkAtHead(p *sim.Proc, dn *DataNode, w *writeOp) error {
+// the edited value as the one it prepares; back reports an edited delete
+// whose Editor returned the pre-image for the TC. A refused row has been
+// looked up the same way; nothing is written or passed down the chain, and
+// the head answers the TC itself with the refusal.
+func (t *Txn) checkAtHead(p *sim.Proc, dn *DataNode, w *writeOp) (back bool, err error) {
 	committed, exists := w.part.committed(w.pk, w.key)
 	if !w.edit && !exists {
-		return nil
+		return false, nil
 	}
 	dn.use(p, LDM, costLDMRead)
-	var err error
 	switch {
 	case !w.edit:
 		err = ErrRowExists
@@ -530,16 +531,16 @@ func (t *Txn) checkAtHead(p *sim.Proc, dn *DataNode, w *writeOp) error {
 		var val Value
 		if val, err = w.val.(Editor).Edit(committed); err == nil {
 			if w.del {
-				val = nil
+				back, val = val != nil, nil
 			}
 			w.val, w.edit = val, false
-			return nil
+			return back, nil
 		}
 	}
 	if !t.hop(p, dn, t.tc, ackSize) {
-		return ErrNodeUnavailable
+		return false, ErrNodeUnavailable
 	}
-	return err
+	return false, err
 }
 
 // Commit finishes the NDB commit protocol (§II-B2, Figure 2) over the trains
@@ -568,10 +569,11 @@ func (t *Txn) Commit() error {
 
 // CommitHolding commits as Commit does — the same passes, the same Ack —
 // but keeps every lock the transaction holds, its written rows' included,
-// until Release. It is how transactions that must commit together, the
-// shard router's sub-transactions of one operation, hold every lock until
-// the last of them has committed. On an error the transaction has ended and
-// holds nothing.
+// until Release, and until then a lock-free read still sees each written
+// row's pre-image (see row). It is how transactions that must commit
+// together, the shard router's sub-transactions of one operation, hold
+// every lock until the last of them has committed, and show their rows
+// together. On an error the transaction has ended and holds nothing.
 func (t *Txn) CommitHolding() error {
 	if t.done {
 		return ErrAborted
@@ -589,7 +591,8 @@ func (t *Txn) CommitHolding() error {
 }
 
 // Release releases the locks of a transaction CommitHolding committed and
-// ends it. Like Abort, it sends no message.
+// ends it: the rows it applied become what every read sees. Like Abort, it
+// sends no message.
 func (t *Txn) Release() {
 	if t.done {
 		return
@@ -863,13 +866,28 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 	return nil
 }
 
-// releaseAll releases every lock the transaction holds.
+// releaseAll releases every lock the transaction holds and clears the
+// marks of the rows it holds (see row). A shared lock whose row's primary
+// is not the TC is dropped there with no message: Stats counts it.
 func (t *Txn) releaseAll() {
 	for _, lr := range t.locks {
-		if r := lr.part.lookup(lr.pk, lr.key); r != nil {
-			r.lock.release(t.id)
-			lr.part.cleanRow(lr.pk, lr.key, r)
+		r := lr.part.lookup(lr.pk, lr.key)
+		if r == nil {
+			continue
 		}
+		switch r.lock.held(t.id) {
+		case LockExclusive:
+			if r.held {
+				r.held, r.pre, r.preExists = false, nil, false
+				lr.part.rows[lr.pk].sorted = nil
+			}
+		case LockShared:
+			if reps := lr.part.replicas(); len(reps) > 0 && reps[0] != t.tc {
+				t.c.Stats.UnpricedReleases++
+			}
+		}
+		r.lock.release(t.id)
+		lr.part.cleanRow(lr.pk, lr.key, r)
 	}
 	t.locks = nil
 }
@@ -910,13 +928,14 @@ func (p *Partition) lookup(pk, key string) *row {
 	return nil
 }
 
-// committed returns the committed value of a row.
+// committed returns the value a read of a row sees: the committed value,
+// or a held row's pre-image (see row).
 func (p *Partition) committed(pk, key string) (Value, bool) {
 	r := p.lookup(pk, key)
-	if r == nil || !r.exists {
+	if r == nil {
 		return nil, false
 	}
-	return r.val, true
+	return r.visible()
 }
 
 // bucketOf returns pk's bucket, creating it empty.
@@ -935,12 +954,16 @@ func (p *Partition) getRow(pk, key string) *row { return p.bucketOf(pk).row(key,
 
 // apply makes a staged write the committed value, logging the row's
 // pre-image for a whole-cluster restart, and releases txn's lock on the row
-// when release is set; a row whose lock is kept stays until releaseAll.
+// when release is set; a row whose lock is kept is held (see row), its
+// first pre-image kept, until releaseAll.
 func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
 	c := p.table.c
 	b := p.bucketOf(w.pk)
 	r := b.row(w.key, &c.rows)
 	c.undo = append(c.undo, preImage{p, w.pk, w.key, r.val, r.exists})
+	if !release && !r.held {
+		r.held, r.pre, r.preExists = true, r.val, r.exists
+	}
 	if w.del {
 		r.exists = false
 		r.val = nil

@@ -38,9 +38,10 @@ type BatchWrite struct {
 // exclusive lock the head has just taken, so no other transaction's write
 // can fall between the value it reads and the one it prepares. An update's
 // edit returns the value to prepare. A delete's edit is handed the
-// pre-image and its value is ignored; the head sends the pre-image back to
-// the coordinator, one message in parallel with the rest of the chain, as
-// NDB returns a read-before-delete from the primary. An error refuses the
+// pre-image and returns what the coordinator needs of it: the pre-image,
+// which the head sends back, one message in parallel with the rest of the
+// chain, as NDB returns a read-before-delete from the primary — or nil,
+// and nothing goes back. An error refuses the
 // row as ErrRowExists refuses an insert, and the transaction aborts with
 // that error. Edit sees the committed value, never one its own transaction
 // has staged.
