@@ -107,7 +107,7 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 	}
 	finished := false
 	d.Env.Spawn("driver", func(p *sim.Proc) {
-		if err := nns[0].Mkdir(p, "/race", 0o755); err != nil {
+		if _, err := nns[0].Mkdir(p, "/race", 0o755); err != nil {
 			t.Error(err)
 			return
 		}
@@ -122,7 +122,8 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 			path := fmt.Sprintf("/race/n%d", r)
 			errs := race(p, "create "+path, func(p *sim.Proc, _ int, nn *namenode.NameNode) error {
 				if r%2 == 1 {
-					return nn.Mkdir(p, path, 0o755)
+					_, err := nn.Mkdir(p, path, 0o755)
+					return err
 				}
 				_, err := nn.Create(p, path, 10)
 				return err
@@ -144,7 +145,7 @@ func runRacingCreators(t *testing.T, seed int64, shards int, serial bool) {
 		// the others create two names under it.
 		for r := 0; r < rounds; r++ {
 			dir := fmt.Sprintf("/race/p%d", r)
-			if err := nns[r%len(nns)].Mkdir(p, dir, 0o755); err != nil {
+			if _, err := nns[r%len(nns)].Mkdir(p, dir, 0o755); err != nil {
 				t.Error(err)
 				return
 			}
@@ -277,7 +278,7 @@ func runRacingUpdates(t *testing.T, seed int64, shards int) {
 
 	finished := false
 	d.Env.Spawn("driver", func(p *sim.Proc) {
-		if err := nns[0].Mkdir(p, "/upd", 0o755); err != nil {
+		if _, err := nns[0].Mkdir(p, "/upd", 0o755); err != nil {
 			t.Error(err)
 			return
 		}
@@ -427,7 +428,7 @@ func runRacingRenames(t *testing.T, seed int64, shards int) {
 	want := make([]outcome, rounds)
 	finished := false
 	d.Env.Spawn("driver", func(p *sim.Proc) {
-		if err := nns[0].Mkdir(p, "/mv", 0o755); err != nil {
+		if _, err := nns[0].Mkdir(p, "/mv", 0o755); err != nil {
 			t.Error(err)
 			return
 		}
@@ -614,53 +615,28 @@ func runRacesParentRemoval(t *testing.T, seed int64, shards int, mutate bool) {
 		// and those between send their batch while it holds the parent and
 		// walks the children.
 		removeAt = 1500 * time.Microsecond
-		// lockTimeout is ndb's deadlock timeout.
-		lockTimeout = 150 * time.Millisecond
-		perm        = 0o600
+		perm     = 0o600
 	)
-	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
-	o := core.DefaultOptions(setup)
-	o.MetadataServers = 4
-	o.ClientsPerServer = 1
-	o.StorageNodes = 6
-	o.PartitionsPerTable = 8
-	o.Namespace = workload.NamespaceSpec{TopDirs: 1, SubDirs: 1, FilesPerDir: 1}
-	o.Seed = seed
-	o.Shards = shards
-	d, err := core.Build(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	d := parentRaceDeployment(t, seed, shards)
 	nns := d.NS.NameNodes()
 	removals := []string{"delete -r", "delete", "rename", "setPermission"}
 	exercised := map[string]bool{}
 	finished := false
 	d.Env.Spawn("driver", func(p *sim.Proc) {
-		if err := nns[0].Mkdir(p, "/p", 0o755); err != nil {
-			t.Error(err)
+		if !makeP(t, p, d) {
 			return
-		}
-		if shards > 1 {
-			dir, err := nns[0].Stat(p, "/p")
-			if err == nil {
-				err = d.NS.PinSubtree(dir.ID, int(dir.ID+1)%shards)
-			}
-			if err != nil {
-				t.Errorf("pin /p: %v", err)
-				return
-			}
 		}
 		for r := 0; r < rounds; r++ {
 			dir, moved, removal := fmt.Sprintf("/p/s%d", r), fmt.Sprintf("/p/t%d", r), removals[r%len(removals)]
-			if err := nns[0].Mkdir(p, dir, 0o755); err != nil {
+			if _, err := nns[0].Mkdir(p, dir, 0o755); err != nil {
 				t.Error(err)
 				return
 			}
 			for k := 0; mutate && k < children; k++ {
+				var err error
 				child := fmt.Sprintf("%s/c%d", dir, k)
 				if k%4 == 0 {
-					err = nns[0].Mkdir(p, child, 0o755)
+					_, err = nns[0].Mkdir(p, child, 0o755)
 				} else {
 					_, err = nns[0].Create(p, child, 10)
 				}
@@ -702,7 +678,7 @@ func runRacesParentRemoval(t *testing.T, seed int64, shards int, mutate bool) {
 					case mutate:
 						errs[k] = nn.SetPermission(p, child, perm)
 					case k%2 == 1:
-						errs[k] = nn.Mkdir(p, child, 0o755)
+						_, errs[k] = nn.Mkdir(p, child, 0o755)
 					default:
 						_, errs[k] = nn.Create(p, child, 10)
 					}
@@ -789,6 +765,58 @@ func runRacesParentRemoval(t *testing.T, seed int64, shards int, mutate bool) {
 			t.Errorf("no mutation lost to a %s, and no %s to a mutation: the race was not exercised", r, r)
 		}
 	}
+	checkRaceAftermath(t, d)
+}
+
+// parentRaceDeployment builds the deployment the races against a removal of
+// /p/sN run on: four metadata servers, six datanodes, eight partitions per
+// table.
+func parentRaceDeployment(t *testing.T, seed int64, shards int) *core.Deployment {
+	t.Helper()
+	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
+	o := core.DefaultOptions(setup)
+	o.MetadataServers = 4
+	o.ClientsPerServer = 1
+	o.StorageNodes = 6
+	o.PartitionsPerTable = 8
+	o.Namespace = workload.NamespaceSpec{TopDirs: 1, SubDirs: 1, FilesPerDir: 1}
+	o.Seed = seed
+	o.Shards = shards
+	d, err := core.Build(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d
+}
+
+// makeP makes /p and, with two shards, pins it as in TestRacingRenames, so
+// that a batch under it spans shards. It reports whether it succeeded.
+func makeP(t *testing.T, p *sim.Proc, d *core.Deployment) bool {
+	nn := d.NS.NameNodes()[0]
+	if _, err := nn.Mkdir(p, "/p", 0o755); err != nil {
+		t.Error(err)
+		return false
+	}
+	if shards := len(d.MetaClusters()); shards > 1 {
+		dir, err := nn.Stat(p, "/p")
+		if err == nil {
+			err = d.NS.PinSubtree(dir.ID, int(dir.ID+1)%shards)
+		}
+		if err != nil {
+			t.Errorf("pin /p: %v", err)
+			return false
+		}
+	}
+	return true
+}
+
+// checkRaceAftermath fails the test if a lock wait reached ndb's deadlock
+// timeout — a deadlock sat it out — or if the auditor or a walk of the
+// committed inode rows finds an orphan.
+func checkRaceAftermath(t *testing.T, d *core.Deployment) {
+	t.Helper()
+	const lockTimeout = 150 * time.Millisecond
 	for s, l := range d.Contention() {
 		for _, e := range l.Entries() {
 			if e.Timeouts > 0 || e.Max >= lockTimeout {
@@ -813,5 +841,122 @@ func runRacesParentRemoval(t *testing.T, seed int64, shards int, mutate bool) {
 		if parent, ok := byID[ino.Parent]; ino.ID != namenode.RootID && (!ok || (ino.Parent != namenode.RootID && !parent.Dir)) {
 			t.Errorf("inode %d (%q) is an orphan: no directory %d", ino.ID, ino.Name, ino.Parent)
 		}
+	}
+}
+
+// TestRenameRacesSubtreeRemoval: renames within /p/sN move its files into
+// its directory m while a recursive delete of /p/sN walks it. The walk
+// locks the children one at a time in listing order — a0…a5, m, z0…z5 —
+// and a rename locks its source and, shared, its destination's parent m.
+// An a-file lists before m and a z-file after it, so a rename that took
+// its two locks in one fixed order would close a ring with the walk for
+// one of the two kinds, which only the lock timeout breaks: holding m and
+// waiting for a2 while the walk holds a2 and waits for m. Every rename
+// answers nil or ErrNotFound, the delete is acked and takes /p/sN with
+// everything under it; no lock wait may reach the lock timeout, and the
+// auditor and a walk of the committed inode rows find no orphan. Seeds 1–3,
+// one and two shards. A walk that meets a child renamed away since its scan
+// skips it: the child is no longer under the directory, and the delete
+// must not answer ErrNotFound for it.
+func TestRenameRacesSubtreeRemoval(t *testing.T) {
+	const (
+		rounds = 8
+		// The renames start one stagger apart from renameAt; the delete
+		// starts two staggers later each round, so in the early rounds the
+		// renames meet the walk's locks, and in the late rounds the walk
+		// meets theirs.
+		stagger  = 300 * time.Microsecond
+		renameAt = 3 * time.Millisecond
+	)
+	var files []string
+	for i := range 6 {
+		files = append(files, fmt.Sprintf("a%d", i), fmt.Sprintf("z%d", i))
+	}
+	outcomes := map[string]int{}
+	for _, seed := range []int64{1, 2, 3} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("seed%d-shards%d", seed, shards), func(t *testing.T) {
+				d := parentRaceDeployment(t, seed, shards)
+				nns := d.NS.NameNodes()
+				finished := false
+				d.Env.Spawn("driver", func(p *sim.Proc) {
+					if !makeP(t, p, d) {
+						return
+					}
+					for r := range rounds {
+						dir := fmt.Sprintf("/p/s%d", r)
+						_, err := nns[0].Mkdir(p, dir, 0o755)
+						if err == nil {
+							_, err = nns[0].Mkdir(p, dir+"/m", 0o755)
+						}
+						for _, f := range files {
+							if err == nil {
+								_, err = nns[0].Create(p, dir+"/"+f, 10)
+							}
+						}
+						// Warm every racer's hints down to m, so each
+						// rename's resolve is one batch.
+						for _, nn := range nns[1:] {
+							if err == nil {
+								_, err = nn.Stat(p, dir+"/m")
+							}
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						var removeErr error
+						errs := make([]error, len(files))
+						racers := []func(p *sim.Proc){func(p *sim.Proc) {
+							p.Sleep(time.Duration(2*r) * stagger)
+							_, removeErr = nns[0].Delete(p, dir, true)
+						}}
+						for k, f := range files {
+							racers = append(racers, func(p *sim.Proc) {
+								p.Sleep(renameAt + time.Duration(k)*stagger)
+								errs[k] = nns[1+k%3].Rename(p, dir+"/"+f, dir+"/m/"+f)
+							})
+						}
+						done, parent := 0, p
+						for _, fn := range racers {
+							d.Env.Spawn("racer", func(p *sim.Proc) {
+								fn(p)
+								done++
+								parent.Wake()
+							})
+						}
+						p.Flush()
+						for done < len(racers) {
+							p.Wait()
+						}
+						if removeErr != nil {
+							t.Errorf("round %d: delete -r %s: %v", r, dir, removeErr)
+						}
+						if _, err := nns[0].Stat(p, dir); !errors.Is(err, namenode.ErrNotFound) {
+							t.Errorf("round %d: %s after its acked recursive delete: %v", r, dir, err)
+						}
+						for k, err := range errs {
+							switch {
+							case err == nil:
+								outcomes["acked"]++
+							case errors.Is(err, namenode.ErrNotFound):
+								outcomes["not found"]++
+							default:
+								t.Errorf("round %d: rename of %s/%s: %v, want nil or ErrNotFound", r, dir, files[k], err)
+							}
+						}
+					}
+					finished = true
+				})
+				d.Env.RunFor(60 * time.Second)
+				if !finished {
+					t.Fatal("the races did not finish")
+				}
+				checkRaceAftermath(t, d)
+			})
+		}
+	}
+	if outcomes["acked"] == 0 || outcomes["not found"] == 0 {
+		t.Errorf("renames %v: want some acked before the delete and some that lost to it", outcomes)
 	}
 }

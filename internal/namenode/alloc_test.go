@@ -46,7 +46,7 @@ func TestWarmOpAllocs(t *testing.T) {
 			return err == nil
 		}
 		for _, dir := range []string{"/a", "/a/b", "/a/b/c"} {
-			if !must(nn.Mkdir(p, dir, 0o755)) {
+			if _, err := nn.Mkdir(p, dir, 0o755); !must(err) {
 				return
 			}
 		}
@@ -107,7 +107,7 @@ func TestWarmOpAllocs(t *testing.T) {
 			// The new inode: its row is one a delete freed.
 			{"create", 1, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
 			// The same for a directory.
-			{"mkdir", 1, func(i int) error { return nn.Mkdir(p, dirs[i], 0o755) }},
+			{"mkdir", 1, func(i int) error { _, err := nn.Mkdir(p, dirs[i], 0o755); return err }},
 			// Nothing: the deleted row goes back to the free rows.
 			{"delete", 0, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
 			// The moved inode: the destination's row is the one the

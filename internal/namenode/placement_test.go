@@ -152,7 +152,7 @@ func TestPinnedSubtreeFollowsWithoutPin(t *testing.T) {
 			var pinned int
 			done := false
 			d.Env.Spawn("pinner", func(p *sim.Proc) {
-				if err := nn.Mkdir(p, "/pinned", 0o755); err != nil {
+				if _, err := nn.Mkdir(p, "/pinned", 0o755); err != nil {
 					t.Error(err)
 					return
 				}
@@ -166,7 +166,7 @@ func TestPinnedSubtreeFollowsWithoutPin(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := nn.Mkdir(p, "/pinned/d", 0o755); err != nil {
+				if _, err := nn.Mkdir(p, "/pinned/d", 0o755); err != nil {
 					t.Error(err)
 					return
 				}

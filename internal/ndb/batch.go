@@ -288,7 +288,7 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 // once — the batch never queues for a read lock while its writes may hold
 // theirs — and is refused with ErrLockBusy otherwise; a write's lock waits
 // as WriteBatch's do, and the caller must know that no other transaction
-// waits on the rows it writes while holding the rows it locks (DESIGN §9).
+// holding a row the batch writes waits for a row it locks (DESIGN §9).
 // With write batching disabled the batch is ReadBatch and then WriteBatch,
 // two rounds, whose gets wait as ReadBatch's do.
 func (t *Txn) ReadWriteBatch(gets []BatchGet, writes []BatchWrite) ([]BatchVal, error) {
