@@ -376,14 +376,15 @@ func runRacingUpdates(t *testing.T, seed int64, shards int) {
 // resolve and at its chain's head — it writes the source's delete and the
 // destination's insert in one batch, and the source's head takes the
 // exclusive lock there and refuses the delete unless the committed inode is
-// the very one the resolve found. Two metadata servers rename one file to
-// two fresh names in the same virtual instant while a third sets its
-// permission, so all three resolve before any writes: exactly one rename
-// wins, the loser answers ErrNotFound, and an acked permission is on the
-// inode wherever it ends up — a rename that resolved before the update
-// committed retries instead of moving the stale copy. In every other round a
-// fourth server deletes the file in that instant too: then exactly one of
-// the three that unlink the name wins, and every other answers ErrNotFound.
+// the very one the resolve found. A metadata server sets one file's
+// permission, and 250 µs later two others rename the file to two fresh names
+// in one virtual instant, so both renames resolve before the update commits:
+// exactly one rename wins, the loser answers ErrNotFound, and an acked
+// permission is on the inode wherever it ends up — a rename that resolved
+// before the update committed retries instead of moving the stale copy. In
+// every other round a fourth server deletes the file at the update's instant
+// too: then exactly one of the three that unlink the name wins, and every
+// other answers ErrNotFound.
 // No racer waits out a timeout. Seeds 1–3, one and two shards, pinned as in
 // TestRacingUpdates; the auditor and a walk of the committed inode rows find
 // the inode under exactly its winner's name, or under none after an acked
@@ -400,6 +401,10 @@ func TestRacingRenames(t *testing.T) {
 
 func runRacingRenames(t *testing.T, seed int64, shards int) {
 	const rounds = 8
+	// The renames start this long after the update, so its write takes the
+	// file's lock at the chain head before theirs arrive, long before it
+	// commits; at 100 µs or less a rename's write gets there first.
+	const renameLag = 250 * time.Microsecond
 	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
 	o := core.DefaultOptions(setup)
 	o.MetadataServers = 4
@@ -462,6 +467,9 @@ func runRacingRenames(t *testing.T, seed int64, shards int) {
 			done, parent := 0, p
 			for i, fn := range racers {
 				d.Env.Spawn("racer", func(p *sim.Proc) {
+					if i < 2 {
+						p.Sleep(renameLag)
+					}
 					start := p.Now()
 					errs[i] = fn(p)
 					if took := p.Now() - start; took > 100*time.Millisecond {

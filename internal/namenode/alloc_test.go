@@ -45,7 +45,7 @@ func TestWarmOpAllocs(t *testing.T) {
 			}
 			return err == nil
 		}
-		for _, dir := range []string{"/a", "/a/b", "/a/b/c"} {
+		for _, dir := range []string{"/a", "/a/b", "/a/b/c", "/x", "/x/b"} {
 			if _, err := nn.Mkdir(p, dir, 0o755); !must(err) {
 				return
 			}
@@ -55,9 +55,10 @@ func TestWarmOpAllocs(t *testing.T) {
 				return
 			}
 		}
-		// A cross-directory rename moves /a/b/h between /a/b and /a/b/c,
-		// whose children live on different node groups, so its two rows
-		// stage two commit trains.
+		// A cross-directory rename moves /a/b/h between /a/b and /x/b,
+		// whose children live on different node groups — a subtree lives in
+		// its top-level directory's partition — so its two rows stage two
+		// commit trains.
 		group := func(dir string) int {
 			ino, err := nn.Stat(p, dir)
 			if !must(err) {
@@ -66,11 +67,11 @@ func TestWarmOpAllocs(t *testing.T) {
 			pk := partKey(ino.ID)
 			return h.ns.inodes.For(pk).PrimaryFor(pk).Group
 		}
-		if group("/a/b") == group("/a/b/c") {
-			t.Error("/a/b and /a/b/c keep their children on one node group")
+		if group("/a/b") == group("/x/b") {
+			t.Error("/a/b and /x/b keep their children on one node group")
 			return
 		}
-		cross := [2]string{"/a/b/h", "/a/b/c/h"}
+		cross := [2]string{"/a/b/h", "/x/b/h"}
 		// Deleted files leave their rows for the creates and mkdirs to take.
 		for _, f := range spares {
 			if _, err := nn.Create(p, f, 0); !must(err) {

@@ -61,12 +61,10 @@ type opScratch struct {
 // change its write asks the chain's head to make to the committed inode,
 // under the exclusive lock taken there, so two updates of one inode never
 // lose each other's change and an update that loses to a delete answers
-// ErrNotFound. An update whose resolve read its target (the serial path,
-// SetQuota) is aimed at the inode it found (id): another inode under the
-// name was created after that one was deleted, so the update answers
-// ErrNotFound — it took effect between the two. An update sent in its
-// resolve's round (id 0) read no target: it takes whichever inode holds the
-// name under the lock, and takes effect there. A delete resolves only the
+// ErrNotFound. An update addressed by path alone (id 0: setPermission,
+// setOwner) takes whichever inode holds the name under the lock; one aimed
+// at an inode (id: an attach's file, SetQuota's resolved directory) answers
+// ErrNotFound when another holds the name. A delete resolves only the
 // parent; its edit takes any inode and returns the pre-image (pre), which
 // tells the operation what else to remove. A move
 // (Rename's unlink) writes a copy of the inode its resolve found (pre), so
@@ -584,11 +582,11 @@ func (nn *NameNode) createChild(p *sim.Proc, path string, proto Inode) (*Inode, 
 // the directory parent and loads sc.writes with its rows: the inode row,
 // refused if the name is taken, and an inline small file's payload row.
 func (nn *NameNode) newChild(sc *opScratch, fp fsPath, parent uint64, proto *Inode, now time.Duration) *Inode {
-	// The new inode's id names the shard of its own row, so what it keys —
-	// children, inline payload, quota rows — lives there too.
+	// The new inode's id names the partition of its own row, so what it
+	// keys — children, inline payload, quota rows — lives there too.
 	table, pk, key := nn.rowOf(sc, parent, fp.name())
 	ino := *proto
-	ino.ID, ino.Parent, ino.Name = nn.ns.nextID(nn.ns.router.ShardOfTable(table)), parent, fp.name()
+	ino.ID, ino.Parent, ino.Name = nn.ns.nextID(table, pk), parent, fp.name()
 	ino.Owner, ino.Mtime = "hdfs", now
 	if !ino.Dir && ino.Size <= smallFileThreshold {
 		ino.InlineSize = ino.Size
@@ -1034,9 +1032,6 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, edit inodeEdit) error 
 			return err
 		}
 		target := chain[len(chain)-1]
-		if sc.edit.id == 0 {
-			sc.edit.id = target.ID
-		}
 		sc.edit.mtime = p.Now()
 		if edit.kind != editQuota {
 			return nn.writeEdited(tx, sc, target.Parent, target.Name)
@@ -1044,6 +1039,7 @@ func (nn *NameNode) updateInode(p *sim.Proc, path string, edit inodeEdit) error 
 		if !target.Dir {
 			return ErrNotDir
 		}
+		sc.edit.id = target.ID
 		return nn.writeEdited(tx, sc, target.Parent, target.Name, nn.quotaRecordWrite(target.ID, edit.nsQuota, edit.ssQuota))
 	})
 }

@@ -19,36 +19,40 @@ import (
 // sequential storage rounds each operation makes between Begin and Commit on
 // a hint-warm depth-3 path, the messages it exchanges from Begin to the Ack,
 // and the RECV and SEND jobs its datanodes are charged, one operation at a
-// time on a quiesced deployment. A stat, a read and a list take no lock:
-// every row they read is served at a replica the coordinator's AZ holds, so
-// a read is one round of 4 messages, and with DisableBatchedResolve the
-// chain round becomes one round per component. A mutation's lock rides its
-// resolve and costs no round of its own. A write is its Prepare pass, so a
-// mutation's messages are its reads' plus, per replica chain it writes, the
-// 12 signals of Figure 2's three passes — no staging pair on top — and a
-// recursive delete writes its subtree in one batch however deep it is. A
-// signal between two blocks of one datanode is local: it crosses no wire and
-// charges no job, so every message costs two jobs but the client's request
-// and the Ack, one each. Here the coordinator holds a replica of the chain a
-// one-chain write takes, and four of its 12 signals stay local. A write finds
-// out for itself at its chain's head: a create makes no round to learn its
-// name is free, and a delete or an update makes none to lock and read its
-// target — the head takes the lock and edits the committed row. A
-// single-name mutation whose hints reach its parent sends its write in the
-// batch that reads the parent chain, so mkdir, create, delete and set* are
-// one round (12 messages: the read's pair and the write's train; a delete's
-// head also sends the TC the target's pre-image, 13), and on a taken or a
-// missing name the head's refusal ends that round (5). An update's resolve
-// takes no lock and reads every row at a replica the coordinator's AZ holds
-// (setquota, which resolves its target before it writes, 24 over its two
-// chains); and a recursive delete prepares its target's row in that round,
-// before its subtree's batch, one Prepare pass more in the same rounds (45).
-// Rename resolves its two paths in one batch
-// and writes its two rows in one Prepare pass, their chains concurrently:
-// the source's delete, whose head checks the resolved inode is still the
-// committed one and, unlike a delete's, sends nothing back, and the
-// destination's insert; the destination's parent is read under its share
-// lock at its primary in the same round (14).
+// time on a quiesced deployment. A stat, a read and a list take no lock, and
+// a subtree lives in its top-level directory's partition (nextID), so the
+// coordinator, hinted at the target's partition, holds a replica in its own
+// AZ of every row they read: a read is one round of 2 messages, the request
+// and the Ack. With DisableBatchedResolve the chain round becomes one round
+// per component. A path through a directory renamed in from another
+// top-level directory reads the rows above the rename at another datanode,
+// a remote pair (4 messages). A mutation's lock rides its resolve and costs
+// no round of its own. A write is its Prepare pass, so a mutation's messages
+// are its reads' plus, per replica chain it writes, the 12 signals of Figure
+// 2's three passes — no staging pair on top — and a recursive delete writes
+// its subtree in one batch however deep it is. A signal between two blocks
+// of one datanode is local: it crosses no wire and charges no job, so every
+// message costs two jobs but the client's request and the Ack, one each.
+// Here the coordinator holds a replica of the chain a write takes, and four
+// of its 12 signals stay local. A write finds out for itself at its chain's
+// head: a create makes no round to learn its name is free, and a delete or
+// an update makes none to lock and read its target — the head takes the
+// lock and edits the committed row. A single-name mutation whose hints reach
+// its parent sends its write in the batch that reads the parent chain, so
+// mkdir, create, delete and set* are one round. An update is 10 messages:
+// the request, the Ack and its train's 8 wire signals. A create, a mkdir and
+// a delete also share-lock the parent at its primary, another datanode, a
+// remote pair (12; a delete's head also sends the TC the target's
+// pre-image, 13); on a taken or a missing name the head's refusal ends that
+// round (5). SetQuota resolves its target before it writes, both its rows in
+// the one chain (10); a recursive delete prepares its target's row in that
+// round, before its subtree's batch, one Prepare pass more in the same
+// rounds (20). Rename resolves its two paths in one batch and writes its two
+// rows in one Prepare pass, on the one chain: the source's delete, whose
+// head checks the resolved inode is still the committed one and, unlike a
+// delete's, sends nothing back, and the destination's insert; the
+// destination's parent is read under its share lock at its primary in the
+// same round (12).
 // A refused write is cut short at the head — Begin, the resolve, the
 // Prepare's first hop and the head's refusal: no replica beyond the head
 // hears of it, nothing retries, and no Ack is sent. An update of a missing
@@ -68,16 +72,19 @@ func TestRoundTripBudget(t *testing.T) {
 		jobs            int64 // RECV + SEND jobs, Begin to Ack, batched resolve
 		unpriced        int64 // shared locks dropped at a remote primary, batched resolve
 	}{
-		{"stat", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/f"); return err }, 1, 3, 4, 6, 0},
-		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3, 4, 6, 0},
-		{"read (inline payload)", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/small"); return err }, 2, 4, 6, 10, 0},
-		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d"); return err }, 2, 4, 4, 6, 0},
-		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 1, 4, 12, 22, 0},
-		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 1, 4, 12, 22, 0},
+		{"stat", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/f"); return err }, 1, 3, 2, 2, 0},
+		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3, 2, 2, 0},
+		{"read (inline payload)", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/small"); return err }, 2, 4, 2, 2, 0},
+		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d"); return err }, 2, 4, 2, 2, 0},
+		// /a/b/y came from /x, whose partition is on the other node group:
+		// the rows above it are read there.
+		{"stat through a renamed directory", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/y/g"); return err }, 1, 4, 4, 6, 0},
+		{"setperm", func(nn *NameNode, p *sim.Proc) error { return nn.SetPermission(p, "/a/b/f", 0o600) }, 1, 4, 10, 18, 0},
+		{"setowner", func(nn *NameNode, p *sim.Proc) error { return nn.SetOwner(p, "/a/b/f", "u") }, 1, 4, 10, 18, 0},
 		{"attachblocks", func(nn *NameNode, p *sim.Proc) error {
 			return nn.AttachBlocks(p, "/a/b/f", 0, []blocks.BlockID{1}, 1)
-		}, 1, 4, 12, 22, 0},
-		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 24, 46, 0},
+		}, 1, 4, 10, 18, 0},
+		{"setquota", func(nn *NameNode, p *sim.Proc) error { return nn.SetQuota(p, "/a/b/d", 10, 0) }, 2, 4, 10, 18, 0},
 		{"mkdir", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Mkdir(p, "/a/b/m", 0o755); return err }, 1, 3, 12, 22, 1},
 		{"create", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/c", 0); return err }, 1, 3, 12, 22, 1},
 		{"create on an existing name", func(nn *NameNode, p *sim.Proc) error {
@@ -86,7 +93,7 @@ func TestRoundTripBudget(t *testing.T) {
 			}
 			return nil
 		}, 1, 3, 5, 9, 1},
-		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 2, 6, 14, 26, 1},
+		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 2, 6, 12, 22, 1},
 		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 1, 3, 13, 24, 1},
 		{"delete of a missing name", func(nn *NameNode, p *sim.Proc) error {
 			if _, err := nn.Delete(p, "/a/b/r", false); !errors.Is(err, ErrNotFound) {
@@ -99,14 +106,14 @@ func TestRoundTripBudget(t *testing.T) {
 				return fmt.Errorf("got %v, want ErrNotFound", err)
 			}
 			return nil
-		}, 1, 3, 5, 9, 0},
+		}, 1, 3, 3, 5, 0},
 		// /a/b/d carries the quota set above: s, s/t and s/t/x die and are
 		// charged back to it in the one write batch.
-		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 6, 9, 45, 88, 1},
+		{"delete -r", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/d/s", true); return err }, 6, 9, 20, 38, 1},
 		// The usage charge on /a/b/d follows the verified chain: a write of
 		// its own after the resolve-and-insert round, its row joining the
 		// insert's train — one Prepare pass more than a create's 12.
-		{"create under a quota'd ancestor", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/d/q", 0); return err }, 2, 4, 17, 32, 1},
+		{"create under a quota'd ancestor", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/d/q", 0); return err }, 2, 4, 15, 28, 1},
 	}
 	for _, serial := range []bool{false, true} {
 		t.Run(fmt.Sprintf("DisableBatchedResolve=%v", serial), func(t *testing.T) {
@@ -130,13 +137,35 @@ func TestRoundTripBudget(t *testing.T) {
 						return
 					}
 				}
+				// A directory renamed in from another top-level directory
+				// keeps its id, so its children stay in /x's partition.
+				for _, dir := range []string{"/x", "/x/y"} {
+					if _, err := nn.Mkdir(p, dir, 0o755); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if _, err := nn.Create(p, "/x/y/g", 0); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := nn.Rename(p, "/x/y", "/a/b/y"); err != nil {
+					t.Error(err)
+					return
+				}
+				if nn.ns.inodes.For("c:a").PrimaryFor("c:a").Group == nn.ns.inodes.For("c:x").PrimaryFor("c:x").Group {
+					t.Error("/a and /x are on one node group")
+					return
+				}
 				// Warm the hints of every directory on the paths below, then
 				// let the election loops and the storage layer's housekeeping
 				// stop: nothing but the operation under test talks to storage
 				// or sends a message.
-				if _, err := nn.Stat(p, "/a/b/d"); err != nil {
-					t.Error(err)
-					return
+				for _, path := range []string{"/a/b/d", "/a/b/y/g"} {
+					if _, err := nn.Stat(p, path); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 				h.ns.StopBackground()
 				h.db.StopBackground()
@@ -387,12 +416,19 @@ func TestRefusedCreateLeavesNothing(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			before, drew := h.db.Stats, h.ns.idSeq+1
+			// One draw for the attempt's row: the id it gives, and where it
+			// leaves the sequence (a draw may skip ids of other partitions).
+			inode, ipk, ikey := h.ns.inodeRow(first.Parent, "f")
+			seq := h.ns.idSeq
+			drew := h.ns.nextID(inode, ipk)
+			oneDraw := h.ns.idSeq
+			h.ns.idSeq = seq
+			before := h.db.Stats
 			if _, err := nnB.Create(p, "/q/f", 10); !errors.Is(err, ErrExists) {
 				t.Errorf("serial=%v: create on a taken name: %v, want ErrExists", serial, err)
 			}
-			if h.ns.idSeq != drew {
-				t.Errorf("serial=%v: the refused attempt drew inode ids up to %d, want exactly %d", serial, h.ns.idSeq, drew)
+			if h.ns.idSeq != oneDraw {
+				t.Errorf("serial=%v: the refused attempt left the id sequence at %d, want %d (exactly one draw, id %d)", serial, h.ns.idSeq, oneDraw, drew)
 			}
 			if begun, aborted := h.db.Stats.Begun-before.Begun, h.db.Stats.Aborted-before.Aborted; begun != 1 || aborted != 1 {
 				t.Errorf("serial=%v: %d transactions begun, %d aborted; want 1 and 1 (no retry)", serial, begun, aborted)
@@ -406,7 +442,6 @@ func TestRefusedCreateLeavesNothing(t *testing.T) {
 			if after, err := nnB.Quota(p, "/q"); err != nil || after != usage {
 				t.Errorf("serial=%v: quota usage %+v, %v after the refusal; want %+v", serial, after, err, usage)
 			}
-			inode, ipk, ikey := h.ns.inodeRow(first.Parent, "f")
 			payload, ppk := partOf(h.ns.smallfiles, drew)
 			charge, cpk := partOf(h.ns.quotas, first.Parent)
 			rows := []ndb.BatchGet{

@@ -18,7 +18,6 @@ package ndb
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"hopsfscl/internal/heat"
 	"hopsfscl/internal/sim"
@@ -562,8 +561,14 @@ func SpreadPlacement(n int, zones []simnet.ZoneID, hostBase int) []Placement {
 }
 
 // hashKey maps a partition key to a partition index.
-func hashKey(key string, n int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+func hashKey(key string, n int) int { return int(fnv1a(key) % uint32(n)) }
+
+// fnv1a is the 32-bit FNV-1a hash of a partition key, string or byte form.
+func fnv1a[K string | []byte](key K) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return h
 }

@@ -2,6 +2,7 @@ package ndb
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,13 @@ import (
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 )
+
+// fixedInputs is the quick.Config of a property whose inputs decide which
+// code runs: they come from one fixed seed, so every run takes the same
+// paths and the package's coverage is the same from run to run.
+func fixedInputs(n int) *quick.Config {
+	return &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(1))}
+}
 
 // TestPropRowLockInvariants drives a row lock with random acquire/release
 // sequences among six transactions — so shared holds spill past the inline
@@ -109,7 +117,7 @@ func TestPropRowLockInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, fixedInputs(200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,6 +131,24 @@ func TestPropHashKeyBoundsAndDeterminism(t *testing.T) {
 		return a == b && a >= 0 && a < parts
 	}
 	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropSamePartitionMatchesHashKey: the byte-form partition test agrees
+// with hashKey, and hashKey is the 32-bit FNV-1a of hash/fnv, so every
+// partition key keeps its placement.
+func TestPropSamePartitionMatchesHashKey(t *testing.T) {
+	prop := func(key, pk string, n uint8) bool {
+		parts := int(n%64) + 1
+		tbl := &Table{partitions: make([]*Partition, parts)}
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(key))
+		return hashKey(key, parts) == int(h.Sum32()%uint32(parts)) &&
+			tbl.SamePartition([]byte(key), pk) == (hashKey(key, parts) == hashKey(pk, parts)) &&
+			tbl.SamePartition([]byte(key), key)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,7 +195,7 @@ func TestPropSpreadPlacementBalanced(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, fixedInputs(300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -249,7 +275,7 @@ func TestPropSequentialCommitsMatchOracle(t *testing.T) {
 		env.RunFor(time.Minute)
 		return ok
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(prop, fixedInputs(25)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -300,7 +326,7 @@ func TestPropTCSelectionSound(t *testing.T) {
 		}
 		return false
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, fixedInputs(500)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -345,7 +371,7 @@ func TestPropReplicasAlwaysAliveAndPrimaryFirst(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, fixedInputs(60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -455,7 +481,7 @@ func TestPropPartitionHealSymmetry(t *testing.T) {
 		}
 		return ok
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(prop, fixedInputs(15)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -573,7 +599,7 @@ func TestPropNoHalfCommitUnderRepartition(t *testing.T) {
 		}
 		return ok
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
+	if err := quick.Check(prop, fixedInputs(10)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -48,6 +48,14 @@ func (t *Table) partitionFor(partKey string) *Partition {
 	return t.partitions[hashKey(partKey, len(t.partitions))]
 }
 
+// SamePartition reports whether the partition key key, in byte form, maps
+// to the partition of the partition key pk. It allocates nothing, so a
+// caller may build key in a stack buffer.
+func (t *Table) SamePartition(key []byte, pk string) bool {
+	n := uint32(len(t.partitions))
+	return fnv1a(key)%n == fnv1a(pk)%n
+}
+
 // PrimaryFor returns the current primary replica datanode of the partition
 // holding partKey, or nil when the whole node group is down. Benchmarks use
 // it to pick partition keys with a known client/primary zone relationship.

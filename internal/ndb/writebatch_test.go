@@ -568,6 +568,59 @@ func TestPreparedChainChangeAborts(t *testing.T) {
 	}
 }
 
+// TestRejoinedChainRefusesCommit: a train prepared on a chain shortened by a
+// failed replica may not commit once the replica has rejoined, with no
+// failure between Prepare and Commit: the rejoined node holds no prepared
+// row, so committing on the old chain would leave it without the write
+// (§10's rule 1). Commit answers ErrNodeUnavailable, applies nothing and
+// leaves no lock held.
+func TestRejoinedChainRefusesCommit(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	c.StopBackground()
+	env.RunFor(time.Second)
+	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+	done := false
+	env.Spawn("txn", func(p *sim.Proc) {
+		tx, err := c.Begin(p, client, 1, tbl, "p")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		victim := tbl.partitionFor("p").replicas()[0]
+		if victim == tx.Coordinator() {
+			victim = tbl.partitionFor("p").replicas()[1]
+		}
+		victim.Node.Fail()
+		if err := tx.WriteBatch([]BatchWrite{{Table: tbl, PartKey: "p", Key: "k", Val: "v"}}); err != nil {
+			t.Error(err)
+			return
+		}
+		if n := len(tx.trains[0].chain); n != 2 {
+			t.Errorf("prepared on a chain of %d, want the 2 survivors", n)
+			return
+		}
+		c.Rejoin(p, victim)
+		if n := len(tbl.partitionFor("p").replicas()); n != 3 {
+			t.Errorf("%d replicas after the rejoin, want 3", n)
+			return
+		}
+		if err := tx.Commit(); !errors.Is(err, ErrNodeUnavailable) {
+			t.Errorf("Commit on a rejoined chain = %v, want ErrNodeUnavailable", err)
+		}
+		if _, ok := tbl.partitionFor("p").committed("p", "k"); ok {
+			t.Error("the refused commit applied its row")
+		}
+		if held := c.HeldLocks(); len(held) != 0 {
+			t.Errorf("locks survive the refused commit: %v", held)
+		}
+		done = true
+	})
+	env.RunFor(time.Minute)
+	if !done {
+		t.Fatal("did not complete")
+	}
+}
+
 // TestSecondWriteBatchJoinsItsTrain: a later batch on a chain the transaction
 // has already prepared rows on walks the chain for its new rows only, and all
 // of them commit as one train.
