@@ -164,3 +164,56 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClientsSpreadEvenlyByZone: AZ-unaware clients pick among every server,
+// yet each server ends up with each zone's clients in equal shares, and a
+// re-pick after a drain keeps the shares within one of each other.
+func TestClientsSpreadEvenlyByZone(t *testing.T) {
+	h := newHarness(t)
+	h.settleRounds(4)
+	var cls []*Client
+	for i := 0; i < 27; i++ {
+		cls = append(cls, h.ns.NewClient(simnet.ZoneID(i%3+1), simnet.HostID(600+i), simnet.ZoneUnset))
+	}
+	statAll := func() {
+		h.run(t, func(p *sim.Proc) {
+			for _, cl := range cls {
+				if _, err := cl.Stat(p, "/"); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+	count := func() map[stickKey]int {
+		got := map[stickKey]int{}
+		for _, cl := range cls {
+			got[stickKey{cl.Node.Zone(), cl.CurrentNameNode().ID}]++
+		}
+		return got
+	}
+	statAll()
+	got := count()
+	for z := simnet.ZoneID(1); z <= 3; z++ {
+		for _, nn := range h.ns.nns {
+			if n := got[stickKey{z, nn.ID}]; n != 3 {
+				t.Errorf("zone %d: %d clients on server %d, want 3 (%v)", z, n, nn.ID, got)
+			}
+		}
+	}
+	drained := h.ns.nns[0]
+	drained.Drain()
+	statAll()
+	got = count()
+	for z := simnet.ZoneID(1); z <= 3; z++ {
+		a, b := got[stickKey{z, h.ns.nns[1].ID}], got[stickKey{z, h.ns.nns[2].ID}]
+		if a+b != 9 || a-b > 1 || b-a > 1 {
+			t.Errorf("zone %d after a drain: %d and %d clients on the two servers left, want 9 split within one (%v)", z, a, b, got)
+		}
+	}
+	// The namesystem's counts are the clients' own choices.
+	for k, n := range h.ns.clientsOn {
+		if n != got[k] {
+			t.Errorf("clientsOn[%v] = %d, the clients say %d", k, n, got[k])
+		}
+	}
+}
