@@ -67,11 +67,16 @@
 // set, the replay flags: [-setup name] [-seed S] [-ops N] [-servers N]
 // [-clients N] [-deadline D] [-shards N] [-out file].
 //
-// The trace format is plain text: "<op> <path> [<dst>]", e.g.
+// A trace is a list of nsmodel.Op in nsmodel's text encoding (WriteOps,
+// ReadOps), "<name> [-r] <path> [<dst>]" with the names of nsmodel.Promises,
+// e.g.
 //
 //	mkdir /proj001/dsNew
-//	createFile /proj001/ds00/part-00042
+//	create /proj001/ds00/part-00042
 //	rename /a/b /c/d
+//
+// replay runs the ops workload.FS has a call for, and refuses any other
+// before anything runs.
 package main
 
 import (
@@ -89,6 +94,7 @@ import (
 	"hopsfscl/internal/heat"
 	"hopsfscl/internal/loadshape"
 	"hopsfscl/internal/metrics"
+	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/profile"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/slo"
@@ -186,22 +192,79 @@ func run(args []string, stdout io.Writer) error {
 	}
 }
 
+// recorder is the workload.FS a trace is generated on: every call succeeds
+// at once and appends what it was asked to run.
+type recorder []nsmodel.Op
+
+func (r *recorder) add(name, path, dst string) error {
+	*r = append(*r, nsmodel.Op{Name: name, Path: path, Dst: dst})
+	return nil
+}
+
+func (r *recorder) Mkdir(_ *sim.Proc, path string) error      { return r.add("mkdir", path, "") }
+func (r *recorder) Create(_ *sim.Proc, path string) error     { return r.add("create", path, "") }
+func (r *recorder) Stat(_ *sim.Proc, path string) error       { return r.add("stat", path, "") }
+func (r *recorder) Read(_ *sim.Proc, path string) error       { return r.add("read", path, "") }
+func (r *recorder) List(_ *sim.Proc, path string) error       { return r.add("list", path, "") }
+func (r *recorder) Delete(_ *sim.Proc, path string) error     { return r.add("delete", path, "") }
+func (r *recorder) Rename(_ *sim.Proc, src, dst string) error { return r.add("rename", src, dst) }
+func (r *recorder) SetPermission(_ *sim.Proc, path string) error {
+	return r.add("setPermission", path, "")
+}
+
+// fsCalls runs each op workload.FS has a call for, by name; a recursive
+// delete is none of them.
+var fsCalls = map[string]func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error{
+	"mkdir":         func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Mkdir(p, op.Path) },
+	"create":        func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Create(p, op.Path) },
+	"stat":          func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Stat(p, op.Path) },
+	"read":          func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Read(p, op.Path) },
+	"list":          func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.List(p, op.Path) },
+	"delete":        func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Delete(p, op.Path) },
+	"rename":        func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Rename(p, op.Path, op.Dst) },
+	"setPermission": func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.SetPermission(p, op.Path) },
+}
+
+// checkRunnable refuses a trace holding an op workload.FS cannot run,
+// quoting it as its line reads.
+func checkRunnable(ops []nsmodel.Op) error {
+	for i, op := range ops {
+		if _, ok := fsCalls[op.Name]; !ok || op.Recursive {
+			var line strings.Builder
+			nsmodel.WriteOps(&line, ops[i:i+1])
+			return fmt.Errorf("trace op %d, %q: workload.FS cannot run it", i+1, strings.TrimSpace(line.String()))
+		}
+	}
+	return nil
+}
+
+// replayOps runs ops on fs in order and counts those that failed: a replay
+// on another deployment may race differently, so failing is not fatal.
+func replayOps(p *sim.Proc, fs workload.FS, ops []nsmodel.Op) (errs int) {
+	for _, op := range ops {
+		if fsCalls[op.Name](p, fs, op) != nil {
+			errs++
+		}
+	}
+	return errs
+}
+
 // genTrace generates n Spotify-mix operations with the given seed over the
 // evaluation namespace — matching the namespace a deployment built with the
 // same seed is seeded with, so generated paths resolve on replay.
-func genTrace(n int, seed int64) []workload.TraceOp {
+func genTrace(n int, seed int64) []nsmodel.Op {
 	ns := workload.BuildNamespace(workload.DefaultNamespace(), core.NamespaceSeed(seed))
-	rec := workload.NewRecorder(workload.Discard)
 	gen := workload.NewGenerator(ns, workload.SpotifyMix, seed)
+	var rec recorder
 	env := sim.New(seed)
 	defer env.Close()
 	env.Spawn("gen", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			_, _ = gen.Step(p, rec)
+		for range n {
+			_, _ = gen.Step(p, &rec)
 		}
 	})
 	env.Run()
-	return rec.Trace()
+	return rec
 }
 
 // writeOut hands render the -out destination: the named file, or stdout
@@ -229,10 +292,8 @@ func runGen(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Drive the Spotify-mix generator against a recorder over a no-op FS:
-	// the recorder captures exactly the operations a benchmark run issues.
 	trace := genTrace(*ops, *seed)
-	err := writeOut(stdout, *out, func(w io.Writer) error { return workload.WriteTrace(w, trace) })
+	err := writeOut(stdout, *out, func(w io.Writer) error { return nsmodel.WriteOps(w, trace) })
 	if err == nil && *out != "" {
 		fmt.Fprintf(stdout, "wrote %d operations to %s\n", len(trace), *out)
 	}
@@ -260,7 +321,10 @@ func runReplay(args []string, stdout io.Writer) error {
 		defer f.Close()
 		r = f
 	}
-	ops, err := workload.ReadTrace(r)
+	ops, err := nsmodel.ReadOps(r)
+	if err == nil {
+		err = checkRunnable(ops)
+	}
 	if err != nil {
 		return err
 	}
@@ -330,23 +394,17 @@ func buildReplayDeployment(setupName string, seed int64, servers, clients, shard
 // (or the virtual deadline passes). Concurrency is what makes the profile
 // interesting: operations from different clients collide on shared
 // directories, exercising lock contention the way closed-loop load does.
-func replayConcurrent(d *core.Deployment, traceOps []workload.TraceOp, clients int, deadline time.Duration) (elapsed time.Duration, errs int, err error) {
-	if clients > len(d.Clients) {
-		clients = len(d.Clients)
-	}
-	if clients < 1 {
-		clients = 1
-	}
-	shards := make([][]workload.TraceOp, clients)
+func replayConcurrent(d *core.Deployment, traceOps []nsmodel.Op, clients int, deadline time.Duration) (elapsed time.Duration, errs int, err error) {
+	clients = max(1, min(clients, len(d.Clients)))
+	shards := make([][]nsmodel.Op, clients)
 	for i, op := range traceOps {
 		shards[i%clients] = append(shards[i%clients], op)
 	}
 	done := 0
-	for i := 0; i < clients; i++ {
-		i := i
+	for i := range clients {
 		fs := d.Clients[i]
 		d.Env.Spawn(fmt.Sprintf("replay-%d", i), func(p *sim.Proc) {
-			errs += workload.Replay(p, fs, shards[i])
+			errs += replayOps(p, fs, shards[i])
 			p.Flush()
 			if t := p.Now(); t > elapsed {
 				elapsed = t

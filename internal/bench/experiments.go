@@ -10,6 +10,7 @@ import (
 	"hopsfscl/internal/core"
 	"hopsfscl/internal/metrics"
 	"hopsfscl/internal/ndb"
+	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/profile"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
@@ -767,14 +768,6 @@ func Ablations(o ExpOptions) (string, error) {
 	return b.String(), nil
 }
 
-// TraceOps are the client operation names that appear as root spans, in
-// reporting order.
-var TraceOps = []string{
-	"stat", "read", "list", "create", "mkdir", "delete", "rename",
-	"setPermission", "setOwner", "setQuota", "quota", "attachBlocks",
-	"contentSummary",
-}
-
 // RenderPhaseTable formats the transaction-phase breakdown of a registry
 // snapshot (or window diff): count, mean and max time spent in lock waits
 // and in each linear-2PC phase.
@@ -811,9 +804,9 @@ func RenderPhaseTable(samples []trace.Sample) string {
 func RenderCrossAZTable(samples []trace.Sample) string {
 	tbl := metrics.NewTable("operation", "ops", "cross-AZ bytes", "bytes/op")
 	var attributed float64
-	for _, op := range TraceOps {
-		ops, _ := trace.Lookup(samples, "op."+op+".latency.count")
-		bytes, _ := trace.Lookup(samples, trace.Name("op."+op+".net.bytes", "class", "cross_az"))
+	for _, pr := range nsmodel.Promises {
+		ops, _ := trace.Lookup(samples, "op."+pr.Op+".latency.count")
+		bytes, _ := trace.Lookup(samples, trace.Name("op."+pr.Op+".net.bytes", "class", "cross_az"))
 		if ops == 0 && bytes == 0 {
 			continue
 		}
@@ -822,7 +815,7 @@ func RenderCrossAZTable(samples []trace.Sample) string {
 		if ops > 0 {
 			perOp = fmt.Sprintf("%.0f", bytes/ops)
 		}
-		tbl.AddRow(op, fmt.Sprintf("%.0f", ops), fmt.Sprintf("%.0f", bytes), perOp)
+		tbl.AddRow(pr.Op, fmt.Sprintf("%.0f", ops), fmt.Sprintf("%.0f", bytes), perOp)
 	}
 	total, _ := trace.Lookup(samples, trace.Name("net.bytes", "class", "cross_az"))
 	if rest := total - attributed; rest > 0.5 {

@@ -610,10 +610,11 @@ func (nn *NameNode) chargeList(p *sim.Proc, entries int) {
 // timeouts (deadlock/overload backpressure), node failovers, and the
 // validation refusals.
 func retriable(err error) bool {
-	// An indeterminate cross-shard commit is decided — its durable intent
-	// will complete it — so retrying would re-run an operation that is
-	// already (going to be) applied and report a false definite failure.
-	if errors.Is(err, shard.ErrIndeterminate) {
+	// An indeterminate commit is decided — applied at its primary, or its
+	// durable cross-shard intent will complete it — so retrying would re-run
+	// an operation that is already (going to be) applied and report a false
+	// definite failure.
+	if errors.Is(err, ndb.ErrIndeterminate) {
 		return false
 	}
 	return errors.Is(err, ndb.ErrLockTimeout) || errors.Is(err, ndb.ErrNodeUnavailable) || retriesAtOnce(err)

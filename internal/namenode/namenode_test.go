@@ -504,6 +504,50 @@ func TestLargeFileUsesBlockLayer(t *testing.T) {
 	})
 }
 
+// TestCreateLosingCompleteArmAnswersNil: a create is committed once the
+// primary of its row has applied it. A backup of that row that fails
+// between the commit point and its Complete arm fails nothing, so the
+// create answers nil — not the ErrExists a retry would find in the row it
+// had applied. The creating client sits in a zone the primary is not in,
+// so its TC is another replica and the Committed hop leaves the window.
+func TestCreateLosingCompleteArmAnswersNil(t *testing.T) {
+	h := newHarness(t)
+	h.run(t, func(p *sim.Proc) {
+		admin := h.client(1)
+		if err := admin.Mkdir(p, "/d"); err != nil {
+			t.Fatal(err)
+		}
+		d, err := admin.Stat(p, "/d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk := partKey(d.ID)
+		primary := h.ns.inodes.For(pk).PrimaryFor(pk)
+		zone := primary.Node.Zone()%3 + 1
+		var victim *ndb.DataNode
+		for _, g := range h.db.NodeGroups() {
+			for _, dn := range g {
+				if slices.Contains(g, primary) && dn != primary && dn.Node.Zone() != zone {
+					victim = dn
+				}
+			}
+		}
+		h.env.Spawn("fault", func(q *sim.Proc) {
+			for applied := false; !applied; {
+				q.Sleep(time.Microsecond)
+				h.ns.inodes.ForEachCommitted(func(_, key string, _ ndb.Value) { applied = applied || key == "f" })
+			}
+			victim.Node.Fail()
+		})
+		if err := h.client(zone).Create(p, "/d/f", 0); err != nil {
+			t.Errorf("create whose Complete arm was lost = %v, want nil", err)
+		}
+		if victim.Node.Alive() {
+			t.Error("the backup did not fail during the create")
+		}
+	})
+}
+
 func TestConcurrentCreateOnlyOneWins(t *testing.T) {
 	h := newHarness(t)
 	errs := make([]error, 2)

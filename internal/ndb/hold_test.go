@@ -200,7 +200,7 @@ func TestCommitHoldingFailureReleases(t *testing.T) {
 
 // TestHeldCommitAckLost: a CommitHolding whose commit applied but whose Ack
 // to the client is lost ends the transaction as Release does. It answers
-// ErrNodeUnavailable, holds no lock, leaves no row held, and every read
+// ErrIndeterminate, holds no lock, leaves no row held, and every read
 // sees the applied row, whose pre-image stops showing. Ending it again —
 // CommitHolding or Release — changes nothing.
 func TestHeldCommitAckLost(t *testing.T) {
@@ -222,8 +222,8 @@ func TestHeldCommitAckLost(t *testing.T) {
 		}
 		p.Flush()
 		client.Fail()
-		if err := tx.CommitHolding(); !errors.Is(err, ErrNodeUnavailable) {
-			t.Errorf("CommitHolding with its Ack lost = %v, want ErrNodeUnavailable", err)
+		if err := tx.CommitHolding(); !errors.Is(err, ErrIndeterminate) {
+			t.Errorf("CommitHolding with its Ack lost = %v, want ErrIndeterminate", err)
 		}
 		if err := tx.CommitHolding(); !errors.Is(err, ErrAborted) {
 			t.Errorf("CommitHolding of an ended transaction = %v, want ErrAborted", err)

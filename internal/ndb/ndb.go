@@ -49,6 +49,12 @@ var (
 	// ErrNodeUnavailable means a datanode needed by the transaction did not
 	// respond before the RPC timeout.
 	ErrNodeUnavailable = errors.New("ndb: datanode unavailable")
+	// ErrIndeterminate means a transaction's primary applied it — it is
+	// committed — but the TC or the Ack to the client was lost after that
+	// commit point, so the client cannot know it. It wraps
+	// ErrNodeUnavailable; running the transaction again would apply it
+	// twice, so a caller does not retry it.
+	ErrIndeterminate = fmt.Errorf("ndb: committed, outcome lost: %w", ErrNodeUnavailable)
 	// ErrAborted means the transaction was aborted and must not be reused.
 	ErrAborted = errors.New("ndb: transaction aborted")
 	// ErrNoNodes means no datanode is available to coordinate.

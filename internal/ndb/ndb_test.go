@@ -1104,6 +1104,87 @@ func TestReadBackupDelaysAck(t *testing.T) {
 	}
 }
 
+// TestCommitPointDecides: a one-train transaction is committed once its
+// primary has applied it. A backup that fails between that commit point
+// and its Complete arm does not fail the commit. When the TC fails then
+// too, its Ack cannot come; when it fails during the Commit pass, its
+// Committed cannot: either way Commit answers ErrIndeterminate — still
+// ErrNodeUnavailable to a classifier — not a definite failure a caller
+// would retry. Stats counts the transaction committed, nothing stays
+// locked and every read sees the row.
+func TestCommitPointDecides(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		backup, tc     bool // fail a backup, the TC, after the commit point
+		tcInCommitPass bool // fail the TC before it
+		want           error
+	}{
+		{name: "backup", backup: true},
+		{name: "backup-then-tc", backup: true, tc: true, want: ErrIndeterminate},
+		{name: "tc-in-commit-pass", tcInCommitPass: true, want: ErrIndeterminate},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env, cl, client := testCluster(t, true, 3)
+			cl.StopBackground()
+			env.RunFor(time.Second)
+			tbl := cl.CreateTable("t", 64, TableOptions{ReadBackup: true})
+			part := tbl.partitionFor("p")
+			ran := false
+			env.Spawn("txn", func(p *sim.Proc) {
+				tx, err := cl.Begin(p, client, 1, tbl, "p")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := put(tx, tbl, "p", "k", "v"); err != nil {
+					t.Error(err)
+					return
+				}
+				tc, backup := tx.Coordinator(), part.replicas()[1]
+				if backup == tc {
+					backup = part.replicas()[2]
+				}
+				p.Flush()
+				env.Spawn("fault", func(q *sim.Proc) {
+					q.Sleep(time.Microsecond)
+					if c.tcInCommitPass {
+						tc.Node.Fail()
+						return
+					}
+					for _, applied := part.committed("p", "k"); !applied; _, applied = part.committed("p", "k") {
+						q.Sleep(time.Microsecond)
+					}
+					if c.backup {
+						backup.Node.Fail()
+					}
+					if c.tc {
+						tc.Node.Fail()
+					}
+				})
+				before := cl.Stats
+				if err := tx.Commit(); err != c.want || (err != nil && !errors.Is(err, ErrNodeUnavailable)) {
+					t.Errorf("Commit = %v, want %v", err, c.want)
+				}
+				if cl.Stats.Committed != before.Committed+1 || cl.Stats.Aborted != before.Aborted {
+					t.Errorf("Stats counted %d commits, %d aborts; want the transaction committed",
+						cl.Stats.Committed-before.Committed, cl.Stats.Aborted-before.Aborted)
+				}
+				ran = true
+			})
+			env.RunFor(time.Minute)
+			if !ran {
+				t.Fatal("txn did not run")
+			}
+			if v, ok := part.committed("p", "k"); !ok || v != "v" {
+				t.Errorf("row after the commit = %v, %v; want v", v, ok)
+			}
+			if held, open := cl.HeldLocks(), cl.InFlightTxns(); len(held) != 0 || open != 0 {
+				t.Errorf("after the commit: locks %v, %d transactions in flight", held, open)
+			}
+		})
+	}
+}
+
 // TestClusterCrashRecoversDurableEpochOnly pins the §II-B2 global
 // checkpoint durability semantics: commits older than the last completed
 // global checkpoint survive a whole-cluster failure; newer ones are lost.

@@ -557,11 +557,12 @@ func (t *Txn) Commit() error {
 	}
 	err := t.commitTrains()
 	t.releaseAll()
-	t.finish(err == nil)
+	t.finish(err == nil || err == ErrIndeterminate)
 	if err != nil {
 		// Atomic abort: a multi-train commit applies nothing until every
 		// train has succeeded, so a failure in any train — e.g. a partition
-		// landing mid-2PC — leaves no half-commit.
+		// landing mid-2PC — leaves no half-commit. ErrIndeterminate is no
+		// abort: the primary applied the transaction.
 		return err
 	}
 	return t.ack()
@@ -573,14 +574,16 @@ func (t *Txn) Commit() error {
 // row's pre-image (see row). It is how transactions that must commit
 // together, the shard router's sub-transactions of one operation, hold
 // every lock until the last of them has committed, and show their rows
-// together. On an error the transaction has ended and holds nothing.
+// together. On an error the transaction has ended and holds nothing; on
+// ErrIndeterminate it ended committed, as Release ends it.
 func (t *Txn) CommitHolding() error {
 	if t.done {
 		return ErrAborted
 	}
 	t.holding = true
 	if err := t.commitTrains(); err != nil {
-		t.abortLocked()
+		t.releaseAll()
+		t.finish(err == ErrIndeterminate)
 		return err
 	}
 	if err := t.ack(); err != nil {
@@ -603,9 +606,14 @@ func (t *Txn) Release() {
 
 // ack is the commit's Ack to the API client (message 10 of Figure 2, or 14
 // under Read Backup — the timing difference is already inside commitTrain).
+// A lost Ack of a transaction that wrote leaves it committed, unknown to
+// its client.
 func (t *Txn) ack() error {
 	t.tc.send(t.p)
 	if !t.c.net.TravelDeferred(t.p, t.tc.Node, t.origin, ackSize, rpcTimeout) {
+		if t.HasWrites() {
+			return ErrIndeterminate
+		}
 		return ErrNodeUnavailable
 	}
 	return nil
@@ -688,7 +696,9 @@ func (tr *train) apply(t *Txn) {
 // work stays per row. applyNow selects whether the train applies its rows
 // itself at the commit point (single-train transactions) or leaves them for
 // the caller to apply once every train of the transaction has succeeded
-// (multi-train atomicity under mid-flight failures).
+// (multi-train atomicity under mid-flight failures). A train that applied
+// has committed whatever is lost after: a failed Complete arm is no
+// failure, and a lost Committed is ErrIndeterminate.
 func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 	ph := t.phases(p)
 	defer ph.close()
@@ -713,11 +723,13 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 	// the instant the Commit message actually reaches it. Multi-train
 	// transactions defer the apply to the transaction-wide commit point.
 	p.Flush()
+	lost := ErrNodeUnavailable
 	if applyNow {
 		tr.apply(t)
+		lost = ErrIndeterminate
 	}
 	if !t.hop(p, prev, t.tc, ackSize) {
-		return ErrNodeUnavailable
+		return lost
 	}
 	ph.end()
 	// Complete pass: release backup-side resources. Without Read Backup
@@ -760,7 +772,7 @@ func (t *Txn) commitTrain(p *sim.Proc, tr *train, applyNow bool) error {
 	for _, dn := range backups {
 		t.c.dispatch(fanTask{span: fanSpan, txn: t, backup: dn, join: j})
 	}
-	if allOK, _ := t.c.collect(j); !allOK {
+	if allOK, _ := t.c.collect(j); !allOK && !applyNow {
 		return ErrNodeUnavailable
 	}
 	ph.end()

@@ -37,7 +37,9 @@ type Promise struct {
 	Effect Effect
 }
 
-// Promises holds one row per client operation. A mutation's written rows
+// Promises holds one row per client operation, in the order reports list
+// them, and its names are the client operations' names everywhere: root
+// spans, per-op metrics, traces. A mutation's written rows
 // are locked exclusively at their chain's heads, and a create's, a delete's
 // or a rename's parent is share-locked. A read takes no lock: it is read
 // committed at the replica nearest its transaction coordinator, which
@@ -47,18 +49,18 @@ type Promise struct {
 // opposite orders: each read sees the namespace of one instant. A
 // cross-shard mutation shows at one instant, its writers' release.
 var Promises = []Promise{
-	{Op: "mkdir", Effect: Atomic},
-	{Op: "create", Effect: Atomic},
-	{Op: "delete", Effect: Atomic},
-	{Op: "rename", Effect: Atomic},
-	{Op: "attachBlocks", Effect: Atomic},
-	{Op: "setPermission", Effect: Atomic},
-	{Op: "setOwner", Effect: Atomic},
-	{Op: "setQuota", Effect: Atomic},
 	{Op: "stat", Effect: Snapshot},
 	{Op: "read", Effect: Snapshot},
 	{Op: "list", Effect: Listed},
+	{Op: "create", Effect: Atomic},
+	{Op: "mkdir", Effect: Atomic},
+	{Op: "delete", Effect: Atomic},
+	{Op: "rename", Effect: Atomic},
+	{Op: "setPermission", Effect: Atomic},
+	{Op: "setOwner", Effect: Atomic},
+	{Op: "setQuota", Effect: Atomic},
 	{Op: "quota", Effect: Snapshot},
+	{Op: "attachBlocks", Effect: Atomic},
 	{Op: "contentSummary", Effect: Snapshot},
 }
 

@@ -3,12 +3,16 @@
 // namespace that answers mkdir, create, delete, rename, attach, list, stat
 // and read the way the metadata layer promises to, with the same classes of
 // error; History is what clients record of each operation they ran: what
-// they invoked, when, and what came back; Check searches a concurrent
-// history for an order of its operations that the model accepts (check.go).
+// they invoked, when, and what came back; WriteOps and ReadOps carry what
+// operations ran as text, a trace; Check searches a concurrent history for
+// an order of its operations that the model accepts (check.go).
 package nsmodel
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"io"
 	"maps"
 	"slices"
 	"strconv"
@@ -313,6 +317,64 @@ type Op struct {
 	Invoke, Return time.Duration
 	Err            error
 	Result         any
+}
+
+// WriteOps writes what each operation ran, one a line, as ReadOps reads it:
+//
+//	<name> [-r] <path> [<dst>]
+//
+// where -r marks a recursive delete and dst is a rename's destination. It
+// is a trace: a recorded run that another deployment can replay.
+func WriteOps(w io.Writer, ops []Op) error {
+	bw := bufio.NewWriter(w)
+	for _, op := range ops {
+		bw.WriteString(op.Name)
+		if op.Recursive {
+			bw.WriteString(" -r")
+		}
+		bw.WriteString(" " + op.Path)
+		if op.Dst != "" {
+			bw.WriteString(" " + op.Dst)
+		}
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
+}
+
+// ReadOps parses WriteOps's format, skipping blank lines and # comments.
+// Each name is a row of Promises; a line with a field too many or too few
+// is refused, naming its line, since replaying it would run another
+// operation than the one recorded.
+func ReadOps(r io.Reader) ([]Op, error) {
+	var ops []Op
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		f := strings.Fields(sc.Text())
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		op := Op{Name: f[0]}
+		if _, ok := PromiseOf(op.Name); !ok {
+			return nil, fmt.Errorf("nsmodel: line %d: unknown op %q", line, op.Name)
+		}
+		f = f[1:]
+		if op.Name == "delete" && len(f) > 0 && f[0] == "-r" {
+			op.Recursive, f = true, f[1:]
+		}
+		paths := 1
+		if op.Name == "rename" {
+			paths = 2
+		}
+		if len(f) != paths {
+			return nil, fmt.Errorf("nsmodel: line %d: %s takes %d path(s), not %d", line, op.Name, paths, len(f))
+		}
+		op.Path = f[0]
+		if paths == 2 {
+			op.Dst = f[1]
+		}
+		ops = append(ops, op)
+	}
+	return ops, sc.Err()
 }
 
 // History is a record of client operations in invoke order. Clients that

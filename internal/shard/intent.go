@@ -140,9 +140,9 @@ func (r *Router) markerWrite(s int, id uint64, leg IntentLeg) ndb.BatchWrite {
 // ErrIndeterminate reports a cross-shard commit whose intent is durable
 // but whose later legs did not all acknowledge: the operation will
 // complete (the sweeper replays the intent), the caller just cannot know
-// yet. It unwraps to ndb.ErrNodeUnavailable so history checkers already
-// classify it as indeterminate.
-var ErrIndeterminate = fmt.Errorf("shard: cross-shard commit indeterminate, durable intent pending: %w", ndb.ErrNodeUnavailable)
+// yet. It wraps ndb.ErrIndeterminate, so a caller tests for that one error
+// whether one shard or several committed.
+var ErrIndeterminate = fmt.Errorf("shard: cross-shard commit indeterminate, durable intent pending: %w", ndb.ErrIndeterminate)
 
 // commitCross commits a transaction that opened sub-transactions on several
 // shards: a plain commit when at most one of them has anything to write —

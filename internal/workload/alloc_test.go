@@ -18,7 +18,7 @@ import (
 func TestGeneratorStepAllocs(t *testing.T) {
 	env := sim.New(1)
 	defer env.Close()
-	var fs FS = Discard
+	var fs FS = nopFS{}
 	env.Spawn("client", func(p *sim.Proc) {
 		for _, op := range []struct {
 			op   Op
@@ -45,3 +45,15 @@ func TestGeneratorStepAllocs(t *testing.T) {
 	})
 	env.Run()
 }
+
+// nopFS is the FS on which every call succeeds at once and does nothing.
+type nopFS struct{}
+
+func (nopFS) Mkdir(*sim.Proc, string) error          { return nil }
+func (nopFS) Create(*sim.Proc, string) error         { return nil }
+func (nopFS) Stat(*sim.Proc, string) error           { return nil }
+func (nopFS) Read(*sim.Proc, string) error           { return nil }
+func (nopFS) List(*sim.Proc, string) error           { return nil }
+func (nopFS) Delete(*sim.Proc, string) error         { return nil }
+func (nopFS) Rename(*sim.Proc, string, string) error { return nil }
+func (nopFS) SetPermission(*sim.Proc, string) error  { return nil }

@@ -33,23 +33,6 @@ type FS interface {
 	SetPermission(p *sim.Proc, path string) error
 }
 
-// Discard is the FS on which every call succeeds at once and does nothing:
-// what a generator runs against when only its operation stream is wanted
-// (trace generation, driver self-tests). The benchmark keeps a copy of its
-// own in benchmark/benchmark_test.go until benchmark/ may be edited.
-var Discard FS = discard{}
-
-type discard struct{}
-
-func (discard) Mkdir(*sim.Proc, string) error          { return nil }
-func (discard) Create(*sim.Proc, string) error         { return nil }
-func (discard) Stat(*sim.Proc, string) error           { return nil }
-func (discard) Read(*sim.Proc, string) error           { return nil }
-func (discard) List(*sim.Proc, string) error           { return nil }
-func (discard) Delete(*sim.Proc, string) error         { return nil }
-func (discard) Rename(*sim.Proc, string, string) error { return nil }
-func (discard) SetPermission(*sim.Proc, string) error  { return nil }
-
 // Op enumerates file system operation types.
 type Op int
 
