@@ -37,14 +37,16 @@ type Config struct {
 	// Cooldown suppresses further actions after one fires, long enough for
 	// the previous action's effect to show up in the signals.
 	Cooldown time.Duration
-	// UpStep is how many servers one action adds. A firing SLO page doubles
-	// it (emergency growth).
-	UpStep int
 }
 
-// downStep is how many servers one action drains: scaling down is lazy, one
-// server at a time, so a drain past Min cannot happen.
-const downStep = 1
+const (
+	// upStep is how many servers one action adds. A firing SLO page doubles
+	// it (emergency growth).
+	upStep = 1
+	// downStep is how many servers one action drains: scaling down is lazy,
+	// one server at a time, so a drain past Min cannot happen.
+	downStep = 1
+)
 
 // DefaultConfig returns thresholds tuned for the compressed-day elastic
 // experiments: evaluations every few tens of milliseconds of virtual time,
@@ -59,7 +61,6 @@ func DefaultConfig() Config {
 		UpStreak:   2,
 		DownStreak: 6,
 		Cooldown:   200 * time.Millisecond,
-		UpStep:     1,
 	}
 }
 
@@ -76,9 +77,6 @@ func (c Config) Validate() error {
 	}
 	if c.UpStreak < 1 || c.DownStreak < 1 {
 		return fmt.Errorf("autoscale: streaks must be >= 1")
-	}
-	if c.UpStep < 1 {
-		return fmt.Errorf("autoscale: UpStep must be >= 1")
 	}
 	return nil
 }
@@ -172,7 +170,7 @@ func (c *Controller) Evaluate(now time.Duration, s Signals) (delta int, reason s
 
 	switch {
 	case wantUp && c.upRuns >= cfg.UpStreak && s.Serving < cfg.Max:
-		step := cfg.UpStep
+		step := upStep
 		why := fmt.Sprintf("util %.2f p99 %.1fms", s.Util, float64(s.P99)/float64(time.Millisecond))
 		if s.Firing > 0 {
 			// A page means the error budget is burning now: grow harder.

@@ -145,7 +145,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.TargetP99 = 0 },
 		func(c *Config) { c.DownUtil = c.UpUtil },
 		func(c *Config) { c.UpStreak = 0 },
-		func(c *Config) { c.UpStep = 0 },
 	}
 	for i, tweak := range bad {
 		cfg := DefaultConfig()

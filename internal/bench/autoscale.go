@@ -67,15 +67,10 @@ type ElasticOptions struct {
 	Seed int64
 	// Profile is the offered load shape (zero value: loadshape.DefaultProfile).
 	Profile loadshape.Profile
-	// Controller tunes the autoscaler; Min/Max also size the static modes.
-	Controller autoscale.Config
 	// Clients is the total paced client population, fixed across modes. It
-	// must be divisible by Controller.Min and Controller.Max so the static
+	// must be divisible by elasticController's Min and Max so the static
 	// deployments build with whole clients-per-server counts.
 	Clients int
-	// FlightEvery is the flight-recorder sampling interval (0 disables the
-	// timeline capture).
-	FlightEvery time.Duration
 }
 
 // The elastic experiment's fixed parameters.
@@ -88,30 +83,34 @@ const (
 	elasticElectionRound = 100 * time.Millisecond
 	// controlTick is the monitor/controller evaluation interval.
 	controlTick = 25 * time.Millisecond
+	// flightEvery is the timeline's flight-recorder sampling interval.
+	flightEvery = 50 * time.Millisecond
 )
+
+// elasticController tunes the autoscaler; its Min and Max also size the
+// static modes.
+var elasticController = autoscale.Config{
+	Min:        2,
+	Max:        6,
+	TargetP99:  20 * time.Millisecond,
+	UpUtil:     0.70,
+	DownUtil:   0.30,
+	UpStreak:   3,
+	DownStreak: 10,
+	Cooldown:   250 * time.Millisecond,
+}
 
 // DefaultElasticOptions returns the recorded experiment's parameters.
 func DefaultElasticOptions(seed int64) ElasticOptions {
-	ctl := autoscale.DefaultConfig()
-	ctl.Min = 2
-	ctl.Max = 6
-	ctl.TargetP99 = 20 * time.Millisecond
-	ctl.UpUtil = 0.70
-	ctl.DownUtil = 0.30
-	ctl.UpStreak = 3
-	ctl.DownStreak = 10
-	ctl.Cooldown = 250 * time.Millisecond
 	prof := loadshape.DefaultProfile()
 	// 96 clients x 38 ops/s peak: ~3.6k ops/s offered at a weekday peak
 	// (comfortable on 6 servers, hopeless on 2) and a ~45ms closed-loop
 	// latency ceiling at min capacity, past the 20ms target.
 	prof.RatePerClient = 38
 	return ElasticOptions{
-		Seed:        seed,
-		Profile:     prof,
-		Controller:  ctl,
-		Clients:     96,
-		FlightEvery: 50 * time.Millisecond,
+		Seed:    seed,
+		Profile: prof,
+		Clients: 96,
 	}
 }
 
@@ -151,7 +150,7 @@ type ElasticResult struct {
 	Checkpoints    int
 	Violations     []chaos.Violation
 	FailedQuiesces int
-	// Recorder holds the timeline frames when FlightEvery > 0.
+	// Recorder holds the timeline frames, one per flightEvery.
 	Recorder *trace.FlightRecorder
 }
 
@@ -160,9 +159,6 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 	if o.Clients <= 0 {
 		return nil, fmt.Errorf("elastic: need a positive client count")
 	}
-	if err := o.Controller.Validate(); err != nil {
-		return nil, err
-	}
 	prof := o.Profile
 	if prof.Day == 0 {
 		prof = loadshape.DefaultProfile()
@@ -170,9 +166,9 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	startNNs := o.Controller.Min
+	startNNs := elasticController.Min
 	if mode == ModeStaticPeak {
-		startNNs = o.Controller.Max
+		startNNs = elasticController.Max
 	}
 	if o.Clients%startNNs != 0 {
 		return nil, fmt.Errorf("elastic: %d clients not divisible by %d servers", o.Clients, startNNs)
@@ -192,11 +188,11 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 	defer d.Close()
 	env := d.Env
 
-	ctl, err := autoscale.New(o.Controller)
+	ctl, err := autoscale.New(elasticController)
 	if err != nil {
 		return nil, err
 	}
-	eng := d.EnableSLO(elasticSpec(o.Controller.TargetP99))
+	eng := d.EnableSLO(elasticSpec(elasticController.TargetP99))
 	auditor := chaos.NewAuditor(d)
 	res := &ElasticResult{Mode: mode, Seed: o.Seed, MinServing: startNNs, MaxServing: startNNs}
 
@@ -219,19 +215,16 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 	// serving-server count.
 	var paused time.Duration
 	elapsed := func() time.Duration { return env.Now() - start - paused }
-	if o.FlightEvery > 0 {
-		frames := int(prof.Span()/o.FlightEvery) + 64
-		fr := d.EnableFlightRecorder(o.FlightEvery, frames, "slo.")
-		fr.AddProbe("load.multiplier", func() float64 { return prof.Multiplier(elapsed()) })
-		fr.AddProbe("autoscale.serving", func() float64 { return float64(d.ServingNNs()) })
-		// The engine's gauges are per observed op class; the controller and
-		// the timeline want the aggregate, so publish it as a probe.
-		fr.AddProbe("slo.agg.p99_ms", func() float64 {
-			sum := eng.OpSummary("*", env.Now(), 400*time.Millisecond)
-			return float64(sum.Percentile(0.99)) / float64(time.Millisecond)
-		})
-		res.Recorder = fr
-	}
+	fr := d.EnableFlightRecorder(flightEvery, int(prof.Span()/flightEvery)+64, "slo.")
+	fr.AddProbe("load.multiplier", func() float64 { return prof.Multiplier(elapsed()) })
+	fr.AddProbe("autoscale.serving", func() float64 { return float64(d.ServingNNs()) })
+	// The engine's gauges are per observed op class; the controller and
+	// the timeline want the aggregate, so publish it as a probe.
+	fr.AddProbe("slo.agg.p99_ms", func() float64 {
+		sum := eng.OpSummary("*", env.Now(), 400*time.Millisecond)
+		return float64(sum.Percentile(0.99)) / float64(time.Millisecond)
+	})
+	res.Recorder = fr
 
 	// Per-NN CPU windows for the controller's utilization signal (the SLO
 	// engine's HealthStats probe keeps its own window; sharing it would make
@@ -301,7 +294,7 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 		if serving > res.MaxServing {
 			res.MaxServing = serving
 		}
-		if sum.Count > 0 && p99 > o.Controller.TargetP99 {
+		if sum.Count > 0 && p99 > elasticController.TargetP99 {
 			res.OverSLO += controlTick
 		}
 		res.NNSeconds += float64(serving) * controlTick.Seconds()
@@ -374,7 +367,7 @@ func Autoscale(o ExpOptions) (string, error) {
 	fmt.Fprintf(&b, "NN sizing: %d cores, %v per op (~%.0f ops/s per server); target p99 %v; servers %d..%d\n\n",
 		elasticNNCores, elasticNNOpBase,
 		float64(elasticNNCores)*float64(time.Second)/float64(elasticNNOpBase),
-		eo.Controller.TargetP99, eo.Controller.Min, eo.Controller.Max)
+		elasticController.TargetP99, elasticController.Min, elasticController.Max)
 
 	tbl := metrics.NewTable("mode", "servers", "ops", "errors", "time>SLO", "share", "NN-seconds", "audits", "violations")
 	for _, m := range modes {
@@ -418,9 +411,6 @@ func Autoscale(o ExpOptions) (string, error) {
 // renderElasticTimeline samples the flight recorder at half-day boundaries:
 // offered load vs serving servers vs rolling p99.
 func renderElasticTimeline(r *ElasticResult, eo ElasticOptions) string {
-	if r.Recorder == nil {
-		return "(timeline capture disabled)\n"
-	}
 	frames := r.Recorder.Frames()
 	if len(frames) == 0 {
 		return "(no frames)\n"

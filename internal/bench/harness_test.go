@@ -312,7 +312,7 @@ func TestShardedRunReadsEveryCluster(t *testing.T) {
 }
 
 // TestCephRunsRepeat measures every CephFS setup twice at one seed: DESIGN
-// §6 promises bit-for-bit repeatability, which capability revocation broke
+// §5 promises bit-for-bit repeatability, which capability revocation broke
 // while it fanned out in map order. Only the dynamic balancer amplified a
 // reordered revocation into different totals, and reliably only from this
 // scale up, so it alone runs large (cephfs's TestRevocationOrderRepeats pins

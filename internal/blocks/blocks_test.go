@@ -235,7 +235,7 @@ func TestObjectStoreBackend(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BlockSize = 1 << 20
 	m := NewManager(env, net, cfg, nil) // no datanodes: the provider owns storage
-	store := objstore.New(env, net, objstore.DefaultConfig(), []simnet.ZoneID{1, 2, 3}, 700)
+	store := objstore.New(env, net, []simnet.ZoneID{1, 2, 3}, 700)
 	m.UseObjectStore(store)
 	cl := net.NewNode("client", 2, 900)
 

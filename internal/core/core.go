@@ -315,7 +315,7 @@ func (d *Deployment) buildHops() error {
 		if opts.ObjectStoreBlocks {
 			hosts := make([]simnet.ZoneID, len(zones))
 			copy(hosts, zones)
-			store := objstore.New(d.Env, d.Net, objstore.DefaultConfig(), hosts, int(d.nextHost())+100)
+			store := objstore.New(d.Env, d.Net, hosts, int(d.nextHost())+100)
 			d.hostSeq += len(zones) + 1
 			d.Blocks.UseObjectStore(store)
 		}

@@ -13,16 +13,16 @@ import (
 
 // Config shapes a Collector.
 type Config struct {
-	// Depths is how many path-prefix levels get their own subtree sketch:
-	// depth 1 tracks "/proj", depth 2 "/proj/ds", and so on (default 3 —
-	// the evaluation namespace is three levels deep).
-	Depths int
 	// TopN is how many rows reports and the topk_share gauges cover
 	// (default 10).
 	TopN int
 }
 
 const (
+	// depths is how many path-prefix levels get their own subtree sketch:
+	// depth 1 tracks "/proj", depth 2 "/proj/ds", and so on (the evaluation
+	// namespace is three levels deep).
+	depths = 3
 	// sketchK is the per-sketch counter capacity: any key with true
 	// frequency above total/sketchK is guaranteed to be tracked.
 	sketchK = 64
@@ -36,16 +36,12 @@ const (
 
 // DefaultConfig returns the evaluation heat-tracking parameters.
 func DefaultConfig() Config {
-	return Config{Depths: 3, TopN: 10}
+	return Config{TopN: 10}
 }
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Depths <= 0 {
-		c.Depths = d.Depths
-	}
 	if c.TopN <= 0 {
-		c.TopN = d.TopN
+		c.TopN = DefaultConfig().TopN
 	}
 	return c
 }
@@ -102,14 +98,14 @@ func NewCollector(cfg Config, reg *trace.Registry) *Collector {
 		reg:      reg,
 		gauges:   make(map[string]*familyGauges),
 	}
-	for d := 0; d < cfg.Depths; d++ {
+	for range depths {
 		c.subtrees = append(c.subtrees, NewTopK[string](sketchK, decayWindow))
 	}
 	return c
 }
 
 // TouchPath attributes one operation to the path's enclosing subtrees:
-// every prefix of up to Depths components gets one touch. Prefixes are
+// every prefix of up to depths components gets one touch. Prefixes are
 // substrings of path, so the touch shares the caller's string backing and
 // allocates nothing on the tracked-key fast path.
 func (c *Collector) TouchPath(now time.Duration, path string) {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCollectorTouchPathDepths(t *testing.T) {
-	c := NewCollector(Config{Depths: 3}, nil)
+	c := NewCollector(Config{}, nil)
 	c.TouchPath(0, "/proj001/ds00/part-0001")
 	c.TouchPath(0, "/proj001/ds00/part-0002")
 	c.TouchPath(0, "/proj001/ds01/part-0001")
@@ -65,7 +65,7 @@ func TestCollectorPartitionKeysAndInodes(t *testing.T) {
 
 func TestCollectorPublishGauges(t *testing.T) {
 	reg := trace.NewRegistry()
-	c := NewCollector(Config{Depths: 1, TopN: 2}, reg)
+	c := NewCollector(Config{TopN: 2}, reg)
 	c.TouchPath(0, "/hot/a")
 	c.TouchPath(0, "/hot/b")
 	c.TouchPath(0, "/hot/c")
@@ -102,7 +102,7 @@ func TestCollectorTouchAllocationFree(t *testing.T) {
 }
 
 func TestReportRenderAndCSV(t *testing.T) {
-	c := NewCollector(Config{Depths: 1}, nil)
+	c := NewCollector(Config{}, nil)
 	c.TouchPath(0, "/hot/a")
 	c.TouchPath(0, "/hot/b")
 	c.TouchPath(0, "/cold/x")
@@ -124,7 +124,7 @@ func TestReportRenderAndCSV(t *testing.T) {
 		t.Fatalf("csv missing expected row:\n%s", csv)
 	}
 	// Same schedule twice must render byte-identically.
-	c2 := NewCollector(Config{Depths: 1}, nil)
+	c2 := NewCollector(Config{}, nil)
 	c2.TouchPath(0, "/hot/a")
 	c2.TouchPath(0, "/hot/b")
 	c2.TouchPath(0, "/cold/x")

@@ -705,7 +705,7 @@ func (nn *NameNode) Stat(p *sim.Proc, path string) (*Inode, error) {
 }
 
 // GetBlockLocations is the read-file metadata operation. Like Stat it is
-// read committed and takes no lock (DESIGN §5), so under Read Backup every
+// read committed and takes no lock (DESIGN §9.1), so under Read Backup every
 // row it reads is served in the coordinator's AZ: on warm hints it is one
 // round.
 func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) {
@@ -752,7 +752,7 @@ func (l Listing) Len() int { return len(l.kvs) }
 func (l Listing) At(i int) *Inode { return l.kvs[i].Val.(*Inode) }
 
 // List returns a directory's children. The resolve is read committed and
-// takes no lock (DESIGN §5); the children are listed by listChildren, as one
+// takes no lock (DESIGN §9.1); the children are listed by listChildren, as one
 // level of a subtree walk, from the snapshot of the directory's partition.
 func (nn *NameNode) List(p *sim.Proc, path string) (Listing, error) {
 	var out Listing

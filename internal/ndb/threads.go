@@ -56,7 +56,7 @@ func (t ThreadType) String() string {
 }
 
 // The calibrated CPU service demands of the engine: the model's stand-in
-// for the instruction footprints of real NDB code paths (DESIGN.md §2). Only
+// for the instruction footprints of real NDB code paths (DESIGN.md §12). Only
 // ratios matter for the reproduced shapes.
 const (
 	// costRecv/costSend are charged per message arriving at / leaving a

@@ -626,7 +626,7 @@ func (t *Txn) ack() error {
 // today's chain holds no prepared copy, so the commit fails with
 // ErrNodeUnavailable before anything is applied and the caller's retry runs
 // the transaction again: the abort-and-retry rule for a failed coordinator
-// (DESIGN §5b), applied to a participant.
+// (DESIGN §6), applied to a participant.
 func (t *Txn) commitTrains() error {
 	for _, tr := range t.trains {
 		for i := range tr.rows {

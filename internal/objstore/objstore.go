@@ -28,18 +28,18 @@ var (
 	ErrUnavailable = errors.New("objstore: service unavailable")
 )
 
-// Config parameterizes the store.
-type Config struct {
-	// PutLatency / GetLatency are the service-side first-byte latencies
-	// (cloud object stores answer in the tens of milliseconds).
-	PutLatency time.Duration
-	GetLatency time.Duration
-	// RequestsPerSecond rate-limits the API per front-end endpoint; 0
-	// disables limiting.
-	RequestsPerSecond float64
-}
-
+// The store's S3-standard-class calibration.
 const (
+	// putLatency and getLatency are the service-side first-byte latencies
+	// (cloud object stores answer in the tens of milliseconds).
+	putLatency = 20 * time.Millisecond
+	getLatency = 12 * time.Millisecond
+	// requestsPerSecond rate-limits the API (the S3 per-prefix GET limit's
+	// order of magnitude): apiSlots admission slots, each held for
+	// perRequest by one request.
+	requestsPerSecond = 5500
+	apiSlots          = 64
+	perRequest        = apiSlots * time.Second / requestsPerSecond
 	// bandwidth bounds a single connection's transfer rate: ~1 GB/s.
 	bandwidth float64 = 1e9
 	// replicationZones is the store's internal durability fan-out. It is
@@ -47,15 +47,6 @@ const (
 	// this many zones.
 	replicationZones = 3
 )
-
-// DefaultConfig returns S3-standard-class numbers.
-func DefaultConfig() Config {
-	return Config{
-		PutLatency:        20 * time.Millisecond,
-		GetLatency:        12 * time.Millisecond,
-		RequestsPerSecond: 5500, // S3 per-prefix GET limit order of magnitude
-	}
-}
 
 // object is one stored blob (sizes only; content is out of scope).
 type object struct {
@@ -70,7 +61,6 @@ type object struct {
 type Store struct {
 	env *sim.Env
 	net *simnet.Network
-	cfg Config
 
 	endpoints map[simnet.ZoneID]*simnet.Node
 	objects   map[string]object
@@ -83,19 +73,16 @@ type Store struct {
 }
 
 // New builds a store with endpoints in the given zones.
-func New(env *sim.Env, net *simnet.Network, cfg Config, zones []simnet.ZoneID, hostBase int) *Store {
+func New(env *sim.Env, net *simnet.Network, zones []simnet.ZoneID, hostBase int) *Store {
 	s := &Store{
 		env:       env,
 		net:       net,
-		cfg:       cfg,
 		endpoints: make(map[simnet.ZoneID]*simnet.Node, len(zones)),
 		objects:   make(map[string]object),
+		rate:      sim.NewResource(env, "objstore/api", apiSlots),
 	}
 	for i, z := range zones {
 		s.endpoints[z] = net.NewNode(fmt.Sprintf("objstore-%d", i+1), z, simnet.HostID(hostBase+i))
-	}
-	if cfg.RequestsPerSecond > 0 {
-		s.rate = sim.NewResource(env, "objstore/api", 64)
 	}
 	return s
 }
@@ -115,11 +102,7 @@ func (s *Store) endpoint(z simnet.ZoneID) *simnet.Node {
 
 // admit models the API rate limit as fluid service on the admission queue.
 func (s *Store) admit(p *sim.Proc) {
-	if s.rate == nil {
-		return
-	}
-	perReq := time.Duration(float64(s.rate.Capacity()) / s.cfg.RequestsPerSecond * float64(time.Second))
-	s.rate.UseDeferred(p, perReq)
+	s.rate.UseDeferred(p, perRequest)
 }
 
 // Put uploads an object of the given size from the client. The provider
@@ -133,7 +116,7 @@ func (s *Store) Put(p *sim.Proc, client *simnet.Node, key string, size int64) er
 	if !s.net.TravelDeferred(p, client, ep, int(size)+256, 30*time.Second) {
 		return ErrUnavailable
 	}
-	p.Defer(s.cfg.PutLatency + s.transferTime(size))
+	p.Defer(putLatency + s.transferTime(size))
 	// Internal durability fan-out: regional replication traffic between
 	// the provider's zones.
 	reps := 0
@@ -166,7 +149,7 @@ func (s *Store) Get(p *sim.Proc, client *simnet.Node, key string) (int64, error)
 	if !s.net.TravelDeferred(p, client, ep, 256, 30*time.Second) {
 		return 0, ErrUnavailable
 	}
-	p.Defer(s.cfg.GetLatency + s.transferTime(obj.size))
+	p.Defer(getLatency + s.transferTime(obj.size))
 	if !s.net.TravelDeferred(p, ep, client, int(obj.size)+256, 30*time.Second) {
 		return 0, ErrUnavailable
 	}

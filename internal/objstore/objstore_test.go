@@ -14,7 +14,7 @@ func testStore(t *testing.T) (*sim.Env, *simnet.Network, *Store) {
 	env := sim.New(9)
 	t.Cleanup(env.Close)
 	net := simnet.New(env, simnet.USWest1())
-	s := New(env, net, DefaultConfig(), []simnet.ZoneID{1, 2, 3}, 700)
+	s := New(env, net, []simnet.ZoneID{1, 2, 3}, 700)
 	return env, net, s
 }
 
@@ -69,8 +69,8 @@ func TestGetLatencyIncludesServiceTime(t *testing.T) {
 		dur = p.Now() - t0
 	})
 	env.RunFor(time.Minute)
-	if dur < s.cfg.GetLatency {
-		t.Fatalf("get took %v, below the service latency %v", dur, s.cfg.GetLatency)
+	if dur < getLatency {
+		t.Fatalf("get took %v, below the service latency %v", dur, getLatency)
 	}
 }
 
@@ -143,35 +143,41 @@ func TestAllEndpointsDownIsUnavailable(t *testing.T) {
 	}
 }
 
+// TestRateLimitQueuesRequests offers n concurrent gets to one endpoint at
+// once: at requestsPerSecond the last cannot finish sooner than
+// n/requestsPerSecond after they start.
 func TestRateLimitQueuesRequests(t *testing.T) {
+	const n = 1000
 	env := sim.New(9)
 	defer env.Close()
 	net := simnet.New(env, simnet.USWest1())
-	cfg := DefaultConfig()
-	cfg.RequestsPerSecond = 100 // very tight: 10ms per request
-	cfg.GetLatency = 0
-	cfg.PutLatency = 0
-	s := New(env, net, cfg, []simnet.ZoneID{1}, 700)
+	s := New(env, net, []simnet.ZoneID{1}, 700)
 	client := net.NewNode("client", 1, 800)
-	var done time.Duration
-	env.Spawn("io", func(p *sim.Proc) {
+	var start, last time.Duration
+	env.Spawn("put", func(p *sim.Proc) {
 		if err := s.Put(p, client, "k", 16); err != nil {
 			t.Error(err)
 			return
 		}
-		for i := 0; i < 200; i++ {
-			if _, err := s.Get(p, client, "k"); err != nil {
-				t.Error(err)
-				return
-			}
-		}
 		p.Flush()
-		done = p.Now()
+		start = p.Now()
+		for i := 0; i < n; i++ {
+			env.Spawn("get", func(p *sim.Proc) {
+				if _, err := s.Get(p, client, "k"); err != nil {
+					t.Error(err)
+					return
+				}
+				p.Flush()
+				last = max(last, p.Now())
+			})
+		}
 	})
 	env.RunFor(10 * time.Minute)
-	// 201 requests at 100 req/s (64-way admission) must take well over the
-	// raw network time.
-	if done < 20*time.Millisecond {
-		t.Fatalf("200 rate-limited requests finished in %v; limit not applied", done)
+	if s.Gets != n {
+		t.Fatalf("%d of %d gets finished", s.Gets, n)
+	}
+	floor := n * time.Second / requestsPerSecond
+	if took := last - start; took < floor {
+		t.Fatalf("%d concurrent gets finished in %v, under the %v that %d req/s allows", n, took, floor, requestsPerSecond)
 	}
 }

@@ -56,12 +56,13 @@ type Exemplar struct {
 	Root   *trace.Span
 }
 
+// exemplarsPerOp is the max pinned exemplars per op class. The slowest
+// qualifying ops win: rank by latency desc, then earlier end instant, then
+// span ID, so a fixed seed pins a byte-identical set.
+const exemplarsPerOp = 4
+
 // ExemplarConfig bounds the store.
 type ExemplarConfig struct {
-	// PerOp is the max pinned exemplars per op class (default 4). The
-	// slowest qualifying ops win: rank by latency desc, then earlier end
-	// instant, then span ID, so a fixed seed pins a byte-identical set.
-	PerOp int
 	// Window is the slowest-op capture window: every Window of virtual
 	// time, the slowest completed op is pinned even when nothing breaches
 	// (default 1s), so quiet runs still yield exemplars.
@@ -69,9 +70,6 @@ type ExemplarConfig struct {
 }
 
 func (c ExemplarConfig) withDefaults() ExemplarConfig {
-	if c.PerOp <= 0 {
-		c.PerOp = 4
-	}
 	if c.Window <= 0 {
 		c.Window = time.Second
 	}
@@ -215,14 +213,14 @@ func (x *Exemplars) pinLocked(ex *Exemplar) {
 		}
 	}
 	i := sort.Search(len(list), func(i int) bool { return !better(list[i], ex) })
-	if i >= x.cfg.PerOp {
+	if i >= exemplarsPerOp {
 		return // ranks below every kept exemplar of a full class
 	}
 	list = append(list, nil)
 	copy(list[i+1:], list[i:])
 	list[i] = ex
-	if len(list) > x.cfg.PerOp {
-		list = list[:x.cfg.PerOp]
+	if len(list) > exemplarsPerOp {
+		list = list[:exemplarsPerOp]
 	}
 	x.perOp[ex.Op] = list
 }

@@ -72,23 +72,26 @@ func TestExemplarsWindowSlowest(t *testing.T) {
 }
 
 func TestExemplarsBoundAndOrder(t *testing.T) {
-	x := NewExemplars(exemplarEngine(), ExemplarConfig{PerOp: 2})
+	x := NewExemplars(exemplarEngine(), ExemplarConfig{})
 	x.Observe(span(1, "stat", 0, 20*time.Millisecond))
 	x.Observe(span(2, "stat", 0, 40*time.Millisecond))
 	x.Observe(span(3, "stat", 0, 30*time.Millisecond))
 	x.Observe(span(4, "stat", 0, 15*time.Millisecond))
+	x.Observe(span(5, "stat", 0, 25*time.Millisecond))
+	x.Observe(span(6, "stat", 0, 12*time.Millisecond))
 
 	rep := x.Report(time.Second)
 	c := rep.Class("stat")
-	if len(c.Exemplars) != 2 {
-		t.Fatalf("bound not enforced: %d exemplars", len(c.Exemplars))
+	if len(c.Exemplars) != exemplarsPerOp {
+		t.Fatalf("bound not enforced: %d exemplars, want %d", len(c.Exemplars), exemplarsPerOp)
 	}
-	if c.Exemplars[0].Root.ID != 2 || c.Exemplars[1].Root.ID != 3 {
-		t.Fatalf("kept spans %d,%d, want the two slowest (2,3)",
-			c.Exemplars[0].Root.ID, c.Exemplars[1].Root.ID)
+	for i, want := range []trace.SpanID{2, 3, 5, 1} {
+		if got := c.Exemplars[i].Root.ID; got != want {
+			t.Fatalf("rank %d is span %d, want %d: the four slowest, slowest first", i+1, got, want)
+		}
 	}
-	if rep.Pinned != 2 {
-		t.Fatalf("pinned = %d, want 2", rep.Pinned)
+	if rep.Pinned != exemplarsPerOp {
+		t.Fatalf("pinned = %d, want %d", rep.Pinned, exemplarsPerOp)
 	}
 }
 
@@ -124,21 +127,33 @@ func TestExemplarsBurnFiring(t *testing.T) {
 }
 
 func TestExemplarsDeterministicRender(t *testing.T) {
-	drive := func() string {
-		x := NewExemplars(exemplarEngine(), ExemplarConfig{PerOp: 3})
+	drive := func() *ExemplarReport {
+		x := NewExemplars(exemplarEngine(), ExemplarConfig{})
 		for i := 0; i < 50; i++ {
 			end := time.Duration(i*37) * time.Millisecond
 			lat := time.Duration(1+i%25) * time.Millisecond
 			op := []string{"stat", "read", "create"}[i%3]
 			x.Observe(span(uint64(i+1), op, end-lat, end))
 		}
-		return x.Report(2 * time.Second).Render()
+		return x.Report(2 * time.Second)
 	}
-	a, b := drive(), drive()
+	rep := drive()
+	a, b := rep.Render(), drive().Render()
 	if a != b {
 		t.Fatalf("renders diverge:\n%s\n---\n%s", a, b)
 	}
 	if !strings.Contains(a, "op stat") || !strings.Contains(a, "reason=") {
 		t.Fatalf("render missing expected content:\n%s", a)
+	}
+	// Ten stats breach their 10ms objective; the four slowest pin, slowest
+	// first.
+	c := rep.Class("stat")
+	if c == nil || len(c.Exemplars) != exemplarsPerOp {
+		t.Fatalf("stat class = %+v, want %d exemplars", c, exemplarsPerOp)
+	}
+	for i, want := range []trace.SpanID{25, 49, 22, 46} {
+		if got := c.Exemplars[i].Root.ID; got != want {
+			t.Fatalf("stat rank %d is span %d, want %d", i+1, got, want)
+		}
 	}
 }
