@@ -277,7 +277,7 @@ func Example_spotify() {
 	fmt.Println("coordinators, Read Backup replicas, and AZ-local metadata servers (§IV).")
 
 	// Output:
-	// HopsFS-CL (3,3)    committed txns:   579   cross-AZ:    0.09 MB of    0.66 MB (13%)
+	// HopsFS-CL (3,3)    committed txns:   579   cross-AZ:    0.08 MB of    0.66 MB (13%)
 	// HopsFS (3,3)       committed txns:   579   cross-AZ:    0.61 MB of    0.64 MB (96%)
 	// AZ awareness keeps metadata traffic inside each zone: local transaction
 	// coordinators, Read Backup replicas, and AZ-local metadata servers (§IV).

@@ -48,22 +48,6 @@ const (
 	downStep = 1
 )
 
-// DefaultConfig returns thresholds tuned for the compressed-day elastic
-// experiments: evaluations every few tens of milliseconds of virtual time,
-// days a few seconds long.
-func DefaultConfig() Config {
-	return Config{
-		Min:        1,
-		Max:        8,
-		TargetP99:  30 * time.Millisecond,
-		UpUtil:     0.70,
-		DownUtil:   0.30,
-		UpStreak:   2,
-		DownStreak: 6,
-		Cooldown:   200 * time.Millisecond,
-	}
-}
-
 // Validate reports the first structural problem of a config.
 func (c Config) Validate() error {
 	if c.Min < 1 || c.Max < c.Min {

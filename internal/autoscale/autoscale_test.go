@@ -6,9 +6,25 @@ import (
 	"time"
 )
 
+// testConfig returns thresholds tuned for the compressed-day elastic
+// experiments: evaluations every few tens of milliseconds of virtual time,
+// days a few seconds long.
+func testConfig() Config {
+	return Config{
+		Min:        1,
+		Max:        8,
+		TargetP99:  30 * time.Millisecond,
+		UpUtil:     0.70,
+		DownUtil:   0.30,
+		UpStreak:   2,
+		DownStreak: 6,
+		Cooldown:   200 * time.Millisecond,
+	}
+}
+
 func newTest(t *testing.T, tweak func(*Config)) *Controller {
 	t.Helper()
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	if tweak != nil {
 		tweak(&cfg)
 	}
@@ -147,7 +163,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.UpStreak = 0 },
 	}
 	for i, tweak := range bad {
-		cfg := DefaultConfig()
+		cfg := testConfig()
 		tweak(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hopsfscl/internal/blocks"
+	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
@@ -343,10 +344,13 @@ func (cl *Client) WriteFile(p *sim.Proc, path string, size int64) error {
 	err = cl.do(p, nsmodel.Op{Name: "attachBlocks", Path: path, ID: ino.ID, Size: size}, 0, func(nn *NameNode) (int, error) {
 		return 0, nn.AttachBlocks(p, path, ino.ID, ids, size)
 	})
-	if err != nil && !errors.Is(err, ErrNoNameNodes) && !errors.Is(err, ErrRetriesExhausted) {
+	if err != nil && !errors.Is(err, ErrNoNameNodes) && !errors.Is(err, ErrRetriesExhausted) &&
+		!errors.Is(err, ndb.ErrIndeterminate) {
 		// The attach definitively failed (a namespace error, not a lost
 		// response), so the streamed blocks can never be referenced:
-		// release them now instead of waiting for orphan reclamation.
+		// release them now instead of waiting for orphan reclamation. An
+		// indeterminate attach is a lost response: its primary may have
+		// applied it, so its blocks stay for orphan reclamation to judge.
 		for _, id := range ids {
 			mgr.DeleteBlock(id)
 		}

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"hopsfscl/internal/blocks"
+	"hopsfscl/internal/core"
 	"hopsfscl/internal/namenode"
+	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/sim"
 )
 
@@ -82,5 +84,80 @@ func TestWriteLandsOnItsFile(t *testing.T) {
 				t.Errorf("the name's occupant is %+v: the writer's blocks landed on it", taken)
 			}
 		})
+	}
+}
+
+// TestIndeterminateAttachKeepsItsBlocks writes a 3 MiB file and fails the
+// datanode holding its inode row's primary replica while the attach's Commit
+// pass is on the wire: the primary applies the attach at the commit point,
+// and its Committed answer to the TC is lost with it. The write answers
+// ndb.ErrIndeterminate, the inode lists its blocks, and the block layer
+// still holds every one of them: an attach that may have applied leaves its
+// blocks to orphan reclamation instead of freeing them.
+//
+// A first run finds the microsecond tick of a poller at which the attach is
+// committed; a second, identical up to the fault, fails the primary three
+// ticks earlier, inside the Commit pass.
+func TestIndeterminateAttachKeepsItsBlocks(t *testing.T) {
+	// run writes /f with a poller that ticks every microsecond and fails the
+	// inode row's primary at tick failAt (never when negative). It returns
+	// the tick at which the committed inode first lists blocks, or -1.
+	run := func(failAt int) (d *core.Deployment, writeErr error, seen int) {
+		d = historyDeployment(t, 1, 1)
+		inodes := d.MetaClusters()[0].Table("inodes")
+		cl := d.NS.NewClient(1, 9001, 1)
+		wrote := false
+		d.Env.Spawn("writer", func(p *sim.Proc) {
+			writeErr, wrote = cl.WriteFile(p, "/f", 3<<20), true
+		})
+		seen = -1
+		d.Env.Spawn("poller", func(p *sim.Proc) {
+			for tick := 0; !wrote; tick++ {
+				pk, attached := "", false
+				inodes.ForEachCommitted(func(partKey, _ string, val ndb.Value) {
+					if ino := val.(*namenode.Inode); ino.Name == "f" {
+						pk, attached = partKey, len(ino.Blocks) > 0
+					}
+				})
+				if attached && seen < 0 {
+					seen = tick
+				}
+				if tick == failAt {
+					inodes.PrimaryFor(pk).Node.Fail()
+				}
+				p.Sleep(time.Microsecond)
+			}
+		})
+		d.Env.RunFor(time.Minute)
+		if !wrote {
+			t.Fatal("the write did not finish")
+		}
+		return d, writeErr, seen
+	}
+	_, err, seen := run(-1)
+	if err != nil || seen < 3 {
+		t.Fatalf("the fault-free write answered %v, its attach seen at tick %d", err, seen)
+	}
+	d, err, _ := run(seen - 3)
+	if !errors.Is(err, ndb.ErrIndeterminate) {
+		t.Fatalf("the write answered %v, want ErrIndeterminate: the fault missed the Commit pass", err)
+	}
+	var listed []blocks.BlockID
+	d.MetaClusters()[0].Table("inodes").ForEachCommitted(func(_, _ string, val ndb.Value) {
+		if ino := val.(*namenode.Inode); ino.Name == "f" {
+			listed = ino.Blocks
+		}
+	})
+	if len(listed) == 0 {
+		t.Fatal("the inode lists no blocks: the attach did not apply")
+	}
+	held := map[blocks.BlockID]bool{}
+	for _, b := range d.Blocks.Blocks() {
+		held[b.ID] = true
+	}
+	for _, id := range listed {
+		if !held[id] {
+			t.Errorf("the inode lists block %d, which the block layer no longer holds", id)
+		}
 	}
 }

@@ -3,6 +3,7 @@
 package ndb
 
 import (
+	"fmt"
 	"testing"
 
 	"hopsfscl/internal/sim"
@@ -70,6 +71,49 @@ func TestBatchAllocFree(t *testing.T) {
 		}
 		return tx.Commit()
 	})
+}
+
+// TestChainOrderAllocFree: chainOf memoizes every chain it returns per
+// topology epoch — the chain in replica order and each middle TC's reordered
+// one — so once warm it allocates nothing for any TC, of an RF-3 chain or of
+// a fully replicated table's, and a warm one-row write allocates nothing
+// whichever replica coordinates it.
+func TestChainOrderAllocFree(t *testing.T) {
+	env, c, _ := testCluster(t, true, 3)
+	c.StopBackground()
+	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+	full := c.CreateTable("full", 64, TableOptions{ReadBackup: true, FullyReplicated: true})
+	for _, tab := range []*Table{tbl, full} {
+		part := tab.partitionFor("p")
+		for _, tc := range c.DataNodes() {
+			part.chainOf(tc)
+			if allocs := testing.AllocsPerRun(100, func() { part.chainOf(tc) }); allocs != 0 {
+				t.Errorf("%s, TC %s: chainOf allocates %.0f times per call, want 0", tab.Name(), tc.Node.Name(), allocs)
+			}
+		}
+	}
+	write := []BatchWrite{{Table: tbl, PartKey: "p", Key: "k", Val: "v"}}
+	for _, tc := range tbl.partitionFor("p").replicas() {
+		client := c.net.NewNode("client", tc.Node.Zone(), 301)
+		inTxn(t, env, c, client, tc.Domain, tbl, "p", func(p *sim.Proc, tx *Txn) error {
+			if tx.Coordinator() != tc {
+				return fmt.Errorf("the coordinator is %s, want %s", tx.Coordinator().Node.Name(), tc.Node.Name())
+			}
+			var err error
+			allocs := testing.AllocsPerRun(100, func() {
+				if e := tx.WriteBatch(write); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				return err
+			}
+			if allocs != 0 {
+				t.Errorf("TC %s: a warm one-row write allocates %.0f times, want 0", tc.Node.Name(), allocs)
+			}
+			return tx.Commit()
+		})
+	}
 }
 
 // TestWarmScanAllocFree: a scan of a bucket nothing has changed since its

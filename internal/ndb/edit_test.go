@@ -69,7 +69,8 @@ func TestRacingEdits(t *testing.T) {
 // Editor's error — each two messages, TC -> primary and the refusal back —
 // and the abort leaves no lock, no placeholder row and the committed value
 // untouched. An edited delete hands its Editor the pre-image, which the head
-// sends back to the TC as one message of its own beside the Prepare pass.
+// sends back to the TC as one message of its own beside the Prepare pass; the
+// TC is a backup, so the pass ends at its replica with a local answer.
 func TestRefusedEditLeavesNothing(t *testing.T) {
 	env, c, client := testClusterCfg(t, true, 3, nil)
 	c.StopBackground()
@@ -122,8 +123,8 @@ func TestRefusedEditLeavesNothing(t *testing.T) {
 			return err
 		}
 		p.Flush()
-		if n, want := c.net.TotalMessages()-msgs, int64(len(tbl.partitionFor(own).replicas())+2); n != want {
-			return fmt.Errorf("an edited delete exchanged %d messages, want %d (the Prepare pass and the pre-image)", n, want)
+		if n, want := c.net.TotalMessages()-msgs, int64(len(tbl.partitionFor(own).replicas())+1); n != want {
+			return fmt.Errorf("an edited delete exchanged %d messages, want %d (the Prepare pass, its Prepared answer local at the TC's replica, and the pre-image)", n, want)
 		}
 		return tx.Commit()
 	})

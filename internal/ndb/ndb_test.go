@@ -894,8 +894,10 @@ func TestRecoverZoneAfterAZFailure(t *testing.T) {
 // Commit x3 in reverse, Committed x1, Complete x2 and Completed x2, and the
 // Ack — 14 signals, the Ack being Figure 2's message 14. There is no staging
 // exchange: executing the write is its Prepare. The coordinator is the
-// AZ-local backup, so its own Complete and Completed are local signals: 12
-// of the 14 cross the network, and only those charge SEND and RECV jobs.
+// AZ-local backup, and the chain ends at its replica (DESIGN §10), so the
+// Prepared answer, the first Commit, and its own Complete and Completed are
+// local signals: 10 of the 14 cross the network, and only those charge SEND
+// and RECV jobs.
 func TestCommitProtocolMessageCount(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	c.StopBackground()
@@ -928,14 +930,14 @@ func TestCommitProtocolMessageCount(t *testing.T) {
 		stats.SendJobs -= statsBefore.SendJobs
 	})
 	env.RunFor(time.Minute)
-	if msgs != 12 || stats.LocalSignals != 2 {
-		t.Fatalf("Begin to Ack used %d messages and %d local signals, want 12 + 2 = 14 signals (Figure 2 with RF 3 and Read Backup)",
+	if msgs != 10 || stats.LocalSignals != 4 {
+		t.Fatalf("Begin to Ack used %d messages and %d local signals, want 10 + 4 = 14 signals (Figure 2 with RF 3 and Read Backup)",
 			msgs, stats.LocalSignals)
 	}
 	// Every message but the client's request is sent by a datanode, and
 	// every message but the Ack is received by one.
-	if stats.SendJobs != 11 || stats.RecvJobs != 11 {
-		t.Fatalf("%d SEND and %d RECV jobs, want 11 each", stats.SendJobs, stats.RecvJobs)
+	if stats.SendJobs != 9 || stats.RecvJobs != 9 {
+		t.Fatalf("%d SEND and %d RECV jobs, want 9 each", stats.SendJobs, stats.RecvJobs)
 	}
 }
 
@@ -1102,6 +1104,104 @@ func TestReadBackupDelaysAck(t *testing.T) {
 	if with <= without {
 		t.Fatalf("Read Backup commit (%v) not slower than plain commit (%v)", with, without)
 	}
+}
+
+// TestChainEndsAtTheTC runs TestCommitProtocolMessageCount's one-row write
+// once for each position of its coordinator in the row's chain — RF 3, Read
+// Backup, a client in each replica's AZ. The primary heads every chain, as
+// the lock head and the commit point. A backup TC's replica ends the chain,
+// so Prepare visits the primary, the other backup and then the TC's replica,
+// whose Prepared answer is a local signal, as is the first Commit. From
+// Begin to Ack: 12 messages + 2 local signals when the TC is the primary (the
+// Prepare it sends itself and the Committed it takes itself), 10 + 4 when it
+// is either backup (its Complete and Completed join the two). Every message
+// but the client's request charges a SEND job, and every one but the Ack a
+// RECV job. A fully replicated table's chain, which adds a node of each other
+// group, ends at any TC on it too, with the others in replica order.
+func TestChainEndsAtTheTC(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		tc                int   // position in the partition's replicas
+		order             []int // Prepare's visits, as positions in replicas
+		msgs, local, jobs int64
+	}{
+		{"primary", 0, []int{0, 1, 2}, 12, 2, 11},
+		{"first backup", 1, []int{0, 2, 1}, 10, 4, 9},
+		{"last backup", 2, []int{0, 1, 2}, 10, 4, 9},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env, cl, _ := testCluster(t, true, 3)
+			cl.StopBackground()
+			env.RunFor(time.Second) // drain housekeeping
+			tbl := cl.CreateTable("t", 64, TableOptions{ReadBackup: true})
+			reps := tbl.partitionFor("p").replicas()
+			tc := reps[c.tc]
+			client := cl.net.NewNode("client", tc.Node.Zone(), 301)
+			var msgs int64
+			var stats Stats
+			done := false
+			env.Spawn("txn", func(p *sim.Proc) {
+				before, statsBefore := cl.net.TotalMessages(), cl.Stats
+				tx, err := cl.Begin(p, client, tc.Domain, tbl, "p")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if tx.Coordinator() != tc {
+					t.Errorf("the coordinator is %s, want the client's AZ-local replica %s", tx.Coordinator().Node.Name(), tc.Node.Name())
+					return
+				}
+				if err := put(tx, tbl, "p", "k", "v"); err != nil {
+					t.Error(err)
+					return
+				}
+				var order []int
+				for _, dn := range tx.trains[0].chain {
+					order = append(order, slices.Index(reps, dn))
+				}
+				if !slices.Equal(order, c.order) {
+					t.Errorf("Prepare visited replicas %v, want %v", order, c.order)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+				p.Flush()
+				msgs, stats = cl.net.TotalMessages()-before, cl.Stats
+				stats.LocalSignals -= statsBefore.LocalSignals
+				stats.RecvJobs -= statsBefore.RecvJobs
+				stats.SendJobs -= statsBefore.SendJobs
+				done = true
+			})
+			env.RunFor(time.Minute)
+			if !done {
+				t.Fatal("txn did not complete")
+			}
+			if msgs != c.msgs || stats.LocalSignals != c.local {
+				t.Errorf("Begin to Ack used %d messages and %d local signals, want %d + %d", msgs, stats.LocalSignals, c.msgs, c.local)
+			}
+			if stats.SendJobs != c.jobs || stats.RecvJobs != c.jobs {
+				t.Errorf("%d SEND and %d RECV jobs, want %d each", stats.SendJobs, stats.RecvJobs, c.jobs)
+			}
+		})
+	}
+	t.Run("fully replicated", func(t *testing.T) {
+		_, cl, _ := testCluster(t, true, 3)
+		part := cl.CreateTable("full", 64, TableOptions{FullyReplicated: true}).partitionFor("p")
+		base := slices.Clone(part.chainOf(nil))
+		if len(base) != 4 {
+			t.Fatalf("the chain is %d nodes, want 3 replicas and 1 node of the other group", len(base))
+		}
+		for pos, tc := range base {
+			want := base
+			if pos > 0 {
+				want = append(slices.Delete(slices.Clone(base), pos, pos+1), tc)
+			}
+			if got := part.chainOf(tc); !slices.Equal(got, want) {
+				t.Errorf("TC at position %d: chain %v, want %v", pos, got, want)
+			}
+		}
+	})
 }
 
 // TestCommitPointDecides: a one-train transaction is committed once its

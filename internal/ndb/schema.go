@@ -92,6 +92,13 @@ type Partition struct {
 	// down, or the primary is promoted, all of which bump an epoch.
 	repCache []*DataNode
 	repEpoch uint64
+	// chain and moved memoize chainOf for the same epoch: chain is the chain
+	// in replica order (repCache itself unless the table is fully
+	// replicated), and moved, built when a transaction coordinated by a
+	// middle node of it first asks, the chains with each middle node moved
+	// last, back to back.
+	chain []*DataNode
+	moved []*DataNode
 }
 
 // Index returns the partition's index within its table.
@@ -132,8 +139,65 @@ func (p *Partition) replicas() []*DataNode {
 			out = append(out, dn)
 		}
 	}
-	p.repCache, p.repEpoch = out, epoch
+	p.repCache, p.repEpoch, p.chain, p.moved = out, epoch, nil, nil
 	return out
+}
+
+// chainOf returns the replica chain a row of p is prepared and committed on
+// by a transaction coordinated by tc, or nil when p's own node group is down:
+// p's alive replicas, primary first — and for a fully replicated table
+// (§IV-A3) one alive node per other node group, since every datanode holds
+// the data. The primary stays first, as the lock head and the commit point;
+// a tc that is a later node of the chain, but not its last, is moved to its
+// end, so the Prepare pass ends and the Commit pass starts with a local
+// signal (DESIGN §10). The chains are memoized with replicas(): callers must
+// treat them as read-only.
+func (p *Partition) chainOf(tc *DataNode) []*DataNode {
+	reps := p.replicas()
+	if len(reps) == 0 {
+		return nil
+	}
+	if p.chain == nil {
+		p.chain = p.fullChain(reps)
+	}
+	n := len(p.chain)
+	for i := 1; i < n-1; i++ {
+		if p.chain[i] != tc {
+			continue
+		}
+		if p.moved == nil {
+			p.moved = make([]*DataNode, 0, (n-2)*n)
+			for j := 1; j < n-1; j++ {
+				p.moved = append(append(append(p.moved, p.chain[:j]...), p.chain[j+1:]...), p.chain[j])
+			}
+		}
+		return p.moved[(i-1)*n : i*n : i*n]
+	}
+	return p.chain
+}
+
+// fullChain extends reps, p's alive replicas, by one alive node per other
+// node group when p's table is fully replicated.
+func (p *Partition) fullChain(reps []*DataNode) []*DataNode {
+	if !p.table.opts.FullyReplicated {
+		return reps
+	}
+	c := p.table.c
+	// Copy: replicas() is memoized and must not be appended to.
+	chain := make([]*DataNode, len(reps), len(reps)+len(c.groups)-1)
+	copy(chain, reps)
+	for g := range c.groups {
+		if g == p.group {
+			continue
+		}
+		for _, dn := range c.groups[g] {
+			if dn.Alive() {
+				chain = append(chain, dn)
+				break
+			}
+		}
+	}
+	return chain
 }
 
 // promoteFrom makes the next alive replica primary if the current primary

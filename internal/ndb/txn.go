@@ -309,7 +309,7 @@ type KV struct {
 func (t *Txn) stage(w *BatchWrite) *train {
 	part := w.Table.partitionFor(w.PartKey)
 	t.heatTouch(part)
-	chain := t.chainOf(part)
+	chain := part.chainOf(t.tc)
 	if len(chain) == 0 {
 		return nil
 	}
@@ -339,33 +339,6 @@ func (t *Txn) stage(w *BatchWrite) *train {
 	}
 	tr.rows = append(tr.rows, writeOp{part: part, pk: w.PartKey, key: w.Key, val: w.Val, del: w.Del, ifAbsent: w.IfAbsent, edit: w.Edit})
 	return tr
-}
-
-// chainOf returns the replica chain a row of part is prepared and committed
-// on — the partition's alive replicas, primary first; for a fully replicated
-// table (§IV-A3) additionally one primary per other node group, since every
-// datanode holds the data — or nil when part's own node group is down. The
-// slice is read-only.
-func (t *Txn) chainOf(part *Partition) []*DataNode {
-	reps := part.replicas()
-	if len(reps) == 0 || !part.table.opts.FullyReplicated {
-		return reps
-	}
-	// Copy: replicas() is memoized and must not be appended to.
-	chain := make([]*DataNode, len(reps), len(reps)+len(t.c.groups)-1)
-	copy(chain, reps)
-	for g := range t.c.groups {
-		if g == part.group {
-			continue
-		}
-		for _, dn := range t.c.groups[g] {
-			if dn.Alive() {
-				chain = append(chain, dn)
-				break
-			}
-		}
-	}
-	return chain
 }
 
 // phaseSpans instruments the 2PC passes one process walks for one train:
@@ -630,7 +603,7 @@ func (t *Txn) ack() error {
 func (t *Txn) commitTrains() error {
 	for _, tr := range t.trains {
 		for i := range tr.rows {
-			if !slices.Equal(t.chainOf(tr.rows[i].part), tr.chain) {
+			if !slices.Equal(tr.rows[i].part.chainOf(t.tc), tr.chain) {
 				return ErrNodeUnavailable
 			}
 		}

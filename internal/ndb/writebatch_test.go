@@ -104,18 +104,20 @@ func crossGroupPKs(t *testing.T, n int) func(*Table) []string {
 
 // TestCommitTrainMessageCounts extends TestCommitProtocolMessageCount into a
 // regression suite pinning the exact wire footprint of a write transaction
-// after Begin (Figure 2 geometry: RF 3, Read Backup — 4 messages per Prepare
-// pass as the writes execute, 8 signals per train at commit, plus the client
-// Ack). The TC is the AZ-local backup of partition "p", so a train on that
-// chain exchanges its own Complete/Completed pair as local signals, off the
-// wire: 6 messages at commit, 8 for a train on a chain the TC is not on.
+// after Begin (Figure 2 geometry: RF 3, Read Backup — 4 signals per Prepare
+// pass as the writes execute, 8 per train at commit, plus the client Ack).
+// The TC is the AZ-local backup of partition "p", and that chain ends at its
+// replica (DESIGN §10), so a train on it takes its Prepared answer, its first
+// Commit and its own Complete/Completed pair as local signals, off the wire:
+// 3 messages per Prepare pass and 5 at commit, against 4 and 8 for a train on
+// a chain the TC is not on.
 //
-//   - 1 row: 4 + 7 = 11 messages, batched and serial identical message for
+//   - 1 row: 3 + 6 = 9 messages, batched and serial identical message for
 //     message,
-//   - 8 rows sharing one replica chain: one train, 11 messages, vs 8 serial
-//     Prepare passes and 8 one-row trains, 32 + 49 = 81,
-//   - 8 rows across two node groups: two trains, 2x4 + 6 + 8 + 1 = 23, vs
-//     32 + 4x6 + 4x8 + 1 = 89.
+//   - 8 rows sharing one replica chain: one train, 9 messages, vs 8 serial
+//     Prepare passes and 8 one-row trains, 24 + 41 = 65,
+//   - 8 rows across two node groups: two trains, 3 + 4 + 5 + 8 + 1 = 21, vs
+//     4x3 + 4x4 + 4x5 + 4x8 + 1 = 81.
 func TestCommitTrainMessageCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
@@ -123,9 +125,9 @@ func TestCommitTrainMessageCounts(t *testing.T) {
 		write, commit       int64
 		serWrite, serCommit int64
 	}{
-		{"1 row", repeatPK("p", 1), 4, 7, 4, 7},
-		{"8 rows, one chain", repeatPK("p", 8), 4, 7, 32, 49},
-		{"8 rows, two node groups", crossGroupPKs(t, 8), 8, 15, 32, 57},
+		{"1 row", repeatPK("p", 1), 3, 6, 3, 6},
+		{"8 rows, one chain", repeatPK("p", 8), 3, 6, 24, 41},
+		{"8 rows, two node groups", crossGroupPKs(t, 8), 7, 14, 28, 53},
 	} {
 		write, commit := measureTxnMessages(t, false, tc.pks)
 		if write != tc.write || commit != tc.commit {
@@ -392,11 +394,12 @@ func TestFireAndForgetCompleteAttributed(t *testing.T) {
 	if !done {
 		t.Fatal("txn did not complete")
 	}
-	// RF 3 without Read Backup: 4 Prepare/Prepared as the write executes,
-	// 4 Commit/Committed, 1 Complete — the other goes to the TC's own
-	// replica, a local signal — and 1 Ack.
-	if netMsgs != 10 {
-		t.Fatalf("write + commit used %d network messages, want 10", netMsgs)
+	// RF 3 without Read Backup: 3 Prepare/Prepared as the write executes
+	// and 3 Commit/Committed — the chain ends at the TC's own replica, so
+	// the Prepared answer and the first Commit are local signals — 1
+	// Complete — the other goes to that replica, local too — and 1 Ack.
+	if netMsgs != 8 {
+		t.Fatalf("write + commit used %d network messages, want 8", netMsgs)
 	}
 	if spanMsgs != netMsgs {
 		t.Fatalf("span attributed %d messages, network saw %d — fire-and-forget Complete lost", spanMsgs, netMsgs)
@@ -413,8 +416,9 @@ func redoPending(dns []*DataNode) (n int64) {
 }
 
 // TestWriteIsPrepare pins the mechanism: executing a write prepares it. When
-// WriteBatch returns, its train has walked the chain once — len(chain)+1
-// messages — every replica of the chain holds the rows' REDO bytes, the rows
+// WriteBatch returns, its train has walked the chain once — len(chain)
+// messages, the chain ending at the TC's own replica, whose Prepared answer
+// is local — every replica of the chain holds the rows' REDO bytes, the rows
 // are exclusively locked, and they still read as their old committed value.
 // Commit then adds exactly the two remaining passes and the Ack, logs
 // nothing, and makes the rows visible.
@@ -431,7 +435,7 @@ func TestWriteIsPrepare(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		chain := tbl.partitionFor("p").replicas()
+		chain := tbl.partitionFor("p").chainOf(tx.tc)
 		p.Flush()
 		msgs, redo := c.net.TotalMessages(), redoPending(chain)
 		err = tx.WriteBatch([]BatchWrite{
@@ -443,7 +447,7 @@ func TestWriteIsPrepare(t *testing.T) {
 			return
 		}
 		p.Flush()
-		if got, want := c.net.TotalMessages()-msgs, int64(len(chain)+1); got != want {
+		if got, want := c.net.TotalMessages()-msgs, int64(len(chain)); got != want {
 			t.Errorf("WriteBatch exchanged %d messages, want %d (one Prepare pass down a chain of %d)", got, want, len(chain))
 		}
 		if got, want := redoPending(chain)-redo, int64(2*64*len(chain)); got != want {
@@ -471,9 +475,9 @@ func TestWriteIsPrepare(t *testing.T) {
 		}
 		p.Flush()
 		// Commit x3 + Committed, Complete x2 + Completed x2, Ack: 9 signals
-		// at RF 3, the TC's own Complete/Completed pair local (the TC is a
-		// backup), so 7 messages.
-		if got, want := c.net.TotalMessages()-msgs, int64(len(chain)+1+2*(len(chain)-2)+1); got != want {
+		// at RF 3, the first Commit and the TC's own Complete/Completed pair
+		// local (the TC is the chain's last replica), so 6 messages.
+		if got, want := c.net.TotalMessages()-msgs, int64(len(chain)+2*(len(chain)-2)+1); got != want {
 			t.Errorf("Commit exchanged %d messages, want %d", got, want)
 		}
 		if got := redoPending(chain) - redo; got != 0 {
@@ -655,8 +659,8 @@ func TestSecondWriteBatchJoinsItsTrain(t *testing.T) {
 			return
 		}
 		p.Flush()
-		if got := c.net.TotalMessages() - msgs; got != 4 {
-			t.Errorf("second batch exchanged %d messages, want 4 (one Prepare pass)", got)
+		if got := c.net.TotalMessages() - msgs; got != 3 {
+			t.Errorf("second batch exchanged %d messages, want 3 (one Prepare pass, its Prepared answer local)", got)
 		}
 		if got, want := redoPending(chain)-redo, int64(3*64*3); got != want {
 			t.Errorf("second batch logged %d REDO bytes, want %d (its 3 new rows on 3 replicas)", got, want)
@@ -670,8 +674,8 @@ func TestSecondWriteBatchJoinsItsTrain(t *testing.T) {
 			return
 		}
 		p.Flush()
-		if got := c.net.TotalMessages() - msgs; got != 7 {
-			t.Errorf("commit exchanged %d messages, want 7 (one train, its local Complete off the wire, + Ack)", got)
+		if got := c.net.TotalMessages() - msgs; got != 6 {
+			t.Errorf("commit exchanged %d messages, want 6 (one train, its first Commit and local Complete off the wire, + Ack)", got)
 		}
 		for i := 0; i < 5; i++ {
 			if _, ok := tbl.partitionFor("p").committed("p", fmt.Sprintf("k%d", i)); !ok {

@@ -580,6 +580,45 @@ func TestRoutedInsertRefusal(t *testing.T) {
 	}
 }
 
+// keepEdit is an Editor that keeps the committed value.
+type keepEdit struct{}
+
+func (keepEdit) Edit(committed ndb.Value) (ndb.Value, error) { return committed, nil }
+
+// TestRoutedBatchReportsItsFirstRefusal: a rename whose source is gone and
+// whose destination is taken — an edited delete of an absent row, then an
+// insert of a held one — answers the source's ndb.ErrRowAbsent, the refusal
+// the metadata layer reports as ErrNotFound, at Shards 1, where one cluster's
+// batch answers its first failed row, and at Shards 2 with the destination
+// on shard 0: the routed batch visits the source's shard first, though it is
+// the higher.
+func TestRoutedBatchReportsItsFirstRefusal(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			env, r, client := testRouter(t, n)
+			ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
+			srcPK, dstPK := keyOnShard(t, r, n-1), keyOnShard(t, r, 0)
+			inTxn(t, env, r, client, ts, dstPK, func(p *sim.Proc, tx ndb.Tx) error {
+				if err := put(tx, ts.For(dstPK), dstPK, "dst", ident(2)); err != nil {
+					return err
+				}
+				return tx.Commit()
+			})
+			inTxn(t, env, r, client, ts, srcPK, func(p *sim.Proc, tx ndb.Tx) error {
+				err := tx.WriteBatch([]ndb.BatchWrite{
+					{Table: ts.For(srcPK), PartKey: srcPK, Key: "src", Val: keepEdit{}, Del: true, Edit: true},
+					{Table: ts.For(dstPK), PartKey: dstPK, Key: "dst", Val: ident(1), IfAbsent: true},
+				})
+				if !errors.Is(err, ndb.ErrRowAbsent) {
+					return fmt.Errorf("rename: %v, want ErrRowAbsent", err)
+				}
+				tx.Abort()
+				return nil
+			})
+		})
+	}
+}
+
 // TestRoutedTableScan: a root listing — ScanTablePrefix over every partition
 // of every shard — of a namespace seeded identically at Shards 1, 2 and 4
 // returns the same rows at each: key-sorted, no duplicates, no row of another

@@ -128,11 +128,13 @@ func byKey(a, b ndb.KV) int { return strings.Compare(a.Key, b.Key) }
 // routeBatch is the one batch dispatcher. A batch whose rows all live on one
 // shard — every batched write of a create, delete or same-directory rename —
 // is handed to that shard's sub-transaction as the caller's slice,
-// untouched. A batch that spans shards is split: shards are visited in
-// ascending order, each one's rows are gathered in request order into part
-// and run as one sub-batch on its sub-transaction, and the sub-batch's
-// results are scattered back to the rows' request positions in out. A failing
-// shard ends the walk with its error before anything of it is scattered. part
+// untouched. A batch that spans shards is split: shards are visited in the
+// order of their first row in the request, each one's rows are gathered in
+// request order into part and run as one sub-batch on its sub-transaction,
+// and the sub-batch's results are scattered back to the rows' request
+// positions in out. A failing shard ends the walk with its error before
+// anything of it is scattered, so a batch whose first row fails answers that
+// row's error, as one cluster's batch does (its first failed row decides). part
 // and out are empty buffers the gather and the results are carved from while
 // they have room: the result is valid until the transaction's next read. at
 // names a row's table and partition key; run returns one result per row it
@@ -159,15 +161,19 @@ func routeBatch[T, R any](t *Txn, rows, part []T, out []R, at func(*T) (*ndb.Tab
 	}
 	out = slices.Grow(out, len(rows))[:len(rows)]
 	part = slices.Grow(part, len(rows))
-	for s := range t.subs {
+next:
+	for first := range rows {
+		s := shardOf(first)
+		for i := range first {
+			if shardOf(i) == s {
+				continue next // visited at its first row
+			}
+		}
 		part = part[:0]
-		for i := range rows {
+		for i := first; i < len(rows); i++ {
 			if shardOf(i) == s {
 				part = append(part, rows[i])
 			}
-		}
-		if len(part) == 0 {
-			continue
 		}
 		sub, err := t.sub(at(&part[0]))
 		if err != nil {
@@ -177,7 +183,7 @@ func routeBatch[T, R any](t *Txn, rows, part []T, out []R, at func(*T) (*ndb.Tab
 		if err != nil {
 			return nil, err
 		}
-		for i, j := 0, 0; i < len(rows); i++ {
+		for i, j := first, 0; i < len(rows); i++ {
 			if shardOf(i) == s {
 				out[i] = res[j]
 				j++
