@@ -9,14 +9,11 @@
 //	hopsbench all
 //
 // Experiments: table1 table2 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// fig13 fig14 pathdepth writefan failures chaos autoscale ablations
-// phases hotspot shardsweep. "chaos" runs the seeded random
-// fault-campaign sweep
+// fig13 fig14 writefan failures chaos autoscale ablations phases hotspot
+// shardsweep. "chaos" runs the seeded random fault-campaign sweep
 // (deterministic per seed) with cross-layer invariant auditing; "failures"
-// runs the §V-F scripted drills on the same engine; "pathdepth" measures
-// stat latency vs path depth with optimistic batched resolution against
-// the serial per-component walk; "writefan" measures multi-row
-// write-transaction latency and wire footprint against rows per
+// runs the §V-F scripted drills on the same engine; "writefan" measures
+// multi-row write-transaction latency and wire footprint against rows per
 // transaction, with the batched write path and node-group-coalesced commit
 // trains (ndb.batch_write.* and ndb.commit.trains /
 // ndb.commit.rows_per_train counters) against the serial one-chain-per-row

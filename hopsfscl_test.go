@@ -168,8 +168,8 @@ func TestSetupsAndExperimentsListed(t *testing.T) {
 	if got := len(Setups()); got != 9 {
 		t.Fatalf("setups = %d, want 9", got)
 	}
-	if len(bench.Experiments) != 21 {
-		t.Fatalf("experiments = %d, want 21", len(bench.Experiments))
+	if len(bench.Experiments) != 20 {
+		t.Fatalf("experiments = %d, want 20", len(bench.Experiments))
 	}
 	want := map[string]bool{"table1": true, "table2": true, "fig5": true, "fig14": true, "failures": true, "chaos": true, "phases": true, "writefan": true, "autoscale": true, "hotspot": true, "shardsweep": true}
 	for _, e := range bench.Experiments {

@@ -79,7 +79,6 @@ var Experiments = []Experiment{
 	{ID: "fig12", Title: "Figure 12: storage layer network and disk utilization", Run: Fig12},
 	{ID: "fig13", Title: "Figure 13: per-metadata-server network and disk utilization", Run: Fig13},
 	{ID: "fig14", Title: "Figure 14: AZ-local reads with/without Read Backup", Run: Fig14},
-	{ID: "pathdepth", Title: "Path depth: stat latency, batched vs serial resolution", Run: PathDepth},
 	{ID: "writefan", Title: "Write fan: multi-row txn latency and wire footprint, batched vs serial", Run: WriteFan},
 	{ID: "failures", Title: "Section V-F: failure drills (AZ loss, split brain, NN loss)", Run: Failures},
 	{ID: "chaos", Title: "Chaos: seeded random fault campaigns with invariant auditing", Run: Chaos},
@@ -643,7 +642,6 @@ func Chaos(o ExpOptions) (string, error) {
 //	(a) the Read Backup table option (AZ-local reads) on vs off,
 //	(b) NDB executor batching on vs off at saturation,
 //	(c) datanode-replicated blocks vs the §VII cloud object store backend,
-//	(d) optimistic batched path resolution on vs off at depth 8,
 //	(e) the batched write path (commit trains) on vs off at 8 rows per txn.
 func Ablations(o ExpOptions) (string, error) {
 	var b strings.Builder
@@ -733,22 +731,6 @@ func Ablations(o ExpOptions) (string, error) {
 		tblC.AddRow(name, fmtMS(wrote), fmtMS(read), fmt.Sprintf("%.0f", crossAZ))
 	}
 	b.WriteString(tblC.String())
-
-	// (d) Batched path resolution.
-	b.WriteString("\n(d) Optimistic batched path resolution — depth-8 stat, warm hint cache\n")
-	tblD := metrics.NewTable("variant", "mean", "p99")
-	for _, disable := range []bool{false, true} {
-		mean, p99, _, err := pathStatLatency(o, 8, disable)
-		if err != nil {
-			return "", err
-		}
-		name := "batched resolution ON"
-		if disable {
-			name = "batched resolution OFF (serial walk)"
-		}
-		tblD.AddRow(name, fmtMS(mean), fmtMS(p99))
-	}
-	b.WriteString(tblD.String())
 
 	// (e) Batched write path.
 	b.WriteString("\n(e) Batched write path — 8-row write transaction, raw NDB, 3 AZs, RF 3\n")

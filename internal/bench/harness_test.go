@@ -137,7 +137,7 @@ func TestReadSlotDiffing(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	ids := []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig13", "fig14", "pathdepth", "writefan", "failures", "chaos", "autoscale", "ablations", "phases", "hotspot", "shardsweep"}
+		"fig10", "fig11", "fig12", "fig13", "fig14", "writefan", "failures", "chaos", "autoscale", "ablations", "phases", "hotspot", "shardsweep"}
 	if len(Experiments) != len(ids) {
 		t.Fatalf("registry has %d experiments, want %d", len(Experiments), len(ids))
 	}

@@ -115,10 +115,6 @@ type Options struct {
 	// NDBBatchFloor overrides the storage engine's batching floor (0 keeps
 	// ndb.DefaultConfig's) — used by the batching ablation.
 	NDBBatchFloor float64
-	// DisableBatchedResolve forces the serial per-component path walk,
-	// ignoring the hint cache's batching opportunity — the ablation
-	// isolating batched path resolution.
-	DisableBatchedResolve bool
 	// DisableBatchedWrites forces the serial write path: one Prepare pass
 	// per row, in sequence, and one commit train per row instead of one of
 	// each per replica chain — the ablation isolating the batched write path.
@@ -325,7 +321,6 @@ func (d *Deployment) buildHops() error {
 	// HopsFS-CL enables Read Backup on all tables (§IV-A5), unless the
 	// Figure 14 ablation explicitly disables it.
 	nnCfg.ReadBackup = aware && !opts.DisableReadBackup
-	nnCfg.DisableBatchedResolve = opts.DisableBatchedResolve
 	if opts.NNCores > 0 {
 		nnCfg.NNCores = opts.NNCores
 	}

@@ -297,7 +297,7 @@ var rootInode = &Inode{ID: RootID, Parent: 0, Name: "", Dir: true, Perm: 0o755, 
 // the same transaction, which so holds a superset of the locks it needs
 // until it ends — strict two-phase locking, no retry path of its own.
 func (nn *NameNode) resolveChain(tx ndb.Tx, sc *opScratch, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
-	if !nn.ns.cfg.DisableBatchedResolve && fp.depth() > 1 {
+	if fp.depth() > 1 {
 		sc.ids = sc.ids[:0]
 		ids := nn.hintedIDs(sc, &fp)
 		// A batch of one row is just a serial read.
@@ -442,11 +442,8 @@ func (nn *NameNode) verifyHinted(tx ndb.Tx, sc *opScratch, fp *fsPath, ids []uin
 // The source's own row is read under srcLock when that is set, the
 // destination's parent under none.
 func (nn *NameNode) resolveBoth(tx ndb.Tx, sc *opScratch, src, dstParent fsPath, srcLock ndb.LockMode) (srcChain, dstChain []*Inode, err error) {
-	var sids, dids []uint64
-	if !nn.ns.cfg.DisableBatchedResolve {
-		sc.ids = sc.ids[:0]
-		sids, dids = nn.hintedIDs(sc, &src), nn.hintedIDs(sc, &dstParent)
-	}
+	sc.ids = sc.ids[:0]
+	sids, dids := nn.hintedIDs(sc, &src), nn.hintedIDs(sc, &dstParent)
 	if len(dids) == 0 || len(sids) < src.depth() || len(dids) < dstParent.depth() {
 		if srcChain, err = nn.resolveChain(tx, sc, src, srcLock); err == nil {
 			dstChain, err = nn.resolveChain(tx, sc, dstParent, 0)
@@ -603,7 +600,7 @@ func (nn *NameNode) newChild(sc *opScratch, fp fsPath, parent uint64, proto *Ino
 // its parent's id, when they reach that far, so that a mutation may key its
 // write by them and send it with its resolve (mutateHinted); nil otherwise.
 func (nn *NameNode) hintedParent(sc *opScratch, fp *fsPath) []uint64 {
-	if nn.ns.cfg.DisableBatchedResolve || fp.depth() < 2 {
+	if fp.depth() < 2 {
 		return nil
 	}
 	sc.ids = sc.ids[:0]

@@ -15,62 +15,56 @@ import (
 	"hopsfscl/internal/trace"
 )
 
-// TestRoundTripBudget is the budget table of DESIGN §9.1 as a test: the
-// sequential storage rounds each operation makes between Begin and Commit on
-// a hint-warm depth-3 path, the messages it exchanges from Begin to the Ack,
-// and the RECV and SEND jobs its datanodes are charged, one operation at a
-// time on a quiesced deployment. A stat, a read and a list take no lock, and
-// a subtree lives in its top-level directory's partition (nextID), so the
-// coordinator, hinted at the target's partition, holds a replica in its own
-// AZ of every row they read: a read is one round of 2 messages, the request
-// and the Ack. With DisableBatchedResolve the chain round becomes one round
-// per component. A path through a directory renamed in from another
-// top-level directory reads the rows above the rename at another datanode,
-// a remote pair (4 messages). A mutation's lock rides its resolve and costs
-// no round of its own. A write is its Prepare pass, so a mutation's messages
-// are its reads' plus, per replica chain it writes, the 12 signals of Figure
-// 2's three passes — no staging pair on top — and a recursive delete writes
-// its subtree in one batch however deep it is. A signal between two blocks
-// of one datanode is local: it crosses no wire and charges no job, so every
-// message costs two jobs but the client's request and the Ack, one each.
-// Here the coordinator holds a replica of the chain a write takes, and four
-// of its 12 signals stay local. A write finds out for itself at its chain's
-// head: a create makes no round to learn its name is free, and a delete or
-// an update makes none to lock and read its target — the head takes the
-// lock and edits the committed row. A single-name mutation whose hints reach
-// its parent sends its write in the batch that reads the parent chain, so
-// mkdir, create, delete and set* are one round. An update is 10 messages:
-// the request, the Ack and its train's 8 wire signals. A create, a mkdir and
-// a delete also share-lock the parent at its primary, another datanode, a
-// remote pair (12; a delete's head also sends the TC the target's
-// pre-image, 13); on a taken or a missing name the head's refusal ends that
-// round (5). SetQuota resolves its target before it writes, both its rows in
-// the one chain (10); a recursive delete prepares its target's row in that
-// round, before its subtree's batch, one Prepare pass more in the same
-// rounds (20). Rename resolves its two paths in one batch and writes its two
-// rows in one Prepare pass, on the one chain: the source's delete, whose
-// head checks the resolved inode is still the committed one and, unlike a
-// delete's, sends nothing back, and the destination's insert; the
-// destination's parent is read under its share lock at its primary in the
-// same round (12).
-// A refused write is cut short at the head — Begin, the resolve, the
-// Prepare's first hop and the head's refusal: no replica beyond the head
-// hears of it, nothing retries, and no Ack is sent. An update of a missing
-// name pays that Prepare hop and the refusal, 2 messages more than a resolve
-// that finds the name absent, and that only the serial path still does.
-// The last column counts the shared locks the transaction's end drops at a
-// primary other than its coordinator, with no message: the parent share
-// lock of a create, a delete or a rename's destination, where the parent's
-// primary is elsewhere.
+// TestRoundTripBudget is the budget table of DESIGN §9.1 as a test: per
+// operation on a hint-warm depth-3 path, one at a time on a quiesced
+// deployment, the sequential storage rounds between Begin and Commit, the
+// messages from Begin to the Ack and the RECV and SEND jobs charged. A stat,
+// a read and a list take no lock, and a subtree lives in its top-level
+// directory's partition (nextID), so the coordinator, hinted at the target's
+// partition, holds an AZ-local replica of every row they read: one round of
+// 2 messages, the request and the Ack. A path through a directory renamed in
+// from another top-level directory reads the rows above the rename at
+// another datanode, a remote pair (4 messages). Emptying the hint cache
+// before each operation (cold) makes the chain round one round per
+// component, but a rename's second path: the first one's walk warmed it.
+// A mutation's lock rides its resolve and costs no round of its own. A write
+// is its Prepare pass: per replica chain, the 12 signals of Figure 2's three
+// passes, four of them local here (a signal between two blocks of one
+// datanode crosses no wire and charges no job; every message costs two jobs
+// but the request and the Ack, one each). A recursive delete writes its
+// subtree in one batch however deep it is. A write finds out for itself at its
+// chain's head: a create makes no round to learn its name is free, a delete
+// or an update none to lock and read its target. A single-name mutation
+// whose hints reach its parent sends its write in the batch that reads the
+// parent chain, so mkdir, create, delete and set* are one round. An update
+// is 10 messages: the request, the Ack and its train's 8 wire signals. A
+// create, a mkdir and a delete also share-lock the parent at its primary,
+// another datanode, a remote pair (12; a delete's head also sends the TC the
+// target's pre-image, 13); on a taken or a missing name the head's refusal
+// ends that round (5). SetQuota resolves its target before it writes, both
+// its rows in the one chain (10); a recursive delete prepares its target's
+// row in that round, before its subtree's batch (20). Rename resolves its
+// two paths in one batch and writes its two rows in one Prepare pass, on the
+// one chain: the source's delete, whose head checks the resolved inode is
+// still the committed one and sends nothing back, and the destination's
+// insert; the destination's parent is read under its share lock at its
+// primary in the same round (12). A refused write is cut short at the head —
+// Begin, the resolve, the Prepare's first hop and the head's refusal: no
+// replica beyond the head hears of it, nothing retries, no Ack is sent. An
+// update of a missing name pays that hop and the refusal, 2 messages more
+// than a resolve that finds the name absent, which only the serial walk
+// still does. The last column counts the shared locks the transaction's end
+// drops, with no message, at a primary other than its coordinator: the
+// parent share lock of a create, a delete or a rename's destination.
 func TestRoundTripBudget(t *testing.T) {
 	type opFn func(nn *NameNode, p *sim.Proc) error
 	budget := []struct {
-		name            string
-		run             opFn
-		batched, serial int64
-		msgs            int64 // Begin to Ack, batched resolve
-		jobs            int64 // RECV + SEND jobs, Begin to Ack, batched resolve
-		unpriced        int64 // shared locks dropped at a remote primary, batched resolve
+		name          string
+		run           opFn
+		batched, cold int64
+		msgs          int64 // Begin to Ack, warm hint cache
+		jobs          int64 // RECV + SEND jobs, Begin to Ack, warm hint cache
+		unpriced      int64 // shared locks dropped at a remote primary, warm hint cache
 	}{
 		{"stat", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/f"); return err }, 1, 3, 2, 2, 0},
 		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3, 2, 2, 0},
@@ -93,7 +87,7 @@ func TestRoundTripBudget(t *testing.T) {
 			}
 			return nil
 		}, 1, 3, 5, 9, 1},
-		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 2, 6, 12, 22, 1},
+		{"rename", func(nn *NameNode, p *sim.Proc) error { return nn.Rename(p, "/a/b/c", "/a/b/r") }, 2, 5, 12, 22, 1},
 		{"delete", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Delete(p, "/a/b/r", false); return err }, 1, 3, 13, 24, 1},
 		{"delete of a missing name", func(nn *NameNode, p *sim.Proc) error {
 			if _, err := nn.Delete(p, "/a/b/r", false); !errors.Is(err, ErrNotFound) {
@@ -115,9 +109,9 @@ func TestRoundTripBudget(t *testing.T) {
 		// insert's train — one Prepare pass more than a create's 12.
 		{"create under a quota'd ancestor", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Create(p, "/a/b/d/q", 0); return err }, 2, 4, 15, 28, 1},
 	}
-	for _, serial := range []bool{false, true} {
-		t.Run(fmt.Sprintf("DisableBatchedResolve=%v", serial), func(t *testing.T) {
-			h := newHarnessCfg(t, 21, func(cfg *Config) { cfg.DisableBatchedResolve = serial })
+	for _, cold := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cold=%v", cold), func(t *testing.T) {
+			h := newHarnessCfg(t, 21, nil)
 			nn := h.ns.NameNodes()[0]
 			h.run(t, func(p *sim.Proc) {
 				for _, dir := range []string{"/a", "/a/b", "/a/b/d", "/a/b/d/s", "/a/b/d/s/t"} {
@@ -178,8 +172,9 @@ func TestRoundTripBudget(t *testing.T) {
 				}
 				for _, row := range budget {
 					want := row.batched
-					if serial {
-						want = row.serial
+					if cold {
+						want = row.cold
+						nn.cache.invalidatePrefix("") // every cached path is under "/"
 					}
 					before, msgs := h.db.Stats, h.net.TotalMessages()
 					if err := row.run(nn, p); err != nil {
@@ -189,14 +184,14 @@ func TestRoundTripBudget(t *testing.T) {
 					if got := h.db.Stats.Rounds - before.Rounds; got != want {
 						t.Errorf("%s: %d sequential storage rounds, budget %d", row.name, got, want)
 					}
-					if got := h.net.TotalMessages() - msgs; !serial && got != row.msgs {
+					if got := h.net.TotalMessages() - msgs; !cold && got != row.msgs {
 						t.Errorf("%s: %d messages from Begin to Ack, budget %d", row.name, got, row.msgs)
 					}
 					jobs := h.db.Stats.RecvJobs + h.db.Stats.SendJobs - before.RecvJobs - before.SendJobs
-					if !serial && jobs != row.jobs {
+					if !cold && jobs != row.jobs {
 						t.Errorf("%s: %d RECV+SEND jobs from Begin to Ack, budget %d", row.name, jobs, row.jobs)
 					}
-					if got := h.db.Stats.UnpricedReleases - before.UnpricedReleases; !serial && got != row.unpriced {
+					if got := h.db.Stats.UnpricedReleases - before.UnpricedReleases; !cold && got != row.unpriced {
 						t.Errorf("%s: %d shared locks dropped at a remote primary, budget %d", row.name, got, row.unpriced)
 					}
 					if begun := h.db.Stats.Begun - before.Begun; begun != 1 {
@@ -555,12 +550,12 @@ func TestRenameResolvesBothPathsInOneBatch(t *testing.T) {
 // TestRenameStaleSourceMatchesSerial: the source's hints are stale — another
 // NN moved its directory away and built a new one — while the destination's
 // are warm, so Rename's one batch verifies the destination's share but
-// re-walks the source, reading again before the destination's values are
-// settled. The chains the resolve returns, the rename's outcome and where the
-// committed file lands must be those of a run with batched resolution off.
+// re-walks the source before the destination's values are settled. The
+// chains the resolve returns, the rename's outcome and where the committed
+// file lands must be those of a run on a cold hint cache, which walks.
 func TestRenameStaleSourceMatchesSerial(t *testing.T) {
-	run := func(serial bool) string {
-		h := newHarnessCfg(t, 21, func(cfg *Config) { cfg.DisableBatchedResolve = serial })
+	run := func(cold bool) string {
+		h := newHarnessCfg(t, 21, nil)
 		reg := trace.NewRegistry()
 		h.ns.SetTracer(trace.NewTracer(reg))
 		nnA, nnB := h.ns.NameNodes()[0], h.ns.NameNodes()[1]
@@ -592,6 +587,10 @@ func TestRenameStaleSourceMatchesSerial(t *testing.T) {
 				return
 			}
 			staleID, staleParent := stale.id, stale.parent
+			prime := func() { nnA.cache.put("/s/t", staleID, staleParent) }
+			if cold {
+				prime = func() { nnA.cache.invalidatePrefix("") }
+			}
 			if !must(nnB.Rename(p, "/s/t", "/s/old")) {
 				return
 			}
@@ -606,6 +605,7 @@ func TestRenameStaleSourceMatchesSerial(t *testing.T) {
 			dst, _ := splitPath("/d/e/g")
 			fallbacks := reg.Counter("namenode.resolve_cache", "result", "fallback")
 			sc := &opScratch{}
+			prime()
 			err = nnA.runTxn(p, nnA.hintFor(src), func(tx ndb.Tx) error {
 				sChain, dChain, err := nnA.resolveBoth(tx, sc, src, dst.parent(), 0)
 				out = fmt.Sprintf("source %s, destination %s, %v", chainIDs(sChain), chainIDs(dChain), err)
@@ -614,11 +614,11 @@ func TestRenameStaleSourceMatchesSerial(t *testing.T) {
 			if !must(err) {
 				return
 			}
-			if !serial && fallbacks.Value() != 1 {
+			if !cold && fallbacks.Value() != 1 {
 				t.Errorf("%d fallbacks on the stale source, want 1", fallbacks.Value())
 			}
 			// The resolve refreshed the source's hint: make it stale again.
-			nnA.cache.put("/s/t", staleID, staleParent)
+			prime()
 			err = nnA.Rename(p, "/s/t/f", "/d/e/g")
 			moved, serr := nnB.Stat(p, "/d/e/g")
 			_, oerr := nnB.Stat(p, "/s/old/f")
@@ -627,12 +627,12 @@ func TestRenameStaleSourceMatchesSerial(t *testing.T) {
 		})
 		return out
 	}
-	batched, serial := run(false), run(true)
-	if batched != serial {
-		t.Errorf("stale source, batched:\n  %s\nserial:\n  %s", batched, serial)
+	stale, cold := run(false), run(true)
+	if stale != cold {
+		t.Errorf("stale source:\n  %s\ncold cache:\n  %s", stale, cold)
 	}
-	if !strings.Contains(batched, "rename <nil>; /d/e/g is the committed file: true") {
-		t.Errorf("rename on a stale source: %s", batched)
+	if !strings.Contains(stale, "rename <nil>; /d/e/g is the committed file: true") {
+		t.Errorf("rename on a stale source: %s", stale)
 	}
 }
 

@@ -84,10 +84,6 @@ type Config struct {
 	NNCores int
 	// ElectionRound is the leader-election heartbeat period ([28]; 2 s).
 	ElectionRound time.Duration
-	// DisableBatchedResolve forces the serial per-component path walk even
-	// when the hint cache could prime a batched read — the ablation knob
-	// for the resolution protocol.
-	DisableBatchedResolve bool
 	// OpBase is the NN CPU charged for any operation (RPC handling,
 	// validation).
 	OpBase time.Duration

@@ -97,27 +97,20 @@ func (c *Cluster) handleSuspectedFailure(p *sim.Proc, detector, suspect *DataNod
 	if suspect.declaredDead || !detector.Alive() {
 		return
 	}
-	arb := c.arbitrator()
-	if !c.splitBrainPossible(detector) {
-		// The failed set could not form a viable cluster on its own (it
-		// lacks a complete node-group coverage), so no split brain is
-		// possible and the survivors may continue without arbitration.
-		arb = nil
-	}
-	if arb != nil {
-		// Round trip to the arbitrator; failure to reach it means the
-		// detector is on the losing side of a partition and must shut
-		// down gracefully.
-		if !c.controlHop(p, detector.Node, arb.Node, reqSize, rpcTimeout) {
+	// When the failed set could not form a viable cluster on its own (it
+	// lacks a complete node-group coverage), no split brain is possible and
+	// the survivors continue without arbitration. Otherwise the detector
+	// survives only on the arbitrator's word: no arbitrator alive, a lost
+	// request, a lost answer or a refusal each mean it may be on the losing
+	// side of a partition, and it shuts down gracefully.
+	if c.splitBrainPossible(detector) {
+		arb := c.arbitrator()
+		if arb == nil || !c.controlHop(p, detector.Node, arb.Node, reqSize, rpcTimeout) {
 			detector.shutdownSelf()
 			return
 		}
-		granted := c.arbitrate(detector)
-		if !c.controlHop(p, arb.Node, detector.Node, ackSize, rpcTimeout) {
-			detector.shutdownSelf()
-			return
-		}
-		if !granted {
+		granted := c.arbitrate(arb, detector)
+		if !c.controlHop(p, arb.Node, detector.Node, ackSize, rpcTimeout) || !granted {
 			detector.shutdownSelf()
 			return
 		}
@@ -163,9 +156,9 @@ func (c *Cluster) splitBrainPossible(detector *DataNode) bool {
 	return true
 }
 
-// arbitrate runs at the arbitrator: the first claimant of an epoch wins;
-// every alive datanode the claimant cannot reach is ordered to shut down.
-func (c *Cluster) arbitrate(claimant *DataNode) bool {
+// arbitrate runs at arb: the first live claimant of an epoch wins; every
+// alive datanode the claimant cannot reach is ordered to shut down.
+func (c *Cluster) arbitrate(arb *MgmtNode, claimant *DataNode) bool {
 	if claimant.shutdown {
 		return false
 	}
@@ -176,7 +169,6 @@ func (c *Cluster) arbitrate(claimant *DataNode) bool {
 		return c.reachable(claimant, c.datanodes[winner])
 	}
 	c.arbGranted[c.arbEpoch] = claimant.Index
-	arb := c.arbitrator()
 	for _, dn := range c.datanodes {
 		if dn == claimant || !dn.Alive() {
 			continue
@@ -222,11 +214,10 @@ func (c *Cluster) declareDead(suspect *DataNode) {
 	}
 }
 
-// shutdownSelf takes the datanode out of the cluster gracefully.
+// shutdownSelf takes the datanode out of the cluster gracefully. A second
+// order, or a refusal that reaches a node already ordered down, changes
+// nothing: the node stays failed, and declareDead acts once.
 func (dn *DataNode) shutdownSelf() {
-	if dn.shutdown {
-		return
-	}
 	dn.shutdown = true
 	dn.Node.Fail()
 	dn.c.declareDead(dn)
