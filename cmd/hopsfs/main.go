@@ -115,7 +115,7 @@ func runChaos(cluster *hopsfscl.Cluster, file string, seed int64) error {
 	}
 	fmt.Print(rep.Render())
 	if rep.Clean() {
-		fmt.Println("campaign clean: all invariants held, no acknowledged write lost.")
+		fmt.Println("campaign clean: all invariants held, and the history linearizes.")
 	} else {
 		fmt.Println("campaign found VIOLATIONS — see above.")
 	}

@@ -16,7 +16,7 @@ import (
 
 // designMaxBytes is DESIGN.md's size ceiling: the document may shrink, and
 // a change that shrinks it for good lowers this, but it may not grow.
-const designMaxBytes = 64104
+const designMaxBytes = 64101
 
 // designElsewhere are the Go-looking names the documents cite that this
 // module does not declare: NDB's own configuration parameter, and a test

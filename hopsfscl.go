@@ -502,8 +502,9 @@ func (c *Cluster) ScaleDown(n int) int {
 // degradations; at every step the engine quiesces and verifies the
 // cross-layer invariants (replica liveness, checkpoint durability, block
 // placement, namespace agreement, leader uniqueness), and afterwards the
-// recorded history is checked for lost acknowledged writes and stale
-// reads. The schedule text is line-oriented:
+// clients' recorded history must have a linearization (nsmodel.Check): no
+// acknowledged write lost, no stale read. The schedule text is
+// line-oriented:
 //
 //	at 4s fail-zone 2
 //	at 10s recover-zone 2

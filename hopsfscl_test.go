@@ -292,14 +292,11 @@ func TestRunChaosScheduleOnFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Check.Ops == 0 || rep.Check.OK == 0 {
-		t.Fatalf("campaign recorded no operations: %+v", rep.Check)
+	if len(rep.History) == 0 || rep.OK == 0 {
+		t.Fatalf("campaign recorded no successful operation:\n%s", rep.Render())
 	}
 	if !rep.Clean() {
 		t.Fatalf("campaign not clean:\n%s", rep.Render())
-	}
-	if rep.Check.AckedLost != 0 {
-		t.Fatalf("acked writes lost: %d", rep.Check.AckedLost)
 	}
 	if !strings.Contains(rep.Render(), "fail-zone") {
 		t.Fatalf("render missing the schedule step:\n%s", rep.Render())

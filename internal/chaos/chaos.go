@@ -13,11 +13,10 @@
 //     monotonicity, the §IV-C one-replica-per-AZ block guarantee,
 //     namespace/block-layer agreement, lock hygiene, and leader
 //     uniqueness;
-//   - an operation-history checker records every client operation on
-//     virtual time, verifies the observed results against a sequential
-//     namespace model (acked writes are never lost, reads never return
-//     dropped data), and reports MTTR, unavailability windows, and
-//     failed-operation counts.
+//   - the workload's clients record every call into one history, which
+//     nsmodel.Check judges — it must have a linearization, so no acked
+//     write is lost and no read is stale — and the report adds MTTR,
+//     unavailability windows, and outcome counts.
 //
 // Everything runs on virtual time inside internal/sim: the same seed
 // always produces byte-identical reports.

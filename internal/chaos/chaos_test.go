@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -11,14 +10,14 @@ import (
 	"hopsfscl/internal/blocks"
 	"hopsfscl/internal/core"
 	"hopsfscl/internal/namenode"
+	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/workload"
 )
 
 // TestChaosCampaign sweeps seeded random campaigns over HopsFS-CL (3,3)
-// and requires every one to finish with zero invariant violations and
-// zero history violations (no acked write lost, no stale read). -short
-// runs a reduced sweep.
+// and requires every one to finish with zero invariant violations and a
+// history that nsmodel.Check linearizes. -short runs a reduced sweep.
 func TestChaosCampaign(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if testing.Short() {
@@ -35,10 +34,10 @@ func TestChaosCampaign(t *testing.T) {
 			if err != nil {
 				t.Fatalf("campaign: %v", err)
 			}
-			if rep.Check.Ops == 0 {
+			if len(rep.History) == 0 {
 				t.Fatalf("campaign recorded no operations")
 			}
-			if rep.Check.OK == 0 {
+			if rep.OK == 0 {
 				t.Fatalf("campaign had no successful operation:\n%s", rep.Render())
 			}
 			if !rep.Clean() {
@@ -227,72 +226,50 @@ func FuzzParseSchedule(f *testing.F) {
 	})
 }
 
-// TestCheckHistory feeds the checker synthetic histories and verifies it
-// flags exactly the two violation classes.
+// TestCheckHistory judges one-file histories, answered with the client's
+// own errors, as the engine judges a campaign: by nsmodel.Check through
+// namenode.Outcome. An acked create a later stat misses, a stat that finds
+// a deleted file, and one that finds a file whose delete lost its reply
+// after a stat missed it are violations. So are two shapes a per-client
+// checker once let pass: ErrExists for a create when the only create before
+// it took no effect, and a stat that misses a file another client's create
+// acked before the stat began.
 func TestCheckHistory(t *testing.T) {
-	rec := func(client int, op, path string, err error) Record {
-		return Record{Client: client, Op: op, Path: path, Err: err}
+	type call struct {
+		client int
+		name   string
+		err    error
 	}
-	t.Run("clean", func(t *testing.T) {
-		res := CheckHistory([]Record{
-			rec(0, "create", "/a", nil),
-			rec(0, "stat", "/a", nil),
-			rec(0, "delete", "/a", nil),
-			rec(0, "statAbsent", "/a", namenode.ErrNotFound),
-		})
-		if len(res.Violations) != 0 || res.OK != 3 || res.Failed != 1 {
-			t.Fatalf("clean history misjudged: %+v", res)
+	judge := func(calls []call) error {
+		ops := make([]nsmodel.Op, len(calls))
+		for i, c := range calls {
+			ops[i] = nsmodel.Op{Client: c.client, Name: c.name, Path: "/a",
+				Invoke: time.Duration(2 * i), Return: time.Duration(2*i + 1), Err: c.err}
+			if c.err == nil && c.name != "delete" {
+				ops[i].Result = &namenode.Inode{ID: 2, Name: "a"}
+			}
 		}
-	})
-	t.Run("acked write lost", func(t *testing.T) {
-		res := CheckHistory([]Record{
-			rec(0, "create", "/a", nil),
-			rec(0, "stat", "/a", namenode.ErrNotFound),
+		return nsmodel.Check(ops, namenode.Outcome, nsmodel.FirstRenameErr)
+	}
+	for _, c := range []struct {
+		name  string
+		calls []call
+		ok    bool
+	}{
+		{"clean", []call{{0, "create", nil}, {0, "stat", nil}, {0, "delete", nil}, {0, "stat", namenode.ErrNotFound}}, true},
+		{"acked write lost", []call{{0, "create", nil}, {0, "stat", namenode.ErrNotFound}}, false},
+		{"stale read", []call{{0, "create", nil}, {0, "delete", nil}, {0, "stat", nil}}, false},
+		{"lost ack resolved by ErrExists", []call{{0, "create", namenode.ErrRetriesExhausted}, {0, "create", namenode.ErrExists}, {0, "stat", nil}}, false},
+		{"lost reply resolved by ErrExists", []call{{0, "create", namenode.ErrReplyLost}, {0, "create", namenode.ErrExists}, {0, "stat", nil}}, true},
+		{"indeterminate delete", []call{{0, "create", nil}, {0, "delete", namenode.ErrReplyLost}, {0, "stat", namenode.ErrNotFound}, {0, "stat", nil}}, false},
+		{"clients independent", []call{{0, "create", nil}, {1, "stat", namenode.ErrNotFound}}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := judge(c.calls); (err == nil) != c.ok {
+				t.Errorf("Check = %v, want linearizable %v", err, c.ok)
+			}
 		})
-		if res.AckedLost != 1 {
-			t.Fatalf("lost acked write not flagged: %+v", res)
-		}
-	})
-	t.Run("stale read", func(t *testing.T) {
-		res := CheckHistory([]Record{
-			rec(0, "create", "/a", nil),
-			rec(0, "delete", "/a", nil),
-			rec(0, "stat", "/a", nil),
-		})
-		if res.StaleReads != 1 {
-			t.Fatalf("read of deleted path not flagged: %+v", res)
-		}
-	})
-	t.Run("lost ack resolved by ErrExists", func(t *testing.T) {
-		res := CheckHistory([]Record{
-			rec(0, "create", "/a", namenode.ErrRetriesExhausted), // maybe applied
-			rec(0, "create", "/a", namenode.ErrExists),           // it was
-			rec(0, "stat", "/a", nil),                            // consistent
-		})
-		if len(res.Violations) != 0 || res.Indet != 1 {
-			t.Fatalf("retry ambiguity misjudged: %+v", res)
-		}
-	})
-	t.Run("indeterminate delete", func(t *testing.T) {
-		res := CheckHistory([]Record{
-			rec(0, "create", "/a", nil),
-			rec(0, "delete", "/a", namenode.ErrRetriesExhausted),
-			rec(0, "stat", "/a", namenode.ErrNotFound), // either outcome fine
-			rec(0, "stat", "/a", nil),                  // now resolved absent: data back?
-		})
-		if res.StaleReads != 1 {
-			t.Fatalf("resurrected delete not flagged: %+v", res)
-		}
-	})
-	t.Run("clients independent", func(t *testing.T) {
-		res := CheckHistory([]Record{
-			rec(0, "create", "/a", nil),
-			rec(1, "stat", "/a", namenode.ErrNotFound), // other client: no claim
-		})
-		if len(res.Violations) != 0 {
-			t.Fatalf("cross-client state leaked: %+v", res)
-		}
-	})
+	}
 }
 
 // TestEngineExplicitSchedule runs the paper's §V-F drill as an explicit
@@ -332,8 +309,6 @@ at 21s heal 1 3
 		}
 	}
 }
-
-var _ = errors.Is // keep errors imported if assertions above change
 
 // TestAuditorFlagsDirectoryWithBlocks plants a block list and a size on a
 // directory's stored inode, as a write whose attach landed on a directory

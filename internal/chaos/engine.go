@@ -8,13 +8,14 @@ import (
 	"hopsfscl/internal/core"
 	"hopsfscl/internal/namenode"
 	"hopsfscl/internal/ndb"
+	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 )
 
 // Config parameterizes a campaign run.
 type Config struct {
-	// Clients is the number of sole-mutator workload clients (default 6).
+	// Clients is the number of workload clients (default 6).
 	Clients int
 	// Duration is the campaign length on virtual time. Zero derives it
 	// from the schedule: last step plus a settle tail.
@@ -77,8 +78,8 @@ type Snapshot struct {
 }
 
 // Engine drives one fault campaign over a deployment: it runs the
-// sole-mutator workload, executes the schedule, audits invariants at
-// checkpoints, and verifies the operation history.
+// workload, executes the schedule, audits invariants at checkpoints, and
+// judges the operation history.
 type Engine struct {
 	d     *core.Deployment
 	cfg   Config
@@ -91,8 +92,11 @@ type Engine struct {
 	dbs     []*ndb.Cluster
 	sharded bool
 
-	agents  []*agent
-	records []Record
+	agents []*agent
+	// history is every call the agents' clients made; oks are the instants
+	// at which agent operations succeeded, in order, for availability.
+	history nsmodel.History
+	oks     []time.Duration
 	paused  bool
 	stopped bool
 	// pauses are the audit quiesce windows: the workload is deliberately
@@ -411,12 +415,7 @@ func (e *Engine) drained() bool {
 
 func (e *Engine) snapshot(label string, newViol int) {
 	now := e.d.Env.Now()
-	ok := 0
-	for _, r := range e.records {
-		if r.Err == nil {
-			ok++
-		}
-	}
+	ok := len(e.oks)
 	rate := 0.0
 	// Rate over the time the workload was actually allowed to run: audit
 	// pauses are not outages.
@@ -436,8 +435,8 @@ func (e *Engine) snapshot(label string, newViol int) {
 	e.lastSnap.ok = ok
 }
 
-// spawnAgents starts the sole-mutator workload clients, spread over the
-// deployment's zones.
+// spawnAgents starts the workload clients, spread over the deployment's
+// zones, each recording into the engine's history.
 func (e *Engine) spawnAgents() {
 	zones := e.d.Net.Topology().Zones()
 	aware := e.d.Setup.System == core.HopsFSCL
@@ -460,12 +459,13 @@ func (e *Engine) spawnAgents() {
 			st:   make(map[string]pathState),
 			byst: map[pathState][]string{},
 		}
+		a.cl.Record(&e.history)
 		if e.sharded {
 			// A second directory, its children pinned to another shard than
 			// the first's (a subtree otherwise lives on one shard): renames
 			// into it cross the shard boundary, so sharded campaigns
 			// exercise the two-shard commit path. Both directories belong
-			// to this agent — the sole-mutator property is preserved.
+			// to this agent.
 			a.xdir = fmt.Sprintf("/chaos/m%d", i)
 		}
 		e.agents = append(e.agents, a)
@@ -473,9 +473,9 @@ func (e *Engine) spawnAgents() {
 	}
 }
 
-// agent is one sole-mutator workload client: it mutates only its own
-// directory and always creates fresh names, which is what makes the
-// recorded history checkable (see history.go).
+// agent is one workload client: it mutates only its own directories and
+// always creates fresh names, picking each target by what its earlier
+// answers say of it.
 type agent struct {
 	e   *Engine
 	idx int
@@ -488,6 +488,8 @@ type agent struct {
 	xdir string
 	seq  int
 
+	// st is each path's state by the agent's answers, and byst the paths
+	// in each state.
 	st   map[string]pathState
 	byst map[pathState][]string
 
@@ -495,6 +497,15 @@ type agent struct {
 	setup    bool
 	setupErr error
 }
+
+// pathState is what an agent's answers say of one of its paths.
+type pathState int
+
+const (
+	stAbsent pathState = iota // never created, or gone
+	stExists                  // created or observed
+	stMaybe                   // a mutation of unknown outcome touched it
+)
 
 func (a *agent) run(p *sim.Proc) {
 	if err := a.cl.MkdirAll(p, a.dir); err != nil {
@@ -546,7 +557,7 @@ func (a *agent) op(p *sim.Proc) {
 	case r < 0.56:
 		a.probe(p, "stat", stExists)
 	case r < 0.64:
-		a.probe(p, "statAbsent", stAbsent)
+		a.probe(p, "stat", stAbsent)
 	case r < 0.78:
 		a.probe(p, "read", stExists)
 	case r < 0.90:
@@ -556,21 +567,28 @@ func (a *agent) op(p *sim.Proc) {
 	}
 }
 
-// record logs the finished operation and advances the agent's model using
-// the same transition function the checker replays later.
-func (a *agent) record(op, path, path2 string, invoke time.Duration, err error) {
-	p := a.e.d.Env.Now()
-	a.e.records = append(a.e.records, Record{
-		Client: a.idx, Op: op, Path: path, Path2: path2,
-		Invoke: invoke, Return: p, Err: err,
-	})
-	if op == "list" || op == "mkdir" {
-		return
+// record counts a finished operation toward availability and moves its
+// paths between the agent's target lists by its answer.
+func (a *agent) record(op, path, dst string, err error) {
+	if err == nil {
+		a.e.oks = append(a.e.oks, a.e.d.Env.Now())
 	}
-	next, _ := transition(op, a.st[path], err)
-	a.setState(path, next)
-	if op == "rename" {
-		a.setState(path2, renameDst(a.st[path2], err))
+	out := namenode.Outcome(nsmodel.Op{Err: err}).Err
+	switch {
+	case op == "list":
+	case out == nsmodel.ErrNotFound, out == nil && (op == "delete" || op == "rename"):
+		a.setState(path, stAbsent)
+	case out == nil:
+		a.setState(path, stExists)
+	case op == "write", out == nsmodel.ErrUnknown && op != "stat" && op != "read":
+		a.setState(path, stMaybe)
+	}
+	switch {
+	case op != "rename":
+	case out == nil:
+		a.setState(dst, stExists)
+	case out == nsmodel.ErrUnknown:
+		a.setState(dst, stMaybe)
 	}
 }
 
@@ -604,16 +622,15 @@ func (a *agent) pick(s pathState) string {
 func (a *agent) create(p *sim.Proc) {
 	path := fmt.Sprintf("%s/f%06d", a.dir, a.seq)
 	a.seq++
-	invoke := p.Now()
 	if a.seq%largeEvery == 0 {
 		err := a.cl.WriteFile(p, path, largeSize)
 		p.Flush()
-		a.record("write", path, "", invoke, err)
+		a.record("write", path, "", err)
 		return
 	}
 	err := a.cl.Create(p, path, 200)
 	p.Flush()
-	a.record("create", path, "", invoke, err)
+	a.record("create", path, "", err)
 }
 
 func (a *agent) remove(p *sim.Proc) {
@@ -625,16 +642,13 @@ func (a *agent) remove(p *sim.Proc) {
 		a.create(p)
 		return
 	}
-	invoke := p.Now()
 	err := a.cl.Delete(p, path, false)
 	p.Flush()
-	a.record("delete", path, "", invoke, err)
+	a.record("delete", path, "", err)
 }
 
-// probe runs a read-only check against a path in the wanted state: stat
-// or read on a live file, or a stat on a definitely-deleted path (which
-// must fail with ErrNotFound — returning data would mean reading dropped
-// state).
+// probe stats or reads a path in the wanted state: a live file, or one
+// the agent's answers say is gone.
 func (a *agent) probe(p *sim.Proc, op string, want pathState) {
 	path := a.pick(want)
 	if path == "" && want == stExists {
@@ -644,7 +658,6 @@ func (a *agent) probe(p *sim.Proc, op string, want pathState) {
 		a.create(p)
 		return
 	}
-	invoke := p.Now()
 	var err error
 	if op == "read" {
 		_, err = a.cl.ReadFile(p, path)
@@ -652,14 +665,13 @@ func (a *agent) probe(p *sim.Proc, op string, want pathState) {
 		_, err = a.cl.Stat(p, path)
 	}
 	p.Flush()
-	a.record(op, path, "", invoke, err)
+	a.record(op, path, "", err)
 }
 
 func (a *agent) list(p *sim.Proc) {
-	invoke := p.Now()
 	_, err := a.cl.List(p, a.dir)
 	p.Flush()
-	a.record("list", a.dir, "", invoke, err)
+	a.record("list", a.dir, "", err)
 }
 
 func (a *agent) rename(p *sim.Proc) {
@@ -678,8 +690,7 @@ func (a *agent) rename(p *sim.Proc) {
 	}
 	dst := fmt.Sprintf("%s/r%06d", dir, a.seq)
 	a.seq++
-	invoke := p.Now()
 	err := a.cl.Rename(p, src, dst)
 	p.Flush()
-	a.record("rename", src, dst, invoke, err)
+	a.record("rename", src, dst, err)
 }

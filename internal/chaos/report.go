@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"hopsfscl/internal/core"
+	"hopsfscl/internal/namenode"
+	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/slo"
 	"hopsfscl/internal/workload"
 )
@@ -59,14 +61,20 @@ type Report struct {
 	Start    time.Duration
 	End      time.Duration
 
-	Check       CheckResult
+	// History is every call the agents' clients made. OK, Refused and
+	// Unknown count its outcomes (Refused: an error the oracle has a class
+	// for, or a call that took no effect), and HistoryErr is nsmodel.Check's
+	// verdict on it: nil when it has a linearization.
+	History              []nsmodel.Op
+	OK, Refused, Unknown int
+	HistoryErr           error
+
 	Checkpoints int
 	Violations  []Violation
 
 	MTTR      []MTTREntry
 	Unavail   []Window
 	Snapshots []Snapshot
-	Records   []Record
 
 	// Detect and SLO are populated when the deployment runs a live SLO
 	// engine (core.Deployment.EnableSLO): the full alert/health report and
@@ -77,9 +85,9 @@ type Report struct {
 }
 
 // Clean reports whether the campaign finished with zero invariant
-// violations and zero history violations.
+// violations and a linearizable history.
 func (r *Report) Clean() bool {
-	return len(r.Violations) == 0 && len(r.Check.Violations) == 0
+	return len(r.Violations) == 0 && r.HistoryErr == nil
 }
 
 // TotalUnavailability sums the outage windows.
@@ -110,12 +118,26 @@ func (e *Engine) report(start, end time.Duration) *Report {
 		Schedule:    e.sched,
 		Start:       start,
 		End:         end,
-		Check:       CheckHistory(e.records),
+		History:     e.history.Ops,
 		Checkpoints: e.aud.Checkpoints,
 		Violations:  e.aud.Violations,
 		Snapshots:   e.snapshots,
-		Records:     e.records,
 	}
+	for _, op := range r.History {
+		switch namenode.Outcome(nsmodel.Op{Err: op.Err}).Err {
+		case nil:
+			r.OK++
+		case nsmodel.ErrUnknown:
+			r.Unknown++
+		default:
+			r.Refused++
+		}
+	}
+	renames := nsmodel.FirstRenameErr
+	if e.sharded {
+		renames = nsmodel.AnyRenameErr
+	}
+	r.HistoryErr = nsmodel.Check(r.History, namenode.Outcome, renames)
 	r.MTTR = e.mttr(end)
 	r.Unavail = e.unavailability(start, end)
 	if e.d.SLO != nil {
@@ -148,14 +170,7 @@ func (e *Engine) detect(sr *slo.Report, end time.Duration) []DetectEntry {
 // mttr computes recovery times: for each degrading step, the delay until
 // the first operation that completed successfully at or after injection.
 func (e *Engine) mttr(end time.Duration) []MTTREntry {
-	// Successful completion times in ascending order (records are appended
-	// in completion order, so they already are).
-	var oks []time.Duration
-	for _, rec := range e.records {
-		if rec.Err == nil {
-			oks = append(oks, rec.Return)
-		}
-	}
+	oks := e.oks
 	var out []MTTREntry
 	for _, m := range e.marks {
 		i := sort.Search(len(oks), func(i int) bool { return oks[i] >= m.at })
@@ -183,16 +198,11 @@ func (e *Engine) unavailability(start, end time.Duration) []Window {
 			out = append(out, Window{From: prev, To: to, Paused: paused})
 		}
 	}
-	for _, rec := range e.records {
-		if rec.Err != nil {
-			continue
+	for _, at := range e.oks {
+		if at >= start {
+			gap(at)
 		}
-		if rec.Return < start {
-			prev = rec.Return
-			continue
-		}
-		gap(rec.Return)
-		prev = rec.Return
+		prev = at
 	}
 	gap(end)
 	return out
@@ -202,18 +212,20 @@ func (e *Engine) unavailability(start, end time.Duration) []Window {
 func (r *Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos campaign: setup=%s seed=%d steps=%d ops=%d span=%v\n",
-		r.Setup, r.Seed, len(r.Schedule), r.Check.Ops, (r.End - r.Start).Round(time.Millisecond))
-	fmt.Fprintf(&b, "  operations: ok=%d failed=%d indeterminate=%d\n",
-		r.Check.OK, r.Check.Failed, r.Check.Indet)
-	fmt.Fprintf(&b, "  history:    acked-writes-lost=%d stale-reads=%d\n",
-		r.Check.AckedLost, r.Check.StaleReads)
+		r.Setup, r.Seed, len(r.Schedule), len(r.History), (r.End - r.Start).Round(time.Millisecond))
+	fmt.Fprintf(&b, "  operations: ok=%d refused=%d unknown=%d\n", r.OK, r.Refused, r.Unknown)
+	verdict := "linearizable"
+	if r.HistoryErr != nil {
+		verdict = "NOT LINEARIZABLE"
+	}
+	fmt.Fprintf(&b, "  history:    %s\n", verdict)
 	fmt.Fprintf(&b, "  invariants: checkpoints=%d violations=%d\n",
 		r.Checkpoints, len(r.Violations))
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "    VIOLATION %s\n", v)
 	}
-	for _, v := range r.Check.Violations {
-		fmt.Fprintf(&b, "    VIOLATION %s\n", v)
+	if r.HistoryErr != nil {
+		fmt.Fprintf(&b, "    VIOLATION history: %s\n", strings.ReplaceAll(r.HistoryErr.Error(), "\n", "\n      "))
 	}
 	b.WriteString("  timeline:\n")
 	for _, s := range r.Snapshots {

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"hopsfscl/internal/core"
 	"hopsfscl/internal/namenode"
 	"hopsfscl/internal/ndb"
+	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 	"hopsfscl/internal/workload"
@@ -70,9 +70,10 @@ func runRenameCrashRace(t *testing.T, seed int64, victim int) int {
 	}
 	defer d.Close()
 	cl := d.NS.NewClient(1, simnet.HostID(9500), 1)
+	var h nsmodel.History
+	cl.Record(&h)
 
 	var (
-		records          []Record
 		renameErrs       = make([]error, files)
 		srcID, dstID     uint64
 		setupErr         error
@@ -110,21 +111,13 @@ func runRenameCrashRace(t *testing.T, seed int64, victim int) int {
 			return
 		}
 		for i := 0; i < files; i++ {
-			invoke := p.Now()
-			err := cl.Create(p, "/race/src/"+name(i), 100)
-			records = append(records, Record{Op: "create", Path: "/race/src/" + name(i),
-				Invoke: invoke, Return: p.Now(), Err: err})
-			if fail("create", err) {
+			if fail("create", cl.Create(p, "/race/src/"+name(i), 100)) {
 				return
 			}
 		}
 		renamesStarted = true
 		for i := 0; i < files; i++ {
-			invoke := p.Now()
-			err := cl.Rename(p, "/race/src/"+name(i), "/race/dst/"+name(i))
-			renameErrs[i] = err
-			records = append(records, Record{Op: "rename", Path: "/race/src/" + name(i),
-				Path2: "/race/dst/" + name(i), Invoke: invoke, Return: p.Now(), Err: err})
+			renameErrs[i] = cl.Rename(p, "/race/src/"+name(i), "/race/dst/"+name(i))
 			p.Sleep(500 * time.Microsecond)
 		}
 		renamesDone = true
@@ -239,31 +232,22 @@ func runRenameCrashRace(t *testing.T, seed int64, victim int) int {
 		switch err := renameErrs[i]; {
 		case err == nil && rows[dstKey] != 1:
 			t.Errorf("rename of %s was acked but the row sits at the source", name(i))
-		case err != nil && !indeterminate(err) && !errors.Is(err, namenode.ErrNotFound) && rows[srcKey] != 1:
-			// ErrNotFound can be the retry of a rename whose namenode died
-			// after applying it, as CheckHistory allows.
+		case err != nil && namenode.Outcome(nsmodel.Op{Err: err}).Err != nsmodel.ErrUnknown && rows[srcKey] != 1:
 			t.Errorf("rename of %s failed definitively (%v) but the row moved", name(i), err)
 		}
 	}
 
-	// History-level audit: final reads resolve every indeterminate rename,
-	// and the checker must find no lost acked write or stale read.
+	// History-level audit: final stats resolve every rename of unknown
+	// outcome, and the history must linearize.
 	d.Env.Spawn("verifier", func(p *sim.Proc) {
 		for i := 0; i < files; i++ {
-			for _, path := range []string{"/race/src/" + name(i), "/race/dst/" + name(i)} {
-				invoke := p.Now()
-				_, err := cl.Stat(p, path)
-				records = append(records, Record{Op: "stat", Path: path,
-					Invoke: invoke, Return: p.Now(), Err: err})
-			}
+			cl.Stat(p, "/race/src/"+name(i))
+			cl.Stat(p, "/race/dst/"+name(i))
 		}
 	})
 	d.Env.RunFor(5 * time.Second)
-	res := CheckHistory(records)
-	if len(res.Violations) != 0 {
-		for _, v := range res.Violations {
-			t.Errorf("history: %s", v)
-		}
+	if err := nsmodel.Check(h.Ops, namenode.Outcome, nsmodel.AnyRenameErr); err != nil {
+		t.Errorf("history: %v", err)
 	}
 
 	errored := 0
@@ -311,7 +295,7 @@ func TestShardedChaosCampaign(t *testing.T) {
 			if cross == 0 {
 				t.Fatalf("no rename committed across both shards: the two-shard commit path was not exercised")
 			}
-			if rep.Check.OK == 0 {
+			if rep.OK == 0 {
 				t.Fatalf("campaign had no successful operation:\n%s", rep.Render())
 			}
 			if !rep.Clean() {

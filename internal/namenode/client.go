@@ -61,6 +61,54 @@ func (ns *Namesystem) NewClient(zone simnet.ZoneID, host simnet.HostID, domain s
 // next one on; nil stops the recording.
 func (cl *Client) Record(h *nsmodel.History) { cl.history = h }
 
+// outcomeClasses maps the client's errors onto the oracle's classes.
+var outcomeClasses = []struct{ err, model error }{
+	{ErrNotFound, nsmodel.ErrNotFound},
+	{ErrExists, nsmodel.ErrExists},
+	{ErrNotDir, nsmodel.ErrNotDir},
+	{ErrNotEmpty, nsmodel.ErrNotEmpty},
+	{ErrCycle, nsmodel.ErrCycle},
+	{ErrIsDir, nsmodel.ErrIsDir},
+	{ErrNoNameNodes, nsmodel.ErrNotApplied},
+	// runTxn answers it only when no attempt reached its commit point: an
+	// attempt that did answers ndb.ErrIndeterminate, which is not retried.
+	{ErrRetriesExhausted, nsmodel.ErrNotApplied},
+}
+
+// Outcome maps an operation a client recorded onto the oracle's terms, as
+// nsmodel.Check takes them: an error onto its class — ErrNoNameNodes and
+// ErrRetriesExhausted onto nsmodel.ErrNotApplied, and one the oracle has no
+// class for, a lost reply's among them, onto nsmodel.ErrUnknown — and a
+// result onto the entries it holds.
+func Outcome(op nsmodel.Op) nsmodel.Outcome {
+	var out nsmodel.Outcome
+	if op.Err != nil {
+		out.Err = nsmodel.ErrUnknown
+		for _, c := range outcomeClasses {
+			if errors.Is(op.Err, c.err) {
+				out.Err = c.model
+				break
+			}
+		}
+		return out
+	}
+	switch r := op.Result.(type) {
+	case *Inode:
+		out.Entry = r.entry()
+	case Listing:
+		out.List = make([]nsmodel.Entry, r.Len())
+		for i := range out.List {
+			out.List[i] = r.At(i).entry()
+		}
+	}
+	return out
+}
+
+// entry is the inode as the oracle sees it.
+func (ino *Inode) entry() nsmodel.Entry {
+	return nsmodel.Entry{ID: ino.ID, Name: ino.Name, Dir: ino.Dir, Size: ino.Size}
+}
+
 // pick selects (or keeps) the client's metadata server.
 func (cl *Client) pick(p *sim.Proc) (*NameNode, error) {
 	if cl.nn != nil && cl.nn.Serving() && cl.epoch == cl.ns.balanceEpoch {
@@ -195,7 +243,7 @@ func (cl *Client) do(p *sim.Proc, op nsmodel.Op, reqExtra int, fn func(nn *NameN
 	if sp != nil {
 		prev = p.SetSpan(sp)
 	}
-	err := cl.rpc(p, reqExtra, fn)
+	err := cl.rpc(p, op.Name, reqExtra, fn)
 	if cl.history != nil {
 		cl.history.Return(cl.open, p.EffNow(), err)
 	}
@@ -213,8 +261,10 @@ func (cl *Client) do(p *sim.Proc, op nsmodel.Op, reqExtra int, fn func(nn *NameN
 }
 
 // rpc is do's retry loop: pick a server, travel there, run the handler,
-// travel back; a lost leg drops the sticky server and tries another.
-func (cl *Client) rpc(p *sim.Proc, reqExtra int, fn func(nn *NameNode) (int, error)) error {
+// travel back; a lost leg drops the sticky server and tries another — but
+// the handler of a mutation (an Atomic row of nsmodel.Promises) whose reply
+// is lost has run, and may have applied, so it answers ErrReplyLost.
+func (cl *Client) rpc(p *sim.Proc, name string, reqExtra int, fn func(nn *NameNode) (int, error)) error {
 	for attempt := 0; attempt < 4; attempt++ {
 		nn, err := cl.pick(p)
 		if err != nil {
@@ -229,6 +279,9 @@ func (cl *Client) rpc(p *sim.Proc, reqExtra int, fn func(nn *NameNode) (int, err
 		nn.inflight--
 		if !cl.travel(p, nn.Node, cl.Node, rpcRespSize+respExtra) {
 			cl.leave()
+			if promise, _ := nsmodel.PromiseOf(name); promise.Effect == nsmodel.Atomic {
+				return ErrReplyLost
+			}
 			continue
 		}
 		// Synchronize with the clock so the caller's end-to-end latency

@@ -12,6 +12,3 @@ func (ns *Namesystem) BalanceEpoch() int { return ns.balanceEpoch }
 // CurrentNameNode returns the server the client is stuck to (nil before the
 // first operation).
 func (cl *Client) CurrentNameNode() *NameNode { return cl.nn }
-
-// ModelErr maps a metadata-layer error onto the oracle's class of it.
-var ModelErr = modelErr

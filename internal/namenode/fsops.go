@@ -407,12 +407,8 @@ func (nn *NameNode) verifyHinted(tx ndb.Tx, sc *opScratch, fp *fsPath, ids []uin
 			tx.Annotate("op.batched", strconv.Itoa(rows))
 			return nil, true, ErrNotFound
 		}
-		ino, ok := vals[i].Val.(*Inode)
-		if !ok || ino.Parent != ids[i] || ino.Name != fp.comp(i) {
-			// Defensive: the stored row disagrees with its own key.
-			obs.resolveFallback.Add(1)
-			return chain, false, nil
-		}
+		// A row read by its key carries that key's parent and name.
+		ino := vals[i].Val.(*Inode)
 		if i+1 < len(ids) && ino.ID != ids[i+1] {
 			// The path component exists but is not the inode the cache
 			// promised (renamed away and recreated): every row below was

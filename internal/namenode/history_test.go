@@ -69,11 +69,11 @@ func TestHistoryMatchesOracle(t *testing.T) {
 				}
 				// One fault-free client meets no contention: every
 				// operation answers one of the oracle's classes.
-				if outcome(op).Err == nsmodel.ErrUnknown {
+				if namenode.Outcome(op).Err == nsmodel.ErrUnknown {
 					t.Fatalf("op %d %s %s %s: %v, which the oracle has no class for", i, op.Name, op.Path, op.Dst, op.Err)
 				}
 			}
-			if err := nsmodel.Check(h.Ops, outcome, nsmodel.FirstRenameErr); err != nil {
+			if err := nsmodel.Check(h.Ops, namenode.Outcome, nsmodel.FirstRenameErr); err != nil {
 				t.Fatal(err)
 			}
 			// The history must have exercised the error paths, not only
@@ -126,36 +126,8 @@ func runMixedHistory(p *sim.Proc, cl *namenode.Client, rng *rand.Rand, n int) {
 	}
 }
 
-// outcome maps a recorded operation onto the oracle's terms. An error that
-// is none of the oracle's classes — retries exhausted under contention, an
-// indeterminate commit — leaves the effect unknown.
-func outcome(op nsmodel.Op) nsmodel.Outcome {
-	var out nsmodel.Outcome
-	if op.Err != nil {
-		out.Err = namenode.ModelErr(op.Err)
-		if out.Err == op.Err {
-			out.Err = nsmodel.ErrUnknown
-		}
-		return out
-	}
-	switch r := op.Result.(type) {
-	case *namenode.Inode:
-		out.Entry = entryOf(r)
-	case namenode.Listing:
-		out.List = make([]nsmodel.Entry, r.Len())
-		for i := range out.List {
-			out.List[i] = entryOf(r.At(i))
-		}
-	}
-	return out
-}
-
-func entryOf(ino *namenode.Inode) nsmodel.Entry {
-	return nsmodel.Entry{ID: ino.ID, Name: ino.Name, Dir: ino.Dir, Size: ino.Size}
-}
-
 func outcomeClass(op nsmodel.Op) string {
-	if err := outcome(op).Err; err != nil {
+	if err := namenode.Outcome(op).Err; err != nil {
 		return err.Error()
 	}
 	return "ok"
@@ -185,7 +157,7 @@ func TestConcurrentHistoryLinearizes(t *testing.T) {
 				if shards > 1 {
 					renames = nsmodel.AnyRenameErr
 				}
-				if err := nsmodel.Check(h.Ops, outcome, renames); err != nil {
+				if err := nsmodel.Check(h.Ops, namenode.Outcome, renames); err != nil {
 					t.Fatal(err)
 				}
 				for _, op := range h.Ops {

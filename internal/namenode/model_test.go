@@ -13,32 +13,6 @@ import (
 	"hopsfscl/internal/sim"
 )
 
-// modelErr maps a metadata-layer error onto the oracle's class of it;
-// an error the oracle has no class for comes back as it is.
-func modelErr(err error) error {
-	for _, c := range []struct{ impl, model error }{
-		{ErrNotFound, nsmodel.ErrNotFound},
-		{ErrExists, nsmodel.ErrExists},
-		{ErrNotDir, nsmodel.ErrNotDir},
-		{ErrNotEmpty, nsmodel.ErrNotEmpty},
-		{ErrCycle, nsmodel.ErrCycle},
-		{ErrIsDir, nsmodel.ErrIsDir},
-	} {
-		if errors.Is(err, c.impl) {
-			return c.model
-		}
-	}
-	return err
-}
-
-// errClass normalizes errors for comparison.
-func errClass(err error) string {
-	if err == nil {
-		return "ok"
-	}
-	return modelErr(err).Error()
-}
-
 // TestPropFSMatchesModel runs random operation sequences through the full
 // stack (client -> NN -> transactions -> NDB commit protocol) and through
 // the oracle, comparing every outcome. This is the deep end-to-end
@@ -121,7 +95,7 @@ func TestPropFSMatchesModel(t *testing.T) {
 						return
 					}
 				}
-				if errClass(gotErr) != errClass(wantErr) {
+				if Outcome(nsmodel.Op{Err: gotErr}).Err != wantErr {
 					t.Errorf("seed %d step %d %s: fs=%v model=%v", seed, i, desc, gotErr, wantErr)
 					okAll = false
 					return

@@ -40,8 +40,13 @@ var (
 	// ErrRetriesExhausted means the transaction kept aborting (overload,
 	// failover in progress) beyond the retry budget.
 	ErrRetriesExhausted = errors.New("namenode: transaction retries exhausted")
-	// ErrNoNameNodes means no metadata server is reachable.
+	// ErrNoNameNodes means no metadata server is reachable: of a
+	// mutation, no request was delivered.
 	ErrNoNameNodes = errors.New("namenode: no metadata servers available")
+	// ErrReplyLost is a mutation's answer when its request reached a
+	// server and the reply did not come back: it may have applied, so the
+	// client does not run it again. It wraps ndb.ErrIndeterminate.
+	ErrReplyLost = fmt.Errorf("namenode: reply lost, outcome unknown: %w", ndb.ErrIndeterminate)
 	// ErrCycle means a rename would move a directory under itself.
 	ErrCycle = errors.New("namenode: rename would create a cycle")
 	// errMoved refuses a rename whose source, or whose destination's

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -77,9 +76,15 @@ func PromiseOf(op string) (Promise, bool) {
 // know: it took effect at one instant after its invoke, or never.
 var ErrUnknown = errors.New("nsmodel: outcome unknown")
 
+// ErrNotApplied is the outcome of an operation that took no effect and
+// answered nothing: its request never reached the metadata layer, or every
+// attempt stopped before its commit point. Check leaves it out.
+var ErrNotApplied = errors.New("nsmodel: not applied")
+
 // Outcome is what an operation returned, in the model's terms.
 type Outcome struct {
-	// Err is nil, one of the model's error classes, or ErrUnknown.
+	// Err is nil, one of the model's error classes, ErrUnknown or
+	// ErrNotApplied.
 	Err error
 	// Entry is the inode a create or a mkdir made, or the one a stat or a
 	// read found.
@@ -105,10 +110,12 @@ const (
 // operation in turn, answers every one as it was answered, a failed rename
 // as renames says. outcome maps an operation onto the model's terms. The
 // search is Wing and Gong's, with Lowe's memo of (operations placed, model
-// state) pairs, and it runs per partition of the history: operations that
-// touch no common top-level directory are independent, and an operation on
-// "/" itself joins them all. It returns nil when every partition has a linearization, and
-// otherwise names the operation the longest one could not place.
+// state) pairs kept as 128-bit hashes, and it runs per partition of the
+// history: operations that touch no common top-level directory are
+// independent, and an operation on "/" itself joins them all. An operation
+// that took no effect (ErrNotApplied) is left out. It returns nil when
+// every partition has a linearization, and otherwise names the operation
+// the longest one could not place.
 func Check(ops []Op, outcome func(Op) Outcome, renames RenameErrs) error {
 	outs := make([]Outcome, len(ops))
 	for i, op := range ops {
@@ -131,14 +138,12 @@ func partitions(ops []Op) [][]int {
 	root := map[string]string{}
 	var find func(string) string
 	find = func(x string) string {
-		r, ok := root[x]
-		if !ok || r == x {
-			root[x] = x
-			return x
+		if r, ok := root[x]; ok && r != x {
+			root[x] = find(r)
+			return root[x]
 		}
-		r = find(r)
-		root[x] = r
-		return r
+		root[x] = x
+		return x
 	}
 	top := func(path string) string {
 		if comps := split(path); len(comps) > 0 {
@@ -146,16 +151,9 @@ func partitions(ops []Op) [][]int {
 		}
 		return "/"
 	}
-	touched := func(op Op) []string {
-		if op.Name == "rename" {
-			return []string{top(op.Path), top(op.Dst)}
-		}
-		return []string{top(op.Path)}
-	}
 	for _, op := range ops {
-		t := touched(op)
-		for _, x := range t {
-			root[find(x)] = find(t[0])
+		if r := find(top(op.Path)); op.Name == "rename" {
+			root[find(top(op.Dst))] = r
 		}
 	}
 	if _, ok := root["/"]; ok {
@@ -163,18 +161,16 @@ func partitions(ops []Op) [][]int {
 			root[find(x)] = find("/")
 		}
 	}
-	byRoot := map[string][]int{}
-	var order []string
+	group := map[string]int{}
+	var out [][]int
 	for i, op := range ops {
-		r := find(touched(op)[0])
-		if _, ok := byRoot[r]; !ok {
-			order = append(order, r)
+		r := find(top(op.Path))
+		g, ok := group[r]
+		if !ok {
+			g, group[r] = len(out), len(out)
+			out = append(out, nil)
 		}
-		byRoot[r] = append(byRoot[r], i)
-	}
-	out := make([][]int, len(order))
-	for i, r := range order {
-		out[i] = byRoot[r]
+		out[g] = append(out[g], i)
 	}
 	return out
 }
@@ -198,7 +194,10 @@ type event struct {
 	prev, next *event
 }
 
-// linearize runs the search over the operations part names.
+// linearize runs the search over the operations part names. A state's memo
+// key is a 128-bit hash kept as the search goes — the model's, and that of
+// each placed step and of each listing's pending scan with the directory
+// its resolve found — and backtracking rolls the model back by its journal.
 func linearize(ops []Op, outs []Outcome, part []int, renames RenameErrs) error {
 	var steps []step
 	var evs []*event
@@ -215,6 +214,8 @@ func linearize(ops []Op, outs []Outcome, part []int, renames RenameErrs) error {
 		effect := promise.Effect
 		ret := ops[i].Return
 		switch {
+		case outs[i].Err == ErrNotApplied:
+			continue // it took no effect and answered nothing
 		case outs[i].Err == ErrUnknown && effect != Atomic:
 			continue // a read nobody saw the answer of constrains nothing
 		case outs[i].Err == ErrUnknown:
@@ -263,19 +264,30 @@ func linearize(ops []Op, outs []Outcome, part []int, renames RenameErrs) error {
 			}
 		}
 	}
+	// A frame is one placed step: its call, and the journal's length and
+	// the steps' hash before it.
 	type frame struct {
-		e *event
-		m *Model
+		e    *event
+		undo int
+		sum  [2]uint64
 	}
 	// placed marks the steps in the order so far; dir holds, for a
 	// listing's scan whose resolve is placed, the directory it resolved.
 	placed := make([]bool, len(steps))
 	dir := make([]uint64, len(steps))
-	seen := map[string]bool{}
+	var sum [2]uint64
+	seen := map[[2]uint64]bool{}
 	var stack []frame
-	var longest []int
-	stuck := -1
+	// The longest order found: its length, its last operations, and the
+	// operation it could not place.
+	longest, stuck := 0, -1
+	var tail []int
 	m := New()
+	m.journal = true
+	// Each level tries the steps of known outcome first, then (late) those
+	// of unknown outcome: one that never took effect is then tried only
+	// where nothing else fits.
+	late := false
 	for e := head.next; e != nil; {
 		s := e.step
 		if !e.call {
@@ -284,77 +296,81 @@ func linearize(ops []Op, outs []Outcome, part []int, renames RenameErrs) error {
 				// took effect after everything, or never.
 				return nil
 			}
-			if len(stack) >= len(longest) {
-				longest, stuck = longest[:0], steps[s].op
-				for _, f := range stack {
-					longest = append(longest, steps[f.e.step].op)
+			if !late {
+				late, e = true, head.next
+				continue
+			}
+			if len(stack) >= longest {
+				longest, stuck, tail = len(stack), steps[s].op, tail[:0]
+				for _, f := range stack[max(0, len(stack)-16):] {
+					tail = append(tail, steps[f.e.step].op)
 				}
 			}
-			if len(stack) == 0 {
-				return failure(ops, outs, slices.Compact(longest), stuck)
+			// Backtrack to the last step placed in place of which another
+			// could be. A read placed is not one: it changed nothing and
+			// answered as the namespace stood, so any order that placed
+			// another step there could have placed the read first.
+			for {
+				if len(stack) == 0 {
+					return failure(ops, outs, longest, slices.Compact(tail), stuck)
+				}
+				f := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				m.rollback(f.undo)
+				sum, placed[f.e.step] = f.sum, false
+				unlift(f.e)
+				if e, late = f.e.next, unknown[f.e.step]; steps[f.e.step].phase == Atomic || steps[f.e.step].phase == Listed {
+					break
+				}
 			}
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			m, placed[f.e.step] = f.m, false
-			unlift(f.e)
-			e = f.e.next
 			continue
 		}
-		st, next := steps[s], m
+		if unknown[s] != late {
+			e = e.next
+			continue
+		}
+		st, undo, next := steps[s], len(m.undo), sum
 		ok := false
 		switch st.phase {
 		case Listed:
-			var d Entry
 			d, err := m.Stat(ops[st.op].Path)
 			ok, dir[s+1] = err == nil && d.Dir, d.ID
+			toggle(&next, pending{s + 1, d.ID})
 		case scan:
 			ok = placed[s-1] && (dir[s] == 0 || slices.EqualFunc(m.children(dir[s]), outs[st.op].List, sameEntry))
+			toggle(&next, pending{s, dir[s]})
 		default:
-			next = m.clone()
-			ok = apply(next, ops[st.op], outs[st.op], renames)
+			ok = apply(m, ops[st.op], outs[st.op], renames)
 		}
-		if ok {
-			placed[s] = true
-			if key := stateKey(placed, dir, steps) + next.key(); !seen[key] {
-				seen[key] = true
-				stack = append(stack, frame{e, m})
-				m = next
-				lift(e)
-				e = head.next
-				continue
-			}
-			placed[s] = false
+		toggle(&next, s)
+		if key := [2]uint64{next[0] ^ m.sum[0], next[1] ^ m.sum[1]}; ok && !seen[key] {
+			seen[key] = true
+			stack = append(stack, frame{e, undo, sum})
+			sum, placed[s], late = next, true, false
+			lift(e)
+			e = head.next
+			continue
 		}
+		m.rollback(undo)
 		e = e.next
 	}
 	return nil
 }
 
-// stateKey is the search's memo key but for the model: the steps placed,
-// and the directory each listing whose scan is still to place resolved.
-func stateKey(placed []bool, dir []uint64, steps []step) string {
-	b := make([]byte, 0, len(placed)+1)
-	for i, p := range placed {
-		switch {
-		case p:
-			b = append(b, '1')
-		case steps[i].phase == scan && placed[i-1]:
-			b = strconv.AppendUint(append(b, '('), dir[i], 36)
-			b = append(b, ')')
-		default:
-			b = append(b, '0')
-		}
-	}
-	return string(append(b, '|'))
+// pending is a listing's scan whose resolve is placed, by the directory
+// the resolve found: part of the search's state.
+type pending struct {
+	step int
+	dir  uint64
 }
 
 // failure describes a history without a linearization: the longest order
 // the search found, and the operation it could not place before that
 // operation returned.
-func failure(ops []Op, outs []Outcome, longest []int, stuck int) error {
+func failure(ops []Op, outs []Outcome, steps int, tail []int, stuck int) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "no linearization; the longest order placed %d operations, ending:", len(longest))
-	for _, i := range longest[max(0, len(longest)-8):] {
+	fmt.Fprintf(&b, "no linearization; the longest order placed %d steps, ending:", steps)
+	for _, i := range tail[max(0, len(tail)-8):] {
 		b.WriteString("\n  " + describe(i, ops[i], outs[i]))
 	}
 	b.WriteString("\nand could not place:\n  " + describe(stuck, ops[stuck], outs[stuck]))
@@ -372,6 +388,8 @@ func describe(i int, op Op, out Outcome) string {
 	switch {
 	case out.Err != nil:
 		s += ": " + out.Err.Error()
+	case op.Name == "list" && len(out.List) > 8:
+		s += fmt.Sprintf(": %d children, the first %v", len(out.List), out.List[:8])
 	case op.Name == "list":
 		s += fmt.Sprintf(": %v", out.List)
 	case out.Entry != (Entry{}):
@@ -400,7 +418,7 @@ func apply(m *Model, op Op, out Outcome, renames RenameErrs) bool {
 	case "delete":
 		err = m.Delete(op.Path, op.Recursive)
 	case "rename":
-		if renames == AnyRenameErr && slices.Contains(m.renameErrs(op.Path, op.Dst), out.Err) {
+		if renames == AnyRenameErr && slices.Contains(m.renameErrs(clean(op.Path), clean(op.Dst)), out.Err) {
 			return true
 		}
 		err = m.Rename(op.Path, op.Dst)

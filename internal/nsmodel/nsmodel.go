@@ -12,10 +12,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
-	"maps"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -47,19 +46,55 @@ type Entry struct {
 const RootID = 1
 
 // Model is the oracle's namespace: every inode by its absolute path, "/"
-// the root. The zero value is not usable; see New.
+// the root, with two indexes — each directory's children, and each
+// directory's path by its id — and a hash of the whole. The zero value is
+// not usable; see New.
 type Model struct {
 	nodes map[string]Entry
+	// kids holds each directory's children sorted by name, by the
+	// directory's path.
+	kids map[string][]Entry
+	// dirs holds each directory's path by its id, where the id is known.
+	dirs map[uint64]string
+	// sum is a 128-bit hash of the namespace: the XOR of every inode's
+	// (path, entry) hash but the root's, the same for equal namespaces.
+	sum [2]uint64
+	// While journal is set, write notes in undo what each path held
+	// before, so that rollback can restore it: Check's search backtracks
+	// this way.
+	journal bool
+	undo    []change
+}
+
+// change is what one write replaced: path held e, or nothing when !had.
+type change struct {
+	path string
+	e    Entry
+	had  bool
+}
+
+// node is what the namespace hash hashes: one inode at its path.
+type node struct {
+	path string
+	e    Entry
 }
 
 // New returns a model holding only the root directory.
 func New() *Model {
-	return &Model{nodes: map[string]Entry{"/": {ID: RootID, Dir: true}}}
+	return &Model{
+		nodes: map[string]Entry{"/": {ID: RootID, Dir: true}},
+		kids:  map[string][]Entry{},
+		dirs:  map[uint64]string{RootID: "/"},
+	}
 }
 
-// clone returns an independent copy of the model.
-func (m *Model) clone() *Model {
-	return &Model{nodes: maps.Clone(m.nodes)}
+// hashSeeds seed the 128-bit hashes of a model and of Check's search.
+var hashSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+// toggle adds v to the XOR hash h, or takes it out again.
+func toggle[T comparable](h *[2]uint64, v T) {
+	h[0] ^= maphash.Comparable(hashSeeds[0], v)
+	h[1] ^= maphash.Comparable(hashSeeds[1], v)
 }
 
 // split returns an absolute path's components; "/" has none. Paths are
@@ -73,6 +108,15 @@ func split(path string) []string {
 
 // join is split's inverse.
 func join(comps []string) string { return "/" + strings.Join(comps, "/") }
+
+// clean returns path as the model keys it: one slash before each component
+// and none after the last, "/" for the root.
+func clean(path string) string {
+	if !strings.HasPrefix(path, "/") || strings.Contains(path, "//") || len(path) > 1 && strings.HasSuffix(path, "/") {
+		return join(split(path))
+	}
+	return path
+}
 
 // under reports whether path lies strictly below dir.
 func under(path, dir string) bool {
@@ -90,13 +134,20 @@ func parent(path string) string {
 	return "/"
 }
 
-func (m *Model) walk(comps []string) (Entry, error) {
+// base returns the last component of a clean path.
+func base(path string) string { return path[strings.LastIndexByte(path, '/')+1:] }
+
+// walk resolves a clean path one component at a time.
+func (m *Model) walk(path string) (Entry, error) {
 	cur := m.nodes["/"]
-	for i := range comps {
+	for i := 2; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
 		if !cur.Dir {
 			return Entry{}, ErrNotDir
 		}
-		next, ok := m.nodes[join(comps[:i+1])]
+		next, ok := m.nodes[path[:i]]
 		if !ok {
 			return Entry{}, ErrNotFound
 		}
@@ -105,26 +156,77 @@ func (m *Model) walk(comps []string) (Entry, error) {
 	return cur, nil
 }
 
-// parentOf resolves the directory that holds the last component.
-func (m *Model) parentOf(comps []string) error {
-	parent, err := m.walk(comps[:len(comps)-1])
+// parentOf resolves the directory that holds a clean path's last component.
+func (m *Model) parentOf(path string) error {
+	parent, err := m.walk(parent(path))
 	if err == nil && !parent.Dir {
 		err = ErrNotDir
 	}
 	return err
 }
 
+// write makes path hold e, or nothing when !ok, keeping the indexes and
+// the hash, and, while journaling, notes what path held.
+func (m *Model) write(path string, e Entry, ok bool) {
+	old, had := m.nodes[path]
+	if m.journal {
+		m.undo = append(m.undo, change{path, old, had})
+	}
+	dir := parent(path)
+	kids := m.kids[dir]
+	i, _ := slices.BinarySearchFunc(kids, base(path), func(k Entry, name string) int { return strings.Compare(k.Name, name) })
+	if had {
+		toggle(&m.sum, node{path, old})
+		if old.Dir && m.dirs[old.ID] == path {
+			delete(m.dirs, old.ID)
+		}
+		kids = slices.Delete(kids, i, i+1)
+		delete(m.nodes, path)
+	}
+	if ok {
+		toggle(&m.sum, node{path, e})
+		if e.Dir && e.ID != 0 {
+			m.dirs[e.ID] = path
+		}
+		kids = slices.Insert(kids, i, e)
+		m.nodes[path] = e
+	}
+	m.kids[dir] = kids
+}
+
+// rollback restores the namespace the journal held n changes ago.
+func (m *Model) rollback(n int) {
+	m.journal = false
+	for len(m.undo) > n {
+		c := m.undo[len(m.undo)-1]
+		m.undo = m.undo[:len(m.undo)-1]
+		m.write(c.path, c.e, c.had)
+	}
+	m.journal = true
+}
+
+// subtree lists path and every path below it, each directory before its
+// children.
+func (m *Model) subtree(path string) []string {
+	out := []string{path}
+	for i := 0; i < len(out); i++ {
+		for _, k := range m.kids[out[i]] {
+			out = append(out, out[i]+"/"+k.Name)
+		}
+	}
+	return out
+}
+
 func (m *Model) add(path string, e Entry) error {
-	comps := split(path)
-	if err := m.parentOf(comps); err != nil {
+	path = clean(path)
+	if err := m.parentOf(path); err != nil {
 		return err
 	}
-	path = join(comps)
 	if _, ok := m.nodes[path]; ok {
 		return ErrExists
 	}
-	e.Name = comps[len(comps)-1]
-	m.nodes[path] = e
+	e.Name = base(path)
+	m.write(path, e, true)
 	return nil
 }
 
@@ -140,7 +242,8 @@ func (m *Model) Create(path string, id uint64, size int64) error {
 // answers ErrNotFound when path holds another inode, or a directory: a
 // write's blocks land on the file it created, or the write fails.
 func (m *Model) Attach(path string, id uint64, size int64) error {
-	e, err := m.walk(split(path))
+	path = clean(path)
+	e, err := m.walk(path)
 	if err != nil {
 		return err
 	}
@@ -148,29 +251,25 @@ func (m *Model) Attach(path string, id uint64, size int64) error {
 		return ErrNotFound
 	}
 	e.Size = size
-	m.nodes[join(split(path))] = e
+	m.write(path, e, true)
 	return nil
 }
 
 // Delete removes a path; a non-empty directory only when recursive.
 func (m *Model) Delete(path string, recursive bool) error {
-	comps := split(path)
-	if err := m.parentOf(comps); err != nil {
+	path = clean(path)
+	if err := m.parentOf(path); err != nil {
 		return err
 	}
-	path = join(comps)
 	if _, ok := m.nodes[path]; !ok {
 		return ErrNotFound
 	}
-	for k := range m.nodes {
-		if under(k, path) && !recursive {
-			return ErrNotEmpty
-		}
+	if len(m.kids[path]) > 0 && !recursive {
+		return ErrNotEmpty
 	}
-	for k := range m.nodes {
-		if k == path || under(k, path) {
-			delete(m.nodes, k)
-		}
+	sub := m.subtree(path)
+	for i := len(sub) - 1; i >= 0; i-- {
+		m.write(sub[i], Entry{}, false)
 	}
 	return nil
 }
@@ -178,24 +277,19 @@ func (m *Model) Delete(path string, recursive bool) error {
 // Rename moves src to dst, keeping its id. When it fails, it answers the
 // first of renameErrs.
 func (m *Model) Rename(src, dst string) error {
+	src, dst = clean(src), clean(dst)
 	if errs := m.renameErrs(src, dst); len(errs) > 0 {
 		return errs[0]
 	}
-	srcComps, dstComps := split(src), split(dst)
-	src, dst = join(srcComps), join(dstComps)
-	n := m.nodes[src]
-	moved := map[string]Entry{}
-	for k, v := range m.nodes {
-		if under(k, src) {
-			moved[dst+k[len(src):]] = v
-			delete(m.nodes, k)
-		}
+	sub := m.subtree(src)
+	moved := make([]Entry, len(sub))
+	for i := len(sub) - 1; i >= 0; i-- {
+		moved[i] = m.nodes[sub[i]]
+		m.write(sub[i], Entry{}, false)
 	}
-	delete(m.nodes, src)
-	n.Name = dstComps[len(dstComps)-1]
-	moved[dst] = n
-	for k, v := range moved {
-		m.nodes[k] = v
+	moved[0].Name = base(dst)
+	for i, path := range sub {
+		m.write(dst+path[len(src):], moved[i], true)
 	}
 	return nil
 }
@@ -204,28 +298,28 @@ func (m *Model) Rename(src, dst string) error {
 // metadata layer's order of checks on one cluster: the source's parent
 // chain, the source, the destination's parent chain, a cycle, the
 // destination. A rename whose rows live on two shards meets its checks in
-// shard order, so it may answer any of them.
+// shard order, so it may answer any of them. Both paths are clean.
 func (m *Model) renameErrs(src, dst string) []error {
-	srcComps, dstComps := split(src), split(dst)
 	var errs []error
 	srcOK := false
-	if err := m.parentOf(srcComps); err != nil {
+	if err := m.parentOf(src); err != nil {
 		errs = append(errs, err)
-	} else if _, ok := m.nodes[join(srcComps)]; !ok {
+	} else if _, ok := m.nodes[src]; !ok {
 		errs = append(errs, ErrNotFound)
 	} else {
 		srcOK = true
 	}
-	dstParent, err := m.walk(dstComps[:len(dstComps)-1])
-	switch up := join(dstComps[:len(dstComps)-1]); {
+	up := parent(dst)
+	dstParent, err := m.walk(up)
+	switch {
 	case err != nil:
 		errs = append(errs, err)
 	case !dstParent.Dir:
 		errs = append(errs, ErrNotDir)
-	case srcOK && (up == join(srcComps) || under(up, join(srcComps))):
+	case srcOK && (up == src || under(up, src)):
 		errs = append(errs, ErrCycle)
 	}
-	if _, ok := m.nodes[join(dstComps)]; ok {
+	if _, ok := m.nodes[dst]; ok {
 		errs = append(errs, ErrExists)
 	}
 	return errs
@@ -233,71 +327,38 @@ func (m *Model) renameErrs(src, dst string) []error {
 
 // List returns a directory's children sorted by name.
 func (m *Model) List(path string) ([]Entry, error) {
-	comps := split(path)
-	n, err := m.walk(comps)
+	path = clean(path)
+	n, err := m.walk(path)
 	if err != nil {
 		return nil, err
 	}
 	if !n.Dir {
 		return nil, ErrNotDir
 	}
-	dir := join(comps)
-	out := []Entry{}
-	for k, v := range m.nodes {
-		if k != "/" && parent(k) == dir {
-			out = append(out, v)
-		}
-	}
-	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.Name, b.Name) })
-	return out, nil
+	return append([]Entry{}, m.kids[path]...), nil
 }
 
 // children returns the children of the directory with the given id, sorted
 // by name: none when no directory has that id.
 func (m *Model) children(id uint64) []Entry {
-	for k, v := range m.nodes {
-		if v.ID == id && v.Dir {
-			kids, _ := m.List(k)
-			return kids
-		}
+	if path, ok := m.dirs[id]; ok {
+		return m.kids[path]
 	}
-	return []Entry{}
+	return nil
 }
 
 // Stat returns the inode a path names.
 func (m *Model) Stat(path string) (Entry, error) {
-	return m.walk(split(path))
+	return m.walk(clean(path))
 }
 
 // Read returns the file a path names, as reading it does.
 func (m *Model) Read(path string) (Entry, error) {
-	e, err := m.walk(split(path))
+	e, err := m.walk(clean(path))
 	if err == nil && e.Dir {
 		return Entry{}, ErrIsDir
 	}
 	return e, err
-}
-
-// key is the model's state as one string, the same for equal states.
-func (m *Model) key() string {
-	paths := make([]string, 0, len(m.nodes))
-	for k := range m.nodes {
-		paths = append(paths, k)
-	}
-	slices.Sort(paths)
-	var b strings.Builder
-	for _, k := range paths {
-		e := m.nodes[k]
-		b.WriteString(k)
-		b.WriteByte(0)
-		b.WriteString(strconv.FormatUint(e.ID, 36))
-		if e.Dir {
-			b.WriteByte('d')
-		}
-		b.WriteString(strconv.FormatInt(e.Size, 36))
-		b.WriteByte(0)
-	}
-	return b.String()
 }
 
 // Op is one client operation as its client saw it. Name is the operation

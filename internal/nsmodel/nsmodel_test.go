@@ -167,3 +167,82 @@ func TestCheckJudgesAListingByItsTwoReads(t *testing.T) {
 		t.Error("a listing of a child the directory never had was accepted")
 	}
 }
+
+// TestModelRollsBack: rolling the model's journal back to any mark restores
+// the namespace, its indexes and its hash as the mark saw them, and one
+// namespace has one hash however it was reached. A path with stray slashes
+// names the inode its clean form does.
+func TestModelRollsBack(t *testing.T) {
+	m := New()
+	m.journal = true
+	state := func() string {
+		kids := map[string][]Entry{}
+		for dir, k := range m.kids {
+			if len(k) > 0 {
+				kids[dir] = k
+			}
+		}
+		return fmt.Sprint(m.nodes, kids, m.dirs, m.sum)
+	}
+	type mark struct {
+		undo  int
+		state string
+	}
+	var marks []mark
+	for _, step := range []func() error{
+		func() error { return m.Mkdir("/a", 2) },
+		func() error { return m.Mkdir("//a/b/", 3) },
+		func() error { return m.Create("/a/b/f", 4, 1) },
+		func() error { return m.Attach("a/b/f", 4, 9) },
+		func() error { return m.Mkdir("/c", 5) },
+		func() error { return m.Rename("/a/b", "/c/b") },
+		func() error { return m.Delete("/c", true) },
+	} {
+		marks = append(marks, mark{len(m.undo), state()})
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kids, _ := m.List("/"); fmt.Sprint(kids) != fmt.Sprint([]Entry{{ID: 2, Name: "a", Dir: true}}) {
+		t.Errorf("list / = %v after the recursive delete of /c", kids)
+	}
+	for i := len(marks) - 1; i >= 0; i-- {
+		m.rollback(marks[i].undo)
+		if got := state(); got != marks[i].state {
+			t.Errorf("rolled back before step %d: %s, want %s", i, got, marks[i].state)
+		}
+	}
+	direct, moved := New(), New()
+	direct.Mkdir("/a", 2)
+	direct.Create("/a/f", 3, 0)
+	moved.Mkdir("/x", 2)
+	moved.Create("/x/f", 3, 0)
+	moved.Rename("/x", "/a")
+	if direct.sum != moved.sum {
+		t.Error("one namespace hashes two ways")
+	}
+	if _, err := moved.Read("/a"); err != ErrIsDir {
+		t.Errorf("read of a directory: %v, want %v", err, ErrIsDir)
+	}
+}
+
+// TestCheckLeavesOutWhatTookNoEffect: a create that took no effect
+// (ErrNotApplied) is in no order, so a later stat must miss its file.
+func TestCheckLeavesOutWhatTookNoEffect(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	history := []Op{
+		{Client: 1, Name: "create", Path: "/f", Invoke: ms(0), Return: ms(1)},
+		{Client: 2, Name: "stat", Path: "/f", Invoke: ms(2), Return: ms(3)},
+	}
+	for _, stat := range []error{ErrNotFound, nil} {
+		outcome := func(op Op) Outcome {
+			if op.Name == "create" {
+				return Outcome{Err: ErrNotApplied}
+			}
+			return Outcome{Err: stat, Entry: Entry{ID: 2, Name: "f"}}
+		}
+		if err := Check(history, outcome, FirstRenameErr); (err == nil) != (stat != nil) {
+			t.Errorf("a stat answering %v after a create that took no effect: Check = %v", stat, err)
+		}
+	}
+}
