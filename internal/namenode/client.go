@@ -96,21 +96,25 @@ func Outcome(op nsmodel.Op) nsmodel.Outcome {
 	case *Inode:
 		out.Entry = r.entry()
 	case Listing:
-		out.List = make([]nsmodel.Entry, r.Len())
-		for i := range out.List {
-			out.List[i] = r.At(i).entry()
-		}
+		out.List = entries(r)
 	}
 	return out
 }
+
+// entries is a listing as the oracle reads it, in place.
+type entries Listing
+
+func (l entries) Len() int               { return len(l.kvs) }
+func (l entries) At(i int) nsmodel.Entry { return Listing(l).At(i).entry() }
 
 // entry is the inode as the oracle sees it.
 func (ino *Inode) entry() nsmodel.Entry {
 	return nsmodel.Entry{ID: ino.ID, Name: ino.Name, Dir: ino.Dir, Size: ino.Size}
 }
 
-// pick selects (or keeps) the client's metadata server.
-func (cl *Client) pick(p *sim.Proc) (*NameNode, error) {
+// pick selects (or keeps) the client's metadata server, drawing a new one
+// among those serving other than lost, whose leg was just lost, if any.
+func (cl *Client) pick(p *sim.Proc, lost *NameNode) (*NameNode, error) {
 	if cl.nn != nil && cl.nn.Serving() && cl.epoch == cl.ns.balanceEpoch {
 		return cl.nn, nil
 	}
@@ -147,7 +151,7 @@ func (cl *Client) pick(p *sim.Proc) (*NameNode, error) {
 			continue
 		}
 		nn := cl.ns.nns[a.ID-1]
-		if !nn.Serving() {
+		if !nn.Serving() || nn == lost {
 			continue
 		}
 		all = append(all, nn)
@@ -164,10 +168,13 @@ func (cl *Client) pick(p *sim.Proc) (*NameNode, error) {
 		// fall back to the statically configured set, like a real client
 		// falling back to its configured namenode list.
 		for _, nn := range cl.ns.nns {
-			if nn.Serving() {
+			if nn.Serving() && nn != lost {
 				pool = append(pool, nn)
 			}
 		}
+	}
+	if len(pool) == 0 && lost != nil && lost.Serving() {
+		pool = append(pool, lost)
 	}
 	if len(pool) == 0 {
 		return nil, ErrNoNameNodes
@@ -265,13 +272,15 @@ func (cl *Client) do(p *sim.Proc, op nsmodel.Op, reqExtra int, fn func(nn *NameN
 // the handler of a mutation (an Atomic row of nsmodel.Promises) whose reply
 // is lost has run, and may have applied, so it answers ErrReplyLost.
 func (cl *Client) rpc(p *sim.Proc, name string, reqExtra int, fn func(nn *NameNode) (int, error)) error {
+	var lost *NameNode
 	for attempt := 0; attempt < 4; attempt++ {
-		nn, err := cl.pick(p)
+		nn, err := cl.pick(p, lost)
 		if err != nil {
 			return err
 		}
 		if !cl.travel(p, cl.Node, nn.Node, rpcReqSize+reqExtra) {
 			cl.leave()
+			lost = nn
 			continue
 		}
 		nn.inflight++
@@ -282,6 +291,7 @@ func (cl *Client) rpc(p *sim.Proc, name string, reqExtra int, fn func(nn *NameNo
 			if promise, _ := nsmodel.PromiseOf(name); promise.Effect == nsmodel.Atomic {
 				return ErrReplyLost
 			}
+			lost = nn
 			continue
 		}
 		// Synchronize with the clock so the caller's end-to-end latency

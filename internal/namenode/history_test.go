@@ -68,8 +68,10 @@ func TestHistoryMatchesOracle(t *testing.T) {
 					t.Fatalf("op %d is recorded for client %d, want %d", i, op.Client, cl.Node.ID())
 				}
 				// One fault-free client meets no contention: every
-				// operation answers one of the oracle's classes.
-				if namenode.Outcome(op).Err == nsmodel.ErrUnknown {
+				// operation answers one of the oracle's classes, and none
+				// is left out as not applied (no server reachable, or
+				// retries exhausted).
+				if out := namenode.Outcome(op).Err; out == nsmodel.ErrUnknown || out == nsmodel.ErrNotApplied {
 					t.Fatalf("op %d %s %s %s: %v, which the oracle has no class for", i, op.Name, op.Path, op.Dst, op.Err)
 				}
 			}

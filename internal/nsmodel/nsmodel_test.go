@@ -148,7 +148,7 @@ func TestCheckJudgesAListingByItsTwoReads(t *testing.T) {
 		ms(1): {Entry: Entry{ID: 3, Name: "f"}},
 	}
 	history := func(list []Entry) []Op {
-		outs[ms(11)] = Outcome{List: list}
+		outs[ms(11)] = Outcome{List: entryList(list)}
 		return []Op{
 			{Client: 1, Name: "mkdir", Path: "/d", Invoke: ms(0), Return: ms(1)},
 			{Client: 1, Name: "create", Path: "/d/f", Invoke: ms(1), Return: ms(2)},
@@ -246,3 +246,44 @@ func TestCheckLeavesOutWhatTookNoEffect(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckSearchOrder pins the search's two ordering rules. A placed read
+// is never swapped for another step, but the search still backtracks past
+// it to the mutation placed before it: the first order tried places the
+// create, then the stat, and only one that places the delete (it answered
+// ErrNotFound) before the create fits. A step of unknown outcome is tried
+// after the known ones, and still tried: the stat found a file only the
+// unknown create made.
+func TestCheckSearchOrder(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	d := Entry{ID: 2, Name: "d", Dir: true}
+	past := []Op{
+		{Client: 1, Name: "mkdir", Path: "/d", Invoke: ms(0), Return: ms(1)},
+		{Client: 1, Name: "create", Path: "/d/x", Invoke: ms(2), Return: ms(10)},
+		{Client: 2, Name: "delete", Path: "/d/x", Invoke: ms(3), Return: ms(10)},
+		{Client: 3, Name: "stat", Path: "/d", Invoke: ms(4), Return: ms(10)},
+	}
+	outs := map[string]Outcome{
+		"mkdir":  {Entry: d},
+		"create": {Entry: Entry{ID: 3, Name: "x"}},
+		"delete": {Err: ErrNotFound},
+		"stat":   {Entry: d},
+	}
+	if err := Check(past, func(op Op) Outcome { return outs[op.Name] }, FirstRenameErr); err != nil {
+		t.Errorf("a delete that missed a concurrent create, with a read placed after the create: %v", err)
+	}
+	late := []Op{
+		{Client: 1, Name: "create", Path: "/f", Invoke: ms(0), Return: ms(1)},
+		{Client: 2, Name: "stat", Path: "/f", Invoke: ms(2), Return: ms(3)},
+	}
+	outs = map[string]Outcome{"create": {Err: ErrUnknown}, "stat": {Entry: Entry{ID: 4, Name: "f"}}}
+	if err := Check(late, func(op Op) Outcome { return outs[op.Name] }, FirstRenameErr); err != nil {
+		t.Errorf("a stat finding the file of a create of unknown outcome: %v", err)
+	}
+}
+
+// entryList is a listing held as a slice.
+type entryList []Entry
+
+func (l entryList) Len() int       { return len(l) }
+func (l entryList) At(i int) Entry { return l[i] }
