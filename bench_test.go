@@ -43,7 +43,7 @@ func measureSetup(b *testing.B, name string, servers int) *bench.Result {
 
 func BenchmarkTable1LatencyMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := bench.Table1(benchOpts())
+		out, _, err := bench.Table1(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func BenchmarkTable1LatencyMatrix(b *testing.B) {
 
 func BenchmarkTable2ThreadConfig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := bench.Table2(benchOpts())
+		out, _, err := bench.Table2(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func BenchmarkFig13ServerIO(b *testing.B) {
 
 func BenchmarkFig14ReadBackup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := bench.Fig14(bench.ExpOptions{Seed: 1, ClientsPerServer: 32})
+		out, _, err := bench.Fig14(bench.ExpOptions{Seed: 1, ClientsPerServer: 32})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func BenchmarkFig14ReadBackup(b *testing.B) {
 
 func BenchmarkFailureDrills(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := bench.Failures(bench.ExpOptions{Seed: 1})
+		out, _, err := bench.Failures(bench.ExpOptions{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,50 +1,23 @@
 // Command hopsbench regenerates the tables and figures of "Distributed
 // Hierarchical File Systems strike back in the Cloud" (ICDCS 2020) against
-// this repository's HopsFS-CL reproduction.
+// this repository's HopsFS-CL reproduction, and judges the paper's claims on
+// what it measured.
 //
 // Usage:
 //
-//	hopsbench [flags] <experiment>...
-//	hopsbench list
-//	hopsbench all
+//	hopsbench [flags] <experiment>... | all | list
 //
-// Experiments: table1 table2 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// fig13 fig14 writefan failures chaos autoscale ablations phases hotspot
-// shardsweep. "chaos" runs the seeded random fault-campaign sweep
-// (deterministic per seed) with cross-layer invariant auditing; "failures"
-// runs the §V-F scripted drills on the same engine; "writefan" measures
-// multi-row write-transaction latency and wire footprint against rows per
-// transaction, with the batched write path and node-group-coalesced commit
-// trains (ndb.batch_write.* and ndb.commit.trains /
-// ndb.commit.rows_per_train counters) against the serial one-chain-per-row
-// protocol, including a where-the-time-went critical-path table per point;
-// "autoscale" drives a compressed diurnal week against the elastic
-// metadata tier (online commission/drain under the autoscale controller,
-// audited at every transition) and against static-min and static-peak
-// provisioning, checking the acceptance inequalities inline;
-// "hotspot" drives a planted skewed workload with the namespace heat
-// sketches and tail-based exemplar capture enabled, checks that the
-// planted subtrees rank first at every depth and that every p99-breaching
-// op class pinned a breach exemplar, and renders the slowest exemplar
-// through the critical-path profiler; "shardsweep" holds the offered load
-// fixed and sweeps the number of independent NDB clusters the namespace
-// is sharded across by subtree (Options.Shards), checking the 2.8x
-// 4-vs-1-shard scaling floor inline and reporting the cross-shard rename
-// path (ordered two-cluster commits with durable intents) separately
-// from the shard-local fast path — the run recorded in history/BENCH_10.json.
+// Flags go before experiment ids:
 //
-// The simulator's own wall-clock cost (and the recorded perf trajectory)
-// is measured by the benchmark in benchmark/, not here.
-//
-// Arguments are checked before anything runs: an unknown experiment id, or a
-// flag placed after an id (flags go before experiment ids), fails at once
-// instead of after the experiments in front of it.
-//
-// Flags:
-//
-//	-full     run the paper's complete server-count grid (slower)
-//	-seed N   simulation seed (default 1)
+//	-full       run the paper's complete server-count grid (slower)
+//	-seed N     simulation seed (default 1)
 //	-clients N  closed-loop clients per metadata server (default 64)
+//
+// Stdout is markdown: each experiment's section, its tables followed by a
+// table of its claims, then a summary of every claim. Wall times go to
+// stderr. Arguments are checked before anything runs. hopsbench exits 1,
+// naming each one, when a claim flips: it holds but is recorded as not
+// holding, or fails without being recorded so.
 package main
 
 import (
@@ -101,17 +74,41 @@ func run(args []string) error {
 		exps = append(exps, exp)
 	}
 	opts := bench.ExpOptions{Full: *full, Seed: *seed, ClientsPerServer: *clients}
+	var claims []bench.Claim
 	for _, exp := range exps {
-		fmt.Printf("=== %s — %s ===\n", exp.ID, exp.Title)
 		t0 := time.Now()
-		out, err := exp.Run(opts)
+		md, expClaims, err := exp.Section(opts)
 		if err != nil {
-			return fmt.Errorf("%s: %w", exp.ID, err)
+			return err
 		}
-		fmt.Println(out)
-		fmt.Printf("(%s completed in %s)\n\n", exp.ID, time.Since(t0).Round(time.Millisecond))
+		fmt.Println(md)
+		fmt.Fprintf(os.Stderr, "(%s completed in %s)\n", exp.ID, time.Since(t0).Round(time.Millisecond))
+		claims = append(claims, expClaims...)
+	}
+	fmt.Print(summary(claims))
+	if flips := bench.Flips(claims); len(flips) > 0 {
+		return fmt.Errorf("%d claims flipped: %s", len(flips), strings.Join(flips, ", "))
 	}
 	return nil
+}
+
+// summary renders the closing section: how many claims hold, then each
+// claim that does not or that flipped, with its verdict.
+func summary(claims []bench.Claim) string {
+	var b strings.Builder
+	held := 0
+	for _, c := range claims {
+		if c.Holds {
+			held++
+		}
+	}
+	fmt.Fprintf(&b, "## Summary\n\n%d of %d claims hold.\n\n", held, len(claims))
+	for _, c := range claims {
+		if !c.Holds || c.Flipped() {
+			fmt.Fprintf(&b, "- %s: %s\n", c.ID, c.Verdict())
+		}
+	}
+	return b.String()
 }
 
 func usage() {

@@ -27,6 +27,7 @@ package hopsfscl
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"hopsfscl/internal/bench"
@@ -539,12 +540,17 @@ func (c *Cluster) RunChaosCampaign(seed int64, faults int, dur time.Duration) (*
 }
 
 // RunExperiment regenerates one of the paper's tables or figures ("table1",
-// "fig5", ..., "failures") and returns its report. full selects the
-// complete parameter grid.
+// "fig5", ..., "failures") and returns its markdown section: the report and
+// a table of the claims judged on it. full selects the complete parameter
+// grid. It fails when a claim flips from its recorded verdict.
 func RunExperiment(id string, full bool, seed int64) (string, error) {
 	exp, ok := bench.ExperimentByID(id)
 	if !ok {
 		return "", fmt.Errorf("hopsfscl: unknown experiment %q", id)
 	}
-	return exp.Run(bench.ExpOptions{Full: full, Seed: seed})
+	md, claims, err := exp.Section(bench.ExpOptions{Full: full, Seed: seed})
+	if flips := bench.Flips(claims); err == nil && len(flips) > 0 {
+		err = fmt.Errorf("hopsfscl: %s: claims flipped: %s", id, strings.Join(flips, ", "))
+	}
+	return md, err
 }

@@ -347,16 +347,15 @@ func (r *ElasticResult) OverSLOFraction() float64 {
 }
 
 // Autoscale runs the elastic experiment: the same shaped week of traffic
-// against the autoscaled tier and both static provisioning baselines, with
-// the ISSUE's acceptance checks evaluated inline.
-func Autoscale(o ExpOptions) (string, error) {
+// against the autoscaled tier and both static provisioning baselines.
+func Autoscale(o ExpOptions) (string, []Claim, error) {
 	eo := DefaultElasticOptions(o.Seed)
 	modes := []ElasticMode{ModeElastic, ModeStaticMin, ModeStaticPeak}
 	results := make(map[ElasticMode]*ElasticResult, len(modes))
 	for _, m := range modes {
 		r, err := RunElastic(m, eo)
 		if err != nil {
-			return "", fmt.Errorf("%s: %w", m, err)
+			return "", nil, fmt.Errorf("%s: %w", m, err)
 		}
 		results[m] = r
 	}
@@ -382,30 +381,29 @@ func Autoscale(o ExpOptions) (string, error) {
 			fmt.Sprintf("%d", r.Checkpoints),
 			fmt.Sprintf("%d", len(r.Violations)))
 	}
-	b.WriteString(tbl.String())
+	b.WriteString(tbl.Markdown())
 
 	el, mn, pk := results[ModeElastic], results[ModeStaticMin], results[ModeStaticPeak]
-	fmt.Fprintf(&b, "\nscale events (%d up, %d down):\n%s",
-		el.ScaleUps, el.ScaleDowns, autoscale.RenderEvents(el.Events))
+	violations, quiesces := len(el.Violations)+len(mn.Violations)+len(pk.Violations), el.FailedQuiesces+mn.FailedQuiesces+pk.FailedQuiesces
+	fmt.Fprintf(&b, "\nscale events (%d up, %d down):\n\n%s",
+		el.ScaleUps, el.ScaleDowns, fence(autoscale.RenderEvents(el.Events)))
 
-	b.WriteString("\ntimeline (one row per half virtual day):\n")
+	b.WriteString("\ntimeline (one row per half virtual day):\n\n")
 	b.WriteString(renderElasticTimeline(el, eo))
 
-	check := func(name string, ok bool) {
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		fmt.Fprintf(&b, "%-58s %s\n", name, status)
+	claims := []Claim{
+		{"autoscale/slo", "beyond (§VI): the elastic tier spends less time over the SLO than static-min",
+			fmt.Sprintf("%v vs %v", el.OverSLO.Round(time.Millisecond), mn.OverSLO.Round(time.Millisecond)), el.OverSLO < mn.OverSLO, ""},
+		{"autoscale/cost", "beyond (§VI): and costs fewer NN-seconds than static-peak",
+			fmt.Sprintf("%.1f vs %.1f", el.NNSeconds, pk.NNSeconds), el.NNSeconds < pk.NNSeconds, ""},
+		{"autoscale/scale-ups", "beyond: the controller scales up at least twice", fmt.Sprintf("%d", el.ScaleUps), el.ScaleUps >= 2, ""},
+		{"autoscale/scale-downs", "beyond: and down at least once", fmt.Sprintf("%d", el.ScaleDowns), el.ScaleDowns >= 1, ""},
+		{"autoscale/audits", "beyond: every commission, drain and settled state passes the invariant audit",
+			fmt.Sprintf("%d violations over the three modes", violations), violations == 0, ""},
+		{"autoscale/quiesces", "beyond: every audit quiesces the workload first",
+			fmt.Sprintf("%d failed quiesces", quiesces), quiesces == 0, ""},
 	}
-	b.WriteString("\nacceptance checks:\n")
-	check("time over SLO: elastic < static-min", el.OverSLO < mn.OverSLO)
-	check("NN-seconds: elastic < static-peak", el.NNSeconds < pk.NNSeconds)
-	check("scale-ups >= 2", el.ScaleUps >= 2)
-	check("scale-downs >= 1", el.ScaleDowns >= 1)
-	check("audit violations == 0 (all modes)",
-		len(el.Violations)+len(mn.Violations)+len(pk.Violations) == 0)
-	return b.String(), nil
+	return b.String(), claims, nil
 }
 
 // renderElasticTimeline samples the flight recorder at half-day boundaries:
@@ -432,5 +430,5 @@ func renderElasticTimeline(r *ElasticResult, eo ElasticOptions) string {
 			fmt.Sprintf("%.0f", serving),
 			fmt.Sprintf("%.1fms", p99))
 	}
-	return tbl.String()
+	return tbl.Markdown()
 }

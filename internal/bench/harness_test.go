@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -168,10 +169,11 @@ func TestServerCountGrids(t *testing.T) {
 }
 
 func TestTable1Output(t *testing.T) {
-	out, err := Table1(ExpOptions{Seed: 1})
+	out, claims, err := Table1(ExpOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireClaims(t, claims, "table1/a-a", "table1/a-b", "table1/a-c", "table1/b-b", "table1/b-c", "table1/c-c")
 	for _, want := range []string{"us-west1-a", "us-west1-b", "us-west1-c", "0.36", "0.399"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table1 output missing %q:\n%s", want, out)
@@ -180,7 +182,7 @@ func TestTable1Output(t *testing.T) {
 }
 
 func TestTable2Output(t *testing.T) {
-	out, err := Table2(ExpOptions{Seed: 1})
+	out, _, err := Table2(ExpOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,18 +193,28 @@ func TestTable2Output(t *testing.T) {
 	}
 }
 
+// TestFig14ShowsReadBackupContrast checks Figure 14's mechanism claims on a
+// small run: with Read Backup the backups serve a large share of the reads,
+// and without it every partition reads only at its primary.
 func TestFig14ShowsReadBackupContrast(t *testing.T) {
-	out, err := Fig14(ExpOptions{Seed: 1, ClientsPerServer: 8})
+	_, claims, err := Fig14(ExpOptions{Seed: 1, ClientsPerServer: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Read Backup ENABLED") || !strings.Contains(out, "Read Backup DISABLED") {
-		t.Fatalf("fig14 output incomplete:\n%s", out)
-	}
-	// The disabled half must contain all-primary rows.
-	disabled := out[strings.Index(out, "DISABLED"):]
-	if !strings.Contains(disabled, "100%") {
-		t.Fatalf("fig14 disabled section shows no 100%% primary rows:\n%s", disabled)
+	requireClaims(t, claims, "fig14/local-reads", "fig14/disabled-primary")
+}
+
+// requireClaims fails the test unless each named claim was returned and
+// holds.
+func requireClaims(t *testing.T, claims []Claim, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		i := slices.IndexFunc(claims, func(c Claim) bool { return c.ID == id })
+		if i < 0 {
+			t.Errorf("no claim %s among %v", id, claims)
+		} else if !claims[i].Holds {
+			t.Errorf("claim %s does not hold: %s", id, claims[i].Measured)
+		}
 	}
 }
 
@@ -218,7 +230,7 @@ func TestExperimentsSmoke(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", id)
 		}
-		out, err := exp.Run(o)
+		out, _, err := exp.Run(o)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -232,7 +244,7 @@ func TestFailuresExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failure drill drives a full deployment")
 	}
-	out, err := Failures(ExpOptions{Seed: 1})
+	out, _, err := Failures(ExpOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

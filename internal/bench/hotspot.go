@@ -7,6 +7,7 @@ import (
 
 	"hopsfscl/internal/core"
 	"hopsfscl/internal/heat"
+	"hopsfscl/internal/metrics"
 	"hopsfscl/internal/profile"
 	"hopsfscl/internal/slo"
 	"hopsfscl/internal/trace"
@@ -21,10 +22,10 @@ const hotspotHomeDirs = 2
 // heat-and-exemplar observability layer end to end: the Space-Saving
 // sketches must rank the planted subtrees first at every depth, every op
 // class whose window p99 breached its objective must have a pinned
-// exemplar, and the slowest exemplar's span tree renders through the
-// critical-path profiler. The whole run is virtual-time deterministic: the
-// same seed reproduces the same report bytes.
-func Hotspot(o ExpOptions) (string, error) {
+// exemplar (both are its claims), and the slowest exemplar's span tree
+// renders through the critical-path profiler. The whole run is virtual-time
+// deterministic: the same seed reproduces the same report bytes.
+func Hotspot(o ExpOptions) (string, []Claim, error) {
 	setup := core.PaperSetups[5] // HopsFS-CL (3,3)
 	servers := 3
 	clients := o.ClientsPerServer
@@ -38,7 +39,7 @@ func Hotspot(o ExpOptions) (string, error) {
 	opts.Seed = o.Seed
 	d, err := core.Build(opts)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	defer d.Close()
 
@@ -47,7 +48,7 @@ func Hotspot(o ExpOptions) (string, error) {
 	// the depth-1 subtree is unambiguous.
 	planted := d.Namespace.HomeDirsFor(0, hotspotHomeDirs)
 	if len(planted) == 0 {
-		return "", fmt.Errorf("hotspot: namespace has no leaf datasets to plant")
+		return "", nil, fmt.Errorf("hotspot: namespace has no leaf datasets to plant")
 	}
 	plantedTop := topDirOf(planted[0])
 
@@ -83,34 +84,43 @@ func Hotspot(o ExpOptions) (string, error) {
 	fmt.Fprintf(&b, "planted hot datasets (affinity %.0f%% for every client): %s\n\n",
 		cfg.Affinity*100, strings.Join(planted, ", "))
 
-	// 1. Heat ranking, with explicit planted-subtree assertions.
-	b.WriteString(res.Heat.Render())
-	b.WriteByte('\n')
-	b.WriteString(renderPlantedRanks(res.Heat, plantedTop, planted))
+	// 1. Heat ranking.
+	b.WriteString(fence(res.Heat.Render()))
 
 	// 2. Per-op-class p99-breach exemplar coverage.
-	b.WriteByte('\n')
-	b.WriteString(renderBreachCoverage(res))
+	coverage, breaching, covered := breachCoverage(res)
+	b.WriteString("\np99-breach exemplar coverage:\n\n" + coverage)
 
 	// 3. The pinned exemplar set, plus the slowest exemplar rendered
 	// through the critical-path profiler.
 	b.WriteByte('\n')
-	b.WriteString(res.Exemplars.Render())
+	b.WriteString(fence(res.Exemplars.Render()))
 	if ex := slowestExemplar(res.Exemplars); ex != nil {
-		fmt.Fprintf(&b, "\nwhere the time went in the slowest exemplar (op %s, %v, span %d):\n",
+		fmt.Fprintf(&b, "\nwhere the time went in the slowest exemplar (op %s, %v, span %d):\n\n",
 			ex.Op, ex.Latency, ex.Root.ID)
-		b.WriteString(profile.Analyze([]*trace.Span{ex.Root}).Table())
+		b.WriteString(fence(profile.Analyze([]*trace.Span{ex.Root}).Table()))
 	}
 
-	// 4. Span-loss accounting: exemplar claims are only trustworthy when
-	// no spans were silently evicted.
-	if res.SinkDropped > 0 {
-		fmt.Fprintf(&b, "\nWARNING: %d spans dropped from the profiling sink; exemplars cover a suffix of the window\n",
-			res.SinkDropped)
-	} else {
-		b.WriteString("\nsink dropped: 0 (exemplars saw every operation in the window)\n")
+	// The namespace's own popularity skew may rank the planted datasets
+	// first too, but not with most of the depth-2 touches.
+	topRank, topRow := res.Heat.Rank("subtree depth 1", plantedTop)
+	var ranks []string
+	ranked, share := true, 0.0
+	for _, dir := range planted {
+		rank, row := res.Heat.Rank("subtree depth 2", dir)
+		ranked, share = ranked && rank >= 1 && rank <= len(planted), share+row.Share
+		ranks = append(ranks, fmt.Sprintf("%s #%d (%.1f %%)", dir, rank, row.Share*100))
 	}
-	return b.String(), nil
+	claims := []Claim{
+		{"hotspot/top-rank", "beyond: the planted project root ranks first at depth 1",
+			fmt.Sprintf("%s #%d (%.1f %%)", plantedTop, topRank, topRow.Share*100), topRank == 1, ""},
+		{"hotspot/dataset-ranks", "beyond: the planted datasets fill the top ranks at depth 2 with most touches",
+			strings.Join(ranks, ", "), ranked && share >= 0.5, ""},
+		{"hotspot/exemplars", "beyond: every op class whose p99 breached its objective pins a breach exemplar",
+			fmt.Sprintf("%d of %d breaching classes; %d exemplars pinned, %d spans dropped", covered, breaching, res.Exemplars.Pinned, res.SinkDropped),
+			covered == breaching && res.Exemplars.Pinned > 0 && res.SinkDropped == 0, ""},
+	}
+	return b.String(), claims, nil
 }
 
 // topDirOf returns the first path component ("/proj000/ds01" -> "/proj000").
@@ -124,34 +134,10 @@ func topDirOf(path string) string {
 	return path
 }
 
-// renderPlantedRanks checks the planted subtrees against the heat report:
-// the shared project root must rank first at depth 1 and the planted
-// datasets must fill the top ranks at depth 2.
-func renderPlantedRanks(rep *heat.Report, top string, planted []string) string {
-	var b strings.Builder
-	b.WriteString("planted-subtree ranking check:\n")
-	check := func(family, key string, wantWithin int) {
-		rank, row := rep.Rank(family, key)
-		verdict := "FAIL"
-		if rank >= 1 && rank <= wantWithin {
-			verdict = "OK"
-		}
-		fmt.Fprintf(&b, "  %s %q: rank %d (share %.1f%%, want <=%d) %s\n",
-			family, key, rank, row.Share*100, wantWithin, verdict)
-	}
-	check("subtree depth 1", top, 1)
-	for _, dir := range planted {
-		check("subtree depth 2", dir, len(planted))
-	}
-	return b.String()
-}
-
-// renderBreachCoverage lists every op class whose measured window p99
-// exceeded its latency objective and whether a breach exemplar was pinned
-// for it — the acceptance criterion that no breaching class goes dark.
-func renderBreachCoverage(res *Result) string {
-	var b strings.Builder
-	b.WriteString("p99-breach exemplar coverage:\n")
+// breachCoverage tabulates every op class whose measured window p99
+// exceeded its latency objective with the breach exemplars pinned for it,
+// and counts the breaching classes and those with at least one.
+func breachCoverage(res *Result) (table string, breaching, covered int) {
 	spec := res.SLOReport.Spec
 	targets := make(map[string]time.Duration)
 	var fallback time.Duration
@@ -162,7 +148,7 @@ func renderBreachCoverage(res *Result) string {
 			targets[lo.Op] = lo.Target
 		}
 	}
-	breaching := 0
+	tbl := metrics.NewTable("op", "p99", "target", "breach exemplars")
 	for _, opr := range res.SLOReport.Ops {
 		target, ok := targets[opr.Op]
 		if !ok {
@@ -176,26 +162,20 @@ func renderBreachCoverage(res *Result) string {
 			continue
 		}
 		breaching++
-		covered := false
+		pinned := 0
 		if c := res.Exemplars.Class(opr.Op); c != nil {
 			for _, ex := range c.Exemplars {
 				if ex.Reason&slo.ReasonBreach != 0 {
-					covered = true
-					break
+					pinned++
 				}
 			}
 		}
-		verdict := "MISSING"
-		if covered {
-			verdict = "pinned"
+		if pinned > 0 {
+			covered++
 		}
-		fmt.Fprintf(&b, "  op %-8s p99 %v > target %v: breach exemplar %s\n",
-			opr.Op, p99, target, verdict)
+		tbl.AddRow(opr.Op, p99.String(), target.String(), fmt.Sprintf("%d", pinned))
 	}
-	if breaching == 0 {
-		b.WriteString("  (no op class breached its p99 objective in this window)\n")
-	}
-	return b.String()
+	return tbl.Markdown(), breaching, covered
 }
 
 // slowestExemplar returns the highest-latency pinned exemplar.

@@ -1,37 +1,19 @@
 package bench
 
 import (
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestHotspotPlantedRankingAndExemplars runs the skewed-workload experiment
-// once and checks the acceptance criteria from the report text itself: the
-// planted subtrees pass every ranking check, at least one exemplar is
-// pinned, and no p99-breaching op class is missing a breach exemplar.
+// once and checks its claims: the planted subtrees rank first at both
+// depths, and every p99-breaching op class pinned a breach exemplar.
 func TestHotspotPlantedRankingAndExemplars(t *testing.T) {
-	out, err := Hotspot(ExpOptions{Seed: 1})
+	out, claims, err := Hotspot(ExpOptions{Seed: 1})
 	if err != nil {
 		t.Fatalf("Hotspot: %v", err)
 	}
-	if strings.Contains(out, "FAIL") {
-		t.Errorf("planted-subtree ranking check failed:\n%s", out)
-	}
-	if !strings.Contains(out, `subtree depth 1 "/proj000": rank 1`) {
-		t.Errorf("planted top-level subtree not ranked #1:\n%s", out)
-	}
-	m := regexp.MustCompile(`exemplars: (\d+) pinned`).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no exemplar summary line in report:\n%s", out)
-	}
-	if n, _ := strconv.Atoi(m[1]); n < 1 {
-		t.Errorf("want >=1 pinned exemplar, got %d", n)
-	}
-	if strings.Contains(out, "MISSING") {
-		t.Errorf("a p99-breaching op class has no breach exemplar:\n%s", out)
-	}
+	requireClaims(t, claims, "hotspot/top-rank", "hotspot/dataset-ranks", "hotspot/exemplars")
 	if !strings.Contains(out, "where the time went in the slowest exemplar") {
 		t.Errorf("slowest exemplar not rendered through the profiler:\n%s", out)
 	}
@@ -43,11 +25,11 @@ func TestHotspotDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full hotspot runs in -short mode")
 	}
-	a, err := Hotspot(ExpOptions{Seed: 2})
+	a, _, err := Hotspot(ExpOptions{Seed: 2})
 	if err != nil {
 		t.Fatalf("Hotspot run 1: %v", err)
 	}
-	b, err := Hotspot(ExpOptions{Seed: 2})
+	b, _, err := Hotspot(ExpOptions{Seed: 2})
 	if err != nil {
 		t.Fatalf("Hotspot run 2: %v", err)
 	}

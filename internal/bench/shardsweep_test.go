@@ -7,10 +7,9 @@ import (
 	"hopsfscl/internal/core"
 )
 
-// measureShardPoint is the smoke-test variant of MeasureShards: the full
-// sweep's offered load (the single-shard plateau only shows up overrun),
-// but a shortened warm-up and window so three points fit a unit-test
-// budget.
+// measureShardPoint is a shortened MeasureShards: the full sweep's offered
+// load (the single-shard plateau only shows up overrun), but a shortened
+// warm-up and window so three points fit a unit-test budget.
 func measureShardPoint(t *testing.T, o ExpOptions, shards int) *Result {
 	t.Helper()
 	d, err := core.Build(ShardSweepOptions(o, shardSweepServers, shards))
@@ -25,10 +24,10 @@ func measureShardPoint(t *testing.T, o ExpOptions, shards int) *Result {
 	return Run(d, cfg)
 }
 
-// TestShardSweepScalesAndDeterministic is the CI shardsweep smoke: with
-// the offered load overrunning one shard's ceiling, two shards must beat
-// one by a clear margin — a path resolves on one shard, so two shards come
-// close to doubling the plateau (1.94x at seed 1) — and repeating a measurement at the same seed must
+// TestShardSweepScalesAndDeterministic: with the offered load overrunning
+// one shard's ceiling, two shards must beat one by a clear margin — a path
+// resolves on one shard, so two shards come close to doubling the plateau
+// (1.94x at seed 1) — and repeating a measurement at the same seed must
 // reproduce it exactly (the sweep's numbers are simulation outputs, not
 // samples).
 func TestShardSweepScalesAndDeterministic(t *testing.T) {

@@ -171,3 +171,12 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
+
+// Markdown renders the table as a markdown table.
+func (t *Table) Markdown() string {
+	s := "| " + strings.Join(t.header, " | ") + " |\n" + strings.Repeat("|---", len(t.header)) + "|\n"
+	for _, row := range t.rows {
+		s += "| " + strings.Join(row, " | ") + " |\n"
+	}
+	return s
+}
