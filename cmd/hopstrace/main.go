@@ -8,16 +8,11 @@
 //	    Generate a Spotify-mix trace over the evaluation namespace and
 //	    write it (one operation per line) to the file or stdout.
 //
-//	hopstrace replay [-setup name] [-seed S] [-in file] [-trace] [-deadline D]
+//	hopstrace replay [-setup name] [-seed S] [-servers N] [-in file]
 //	    Replay a trace file against a deployment and report virtual
-//	    throughput, latency, and cross-AZ traffic. With -trace, capture
-//	    detailed spans and print the 2PC phase breakdown plus the slowest
-//	    operations as flame-style span trees. Multi-row metadata writes go
-//	    through the batched write path and commit as node-group-coalesced
-//	    trains; the ndb.batch_write.* and ndb.commit.trains /
-//	    ndb.commit.rows_per_train registry counters report how rows packed.
+//	    throughput, latency, and cross-AZ traffic.
 //
-//	hopstrace profile [replay flags] [-format text|folded|chrome] [-sink N] [-top N]
+//	hopstrace profile [replay flags] [-format text|folded|chrome]
 //	    Generate and replay a trace with concurrent clients and detailed
 //	    spans, then report where the time went: a per-op critical-path
 //	    attribution table (lock wait / 2PC phases / hop classes / compute)
@@ -25,16 +20,14 @@
 //	    -shards > 1 — (text), folded flamegraph stacks (folded), or Chrome
 //	    Trace Event JSON for chrome://tracing and Perfetto (chrome).
 //
-//	hopstrace timeline [replay flags] [-interval D] [-keep prefixes]
+//	hopstrace timeline [replay flags] [-interval D]
 //	    Same replay, sampled by the flight recorder: a CSV time series of
-//	    the selected metrics (per-AZ link traffic, lock waits, op rates)
-//	    over virtual time.
+//	    per-AZ link traffic, lock waits and op rates over virtual time.
 //
-//	hopstrace hotspots [replay flags] [-format text|csv] [-top N] [-exemplars]
+//	hopstrace hotspots [replay flags] [-exemplars]
 //	    Same replay with the namespace heat sketches attached: decayed
 //	    Space-Saving top-k rankings of the hottest subtrees (per depth),
-//	    inodes, NDB tables, partitions, and op types, as a rendered report
-//	    (text) or machine-readable rows (csv). With -shards > 1 the
+//	    inodes, NDB tables, partitions, and op types. With -shards > 1 the
 //	    namespace is sharded by subtree across that many NDB clusters and the
 //	    report gains the per-shard routing-balance family. With -exemplars,
 //	    also pin tail exemplars — full span trees of operations that
@@ -42,30 +35,28 @@
 //	    or were the slowest of their window — and render them through the
 //	    critical-path profiler.
 //
-//	hopstrace autoscale [-seed S] [-profile file] [-out file]
+//	hopstrace autoscale [-seed S] [-profile file]
 //	    Run the elastic metadata tier under a shaped diurnal load: paced
 //	    clients follow the load profile (see internal/loadshape; -profile
 //	    reads a declarative profile file, default loadshape.DefaultProfile
 //	    over a compressed week) while the autoscale controller commissions
 //	    and drains namenodes against the live SLO gauges. Prints the
-//	    scale-event log and run summary; -out writes the flight-recorder
-//	    timeline (offered load, serving servers, rolling p99) as CSV.
+//	    scale-event log and run summary.
 //
-//	hopstrace slo [-setup name] [-seed S] [-spec file] [-schedule file] [-faults N] [-len D] [-out file]
-//	    Run a seeded chaos campaign with the live SLO engine attached and
+//	hopstrace slo [-seed S] [-spec file]
+//	    Run the three-class detection campaign (datanode death, zone
+//	    partition, degraded link) with the live SLO engine attached and
 //	    render the alert/health timeline: burn-rate alerts
 //	    (fast-burn/slow-burn pairs over the spec's objectives), component
 //	    and cluster health transitions, per-fault time-to-detect alongside
-//	    MTTR, and the closing rolling latency summaries. The default
-//	    schedule injects the three detection classes (datanode death, zone
-//	    partition, degraded link); -schedule replays an explicit schedule
-//	    file and -faults N generates a random campaign instead. -spec reads
-//	    a declarative SLO spec (see internal/slo.ParseSpec); the default is
+//	    MTTR, and the closing rolling latency summaries. -spec reads a
+//	    declarative SLO spec (see internal/slo.ParseSpec); the default is
 //	    slo.DefaultSpec.
 //
 // profile, timeline and hotspots are one replay session behind one flag
 // set, the replay flags: [-setup name] [-seed S] [-ops N] [-servers N]
-// [-clients N] [-deadline D] [-shards N] [-out file].
+// [-clients N] [-shards N] [-out file]. Any replay that has not finished
+// after 1000 s of virtual time (replayDeadline) fails.
 //
 // A trace is a list of nsmodel.Op in nsmodel's text encoding (WriteOps,
 // ReadOps), "<name> [-r] <path> [<dst>]" with the names of nsmodel.Promises,
@@ -91,7 +82,6 @@ import (
 	"hopsfscl/internal/bench"
 	"hopsfscl/internal/chaos"
 	"hopsfscl/internal/core"
-	"hopsfscl/internal/heat"
 	"hopsfscl/internal/loadshape"
 	"hopsfscl/internal/metrics"
 	"hopsfscl/internal/nsmodel"
@@ -119,7 +109,7 @@ var subcommands = []struct{ name, brief string }{
 	{"timeline", "replay under the flight recorder and emit a metrics CSV time series"},
 	{"hotspots", "replay with namespace heat sketches and report the hottest subtrees, tables, and partitions"},
 	{"autoscale", "drive the elastic metadata tier through a shaped diurnal load"},
-	{"slo", "run a seeded chaos campaign under the live SLO engine and render the alert timeline"},
+	{"slo", "run the detection campaign under the live SLO engine and render the alert timeline"},
 }
 
 func usageText() string {
@@ -306,9 +296,6 @@ func runReplay(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	in := fs.String("in", "", "trace file (default stdin)")
 	servers := fs.Int("servers", 6, "metadata servers")
-	deadline := fs.Duration("deadline", 1000*time.Second, "virtual-time budget for the replay")
-	withTrace := fs.Bool("trace", false, "capture detailed spans; print phase breakdown and slowest operations")
-	slowest := fs.Int("slowest", 10, "slowest spans to print with -trace")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -334,11 +321,7 @@ func runReplay(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer d.Close()
-	var sink *trace.Sink
-	if *withTrace {
-		sink = d.EnableTracing(len(ops))
-	}
-	elapsed, errs, err := replayConcurrent(d, ops, 1, *deadline)
+	elapsed, errs, err := replayConcurrent(d, ops, 1)
 	if err != nil {
 		return err
 	}
@@ -348,20 +331,6 @@ func runReplay(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "cross-AZ traffic: %.2f MB\n", float64(d.Net.CrossZoneBytes())/1e6)
 	// Mirror hopsbench: note the bench package is the place for load tests.
 	fmt.Fprintln(stdout, "(replay is sequential; use hopsbench for closed-loop load)")
-
-	if *withTrace {
-		warnTruncated(stdout, sink)
-		samples := d.Registry.Snapshot()
-		fmt.Fprintf(stdout, "\ntransaction phase latency:\n%s", bench.RenderPhaseTable(samples))
-		fmt.Fprintf(stdout, "\ncross-AZ bytes per operation type:\n%s", bench.RenderCrossAZTable(samples))
-		if rep := d.ContentionReport(10); rep != "" {
-			fmt.Fprintf(stdout, "\nlock contention:\n%s", rep)
-		}
-		fmt.Fprintf(stdout, "\nslowest %d operations (of %d traced):\n", *slowest, sink.Total())
-		for _, sp := range sink.Slowest(*slowest) {
-			fmt.Fprintln(stdout, sp.Render())
-		}
-	}
 	return nil
 }
 
@@ -369,7 +338,7 @@ func runReplay(args []string, stdout io.Writer) error {
 // built from a span ring that evicted spans.
 func warnTruncated(w io.Writer, sink *trace.Sink) {
 	if d := sink.Dropped(); d > 0 {
-		fmt.Fprintf(w, "warning: span ring dropped %d of %d spans; output is truncated (raise the sink capacity)\n",
+		fmt.Fprintf(w, "warning: span ring dropped %d of %d spans; output is truncated\n",
 			d, sink.Total())
 	}
 }
@@ -389,12 +358,15 @@ func buildReplayDeployment(setupName string, seed int64, servers, clients, shard
 	return core.Build(opts)
 }
 
+// replayDeadline is the virtual time a replay may take before it fails.
+const replayDeadline = 1000 * time.Second
+
 // replayConcurrent shards a trace round-robin over clients concurrent
 // replay processes and drives the simulation until every shard completes
-// (or the virtual deadline passes). Concurrency is what makes the profile
+// (or replayDeadline passes). Concurrency is what makes the profile
 // interesting: operations from different clients collide on shared
 // directories, exercising lock contention the way closed-loop load does.
-func replayConcurrent(d *core.Deployment, traceOps []nsmodel.Op, clients int, deadline time.Duration) (elapsed time.Duration, errs int, err error) {
+func replayConcurrent(d *core.Deployment, traceOps []nsmodel.Op, clients int) (elapsed time.Duration, errs int, err error) {
 	clients = max(1, min(clients, len(d.Clients)))
 	shards := make([][]nsmodel.Op, clients)
 	for i, op := range traceOps {
@@ -412,15 +384,15 @@ func replayConcurrent(d *core.Deployment, traceOps []nsmodel.Op, clients int, de
 			done++
 		})
 	}
-	for done < clients && d.Env.Now() < deadline {
+	for done < clients && d.Env.Now() < replayDeadline {
 		step := 100 * time.Millisecond
-		if rem := deadline - d.Env.Now(); rem < step {
+		if rem := replayDeadline - d.Env.Now(); rem < step {
 			step = rem
 		}
 		d.Env.RunFor(step)
 	}
 	if done < clients {
-		return 0, 0, fmt.Errorf("replay did not complete within -deadline %v of virtual time", deadline)
+		return 0, 0, fmt.Errorf("replay did not complete within %v of virtual time", replayDeadline)
 	}
 	return elapsed, errs, nil
 }
@@ -430,28 +402,26 @@ func replayConcurrent(d *core.Deployment, traceOps []nsmodel.Op, clients int, de
 // goes. Each subcommand adds its own flags to the embedded set.
 type replayFlags struct {
 	*flag.FlagSet
-	setup    *string
-	seed     *int64
-	ops      *int
-	servers  *int
-	clients  *int
-	deadline *time.Duration
-	shards   *int
-	out      *string
+	setup   *string
+	seed    *int64
+	ops     *int
+	servers *int
+	clients *int
+	shards  *int
+	out     *string
 }
 
 func newReplayFlags(name string) *replayFlags {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	return &replayFlags{
-		FlagSet:  fs,
-		setup:    fs.String("setup", "HopsFS-CL (3,3)", "deployment setup"),
-		seed:     fs.Int64("seed", 1, "simulation seed"),
-		ops:      fs.Int("ops", 2000, "operations to generate and replay"),
-		servers:  fs.Int("servers", 3, "metadata servers"),
-		clients:  fs.Int("clients", 8, "concurrent replay clients"),
-		deadline: fs.Duration("deadline", 1000*time.Second, "virtual-time budget for the replay"),
-		shards:   fs.Int("shards", 1, "NDB clusters the namespace is sharded across"),
-		out:      fs.String("out", "", "output file (default stdout)"),
+		FlagSet: fs,
+		setup:   fs.String("setup", "HopsFS-CL (3,3)", "deployment setup"),
+		seed:    fs.Int64("seed", 1, "simulation seed"),
+		ops:     fs.Int("ops", 2000, "operations to generate and replay"),
+		servers: fs.Int("servers", 3, "metadata servers"),
+		clients: fs.Int("clients", 8, "concurrent replay clients"),
+		shards:  fs.Int("shards", 1, "NDB clusters the namespace is sharded across"),
+		out:     fs.String("out", "", "output file (default stdout)"),
 	}
 }
 
@@ -477,7 +447,7 @@ func (f *replayFlags) replay(stdout io.Writer, attach func(d *core.Deployment, o
 	}
 	defer d.Close()
 	attach(d, len(traceOps))
-	elapsed, errs, err := replayConcurrent(d, traceOps, *f.clients, *f.deadline)
+	elapsed, errs, err := replayConcurrent(d, traceOps, *f.clients)
 	if err != nil {
 		return err
 	}
@@ -489,8 +459,6 @@ func (f *replayFlags) replay(stdout io.Writer, attach func(d *core.Deployment, o
 func runProfile(args []string, stdout io.Writer) error {
 	fs := newReplayFlags("profile")
 	format := fs.String("format", "text", "output format: text, folded, or chrome")
-	sinkCap := fs.Int("sink", 0, "span ring capacity (default ops+64)")
-	top := fs.Int("top", 10, "rows in the contention tables")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -500,11 +468,7 @@ func runProfile(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown -format %q (want text, folded or chrome)", *format)
 	}
 	return fs.replay(stdout, func(d *core.Deployment, ops int) {
-		cap := *sinkCap
-		if cap <= 0 {
-			cap = ops + 64
-		}
-		d.EnableTracing(cap)
+		d.EnableTracing(ops + 64)
 	}, func(w io.Writer, r replayed) error {
 		sink := r.d.Tracer.Sink()
 		spans := sink.Spans()
@@ -523,7 +487,7 @@ func runProfile(args []string, stdout io.Writer) error {
 		rep := profile.Analyze(spans)
 		fmt.Fprintf(w, "\ncritical-path attribution (share of end-to-end time per op type):\n%s", rep.Table())
 		fmt.Fprintln(w)
-		if rep := r.d.ContentionReport(*top); rep != "" {
+		if rep := r.d.ContentionReport(10); rep != "" {
 			fmt.Fprint(w, rep)
 		} else {
 			fmt.Fprintln(w, "(no contention ledger: CephFS setups run untraced)")
@@ -535,19 +499,12 @@ func runProfile(args []string, stdout io.Writer) error {
 func runTimeline(args []string, stdout io.Writer) error {
 	fs := newReplayFlags("timeline")
 	interval := fs.Duration("interval", 20*time.Millisecond, "flight-recorder sampling interval (virtual time)")
-	keep := fs.String("keep", "op.,txn.,net.link.,ndb.contention.", "comma-separated metric name prefixes to record")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	var fr *trace.FlightRecorder
 	err := fs.replay(stdout, func(d *core.Deployment, _ int) {
-		var prefixes []string
-		for _, p := range strings.Split(*keep, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				prefixes = append(prefixes, p)
-			}
-		}
-		fr = d.EnableFlightRecorder(*interval, 0, prefixes...)
+		fr = d.EnableFlightRecorder(*interval, 0, "op.", "txn.", "net.link.", "ndb.contention.")
 	}, func(w io.Writer, _ replayed) error {
 		return fr.WriteCSV(w)
 	})
@@ -565,31 +522,18 @@ func runTimeline(args []string, stdout io.Writer) error {
 
 func runHotspots(args []string, stdout io.Writer) error {
 	fs := newReplayFlags("hotspots")
-	format := fs.String("format", "text", "output format: text or csv")
-	topN := fs.Int("top", 10, "rows per heat family")
 	withExemplars := fs.Bool("exemplars", false, "pin tail exemplars (detailed tracing + SLO engine) and render them through the profiler")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *format {
-	case "text", "csv":
-	default:
-		return fmt.Errorf("unknown -format %q (want text or csv)", *format)
-	}
 	return fs.replay(stdout, func(d *core.Deployment, _ int) {
-		d.EnableHeat(heat.Config{TopN: *topN})
+		d.EnableHeat()
 		if *withExemplars {
 			d.EnableExemplars(slo.ExemplarConfig{}) // default sink, default per-op p99 objectives
 		}
 	}, func(w io.Writer, r replayed) error {
 		now := r.d.Env.Now()
-		rep := r.d.Heat.Snapshot(now, *topN)
-		if *format == "csv" {
-			if *withExemplars {
-				fmt.Fprintln(os.Stderr, "warning: -exemplars output is text-only; the CSV carries the heat families")
-			}
-			return rep.WriteCSV(w)
-		}
+		rep := r.d.Heat.Snapshot(now)
 		fmt.Fprintf(w, "hotspots of %d operations on %s (seed %d, %d replay clients, %v virtual, %d errors)\n\n",
 			r.ops, r.d.Setup.Name, *fs.seed, *fs.clients, r.elapsed.Round(time.Millisecond), r.errs)
 		if _, err := io.WriteString(w, rep.Render()); err != nil {
@@ -631,7 +575,6 @@ func runAutoscale(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("autoscale", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "simulation seed")
 	profFile := fs.String("profile", "", "load-profile file (default: the built-in compressed week)")
-	out := fs.String("out", "", "write the flight-recorder timeline CSV to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -663,28 +606,17 @@ func runAutoscale(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "\nscale events (%d up, %d down):\n%s",
 		r.ScaleUps, r.ScaleDowns, autoscale.RenderEvents(r.Events))
-	if *out != "" {
-		if err := writeOut(stdout, *out, r.Recorder.WriteCSV); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "\nwrote %d timeline frames to %s\n", len(r.Recorder.Frames()), *out)
-	}
 	return nil
 }
 
 func runSLO(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("slo", flag.ContinueOnError)
-	setupName := fs.String("setup", "HopsFS-CL (3,3)", "deployment setup")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	specFile := fs.String("spec", "", "SLO spec file (default: built-in slo.DefaultSpec)")
-	schedFile := fs.String("schedule", "", "fault schedule file (default: the three-class detection schedule)")
-	faults := fs.Int("faults", 0, "generate N random faults instead of the detection schedule")
-	campLen := fs.Duration("len", 0, "campaign length for -faults generation (default 30s)")
-	out := fs.String("out", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := chaos.CampaignOptions{SetupName: *setupName, SLO: &slo.Spec{}}
+	opts := chaos.CampaignOptions{Schedule: chaos.DetectionSchedule(), SLO: &slo.Spec{}}
 	if *specFile != "" {
 		text, err := os.ReadFile(*specFile)
 		if err != nil {
@@ -696,36 +628,14 @@ func runSLO(args []string, stdout io.Writer) error {
 		}
 		opts.SLO = &spec
 	}
-	switch {
-	case *schedFile != "":
-		text, err := os.ReadFile(*schedFile)
-		if err != nil {
-			return err
-		}
-		sched, err := chaos.ParseSchedule(string(text))
-		if err != nil {
-			return err
-		}
-		opts.Schedule = sched
-	case *faults > 0:
-		opts.Faults = *faults
-		opts.CampaignLen = *campLen
-	default:
-		opts.Schedule = chaos.DetectionSchedule()
-	}
 	rep, err := chaos.RunCampaign(*seed, opts)
 	if err != nil {
 		return err
 	}
-	return writeOut(stdout, *out, func(w io.Writer) error {
-		if _, err := io.WriteString(w, rep.Render()); err != nil {
-			return err
-		}
-		if rep.SLO == nil {
-			return nil
-		}
-		fmt.Fprintln(w)
-		_, err := io.WriteString(w, rep.SLO.Render())
+	if _, err := io.WriteString(stdout, rep.Render()); err != nil {
 		return err
-	})
+	}
+	fmt.Fprintln(stdout)
+	_, err = io.WriteString(stdout, rep.SLO.Render())
+	return err
 }

@@ -269,13 +269,11 @@ func TestBadInvocations(t *testing.T) {
 }
 
 // hotspotsArgs is the fixed seed-1 hotspots run the golden file pins.
-func hotspotsArgs(format string) []string {
-	return []string{"hotspots", "-ops", "800", "-seed", "1", "-clients", "8", "-format", format, "-exemplars"}
-}
+var hotspotsArgs = []string{"hotspots", "-ops", "800", "-seed", "1", "-clients", "8", "-exemplars"}
 
 func TestHotspotsGolden(t *testing.T) {
 	var out strings.Builder
-	if err := run(hotspotsArgs("text"), &out); err != nil {
+	if err := run(hotspotsArgs, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -288,29 +286,11 @@ func TestHotspotsGolden(t *testing.T) {
 
 	// Byte-identical across runs in the same process too.
 	var again strings.Builder
-	if err := run(hotspotsArgs("text"), &again); err != nil {
+	if err := run(hotspotsArgs, &again); err != nil {
 		t.Fatal(err)
 	}
 	if got != again.String() {
 		t.Fatal("hotspots output not deterministic across same-seed runs")
-	}
-}
-
-func TestHotspotsCSV(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"hotspots", "-ops", "400", "-seed", "1", "-format", "csv"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	r := csv.NewReader(strings.NewReader(out.String()))
-	rows, err := r.ReadAll()
-	if err != nil {
-		t.Fatalf("hotspots -format csv is not well-formed CSV: %v", err)
-	}
-	if len(rows) < 2 {
-		t.Fatalf("csv has %d rows, want header plus data", len(rows))
-	}
-	if want := []string{"family", "rank", "key", "touches", "share", "err"}; strings.Join(rows[0], ",") != strings.Join(want, ",") {
-		t.Fatalf("csv header = %v, want %v", rows[0], want)
 	}
 }
 

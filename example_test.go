@@ -358,3 +358,83 @@ func Example_azfailover() {
 	// partition healed (shut-down nodes stay out until operator re-join)
 	// [final                 ] storage nodes up: 2  metadata servers up: 4  leader: nn-1  re-replications: 2
 }
+
+// ExampleWithShards shards the namespace by subtree across two NDB
+// clusters: a subtree lives on one shard, and a rename between subtrees
+// commits atomically across them.
+func ExampleWithShards() {
+	cluster, err := hopsfscl.New(hopsfscl.WithShards(2))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cluster.Close()
+	fs := cluster.Client(1)
+	for _, dir := range []string{"/proj/a", "/stage"} {
+		if err := fs.MkdirAll(dir); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := fs.WriteFile("/proj/a/x", 4096); err != nil {
+		log.Fatal(err)
+	}
+	if err := fs.Rename("/proj/a/x", "/stage/x"); err != nil {
+		log.Fatal(err)
+	}
+	src, _ := fs.Exists("/proj/a/x")
+	dst, _ := fs.Exists("/stage/x")
+	fmt.Printf("at source %v, at destination %v, %d storage nodes\n", src, dst, cluster.Stats().AliveStorageNodes)
+	// Output: at source false, at destination true, 12 storage nodes
+}
+
+// ExampleCluster_ScaleDown grows the stateless metadata tier online and
+// drains it back; it never drains the last serving server.
+func ExampleCluster_ScaleDown() {
+	cluster, err := hopsfscl.New()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cluster.Close()
+	fmt.Println("serving:", cluster.ServingNameNodes())
+	if err := cluster.ScaleUp(2); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("after ScaleUp(2):", cluster.ServingNameNodes())
+	fmt.Println("ScaleDown(2) drains:", cluster.ScaleDown(2))
+	fmt.Println("ScaleDown(100) drains:", cluster.ScaleDown(100))
+	fmt.Println("serving:", cluster.ServingNameNodes())
+	fmt.Println("ScaleUp(0):", cluster.ScaleUp(0))
+	fmt.Println("mkdir on the last server:", cluster.Client(1).MkdirAll("/elastic"))
+	// Output:
+	// serving: 3
+	// after ScaleUp(2): 5
+	// ScaleDown(2) drains: 2
+	// ScaleDown(100) drains: 2
+	// serving: 1
+	// ScaleUp(0): hopsfscl: ScaleUp(0)
+	// mkdir on the last server: <nil>
+}
+
+// ExampleWithObjectStoreBlocks keeps large-file blocks in a cloud object
+// store, the integration §VII names: the provider owns their durability, so
+// an AZ failure leaves them readable and re-replicates nothing.
+func ExampleWithObjectStoreBlocks() {
+	cluster, err := hopsfscl.New(hopsfscl.WithObjectStoreBlocks())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cluster.Close()
+	fs := cluster.Client(1)
+	if err := fs.WriteFile("/cloud.bin", 300<<20); err != nil {
+		log.Fatal(err)
+	}
+	cluster.FailZone(2)
+	info, err := fs.ReadFile("/cloud.bin")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("blocks=%d re-replications=%d\n", info.Blocks, cluster.Stats().ReReplications)
+	fmt.Println("delete:", fs.Delete("/cloud.bin", false))
+	// Output:
+	// blocks=3 re-replications=0
+	// delete: <nil>
+}

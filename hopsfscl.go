@@ -526,19 +526,6 @@ func (c *Cluster) RunChaos(schedule string, seed int64) (*ChaosReport, error) {
 	return eng.Run()
 }
 
-// RunChaosCampaign generates a seeded random fault schedule (faults
-// degrading steps, each with a paired recovery, spread over dur) and runs
-// it like RunChaos. The same seed always generates the same schedule and
-// produces the same report.
-func (c *Cluster) RunChaosCampaign(seed int64, faults int, dur time.Duration) (*ChaosReport, error) {
-	sched := chaos.Generate(c.d, seed, dur, faults)
-	eng, err := chaos.NewEngine(c.d, sched, chaos.Config{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run()
-}
-
 // RunExperiment regenerates one of the paper's tables or figures ("table1",
 // "fig5", ..., "failures") and returns its markdown section: the report and
 // a table of the claims judged on it. full selects the complete parameter

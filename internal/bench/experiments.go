@@ -938,10 +938,10 @@ func Ablations(o ExpOptions) (string, []Claim, error) {
 	return b.String(), claims, nil
 }
 
-// RenderPhaseTable formats the transaction-phase breakdown of a registry
+// renderPhaseTable formats the transaction-phase breakdown of a registry
 // snapshot (or window diff): count, mean and max time spent in lock waits
 // and in each linear-2PC phase.
-func RenderPhaseTable(samples []trace.Sample) string {
+func renderPhaseTable(samples []trace.Sample) string {
 	rows := []struct{ label, name string }{
 		{"lock_wait", "txn.lock_wait"},
 		{"prepare", "txn.phase.prepare"},
@@ -967,11 +967,11 @@ func RenderPhaseTable(samples []trace.Sample) string {
 	return tbl.String()
 }
 
-// RenderCrossAZTable formats cross-AZ network bytes attributed to each
+// renderCrossAZTable formats cross-AZ network bytes attributed to each
 // operation type. Bytes recorded outside any client span (elections,
 // heartbeats, failure detection, replication housekeeping) show up as the
 // "unattributed" row, so columns always reconcile with the global counter.
-func RenderCrossAZTable(samples []trace.Sample) string {
+func renderCrossAZTable(samples []trace.Sample) string {
 	tbl := metrics.NewTable("operation", "ops", "cross-AZ bytes", "bytes/op")
 	var attributed float64
 	for _, pr := range nsmodel.Promises {
@@ -1012,8 +1012,8 @@ func Phases(o ExpOptions) (string, []Claim, error) {
 		}
 		fmt.Fprintf(&b, "%s — 12 metadata servers, Spotify workload, %s window\n",
 			setup.Name, res.Window)
-		fmt.Fprintf(&b, "\ntransaction phase latency:\n\n%s", fence(RenderPhaseTable(res.Registry)))
-		fmt.Fprintf(&b, "\ncross-AZ bytes per operation type:\n\n%s", fence(RenderCrossAZTable(res.Registry)))
+		fmt.Fprintf(&b, "\ntransaction phase latency:\n\n%s", fence(renderPhaseTable(res.Registry)))
+		fmt.Fprintf(&b, "\ncross-AZ bytes per operation type:\n\n%s", fence(renderCrossAZTable(res.Registry)))
 	}
 	return b.String(), nil, nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hopsfscl/internal/core"
-	"hopsfscl/internal/heat"
 )
 
 // TestGridPointAllocCeiling pins the steady-state allocations of a full grid
@@ -76,7 +75,7 @@ func TestGridPointAllocCeiling(t *testing.T) {
 			// Heat sketches ride the hot path (op subscriber, path/inode/partition
 			// touches in the namenode and NDB layers); the ceiling must hold with
 			// them on. Tracked-key touches are alloc-free by design.
-			cfg.Heat = &heat.Config{}
+			cfg.Heat = true
 			var m0, m1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&m0)

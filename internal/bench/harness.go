@@ -36,9 +36,10 @@ type RunConfig struct {
 	Window time.Duration
 	// Mix selects the operation distribution (Spotify or a micro mix).
 	Mix workload.Mix
-	// Affinity overrides the clients' dataset-affinity probability
-	// (0 = the ClientAffinity default). Micro-benchmarks use 1.0: the
-	// paper's tool re-reads each thread's own file set.
+	// Affinity is the probability a client operation targets one of its
+	// home directories (DefaultRunConfig: ClientAffinity; 0 plants
+	// nothing). Micro-benchmarks use 1.0: the paper's tool re-reads each
+	// thread's own file set.
 	Affinity float64
 	// Seed feeds the generator.
 	Seed int64
@@ -54,10 +55,9 @@ type RunConfig struct {
 	// and the closing health state.
 	SLO *slo.Spec
 	// Heat enables namespace heat tracking from warm-up start (the decayed
-	// sketches converge to the steady-state ranking) with these sketch
-	// parameters (the zero Config = heat defaults): the Result gains a
+	// sketches converge to the steady-state ranking): the Result gains a
 	// heat.Report of the hottest subtrees, inodes, tables, and partitions.
-	Heat *heat.Config
+	Heat bool
 	// Exemplars enables tail-based exemplar capture over the measurement
 	// window with these store bounds (the zero config = slo defaults): the
 	// Result gains an ExemplarReport of pinned outlier traces. Exemplars
@@ -87,6 +87,7 @@ func DefaultRunConfig() RunConfig {
 		WarmOpsPerClient: 120,
 		Window:           200 * time.Millisecond,
 		Mix:              workload.SpotifyMix,
+		Affinity:         ClientAffinity,
 		Seed:             1,
 	}
 }
@@ -188,14 +189,10 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 		ops       int64 // served operations only
 		errCount  int64
 	)
-	if cfg.Heat != nil {
+	if cfg.Heat {
 		// Heat tracking starts before warm-up so the decayed sketches reach
 		// steady state by window end, like a long-running deployment's would.
-		d.EnableHeat(*cfg.Heat)
-	}
-	affinity := cfg.Affinity
-	if affinity == 0 {
-		affinity = ClientAffinity
+		d.EnableHeat()
 	}
 	for i, fs := range d.Clients {
 		fs := fs
@@ -203,7 +200,7 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 		if cfg.HomeDirs != nil {
 			home = cfg.HomeDirs
 		}
-		gen := workload.NewAffineGenerator(d.Namespace, cfg.Mix, cfg.Seed+int64(i), home, affinity)
+		gen := workload.NewAffineGenerator(d.Namespace, cfg.Mix, cfg.Seed+int64(i), home, cfg.Affinity)
 		env.Spawn("bench-client", func(p *sim.Proc) {
 			for !stop {
 				t0 := p.Now()
@@ -317,7 +314,7 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 		res.Contention = d.Contention()
 	}
 	res.SLOReport = d.SLO.Report(now)
-	res.Heat = d.Heat.Snapshot(now, 0)
+	res.Heat = d.Heat.Snapshot(now)
 	res.Exemplars = d.Exemplars.Report(now)
 	return res
 }

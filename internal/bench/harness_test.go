@@ -124,6 +124,33 @@ func TestMicroMixesRun(t *testing.T) {
 	}
 }
 
+// TestAffinityZeroPlantsNothing: Run takes RunConfig.Affinity as given, so
+// at 0 no traced operation names a path in the planted home set.
+func TestAffinityZeroPlantsNothing(t *testing.T) {
+	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
+	d, err := core.Build(pointOptions(ExpOptions{ClientsPerServer: 8, Seed: 1}, setup, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cfg := tinyConfig()
+	cfg.Affinity = 0
+	cfg.HomeDirs = []string{"/planted"}
+	cfg.Profile = true
+	Run(d, cfg)
+	spans := d.Tracer.Sink().Spans()
+	if len(spans) == 0 {
+		t.Fatal("no traced operations")
+	}
+	for _, sp := range spans {
+		for _, a := range sp.Attrs {
+			if strings.HasPrefix(a.Value, "/planted") {
+				t.Fatalf("%s span %s=%s at affinity 0", sp.Name, a.Key, a.Value)
+			}
+		}
+	}
+}
+
 func TestReadSlotDiffing(t *testing.T) {
 	now := []PartitionReads{{Index: 0, Counts: []int64{10, 5, 5}}, {Index: 1, Counts: []int64{4, 0, 0}}}
 	before := []PartitionReads{{Index: 0, Counts: []int64{7, 5, 1}}, {Index: 1, Counts: []int64{1, 0, 0}}}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hopsfscl/internal/core"
-	"hopsfscl/internal/heat"
 	"hopsfscl/internal/metrics"
 	"hopsfscl/internal/profile"
 	"hopsfscl/internal/slo"
@@ -56,7 +55,7 @@ func Hotspot(o ExpOptions) (string, []Claim, error) {
 	cfg.Seed = o.Seed
 	cfg.Affinity = 0.9
 	cfg.HomeDirs = planted
-	cfg.Heat = &heat.Config{}
+	cfg.Heat = true
 	cfg.Profile = true // a ring that holds the whole window, not the default
 	// Tighten the latency objectives well below healthy cross-AZ operation:
 	// the point of this experiment is inducing p99 breaches so the exemplar

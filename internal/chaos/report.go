@@ -267,10 +267,9 @@ func (r *Report) Render() string {
 	return b.String()
 }
 
-// CampaignOptions shape a RunCampaign deployment and schedule.
+// CampaignOptions shape a RunCampaign deployment, always HopsFS-CL (3,3),
+// and its schedule.
 type CampaignOptions struct {
-	// SetupName picks the paper setup (default "HopsFS-CL (3,3)").
-	SetupName string
 	// Faults is the number of degrading faults to generate (default 5).
 	Faults int
 	// CampaignLen spaces the generated faults (default 30s).
@@ -300,15 +299,7 @@ func RunCampaign(seed int64, opts CampaignOptions) (*Report, error) {
 // runCampaign is RunCampaign, handing the deployment to after, when it is
 // set, once the campaign has run and before the deployment closes.
 func runCampaign(seed int64, opts CampaignOptions, after func(*core.Deployment)) (*Report, error) {
-	name := opts.SetupName
-	if name == "" {
-		name = "HopsFS-CL (3,3)"
-	}
-	setup, ok := core.SetupByName(name)
-	if !ok {
-		return nil, fmt.Errorf("chaos: unknown setup %q", name)
-	}
-	o := core.DefaultOptions(setup)
+	o := core.DefaultOptions(core.PaperSetups[5]) // HopsFS-CL (3,3)
 	o.MetadataServers = 3
 	o.ClientsPerServer = 0
 	o.StorageNodes = 6

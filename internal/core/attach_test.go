@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"hopsfscl/internal/heat"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/slo"
 	"hopsfscl/internal/workload"
@@ -103,15 +102,15 @@ func TestHeatAndSLOAttachInEitherOrder(t *testing.T) {
 		d := attachAndDrive(t, attach)
 		now := d.Env.Now()
 		sloOps = d.SLO.Report(now).All.Count
-		for _, f := range d.Heat.Snapshot(now, 0).Families {
+		for _, f := range d.Heat.Snapshot(now).Families {
 			if f.Name == "op" {
 				heatOps = f.Total
 			}
 		}
 		return sloOps, heatOps
 	}
-	s1, h1 := counts(func(d *Deployment) { d.EnableHeat(heat.Config{}); d.EnableSLO(slo.Spec{}) })
-	s2, h2 := counts(func(d *Deployment) { d.EnableSLO(slo.Spec{}); d.EnableHeat(heat.Config{}) })
+	s1, h1 := counts(func(d *Deployment) { d.EnableHeat(); d.EnableSLO(slo.Spec{}) })
+	s2, h2 := counts(func(d *Deployment) { d.EnableSLO(slo.Spec{}); d.EnableHeat() })
 	if s1 == 0 || h1 == 0 {
 		t.Fatalf("a consumer was starved: slo saw %d ops, heat %d", s1, h1)
 	}
@@ -120,14 +119,14 @@ func TestHeatAndSLOAttachInEitherOrder(t *testing.T) {
 	}
 }
 
-// TestStopBackgroundQuiescesEveryTicker attaches every clocked consumer —
-// flight recorder, SLO engine (twice over: the exemplars' default engine
-// and an explicit one), heat publisher — and checks that one
+// TestStopBackgroundQuiescesEveryTicker attaches every consumer — the
+// clocked ones are the flight recorder and the SLO engine (twice over: the
+// exemplars' default engine and an explicit one) — and checks that one
 // StopBackground lets Env.Run return.
 func TestStopBackgroundQuiescesEveryTicker(t *testing.T) {
 	d := attachAndDrive(t, func(d *Deployment) {
 		d.EnableFlightRecorder(10*time.Millisecond, 0)
-		d.EnableHeat(heat.Config{})
+		d.EnableHeat()
 		d.EnableExemplars(slo.ExemplarConfig{})
 		d.EnableSLO(tightSpec())
 	})

@@ -490,11 +490,9 @@ func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
 // every operation's target path (per-depth subtree prefixes) and every
 // inode row read, the NDB layer attributes every row access to its table
 // and partition, and every finishing root operation feeds per-op-class
-// touches. The heat.* gauges are republished every heat.PublishEvery of
-// virtual time, so a flight recorder keeping the "heat." prefix yields a
-// heat timeline CSV. Pass a zero heat.Config for defaults.
-func (d *Deployment) EnableHeat(cfg heat.Config) *heat.Collector {
-	h := heat.NewCollector(cfg, d.Registry)
+// touches.
+func (d *Deployment) EnableHeat() *heat.Collector {
+	h := heat.NewCollector()
 	d.Heat = h
 	d.Tracer.OnOp(h.ObserveOp)
 	if d.NS != nil {
@@ -506,7 +504,6 @@ func (d *Deployment) EnableHeat(cfg heat.Config) *heat.Collector {
 	if d.Router != nil {
 		d.Router.SetHeat(h)
 	}
-	d.every("heat-publisher", heat.PublishEvery, h.Publish)
 	return h
 }
 

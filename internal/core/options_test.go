@@ -24,7 +24,6 @@ var optionStructs = []struct {
 	{"internal/namenode", "Config", true},
 	{"internal/ndb", "Config", true},
 	{"internal/blocks", "Config", false},
-	{"internal/heat", "Config", true},
 	{"internal/cephfs", "Config", true},
 	{"internal/autoscale", "Config", true},
 	{"internal/bench", "ElasticOptions", true},

@@ -2,23 +2,15 @@ package heat
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"hopsfscl/internal/trace"
 )
 
-// Config shapes a Collector.
-type Config struct {
-	// TopN is how many rows reports and the topk_share gauges cover
-	// (default 10).
-	TopN int
-}
-
 const (
+	// topN is how many rows a report covers per family.
+	topN = 10
 	// depths is how many path-prefix levels get their own subtree sketch:
 	// depth 1 tracks "/proj", depth 2 "/proj/ds", and so on (the evaluation
 	// namespace is three levels deep).
@@ -29,27 +21,7 @@ const (
 	// decayWindow is the decay half-life: all counts halve every
 	// decayWindow of virtual time (matching the SLO sketch span scale).
 	decayWindow = 2 * time.Second
-	// PublishEvery is the gauge-refresh interval of the background
-	// publisher (matching the flight recorder).
-	PublishEvery = 50 * time.Millisecond
 )
-
-// DefaultConfig returns the evaluation heat-tracking parameters.
-func DefaultConfig() Config {
-	return Config{TopN: 10}
-}
-
-func (c Config) withDefaults() Config {
-	if c.TopN <= 0 {
-		c.TopN = DefaultConfig().TopN
-	}
-	return c
-}
-
-// familyGauges caches the registry handles published for one sketch family.
-type familyGauges struct {
-	top1, topk *trace.Gauge
-}
 
 // Collector owns one sketch per heat dimension and is the single
 // attachment point for the instrumented layers: the namenode feeds path
@@ -59,8 +31,6 @@ type familyGauges struct {
 // key allocates nothing, so heat stays inside the grid-point allocation
 // ceiling.
 type Collector struct {
-	cfg Config
-
 	// subtrees[d-1] tracks path prefixes of depth d.
 	subtrees []*TopK[string]
 	inodes   *TopK[uint64]
@@ -69,34 +39,24 @@ type Collector struct {
 	ops      *TopK[string]
 	// shards tracks per-shard routing balance. nil until a multi-shard
 	// router enables it (EnableShardFamily), so unsharded deployments
-	// publish and snapshot exactly the historical family set.
+	// snapshot exactly the historical family set.
 	shards *TopK[string]
 
-	// mu guards the partition-key cache and gauge handles; the sketches
-	// lock themselves.
+	// mu guards the partition-key cache; the sketches lock themselves.
 	mu sync.Mutex
 	// partKeys caches preformatted "table#pNN" keys so the per-access
 	// partition touch never formats.
 	partKeys map[string][]string
-
-	reg     *trace.Registry
-	gauges  map[string]*familyGauges
-	lastPub time.Duration
 }
 
-// NewCollector builds a collector publishing heat.* gauges into reg (nil
-// skips gauges; sketches still run).
-func NewCollector(cfg Config, reg *trace.Registry) *Collector {
-	cfg = cfg.withDefaults()
+// NewCollector builds a collector with every family but shards enabled.
+func NewCollector() *Collector {
 	c := &Collector{
-		cfg:      cfg,
 		inodes:   NewTopK[uint64](sketchK, decayWindow),
 		tables:   NewTopK[string](sketchK, decayWindow),
 		parts:    NewTopK[string](sketchK, decayWindow),
 		ops:      NewTopK[string](sketchK, decayWindow),
 		partKeys: make(map[string][]string),
-		reg:      reg,
-		gauges:   make(map[string]*familyGauges),
 	}
 	for range depths {
 		c.subtrees = append(c.subtrees, NewTopK[string](sketchK, decayWindow))
@@ -157,7 +117,7 @@ func (c *Collector) partKey(table string, index int) string {
 // EnableShardFamily adds the "shard" key family: one key per shard,
 // touched by the router at every sub-transaction begin, so shard-balance
 // skew ranks alongside tables and partitions in hotspot reports. The
-// family stays disabled (absent from Publish and Snapshot) until a
+// family stays disabled (absent from Snapshot) until a
 // multi-shard router calls this.
 func (c *Collector) EnableShardFamily() {
 	if c == nil || c.shards != nil {
@@ -185,65 +145,10 @@ func (c *Collector) ObserveOp(op string, end, _ time.Duration, _ bool) {
 	c.ops.Touch(end, op, 1)
 }
 
-// Publish refreshes the heat.* gauges at virtual instant now:
-// heat.<family>.top1_share and heat.<family>.topk_share per family (the
-// subtree family is labeled per depth). A flight recorder keeping the
-// "heat." prefix turns these into the heat timeline CSV.
-func (c *Collector) Publish(now time.Duration) {
-	if c == nil || c.reg == nil {
-		return
-	}
-	c.mu.Lock()
-	c.lastPub = now
-	c.mu.Unlock()
-	for d, sk := range c.subtrees {
-		c.publishFamily("subtree.d"+strconv.Itoa(d+1), sk, now)
-	}
-	c.publishFamily("inode", c.inodes, now)
-	c.publishFamily("table", c.tables, now)
-	c.publishFamily("partition", c.parts, now)
-	c.publishFamily("op", c.ops, now)
-	if c.shards != nil {
-		c.publishFamily("shard", c.shards, now)
-	}
-}
-
-func (c *Collector) publishFamily(name string, sk sketchView, now time.Duration) {
-	c.mu.Lock()
-	g := c.gauges[name]
-	if g == nil {
-		g = &familyGauges{
-			top1: c.reg.Gauge("heat." + name + ".top1_share"),
-			topk: c.reg.Gauge("heat." + name + ".topk_share"),
-		}
-		c.gauges[name] = g
-	}
-	c.mu.Unlock()
-	top1, topk := sk.shares(now, c.cfg.TopN)
-	g.top1.Set(top1)
-	g.topk.Set(topk)
-}
-
-// sketchView is the small query surface publishFamily and snapshots need,
-// implemented by TopK over any key type.
+// sketchView is the query surface snapshots need, implemented by TopK over
+// any key type.
 type sketchView interface {
-	shares(now time.Duration, n int) (top1, topk float64)
 	rows(now time.Duration, n int) ([]Row, uint64, int)
-}
-
-// shares returns the decayed count share of the hottest key and of the
-// hottest n keys.
-func (t *TopK[K]) shares(now time.Duration, n int) (top1, topk float64) {
-	top := t.Top(now, n)
-	total := t.Total(now)
-	if total == 0 || len(top) == 0 {
-		return 0, 0
-	}
-	var sum uint64
-	for _, c := range top {
-		sum += c.Count
-	}
-	return float64(top[0].Count) / float64(total), float64(sum) / float64(total)
 }
 
 // rows renders the top-n keys as report rows.
@@ -303,13 +208,10 @@ type Report struct {
 }
 
 // Snapshot captures the hottest keys of every family at virtual instant
-// now, topN rows each (0 uses the configured TopN).
-func (c *Collector) Snapshot(now time.Duration, topN int) *Report {
+// now, topN rows each.
+func (c *Collector) Snapshot(now time.Duration) *Report {
 	if c == nil {
 		return nil
-	}
-	if topN <= 0 {
-		topN = c.cfg.TopN
 	}
 	rep := &Report{At: now}
 	add := func(name string, sk sketchView) {
@@ -376,28 +278,4 @@ func (r *Report) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// WriteCSV renders the report as deterministic CSV rows:
-// family,rank,key,touches,share,err.
-func (r *Report) WriteCSV(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	var b strings.Builder
-	b.WriteString("family,rank,key,touches,share,err\n")
-	for _, f := range r.Families {
-		for i, row := range f.Top {
-			fmt.Fprintf(&b, "%s,%d,%s,%d,%.4f,%d\n", csvField(f.Name), i+1, csvField(row.Key), row.Count, row.Share, row.Err)
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func csvField(s string) string {
-	if !strings.ContainsAny(s, ",\"\n") {
-		return s
-	}
-	return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
 }

@@ -1,21 +1,20 @@
 package heat
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
-
-	"hopsfscl/internal/trace"
 )
 
 func TestCollectorTouchPathDepths(t *testing.T) {
-	c := NewCollector(Config{}, nil)
+	c := NewCollector()
 	c.TouchPath(0, "/proj001/ds00/part-0001")
 	c.TouchPath(0, "/proj001/ds00/part-0002")
 	c.TouchPath(0, "/proj001/ds01/part-0001")
 	c.TouchPath(0, "/proj002")
 
-	rep := c.Snapshot(0, 10)
+	rep := c.Snapshot(0)
 	if rank, row := rep.Rank("subtree depth 1", "/proj001"); rank != 1 || row.Count != 3 {
 		t.Fatalf("depth-1 /proj001: rank %d count %d, want rank 1 count 3", rank, row.Count)
 	}
@@ -31,17 +30,17 @@ func TestCollectorTouchPathDepths(t *testing.T) {
 }
 
 func TestCollectorTouchPathIgnoresMalformed(t *testing.T) {
-	c := NewCollector(Config{}, nil)
+	c := NewCollector()
 	c.TouchPath(0, "")
 	c.TouchPath(0, "/")
 	c.TouchPath(0, "relative/path")
-	if got := c.Snapshot(0, 5).Families[0].Total; got != 0 {
+	if got := c.Snapshot(0).Families[0].Total; got != 0 {
 		t.Fatalf("malformed paths counted: total %d", got)
 	}
 }
 
 func TestCollectorPartitionKeysAndInodes(t *testing.T) {
-	c := NewCollector(Config{}, nil)
+	c := NewCollector()
 	for i := 0; i < 4; i++ {
 		c.TouchPartition(0, "inodes", 7)
 	}
@@ -51,7 +50,7 @@ func TestCollectorPartitionKeysAndInodes(t *testing.T) {
 	c.TouchInode(0, 42)
 	c.TouchInode(0, 9)
 
-	rep := c.Snapshot(0, 10)
+	rep := c.Snapshot(0)
 	if rank, row := rep.Rank("partition", "inodes#p07"); rank != 1 || row.Count != 4 {
 		t.Fatalf("inodes#p07: rank %d count %d, want rank 1 count 4", rank, row.Count)
 	}
@@ -63,29 +62,8 @@ func TestCollectorPartitionKeysAndInodes(t *testing.T) {
 	}
 }
 
-func TestCollectorPublishGauges(t *testing.T) {
-	reg := trace.NewRegistry()
-	c := NewCollector(Config{TopN: 2}, reg)
-	c.TouchPath(0, "/hot/a")
-	c.TouchPath(0, "/hot/b")
-	c.TouchPath(0, "/hot/c")
-	c.TouchPath(0, "/cold/x")
-	c.ObserveOp("stat", 0, time.Millisecond, false)
-	c.Publish(0)
-
-	if got := reg.Gauge("heat.subtree.d1.top1_share").Value(); got != 0.75 {
-		t.Fatalf("heat.subtree.d1.top1_share = %v, want 0.75", got)
-	}
-	if got := reg.Gauge("heat.subtree.d1.topk_share").Value(); got != 1 {
-		t.Fatalf("heat.subtree.d1.topk_share = %v, want 1", got)
-	}
-	if got := reg.Gauge("heat.op.top1_share").Value(); got != 1 {
-		t.Fatalf("heat.op.top1_share = %v, want 1", got)
-	}
-}
-
 func TestCollectorTouchAllocationFree(t *testing.T) {
-	c := NewCollector(Config{}, nil)
+	c := NewCollector()
 	path := "/proj001/ds00/part-0001"
 	c.TouchPath(0, path)
 	c.TouchPartition(0, "inodes", 3)
@@ -101,34 +79,26 @@ func TestCollectorTouchAllocationFree(t *testing.T) {
 	}
 }
 
-func TestReportRenderAndCSV(t *testing.T) {
-	c := NewCollector(Config{}, nil)
+func TestReportRender(t *testing.T) {
+	c := NewCollector()
 	c.TouchPath(0, "/hot/a")
 	c.TouchPath(0, "/hot/b")
 	c.TouchPath(0, "/cold/x")
-	rep := c.Snapshot(0, 5)
+	rep := c.Snapshot(0)
 
 	text := rep.Render()
 	if !strings.Contains(text, "hottest subtree depth 1") || !strings.Contains(text, "/hot") {
 		t.Fatalf("render missing expected content:\n%s", text)
 	}
-	var b strings.Builder
-	if err := rep.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	csv := b.String()
-	if !strings.HasPrefix(csv, "family,rank,key,touches,share,err\n") {
-		t.Fatalf("csv header wrong:\n%s", csv)
-	}
-	if !strings.Contains(csv, "subtree depth 1,1,/hot,2,0.6667,0") {
-		t.Fatalf("csv missing expected row:\n%s", csv)
+	if rank, row := rep.Rank("subtree depth 1", "/hot"); rank != 1 || row.Count != 2 || row.Err != 0 || math.Abs(row.Share-2.0/3) > 1e-9 {
+		t.Fatalf("/hot ranks %d with %+v, want first with 2 touches, share 2/3, no error", rank, row)
 	}
 	// Same schedule twice must render byte-identically.
-	c2 := NewCollector(Config{}, nil)
+	c2 := NewCollector()
 	c2.TouchPath(0, "/hot/a")
 	c2.TouchPath(0, "/hot/b")
 	c2.TouchPath(0, "/cold/x")
-	if got := c2.Snapshot(0, 5).Render(); got != text {
+	if got := c2.Snapshot(0).Render(); got != text {
 		t.Fatalf("renders diverge:\n%s\n---\n%s", got, text)
 	}
 }

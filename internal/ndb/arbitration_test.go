@@ -162,3 +162,33 @@ func TestNoArbitratorShutsDetectorDown(t *testing.T) {
 			zones[1][0].Shutdown(), crashed.declaredDead)
 	}
 }
+
+// TestLoneSurvivorProbesNoOne: in a cluster of one node group, the datanode
+// whose peer crashed and was declared dead has no ring successor left. Its
+// heartbeat loop probes no one and opens no further arbitration epoch, and
+// it keeps committing alone.
+func TestLoneSurvivorProbesNoOne(t *testing.T) {
+	env, c, client := testClusterCfg(t, true, 2, func(cfg *Config) { cfg.DataNodes = 2 })
+	tbl := c.CreateTable("inodes", 8, TableOptions{ReadBackup: true})
+	env.RunFor(time.Second)
+	survivor, crashed := c.DataNodes()[0], c.DataNodes()[1]
+	crashed.Node.Fail()
+	env.RunFor(2 * time.Second)
+	if !crashed.declaredDead || !survivor.Alive() {
+		t.Fatalf("crashed declared dead %v, survivor alive %v", crashed.declaredDead, survivor.Alive())
+	}
+	if peer := c.ringSuccessor(survivor); peer != nil {
+		t.Fatalf("the survivor's ring successor is datanode %d, declared dead %v", peer.Index, peer.declaredDead)
+	}
+	epoch := c.arbEpoch
+	env.RunFor(2 * time.Second)
+	if c.arbEpoch != epoch || !survivor.Alive() {
+		t.Errorf("epoch %d → %d, survivor alive %v", epoch, c.arbEpoch, survivor.Alive())
+	}
+	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
+		if err := put(tx, tbl, "p", "k", "v"); err != nil {
+			return err
+		}
+		return tx.Commit()
+	})
+}

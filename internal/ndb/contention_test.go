@@ -181,8 +181,8 @@ func TestUpgradeQueuesBehindWaiter(t *testing.T) {
 		if n := len(r.lock.waiters); n != 2 {
 			t.Errorf("%d waiters on the row, want the writer and the upgrade", n)
 		}
-		blocker["upgrader-op"], _ = r.lock.blockerOf(t1.id)
-		blocker["writer-op"], _ = r.lock.blockerOf(t2.id)
+		blocker["upgrader-op"] = r.lock.blockerOf(t1.id)
+		blocker["writer-op"] = r.lock.blockerOf(t2.id)
 	})
 	env.RunFor(time.Second)
 	if t1 == nil || t2 == nil {
@@ -213,5 +213,21 @@ func TestUpgradeQueuesBehindWaiter(t *testing.T) {
 	}
 	if left := c.HeldLocks(); len(left) != 0 {
 		t.Errorf("locks survive: %v", left)
+	}
+}
+
+// TestBlockerOfPicksLowestOtherHolder: a row held shared by three
+// transactions names the lowest-ID holder other than the asker as its
+// blocker, wherever that holder sits in the holder set.
+func TestBlockerOfPicksLowestOtherHolder(t *testing.T) {
+	var l rowLock
+	for _, txn := range []uint64{7, 3, 5} {
+		l.grant(txn, LockShared)
+	}
+	l.waiters = append(l.waiters, lockWaiter{txn: 9, mode: LockExclusive})
+	for asker, want := range map[uint64]uint64{9: 3, 3: 5, 7: 3} {
+		if got := l.blockerOf(asker); got != want {
+			t.Errorf("blockerOf(%d) = %d, want %d", asker, got, want)
+		}
 	}
 }

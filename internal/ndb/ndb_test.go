@@ -219,7 +219,7 @@ func TestReadBackupServesAZLocalReplica(t *testing.T) {
 // counters), like the P one-scan batches it is made of.
 func TestTableScanIsRoutedLikeAnyRead(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
-	hc := heat.NewCollector(heat.Config{}, nil)
+	hc := heat.NewCollector()
 	c.SetHeat(hc)
 	tbl := c.CreateTable("scattered", 128, TableOptions{ReadBackup: true})
 	inTxn(t, env, c, client, 1, tbl, "a", func(p *sim.Proc, tx *Txn) error {
@@ -231,7 +231,7 @@ func TestTableScanIsRoutedLikeAnyRead(t *testing.T) {
 		return tx.Commit()
 	})
 	heatTotal := func(now time.Duration) uint64 {
-		for _, f := range hc.Snapshot(now, 1).Families {
+		for _, f := range hc.Snapshot(now).Families {
 			if f.Name == "partition" {
 				return f.Total
 			}

@@ -429,10 +429,12 @@ func (l *rowLock) removeWaiter(txn uint64) {
 	l.pump()
 }
 
-// blockerOf returns the transaction most plausibly blocking txn: the
-// lowest-ID current holder other than txn itself, else the queued waiter
-// ahead of it. The second argument is false when nothing is blocking.
-func (l *rowLock) blockerOf(txn uint64) (uint64, bool) {
+// blockerOf returns the transaction most plausibly blocking txn, which is
+// parked on the row: the lowest-ID current holder other than txn itself,
+// else the waiter at the head of the queue. A parked request always has one
+// of them: acquire queues it only behind an earlier waiter or a holder that
+// conflicts, and a head waiter that no holder blocks is granted at once.
+func (l *rowLock) blockerOf(txn uint64) uint64 {
 	var best uint64 // 0: none yet
 	if l.holder.txn != txn {
 		best = l.holder.txn
@@ -442,15 +444,10 @@ func (l *rowLock) blockerOf(txn uint64) (uint64, bool) {
 			best = h.txn
 		}
 	}
-	if best != 0 {
-		return best, true
+	if best == 0 {
+		best = l.waiters[0].txn
 	}
-	for _, w := range l.waiters {
-		if w.txn != txn {
-			return w.txn, true
-		}
-	}
-	return 0, false
+	return best
 }
 
 // pump grants waiters at the head of the queue while compatible. A granted

@@ -817,11 +817,7 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 	// time the wait resolves it may have finished and vanished).
 	var holderOp string
 	if t.c.ledger != nil {
-		if blocker, ok := r.lock.blockerOf(t.id); ok {
-			holderOp = t.c.opFor(blocker)
-		} else {
-			holderOp = "(unknown)"
-		}
+		holderOp = t.c.opFor(r.lock.blockerOf(t.id))
 	}
 	start := p.Now()
 	ls := p.Span().Child("lock_wait", start)

@@ -167,18 +167,5 @@ func (s *Store) Delete(key string) {
 	delete(s.objects, key)
 }
 
-// Exists reports whether a key is stored.
-func (s *Store) Exists(key string) bool {
-	_, ok := s.objects[key]
-	return ok
-}
-
 // Len returns the number of stored objects.
 func (s *Store) Len() int { return len(s.objects) }
-
-// FailZone takes a zone's endpoint down (requests fail over to others).
-func (s *Store) FailZone(z simnet.ZoneID) {
-	if ep, ok := s.endpoints[z]; ok {
-		ep.Fail()
-	}
-}

@@ -34,11 +34,11 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	if getErr != nil || gotSize != 1<<20 {
 		t.Fatalf("get: %v size=%d", getErr, gotSize)
 	}
-	if !s.Exists("a/b") || s.Len() != 1 {
+	if _, ok := s.objects["a/b"]; !ok || s.Len() != 1 {
 		t.Fatal("object not registered")
 	}
 	s.Delete("a/b")
-	if s.Exists("a/b") {
+	if _, ok := s.objects["a/b"]; ok {
 		t.Fatal("object survived delete")
 	}
 	env.Spawn("missing", func(p *sim.Proc) {
@@ -113,7 +113,7 @@ func TestZoneLocalEndpointPreferred(t *testing.T) {
 func TestEndpointFailover(t *testing.T) {
 	env, net, s := testStore(t)
 	client := net.NewNode("client", 2, 800)
-	s.FailZone(2)
+	s.endpoints[2].Fail()
 	var err error
 	env.Spawn("io", func(p *sim.Proc) {
 		err = s.Put(p, client, "k", 1024)
@@ -122,7 +122,7 @@ func TestEndpointFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("put after endpoint failure: %v", err)
 	}
-	if !s.Exists("k") {
+	if _, ok := s.objects["k"]; !ok {
 		t.Fatal("object missing after failover")
 	}
 }
@@ -131,7 +131,7 @@ func TestAllEndpointsDownIsUnavailable(t *testing.T) {
 	env, net, s := testStore(t)
 	client := net.NewNode("client", 1, 800)
 	for z := simnet.ZoneID(1); z <= 3; z++ {
-		s.FailZone(z)
+		s.endpoints[z].Fail()
 	}
 	var err error
 	env.Spawn("io", func(p *sim.Proc) {

@@ -128,18 +128,6 @@ type Report struct {
 	Spans int
 }
 
-// Total returns the summed critical-path time across all op types.
-func (r *Report) Total() time.Duration {
-	if r == nil {
-		return 0
-	}
-	var t time.Duration
-	for _, o := range r.Ops {
-		t += o.Total
-	}
-	return t
-}
-
 // spanStat is the per-span working state of one root analysis.
 type spanStat struct {
 	span   *trace.Span

@@ -129,7 +129,7 @@ func TestAnalyzeEmptyAndNil(t *testing.T) {
 	if got := nilRep.Table(); !strings.Contains(got, "no traced") {
 		t.Fatalf("nil report table = %q", got)
 	}
-	if nilRep.Total() != 0 {
+	if _, total := nilRep.Totals(); total != 0 {
 		t.Fatal("nil report total != 0")
 	}
 }

@@ -62,7 +62,6 @@ type slot struct {
 	counts  [numBuckets]uint32
 	total   int64
 	errors  int64
-	sum     time.Duration
 	maxSeen time.Duration
 }
 
@@ -140,7 +139,6 @@ func (s *Sketch) Observe(now, latency time.Duration, failed bool) {
 	sl := s.roll(now)
 	sl.counts[bucketOf(latency)]++
 	sl.total++
-	sl.sum += latency
 	if latency > sl.maxSeen {
 		sl.maxSeen = latency
 	}
@@ -157,8 +155,7 @@ type Summary struct {
 	// Count and Errors are completions and failures inside the window.
 	Count  int64
 	Errors int64
-	// Sum and Max aggregate the latencies inside the window.
-	Sum time.Duration
+	// Max is the slowest latency inside the window.
 	Max time.Duration
 
 	counts [numBuckets]uint32
@@ -179,14 +176,6 @@ func (m Summary) ErrorFraction() float64 {
 		return 0
 	}
 	return float64(m.Errors) / float64(m.Count)
-}
-
-// Mean returns the average latency (0 for an empty window).
-func (m Summary) Mean() time.Duration {
-	if m.Count == 0 {
-		return 0
-	}
-	return m.Sum / time.Duration(m.Count)
 }
 
 // Percentile returns the latency at quantile q (0 < q <= 1) by
@@ -258,7 +247,6 @@ func (s *Sketch) Window(now, window time.Duration) Summary {
 		}
 		out.Count += sl.total
 		out.Errors += sl.errors
-		out.Sum += sl.sum
 		if sl.maxSeen > out.Max {
 			out.Max = sl.maxSeen
 		}

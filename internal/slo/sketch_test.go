@@ -37,9 +37,6 @@ func TestSketchEmptyWindow(t *testing.T) {
 	if f := m.ErrorFraction(); f != 0 {
 		t.Fatalf("empty error fraction = %v, want 0", f)
 	}
-	if mean := m.Mean(); mean != 0 {
-		t.Fatalf("empty mean = %v, want 0", mean)
-	}
 }
 
 // TestSketchWindowBoundary pins the inclusion rule: a slot is inside the

@@ -121,10 +121,6 @@ func TestSinkDropAccounting(t *testing.T) {
 	if len(sink.Spans()) != 2 {
 		t.Fatalf("retained = %d, want 2", len(sink.Spans()))
 	}
-	sink.Reset()
-	if sink.Dropped() != 0 {
-		t.Fatal("Reset did not clear dropped")
-	}
 	var nilSink *Sink
 	if nilSink.Dropped() != 0 {
 		t.Fatal("nil sink Dropped != 0")

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -466,36 +465,6 @@ func (k *Sink) Dropped() int64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.dropped
-}
-
-// Reset discards all retained spans and the total count.
-func (k *Sink) Reset() {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	k.buf = k.buf[:0]
-	k.next = 0
-	k.total = 0
-	k.dropped = 0
-	k.mu.Unlock()
-}
-
-// Slowest returns up to n retained spans ordered by descending duration,
-// with span ID as the deterministic tie-break.
-func (k *Sink) Slowest(n int) []*Span {
-	spans := k.Spans()
-	sort.Slice(spans, func(i, j int) bool {
-		di, dj := spans[i].Duration(), spans[j].Duration()
-		if di != dj {
-			return di > dj
-		}
-		return spans[i].ID < spans[j].ID
-	})
-	if n < len(spans) {
-		spans = spans[:n]
-	}
-	return spans
 }
 
 // barWidth is the character width of the flame bars in Render.
