@@ -35,14 +35,6 @@
 //	    or were the slowest of their window — and render them through the
 //	    critical-path profiler.
 //
-//	hopstrace autoscale [-seed S] [-profile file]
-//	    Run the elastic metadata tier under a shaped diurnal load: paced
-//	    clients follow the load profile (see internal/loadshape; -profile
-//	    reads a declarative profile file, default loadshape.DefaultProfile
-//	    over a compressed week) while the autoscale controller commissions
-//	    and drains namenodes against the live SLO gauges. Prints the
-//	    scale-event log and run summary.
-//
 //	hopstrace slo [-seed S] [-spec file]
 //	    Run the three-class detection campaign (datanode death, zone
 //	    partition, degraded link) with the live SLO engine attached and
@@ -78,11 +70,8 @@ import (
 	"strings"
 	"time"
 
-	"hopsfscl/internal/autoscale"
-	"hopsfscl/internal/bench"
 	"hopsfscl/internal/chaos"
 	"hopsfscl/internal/core"
-	"hopsfscl/internal/loadshape"
 	"hopsfscl/internal/metrics"
 	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/profile"
@@ -100,15 +89,14 @@ func main() {
 }
 
 // subcommands lists every hopstrace subcommand with a one-line
-// description; usage and nearest-match suggestions derive from it so the
-// help text cannot drift from the dispatch table below.
+// description; usage derives from it so the help text cannot drift from
+// the dispatch table below.
 var subcommands = []struct{ name, brief string }{
 	{"gen", "generate a Spotify-mix trace over the evaluation namespace"},
 	{"replay", "replay a trace file and report throughput, latency, and cross-AZ traffic"},
 	{"profile", "replay with detailed spans and report critical-path attribution"},
 	{"timeline", "replay under the flight recorder and emit a metrics CSV time series"},
 	{"hotspots", "replay with namespace heat sketches and report the hottest subtrees, tables, and partitions"},
-	{"autoscale", "drive the elastic metadata tier through a shaped diurnal load"},
 	{"slo", "run the detection campaign under the live SLO engine and render the alert timeline"},
 }
 
@@ -120,39 +108,6 @@ func usageText() string {
 	}
 	b.WriteString("\nrun `hopstrace <subcommand> -h` for the subcommand's flags")
 	return b.String()
-}
-
-// nearestSubcommand returns the subcommand closest to name by edit
-// distance, or "" when nothing is plausibly close.
-func nearestSubcommand(name string) string {
-	best, bestDist := "", 3 // suggest only within edit distance 2
-	for _, sc := range subcommands {
-		if d := editDistance(name, sc.name); d < bestDist {
-			best, bestDist = sc.name, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between a and b.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, min(cur[j-1]+1, prev[j-1]+cost))
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -170,14 +125,9 @@ func run(args []string, stdout io.Writer) error {
 		return runTimeline(args[1:], stdout)
 	case "hotspots":
 		return runHotspots(args[1:], stdout)
-	case "autoscale":
-		return runAutoscale(args[1:], stdout)
 	case "slo":
 		return runSLO(args[1:], stdout)
 	default:
-		if sug := nearestSubcommand(args[0]); sug != "" {
-			return fmt.Errorf("unknown subcommand %q (did you mean %q?)\n%s", args[0], sug, usageText())
-		}
 		return fmt.Errorf("unknown subcommand %q\n%s", args[0], usageText())
 	}
 }
@@ -569,44 +519,6 @@ func runHotspots(args []string, stdout io.Writer) error {
 			slowest.Op, slowest.Latency, slowest.Reason, slowest.Root.Render())
 		return nil
 	})
-}
-
-func runAutoscale(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("autoscale", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
-	profFile := fs.String("profile", "", "load-profile file (default: the built-in compressed week)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o := bench.DefaultElasticOptions(*seed)
-	if *profFile != "" {
-		text, err := os.ReadFile(*profFile)
-		if err != nil {
-			return err
-		}
-		prof, err := loadshape.Parse(string(text))
-		if err != nil {
-			return err
-		}
-		o.Profile = prof
-	}
-	r, err := bench.RunElastic(bench.ModeElastic, o)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "elastic run over %d virtual days (%v each), %d paced clients, seed %d\n",
-		o.Profile.Days, o.Profile.Day, o.Clients, *seed)
-	fmt.Fprintf(stdout, "ops %d  errors %d  serving %d..%d  time>SLO %v (%.1f%%)  NN-seconds %.1f\n",
-		r.Ops, r.Errors, r.MinServing, r.MaxServing,
-		r.OverSLO.Round(time.Millisecond), r.OverSLOFraction()*100, r.NNSeconds)
-	fmt.Fprintf(stdout, "audit checkpoints %d  violations %d  failed quiesces %d\n",
-		r.Checkpoints, len(r.Violations), r.FailedQuiesces)
-	for _, v := range r.Violations {
-		fmt.Fprintf(stdout, "  VIOLATION %s\n", v)
-	}
-	fmt.Fprintf(stdout, "\nscale events (%d up, %d down):\n%s",
-		r.ScaleUps, r.ScaleDowns, autoscale.RenderEvents(r.Events))
-	return nil
 }
 
 func runSLO(args []string, stdout io.Writer) error {

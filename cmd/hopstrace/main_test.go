@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -257,8 +258,19 @@ func TestBadInvocations(t *testing.T) {
 	if err := run(nil, &out); err == nil {
 		t.Fatal("no args accepted")
 	}
-	if err := run([]string{"frob"}, &out); err == nil {
-		t.Fatal("unknown subcommand accepted")
+	// An unknown subcommand gets the usage text, which names every row.
+	err := run([]string{"frob"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "subcommands:") {
+		t.Fatalf("unknown subcommand: want the usage text, got: %v", err)
+	}
+	for _, sc := range subcommands {
+		if !strings.Contains(err.Error(), sc.name) {
+			t.Errorf("usage does not name %q: %v", sc.name, err)
+		}
+		// Every row dispatches: its flag set answers -h.
+		if err := run([]string{sc.name, "-h"}, &out); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%s -h: %v, want flag.ErrHelp", sc.name, err)
+		}
 	}
 	if err := run([]string{"replay", "-setup", "nope", "-in", "/dev/null"}, &out); err == nil {
 		t.Fatal("unknown setup accepted")
@@ -295,19 +307,15 @@ func TestHotspotsGolden(t *testing.T) {
 }
 
 func TestUnknownSubcommandSuggestion(t *testing.T) {
+	// A near miss gets no guess, only the usage text naming every row.
 	err := run([]string{"timline"}, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), `did you mean "timeline"?`) {
-		t.Fatalf("want a timeline suggestion, got: %v", err)
+	if err == nil || strings.Contains(err.Error(), "did you mean") {
+		t.Fatalf("want no suggestion for %q, got: %v", "timline", err)
+	}
+	if !strings.Contains(err.Error(), `unknown subcommand "timline"`) || !strings.Contains(err.Error(), "subcommands:") {
+		t.Fatalf("want the unknown-subcommand error with usage, got: %v", err)
 	}
 	if !strings.Contains(err.Error(), "hotspots") || !strings.Contains(err.Error(), "slo") {
 		t.Fatalf("usage in error should list every subcommand, got: %v", err)
-	}
-	// Nothing plausibly close: no suggestion, usage still shown.
-	err = run([]string{"frobnicate"}, &strings.Builder{})
-	if err == nil || strings.Contains(err.Error(), "did you mean") {
-		t.Fatalf("want no suggestion for %q, got: %v", "frobnicate", err)
-	}
-	if !strings.Contains(err.Error(), "subcommands:") {
-		t.Fatalf("usage missing from error: %v", err)
 	}
 }

@@ -65,7 +65,8 @@ func (m ElasticMode) String() string {
 type ElasticOptions struct {
 	// Seed drives all randomness.
 	Seed int64
-	// Profile is the offered load shape (zero value: loadshape.DefaultProfile).
+	// Profile is the offered load shape; RunElastic refuses one that fails
+	// Validate, the zero Profile included.
 	Profile loadshape.Profile
 	// Clients is the total paced client population, fixed across modes. It
 	// must be divisible by elasticController's Min and Max so the static
@@ -160,9 +161,6 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 		return nil, fmt.Errorf("elastic: need a positive client count")
 	}
 	prof := o.Profile
-	if prof.Day == 0 {
-		prof = loadshape.DefaultProfile()
-	}
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hopsfscl/internal/autoscale"
+	"hopsfscl/internal/loadshape"
 )
 
 // smokeElasticOptions shrinks the recorded experiment to a 3-day week so the
@@ -106,6 +107,11 @@ func TestElasticOptionValidation(t *testing.T) {
 	o.Clients = 7 // not divisible by Min=2
 	if _, err := RunElastic(ModeElastic, o); err == nil {
 		t.Error("indivisible client count accepted")
+	}
+	o = DefaultElasticOptions(1)
+	o.Profile = loadshape.Profile{}
+	if _, err := RunElastic(ModeElastic, o); err == nil {
+		t.Error("zero profile accepted")
 	}
 }
 

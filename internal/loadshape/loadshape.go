@@ -1,10 +1,9 @@
 // Package loadshape turns the steady-state benchmark workload into the
-// traffic a metadata cluster actually serves: a declarative load profile
-// with a time-of-day curve (sinusoid day/night or piecewise-linear
-// breakpoints), weekly structure (weekend dips), and flash-crowd burst
-// events with ramp/dwell/decay envelopes. A time-compression factor maps
-// virtual days onto a bounded simulation run, so "replay a week of traffic"
-// costs seconds of virtual time.
+// traffic a metadata cluster actually serves: a load profile with a
+// sinusoid day/night curve, weekly structure (weekend dips), and
+// flash-crowd burst events with ramp/dwell/decay envelopes. A
+// time-compression factor maps virtual days onto a bounded simulation run,
+// so "replay a week of traffic" costs seconds of virtual time.
 //
 // A profile is purely a function from virtual time to a load multiplier:
 // evaluation allocates nothing and draws no randomness, so two runs with
@@ -18,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"hopsfscl/internal/sim"
@@ -28,14 +26,6 @@ import (
 // minMult floors the curve so pacing gaps stay finite: an idle valley is
 // quiet, not silent (real clusters never see literally zero traffic).
 const minMult = 0.01
-
-// Point is one breakpoint of a piecewise-linear day curve: the load
-// multiplier at a time-of-day fraction in [0,1). The curve interpolates
-// linearly between consecutive points and wraps around midnight.
-type Point struct {
-	Frac float64 // time of day as a fraction of the (compressed) day
-	Mult float64 // load multiplier at that instant
-}
 
 // Burst is one flash-crowd event: starting at time-of-day Frac on day Day,
 // the load multiplier ramps linearly from 1 to Mult over Ramp, holds for
@@ -52,9 +42,9 @@ type Burst struct {
 	Ramp, Dwell, Decay time.Duration
 }
 
-// Profile is a declarative load shape over a run of Days compressed
-// virtual days, each Day long in simulation time. The zero Profile is not
-// runnable; start from DefaultProfile or Parse.
+// Profile is a load shape over a run of Days compressed virtual days, each
+// Day long in simulation time. The zero Profile is not runnable (Validate
+// refuses it); start from DefaultProfile.
 type Profile struct {
 	// Day is the compressed length of one virtual day; Days is how many
 	// the profile spans.
@@ -62,12 +52,9 @@ type Profile struct {
 	Days int
 
 	// Base and Peak bound the sinusoid day/night curve (Base at the
-	// trough); PeakFrac is the time-of-day fraction of the peak. Points,
-	// when set, replaces the sinusoid with a piecewise-linear curve and
-	// Base/Peak/PeakFrac are ignored.
+	// trough); PeakFrac is the time-of-day fraction of the peak.
 	Base, Peak float64
 	PeakFrac   float64
-	Points     []Point
 
 	// Week scales whole days: day d uses Week[d mod len(Week)]. Empty
 	// means no weekly structure.
@@ -100,30 +87,6 @@ func DefaultProfile() Profile {
 	}
 }
 
-// withDefaults fills unset geometry from DefaultProfile so a sparse parsed
-// profile is runnable.
-func (pr Profile) withDefaults() Profile {
-	d := DefaultProfile()
-	if pr.Day <= 0 {
-		pr.Day = d.Day
-	}
-	if pr.Days <= 0 {
-		pr.Days = d.Days
-	}
-	if len(pr.Points) == 0 {
-		if pr.Peak <= 0 {
-			pr.Base, pr.Peak, pr.PeakFrac = d.Base, d.Peak, d.PeakFrac
-		}
-		if pr.Base <= 0 {
-			pr.Base = minMult
-		}
-	}
-	if pr.RatePerClient <= 0 {
-		pr.RatePerClient = d.RatePerClient
-	}
-	return pr
-}
-
 // Validate reports the first structural problem of a profile.
 func (pr Profile) Validate() error {
 	if pr.Day <= 0 || pr.Days <= 0 {
@@ -132,22 +95,11 @@ func (pr Profile) Validate() error {
 	if pr.RatePerClient <= 0 {
 		return fmt.Errorf("loadshape: need a positive per-client rate")
 	}
-	if len(pr.Points) > 0 {
-		for _, p := range pr.Points {
-			if p.Frac < 0 || p.Frac >= 1 {
-				return fmt.Errorf("loadshape: point time %.3f outside [0,1)", p.Frac)
-			}
-			if p.Mult <= 0 {
-				return fmt.Errorf("loadshape: point multiplier %g must be positive", p.Mult)
-			}
-		}
-	} else {
-		if pr.Base <= 0 || pr.Peak < pr.Base {
-			return fmt.Errorf("loadshape: need 0 < base <= peak (got base %g peak %g)", pr.Base, pr.Peak)
-		}
-		if pr.PeakFrac < 0 || pr.PeakFrac >= 1 {
-			return fmt.Errorf("loadshape: peak time %.3f outside [0,1)", pr.PeakFrac)
-		}
+	if pr.Base <= 0 || pr.Peak < pr.Base {
+		return fmt.Errorf("loadshape: need 0 < base <= peak (got base %g peak %g)", pr.Base, pr.Peak)
+	}
+	if pr.PeakFrac < 0 || pr.PeakFrac >= 1 {
+		return fmt.Errorf("loadshape: peak time %.3f outside [0,1)", pr.PeakFrac)
 	}
 	for _, w := range pr.Week {
 		if w <= 0 {
@@ -174,30 +126,11 @@ func (pr Profile) Validate() error {
 // Span is the profile's total compressed run length.
 func (pr Profile) Span() time.Duration { return time.Duration(pr.Days) * pr.Day }
 
-// dayCurve evaluates the time-of-day curve at day fraction frac.
+// dayCurve evaluates the time-of-day curve at day fraction frac: a cosine
+// peaking at PeakFrac, Base at the opposite side of the day.
 func (pr Profile) dayCurve(frac float64) float64 {
-	if len(pr.Points) == 0 {
-		// Cosine peaking at PeakFrac: Base at the opposite side of the day.
-		c := 0.5 + 0.5*math.Cos(2*math.Pi*(frac-pr.PeakFrac))
-		return pr.Base + (pr.Peak-pr.Base)*c
-	}
-	pts := pr.Points // sorted by Parse / normalizePoints
-	// Find the segment containing frac, wrapping around midnight.
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].Frac > frac }) - 1
-	a := pts[(i+len(pts))%len(pts)]
-	b := pts[(i+1)%len(pts)]
-	af, bf := a.Frac, b.Frac
-	if af > frac { // frac before the first point: previous segment wraps back
-		af -= 1
-	}
-	if bf <= af {
-		bf += 1
-	}
-	if bf == af {
-		return a.Mult
-	}
-	t := (frac - af) / (bf - af)
-	return a.Mult + (b.Mult-a.Mult)*t
+	c := 0.5 + 0.5*math.Cos(2*math.Pi*(frac-pr.PeakFrac))
+	return pr.Base + (pr.Peak-pr.Base)*c
 }
 
 // burstEnvelope evaluates one burst's multiplier at absolute compressed

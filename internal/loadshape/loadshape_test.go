@@ -28,22 +28,6 @@ func TestSinusoidCurve(t *testing.T) {
 	almost(t, pr.Multiplier(250*time.Millisecond), 0.6, 1e-9, "quarter-day multiplier")
 }
 
-func TestPiecewiseCurveWraps(t *testing.T) {
-	pr := Profile{
-		Day: time.Second, Days: 1, RatePerClient: 100,
-		Points: []Point{{Frac: 0.25, Mult: 1.0}, {Frac: 0.75, Mult: 0.2}},
-	}
-	if err := pr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	almost(t, pr.Multiplier(250*time.Millisecond), 1.0, 1e-9, "at first point")
-	almost(t, pr.Multiplier(750*time.Millisecond), 0.2, 1e-9, "at second point")
-	almost(t, pr.Multiplier(500*time.Millisecond), 0.6, 1e-9, "interpolated midpoint")
-	// The segment from 0.75 wraps through midnight back to 0.25: at frac 0
-	// we are halfway along it.
-	almost(t, pr.Multiplier(0), 0.6, 1e-9, "wrapped midnight value")
-}
-
 func TestWeeklyFactor(t *testing.T) {
 	pr := Profile{
 		Day: time.Second, Days: 7, Base: 1, Peak: 1, RatePerClient: 100,
@@ -83,75 +67,6 @@ func TestSpanCompression(t *testing.T) {
 	}
 }
 
-func TestParseRoundTrip(t *testing.T) {
-	text := `
-# a compressed week
-day 2s x 7
-rate 300
-curve sinusoid base 0.2 peak 1 at 15:00
-week 1 1 1 1 1 0.7 0.5
-burst day 3 at 20:00 ramp 100ms dwell 200ms decay 150ms x 2.5
-`
-	pr, err := Parse(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Day != 2*time.Second || pr.Days != 7 || pr.RatePerClient != 300 {
-		t.Fatalf("geometry: %+v", pr)
-	}
-	if len(pr.Bursts) != 1 || pr.Bursts[0].Day != 3 || pr.Bursts[0].Mult != 2.5 {
-		t.Fatalf("bursts: %+v", pr.Bursts)
-	}
-	almost(t, pr.PeakFrac, 15.0/24, 1e-9, "peak frac")
-	// Render -> Parse is the identity on the multiplier function.
-	rt, err := Parse(pr.Render())
-	if err != nil {
-		t.Fatalf("re-parse rendered profile: %v", err)
-	}
-	for _, at := range []time.Duration{0, 500 * time.Millisecond, 3 * time.Second, 7 * time.Second, 13 * time.Second} {
-		a, b := pr.Multiplier(at), rt.Multiplier(at)
-		almost(t, b, a, 1e-6, "round-trip multiplier at "+at.String())
-	}
-}
-
-func TestParsePiecewise(t *testing.T) {
-	pr, err := Parse("day 1s x 1\npoint 06:00 0.3\npoint 12:00 1\npoint 18:00 0.5\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pr.Points) != 3 {
-		t.Fatalf("points: %+v", pr.Points)
-	}
-	almost(t, pr.Multiplier(time.Second/2), 1.0, 1e-9, "noon multiplier")
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := []struct{ text, wantSub string }{
-		{"frob 1", "line 1"},
-		{"frob 1", "unknown directive"},
-		{"day nope", "line 1"},
-		{"burst day 0 at 12:00 ramp 1ms dwell 1ms decay 1ms", "x <multiplier>"},
-		{"point 25:00 1", "outside 00:00..23:59"},
-		{"curve sinusoid base 0.2 peak 1\npoint 06:00 1", "conflicts"},
-		{"point 06:00 1\ncurve sinusoid base 0.2 peak 1", "conflicts"},
-		{"day 1s x 1\nburst day 4 at 12:00 ramp 1ms dwell 1ms decay 1ms x 2", "outside the 1-day span"},
-		{"curve sinusoid base 2 peak 1", "base <= peak"},
-		{"rate NaN", "line 1"},
-		{"rate NaN", "finite"},
-		{"rate 100\nrate +Inf", "line 2"},
-		{"curve sinusoid base NaN peak 1", "finite"},
-		{"curve sinusoid base 0.2 peak Inf", "finite"},
-		{"point 06:00 NaN", "finite"},
-		{"week 1 1 -Inf", "finite"},
-		{"burst day 0 at 12:00 ramp 1ms dwell 1ms decay 1ms x NaN", "finite"},
-	}
-	for _, c := range cases {
-		if _, err := Parse(c.text); err == nil || !strings.Contains(err.Error(), c.wantSub) {
-			t.Errorf("Parse(%q) error = %v, want containing %q", c.text, err, c.wantSub)
-		}
-	}
-}
-
 func TestMultiplierFloor(t *testing.T) {
 	pr := Profile{Day: time.Second, Days: 1, Base: 0.011, Peak: 0.011, RatePerClient: 100,
 		Week: []float64{0.001}}
@@ -166,33 +81,25 @@ func TestDefaultProfileValid(t *testing.T) {
 	}
 }
 
-// FuzzParse checks that Parse never panics and that every profile it
-// accepts survives Render → Parse → Render unchanged.
-func FuzzParse(f *testing.F) {
-	f.Add(DefaultProfile().Render())
-	f.Add("# a compressed week\nday 2s x 7\nrate 300\ncurve sinusoid base 0.2 peak 1 at 15:00\nweek 1 1 1 1 1 0.7 0.5\nburst day 3 at 20:00 ramp 100ms dwell 200ms decay 150ms x 2.5\n")
-	f.Add("day 1s x 1\npoint 18:00 0.5\npoint 06:00 0.3\npoint 12:00 1\n")
-	for _, bad := range []string{
-		"frob 1", "day nope", "point 25:00 1", "curve sinusoid base 2 peak 1",
-		"burst day 0 at 12:00 ramp 1ms dwell 1ms decay 1ms",
-		"curve sinusoid base 0.2 peak 1\npoint 06:00 1",
-		"rate NaN", "rate +Inf", "curve sinusoid base NaN peak 1", "curve sinusoid base 0.2 peak Inf",
-		"point 06:00 NaN", "week 1 1 -Inf", "burst day 0 at 12:00 ramp 1ms dwell 1ms decay 1ms x NaN",
+// TestValidateRefuses: the zero profile and the shapes the sinusoid and
+// burst checks exist for are refused, each with its reason.
+func TestValidateRefuses(t *testing.T) {
+	burst := Burst{Day: 4, Frac: 0.5, Mult: 2, Ramp: time.Millisecond}
+	for _, c := range []struct {
+		mutate  func(*Profile)
+		wantSub string
+	}{
+		{func(pr *Profile) { *pr = Profile{} }, "positive day length"},
+		{func(pr *Profile) { pr.RatePerClient = 0 }, "per-client rate"},
+		{func(pr *Profile) { pr.Base, pr.Peak = 2, 1 }, "base <= peak"},
+		{func(pr *Profile) { pr.PeakFrac = 1 }, "peak time"},
+		{func(pr *Profile) { pr.Week = []float64{1, 0} }, "week factor"},
+		{func(pr *Profile) { pr.Days, pr.Bursts = 1, []Burst{burst} }, "outside the 1-day span"},
 	} {
-		f.Add(bad)
+		pr := DefaultProfile()
+		c.mutate(&pr)
+		if err := pr.Validate(); err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("Validate(%+v) = %v, want an error containing %q", pr, err, c.wantSub)
+		}
 	}
-	f.Fuzz(func(t *testing.T, text string) {
-		pr, err := Parse(text)
-		if err != nil {
-			return
-		}
-		rendered := pr.Render()
-		again, err := Parse(rendered)
-		if err != nil {
-			t.Fatalf("rendered profile does not parse: %v\n%s", err, rendered)
-		}
-		if got := again.Render(); got != rendered {
-			t.Fatalf("render is not a fixed point:\n%s\nvs\n%s", rendered, got)
-		}
-	})
 }
