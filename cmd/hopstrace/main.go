@@ -1,16 +1,8 @@
-// Command hopstrace records, replays, and profiles metadata operation
-// traces — the methodology behind the paper's use of Spotify's operational
-// trace, extended with critical-path profiling.
+// Command hopstrace replays the Spotify operation mix — the paper's use of
+// Spotify's operational trace — against a deployment and reports where the
+// time went, and runs the SLO detection campaign.
 //
 // Usage:
-//
-//	hopstrace gen [-ops N] [-seed S] [-out file]
-//	    Generate a Spotify-mix trace over the evaluation namespace and
-//	    write it (one operation per line) to the file or stdout.
-//
-//	hopstrace replay [-setup name] [-seed S] [-servers N] [-in file]
-//	    Replay a trace file against a deployment and report virtual
-//	    throughput, latency, and cross-AZ traffic.
 //
 //	hopstrace profile [replay flags] [-format text|folded|chrome]
 //	    Generate and replay a trace with concurrent clients and detailed
@@ -35,31 +27,21 @@
 //	    or were the slowest of their window — and render them through the
 //	    critical-path profiler.
 //
-//	hopstrace slo [-seed S] [-spec file]
+//	hopstrace slo [-seed S]
 //	    Run the three-class detection campaign (datanode death, zone
 //	    partition, degraded link) with the live SLO engine attached and
 //	    render the alert/health timeline: burn-rate alerts
 //	    (fast-burn/slow-burn pairs over the spec's objectives), component
 //	    and cluster health transitions, per-fault time-to-detect alongside
-//	    MTTR, and the closing rolling latency summaries. -spec reads a
-//	    declarative SLO spec (see internal/slo.ParseSpec); the default is
+//	    MTTR, and the closing rolling latency summaries. The SLO is
 //	    slo.DefaultSpec.
 //
 // profile, timeline and hotspots are one replay session behind one flag
 // set, the replay flags: [-setup name] [-seed S] [-ops N] [-servers N]
-// [-clients N] [-shards N] [-out file]. Any replay that has not finished
-// after 1000 s of virtual time (replayDeadline) fails.
-//
-// A trace is a list of nsmodel.Op in nsmodel's text encoding (WriteOps,
-// ReadOps), "<name> [-r] <path> [<dst>]" with the names of nsmodel.Promises,
-// e.g.
-//
-//	mkdir /proj001/dsNew
-//	create /proj001/ds00/part-00042
-//	rename /a/b /c/d
-//
-// replay runs the ops workload.FS has a call for, and refuses any other
-// before anything runs.
+// [-clients N] [-shards N] [-out file]. The session generates -ops
+// Spotify-mix operations over the evaluation namespace and replays them
+// over -clients concurrent clients. Any replay that has not finished after
+// 1000 s of virtual time (replayDeadline) fails.
 package main
 
 import (
@@ -72,7 +54,6 @@ import (
 
 	"hopsfscl/internal/chaos"
 	"hopsfscl/internal/core"
-	"hopsfscl/internal/metrics"
 	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/profile"
 	"hopsfscl/internal/sim"
@@ -92,8 +73,6 @@ func main() {
 // description; usage derives from it so the help text cannot drift from
 // the dispatch table below.
 var subcommands = []struct{ name, brief string }{
-	{"gen", "generate a Spotify-mix trace over the evaluation namespace"},
-	{"replay", "replay a trace file and report throughput, latency, and cross-AZ traffic"},
 	{"profile", "replay with detailed spans and report critical-path attribution"},
 	{"timeline", "replay under the flight recorder and emit a metrics CSV time series"},
 	{"hotspots", "replay with namespace heat sketches and report the hottest subtrees, tables, and partitions"},
@@ -115,10 +94,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%s", usageText())
 	}
 	switch args[0] {
-	case "gen":
-		return runGen(args[1:], stdout)
-	case "replay":
-		return runReplay(args[1:], stdout)
 	case "profile":
 		return runProfile(args[1:], stdout)
 	case "timeline":
@@ -152,8 +127,7 @@ func (r *recorder) SetPermission(_ *sim.Proc, path string) error {
 	return r.add("setPermission", path, "")
 }
 
-// fsCalls runs each op workload.FS has a call for, by name; a recursive
-// delete is none of them.
+// fsCalls runs each op workload.FS has a call for, by name.
 var fsCalls = map[string]func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error{
 	"mkdir":         func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Mkdir(p, op.Path) },
 	"create":        func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Create(p, op.Path) },
@@ -163,19 +137,6 @@ var fsCalls = map[string]func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error{
 	"delete":        func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Delete(p, op.Path) },
 	"rename":        func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.Rename(p, op.Path, op.Dst) },
 	"setPermission": func(p *sim.Proc, fs workload.FS, op nsmodel.Op) error { return fs.SetPermission(p, op.Path) },
-}
-
-// checkRunnable refuses a trace holding an op workload.FS cannot run,
-// quoting it as its line reads.
-func checkRunnable(ops []nsmodel.Op) error {
-	for i, op := range ops {
-		if _, ok := fsCalls[op.Name]; !ok || op.Recursive {
-			var line strings.Builder
-			nsmodel.WriteOps(&line, ops[i:i+1])
-			return fmt.Errorf("trace op %d, %q: workload.FS cannot run it", i+1, strings.TrimSpace(line.String()))
-		}
-	}
-	return nil
 }
 
 // replayOps runs ops on fs in order and counts those that failed: a replay
@@ -224,66 +185,6 @@ func writeOut(stdout io.Writer, path string, render func(w io.Writer) error) err
 	return f.Close()
 }
 
-func runGen(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
-	ops := fs.Int("ops", 10000, "operations to generate")
-	seed := fs.Int64("seed", 1, "generator seed")
-	out := fs.String("out", "", "output file (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	trace := genTrace(*ops, *seed)
-	err := writeOut(stdout, *out, func(w io.Writer) error { return nsmodel.WriteOps(w, trace) })
-	if err == nil && *out != "" {
-		fmt.Fprintf(stdout, "wrote %d operations to %s\n", len(trace), *out)
-	}
-	return err
-}
-
-func runReplay(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	setupName := fs.String("setup", "HopsFS-CL (3,3)", "deployment setup")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	in := fs.String("in", "", "trace file (default stdin)")
-	servers := fs.Int("servers", 6, "metadata servers")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	r := io.Reader(os.Stdin)
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	ops, err := nsmodel.ReadOps(r)
-	if err == nil {
-		err = checkRunnable(ops)
-	}
-	if err != nil {
-		return err
-	}
-	// One client per server; the replay below is sequential on the first.
-	d, err := buildReplayDeployment(*setupName, *seed, *servers, *servers, 1)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	elapsed, errs, err := replayConcurrent(d, ops, 1)
-	if err != nil {
-		return err
-	}
-	rate := float64(len(ops)) / elapsed.Seconds()
-	fmt.Fprintf(stdout, "replayed %d operations on %s in %v (virtual)\n", len(ops), d.Setup.Name, elapsed.Round(time.Millisecond))
-	fmt.Fprintf(stdout, "sequential throughput: %s ops/s   errors: %d\n", metrics.FormatOps(rate), errs)
-	fmt.Fprintf(stdout, "cross-AZ traffic: %.2f MB\n", float64(d.Net.CrossZoneBytes())/1e6)
-	// Mirror hopsbench: note the bench package is the place for load tests.
-	fmt.Fprintln(stdout, "(replay is sequential; use hopsbench for closed-loop load)")
-	return nil
-}
-
 // warnTruncated prints a truncation warning when a report or export is
 // built from a span ring that evicted spans.
 func warnTruncated(w io.Writer, sink *trace.Sink) {
@@ -291,21 +192,6 @@ func warnTruncated(w io.Writer, sink *trace.Sink) {
 		fmt.Fprintf(w, "warning: span ring dropped %d of %d spans; output is truncated\n",
 			d, sink.Total())
 	}
-}
-
-// buildReplayDeployment builds a deployment sized for clients concurrent
-// replay clients over servers metadata servers.
-func buildReplayDeployment(setupName string, seed int64, servers, clients, shards int) (*core.Deployment, error) {
-	setup, ok := core.SetupByName(setupName)
-	if !ok {
-		return nil, fmt.Errorf("unknown setup %q", setupName)
-	}
-	opts := core.DefaultOptions(setup)
-	opts.MetadataServers = servers
-	opts.ClientsPerServer = (clients + servers - 1) / servers
-	opts.Shards = shards
-	opts.Seed = seed
-	return core.Build(opts)
 }
 
 // replayDeadline is the virtual time a replay may take before it fails.
@@ -317,7 +203,6 @@ const replayDeadline = 1000 * time.Second
 // interesting: operations from different clients collide on shared
 // directories, exercising lock contention the way closed-loop load does.
 func replayConcurrent(d *core.Deployment, traceOps []nsmodel.Op, clients int) (elapsed time.Duration, errs int, err error) {
-	clients = max(1, min(clients, len(d.Clients)))
 	shards := make([][]nsmodel.Op, clients)
 	for i, op := range traceOps {
 		shards[i%clients] = append(shards[i%clients], op)
@@ -384,14 +269,30 @@ type replayed struct {
 	errs    int
 }
 
-// replay runs one session: generate the trace, build the deployment, let
-// attach enable the consumers the subcommand reports from (before any
-// operation runs; it is told the trace length to size rings by), replay
-// the trace over concurrent clients, stop the background tickers, and
-// call render with the -out destination.
+// replay runs one session: generate the trace, build the deployment with
+// a replay client per -clients (a non-positive -servers or -clients is
+// refused first), let attach enable the consumers the subcommand reports
+// from (before any operation runs; it is told the trace length to size
+// rings by), replay the trace over concurrent clients, stop the background
+// tickers, and call render with the -out destination.
 func (f *replayFlags) replay(stdout io.Writer, attach func(d *core.Deployment, ops int), render func(w io.Writer, r replayed) error) error {
+	if *f.servers <= 0 {
+		return fmt.Errorf("-servers %d: want at least one metadata server", *f.servers)
+	}
+	if *f.clients <= 0 {
+		return fmt.Errorf("-clients %d: want at least one replay client", *f.clients)
+	}
+	setup, ok := core.SetupByName(*f.setup)
+	if !ok {
+		return fmt.Errorf("unknown setup %q", *f.setup)
+	}
+	opts := core.DefaultOptions(setup)
+	opts.MetadataServers = *f.servers
+	opts.ClientsPerServer = (*f.clients + *f.servers - 1) / *f.servers
+	opts.Shards = *f.shards
+	opts.Seed = *f.seed
 	traceOps := genTrace(*f.ops, *f.seed)
-	d, err := buildReplayDeployment(*f.setup, *f.seed, *f.servers, *f.clients, *f.shards)
+	d, err := core.Build(opts)
 	if err != nil {
 		return err
 	}
@@ -524,23 +425,10 @@ func runHotspots(args []string, stdout io.Writer) error {
 func runSLO(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("slo", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "simulation seed")
-	specFile := fs.String("spec", "", "SLO spec file (default: built-in slo.DefaultSpec)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := chaos.CampaignOptions{Schedule: chaos.DetectionSchedule(), SLO: &slo.Spec{}}
-	if *specFile != "" {
-		text, err := os.ReadFile(*specFile)
-		if err != nil {
-			return err
-		}
-		spec, err := slo.ParseSpec(string(text))
-		if err != nil {
-			return err
-		}
-		opts.SLO = &spec
-	}
-	rep, err := chaos.RunCampaign(*seed, opts)
+	rep, err := chaos.RunCampaign(*seed, chaos.CampaignOptions{Schedule: chaos.DetectionSchedule(), SLO: &slo.Spec{}})
 	if err != nil {
 		return err
 	}

@@ -60,92 +60,26 @@ func TestRecorderCapturesEveryOp(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTripAndReplay writes the trace of all eight workload.FS
-// calls, reads it back unchanged, and replays it: each call runs exactly
+// TestTraceRoundTripAndReplay replays the trace of all eight workload.FS
+// calls: each fsCalls row dispatches to its own call, which runs exactly
 // once, with no error.
 func TestTraceRoundTripAndReplay(t *testing.T) {
-	var buf strings.Builder
-	if err := nsmodel.WriteOps(&buf, everyCall); err != nil {
-		t.Fatal(err)
-	}
-	ops, err := nsmodel.ReadOps(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(ops, everyCall) {
-		t.Fatalf("read back %+v, wrote %+v", ops, everyCall)
-	}
-	if err := checkRunnable(ops); err != nil {
-		t.Fatal(err)
-	}
 	env := sim.New(1)
 	defer env.Close()
 	counts := countFS{}
 	var errs int
-	env.Spawn("replay", func(p *sim.Proc) { errs = replayOps(p, counts, ops) })
+	env.Spawn("replay", func(p *sim.Proc) { errs = replayOps(p, counts, everyCall) })
 	env.Run()
 	if errs != 0 {
 		t.Errorf("replay errors: %d", errs)
 	}
-	if len(counts) != 8 {
-		t.Fatalf("replayed %v: want all eight calls", counts)
-	}
-	for name, n := range counts {
-		if n != 1 {
-			t.Errorf("%s replayed %d times, want once", name, n)
+	for _, op := range everyCall {
+		if counts[op.Name] != 1 {
+			t.Errorf("%s replayed %d times, want once", op.Name, counts[op.Name])
 		}
 	}
-}
-
-// TestReplayRefusesWhatFSCannotRun: a trace op with no workload.FS call —
-// one the client API has, or a recursive delete — is refused, quoted,
-// before any deployment is built or any op runs.
-func TestReplayRefusesWhatFSCannotRun(t *testing.T) {
-	dir := t.TempDir()
-	for i, c := range []struct{ text, quoted string }{
-		{"mkdir /a\nsetOwner /a\n", `op 2, "setOwner /a"`},
-		{"# comment\nmkdir /a\ncreate /a/f\ndelete -r /a\n", `op 3, "delete -r /a"`},
-	} {
-		path := filepath.Join(dir, "trace"+string(rune('0'+i)))
-		if err := os.WriteFile(path, []byte(c.text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var out strings.Builder
-		err := run([]string{"replay", "-in", path}, &out)
-		if err == nil || !strings.Contains(err.Error(), c.quoted) {
-			t.Errorf("replay of %q: %v, want an error quoting %s", c.text, err, c.quoted)
-		}
-		if out.Len() != 0 {
-			t.Errorf("replay of %q ran: %q", c.text, out.String())
-		}
-	}
-}
-
-func TestGenReplayRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "trace.txt")
-	var out strings.Builder
-	if err := run([]string{"gen", "-ops", "500", "-out", trace}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(string(data), "\n")
-	if lines < 400 {
-		t.Fatalf("trace has %d lines, want ~500", lines)
-	}
-	out.Reset()
-	if err := run([]string{"replay", "-in", trace, "-servers", "3"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	report := out.String()
-	if !strings.Contains(report, "errors: 0") {
-		t.Fatalf("replay errored:\n%s", report)
-	}
-	if !strings.Contains(report, "HopsFS-CL (3,3)") {
-		t.Fatalf("unexpected report:\n%s", report)
+	if len(counts) != len(everyCall) {
+		t.Errorf("replayed %v: want exactly the eight calls", counts)
 	}
 }
 
@@ -272,11 +206,28 @@ func TestBadInvocations(t *testing.T) {
 			t.Errorf("%s -h: %v, want flag.ErrHelp", sc.name, err)
 		}
 	}
-	if err := run([]string{"replay", "-setup", "nope", "-in", "/dev/null"}, &out); err == nil {
-		t.Fatal("unknown setup accepted")
+	// The trace-file subcommands are gone.
+	for _, gone := range []string{"gen", "replay"} {
+		if err := run([]string{gone}, &out); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("%s: %v, want unknown subcommand", gone, err)
+		}
 	}
-	if err := run([]string{"replay", "-in", "/nonexistent-file"}, &out); err == nil {
-		t.Fatal("missing trace file accepted")
+	if err := run([]string{"profile", "-setup", "nope"}, &out); err == nil || !strings.Contains(err.Error(), "unknown setup") {
+		t.Fatalf("unknown setup: %v", err)
+	}
+	// A replay needs a server and a client; each refusal names its flag.
+	for _, args := range [][]string{
+		{"profile", "-servers", "0"},
+		{"timeline", "-clients", "0"},
+		{"hotspots", "-servers", "-1"},
+		{"profile", "-clients", "-2"},
+	} {
+		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), args[1]) {
+			t.Errorf("%v: %v, want an error naming %s", args, err, args[1])
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("a refused invocation wrote %q", out.String())
 	}
 }
 

@@ -49,6 +49,67 @@ func TestModelSemantics(t *testing.T) {
 	}
 }
 
+// TestModelRefusals runs each call on a path it must refuse, or must
+// resolve despite its spelling, and checks the error class it answers; then
+// records a history, and looks up an op no row promises.
+func TestModelRefusals(t *testing.T) {
+	m := New()
+	if err := m.Mkdir("/a", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Create("/a/f", 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	stat := func(path string) error { _, err := m.Stat(path); return err }
+	read := func(path string) error { _, err := m.Read(path); return err }
+	list := func(path string) error { _, err := m.List(path); return err }
+	for _, c := range []struct {
+		name      string
+		err, want error
+	}{
+		{"stat of the root spelled //", stat("//"), nil},
+		{"stat through a file", stat("/a/f/x"), ErrNotDir},
+		{"read of a file", read("/a/f"), nil},
+		{"read of a missing file", read("/a/g"), ErrNotFound},
+		{"read of a directory", read("/a"), ErrIsDir},
+		{"list of a missing directory", list("/b"), ErrNotFound},
+		{"list of a file", list("/a/f"), ErrNotDir},
+		{"attach to a missing file", m.Attach("/a/g", 4, 1), ErrNotFound},
+		{"attach to a directory", m.Attach("/a", 2, 1), ErrNotFound},
+		{"attach with another id", m.Attach("/a/f", 4, 1), ErrNotFound},
+		{"delete under a missing directory", m.Delete("/b/f", false), ErrNotFound},
+		{"rename from under a missing directory", m.Rename("/b/f", "/a/g"), ErrNotFound},
+		{"rename into a missing directory", m.Rename("/a/f", "/b/g"), ErrNotFound},
+		{"rename under a file", m.Rename("/a", "/a/f/g"), ErrNotDir},
+		{"rename the root below itself", m.Rename("/", "/a/r"), ErrCycle},
+	} {
+		if c.err != c.want {
+			t.Errorf("%s: %v, want %v", c.name, c.err, c.want)
+		}
+	}
+	if f, err := m.Stat("/a/f"); err != nil || f != (Entry{ID: 3, Name: "f"}) {
+		t.Errorf("stat /a/f = %+v, %v: a refused call changed the file", f, err)
+	}
+
+	var h History
+	first := h.Invoke(Op{Client: 1, Name: "mkdir", Path: "/a", Invoke: time.Millisecond})
+	second := h.Invoke(Op{Client: 2, Name: "stat", Path: "/a", Invoke: 2 * time.Millisecond})
+	h.Return(second, 3*time.Millisecond, ErrNotFound)
+	if first != 0 || second != 1 || len(h.Ops) != 2 {
+		t.Fatalf("invoke indexes %d, %d of %d ops, want 0, 1 of 2", first, second, len(h.Ops))
+	}
+	if op := h.Ops[second]; op.Return != 3*time.Millisecond || op.Err != ErrNotFound || op.Name != "stat" {
+		t.Errorf("returned op = %+v", op)
+	}
+	if op := h.Ops[first]; op.Return != 0 || op.Err != nil {
+		t.Errorf("op in flight = %+v, want no return", op)
+	}
+
+	if p, ok := PromiseOf("fly"); ok {
+		t.Errorf("PromiseOf(fly) = %+v, want no row", p)
+	}
+}
+
 // TestCheckFindsTheOrder: a history whose operations overlap is accepted
 // when some real-time order explains every answer, and refused when none
 // does. Client 2 stats a file's old name and then its new one while client

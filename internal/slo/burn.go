@@ -17,7 +17,7 @@ type objective struct {
 }
 
 // availabilityObjective builds the error-rate objective.
-func availabilityObjective(availability float64) objective {
+func availabilityObjective() objective {
 	return objective{
 		name:   fmt.Sprintf("availability:%g", availability*100),
 		op:     "*",
@@ -55,7 +55,7 @@ type alerter struct {
 
 func newAlerter(spec Spec) *alerter {
 	a := &alerter{pairs: spec.Burns}
-	a.objectives = append(a.objectives, availabilityObjective(spec.Availability))
+	a.objectives = append(a.objectives, availabilityObjective())
 	for _, o := range spec.Latency {
 		a.objectives = append(a.objectives, latencyObjectiveFor(o))
 	}

@@ -9,11 +9,10 @@ import (
 // pair over a 1s/4s window, against a 10s sketch.
 func burnSpec() Spec {
 	return Spec{
-		Window:       10 * time.Second,
-		Slots:        40,
-		Tick:         250 * time.Millisecond,
-		Availability: 0.999,
-		Latency:      []LatencyObjective{},
+		Window:  10 * time.Second,
+		Slots:   40,
+		Tick:    250 * time.Millisecond,
+		Latency: []LatencyObjective{},
 		Burns: []BurnPair{
 			{Name: "fast", Short: time.Second, Long: 4 * time.Second, Rate: 10, Severity: SevPage},
 		},

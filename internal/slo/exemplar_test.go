@@ -97,10 +97,9 @@ func TestExemplarsBoundAndOrder(t *testing.T) {
 
 func TestExemplarsBurnFiring(t *testing.T) {
 	eng := NewEngine(Spec{
-		Window:       10 * time.Second,
-		Slots:        40,
-		Availability: 0.999,
-		Latency:      []LatencyObjective{},
+		Window:  10 * time.Second,
+		Slots:   40,
+		Latency: []LatencyObjective{},
 		Burns: []BurnPair{
 			{Name: "fast", Short: time.Second, Long: 4 * time.Second, Rate: 10, Severity: SevPage},
 		},

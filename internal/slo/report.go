@@ -67,7 +67,7 @@ func (r *Report) Render() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "SLO report @ %s  availability %g%%  alerts firing: %d  cluster: %s\n",
-		fmtDur(r.End), r.Spec.Availability*100, r.Firing, r.Cluster)
+		fmtDur(r.End), availability*100, r.Firing, r.Cluster)
 
 	fmt.Fprintf(&b, "\n%-10s %10s %10s %10s %10s %10s %10s\n",
 		"op", "count", "err%", "rate/s", "p50", "p95", "p99")

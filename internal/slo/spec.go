@@ -2,10 +2,6 @@ package slo
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -50,9 +46,14 @@ type BurnPair struct {
 	Severity Severity
 }
 
-// Spec is the declarative SLO of a deployment: sketch geometry, the
-// availability objective, per-op latency objectives, the burn-rate rules
-// that alert on them. The zero Spec is not runnable; start from DefaultSpec.
+// availability is the cluster availability objective every Spec holds:
+// failed operations consume the 1-availability error budget.
+const availability = 0.999
+
+// Spec is the declarative SLO of a deployment: sketch geometry, per-op
+// latency objectives, and the burn-rate rules that alert on them and on
+// the availability objective. A field left zero takes DefaultSpec's
+// value, so the zero Spec is DefaultSpec.
 type Spec struct {
 	// Window is the sketch span (the longest answerable trailing window);
 	// Slots is its resolution.
@@ -61,9 +62,6 @@ type Spec struct {
 	// Tick is the evaluation interval of the engine on virtual time.
 	Tick time.Duration
 
-	// Availability is the cluster availability objective in (0,1), e.g.
-	// 0.999: failed operations consume the 1-Availability error budget.
-	Availability float64
 	// Latency lists the per-op latency objectives.
 	Latency []LatencyObjective
 	// Burns lists the multi-window burn-rate rules applied to every
@@ -80,10 +78,9 @@ type Spec struct {
 // real burn below threshold before the fault ends.
 func DefaultSpec() Spec {
 	return Spec{
-		Window:       24 * time.Second,
-		Slots:        96, // 250ms resolution
-		Tick:         250 * time.Millisecond,
-		Availability: 0.999,
+		Window: 24 * time.Second,
+		Slots:  96, // 250ms resolution
+		Tick:   250 * time.Millisecond,
 		Latency: []LatencyObjective{
 			{Op: "stat", Quantile: 0.99, Target: 10 * time.Millisecond},
 			{Op: "read", Quantile: 0.99, Target: 15 * time.Millisecond},
@@ -97,6 +94,7 @@ func DefaultSpec() Spec {
 	}
 }
 
+// withDefaults fills each zero field of s from DefaultSpec.
 func (s Spec) withDefaults() Spec {
 	d := DefaultSpec()
 	if s.Window <= 0 {
@@ -108,9 +106,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Tick <= 0 {
 		s.Tick = d.Tick
 	}
-	if s.Availability <= 0 || s.Availability >= 1 {
-		s.Availability = d.Availability
-	}
 	// nil means "unset" and takes the defaults; an explicit empty non-nil
 	// slice means "no latency objectives" and is kept.
 	if s.Latency == nil {
@@ -120,162 +115,4 @@ func (s Spec) withDefaults() Spec {
 		s.Burns = d.Burns
 	}
 	return s
-}
-
-// Render writes the spec in the line syntax ParseSpec reads.
-func (s Spec) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "window %v slots %d tick %v\n", s.Window, s.Slots, s.Tick)
-	fmt.Fprintf(&b, "availability %g\n", s.Availability*100)
-	lat := append([]LatencyObjective(nil), s.Latency...)
-	sort.SliceStable(lat, func(i, j int) bool { return lat[i].Op < lat[j].Op })
-	for _, o := range lat {
-		fmt.Fprintf(&b, "latency %s p%g %v\n", o.Op, o.Quantile*100, o.Target)
-	}
-	for _, p := range s.Burns {
-		fmt.Fprintf(&b, "burn %s %v %v %gx\n", p.Name, p.Short, p.Long, p.Rate)
-	}
-	return b.String()
-}
-
-// ParseSpec reads a declarative SLO spec in a line-oriented syntax:
-//
-//	# comment
-//	window 24s slots 96 tick 250ms
-//	availability 99.9
-//	latency stat p99 10ms
-//	latency * p99 80ms
-//	burn fast 1s 8s 14.4x
-//	burn slow 4s 12s 3x
-//
-// Omitted sections fall back to DefaultSpec values, except latency
-// objectives: a spec that lists any keeps exactly those.
-func ParseSpec(text string) (Spec, error) {
-	spec := Spec{}
-	var burns []BurnPair
-	for ln, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
-		}
-		if line == "" {
-			continue
-		}
-		f := strings.Fields(line)
-		fail := func(err error) (Spec, error) {
-			return Spec{}, fmt.Errorf("slo: line %d: %q: %w", ln+1, raw, err)
-		}
-		switch f[0] {
-		case "window":
-			// "window <dur> [slots <n>] [tick <dur>]"
-			rest := f[1:]
-			for len(rest) > 0 {
-				switch rest[0] {
-				case "slots":
-					if len(rest) < 2 {
-						return fail(fmt.Errorf("slots needs a value"))
-					}
-					n, err := strconv.Atoi(rest[1])
-					if err != nil {
-						return fail(err)
-					}
-					if n <= 0 {
-						return fail(fmt.Errorf("slots must be positive"))
-					}
-					spec.Slots = n
-					rest = rest[2:]
-				case "tick":
-					if len(rest) < 2 {
-						return fail(fmt.Errorf("tick needs a value"))
-					}
-					d, err := time.ParseDuration(rest[1])
-					if err != nil {
-						return fail(err)
-					}
-					if d <= 0 {
-						return fail(fmt.Errorf("tick must be positive"))
-					}
-					spec.Tick = d
-					rest = rest[2:]
-				default:
-					d, err := time.ParseDuration(rest[0])
-					if err != nil {
-						return fail(err)
-					}
-					if d <= 0 {
-						return fail(fmt.Errorf("window must be positive"))
-					}
-					spec.Window = d
-					rest = rest[1:]
-				}
-			}
-		case "availability":
-			if len(f) != 2 {
-				return fail(fmt.Errorf("want `availability <percent>`"))
-			}
-			pct, err := strconv.ParseFloat(f[1], 64)
-			if err != nil {
-				return fail(err)
-			}
-			if !(pct > 0 && pct < 100) { // also rejects NaN
-				return fail(fmt.Errorf("availability must be in (0,100)"))
-			}
-			spec.Availability = pct / 100
-		case "latency":
-			if len(f) != 4 || !strings.HasPrefix(f[2], "p") {
-				return fail(fmt.Errorf("want `latency <op> p<quantile> <target>`"))
-			}
-			q, err := strconv.ParseFloat(f[2][1:], 64)
-			if err != nil {
-				return fail(err)
-			}
-			if !(q > 0 && q < 100) { // also rejects NaN
-				return fail(fmt.Errorf("quantile must be in (0,100)"))
-			}
-			target, err := time.ParseDuration(f[3])
-			if err != nil {
-				return fail(err)
-			}
-			if target <= 0 {
-				return fail(fmt.Errorf("latency target must be positive"))
-			}
-			spec.Latency = append(spec.Latency, LatencyObjective{Op: f[1], Quantile: q / 100, Target: target})
-		case "burn":
-			if len(f) != 5 {
-				return fail(fmt.Errorf("want `burn <name> <short> <long> <rate>x`"))
-			}
-			short, err := time.ParseDuration(f[2])
-			if err != nil {
-				return fail(err)
-			}
-			long, err := time.ParseDuration(f[3])
-			if err != nil {
-				return fail(err)
-			}
-			rate, err := strconv.ParseFloat(strings.TrimSuffix(f[4], "x"), 64)
-			if err != nil {
-				return fail(err)
-			}
-			if short <= 0 || long <= short || !(rate > 0) || math.IsInf(rate, 0) {
-				return fail(fmt.Errorf("want 0 < short < long and a finite rate > 0"))
-			}
-			sev := SevTicket
-			if f[1] == "fast" || f[1] == "page" {
-				sev = SevPage
-			}
-			burns = append(burns, BurnPair{Name: f[1], Short: short, Long: long, Rate: rate, Severity: sev})
-		default:
-			return fail(fmt.Errorf("unknown directive %q", f[0]))
-		}
-	}
-	if burns != nil {
-		spec.Burns = burns
-	}
-	spec = spec.withDefaults()
-	for _, p := range spec.Burns {
-		if p.Long > spec.Window {
-			return Spec{}, fmt.Errorf("slo: burn pair %q long window %v exceeds sketch window %v", p.Name, p.Long, spec.Window)
-		}
-	}
-	return spec, nil
 }
