@@ -353,6 +353,9 @@ func runTimeline(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *interval <= 0 {
+		return fmt.Errorf("-interval %v: want a positive sampling interval", *interval)
+	}
 	var fr *trace.FlightRecorder
 	err := fs.replay(stdout, func(d *core.Deployment, _ int) {
 		fr = d.EnableFlightRecorder(*interval, 0, "op.", "txn.", "net.link.", "ndb.contention.")

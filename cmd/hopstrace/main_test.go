@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -184,6 +185,26 @@ func TestTimelineCSV(t *testing.T) {
 	}
 	if out.String() != again.String() {
 		t.Fatal("timeline not deterministic across same-seed runs")
+	}
+}
+
+// TestTimelineRefusesNonPositiveInterval: the flight recorder would sample a
+// zero or negative -interval at its own default, so timeline refuses one,
+// naming the flag, before it replays anything or writes a CSV.
+func TestTimelineRefusesNonPositiveInterval(t *testing.T) {
+	for _, interval := range []string{"-1ms", "0s"} {
+		csvPath := filepath.Join(t.TempDir(), "timeline.csv")
+		var out strings.Builder
+		err := run([]string{"timeline", "-ops", "10", "-interval", interval, "-out", csvPath}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-interval") {
+			t.Errorf("-interval %s: %v, want an error naming -interval", interval, err)
+		}
+		if _, statErr := os.Stat(csvPath); !errors.Is(statErr, fs.ErrNotExist) {
+			t.Errorf("-interval %s wrote %s (stat: %v)", interval, csvPath, statErr)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-interval %s wrote %q", interval, out.String())
+		}
 	}
 }
 

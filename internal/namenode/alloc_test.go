@@ -17,9 +17,12 @@ import (
 // in the transaction's inline commit trains, takes its row locks in the
 // rows' inline holder slots and a new row from the rows deletes freed,
 // reuses the storage transaction the previous operation's InTx freed, and
-// returns a listing as a window of its directory's snapshot: it allocates
-// only the values it commits. Excluded under -race, whose instrumentation
-// allocates.
+// copies a listing out of its directory's index, which commits edit in
+// place, into the transaction's scan storage and then into the listing it
+// was handed to reuse: it allocates only the values it commits. A listing
+// after a sibling's create, delete or setPermission in the same directory
+// therefore adds nothing to the change's own allocations — no rebuild, no
+// sort. Excluded under -race, whose instrumentation allocates.
 func TestWarmOpAllocs(t *testing.T) {
 	h := newHarness(t)
 	h.db.StopBackground()
@@ -35,7 +38,7 @@ func TestWarmOpAllocs(t *testing.T) {
 		}
 		return out
 	}
-	files, dirs := paths("/a/b/c/n%d"), paths("/a/b/d%d")
+	files, dirs, siblings := paths("/a/b/c/n%d"), paths("/a/b/d%d"), paths("/a/b/c/l%d")
 	spares := append(paths("/a/b/c/s%d"), paths("/a/b/c/t%d")...)
 	flip := [2]string{"/a/b/f", "/a/b/g"}
 	h.run(t, func(p *sim.Proc) {
@@ -87,6 +90,13 @@ func TestWarmOpAllocs(t *testing.T) {
 		// the last round end before measuring.
 		h.ns.StopBackground()
 		p.Sleep(2 * h.ns.cfg.ElectionRound)
+		// Every listing reuses the storage of the one before it.
+		var listed Listing
+		list := func() error {
+			var err error
+			listed, err = nn.List(p, "/a/b/c", listed)
+			return err
+		}
 		for _, op := range []struct {
 			name string
 			// want is what the operation keeps, one allocation each.
@@ -99,9 +109,10 @@ func TestWarmOpAllocs(t *testing.T) {
 			// The same: the share lock rides the batch and is held in the
 			// transaction.
 			{"getBlockLocations", 0, func(int) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }},
-			// Nothing: the listing is the directory bucket's key-sorted
-			// snapshot, whole.
-			{"list", 0, func(int) error { _, err := nn.List(p, "/a/b/c"); return err }},
+			// Nothing: the listing is copied from the directory bucket's
+			// index into the transaction's scan storage and then into the
+			// previous listing's.
+			{"list", 0, func(int) error { return list() }},
 			// The new inode value, which the edit makes at the row's chain
 			// head.
 			{"setPermission", 1, func(int) error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
@@ -111,6 +122,29 @@ func TestWarmOpAllocs(t *testing.T) {
 			{"mkdir", 1, func(i int) error { _, err := nn.Mkdir(p, dirs[i], 0o755); return err }},
 			// Nothing: the deleted row goes back to the free rows.
 			{"delete", 0, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
+			// A listing after a sibling's change allocates nothing of its
+			// own: each commit edited the directory's index in place, so
+			// the listing neither rebuilds nor sorts it. What is left is
+			// the change's own: the new inode of a create and of a
+			// setPermission, nothing for a delete.
+			{"list after a sibling's create", 1, func(i int) error {
+				if _, err := nn.Create(p, siblings[i], 0); err != nil {
+					return err
+				}
+				return list()
+			}},
+			{"list after a sibling's delete", 0, func(i int) error {
+				if _, err := nn.Delete(p, siblings[i], false); err != nil {
+					return err
+				}
+				return list()
+			}},
+			{"list after a sibling's setPermission", 1, func(i int) error {
+				if err := nn.SetPermission(p, "/a/b/c/x", uint16(i)); err != nil {
+					return err
+				}
+				return list()
+			}},
 			// The moved inode: the destination's row is the one the
 			// previous flip's source freed.
 			{"same-directory rename", 1, func(i int) error { return nn.Rename(p, flip[i%2], flip[(i+1)%2]) }},
@@ -139,7 +173,7 @@ func TestWarmOpAllocs(t *testing.T) {
 // TestWarmClientOpAllocs: a client with no history attached adds no
 // allocation to the operation it sends, so a warm client stat, list and
 // setPermission allocate what TestWarmOpAllocs pins for the namenode's own:
-// the listing comes back by value, a window no one copies.
+// the listing is copied into the storage of the client's previous one.
 func TestWarmClientOpAllocs(t *testing.T) {
 	h := newHarness(t)
 	h.db.StopBackground()

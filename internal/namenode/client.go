@@ -2,6 +2,7 @@ package namenode
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"hopsfscl/internal/blocks"
@@ -45,6 +46,10 @@ type Client struct {
 	// is the index of the operation in flight in it.
 	history *nsmodel.History
 	open    int
+
+	// listing is the storage of the client's last listing, which its next
+	// List reuses.
+	listing Listing
 }
 
 // NewClient registers a client in the given zone. domain is its
@@ -454,12 +459,21 @@ func (cl *Client) Stat(p *sim.Proc, path string) (*Inode, error) {
 	})
 }
 
-// List returns a directory's children.
+// List returns a directory's children. The listing is valid until the
+// client's next List, which reuses its storage.
 func (cl *Client) List(p *sim.Proc, path string) (Listing, error) {
-	return call(cl, p, nsmodel.Op{Name: "list", Path: path}, 0, func(nn *NameNode) (Listing, int, error) {
-		got, err := nn.List(p, path)
-		return got, 0, err
+	got, err := call(cl, p, nsmodel.Op{Name: "list", Path: path}, 0, func(nn *NameNode) (Listing, int, error) {
+		l, err := nn.List(p, path, cl.listing)
+		if err == nil {
+			cl.listing = l
+		}
+		return l, 0, err
 	})
+	if err == nil && cl.history != nil {
+		// The history outlives the client's listing storage.
+		cl.history.Ops[cl.open].Result = Listing{slices.Clone(got.kvs)}
+	}
+	return got, err
 }
 
 // Delete removes a path, reclaiming block replicas after the metadata

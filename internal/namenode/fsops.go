@@ -732,10 +732,11 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, path string) (*Inode, error) 
 	return out, err
 }
 
-// Listing is a directory's children, name-sorted: a read-only window onto
-// the directory partition's key-sorted snapshot, into which no later commit
-// writes, so a listing reads the same after its directory changes. The
-// root's listing, gathered by table scan, is a copy of its own.
+// Listing is a directory's children, name-sorted. List copies them, before
+// its transaction ends, into the storage of the listing it is handed to
+// reuse, so a listing reads the same after its directory changes until that
+// storage is reused: a Client's listing is valid until the client's next
+// List.
 type Listing struct{ kvs []ndb.KV }
 
 // Len returns the number of children.
@@ -744,10 +745,12 @@ func (l Listing) Len() int { return len(l.kvs) }
 // At returns the i-th child.
 func (l Listing) At(i int) *Inode { return l.kvs[i].Val.(*Inode) }
 
-// List returns a directory's children. The resolve is read committed and
-// takes no lock (DESIGN §9.1); the children are listed by listChildren, as one
-// level of a subtree walk, from the snapshot of the directory's partition.
-func (nn *NameNode) List(p *sim.Proc, path string) (Listing, error) {
+// List returns a directory's children, copied into reuse's storage — pass a
+// listing no longer needed, or the zero Listing for storage of the result's
+// own. The resolve is read committed and takes no lock (DESIGN §9.1); the
+// children are listed by listChildren, as one level of a subtree walk, from
+// the index of the directory's partition.
+func (nn *NameNode) List(p *sim.Proc, path string, reuse Listing) (Listing, error) {
 	var out Listing
 	err := nn.op(p, path, opRules{children: true}, func(tx ndb.Tx, fp fsPath, sc *opScratch) error {
 		chain, err := nn.resolveChain(tx, sc, fp, 0)
@@ -757,7 +760,9 @@ func (nn *NameNode) List(p *sim.Proc, path string) (Listing, error) {
 		if !chain[len(chain)-1].Dir {
 			return ErrNotDir
 		}
-		out, err = nn.listChildren(tx, sc, chain[len(chain)-1:])
+		kids, err := nn.listChildren(tx, sc, chain[len(chain)-1:])
+		// The scan's rows are the transaction's: copy them before it ends.
+		out.kvs = append(reuse.kvs[:0], kids.kvs...)
 		return err
 	})
 	if err != nil {
@@ -1092,8 +1097,9 @@ func (nn *NameNode) summarize(tx ndb.Tx, sc *opScratch, top []*Inode, files, dir
 // costs one parallel round instead of one round trip per directory. Only "/"
 // is listed on its own — it is a level of its own, nothing else has depth 0 —
 // and by table scan: its children are deliberately scattered across
-// partitions (see partKeyOf). One directory's listing is its scan, a window
-// of its partition's snapshot; a level of several is their concatenation.
+// partitions (see partKeyOf). One directory's listing is its scan, which the
+// transaction holds until it ends; a level of several is their
+// concatenation.
 func (nn *NameNode) listChildren(tx ndb.Tx, sc *opScratch, dirs []*Inode) (Listing, error) {
 	if dirs[0].ID == RootID {
 		kvs, err := tx.ScanTablePrefix(nn.ns.inodes.At(0), inodeKey(RootID, ""))

@@ -69,7 +69,7 @@ func TestRoundTripBudget(t *testing.T) {
 		{"stat", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/f"); return err }, 1, 3, 2, 2, 0},
 		{"read", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/f"); return err }, 1, 3, 2, 2, 0},
 		{"read (inline payload)", func(nn *NameNode, p *sim.Proc) error { _, err := nn.GetBlockLocations(p, "/a/b/small"); return err }, 2, 4, 2, 2, 0},
-		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d"); return err }, 2, 4, 2, 2, 0},
+		{"list", func(nn *NameNode, p *sim.Proc) error { _, err := nn.List(p, "/a/b/d", Listing{}); return err }, 2, 4, 2, 2, 0},
 		// /a/b/y came from /x, whose partition is on the other node group:
 		// the rows above it are read there.
 		{"stat through a renamed directory", func(nn *NameNode, p *sim.Proc) error { _, err := nn.Stat(p, "/a/b/y/g"); return err }, 1, 4, 4, 6, 0},
@@ -296,7 +296,7 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 		var listed Listing
 		if !onStale("setPermission", 2, func() error { return nnA.SetPermission(p, "/a/b/f", 0o600) }) ||
 			!onStale("read", 1, func() (err error) { got, err = nnA.GetBlockLocations(p, "/a/b/f"); return err }) ||
-			!onStale("list", 1, func() (err error) { listed, err = nnA.List(p, "/a/b/d"); return err }) ||
+			!onStale("list", 1, func() (err error) { listed, err = nnA.List(p, "/a/b/d", Listing{}); return err }) ||
 			!onStale("create", 2, func() (err error) { created, err = nnA.Create(p, "/a/b/d/g", 0); return err }) ||
 			!onStale("delete", 2, func() error { _, err := nnA.Delete(p, "/a/b/e", false); return err }) {
 			return

@@ -197,13 +197,15 @@ func TestListReturnsSortedChildren(t *testing.T) {
 	})
 }
 
-// TestListingOutlivesChanges: a listing is a window onto its directory's
-// snapshot, which no later commit writes into, so a listing taken before a
-// create and a delete in its directory — and a listing of the root — reads
-// the same afterwards, entry for entry, while a fresh listing sees both.
+// TestListingOutlivesChanges: List copies a listing into its client's
+// storage before its transaction ends, so a listing a client holds — of a
+// directory, and of the root — reads the same, entry for entry, after
+// another client commits a create and a delete in that directory, until the
+// holder's next List, which sees both.
 func TestListingOutlivesChanges(t *testing.T) {
 	h := newHarness(t)
-	cl := h.client(1)
+	writer := h.client(1)
+	holders := [2]*Client{h.client(2), h.client(3)}
 	h.run(t, func(p *sim.Proc) {
 		must := func(err error) bool {
 			if err != nil {
@@ -212,46 +214,47 @@ func TestListingOutlivesChanges(t *testing.T) {
 			return err == nil
 		}
 		for _, dir := range []string{"/d", "/e"} {
-			if !must(cl.Mkdir(p, dir)) {
+			if !must(writer.Mkdir(p, dir)) {
 				return
 			}
 		}
 		for _, f := range []string{"/d/a", "/d/c"} {
-			if !must(cl.Create(p, f, 0)) {
+			if !must(writer.Create(p, f, 0)) {
 				return
 			}
 		}
-		var before [2]Listing
+		dirs := [2]string{"/d", "/"}
+		var held [2]Listing
 		var inodes [2][]*Inode
-		for i, dir := range []string{"/d", "/"} {
-			l, err := cl.List(p, dir)
+		for i, dir := range dirs {
+			l, err := holders[i].List(p, dir)
 			if !must(err) {
 				return
 			}
-			before[i] = l
+			held[i] = l
 			for j := range l.Len() {
 				inodes[i] = append(inodes[i], l.At(j))
 			}
 		}
-		if !must(cl.Create(p, "/d/b", 0)) || !must(cl.Delete(p, "/d/a", false)) ||
-			!must(cl.Mkdir(p, "/f")) || !must(cl.Delete(p, "/e", false)) {
+		if !must(writer.Create(p, "/d/b", 0)) || !must(writer.Delete(p, "/d/a", false)) ||
+			!must(writer.Mkdir(p, "/f")) || !must(writer.Delete(p, "/e", false)) {
 			return
 		}
 		for i, want := range [2][]string{{"a", "c"}, {"d", "e"}} {
-			if got := names(before[i]); !slices.Equal(got, want) {
-				t.Errorf("a listing taken before the changes now reads %q, want %q", got, want)
+			if got := names(held[i]); !slices.Equal(got, want) {
+				t.Errorf("a listing of %s held across another client's commits now reads %q, want %q", dirs[i], got, want)
 				continue
 			}
 			for j, ino := range inodes[i] {
-				if before[i].At(j) != ino {
-					t.Errorf("entry %d of a listing taken before the changes is another inode now", j)
+				if held[i].At(j) != ino {
+					t.Errorf("entry %d of a listing of %s held across another client's commits is another inode now", j, dirs[i])
 				}
 			}
 		}
-		for dir, want := range map[string][]string{"/d": {"b", "c"}, "/": {"d", "f"}} {
-			l, err := cl.List(p, dir)
+		for i, want := range [2][]string{{"b", "c"}, {"d", "f"}} {
+			l, err := holders[i].List(p, dirs[i])
 			if must(err) && !slices.Equal(names(l), want) {
-				t.Errorf("a fresh listing of %s reads %q, want %q", dir, names(l), want)
+				t.Errorf("the holder's next listing of %s reads %q, want %q", dirs[i], names(l), want)
 			}
 		}
 	})

@@ -117,7 +117,7 @@ func TestWarmOpStaysOnOneShard(t *testing.T) {
 				}{
 					{"stat " + file, func() error { _, err := nn.Stat(p, file); return err }},
 					{"create " + dir + "/fresh", func() error { _, err := nn.Create(p, dir+"/fresh", 0); return err }},
-					{"list " + dir, func() error { _, err := nn.List(p, dir); return err }},
+					{"list " + dir, func() error { _, err := nn.List(p, dir, namenode.Listing{}); return err }},
 				} {
 					b0, l0 := begun(), local.Value()
 					if err := op.run(); err != nil {
@@ -349,7 +349,7 @@ func TestRenamedDirectoryKeepsItsPartition(t *testing.T) {
 					if f, err := nn.Stat(p, moved+"/"+path.Base(file)); err != nil || f.Parent != before.ID {
 						t.Errorf("nn %d: stat through the renamed directory: %+v, %v", nn.ID, f, err)
 					}
-					if l, err := nn.List(p, moved); err != nil || l.Len() < 2 {
+					if l, err := nn.List(p, moved, namenode.Listing{}); err != nil || l.Len() < 2 {
 						t.Errorf("nn %d: list %s: %d entries, %v", nn.ID, moved, l.Len(), err)
 					}
 				}

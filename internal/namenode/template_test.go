@@ -35,7 +35,7 @@ func TestOpTemplate(t *testing.T) {
 			_, err := nn.GetBlockLocations(p, path)
 			return err
 		}, [4]error{ErrIsDir, ErrNotFound, ErrNotDir, ErrNotFound}},
-		{"List", func(nn *NameNode, p *sim.Proc, path string) error { _, err := nn.List(p, path); return err },
+		{"List", func(nn *NameNode, p *sim.Proc, path string) error { _, err := nn.List(p, path, Listing{}); return err },
 			[4]error{nil, ErrNotFound, ErrNotDir, ErrNotFound}},
 		{"Delete", func(nn *NameNode, p *sim.Proc, path string) error { _, err := nn.Delete(p, path, false); return err },
 			[4]error{ErrInvalidPath, ErrNotFound, ErrNotDir, ErrNotFound}},

@@ -225,6 +225,8 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 // walk costs one parallel round instead of one serial round trip per
 // directory. As with ReadBatch, the outer slice of a batch of up to eight
 // scans lives in the transaction until its next read, or until InTx returns.
+// Each scan's rows are the transaction's copy, taken as the scan read them:
+// they read the same after later commits, until InTx returns.
 func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 	if t.done {
 		return nil, ErrAborted
@@ -251,7 +253,8 @@ func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 // whose key starts with prefix, in key order. It exists for listings whose
 // rows are deliberately scattered across partitions (a HopsFS root directory
 // listing); it costs one round per partition, in partition order, each a
-// one-scan batch over every partition key the partition holds.
+// one-scan batch over every partition key the partition holds. The merged
+// rows are the caller's own, and outlive the transaction.
 func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 	if t.done {
 		return nil, ErrAborted
@@ -261,14 +264,15 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 	sc.t, sc.kind = t, scanParts
 	sc.scans = append(sc.scans[:0], BatchScan{Table: table, Prefix: prefix})
 	sc.kvs = t.kvs[:1]
-	var out []KV
+	from := len(t.scanned)
 	for _, part := range table.partitions {
 		zeroed(&sc.parts, 1)[0] = part
 		if _, err := t.batch(sc, 1, nil); err != nil {
 			return nil, err
 		}
-		out = append(out, sc.kvs[0]...)
 	}
+	// Every round appended to t.scanned, which holds them back to back.
+	out := slices.Clone(t.scanned[from:])
 	slices.SortFunc(out, byKey)
 	return out, nil
 }
@@ -429,14 +433,18 @@ func (sc *batchScratch) read(p *sim.Proc, target *DataNode, i int) (int, error) 
 		return g.Table.rowSize, nil
 	}
 	s := &sc.scans[i]
-	var rows []KV
+	// The rows are copied out at the instant they are read, into the
+	// transaction's scan storage. The result is the copy, capped so that a
+	// caller's append cannot write over the next scan's rows.
+	from := len(t.scanned)
 	if sc.kind == scanRows {
-		rows = part.scanPrefix(s.PartKey, s.Prefix)
+		t.scanned = append(t.scanned, part.scanPrefix(s.PartKey, s.Prefix)...)
 	} else {
 		for pk := range part.rows {
-			rows = append(rows, part.scanPrefix(pk, s.Prefix)...)
+			t.scanned = append(t.scanned, part.scanPrefix(pk, s.Prefix)...)
 		}
 	}
+	rows := t.scanned[from:len(t.scanned):len(t.scanned)]
 	for b := 0; b < 1+len(rows)/8; b++ {
 		target.use(p, LDM, costLDMRead)
 	}

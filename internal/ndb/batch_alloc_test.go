@@ -36,8 +36,8 @@ func TestBatchAllocFree(t *testing.T) {
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
 		for _, op := range []struct {
 			name string
-			// want is what the operation keeps: a scan's one slice of rows,
-			// a fresh transaction's Txn.
+			// want is what the operation keeps: a scan's rows, which grow
+			// the transaction's scan storage, a fresh transaction's Txn.
 			want float64
 			run  func() error
 		}{
@@ -116,45 +116,82 @@ func TestChainOrderAllocFree(t *testing.T) {
 	}
 }
 
-// TestWarmScanAllocFree: a scan of a bucket nothing has changed since its
-// last scan is a window of the bucket's key-sorted snapshot, so repeating
-// it allocates nothing — no walk, no sort, no result slice.
+// TestWarmScanAllocFree: a scan copies its window of the bucket's key-sorted
+// index into its transaction's scan storage, which the pooled transaction
+// keeps for the next Begin, and a commit edits the index in place, so a
+// scanning transaction allocates nothing — no walk, no sort, no result
+// slice — whether nothing has changed since the last scan or a commit has
+// just updated, inserted or deleted one of the bucket's rows.
 func TestWarmScanAllocFree(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	c.StopBackground()
 	tbl := c.CreateTable("inodes", 256, TableOptions{ReadBackup: true})
-	rows := []BatchWrite{
-		{Table: tbl, PartKey: "p", Key: "p/a", Val: "v"},
-		{Table: tbl, PartKey: "p", Key: "p/b", Val: "v"},
-		{Table: tbl, PartKey: "p", Key: "q/a", Val: "v"},
-	}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.WriteBatch(rows); err != nil {
+		if err := tx.WriteBatch([]BatchWrite{
+			{Table: tbl, PartKey: "p", Key: "p/a", Val: "v"},
+			{Table: tbl, PartKey: "p", Key: "p/b", Val: "v"},
+			{Table: tbl, PartKey: "p", Key: "q/a", Val: "v"},
+		}); err != nil {
 			return err
 		}
 		return tx.Commit()
 	})
 	scan := []BatchScan{{Table: tbl, PartKey: "p", Prefix: "p/"}}
-	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		var err error
-		n := 0
-		allocs := testing.AllocsPerRun(100, func() {
-			kvs, e := tx.ScanBatch(scan)
-			if e != nil {
-				err = e
-				return
+	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, _ *Txn) error {
+		pooled := func(fn func(tx *Txn) error) error {
+			tx, err := c.Begin(p, client, 1, tbl, "p")
+			return InTx(tx, err, fn)
+		}
+		// scanned scans in a pooled transaction and checks it found want rows.
+		scanned := func(want int) error {
+			return pooled(func(tx *Txn) error {
+				kvs, err := tx.ScanBatch(scan)
+				if err == nil && len(kvs[0]) != want {
+					err = fmt.Errorf("the scan found %d rows, want %d", len(kvs[0]), want)
+				}
+				return err
+			})
+		}
+		write := func(w BatchWrite) error {
+			return pooled(func(tx *Txn) error { return tx.WriteBatch([]BatchWrite{w}) })
+		}
+		vals := [2]Value{"v1", "v2"}
+		i := 0
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"warm scan", func() error { return scanned(2) }},
+			{"scan after an update, an insert and a delete", func() error {
+				i++
+				if err := write(BatchWrite{Table: tbl, PartKey: "p", Key: "p/a", Val: vals[i%2]}); err != nil {
+					return err
+				}
+				if err := write(BatchWrite{Table: tbl, PartKey: "p", Key: "p/ab", Val: "v"}); err != nil {
+					return err
+				}
+				if err := scanned(3); err != nil {
+					return err
+				}
+				if err := write(BatchWrite{Table: tbl, PartKey: "p", Key: "p/ab", Del: true}); err != nil {
+					return err
+				}
+				return scanned(2)
+			}},
+		} {
+			var err error
+			allocs := testing.AllocsPerRun(100, func() {
+				if e := op.run(); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				return err
 			}
-			n = len(kvs[0])
-		})
-		if err != nil {
-			return err
+			if allocs != 0 {
+				t.Errorf("%s: %.0f allocations per call, want 0", op.name, allocs)
+			}
 		}
-		if n != 2 {
-			t.Errorf("the scan found %d rows, want 2", n)
-		}
-		if allocs != 0 {
-			t.Errorf("warm scan: %.0f allocations per call, want 0", allocs)
-		}
-		return tx.Commit()
+		return nil
 	})
 }

@@ -12,9 +12,10 @@ import (
 // TestDeletedRowIsReused: a delete hands its row to the cluster's free rows
 // and the next insert takes it, so the insert makes no row of its own, while
 // everything read or logged before stays as it was: the deleted key reads
-// absent, a scan taken before the delete still holds the old value, and a
-// whole-cluster restart puts back every durable value — a scan snapshot and
-// the undo log hold values and keys, never rows.
+// absent, a scan taken before the delete by a transaction still open holds
+// the old value, and a whole-cluster restart puts back every durable value —
+// a scan result, a bucket's index and the undo log hold values and keys,
+// never rows.
 func TestDeletedRowIsReused(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
@@ -54,8 +55,15 @@ func TestDeletedRowIsReused(t *testing.T) {
 		}
 		p.Sleep(3 * gcpInterval)
 		durable := c.DurableEpoch()
-		var before []KV
-		if !run(p, func(tx *Txn) (err error) { before, err = scanPrefix(tx, tbl, "p", ""); return err }) {
+		// The scanning transaction stays open until the reuse is checked.
+		scanner, err := c.Begin(p, client, 1, tbl, "p")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		before, err := scanPrefix(scanner, tbl, "p", "")
+		if err != nil {
+			t.Error(err)
 			return
 		}
 		r := part.lookup("p", "a")
@@ -80,6 +88,11 @@ func TestDeletedRowIsReused(t *testing.T) {
 		if len(before) != 2 || before[0] != (KV{"a", "v1"}) || before[1] != (KV{"b", "v1"}) {
 			t.Errorf("the scan taken before the delete now holds %v", before)
 		}
+		if err := scanner.Commit(); err != nil {
+			t.Error(err)
+			return
+		}
+		scanner.Free()
 		p.Flush()
 		if c.DurableEpoch() != durable {
 			t.Error("a global checkpoint made the reuse durable before the crash")

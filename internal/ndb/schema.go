@@ -219,7 +219,9 @@ func (p *Partition) promoteFrom(failed *DataNode) {
 
 // StoreDirect writes a committed row bypassing the transaction machinery.
 // It exists only for bootstrap seeding (e.g. a file system root inode or a
-// pre-built benchmark namespace) before any traffic runs.
+// pre-built benchmark namespace) before any traffic runs. A seeded bucket's
+// index is dropped rather than edited, so seeding a large directory costs no
+// insert per row; its first scan rebuilds it.
 func StoreDirect(t *Table, partKey, key string, val Value) {
 	b := t.partitionFor(partKey).bucketOf(partKey)
 	r := b.row(key, &t.c.rows)
@@ -228,13 +230,15 @@ func StoreDirect(t *Table, partKey, key string, val Value) {
 	b.sorted = nil
 }
 
-// bucket holds one partition key's rows by row key, and sorted, a key-sorted
-// snapshot of what a read sees of them: each row's visible value (see row).
-// The first scan after a change builds the snapshot; every change to a
-// visible value drops it (apply, Release, StoreDirect, CrashRestartCluster).
-// Nothing writes into a built snapshot, so a scan result — a window of one —
-// reads the same after later commits. Rows that never held a committed
-// value come and go (cleanRow) without touching it.
+// bucket holds one partition key's rows by row key, and sorted, an index of
+// what a read sees of them — each row's visible value (see row) — in key
+// order. The first scan builds the index; from then on every change to a
+// visible value edits it in place by binary search (apply, and releaseAll
+// for a held row), and only StoreDirect and CrashRestartCluster, which write
+// rows outside any transaction, drop it (nil) for the next scan to rebuild.
+// Because commits edit the index, a scan copies its window out into storage
+// its transaction owns (Txn.scanned), and no result aliases it. Rows that
+// never held a committed value come and go (cleanRow) without touching it.
 type bucket struct {
 	rows   map[string]*row
 	sorted []KV
@@ -251,10 +255,12 @@ func (b *bucket) row(key string, free *freeList[*row]) *row {
 	return r
 }
 
-// snapshot returns the bucket's visible rows in key order, building the
-// snapshot with one allocation when a change has dropped it.
-func (b *bucket) snapshot() []KV {
+// index returns the bucket's visible rows in key order, building the index
+// with one allocation when it has none. The result is the index itself,
+// which the next change edits: copy what must outlive it.
+func (b *bucket) index() []KV {
 	if b.sorted == nil {
+		// Never nil once built, even when empty: nil means "not built".
 		s := make([]KV, 0, len(b.rows))
 		for k, r := range b.rows {
 			if val, ok := r.visible(); ok {
@@ -265,6 +271,24 @@ func (b *bucket) snapshot() []KV {
 		b.sorted = s
 	}
 	return b.sorted
+}
+
+// edit brings a built index up to date with what a read now sees of r, the
+// row under key: its entry is replaced, inserted or removed, found by binary
+// search. An unbuilt index is left for the next scan to build.
+func (b *bucket) edit(key string, r *row) {
+	if b.sorted == nil {
+		return
+	}
+	i, found := slices.BinarySearchFunc(b.sorted, KV{Key: key}, byKey)
+	switch val, ok := r.visible(); {
+	case ok && found:
+		b.sorted[i].Val = val
+	case ok:
+		b.sorted = slices.Insert(b.sorted, i, KV{Key: key, Val: val})
+	case found:
+		b.sorted = slices.Delete(b.sorted, i, i+1)
+	}
 }
 
 // row is one stored row with its lock state. val and exists are its

@@ -47,8 +47,8 @@ func sameKVs(a, b []KV) bool {
 // crashes over a few buckets whose keys share prefixes, and after every step
 // checks each ScanBatch and ScanTablePrefix against a fresh walk and sort of
 // what reads see of the rows — between CommitHolding and Release, the held
-// rows' pre-images: a snapshot that a change failed to drop shows as a
-// stale result.
+// rows' pre-images: an index that a change failed to edit, or to drop,
+// shows as a stale result.
 func TestScanSnapshotMatchesRows(t *testing.T) {
 	pks := []string{"p0", "p1", "p2"}
 	keys := []string{"a", "a/b", "a/c", "ab", "b", "b/a", "ba", "c"}
@@ -186,10 +186,11 @@ func TestScanSnapshotMatchesRows(t *testing.T) {
 	}
 }
 
-// TestScanResultSurvivesCommit: a scan result is a window of its bucket's
-// snapshot, and a commit to the bucket drops the snapshot rather than
-// editing it, so a result taken before an update, an insert and a delete
-// reads the same after them, while a new scan sees all three.
+// TestScanResultSurvivesCommit: a commit edits its bucket's index in place,
+// and a scan copies its window out of the index into its transaction, so a
+// result taken before an update, an insert and a delete — committed by
+// another transaction while the scanning one stays open — reads the same
+// after them, while a new scan sees all three.
 func TestScanResultSurvivesCommit(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	c.StopBackground()
@@ -205,27 +206,30 @@ func TestScanResultSurvivesCommit(t *testing.T) {
 		}
 		return tx.Commit()
 	})
-	var before, kept []KV
-	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) (err error) {
-		if before, err = scanPrefix(tx, tbl, "p", "p/"); err != nil {
+	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, scanner *Txn) error {
+		before, err := scanPrefix(scanner, tbl, "p", "p/")
+		if err != nil {
 			return err
 		}
-		kept = slices.Clone(before)
-		return tx.Commit()
-	})
-	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
-		if err := tx.WriteBatch([]BatchWrite{
-			{Table: tbl, PartKey: "p", Key: "p/a", Val: "a2"},
-			{Table: tbl, PartKey: "p", Key: "p/b", Val: "b1"},
-			{Table: tbl, PartKey: "p", Key: "p/e", Del: true},
+		kept := slices.Clone(before)
+		tx, err := c.Begin(p, client, 1, tbl, "p")
+		if err != nil {
+			return err
+		}
+		if err := InTx(tx, nil, func(tx *Txn) error {
+			return tx.WriteBatch([]BatchWrite{
+				{Table: tbl, PartKey: "p", Key: "p/a", Val: "a2"},
+				{Table: tbl, PartKey: "p", Key: "p/b", Val: "b1"},
+				{Table: tbl, PartKey: "p", Key: "p/e", Del: true},
+			})
 		}); err != nil {
 			return err
 		}
-		return tx.Commit()
+		if !sameKVs(before, kept) {
+			t.Errorf("a scan result changed under a later commit: %v, was %v", before, kept)
+		}
+		return scanner.Commit()
 	})
-	if !sameKVs(before, kept) {
-		t.Errorf("a scan result changed under a later commit: %v, was %v", before, kept)
-	}
 	inTxn(t, env, c, client, 1, tbl, "p", func(p *sim.Proc, tx *Txn) error {
 		after, err := scanPrefix(tx, tbl, "p", "p/")
 		if err != nil {

@@ -43,6 +43,11 @@ type Txn struct {
 	vals    [8]BatchVal
 	kvs     [8][]KV
 	lockBuf [4]lockRef
+	// scanned holds the rows of every scan the transaction has served, and
+	// each scan's result is a window of it: a scan copies its rows out of
+	// its bucket's index, which later commits edit in place. A result is
+	// valid until InTx returns; Free keeps the storage for the next Begin.
+	scanned []KV
 	// A mutation's writes nearly always fill one train of one or two rows
 	// (a rename within a directory), or two trains of one row each (a rename
 	// across directories): train0 and train1, their rows0 and rows1 and
@@ -181,15 +186,17 @@ func (c *Cluster) Begin(p *sim.Proc, origin *simnet.Node, originDomain simnet.Zo
 
 // Free returns a transaction that has ended — committed, aborted or
 // released — to its cluster's pool for Begin to reuse, zeroed, so the pooled
-// Txn keeps no value, row, scan result or span reachable. Freeing an open
+// Txn keeps no value, row, scan result or span reachable; only the emptied
+// storage of its scans stays, for the next transaction's. Freeing an open
 // transaction — one CommitHolding committed and Release has not ended
 // included — panics.
 func (t *Txn) Free() {
 	if !t.done {
 		panic("ndb: Free of an open transaction")
 	}
-	c := t.c
-	*t = Txn{}
+	c, scanned := t.c, t.scanned
+	clear(scanned)
+	*t = Txn{scanned: scanned[:0]}
 	c.txns.put(t)
 }
 
@@ -860,7 +867,7 @@ func (t *Txn) releaseAll() {
 		case LockExclusive:
 			if r.held {
 				r.held, r.pre, r.preExists = false, nil, false
-				lr.part.rows[lr.pk].sorted = nil
+				lr.part.rows[lr.pk].edit(lr.key, r)
 			}
 		case LockShared:
 			if reps := lr.part.replicas(); len(reps) > 0 && reps[0] != t.tc {
@@ -874,22 +881,23 @@ func (t *Txn) releaseAll() {
 }
 
 // scanPrefix returns committed rows of one partition-key bucket with the
-// given key prefix, key-sorted: a window of the bucket's snapshot, capped so
-// that a caller's append copies instead of writing into the snapshot.
+// given key prefix, key-sorted: a window of the bucket's index, which the
+// next change to the bucket edits in place, so the caller copies it out
+// before it parks.
 func (p *Partition) scanPrefix(pk, prefix string) []KV {
 	b := p.rows[pk]
 	if b == nil {
 		return nil
 	}
-	s := b.snapshot()
+	s := b.index()
 	lo := sort.Search(len(s), func(i int) bool { return s[i].Key >= prefix })
 	hi := lo + sort.Search(len(s)-lo, func(i int) bool { return !strings.HasPrefix(s[lo+i].Key, prefix) })
-	return s[lo:hi:hi]
+	return s[lo:hi]
 }
 
 // byKey orders scanned rows by key. A row is addressed by (partition key,
 // key), and a key is unique only within its partition key: that is all a
-// bucket's snapshot needs, and a scan across partition keys
+// bucket's index needs, and a scan across partition keys
 // (ScanTablePrefix) asks for a prefix whose keys are unique in the table.
 func byKey(a, b KV) int { return strings.Compare(a.Key, b.Key) }
 
@@ -952,7 +960,7 @@ func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
 		r.exists = true
 		r.val = w.val
 	}
-	b.sorted = nil
+	b.edit(w.key, r)
 	if release {
 		r.lock.release(txn)
 	}
@@ -965,7 +973,8 @@ func (p *Partition) apply(w *writeOp, txn uint64, release bool) {
 // in its preallocated pages. Reuse is safe because nothing keeps a *row
 // once its lock is idle: a process holds one across a park only while it
 // waits in the row's lock queue, which keeps the row out of the pool, and
-// the undo log, scan snapshots and lockRefs hold values and keys.
+// the undo log, bucket indexes, scan results and lockRefs hold values and
+// keys.
 func (p *Partition) cleanRow(pk, key string, r *row) {
 	if !r.exists && r.lock.idle() {
 		delete(p.rows[pk].rows, key)

@@ -204,9 +204,10 @@ func (t *Txn) ReadBatch(gets []ndb.BatchGet) ([]ndb.BatchVal, error) {
 }
 
 // ScanBatch runs many prefix scans in one batched fan-out per touched
-// shard, returning result sets positionally. A scan batch spans shards only
-// when a subtree walk's level does, rarely enough that it gathers into fresh
-// buffers.
+// shard, returning result sets positionally: each is the copy its shard's
+// sub-transaction took, valid until ndb.InTx returns, passed through. A scan
+// batch spans shards only when a subtree walk's level does, rarely enough
+// that it gathers into fresh buffers.
 func (t *Txn) ScanBatch(scans []ndb.BatchScan) ([][]ndb.KV, error) {
 	return routeBatch(t, scans, nil, nil,
 		func(s *ndb.BatchScan) (*ndb.Table, string) { return s.Table, s.PartKey },

@@ -2,9 +2,9 @@
 # Measures the simulator's wall clock in pairs. It builds the benchmark at
 # BASE and at the working tree, runs N alternating pairs of one workload at
 # seed 1 (the base first in odd pairs, the working tree first in even ones),
-# and prints, for wall_us_per_vop and setup_s, each side's median and
-# quartiles, the median of the per-pair ratios (working tree / base) and how
-# many pairs the working tree won. It also says whether the five virtual
+# and prints, for wall_us_per_vop, allocs_per_vop and setup_s, each side's
+# median and quartiles, the median of the per-pair ratios (working tree /
+# base) and how many pairs the working tree won. It also says whether the five virtual
 # metrics were bit-identical in every pair.
 #
 #   bash scripts/wallpairs.sh BASE WORKLOAD N [SECONDS]
@@ -51,7 +51,7 @@ VIRTUAL = ["vops_per_s", "vlat_p50_ms", "vlat_p99_ms", "vlat_p999_ms", "xaz_byte
 base, head = ([json.loads(l) for l in open(f"{out}/{side}.jsonl")] for side in ("base", "head"))
 print(f"{workload} seed 1, --seconds {seconds}: {len(base)} pairs, base {rev} vs working tree")
 print(f"{'metric':<16} {'side':<12} {'q1':>9} {'median':>9} {'q3':>9}")
-for m in ("wall_us_per_vop", "setup_s"):
+for m in ("wall_us_per_vop", "allocs_per_vop", "setup_s"):
     b, h = ([r["metrics"][m]["value"] for r in rs] for rs in (base, head))
     for side, xs in (("base", b), ("working tree", h)):
         q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
