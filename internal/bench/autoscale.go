@@ -209,15 +209,14 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 		env.Spawn("paced-client", func(p *sim.Proc) { prof.Pace(p, start, gen, fs, pace) })
 	}
 
-	// Timeline capture: SLO gauges plus probes for the offered load and the
-	// serving-server count.
+	// Timeline capture: probes for the offered load, the serving-server
+	// count and the aggregate p99. No registry sample has the "slo." prefix,
+	// so a frame holds the probes alone.
 	var paused time.Duration
 	elapsed := func() time.Duration { return env.Now() - start - paused }
 	fr := d.EnableFlightRecorder(flightEvery, int(prof.Span()/flightEvery)+64, "slo.")
 	fr.AddProbe("load.multiplier", func() float64 { return prof.Multiplier(elapsed()) })
 	fr.AddProbe("autoscale.serving", func() float64 { return float64(d.ServingNNs()) })
-	// The engine's gauges are per observed op class; the controller and
-	// the timeline want the aggregate, so publish it as a probe.
 	fr.AddProbe("slo.agg.p99_ms", func() float64 {
 		sum := eng.OpSummary("*", env.Now(), 400*time.Millisecond)
 		return float64(sum.Percentile(0.99)) / float64(time.Millisecond)

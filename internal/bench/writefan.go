@@ -71,7 +71,7 @@ func writeFanPoint(o ExpOptions, rows int, serial bool) (mean time.Duration, sig
 
 	const warmTxns = 4
 	const measuredTxns = 64
-	var hist metrics.Histogram
+	var total time.Duration
 	sink := tracer.EnableSink(measuredTxns)
 	trainsC := reg.Counter("ndb.commit.trains")
 
@@ -112,7 +112,7 @@ func writeFanPoint(o ExpOptions, rows int, serial bool) (mean time.Duration, sig
 				return
 			}
 			p.Flush()
-			hist.Observe(p.Now() - t0)
+			total += p.Now() - t0
 		}
 		signals = net.TotalMessages() + c.Stats.LocalSignals - signalsBefore
 		trains = trainsC.Value() - trainsBefore
@@ -122,7 +122,7 @@ func writeFanPoint(o ExpOptions, rows int, serial bool) (mean time.Duration, sig
 	if !done {
 		return 0, 0, 0, nil, fmt.Errorf("writefan: %d-row run (serial=%v) did not complete", rows, serial)
 	}
-	return hist.Mean(), float64(signals) / measuredTxns, float64(trains) / measuredTxns,
+	return total / measuredTxns, float64(signals) / measuredTxns, float64(trains) / measuredTxns,
 		profile.Analyze(sink.Spans()), nil
 }
 

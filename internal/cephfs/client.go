@@ -24,11 +24,8 @@ type Client struct {
 
 	cache map[string]bool
 
-	// Ops counts completed operations; CacheHits the ones served from the
-	// kernel cache; LatencySum feeds average-latency reporting.
-	Ops        int64
-	CacheHits  int64
-	LatencySum time.Duration
+	// CacheHits counts the operations served from the kernel cache.
+	CacheHits int64
 }
 
 // NewClient registers a kernel client in the given zone.
@@ -48,9 +45,7 @@ func (cl *Client) cached(p *sim.Proc, key string) bool {
 		return false
 	}
 	p.Sleep(costClientCacheHit)
-	cl.Ops++
 	cl.CacheHits++
-	cl.LatencySum += costClientCacheHit
 	return true
 }
 
@@ -68,7 +63,6 @@ const (
 
 // mdsOp runs one request on the subtree's MDS under its global lock.
 func (cl *Client) mdsOp(p *sim.Proc, comps []string, kind mutKind, cacheKey string, apply func() error) error {
-	start := p.Now()
 	m := cl.c.owner(comps)
 	if m == nil {
 		return ErrDown
@@ -115,8 +109,6 @@ func (cl *Client) mdsOp(p *sim.Proc, comps []string, kind mutKind, cacheKey stri
 	if !ok {
 		return ErrDown
 	}
-	cl.Ops++
-	cl.LatencySum += p.Now() - start
 	return err
 }
 

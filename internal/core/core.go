@@ -150,7 +150,7 @@ type Deployment struct {
 	Opts  Options
 	Setup Setup
 
-	// Registry aggregates cluster-wide counters and timings; Tracer owns it
+	// Registry aggregates cluster-wide counters and histograms; Tracer owns it
 	// and mints per-operation spans. Both are always live (cheap, pre-registered
 	// handles); the detailed span sink is off until EnableTracing.
 	Registry *trace.Registry
@@ -436,11 +436,10 @@ func (d *Deployment) EnableFlightRecorder(interval time.Duration, capacity int, 
 // components register health probes (NN thread-pool utilization, NDB
 // liveness/utilization, block under-replication), and every spec.Tick of
 // virtual time the engine evaluates the burn-rate alerter and health
-// model and publishes rolling percentile/throughput gauges. Pass a zero
-// slo.Spec for DefaultSpec. An exemplar store enabled earlier is rebound
+// model. Pass a zero slo.Spec for DefaultSpec. An exemplar store enabled earlier is rebound
 // to this engine's objectives.
 func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
-	eng := slo.NewEngine(spec, d.Registry)
+	eng := slo.NewEngine(spec)
 	d.SLO = eng
 	d.Exemplars.SetEngine(eng)
 	d.Tracer.OnOp(eng.ObserveOp)

@@ -203,11 +203,11 @@ type clusterObs struct {
 	// the write executes, so any wait for its row locks is inside it), commit
 	// (Commit out + Committed back), and complete (only awaited under Read
 	// Backup, §IV-A3).
-	phase [numPhases]*trace.Timing
+	phase [numPhases]*trace.Histogram
 	// lockAcq counts row-lock acquisitions; lockWait times only the
 	// contended ones (immediate grants would drown the mean in zeros).
 	lockAcq  *trace.Counter
-	lockWait *trace.Timing
+	lockWait *trace.Histogram
 	// tcSelect counts transaction-coordinator selections by the proximity
 	// of the chosen TC to the API client (§IV-A5).
 	tcSelect [ProximityRemote + 1]*trace.Counter
@@ -220,10 +220,10 @@ type clusterObs struct {
 	batchWrites    *trace.Counter
 	batchWriteRows [ProximityRemote + 1]*trace.Counter
 	// commitTrains counts trains committed; trainRows is the
-	// rows-per-train distribution (a Timing abused as a histogram: one
+	// rows-per-train distribution (a duration histogram read as a count: one
 	// nanosecond per row, so count/sum/max read as trains/rows/largest).
 	commitTrains *trace.Counter
-	trainRows    *trace.Timing
+	trainRows    *trace.Histogram
 
 	// Contention metrics are registered lazily per table / op pair (the
 	// label space is data-dependent); the maps cache the handles so the
@@ -287,11 +287,11 @@ func (c *Cluster) SetTracer(tr *trace.Tracer) {
 	}
 	obs := &clusterObs{
 		lockAcq:      reg.Counter("txn.lock.acquisitions"),
-		lockWait:     reg.Timing("txn.lock_wait"),
+		lockWait:     reg.Histogram("txn.lock_wait"),
 		batchReads:   reg.Counter("ndb.batch.reads"),
 		batchWrites:  reg.Counter("ndb.batch_write.batches"),
 		commitTrains: reg.Counter("ndb.commit.trains"),
-		trainRows:    reg.Timing("ndb.commit.rows_per_train"),
+		trainRows:    reg.Histogram("ndb.commit.rows_per_train"),
 		reg:          reg,
 		contBlocks:   make(map[string]*trace.Counter),
 		contWait:     make(map[string]*trace.Counter),
@@ -300,7 +300,7 @@ func (c *Cluster) SetTracer(tr *trace.Tracer) {
 	c.ledger = newContentionLedger()
 	c.activeOps = make(map[uint64]string)
 	for ph := 0; ph < numPhases; ph++ {
-		obs.phase[ph] = reg.Timing("txn.phase." + phaseNames[ph])
+		obs.phase[ph] = reg.Histogram("txn.phase." + phaseNames[ph])
 	}
 	for d := ProximitySameHost; d <= ProximityRemote; d++ {
 		obs.tcSelect[d] = reg.Counter("ndb.tc_select", "prox", proximityLabel(d))

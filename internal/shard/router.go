@@ -90,7 +90,7 @@ type routerObs struct {
 	// shardsweep experiment reports separately).
 	local     *trace.Counter
 	cross     *trace.Counter
-	crossTime *trace.Timing
+	crossTime *trace.Histogram
 	// crossAborts counts cross-shard commits that aborted cleanly before
 	// the intent became durable; crossIndet counts the ones that returned
 	// an indeterminate error with the intent left for the sweeper.
@@ -139,7 +139,7 @@ func (r *Router) SetTracer(tr *trace.Tracer) {
 	r.obs = routerObs{
 		local:             reg.Counter("shard.txn.local"),
 		cross:             reg.Counter("shard.txn.cross"),
-		crossTime:         reg.Timing("shard.txn.cross_commit"),
+		crossTime:         reg.Histogram("shard.txn.cross_commit"),
 		crossAborts:       reg.Counter("shard.txn.cross_aborts"),
 		crossIndet:        reg.Counter("shard.txn.cross_indeterminate"),
 		intentsResolved:   reg.Counter("shard.intents.resolved"),

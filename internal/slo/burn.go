@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// objective is one evaluatable SLO: it knows which sketch to read and what
-// fraction of a window's completions violated it.
+// objective is one evaluatable SLO: it knows which op class to read and
+// what fraction of a window's completions violated it.
 type objective struct {
 	name   string
-	op     string // sketch key; "*" = the aggregate sketch
+	op     string // op class; "*" = every class merged
 	budget float64
 	// bad returns how many completions in the summary violated the
 	// objective (errors for availability, over-target for latency).
@@ -73,22 +73,16 @@ func (o objective) burnRate(m Summary) float64 {
 	return float64(o.bad(m)) / float64(m.Count) / o.budget
 }
 
-// evaluate runs one tick: sketchFor resolves an op class to its sketch
-// (nil when the class has no traffic yet). Returned events are appended in
-// (objective, pair) declaration order, which is fixed, so logs are
-// deterministic.
-func (a *alerter) evaluate(now time.Duration, sketchFor func(op string) *Sketch) []Event {
+// evaluate runs one tick: window summarizes an op class over a trailing
+// window (empty when the class has no traffic yet). Returned events are
+// appended in (objective, pair) declaration order, which is fixed, so logs
+// are deterministic.
+func (a *alerter) evaluate(now time.Duration, window func(op string, now, w time.Duration) Summary) []Event {
 	var events []Event
 	for i, o := range a.objectives {
-		sk := sketchFor(o.op)
 		for j, p := range a.pairs {
 			st := &a.states[i*len(a.pairs)+j]
-			var short, long Summary
-			if sk != nil {
-				short = sk.Window(now, p.Short)
-				long = sk.Window(now, p.Long)
-			}
-			bs, bl := o.burnRate(short), o.burnRate(long)
+			bs, bl := o.burnRate(window(o.op, now, p.Short)), o.burnRate(window(o.op, now, p.Long))
 			switch {
 			case !st.firing && bs >= p.Rate && bl >= p.Rate:
 				st.firing = true

@@ -23,13 +23,13 @@ func TestAlerterFiresOnSustainedBurn(t *testing.T) {
 	spec := burnSpec()
 	a := newAlerter(spec)
 	sk := NewSketch(spec.Window, spec.Slots)
-	sketchFor := func(op string) *Sketch { return sk }
+	window := func(_ string, now, w time.Duration) Summary { return sk.Window(now, w) }
 
 	// 10s of healthy traffic: no events.
 	for ms := 0; ms <= 10_000; ms += 10 {
 		sk.Observe(time.Duration(ms)*time.Millisecond, time.Millisecond, false)
 	}
-	if ev := a.evaluate(10*time.Second, sketchFor); len(ev) != 0 {
+	if ev := a.evaluate(10*time.Second, window); len(ev) != 0 {
 		t.Fatalf("healthy traffic raised events: %v", ev)
 	}
 
@@ -37,7 +37,7 @@ func TestAlerterFiresOnSustainedBurn(t *testing.T) {
 	for ms := 10_000; ms <= 15_000; ms += 10 {
 		sk.Observe(time.Duration(ms)*time.Millisecond, time.Millisecond, ms%50 == 0)
 	}
-	ev := a.evaluate(15*time.Second, sketchFor)
+	ev := a.evaluate(15*time.Second, window)
 	if len(ev) != 1 || ev[0].Kind != EventAlertFire || !ev[0].Degrading {
 		t.Fatalf("want one firing event, got %v", ev)
 	}
@@ -48,7 +48,7 @@ func TestAlerterFiresOnSustainedBurn(t *testing.T) {
 		t.Fatalf("firing = %d", a.Firing())
 	}
 	// Still burning: no duplicate event.
-	if ev := a.evaluate(15250*time.Millisecond, sketchFor); len(ev) != 0 {
+	if ev := a.evaluate(15250*time.Millisecond, window); len(ev) != 0 {
 		t.Fatalf("duplicate event while firing: %v", ev)
 	}
 
@@ -56,7 +56,7 @@ func TestAlerterFiresOnSustainedBurn(t *testing.T) {
 	for ms := 15_010; ms <= 25_000; ms += 10 {
 		sk.Observe(time.Duration(ms)*time.Millisecond, time.Millisecond, false)
 	}
-	ev = a.evaluate(25*time.Second, sketchFor)
+	ev = a.evaluate(25*time.Second, window)
 	if len(ev) != 1 || ev[0].Kind != EventAlertResolve {
 		t.Fatalf("want one resolve event, got %v", ev)
 	}
@@ -72,7 +72,7 @@ func TestAlerterNeedsBothWindows(t *testing.T) {
 	spec := burnSpec()
 	a := newAlerter(spec)
 	sk := NewSketch(spec.Window, spec.Slots)
-	sketchFor := func(op string) *Sketch { return sk }
+	window := func(_ string, now, w time.Duration) Summary { return sk.Window(now, w) }
 
 	// 9.7s of healthy traffic then two errors: the 1s window burns at ~20x
 	// (over the 10x threshold) but the 4s window sits near 5x, so the pair
@@ -82,7 +82,7 @@ func TestAlerterNeedsBothWindows(t *testing.T) {
 	}
 	sk.Observe(9700*time.Millisecond, time.Millisecond, true)
 	sk.Observe(9700*time.Millisecond, time.Millisecond, true)
-	if ev := a.evaluate(9700*time.Millisecond, sketchFor); len(ev) != 0 {
+	if ev := a.evaluate(9700*time.Millisecond, window); len(ev) != 0 {
 		t.Fatalf("short blip paged: %v", ev)
 	}
 }
@@ -91,11 +91,12 @@ func TestAlerterEmptySketchBurnsNothing(t *testing.T) {
 	spec := burnSpec()
 	a := newAlerter(spec)
 	sk := NewSketch(spec.Window, spec.Slots)
-	if ev := a.evaluate(time.Second, func(string) *Sketch { return sk }); len(ev) != 0 {
+	if ev := a.evaluate(time.Second, func(_ string, now, w time.Duration) Summary { return sk.Window(now, w) }); len(ev) != 0 {
 		t.Fatalf("empty sketch raised events: %v", ev)
 	}
 	// A missing sketch (op class never seen) is also quiet.
-	if ev := a.evaluate(2*time.Second, func(string) *Sketch { return nil }); len(ev) != 0 {
+	var missing *Sketch
+	if ev := a.evaluate(2*time.Second, func(_ string, now, w time.Duration) Summary { return missing.Window(now, w) }); len(ev) != 0 {
 		t.Fatalf("nil sketch raised events: %v", ev)
 	}
 }

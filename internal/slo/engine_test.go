@@ -5,15 +5,13 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"hopsfscl/internal/trace"
 )
 
 // driveEngine feeds a seeded synthetic workload with a mid-run error storm
 // and latency regression into an engine, ticking every 250ms for 20s, and
 // returns the rendered event log.
 func driveEngine(seed int64) string {
-	eng := NewEngine(Spec{}, nil)
+	eng := NewEngine(Spec{})
 	live := 6
 	eng.RegisterComponent("ndb", func(time.Duration) ComponentStats {
 		return ComponentStats{Live: live, Expected: 6, Quorum: 4}
@@ -67,26 +65,67 @@ func TestEngineDeterministicEventLog(t *testing.T) {
 	}
 }
 
-func TestEngineTickPublishesGauges(t *testing.T) {
-	reg := trace.NewRegistry()
-	eng := NewEngine(Spec{}, reg)
-	for ms := 0; ms <= 1_000; ms += 10 {
-		eng.ObserveOp("stat", time.Duration(ms)*time.Millisecond, 2*time.Millisecond, false)
+// TestEngineAllMergesClasses drives two op classes and one late
+// observation: the "*" view is exactly the merge of the per-class windows,
+// a late observation lands in its own class's newest slot, and a "*"
+// latency objective burns on both classes' traffic together.
+func TestEngineAllMergesClasses(t *testing.T) {
+	star := LatencyObjective{Op: "*", Quantile: 0.99, Target: 10 * time.Millisecond}
+	eng := NewEngine(Spec{
+		Window:  10 * time.Second,
+		Slots:   40, // 250ms slots
+		Latency: []LatencyObjective{star},
+		Burns:   []BurnPair{{Name: "fast", Short: time.Second, Long: 4 * time.Second, Rate: 10, Severity: SevPage}},
+	})
+	var events []Event
+	for ms := 0; ms <= 4_000; ms += 10 {
+		now := time.Duration(ms) * time.Millisecond
+		eng.ObserveOp("stat", now, time.Millisecond, false)
+		if ms <= 3_000 {
+			eng.ObserveOp("create", now, 50*time.Millisecond, ms == 2_000)
+		}
+		if ms%250 == 0 {
+			events = append(events, eng.Tick(now)...)
+		}
 	}
-	eng.Tick(time.Second)
-	snap := reg.Snapshot()
-	p99, ok := trace.Lookup(snap, "slo.op.stat.p99_ms")
-	if !ok || p99 <= 0 {
-		t.Fatalf("p99 gauge = %v (ok=%v)", p99, ok)
+	// Half of all completions are slow: a burn of 0.5/0.01 = 50x, which
+	// neither class alone shows (stat 0x, create 100x).
+	if len(events) != 1 || events[0].Subject != star.Name()+" [fast]" ||
+		!strings.HasPrefix(events[0].Detail, "burn 50.0x/50.0x") {
+		t.Fatalf("want one %q fire at 50x, got %v", star.Name(), events)
 	}
-	rate, ok := trace.Lookup(snap, "slo.op.stat.rate")
-	if !ok || rate <= 0 {
-		t.Fatalf("rate gauge = %v (ok=%v)", rate, ok)
+
+	// create last completed at 3s; a late completion stamped 2s lands in
+	// create's newest slot, not in the newest slot of any other class.
+	end := 4 * time.Second
+	eng.ObserveOp("create", 2*time.Second, 50*time.Millisecond, false)
+	if m := eng.OpSummary("create", end, 1250*time.Millisecond); m.Count != 2 {
+		t.Fatalf("create over [3s, 4s] = %d completions, want 2 (3s and the late one)", m.Count)
+	}
+	if m := eng.OpSummary("*", end, 250*time.Millisecond); m.Count != 1 {
+		t.Fatalf("* over the newest slot = %d completions, want 1 (stat at 4s)", m.Count)
+	}
+
+	rep := eng.Report(end)
+	var merged Summary
+	for _, o := range rep.Ops {
+		merged.Window = o.Summary.Window
+		merged.Merge(o.Summary.Dist)
+		merged.Errors += o.Summary.Errors
+	}
+	if merged.Count != 401+301+1 || merged.Errors != 1 || merged.Max != 50*time.Millisecond {
+		t.Fatalf("merged per-op windows = %+v", merged)
+	}
+	if rep.All != merged {
+		t.Fatalf("Report.All = %+v, want the merge of the per-op windows %+v", rep.All, merged)
+	}
+	if all := eng.OpSummary("*", end, 0); all != merged {
+		t.Fatalf(`OpSummary("*") = %+v, want the merge of the per-op windows %+v`, all, merged)
 	}
 }
 
 func TestEngineReport(t *testing.T) {
-	eng := NewEngine(Spec{}, nil)
+	eng := NewEngine(Spec{})
 	eng.RegisterComponent("ndb", func(time.Duration) ComponentStats {
 		return ComponentStats{Live: 0, Expected: 6, Quorum: 4}
 	})

@@ -15,7 +15,7 @@ type Reason uint8
 
 const (
 	// ReasonBreach marks an op that finished over its latency objective's
-	// target (the op's own objective, falling back to the "*" aggregate).
+	// target (the op's own objective, falling back to the "*" one).
 	ReasonBreach Reason = 1 << iota
 	// ReasonBurn marks an op that completed while at least one burn-rate
 	// alert was firing.

@@ -18,7 +18,7 @@ func exemplarEngine() *Engine {
 			{Op: "stat", Quantile: 0.99, Target: 10 * time.Millisecond},
 			{Op: "*", Quantile: 0.99, Target: 80 * time.Millisecond},
 		},
-	}, nil)
+	})
 }
 
 func TestExemplarsPinBreaches(t *testing.T) {
@@ -103,7 +103,7 @@ func TestExemplarsBurnFiring(t *testing.T) {
 		Burns: []BurnPair{
 			{Name: "fast", Short: time.Second, Long: 4 * time.Second, Rate: 10, Severity: SevPage},
 		},
-	}, nil)
+	})
 	x := NewExemplars(eng, ExemplarConfig{})
 
 	// 5s of 20% failures lights the burn alert.

@@ -28,7 +28,7 @@ type Report struct {
 	Cluster Level
 	Levels  map[string]Level
 	// Ops are the closing per-op window summaries (sorted by op); All is
-	// the aggregate.
+	// their merge.
 	Ops []OpReport
 	All Summary
 }

@@ -13,69 +13,26 @@
 package slo
 
 import (
-	"math"
 	"sync"
 	"time"
+
+	"hopsfscl/internal/trace"
 )
-
-// Bucket layout of the latency sketches: numBuckets log-spaced bucket
-// boundaries starting at bucketBase with ratio bucketGrowth. The layout is
-// fixed (not configurable) so every sketch in a cluster quantizes latencies
-// identically and merged summaries stay exact.
-const (
-	numBuckets   = 64
-	bucketBase   = 20 * time.Microsecond
-	bucketGrowth = 1.3
-)
-
-// bucketBounds[i] is the inclusive upper latency bound of bucket i; the
-// last bucket is unbounded.
-var bucketBounds = func() [numBuckets]time.Duration {
-	var b [numBuckets]time.Duration
-	v := float64(bucketBase)
-	for i := 0; i < numBuckets; i++ {
-		b[i] = time.Duration(v)
-		v *= bucketGrowth
-	}
-	b[numBuckets-1] = math.MaxInt64
-	return b
-}()
-
-// bucketOf returns the index of the bucket containing d (binary search over
-// the fixed bounds).
-func bucketOf(d time.Duration) int {
-	lo, hi := 0, numBuckets-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d <= bucketBounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
 
 // slot is one fixed-width sub-window of a sketch.
 type slot struct {
-	index   int64 // absolute slot number (start = index * width); -1 = empty
-	counts  [numBuckets]uint32
-	total   int64
-	errors  int64
-	maxSeen time.Duration
-}
-
-func (s *slot) reset(index int64) {
-	*s = slot{index: index}
+	index  int64 // absolute slot number (start = index * width); -1 = empty
+	hist   trace.Dist
+	errors int64
 }
 
 // Sketch is a sliding-window latency sketch: a ring of fixed-width
-// sub-window slots, each holding a bucketed latency histogram plus
-// operation and error counts. Observations are keyed to virtual time, so
+// sub-window slots, each holding a bucketed latency histogram (trace.Dist)
+// plus an error count. Observations are keyed to virtual time, so
 // advancing the window is driven entirely by the caller's clock — the
 // sketch is deterministic and allocation-free after construction.
 //
-// Memory is bounded by slots*numBuckets regardless of traffic. Queries
+// Memory is bounded by the slot count regardless of traffic. Queries
 // merge the slots covering the requested trailing window; the resolution
 // of any windowed answer is one slot width.
 type Sketch struct {
@@ -120,7 +77,7 @@ func (s *Sketch) roll(now time.Duration) *slot {
 	}
 	sl := &s.slots[idx%int64(len(s.slots))]
 	if sl.index != idx {
-		sl.reset(idx)
+		*sl = slot{index: idx}
 	}
 	s.last = idx
 	return sl
@@ -132,33 +89,24 @@ func (s *Sketch) Observe(now, latency time.Duration, failed bool) {
 	if s == nil {
 		return
 	}
-	if latency < 0 {
-		latency = 0
-	}
 	s.mu.Lock()
 	sl := s.roll(now)
-	sl.counts[bucketOf(latency)]++
-	sl.total++
-	if latency > sl.maxSeen {
-		sl.maxSeen = latency
-	}
+	sl.hist.Add(latency)
 	if failed {
 		sl.errors++
 	}
 	s.mu.Unlock()
 }
 
-// Summary is the merged view of a sketch over one trailing window.
+// Summary is the merged view of a sketch over one trailing window: the
+// window's latency histogram (Count, Max, Percentile, OverCount) plus its
+// failures.
 type Summary struct {
 	// Window is the queried window length (clamped to the sketch span).
 	Window time.Duration
-	// Count and Errors are completions and failures inside the window.
-	Count  int64
+	trace.Dist
+	// Errors counts the failed completions inside the window.
 	Errors int64
-	// Max is the slowest latency inside the window.
-	Max time.Duration
-
-	counts [numBuckets]uint32
 }
 
 // Rate returns completions per second over the window.
@@ -176,47 +124,6 @@ func (m Summary) ErrorFraction() float64 {
 		return 0
 	}
 	return float64(m.Errors) / float64(m.Count)
-}
-
-// Percentile returns the latency at quantile q (0 < q <= 1) by
-// ceiling-nearest-rank over the merged buckets: the upper bound of the
-// bucket containing the rank, clamped to the window maximum so a
-// low-resolution tail bucket cannot overstate an observed latency. Empty
-// windows return 0.
-func (m Summary) Percentile(q float64) time.Duration {
-	if m.Count == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(m.Count)))
-	var seen int64
-	for i := 0; i < numBuckets; i++ {
-		seen += int64(m.counts[i])
-		if seen >= rank {
-			bound := bucketBounds[i]
-			if bound > m.Max {
-				bound = m.Max
-			}
-			return bound
-		}
-	}
-	return m.Max
-}
-
-// OverCount returns how many completions in the window were slower than the
-// target, counting whole buckets: a bucket counts as over once its upper
-// bound exceeds the target, so the answer errs toward detection by at most
-// one bucket ratio (30%).
-func (m Summary) OverCount(target time.Duration) int64 {
-	var over int64
-	for i := 0; i < numBuckets; i++ {
-		if bucketBounds[i] > target {
-			over += int64(m.counts[i])
-		}
-	}
-	return over
 }
 
 // Window merges the slots covering the trailing window [now-window, now]
@@ -245,14 +152,8 @@ func (s *Sketch) Window(now, window time.Duration) Summary {
 		if sl.index < 0 || sl.index > cur || sl.index <= lo {
 			continue
 		}
-		out.Count += sl.total
+		out.Merge(sl.hist)
 		out.Errors += sl.errors
-		if sl.maxSeen > out.Max {
-			out.Max = sl.maxSeen
-		}
-		for b := 0; b < numBuckets; b++ {
-			out.counts[b] += sl.counts[b]
-		}
 	}
 	return out
 }

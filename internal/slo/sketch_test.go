@@ -5,23 +5,6 @@ import (
 	"time"
 )
 
-func TestBucketBoundsMonotone(t *testing.T) {
-	for i := 1; i < numBuckets; i++ {
-		if bucketBounds[i] <= bucketBounds[i-1] {
-			t.Fatalf("bucket bounds not increasing at %d: %v <= %v", i, bucketBounds[i], bucketBounds[i-1])
-		}
-	}
-	for _, d := range []time.Duration{0, time.Microsecond, 20 * time.Microsecond, time.Millisecond, time.Second, time.Hour} {
-		b := bucketOf(d)
-		if d > bucketBounds[b] {
-			t.Fatalf("bucketOf(%v) = %d but bound %v < value", d, b, bucketBounds[b])
-		}
-		if b > 0 && d <= bucketBounds[b-1] {
-			t.Fatalf("bucketOf(%v) = %d but previous bound %v already covers it", d, b, bucketBounds[b-1])
-		}
-	}
-}
-
 func TestSketchEmptyWindow(t *testing.T) {
 	s := NewSketch(2*time.Second, 20)
 	m := s.Window(10*time.Second, 0)

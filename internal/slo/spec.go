@@ -10,7 +10,7 @@ import (
 // budget is the remaining 1% — completions slower than Target consume it.
 type LatencyObjective struct {
 	// Op is the operation class ("stat", "create", ...); "*" covers every
-	// class through the aggregate sketch.
+	// class, merging their windows.
 	Op string
 	// Quantile is the objective quantile in (0,1), e.g. 0.99.
 	Quantile float64

@@ -9,9 +9,10 @@
 //
 // Two tiers of cost:
 //
-//   - The Registry (named counters, gauges and timings) is always on. Hot
-//     paths hold pre-registered handles, so recording is an atomic add or an
-//     uncontended mutex — cheap enough to leave enabled during benchmarks.
+//   - The Registry (named counters, gauges and duration histograms) is
+//     always on. Hot paths hold pre-registered handles, so recording is an
+//     atomic add or an uncontended mutex — cheap enough to leave enabled
+//     during benchmarks.
 //   - The Sink (full span trees with children and attributes) is opt-in via
 //     Tracer.EnableSink. With the sink disabled, child spans and attributes
 //     are never allocated; only root-span aggregates reach the registry.
@@ -23,7 +24,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kind classifies a snapshot sample for windowed differencing.
@@ -84,28 +84,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Timing aggregates durations: observation count, sum, and running max.
-type Timing struct {
-	mu    sync.Mutex
-	count int64
-	sum   time.Duration
-	max   time.Duration
-}
-
-// Observe records one duration.
-func (t *Timing) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.count++
-	t.sum += d
-	if d > t.max {
-		t.max = d
-	}
-	t.mu.Unlock()
-}
-
 // Name renders a hierarchical metric name with labels baked in:
 // Name("net.bytes", "class", "cross_az") == "net.bytes{class=cross_az}".
 // Labels are alternating key/value pairs, sorted by key so the same label
@@ -147,7 +125,7 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timings  map[string]*Timing
+	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -155,7 +133,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		timings:  make(map[string]*Timing),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -194,25 +172,25 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	return g
 }
 
-// Timing returns (registering on first use) the timing with the given name
-// and labels.
-func (r *Registry) Timing(name string, labels ...string) *Timing {
+// Histogram returns (registering on first use) the duration histogram with
+// the given name and labels.
+func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
 	full := Name(name, labels...)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.timings[full]
+	h, ok := r.hists[full]
 	if !ok {
-		t = &Timing{}
-		r.timings[full] = t
+		h = &Histogram{}
+		r.hists[full] = h
 	}
-	return t
+	return h
 }
 
-// Snapshot returns every metric as a flat, name-sorted sample list. Timings
-// expand to three samples: <name>.count, <name>.sum_ns and <name>.max_ns.
+// Snapshot returns every metric as a flat, name-sorted sample list.
+// Histograms expand to three samples: <name>.count, <name>.sum_ns and <name>.max_ns.
 // The output is deterministic for identical registry contents.
 func (r *Registry) Snapshot() []Sample {
 	if r == nil {
@@ -220,17 +198,17 @@ func (r *Registry) Snapshot() []Sample {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+3*len(r.timings))
+	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+3*len(r.hists))
 	for name, c := range r.counters {
 		out = append(out, Sample{Name: name, Kind: KindCounter, Value: float64(c.Value())})
 	}
 	for name, g := range r.gauges {
 		out = append(out, Sample{Name: name, Kind: KindGauge, Value: g.Value()})
 	}
-	for name, t := range r.timings {
-		t.mu.Lock()
-		count, sum, max := t.count, t.sum, t.max
-		t.mu.Unlock()
+	for name, h := range r.hists {
+		h.mu.Lock()
+		count, sum, max := h.d.Count, h.d.Sum, h.d.Max
+		h.mu.Unlock()
 		out = append(out,
 			Sample{Name: name + ".count", Kind: KindCounter, Value: float64(count)},
 			Sample{Name: name + ".sum_ns", Kind: KindCounter, Value: float64(sum)},

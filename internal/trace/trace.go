@@ -219,7 +219,7 @@ func (s *Span) Finish(now time.Duration) {
 // opStats caches the registry handles for one operation type so finishing
 // a span does at most one map lookup, never a registration.
 type opStats struct {
-	lat      *Timing
+	lat      *Histogram
 	errs     *Counter
 	hopBytes [NumHopClasses]*Counter
 }
@@ -379,7 +379,7 @@ func (t *Tracer) opStats(name string) *opStats {
 	st, ok := t.ops[name]
 	if !ok {
 		st = &opStats{
-			lat:  t.reg.Timing("op." + name + ".latency"),
+			lat:  t.reg.Histogram("op." + name + ".latency"),
 			errs: t.reg.Counter("op." + name + ".errors"),
 		}
 		for c := HopClass(0); c < NumHopClasses; c++ {

@@ -34,8 +34,8 @@ func TestRegistryHandlesAreIdempotent(t *testing.T) {
 	if c1.Value() != 7 {
 		t.Fatalf("counter = %d", c1.Value())
 	}
-	if r.Timing("t") != r.Timing("t") {
-		t.Fatal("same name returned distinct timings")
+	if r.Histogram("t") != r.Histogram("t") {
+		t.Fatal("same name returned distinct histograms")
 	}
 }
 
@@ -43,7 +43,7 @@ func TestSnapshotDiffLookup(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ops").Add(10)
 	r.Gauge("depth").Set(3)
-	tm := r.Timing("lat")
+	tm := r.Histogram("lat")
 	tm.Observe(2 * time.Millisecond)
 	tm.Observe(4 * time.Millisecond)
 
@@ -89,11 +89,11 @@ func TestNilSafety(t *testing.T) {
 	_ = c.Value()
 	var g *Gauge
 	g.Set(1)
-	var tm *Timing
-	tm.Observe(time.Second)
+	var h *Histogram
+	h.Observe(time.Second)
 	var r *Registry
 	r.Counter("x").Add(1)
-	r.Timing("y").Observe(time.Second)
+	r.Histogram("y").Observe(time.Second)
 	var tr *Tracer
 	sp := tr.StartOp("stat", 0)
 	if sp != nil {
