@@ -13,8 +13,9 @@
 //	    Trace Event JSON for chrome://tracing and Perfetto (chrome).
 //
 //	hopstrace timeline [replay flags] [-interval D]
-//	    Same replay, sampled by the flight recorder: a CSV time series of
-//	    per-AZ link traffic, lock waits and op rates over virtual time.
+//	    Same replay, sampling the metrics registry every -interval of
+//	    virtual time: a CSV time series of per-AZ link traffic, lock waits
+//	    and op rates, one row per sample.
 //
 //	hopstrace hotspots [replay flags] [-exemplars]
 //	    Same replay with the namespace heat sketches attached: decayed
@@ -45,10 +46,14 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -74,7 +79,7 @@ func main() {
 // the dispatch table below.
 var subcommands = []struct{ name, brief string }{
 	{"profile", "replay with detailed spans and report critical-path attribution"},
-	{"timeline", "replay under the flight recorder and emit a metrics CSV time series"},
+	{"timeline", "replay, sampling the metrics registry, and emit a CSV time series"},
 	{"hotspots", "replay with namespace heat sketches and report the hottest subtrees, tables, and partitions"},
 	{"slo", "run the detection campaign under the live SLO engine and render the alert timeline"},
 }
@@ -347,31 +352,82 @@ func runProfile(args []string, stdout io.Writer) error {
 	})
 }
 
+// timelineKeeps are the registry families a timeline samples: op rates,
+// transaction outcomes, per-AZ link traffic and lock contention.
+var timelineKeeps = []string{"op.", "txn.", "net.link.", "ndb.contention."}
+
+// frame is one timeline row: the kept registry samples, name-sorted, at one
+// virtual instant.
+type frame struct {
+	at      time.Duration
+	samples []trace.Sample
+}
+
 func runTimeline(args []string, stdout io.Writer) error {
 	fs := newReplayFlags("timeline")
-	interval := fs.Duration("interval", 20*time.Millisecond, "flight-recorder sampling interval (virtual time)")
+	interval := fs.Duration("interval", 20*time.Millisecond, "sampling interval (virtual time)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *interval <= 0 {
 		return fmt.Errorf("-interval %v: want a positive sampling interval", *interval)
 	}
-	var fr *trace.FlightRecorder
+	var frames []frame
 	err := fs.replay(stdout, func(d *core.Deployment, _ int) {
-		fr = d.EnableFlightRecorder(*interval, 0, "op.", "txn.", "net.link.", "ndb.contention.")
+		d.Every("timeline", *interval, func(now time.Duration) {
+			samples := slices.DeleteFunc(d.Registry.Snapshot(), func(s trace.Sample) bool {
+				return !slices.ContainsFunc(timelineKeeps, func(p string) bool { return strings.HasPrefix(s.Name, p) })
+			})
+			frames = append(frames, frame{at: now, samples: samples})
+		})
 	}, func(w io.Writer, _ replayed) error {
-		return fr.WriteCSV(w)
+		return writeTimelineCSV(w, frames)
 	})
 	if err != nil {
 		return err
 	}
-	if fr.Dropped() > 0 {
-		fmt.Fprintf(os.Stderr, "warning: flight recorder dropped %d frames; timeline is truncated (raise -interval)\n", fr.Dropped())
-	}
 	if *fs.out != "" {
-		fmt.Fprintf(stdout, "wrote %d frames to %s\n", len(fr.Frames()), *fs.out)
+		fmt.Fprintf(stdout, "wrote %d frames to %s\n", len(frames), *fs.out)
 	}
 	return nil
+}
+
+// writeTimelineCSV renders frames as a CSV time series: one row per frame,
+// one column per sample name (the sorted union over all frames). Counters
+// print as per-frame deltas, gauges and maxima as their values, and a
+// column reads 0 in the frames before its first sample.
+func writeTimelineCSV(w io.Writer, frames []frame) error {
+	kinds := make(map[string]trace.Kind)
+	for _, fr := range frames {
+		for _, s := range fr.samples {
+			kinds[s.Name] = s.Kind
+		}
+	}
+	names := slices.Sorted(maps.Keys(kinds))
+	cw := csv.NewWriter(w)
+	cw.Write(append([]string{"t_ms"}, names...))
+	row := make([]string, 1+len(names))
+	var prev []trace.Sample
+	for _, fr := range frames {
+		vals := make(map[string]float64, len(fr.samples))
+		for _, s := range trace.Diff(prev, fr.samples) {
+			vals[s.Name] = s.Value
+		}
+		prev = fr.samples
+		row[0] = csvFloat(float64(fr.at) / 1e6)
+		for i, name := range names {
+			row[1+i] = csvFloat(vals[name])
+		}
+		cw.Write(row)
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// csvFloat renders v with up to three decimals, trimming trailing zeros so
+// counters print as integers.
+func csvFloat(v float64) string {
+	return strings.TrimRight(strings.TrimRight(strconv.FormatFloat(v, 'f', 3, 64), "0"), ".")
 }
 
 func runHotspots(args []string, stdout io.Writer) error {
@@ -405,19 +461,15 @@ func runHotspots(args []string, stdout io.Writer) error {
 		// attribution table over the pinned span trees, then the slowest
 		// exemplar rendered as a flame-style tree.
 		var roots []*trace.Span
-		var slowest *slo.Exemplar
 		for _, c := range xrep.Classes {
 			for _, ex := range c.Exemplars {
 				roots = append(roots, ex.Root)
-				if slowest == nil || ex.Latency > slowest.Latency ||
-					(ex.Latency == slowest.Latency && ex.Root.ID < slowest.Root.ID) {
-					slowest = ex
-				}
 			}
 		}
 		if len(roots) == 0 {
 			return nil
 		}
+		slowest := xrep.Slowest()
 		fmt.Fprintf(w, "\ncritical-path attribution over the %d pinned exemplars:\n%s", len(roots), profile.Analyze(roots).Table())
 		fmt.Fprintf(w, "\nslowest exemplar (op %s, %v, reason %s):\n%s\n",
 			slowest.Op, slowest.Latency, slowest.Reason, slowest.Root.Render())

@@ -10,9 +10,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"hopsfscl/internal/nsmodel"
 	"hopsfscl/internal/sim"
+	"hopsfscl/internal/trace"
 )
 
 // countFS counts the calls made on it, by op name; every call succeeds.
@@ -173,6 +175,11 @@ func TestTimelineCSV(t *testing.T) {
 	if rows[0][0] != "t_ms" || !strings.Contains(header, "net.link.bytes") {
 		t.Fatalf("timeline header = %q", header)
 	}
+	for _, name := range rows[0][1:] {
+		if !slices.ContainsFunc(timelineKeeps, func(p string) bool { return strings.HasPrefix(name, p) }) {
+			t.Errorf("column %q is outside the kept families %v", name, timelineKeeps)
+		}
+	}
 	for i, r := range rows[1:] {
 		if len(r) != len(rows[0]) {
 			t.Fatalf("row %d has %d fields, header has %d", i+1, len(r), len(rows[0]))
@@ -188,9 +195,9 @@ func TestTimelineCSV(t *testing.T) {
 	}
 }
 
-// TestTimelineRefusesNonPositiveInterval: the flight recorder would sample a
-// zero or negative -interval at its own default, so timeline refuses one,
-// naming the flag, before it replays anything or writes a CSV.
+// TestTimelineRefusesNonPositiveInterval: a ticker with a zero or negative
+// -interval would tick forever at one virtual instant, so timeline refuses
+// one, naming the flag, before it replays anything or writes a CSV.
 func TestTimelineRefusesNonPositiveInterval(t *testing.T) {
 	for _, interval := range []string{"-1ms", "0s"} {
 		csvPath := filepath.Join(t.TempDir(), "timeline.csv")
@@ -205,6 +212,83 @@ func TestTimelineRefusesNonPositiveInterval(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("-interval %s wrote %q", interval, out.String())
 		}
+	}
+}
+
+// TestTimelineKeepsEveryFrame samples a run past 1,024 frames: every tick
+// of the -interval ticker is a row, the first one interval in, and nothing
+// is written to stderr.
+func TestTimelineKeepsEveryFrame(t *testing.T) {
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	var out strings.Builder
+	err = run([]string{"timeline", "-ops", "1000", "-seed", "1", "-interval", "150us"}, &out)
+	os.Stderr = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(strings.NewReader(out.String())).ReadAll()
+	if err != nil {
+		t.Fatalf("timeline is not valid CSV: %v", err)
+	}
+	if len(rows) != 1+1333 {
+		t.Fatalf("timeline has %d rows, want the header and 1333 frames", len(rows))
+	}
+	if rows[1][0] != "0.15" {
+		t.Fatalf("first frame at t_ms %s, want 0.15", rows[1][0])
+	}
+	if logged, _ := os.ReadFile(stderr.Name()); len(logged) != 0 {
+		t.Fatalf("timeline wrote to stderr: %s", logged)
+	}
+}
+
+// TestWriteTimelineCSV: counters print as per-frame deltas (the first
+// frame's delta is the value), gauges and maxima as their values, a column
+// first seen in a later frame reads 0 before it, a name holding a comma or a
+// quote is quoted, a frame that kept no sample prints its instant alone, and
+// no frame at all leaves the header.
+func TestWriteTimelineCSV(t *testing.T) {
+	counter := func(name string, v float64) trace.Sample {
+		return trace.Sample{Name: name, Kind: trace.KindCounter, Value: v}
+	}
+	gauge := func(name string, v float64) trace.Sample {
+		return trace.Sample{Name: name, Kind: trace.KindGauge, Value: v}
+	}
+	peak := func(name string, v float64) trace.Sample {
+		return trace.Sample{Name: name, Kind: trace.KindMax, Value: v}
+	}
+	for _, tc := range []struct {
+		name   string
+		frames []frame
+		want   string
+	}{
+		{"deltas and values", []frame{
+			{at: 10 * time.Millisecond, samples: []trace.Sample{counter("op.stat.count", 3), peak("op.stat.max_ns", 7), gauge("op.stat.p99_ms", 0.25)}},
+			{at: 20 * time.Millisecond, samples: []trace.Sample{counter("net.link.bytes{from=a,to=b}", 4), gauge(`op."q"`, 1),
+				counter("op.stat.count", 8), peak("op.stat.max_ns", 7), gauge("op.stat.p99_ms", 2.5)}},
+		}, `t_ms,"net.link.bytes{from=a,to=b}","op.""q""",op.stat.count,op.stat.max_ns,op.stat.p99_ms
+10,0,0,3,7,0.25
+20,4,1,5,7,2.5
+`},
+		{"single frame", []frame{{at: 10 * time.Millisecond, samples: []trace.Sample{
+			counter("op.stat.count", 7), gauge("op.stat.idle", 0), gauge("op.stat.p99_ms", 2.5)}}},
+			"t_ms,op.stat.count,op.stat.idle,op.stat.p99_ms\n10,7,0,2.5\n"},
+		{"sample-free frames", []frame{{at: 10 * time.Millisecond}, {at: 20 * time.Millisecond}}, "t_ms\n10\n20\n"},
+		{"empty window", nil, "t_ms\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var b strings.Builder
+			if err := writeTimelineCSV(&b, tc.frames); err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != tc.want {
+				t.Fatalf("csv:\n%s\nwant:\n%s", b.String(), tc.want)
+			}
+		})
 	}
 }
 

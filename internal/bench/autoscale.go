@@ -12,7 +12,6 @@ import (
 	"hopsfscl/internal/metrics"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/slo"
-	"hopsfscl/internal/trace"
 	"hopsfscl/internal/workload"
 )
 
@@ -84,8 +83,8 @@ const (
 	elasticElectionRound = 100 * time.Millisecond
 	// controlTick is the monitor/controller evaluation interval.
 	controlTick = 25 * time.Millisecond
-	// flightEvery is the timeline's flight-recorder sampling interval.
-	flightEvery = 50 * time.Millisecond
+	// timelineEvery is the timeline's sampling interval.
+	timelineEvery = 50 * time.Millisecond
 )
 
 // elasticController tunes the autoscaler; its Min and Max also size the
@@ -151,8 +150,16 @@ type ElasticResult struct {
 	Checkpoints    int
 	Violations     []chaos.Violation
 	FailedQuiesces int
-	// Recorder holds the timeline frames, one per flightEvery.
-	Recorder *trace.FlightRecorder
+	// Timeline holds one frame per timelineEvery.
+	Timeline []ElasticFrame
+}
+
+// ElasticFrame is one timeline sample of an elastic run.
+type ElasticFrame struct {
+	At      time.Duration
+	Load    float64       // the profile's offered-load multiplier
+	Serving int           // serving metadata servers
+	P99     time.Duration // rolling aggregate p99 over the last 400 ms
 }
 
 // RunElastic runs one mode of the elastic experiment.
@@ -209,19 +216,14 @@ func RunElastic(mode ElasticMode, o ElasticOptions) (*ElasticResult, error) {
 		env.Spawn("paced-client", func(p *sim.Proc) { prof.Pace(p, start, gen, fs, pace) })
 	}
 
-	// Timeline capture: probes for the offered load, the serving-server
-	// count and the aggregate p99. No registry sample has the "slo." prefix,
-	// so a frame holds the probes alone.
 	var paused time.Duration
 	elapsed := func() time.Duration { return env.Now() - start - paused }
-	fr := d.EnableFlightRecorder(flightEvery, int(prof.Span()/flightEvery)+64, "slo.")
-	fr.AddProbe("load.multiplier", func() float64 { return prof.Multiplier(elapsed()) })
-	fr.AddProbe("autoscale.serving", func() float64 { return float64(d.ServingNNs()) })
-	fr.AddProbe("slo.agg.p99_ms", func() float64 {
-		sum := eng.OpSummary("*", env.Now(), 400*time.Millisecond)
-		return float64(sum.Percentile(0.99)) / float64(time.Millisecond)
+	d.Every("timeline", timelineEvery, func(now time.Duration) {
+		res.Timeline = append(res.Timeline, ElasticFrame{
+			At: now, Load: prof.Multiplier(elapsed()), Serving: d.ServingNNs(),
+			P99: eng.OpSummary("*", now, 400*time.Millisecond).Percentile(0.99),
+		})
 	})
-	res.Recorder = fr
 
 	// Per-NN CPU windows for the controller's utilization signal (the SLO
 	// engine's HealthStats probe keeps its own window; sharing it would make
@@ -403,10 +405,10 @@ func Autoscale(o ExpOptions) (string, []Claim, error) {
 	return b.String(), claims, nil
 }
 
-// renderElasticTimeline samples the flight recorder at half-day boundaries:
+// renderElasticTimeline samples the timeline at half-day boundaries:
 // offered load vs serving servers vs rolling p99.
 func renderElasticTimeline(r *ElasticResult, eo ElasticOptions) string {
-	frames := r.Recorder.Frames()
+	frames := r.Timeline
 	if len(frames) == 0 {
 		return "(no frames)\n"
 	}
@@ -418,14 +420,11 @@ func renderElasticTimeline(r *ElasticResult, eo ElasticOptions) string {
 			continue
 		}
 		next = fr.At + step
-		mult, _ := trace.Lookup(fr.Samples, "load.multiplier")
-		serving, _ := trace.Lookup(fr.Samples, "autoscale.serving")
-		p99, _ := trace.Lookup(fr.Samples, "slo.agg.p99_ms")
 		day := float64(fr.At-frames[0].At) / float64(eo.Profile.Day)
 		tbl.AddRow(fmt.Sprintf("%.1f", day),
-			fmt.Sprintf("%.2f", mult),
-			fmt.Sprintf("%.0f", serving),
-			fmt.Sprintf("%.1fms", p99))
+			fmt.Sprintf("%.2f", fr.Load),
+			fmt.Sprintf("%d", fr.Serving),
+			fmt.Sprintf("%.1fms", float64(fr.P99)/float64(time.Millisecond)))
 	}
 	return tbl.Markdown()
 }

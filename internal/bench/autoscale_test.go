@@ -46,7 +46,7 @@ func TestElasticSmoke(t *testing.T) {
 	if r.MaxServing > 6 || r.MinServing < 2 {
 		t.Errorf("serving range %d..%d escaped the 2..6 bounds", r.MinServing, r.MaxServing)
 	}
-	if len(r.Recorder.Frames()) == 0 {
+	if len(r.Timeline) == 0 {
 		t.Error("the timeline captured no frames")
 	}
 }

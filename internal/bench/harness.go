@@ -149,10 +149,6 @@ type Result struct {
 	// operations (runs with a span sink only: RunConfig.Profile or
 	// Exemplars).
 	Profile *profile.Report
-	// Contention is every NDB cluster's lock-contention ledger in shard
-	// order, reset at window start (runs with a span sink only; nil for
-	// CephFS setups). core.Deployment.ContentionReport renders them.
-	Contention []*ndb.ContentionLedger
 	// SinkDropped counts spans evicted from the span ring; nonzero means
 	// Profile covers a suffix of the window.
 	SinkDropped int64
@@ -257,11 +253,6 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 		d.EnableExemplars(*cfg.Exemplars)
 	}
 	sink := d.Tracer.Sink()
-	if sink != nil {
-		for _, l := range d.Contention() {
-			l.Reset()
-		}
-	}
 
 	measuring = true
 	env.RunFor(cfg.Window)
@@ -311,7 +302,6 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 	if sink != nil {
 		res.Profile = profile.Analyze(sink.Spans())
 		res.SinkDropped = sink.Dropped()
-		res.Contention = d.Contention()
 	}
 	res.SLOReport = d.SLO.Report(now)
 	res.Heat = d.Heat.Snapshot(now)

@@ -314,8 +314,8 @@ func TestSeedVarianceIsModest(t *testing.T) {
 // TestShardedRunReadsEveryCluster checks the per-cluster reads of a sharded
 // measurement: the per-thread-type utilizations average to the all-cluster
 // storage utilization (which they can only do if they cover the same
-// datanodes), and the contention ledgers and their report cover both
-// clusters.
+// datanodes), and the deployment's contention ledgers and their report
+// cover both clusters.
 func TestShardedRunReadsEveryCluster(t *testing.T) {
 	setup, _ := core.SetupByName("HopsFS-CL (3,3)")
 	opts := core.DefaultOptions(setup)
@@ -339,8 +339,8 @@ func TestShardedRunReadsEveryCluster(t *testing.T) {
 		t.Fatalf("mean of the %d per-thread utilizations = %.9f, all-cluster storage utilization = %.9f: ThreadCPU does not span both clusters",
 			len(res.ThreadCPU), mean, res.StorageCPU)
 	}
-	if len(res.Contention) != 2 {
-		t.Fatalf("result carries %d contention ledgers, want one per cluster", len(res.Contention))
+	if n := len(d.Contention()); n != 2 {
+		t.Fatalf("the deployment has %d contention ledgers, want one per cluster", n)
 	}
 	rep := d.ContentionReport(5)
 	for s := 0; s < 2; s++ {

@@ -94,7 +94,7 @@ func Hotspot(o ExpOptions) (string, []Claim, error) {
 	// through the critical-path profiler.
 	b.WriteByte('\n')
 	b.WriteString(fence(res.Exemplars.Render()))
-	if ex := slowestExemplar(res.Exemplars); ex != nil {
+	if ex := res.Exemplars.Slowest(); ex != nil {
 		fmt.Fprintf(&b, "\nwhere the time went in the slowest exemplar (op %s, %v, span %d):\n\n",
 			ex.Op, ex.Latency, ex.Root.ID)
 		b.WriteString(fence(profile.Analyze([]*trace.Span{ex.Root}).Table()))
@@ -175,21 +175,4 @@ func breachCoverage(res *Result) (table string, breaching, covered int) {
 		tbl.AddRow(opr.Op, p99.String(), target.String(), fmt.Sprintf("%d", pinned))
 	}
 	return tbl.Markdown(), breaching, covered
-}
-
-// slowestExemplar returns the highest-latency pinned exemplar.
-func slowestExemplar(rep *slo.ExemplarReport) *slo.Exemplar {
-	if rep == nil {
-		return nil
-	}
-	var best *slo.Exemplar
-	for _, c := range rep.Classes {
-		for _, ex := range c.Exemplars {
-			if best == nil || ex.Latency > best.Latency ||
-				(ex.Latency == best.Latency && ex.Root.ID < best.Root.ID) {
-				best = ex
-			}
-		}
-	}
-	return best
 }

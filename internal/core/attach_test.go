@@ -120,16 +120,21 @@ func TestHeatAndSLOAttachInEitherOrder(t *testing.T) {
 }
 
 // TestStopBackgroundQuiescesEveryTicker attaches every consumer — the
-// clocked ones are the flight recorder and the SLO engine (twice over: the
+// clocked ones are a bare Every ticker and the SLO engine (twice over: the
 // exemplars' default engine and an explicit one) — and checks that one
-// StopBackground lets Env.Run return.
+// StopBackground lets Env.Run return, after which the ticker stays silent.
 func TestStopBackgroundQuiescesEveryTicker(t *testing.T) {
+	ticks := 0
 	d := attachAndDrive(t, func(d *Deployment) {
-		d.EnableFlightRecorder(10*time.Millisecond, 0)
+		d.Every("ticker", 10*time.Millisecond, func(time.Duration) { ticks++ })
 		d.EnableHeat()
 		d.EnableExemplars(slo.ExemplarConfig{})
 		d.EnableSLO(tightSpec())
 	})
+	if ticks == 0 {
+		t.Fatal("the Every ticker never ticked")
+	}
+	before := ticks
 	d.StopBackground()
 	done := make(chan struct{})
 	go func() {
@@ -140,5 +145,8 @@ func TestStopBackgroundQuiescesEveryTicker(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("Env.Run did not quiesce after StopBackground")
+	}
+	if ticks != before {
+		t.Fatalf("the Every ticker ticked %d more times after StopBackground", ticks-before)
 	}
 }

@@ -184,7 +184,7 @@ type Deployment struct {
 	Exemplars *slo.Exemplars
 
 	hostSeq int
-	// stopped asks every ticker started by every to exit at its next tick
+	// stopped asks every ticker started by Every to exit at its next tick
 	// (see StopBackground).
 	stopped bool
 }
@@ -401,11 +401,12 @@ func (d *Deployment) EnableTracing(capacity int) *trace.Sink {
 	return d.Tracer.EnableSink(capacity)
 }
 
-// every runs fn every period of virtual time on a background process
-// until StopBackground. Every Enable* consumer that needs a clock ticks
-// through it, so one flag stops them all; callers must StopBackground
-// before expecting Env.Run to quiesce.
-func (d *Deployment) every(name string, period time.Duration, fn func(now time.Duration)) {
+// Every runs fn every period of virtual time on a background process
+// until StopBackground. It is the deployment's one periodic hook: the SLO
+// engine and every timeline sampler tick through it, so one flag stops
+// them all; callers must StopBackground before expecting Env.Run to
+// quiesce.
+func (d *Deployment) Every(name string, period time.Duration, fn func(now time.Duration)) {
 	d.Env.Spawn(name, func(p *sim.Proc) {
 		for !d.stopped {
 			p.Sleep(period)
@@ -415,20 +416,6 @@ func (d *Deployment) every(name string, period time.Duration, fn func(now time.D
 			fn(p.Now())
 		}
 	})
-}
-
-// EnableFlightRecorder samples the registry into a bounded ring every
-// interval of virtual time: the run's black box, answering "what did this
-// signal look like over time" (see trace.FlightRecorder). keep restricts
-// captured metric names by prefix; none keeps everything.
-func (d *Deployment) EnableFlightRecorder(interval time.Duration, capacity int, keep ...string) *trace.FlightRecorder {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	fr := trace.NewFlightRecorder(d.Registry, capacity)
-	fr.Keep(keep...)
-	d.every("flight-recorder", interval, fr.Record)
-	return fr
 }
 
 // EnableSLO starts the live SLO engine: every finishing root operation
@@ -481,7 +468,7 @@ func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
 			return slo.ComponentStats{Live: live, Expected: expected, Quorum: 1, Pressure: float64(under)}
 		})
 	}
-	d.every("slo-engine", eng.Spec().Tick, func(now time.Duration) { eng.Tick(now) })
+	d.Every("slo-engine", eng.Spec().Tick, func(now time.Duration) { eng.Tick(now) })
 	return eng
 }
 

@@ -249,7 +249,7 @@ func (ns *Namesystem) cacheSizeGauge(nn *NameNode) *trace.Gauge {
 // now: live and expected NN counts, plus the mean CPU thread-pool
 // utilization across live NNs since the previous call (each call advances
 // the measurement window). When instrumented it also refreshes the per-NN
-// namenode.util{nn=...} gauges, so the flight recorder and SLO engine see
+// namenode.util{nn=...} gauges, so a registry snapshot and the SLO engine see
 // the same number.
 func (ns *Namesystem) HealthStats(now time.Duration) (live, expected int, util float64) {
 	var sum float64

@@ -145,16 +145,6 @@ func (l *ContentionLedger) Entries() []ContentionEntry {
 	return out
 }
 
-// Reset clears the ledger — a measurement window restarting its view.
-func (l *ContentionLedger) Reset() {
-	if l == nil {
-		return
-	}
-	l.entries = make(map[contKey]*ContentionEntry)
-	l.droppedKeys = 0
-	l.events = 0
-}
-
 // TableContention is the per-table rollup of the ledger.
 type TableContention struct {
 	Table    string

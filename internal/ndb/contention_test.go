@@ -119,7 +119,6 @@ func TestContentionNilSafety(t *testing.T) {
 	if !strings.Contains(l.Render(5), "no lock contention") {
 		t.Fatal("nil ledger render")
 	}
-	l.Reset()
 }
 
 // TestUpgradeQueuesBehindWaiter: T1 holds a row shared, T2 queues for it

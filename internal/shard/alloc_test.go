@@ -11,10 +11,10 @@ import (
 
 // TestRoutedBatchAllocs pins that routing a read batch across shards
 // allocates nothing of its own: on a two-shard router whose transaction has
-// both sub-transactions open, a batch that interleaves rows of both shards is
-// gathered into the routed transaction's buffers, run as one sub-batch per
-// shard, and scattered back into the transaction's result slots. Excluded
-// under -race, whose instrumentation allocates.
+// both sub-transactions open, a batch that interleaves rows of both shards
+// runs as one sub-batch per run of same-shard rows, each a window of the
+// caller's slice, and its results are copied into the transaction's result
+// slots. Excluded under -race, whose instrumentation allocates.
 func TestRoutedBatchAllocs(t *testing.T) {
 	env, r, client := testRouter(t, 2)
 	for _, c := range r.Clusters() {

@@ -448,13 +448,14 @@ func TestSplitBatchShardFailure(t *testing.T) {
 }
 
 // TestSplitBatchScatter checks the split helper's bookkeeping on a healthy
-// router: results of a batch that interleaves two shards come back at their
-// request positions, and a write batch lands every row on its own shard.
+// router: results of a batch that interleaves two shards in runs of one and
+// two rows come back at their request positions, a write batch lands every
+// row on its own shard, and an empty batch reads nothing.
 func TestSplitBatchScatter(t *testing.T) {
 	env, r, client := testRouter(t, 2)
 	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
 	on0, on1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
-	pks := []string{on1, on0, on1, on0}
+	pks := []string{on1, on0, on0, on1, on0}
 	inTxn(t, env, r, client, ts, pks[0], func(p *sim.Proc, tx ndb.Tx) error {
 		items := make([]ndb.BatchWrite, len(pks))
 		for i, pk := range pks {
@@ -471,6 +472,9 @@ func TestSplitBatchScatter(t *testing.T) {
 		for i, pk := range pks {
 			gets[i] = ndb.BatchGet{Table: ts.For(pk), PartKey: pk, Key: fmt.Sprintf("k%d", i)}
 			scans[i] = ndb.BatchScan{Table: ts.For(pk), PartKey: pk, Prefix: fmt.Sprintf("k%d", i)}
+		}
+		if vals, err := tx.ReadBatch(nil); vals != nil || err != nil {
+			return fmt.Errorf("empty ReadBatch = %v, %v, want nothing", vals, err)
 		}
 		vals, err := tx.ReadBatch(gets)
 		if err != nil {
@@ -590,8 +594,10 @@ func (keepEdit) Edit(committed ndb.Value) (ndb.Value, error) { return committed,
 // insert of a held one — answers the source's ndb.ErrRowAbsent, the refusal
 // the metadata layer reports as ErrNotFound, at Shards 1, where one cluster's
 // batch answers its first failed row, and at Shards 2 with the destination
-// on shard 0: the routed batch visits the source's shard first, though it is
-// the higher.
+// on shard 0: the routed batch runs in request order, though the source's
+// shard is the higher. So does the same pair behind an insert of a fresh row
+// on the destination's shard, which a batch gathered per shard would have
+// run together with the destination, answering its ErrRowExists.
 func TestRoutedBatchReportsItsFirstRefusal(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
@@ -604,17 +610,20 @@ func TestRoutedBatchReportsItsFirstRefusal(t *testing.T) {
 				}
 				return tx.Commit()
 			})
-			inTxn(t, env, r, client, ts, srcPK, func(p *sim.Proc, tx ndb.Tx) error {
-				err := tx.WriteBatch([]ndb.BatchWrite{
-					{Table: ts.For(srcPK), PartKey: srcPK, Key: "src", Val: keepEdit{}, Del: true, Edit: true},
-					{Table: ts.For(dstPK), PartKey: dstPK, Key: "dst", Val: ident(1), IfAbsent: true},
+			rename := []ndb.BatchWrite{
+				{Table: ts.For(srcPK), PartKey: srcPK, Key: "src", Val: keepEdit{}, Del: true, Edit: true},
+				{Table: ts.For(dstPK), PartKey: dstPK, Key: "dst", Val: ident(1), IfAbsent: true},
+			}
+			fresh := ndb.BatchWrite{Table: ts.For(dstPK), PartKey: dstPK, Key: "fresh", Val: ident(3), IfAbsent: true}
+			for _, batch := range [][]ndb.BatchWrite{rename, append([]ndb.BatchWrite{fresh}, rename...)} {
+				inTxn(t, env, r, client, ts, srcPK, func(p *sim.Proc, tx ndb.Tx) error {
+					if err := tx.WriteBatch(batch); !errors.Is(err, ndb.ErrRowAbsent) {
+						return fmt.Errorf("%d-row rename batch: %v, want ErrRowAbsent", len(batch), err)
+					}
+					tx.Abort()
+					return nil
 				})
-				if !errors.Is(err, ndb.ErrRowAbsent) {
-					return fmt.Errorf("rename: %v, want ErrRowAbsent", err)
-				}
-				tx.Abort()
-				return nil
-			})
+			}
 		})
 	}
 }

@@ -14,8 +14,8 @@ import (
 // the method set of ndb.Tx that opens one ndb.Txn per shard the operation
 // actually touches and routes each batch (routeBatch) to the
 // sub-transactions of the clusters that own its rows' tables. It stores no
-// rows and converts nothing; it only gathers and scatters a batch that spans
-// shards. A one-cluster router never creates one (see Begin).
+// rows and converts nothing; it only splits a batch that spans shards. A
+// one-cluster router never creates one (see Begin).
 type Txn struct {
 	r      *Router
 	p      *sim.Proc
@@ -31,10 +31,9 @@ type Txn struct {
 	// shard has been touched; nil from the second open on.
 	only *ndb.Txn
 	done bool
-	// gets and vals are where routeBatch gathers a ReadBatch of up to eight
-	// rows that spans shards — a path resolution straddling the boundary —
-	// and scatters its results, so such a batch allocates nothing.
-	gets [8]ndb.BatchGet
+	// vals is where routeBatch copies the results of a ReadBatch of up to
+	// eight rows that spans shards — a path resolution straddling the
+	// boundary — so such a batch allocates nothing.
 	vals [8]ndb.BatchVal
 }
 
@@ -128,18 +127,15 @@ func byKey(a, b ndb.KV) int { return strings.Compare(a.Key, b.Key) }
 // routeBatch is the one batch dispatcher. A batch whose rows all live on one
 // shard — every batched write of a create, delete or same-directory rename —
 // is handed to that shard's sub-transaction as the caller's slice,
-// untouched. A batch that spans shards is split: shards are visited in the
-// order of their first row in the request, each one's rows are gathered in
-// request order into part and run as one sub-batch on its sub-transaction,
-// and the sub-batch's results are scattered back to the rows' request
-// positions in out. A failing shard ends the walk with its error before
-// anything of it is scattered, so a batch whose first row fails answers that
-// row's error, as one cluster's batch does (its first failed row decides). part
-// and out are empty buffers the gather and the results are carved from while
-// they have room: the result is valid until the transaction's next read. at
-// names a row's table and partition key; run returns one result per row it
-// was given.
-func routeBatch[T, R any](t *Txn, rows, part []T, out []R, at func(*T) (*ndb.Table, string),
+// untouched. A batch that spans shards runs as its runs of consecutive
+// same-shard rows, in request order: each run is a sub-batch of the caller's
+// slice on its shard's sub-transaction, and its results are copied into
+// place in out. A failing run ends the batch with its error, so the batch
+// answers its first failed row's error, as one cluster's batch does. out is
+// an empty buffer the results are carved from while it has room: the result
+// is valid until the transaction's next read. at names a row's table and
+// partition key; run returns one result per row it was given.
+func routeBatch[T, R any](t *Txn, rows []T, out []R, at func(*T) (*ndb.Table, string),
 	run func(*ndb.Txn, []T) ([]R, error)) ([]R, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -148,80 +144,56 @@ func routeBatch[T, R any](t *Txn, rows, part []T, out []R, at func(*T) (*ndb.Tab
 		table, _ := at(&rows[i])
 		return t.r.ShardOfTable(table)
 	}
-	first, spans := shardOf(0), false
-	for i := 1; i < len(rows) && !spans; i++ {
-		spans = shardOf(i) != first
-	}
-	if !spans {
-		sub, err := t.sub(at(&rows[0]))
+	for i := 0; i < len(rows); {
+		s, j := shardOf(i), i+1
+		for j < len(rows) && shardOf(j) == s {
+			j++
+		}
+		sub, err := t.sub(at(&rows[i]))
 		if err != nil {
 			return nil, err
 		}
-		return run(sub, rows)
-	}
-	out = slices.Grow(out, len(rows))[:len(rows)]
-	part = slices.Grow(part, len(rows))
-next:
-	for first := range rows {
-		s := shardOf(first)
-		for i := range first {
-			if shardOf(i) == s {
-				continue next // visited at its first row
-			}
+		if j-i == len(rows) {
+			return run(sub, rows)
 		}
-		part = part[:0]
-		for i := first; i < len(rows); i++ {
-			if shardOf(i) == s {
-				part = append(part, rows[i])
-			}
-		}
-		sub, err := t.sub(at(&part[0]))
+		res, err := run(sub, rows[i:j])
 		if err != nil {
 			return nil, err
 		}
-		res, err := run(sub, part)
-		if err != nil {
-			return nil, err
-		}
-		for i, j := first, 0; i < len(rows); i++ {
-			if shardOf(i) == s {
-				out[i] = res[j]
-				j++
-			}
-		}
+		out = append(out, res...)
+		i = j
 	}
 	return out, nil
 }
 
-// ReadBatch reads many rows in one batched fan-out per touched shard,
+// ReadBatch reads many rows in one batched fan-out per run of same-shard rows,
 // returning values positionally. As with ndb.Txn, the result of a batch of up
 // to eight rows lives in the transaction and is valid until its next read, or
 // until ndb.InTx returns.
 func (t *Txn) ReadBatch(gets []ndb.BatchGet) ([]ndb.BatchVal, error) {
-	return routeBatch(t, gets, t.gets[:0], t.vals[:0],
+	return routeBatch(t, gets, t.vals[:0],
 		func(g *ndb.BatchGet) (*ndb.Table, string) { return g.Table, g.PartKey },
 		(*ndb.Txn).ReadBatch)
 }
 
-// ScanBatch runs many prefix scans in one batched fan-out per touched
-// shard, returning result sets positionally: each is the copy its shard's
-// sub-transaction took, valid until ndb.InTx returns, passed through. A scan
-// batch spans shards only when a subtree walk's level does, rarely enough
-// that it gathers into fresh buffers.
+// ScanBatch runs many prefix scans in one batched fan-out per run of
+// same-shard scans, returning result sets positionally: each is the copy its
+// shard's sub-transaction took, valid until ndb.InTx returns, passed
+// through. A scan batch spans shards only when a subtree walk's level does,
+// rarely enough that its results are copied into a fresh buffer.
 func (t *Txn) ScanBatch(scans []ndb.BatchScan) ([][]ndb.KV, error) {
-	return routeBatch(t, scans, nil, nil,
+	return routeBatch(t, scans, nil,
 		func(s *ndb.BatchScan) (*ndb.Table, string) { return s.Table, s.PartKey },
 		(*ndb.Txn).ScanBatch)
 }
 
-// WriteBatch executes all mutations, one ndb.WriteBatch per touched shard,
-// each row as the caller built it — an insert's condition and an edit
-// included. A written row has no result; the empty ones cost nothing. A
-// write batch that spans shards gathers into a fresh buffer, as a scan batch
-// does. A refused row has aborted its own shard's sub-transaction; the others
-// end with the routed transaction's Abort.
+// WriteBatch executes all mutations, one ndb.WriteBatch per run of
+// same-shard rows, each row as the caller built it — an insert's condition
+// and an edit included. A written row has no result; the empty ones cost
+// nothing. A refused row has aborted its own shard's sub-transaction; the
+// others end with the routed transaction's Abort.
 func (t *Txn) WriteBatch(items []ndb.BatchWrite) error {
-	_, err := routeBatch(t, items, nil, nil,
+	_, err := routeBatch(t, items, nil,
 		func(w *ndb.BatchWrite) (*ndb.Table, string) { return w.Table, w.PartKey },
 		func(sub *ndb.Txn, part []ndb.BatchWrite) ([]struct{}, error) {
 			return make([]struct{}, len(part)), sub.WriteBatch(part)

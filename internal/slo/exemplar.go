@@ -284,6 +284,24 @@ func (r *ExemplarReport) Class(op string) *ExemplarClass {
 	return nil
 }
 
+// Slowest returns the highest-latency pinned exemplar, the lowest root span
+// id breaking a tie; nil when nothing is pinned.
+func (r *ExemplarReport) Slowest() *Exemplar {
+	if r == nil {
+		return nil
+	}
+	var best *Exemplar
+	for _, c := range r.Classes {
+		for _, ex := range c.Exemplars {
+			if best == nil || ex.Latency > best.Latency ||
+				(ex.Latency == best.Latency && ex.Root.ID < best.Root.ID) {
+				best = ex
+			}
+		}
+	}
+	return best
+}
+
 // Render formats the pinned set as deterministic text, one block per op
 // class. The per-exemplar critical-path breakdown is rendered by callers
 // holding the profiler (see bench and cmd/hopstrace): slo stays a leaf

@@ -71,6 +71,26 @@ func TestExemplarsWindowSlowest(t *testing.T) {
 	}
 }
 
+// TestExemplarReportSlowest: the slowest exemplar is the highest latency
+// across classes, the lowest root span id breaking a tie; a report with
+// nothing pinned, or none at all, has none.
+func TestExemplarReportSlowest(t *testing.T) {
+	ex := func(id trace.SpanID, lat time.Duration) *Exemplar {
+		return &Exemplar{Root: &trace.Span{ID: id}, Latency: lat}
+	}
+	rep := &ExemplarReport{Classes: []ExemplarClass{
+		{Op: "read", Exemplars: []*Exemplar{ex(7, 9*time.Millisecond), ex(2, 4*time.Millisecond)}},
+		{Op: "stat", Exemplars: []*Exemplar{ex(3, 9*time.Millisecond), ex(1, 5*time.Millisecond)}},
+	}}
+	if got := rep.Slowest(); got == nil || got.Root.ID != 3 {
+		t.Fatalf("slowest = %+v, want span 3 (9ms, the lower id of the tie)", got)
+	}
+	var none *ExemplarReport
+	if none.Slowest() != nil || (&ExemplarReport{}).Slowest() != nil {
+		t.Fatal("a report with nothing pinned has a slowest exemplar")
+	}
+}
+
 func TestExemplarsBoundAndOrder(t *testing.T) {
 	x := NewExemplars(exemplarEngine(), ExemplarConfig{})
 	x.Observe(span(1, "stat", 0, 20*time.Millisecond))

@@ -279,3 +279,89 @@ func TestRenderMarksErrors(t *testing.T) {
 		t.Fatalf("render lacks ERR flag:\n%s", out)
 	}
 }
+
+func TestSinkDropAccounting(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(reg)
+	sink := tr.EnableSink(2)
+	for i := 0; i < 5; i++ {
+		sp := tr.StartOp("stat", time.Duration(i)*time.Millisecond)
+		sp.Finish(time.Duration(i+1) * time.Millisecond)
+	}
+	if sink.Total() != 5 {
+		t.Fatalf("total = %d, want 5", sink.Total())
+	}
+	if sink.Dropped() != 3 {
+		t.Fatalf("dropped = %d, want 3", sink.Dropped())
+	}
+	if got, ok := Lookup(reg.Snapshot(), "trace.sink.dropped"); !ok || got != 3 {
+		t.Fatalf("trace.sink.dropped = %v (present=%v), want 3", got, ok)
+	}
+	if len(sink.Spans()) != 2 {
+		t.Fatalf("retained = %d, want 2", len(sink.Spans()))
+	}
+	var nilSink *Sink
+	if nilSink.Dropped() != 0 {
+		t.Fatal("nil sink Dropped != 0")
+	}
+}
+
+// TestSpanRootOpNameAndAttrs: a child knows its root and the root's op
+// name, SetAttr replaces a key set twice, and SetBenign on a child marks
+// the whole operation.
+func TestSpanRootOpNameAndAttrs(t *testing.T) {
+	tr := NewTracer(NewRegistry())
+	tr.EnableSink(4)
+	root := tr.StartOp("rename", 0)
+	child := root.Child("resolve", time.Millisecond)
+	if child.Root() != root || root.Root() != root {
+		t.Fatal("Root does not lead to the tree's root span")
+	}
+	if child.OpName() != "rename" {
+		t.Fatalf("child OpName = %q, want rename", child.OpName())
+	}
+	child.SetAttr("op.batched", "1")
+	child.SetAttr("rows", "3")
+	child.SetAttr("op.batched", "2")
+	if want := []Attr{{"op.batched", "2"}, {"rows", "3"}}; fmt.Sprint(child.Attrs) != fmt.Sprint(want) {
+		t.Fatalf("attrs = %v, want %v", child.Attrs, want)
+	}
+	child.SetError()
+	child.SetBenign()
+	if !root.Err || !root.Benign {
+		t.Fatalf("root err=%v benign=%v, want both set from the child", root.Err, root.Benign)
+	}
+	var nilSpan *Span
+	nilSpan.SetBenign()
+	if nilSpan.Root() != nil || nilSpan.OpName() != "" {
+		t.Fatal("nil span has a root or an op name")
+	}
+}
+
+// TestStartOpIntoReusesItsBuffer: in aggregate mode StartOpInto
+// reinitializes the caller's buffer as a root span; with a sink it returns
+// a fresh detailed span, since the sink retains finished trees.
+func TestStartOpIntoReusesItsBuffer(t *testing.T) {
+	tr := NewTracer(NewRegistry())
+	var buf Span
+	sp := tr.StartOpInto(&buf, "stat", 0)
+	if sp != &buf || sp.Root() != sp {
+		t.Fatal("aggregate-mode StartOpInto did not root the caller's buffer")
+	}
+	sp.RecordHop(HopCrossZone, 50, time.Millisecond)
+	sp.Finish(time.Millisecond)
+	sp = tr.StartOpInto(&buf, "read", 2*time.Millisecond)
+	if sp.Name != "read" || sp.HopBytes[HopCrossZone] != 0 {
+		t.Fatalf("reused buffer kept state: name %q, cross-AZ bytes %d", sp.Name, sp.HopBytes[HopCrossZone])
+	}
+	sp.Finish(3 * time.Millisecond)
+	if v, _ := Lookup(tr.Registry().Snapshot(), "op.stat.latency.count"); v != 1 {
+		t.Fatalf("op.stat.latency.count = %v, want 1", v)
+	}
+
+	tr.EnableSink(4)
+	sp = tr.StartOpInto(&buf, "stat", 4*time.Millisecond)
+	if sp == &buf || sp.ID == 0 || sp.Child("c", 4*time.Millisecond) == nil {
+		t.Fatal("detailed-mode StartOpInto did not mint a fresh detailed span")
+	}
+}
