@@ -14,18 +14,19 @@ import (
 // point (the shape every sweep experiment measures), per served virtual
 // operation, with heat attached. A warm operation allocates little beyond
 // the values it commits: it addresses a row by its parent's cached children
-// partition and its name, so it builds no key; its storage transaction is
+// partition and its name, or a top-level directory's by the keys its own
+// entry holds, so it builds no key; its storage transaction is
 // the one the previous operation's InTx freed, its commit trains sit in that
 // transaction, its row locks in the rows, a new row is one a delete freed,
 // and a scan copies its window of its bucket's sorted index, which commits
 // edit in place, into its transaction's scan storage, and a listing into its
-// client's — so the unsharded point measures 0.83 (history/BENCH_8.json holds
+// client's — so the unsharded point measures 0.65 (history/BENCH_8.json holds
 // the kernel's trajectory). The two-shard point adds the routed path — a pooled
 // dispatcher per transaction, which also holds the gather buffers of a read
 // batch that spans shards — but an inode's id names its own row's shard, so
-// a path resolves on one shard and the point measures 0.85, close to the
+// a path resolves on one shard and the point measures 0.67, close to the
 // unsharded one. The AZ-unaware HopsFS (3,3) point is the one whose
-// Completes are fire-and-forget (no Read Backup); it measures 0.88. Each
+// Completes are fire-and-forget (no Read Backup); it measures 0.68. Each
 // ceiling is about 1.5x its measurement: a lost pool, a row key built per
 // operation or a reintroduced per-event allocation fails it.
 //
@@ -52,9 +53,9 @@ func TestGridPointAllocCeiling(t *testing.T) {
 		resumes float64
 		events  float64
 	}{
-		{"unsharded", "HopsFS-CL (3,3)", 1, 1.25, 3.19, 3.19},
-		{"shards=2", "HopsFS-CL (3,3)", 2, 1.3, 3.19, 3.20},
-		{"az-unaware", "HopsFS (3,3)", 1, 1.35, 2.85, 3.06},
+		{"unsharded", "HopsFS-CL (3,3)", 1, 0.98, 3.19, 3.19},
+		{"shards=2", "HopsFS-CL (3,3)", 2, 1.0, 3.19, 3.20},
+		{"az-unaware", "HopsFS (3,3)", 1, 1.02, 2.85, 3.06},
 	} {
 		t.Run(pt.name, func(t *testing.T) {
 			setup, ok := core.SetupByName(pt.setup)

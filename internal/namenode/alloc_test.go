@@ -12,7 +12,9 @@ import (
 // TestWarmOpAllocs pins what a warm operation allocates: on a namenode whose
 // hint cache holds every directory of the path, a depth-3 operation addresses
 // each row by its parent's cached children partition and its own name, a
-// substring of the operation's path, so it builds no key; it takes its
+// substring of the operation's path, so it builds no key, and a top-level
+// directory's operation takes its row's keys and its hint from the
+// directory's own entry; it takes its
 // requests and chain from the operation's pooled scratch, stages its writes
 // in the transaction's inline commit trains, takes its row locks in the
 // rows' inline holder slots and a new row from the rows deletes freed,
@@ -91,7 +93,7 @@ func TestWarmOpAllocs(t *testing.T) {
 		h.ns.StopBackground()
 		p.Sleep(2 * h.ns.cfg.ElectionRound)
 		// Every listing reuses the storage of the one before it.
-		var listed Listing
+		var listed, listedTop Listing
 		list := func() error {
 			var err error
 			listed, err = nn.List(p, "/a/b/c", listed)
@@ -116,6 +118,15 @@ func TestWarmOpAllocs(t *testing.T) {
 			// The new inode value, which the edit makes at the row's chain
 			// head.
 			{"setPermission", 1, func(int) error { return nn.SetPermission(p, "/a/b/f", 0o600) }},
+			// The same at depth 1: a child of "/" is keyed by its own
+			// entry, which the hint, the read and the write all take.
+			{"stat of a top-level directory", 0, func(int) error { _, err := nn.Stat(p, "/a"); return err }},
+			{"list of a top-level directory", 0, func(int) error {
+				var err error
+				listedTop, err = nn.List(p, "/a", listedTop)
+				return err
+			}},
+			{"setPermission of a top-level directory", 1, func(int) error { return nn.SetPermission(p, "/a", 0o755) }},
 			// The new inode: its row is one a delete freed.
 			{"create", 1, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
 			// The same for a directory.
@@ -212,6 +223,69 @@ func TestWarmClientOpAllocs(t *testing.T) {
 			}
 			if allocs != op.want {
 				t.Errorf("warm client %s: %.2f allocations per call, want %.0f", op.name, allocs, op.want)
+			}
+		}
+	})
+}
+
+// TestColdFillAllocs pins what a stat allocates when the hint cache has lost
+// the path's top-level directory and everything under it: each call drops
+// "/a" by prefix and stats a path below it, so the walk reads every row
+// serially and puts every directory back, and builds each key once. It
+// allocates the hint's partition key, built from the top-level name as no
+// entry holds it; "/a"'s two row keys, built as one string that its new
+// entry keeps; and each directory's children partition, its id's decimal
+// string, which keys the next row. Entries come from the cache's slab. The
+// directories' ids are 100 or more, as strconv formats a smaller one
+// without allocating, which would hide a children key built twice.
+// Excluded under -race, whose instrumentation allocates.
+func TestColdFillAllocs(t *testing.T) {
+	h := newHarness(t)
+	h.db.StopBackground()
+	nn := h.ns.NameNodes()[0]
+	h.run(t, func(p *sim.Proc) {
+		// Spare directories draw the ids below 100; ids only grow.
+		for i := 0; ; i++ {
+			ino, err := nn.Mkdir(p, fmt.Sprintf("/p%d", i), 0o755)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ino.ID >= 100 {
+				break
+			}
+		}
+		for _, dir := range []string{"/a", "/a/b", "/a/b/c"} {
+			if _, err := nn.Mkdir(p, dir, 0o755); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if _, err := nn.Create(p, "/a/b/c/f", 0); err != nil {
+			t.Error(err)
+			return
+		}
+		h.ns.StopBackground()
+		p.Sleep(2 * h.ns.cfg.ElectionRound)
+		for _, c := range []struct {
+			path string
+			// want is the hint, "/a"'s keys and one children partition
+			// per directory on the path.
+			want float64
+		}{{"/a/b/c/f", 5}, {"/a/b", 4}} {
+			var err error
+			allocs := testing.AllocsPerRun(50, func() {
+				nn.cache.invalidatePrefix("/a")
+				if _, e := nn.Stat(p, c.path); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Errorf("%s: %v", c.path, err)
+				continue
+			}
+			if allocs != c.want {
+				t.Errorf("cold stat %s: %.2f allocations per call, want %.0f", c.path, allocs, c.want)
 			}
 		}
 	})

@@ -197,14 +197,19 @@ func (nn *NameNode) hintFor(fp fsPath) string {
 // fp's first n components, from the inode hint cache when possible (a stale
 // hint only costs locality, never correctness).
 func (nn *NameNode) dirHint(fp fsPath, n int, name string) string {
-	if n == 0 {
-		return partKeyOf(RootID, name)
+	if n > 0 {
+		if e := nn.cache.lookup(fp.prefix(n)); e != nil {
+			return e.children
+		}
+	} else if name == "" {
+		return partKeyOf(RootID, "")
 	}
-	if e := nn.cache.lookup(fp.prefix(n)); e != nil {
-		return e.children
+	// A child of "/", or a row under an unresolved directory: hint with the
+	// top-level component's partition, which names the shard of the whole
+	// subtree below it, from its entry when cached (a probe).
+	if e := nn.cache.peek(fp.prefix(1)); e != nil {
+		return e.partKey
 	}
-	// Unresolved directory: hint with the top-level component's partition,
-	// which names the shard of the whole subtree below it.
 	return partKeyOf(RootID, fp.comp(0))
 }
 
@@ -225,8 +230,8 @@ func (nn *NameNode) rowOf(sc *opScratch, parent uint64, name string) (*ndb.Table
 }
 
 // childPart is the partition key of dir's children: from dir's hint entry
-// when the operation's batches were keyed from it, else built once for the
-// operation's consecutive rows under dir (an update's read and write).
+// when the operation's batches or walk were keyed from it, else built once
+// for the operation's consecutive rows under dir (a subtree walk's).
 func (sc *opScratch) childPart(dir uint64) string {
 	for _, e := range sc.dirs {
 		if e.id == dir {
@@ -246,11 +251,17 @@ func (nn *NameNode) inodeDelete(sc *opScratch, parent uint64, name string) ndb.B
 	return ndb.BatchWrite{Table: table, PartKey: pk, Key: key, Del: true}
 }
 
-// getInode fetches one inode row in a one-row batch: read-committed, or
-// under a row lock on the primary replica when lock is set.
-func (nn *NameNode) getInode(tx ndb.Tx, sc *opScratch, parent uint64, name string, lock ndb.LockMode) (*Inode, error) {
+// inodeGet is the batched-read item reading name's inode row under parent:
+// read-committed, or under a row lock on the primary replica when lock is
+// set.
+func (nn *NameNode) inodeGet(sc *opScratch, parent uint64, name string, lock ndb.LockMode) ndb.BatchGet {
 	table, pk, key := nn.rowOf(sc, parent, name)
-	sc.gets = append(sc.gets[:0], ndb.BatchGet{Table: table, PartKey: pk, Key: key, Lock: lock})
+	return ndb.BatchGet{Table: table, PartKey: pk, Key: key, Lock: lock}
+}
+
+// getInode fetches the inode row get addresses in a one-row batch.
+func (nn *NameNode) getInode(tx ndb.Tx, sc *opScratch, get ndb.BatchGet) (*Inode, error) {
+	sc.gets = append(sc.gets[:0], get)
 	vals, err := tx.ReadBatch(sc.gets)
 	if err != nil {
 		return nil, err
@@ -378,8 +389,7 @@ func (nn *NameNode) hintedGets(sc *opScratch, gets []ndb.BatchGet, fp *fsPath, i
 		}
 	}
 	for i, id := range ids {
-		table, pk, key := nn.rowOf(sc, id, fp.comp(i))
-		gets = append(gets, ndb.BatchGet{Table: table, PartKey: pk, Key: key})
+		gets = append(gets, nn.inodeGet(sc, id, fp.comp(i), 0))
 	}
 	return gets
 }
@@ -421,7 +431,7 @@ func (nn *NameNode) verifyHinted(tx ndb.Tx, sc *opScratch, fp *fsPath, ids []uin
 			tx.Annotate("op.batched", strconv.Itoa(rows))
 			return nil, true, ErrNotDir
 		}
-		nn.remember(fp, i+1, ino)
+		nn.remember(fp, i+1, ino, "", "")
 		chain = append(chain, ino)
 	}
 	obs.resolveHit.Add(1)
@@ -465,8 +475,16 @@ func (nn *NameNode) resolveBoth(tx ndb.Tx, sc *opScratch, src, dstParent fsPath,
 // walkFrom continues serial resolution: chain already resolves the first
 // len(chain)-1 components of fp, and each further component is one round
 // trip — read-committed, but for the path's last component under lockLast
-// when that is set. It refreshes the hint cache as it goes.
+// when that is set. It refreshes the hint cache as it goes, and keys each
+// row from the hint entries: a top-level directory's row by its own cached
+// entry, every other by its parent's, which the walk refreshed or created
+// one step before — so a cold fill builds each key once.
 func (nn *NameNode) walkFrom(tx ndb.Tx, sc *opScratch, chain []*Inode, fp fsPath, lockLast ndb.LockMode) ([]*Inode, error) {
+	if len(chain) == 1 && fp.depth() > 0 {
+		if e := nn.cache.peek(fp.prefix(1)); e != nil {
+			sc.dirs = append(sc.dirs, e)
+		}
+	}
 	cur := chain[len(chain)-1]
 	for i := len(chain) - 1; i < fp.depth(); i++ {
 		if !cur.Dir {
@@ -476,11 +494,14 @@ func (nn *NameNode) walkFrom(tx ndb.Tx, sc *opScratch, chain []*Inode, fp fsPath
 		if i == fp.depth()-1 {
 			lock = lockLast
 		}
-		child, err := nn.getInode(tx, sc, cur.ID, fp.comp(i), lock)
+		get := nn.inodeGet(sc, cur.ID, fp.comp(i), lock)
+		child, err := nn.getInode(tx, sc, get)
 		if err != nil {
 			return nil, err
 		}
-		nn.remember(&fp, i+1, child)
+		if e := nn.remember(&fp, i+1, child, get.PartKey, get.Key); e != nil {
+			sc.dirs = append(sc.dirs, e)
+		}
 		chain = append(chain, child)
 		cur = child
 	}
@@ -488,15 +509,16 @@ func (nn *NameNode) walkFrom(tx ndb.Tx, sc *opScratch, chain []*Inode, fp fsPath
 }
 
 // remember refreshes the hint for fp's first n components with the inode
-// just read there. Only directories are hints (see hintCache); a file found
-// where a hint says a directory was replaces nothing, so the stale hint is
-// dropped instead of costing every later resolution its fallback.
-func (nn *NameNode) remember(fp *fsPath, n int, ino *Inode) {
-	if ino.Dir {
-		nn.cache.put(fp.prefix(n), ino.ID, ino.Parent)
-	} else {
+// just read there, by the keys pk and key when known (hintCache.put), and
+// returns its entry. Only directories are hints (see hintCache); a file
+// found where a hint says a directory was replaces nothing, so the stale
+// hint is dropped instead of costing every later resolution its fallback.
+func (nn *NameNode) remember(fp *fsPath, n int, ino *Inode, pk, key string) *hintEntry {
+	if !ino.Dir {
 		nn.cache.drop(fp.prefix(n))
+		return nil
 	}
+	return nn.cache.put(fp.prefix(n), ino.ID, ino.Parent, pk, key)
 }
 
 // resolveParentChain is the lock phase of an operation that adds or removes
@@ -853,7 +875,8 @@ func (nn *NameNode) deleteSubtree(tx ndb.Tx, sc *opScratch, ancestors []*Inode, 
 		}
 		var next []*Inode
 		for i := range children.Len() {
-			child, err := nn.getInode(tx, sc, children.At(i).Parent, children.At(i).Name, ndb.LockExclusive)
+			kid := children.At(i)
+			child, err := nn.getInode(tx, sc, nn.inodeGet(sc, kid.Parent, kid.Name, ndb.LockExclusive))
 			if errors.Is(err, ErrNotFound) {
 				continue
 			}

@@ -23,6 +23,11 @@ import (
 // stays fresh; unlinking a file has nothing to invalidate, which keeps the
 // whole-map walk off the mutation hot path.
 //
+// Entries are carved from a slab of hintSlab and never reused: an operation
+// may still hold, in its scratch, one the cache has dropped, and keys rows
+// by it. A dropped entry keeps its keys and loses its links, so a slab lives
+// as long as one of its entries is cached or held.
+//
 // The cache is not a shared structure between simulated operations in the
 // way real concurrent maps are: the simulation kernel runs processes
 // cooperatively, so no locking is needed.
@@ -32,13 +37,18 @@ type hintCache struct {
 	// lru anchors the recency list threaded through the entries: lru.next is
 	// the most recently used entry, lru.prev the least.
 	lru hintEntry
+	// slab is what is left of the block new entries come from.
+	slab []hintEntry
 	// size mirrors len(items) into the metrics registry (nil-safe).
 	size *trace.Gauge
 }
 
+// hintSlab is the number of entries a cache allocates at once.
+const hintSlab = 64
+
 // hintEntry is one cached directory: its path → inode-id mapping, the keys
-// it implies — built when its id or parent changes, gone when it goes — and
-// its links in the recency list.
+// it implies — set when its id or parent changes, and never changed on a
+// dropped entry — and its links in the recency list.
 type hintEntry struct {
 	path       string
 	id, parent uint64
@@ -80,33 +90,45 @@ func (hc *hintCache) lookup(path string) *hintEntry {
 func (hc *hintCache) peek(path string) *hintEntry { return hc.items[path] }
 
 // put inserts or refreshes the mapping of the directory at path to inode id
-// under parent, evicting the least recently used entry when full.
-func (hc *hintCache) put(path string, id, parent uint64) {
+// under parent, evicting the least recently used entry when full, and
+// returns its entry. pk and key are the keys the directory's row was read
+// by: a child of "/" keeps them as its own, or builds them when given none.
+func (hc *hintCache) put(path string, id, parent uint64, pk, key string) *hintEntry {
 	e := hc.lookup(path)
 	if e == nil {
-		e = &hintEntry{path: path}
+		if len(hc.slab) == 0 {
+			hc.slab = make([]hintEntry, hintSlab)
+		}
+		e, hc.slab = &hc.slab[0], hc.slab[1:]
+		e.path = path
 		hc.items[path] = e
 		hc.pushFront(e)
-		if lru := hc.lru.prev; len(hc.items) > hc.cap {
-			lru.unlink()
-			delete(hc.items, lru.path)
+		if len(hc.items) > hc.cap {
+			hc.remove(hc.lru.prev)
 		}
 		hc.size.Set(float64(len(hc.items)))
 	}
-	if e.children == "" || e.id != id || e.parent != parent {
+	if e.children == "" || e.parent != parent {
+		// A row's keys follow from its parent and its name alone.
 		e.partKey, e.key = "", ""
 		if parent == RootID {
-			e.partKey, e.key = partKeyOf(parent, e.name()), inodeKey(parent, e.name())
+			if pk == "" {
+				pk, key = rootChildKeys(e.name())
+			}
+			e.partKey, e.key = pk, key
 		}
-		e.id, e.parent, e.children = id, parent, partKey(id)
 	}
+	if e.children == "" || e.id != id {
+		e.children = partKey(id)
+	}
+	e.id, e.parent = id, parent
+	return e
 }
 
 // drop removes the mapping for path alone, if there is one.
 func (hc *hintCache) drop(path string) {
 	if e := hc.items[path]; e != nil {
-		e.unlink()
-		delete(hc.items, path)
+		hc.remove(e)
 		hc.size.Set(float64(len(hc.items)))
 	}
 }
@@ -120,8 +142,7 @@ func (hc *hintCache) invalidatePrefix(path string) {
 	prefix := path + "/"
 	for k, e := range hc.items {
 		if k == path || strings.HasPrefix(k, prefix) {
-			e.unlink()
-			delete(hc.items, k)
+			hc.remove(e)
 		}
 	}
 	hc.size.Set(float64(len(hc.items)))
@@ -136,3 +157,11 @@ func (hc *hintCache) pushFront(e *hintEntry) {
 }
 
 func (e *hintEntry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
+
+// remove takes e out of the cache. Its links go with it, so that a dropped
+// entry an operation still holds keeps no other entry, nor its slab, alive.
+func (hc *hintCache) remove(e *hintEntry) {
+	e.unlink()
+	e.prev, e.next = nil, nil
+	delete(hc.items, e.path)
+}

@@ -277,7 +277,7 @@ func TestLockedBatchOnStaleHints(t *testing.T) {
 		onStale := func(name string, attempts int64, op func() error) bool {
 			t.Helper()
 			for path, e := range stale {
-				nnA.cache.put(path, e[0], e[1])
+				nnA.cache.put(path, e[0], e[1], "", "")
 			}
 			fellBack++
 			begun := h.db.Stats.Begun
@@ -587,7 +587,7 @@ func TestRenameStaleSourceMatchesSerial(t *testing.T) {
 				return
 			}
 			staleID, staleParent := stale.id, stale.parent
-			prime := func() { nnA.cache.put("/s/t", staleID, staleParent) }
+			prime := func() { nnA.cache.put("/s/t", staleID, staleParent, "", "") }
 			if cold {
 				prime = func() { nnA.cache.invalidatePrefix("") }
 			}

@@ -207,8 +207,8 @@ func TestPropHintCacheNeverAffectsCorrectness(t *testing.T) {
 			}
 			// Poison every NN's hint cache.
 			for _, nn := range h.ns.NameNodes() {
-				nn.cache.put("/x", poison, RootID)
-				nn.cache.put("/x/y", poison%97, poison)
+				nn.cache.put("/x", poison, RootID, "", "")
+				nn.cache.put("/x/y", poison%97, poison, "", "")
 			}
 			ino, err := cl.Stat(p, "/x/y/f")
 			if err != nil || ino.Name != "f" {

@@ -577,11 +577,21 @@ func inodeKey(parent uint64, name string) string {
 	return name
 }
 
+// rootChildKeys returns partKeyOf(RootID, name) and inodeKey(RootID, name),
+// the two keys of a child of "/", built as one string.
+func rootChildKeys(name string) (pk, key string) {
+	s := "c:" + name + "1/" + name
+	return s[:2+len(name)], s[2+len(name):]
+}
+
 // inodeRow addresses the inode row of name under parent: the owning shard's
 // inodes table, the partition key and the row key.
 func (ns *Namesystem) inodeRow(parent uint64, name string) (*ndb.Table, string, string) {
-	pk := partKeyOf(parent, name)
-	return ns.inodes.For(pk), pk, inodeKey(parent, name)
+	pk, key := partKey(parent), name
+	if parent == RootID {
+		pk, key = rootChildKeys(name)
+	}
+	return ns.inodes.For(pk), pk, key
 }
 
 // partOf addresses the partition of table set ts keyed by an inode's own

@@ -27,14 +27,14 @@ func (hc *hintCache) get(path string) (uint64, bool) {
 
 func TestHintCacheLRU(t *testing.T) {
 	hc := newHintCache(3)
-	hc.put("/a", 1, RootID)
-	hc.put("/b", 2, RootID)
-	hc.put("/c", 3, RootID)
+	hc.put("/a", 1, RootID, "", "")
+	hc.put("/b", 2, RootID, "", "")
+	hc.put("/c", 3, RootID, "", "")
 	// Touch /a so /b is the least recently used, then overflow.
 	if id, ok := hc.get("/a"); !ok || id != 1 {
 		t.Fatalf("get /a = (%d,%v)", id, ok)
 	}
-	hc.put("/d", 4, RootID)
+	hc.put("/d", 4, RootID, "", "")
 	if hc.len() != 3 {
 		t.Fatalf("len = %d, want 3 (bounded)", hc.len())
 	}
@@ -47,7 +47,7 @@ func TestHintCacheLRU(t *testing.T) {
 		}
 	}
 	// Updating an existing key must not grow the cache.
-	hc.put("/a", 11, RootID)
+	hc.put("/a", 11, RootID, "", "")
 	if id, _ := hc.get("/a"); id != 11 || hc.len() != 3 {
 		t.Errorf("after update: /a=%d len=%d", id, hc.len())
 	}
@@ -72,7 +72,7 @@ func TestHintCacheEvictionOrder(t *testing.T) {
 		for k := range hc.items {
 			before = append(before, k)
 		}
-		hc.put(path, uint64(step), RootID)
+		hc.put(path, uint64(step), RootID, "", "")
 		for _, k := range before {
 			if _, ok := hc.items[k]; !ok {
 				evicted = append(evicted, k)
@@ -87,10 +87,11 @@ func TestHintCacheEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestPropHintEntryKeys: after any sequence of puts, refreshes (same id and
-// parent, or not), drops and prefix invalidations, every entry holds the id
-// and parent last put for its path, its cached keys are the ones they and
-// its name imply, and the recency list threads exactly the cached entries.
+// TestPropHintEntryKeys: after any sequence of puts — given the keys a read
+// of the row used, or none — refreshes (same id and parent, or not), drops
+// and prefix invalidations, every entry holds the id and parent last put for
+// its path, its cached keys are the ones they and its name imply, and the
+// recency list threads exactly the cached entries.
 func TestPropHintEntryKeys(t *testing.T) {
 	paths := []string{"/a", "/a/b", "/a/b/c", "/ab", "/x", "/x/y", "/x/y/zz"}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -103,7 +104,15 @@ func TestPropHintEntryKeys(t *testing.T) {
 			case r < 6:
 				// Few ids and parents, so refreshes often keep both.
 				id, parent := uint64(1+rng.Intn(4)*1000), uint64(1+rng.Intn(3)*7)
-				hc.put(path, id, parent)
+				pk, key := "", ""
+				if rng.Intn(2) == 0 {
+					name := path[strings.LastIndexByte(path, '/')+1:]
+					pk, key = partKey(parent), name
+					if parent == RootID {
+						pk, key = rootChildKeys(name)
+					}
+				}
+				hc.put(path, id, parent, pk, key)
 				last[path] = [2]uint64{id, parent}
 			case r < 8:
 				hc.lookup(path)
@@ -155,7 +164,7 @@ func TestHintCacheInvalidatePrefix(t *testing.T) {
 	for path, id := range map[string]uint64{
 		"/a": 1, "/a/b": 2, "/a/b/c": 3, "/ab": 4, "/z": 5,
 	} {
-		hc.put(path, id, RootID)
+		hc.put(path, id, RootID, "", "")
 	}
 	hc.invalidatePrefix("/a")
 	for _, gone := range []string{"/a", "/a/b", "/a/b/c"} {
@@ -175,8 +184,8 @@ func TestHintCacheSizeGauge(t *testing.T) {
 	reg := trace.NewRegistry()
 	hc := newHintCache(8)
 	hc.setGauge(reg.Gauge("namenode.resolve_cache.size", "nn", "nn-test"))
-	hc.put("/a", 1, RootID)
-	hc.put("/a/b", 2, RootID)
+	hc.put("/a", 1, RootID, "", "")
+	hc.put("/a/b", 2, RootID, "", "")
 	g := reg.Gauge("namenode.resolve_cache.size", "nn", "nn-test")
 	if g.Value() != 2 {
 		t.Fatalf("gauge = %v, want 2", g.Value())
@@ -185,6 +194,47 @@ func TestHintCacheSizeGauge(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatalf("gauge after invalidate = %v, want 0", g.Value())
 	}
+}
+
+// TestHintNamesTheTargetPartition: a warm namenode hints an operation's
+// transaction with the partition key of its target's row — a top-level
+// directory's own, taken from its entry, not its children's — and a listing
+// with its target's children's; a namenode that has lost the path hints with
+// the top-level directory's partition key.
+func TestHintNamesTheTargetPartition(t *testing.T) {
+	h := newHarness(t)
+	nn := h.ns.NameNodes()[0]
+	h.run(t, func(p *sim.Proc) {
+		for _, dir := range []string{"/a", "/a/b"} {
+			if _, err := nn.Mkdir(p, dir, 0o755); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if _, err := nn.Create(p, "/a/b/f", 0); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, path := range []string{"/a", "/a/b", "/a/b/f"} {
+			ino, err := nn.Stat(p, path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fp, _ := splitPath(path)
+			_, pk, _ := h.ns.inodeRow(ino.Parent, ino.Name)
+			if got := nn.hintFor(fp); got != pk {
+				t.Errorf("warm %s: hint %q, want its row's %q", path, got, pk)
+			}
+			if got, want := nn.dirHint(fp, fp.depth(), ""), partKey(ino.ID); ino.Dir && got != want {
+				t.Errorf("warm listing of %s: hint %q, want its children's %q", path, got, want)
+			}
+			nn.cache.invalidatePrefix("/a")
+			if got, want := nn.hintFor(fp), partKeyOf(RootID, "a"); got != want {
+				t.Errorf("cold %s: hint %q, want %q", path, got, want)
+			}
+		}
+	})
 }
 
 // TestHintCacheBoundedInHarness drives a small bound through real
@@ -425,8 +475,8 @@ func runEquivalenceSeed(t *testing.T, seed int64) {
 		// Deliberate poison: existing-path hints pointing at wrong inodes
 		// force the verification fallback.
 		nn1 := warmer.CurrentNameNode()
-		nn1.cache.put("/top0", 999999, RootID)
-		nn1.cache.put("/top1/d0", 424242, 999999)
+		nn1.cache.put("/top0", 999999, RootID, "", "")
+		nn1.cache.put("/top1/d0", 424242, 999999, "", "")
 		paths = append(paths, "/top0/d0/leaf", "/top1/d0/d1", "/nope/deep/path")
 
 		fallbacksBefore := reg.Counter("namenode.resolve_cache", "result", "fallback").Value()
