@@ -39,14 +39,14 @@ type BlockID int64
 type Config struct {
 	// BlockSize is the split size for large files (128 MB default).
 	BlockSize int64
-	// Replication is the target replica count (3 default).
-	Replication int
 	// AZAware enables the §IV-C placement policy (AZs as racks). When
 	// false, placement is uniform random over distinct datanodes.
 	AZAware bool
 }
 
 const (
+	// Replication is the target replica count, HDFS's default.
+	Replication = 3
 	// monitorInterval is the period of the leader's re-replication check.
 	monitorInterval = time.Second
 	// rpcTimeout bounds pipeline hops.
@@ -61,9 +61,8 @@ const (
 // DefaultConfig returns the paper's block layer defaults.
 func DefaultConfig() Config {
 	return Config{
-		BlockSize:   128 << 20,
-		Replication: 3,
-		AZAware:     true,
+		BlockSize: 128 << 20,
+		AZAware:   true,
 	}
 }
 
@@ -224,9 +223,6 @@ func (m *Manager) Block(id BlockID) (*Block, bool) {
 // BlockSize returns the configured block split size.
 func (m *Manager) BlockSize() int64 { return m.cfg.BlockSize }
 
-// Replication returns the configured target replica count.
-func (m *Manager) Replication() int { return m.cfg.Replication }
-
 // Blocks returns every registered block sorted by id, for deterministic
 // audit sweeps.
 func (m *Manager) Blocks() []*Block {
@@ -337,7 +333,7 @@ func (m *Manager) WriteBlock(p *sim.Proc, client *simnet.Node, inode uint64, siz
 		m.registry[b.ID] = b
 		return b, nil
 	}
-	targets, err := m.Place(client.Zone(), m.cfg.Replication)
+	targets, err := m.Place(client.Zone(), Replication)
 	if err != nil {
 		return nil, err
 	}
@@ -454,8 +450,8 @@ func (m *Manager) SpreadViolated(b *Block) bool {
 		zones[dn.Node.Zone()] = true
 	}
 	want := len(m.liveZones())
-	if want > m.cfg.Replication {
-		want = m.cfg.Replication
+	if want > Replication {
+		want = Replication
 	}
 	return len(zones) < want
 }
@@ -471,7 +467,7 @@ func (m *Manager) UnderReplicated() []*Block {
 		if b.objectKey != "" {
 			continue
 		}
-		if len(b.Locations()) < m.cfg.Replication || m.SpreadViolated(b) {
+		if len(b.Locations()) < Replication || m.SpreadViolated(b) {
 			out = append(out, b)
 		}
 	}
@@ -593,7 +589,7 @@ func (m *Manager) reReplicate(p *sim.Proc, b *Block) {
 		break
 	}
 	if target == nil {
-		if len(locs) >= m.cfg.Replication {
+		if len(locs) >= Replication {
 			return // count satisfied and every live zone already covered
 		}
 		for _, dn := range m.liveNodes() {
@@ -629,7 +625,7 @@ func (m *Manager) reReplicate(p *sim.Proc, b *Block) {
 func (m *Manager) trimExcess(b *Block) {
 	for {
 		locs := b.Locations()
-		if len(locs) <= m.cfg.Replication {
+		if len(locs) <= Replication {
 			return
 		}
 		perZone := make(map[simnet.ZoneID]int, len(locs))

@@ -173,7 +173,7 @@ func (a *Auditor) checkBlocks(add addFn, now time.Duration, settled bool) {
 			liveDNs++
 		}
 	}
-	want := mgr.Replication()
+	want := blocks.Replication
 	if liveDNs < want {
 		want = liveDNs
 	}

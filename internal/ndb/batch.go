@@ -254,7 +254,8 @@ func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 // rows are deliberately scattered across partitions (a HopsFS root directory
 // listing); it costs one round per partition, in partition order, each a
 // one-scan batch over every partition key the partition holds. The merged
-// rows are the caller's own, and outlive the transaction.
+// rows are a window of the transaction's scan storage, sorted in place: like
+// ScanBatch's, they read the same after later commits, until InTx returns.
 func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 	if t.done {
 		return nil, ErrAborted
@@ -272,7 +273,7 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 		}
 	}
 	// Every round appended to t.scanned, which holds them back to back.
-	out := slices.Clone(t.scanned[from:])
+	out := t.scanned[from:len(t.scanned):len(t.scanned)]
 	slices.SortFunc(out, byKey)
 	return out, nil
 }

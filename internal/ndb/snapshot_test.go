@@ -190,7 +190,8 @@ func TestScanSnapshotMatchesRows(t *testing.T) {
 // and a scan copies its window out of the index into its transaction, so a
 // result taken before an update, an insert and a delete — committed by
 // another transaction while the scanning one stays open — reads the same
-// after them, while a new scan sees all three.
+// after them, a partition's scan and a table-prefix scan alike, while a new
+// scan sees all three.
 func TestScanResultSurvivesCommit(t *testing.T) {
 	env, c, client := testCluster(t, true, 3)
 	c.StopBackground()
@@ -212,6 +213,13 @@ func TestScanResultSurvivesCommit(t *testing.T) {
 			return err
 		}
 		kept := slices.Clone(before)
+		table, err := scanner.ScanTablePrefix(tbl, "p/")
+		if err != nil {
+			return err
+		}
+		if !sameKVs(table, kept) {
+			t.Errorf("table-prefix scan = %v, partition scan %v", table, kept)
+		}
 		tx, err := c.Begin(p, client, 1, tbl, "p")
 		if err != nil {
 			return err
@@ -227,6 +235,9 @@ func TestScanResultSurvivesCommit(t *testing.T) {
 		}
 		if !sameKVs(before, kept) {
 			t.Errorf("a scan result changed under a later commit: %v, was %v", before, kept)
+		}
+		if !sameKVs(table, kept) {
+			t.Errorf("a table-prefix scan result changed under a later commit: %v, was %v", table, kept)
 		}
 		return scanner.Commit()
 	})

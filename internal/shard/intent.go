@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"hopsfscl/internal/ndb"
@@ -470,8 +471,10 @@ func (r *Router) deleteIntentRows(p *sim.Proc, origin *simnet.Node, domain simne
 func (r *Router) scanIntents(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, s int, prefix string) ([]ndb.KV, error) {
 	var kvs []ndb.KV
 	tx, err := r.clusters[s].Begin(p, origin, domain, r.intents[s], intentPartKey)
-	err = ndb.InTx(tx, err, func(tx *ndb.Txn) (err error) {
-		kvs, err = tx.ScanTablePrefix(r.intents[s], prefix)
+	err = ndb.InTx(tx, err, func(tx *ndb.Txn) error {
+		rows, err := tx.ScanTablePrefix(r.intents[s], prefix)
+		// The rows are the transaction's: copy them before it ends.
+		kvs = slices.Clone(rows)
 		return err
 	})
 	return kvs, err
