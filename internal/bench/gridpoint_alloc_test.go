@@ -17,16 +17,17 @@ import (
 // partition and its name, or a top-level directory's by the keys its own
 // entry holds, so it builds no key; its storage transaction is
 // the one the previous operation's InTx freed, its commit trains sit in that
-// transaction, its row locks in the rows, a new row is one a delete freed,
-// and a scan copies its window of its bucket's sorted index, which commits
-// edit in place, into its transaction's scan storage, and a listing into its
-// client's — so the unsharded point measures 0.65 (history/BENCH_8.json holds
-// the kernel's trajectory). The two-shard point adds the routed path — a pooled
+// transaction, its row locks in the rows, a new row is one a delete freed or
+// else the next of a page of 64 allocated at once, and a scan copies its
+// window of its bucket's sorted index, which commits edit in place, into its
+// transaction's scan storage, and a listing into its client's — so the
+// unsharded point measures 0.62 (history/BENCH_8.json holds the kernel's
+// trajectory). The two-shard point adds the routed path — a pooled
 // dispatcher per transaction, which also holds the gather buffers of a read
 // batch that spans shards — but an inode's id names its own row's shard, so
-// a path resolves on one shard and the point measures 0.67, close to the
+// a path resolves on one shard and the point measures 0.64, close to the
 // unsharded one. The AZ-unaware HopsFS (3,3) point is the one whose
-// Completes are fire-and-forget (no Read Backup); it measures 0.68. Each
+// Completes are fire-and-forget (no Read Backup); it measures 0.65. Each
 // ceiling is about 1.5x its measurement: a lost pool, a row key built per
 // operation or a reintroduced per-event allocation fails it.
 //

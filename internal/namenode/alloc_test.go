@@ -17,12 +17,14 @@ import (
 // directory's own entry; it takes its
 // requests and chain from the operation's pooled scratch, stages its writes
 // in the transaction's inline commit trains, takes its row locks in the
-// rows' inline holder slots and a new row from the rows deletes freed,
-// reuses the storage transaction the previous operation's InTx freed, and
-// copies a listing out of its directory's index, which commits edit in
-// place, into the transaction's scan storage and then into the listing it
-// was handed to reuse: it allocates only the values it commits. A listing
-// after a sibling's create, delete or setPermission in the same directory
+// rows' inline holder slots and a new row from the rows deletes freed, or
+// else from the cluster's current page of rows, reuses the storage
+// transaction the previous operation's InTx freed, and copies a listing out
+// of its directory's index, which commits edit in place, into the
+// transaction's scan storage and then into the listing it was handed to
+// reuse — at two shards "/" too, merged in the routed transaction's scan
+// storage: it allocates only the values it commits. A listing after a
+// sibling's create, delete or setPermission in the same directory
 // therefore adds nothing to the change's own allocations — no rebuild, no
 // sort. Excluded under -race, whose instrumentation allocates.
 func TestWarmOpAllocs(t *testing.T) {
@@ -41,6 +43,7 @@ func TestWarmOpAllocs(t *testing.T) {
 		return out
 	}
 	files, dirs, siblings := paths("/a/b/c/n%d"), paths("/a/b/d%d"), paths("/a/b/c/l%d")
+	fresh := paths("/a/b/c/m%d")
 	spares := append(paths("/a/b/c/s%d"), paths("/a/b/c/t%d")...)
 	flip := [2]string{"/a/b/f", "/a/b/g"}
 	h.run(t, func(p *sim.Proc) {
@@ -77,7 +80,8 @@ func TestWarmOpAllocs(t *testing.T) {
 			return
 		}
 		cross := [2]string{"/a/b/h", "/x/b/h"}
-		// Deleted files leave their rows for the creates and mkdirs to take.
+		// Deleted files leave their rows for the creates and mkdirs to take,
+		// one each.
 		for _, f := range spares {
 			if _, err := nn.Create(p, f, 0); !must(err) {
 				return
@@ -138,6 +142,10 @@ func TestWarmOpAllocs(t *testing.T) {
 			{"create", 1, func(i int) error { _, err := nn.Create(p, files[i], 0); return err }},
 			// The same for a directory.
 			{"mkdir", 1, func(i int) error { _, err := nn.Mkdir(p, dirs[i], 0o755); return err }},
+			// The new inode: the creates and mkdirs took every row the
+			// spares freed, so its row is the next of the cluster's page,
+			// which one allocation in 64 inserts cuts.
+			{"create with no freed rows", 1, func(i int) error { _, err := nn.Create(p, fresh[i], 0); return err }},
 			// Nothing: the deleted row goes back to the free rows.
 			{"delete", 0, func(i int) error { _, err := nn.Delete(p, files[i], false); return err }},
 			// A listing after a sibling's change allocates nothing of its
@@ -184,6 +192,43 @@ func TestWarmOpAllocs(t *testing.T) {
 			if allocs != op.want {
 				t.Errorf("warm %s: %.2f allocations per call, want %.0f", op.name, allocs, op.want)
 			}
+		}
+	})
+	// Nothing at Shards 2 either: the routed transaction merges and sorts
+	// the shards' scans in its own scan storage, which it keeps when freed.
+	hs := newShardedHarness(t, 21, 2, nil, nil)
+	for _, db := range hs.ns.router.Clusters() {
+		db.StopBackground()
+	}
+	nn = hs.ns.NameNodes()[0]
+	hs.run(t, func(p *sim.Proc) {
+		on := [2]bool{}
+		for i := 0; i < 8; i++ {
+			ino, err := nn.Mkdir(p, fmt.Sprintf("/r%d", i), 0o755)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			on[ino.ID%2] = true
+		}
+		if on != [2]bool{true, true} {
+			t.Error("the top-level directories all live on one shard")
+			return
+		}
+		hs.ns.StopBackground()
+		p.Sleep(2 * hs.ns.cfg.ElectionRound)
+		var listed Listing
+		var err error
+		allocs := testing.AllocsPerRun(runs, func() {
+			var e error
+			if listed, e = nn.List(p, "/", listed); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Errorf("list of / at Shards 2: %v", err)
+		} else if allocs != 0 {
+			t.Errorf("warm list of / at Shards 2: %.2f allocations per call, want 0", allocs)
 		}
 	})
 }

@@ -432,13 +432,15 @@ func (ns *Namesystem) NameNodes() []*NameNode { return ns.nns }
 // so the partitions the id keys — the inode's children, inline payload and
 // quota rows — are its own row's (the tables share one partition count). By
 // induction a subtree lives in its top-level directory's row's partition.
-// Each draw takes the shard's next id; the search allocates nothing.
+// Each draw takes the shard's next id and hashes only its decimal form, pk's
+// partition found once; the search allocates nothing.
 func (ns *Namesystem) nextID(table *ndb.Table, pk string) uint64 {
 	n, s := uint64(len(ns.router.Clusters())), uint64(ns.router.ShardOfTable(table))
+	want := table.PartitionOf([]byte(pk))
 	var buf [20]byte
 	for {
 		ns.idSeq++
-		if id := ns.idSeq*n + s; table.SamePartition(strconv.AppendUint(buf[:0], id, 10), pk) {
+		if id := ns.idSeq*n + s; table.PartitionOf(strconv.AppendUint(buf[:0], id, 10)) == want {
 			return id
 		}
 	}

@@ -40,21 +40,36 @@ func newHarnessCfg(t *testing.T, seed int64, tweak func(*Config)) *harness {
 // disable write batching for the serial-reference comparisons).
 func newHarnessFull(t *testing.T, seed int64, dbTweak func(*ndb.Config), tweak func(*Config)) *harness {
 	t.Helper()
+	return newShardedHarness(t, seed, 1, dbTweak, tweak)
+}
+
+// newShardedHarness builds the harness over shards clusters of one shape,
+// each on hosts of its own; db is shard 0's.
+func newShardedHarness(t *testing.T, seed int64, shards int, dbTweak func(*ndb.Config), tweak func(*Config)) *harness {
+	t.Helper()
 	env := sim.New(seed)
 	t.Cleanup(env.Close)
 	net := simnet.New(env, simnet.USWest1())
-	dbCfg := ndb.DefaultConfig()
-	dbCfg.DataNodes = 6
-	dbCfg.Replication = 3
-	dbCfg.PartitionsPerTable = 12
-	if dbTweak != nil {
-		dbTweak(&dbCfg)
-	}
 	zones := []simnet.ZoneID{1, 2, 3}
-	db, err := ndb.New(env, net, dbCfg, ndb.SpreadPlacement(6, zones, 100),
-		[]ndb.Placement{{Zone: 1, Host: 200}, {Zone: 2, Host: 201}, {Zone: 3, Host: 202}})
-	if err != nil {
-		t.Fatal(err)
+	clusters := make([]*ndb.Cluster, shards)
+	for i := range clusters {
+		dbCfg := ndb.DefaultConfig()
+		dbCfg.DataNodes = 6
+		dbCfg.Replication = 3
+		dbCfg.PartitionsPerTable = 12
+		if i > 0 {
+			dbCfg.NamePrefix = fmt.Sprintf("s%d-", i)
+		}
+		if dbTweak != nil {
+			dbTweak(&dbCfg)
+		}
+		base := simnet.HostID(200 + 10*i)
+		db, err := ndb.New(env, net, dbCfg, ndb.SpreadPlacement(6, zones, 100+1000*i),
+			[]ndb.Placement{{Zone: 1, Host: base}, {Zone: 2, Host: base + 1}, {Zone: 3, Host: base + 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters[i] = db
 	}
 	bCfg := blocks.DefaultConfig()
 	bCfg.BlockSize = 1 << 20
@@ -68,7 +83,7 @@ func newHarnessFull(t *testing.T, seed int64, dbTweak func(*ndb.Config), tweak f
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	router, err := shard.NewRouter([]*ndb.Cluster{db})
+	router, err := shard.NewRouter(clusters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +91,7 @@ func newHarnessFull(t *testing.T, seed int64, dbTweak func(*ndb.Config), tweak f
 	for z := simnet.ZoneID(1); z <= 3; z++ {
 		ns.AddNameNode(z, simnet.HostID(400+int(z)), z)
 	}
-	return &harness{env: env, net: net, db: db, ns: ns, mgr: mgr}
+	return &harness{env: env, net: net, db: clusters[0], ns: ns, mgr: mgr}
 }
 
 func (h *harness) client(z simnet.ZoneID) *Client {

@@ -262,7 +262,8 @@ func TestSubtreeLivesInItsTopPartition(t *testing.T) {
 				counts[table]++
 				home := topOf(byID, owner)
 				want := at[home.ID]
-				if s != want.shard || !d.MetaClusters()[s].Table(table).SamePartition([]byte(pk), want.pk) {
+				tab := d.MetaClusters()[s].Table(table)
+				if s != want.shard || tab.PartitionOf([]byte(pk)) != tab.PartitionOf([]byte(want.pk)) {
 					t.Errorf("%s row %s (inode %d %q) is on shard %d, not in the partition of %q on shard %d",
 						table, pk, owner.ID, owner.Name, s, want.pk, want.shard)
 				}
@@ -315,7 +316,7 @@ func TestRenamedDirectoryKeepsItsPartition(t *testing.T) {
 			inodes := d.MetaClusters()[at[a.ID].shard].Table("inodes")
 			var b *namenode.Inode
 			for _, ino := range tops {
-				if at[ino.ID].shard == at[a.ID].shard && !inodes.SamePartition([]byte(at[ino.ID].pk), at[a.ID].pk) &&
+				if at[ino.ID].shard == at[a.ID].shard && inodes.PartitionOf([]byte(at[ino.ID].pk)) != inodes.PartitionOf([]byte(at[a.ID].pk)) &&
 					(b == nil || ino.Name < b.Name) {
 					b = ino
 				}
@@ -360,7 +361,7 @@ func TestRenamedDirectoryKeepsItsPartition(t *testing.T) {
 				t.Fatal("renamer did not finish")
 			}
 			byID, at = inodesByID(d)
-			if !inodes.SamePartition([]byte(at[dir.ID].pk), at[b.ID].pk) {
+			if inodes.PartitionOf([]byte(at[dir.ID].pk)) != inodes.PartitionOf([]byte(at[b.ID].pk)) {
 				t.Errorf("the renamed directory's own row %s is not in /%s's partition", at[dir.ID].pk, b.Name)
 			}
 			children := 0
@@ -369,7 +370,7 @@ func TestRenamedDirectoryKeepsItsPartition(t *testing.T) {
 					continue
 				}
 				children++
-				if at[id].shard != at[a.ID].shard || !inodes.SamePartition([]byte(at[id].pk), at[a.ID].pk) {
+				if at[id].shard != at[a.ID].shard || inodes.PartitionOf([]byte(at[id].pk)) != inodes.PartitionOf([]byte(at[a.ID].pk)) {
 					t.Errorf("%s under the renamed directory left /%s's partition", ino.Name, a.Name)
 				}
 			}

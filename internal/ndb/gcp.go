@@ -62,7 +62,9 @@ func (c *Cluster) DurableEpoch() uint64 { return c.durableEpoch }
 // transaction's rows apply at one instant, so a transaction is undone
 // whole. The caller's process is charged the recovery REDO replay from each
 // node's disk. Lock state and held rows' marks are cleared: no transactions
-// survive a cluster crash.
+// survive a cluster crash. A row left with no committed value is dropped but
+// not freed for reuse: a process may still be parked in its cleared lock
+// queue, holding it until its wait times out.
 func (c *Cluster) CrashRestartCluster(p *sim.Proc) {
 	durable := c.durableEpoch
 	for i := len(c.undo) - 1; i >= 0; i-- {

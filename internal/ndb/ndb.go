@@ -168,13 +168,15 @@ type Cluster struct {
 	// processes, no joins and no working arrays. A join goes back to its
 	// pool only once every arm it counted has arrived. txns holds the
 	// transactions InTx has ended (Txn.Free), for Begin to reuse, and rows
-	// the rows cleanRow dropped, for the next insert.
+	// the rows cleanRow dropped, for the next insert; when it is empty, the
+	// insert takes the next row of page (newRow).
 	workers freeList[*fanWorker]
 	arms    freeList[*fanArm]
 	joins   freeList[*join]
 	scratch freeList[*batchScratch]
 	txns    freeList[*Txn]
 	rows    freeList[*row]
+	page    []row
 
 	// topoEpoch counts cluster-side replica-topology changes (shutdown
 	// orders, primary promotions); combined with the network's node
@@ -407,7 +409,7 @@ func New(env *sim.Env, net *simnet.Network, cfg Config, dataPlacement, mgmtPlace
 	c.workers.fresh = c.newWorker
 	c.arms.fresh = c.newArm
 	c.txns.fresh = func() *Txn { return &Txn{} }
-	c.rows.fresh = func() *row { return &row{} }
+	c.rows.fresh = c.newRow
 	c.joins.fresh = func() *join { return &join{} }
 	c.scratch.fresh = func() *batchScratch { return &batchScratch{} }
 	numGroups := cfg.DataNodes / cfg.Replication
@@ -566,8 +568,8 @@ func SpreadPlacement(n int, zones []simnet.ZoneID, hostBase int) []Placement {
 	return out
 }
 
-// hashKey maps a partition key to a partition index.
-func hashKey(key string, n int) int { return int(fnv1a(key) % uint32(n)) }
+// hashKey maps a partition key, string or byte form, to a partition index.
+func hashKey[K string | []byte](key K, n int) int { return int(fnv1a(key) % uint32(n)) }
 
 // fnv1a is the 32-bit FNV-1a hash of a partition key, string or byte form.
 func fnv1a[K string | []byte](key K) uint32 {

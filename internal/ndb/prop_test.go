@@ -135,18 +135,22 @@ func TestPropHashKeyBoundsAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestPropSamePartitionMatchesHashKey: the byte-form partition test agrees
-// with hashKey, and hashKey is the 32-bit FNV-1a of hash/fnv, so every
-// partition key keeps its placement.
-func TestPropSamePartitionMatchesHashKey(t *testing.T) {
+// TestPropPartitionOfMatchesHashKey: PartitionOf returns the partition
+// hashKey names, and hashKey is the 32-bit FNV-1a of hash/fnv, so every
+// partition key keeps its placement; two keys share a partition exactly when
+// they hash to one.
+func TestPropPartitionOfMatchesHashKey(t *testing.T) {
 	prop := func(key, pk string, n uint8) bool {
 		parts := int(n%64) + 1
 		tbl := &Table{partitions: make([]*Partition, parts)}
+		for i := range tbl.partitions {
+			tbl.partitions[i] = &Partition{index: i}
+		}
 		h := fnv.New32a()
 		_, _ = h.Write([]byte(key))
 		return hashKey(key, parts) == int(h.Sum32()%uint32(parts)) &&
-			tbl.SamePartition([]byte(key), pk) == (hashKey(key, parts) == hashKey(pk, parts)) &&
-			tbl.SamePartition([]byte(key), key)
+			tbl.PartitionOf([]byte(key)).index == hashKey(key, parts) &&
+			(tbl.PartitionOf([]byte(key)) == tbl.PartitionOf([]byte(pk))) == (hashKey(key, parts) == hashKey(pk, parts))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

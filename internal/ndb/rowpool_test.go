@@ -1,6 +1,7 @@
 package ndb
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -230,5 +231,140 @@ func TestLockedRowIsNotReused(t *testing.T) {
 	env.RunFor(time.Second)
 	if !ok {
 		t.Error("k's row is not on the free rows once its last holder ended")
+	}
+}
+
+// TestFreedRowServedBeforePage: an insert takes a row that cleanRow returned
+// before it cuts the page's next row, and once the free rows are empty it
+// takes the page's rows in order, each once.
+func TestFreedRowServedBeforePage(t *testing.T) {
+	_, c, _ := testCluster(t, true, 3)
+	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+	part := tbl.partitionFor("p")
+	r := part.getRow("p", "a")
+	if len(c.page) != rowPage-1 {
+		t.Fatalf("the first row left %d rows of its page, want %d", len(c.page), rowPage-1)
+	}
+	part.cleanRow("p", "a", r)
+	if len(c.rows.free) != 1 || c.rows.free[0] != r {
+		t.Fatalf("cleanRow left %d free rows, want the placeholder alone", len(c.rows.free))
+	}
+	next := &c.page[0]
+	if got := part.getRow("p", "b"); got != r || len(c.page) != rowPage-1 {
+		t.Fatalf("the insert took a row of the page (%d left) over the freed one", len(c.page))
+	}
+	if got := part.getRow("p", "c"); got != next || len(c.page) != rowPage-2 {
+		t.Fatal("with no freed row the insert did not take the page's next row")
+	}
+}
+
+// TestRowPageAllocs: inserts into an empty free list allocate one page per
+// 64 rows — 0 per row on average, where a row of its own would be 1.
+func TestRowPageAllocs(t *testing.T) {
+	_, c, _ := testCluster(t, true, 3)
+	var rows []*row
+	allocs := testing.AllocsPerRun(rowPage, func() { rows = append(rows[:0], c.rows.get()) })
+	if allocs != 0 {
+		t.Errorf("a row from an empty free list: %.2f allocations on average over %d, want 0", allocs, rowPage)
+	}
+}
+
+// TestReinsertedRowHandedOutOnce: a transaction that deletes a key and
+// inserts it again in one train, and one that inserts more rows than a page
+// holds, leave every row of the cluster in one place at a time — one key's,
+// the free rows' or the page's not yet cut — and so does a whole-cluster
+// restart between two such transactions, which drops the rows whose values it
+// undoes.
+func TestReinsertedRowHandedOutOnce(t *testing.T) {
+	env, c, client := testCluster(t, true, 3)
+	tbl := c.CreateTable("t", 64, TableOptions{ReadBackup: true})
+	// distinct fails unless no row is in two places.
+	distinct := func(when string) {
+		seen := map[*row]string{}
+		see := func(r *row, where string) {
+			if prev, ok := seen[r]; ok {
+				t.Errorf("%s: one row is both %s and %s", when, prev, where)
+			}
+			seen[r] = where
+		}
+		for _, part := range tbl.partitions {
+			for pk, b := range part.rows {
+				for key, r := range b.rows {
+					see(r, pk+"/"+key)
+				}
+			}
+		}
+		for _, r := range c.rows.free {
+			see(r, "free")
+		}
+		for i := range c.page {
+			see(&c.page[i], "uncut")
+		}
+	}
+	row := func(key string, val Value) BatchWrite {
+		return BatchWrite{Table: tbl, PartKey: "p", Key: key, Val: val, Del: val == nil}
+	}
+	run := func(p *sim.Proc, batches ...[]BatchWrite) bool {
+		tx, err := c.Begin(p, client, 1, tbl, "p")
+		err = InTx(tx, err, func(tx *Txn) error {
+			for _, ws := range batches {
+				if err := tx.WriteBatch(ws); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return err == nil
+	}
+	// reinsert deletes k0 and k1 and inserts k0 again, one train.
+	reinsert := func(p *sim.Proc, val Value) bool {
+		return run(p, []BatchWrite{row("k0", nil), row("k1", nil)}, []BatchWrite{row("k0", val)})
+	}
+	done := false
+	env.Spawn("scenario", func(p *sim.Proc) {
+		many := make([]BatchWrite, rowPage+6)
+		for i := range many {
+			many[i] = row(fmt.Sprint("k", i), "v1")
+		}
+		if !run(p, many) {
+			return
+		}
+		distinct("after a page and more of inserts")
+		p.Sleep(3 * gcpInterval)
+		if !reinsert(p, "v2") {
+			return
+		}
+		distinct("after the re-insert")
+		p.Flush()
+		c.CrashRestartCluster(p)
+		distinct("after the restart")
+		if !reinsert(p, "v3") {
+			return
+		}
+		distinct("after the re-insert past the restart")
+		tx, err := c.Begin(p, client, 1, tbl, "p")
+		if err = InTx(tx, err, func(tx *Txn) error {
+			for key, want := range map[string]Value{"k0": "v3", "k1": nil, "k2": "v1"} {
+				got, ok, err := readCommitted(tx, tbl, "p", key)
+				if err != nil {
+					return err
+				}
+				if got != want || ok != (want != nil) {
+					t.Errorf("%s reads (%v, %v), want %v", key, got, ok, want)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Error(err)
+			return
+		}
+		done = true
+	})
+	env.RunFor(10 * time.Second)
+	if !done && !t.Failed() {
+		t.Fatal("the scenario did not finish")
 	}
 }

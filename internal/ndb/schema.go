@@ -48,12 +48,11 @@ func (t *Table) partitionFor(partKey string) *Partition {
 	return t.partitions[hashKey(partKey, len(t.partitions))]
 }
 
-// SamePartition reports whether the partition key key, in byte form, maps
-// to the partition of the partition key pk. It allocates nothing, so a
-// caller may build key in a stack buffer.
-func (t *Table) SamePartition(key []byte, pk string) bool {
-	n := uint32(len(t.partitions))
-	return fnv1a(key)%n == fnv1a(pk)%n
+// PartitionOf returns the partition the partition key key, in byte form,
+// maps to. It keeps nothing of key, so a caller may build key in a stack
+// buffer and compare partitions by pointer without allocating.
+func (t *Table) PartitionOf(key []byte) *Partition {
+	return t.partitions[hashKey(key, len(t.partitions))]
 }
 
 // PrimaryFor returns the current primary replica datanode of the partition
@@ -289,6 +288,25 @@ func (b *bucket) edit(key string, r *row) {
 	case found:
 		b.sorted = slices.Delete(b.sorted, i, i+1)
 	}
+}
+
+// rowPage is the number of rows a cluster allocates at once, as NDB
+// preallocates its row pages (the rows' counterpart of the namenode hint
+// cache's hintSlab).
+const rowPage = 64
+
+// newRow cuts the next row of the cluster's current page, allocating a page
+// when the last is used up. It serves the free rows' misses only: a page's
+// rows are handed out once each, and from then on move only through the
+// free rows (cleanRow), so no row is handed out twice. A page lives as long
+// as any of its rows, which the free rows keep for the cluster's life.
+func (c *Cluster) newRow() *row {
+	if len(c.page) == 0 {
+		c.page = make([]row, rowPage)
+	}
+	r := &c.page[0]
+	c.page = c.page[1:]
+	return r
 }
 
 // row is one stored row with its lock state. val and exists are its

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,20 +11,26 @@ import (
 )
 
 // ndb.InTx recycles a routed transaction with its sub-transactions: the next
-// routed Begin gets the same *Txn back, zeroed in between, and the
+// routed Begin gets the same *Txn back, zeroed in between but for the
+// storage of its table-prefix scans, whose rows are cleared, and the
 // sub-transactions it opens are the ones the first transaction freed.
 func TestInTxRecyclesRoutedTxn(t *testing.T) {
 	env, r, client := testRouter(t, 2)
 	ts := r.NewTableSet("t", 256, ndb.TableOptions{ReadBackup: true})
 	on0, on1 := keyOnShard(t, r, 0), keyOnShard(t, r, 1)
+	ndb.StoreDirect(ts.For(on0), on0, "a", "v")
 	var first, second *Txn
 	var subs [2]*ndb.Txn
 	zeroBetween, sameSubs := false, false
 	env.Spawn("txn", func(p *sim.Proc) {
-		// Touch both shards, so two sub-transactions are freed with it.
+		// Touch both shards, so two sub-transactions are freed with it,
+		// and scan the table, so its scan storage keeps a row.
 		body := func(tx ndb.Tx) error {
 			if _, _, err := readCommitted(tx, ts.For(on0), on0, "a"); err != nil {
 				return err
+			}
+			if kvs, err := tx.ScanTablePrefix(ts.For(on0), "a"); err != nil || len(kvs) != 1 {
+				t.Errorf("the table scan found %v (%v), want the one row", kvs, err)
 			}
 			return put(tx, ts.For(on1), on1, "b", "v")
 		}
@@ -38,7 +45,12 @@ func TestInTxRecyclesRoutedTxn(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		zeroBetween = reflect.ValueOf(*first).IsZero()
+		freed := *first
+		kept := freed.scanned[:cap(freed.scanned)]
+		zeroBetween = len(freed.scanned) == 0 && len(kept) > 0 &&
+			!slices.ContainsFunc(kept, func(kv ndb.KV) bool { return kv != ndb.KV{} })
+		freed.scanned = nil
+		zeroBetween = zeroBetween && reflect.ValueOf(freed).IsZero()
 		tx, err = r.Begin(p, client, 1, ts.For(on0), on0)
 		err = ndb.InTx(tx, err, func(tx ndb.Tx) error {
 			second = tx.(*Txn)

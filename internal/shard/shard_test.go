@@ -632,7 +632,9 @@ func TestRoutedBatchReportsItsFirstRefusal(t *testing.T) {
 // of every shard — of a namespace seeded identically at Shards 1, 2 and 4
 // returns the same rows at each: key-sorted, no duplicates, no row of another
 // prefix. It reads every shard, and like any read-only transaction it commits
-// without the intent protocol.
+// without the intent protocol. A second scan in the same transaction leaves
+// the first one's rows as they were: each is its own window of the
+// transaction's scan storage.
 func TestRoutedTableScan(t *testing.T) {
 	list := func(n int) []ndb.KV {
 		env, r, client := testRouter(t, n)
@@ -658,6 +660,14 @@ func TestRoutedTableScan(t *testing.T) {
 		inTxn(t, env, r, client, ts, "c00", func(p *sim.Proc, tx ndb.Tx) (err error) {
 			if kvs, err = tx.ScanTablePrefix(ts.At(0), "1/"); err != nil {
 				return err
+			}
+			first := fmt.Sprint(kvs)
+			other, err := tx.ScanTablePrefix(ts.At(0), "2/")
+			if err != nil {
+				return err
+			}
+			if len(other) != 24 || fmt.Sprint(kvs) != first {
+				t.Errorf("Shards=%d: a second scan found %d rows and changed the first's to %v", n, len(other), kvs)
 			}
 			return tx.Commit()
 		})

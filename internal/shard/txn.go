@@ -35,6 +35,10 @@ type Txn struct {
 	// eight rows that spans shards — a path resolution straddling the
 	// boundary — so such a batch allocates nothing.
 	vals [8]ndb.BatchVal
+	// scanned holds the merged rows of every table-prefix scan the
+	// transaction has served, back to back; Free keeps its storage for the
+	// next transaction.
+	scanned []ndb.KV
 }
 
 // Begin opens a transaction hinted at table's row partKey — Cluster.Begin's
@@ -98,9 +102,11 @@ func (t *Txn) Annotate(key, value string) {
 // ScanTablePrefix scans every partition of the logical table — table's
 // namesake on every shard, in shard order — for keys with the prefix. The
 // merged rows are re-sorted by key so the order is independent of the shard
-// count.
+// count. They are a window of the transaction's scan storage, sorted in
+// place: like the sub-transactions' scans, they read the same after later
+// commits, until ndb.InTx returns.
 func (t *Txn) ScanTablePrefix(table *ndb.Table, prefix string) ([]ndb.KV, error) {
-	var out []ndb.KV
+	from := len(t.scanned)
 	for _, c := range t.r.clusters {
 		tab := c.Table(table.Name())
 		sub, err := t.sub(tab, "")
@@ -111,8 +117,9 @@ func (t *Txn) ScanTablePrefix(table *ndb.Table, prefix string) ([]ndb.KV, error)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, kvs...)
+		t.scanned = append(t.scanned, kvs...)
 	}
+	out := t.scanned[from:len(t.scanned):len(t.scanned)]
 	slices.SortFunc(out, byKey)
 	return out, nil
 }
@@ -240,8 +247,9 @@ func (t *Txn) Abort() {
 }
 
 // Free returns an ended routed transaction's sub-transactions to their
-// clusters' pools and then the transaction, zeroed, to the router's; only
-// ndb.InTx calls it. Freeing an open transaction panics.
+// clusters' pools and then the transaction, zeroed but for its scan
+// storage's capacity, to the router's; only ndb.InTx calls it. Freeing an
+// open transaction panics.
 func (t *Txn) Free() {
 	if !t.done {
 		panic("shard: Free of an open transaction")
@@ -251,8 +259,9 @@ func (t *Txn) Free() {
 			sub.Free()
 		}
 	}
-	r := t.r
-	*t = Txn{}
+	r, scanned := t.r, t.scanned
+	clear(scanned)
+	*t = Txn{scanned: scanned[:0]}
 	r.free = append(r.free, t)
 }
 
